@@ -4,13 +4,16 @@ Not a paper artifact — this is the BENCH_PERF.json trajectory the
 ROADMAP's "as fast as the hardware allows" goal is measured against.  It
 scores the §3.4 round loop at 10/100/1000 concurrent streams (1000-block
 strands), then runs a seeds × arrival-mixes × drive-configs sweep through
-the :mod:`repro.perf` parallel runner.  The scale points land in
+the :mod:`repro.perf` parallel runner, and the server / cluster /
+tracing-overhead / profile comparisons — each a couple of
+:mod:`repro.scenarios` registry runs and a comparison, with no stack
+construction of its own.  The scale points land in
 ``BENCH_PERF.json`` at the repo root (``BENCH_PERF.smoke.json`` under
 ``--smoke``, so CI never clobbers the committed trajectory), and the
 same points are re-emitted as an experiment-matrix manifest
 (``BENCH_PERF.matrix.json``) so the bench trajectory and the
 ``repro expt gate`` regression machinery speak one schema — see
-:mod:`repro.expt` and docs/EXPERIMENTS.md.
+:mod:`repro.expt` and docs/MATRIX.md.
 
 The trajectory to watch: ``blocks_per_second`` should stay flat across
 stream count and strand length — the incremental consumption cursor and
@@ -19,21 +22,20 @@ super-linear cost shows up as a falling curve at the 1000-stream point.
 """
 
 import json
+import time
 from pathlib import Path
 
 from conftest import emit, param, pedantic_args, smoke_mode
 
-from repro.expt import build_manifest, cell_from_scale_result, stable_json
-from repro.perf import (
-    run_cluster_scale_bench,
-    run_obs_overhead_scenario,
-    run_profiled_scale_scenario,
-    run_scale_scenario,
-    run_server_compare_scenario,
-    run_sweep,
-    scale_grid,
-)
-from repro.perf.scenarios import ScaleScenario
+from repro import scenarios
+from repro.expt import build_manifest, stable_json
+from repro.obs import Observability
+from repro.perf import run_sweep, scale_grid, scale_row, score
+
+SCALE = scenarios.get("scale")
+SERVER_HOT = scenarios.get("server-hot")
+CLUSTER = scenarios.get("cluster-scale")
+OBS_OVERHEAD = scenarios.get("obs-overhead")
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,16 +61,131 @@ CLUSTER_FAILOVER_NODES = param(4, 3)
 CLUSTER_FAILOVER_SESSIONS = param(32, 12)
 
 
-def _scenario(streams: int) -> ScaleScenario:
-    return ScaleScenario(
-        name=f"scale-n{streams}",
+def _scenario(streams: int):
+    return SCALE(
+        label=f"scale-n{streams}",
         streams=streams,
         blocks_per_stream=BLOCKS_PER_STREAM,
-        k=4,
-        buffer_capacity=8,
-        seed=0,
-        drive="testbed",
     )
+
+
+def _server_compare() -> dict:
+    """Batched+cached vs per-request admission on the same disk.
+
+    The per-request baseline runs unobserved so ``wall_time_s`` stays
+    comparable along the committed BENCH_PERF.json trajectory.
+    """
+    sizing = dict(sessions=SERVE_SESSIONS, strands=SERVE_STRANDS)
+    started = time.perf_counter()
+    batched = SERVER_HOT(**sizing).run().result
+    per_request = SERVER_HOT(
+        cache_blocks=0, batching=False, **sizing
+    ).run(Observability(enabled=False)).result
+    wall = time.perf_counter() - started
+
+    def side(result):
+        return {
+            "continuous": result.continuous_sessions,
+            "admitted": result.admitted,
+            "rejected": len(result.rejects),
+            "batches": result.batches,
+        }
+
+    return {
+        **sizing,
+        "seconds": SERVER_HOT.seconds,
+        "seed": SERVER_HOT.seed,
+        "batched": {
+            **side(batched),
+            "cache_hits": batched.cache_stats.get("hits", 0),
+            "cache_misses": batched.cache_stats.get("misses", 0),
+        },
+        "per_request": side(per_request),
+        "wall_time_s": wall,
+        "sessions_per_second": 2 * SERVE_SESSIONS / max(wall, 1e-9),
+        "batched_wins": (
+            batched.continuous_sessions > per_request.continuous_sessions
+        ),
+    }
+
+
+def _cluster_scale() -> dict:
+    """The scale run, then an independent node-kill failover run."""
+    scale_run = CLUSTER(
+        nodes=CLUSTER_NODES,
+        sessions=CLUSTER_SESSIONS,
+        titles=CLUSTER_TITLES,
+        per_node_streams=CLUSTER_PER_NODE_STREAMS,
+    ).run()
+    failover_run = CLUSTER.from_matrix(
+        nodes=CLUSTER_FAILOVER_NODES, sessions=CLUSTER_FAILOVER_SESSIONS
+    ).run()
+    result, fr = scale_run.result, failover_run.result
+    params = scale_run.scenario.spec()
+    del params["chunks"], params["kill_node"], params["kill_chunk"]
+    bounds = scale_run.bounds.to_dict()
+    return {
+        **params,
+        "scale": {
+            "admitted": result.admitted,
+            "continuous": result.continuous_sessions,
+            "rejected": len(result.rejects),
+            "blocks_delivered": scale_run.metrics()["blocks_delivered"],
+            "total_misses": result.total_misses,
+            "wall_time_s": scale_run.wall_s,
+            "sessions_per_second": (
+                len(result.statuses) / max(scale_run.wall_s, 1e-9)
+            ),
+        },
+        "bounds": bounds,
+        "failover": {
+            "nodes": CLUSTER_FAILOVER_NODES,
+            "sessions": CLUSTER_FAILOVER_SESSIONS,
+            "affected": len(fr.handoffs),
+            "clean": fr.handoffs_clean,
+            "continuity_breaks": sum(
+                1 for record in fr.handoffs
+                if record.to_node is None or not record.clean
+            ),
+            "continuous": fr.continuous_sessions,
+            "admitted": fr.admitted,
+            "wall_time_s": failover_run.wall_s,
+            "clean_ratio": (
+                1.0 if fr.handoff_clean_ratio is None
+                else fr.handoff_clean_ratio
+            ),
+        },
+        "all_continuous": (
+            result.admitted > 0
+            and result.continuous_sessions == result.admitted
+        ),
+        "within_bounds": (
+            result.admitted <= bounds["full_catalog"]
+            and bounds["demand_satisfiable"] <= bounds["demand_total"]
+        ),
+    }
+
+
+def _obs_overhead() -> dict:
+    scenario = OBS_OVERHEAD(
+        streams=OBS_STREAMS,
+        blocks_per_stream=OBS_BLOCKS,
+        repeats=OBS_REPEATS,
+    )
+    run = scenario.run()
+    ratio = run.perf()["obs_overhead_ratio"]
+    return {
+        "streams": scenario.streams,
+        "blocks_per_stream": scenario.blocks_per_stream,
+        "repeats": scenario.repeats,
+        "wall_off_s": run.warmups[0].wall_s,
+        "wall_obs_s": run.wall_s,
+        "ratio": ratio,
+        "spans": len(run.obs.tracer),
+        "spans_dropped": run.obs.tracer.dropped_count,
+        "budget_ratio": scenario.budget_ratio,
+        "within_budget": ratio <= scenario.budget_ratio,
+    }
 
 
 def _bench_path() -> Path:
@@ -86,14 +203,14 @@ def _matrix_path() -> Path:
 
 def test_perf_scale_points(benchmark):
     """Score every scale point; benchmark the largest; write the JSON."""
-    points = [run_scale_scenario(_scenario(n)) for n in STREAM_POINTS]
+    points = [score(_scenario(n)) for n in STREAM_POINTS]
 
     result = benchmark.pedantic(
-        run_scale_scenario,
+        score,
         args=(_scenario(STREAM_POINTS[-1]),),
         **pedantic_args(),
     )
-    assert result.blocks_delivered == (
+    assert result.metrics["blocks_delivered"] == (
         STREAM_POINTS[-1] * BLOCKS_PER_STREAM
     )
 
@@ -108,60 +225,48 @@ def test_perf_scale_points(benchmark):
         workers=None,
     )
 
-    compare = run_server_compare_scenario(
-        sessions=SERVE_SESSIONS, strands=SERVE_STRANDS
-    )
-    assert compare.batched_wins, (
+    compare = _server_compare()
+    assert compare["batched_wins"], (
         "batched+cached admission must sustain strictly more continuous "
-        f"streams than per-request: {compare.batched_continuous} vs "
-        f"{compare.per_request_continuous}"
+        f"streams than per-request: {compare['batched']['continuous']} vs "
+        f"{compare['per_request']['continuous']}"
     )
 
-    cluster = run_cluster_scale_bench(
-        nodes=CLUSTER_NODES,
-        sessions=CLUSTER_SESSIONS,
-        titles=CLUSTER_TITLES,
-        per_node_streams=CLUSTER_PER_NODE_STREAMS,
-        failover_nodes=CLUSTER_FAILOVER_NODES,
-        failover_sessions=CLUSTER_FAILOVER_SESSIONS,
-    )
-    assert cluster.all_continuous, (
+    cluster = _cluster_scale()
+    assert cluster["all_continuous"], (
         "every admitted cluster session must stay continuous: "
-        f"{cluster.scale['continuous']} of {cluster.scale['admitted']}"
+        f"{cluster['scale']['continuous']} of {cluster['scale']['admitted']}"
     )
-    assert cluster.within_bounds, (
+    assert cluster["within_bounds"], (
         "measured concurrency exceeded the analytical VoD bounds: "
-        f"{cluster.scale['admitted']} admitted vs full-catalog "
-        f"{cluster.bounds['full_catalog']}"
+        f"{cluster['scale']['admitted']} admitted vs full-catalog "
+        f"{cluster['bounds']['full_catalog']}"
     )
-    assert cluster.handoff_clean_ratio > 0.9, (
+    assert cluster["failover"]["clean_ratio"] > 0.9, (
         ">90% of node-kill handoffs must preserve continuity: "
-        f"{cluster.failover['clean']} clean of "
-        f"{cluster.failover['affected']} affected"
+        f"{cluster['failover']['clean']} clean of "
+        f"{cluster['failover']['affected']} affected"
     )
     if not smoke_mode():
         # The acceptance scale: 1000+ concurrent sessions, sharded.
-        assert cluster.scale["admitted"] >= 1000
+        assert cluster["scale"]["admitted"] >= 1000
 
-    overhead = run_obs_overhead_scenario(
-        streams=OBS_STREAMS,
-        blocks_per_stream=OBS_BLOCKS,
-        repeats=OBS_REPEATS,
-    )
+    overhead = _obs_overhead()
     if not smoke_mode():
         # The acceptance budget: full tracing + metrics + SLOs must cost
         # < 15% wall on the 100-session scenario.  Smoke walls are too
         # small to compare meaningfully, so only full mode enforces it.
-        assert overhead.within_budget, (
-            f"observability overhead ratio {overhead.ratio:.3f} exceeds "
-            f"budget {overhead.budget_ratio:.2f} "
-            f"({overhead.wall_obs_s:.3f}s vs {overhead.wall_off_s:.3f}s)"
+        assert overhead["within_budget"], (
+            f"observability overhead ratio {overhead['ratio']:.3f} exceeds "
+            f"budget {overhead['budget_ratio']:.2f} "
+            f"({overhead['wall_obs_s']:.3f}s vs "
+            f"{overhead['wall_off_s']:.3f}s)"
         )
 
-    profiled = run_profiled_scale_scenario(
-        streams=STREAM_POINTS[-1], blocks_per_stream=BLOCKS_PER_STREAM
+    profiled = _scenario(STREAM_POINTS[-1])
+    profile_section = profiled.profile_section(
+        profiled.run(profiled.observability(profile=True))
     )
-    profile_section = profiled.section
     share_sum = sum(
         phase["share"] for phase in profile_section["phases"].values()
     )
@@ -169,7 +274,7 @@ def test_perf_scale_points(benchmark):
     assert abs(share_sum - 1.0) <= 1e-9, (
         f"profile phase shares must sum to 1.0, got {share_sum!r}"
     )
-    assert profiled.blocks_delivered == (
+    assert profile_section["blocks_delivered"] == (
         STREAM_POINTS[-1] * BLOCKS_PER_STREAM
     )
 
@@ -178,11 +283,11 @@ def test_perf_scale_points(benchmark):
         "schema_version": 1,
         "mode": "smoke" if smoke_mode() else "full",
         "blocks_per_stream": BLOCKS_PER_STREAM,
-        "points": [point.to_dict() for point in points],
+        "points": [scale_row(point) for point in points],
         "sweep": sweep.to_dict(),
-        "server_compare": compare.to_dict(),
-        "cluster_scale": cluster.to_dict(),
-        "obs_overhead": overhead.to_dict(),
+        "server_compare": compare,
+        "cluster_scale": cluster,
+        "obs_overhead": overhead,
         "profile": profile_section,
     }
     path = _bench_path()
@@ -193,8 +298,7 @@ def test_perf_scale_points(benchmark):
     manifest = build_manifest(
         name=f"bench-perf-scale-{record['mode']}",
         cell_records=[
-            cell_from_scale_result(point)
-            for point in points + list(sweep.results)
+            cell.to_dict() for cell in points + list(sweep.results)
         ],
         workers=sweep.workers,
         parallel=sweep.parallel,
@@ -207,33 +311,33 @@ def test_perf_scale_points(benchmark):
         f"perf scale trajectory ({record['mode']}) -> {path.name}, "
         f"{matrix_path.name}"
     ]
-    for point in points:
+    for point in map(scale_row, points):
         table_lines.append(
-            f"  n={point.streams:>5} x {point.blocks_per_stream} blocks: "
-            f"{point.wall_time_s:.3f}s wall, "
-            f"{point.blocks_per_second:,.0f} blocks/s, "
-            f"{point.streams_per_second:,.0f} streams/s"
+            f"  n={point['streams']:>5} x {point['blocks_per_stream']} "
+            f"blocks: {point['wall_time_s']:.3f}s wall, "
+            f"{point['blocks_per_second']:,.0f} blocks/s, "
+            f"{point['streams_per_second']:,.0f} streams/s"
         )
     table_lines.append(
-        f"  serve compare: batched {compare.batched_continuous} vs "
-        f"per-request {compare.per_request_continuous} continuous "
-        f"({compare.sessions_per_second:,.0f} sessions/s)"
+        f"  serve compare: batched {compare['batched']['continuous']} vs "
+        f"per-request {compare['per_request']['continuous']} continuous "
+        f"({compare['sessions_per_second']:,.0f} sessions/s)"
     )
     table_lines.append(
-        f"  cluster scale: {cluster.scale['continuous']}/"
-        f"{cluster.scale['admitted']} continuous on "
-        f"{cluster.params['nodes']} nodes "
-        f"(full-catalog bound {cluster.bounds['full_catalog']}, "
-        f"demand {cluster.bounds['demand_satisfiable']}/"
-        f"{cluster.bounds['demand_total']}); failover "
-        f"{cluster.failover['clean']}/{cluster.failover['affected']} "
-        f"clean handoffs"
+        f"  cluster scale: {cluster['scale']['continuous']}/"
+        f"{cluster['scale']['admitted']} continuous on "
+        f"{cluster['nodes']} nodes "
+        f"(full-catalog bound {cluster['bounds']['full_catalog']}, "
+        f"demand {cluster['bounds']['demand_satisfiable']}/"
+        f"{cluster['bounds']['demand_total']}); failover "
+        f"{cluster['failover']['clean']}/"
+        f"{cluster['failover']['affected']} clean handoffs"
     )
     table_lines.append(
-        f"  obs overhead: x{overhead.ratio:.3f} "
-        f"({overhead.wall_obs_s:.3f}s traced vs "
-        f"{overhead.wall_off_s:.3f}s off, {overhead.spans} spans, "
-        f"budget x{overhead.budget_ratio:.2f})"
+        f"  obs overhead: x{overhead['ratio']:.3f} "
+        f"({overhead['wall_obs_s']:.3f}s traced vs "
+        f"{overhead['wall_off_s']:.3f}s off, {overhead['spans']} spans, "
+        f"budget x{overhead['budget_ratio']:.2f})"
     )
     hot = profile_section["top"][0]
     table_lines.append(
@@ -244,7 +348,7 @@ def test_perf_scale_points(benchmark):
     )
     emit("\n".join(table_lines), sweep.table())
 
-    for point in points:
-        assert point.blocks_delivered == (
-            point.streams * point.blocks_per_stream
+    for point in map(scale_row, points):
+        assert point["blocks_delivered"] == (
+            point["streams"] * point["blocks_per_stream"]
         )

@@ -13,7 +13,7 @@ job can execute each ``bench_e*.py`` end to end in seconds — benches
 can't silently rot between full runs.
 
 Every benchmark run also emits an observability snapshot of the
-canonical steady scenario (:mod:`repro.obs.scenarios`) into the
+canonical ``steady`` scenario (:mod:`repro.scenarios`) into the
 artifact section, so the benchmark history carries the telemetry
 baseline alongside the paper tables.
 """
@@ -76,9 +76,9 @@ def emit(*renderables) -> None:
 
 def _emit_obs_snapshot() -> None:
     """Append the steady-scenario observability snapshot artifact."""
-    from repro.obs.scenarios import run_steady_scenario
+    from repro import scenarios
 
-    run = run_steady_scenario(seconds=param(4.0, 1.0))
+    run = scenarios.get("steady")(seconds=param(4.0, 1.0)).run()
     _EMITTED.append(
         "observability snapshot (steady scenario, deterministic):\n"
         + run.snapshot()

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The one-command CI gate: lint, tier-1 tests, then the smoke
-# experiment matrix against its committed baseline (docs/EXPERIMENTS.md).
+# experiment matrix against its committed baseline (docs/MATRIX.md).
 #
 #   scripts/check.sh            # everything
 #   SKIP_TESTS=1 scripts/check.sh   # lint + matrix gate only
@@ -27,10 +27,21 @@ echo "== smoke experiment matrix =="
 python -m repro expt run --smoke --out results/smoke
 python -m repro expt gate --manifest results/smoke/matrix.json
 
-echo "== cluster smoke scenario =="
-python -m repro cluster --smoke
+echo "== cluster smoke scenario (no rejects, every handoff clean) =="
+python -m repro run --scenario cluster-scale --smoke --json | python -c '
+import json, sys
+result = json.load(sys.stdin)["result"]
+assert not result["rejects"], result["rejects"]
+assert result["handoffs"] and all(h["clean"] for h in result["handoffs"])
+'
 
 echo "== profiler smoke =="
-python -m repro profile --smoke
+python -m repro profile --scenario scale --smoke
+
+echo "== every registered scenario at smoke size =="
+for scenario in $(python -c \
+    'import repro.scenarios as s; print(" ".join(sorted(s.REGISTRY)))'); do
+    python -m repro run --scenario "$scenario" --smoke
+done
 
 echo "check.sh: all gates passed"

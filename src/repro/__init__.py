@@ -50,6 +50,15 @@ Quick start::
     )
     print(result.continuous_sessions)
 
+The canonical seed-deterministic workloads (the goldens, the experiment
+matrix, ``python -m repro run --scenario NAME``) are one registry,
+:mod:`repro.scenarios`::
+
+    from repro.scenarios import get
+
+    run = get("server-hot")(sessions=50, strands=5).run()
+    print(run.metrics(), run.healthy())
+
 The lower layers (``core``, ``disk``, ``fs``, ``rope``, ``service``, …)
 stay importable for library use and experiments; import their classes
 from the owning module (the old deprecated top-level aliases, e.g.

@@ -310,7 +310,7 @@ class ServeResult:
         raise KeyError(session_id)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready mapping (the ``repro serve --json`` shape)."""
+        """JSON-ready mapping (``result`` in ``repro run --json``)."""
         return {
             "sessions": [s.to_dict() for s in self.statuses],
             "rejects": [
@@ -519,7 +519,7 @@ class ClusterServeResult:
         raise KeyError(node_id)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready mapping (the ``repro cluster --json`` shape)."""
+        """JSON-ready mapping (``result`` in ``repro run --json``)."""
         return {
             "sessions": [s.to_dict() for s in self.statuses],
             "rejects": [

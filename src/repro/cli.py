@@ -11,36 +11,31 @@ Commands
     tables — the figure-regeneration harness without pytest.
 ``demo``
     The quickstart flow: derive policy, record a clip, play it back.
-``obs-report [--faults] [--cluster] [--top N] [--json]``
-    Run a canonical observed scenario and print its observability
-    report (or raw snapshot JSON) — see :mod:`repro.obs.scenarios`;
-    with ``--cluster``, the federated cluster smoke scenario with
-    per-node metrics and profile rollups.
-``profile [--preset NAME] [--top N] [--smoke] [--json] [--trace-out F]``
-    Run a scenario under the deterministic cost-attribution profiler
-    (:class:`repro.obs.CostProfiler`) and print the ranked cost
-    centers; presets ``steady`` / ``server-hot`` / ``cluster`` /
-    ``scale`` (the n×1000-block service loop).  ``--json`` emits the
-    byte-stable profile section, ``--trace-out`` a Perfetto document
-    with per-phase counter tracks.
+``run``, ``obs-report``, ``profile``, ``trace-export``
+    Four *views* of one registered scenario (:mod:`repro.scenarios`).
+    All share ``--scenario NAME`` (choices come from the registry),
+    ``--set KEY=VALUE`` (repeatable; typed against the scenario's
+    dataclass fields), ``--smoke`` (the scenario's tiny CI sizing),
+    ``--seed`` and ``--json``:
+
+    ``run``
+        Run it and print the outcome summary (``--json``: parameters,
+        deterministic metrics, the typed result, analytical bounds);
+        exit code 0 iff the run is healthy.
+    ``obs-report [--top N] [--profile-timers]``
+        Its observability report, cost profile included (``--json``:
+        the raw snapshot).
+    ``profile [--top N] [--trace-out FILE]``
+        Its ranked cost centers under the deterministic
+        :class:`repro.obs.CostProfiler` (``--json``: the byte-stable
+        profile section; ``--trace-out``: a Perfetto document with
+        per-phase counter tracks).
+    ``trace-export [--out FILE] [--profile]``
+        Its causal span trace as Chrome trace-event JSON, loadable in
+        Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 ``perf-sweep [--streams N ...] [--blocks N] [--workers N] [--json]``
     Fan a grid of service-loop scale scenarios across worker processes
     and print simulator-throughput scores — see :mod:`repro.perf`.
-``serve [--sessions N] [--strands N] [--compare] [--smoke] [--json]``
-    Run a multi-tenant :class:`repro.server.MediaServer` scenario —
-    batched admission + block cache — and print the outcome; with
-    ``--compare``, pit it against per-request admission on the same
-    disk (see :mod:`repro.server.scenarios`).
-``trace-export [--scenario NAME] [--out FILE] [--json]``
-    Run a canonical scenario with span tracing on and emit its causal
-    trace as Chrome trace-event JSON, loadable in Perfetto
-    (https://ui.perfetto.dev) or ``chrome://tracing`` — see
-    :meth:`repro.obs.SpanTracer.to_chrome_trace`.
-``cluster [--failover] [--smoke] [--nodes N] [--sessions N] [--json]``
-    Run a sharded :class:`repro.cluster.MediaCluster` scenario — the
-    1000-session scale run with its analytical VoD bounds, or (with
-    ``--failover``) a deterministic node-kill run with inter-node
-    session handoff (see :mod:`repro.cluster.scenarios`).
 ``expt {run,gate,diff}``
     The experiment-matrix harness (:mod:`repro.expt`): ``run`` expands a
     declarative config (``--smoke`` for the builtin CI matrix) and
@@ -49,13 +44,9 @@ Commands
     and exits non-zero on regression; ``diff`` prints per-cell metric
     deltas between two manifests.
 
-Every scenario-running subcommand (``demo``, ``obs-report``,
-``profile``, ``perf-sweep``, ``serve``, ``cluster``,
-``trace-export``) accepts
-``--seed`` and ``--json`` via one shared option builder, and the
-``expt`` subcommands take the ``--json`` half of the same builder, so
-scripted callers can rely on the same determinism and output contract
-everywhere.
+A :class:`~repro.errors.ParameterError` anywhere below ``main`` (an
+unknown ``--set`` key, a value of the wrong type, a malformed config)
+ends in a one-line ``error: …`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -63,17 +54,17 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
-from repro import analysis
+from repro import analysis, scenarios
 from repro.config import PROFILES, get_profile
 from repro.core import continuity, video_block_model
 from repro.core.continuity import Architecture
-from repro.disk import build_drive
-from repro.errors import InfeasibleError
-from repro.fs import MultimediaStorageManager
+from repro.disk.factory import DRIVE_CONFIGS
+from repro.errors import InfeasibleError, ParameterError
 from repro.media import frames_for_duration, generate_talk_spurts
-from repro.rope import Media, MultimediaRopeServer
+from repro.rope import Media, build_rope_server
+from repro.scenarios.loop import ARRIVALS
 from repro.service import PlaybackSession
 from repro.units import format_rate, format_seconds
 
@@ -115,9 +106,9 @@ def _add_common_options(
     """Attach the ``--seed`` / ``--json`` pair every scenario command has.
 
     One shared builder keeps the contract uniform: the same flag names,
-    types, and defaults on ``demo``, ``obs-report``, ``perf-sweep``,
-    ``serve``, ``trace-export``, ``cluster``, and the ``expt``
-    subcommands — tests introspect the parser to enforce this.
+    types, and defaults on ``demo``, ``perf-sweep``, the four scenario
+    views, and the ``expt`` subcommands — tests introspect the parser
+    to enforce this.
     Commands whose determinism comes from a manifest rather than a
     seed (``expt run/gate/diff``) pass ``include_seed=False`` and keep
     only the ``--json`` half of the contract.
@@ -157,11 +148,7 @@ def _cmd_profiles(_args: argparse.Namespace) -> int:
 def _cmd_policy(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     try:
-        drive = build_drive()
-        msm = MultimediaStorageManager(
-            drive, profile.video, profile.audio,
-            profile.video_device, profile.audio_device,
-        )
+        msm = build_rope_server(profile=profile).msm
     except InfeasibleError as error:
         print(f"no feasible policy on this profile: {error}")
         return 1
@@ -214,12 +201,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
-    drive = build_drive()
-    msm = MultimediaStorageManager(
-        drive, profile.video, profile.audio,
-        profile.video_device, profile.audio_device,
-    )
-    mrs = MultimediaRopeServer(msm)
+    mrs = build_rope_server(profile=profile)
     rng = random.Random(args.seed)
     frames = frames_for_duration(profile.video, args.seconds, source="demo")
     chunks = generate_talk_spurts(profile.audio, args.seconds, 0.35, rng)
@@ -252,87 +234,123 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0 if metrics.continuous else 1
 
 
-def _cmd_obs_report(args: argparse.Namespace) -> int:
-    from repro.obs.scenarios import run_fault_scenario, run_steady_scenario
+def _add_scenario_options(
+    parser: argparse.ArgumentParser,
+) -> argparse.ArgumentParser:
+    """Attach the options every scenario view shares."""
+    parser.add_argument(
+        "--scenario", required=True, choices=sorted(scenarios.REGISTRY),
+        help="which registered scenario to run",
+    )
+    parser.add_argument(
+        "--set", action="append", default=[], metavar="KEY=VALUE",
+        help="override one scenario parameter (repeatable; typed "
+             "against the scenario's fields)",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="use the scenario's tiny CI sizing",
+    )
+    return _add_common_options(
+        parser, seed_help="scenario seed (workload draws and trace ids)",
+    )
 
-    if args.cluster:
-        from repro.cluster import (
-            cluster_observability,
-            run_cluster_smoke_scenario,
+
+def _scenario(args: argparse.Namespace) -> scenarios.Scenario:
+    """The scenario a view's ``--scenario/--set/--smoke/--seed`` name."""
+    spec = {"seed": str(args.seed)}
+    for item in args.set:
+        key, equals, value = item.partition("=")
+        if not equals:
+            raise ParameterError(f"--set expects KEY=VALUE, got {item!r}")
+        spec[key] = value
+    return scenarios.get(args.scenario).from_spec(
+        spec, smoke=args.smoke, text=True
+    )
+
+
+def _write_json(path: str, document: object) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def _print_summary(run: scenarios.ScenarioRun) -> None:
+    """The human outcome of a run, whatever its result type."""
+    result, metrics = run.result, run.metrics()
+    totals = ", ".join(
+        f"{metrics[key]} {label}"
+        for key, label in (
+            ("blocks_delivered", "blocks"), ("rounds", "rounds"),
+            ("misses", "misses"),
+        )
+        if metrics[key] is not None
+    )
+    print(
+        f"{run.scenario.name}: {totals}"
+        f"{'' if run.healthy() else ' -- UNHEALTHY'}"
+    )
+    perf = run.perf()
+    for key in sorted(set(perf) - set(scenarios.PERF_KEYS)):
+        print(f"  {key}: {perf[key]:.3f}")
+    if hasattr(result, "statuses"):
+        print(
+            f"  {len(result.statuses)} sessions: {result.admitted} "
+            f"admitted, {result.continuous_sessions} continuous, "
+            f"{len(result.rejects)} rejected"
+        )
+    if hasattr(result, "batches"):
+        print(
+            f"  {result.batches} batches at k={result.k_used}, "
+            f"cache {result.cache_stats or 'off'}"
+        )
+    if getattr(result, "handoffs", ()):
+        print(
+            f"  handoffs: {result.handoffs_clean}/{len(result.handoffs)} "
+            f"clean (ratio {result.handoff_clean_ratio:.2f})"
+        )
+    bounds = run.bounds
+    if bounds is not None:
+        print(
+            f"  bounds: full-catalog {bounds.full_catalog} streams, "
+            f"demand {bounds.demand_satisfiable}/{bounds.demand_total} "
+            f"satisfiable, storage "
+            f"{'ok' if bounds.storage_ok else 'infeasible'}"
         )
 
-        obs = cluster_observability(args.seed, profile=True)
-        run = run_cluster_smoke_scenario(seed=args.seed, obs=obs)
-        if args.json:
-            print(run.snapshot(include_profile=args.profile_timers))
-        else:
-            print(run.obs.report(top=args.top))
-        result = run.result
-        return 0 if result.continuous_sessions == result.admitted else 1
-    if args.faults:
-        run = run_fault_scenario(
-            seconds=args.seconds,
-            seed=args.seed,
-            head_failure_at_op=args.head_failure_at_op,
-        )
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    import json
+
+    run = _scenario(args).run()
+    if args.json:
+        print(json.dumps(run.to_dict(), indent=2, sort_keys=True))
     else:
-        run = run_steady_scenario(seconds=args.seconds)
+        _print_summary(run)
+    return 0 if run.healthy() else 1
+
+
+def _cmd_obs_report(args: argparse.Namespace) -> int:
+    if args.profile_timers and not args.json:
+        raise ParameterError("--profile-timers only applies with --json")
+    scenario = _scenario(args)
+    run = scenario.run(scenario.observability(profile=True))
     if args.json:
         print(run.snapshot(include_profile=args.profile_timers))
     else:
         print(run.obs.report(top=args.top))
         print()
-        print(run.result.summary())
-    return 0 if run.result.total_misses == run.result.total_skips else 1
-
-
-def _profile_scenario(args: argparse.Namespace):
-    """Run the requested ``repro profile`` preset; returns (obs, section)."""
-    from repro.obs.observer import Observability
-
-    if args.preset == "scale":
-        from repro.perf import run_profiled_scale_scenario
-
-        if args.smoke:
-            run = run_profiled_scale_scenario(
-                streams=4, blocks_per_stream=16, seed=args.seed,
-                name="profile-smoke",
-            )
-        else:
-            run = run_profiled_scale_scenario(
-                streams=args.streams,
-                blocks_per_stream=args.blocks,
-                seed=args.seed,
-            )
-        return run.obs, run.section
-    if args.preset == "steady":
-        from repro.obs.scenarios import run_steady_scenario
-
-        obs = Observability(seed=args.seed)
-        obs.enable_slos()
-        obs.enable_profiler()
-        run_steady_scenario(obs=obs)
-    elif args.preset == "server-hot":
-        from repro.server.scenarios import run_server_hot_scenario
-
-        obs = Observability.for_scale(seed=args.seed)
-        obs.enable_profiler()
-        run_server_hot_scenario(seed=args.seed, obs=obs)
-    else:  # cluster
-        from repro.cluster import (
-            cluster_observability,
-            run_cluster_smoke_scenario,
-        )
-
-        obs = cluster_observability(args.seed, profile=True)
-        run_cluster_smoke_scenario(seed=args.seed, obs=obs)
-    return obs, obs.profiler.summary_dict()
+        _print_summary(run)
+    return 0 if run.healthy() else 1
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    obs, section = _profile_scenario(args)
+    scenario = _scenario(args)
+    obs = scenario.observability(profile=True)
+    section = scenario.profile_section(scenario.run(obs))
     profiler = obs.profiler
     share_sum = sum(
         entry["share"] for entry in section["phases"].values()
@@ -343,11 +361,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         profiler.total_ops > 0 and abs(share_sum - 1.0) <= 1e-9
     )
     if args.trace_out:
-        document = obs.to_chrome_trace()
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(document, indent=2, sort_keys=True) + "\n"
-            )
+        _write_json(args.trace_out, obs.to_chrome_trace())
     if args.json:
         print(json.dumps(section, indent=2, sort_keys=True))
     elif args.smoke:
@@ -359,7 +373,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f"{share_sum:.12f}"
         )
     else:
-        print(f"profile: {args.preset} (seed {args.seed})")
+        print(f"profile: {args.scenario} (seed {args.seed})")
         print(
             f"  total: {profiler.total_ops} ops, "
             f"{profiler.total_cost:.6f}s modeled"
@@ -390,6 +404,36 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0 if healthy else 1
 
 
+def _cmd_trace_export(args: argparse.Namespace) -> int:
+    import json
+
+    scenario = _scenario(args)
+    obs = scenario.observability(profile=args.profile)
+    scenario.run(obs)
+    document = obs.to_chrome_trace()
+    if args.out:
+        _write_json(args.out, document)
+    if args.json:
+        sys.stdout.write(
+            json.dumps(document, indent=2, sort_keys=True) + "\n"
+        )
+    else:
+        other = document["otherData"]
+        print(
+            f"{args.scenario}: {other['spans']} spans "
+            f"({other['dropped']} dropped), "
+            f"{len(document['traceEvents'])} trace events"
+        )
+        if args.out:
+            print(f"wrote {args.out}")
+        else:
+            print(
+                "pass --out FILE (or --json) and load the file in "
+                "https://ui.perfetto.dev or chrome://tracing"
+            )
+    return 0
+
+
 def _cmd_perf_sweep(args: argparse.Namespace) -> int:
     import json
 
@@ -413,218 +457,6 @@ def _cmd_perf_sweep(args: argparse.Namespace) -> int:
             f"\n{report.total_blocks} blocks in "
             f"{format_seconds(report.wall_time_s)} wall"
         )
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.server import run_serve_compare, run_server_hot_scenario
-
-    if args.compare:
-        record = run_serve_compare(
-            sessions=args.sessions,
-            strands=args.strands,
-            seconds=args.seconds,
-            seed=args.seed,
-        )
-        if args.json:
-            print(json.dumps(record, indent=2, sort_keys=True))
-        else:
-            batched, per_request = record["batched"], record["per_request"]
-            print(
-                f"{record['sessions']} sessions over "
-                f"{record['strands']} hot strands:"
-            )
-            print(
-                f"  batched + cached : {batched['continuous']} continuous "
-                f"({batched['batches']} batches, "
-                f"{batched['cache_hits']} cache hits)"
-            )
-            print(
-                f"  per-request      : {per_request['continuous']} "
-                f"continuous ({per_request['rejected']} rejected)"
-            )
-        won = (
-            record["batched"]["continuous"]
-            > record["per_request"]["continuous"]
-        )
-        return 0 if won else 1
-    if args.smoke:
-        run = run_server_hot_scenario(
-            sessions=6, strands=2, seconds=1.0, seed=args.seed
-        )
-        print(run.snapshot())
-        return 0 if run.final.total_misses == 0 else 1
-    run = run_server_hot_scenario(
-        sessions=args.sessions,
-        strands=args.strands,
-        seconds=args.seconds,
-        seed=args.seed,
-        cache_blocks=0 if args.no_cache else args.cache_blocks,
-        batch_window=0.0 if args.no_batch else args.batch_window,
-    )
-    result = run.final
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(
-            f"served {len(result.statuses)} sessions over "
-            f"{len(run.rope_ids)} strands: {result.admitted} admitted, "
-            f"{result.continuous_sessions} continuous, "
-            f"{len(result.rejects)} rejected"
-        )
-        print(
-            f"  {result.batches} batches, {result.rounds} rounds at "
-            f"k={result.k_used}, cache {result.cache_stats or 'off'}"
-        )
-    return 0 if result.total_misses == 0 else 1
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.cluster import (
-        run_cluster_failover_scenario,
-        run_cluster_scale_scenario,
-        run_cluster_smoke_scenario,
-    )
-
-    if args.smoke:
-        run = run_cluster_smoke_scenario(seed=args.seed)
-        result = run.result
-        clean = (
-            result.continuous_sessions == result.admitted
-            and result.handoffs_clean == len(result.handoffs)
-            and not result.rejects
-        )
-        print(run.snapshot())
-        return 0 if clean else 1
-    def resolved(value, scale_default, failover_default):
-        if value is not None:
-            return value
-        return failover_default if args.failover else scale_default
-
-    sizing = dict(
-        nodes=resolved(args.nodes, 20, 4),
-        sessions=resolved(args.sessions, 1000, 32),
-        titles=resolved(args.titles, 40, 8),
-        seconds=resolved(args.seconds, 1.0, 2.0),
-        per_node_streams=resolved(args.per_node_streams, 75, 24),
-        min_replicas=args.replicas,
-        chunks=resolved(args.chunks, 1, 4),
-        seed=args.seed,
-    )
-    if args.failover:
-        run = run_cluster_failover_scenario(
-            kill_node=args.kill_node,
-            kill_chunk=args.kill_chunk,
-            **sizing,
-        )
-    else:
-        run = run_cluster_scale_scenario(**sizing)
-    result = run.result
-    ratio = result.handoff_clean_ratio
-    if args.json:
-        print(json.dumps({
-            "summary": {
-                "nodes": len(result.nodes),
-                "sessions": len(result.statuses),
-                "admitted": result.admitted,
-                "continuous": result.continuous_sessions,
-                "rejected": len(result.rejects),
-                "handoffs": len(result.handoffs),
-                "handoffs_clean": result.handoffs_clean,
-                "handoff_clean_ratio": ratio,
-                "chunks": result.chunks,
-            },
-            "bounds": run.bounds.to_dict(),
-            "placement": {
-                title: list(nodes) for title, nodes in result.placement
-            },
-            "nodes": [node.to_dict() for node in result.nodes],
-        }, indent=2, sort_keys=True))
-    else:
-        print(
-            f"cluster of {len(result.nodes)} nodes served "
-            f"{len(result.statuses)} sessions: {result.admitted} "
-            f"admitted, {result.continuous_sessions} continuous, "
-            f"{len(result.rejects)} rejected"
-        )
-        if result.handoffs:
-            print(
-                f"  handoffs: {result.handoffs_clean}/"
-                f"{len(result.handoffs)} clean "
-                f"(ratio {ratio:.2f})"
-            )
-        bounds = run.bounds
-        print(
-            f"  bounds: full-catalog {bounds.full_catalog} streams, "
-            f"demand {bounds.demand_satisfiable}/{bounds.demand_total} "
-            f"satisfiable, storage "
-            f"{'ok' if bounds.storage_ok else 'infeasible'}"
-        )
-    healthy = result.continuous_sessions == result.admitted
-    if result.handoffs:
-        healthy = healthy and (ratio or 0.0) > 0.9
-    return 0 if healthy else 1
-
-
-def _cmd_trace_export(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.observer import Observability
-
-    if args.scenario in ("steady", "fault"):
-        from repro.obs.scenarios import (
-            run_fault_scenario,
-            run_steady_scenario,
-        )
-
-        obs = Observability(seed=args.seed)
-        obs.enable_slos()
-        if args.profile:
-            obs.enable_profiler()
-        if args.scenario == "steady":
-            run_steady_scenario(obs=obs)
-        else:
-            run_fault_scenario(seed=args.seed, obs=obs)
-    elif args.scenario == "server-steady":
-        from repro.server.scenarios import run_server_steady_scenario
-
-        obs = Observability(seed=args.seed)
-        obs.enable_slos()
-        if args.profile:
-            obs.enable_profiler()
-        run_server_steady_scenario(obs=obs)
-    else:
-        from repro.server.scenarios import run_server_hot_scenario
-
-        obs = Observability.for_scale(seed=args.seed)
-        if args.profile:
-            obs.enable_profiler()
-        run_server_hot_scenario(seed=args.seed, obs=obs)
-    document = obs.to_chrome_trace()
-    payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    if args.json:
-        sys.stdout.write(payload)
-    else:
-        other = document["otherData"]
-        print(
-            f"{args.scenario}: {other['spans']} spans "
-            f"({other['dropped']} dropped), "
-            f"{len(document['traceEvents'])} trace events"
-        )
-        if args.out:
-            print(f"wrote {args.out}")
-        else:
-            print(
-                "pass --out FILE (or --json) and load the file in "
-                "https://ui.perfetto.dev or chrome://tracing"
-            )
     return 0
 
 
@@ -800,73 +632,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.set_defaults(handler=_cmd_demo)
 
+    run = commands.add_parser(
+        "run", help="run a registered scenario and summarize the outcome"
+    )
+    _add_scenario_options(run).set_defaults(handler=_cmd_run)
+
     obs_report = commands.add_parser(
         "obs-report",
-        help="run an observed scenario and print its telemetry",
-    )
-    obs_report.add_argument(
-        "--faults", action="store_true",
-        help="run the fault-injection scenario instead of steady state",
+        help="run a scenario observed and print its telemetry",
     )
     obs_report.add_argument(
         "--profile-timers", action="store_true",
         help="include wall-clock timer data (not byte-stable) in --json",
     )
-    obs_report.add_argument("--seconds", type=float, default=4.0)
-    _add_common_options(
-        obs_report, seed_help="fault-plan seed (with --faults)",
-        json_help="print the raw snapshot JSON instead of the report",
-    )
-    obs_report.add_argument(
-        "--head-failure-at-op", type=int, default=None,
-        help="inject a head failure at this disk-op index (with --faults)",
-    )
-    obs_report.add_argument(
-        "--cluster", action="store_true",
-        help="report the federated cluster smoke scenario (per-node "
-             "metrics and profile) instead of the single-drive runs",
-    )
     obs_report.add_argument(
         "--top", type=int, default=5,
         help="profiler cost centers to list in the report (default: 5)",
     )
-    obs_report.set_defaults(handler=_cmd_obs_report)
+    _add_scenario_options(obs_report).set_defaults(
+        handler=_cmd_obs_report
+    )
 
     profile = commands.add_parser(
         "profile",
         help="run a scenario under the cost-attribution profiler",
     )
     profile.add_argument(
-        "--preset", default="scale",
-        choices=["steady", "server-hot", "cluster", "scale"],
-        help="which canonical scenario to profile (default: scale)",
-    )
-    profile.add_argument(
-        "--streams", type=int, default=1000,
-        help="concurrent streams for the scale preset (default: 1000)",
-    )
-    profile.add_argument(
-        "--blocks", type=int, default=1000,
-        help="blocks per stream for the scale preset (default: 1000)",
-    )
-    profile.add_argument(
         "--top", type=int, default=5,
         help="cost centers to list (default: 5)",
-    )
-    profile.add_argument(
-        "--smoke", action="store_true",
-        help="run a tiny fixed scale point and verify attribution health",
     )
     profile.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="also write a Perfetto-loadable trace with profile.<phase> "
              "counter tracks to FILE",
     )
-    _add_common_options(
-        profile, seed_help="scenario seed (attribution derives from it)",
-        json_help="print the profile section as stable JSON",
+    _add_scenario_options(profile).set_defaults(handler=_cmd_profile)
+
+    trace_export = commands.add_parser(
+        "trace-export",
+        help="export a scenario's causal trace as Chrome trace JSON",
     )
-    profile.set_defaults(handler=_cmd_profile)
+    trace_export.add_argument(
+        "--out", default=None, metavar="FILE",
+        help="write the trace-event JSON to FILE",
+    )
+    trace_export.add_argument(
+        "--profile", action="store_true",
+        help="also attach the cost profiler, so the export carries "
+             "profile.<phase> counter tracks alongside the spans",
+    )
+    _add_scenario_options(trace_export).set_defaults(
+        handler=_cmd_trace_export
+    )
 
     perf_sweep = commands.add_parser(
         "perf-sweep",
@@ -891,12 +708,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_sweep.add_argument(
         "--drives", nargs="+", default=["testbed"],
-        choices=["testbed", "fast", "table"],
+        choices=sorted(DRIVE_CONFIGS),
         help="drive configs to sweep (default: testbed)",
     )
     perf_sweep.add_argument(
         "--arrivals", nargs="+", default=["uniform"],
-        choices=["uniform", "staggered"],
+        choices=list(ARRIVALS),
         help="arrival mixes to sweep (default: uniform)",
     )
     perf_sweep.add_argument(
@@ -909,134 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
         json_help="print the sweep report as JSON",
     )
     perf_sweep.set_defaults(handler=_cmd_perf_sweep)
-
-    serve = commands.add_parser(
-        "serve",
-        help="serve a multi-tenant MediaServer scenario",
-    )
-    serve.add_argument(
-        "--sessions", type=int, default=50,
-        help="concurrent open requests in the hot wave (default: 50)",
-    )
-    serve.add_argument(
-        "--strands", type=int, default=5,
-        help="distinct hot ropes the sessions share (default: 5)",
-    )
-    serve.add_argument(
-        "--seconds", type=float, default=2.0,
-        help="length of each recorded strand (default: 2.0)",
-    )
-    serve.add_argument(
-        "--cache-blocks", type=int, default=512,
-        help="block-cache capacity (default: 512)",
-    )
-    serve.add_argument(
-        "--batch-window", type=float, default=0.25,
-        help="admission batching window, seconds (default: 0.25)",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the block cache (implies per-request reads)",
-    )
-    serve.add_argument(
-        "--no-batch", action="store_true",
-        help="disable batched admission (every request its own batch)",
-    )
-    serve.add_argument(
-        "--compare", action="store_true",
-        help="run batched+cached vs per-request and print both",
-    )
-    serve.add_argument(
-        "--smoke", action="store_true",
-        help="run a small fixed scenario and emit its obs snapshot",
-    )
-    _add_common_options(
-        serve, seed_help="arrival-jitter seed",
-        json_help="print the serve result as JSON",
-    )
-    serve.set_defaults(handler=_cmd_serve)
-
-    cluster = commands.add_parser(
-        "cluster",
-        help="serve a sharded multi-node cluster scenario",
-    )
-    cluster.add_argument(
-        "--nodes", type=int, default=None,
-        help="MediaServer nodes in the cluster "
-             "(default: 20 scale / 4 failover)",
-    )
-    cluster.add_argument(
-        "--sessions", type=int, default=None,
-        help="concurrent open requests (default: 1000 scale / 32 failover)",
-    )
-    cluster.add_argument(
-        "--titles", type=int, default=None,
-        help="catalog titles, Zipf-popular (default: 40 scale / 8 failover)",
-    )
-    cluster.add_argument(
-        "--seconds", type=float, default=None,
-        help="length of each recorded title "
-             "(default: 1.0 scale / 2.0 failover)",
-    )
-    cluster.add_argument(
-        "--per-node-streams", type=int, default=None,
-        help="per-node concurrent-session capacity "
-             "(default: 75 scale / 24 failover)",
-    )
-    cluster.add_argument(
-        "--replicas", type=int, default=2,
-        help="minimum replicas per title (default: 2)",
-    )
-    cluster.add_argument(
-        "--chunks", type=int, default=None,
-        help="chunk epochs per session (handoff granularity; "
-             "default: 1 scale / 4 failover)",
-    )
-    cluster.add_argument(
-        "--failover", action="store_true",
-        help="run the node-kill failover scenario instead of scale",
-    )
-    cluster.add_argument(
-        "--kill-node", type=int, default=1,
-        help="node index the failover plan kills (default: 1)",
-    )
-    cluster.add_argument(
-        "--kill-chunk", type=int, default=2,
-        help="chunk boundary the kill fires at (default: 2)",
-    )
-    cluster.add_argument(
-        "--smoke", action="store_true",
-        help="run the tiny fixed scenario and emit its obs snapshot",
-    )
-    _add_common_options(
-        cluster, seed_help="workload seed (title draws and arrivals)",
-        json_help="print the cluster summary and bounds as JSON",
-    )
-    cluster.set_defaults(handler=_cmd_cluster)
-
-    trace_export = commands.add_parser(
-        "trace-export",
-        help="export a scenario's causal trace as Chrome trace JSON",
-    )
-    trace_export.add_argument(
-        "--scenario", default="server-steady",
-        choices=["steady", "fault", "server-steady", "server-hot"],
-        help="which canonical scenario to trace (default: server-steady)",
-    )
-    trace_export.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the trace-event JSON to FILE",
-    )
-    trace_export.add_argument(
-        "--profile", action="store_true",
-        help="also attach the cost profiler, so the export carries "
-             "profile.<phase> counter tracks alongside the spans",
-    )
-    _add_common_options(
-        trace_export, seed_help="scenario seed (trace ids derive from it)",
-        json_help="print the trace-event JSON to stdout",
-    )
-    trace_export.set_defaults(handler=_cmd_trace_export)
 
     expt = commands.add_parser(
         "expt",
@@ -1132,7 +821,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ParameterError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -9,12 +9,13 @@ multi-node deployment while keeping the :mod:`repro.api` surface:
   own block cache) plus the routing metadata the cluster needs;
 * :mod:`repro.cluster.router` — :class:`MediaCluster`: least-loaded
   replica admission, chunked serving, deterministic node kills with
-  inter-node session handoff;
+  inter-node session handoff, and :func:`build_cluster`;
 * :mod:`repro.cluster.bounds` — the distributed-VoD analytical bounds
   (single-video, full-catalog, storage, max-flow demand) the measured
-  cluster is reported against;
-* :mod:`repro.cluster.scenarios` — the canonical seed-deterministic
-  scale / failover / smoke runs.
+  cluster is reported against.
+
+The canonical seed-deterministic run is the ``cluster-scale`` scenario
+in :mod:`repro.scenarios`.
 """
 
 from repro.cluster.bounds import (
@@ -33,35 +34,22 @@ from repro.cluster.placement import (
     demand_from_counters,
     zipf_popularity,
 )
-from repro.cluster.router import CLUSTER_SLOS, MediaCluster
-from repro.cluster.scenarios import (
-    ClusterScenarioRun,
-    build_cluster,
-    cluster_observability,
-    run_cluster_failover_scenario,
-    run_cluster_scale_scenario,
-    run_cluster_smoke_scenario,
-)
+from repro.cluster.router import CLUSTER_SLOS, MediaCluster, build_cluster
 
 __all__ = [
     "CLUSTER_SLOS",
     "CatalogTitle",
     "ClusterBounds",
     "ClusterNode",
-    "ClusterScenarioRun",
     "MediaCluster",
     "PlacementMap",
     "PlacementPolicy",
     "bounds_for_placement",
     "build_cluster",
     "build_node",
-    "cluster_observability",
     "demand_from_counters",
     "demand_max_flow",
     "full_catalog_bound",
-    "run_cluster_failover_scenario",
-    "run_cluster_scale_scenario",
-    "run_cluster_smoke_scenario",
     "single_video_bound",
     "storage_feasible",
     "zipf_popularity",

@@ -20,17 +20,15 @@ handoff) live in :class:`repro.cluster.MediaCluster`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.api import NodeStatus, OpenSessionRequest, ServeResult
 from repro.config import TESTBED_1991
-from repro.disk import build_drive
 from repro.errors import ParameterError
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-from repro.fs import MultimediaStorageManager
 from repro.media.frames import frames_for_duration
-from repro.rope import Media, MultimediaRopeServer
-from repro.server.media_server import MediaServer
+from repro.rope import Media
+from repro.server.media_server import MediaServer, build_media_server
 
 from repro.cluster.placement import CatalogTitle
 
@@ -187,22 +185,11 @@ def build_node(
     obs=None,
 ) -> ClusterNode:
     """A ClusterNode over a fresh testbed drive and storage manager."""
-    profile = TESTBED_1991
-    drive = build_drive()
-    # Per-drive profiler rollups should distinguish the shards.
-    drive.profile_label = f"{node_id}.drive"
-    msm = MultimediaStorageManager(
-        drive,
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
+    server = build_media_server(
         obs=obs,
-    )
-    server = MediaServer(
-        MultimediaRopeServer(msm),
-        batch_window=batch_window,
         cache_blocks=cache_blocks,
-        obs=obs,
+        batch_window=batch_window,
+        # Per-drive profiler rollups should distinguish the shards.
+        label=f"{node_id}.drive",
     )
     return ClusterNode(node_id=node_id, server=server, capacity=capacity)

@@ -74,10 +74,15 @@ from repro.errors import ParameterError
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.obs.slo import DEFAULT_SLOS, Slo
 
-from repro.cluster.node import ClusterNode
-from repro.cluster.placement import PlacementMap
+from repro.cluster.node import ClusterNode, build_node
+from repro.cluster.placement import (
+    CatalogTitle,
+    PlacementMap,
+    PlacementPolicy,
+    zipf_popularity,
+)
 
-__all__ = ["CLUSTER_SLOS", "MediaCluster"]
+__all__ = ["CLUSTER_SLOS", "MediaCluster", "build_cluster"]
 
 #: The stock cluster objective set: everything a single server promises
 #: plus ">= 90% of handoffs resume without a continuity break" — the
@@ -742,3 +747,72 @@ class MediaCluster:
             admission_order=tuple(admission_order),
             chunks=chunks,
         )
+
+
+def build_cluster(
+    nodes: int,
+    titles: int,
+    seconds: float = 1.0,
+    per_node_streams: int = 8,
+    min_replicas: int = 2,
+    clients: Optional[List[str]] = None,
+    obs=None,
+    warm: bool = True,
+    fault_plan: Optional[FaultPlan] = None,
+    cache_blocks: int = 512,
+    batch_window: float = 0.25,
+    scope_nodes: bool = True,
+) -> Tuple[MediaCluster, Tuple[CatalogTitle, ...]]:
+    """A cluster of *nodes* MediaServers sharing a Zipf catalog.
+
+    Titles are ``T01..Tnn`` with classic Zipf(1) popularity; the
+    placement policy mirrors each title onto at least *min_replicas*
+    nodes (so every title has a failover target) and stripes replicas
+    least-loaded-first.  Every node records its assigned replicas from
+    the title's own deterministic frame source and, when *warm* is on,
+    plays each once so the hot waves are cache-admitted.
+
+    With *scope_nodes* (the default) each node is built against
+    ``obs.scoped(node_id)`` — the federated per-node view — and the
+    router's counters go through the ``"cluster"`` scope.  Shared
+    totals are byte-identical either way (the equivalence test pins
+    this); ``scope_nodes=False`` reproduces the legacy flat sharing.
+    """
+    catalog = tuple(
+        CatalogTitle(
+            title_id=f"T{rank:02d}",
+            seconds=seconds,
+            popularity=zipf_popularity(rank),
+        )
+        for rank in range(1, titles + 1)
+    )
+    node_ids = [f"node-{i:02d}" for i in range(nodes)]
+    placement = PlacementPolicy(min_replicas=min_replicas).plan(
+        catalog, node_ids, per_node_streams
+    )
+    viewers = list(clients or []) + ["warmer"]
+    built = []
+    for node_id in node_ids:
+        node = build_node(
+            node_id,
+            capacity=per_node_streams,
+            cache_blocks=cache_blocks,
+            batch_window=batch_window,
+            obs=(
+                obs.scoped(node_id)
+                if obs is not None and scope_nodes else obs
+            ),
+        )
+        for title in catalog:
+            if node_id in placement.replicas(title.title_id):
+                node.record_title(title, viewers)
+        built.append(node)
+    if warm and cache_blocks > 0:
+        for node in built:
+            for title_id in sorted(node.local_ropes):
+                node.warm(title_id)
+    cluster = MediaCluster(
+        built, placement, fault_plan=fault_plan, obs=obs,
+        scope_counters=scope_nodes,
+    )
+    return cluster, catalog

@@ -19,7 +19,7 @@ from repro.disk.drive import SimulatedDrive
 from repro.disk.freemap import FreeMap
 from repro.disk.geometry import DiskGeometry
 from repro.disk.raid import DriveArray
-from repro.disk.seek import LinearSeek, Rotation, SeekModel
+from repro.disk.seek import LinearSeek, Rotation, SeekModel, TableSeek
 from repro.errors import ParameterError
 from repro.units import bytes_, megabits_per_second, milliseconds
 
@@ -27,7 +27,9 @@ __all__ = [
     "DriveSpec",
     "TESTBED_DRIVE",
     "FAST_DRIVE",
+    "DRIVE_CONFIGS",
     "build_drive",
+    "build_drive_config",
     "build_array",
     "drive_with_freemap",
 ]
@@ -113,6 +115,44 @@ def build_drive(
         sectors_per_block=sectors_per_block,
         rng=rng,
     )
+
+
+def _table_drive() -> SimulatedDrive:
+    """The testbed mechanism replayed through a measured-curve TableSeek.
+
+    Sampling the testbed's linear curve at a handful of distances and
+    interpolating between them exercises the memoized table path the way
+    a real datasheet replay would.
+    """
+    linear = TESTBED_DRIVE.seek_model()
+    samples = [1, 4, 16, 64, 256, TESTBED_DRIVE.cylinders - 1]
+    return SimulatedDrive(
+        geometry=TESTBED_DRIVE.geometry(),
+        seek_model=TableSeek([(d, linear.seek_time(d)) for d in samples]),
+        rotation=TESTBED_DRIVE.rotation(),
+        transfer_rate=TESTBED_DRIVE.transfer_rate,
+        sectors_per_block=64,
+    )
+
+
+#: Named drive configurations scenarios and sweeps select by string.
+DRIVE_CONFIGS = {
+    "testbed": lambda: build_drive(TESTBED_DRIVE),
+    "fast": lambda: build_drive(FAST_DRIVE),
+    "table": _table_drive,
+}
+
+
+def build_drive_config(name: str = "testbed") -> SimulatedDrive:
+    """Instantiate one of the named :data:`DRIVE_CONFIGS`."""
+    try:
+        factory = DRIVE_CONFIGS[name]
+    except KeyError:
+        raise ParameterError(
+            f"unknown drive config {name!r}; known: "
+            f"{', '.join(sorted(DRIVE_CONFIGS))}"
+        ) from None
+    return factory()
 
 
 def build_array(

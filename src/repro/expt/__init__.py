@@ -34,7 +34,7 @@ from repro.expt.runner import (
     CellResult,
     MatrixReport,
     build_manifest,
-    cell_from_scale_result,
+    cell_from_run,
     run_cell,
     run_matrix,
     stable_json,
@@ -57,7 +57,7 @@ __all__ = [
     "Tolerance",
     "build_manifest",
     "canonical_json",
-    "cell_from_scale_result",
+    "cell_from_run",
     "config_hash",
     "diff_manifests",
     "full_config",

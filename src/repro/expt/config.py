@@ -9,27 +9,12 @@ mirrors muBench-style replication suites (SNIPPETS.md): topology and
 scale live in declarative workmodel files, the runner maps each factor
 combination onto an executable scenario.
 
-Three workload kinds are understood:
-
-``scale``
-    The raw §3.4 service loop via :class:`repro.perf.ScaleScenario` —
-    consumes the *drives* and *seeds* axes (cache/batching do not apply
-    to the bare round loop).
-``server-hot``
-    The multi-tenant :func:`repro.server.run_server_hot_scenario`
-    acceptance workload — consumes *cache_blocks*, *batching*, and
-    *seeds* (the server front end always runs the testbed drive).
-``obs-overhead``
-    The tracing-overhead comparison
-    (:func:`repro.perf.run_obs_overhead_scenario`) — consumes *seeds*
-    only.
-``cluster-scale``
-    The sharded-VoD failover acceptance run
-    (:func:`repro.cluster.run_cluster_failover_scenario`): N nodes, a
-    replicated Zipf catalog, a deterministic mid-stream node kill, and
-    chunked inter-node handoff — consumes *seeds* only (each node owns
-    its private drive array and cache; the cluster axes live in the
-    workload params).
+A workload's ``kind`` is the name of a registered scenario
+(:mod:`repro.scenarios`); the scenario class declares which parameters a
+config may set and their matrix defaults (``matrix``), which axes it
+consumes (``axes`` — e.g. the bare round loop takes *drives* and
+*seeds*, the server front end *cache_blocks*, *batching* and *seeds*),
+and its cell id, so a new scenario is a matrix kind with no edit here.
 
 Every config carries a canonical SHA-256 ``config_hash`` so a results
 manifest names exactly the matrix that produced it; two dicts with the
@@ -39,12 +24,14 @@ same content hash identically regardless of key order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
+from repro import scenarios
+from repro.disk.factory import DRIVE_CONFIGS
 from repro.errors import ParameterError
-from repro.perf.scenarios import ARRIVALS, DRIVE_CONFIGS
 
 __all__ = [
     "CONFIG_SCHEMA_VERSION",
@@ -62,8 +49,8 @@ __all__ = [
 #: Version stamped into configs and manifests; bump on shape changes.
 CONFIG_SCHEMA_VERSION = 1
 
-#: Workload kinds the expansion understands.
-WORKLOAD_KINDS = ("scale", "server-hot", "obs-overhead", "cluster-scale")
+#: The config axes, in expansion order.
+AXES = ("drives", "cache_blocks", "batching", "seeds")
 
 #: Gate-tolerance comparison kinds (documented in repro.expt.gate).
 TOLERANCE_KINDS = ("relative_drop", "max", "min", "exact")
@@ -135,10 +122,11 @@ class WorkloadSpec:
         )
         kind = raw.get("kind")
         _require(
-            kind in WORKLOAD_KINDS,
+            isinstance(kind, str) and kind in scenarios.REGISTRY,
             f"workloads[{index}].kind must be one of "
-            f"{', '.join(WORKLOAD_KINDS)}; got {kind!r}",
+            f"{', '.join(sorted(scenarios.REGISTRY))}; got {kind!r}",
         )
+        scenario = scenarios.get(kind)
         golden = raw.get("golden", False)
         _require(
             isinstance(golden, bool),
@@ -149,71 +137,30 @@ class WorkloadSpec:
             for key, value in raw.items()
             if key not in ("kind", "golden")
         }
-        allowed = _WORKLOAD_PARAMS[kind]
-        unknown = sorted(set(params) - set(allowed))
+        unknown = sorted(set(params) - set(scenario.matrix))
         _require(
             not unknown,
             f"workloads[{index}] ({kind}) has unknown parameter(s): "
-            f"{', '.join(unknown)}; allowed: {', '.join(sorted(allowed))}",
+            f"{', '.join(unknown)}; allowed: "
+            f"{', '.join(sorted(scenario.matrix))}",
         )
         for key, value in params.items():
-            expected = allowed[key]
-            _require(
-                isinstance(value, expected)
-                and not isinstance(value, bool),
-                f"workloads[{index}].{key} must be "
-                f"{'/'.join(t.__name__ for t in expected)}, got {value!r}",
-            )
-            if isinstance(value, (int, float)):
+            if isinstance(value, (int, float)) and value is not True:
                 _require(
                     value > 0,
                     f"workloads[{index}].{key} must be positive",
                 )
-        if kind == "scale" and "arrivals" in params:
-            _require(
-                params["arrivals"] in ARRIVALS,
-                f"workloads[{index}].arrivals must be one of "
-                f"{', '.join(ARRIVALS)}",
-            )
+        try:
+            scenario.from_spec({**scenario.matrix, **params})
+        except ParameterError as error:
+            raise ExperimentConfigError(
+                f"workloads[{index}] ({kind}): {error}"
+            ) from None
         return WorkloadSpec(
             kind=kind,
             params=tuple(sorted(params.items())),
             golden=golden,
         )
-
-
-#: Allowed kind-specific parameters and their types.
-_WORKLOAD_PARAMS: Dict[str, Dict[str, tuple]] = {
-    "scale": {
-        "streams": (int,),
-        "blocks_per_stream": (int,),
-        "k": (int,),
-        "buffer_capacity": (int,),
-        "arrivals": (str,),
-    },
-    "server-hot": {
-        "sessions": (int,),
-        "strands": (int,),
-        "seconds": (int, float),
-        "batch_window": (int, float),
-    },
-    "obs-overhead": {
-        "streams": (int,),
-        "blocks_per_stream": (int,),
-        "repeats": (int,),
-    },
-    "cluster-scale": {
-        "nodes": (int,),
-        "sessions": (int,),
-        "titles": (int,),
-        "seconds": (int, float),
-        "per_node_streams": (int,),
-        "min_replicas": (int,),
-        "chunks": (int,),
-        "kill_node": (int,),
-        "kill_chunk": (int,),
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -292,13 +239,11 @@ class ExperimentConfig:
 
         axes = raw.get("axes", {})
         _require(isinstance(axes, Mapping), "axes must be an object")
-        unknown_axes = sorted(
-            set(axes) - {"drives", "cache_blocks", "batching", "seeds"}
-        )
+        unknown_axes = sorted(set(axes) - set(AXES))
         _require(
             not unknown_axes,
             f"unknown axes: {', '.join(unknown_axes)}; allowed: "
-            "drives, cache_blocks, batching, seeds",
+            f"{', '.join(AXES)}",
         )
         drives_raw = axes.get("drives", ["testbed"])
         _require(
@@ -419,119 +364,32 @@ class ExperimentConfig:
         """Deterministically expand the matrix into concrete cells.
 
         Workloads expand in declaration order; each kind consumes only
-        the axes that apply to it (module docstring), so the expansion
-        never emits two cells that would run the identical scenario.
-        Axis order within a workload is fixed: drive, cache, batching,
-        seed.
+        the axes its scenario declares, so the expansion never emits two
+        cells that would run the identical scenario.  Axis order within
+        a workload is fixed (:data:`AXES`).  The ``golden`` mark binds
+        only to a scenario's acceptance configuration.
         """
         cells: List[MatrixCell] = []
         for spec in self.workloads:
-            params = spec.param_dict()
-            if spec.kind == "scale":
-                for drive in self.drives:
-                    for seed in self.seeds:
-                        merged = {
-                            "streams": 10,
-                            "blocks_per_stream": 100,
-                            "k": 4,
-                            "buffer_capacity": 8,
-                            "arrivals": "uniform",
-                            **params,
-                            "drive": drive,
-                            "seed": seed,
-                        }
-                        cell_id = (
-                            f"scale-{drive}-{merged['arrivals']}"
-                            f"-n{merged['streams']}"
-                            f"-b{merged['blocks_per_stream']}"
-                            f"-seed{seed}"
-                        )
-                        cells.append(MatrixCell(
-                            cell_id=cell_id,
-                            kind=spec.kind,
-                            golden=spec.golden,
-                            spec=tuple(sorted(merged.items())),
-                        ))
-            elif spec.kind == "server-hot":
-                for cache in self.cache_blocks:
-                    for batch in self.batching:
-                        for seed in self.seeds:
-                            merged = {
-                                "sessions": 6,
-                                "strands": 2,
-                                "seconds": 1.0,
-                                "batch_window": 0.25,
-                                **params,
-                                "cache_blocks": cache,
-                                "batching": batch,
-                                "seed": seed,
-                            }
-                            cell_id = (
-                                f"server-hot-s{merged['sessions']}"
-                                f"x{merged['strands']}-c{cache}"
-                                f"-batch{'on' if batch else 'off'}"
-                                f"-seed{seed}"
-                            )
-                            cells.append(MatrixCell(
-                                cell_id=cell_id,
-                                kind=spec.kind,
-                                # The golden (SLO-refusing) mark binds
-                                # to the acceptance configuration only:
-                                # cache-off / batch-off variants are
-                                # degraded baselines that reject by
-                                # §3.4 design.
-                                golden=(
-                                    spec.golden
-                                    and cache > 0
-                                    and batch
-                                ),
-                                spec=tuple(sorted(merged.items())),
-                            ))
-            elif spec.kind == "obs-overhead":
-                for seed in self.seeds:
-                    merged = {
-                        "streams": 8,
-                        "blocks_per_stream": 50,
-                        "repeats": 2,
-                        **params,
-                        "seed": seed,
-                    }
-                    cell_id = (
-                        f"obs-overhead-n{merged['streams']}"
-                        f"-b{merged['blocks_per_stream']}-seed{seed}"
-                    )
-                    cells.append(MatrixCell(
-                        cell_id=cell_id,
-                        kind=spec.kind,
-                        golden=spec.golden,
-                        spec=tuple(sorted(merged.items())),
-                    ))
-            else:  # cluster-scale
-                for seed in self.seeds:
-                    merged = {
-                        "nodes": 4,
-                        "sessions": 32,
-                        "titles": 8,
-                        "seconds": 2.0,
-                        "per_node_streams": 24,
-                        "min_replicas": 2,
-                        "chunks": 4,
-                        "kill_node": 1,
-                        "kill_chunk": 2,
-                        **params,
-                        "seed": seed,
-                    }
-                    cell_id = (
-                        f"cluster-n{merged['nodes']}"
-                        f"-s{merged['sessions']}"
-                        f"-t{merged['titles']}-seed{seed}"
-                    )
-                    cells.append(MatrixCell(
-                        cell_id=cell_id,
-                        kind=spec.kind,
-                        golden=spec.golden,
-                        spec=tuple(sorted(merged.items())),
-                    ))
+            scenario = scenarios.get(spec.kind)
+            used = [axis for axis in AXES if axis in scenario.axes]
+            for combo in itertools.product(
+                *(getattr(self, axis) for axis in used)
+            ):
+                point = scenario(**{
+                    **scenario.matrix,
+                    **spec.param_dict(),
+                    **{
+                        scenario.axes[axis]: value
+                        for axis, value in zip(used, combo)
+                    },
+                })
+                cells.append(MatrixCell(
+                    cell_id=point.cell_id(),
+                    kind=spec.kind,
+                    golden=spec.golden and point.acceptance(),
+                    spec=tuple(sorted(point.spec().items())),
+                ))
         seen: Dict[str, int] = {}
         for cell in cells:
             seen[cell.cell_id] = seen.get(cell.cell_id, 0) + 1

@@ -1,8 +1,9 @@
 """Experiment-matrix runner: fan cells over workers, write results dirs.
 
 :func:`run_matrix` expands an :class:`~repro.expt.config.ExperimentConfig`
-and maps :func:`run_cell` over the cells through the same ProcessPool
-fan-out the perf sweep uses (:func:`repro.perf.sweep.map_parallel`).
+and maps :func:`run_cell` — one registry lookup, one
+:meth:`~repro.scenarios.Scenario.run` — over the cells through
+:func:`map_parallel`, the ProcessPool fan-out the perf sweep shares.
 The output is a structured results directory::
 
     <out_dir>/
@@ -23,28 +24,25 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro import scenarios
 from repro.errors import ParameterError
 from repro.expt.config import (
     CONFIG_SCHEMA_VERSION,
     ExperimentConfig,
     MatrixCell,
 )
-from repro.perf.scenarios import (
-    ScaleResult,
-    ScaleScenario,
-    run_obs_overhead_scenario,
-    run_scale_scenario,
-)
-from repro.perf.sweep import map_parallel
+from repro.scenarios import METRIC_KEYS, PERF_KEYS, ScenarioRun
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "CellResult",
     "MatrixReport",
-    "cell_from_scale_result",
+    "cell_from_run",
+    "map_parallel",
     "run_cell",
     "run_matrix",
     "stable_json",
@@ -55,24 +53,42 @@ __all__ = [
 #: Version of the manifest/cell record shape; bump on changes.
 MANIFEST_SCHEMA_VERSION = 1
 
-#: Metric keys every cell record carries (None when not applicable).
-METRIC_KEYS = (
-    "blocks_delivered",
-    "misses",
-    "rounds",
-    "continuity_ratio",
-    "reject_rate",
-    "cache_hit_ratio",
-    "slo_breaches",
-    "slo_breach_events",
-    "handoffs",
-    "handoff_clean_ratio",
-)
+_ItemT = TypeVar("_ItemT")
+_ResultT = TypeVar("_ResultT")
 
-#: Keys of the timing-dependent perf section.  ``obs_overhead_ratio``
-#: lives here (not in metrics) because it is a wall-clock ratio: gated
-#: by an absolute ceiling, but never byte-stable.
-PERF_KEYS = ("wall_time_s", "blocks_per_second")
+
+def map_parallel(
+    fn: Callable[[_ItemT], _ResultT],
+    items: Sequence[_ItemT],
+    workers: Optional[int] = None,
+) -> Tuple[List[_ResultT], int, bool]:
+    """Map a picklable *fn* over *items*, fanning across worker processes.
+
+    The shared fan-out behind :func:`run_matrix` and the perf sweep
+    (:func:`repro.perf.run_sweep`).  Returns ``(results, workers,
+    parallel)`` with results in input order.  ``workers=None`` picks
+    ``min(len(items), cpu_count)``; ``1`` forces in-process execution.
+    Pool failures (sandboxed /dev/shm, fork limits) degrade to serial
+    rather than failing the run.
+    """
+    if not items:
+        raise ParameterError("map_parallel needs at least one item")
+    if workers is not None and workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    if workers is None:
+        workers = min(len(items), os.cpu_count() or 1)
+    workers = min(workers, len(items))
+    parallel = workers > 1
+    if parallel:
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as executor:
+                results = list(executor.map(fn, items))
+        except (OSError, PermissionError):
+            parallel = False
+            results = [fn(item) for item in items]
+    else:
+        results = [fn(item) for item in items]
+    return results, workers, parallel
 
 
 def stable_json(value: object) -> str:
@@ -85,15 +101,6 @@ def stable_json(value: object) -> str:
     import json
 
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
-
-
-def _ratio(numerator: float, denominator: float) -> Optional[float]:
-    """A guarded ratio: None instead of dividing by zero or NaN."""
-    if denominator != denominator or numerator != numerator:
-        return None
-    if denominator == 0:
-        return None
-    return numerator / denominator
 
 
 @dataclass(frozen=True)
@@ -119,215 +126,35 @@ class CellResult:
         }
 
 
-def _metrics_template() -> Dict[str, Optional[float]]:
-    return {key: None for key in METRIC_KEYS}
+def cell_from_run(
+    run: ScenarioRun,
+    cell_id: Optional[str] = None,
+    golden: bool = False,
+    spec: Optional[Dict[str, object]] = None,
+) -> CellResult:
+    """Flatten a :class:`ScenarioRun` into the picklable cell record.
 
-
-def _run_scale_cell(cell: MatrixCell) -> CellResult:
-    spec = cell.spec_dict()
-    scenario = ScaleScenario(
-        name=cell.cell_id,
-        streams=spec["streams"],
-        blocks_per_stream=spec["blocks_per_stream"],
-        k=spec["k"],
-        buffer_capacity=spec["buffer_capacity"],
-        seed=spec["seed"],
-        drive=spec["drive"],
-        arrivals=spec["arrivals"],
-    )
-    result = run_scale_scenario(scenario)
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=result.blocks_delivered,
-        misses=result.misses,
-        rounds=result.rounds,
-        continuity_ratio=_ratio(
-            result.blocks_delivered - result.misses,
-            result.blocks_delivered,
-        ),
-        reject_rate=0.0,
-    )
+    By default the id and spec are the scenario's own; the perf sweep
+    and ``benchmarks/bench_perf_scale.py`` use this to emit their scale
+    points in the matrix schema, so the bench trajectory and the
+    experiment gate speak one format.
+    """
+    scenario = run.scenario
     return CellResult(
-        cell_id=cell.cell_id,
-        kind=cell.kind,
-        golden=cell.golden,
-        spec=spec,
-        metrics=metrics,
-        perf={
-            "wall_time_s": result.wall_time_s,
-            "blocks_per_second": result.blocks_per_second,
-        },
-    )
-
-
-def _run_server_cell(cell: MatrixCell) -> CellResult:
-    from repro.obs.observer import Observability
-    from repro.server.scenarios import run_server_hot_scenario
-
-    spec = cell.spec_dict()
-    obs = Observability.for_scale(seed=spec["seed"])
-    started = time.perf_counter()
-    run = run_server_hot_scenario(
-        sessions=spec["sessions"],
-        strands=spec["strands"],
-        seconds=spec["seconds"],
-        seed=spec["seed"],
-        cache_blocks=spec["cache_blocks"],
-        batch_window=(
-            spec["batch_window"] if spec["batching"] else 0.0
-        ),
-        obs=obs,
-    )
-    wall = time.perf_counter() - started
-    final = run.final
-    delivered = sum(s.blocks_delivered for s in final.statuses)
-    hits = final.cache_stats.get("hits", 0)
-    cache_misses = final.cache_stats.get("misses", 0)
-    # Unresolved breaches (still bad when the run ends) gate golden
-    # cells; transition events are recorded separately because healthy
-    # runs breach transiently (the cache-warm SLO always starts cold).
-    breaches = breach_events = 0
-    if obs.slo is not None:
-        summary = obs.slo.summary_dict()
-        breaches = len(summary["breached_now"])
-        breach_events = sum(
-            1
-            for event in summary["breach_events"]
-            if event["to"] == "breach"
-        )
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=delivered,
-        misses=final.total_misses,
-        rounds=final.rounds,
-        continuity_ratio=_ratio(
-            final.continuous_sessions, final.admitted
-        ),
-        reject_rate=_ratio(len(final.rejects), len(final.statuses)),
-        cache_hit_ratio=_ratio(hits, hits + cache_misses),
-        slo_breaches=breaches,
-        slo_breach_events=breach_events,
-    )
-    safe_wall = max(wall, 1e-9)
-    return CellResult(
-        cell_id=cell.cell_id,
-        kind=cell.kind,
-        golden=cell.golden,
-        spec=spec,
-        metrics=metrics,
-        perf={
-            "wall_time_s": wall,
-            "blocks_per_second": delivered / safe_wall,
-        },
-    )
-
-
-def _run_obs_overhead_cell(cell: MatrixCell) -> CellResult:
-    spec = cell.spec_dict()
-    result = run_obs_overhead_scenario(
-        streams=spec["streams"],
-        blocks_per_stream=spec["blocks_per_stream"],
-        repeats=spec["repeats"],
-        seed=spec["seed"],
-    )
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=spec["streams"] * spec["blocks_per_stream"],
-    )
-    return CellResult(
-        cell_id=cell.cell_id,
-        kind=cell.kind,
-        golden=cell.golden,
-        spec=spec,
-        metrics=metrics,
-        perf={
-            "wall_time_s": result.wall_obs_s,
-            "blocks_per_second": _ratio(
-                spec["streams"] * spec["blocks_per_stream"],
-                result.wall_obs_s,
-            ) or 0.0,
-            "obs_overhead_ratio": result.ratio,
-        },
-    )
-
-
-def _run_cluster_cell(cell: MatrixCell) -> CellResult:
-    from repro.cluster import run_cluster_failover_scenario
-
-    spec = cell.spec_dict()
-    started = time.perf_counter()
-    run = run_cluster_failover_scenario(
-        nodes=spec["nodes"],
-        sessions=spec["sessions"],
-        titles=spec["titles"],
-        seconds=spec["seconds"],
-        per_node_streams=spec["per_node_streams"],
-        min_replicas=spec["min_replicas"],
-        chunks=spec["chunks"],
-        kill_node=spec["kill_node"],
-        kill_chunk=spec["kill_chunk"],
-        seed=spec["seed"],
-    )
-    wall = time.perf_counter() - started
-    result = run.result
-    delivered = sum(s.blocks_delivered for s in result.statuses)
-    hits = cache_misses = 0
-    for node in result.per_node:
-        for serve in node.results:
-            hits += serve.cache_stats.get("hits", 0)
-            cache_misses += serve.cache_stats.get("misses", 0)
-    breaches = breach_events = 0
-    obs = run.obs
-    if obs.slo is not None:
-        summary = obs.slo.summary_dict()
-        breaches = len(summary["breached_now"])
-        breach_events = sum(
-            1
-            for event in summary["breach_events"]
-            if event["to"] == "breach"
-        )
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=delivered,
-        misses=result.total_misses,
-        rounds=sum(node.rounds for node in result.per_node),
-        continuity_ratio=_ratio(
-            result.continuous_sessions, result.admitted
-        ),
-        reject_rate=_ratio(len(result.rejects), len(result.statuses)),
-        cache_hit_ratio=_ratio(hits, hits + cache_misses),
-        slo_breaches=breaches,
-        slo_breach_events=breach_events,
-        handoffs=len(result.handoffs),
-        handoff_clean_ratio=_ratio(
-            result.handoffs_clean, len(result.handoffs)
-        ),
-    )
-    safe_wall = max(wall, 1e-9)
-    return CellResult(
-        cell_id=cell.cell_id,
-        kind=cell.kind,
-        golden=cell.golden,
-        spec=spec,
-        metrics=metrics,
-        perf={
-            "wall_time_s": wall,
-            "blocks_per_second": delivered / safe_wall,
-        },
+        cell_id=cell_id if cell_id is not None else scenario.cell_id(),
+        kind=scenario.name,
+        golden=golden,
+        spec=spec if spec is not None else scenario.spec(),
+        metrics=run.metrics(),
+        perf=run.perf(),
     )
 
 
 def run_cell(cell: MatrixCell) -> CellResult:
     """Execute one matrix cell (module-level, so workers can pickle it)."""
-    if cell.kind == "scale":
-        return _run_scale_cell(cell)
-    if cell.kind == "server-hot":
-        return _run_server_cell(cell)
-    if cell.kind == "obs-overhead":
-        return _run_obs_overhead_cell(cell)
-    if cell.kind == "cluster-scale":
-        return _run_cluster_cell(cell)
-    raise ParameterError(f"unknown cell kind {cell.kind!r}")
+    spec = cell.spec_dict()
+    run = scenarios.get(cell.kind)(**spec).run()
+    return cell_from_run(run, cell.cell_id, cell.golden, spec)
 
 
 @dataclass(frozen=True)
@@ -390,45 +217,6 @@ def write_results(report: MatrixReport, out_dir) -> str:
     manifest_path = out / "matrix.json"
     manifest_path.write_text(stable_json(report.manifest_dict()))
     return str(manifest_path)
-
-
-def cell_from_scale_result(
-    result: ScaleResult, golden: bool = False
-) -> Dict[str, object]:
-    """Bridge a perf-sweep :class:`ScaleResult` into the cell shape.
-
-    ``benchmarks/bench_perf_scale.py`` uses this to emit its scale
-    points as a matrix manifest alongside BENCH_PERF.json, so the bench
-    trajectory and the experiment gate speak one schema.
-    """
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=result.blocks_delivered,
-        misses=result.misses,
-        rounds=result.rounds,
-        continuity_ratio=_ratio(
-            result.blocks_delivered - result.misses,
-            result.blocks_delivered,
-        ),
-        reject_rate=0.0,
-    )
-    return CellResult(
-        cell_id=result.name,
-        kind="scale",
-        golden=golden,
-        spec={
-            "arrivals": result.arrivals,
-            "drive": result.drive,
-            "blocks_per_stream": result.blocks_per_stream,
-            "seed": result.seed,
-            "streams": result.streams,
-        },
-        metrics=metrics,
-        perf={
-            "wall_time_s": result.wall_time_s,
-            "blocks_per_second": result.blocks_per_second,
-        },
-    ).to_dict()
 
 
 def build_manifest(
@@ -560,8 +348,3 @@ def validate_manifest(manifest: object) -> Dict[str, object]:
             if value != value:
                 fail(f"cell {cell_id} {key} is NaN")
     return manifest
-
-
-def default_workers() -> int:
-    """The worker default mirroring the perf sweep's choice."""
-    return os.cpu_count() or 1

@@ -25,9 +25,8 @@ reproduction proves it kept them.  Components report into an optional
   :class:`ScopedObservability` views plus :func:`merge_snapshots`
   federate per-node registries back into one cluster snapshot.
 
-Canonical end-to-end scenarios (the golden-trace baselines) live in
-:mod:`repro.obs.scenarios`, imported lazily to avoid cycles with the
-service layers.
+The canonical end-to-end scenarios (the golden-trace baselines) live
+in :mod:`repro.scenarios`.
 """
 
 from repro.obs.audit import AdmissionAuditLog, AuditEntry

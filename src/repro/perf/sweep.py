@@ -1,75 +1,62 @@
-"""Parallel sweep runner: fan scenario grids across worker processes.
+"""Parallel sweep runner: fan ``scale`` scenario grids across workers.
 
-A sweep is an embarrassingly parallel map of
-:func:`~repro.perf.scenarios.run_scale_scenario` over a scenario list —
-every scenario owns its drive and streams, so workers share nothing.
-:func:`run_sweep` uses :class:`concurrent.futures.ProcessPoolExecutor`
-when more than one worker is requested and falls back to in-process
-execution when pools are unavailable (restricted sandboxes) or pointless
-(one scenario, one worker).  Results always come back in scenario order,
-so a sweep's output is deterministic regardless of worker scheduling.
+A sweep is an embarrassingly parallel map of the registered ``scale``
+scenario (:mod:`repro.scenarios`) over a grid — every point owns its
+drive and streams, so workers share nothing.  Workers hand back the
+small picklable cell record (:func:`repro.expt.cell_from_run`), never
+the run itself, and results always come back in grid order, so a
+sweep's output is deterministic regardless of worker scheduling.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Table
 from repro.errors import ParameterError
-from repro.perf.scenarios import (
-    ScaleResult,
-    ScaleScenario,
-    run_scale_scenario,
-)
+from repro.expt.runner import CellResult, cell_from_run, map_parallel
+from repro.scenarios.loop import Scale
 
-__all__ = ["SweepReport", "map_parallel", "run_sweep", "scale_grid"]
-
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
+__all__ = ["SweepReport", "run_sweep", "scale_grid", "scale_row", "score"]
 
 
-def map_parallel(
-    fn: Callable[[_ItemT], _ResultT],
-    items: Sequence[_ItemT],
-    workers: Optional[int] = None,
-) -> Tuple[List[_ResultT], int, bool]:
-    """Map a picklable *fn* over *items*, fanning across worker processes.
+def score(scenario: Scale) -> CellResult:
+    """Run one scale point unobserved; the cell is named by its label.
 
-    The shared fan-out behind :func:`run_sweep` and the experiment-matrix
-    runner (:mod:`repro.expt.runner`).  Returns ``(results, workers,
-    parallel)`` with results in input order.  ``workers=None`` picks
-    ``min(len(items), cpu_count)``; ``1`` forces in-process execution.
-    Pool failures (sandboxed /dev/shm, fork limits) degrade to serial
-    rather than failing the run.
+    Module-level (picklable) so :func:`run_sweep` can dispatch it to
+    worker processes.
     """
-    if not items:
-        raise ParameterError("map_parallel needs at least one item")
-    if workers is not None and workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    if workers is None:
-        workers = min(len(items), os.cpu_count() or 1)
-    workers = min(workers, len(items))
-    parallel = workers > 1
-    if parallel:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                results = list(executor.map(fn, items))
-        except (OSError, PermissionError):
-            parallel = False
-            results = [fn(item) for item in items]
-    else:
-        results = [fn(item) for item in items]
-    return results, workers, parallel
+    return cell_from_run(scenario.run(), cell_id=scenario.label)
+
+
+def scale_row(cell: CellResult) -> Dict[str, object]:
+    """The BENCH_PERF.json row shape of one scored scale point."""
+    spec, metrics, perf = cell.spec, cell.metrics, cell.perf
+    return {
+        "name": cell.cell_id,
+        "streams": spec["streams"],
+        "blocks_per_stream": spec["blocks_per_stream"],
+        "drive": spec["drive"],
+        "arrivals": spec["arrivals"],
+        "seed": spec["seed"],
+        "wall_time_s": perf["wall_time_s"],
+        "rounds": metrics["rounds"],
+        "blocks_delivered": metrics["blocks_delivered"],
+        "misses": metrics["misses"],
+        "blocks_per_second": perf["blocks_per_second"],
+        "streams_per_second": (
+            spec["streams"] / max(perf["wall_time_s"], 1e-9)
+        ),
+    }
 
 
 @dataclass(frozen=True)
 class SweepReport:
     """All results of one sweep, in scenario order."""
 
-    results: Tuple[ScaleResult, ...]
+    results: Tuple[CellResult, ...]
     workers: int
     parallel: bool
     wall_time_s: float
@@ -77,12 +64,12 @@ class SweepReport:
     @property
     def total_blocks(self) -> int:
         """Blocks delivered across every scenario."""
-        return sum(r.blocks_delivered for r in self.results)
+        return sum(r.metrics["blocks_delivered"] for r in self.results)
 
     @property
     def total_misses(self) -> int:
         """Deadline misses across every scenario."""
-        return sum(r.misses for r in self.results)
+        return sum(r.metrics["misses"] for r in self.results)
 
     def table(self) -> Table:
         """Aligned text table of the sweep, one row per scenario."""
@@ -97,11 +84,11 @@ class SweepReport:
                 "wall (s)", "blocks/s", "rounds", "misses",
             ],
         )
-        for r in self.results:
+        for r in map(scale_row, self.results):
             table.add_row(
-                r.name, r.streams, r.blocks_per_stream, r.drive,
-                r.arrivals, r.wall_time_s, r.blocks_per_second,
-                r.rounds, r.misses,
+                r["name"], r["streams"], r["blocks_per_stream"],
+                r["drive"], r["arrivals"], r["wall_time_s"],
+                r["blocks_per_second"], r["rounds"], r["misses"],
             )
         return table
 
@@ -113,7 +100,7 @@ class SweepReport:
             "wall_time_s": self.wall_time_s,
             "total_blocks": self.total_blocks,
             "total_misses": self.total_misses,
-            "results": [r.to_dict() for r in self.results],
+            "results": [scale_row(r) for r in self.results],
         }
 
 
@@ -125,58 +112,43 @@ def scale_grid(
     arrivals: Sequence[str] = ("uniform",),
     k: int = 4,
     buffer_capacity: int = 8,
-) -> List[ScaleScenario]:
+) -> List[Scale]:
     """The cartesian scenario grid: seeds × arrivals × drives × sizes."""
-    scenarios = []
-    for drive in drives:
-        for mode in arrivals:
-            for seed in seeds:
-                for streams in stream_counts:
-                    scenarios.append(
-                        ScaleScenario(
-                            name=(
-                                f"{drive}-{mode}-n{streams}"
-                                f"-b{blocks_per_stream}-seed{seed}"
-                            ),
-                            streams=streams,
-                            blocks_per_stream=blocks_per_stream,
-                            k=k,
-                            buffer_capacity=buffer_capacity,
-                            seed=seed,
-                            drive=drive,
-                            arrivals=mode,
-                        )
-                    )
-    return scenarios
+    return [
+        Scale(
+            label=f"{drive}-{mode}-n{streams}-b{blocks_per_stream}-seed{seed}",
+            streams=streams,
+            blocks_per_stream=blocks_per_stream,
+            k=k,
+            buffer_capacity=buffer_capacity,
+            seed=seed,
+            drive=drive,
+            arrivals=mode,
+        )
+        for drive in drives
+        for mode in arrivals
+        for seed in seeds
+        for streams in stream_counts
+    ]
 
 
 def run_sweep(
-    scenarios: Sequence[ScaleScenario],
+    scenarios: Sequence[Scale],
     workers: Optional[int] = None,
 ) -> SweepReport:
     """Run every scenario; returns a :class:`SweepReport` in input order.
 
-    Parameters
-    ----------
-    scenarios:
-        The grid to run (see :func:`scale_grid`).
-    workers:
-        Worker processes.  ``None`` picks ``min(len(scenarios),
-        cpu_count)``; ``1`` forces in-process execution (no pool, no
-        pickling — handy under profilers and in tests).
+    ``workers=None`` picks ``min(len(scenarios), cpu_count)``; ``1``
+    forces in-process execution (no pool, no pickling — handy under
+    profilers and in tests).
     """
-    import time as _time
-
     if not scenarios:
         raise ParameterError("run_sweep needs at least one scenario")
-    start = _time.perf_counter()
-    results, workers, parallel = map_parallel(
-        run_scale_scenario, scenarios, workers
-    )
-    wall = _time.perf_counter() - start
+    start = time.perf_counter()
+    results, workers, parallel = map_parallel(score, scenarios, workers)
     return SweepReport(
         results=tuple(results),
         workers=workers,
         parallel=parallel,
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - start,
     )

@@ -37,6 +37,7 @@ from repro.rope.server import (
     Request,
     RequestKind,
     RequestState,
+    build_rope_server,
 )
 from repro.rope.structures import Media, MultimediaRope
 from repro.rope.triggers import attach_trigger, trigger_schedule
@@ -59,6 +60,7 @@ __all__ = [
     "Segment",
     "Trigger",
     "attach_trigger",
+    "build_rope_server",
     "concate",
     "delete",
     "delete_range",

@@ -26,7 +26,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.config import TESTBED_1991, HardwareProfile
 from repro.core.admission import RequestDescriptor
+from repro.disk.factory import build_drive
 from repro.errors import (
     IntervalError,
     ParameterError,
@@ -49,6 +51,7 @@ __all__ = [
     "BlockFetch",
     "PlaybackPlan",
     "MultimediaRopeServer",
+    "build_rope_server",
 ]
 
 
@@ -682,3 +685,27 @@ class MultimediaRopeServer:
             )
         return fetches
 
+
+def build_rope_server(
+    profile: HardwareProfile = TESTBED_1991,
+    obs=None,
+    label: Optional[str] = None,
+) -> MultimediaRopeServer:
+    """Testbed drive -> storage manager -> rope server, wired in one place.
+
+    *label* becomes the drive's ``profile_label`` so per-drive profiler
+    rollups can tell shards apart.  Every scenario, ``build_media_server``
+    and ``build_node`` construct their stack through this function.
+    """
+    drive = build_drive()
+    if label is not None:
+        drive.profile_label = label
+    msm = MultimediaStorageManager(
+        drive,
+        profile.video,
+        profile.audio,
+        profile.video_device,
+        profile.audio_device,
+        obs=obs,
+    )
+    return MultimediaRopeServer(msm)

@@ -8,31 +8,17 @@ cache between the service loop and the drive
 (:mod:`repro.disk.cache`), and graceful overload with typed reject
 reasons.  Clients speak only the :mod:`repro.api` message types.
 
-:mod:`repro.server.scenarios` holds the canonical seed-deterministic
-workloads behind ``repro serve``, the golden-trace regressions, and the
-batched-vs-per-request benchmark comparison.
+The canonical seed-deterministic workloads (``server-steady``,
+``server-hot``, ``server-fault``) live in :mod:`repro.scenarios`.
 """
 
 from repro.server.batching import BatchKey, RequestBatch, group_into_batches
-from repro.server.media_server import MediaServer
-from repro.server.scenarios import (
-    ServerScenarioRun,
-    build_media_server,
-    run_serve_compare,
-    run_server_fault_scenario,
-    run_server_hot_scenario,
-    run_server_steady_scenario,
-)
+from repro.server.media_server import MediaServer, build_media_server
 
 __all__ = [
     "BatchKey",
     "MediaServer",
     "RequestBatch",
-    "ServerScenarioRun",
     "build_media_server",
     "group_into_batches",
-    "run_serve_compare",
-    "run_server_fault_scenario",
-    "run_server_hot_scenario",
-    "run_server_steady_scenario",
 ]

@@ -55,13 +55,17 @@ from repro.errors import (
 )
 from repro.faults.recovery import RecoveryPolicy
 from repro.obs.registry import BATCH_SIZE_BUCKETS
-from repro.rope.server import MultimediaRopeServer, RequestState
+from repro.rope.server import (
+    MultimediaRopeServer,
+    RequestState,
+    build_rope_server,
+)
 from repro.server.batching import RequestBatch, group_into_batches
 from repro.service.rpc import RpcChannel, stub_for
 from repro.service.session import PlaybackSession
 from repro.sim.trace import Tracer
 
-__all__ = ["MediaServer"]
+__all__ = ["MediaServer", "build_media_server"]
 
 
 @dataclass
@@ -902,3 +906,22 @@ class MediaServer:
 
     def _count_batches(self, batches: Sequence[RequestBatch]) -> int:
         return len(batches)
+
+
+def build_media_server(
+    obs=None,
+    cache_blocks: int = 512,
+    batch_window: float = 0.25,
+    requeue_limit: int = 0,
+    recovery: Optional[RecoveryPolicy] = None,
+    label: Optional[str] = None,
+) -> MediaServer:
+    """A MediaServer over a fresh testbed drive and storage manager."""
+    return MediaServer(
+        build_rope_server(obs=obs, label=label),
+        batch_window=batch_window,
+        cache_blocks=cache_blocks,
+        requeue_limit=requeue_limit,
+        recovery=recovery,
+        obs=obs,
+    )

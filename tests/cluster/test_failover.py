@@ -3,20 +3,20 @@
 import pytest
 
 from repro.api import SessionState
-from repro.cluster import (
-    run_cluster_failover_scenario,
-    run_cluster_smoke_scenario,
-)
 from repro.faults import FaultKind, FaultPlan, FaultSpec
+from repro.scenarios import get
 
 pytestmark = pytest.mark.cluster
+
+CLUSTER = get("cluster-scale")
 
 
 @pytest.fixture(scope="module")
 def failover_run():
     # One shared run: the scenario is deterministic, so every test
     # reads the same facts.
-    return run_cluster_failover_scenario()
+    # The four-node node-kill run is the matrix-default sizing.
+    return CLUSTER.from_matrix().run()
 
 
 class TestNodeDeath:
@@ -37,15 +37,15 @@ class TestNodeDeath:
 
 class TestHandoff:
     def test_affected_sessions_resume_elsewhere(self, failover_run):
-        assert failover_run.affected > 0
+        assert failover_run.result.handoffs
         for record in failover_run.result.handoffs:
             assert record.from_node == "node-01"
             assert record.to_node is not None
             assert record.to_node != "node-01"
 
     def test_acceptance_bar_over_90_percent_clean(self, failover_run):
-        clean = failover_run.clean_handoffs
-        assert clean / failover_run.affected > 0.9
+        assert failover_run.result.handoff_clean_ratio > 0.9
+        assert failover_run.healthy()
 
     def test_handed_off_sessions_complete_continuously(
         self, failover_run
@@ -77,7 +77,7 @@ class TestStrandedSessions:
         # min_replicas=2 on 2 nodes: killing one leaves titles with a
         # single replica; the survivor's slack caps how many sessions
         # can land, so an undersized survivor strands the rest.
-        run = run_cluster_failover_scenario(
+        run = CLUSTER.from_matrix(
             nodes=2,
             sessions=8,
             titles=2,
@@ -85,7 +85,7 @@ class TestStrandedSessions:
             kill_node=1,
             kill_chunk=1,
             chunks=4,
-        )
+        ).run()
         stranded = [
             r for r in run.result.handoffs if r.to_node is None
         ]
@@ -100,13 +100,14 @@ class TestStrandedSessions:
 
 class TestSmokeScenario:
     def test_smoke_gate_facts(self):
-        run = run_cluster_smoke_scenario()
+        run = CLUSTER.smoke().run()
         result = run.result
         assert result.admitted == 12
         assert result.continuous_sessions == 12
         assert not result.rejects
-        assert run.affected > 0
-        assert run.clean_handoffs == run.affected
+        assert result.handoffs
+        assert result.handoffs_clean == len(result.handoffs)
+        assert run.healthy()
 
 
 class TestFaultPlanForwarding:

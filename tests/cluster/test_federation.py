@@ -21,10 +21,7 @@ import math
 
 import pytest
 
-from repro.cluster import (
-    cluster_observability,
-    run_cluster_smoke_scenario,
-)
+from repro.scenarios import get
 
 pytestmark = [pytest.mark.cluster, pytest.mark.profile]
 
@@ -33,16 +30,14 @@ SEED = 20260806
 
 @pytest.fixture(scope="module")
 def scoped_run():
-    obs = cluster_observability(SEED, profile=True)
-    return run_cluster_smoke_scenario(seed=SEED, obs=obs)
+    scenario = get("cluster-scale").smoke(seed=SEED)
+    return scenario.run(scenario.observability(profile=True))
 
 
 @pytest.fixture(scope="module")
 def flat_run():
-    obs = cluster_observability(SEED, profile=True)
-    return run_cluster_smoke_scenario(
-        seed=SEED, obs=obs, scope_nodes=False
-    )
+    scenario = get("cluster-scale").smoke(seed=SEED, scope_nodes=False)
+    return scenario.run(scenario.observability(profile=True))
 
 
 class TestFlatEquivalence:

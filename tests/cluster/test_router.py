@@ -5,13 +5,12 @@ import json
 import pytest
 
 from repro.api import OpenSessionRequest, RejectReason, SessionState
-from repro.cluster import (
-    build_cluster,
-    run_cluster_failover_scenario,
-    run_cluster_scale_scenario,
-)
+from repro.cluster import build_cluster
+from repro.scenarios import get
 
 pytestmark = pytest.mark.cluster
+
+CLUSTER = get("cluster-scale")
 
 
 def _small_cluster(**overrides):
@@ -98,8 +97,8 @@ class TestDeterminism:
         # The ISSUE's router-determinism bar: same seed + same fault
         # plan => byte-identical placement map, admission order, and
         # handoff decisions across two independent runs.
-        a = run_cluster_failover_scenario(seed=7)
-        b = run_cluster_failover_scenario(seed=7)
+        a = CLUSTER.from_matrix(seed=7).run()
+        b = CLUSTER.from_matrix(seed=7).run()
         assert json.dumps(
             a.result.to_dict(), sort_keys=True
         ) == json.dumps(b.result.to_dict(), sort_keys=True)
@@ -108,20 +107,20 @@ class TestDeterminism:
         assert a.result.handoffs == b.result.handoffs
 
     def test_different_seed_changes_the_workload(self):
-        a = run_cluster_scale_scenario(
+        a = CLUSTER(
             nodes=3, sessions=8, titles=4, per_node_streams=8, seed=1
-        )
-        b = run_cluster_scale_scenario(
+        ).run()
+        b = CLUSTER(
             nodes=3, sessions=8, titles=4, per_node_streams=8, seed=2
-        )
+        ).run()
         assert a.result.admission_order != b.result.admission_order
 
 
 class TestClusterObservability:
     def test_router_counters_and_spans(self):
-        run = run_cluster_scale_scenario(
+        run = CLUSTER(
             nodes=3, sessions=8, titles=4, per_node_streams=8
-        )
+        ).run()
         registry = run.obs.registry
         opened = sum(
             registry.peek_counter(f"cluster.routed.{n.node_id}") or 0
@@ -135,9 +134,9 @@ class TestClusterObservability:
         assert len(roots) == len(run.result.statuses)
 
     def test_scale_run_reports_bounds(self):
-        run = run_cluster_scale_scenario(
+        run = CLUSTER(
             nodes=3, sessions=8, titles=4, per_node_streams=8
-        )
+        ).run()
         assert run.bounds.full_catalog == 3 * 8
         assert run.result.admitted <= run.bounds.full_catalog
         assert run.bounds.demand_total == 8

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.expt import (
     build_manifest,
-    cell_from_scale_result,
+    cell_from_run,
     run_cell,
     run_matrix,
     smoke_config,
@@ -15,9 +15,9 @@ from repro.expt import (
     validate_manifest,
     write_results,
 )
-from repro.expt.runner import METRIC_KEYS, PERF_KEYS, _ratio
-from repro.perf import run_scale_scenario
-from repro.perf.scenarios import ScaleScenario
+from repro.expt.runner import METRIC_KEYS, PERF_KEYS
+from repro.scenarios import get
+from repro.scenarios.base import _ratio
 
 
 @pytest.fixture(scope="module")
@@ -68,24 +68,13 @@ class TestRunCell:
 
     def test_scale_cell_matches_direct_scenario_run(self, smoke_report):
         [cell] = [c for c in smoke_report.cells if c.kind == "scale"]
-        direct = run_scale_scenario(ScaleScenario(
-            name="direct",
-            streams=cell.spec["streams"],
-            blocks_per_stream=cell.spec["blocks_per_stream"],
-            k=cell.spec["k"],
-            buffer_capacity=cell.spec["buffer_capacity"],
-            seed=cell.spec["seed"],
-            drive=cell.spec["drive"],
-            arrivals=cell.spec["arrivals"],
-        ))
-        assert cell.metrics["blocks_delivered"] == direct.blocks_delivered
-        assert cell.metrics["misses"] == direct.misses
-        assert cell.metrics["rounds"] == direct.rounds
+        direct = get("scale")(label="direct", **cell.spec).run().metrics()
+        assert cell.metrics == direct
 
     def test_unknown_kind_rejected(self, smoke_report):
         from repro.expt import MatrixCell
 
-        with pytest.raises(ParameterError, match="unknown cell kind"):
+        with pytest.raises(ParameterError, match="unknown scenario"):
             run_cell(MatrixCell(
                 cell_id="x", kind="quantum", golden=False, spec=(),
             ))
@@ -156,11 +145,11 @@ class TestBuildManifest:
             build_manifest("ext", [self._record(), self._record()])
 
     def test_cell_from_scale_result_bridges_schema(self):
-        result = run_scale_scenario(ScaleScenario(
-            name="bridge", streams=2, blocks_per_stream=8,
+        run = get("scale")(
+            label="bridge", streams=2, blocks_per_stream=8,
             k=2, buffer_capacity=4, seed=0,
-        ))
-        record = cell_from_scale_result(result)
+        ).run()
+        record = cell_from_run(run, cell_id="bridge").to_dict()
         manifest = build_manifest("bench", [record])
         validate_manifest(manifest)
         assert record["metrics"]["blocks_delivered"] == 16

@@ -12,23 +12,24 @@ import json
 import pytest
 
 from repro.obs import Observability
-from repro.obs.scenarios import run_fault_scenario, run_steady_scenario
+from repro.scenarios import get
+
+STEADY = get("steady")
+FAULT = get("fault")
 
 pytestmark = pytest.mark.golden
 
 
 class TestSteadyGolden:
     def test_snapshot_matches_golden(self, golden):
-        run = run_steady_scenario()
+        run = STEADY().run()
         golden("steady_snapshot.json", run.snapshot())
 
     def test_rerun_is_byte_identical(self):
-        assert run_steady_scenario().snapshot() == (
-            run_steady_scenario().snapshot()
-        )
+        assert STEADY().run().snapshot() == STEADY().run().snapshot()
 
     def test_steady_state_is_clean(self):
-        run = run_steady_scenario()
+        run = STEADY().run()
         snapshot = json.loads(run.snapshot())
         assert run.result.total_misses == 0
         assert snapshot["metrics"]["counters"].get("fault.skips", 0) == 0
@@ -39,18 +40,16 @@ class TestSteadyGolden:
 
 class TestFaultGolden:
     def test_snapshot_matches_golden(self, golden):
-        run = run_fault_scenario()
+        run = FAULT().run()
         golden("fault_snapshot.json", run.snapshot())
 
     def test_rerun_is_byte_identical(self):
-        assert run_fault_scenario().snapshot() == (
-            run_fault_scenario().snapshot()
-        )
+        assert FAULT().run().snapshot() == FAULT().run().snapshot()
 
     def test_fault_counters_cross_check_continuity_metrics(self):
         """The retry/skip/degrade telemetry agrees with the per-request
         ContinuityMetrics the service loop scored independently."""
-        run = run_fault_scenario()
+        run = FAULT().run()
         counters = json.loads(run.snapshot())["metrics"]["counters"]
         assert counters["fault.skips"] == run.result.total_skips > 0
         # Transients were retried and recovered (the degrade sequence).
@@ -63,7 +62,7 @@ class TestFaultGolden:
         )
 
     def test_timeline_skips_match_metric_skips(self):
-        run = run_fault_scenario()
+        run = FAULT().run()
         timeline = run.obs.timeline
         timeline.validate()
         skipped = sum(
@@ -76,8 +75,8 @@ class TestFaultGolden:
 
     def test_diff_between_scenarios_localizes_fault_counters(self):
         """Snapshot diff pinpoints what fault injection changed."""
-        steady = run_steady_scenario(seconds=6.0, requests=1).snapshot()
-        faulted = run_fault_scenario().snapshot()
+        steady = STEADY(seconds=6.0, requests=1).run().snapshot()
+        faulted = FAULT().run().snapshot()
         diff = Observability.diff(steady, faulted)
         assert any(
             path.startswith("metrics.counters.fault.") for path in diff

@@ -28,6 +28,7 @@ from repro.obs import (
     merge_snapshots,
 )
 from repro.obs.registry import SEEK_TIME_BUCKETS
+from repro.scenarios import get
 
 pytestmark = pytest.mark.profile
 
@@ -155,31 +156,29 @@ class TestCostProfiler:
         assert summary["checkpoints"] == 0
 
 
+def _profiled_scale_section():
+    scenario = get("scale")(streams=5, blocks_per_stream=20, seed=11)
+    run = scenario.run(scenario.observability(profile=True))
+    return scenario.profile_section(run)
+
+
 class TestProfiledScenarios:
     def test_profiled_scale_section_is_byte_stable(self):
-        from repro.perf import run_profiled_scale_scenario
-
         def section_json():
-            run = run_profiled_scale_scenario(
-                streams=5, blocks_per_stream=20, seed=11
+            return json.dumps(
+                _profiled_scale_section(), sort_keys=True, indent=2
             )
-            return json.dumps(run.section, sort_keys=True, indent=2)
 
         assert section_json() == section_json()
 
     def test_profiled_scale_attribution_is_complete(self):
-        from repro.perf import run_profiled_scale_scenario
-
-        run = run_profiled_scale_scenario(
-            streams=5, blocks_per_stream=20, seed=11, drive="testbed"
-        )
-        section = run.section
+        section = _profiled_scale_section()
         assert set(section["phases"]) == set(PHASES)
         share_sum = sum(
             phase["share"] for phase in section["phases"].values()
         )
         assert abs(share_sum - 1.0) <= 1e-9
-        assert run.blocks_delivered == 100
+        assert section["blocks_delivered"] == 100
         # Every delivered block paid one seek and one transfer.
         assert section["phases"]["seek"]["ops"] == 100
         assert section["phases"]["transfer"]["ops"] == 100
@@ -190,24 +189,18 @@ class TestProfiledScenarios:
         assert "wall_time_s" not in section
 
     def test_fault_recovery_phase_attributes_injected_faults(self):
-        from repro.obs.scenarios import run_fault_scenario
-
         obs = Observability(seed=5)
         obs.enable_profiler()
-        run_fault_scenario(seed=5, obs=obs)
+        get("fault")(seed=5).run(obs)
         summary = obs.profiler.summary_dict()
         recovery = summary["phases"]["fault_recovery"]
         assert recovery["ops"] > 0
         assert recovery["cost_s"] > 0.0
 
     def test_server_hot_scenario_records_cache_lookups(self):
-        from repro.server.scenarios import run_server_hot_scenario
-
         obs = Observability.for_scale(seed=0)
         obs.enable_profiler()
-        run_server_hot_scenario(
-            sessions=6, strands=2, seconds=1.0, seed=0, obs=obs
-        )
+        get("server-hot").smoke(seed=0).run(obs)
         phases = obs.profiler.summary_dict()["phases"]
         assert phases["cache_lookup"]["ops"] > 0
         assert phases["span_finalize"]["ops"] > 0

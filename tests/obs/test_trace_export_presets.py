@@ -1,10 +1,12 @@
-"""Trace-export coverage across every canonical scenario preset.
+"""The trace-export leg of the scenario registry contract.
 
-Each of the four presets (steady, fault, server-steady, server-hot)
-must export a Perfetto-loadable Chrome trace that is byte-identical
-across two same-seed runs and differs once the seed changes — the
-determinism contract the golden-trace workflow and docs/OBSERVABILITY
-rely on.
+Every registered scenario that runs observed (:mod:`repro.scenarios`;
+the rest of the contract is ``tests/test_scenario_contract.py``), at
+``--smoke`` size, must export a Perfetto-loadable Chrome trace that is
+byte-identical across two same-seed runs and differs once the seed
+changes — the determinism contract the golden-trace workflow and
+docs/OBSERVABILITY rely on.  A scenario added under
+``src/repro/scenarios/`` is picked up here with no edit.
 """
 
 import json
@@ -12,17 +14,20 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.scenarios import REGISTRY
 
 pytestmark = pytest.mark.trace
 
-PRESETS = ("steady", "fault", "server-steady", "server-hot")
+#: ``scale`` is the bare loop timed with observability off (an empty
+#: trace); ``obs-overhead`` is the same loop traced.
+PRESETS = sorted(set(REGISTRY) - {"scale"})
 
 
-def _export(tmp_path, scenario, seed, tag):
+def _export(tmp_path, scenario, seed, tag, *extra):
     target = tmp_path / f"{scenario}-{tag}.json"
     code = main([
-        "trace-export", "--scenario", scenario,
-        "--seed", str(seed), "--out", str(target),
+        "trace-export", "--scenario", scenario, "--smoke",
+        "--seed", str(seed), "--out", str(target), *extra,
     ])
     assert code == 0
     return target
@@ -54,9 +59,18 @@ class TestPreset:
         other = _export(tmp_path, scenario, seed=1, tag="s1")
         assert base.read_bytes() != other.read_bytes()
 
+    def test_profile_flag_adds_counter_tracks(self, scenario, tmp_path):
+        def phases(*extra):
+            target = _export(tmp_path, scenario, 0, "p" + "".join(extra), *extra)
+            events = json.loads(target.read_text())["traceEvents"]
+            return {event["ph"] for event in events}
+
+        assert phases() == {"M", "X"}
+        assert phases("--profile") == {"M", "X", "C"}
+
 
 def test_presets_are_distinct_workloads(tmp_path):
-    # The four presets must not collapse into the same trace.
+    # No two scenarios may collapse into the same trace.
     payloads = {
         scenario: _export(tmp_path, scenario, 0, "x").read_bytes()
         for scenario in PRESETS

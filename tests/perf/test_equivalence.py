@@ -13,8 +13,8 @@ import pytest
 
 import repro.service.session as session_module
 from repro.disk.factory import build_drive
-from repro.obs.scenarios import run_fault_scenario, run_steady_scenario
-from repro.perf.scenarios import ScaleScenario, build_streams
+from repro.scenarios import get
+from repro.scenarios.loop import Scale
 from repro.service.rounds import (
     RoundRobinService,
     StreamState,
@@ -33,9 +33,9 @@ class ReferenceStreamState(StreamState):
         return consumed_prefix(self.deliveries, self.clock_start, now)
 
 
-def _run(scenario: ScaleScenario, stream_cls):
+def _run(scenario: Scale, stream_cls):
     drive = build_drive()
-    initial, admissions = build_streams(scenario, drive)
+    initial, admissions = scenario.build_streams(drive)
 
     def convert(stream):
         return stream_cls(
@@ -56,16 +56,16 @@ def _run(scenario: ScaleScenario, stream_cls):
 
 
 SCENARIOS = [
-    ScaleScenario(
-        name="uniform", streams=6, blocks_per_stream=50, k=4,
+    Scale(
+        label="uniform", streams=6, blocks_per_stream=50, k=4,
         buffer_capacity=6, seed=11,
     ),
-    ScaleScenario(
-        name="staggered", streams=6, blocks_per_stream=40, k=3,
+    Scale(
+        label="staggered", streams=6, blocks_per_stream=40, k=3,
         buffer_capacity=5, seed=4, arrivals="staggered",
     ),
-    ScaleScenario(
-        name="tight-buffers", streams=4, blocks_per_stream=60, k=5,
+    Scale(
+        label="tight-buffers", streams=4, blocks_per_stream=60, k=5,
         buffer_capacity=2, seed=9,
     ),
 ]
@@ -73,7 +73,7 @@ SCENARIOS = [
 
 class TestServiceEquivalence:
     @pytest.mark.parametrize(
-        "scenario", SCENARIOS, ids=[s.name for s in SCENARIOS]
+        "scenario", SCENARIOS, ids=[s.label for s in SCENARIOS]
     )
     def test_summaries_byte_identical(self, scenario):
         fast_metrics, fast_streams, fast_rounds = _run(
@@ -96,17 +96,17 @@ class TestServiceEquivalence:
 
 class TestObservedEquivalence:
     def test_steady_snapshot_unchanged_by_cursor(self, monkeypatch):
-        fast = run_steady_scenario(seconds=2.0).snapshot()
+        fast = get("steady")(seconds=2.0).run().snapshot()
         monkeypatch.setattr(
             session_module, "StreamState", ReferenceStreamState
         )
-        reference = run_steady_scenario(seconds=2.0).snapshot()
+        reference = get("steady")(seconds=2.0).run().snapshot()
         assert fast == reference
 
     def test_fault_snapshot_unchanged_by_cursor(self, monkeypatch):
-        fast = run_fault_scenario(seconds=2.0).snapshot()
+        fast = get("fault")(seconds=2.0).run().snapshot()
         monkeypatch.setattr(
             session_module, "StreamState", ReferenceStreamState
         )
-        reference = run_fault_scenario(seconds=2.0).snapshot()
+        reference = get("fault")(seconds=2.0).run().snapshot()
         assert fast == reference

@@ -21,7 +21,7 @@ import pytest
 import repro.service.rounds as rounds_module
 from repro.disk.factory import TESTBED_DRIVE, build_drive
 from repro.disk.seek import LinearSeek, SeekModel, TableSeek
-from repro.perf.scenarios import ScaleScenario, build_streams
+from repro.scenarios.loop import Scale
 from repro.service.rounds import RoundRobinService, consumed_prefix
 
 pytestmark = pytest.mark.perf
@@ -52,12 +52,12 @@ class CountingTableSeek(TableSeek):
 
 
 def _service_run(streams=8, blocks=60):
-    scenario = ScaleScenario(
-        name="count", streams=streams, blocks_per_stream=blocks,
+    scenario = Scale(
+        label="count", streams=streams, blocks_per_stream=blocks,
         k=4, buffer_capacity=6, seed=7,
     )
     drive = build_drive()
-    initial, admissions = build_streams(scenario, drive)
+    initial, admissions = scenario.build_streams(drive)
     service = RoundRobinService(drive, lambda _r, _n: scenario.k)
     metrics = service.run(initial, admissions)
     return metrics, streams * blocks
@@ -112,12 +112,12 @@ class TestObsOffFastPath:
         }, f"obs-off service run still did obs work: {calls}"
 
     def test_obs_off_streams_carry_no_trace_state(self):
-        scenario = ScaleScenario(
-            name="no-trace", streams=3, blocks_per_stream=20,
+        scenario = Scale(
+            label="no-trace", streams=3, blocks_per_stream=20,
             k=4, buffer_capacity=6, seed=1,
         )
         drive = build_drive()
-        initial, _ = build_streams(scenario, drive)
+        initial, _ = scenario.build_streams(drive)
         service = RoundRobinService(drive, lambda _r, _n: scenario.k)
         service.run(initial)
         for stream in initial:
@@ -147,12 +147,12 @@ class TestConsumptionCursor:
 
     def test_cursor_consumes_each_block_once(self):
         """Cursor work is bounded by delivered blocks (amortized O(1))."""
-        scenario = ScaleScenario(
-            name="amortized", streams=4, blocks_per_stream=80,
+        scenario = Scale(
+            label="amortized", streams=4, blocks_per_stream=80,
             k=4, buffer_capacity=6, seed=3,
         )
         drive = build_drive()
-        initial, _ = build_streams(scenario, drive)
+        initial, _ = scenario.build_streams(drive)
         service = RoundRobinService(drive, lambda _r, _n: scenario.k)
         service.run(initial)
         for stream in initial:

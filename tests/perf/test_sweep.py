@@ -6,19 +6,15 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ParameterError
-from repro.perf import (
-    ScaleScenario,
-    run_scale_scenario,
-    run_sweep,
-    scale_grid,
-)
+from repro.perf import run_sweep, scale_grid, scale_row, score
+from repro.scenarios.loop import Scale
 
 pytestmark = pytest.mark.perf
 
 
 def _stable(result):
     """Result fields that must be reproducible (timings excluded)."""
-    row = result.to_dict()
+    row = scale_row(result)
     row.pop("wall_time_s")
     row.pop("blocks_per_second")
     row.pop("streams_per_second")
@@ -27,33 +23,31 @@ def _stable(result):
 
 class TestScenario:
     def test_deterministic_across_runs(self):
-        scenario = ScaleScenario(
-            name="det", streams=5, blocks_per_stream=30, seed=2,
+        scenario = Scale(
+            label="det", streams=5, blocks_per_stream=30, seed=2,
         )
-        assert _stable(run_scale_scenario(scenario)) == (
-            _stable(run_scale_scenario(scenario))
-        )
+        assert _stable(score(scenario)) == _stable(score(scenario))
 
     def test_delivers_every_block(self):
-        scenario = ScaleScenario(
-            name="full", streams=4, blocks_per_stream=25,
+        scenario = Scale(
+            label="full", streams=4, blocks_per_stream=25,
             arrivals="staggered",
         )
-        result = run_scale_scenario(scenario)
-        assert result.blocks_delivered == 4 * 25
-        assert result.rounds > 0
+        result = scale_row(score(scenario))
+        assert result["blocks_delivered"] == 4 * 25
+        assert result["rounds"] > 0
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            ScaleScenario(name="bad", streams=0, blocks_per_stream=1)
+            Scale(label="bad", streams=0, blocks_per_stream=1)
         with pytest.raises(ParameterError):
-            ScaleScenario(
-                name="bad", streams=1, blocks_per_stream=1,
+            Scale(
+                label="bad", streams=1, blocks_per_stream=1,
                 drive="floppy",
             )
         with pytest.raises(ParameterError):
-            ScaleScenario(
-                name="bad", streams=1, blocks_per_stream=1,
+            Scale(
+                label="bad", streams=1, blocks_per_stream=1,
                 arrivals="sideways",
             )
 
@@ -65,7 +59,7 @@ class TestGrid:
             arrivals=("uniform", "staggered"),
         )
         assert len(grid) == 2 * 3 * 2 * 2
-        names = [s.name for s in grid]
+        names = [s.label for s in grid]
         assert len(set(names)) == len(names)
 
 
@@ -75,7 +69,7 @@ class TestSweep:
         serial = run_sweep(grid, workers=1)
         parallel = run_sweep(grid, workers=2)
         assert not serial.parallel
-        assert [r.name for r in serial.results] == [s.name for s in grid]
+        assert [r.cell_id for r in serial.results] == [s.label for s in grid]
         assert [_stable(r) for r in serial.results] == (
             [_stable(r) for r in parallel.results]
         )

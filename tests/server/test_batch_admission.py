@@ -14,11 +14,9 @@ import pytest
 from repro.api import OpenSessionRequest, SessionState
 from repro.core.admission import AdmissionController
 from repro.rope import Media
-from repro.server.scenarios import (
-    _record_strands,
-    build_media_server,
-    run_server_hot_scenario,
-)
+from repro.scenarios import get
+from repro.scenarios.server import record_strands
+from repro.server import build_media_server
 
 pytestmark = pytest.mark.server
 
@@ -47,7 +45,7 @@ class TestBatchedAdmissionIsConservative:
     def test_cold_cache_batches_replay_per_request(self, sessions, strands):
         server = build_media_server()
         clients = [f"client-{i}" for i in range(sessions)]
-        rope_ids = _record_strands(server.mrs, strands, 1.0, clients, "t")
+        rope_ids = record_strands(server.mrs, strands, 1.0, clients, "t")
         result = server.serve([
             OpenSessionRequest(
                 client_id=clients[i],
@@ -61,18 +59,19 @@ class TestBatchedAdmissionIsConservative:
         assert _replays_cleanly(server, leaders)
 
     def test_hot_scenario_physical_set_replays_per_request(self):
-        run = run_server_hot_scenario(sessions=20, strands=4, seconds=1.0)
-        for result in run.results:
-            leaders = _physical_leaders(run.server, result)
-            assert _replays_cleanly(run.server, leaders)
+        run = get("server-hot")(sessions=20, strands=4, seconds=1.0).run()
+        assert run.warmups, "the hot scenario must warm its cache first"
+        for result in (*run.warmups, run.result):
+            leaders = _physical_leaders(run.stack, result)
+            assert _replays_cleanly(run.stack, leaders)
 
     def test_admitted_sessions_can_exceed_physical_capacity(self):
         """The capability claim, stated as the complement: batch +
         cache admission serves more sessions than the controller's
         n_max, while the physical set stays within it."""
-        run = run_server_hot_scenario(sessions=20, strands=4, seconds=1.0)
-        final = run.results[-1]
-        descriptor = run.server.mrs.msm.descriptor_for_media(True)
-        n_max = run.server.mrs.msm.admission.capacity(descriptor)
+        run = get("server-hot")(sessions=20, strands=4, seconds=1.0).run()
+        final = run.result
+        descriptor = run.stack.mrs.msm.descriptor_for_media(True)
+        n_max = run.stack.mrs.msm.admission.capacity(descriptor)
         assert final.admitted > n_max
-        assert len(_physical_leaders(run.server, final)) <= n_max
+        assert len(_physical_leaders(run.stack, final)) <= n_max

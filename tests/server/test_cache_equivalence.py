@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.api import OpenSessionRequest
 from repro.rope import Media
-from repro.server.scenarios import _record_strands, build_media_server
+from repro.scenarios.server import record_strands
+from repro.server import build_media_server
 
 pytestmark = pytest.mark.server
 
@@ -24,7 +25,7 @@ def _serve_wave(cache_blocks, batch_window, sessions, strands, seconds):
         cache_blocks=cache_blocks, batch_window=batch_window
     )
     clients = [f"client-{i}" for i in range(sessions)]
-    rope_ids = _record_strands(server.mrs, strands, seconds, clients, "eq")
+    rope_ids = record_strands(server.mrs, strands, seconds, clients, "eq")
     result = server.serve([
         OpenSessionRequest(
             client_id=clients[i],

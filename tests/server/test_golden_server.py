@@ -11,45 +11,42 @@ import json
 
 import pytest
 
-from repro.server import (
-    run_server_fault_scenario,
-    run_server_hot_scenario,
-    run_server_steady_scenario,
-)
+from repro.scenarios import get
+
+STEADY = get("server-steady")()
+HOT = get("server-hot")()
+FAULT = get("server-fault")()
 
 pytestmark = [pytest.mark.server, pytest.mark.golden]
 
 
 class TestSteadyGolden:
     def test_snapshot_matches_golden(self, golden):
-        run = run_server_steady_scenario()
+        run = STEADY.run()
         golden("server_steady_snapshot.json", run.snapshot())
 
     def test_rerun_is_byte_identical(self):
-        assert run_server_steady_scenario().snapshot() == (
-            run_server_steady_scenario().snapshot()
-        )
+        assert STEADY.run().snapshot() == STEADY.run().snapshot()
 
     def test_steady_epoch_is_clean(self):
-        run = run_server_steady_scenario()
-        assert run.final.total_misses == 0
-        assert run.final.continuous_sessions == len(run.final.statuses)
+        run = STEADY.run()
+        assert run.result.total_misses == 0
+        assert run.result.continuous_sessions == len(run.result.statuses)
+        assert run.healthy()
 
 
 class TestHotGolden:
     def test_snapshot_matches_golden(self, golden):
-        run = run_server_hot_scenario()
+        run = HOT.run()
         golden("server_hot_snapshot.json", run.snapshot())
 
     def test_rerun_is_byte_identical(self):
-        assert run_server_hot_scenario().snapshot() == (
-            run_server_hot_scenario().snapshot()
-        )
+        assert HOT.run().snapshot() == HOT.run().snapshot()
 
     def test_hot_wave_is_batched_and_cache_admitted(self):
-        run = run_server_hot_scenario()
-        final = run.final
-        assert final.batches == len(run.rope_ids)
+        run = HOT.run()
+        final = run.result
+        assert final.batches == run.scenario.strands
         assert final.continuous_sessions == 50
         snapshot = json.loads(run.snapshot())
         counters = snapshot["metrics"]["counters"]
@@ -59,19 +56,17 @@ class TestHotGolden:
 
 class TestFaultGolden:
     def test_snapshot_matches_golden(self, golden):
-        run = run_server_fault_scenario()
+        run = FAULT.run()
         golden("server_fault_snapshot.json", run.snapshot())
 
     def test_rerun_is_byte_identical(self):
-        assert run_server_fault_scenario().snapshot() == (
-            run_server_fault_scenario().snapshot()
-        )
+        assert FAULT.run().snapshot() == FAULT.run().snapshot()
 
     def test_faults_skip_on_every_member_never_corrupt_the_cache(self):
         """A defective block skips for the leader *and* the follower —
         a failed read must never be served from residency."""
-        run = run_server_fault_scenario()
-        statuses = run.final.statuses
+        run = FAULT.run()
+        statuses = run.result.statuses
         assert len(statuses) == 2
         skips = [s.skips for s in statuses]
         assert all(count > 0 for count in skips)

@@ -14,12 +14,9 @@ from repro.api import (
 )
 from repro.errors import ParameterError
 from repro.obs import Observability
-from repro.server.scenarios import (
-    _record_strands,
-    build_media_server,
-    run_server_hot_scenario,
-    run_server_steady_scenario,
-)
+from repro.scenarios import get
+from repro.scenarios.server import record_strands
+from repro.server import build_media_server
 
 pytestmark = pytest.mark.server
 
@@ -32,7 +29,7 @@ def server():
 
 
 def _rope(server, seconds=1.0, clients=CLIENTS):
-    return _record_strands(server.mrs, 1, seconds, clients, "t")[0]
+    return record_strands(server.mrs, 1, seconds, clients, "t")[0]
 
 
 def _open(rope_id, client="client-0", **overrides):
@@ -213,35 +210,34 @@ class TestBatchedServe:
 
 class TestCacheAwareAdmission:
     def test_warm_cache_admits_without_controller(self):
-        run = run_server_hot_scenario(sessions=6, strands=2, seconds=1.0)
-        final = run.results[-1]
+        run = get("server-hot")(sessions=6, strands=2, seconds=1.0).run()
+        final = run.result
         assert final.admitted == 6
         assert all(s.cache_admitted for s in final.statuses)
         # The controller holds no slots for the cache-admitted wave.
-        calls = run.server.channel.calls_by_method()
-        warm_epochs = len(run.rope_ids)
-        assert calls["admit"] == warm_epochs
-        assert run.server.mrs.msm.admission.active_count == 0
+        calls = run.stack.channel.calls_by_method()
+        assert calls["admit"] == len(run.warmups) == 2
+        assert run.stack.mrs.msm.admission.active_count == 0
 
     def test_hot_wave_exceeds_per_request_capacity(self):
-        run = run_server_hot_scenario(sessions=50, strands=5, seconds=2.0)
-        final = run.results[-1]
-        n_max = run.server.mrs.msm.admission.capacity(
-            run.server.mrs.msm.descriptor_for_media(True)
+        run = get("server-hot")(sessions=50, strands=5, seconds=2.0).run()
+        final = run.result
+        n_max = run.stack.mrs.msm.admission.capacity(
+            run.stack.mrs.msm.descriptor_for_media(True)
         )
         assert final.continuous_sessions == 50 > n_max
 
     def test_completion_unpins_the_cache(self):
-        run = run_server_hot_scenario(sessions=6, strands=2, seconds=1.0)
-        assert run.server.cache.pinned_count == 0
+        run = get("server-hot")(sessions=6, strands=2, seconds=1.0).run()
+        assert run.stack.cache.pinned_count == 0
 
 
 class TestObservability:
     def test_counters_and_audit_trail(self):
         obs = Observability()
-        run = run_server_steady_scenario(obs=obs)
+        run = get("server-steady")().run(obs)
         snapshot = run.obs.registry.counter("server.sessions_opened")
-        assert snapshot.value == len(run.final.statuses)
+        assert snapshot.value == len(run.result.statuses)
         decisions = [
             e for e in obs.audit.entries()
             if e.subject.startswith("batch")

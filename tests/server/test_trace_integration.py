@@ -12,14 +12,14 @@ import json
 
 import pytest
 
-from repro.server.scenarios import run_server_steady_scenario
+from repro.scenarios import get
 
 pytestmark = [pytest.mark.server, pytest.mark.trace]
 
 
 @pytest.fixture(scope="module")
 def steady_tracer():
-    return run_server_steady_scenario().obs.tracer
+    return get("server-steady")().run().obs.tracer
 
 
 def _session_roots(tracer):
@@ -92,7 +92,7 @@ class TestDeterministicExport:
             steady_tracer.to_chrome_trace(), indent=2, sort_keys=True
         )
         second = json.dumps(
-            run_server_steady_scenario().obs.tracer.to_chrome_trace(),
+            get("server-steady")().run().obs.tracer.to_chrome_trace(),
             indent=2,
             sort_keys=True,
         )

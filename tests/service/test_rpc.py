@@ -217,14 +217,12 @@ class TestBatchAdmissionLogging:
         """Every batch admission and release is logged MRS<->MSM with
         marshalled sizes, like the prototype's RPCs."""
         from repro.api import Media, OpenSessionRequest
-        from repro.server.scenarios import (
-            _record_strands,
-            build_media_server,
-        )
+        from repro.scenarios.server import record_strands
+        from repro.server import build_media_server
 
         server = build_media_server()
         clients = [f"client-{i}" for i in range(4)]
-        rope_id = _record_strands(server.mrs, 1, 1.0, clients, "rpc")[0]
+        rope_id = record_strands(server.mrs, 1, 1.0, clients, "rpc")[0]
         server.serve([
             OpenSessionRequest(
                 client_id=client, rope_id=rope_id, media=Media.VIDEO

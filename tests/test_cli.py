@@ -57,49 +57,68 @@ class TestDemo:
         assert "misses 0" in out
 
 
+def _run_json(capsys, scenario, *extra, code=0):
+    """`repro run --scenario S ... --json` parsed."""
+    assert main(["run", "--scenario", scenario, *extra, "--json"]) == code
+    return json.loads(capsys.readouterr().out)
+
+
+def _sets(**overrides):
+    return [
+        arg for key, value in overrides.items()
+        for arg in ("--set", f"{key}={value}")
+    ]
+
+
 class TestServe:
     def test_serve_small_scenario(self, capsys):
         assert main([
-            "serve", "--sessions", "6", "--strands", "2",
-            "--seconds", "1",
+            "run", "--scenario", "server-hot",
+            *_sets(sessions=6, strands=2, seconds=1),
         ]) == 0
         out = capsys.readouterr().out
         assert "6 admitted" in out
         assert "2 batches" in out
 
     def test_serve_json_is_the_serve_result_shape(self, capsys):
-        assert main([
-            "serve", "--sessions", "4", "--strands", "2",
-            "--seconds", "1", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["admitted"] == 4
-        assert payload["continuous_sessions"] == 4
-        assert payload["cache_stats"]["hits"] > 0
-        assert len(payload["sessions"]) == 4
+        payload = _run_json(
+            capsys, "server-hot", *_sets(sessions=4, strands=2, seconds=1)
+        )
+        assert payload["scenario"] == "server-hot"
+        assert payload["params"]["sessions"] == 4
+        assert payload["healthy"] is True
+        result = payload["result"]
+        assert result["admitted"] == 4
+        assert result["continuous_sessions"] == 4
+        assert result["cache_stats"]["hits"] > 0
+        assert len(result["sessions"]) == 4
 
     def test_serve_compare_batched_beats_per_request(self, capsys):
-        assert main([
-            "serve", "--compare", "--sessions", "8", "--strands", "2",
-            "--seconds", "1", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["batched"]["continuous"] > (
-            payload["per_request"]["continuous"]
+        sizing = _sets(sessions=8, strands=2, seconds=1)
+        batched = _run_json(capsys, "server-hot", *sizing)
+        per_request = _run_json(
+            capsys, "server-hot", *sizing,
+            *_sets(cache_blocks=0, batching="false"),
+        )
+        assert per_request["params"]["batching"] is False
+        assert batched["result"]["continuous_sessions"] > (
+            per_request["result"]["continuous_sessions"]
         )
 
     def test_serve_smoke_emits_snapshot(self, capsys):
-        assert main(["serve", "--smoke"]) == 0
+        assert main([
+            "obs-report", "--scenario", "server-hot", "--smoke", "--json",
+        ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "metrics" in payload
         assert payload["metrics"]["counters"]["server.batches"] > 0
 
     def test_serve_no_cache_disables_batching(self, capsys):
-        assert main([
-            "serve", "--sessions", "4", "--strands", "2",
-            "--seconds", "1", "--no-cache", "--json",
-        ]) == 0  # the admitted subset still plays without misses
-        payload = json.loads(capsys.readouterr().out)
+        # the admitted subset still plays without misses: exit code 0
+        payload = _run_json(
+            capsys, "server-hot",
+            *_sets(sessions=4, strands=2, seconds=1, cache_blocks=0),
+        )["result"]
         assert payload["cache_stats"] == {}
         assert payload["batches"] == 4
         # Without the cache there is no batching: per-request admission
@@ -110,7 +129,10 @@ class TestServe:
 
 class TestCluster:
     def test_cluster_smoke_emits_snapshot(self, capsys):
-        assert main(["cluster", "--smoke"]) == 0
+        assert main([
+            "obs-report", "--scenario", "cluster-scale", "--smoke",
+            "--json",
+        ]) == 0
         payload = json.loads(capsys.readouterr().out)
         counters = payload["metrics"]["counters"]
         assert counters["cluster.handoffs_total"] >= 1
@@ -119,26 +141,137 @@ class TestCluster:
         )
 
     def test_cluster_json_reports_bounds_and_placement(self, capsys):
-        assert main([
-            "cluster", "--nodes", "3", "--sessions", "8",
-            "--titles", "4", "--per-node-streams", "8",
-            "--seconds", "1", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["admitted"] == 8
-        assert payload["summary"]["continuous"] == 8
+        payload = _run_json(
+            capsys, "cluster-scale",
+            *_sets(nodes=3, sessions=8, titles=4, per_node_streams=8,
+                   seconds=1),
+        )
+        assert payload["result"]["admitted"] == 8
+        assert payload["result"]["continuous_sessions"] == 8
+        assert payload["metrics"]["handoffs"] == 0
         assert payload["bounds"]["full_catalog"] == 24
-        assert set(payload["placement"]) == {
+        assert set(payload["result"]["placement"]) == {
             "T01", "T02", "T03", "T04",
         }
 
     def test_cluster_failover_hands_off_cleanly(self, capsys):
-        assert main(["cluster", "--failover", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        summary = payload["summary"]
-        assert summary["handoffs"] >= 1
-        assert summary["handoff_clean_ratio"] > 0.9
-        assert summary["continuous"] == summary["admitted"]
+        payload = _run_json(
+            capsys, "cluster-scale",
+            *_sets(nodes=4, sessions=32, titles=8, seconds=2,
+                   per_node_streams=24, chunks=4, kill_node=1),
+        )
+        metrics = payload["metrics"]
+        assert metrics["handoffs"] >= 1
+        assert metrics["handoff_clean_ratio"] > 0.9
+        assert metrics["continuity_ratio"] == 1.0
+
+    def test_smoke_run_rejects_nothing_and_hands_off_all_clean(self, capsys):
+        # The CI smoke gate is stricter than healthy()'s >0.9 bar.
+        result = _run_json(capsys, "cluster-scale", "--smoke")["result"]
+        assert result["admitted"] == result["continuous_sessions"] == 12
+        assert result["rejects"] == []
+        assert result["handoffs"]
+        assert all(record["clean"] for record in result["handoffs"])
+
+    def test_summary_reports_handoffs_and_bounds(self, capsys):
+        assert main(["run", "--scenario", "cluster-scale", "--smoke"]) == 0
+        out = capsys.readouterr().out
+        assert "12 admitted, 12 continuous" in out
+        assert "clean (ratio 1.00)" in out
+        assert "bounds: full-catalog 24 streams" in out
+
+
+class TestParameterErrors:
+    """Every bad scenario parameter ends in one `error:` line, exit 2."""
+
+    @staticmethod
+    def _error(capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize(
+        "view", ["run", "obs-report", "profile", "trace-export"]
+    )
+    def test_unknown_set_key_names_the_valid_fields(self, capsys, view):
+        line = self._error(capsys, [
+            view, "--scenario", "steady", "--set", "nodes=9",
+        ])
+        assert "unknown parameter 'nodes'" in line
+        assert "seconds, requests, k" in line
+
+    def test_wrong_type_names_the_expected_type(self, capsys):
+        line = self._error(capsys, [
+            "run", "--scenario", "cluster-scale", "--smoke",
+            "--set", "nodes=many",
+        ])
+        assert "nodes must be int" in line and "'many'" in line
+        assert "per_node_streams" in line
+
+    def test_float_for_an_int_field_is_rejected(self, capsys):
+        line = self._error(capsys, [
+            "run", "--scenario", "steady", "--set", "requests=2.5",
+        ])
+        assert "requests must be int" in line
+
+    def test_malformed_set_is_rejected(self, capsys):
+        line = self._error(capsys, [
+            "run", "--scenario", "steady", "--set", "seconds",
+        ])
+        assert "KEY=VALUE" in line
+
+    def test_out_of_domain_value_is_a_typed_error(self, capsys):
+        line = self._error(capsys, [
+            "run", "--scenario", "scale", "--smoke",
+            "--set", "drive=floppy",
+        ])
+        assert "unknown drive config" in line
+
+    def test_profile_timers_without_json_is_not_silently_ignored(
+        self, capsys
+    ):
+        line = self._error(capsys, [
+            "obs-report", "--scenario", "steady", "--smoke",
+            "--profile-timers",
+        ])
+        assert "--json" in line
+
+    def test_smoke_sizing_honours_set_overrides(self, capsys):
+        # `repro cluster --smoke --nodes 9` used to drop the 9 silently.
+        payload = _run_json(
+            capsys, "cluster-scale", "--smoke", "--set", "nodes=4"
+        )
+        assert payload["params"]["nodes"] == 4
+        assert payload["params"]["sessions"] == 12
+        assert len(payload["result"]["nodes"]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--smoke"],
+        ["cluster", "--failover"],
+        ["obs-report", "--scenario", "steady", "--faults"],
+        ["obs-report", "--scenario", "steady", "--cluster"],
+        ["obs-report", "--scenario", "fault", "--head-failure-at-op", "3"],
+        ["profile", "--preset", "scale"],
+        ["run", "--scenario", "cluster-scale", "--nodes", "9"],
+        ["run", "--scenario", "server-hot", "--no-cache"],
+        ["run", "--scenario", "warp-drive"],
+        ["run"],
+    ])
+    def test_removed_spellings_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_optional_field_parses_none_and_int(self, capsys):
+        payload = _run_json(
+            capsys, "cluster-scale", "--smoke", "--set", "kill_node=none"
+        )
+        assert payload["params"]["kill_node"] is None
+        assert payload["metrics"]["handoffs"] == 0
 
 
 class TestParser:
@@ -162,8 +295,8 @@ class TestParser:
 
     def test_scenario_commands_share_seed_and_json_options(self):
         for name in (
-            "demo", "obs-report", "perf-sweep", "serve", "trace-export",
-            "cluster", "profile",
+            "demo", "obs-report", "perf-sweep", "run", "trace-export",
+            "profile",
         ):
             options = self._subcommand_options(name)
             assert "--seed" in options, name
@@ -193,27 +326,50 @@ class TestParser:
             assert "--json" in options, name
             assert "--seed" not in options, name
 
+    VIEWS = ("run", "obs-report", "profile", "trace-export")
+
     def test_profile_flags_present(self):
         options = self._subcommand_options("profile")
-        for flag in (
-            "--preset", "--streams", "--blocks", "--top", "--smoke",
-            "--trace-out",
-        ):
-            assert flag in options, flag
+        assert {"--top", "--trace-out"} <= options
+        # One shared trio replaced the preset and sizing flags.
+        for name in self.VIEWS:
+            options = self._subcommand_options(name)
+            assert {"--scenario", "--set", "--smoke"} <= options, name
+            assert not options & {
+                "--preset", "--streams", "--blocks", "--faults",
+                "--cluster", "--failover", "--no-cache", "--no-batch",
+                "--head-failure-at-op", "--nodes", "--sessions",
+            }, name
 
     def test_obs_report_gained_cluster_and_top(self):
-        options = self._subcommand_options("obs-report")
-        assert "--cluster" in options
-        assert "--top" in options
+        # The cluster report is a --scenario choice now, not a flag.
+        parser = build_parser()
+        args = parser.parse_args([
+            "obs-report", "--scenario", "cluster-scale", "--top", "3",
+        ])
+        assert (args.scenario, args.top) == ("cluster-scale", 3)
 
     def test_cluster_failover_flags_present(self):
-        options = self._subcommand_options("cluster")
-        for flag in (
-            "--nodes", "--sessions", "--titles", "--per-node-streams",
-            "--chunks", "--failover", "--kill-node", "--kill-chunk",
-            "--smoke",
+        # Every former `repro cluster` sizing/failover flag is a typed
+        # --set key of the one cluster scenario.
+        from repro.scenarios import get
+
+        fields = get("cluster-scale").field_types()
+        for key in (
+            "nodes", "sessions", "titles", "per_node_streams",
+            "min_replicas", "chunks", "kill_node", "kill_chunk",
         ):
-            assert flag in options, flag
+            assert key in fields, key
+        assert type(None) in fields["kill_node"]
+
+    def test_scenario_choices_come_from_the_registry(self):
+        from repro.scenarios import REGISTRY
+
+        parser = build_parser()
+        for view in self.VIEWS:
+            for name in REGISTRY:
+                args = parser.parse_args([view, "--scenario", name])
+                assert args.scenario == name
 
 
 class TestTraceExport:
@@ -254,7 +410,7 @@ class TestTraceExport:
 
 class TestProfile:
     def test_smoke_exits_zero_with_one_line(self, capsys):
-        assert main(["profile", "--smoke"]) == 0
+        assert main(["profile", "--scenario", "scale", "--smoke"]) == 0
         out = capsys.readouterr().out.strip()
         assert len(out.splitlines()) == 1
         assert "hottest" in out
@@ -262,7 +418,9 @@ class TestProfile:
     def test_json_is_byte_deterministic(self, capsys):
         payloads = []
         for _ in range(2):
-            assert main(["profile", "--smoke", "--json"]) == 0
+            assert main([
+                "profile", "--scenario", "scale", "--smoke", "--json",
+            ]) == 0
             payloads.append(capsys.readouterr().out)
         assert payloads[0] == payloads[1]
         section = json.loads(payloads[0])
@@ -273,7 +431,7 @@ class TestProfile:
 
     def test_steady_preset_prints_cost_centers(self, capsys):
         assert main([
-            "profile", "--preset", "steady", "--top", "3",
+            "profile", "--scenario", "steady", "--top", "3",
         ]) == 0
         out = capsys.readouterr().out
         assert "cost centers" in out
@@ -282,7 +440,8 @@ class TestProfile:
     def test_trace_out_writes_counter_tracks(self, tmp_path, capsys):
         target = tmp_path / "profile.json"
         assert main([
-            "profile", "--smoke", "--trace-out", str(target),
+            "profile", "--scenario", "scale", "--smoke",
+            "--trace-out", str(target),
         ]) == 0
         document = json.loads(target.read_text())
         counter_events = [
@@ -296,9 +455,14 @@ class TestProfile:
         )
 
     def test_obs_report_cluster_preset(self, capsys):
-        assert main(["obs-report", "--cluster"]) == 0
+        assert main([
+            "obs-report", "--scenario", "cluster-scale", "--smoke",
+        ]) == 0
         out = capsys.readouterr().out
         assert "cluster.handoffs_total" in out
+        # The federated report carries the per-node profile rollup.
+        assert "== profile ==" in out
+        assert "node node-00" in out
 
 
 class TestExtensionExperimentsViaCli:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Required keys of a BENCH_PERF.json scale point (ScaleResult.to_dict).
+#: Required keys of a BENCH_PERF.json scale point (repro.perf.scale_row).
 BENCH_PERF_POINT_KEYS = {
     "name", "streams", "blocks_per_stream", "drive", "arrivals", "seed",
     "wall_time_s", "rounds", "blocks_delivered", "misses",
@@ -312,7 +312,8 @@ class TestServeSmoke:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(ROOT / "src")
         result = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--smoke"],
+            [sys.executable, "-m", "repro", "obs-report", "--scenario",
+             "server-hot", "--smoke", "--json"],
             cwd=ROOT, capture_output=True, text=True, env=env,
             timeout=120,
         )
@@ -400,6 +401,18 @@ class TestLintConfig:
         assert "F401" in ignores["src/repro/__init__.py"]
 
 
+class TestVersion:
+    def test_version_is_single_sourced_from_the_package(self):
+        import repro
+
+        config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        assert "version" not in config["project"]
+        assert config["project"]["dynamic"] == ["version"]
+        dynamic = config["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
 class TestNoTrackedScratchArtifacts:
     def test_no_smoke_json_is_committed(self):
         # Smoke artifacts (BENCH_PERF.smoke.json and friends) are CI
@@ -471,14 +484,65 @@ class TestCheckScript:
         )
 
     def test_check_script_runs_every_gate(self):
-        # Lint, tier-1 tests, the smoke matrix gate, and the cluster
-        # smoke scenario must all appear; a check.sh that quietly drops
-        # one is a CI hole.
+        # Lint, tier-1 tests, the smoke matrix gate, the cluster and
+        # profiler smoke runs, and the every-registered-scenario smoke
+        # loop must all appear; a check.sh that quietly drops one is a
+        # CI hole.
         text = (ROOT / "scripts" / "check.sh").read_text()
         assert "ruff" in text
         assert "pytest" in text
         assert "expt run --smoke" in text
         assert "expt gate" in text
-        assert "cluster --smoke" in text
-        assert "profile --smoke" in text
+        assert "run --scenario cluster-scale --smoke" in text
+        assert "profile --scenario scale --smoke" in text
+        assert 'run --scenario "$scenario" --smoke' in text
+        assert "repro.scenarios" in text, (
+            "the smoke loop must enumerate the registry, not a list"
+        )
         assert "set -euo pipefail" in text
+
+
+class TestBenchmarkPins:
+    """Names `bench/` pins must keep resolving (bench/README.md).
+
+    The benchmark wraps these from outside and reports a vanished one
+    only as a quiet ``trace.missing_targets`` in its next run; here a
+    rename fails tier-1 instead.
+    """
+
+    def test_every_trace_target_resolves(self):
+        from bench import stack
+        from bench.trace import TARGETS
+
+        assert len(TARGETS) >= 40
+        missing = [
+            target.path for target in TARGETS
+            if stack.resolve(target.path) is None
+        ]
+        assert not missing, f"bench/trace.py targets vanished: {missing}"
+
+    def test_stack_module_imports_and_builds(self):
+        # Importing bench.stack resolves every `from repro... import`
+        # it pins; building one server exercises the attribute pins.
+        from bench import stack
+
+        built = stack.build_server()
+        assert built.capacity >= 1
+        assert set(stack.counters(built)) >= {"drive.reads", "rpc.calls"}
+
+
+class TestSourceSize:
+    #: `src/` physical lines after the scenario-registry PR, rounded up
+    #: to the next 100.  ROADMAP aim 2: the count trends *down* — lower
+    #: this when a PR deletes code, never raise it to make room.
+    SRC_LINE_CEILING = 26000
+
+    def test_src_line_count_stays_under_the_ceiling(self):
+        total = sum(
+            len(path.read_text().splitlines())
+            for path in (ROOT / "src").rglob("*.py")
+        )
+        assert total <= self.SRC_LINE_CEILING, (
+            f"src/ grew to {total} physical lines (ceiling "
+            f"{self.SRC_LINE_CEILING}); delete before you add"
+        )
