@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The one-command CI gate: lint, tier-1 tests, then the smoke
-# experiment matrix against its committed baseline (docs/MATRIX.md).
+# The one-command CI gate: lint, tier-1 tests, the smoke experiment
+# matrix against its committed baseline (docs/MATRIX.md), the scenario
+# smoke runs, then the repository benchmark's smoke run and self-test.
 #
 #   scripts/check.sh            # everything
 #   SKIP_TESTS=1 scripts/check.sh   # lint + matrix gate only
@@ -43,5 +44,9 @@ for scenario in $(python -c \
     'import repro.scenarios as s; print(" ".join(sorted(s.REGISTRY)))'); do
     python -m repro run --scenario "$scenario" --smoke
 done
+
+echo "== repository benchmark: smoke run (correctness + sim_digest), self-test =="
+python3 -m bench run --smoke
+python -m pytest bench -q
 
 echo "check.sh: all gates passed"

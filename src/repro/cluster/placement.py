@@ -200,6 +200,11 @@ class PlacementPolicy:
             raise ParameterError(
                 f"per_node_streams must be >= 1, got {per_node_streams}"
             )
+        if self.min_replicas > len(node_ids):
+            raise ParameterError(
+                f"min_replicas {self.min_replicas} exceeds the node count "
+                f"{len(node_ids)} (replicas of a title sit on distinct nodes)"
+            )
         nodes = list(node_ids)
         weights: Dict[str, float] = {}
         for title in titles:

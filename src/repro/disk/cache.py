@@ -31,6 +31,7 @@ from typing import Dict, Iterable, Optional
 
 from repro.disk.drive import SimulatedDrive
 from repro.errors import MediaDefectError, ParameterError
+from repro.obs.recorder import recorder_for
 
 __all__ = ["CacheStats", "BlockCache", "CachedDrive"]
 
@@ -188,7 +189,7 @@ class CachedDrive:
     """A drive-shaped LRU front end over one :class:`SimulatedDrive`.
 
     Exposes the access surface the service layers use (``read_slot`` /
-    ``write_slot`` / ``injector`` / ``stats`` / ``obs``), so it drops
+    ``traced_read`` / ``write_slot`` / ``injector`` / ``stats``), so it drops
     into :class:`~repro.service.rounds.RoundRobinService` and
     :func:`~repro.faults.recovery.read_with_recovery` unchanged.  A hit
     costs ``hit_time`` seconds (default 0.0 — no disk-round budget); a
@@ -211,25 +212,11 @@ class CachedDrive:
         self.inner = inner
         self.cache = cache
         self.hit_time = hit_time
-        self._obs_hits = None
-        self._obs_misses = None
-        self._obs_evictions = None
-        self._obs_profiler = None
         self.attach_cache_observer(obs)
 
     def attach_cache_observer(self, obs) -> None:
-        """Wire ``cache.*`` counters into an observability registry."""
-        if obs is None:
-            self._obs_hits = None
-            self._obs_misses = None
-            self._obs_evictions = None
-            self._obs_profiler = None
-            return
-        registry = obs.registry
-        self._obs_hits = registry.counter("cache.hits")
-        self._obs_misses = registry.counter("cache.misses")
-        self._obs_evictions = registry.counter("cache.evictions")
-        self._obs_profiler = getattr(obs, "profiler", None)
+        """Report lookups and evictions to *obs*'s service recorder."""
+        self._rec = recorder_for(obs, "cache")
 
     # -- drive surface proxied to the inner mechanism -------------------------
 
@@ -244,9 +231,9 @@ class CachedDrive:
         return self.inner.stats
 
     @property
-    def obs(self):
-        """The inner drive's observability handle."""
-        return self.inner.obs
+    def observed(self) -> bool:
+        """Whether the inner drive has an enabled observer attached."""
+        return self.inner.observed
 
     @property
     def block_bits(self) -> float:
@@ -274,24 +261,50 @@ class CachedDrive:
 
     def read_slot(self, slot: int, bits: Optional[float] = None) -> float:
         """Read through the cache; returns elapsed simulated seconds."""
-        profiler = self._obs_profiler
-        if self.cache.lookup(slot):
-            if self._obs_hits is not None:
-                self._obs_hits.inc()
-            if profiler is not None:
-                profiler.record(
-                    "cache_lookup", cost=self.hit_time,
-                    drive=self.inner.profile_label,
-                )
-            return self.hit_time
-        if self._obs_misses is not None:
-            self._obs_misses.inc()
-        if profiler is not None:
-            profiler.record(
-                "cache_lookup", drive=self.inner.profile_label
-            )
+        return self._read(slot, bits, self.inner.read_slot)[0]
+
+    def traced_read(
+        self, slot: int, bits: Optional[float], now: float, rec, parent
+    ) -> float:
+        """:meth:`read_slot` as a traced access under *parent*.
+
+        The access is reported to *rec* (the caller's service recorder):
+        a hit closes it with status ``hit`` after ``hit_time`` seconds; a
+        miss nests the inner drive's traced read under it and closes with
+        status ``miss``; a fault closes it at the time the doomed attempt
+        consumed (``defect``, or the fault's type name) and propagates.
+        """
+        span = rec.span_begin("cache_probe", now, parent, slot)
+        below = span if span is not None else parent
         try:
-            duration = self.inner.read_slot(slot, bits)
+            duration, status = self._read(
+                slot, bits,
+                lambda slot, bits: self.inner.traced_read(
+                    slot, bits, now, rec, below
+                ),
+            )
+        except Exception as fault:
+            defect = isinstance(fault, MediaDefectError)
+            rec.span_end(
+                span, now + getattr(fault, "elapsed", 0.0),
+                "defect" if defect else type(fault).__name__,
+            )
+            raise
+        rec.span_end(span, now + duration, status)
+        return duration
+
+    def _read(self, slot: int, bits: Optional[float], read_inner):
+        """The one cached read: ``(elapsed, "hit" | "miss")``; a miss
+        reads the mechanism through *read_inner*."""
+        hit = self.cache.lookup(slot)
+        if self._rec is not None:
+            self._rec.cache_probe(
+                hit, self.hit_time if hit else 0.0, self.inner.profile_label
+            )
+        if hit:
+            return self.hit_time, "hit"
+        try:
+            duration = read_inner(slot, bits)
         except MediaDefectError:
             # The media is bad: any stale residency for the slot must go
             # (data cached before the defect surfaced may predate it).
@@ -299,68 +312,10 @@ class CachedDrive:
             raise
         evictions_before = self.cache.stats.evictions
         self.cache.insert(slot)
-        if self._obs_evictions is not None:
-            delta = self.cache.stats.evictions - evictions_before
-            if delta:
-                self._obs_evictions.inc(delta)
-        return duration
-
-    def traced_read(
-        self, slot: int, bits: Optional[float], now: float, tracer, parent
-    ) -> float:
-        """Read through the cache under a ``cache.read`` span.
-
-        A hit closes the span with status ``hit`` after ``hit_time``
-        seconds; a miss delegates to the inner drive's traced read (so
-        its ``disk.access`` span nests under this one) and closes with
-        status ``miss``.  Hit/miss accounting, insertion, and fault
-        semantics are identical to :meth:`read_slot`.
-        """
-        span = tracer.start_span(
-            "cache.read", now, parent=parent, attrs={"slot": slot}
-        )
-        profiler = self._obs_profiler
-        if self.cache.lookup(slot):
-            if self._obs_hits is not None:
-                self._obs_hits.inc()
-            if profiler is not None:
-                profiler.record(
-                    "cache_lookup", cost=self.hit_time,
-                    drive=self.inner.profile_label,
-                )
-            tracer.end_span(span, now + self.hit_time, status="hit")
-            return self.hit_time
-        if self._obs_misses is not None:
-            self._obs_misses.inc()
-        if profiler is not None:
-            profiler.record(
-                "cache_lookup", drive=self.inner.profile_label
-            )
-        try:
-            duration = self.inner.traced_read(
-                slot, bits, now, tracer,
-                span if span is not None else parent,
-            )
-        except MediaDefectError as fault:
-            self.cache.invalidate(slot)
-            tracer.end_span(
-                span, now + getattr(fault, "elapsed", 0.0), status="defect"
-            )
-            raise
-        except Exception as fault:
-            tracer.end_span(
-                span, now + getattr(fault, "elapsed", 0.0),
-                status=type(fault).__name__,
-            )
-            raise
-        evictions_before = self.cache.stats.evictions
-        self.cache.insert(slot)
-        if self._obs_evictions is not None:
-            delta = self.cache.stats.evictions - evictions_before
-            if delta:
-                self._obs_evictions.inc(delta)
-        tracer.end_span(span, now + duration, status="miss")
-        return duration
+        evicted = self.cache.stats.evictions - evictions_before
+        if evicted and self._rec is not None:
+            self._rec.cache_evicted(evicted)
+        return duration, "miss"
 
     def write_slot(self, slot: int, bits: Optional[float] = None) -> float:
         """Write through to the mechanism, invalidating residency."""

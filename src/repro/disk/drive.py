@@ -24,6 +24,7 @@ from repro.core.symbols import DiskParameters
 from repro.disk.geometry import DiskGeometry
 from repro.disk.seek import Rotation, SeekModel
 from repro.errors import ParameterError
+from repro.obs.recorder import recorder_for
 
 __all__ = ["DriveStats", "SimulatedDrive"]
 
@@ -116,10 +117,8 @@ class SimulatedDrive:
         self.stats = DriveStats()
         self._head_cylinder = 0
         self.injector = None
-        self.obs = None
-        self._obs_seek_hist = None
-        self._obs_access_counter = None
-        self._obs_profiler = None
+        #: The service recorder accesses report to (None: unobserved).
+        self._rec = None
         #: Label this drive's profiler attributions carry (``per_drive``
         #: in the cost summary); settable by whoever owns the drive.
         self.profile_label = "drive"
@@ -145,23 +144,16 @@ class SimulatedDrive:
     def attach_observer(self, obs) -> None:
         """Install an :class:`~repro.obs.Observability` handle.
 
-        Instruments are resolved once here so the observed access path
-        costs two attribute calls, and the unobserved path (the default)
-        stays a single ``is None`` test.  Pass None to detach.
+        Every access is then reported to the handle's service recorder;
+        unobserved (the default, or a disabled handle) the access path
+        tests one attribute.  Pass None to detach.
         """
-        self.obs = obs
-        if obs is None:
-            self._obs_seek_hist = None
-            self._obs_access_counter = None
-            self._obs_profiler = None
-            return
-        from repro.obs.registry import SEEK_TIME_BUCKETS
+        self._rec = recorder_for(obs, "drive")
 
-        self._obs_seek_hist = obs.registry.histogram(
-            "disk.seek_s", SEEK_TIME_BUCKETS
-        )
-        self._obs_access_counter = obs.registry.counter("disk.accesses")
-        self._obs_profiler = getattr(obs, "profiler", None)
+    @property
+    def observed(self) -> bool:
+        """Whether an enabled observer is attached."""
+        return self._rec is not None
 
     # -- derived sizes -------------------------------------------------------
 
@@ -283,17 +275,8 @@ class SimulatedDrive:
         self.stats.seek_distance += distance
         self.stats.sectors_transferred += self.sectors_per_block
         duration = seek + latency + transfer
-        if self.obs is not None:
-            self._obs_access_counter.inc()
-            self._obs_seek_hist.observe(seek)
-            profiler = self._obs_profiler
-            if profiler is not None:
-                # Positioning (seek + rotation) vs media transfer are the
-                # paper's two cost components; attribute both to this
-                # drive's label.
-                label = self.profile_label
-                profiler.record("seek", cost=seek + latency, drive=label)
-                profiler.record("transfer", cost=transfer, drive=label)
+        if self._rec is not None:
+            self._rec.drive_access(seek, latency, transfer, self.profile_label)
         if self.injector is not None:
             # The failed attempt's time is already charged above: a fault
             # is only known once the access has been tried.
@@ -316,27 +299,27 @@ class SimulatedDrive:
         return duration
 
     def traced_read(
-        self, slot: int, bits: Optional[float], now: float, tracer, parent
+        self, slot: int, bits: Optional[float], now: float, rec, parent
     ) -> float:
-        """Read *slot* under a ``disk.access`` span; returns elapsed seconds.
+        """Read *slot* as a traced access; returns elapsed seconds.
 
-        The span covers the access's simulated duration.  On an injected
-        fault it is closed at the time the doomed attempt consumed, with
-        the fault's type name as status, and the fault propagates.
+        The access is reported to *rec* (the caller's service recorder)
+        as a child of *parent*, covering its simulated duration.  On an
+        injected fault it is closed at the time the doomed attempt
+        consumed, with the fault's type name as status, and the fault
+        propagates.
         """
-        span = tracer.start_span(
-            "disk.access", now, parent=parent, attrs={"slot": slot}
-        )
+        span = rec.span_begin("drive_access", now, parent, slot)
         try:
             duration = self.read_slot(slot, bits)
         except Exception as fault:
-            tracer.end_span(
+            rec.span_end(
                 span,
                 now + getattr(fault, "elapsed", 0.0),
-                status=type(fault).__name__,
+                type(fault).__name__,
             )
             raise
-        tracer.end_span(span, now + duration)
+        rec.span_end(span, now + duration)
         return duration
 
     def write_slot(self, slot: int, bits: Optional[float] = None) -> float:

@@ -16,11 +16,10 @@ single-request simulators share:
   doomed attempts consumed, so the caller can degrade service and
   revalidate admission.
 
-Every decision is traced (``fault.inject`` / ``fault.retry`` /
-``fault.skip`` / ``fault.degrade``) so a trace explains every glitch,
-and mirrored into the observability counters (``fault.injected`` /
-``fault.retries`` / ``fault.skips`` / ``fault.recovered_reads``) when an
-:class:`~repro.obs.Observability` handle is supplied.
+Every decision is reported once, as one of the outcomes of
+:data:`repro.obs.recorder.FAULTS`, to the caller's service recorder —
+which alone turns it into trace events, counters, profiler cost and
+spans, so a trace explains every glitch.
 """
 
 from __future__ import annotations
@@ -34,11 +33,8 @@ from repro.errors import (
     ParameterError,
     TransientReadError,
 )
-from repro.sim.trace import Tracer
 
 __all__ = ["RecoveryPolicy", "read_with_recovery"]
-
-_NULL_TRACER = Tracer(enabled=False)
 
 
 @dataclass(frozen=True)
@@ -81,17 +77,14 @@ def read_with_recovery(
     policy: RecoveryPolicy,
     now: float = 0.0,
     deadline: Optional[float] = None,
-    tracer: Optional[Tracer] = None,
-    subject: str = "",
-    obs=None,
-    span_tracer=None,
-    span=None,
+    rec=None,
+    parent=None,
 ) -> Tuple[float, bool]:
     """Read *slot*, recovering from injected faults per *policy*.
 
     *drive* is anything drive-shaped: a
     :class:`~repro.disk.drive.SimulatedDrive` or a wrapper exposing the
-    same ``read_slot``/``stats`` surface (e.g.
+    same ``read_slot``/``traced_read``/``stats`` surface (e.g.
     :class:`~repro.disk.cache.CachedDrive`, whose cache never retains a
     faulted block — the exceptions handled here propagate through it
     before insertion).
@@ -107,145 +100,71 @@ def read_with_recovery(
         The drive died; ``elapsed`` on the exception includes all time
         this call consumed before the failure surfaced.
 
-    With *span_tracer* (a :class:`~repro.obs.tracing.SpanTracer`) and a
-    parent *span*, each access attempt is traced through the drive's
-    ``traced_read`` (when it has one), retries become ``fault.retry``
-    spans covering their backoff window, and skips become instant
-    ``fault.skip`` spans — so the causal trace explains every glitch.
+    Every outcome is reported once to *rec* (the caller's
+    :class:`~repro.obs.recorder.ServiceRecorder`, or None), which turns
+    it into trace events, counters, profiler cost and spans.  With a
+    *parent* span (a sampled block's) each access attempt is traced
+    through the drive's ``traced_read`` and retries / skips become
+    children of it — so the causal trace explains every glitch.
     """
-    trace = tracer if tracer is not None else _NULL_TRACER
-    counters = obs.registry if obs is not None else None
-    profiler = getattr(obs, "profiler", None) if obs is not None else None
-    traced = span_tracer is not None and hasattr(drive, "traced_read")
 
-    def _span_event(name, start, end, attrs):
-        if span_tracer is None:
-            return
-        event = span_tracer.start_span(name, start, parent=span, attrs=attrs)
-        span_tracer.end_span(event, end)
+    def report(kind, start, end, cost=None, **detail):
+        if rec is not None:
+            rec.fault(kind, slot, start, end, parent, cost, **detail)
 
     elapsed = 0.0
     attempts = 0
     while True:
         try:
-            if traced:
+            if parent is not None:
                 elapsed += drive.traced_read(
-                    slot, bits, now + elapsed, span_tracer, span
+                    slot, bits, now + elapsed, rec, parent
                 )
             else:
                 elapsed += drive.read_slot(slot, bits)
         except TransientReadError as fault:
             elapsed += fault.elapsed
-            trace.emit(
-                now + elapsed, "fault.inject", subject,
-                f"transient at slot {slot} (attempt {attempts})",
-            )
-            if counters is not None:
-                counters.counter("fault.injected").inc()
+            at = now + elapsed
+            report("transient", at, at, attempt=attempts)
             if attempts >= policy.retry_budget:
-                trace.emit(
-                    now + elapsed, "fault.skip", subject,
-                    f"slot {slot}: retry budget {policy.retry_budget} "
-                    "exhausted",
-                )
-                if counters is not None:
-                    counters.counter("fault.skips").inc()
-                if profiler is not None:
-                    profiler.record(
-                        "fault_recovery", cost=fault.elapsed
-                    )
-                _span_event(
-                    "fault.skip", now + elapsed, now + elapsed,
-                    {"slot": slot, "reason": "budget"},
+                report(
+                    "budget", at, at, fault.elapsed,
+                    budget=policy.retry_budget,
                 )
                 return elapsed, False
             if (
                 policy.deadline_aware
                 and deadline is not None
-                and now + elapsed + policy.retry_backoff >= deadline
+                and at + policy.retry_backoff >= deadline
             ):
-                trace.emit(
-                    now + elapsed, "fault.skip", subject,
-                    f"slot {slot}: retry would miss deadline "
-                    f"{deadline:.6f}",
-                )
-                if counters is not None:
-                    counters.counter("fault.skips").inc()
-                    counters.counter("fault.deadline_abandons").inc()
-                if profiler is not None:
-                    profiler.record(
-                        "fault_recovery", cost=fault.elapsed
-                    )
-                _span_event(
-                    "fault.skip", now + elapsed, now + elapsed,
-                    {"slot": slot, "reason": "deadline"},
-                )
+                report("deadline", at, at, fault.elapsed, deadline=deadline)
                 return elapsed, False
             attempts += 1
             drive.stats.retries += 1
-            fault_time = now + elapsed
             elapsed += policy.retry_backoff
-            trace.emit(
-                now + elapsed, "fault.retry", subject,
-                f"slot {slot}: attempt {attempts} of "
-                f"{policy.retry_budget}",
-            )
-            if counters is not None:
-                counters.counter("fault.retries").inc()
-            if profiler is not None:
-                # The doomed attempt's time plus the settle window — the
-                # delay this fault alone added (it overlaps the
-                # seek/transfer the failed attempt already charged).
-                profiler.record(
-                    "fault_recovery",
-                    cost=fault.elapsed + policy.retry_backoff,
-                )
-            _span_event(
-                "fault.retry", fault_time, now + elapsed,
-                {"slot": slot, "attempt": attempts},
+            # The doomed attempt's time plus the settle window — the
+            # delay this fault alone added (it overlaps the seek/transfer
+            # the failed attempt already charged).
+            report(
+                "retry", at, now + elapsed,
+                fault.elapsed + policy.retry_backoff,
+                attempt=attempts, budget=policy.retry_budget,
             )
             continue
         except MediaDefectError as fault:
             elapsed += fault.elapsed
-            trace.emit(
-                now + elapsed, "fault.inject", subject,
-                f"media defect at slot {slot}",
-            )
-            trace.emit(
-                now + elapsed, "fault.skip", subject,
-                f"slot {slot}: media defect is permanent",
-            )
-            if counters is not None:
-                counters.counter("fault.injected").inc()
-                counters.counter("fault.skips").inc()
-            if profiler is not None:
-                profiler.record("fault_recovery", cost=fault.elapsed)
-            _span_event(
-                "fault.skip", now + elapsed, now + elapsed,
-                {"slot": slot, "reason": "defect"},
-            )
+            report("defect", now + elapsed, now + elapsed, fault.elapsed)
             return elapsed, False
         except HeadFailureError as fault:
             fault.elapsed += elapsed
-            trace.emit(
-                now + fault.elapsed, "fault.inject", subject,
-                f"head {fault.drive_index} failure at slot {slot}",
-            )
-            if counters is not None:
-                counters.counter("fault.injected").inc()
-                counters.counter("fault.head_failures").inc()
-            if profiler is not None:
-                # No modeled cost: a dead head fails fast; the caller's
-                # degrade path owns whatever follows.
-                profiler.record("fault_recovery", cost=0.0)
+            # No modeled cost: a dead head fails fast; the caller's
+            # degrade path owns whatever follows.
+            at = now + fault.elapsed
+            report("head", at, at, 0.0, head=fault.drive_index)
             raise
         if attempts:
             drive.stats.degraded_reads += 1
-            trace.emit(
-                now + elapsed, "fault.degrade", subject,
-                f"slot {slot}: recovered after {attempts} "
-                f"retr{'y' if attempts == 1 else 'ies'}",
+            report(
+                "recovered", now + elapsed, now + elapsed, attempt=attempts
             )
-            if counters is not None:
-                counters.counter("fault.recovered_reads").inc()
         return elapsed, True

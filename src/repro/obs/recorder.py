@@ -1,0 +1,450 @@
+"""The service recorder: the one seam between the hot path and observability.
+
+The round loop, the drive, the block cache, fault recovery and the
+single-request simulators report *what happened* — each fact once, to a
+:class:`ServiceRecorder` — and this module alone decides which sink sees
+it: registry instruments (names, buckets), profiler phases, span names
+and parents, timeline stages, the SLO round tick, and the
+``sim.trace.Tracer`` tag strings.  :data:`EVENTS` is the declarative
+event → sinks table (docs/OBSERVABILITY.md mirrors it, checked by a
+tooling test); :data:`FAULTS` is the same for fault outcomes.
+
+A component obtains its recorder once from :func:`recorder_for`, which
+returns None when there is nothing to record (no observer, or a disabled
+one, and no sim tracer) — so the unobserved hot path is one ``is None``
+test per report site and never formats a string.  Per-block sampling
+stays data on the surfaces (``SessionTimeline.keep_first/every_kth``,
+``SpanTracer.block_keep_first/block_every_kth``):
+``StreamState.report_at`` — set by the recorder — names the next block
+index of a stream the loop should report, and it reports only those.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+from repro.obs.registry import (
+    DEADLINE_SLACK_BUCKETS,
+    QUEUE_DEPTH_BUCKETS,
+    ROUND_UTILIZATION_BUCKETS,
+    SEEK_TIME_BUCKETS,
+)
+from repro.obs.timeline import BlockStage
+
+__all__ = ["EVENTS", "FAULTS", "ServiceRecorder", "recorder_for", "sinks"]
+
+
+#: event (the :class:`ServiceRecorder` method of that name) -> (the
+#: source component that reports it, its sinks as ``kind:name`` tokens).
+#: A recorder built for a source registers that source's counters and
+#: histograms up front (they appear in snapshots at zero); timers,
+#: gauges and the fault counters exist once first used.
+EVENTS: Dict[str, Tuple[str, str]] = {
+    "stream_opened": ("loop", "span:service.stream sim:admit"),
+    "round_begin": (
+        "loop", "histogram:service.queue_depth timer:service.round"),
+    "turn_begin": ("loop", "sim:buffer-full"),
+    "block_begin": (
+        "loop", "span:service.block stage:enqueued stage:read-start"),
+    "block_end": ("loop", "span:service.block stage:read-done stage:skipped"),
+    "turn_end": ("loop", "profile:per_stream sim:playback-start"),
+    "round_served": (
+        "loop", "timer:service.round histogram:service.round_utilization "
+        "phase:deadline_ordering"),
+    "round_end": (
+        "loop", "phase:admission_scan phase:deadline_ordering "
+        "profile:checkpoint slo:round"),
+    "text_completed": ("loop", "sim:text-complete"),
+    "run_end": (
+        "loop", "histogram:session.deadline_slack_s "
+        "counter:session.blocks_delivered counter:session.blocks_skipped "
+        "counter:session.deadline_misses gauge:service.rounds_run "
+        "phase:admission_scan phase:span_finalize span:service.stream "
+        "stage:consumed slo:final"),
+    "drive_access": (
+        "drive", "counter:disk.accesses histogram:disk.seek_s phase:seek "
+        "phase:transfer span:disk.access"),
+    "cache_probe": (
+        "cache", "counter:cache.hits counter:cache.misses "
+        "phase:cache_lookup span:cache.read"),
+    "cache_evicted": ("cache", "counter:cache.evictions"),
+    "block_scored": (
+        "score", "histogram:session.deadline_slack_s "
+        "counter:session.blocks_delivered counter:session.blocks_skipped"),
+    "fault": (
+        "fault", "counter:fault.injected counter:fault.retries "
+        "counter:fault.skips counter:fault.deadline_abandons "
+        "counter:fault.head_failures counter:fault.recovered_reads "
+        "phase:fault_recovery span:fault.retry span:fault.skip "
+        "sim:fault.inject sim:fault.retry sim:fault.skip sim:fault.degrade"),
+}
+HISTOGRAMS: Dict[str, Tuple[float, ...]] = {
+    "session.deadline_slack_s": DEADLINE_SLACK_BUCKETS,
+    "service.queue_depth": QUEUE_DEPTH_BUCKETS,
+    "service.round_utilization": ROUND_UTILIZATION_BUCKETS,
+    "disk.seek_s": SEEK_TIME_BUCKETS,
+}
+
+
+def sinks(event: str, kind: str) -> List[str]:
+    """The names of *event*'s sinks of one *kind* (``span``, ``phase``...)."""
+    tokens = (token.partition(":") for token in EVENTS[event][1].split())
+    return [name for token_kind, _, name in tokens if token_kind == kind]
+
+
+#: The span each traceable access event opens (:meth:`span_begin`).
+_TRACED = {
+    event: sinks(event, "span")[0] for event in ("drive_access", "cache_probe")
+}
+_INJECT, _SKIP = "fault.inject", "fault.skip"
+#: fault outcome -> (sim-trace events as (tag, detail template), counters,
+#: span name, skip reason); a retry span covers the backoff window.
+FAULTS: Dict[str, tuple] = {
+    "transient": (
+        ((_INJECT, "transient at slot {slot} (attempt {attempt})"),),
+        ("fault.injected",), "", ""),
+    "budget": (
+        ((_SKIP, "slot {slot}: retry budget {budget} exhausted"),),
+        ("fault.skips",), _SKIP, "budget"),
+    "deadline": (
+        ((_SKIP, "slot {slot}: retry would miss deadline {deadline:.6f}"),),
+        ("fault.skips", "fault.deadline_abandons"), _SKIP, "deadline"),
+    "retry": (
+        (("fault.retry", "slot {slot}: attempt {attempt} of {budget}"),),
+        ("fault.retries",), "fault.retry", ""),
+    "defect": (
+        ((_INJECT, "media defect at slot {slot}"),
+         (_SKIP, "slot {slot}: media defect is permanent")),
+        ("fault.injected", "fault.skips"), _SKIP, "defect"),
+    "head": (
+        ((_INJECT, "head {head} failure at slot {slot}"),),
+        ("fault.injected", "fault.head_failures"), "", ""),
+    "recovered": (
+        (("fault.degrade", "slot {slot}: recovered after {attempt} {retries}"),),
+        ("fault.recovered_reads",), "", ""),
+}
+
+#: "No block of this stream is sampled again" (past any real index).
+NEVER = 1 << 62
+
+
+def _next_sampled(index: int, keep: Optional[int], every: Optional[int]) -> int:
+    """Smallest sampled block index >= *index* under one surface's
+    ``(keep_first, every_kth)`` (both None: every block)."""
+    if keep is None or index < keep:
+        return index
+    return NEVER if every is None else index + (-index % every)
+
+
+def recorder_for(obs, source: str, sim=None) -> Optional["ServiceRecorder"]:
+    """The recorder a *source* component reports into, or None.
+
+    *obs* is an :class:`~repro.obs.Observability`, a node-scoped view of
+    one, or None; *sim* an optional :class:`repro.sim.trace.Tracer`
+    (registered with *obs* so snapshots surface its drop count).
+    """
+    if obs is not None and sim is not None:
+        obs.attach_sim_tracer(sim)
+    if sim is not None and not sim.enabled:
+        sim = None
+    if obs is not None and not obs.enabled:
+        obs = None
+    if obs is None and sim is None:
+        return None
+    return ServiceRecorder(obs, source, sim)
+
+
+class ServiceRecorder:
+    """Fans each reported fact out to the sinks :data:`EVENTS` names."""
+
+    def __init__(self, obs, source: str, sim=None):
+        self._obs = obs
+        self._sim = sim
+        self._subject = ""
+        self._head_lost = False
+        self._stream_spans: Dict[str, object] = {}
+        self._round_timer = None
+        self._m: Dict[str, object] = {}
+        self._timeline = self._spans = self._slo = self._prof = None
+        #: The timeline's (keep_first, every_kth); it also gates which
+        #: blocks the run-end walk scores.
+        self._tl_gate: Tuple[Optional[int], Optional[int]] = (None, None)
+        if obs is None:
+            return
+        for event, (reporter, _sinks) in EVENTS.items():
+            if reporter == source:
+                for name in sinks(event, "counter"):
+                    self._m[name] = obs.registry.counter(name)
+                for name in sinks(event, "histogram"):
+                    self._m[name] = obs.registry.histogram(name, HISTOGRAMS[name])
+        if obs.timeline.enabled:
+            self._timeline = obs.timeline
+            self._tl_gate = (obs.timeline.keep_first, obs.timeline.every_kth)
+        if obs.tracer.enabled:
+            self._spans = obs.tracer
+        self._slo = obs.slo
+        self._prof = obs.profiler
+
+    def _log(self, time: float, tag: str, subject: str, detail: str, *args) -> None:
+        if self._sim is not None:
+            self._sim.emit(time, tag, subject, detail % args)
+
+    def _charge(self, phase: str, ops: int) -> None:
+        if ops and self._prof is not None:
+            self._prof.record(phase, ops=ops)
+
+    def _report_from(self, stream, index: int) -> None:
+        """Point *stream* at the smallest block index >= *index* that some
+        per-block surface records (:data:`NEVER` when none does)."""
+        wanted = NEVER
+        if self._timeline is not None:
+            wanted = _next_sampled(index, *self._tl_gate)
+        spans = self._spans
+        if spans is not None:
+            wanted = min(wanted, _next_sampled(
+                index, spans.block_keep_first, spans.block_every_kth
+            ))
+        stream.report_at = wanted
+
+    # -- the round loop ----------------------------------------------------------
+
+    def stream_opened(self, stream, time: float, admitted_round=None) -> None:
+        """A stream joined the service (mid-run when *admitted_round*).  Its
+        span continues the server-side root span bound for the request (or
+        the wire context it carries), else roots a trace keyed by its id."""
+        if admitted_round is not None:
+            self._log(time, "admit", stream.request_id, "round %d", admitted_round)
+        self._report_from(stream, stream.next_fetch)
+        tracer = self._spans
+        if tracer is None:
+            return
+        parent = stream.trace
+        if parent is None:
+            parent = tracer.context_for(stream.request_id)
+        span = tracer.start_span(
+            "service.stream", time, parent=parent, session=stream.request_id,
+            attrs={"blocks": len(stream.fetches)},
+        )
+        if span is not None:
+            self._stream_spans[stream.request_id] = span
+            stream.trace = span
+
+    def round_begin(self, active: int) -> Tuple[bool, bool]:
+        """A round starts over *active* streams; returns whether each
+        turn's begin (the trace log consumes it) and end (the trace log
+        and the profiler do) should be reported too."""
+        if self._obs is not None:
+            self._m["service.queue_depth"].observe(active)
+            self._round_timer = self._obs.timed("service.round")
+            self._round_timer.__enter__()
+        logged = self._sim is not None
+        return logged, logged or self._prof is not None
+
+    def turn_begin(self, stream, time: float, round_number: int, quota: int) -> None:
+        """*stream*'s turn starts with *quota* blocks of buffer room."""
+        self._subject = stream.request_id
+        if quota == 0:
+            self._log(time, "buffer-full", stream.request_id, "round %d", round_number)
+
+    def block_begin(self, stream, index, time, round_number, has_slot: bool):
+        """A block the recorder asked for (``stream.report_at``) starts
+        service; returns its span (or None)."""
+        self._report_from(stream, index + 1)
+        timeline = self._timeline
+        if timeline is not None:
+            timeline.record(time, stream.request_id, index, BlockStage.ENQUEUED)
+            if has_slot:
+                timeline.record(
+                    time, stream.request_id, index, BlockStage.READ_START
+                )
+        spans = self._spans
+        if spans is None or not spans.samples_block(index):
+            return None
+        return spans.start_span(
+            "service.block", time, parent=stream.trace, session=stream.request_id,
+            attrs={"block": index, "round": round_number},
+        )
+
+    def block_end(self, stream, index, span, time, skipped: bool) -> None:
+        """The block begun with *span* is in the buffer (or was skipped)."""
+        if span is not None:
+            self._spans.end_span(span, time, "skipped" if skipped else "ok")
+        timeline = self._timeline
+        if timeline is not None:
+            timeline.record(time, stream.request_id, index, BlockStage.READ_DONE)
+            if skipped:
+                timeline.record(time, stream.request_id, index, BlockStage.SKIPPED)
+
+    def turn_end(self, stream, time, cost, delivered, started: bool) -> None:
+        """The turn moved *delivered* blocks in *cost* seconds; *started*
+        when it started the playback clock."""
+        if self._prof is not None:
+            self._prof.attribute_stream(stream.request_id, cost=cost, ops=delivered)
+        if started:
+            self._log(
+                time, "playback-start", stream.request_id,
+                "after %d blocks", len(stream.deliveries),
+            )
+
+    def round_served(self, start, time, deadline_queries, budget) -> None:
+        """Every stream had its turn: *budget* is the tightest Eq.-11
+        ``k_i * T_i`` among those served (inf when none moved a block)."""
+        if self._round_timer is not None:
+            self._round_timer.__exit__(None, None, None)
+            self._round_timer = None
+        if self._obs is not None and 0 < budget < float("inf"):
+            self._m["service.round_utilization"].observe((time - start) / budget)
+        self._charge("deadline_ordering", deadline_queries)
+
+    def round_end(self, time, round_number, scanned, stalled) -> None:
+        """Round over: *scanned* admission-scan operations since the last
+        round, *stalled* wake-up probes when every buffer was full."""
+        self._charge("admission_scan", scanned)
+        self._charge("deadline_ordering", stalled)
+        if self._prof is not None:
+            self._prof.checkpoint(time)
+        if self._slo is not None:
+            self._slo.on_round(time, round_number)
+
+    def text_completed(self, request_id: str, time: float, blocks: int) -> None:
+        """A best-effort text request finished inside the round slack."""
+        self._log(time, "text-complete", request_id, "%d blocks", blocks)
+
+    def run_end(self, streams, time, rounds_run, scanned) -> None:
+        """Score the completed run, stream by stream."""
+        self._charge("admission_scan", scanned)
+        if self._obs is not None:
+            for stream in streams:
+                self._score(stream)
+            self._obs.registry.gauge("service.rounds_run").set(rounds_run)
+        if self._slo is not None:
+            self._slo.finalize(time)
+
+    def _score(self, stream) -> None:
+        """One walk over the stream's sampled delivery indexes.
+
+        Consumption times are derivable only after the fact (playback
+        cascades over the delivery schedule).  A continuous stream never
+        stalled on a late block, so block i finished playing at exactly
+        ``deadline_i + duration_i``; a stalled one needs the running fold
+        ``max(elapsed, ready) + duration`` — the two are not bit-equal, so
+        both definitions of *end* stay.
+        """
+        timeline, session = self._timeline, stream.request_id
+        span = self._stream_spans.pop(session, None)
+        deliveries = stream.deliveries
+        self._charge("span_finalize", len(deliveries) or 1)
+        if stream.clock_start is None:
+            if span is not None:
+                self._spans.end_span(span, span.start, "unstarted")
+            return
+        skipped = stream.skipped_indices
+        continuous = not skipped and not stream.metrics.misses
+        observe_slack = self._m["session.deadline_slack_s"].observe
+        elapsed = stream.clock_start
+        pos = 0
+        upcoming = _next_sampled(0, *self._tl_gate)
+        while upcoming < len(deliveries):
+            index = upcoming
+            upcoming = _next_sampled(index + 1, *self._tl_gate)
+            ready, deadline, duration = deliveries[index]
+            if continuous:
+                end = deadline + duration
+            else:
+                for earlier, _deadline, length in deliveries[pos:index]:
+                    if earlier > elapsed:
+                        elapsed = earlier
+                    elapsed += length
+                end = elapsed = max(elapsed, ready) + duration
+                pos = index + 1
+                if index in skipped:
+                    continue
+            if timeline is not None:
+                timeline.record(end, session, index, BlockStage.CONSUMED)
+            observe_slack(deadline - ready)
+        if continuous:
+            _ready, deadline, duration = deliveries[-1]
+            elapsed = deadline + duration
+        else:
+            for earlier, _deadline, length in deliveries[pos:]:
+                if earlier > elapsed:
+                    elapsed = earlier
+                elapsed += length
+        self._m["session.blocks_delivered"].inc(len(deliveries) - len(skipped))
+        self._m["session.blocks_skipped"].inc(len(skipped))
+        if stream.metrics.misses:
+            self._m["session.deadline_misses"].inc(stream.metrics.misses)
+        if span is not None:
+            status = "ok" if stream.metrics.continuous else "degraded"
+            self._spans.end_span(span, elapsed, status)
+
+    # -- drive, cache, fault recovery, single-request scoring --------------------
+
+    def drive_access(self, seek, latency, transfer, label: str) -> None:
+        """One mechanism access: positioning (seek + rotation) and media
+        transfer are the paper's two cost components."""
+        self._m["disk.accesses"].inc()
+        self._m["disk.seek_s"].observe(seek)
+        if self._prof is not None:
+            self._prof.record("seek", cost=seek + latency, drive=label)
+            self._prof.record("transfer", cost=transfer, drive=label)
+
+    def cache_probe(self, hit: bool, cost: float, label: str) -> None:
+        """One residency probe (*cost* is the hit's modeled copy time)."""
+        self._m["cache.hits" if hit else "cache.misses"].inc()
+        if self._prof is not None:
+            self._prof.record("cache_lookup", cost=cost, drive=label)
+
+    def cache_evicted(self, count: int) -> None:
+        """An insert pushed *count* resident slots out."""
+        self._m["cache.evictions"].inc(count)
+
+    def span_begin(self, event: str, now: float, parent, slot: int):
+        """The traced form of *event* (``drive_access`` / ``cache_probe``)
+        starts on *slot* under *parent*; returns its span."""
+        return self._spans.start_span(
+            _TRACED[event], now, parent=parent, attrs={"slot": slot}
+        )
+
+    def span_end(self, span, time: float, status: str = "ok") -> None:
+        """Close a span handed out by :meth:`span_begin`."""
+        self._spans.end_span(span, time, status)
+
+    def fault(self, kind, slot, start, end, parent=None, cost=None, **detail) -> None:
+        """One fault-recovery outcome (a :data:`FAULTS` key) over ``[start,
+        end]``; *cost* is the modeled delay it added, *parent* the traced
+        block's span."""
+        events, counters, span_name, reason = FAULTS[kind]
+        if self._sim is not None:
+            retries = "retry" if detail.get("attempt") == 1 else "retries"
+            for tag, template in events:
+                text = template.format(slot=slot, retries=retries, **detail)
+                self._sim.emit(end, tag, self._subject, text)
+            if kind == "head" and not self._head_lost:
+                # The service degrades once, however often the dead head
+                # is tried again afterwards.
+                self._head_lost = True
+                self._sim.emit(
+                    end, "fault.degrade", "service",
+                    f"head {detail['head']} lost; degraded service, "
+                    "admission revalidation requested",
+                )
+        if self._obs is not None:
+            for name in counters:
+                self._obs.registry.counter(name).inc()
+        if cost is not None and self._prof is not None:
+            self._prof.record("fault_recovery", cost=cost)
+        if span_name and parent is not None:
+            extra = {"reason": reason} if reason else {"attempt": detail["attempt"]}
+            span = self._spans.start_span(
+                span_name, start, parent=parent, attrs={"slot": slot, **extra}
+            )
+            self._spans.end_span(span, end)
+
+    def block_scored(self, arrival: float, deadline: float, skipped: bool) -> None:
+        """A single-request simulator scored one block."""
+        if skipped:
+            self._m["session.blocks_skipped"].inc()
+        else:
+            self._m["session.blocks_delivered"].inc()
+            self._m["session.deadline_slack_s"].observe(deadline - arrival)

@@ -48,9 +48,18 @@ _STAGE_ORDER = {
 _TERMINALS = (BlockStage.CONSUMED, BlockStage.SKIPPED)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TimelineEvent:
-    """One lifecycle transition of one block."""
+    """One lifecycle transition of one block.
+
+    Slotted and not frozen: one is built per recorded stage, so its
+    construction (a frozen dataclass pays an ``object.__setattr__`` per
+    field, five times the cost) and its per-instance ``__dict__`` (one
+    more allocation for the collector to walk) are observed-path
+    overhead.
+    """
+
+    __slots__ = ("time", "session_id", "block_index", "stage")
 
     time: float
     session_id: str
@@ -110,18 +119,6 @@ class SessionTimeline:
         self._events: List[TimelineEvent] = []
 
     # -- recording ---------------------------------------------------------------
-
-    def samples(self, block_index: int) -> bool:
-        """Whether events for *block_index* are recorded.
-
-        The service loop inlines this predicate on its hot path; this
-        method is the reference definition the tests pin.
-        """
-        keep = self.keep_first
-        if keep is None or block_index < keep:
-            return True
-        every = self.every_kth
-        return every is not None and block_index % every == 0
 
     def record(
         self,

@@ -26,8 +26,8 @@ Overflow mirrors :class:`repro.sim.trace.Tracer`: past ``limit`` spans,
 new spans are dropped (counted in :attr:`SpanTracer.dropped_count`) so
 existing parent chains stay intact, or :class:`SimulationError` is
 raised in ``strict`` mode.  ``block_keep_first`` / ``block_every_kth``
-are the per-block sampling knobs the service loop consults so tracing a
-million-block run stays affordable.
+are the per-block sampling knobs the service recorder consults so tracing
+a million-block run stays affordable.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class SpanTracer:
         When True, exceeding *limit* raises :class:`SimulationError`
         instead of dropping.
     block_keep_first / block_every_kth:
-        Per-block sampling the service loop consults (see
+        Per-block sampling the service recorder consults (see
         :meth:`samples_block`): block indexes below ``block_keep_first``
         are always traced, then every ``block_every_kth``-th.  Both None
         (the default) traces every block.
@@ -277,11 +277,8 @@ class SpanTracer:
     # -- sampling ---------------------------------------------------------------
 
     def samples_block(self, block_index: int) -> bool:
-        """Whether per-block spans are recorded for *block_index*.
-
-        The service loop inlines this predicate on its hot path; the
-        method is the reference definition the tests pin.
-        """
+        """Whether per-block spans are recorded for *block_index* (the
+        service recorder asks before opening a ``service.block`` span)."""
         keep = self.block_keep_first
         if keep is None or block_index < keep:
             return True

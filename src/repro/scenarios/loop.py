@@ -149,9 +149,7 @@ class Scale(Scenario):
             mechanism.attach_observer(obs)
         initial, admissions = self.build_streams(mechanism)
         service = RoundRobinService(
-            mechanism, lambda _round, _n: self.k,
-            # The loop guards its hot path with one ``is None`` test.
-            obs=obs if obs.enabled else None,
+            mechanism, lambda _round, _n: self.k, obs=obs
         )
         started = time.perf_counter()
         metrics = service.run(initial, admissions, max_rounds=10_000_000)

@@ -80,14 +80,10 @@ class UnifiedService(RoundRobinService):
         their own k_i; the others use the round's global k."""
         budget = float("inf")
         for stream in active:
-            durations = [
-                fetch.duration for fetch in stream.fetches
-                if fetch.duration > 0
-            ]
-            if not durations:
-                continue
-            stream_k = stream.k_override if stream.k_override else k
-            budget = min(budget, stream_k * min(durations))
+            floor = stream.duration_floor
+            if floor > 0.0:
+                stream_k = stream.k_override if stream.k_override else k
+                budget = min(budget, stream_k * floor)
         if budget == float("inf"):
             return 0.0
         return budget
@@ -150,10 +146,10 @@ class UnifiedService(RoundRobinService):
                 self.text_blocks_served += 1
                 if request.finished:
                     request.completion_time = time
-                    self.tracer.emit(
-                        time, "text-complete", request.request_id,
-                        f"{len(request.slots)} blocks",
-                    )
+                    if self._rec is not None:
+                        self._rec.text_completed(
+                            request.request_id, time, len(request.slots)
+                        )
         return time
 
     def drain_text(self, start_time: float) -> float:

@@ -25,7 +25,7 @@ from repro.disk.raid import DriveArray
 from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.media.devices import DisplayDevice
-from repro.obs.registry import DEADLINE_SLACK_BUCKETS
+from repro.obs.recorder import recorder_for
 from repro.rope.server import BlockFetch
 from repro.sim.metrics import ContinuityMetrics
 
@@ -52,27 +52,17 @@ def _score(
     metrics: ContinuityMetrics,
     ready: Sequence[float],
     deadlines: Sequence[float],
-    skipped: Optional[Set[int]] = None,
-    obs=None,
+    skipped: Set[int],
+    rec=None,
 ) -> None:
-    slack_hist = delivered_counter = skipped_counter = None
-    if obs is not None:
-        registry = obs.registry
-        slack_hist = registry.histogram(
-            "session.deadline_slack_s", DEADLINE_SLACK_BUCKETS
-        )
-        delivered_counter = registry.counter("session.blocks_delivered")
-        skipped_counter = registry.counter("session.blocks_skipped")
     for index, (arrival, deadline) in enumerate(zip(ready, deadlines)):
-        if skipped and index in skipped:
+        skip = index in skipped
+        if skip:
             metrics.record_skip(arrival, deadline)
-            if obs is not None:
-                skipped_counter.inc()
         else:
             metrics.record_delivery(arrival, deadline)
-            if obs is not None:
-                delivered_counter.inc()
-                slack_hist.observe(deadline - arrival)
+        if rec is not None:
+            rec.block_scored(arrival, deadline, skip)
 
 
 def _read_block(
@@ -80,7 +70,7 @@ def _read_block(
     fetch: BlockFetch,
     time: float,
     recovery: RecoveryPolicy,
-    obs=None,
+    rec=None,
 ) -> Tuple[float, bool]:
     """One fetch through the (possibly faulty) drive: (time, delivered).
 
@@ -92,7 +82,7 @@ def _read_block(
         return time + drive.read_slot(fetch.slot, fetch.bits), True
     try:
         elapsed, ok = read_with_recovery(
-            drive, fetch.slot, fetch.bits, recovery, now=time, obs=obs
+            drive, fetch.slot, fetch.bits, recovery, now=time, rec=rec
         )
     except HeadFailureError as fault:
         return time + fault.elapsed, False
@@ -116,13 +106,14 @@ def simulate_sequential(
     """
     if read_ahead < 0:
         raise ParameterError(f"read_ahead must be >= 0, got {read_ahead}")
-    policy = recovery if recovery is not None else RecoveryPolicy()
+    policy = recovery or RecoveryPolicy()
+    rec = recorder_for(obs, "score")
     time = 0.0
     ready: List[float] = []
     skipped: Set[int] = set()
     for index, fetch in enumerate(fetches):
         if fetch.slot is not None:
-            time, delivered = _read_block(drive, fetch, time, policy, obs)
+            time, delivered = _read_block(drive, fetch, time, policy, rec)
             if delivered:
                 time += display.display_time(fetch.bits)
             else:
@@ -134,7 +125,7 @@ def simulate_sequential(
     # Blocks consumed as read-ahead are ready by definition of the start.
     metrics = ContinuityMetrics(request_id=request_id)
     metrics.startup_latency = start
-    _score(metrics, ready, deadlines, skipped, obs=obs)
+    _score(metrics, ready, deadlines, skipped, rec)
     return metrics, ready
 
 
@@ -154,13 +145,14 @@ def simulate_pipelined(
     """
     if read_ahead < 0:
         raise ParameterError(f"read_ahead must be >= 0, got {read_ahead}")
-    policy = recovery if recovery is not None else RecoveryPolicy()
+    policy = recovery or RecoveryPolicy()
+    rec = recorder_for(obs, "score")
     time = 0.0
     ready: List[float] = []
     skipped: Set[int] = set()
     for index, fetch in enumerate(fetches):
         if fetch.slot is not None:
-            time, delivered = _read_block(drive, fetch, time, policy, obs)
+            time, delivered = _read_block(drive, fetch, time, policy, rec)
             if not delivered:
                 skipped.add(index)
         ready.append(time)
@@ -169,7 +161,7 @@ def simulate_pipelined(
     deadlines = _deadlines(fetches, start)
     metrics = ContinuityMetrics(request_id=request_id)
     metrics.startup_latency = start
-    _score(metrics, ready, deadlines, skipped, obs=obs)
+    _score(metrics, ready, deadlines, skipped, rec)
     return metrics, ready
 
 
@@ -199,7 +191,8 @@ def simulate_concurrent(
     surviving p.
     """
     p = array.heads
-    policy = recovery if recovery is not None else RecoveryPolicy()
+    policy = recovery or RecoveryPolicy()
+    rec = recorder_for(obs, "score")
     time = 0.0
     ready: List[float] = []
     skipped: Set[int] = set()
@@ -219,7 +212,7 @@ def simulate_concurrent(
             try:
                 elapsed, ok = read_with_recovery(
                     member, fetch.slot, fetch.bits, policy, now=time,
-                    obs=obs,
+                    rec=rec,
                 )
             except HeadFailureError as fault:
                 durations.append(fault.elapsed)
@@ -240,5 +233,5 @@ def simulate_concurrent(
     deadlines = _deadlines(fetches, start)
     metrics = ContinuityMetrics(request_id=request_id)
     metrics.startup_latency = start
-    _score(metrics, ready, deadlines, skipped, obs=obs)
+    _score(metrics, ready, deadlines, skipped, rec)
     return metrics, ready

@@ -22,19 +22,13 @@ request.  It supports:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
 from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
-from repro.obs.registry import (
-    DEADLINE_SLACK_BUCKETS,
-    QUEUE_DEPTH_BUCKETS,
-    ROUND_UTILIZATION_BUCKETS,
-)
-from repro.obs.timeline import BlockStage
+from repro.obs.recorder import recorder_for
 from repro.rope.server import BlockFetch
 from repro.sim.metrics import ContinuityMetrics
 from repro.sim.trace import Tracer
@@ -97,6 +91,9 @@ class StreamState:
     #: Causal-trace context: the server-side root span (or wire dict)
     #: this stream's service spans continue, if any.
     trace: object = None
+    #: Next block index whose begin/end the service recorder wants
+    #: reported (it sets and advances this; -1: none).
+    report_at: int = -1
     #: Consumption cursor: blocks fully played as of the last query, and
     #: the playback clock right after the last consumed block.  Block end
     #: times are non-decreasing, so the cursor only ever moves forward
@@ -104,11 +101,16 @@ class StreamState:
     #: every consumption query O(1) amortized over a stream's lifetime.
     _consumed_count: int = field(default=0, init=False, repr=False)
     _consumed_end: float = field(default=0.0, init=False, repr=False)
-    #: Smallest positive block duration in the fetch plan (the Eq.-11
-    #: budget term), computed lazily since the plan never changes.
-    _duration_floor: Optional[float] = field(
+    #: Deadline of the next block to deliver (None until the playback
+    #: clock starts): ``clock_start`` + the playback time delivered so far.
+    _next_deadline: Optional[float] = field(
         default=None, init=False, repr=False
     )
+    #: :attr:`duration_floor` once computed (negative: not yet).  A plain
+    #: field, not ``functools.cached_property``: that writes through
+    #: ``__dict__``, which materializes the instance dict and slows every
+    #: attribute load the hot loop makes on the stream afterwards.
+    _duration_floor: float = field(default=-1.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.metrics.request_id = self.request_id
@@ -121,6 +123,21 @@ class StreamState:
     def finished(self) -> bool:
         """True when every block has been delivered."""
         return self.next_fetch >= len(self.fetches)
+
+    @property
+    def duration_floor(self) -> float:
+        """Smallest positive block duration in the fetch plan — the T_i
+        of Eq. (11)'s ``k_i * T_i`` budget — or 0.0 when there is none
+        (computed once: the plan never changes)."""
+        floor = self._duration_floor
+        if floor < 0.0:
+            durations = [fetch.duration for fetch in self.fetches]
+            floor = min(durations, default=0.0)
+            if floor <= 0.0:
+                # Only plans with zero-length (silence) blocks pay the filter.
+                floor = min((d for d in durations if d > 0.0), default=0.0)
+            self._duration_floor = floor
+        return floor
 
     def _consume_state(self, now: float) -> Tuple[int, float]:
         """``(consumed count, playback clock after them)`` at *now*.
@@ -193,7 +210,7 @@ class RoundRobinService:
         per request to transfer in that round.  The paper's algorithm
         passes the admission controller's staged plan through this hook.
     tracer:
-        Optional event tracer.
+        Optional :class:`~repro.sim.trace.Tracer` event log.
     recovery:
         Fault-recovery policy applied when the drive carries a
         :class:`~repro.faults.injector.FaultInjector`; defaults to the
@@ -202,11 +219,11 @@ class RoundRobinService:
         Invoked once, with the :class:`HeadFailureError`, the first time
         the drive's head dies mid-service (admission revalidation hook).
     obs:
-        Optional :class:`~repro.obs.Observability` handle.  When given,
-        the loop records per-block lifecycle events into the session
-        timeline and feeds the round-utilization / queue-depth /
-        deadline-slack histograms; when None (the default) every hook is
-        a single ``is None`` test.
+        Optional :class:`~repro.obs.Observability` handle (or node-scoped
+        view).  The loop reports what happened to the one
+        :class:`~repro.obs.recorder.ServiceRecorder` built from *obs* and
+        *tracer*; with neither there is no recorder and every report
+        site is a single None test.
     """
 
     def __init__(
@@ -220,78 +237,11 @@ class RoundRobinService:
     ):
         self.drive = drive
         self.k_schedule = k_schedule
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.recovery = recovery if recovery is not None else RecoveryPolicy()
+        self.recovery = recovery or RecoveryPolicy()
         self.on_head_failure = on_head_failure
         self.head_failure: Optional[HeadFailureError] = None
         self.rounds_run = 0
-        self.obs = obs
-        # Hoisted observability handles: the per-block hot loop reads
-        # these locals-of-self instead of chasing obs attributes, and a
-        # disabled surface is a plain None test.
-        self._tl = None
-        self._tl_keep: Optional[int] = None
-        self._tl_every: Optional[int] = None
-        self._sp = None
-        self._sp_keep: Optional[int] = None
-        self._sp_every: Optional[int] = None
-        self._slo = None
-        self._prof = None
-        self._stream_spans: Dict[str, object] = {}
-        self._drive_traced = hasattr(drive, "traced_read")
-        if obs is not None:
-            registry = obs.registry
-            self._obs_slack = registry.histogram(
-                "session.deadline_slack_s", DEADLINE_SLACK_BUCKETS
-            )
-            self._obs_depth = registry.histogram(
-                "service.queue_depth", QUEUE_DEPTH_BUCKETS
-            )
-            self._obs_util = registry.histogram(
-                "service.round_utilization", ROUND_UTILIZATION_BUCKETS
-            )
-            self._obs_delivered = registry.counter(
-                "session.blocks_delivered"
-            )
-            self._obs_skipped = registry.counter("session.blocks_skipped")
-            self._obs_misses = registry.counter("session.deadline_misses")
-            timeline = getattr(obs, "timeline", None)
-            if timeline is not None and timeline.enabled:
-                self._tl = timeline
-                self._tl_keep = timeline.keep_first
-                self._tl_every = timeline.every_kth
-            span_tracer = getattr(obs, "tracer", None)
-            if span_tracer is not None and span_tracer.enabled:
-                self._sp = span_tracer
-                self._sp_keep = span_tracer.block_keep_first
-                self._sp_every = span_tracer.block_every_kth
-            self._slo = getattr(obs, "slo", None)
-            self._prof = getattr(obs, "profiler", None)
-            if tracer is not None and hasattr(obs, "attach_sim_tracer"):
-                obs.attach_sim_tracer(self.tracer)
-        # Sampling prefilter for the per-block hot path: ``(keep_max,
-        # every_gcd)`` such that an index >= keep_max whose remainder mod
-        # every_gcd is nonzero is recorded by NO sampled surface — one
-        # cheap test rejects it without evaluating per-surface gates.
-        # None means some active surface records every block (no
-        # prefilter possible); (0, 0) means nothing records at all.
-        surfaces = []
-        if self._tl is not None:
-            surfaces.append((self._tl_keep, self._tl_every))
-        if self._sp is not None:
-            surfaces.append((self._sp_keep, self._sp_every))
-        if not surfaces:
-            self._sample_pre: Optional[Tuple[int, int]] = (0, 0)
-        elif all(keep is not None for keep, _every in surfaces):
-            gcd = 0
-            for _keep, every in surfaces:
-                if every is not None:
-                    gcd = math.gcd(gcd, every)
-            self._sample_pre = (
-                max(keep for keep, _every in surfaces), gcd
-            )
-        else:
-            self._sample_pre = None
+        self._rec = recorder_for(obs, "loop", tracer)
 
     def _extra_work_pending(self) -> bool:
         """Hook for subclasses with non-playback work (e.g. recording).
@@ -310,31 +260,28 @@ class RoundRobinService:
         """Service all streams to completion; returns metrics per request."""
         time = 0.0
         active: List[StreamState] = list(initial)
-        if self._sp is not None:
+        rec = self._rec
+        if rec is not None:
             for stream in active:
-                self._open_stream_span(stream, time)
+                rec.stream_opened(stream, time)
         pending = sorted(admissions, key=lambda a: a.round_number)
         next_pending = 0
         round_number = 0
-        prof = self._prof
+        #: Admission pops + compaction scans since the last reported round.
+        scanned = 0
         while True:
-            admitted_now = 0
             while (
                 next_pending < len(pending)
                 and pending[next_pending].round_number <= round_number
             ):
                 admitted = pending[next_pending]
                 next_pending += 1
-                admitted_now += 1
+                scanned += 1
                 active.append(admitted.stream)
-                self.tracer.emit(
-                    time, "admit", admitted.stream.request_id,
-                    f"round {round_number}",
-                )
-                if self._sp is not None:
-                    self._open_stream_span(admitted.stream, time)
+                if rec is not None:
+                    rec.stream_opened(admitted.stream, time, round_number)
             # Compact finished streams out in place, preserving order.
-            scanned = len(active)
+            scanned += len(active)
             write = 0
             for stream in active:
                 if not stream.finished:
@@ -342,12 +289,9 @@ class RoundRobinService:
                     write += 1
             if write != len(active):
                 del active[write:]
-            if prof is not None and (scanned or admitted_now):
-                prof.record("admission_scan", ops=scanned + admitted_now)
-            more_pending = next_pending < len(pending)
-            if not active and not more_pending and not self._extra_work_pending():
-                break
-            if not active and more_pending and not self._extra_work_pending():
+            if not active and not self._extra_work_pending():
+                if next_pending >= len(pending):
+                    break
                 round_number += 1
                 continue
             k = self.k_schedule(round_number, len(active))
@@ -355,20 +299,9 @@ class RoundRobinService:
                 raise ParameterError(
                     f"k schedule returned {k} for round {round_number}"
                 )
-            if self.obs is not None:
-                self._obs_depth.observe(len(active))
-                with self.obs.timed("service.round"):
-                    time, progressed = self._run_round(
-                        time, active, k, round_number
-                    )
-            else:
-                time, progressed = self._run_round(
-                    time, active, k, round_number
-                )
+            time, progressed = self._run_round(time, active, k, round_number)
             if not progressed:
                 # Every buffer was full: idle until consumption frees one.
-                if prof is not None:
-                    prof.record("deadline_ordering", ops=len(active))
                 wake = min(
                     stream.next_consumption_time(time) for stream in active
                 )
@@ -380,179 +313,21 @@ class RoundRobinService:
                 time = wake
             round_number += 1
             self.rounds_run += 1
-            if prof is not None:
-                prof.checkpoint(time)
-            if self._slo is not None:
-                self._slo.on_round(time, round_number)
+            if rec is not None:
+                rec.round_end(
+                    time, round_number, scanned,
+                    0 if progressed else len(active),
+                )
+            scanned = 0
             if round_number > max_rounds:
                 raise ParameterError(
                     f"exceeded {max_rounds} rounds; k schedule likely "
                     "starves a stream"
                 )
         streams = list(initial) + [a.stream for a in admissions]
-        if self.obs is not None:
-            self._finalize_obs(streams)
-        if self._slo is not None:
-            self._slo.finalize(time)
+        if rec is not None:
+            rec.run_end(streams, time, self.rounds_run, scanned)
         return {stream.request_id: stream.metrics for stream in streams}
-
-    def _open_stream_span(self, stream: StreamState, time: float) -> None:
-        """Start this stream's ``service.stream`` span.
-
-        Parents on the server-side root span when the tracer has one
-        bound for the request (or the stream carries a wire context);
-        otherwise the span roots a trace keyed by the request id — the
-        same trace id the server side would have produced.
-        """
-        tracer = self._sp
-        parent = stream.trace
-        if parent is None:
-            parent = tracer.context_for(stream.request_id)
-        span = tracer.start_span(
-            "service.stream",
-            time,
-            parent=parent,
-            session=stream.request_id,
-            attrs={"blocks": len(stream.fetches)},
-        )
-        if span is not None:
-            self._stream_spans[stream.request_id] = span
-            stream.trace = span
-
-    def _finalize_obs(self, streams: Sequence[StreamState]) -> None:
-        """Score the completed run into the observability surfaces.
-
-        Consumption times are derivable only after the fact (playback
-        cascades over the delivery schedule), so ``consumed`` timeline
-        events and the deadline-slack histogram are recorded here, once
-        per delivered block, with the post-rescore deadlines.
-        """
-        timeline = self._tl
-        keep = self._tl_keep
-        every = self._tl_every
-        tracer = self._sp
-        prof = self._prof
-        slack_observe = self._obs_slack.observe
-        for stream in streams:
-            span = self._stream_spans.pop(stream.request_id, None)
-            if stream.clock_start is None:
-                if prof is not None:
-                    prof.record("span_finalize", ops=1)
-                if tracer is not None and span is not None:
-                    tracer.end_span(span, span.start, status="unstarted")
-                continue
-            elapsed = stream.clock_start
-            skipped_indices = stream.skipped_indices
-            deliveries = stream.deliveries
-            if not skipped_indices and not stream.metrics.misses:
-                # Continuous stream: every block arrived at or before its
-                # deadline, so the playback cascade never stalled on a
-                # late block and index i finished playing at exactly
-                # ``deadline_i + duration_i`` — no O(n) fold needed, and
-                # the sampled walk touches only the sampled indexes.
-                if deliveries:
-                    _last_ready, last_deadline, last_dur = deliveries[-1]
-                    elapsed = last_deadline + last_dur
-                if keep is None:
-                    for index, (ready, deadline, duration) in enumerate(
-                        deliveries
-                    ):
-                        if timeline is not None:
-                            timeline.record(
-                                deadline + duration, stream.request_id,
-                                index, BlockStage.CONSUMED,
-                            )
-                        slack_observe(deadline - ready)
-                else:
-                    total = len(deliveries)
-                    for index in range(keep if keep < total else total):
-                        ready, deadline, duration = deliveries[index]
-                        if timeline is not None:
-                            timeline.record(
-                                deadline + duration, stream.request_id,
-                                index, BlockStage.CONSUMED,
-                            )
-                        slack_observe(deadline - ready)
-                    if every is not None:
-                        # Lattice resumes past the keep-first prefix (the
-                        # multiples below it were just recorded).
-                        for index in range(
-                            keep + (-keep % every), total, every
-                        ):
-                            ready, deadline, duration = deliveries[index]
-                            if timeline is not None:
-                                timeline.record(
-                                    deadline + duration,
-                                    stream.request_id,
-                                    index, BlockStage.CONSUMED,
-                                )
-                            slack_observe(deadline - ready)
-            elif keep is None:
-                # Unsampled: score every delivered block.
-                for index, (ready, deadline, duration) in enumerate(
-                    deliveries
-                ):
-                    end = (elapsed if elapsed > ready else ready) + duration
-                    elapsed = end
-                    if index in skipped_indices:
-                        continue
-                    if timeline is not None:
-                        timeline.record(
-                            end, stream.request_id, index,
-                            BlockStage.CONSUMED,
-                        )
-                    slack_observe(deadline - ready)
-            else:
-                # Sampled + stalled: fold the consumption cascade in
-                # plain segments between sampled indexes — the fold body
-                # touches three locals per block, and the sampling
-                # bookkeeping runs only at the sampled indexes.
-                total = len(deliveries)
-                sampled_indexes = list(
-                    range(keep if keep < total else total)
-                )
-                if every is not None:
-                    sampled_indexes.extend(
-                        range(keep + (-keep % every), total, every)
-                    )
-                pos = 0
-                for index in sampled_indexes:
-                    for ready, _deadline, duration in deliveries[
-                        pos:index
-                    ]:
-                        if ready > elapsed:
-                            elapsed = ready
-                        elapsed += duration
-                    ready, deadline, duration = deliveries[index]
-                    if ready > elapsed:
-                        elapsed = ready
-                    elapsed += duration
-                    pos = index + 1
-                    if index in skipped_indices:
-                        continue
-                    if timeline is not None:
-                        timeline.record(
-                            elapsed, stream.request_id, index,
-                            BlockStage.CONSUMED,
-                        )
-                    slack_observe(deadline - ready)
-                for ready, _deadline, duration in deliveries[pos:]:
-                    if ready > elapsed:
-                        elapsed = ready
-                    elapsed += duration
-            if prof is not None:
-                prof.record(
-                    "span_finalize", ops=len(deliveries) if deliveries else 1
-                )
-            self._obs_delivered.inc(
-                len(deliveries) - len(skipped_indices)
-            )
-            if stream.metrics.misses:
-                self._obs_misses.inc(stream.metrics.misses)
-            if tracer is not None and span is not None:
-                status = "ok" if stream.metrics.continuous else "degraded"
-                tracer.end_span(span, elapsed, status=status)
-        self.obs.registry.gauge("service.rounds_run").set(self.rounds_run)
 
     def _run_round(
         self,
@@ -566,160 +341,77 @@ class RoundRobinService:
         #: Tightest Eq.-11 budget among streams served this round:
         #: min of (stream's k × its smallest positive block duration).
         budget = float("inf")
-        obs = self.obs
-        tl = self._tl
-        tl_keep = self._tl_keep
-        tl_every = self._tl_every
-        sp = self._sp
-        sp_keep = self._sp_keep
-        sp_every = self._sp_every
-        prof = self._prof
+        rec = self._rec
+        #: Whether the recorder also wants each turn's begin / end
+        #: reported (someone consumes them: a trace log, the profiler).
+        turn_begins = turn_ends = False
+        if rec is not None:
+            turn_begins, turn_ends = rec.round_begin(len(active))
         # Consumption-cursor / deadline bookkeeping queries this round
         # (the buffer-room probe per stream + one per delivery).
-        dq_ops = 0
-        pre = self._sample_pre
-        if pre is not None:
-            pre_keep, pre_mod = pre
+        deadline_queries = 0
         for stream in active:
             if stream.finished:
                 continue
             stream_k = stream.k_override if stream.k_override else k
             # Buffer regulation: never exceed display-subsystem capacity.
             room = stream.buffer_capacity - stream.buffered_at(time)
-            dq_ops += 1
+            deadline_queries += 1
             quota = min(stream_k, max(0, room))
+            if turn_begins:
+                rec.turn_begin(stream, time, round_number, quota)
             if quota == 0:
-                self.tracer.emit(
-                    time, "buffer-full", stream.request_id,
-                    f"round {round_number}",
-                )
                 continue
             stream_start = time
             delivered = 0
             while delivered < quota and not stream.finished:
                 index = stream.next_fetch
                 fetch = stream.fetches[index]
-                if pre is not None and index >= pre_keep and (
-                    pre_mod == 0 or index % pre_mod
-                ):
-                    # Fast reject: no sampled surface records this index.
-                    tl_on = False
-                    block_span = None
-                else:
-                    # Sampling gates, inlined: record when the index is
-                    # in the keep-first prefix or on the every-kth
-                    # lattice (or the surface is unsampled).
-                    tl_on = tl is not None and (
-                        tl_keep is None or index < tl_keep or (
-                            tl_every is not None and not index % tl_every
-                        )
+                has_slot = fetch.slot is not None
+                sampled = index == stream.report_at
+                span = None
+                if sampled:
+                    span = rec.block_begin(
+                        stream, index, time, round_number, has_slot
                     )
-                    if tl_on:
-                        tl.record(
-                            time, stream.request_id, index,
-                            BlockStage.ENQUEUED,
-                        )
-                        if fetch.slot is not None:
-                            tl.record(
-                                time, stream.request_id, index,
-                                BlockStage.READ_START,
-                            )
-                    block_span = None
-                    if sp is not None and (
-                        sp_keep is None or index < sp_keep or (
-                            sp_every is not None
-                            and not index % sp_every
-                        )
-                    ):
-                        block_span = sp.start_span(
-                            "service.block",
-                            time,
-                            parent=stream.trace,
-                            session=stream.request_id,
-                            attrs={"block": index, "round": round_number},
-                        )
                 skipped = False
-                if fetch.slot is not None:
-                    if block_span is None:
-                        time, skipped = self._fetch_block(
-                            stream, fetch, time
-                        )
-                    else:
-                        time, skipped = self._fetch_block(
-                            stream, fetch, time, block_span
-                        )
+                if has_slot:
+                    time, skipped = self._fetch_block(
+                        stream, fetch, time, span
+                    )
                 self._deliver(stream, fetch, time, skipped=skipped)
                 stream.next_fetch += 1
                 delivered += 1
-                progressed = True
-                if block_span is not None:
-                    sp.end_span(
-                        block_span, time,
-                        status="skipped" if skipped else "ok",
-                    )
-                if tl_on:
-                    tl.record(
-                        time, stream.request_id, index,
-                        BlockStage.READ_DONE,
-                    )
-                    if skipped:
-                        tl.record(
-                            time, stream.request_id, index,
-                            BlockStage.SKIPPED,
-                        )
-                if skipped and obs is not None:
-                    self._obs_skipped.inc()
-            if delivered:
-                dq_ops += delivered
-                if prof is not None:
-                    prof.attribute_stream(
-                        stream.request_id,
-                        cost=time - stream_start,
-                        ops=delivered,
-                    )
-            if obs is not None and delivered:
-                floor = stream._duration_floor
-                if floor is None:
-                    # The fetch plan is immutable, so the stream's
-                    # smallest positive block duration is computed once
-                    # and cached for every later round.
-                    durations = [f.duration for f in stream.fetches]
-                    floor = min(durations) if durations else 0.0
-                    if floor <= 0.0:
-                        floor = min(
-                            (d for d in durations if d > 0.0),
-                            default=0.0,
-                        )
-                    stream._duration_floor = floor
-                if floor > 0.0:
-                    stream_budget = stream_k * floor
-                    if stream_budget < budget:
-                        budget = stream_budget
+                if sampled:
+                    rec.block_end(stream, index, span, time, skipped)
+            progressed = True
+            deadline_queries += delivered
             # Playback starts once the anti-jitter read-ahead — the first
             # k-block service, capped by what the display buffer can
             # actually hold — is on board.
             threshold = min(
                 stream_k, stream.buffer_capacity, len(stream.fetches)
             )
-            if stream.clock_start is None and (
-                len(stream.deliveries) >= threshold
-            ):
+            started = (
+                stream.clock_start is None
+                and len(stream.deliveries) >= threshold
+            )
+            if started:
                 stream.clock_start = time
                 stream.metrics.startup_latency = time
                 self._rescore(stream)
-                self.tracer.emit(
-                    time, "playback-start", stream.request_id,
-                    f"after {len(stream.deliveries)} blocks",
+            if turn_ends:
+                rec.turn_end(
+                    stream, time, time - stream_start, delivered, started
                 )
-        if prof is not None and dq_ops:
-            prof.record("deadline_ordering", ops=dq_ops)
-        if (
-            self.obs is not None
-            and progressed
-            and budget != float("inf")
-            and budget > 0
-        ):
-            self._obs_util.observe((time - round_start) / budget)
+            if rec is not None:
+                floor = stream._duration_floor
+                if floor < 0.0:
+                    floor = stream.duration_floor
+                if 0.0 < stream_k * floor < budget:
+                    budget = stream_k * floor
+        if rec is not None:
+            rec.round_served(round_start, time, deadline_queries, budget)
         return time, progressed
 
     def _fetch_block(
@@ -731,22 +423,13 @@ class RoundRobinService:
     ) -> Tuple[float, bool]:
         """Read one block with fault recovery; returns (time, skipped).
 
-        With a sampled *span* (the block's ``service.block`` span) and a
-        trace-capable drive, the read itself is traced — a
-        ``cache.read``/``disk.access`` child per access, and
-        ``fault.retry``/``fault.skip`` spans on the recovery path.
+        With *span* (the sampled block's span from the recorder) the read
+        itself is traced — the drive and cache report their accesses, and
+        fault recovery its retries and skips, as children of it.
         """
-        if self.drive.injector is None:
-            # Healthy drive: the original zero-overhead path.
-            if span is not None and self._drive_traced:
-                elapsed = self.drive.traced_read(
-                    fetch.slot, fetch.bits, time, self._sp, span
-                )
-                return time + elapsed, False
+        if span is None and self.drive.injector is None:
+            # Healthy and unsampled: the zero-overhead path.
             return time + self.drive.read_slot(fetch.slot, fetch.bits), False
-        deadline = None
-        if stream.clock_start is not None:
-            deadline = stream.clock_start + stream._elapsed_playback
         try:
             elapsed, ok = read_with_recovery(
                 self.drive,
@@ -754,30 +437,20 @@ class RoundRobinService:
                 fetch.bits,
                 self.recovery,
                 now=time,
-                deadline=deadline,
-                tracer=self.tracer,
-                subject=stream.request_id,
-                obs=self.obs,
-                span_tracer=self._sp if span is not None else None,
-                span=span,
+                deadline=stream._next_deadline,
+                rec=self._rec,
+                parent=span,
             )
         except HeadFailureError as fault:
-            self._note_head_failure(fault, time + fault.elapsed)
+            self._note_head_failure(fault)
             return time + fault.elapsed, True
         return time + elapsed, not ok
 
-    def _note_head_failure(
-        self, fault: HeadFailureError, time: float
-    ) -> None:
-        """Record the (first) head failure and fire the degrade hook."""
+    def _note_head_failure(self, fault: HeadFailureError) -> None:
+        """Keep the (first) head failure and fire the degrade hook."""
         if self.head_failure is not None:
             return
         self.head_failure = fault
-        self.tracer.emit(
-            time, "fault.degrade", "service",
-            f"head {fault.drive_index} lost; degraded service, "
-            "admission revalidation requested",
-        )
         if self.on_head_failure is not None:
             self.on_head_failure(fault)
 
@@ -790,13 +463,14 @@ class RoundRobinService:
     ) -> None:
         if skipped:
             stream.skipped_indices.add(len(stream.deliveries))
-        if stream.clock_start is None:
-            # Deadline unknown until the clock starts; placeholder scored
-            # in _rescore.
+        deadline = stream._next_deadline
+        if deadline is None:
+            # Unknown until the clock starts; placeholder scored in
+            # _rescore.
             stream.deliveries.append((ready, float("nan"), fetch.duration))
             return
-        deadline = stream.clock_start + stream._elapsed_playback
         stream._elapsed_playback += fetch.duration
+        stream._next_deadline = stream.clock_start + stream._elapsed_playback
         stream.deliveries.append((ready, deadline, fetch.duration))
         if skipped:
             stream.metrics.record_skip(ready, deadline)
@@ -810,7 +484,6 @@ class RoundRobinService:
     def _rescore(self, stream: StreamState) -> None:
         """Assign deadlines to pre-start deliveries once the clock starts."""
         start = stream.clock_start
-        assert start is not None
         rescored: List[Tuple[float, float, float]] = []
         elapsed = 0.0
         for index, (ready, _deadline, duration) in enumerate(
@@ -825,3 +498,4 @@ class RoundRobinService:
                 stream.metrics.record_delivery(ready, deadline)
         stream.deliveries = rescored
         stream._elapsed_playback = elapsed
+        stream._next_deadline = start + elapsed

@@ -232,7 +232,7 @@ class PlaybackSession:
             on_head_failure=self._on_head_failure,
             obs=self.obs,
         )
-        if self.obs is not None and self.server.msm.drive.obs is None:
+        if self.obs is not None and not self.server.msm.drive.observed:
             self.server.msm.drive.attach_observer(self.obs)
         metrics = service.run(initial, later)
         return SessionResult(

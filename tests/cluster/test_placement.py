@@ -134,6 +134,12 @@ class TestPolicy:
             PlacementPolicy().plan(
                 _catalog(2), ["node-00", "node-00"], 4
             )
+        # Used to surface as a bare ValueError from min() (bench
+        # Finding 12); both values are named at plan time.
+        with pytest.raises(
+            ParameterError, match="min_replicas 3 exceeds the node count 2"
+        ):
+            PlacementPolicy(min_replicas=3).plan(_catalog(2), _nodes(2), 4)
 
 
 class TestDemandFromCounters:

@@ -21,6 +21,7 @@ import pytest
 import repro.service.rounds as rounds_module
 from repro.disk.factory import TESTBED_DRIVE, build_drive
 from repro.disk.seek import LinearSeek, SeekModel, TableSeek
+from repro.obs import Observability
 from repro.scenarios.loop import Scale
 from repro.service.rounds import RoundRobinService, consumed_prefix
 
@@ -51,14 +52,14 @@ class CountingTableSeek(TableSeek):
         return super()._interpolate_seek_time(distance)
 
 
-def _service_run(streams=8, blocks=60):
+def _service_run(streams=8, blocks=60, obs=None):
     scenario = Scale(
         label="count", streams=streams, blocks_per_stream=blocks,
         k=4, buffer_capacity=6, seed=7,
     )
     drive = build_drive()
     initial, admissions = scenario.build_streams(drive)
-    service = RoundRobinService(drive, lambda _r, _n: scenario.k)
+    service = RoundRobinService(drive, lambda _r, _n: scenario.k, obs=obs)
     metrics = service.run(initial, admissions)
     return metrics, streams * blocks
 
@@ -111,6 +112,33 @@ class TestObsOffFastPath:
             "span": 0, "timeline": 0, "counter": 0, "histogram": 0,
         }, f"obs-off service run still did obs work: {calls}"
 
+    @pytest.mark.parametrize(
+        "obs", [None, Observability(enabled=False)], ids=["none", "disabled"]
+    )
+    def test_obs_off_builds_no_recorder_and_formats_nothing(
+        self, monkeypatch, obs
+    ):
+        """No observer (or a disabled one) and no sim tracer: the loop
+        holds no recorder at all, so nothing can be formatted for — let
+        alone emitted to — a trace log."""
+        from repro.obs.recorder import ServiceRecorder
+        from repro.sim.trace import Tracer
+
+        built, emitted = [], []
+        init = ServiceRecorder.__init__
+        monkeypatch.setattr(
+            ServiceRecorder, "__init__",
+            lambda self, *a, **k: (built.append(a), init(self, *a, **k))[1],
+        )
+        monkeypatch.setattr(
+            Tracer, "emit", lambda self, *a, **k: emitted.append(a)
+        )
+        metrics, total_blocks = _service_run(obs=obs)
+        assert sum(m.blocks_delivered for m in metrics.values()) == (
+            total_blocks
+        )
+        assert built == [] and emitted == []
+
     def test_obs_off_streams_carry_no_trace_state(self):
         scenario = Scale(
             label="no-trace", streams=3, blocks_per_stream=20,
@@ -121,7 +149,7 @@ class TestObsOffFastPath:
         service = RoundRobinService(drive, lambda _r, _n: scenario.k)
         service.run(initial)
         for stream in initial:
-            assert stream.trace is None
+            assert stream.trace is None and stream.report_at == -1
 
 
 class TestConsumptionCursor:

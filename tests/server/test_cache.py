@@ -172,3 +172,61 @@ class TestCachedDrive:
         cached.attach_injector(FaultInjector(plan))
         # Resident: served from memory, the bad media is never touched.
         assert cached.read_slot(6) == 0.0
+
+
+class TestOneCachedRead:
+    """``read_slot`` and ``traced_read`` are two entry points to one
+    cached read: same elapsed time, cache accounting, ``cache.*``
+    counters and residency, whatever the access turns into."""
+
+    SLOT = 6
+
+    def _outcome(self, entry, case):
+        from repro.obs import Observability
+        from repro.obs.recorder import recorder_for
+
+        obs = Observability()
+        drive = build_drive()
+        cache = BlockCache(2)
+        cached = CachedDrive(drive, cache, hit_time=0.001, obs=obs)
+        cached.read_slot(1)
+        cached.read_slot(2)    # full: the next miss evicts
+        if case == "hit":
+            cached.read_slot(self.SLOT)
+        fault = {
+            "defect": FaultKind.MEDIA_DEFECT, "transient": FaultKind.TRANSIENT,
+        }.get(case)
+        if fault is not None:
+            cached.attach_injector(FaultInjector(FaultPlan(
+                specs=(FaultSpec(kind=fault, slot=self.SLOT),)
+            )))
+        rec = recorder_for(obs, "loop")
+        parent = obs.tracer.start_span("test.block", 0.0, session="s")
+        try:
+            if entry == "read_slot":
+                elapsed = cached.read_slot(self.SLOT, None)
+            else:
+                elapsed = cached.traced_read(self.SLOT, None, 0.0, rec, parent)
+        except (MediaDefectError, TransientReadError) as error:
+            elapsed = type(error).__name__, error.elapsed
+        counters = obs.registry.snapshot_dict()["counters"]
+        return (
+            elapsed,
+            cache.stats.as_dict(),
+            {k: v for k, v in counters.items() if k.startswith("cache.")},
+            sorted(slot for slot in range(8) if slot in cache),
+            drive.stats.reads,
+        ), obs
+
+    @pytest.mark.parametrize("case", ["hit", "miss", "defect", "transient"])
+    def test_entry_points_agree(self, case):
+        plain, _ = self._outcome("read_slot", case)
+        traced, obs = self._outcome("traced_read", case)
+        assert plain == traced
+        status = {
+            "hit": "hit", "miss": "miss", "defect": "defect",
+            "transient": "TransientReadError",
+        }[case]
+        [span] = obs.tracer.spans(name="cache.read")
+        assert span.status == status
+        assert len(obs.tracer.spans(name="disk.access")) == (case != "hit")

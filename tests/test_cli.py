@@ -230,6 +230,14 @@ class TestParameterErrors:
         ])
         assert "unknown drive config" in line
 
+    def test_more_replicas_than_nodes_is_a_typed_error(self, capsys):
+        # Used to end in a ValueError traceback (bench Finding 12).
+        line = self._error(capsys, [
+            "run", "--scenario", "cluster-scale", "--smoke",
+            "--set", "nodes=1",
+        ])
+        assert "min_replicas 2 exceeds the node count 1" in line
+
     def test_profile_timers_without_json_is_not_silently_ignored(
         self, capsys
     ):

@@ -499,6 +499,10 @@ class TestCheckScript:
         assert "repro.scenarios" in text, (
             "the smoke loop must enumerate the registry, not a list"
         )
+        # The repository benchmark: its smoke run exits non-zero on a
+        # violated correctness or sim_digest check; then its self-test.
+        assert "python3 -m bench run --smoke" in text
+        assert "python -m pytest bench -q" in text
         assert "set -euo pipefail" in text
 
 
@@ -531,10 +535,95 @@ class TestBenchmarkPins:
         assert set(stack.counters(built)) >= {"drive.reads", "rpc.calls"}
 
 
+class TestRecorderSeam:
+    """The hot path's only observability dependency is the recorder.
+
+    ``repro.obs.recorder`` alone names metrics, profiler phases, spans,
+    timeline stages and sim-trace tags; the six block-path modules
+    report *what happened* and import nothing else from ``repro.obs``.
+    """
+
+    HOT_PATH = (
+        "service/rounds.py", "service/playback.py", "service/besteffort.py",
+        "disk/drive.py", "disk/cache.py", "faults/recovery.py",
+    )
+
+    @staticmethod
+    def _sink_names():
+        from repro.obs import PHASES, BlockStage
+        from repro.obs.recorder import EVENTS, FAULTS
+
+        names = set(PHASES) | {stage.value for stage in BlockStage}
+        for _source, sinks in EVENTS.values():
+            names.update(token.partition(":")[2] for token in sinks.split())
+        for events, counters, span, _reason in FAULTS.values():
+            names.update(tag for tag, _template in events)
+            names.update(counters)
+            names.add(span)
+        return names - {""}
+
+    def test_hot_path_imports_only_the_recorder_from_obs(self):
+        import ast
+
+        for relative in self.HOT_PATH:
+            tree = ast.parse((ROOT / "src/repro" / relative).read_text())
+            for node in ast.walk(tree):
+                modules = []
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                for module in modules:
+                    if module.startswith("repro.obs"):
+                        assert module == "repro.obs.recorder", (
+                            f"{relative} imports {module}"
+                        )
+
+    def test_hot_path_names_no_metric_phase_span_stage_or_tag(self):
+        import ast
+
+        names = self._sink_names()
+        assert {"disk.seek_s", "seek", "service.block", "consumed",
+                "fault.skip", "buffer-full"} <= names
+        for relative in self.HOT_PATH:
+            tree = ast.parse((ROOT / "src/repro" / relative).read_text())
+            literals = {
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+            }
+            assert not literals & names, (
+                f"{relative} names sinks itself: {sorted(literals & names)}"
+            )
+
+    def test_observability_doc_table_matches_the_recorder_table(self):
+        from repro.obs.recorder import EVENTS
+
+        text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+        section = text.split("## The seam", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if len(cells) == 3 and cells[0].startswith("`"):
+                documented[cells[0].strip("`")] = (
+                    cells[1], cells[2].replace("`", "")
+                )
+        assert documented == {
+            event: (source, " ".join(sinks.split()))
+            for event, (source, sinks) in EVENTS.items()
+        }
+
+    def test_every_event_is_a_recorder_method(self):
+        from repro.obs.recorder import EVENTS, ServiceRecorder
+
+        for event in EVENTS:
+            assert callable(getattr(ServiceRecorder, event)), event
+
+
 class TestSourceSize:
-    #: `src/` physical lines after the scenario-registry PR, rounded up
-    #: to the next 100.  ROADMAP aim 2: the count trends *down* — lower
-    #: this when a PR deletes code, never raise it to make room.
+    #: `src/` physical lines after the recorder-seam PR (25,958), rounded
+    #: up to the next 100.  ROADMAP aim 2: the count trends *down* —
+    #: lower this when a PR deletes code, never raise it to make room.
     SRC_LINE_CEILING = 26000
 
     def test_src_line_count_stays_under_the_ceiling(self):
