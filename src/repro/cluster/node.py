@@ -55,7 +55,6 @@ class ClusterNode:
         #: Cluster sessions the node accepts concurrently per epoch.
         self.capacity = capacity
         self.alive = True
-        self.degraded = False
         #: Cluster sessions currently assigned here.
         self.active = 0
         #: title -> the node's local rope id for its replica.
@@ -120,13 +119,7 @@ class ClusterNode:
 
     def has_slack(self) -> bool:
         """Whether the router may admit one more session here."""
-        return (
-            self.alive and not self.degraded and self.active < self.capacity
-        )
-
-    def degrade(self) -> None:
-        """Drain the node: finish current chunks, accept nothing new."""
-        self.degraded = True
+        return self.alive and self.active < self.capacity
 
     def kill(self) -> None:
         """The node's mechanism dies; its drive fails all later access."""
@@ -147,7 +140,7 @@ class ClusterNode:
         return NodeStatus(
             node_id=self.node_id,
             alive=self.alive,
-            degraded=self.degraded,
+            degraded=False,
             sessions=self.active,
             titles=tuple(sorted(self.local_ropes)),
         )

@@ -39,23 +39,21 @@ order, and handoffs included.
 
 Observability federates across nodes: each node is built against a
 node-scoped view (``obs.scoped(node_id)``) of one shared
-:class:`~repro.obs.Observability`, and the router's own counters go
-through the ``"cluster"`` scope — shared totals, SLO evaluation, and
-spans are identical to flat sharing, while per-node registries stay
-separable and ``merge_snapshots()`` folds them back into the cluster
-totals.  The router records a ``cluster.request`` root span per
-session with ``cluster.route`` / ``cluster.serve`` /
-``cluster.handoff`` children attributed to node ids, keeps per-title
-and node-labeled counters (``cluster.routed.<node>``,
-``cluster.rejects.<node>``, ``cluster.handoffs_from/to/clean.<node>``),
-and adds the ``handoff-clean`` objective (:data:`CLUSTER_SLOS`) on top
-of the stock SLO set.
+:class:`~repro.obs.Observability`, and the router reports every
+routing, serving and handoff decision to its
+:class:`~repro.obs.recorder.ServiceRecorder`, which counts through the
+``"cluster"`` scope — shared totals, SLO evaluation, and spans are
+those of one flat observer, while per-node registries stay separable
+and ``merge_snapshots()`` folds them back into the cluster totals.
+The recorder's ``EVENTS`` table names the spans and the per-title and
+node-labeled counters; :data:`CLUSTER_SLOS` adds the ``handoff-clean``
+objective on top of the stock SLO set.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import (
@@ -72,7 +70,8 @@ from repro.api import (
 )
 from repro.errors import ParameterError
 from repro.faults import FaultInjector, FaultKind, FaultPlan
-from repro.obs.slo import DEFAULT_SLOS, Slo
+from repro.obs.recorder import recorder_for
+from repro.obs.slo import CLUSTER_SLOS
 
 from repro.cluster.node import ClusterNode, build_node
 from repro.cluster.placement import (
@@ -83,13 +82,6 @@ from repro.cluster.placement import (
 )
 
 __all__ = ["CLUSTER_SLOS", "MediaCluster", "build_cluster"]
-
-#: The stock cluster objective set: everything a single server promises
-#: plus ">= 90% of handoffs resume without a continuity break" — the
-#: distributed-VoD acceptance criterion.
-CLUSTER_SLOS: Tuple[Slo, ...] = DEFAULT_SLOS + (
-    Slo("handoff-clean", "handoff_clean_ratio", ">=", 0.9, "final"),
-)
 
 
 @dataclass
@@ -115,8 +107,6 @@ class _ClusterSession:
     #: (what decides whether the handoffs were clean).
     glitches_after_handoff: int = 0
     reject: Optional[RejectReason] = None
-    root_span: object = None
-    handoff_chunks: List[int] = field(default_factory=list)
 
     def status(self) -> SessionStatus:
         return SessionStatus(
@@ -156,7 +146,6 @@ class MediaCluster:
         placement: PlacementMap,
         fault_plan: Optional[FaultPlan] = None,
         obs=None,
-        scope_counters: bool = True,
     ):
         if not nodes:
             raise ParameterError("a cluster needs at least one node")
@@ -176,17 +165,8 @@ class MediaCluster:
                     )
         self.placement = placement
         self.obs = obs
-        # Router-level counters go through the "cluster" scoped view
-        # when the observer federates, so merge_snapshots() over every
-        # view reproduces the shared totals exactly.
-        self._view = obs
-        if obs is not None and scope_counters:
-            scoped = getattr(obs, "scoped", None)
-            if scoped is not None:
-                self._view = scoped("cluster")
-        self._spans = None
-        if obs is not None and obs.tracer.enabled:
-            self._spans = obs.tracer
+        #: What the router reports to (None when unobserved).
+        self._rec = recorder_for(obs, "cluster")
         self._session_ids = itertools.count(1)
         self._sessions: Dict[str, _ClusterSession] = {}
         #: (chunk_boundary_index or None, at_time or None, node_index)
@@ -224,12 +204,6 @@ class MediaCluster:
             for spec in sub:
                 if spec.kind is FaultKind.HEAD_FAILURE:
                     self._kills.append((spec.at_op, spec.at_time, index))
-
-    # -- counters -----------------------------------------------------------------
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self._view is not None:
-            self._view.registry.counter(name).inc(amount)
 
     # -- admission ----------------------------------------------------------------
 
@@ -270,19 +244,11 @@ class MediaCluster:
             reject=reason,
         )
         self._sessions[session.session_id] = session
-        self._count("server.sessions_rejected")
-        self._count(f"server.reject.{reason.value}")
-        self._count("cluster.rejects")
-        # Routing-level refusal: no node ever saw the request.
-        self._count("cluster.rejects.router")
-        if self._spans is not None:
-            span = self._spans.start_span(
-                "cluster.request",
-                request.arrival,
-                session=session.session_id,
-                attrs={"title": request.rope_id, "reject": reason.value},
+        if self._rec is not None:
+            self._rec.router_rejected(
+                session.session_id, request.arrival, request.rope_id,
+                reason.value,
             )
-            self._spans.end_span(span, request.arrival, status="rejected")
         return OpenSessionResponse(
             session_id=session.session_id,
             accepted=False,
@@ -350,24 +316,11 @@ class MediaCluster:
             node.active += 1
             admitted.append(session)
             admission_order.append((session.session_id, node.node_id))
-            self._count("server.sessions_opened")
-            self._count(f"cluster.opens.{title}")
-            self._count(f"cluster.routed.{node.node_id}")
-            if self._spans is not None:
-                root = self._spans.start_span(
-                    "cluster.request",
-                    request.arrival,
-                    session=session.session_id,
-                    attrs={"title": title, "client": request.client_id},
+            if self._rec is not None:
+                self._rec.routed(
+                    session.session_id, request.arrival, title,
+                    request.client_id, node.node_id,
                 )
-                session.root_span = root
-                route_span = self._spans.start_span(
-                    "cluster.route",
-                    request.arrival,
-                    parent=root,
-                    attrs={"node": node.node_id},
-                )
-                self._spans.end_span(route_span, request.arrival)
         per_node_results: Dict[str, List[ServeResult]] = {
             node.node_id: [] for node in self.nodes
         }
@@ -481,8 +434,6 @@ class MediaCluster:
                 session.state = SessionState.REJECTED
                 session.reject = reason
                 node.active = max(node.active - 1, 0)
-                self._count("cluster.rejects")
-                self._count(f"cluster.rejects.{node.node_id}")
                 rejects.append(
                     OpenSessionResponse(
                         session_id=session.session_id,
@@ -493,7 +444,11 @@ class MediaCluster:
                         ),
                     )
                 )
-                self._end_root(session, status="rejected")
+                if self._rec is not None:
+                    self._rec.node_rejected(
+                        session.session_id, node.node_id,
+                        session.arrival + session.length,
+                    )
                 continue
             session.blocks_delivered += status.blocks_delivered
             session.misses += status.misses
@@ -507,21 +462,11 @@ class MediaCluster:
                 session.glitches_after_handoff += (
                     status.misses + status.skips
                 )
-            if self._spans is not None and session.root_span is not None:
+            if self._rec is not None:
                 start, length = self._chunk_interval(session, chunk, chunks)
-                span = self._spans.start_span(
-                    "cluster.serve",
-                    start,
-                    parent=session.root_span,
-                    attrs={"node": node.node_id, "chunk": chunk},
-                )
-                self._spans.end_span(
-                    span,
-                    start + length,
-                    status=(
-                        "ok" if not (status.misses or status.skips)
-                        else "degraded"
-                    ),
+                self._rec.chunk_served(
+                    session.session_id, node.node_id, chunk, start,
+                    start + length, bool(status.misses or status.skips),
                 )
 
     def _apply_kills(
@@ -577,7 +522,9 @@ class MediaCluster:
     ) -> None:
         """Kill *node* and hand its live sessions to surviving replicas."""
         node.kill()
-        self._count(f"cluster.node_deaths.{node.node_id}")
+        rec = self._rec
+        if rec is not None:
+            rec.node_died(node.node_id)
         affected = [
             session for session in admitted
             if session.node_id == node.node_id
@@ -585,26 +532,12 @@ class MediaCluster:
         ]
         for session in affected:
             target = self.route(session.title_id)
-            self._count("cluster.handoffs_total")
-            self._count(f"cluster.handoffs_from.{node.node_id}")
+            to_node = target.node_id if target is not None else None
             if target is not None:
-                self._count(f"cluster.handoffs_to.{target.node_id}")
-                session.node_id = target.node_id
+                session.node_id = to_node
                 session.handoffs += 1
-                session.handoff_chunks.append(boundary)
                 target.active += 1
-                detail = (
-                    f"resumed at chunk {boundary} on {target.node_id}"
-                )
-                pending.append(_PendingHandoff(
-                    session_id=session.session_id,
-                    title_id=session.title_id,
-                    from_node=node.node_id,
-                    to_node=target.node_id,
-                    at_chunk=boundary,
-                    blocks_before=session.blocks_delivered,
-                    detail=detail,
-                ))
+                detail = f"resumed at chunk {boundary} on {to_node}"
             else:
                 detail = (
                     f"no surviving replica of {session.title_id!r} "
@@ -612,15 +545,6 @@ class MediaCluster:
                 )
                 session.state = SessionState.REJECTED
                 session.reject = RejectReason.NO_REPLICA
-                self._count("server.sessions_rejected")
-                self._count(
-                    f"server.reject.{RejectReason.NO_REPLICA.value}"
-                )
-                self._count("cluster.rejects")
-                self._count(f"cluster.rejects.{node.node_id}")
-                self._count(
-                    f"cluster.handoffs_stranded.{node.node_id}"
-                )
                 rejects.append(
                     OpenSessionResponse(
                         session_id=session.session_id,
@@ -629,46 +553,22 @@ class MediaCluster:
                         detail=detail,
                     )
                 )
-                pending.append(_PendingHandoff(
-                    session_id=session.session_id,
-                    title_id=session.title_id,
-                    from_node=node.node_id,
-                    to_node=None,
-                    at_chunk=boundary,
-                    blocks_before=session.blocks_delivered,
-                    detail=detail,
-                ))
-            if self._spans is not None and session.root_span is not None:
+            pending.append(_PendingHandoff(
+                session_id=session.session_id,
+                title_id=session.title_id,
+                from_node=node.node_id,
+                to_node=to_node,
+                at_chunk=boundary,
+                blocks_before=session.blocks_delivered,
+                detail=detail,
+            ))
+            if rec is not None:
                 at_time, _ = self._chunk_interval(session, boundary, chunks)
-                span = self._spans.start_span(
-                    "cluster.handoff",
-                    at_time,
-                    parent=session.root_span,
-                    attrs={
-                        "from": node.node_id,
-                        "to": (
-                            session.node_id
-                            if session.reject is None else None
-                        ),
-                        "chunk": boundary,
-                    },
+                rec.handed_off(
+                    session.session_id, at_time, boundary, node.node_id,
+                    to_node, session.arrival + session.length,
+                    None if target is not None else session.reject.value,
                 )
-                self._spans.end_span(
-                    span, at_time,
-                    status="ok" if session.reject is None else "stranded",
-                )
-            if session.reject is not None:
-                self._end_root(session, status="rejected")
-
-    def _end_root(self, session: _ClusterSession, status: str) -> None:
-        if self._spans is None or session.root_span is None:
-            return
-        self._spans.end_span(
-            session.root_span,
-            session.arrival + session.length,
-            status=status,
-        )
-        session.root_span = None
 
     # -- result assembly ----------------------------------------------------------
 
@@ -686,13 +586,12 @@ class MediaCluster:
                 session.state = SessionState.COMPLETED
                 node = self._by_id[session.node_id]
                 node.active = max(node.active - 1, 0)
-                self._end_root(
-                    session,
-                    status=(
-                        "ok" if not (session.misses or session.skips)
-                        else "degraded"
-                    ),
-                )
+                if self._rec is not None:
+                    self._rec.session_closed(
+                        session.session_id, session.arrival + session.length,
+                        "degraded" if session.misses or session.skips
+                        else "ok",
+                    )
         by_session = {
             session.session_id: session for session in admitted
         }
@@ -714,19 +613,11 @@ class MediaCluster:
                 clean=clean,
                 detail=entry.detail,
             ))
-        clean_count = sum(1 for record in handoffs if record.clean)
-        if clean_count:
-            self._count("cluster.handoffs_clean", clean_count)
-            for record in handoffs:
-                if record.clean and record.to_node is not None:
-                    self._count(
-                        f"cluster.handoffs_clean.{record.to_node}"
-                    )
-        if self.obs is not None and self.obs.slo is not None:
-            horizon = max(
-                (s.arrival + s.length for s in admitted), default=0.0
+        if self._rec is not None:
+            self._rec.handoffs_scored(
+                [record.to_node for record in handoffs if record.clean],
+                max((s.arrival + s.length for s in admitted), default=0.0),
             )
-            self.obs.slo.finalize(horizon)
         statuses = tuple(
             self._sessions[sid].status()
             for sid in sorted(self._sessions)
@@ -761,7 +652,6 @@ def build_cluster(
     fault_plan: Optional[FaultPlan] = None,
     cache_blocks: int = 512,
     batch_window: float = 0.25,
-    scope_nodes: bool = True,
 ) -> Tuple[MediaCluster, Tuple[CatalogTitle, ...]]:
     """A cluster of *nodes* MediaServers sharing a Zipf catalog.
 
@@ -772,11 +662,9 @@ def build_cluster(
     the title's own deterministic frame source and, when *warm* is on,
     plays each once so the hot waves are cache-admitted.
 
-    With *scope_nodes* (the default) each node is built against
-    ``obs.scoped(node_id)`` — the federated per-node view — and the
-    router's counters go through the ``"cluster"`` scope.  Shared
-    totals are byte-identical either way (the equivalence test pins
-    this); ``scope_nodes=False`` reproduces the legacy flat sharing.
+    Each node is built against ``obs.scoped(node_id)`` — the federated
+    per-node view — and the router's counters go through the
+    ``"cluster"`` scope.
     """
     catalog = tuple(
         CatalogTitle(
@@ -798,10 +686,7 @@ def build_cluster(
             capacity=per_node_streams,
             cache_blocks=cache_blocks,
             batch_window=batch_window,
-            obs=(
-                obs.scoped(node_id)
-                if obs is not None and scope_nodes else obs
-            ),
+            obs=obs.scoped(node_id) if obs is not None else None,
         )
         for title in catalog:
             if node_id in placement.replicas(title.title_id):
@@ -811,8 +696,5 @@ def build_cluster(
         for node in built:
             for title_id in sorted(node.local_ropes):
                 node.warm(title_id)
-    cluster = MediaCluster(
-        built, placement, fault_plan=fault_plan, obs=obs,
-        scope_counters=scope_nodes,
-    )
+    cluster = MediaCluster(built, placement, fault_plan=fault_plan, obs=obs)
     return cluster, catalog

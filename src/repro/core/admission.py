@@ -454,6 +454,7 @@ class AdmissionController:
                 f"operating bound {self.max_k} (effectively at capacity)",
                 active=self.active_count,
                 n_max=n_max(params),
+                cause="k_bound",
             )
         plan = _plan_transition(self._k, new_k)
         request_id = next(self._ids)

@@ -70,13 +70,21 @@ class AdmissionRejected(AdmissionError):
     """A new request was refused because it would violate continuity.
 
     Carries the number of active requests and the computed maximum so the
-    caller (or test) can verify the refusal happened at the analytic limit.
+    caller (or test) can verify the refusal happened at the analytic limit,
+    and the typed *cause* — ``"capacity"`` (no admission headroom, Eq. 17)
+    or ``"k_bound"`` (Eq.-18 k beyond the operating bound) — the values of
+    the matching :class:`repro.api.RejectReason` members, so callers
+    classify a refusal without reading its message.
     """
 
-    def __init__(self, message: str, active: int = 0, n_max: int = 0):
+    def __init__(
+        self, message: str, active: int = 0, n_max: int = 0,
+        cause: str = "capacity",
+    ):
         super().__init__(message)
         self.active = active
         self.n_max = n_max
+        self.cause = cause
 
 
 class ContinuityViolation(ReproError):

@@ -15,7 +15,6 @@ which replays stored placements through the same drive with timing.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
@@ -52,6 +51,7 @@ from repro.fs.silence import plan_audio_blocks
 from repro.fs.strand import Strand
 from repro.media.audio import AudioChunk, SilenceDetector
 from repro.media.frames import Frame
+from repro.obs.recorder import recorder_for
 
 __all__ = ["MediaPolicies", "MultimediaStorageManager"]
 
@@ -119,6 +119,7 @@ class MultimediaStorageManager:
     ):
         self.drive = drive
         self.obs = obs
+        self._rec = recorder_for(obs, "msm")
         if obs is not None:
             drive.attach_observer(obs)
         self.freemap = freemap if freemap is not None else FreeMap(drive.slots)
@@ -174,7 +175,7 @@ class MultimediaStorageManager:
             # The last mechanism is gone: freeze admission entirely.
             if hasattr(self.admission, "max_k"):
                 self.admission.max_k = 0
-            self._audit_revalidate(heads_lost, surviving, total, 0)
+            self._report_revalidated(heads_lost, surviving, total, 0)
             return 0
         self.disk_params = replace(
             self.disk_params,
@@ -202,79 +203,43 @@ class MultimediaStorageManager:
                 admission.service_parameters(requests, self.disk_params)
             ),
         )
-        self._audit_revalidate(heads_lost, surviving, total, degraded_n_max)
+        self._report_revalidated(heads_lost, surviving, total, degraded_n_max)
         return degraded_n_max
 
-    def _audit_revalidate(
+    def _report_revalidated(
         self, heads_lost: int, surviving: int, total: int, new_n_max: int
     ) -> None:
-        """Record a degraded-mode revalidation in the admission audit log.
-
-        The logged inequality is the liveness condition the degrade path
-        branches on: with ``surviving >= 1`` the server keeps admitting
-        against the shrunk ``n_max``; below it, admission freezes.
-        """
-        audit = getattr(self.admission, "audit", None)
-        if audit is None:
-            return
-        audit.record(
-            "revalidate",
-            f"degraded(heads={surviving}/{total})",
-            "surviving >= 1",
-            {
-                "heads_lost": float(heads_lost),
-                "surviving": float(surviving),
-                "total": float(total),
-                "n_max": float(new_n_max),
-            },
-            satisfied=surviving >= 1,
-            detail=f"degraded n_max={new_n_max} "
-            f"(cumulative heads lost: {self.degraded_heads})",
-        )
+        if self._rec is not None:
+            self._rec.revalidated(
+                heads_lost, surviving, total, new_n_max, self.degraded_heads
+            )
 
     # -- admission (RPC-visible surface) -----------------------------------------
-
-    def _trace_span(self, name: str, trace):
-        """Open a span continuing a wire *trace* context, or None."""
-        if trace is None or self.obs is None:
-            return None
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return None
-        return tracer.start_span(
-            name, float(trace.get("time", 0.0)), parent=trace
-        )
 
     def admit(self, descriptor, trace=None):
         """Run admission control for *descriptor* (§3.4, Eq. 17/18).
 
         This is the method the MRS calls across the RPC boundary; the
-        optional *trace* keyword is a marshalled span context
-        (:meth:`repro.obs.tracing.Span.wire`) continued here as an
-        ``msm.admit`` span, so a session's trace stays connected from
-        the server front end down into the storage manager.
+        optional *trace* keyword is a marshalled span context, reported
+        with the verdict, so a session's trace stays connected from the
+        server front end down into the storage manager.
         """
-        span = self._trace_span("msm.admit", trace)
-        tracer = self.obs.tracer if self.obs is not None else None
+        rec = self._rec if trace is not None else None
         try:
             decision = self.admission.admit(descriptor)
         except Exception as error:
-            if span is not None:
-                tracer.end_span(
-                    span, span.start, status=type(error).__name__
-                )
+            if rec is not None:
+                rec.msm_admitted(trace, error=error)
             raise
-        if span is not None:
-            span.attrs["request_id"] = decision.request_id
-            tracer.end_span(span, span.start)
+        if rec is not None:
+            rec.msm_admitted(trace, decision.request_id)
         return decision
 
     def release(self, request_id: str, trace=None) -> None:
         """Release an admitted request's service slot (RPC-visible)."""
-        span = self._trace_span("msm.release", trace)
         self.admission.release(request_id)
-        if span is not None:
-            self.obs.tracer.end_span(span, span.start)
+        if trace is not None and self._rec is not None:
+            self._rec.msm_released(trace)
 
     # -- admission descriptors ---------------------------------------------------
 
@@ -426,11 +391,13 @@ class MultimediaStorageManager:
 
     # -- recording (batch interfaces) ---------------------------------------------
 
-    def _obs_timer(self, name: str):
-        """A profiling context for *name*, or a no-op when unobserved."""
-        if self.obs is not None:
-            return self.obs.timed(name)
-        return contextlib.nullcontext()
+    def _store(self, medium: str, store, *args) -> Strand:
+        """Run one ``store_*_strand`` body, reported (and timed) when
+        observed."""
+        if self._rec is None:
+            return store(*args)
+        with self._rec.strand_stored(medium):
+            return store(*args)
 
     def store_video_strand(
         self,
@@ -438,8 +405,7 @@ class MultimediaStorageManager:
         hint: Optional[int] = None,
     ) -> Strand:
         """Store a video frame sequence as a new strand."""
-        with self._obs_timer("msm.store_video_strand"):
-            return self._store_video_strand(frames, hint)
+        return self._store("video", self._store_video_strand, frames, hint)
 
     def _store_video_strand(
         self,
@@ -488,8 +454,9 @@ class MultimediaStorageManager:
 
         Pass ``detector=None`` to store every block (the E10 baseline).
         """
-        with self._obs_timer("msm.store_audio_strand"):
-            return self._store_audio_strand(chunks, detector, hint)
+        return self._store(
+            "audio", self._store_audio_strand, chunks, detector, hint
+        )
 
     def _store_audio_strand(
         self,
@@ -540,8 +507,9 @@ class MultimediaStorageManager:
         same playback period, giving "implicit inter-media
         synchronization".
         """
-        with self._obs_timer("msm.store_mixed_strand"):
-            return self._store_mixed_strand(frames, chunks, hint)
+        return self._store(
+            "mixed", self._store_mixed_strand, frames, chunks, hint
+        )
 
     def _store_mixed_strand(
         self,

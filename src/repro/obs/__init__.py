@@ -30,7 +30,7 @@ in :mod:`repro.scenarios`.
 """
 
 from repro.obs.audit import AdmissionAuditLog, AuditEntry
-from repro.obs.observer import NULL_OBS, Observability
+from repro.obs.observer import Observability
 from repro.obs.profiling import (
     PHASES,
     CostProfiler,
@@ -64,7 +64,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_OBS",
     "Observability",
     "PHASES",
     "ProfileTimer",

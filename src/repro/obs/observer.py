@@ -32,7 +32,7 @@ from repro.obs.slo import SloMonitor
 from repro.obs.timeline import SessionTimeline
 from repro.obs.tracing import SpanTracer
 
-__all__ = ["Observability", "NULL_OBS"]
+__all__ = ["Observability"]
 
 
 class Observability:
@@ -339,8 +339,3 @@ class Observability:
         if audit:
             lines.extend(f"  {line}" for line in audit.splitlines())
         return "\n".join(lines)
-
-
-#: Shared disabled instance for call sites that want unconditional
-#: ``with obs.timed(...)`` syntax without a None guard.
-NULL_OBS = Observability(enabled=False)

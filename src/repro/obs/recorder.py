@@ -1,13 +1,16 @@
-"""The service recorder: the one seam between the hot path and observability.
+"""The service recorder: the one seam between the stack and observability.
 
-The round loop, the drive, the block cache, fault recovery and the
-single-request simulators report *what happened* — each fact once, to a
+The block path (the round loop, the drive, the block cache, fault
+recovery, the single-request simulators) and the request path (the media
+server and its batching, the RPC channel, the storage manager, the
+cluster router) report *what happened* — each fact once, to a
 :class:`ServiceRecorder` — and this module alone decides which sink sees
 it: registry instruments (names, buckets), profiler phases, span names
-and parents, timeline stages, the SLO round tick, and the
-``sim.trace.Tracer`` tag strings.  :data:`EVENTS` is the declarative
-event → sinks table (docs/OBSERVABILITY.md mirrors it, checked by a
-tooling test); :data:`FAULTS` is the same for fault outcomes.
+and parents, the request-id ↔ root-span binding, audit records, timeline
+stages, the SLO ticks, and the ``sim.trace.Tracer`` tag strings.
+:data:`EVENTS` is the declarative event → sinks table
+(docs/OBSERVABILITY.md mirrors it, checked by a tooling test);
+:data:`FAULTS` is the same for fault outcomes.
 
 A component obtains its recorder once from :func:`recorder_for`, which
 returns None when there is nothing to record (no observer, or a disabled
@@ -24,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.registry import (
+    BATCH_SIZE_BUCKETS,
     DEADLINE_SLACK_BUCKETS,
     QUEUE_DEPTH_BUCKETS,
     ROUND_UTILIZATION_BUCKETS,
@@ -38,7 +42,8 @@ __all__ = ["EVENTS", "FAULTS", "ServiceRecorder", "recorder_for", "sinks"]
 #: source component that reports it, its sinks as ``kind:name`` tokens).
 #: A recorder built for a source registers that source's counters and
 #: histograms up front (they appear in snapshots at zero); timers,
-#: gauges and the fault counters exist once first used.
+#: gauges, names with a ``<label>`` part, the fault counters and all the
+#: cluster router's counters exist once first used.
 EVENTS: Dict[str, Tuple[str, str]] = {
     "stream_opened": ("loop", "span:service.stream sim:admit"),
     "round_begin": (
@@ -77,12 +82,61 @@ EVENTS: Dict[str, Tuple[str, str]] = {
         "counter:fault.head_failures counter:fault.recovered_reads "
         "phase:fault_recovery span:fault.retry span:fault.skip "
         "sim:fault.inject sim:fault.retry sim:fault.skip sim:fault.degrade"),
+    "batch_formed": ("server", "span:server.batch"),
+    "request_opened": ("server", "span:server.request"),
+    "request_rejected": (
+        "server", "counter:server.sessions_rejected "
+        "counter:server.reject.<reason> span:server.request"),
+    "cache_admitted": ("server", "audit:admit span:server.admit"),
+    "admission_begun": ("server", "span:server.admit"),
+    "admission_decided": ("server", "span:server.admit"),
+    "batch_admitted": (
+        "server", "counter:server.sessions_opened counter:server.batches "
+        "histogram:server.batch_size audit:admit"),
+    "verb_applied": (
+        "server", "span:server.play span:server.pause span:server.resume "
+        "span:server.stop"),
+    "request_closed": (
+        "server", "counter:server.sessions_rejected "
+        "counter:server.reject.<reason> span:server.request"),
+    "rpc_begun": ("rpc", "span:rpc.<method>"),
+    "rpc_ended": ("rpc", "span:rpc.<method>"),
+    "msm_admitted": ("msm", "span:msm.admit"),
+    "msm_released": ("msm", "span:msm.release"),
+    "strand_stored": ("msm", "timer:msm.store_<medium>_strand"),
+    "revalidated": ("msm", "audit:revalidate"),
+    "routed": (
+        "cluster", "counter:server.sessions_opened "
+        "counter:cluster.opens.<title> counter:cluster.routed.<node> "
+        "span:cluster.request span:cluster.route"),
+    "router_rejected": (
+        "cluster", "counter:server.sessions_rejected "
+        "counter:server.reject.<reason> counter:cluster.rejects "
+        "counter:cluster.rejects.router span:cluster.request"),
+    "node_rejected": (
+        "cluster", "counter:cluster.rejects counter:cluster.rejects.<node> "
+        "span:cluster.request"),
+    "chunk_served": ("cluster", "span:cluster.serve"),
+    "node_died": ("cluster", "counter:cluster.node_deaths.<node>"),
+    "handed_off": (
+        "cluster", "counter:cluster.handoffs_total "
+        "counter:cluster.handoffs_from.<node> "
+        "counter:cluster.handoffs_to.<node> "
+        "counter:cluster.handoffs_stranded.<node> "
+        "counter:server.sessions_rejected counter:server.reject.<reason> "
+        "counter:cluster.rejects counter:cluster.rejects.<node> "
+        "span:cluster.handoff span:cluster.request"),
+    "session_closed": ("cluster", "span:cluster.request"),
+    "handoffs_scored": (
+        "cluster", "counter:cluster.handoffs_clean "
+        "counter:cluster.handoffs_clean.<node> slo:final"),
 }
 HISTOGRAMS: Dict[str, Tuple[float, ...]] = {
     "session.deadline_slack_s": DEADLINE_SLACK_BUCKETS,
     "service.queue_depth": QUEUE_DEPTH_BUCKETS,
     "service.round_utilization": ROUND_UTILIZATION_BUCKETS,
     "disk.seek_s": SEEK_TIME_BUCKETS,
+    "server.batch_size": BATCH_SIZE_BUCKETS,
 }
 
 
@@ -162,8 +216,10 @@ class ServiceRecorder:
         self._sim = sim
         self._subject = ""
         self._head_lost = False
-        self._stream_spans: Dict[str, object] = {}
-        self._round_timer = None
+        #: Open spans this recorder closes later: stream id -> its
+        #: ``service.stream`` (loop), session id -> its root (cluster).
+        self._held: Dict[str, object] = {}
+        self._round_timer = self._admit = None
         self._m: Dict[str, object] = {}
         self._timeline = self._spans = self._slo = self._prof = None
         #: The timeline's (keep_first, every_kth); it also gates which
@@ -171,12 +227,21 @@ class ServiceRecorder:
         self._tl_gate: Tuple[Optional[int], Optional[int]] = (None, None)
         if obs is None:
             return
-        for event, (reporter, _sinks) in EVENTS.items():
-            if reporter == source:
-                for name in sinks(event, "counter"):
-                    self._m[name] = obs.registry.counter(name)
-                for name in sinks(event, "histogram"):
-                    self._m[name] = obs.registry.histogram(name, HISTOGRAMS[name])
+        if source == "cluster":
+            # The router counts through its own federated view (a merge
+            # over every view then reproduces the shared totals), and its
+            # counters exist once first used: a run without a reject has
+            # no ``cluster.rejects`` key.
+            self._obs = obs = obs.scoped(source)
+        else:
+            registry = obs.registry
+            for event, (reporter, _sinks) in EVENTS.items():
+                if reporter == source:
+                    for name in sinks(event, "counter"):
+                        if "<" not in name:
+                            self._m[name] = registry.counter(name)
+                    for name in sinks(event, "histogram"):
+                        self._m[name] = registry.histogram(name, HISTOGRAMS[name])
         if obs.timeline.enabled:
             self._timeline = obs.timeline
             self._tl_gate = (obs.timeline.keep_first, obs.timeline.every_kth)
@@ -192,6 +257,21 @@ class ServiceRecorder:
     def _charge(self, phase: str, ops: int) -> None:
         if ops and self._prof is not None:
             self._prof.record(phase, ops=ops)
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        self._obs.registry.counter(name).inc(amount)
+
+    def _span(self, name, time, parent=None, session=None, attrs=None,
+              end=None, status="ok"):
+        """Open span *name* (None when untraced or dropped); given *end*,
+        close it there with *status*."""
+        spans = self._spans
+        if spans is None:
+            return None
+        span = spans.start_span(name, time, parent, session, attrs)
+        if end is not None:
+            spans.end_span(span, end, status)
+        return span
 
     def _report_from(self, stream, index: int) -> None:
         """Point *stream* at the smallest block index >= *index* that some
@@ -226,7 +306,7 @@ class ServiceRecorder:
             attrs={"blocks": len(stream.fetches)},
         )
         if span is not None:
-            self._stream_spans[stream.request_id] = span
+            self._held[stream.request_id] = span
             stream.trace = span
 
     def round_begin(self, active: int) -> Tuple[bool, bool]:
@@ -331,7 +411,7 @@ class ServiceRecorder:
         both definitions of *end* stay.
         """
         timeline, session = self._timeline, stream.request_id
-        span = self._stream_spans.pop(session, None)
+        span = self._held.pop(session, None)
         deliveries = stream.deliveries
         self._charge("span_finalize", len(deliveries) or 1)
         if stream.clock_start is None:
@@ -431,7 +511,7 @@ class ServiceRecorder:
                 )
         if self._obs is not None:
             for name in counters:
-                self._obs.registry.counter(name).inc()
+                self._count(name)
         if cost is not None and self._prof is not None:
             self._prof.record("fault_recovery", cost=cost)
         if span_name and parent is not None:
@@ -448,3 +528,257 @@ class ServiceRecorder:
         else:
             self._m["session.blocks_delivered"].inc()
             self._m["session.deadline_slack_s"].observe(deadline - arrival)
+
+    # -- the request path: media server and batching -----------------------------
+
+    def _root(self, request_id: str):
+        """The open root span bound to *request_id* (None when untraced)."""
+        spans = self._spans
+        return None if spans is None else spans.context_for(request_id)
+
+    def _count_reject(self, reason: str) -> None:
+        # The per-reason counters feed the reject-rate SLOs.
+        self._count("server.sessions_rejected")
+        self._count(f"server.reject.{reason}")
+
+    def batch_formed(self, rope: str, size: int, start, end) -> None:
+        """serve() grouped its opens: one batch (of any *size*) covering
+        leader arrival → last member arrival."""
+        self._span("server.batch", start, attrs={"rope": rope, "size": size}, end=end)
+
+    def request_opened(self, request_id: str, time: float, **attrs) -> None:
+        """An admitted member's MRS request exists: its root span opens,
+        bound to *request_id* — where the stream, the verbs, the release
+        and the close find it."""
+        span = self._span("server.request", time, session=request_id, attrs=attrs)
+        if span is not None:
+            self._spans.bind(request_id, span)
+
+    def request_rejected(self, session_id, time, rope: str, reason: str) -> None:
+        """An open was refused for *reason* (a ``RejectReason`` value)."""
+        self._count_reject(reason)
+        self._span(
+            "server.request", time, session=session_id,
+            attrs={"rope": rope, "reject": reason}, end=time, status="rejected",
+        )
+
+    def cache_admitted(self, request_id, time, rope: str, slots: int) -> None:
+        """Every planned slot is resident and pinned: residency stands in
+        for disk budget and the controller is bypassed."""
+        self._obs.audit.record(
+            "admit", f"cache(rope={rope})", "resident >= planned",
+            {"resident": float(slots), "planned": float(slots)},
+            satisfied=True,
+            detail=f"{slots} slot(s) resident and pinned; "
+            "no disk-round budget consumed",
+        )
+        self._span(
+            "server.admit", time, parent=self._root(request_id),
+            attrs={"path": "cache", "slots": slots}, end=time,
+        )
+
+    def admission_begun(self, request_id, time, path: str) -> Dict[str, object]:
+        """The server asks the controller for a slot (*path*: ``controller``
+        on open, ``resume`` after a destructive pause).  Returns the
+        keywords that carry the span context over the RPC boundary."""
+        self._admit = span = self._span(
+            "server.admit", time, parent=self._root(request_id),
+            session=request_id, attrs={"path": path},
+        )
+        return {} if span is None else {"trace": span.wire(time)}
+
+    def admission_decided(self, time: float, outcome: str = "ok") -> None:
+        """The controller answered: ``ok``, ``rejected`` or ``requeued``."""
+        if self._admit is not None:
+            self._spans.end_span(self._admit, time, outcome)
+            self._admit = None
+
+    def batch_admitted(self, rope, size, opened, leader, cached, requeues) -> None:
+        """A batch of *size* holds its one physical stream: the *opened*
+        members (those allowed to play) share session *leader*'s reads."""
+        self._count("server.sessions_opened", opened)
+        self._count("server.batches")
+        self._m["server.batch_size"].observe(opened)
+        self._obs.audit.record(
+            "admit", f"batch(rope={rope},n={size})",
+            "physical_streams <= batch_size",
+            {
+                "batch_size": float(size), "physical_streams": 1.0,
+                "cache_admitted": float(cached), "requeues": float(requeues),
+            },
+            satisfied=True,
+            detail=f"leader {leader} "
+            f"({'cache' if cached else 'controller'}-admitted), "
+            f"{size - 1} follower(s) share its reads",
+        )
+
+    def verb_applied(self, request_id, verb: str, time, status: str = "ok") -> None:
+        """A lifecycle verb (play / pause / resume / stop) took effect."""
+        self._span(
+            f"server.{verb}", time, parent=self._root(request_id),
+            session=request_id, end=time, status=status,
+        )
+
+    def release_carry(self, request_id: str) -> Dict[str, object]:
+        """The keywords that carry *request_id*'s root context — stamped
+        with the latest time its trace reached — over the RPC boundary."""
+        root = self._root(request_id)
+        if root is None:
+            return {}
+        latest = self._spans.latest_end(root.trace_id, root.start)
+        return {"trace": root.wire(latest)}
+
+    def request_closed(self, request_id, time, status: str, reject=None) -> None:
+        """The request is over (*reject*: why a resume was refused); its
+        root closes at the latest time its trace reached."""
+        if reject is not None:
+            self._count_reject(reject)
+        root = self._root(request_id)
+        if root is not None:
+            latest = self._spans.latest_end(root.trace_id, root.start)
+            self._spans.end_span(root, max(time, latest), status)
+            self._spans.unbind(request_id)
+
+    # -- the request path: RPC channel and storage manager -----------------------
+
+    def _continue(self, name: str, trace, attrs=None, status=None):
+        """Continue a wire *trace* context as span *name* at the time it was
+        sent (closed there too, given a *status*)."""
+        time = float(trace.get("time", 0.0))
+        end = None if status is None else time
+        return self._span(name, time, trace, attrs=attrs, end=end, status=status)
+
+    def rpc_begun(self, channel: str, method: str, kwargs: Dict):
+        """A call carrying a ``trace`` context crosses *channel*.  Returns
+        (its span, the keywords to forward): the callee receives the RPC
+        span's own context, so the caller's span parents the RPC span,
+        which parents whatever the callee opens."""
+        span = self._continue(f"rpc.{method}", kwargs["trace"], {"channel": channel})
+        if span is None:
+            return None, kwargs
+        return span, {**kwargs, "trace": span.wire(span.start)}
+
+    def rpc_ended(self, span, failed: bool = False) -> None:
+        """The call begun with *span* returned (or raised)."""
+        self._spans.end_span(span, span.start, "error" if failed else "ok")
+
+    def msm_admitted(self, trace, request_id=None, error=None) -> None:
+        """The storage manager ran admission for a traced call: admitted
+        as *request_id*, or refused with *error*."""
+        if error is None:
+            self._continue("msm.admit", trace, {"request_id": request_id}, "ok")
+        else:
+            self._continue("msm.admit", trace, status=type(error).__name__)
+
+    def msm_released(self, trace) -> None:
+        """The storage manager released a slot for a traced call."""
+        self._continue("msm.release", trace, status="ok")
+
+    def strand_stored(self, medium: str):
+        """A *medium* strand is being stored; times the ``with`` body."""
+        return self._obs.timed(f"msm.store_{medium}_strand")
+
+    def revalidated(self, heads_lost, surviving, total, n_max, cumulative) -> None:
+        """Admission was revalidated after a head loss.  The logged
+        inequality is the liveness condition the degrade path branches
+        on: with ``surviving >= 1`` the server keeps admitting against the
+        shrunk *n_max*; below it, admission freezes."""
+        self._obs.audit.record(
+            "revalidate", f"degraded(heads={surviving}/{total})",
+            "surviving >= 1",
+            {
+                "heads_lost": float(heads_lost), "surviving": float(surviving),
+                "total": float(total), "n_max": float(n_max),
+            },
+            satisfied=surviving >= 1,
+            detail=f"degraded n_max={n_max} "
+            f"(cumulative heads lost: {cumulative})",
+        )
+
+    # -- the request path: cluster router ----------------------------------------
+
+    def _cluster_reject(self, where: str, reason=None) -> None:
+        """A cluster session was lost at *where* (``router`` or a node id);
+        *reason* unless that node's server already counted the refusal."""
+        if reason is not None:
+            self._count_reject(reason)
+        self._count("cluster.rejects")
+        self._count(f"cluster.rejects.{where}")
+
+    def routed(self, session_id, time, title, client, node) -> None:
+        """The router placed a session on *node*; its root span opens."""
+        self._count("server.sessions_opened")
+        self._count(f"cluster.opens.{title}")
+        self._count(f"cluster.routed.{node}")
+        root = self._span(
+            "cluster.request", time, session=session_id,
+            attrs={"title": title, "client": client},
+        )
+        self._span("cluster.route", time, root, attrs={"node": node}, end=time)
+        if root is not None:
+            self._held[session_id] = root
+
+    def router_rejected(self, session_id, time, title, reason: str) -> None:
+        """The router refused an open no node ever saw."""
+        self._cluster_reject("router", reason)
+        self._span(
+            "cluster.request", time, session=session_id,
+            attrs={"title": title, "reject": reason}, end=time, status="rejected",
+        )
+
+    def node_rejected(self, session_id, node, end: float) -> None:
+        """*node*'s server refused a chunk of a routed session."""
+        self._cluster_reject(node)
+        self.session_closed(session_id, end, "rejected")
+
+    def chunk_served(self, session_id, node, chunk, start, end, glitched) -> None:
+        """*node* played one chunk of the session (*glitched*: with a miss
+        or a skip)."""
+        root = self._held.get(session_id)
+        if root is not None:
+            self._span(
+                "cluster.serve", start, root,
+                attrs={"node": node, "chunk": chunk}, end=end,
+                status="degraded" if glitched else "ok",
+            )
+
+    def node_died(self, node: str) -> None:
+        """The fault plan killed *node* at a chunk boundary."""
+        self._count(f"cluster.node_deaths.{node}")
+
+    def handed_off(self, session_id, time, chunk, source, target, end, reject=None):
+        """A dead node's session moved from *source* to *target* at *chunk*
+        — or was stranded (*target* None, *reject* the reason; its root
+        then closes at *end*)."""
+        self._count("cluster.handoffs_total")
+        self._count(f"cluster.handoffs_from.{source}")
+        if reject is None:
+            self._count(f"cluster.handoffs_to.{target}")
+        else:
+            self._cluster_reject(source, reject)
+            self._count(f"cluster.handoffs_stranded.{source}")
+        root = self._held.get(session_id)
+        if root is not None:
+            self._span(
+                "cluster.handoff", time, root,
+                attrs={"from": source, "to": target, "chunk": chunk}, end=time,
+                status="ok" if reject is None else "stranded",
+            )
+        if reject is not None:
+            self.session_closed(session_id, end, "rejected")
+
+    def session_closed(self, session_id, end: float, status: str) -> None:
+        """The cluster session is over; its root closes at *end*."""
+        root = self._held.pop(session_id, None)
+        if root is not None:
+            self._spans.end_span(root, end, status)
+
+    def handoffs_scored(self, clean_targets, horizon: float) -> None:
+        """The run is over: *clean_targets* names the node each handoff
+        that resumed without a glitch landed on."""
+        if clean_targets:
+            self._count("cluster.handoffs_clean", len(clean_targets))
+        for node in clean_targets:
+            self._count(f"cluster.handoffs_clean.{node}")
+        if self._obs.slo is not None:
+            self._obs.slo.finalize(horizon)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ParameterError
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["Slo", "SloMonitor", "DEFAULT_SLOS"]
+__all__ = ["Slo", "SloMonitor", "DEFAULT_SLOS", "CLUSTER_SLOS"]
 
 #: Comparison operators an objective may use.
 _OPS = (">=", "<=")
@@ -98,6 +98,12 @@ DEFAULT_SLOS: Tuple[Slo, ...] = (
     Slo("no-rejects", "reject_rate", "<=", 0.0, "round"),
     Slo("no-capacity-rejects", "reject_rate:capacity", "<=", 0.0, "final"),
     Slo("no-k-bound-rejects", "reject_rate:k_bound", "<=", 0.0, "final"),
+)
+#: The stock cluster objective set: everything a single server promises
+#: plus ">= 90% of handoffs resume without a continuity break" — the
+#: distributed-VoD acceptance criterion.
+CLUSTER_SLOS: Tuple[Slo, ...] = DEFAULT_SLOS + (
+    Slo("handoff-clean", "handoff_clean_ratio", ">=", 0.9, "final"),
 )
 
 

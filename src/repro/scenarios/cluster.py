@@ -20,10 +20,10 @@ from typing import Dict, Optional
 
 from repro.api import Media, OpenSessionRequest
 from repro.cluster.bounds import bounds_for_placement
-from repro.cluster.router import CLUSTER_SLOS, build_cluster
+from repro.cluster.router import build_cluster
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.obs.observer import Observability
-from repro.obs.slo import SloMonitor
+from repro.obs.slo import CLUSTER_SLOS, SloMonitor
 from repro.scenarios.base import Scenario, ScenarioRun, register
 
 
@@ -37,8 +37,7 @@ class ClusterScale(Scenario):
     per-title viewers as one admission batch.  ``kill_node`` (an index,
     or None for no failure) dies at chunk boundary ``kill_chunk`` and
     every session it was serving is re-admitted onto the least-loaded
-    surviving replica.  ``scope_nodes=False`` reproduces the legacy flat
-    observability sharing (the federation tests' reference).
+    surviving replica.
     """
 
     name = "cluster-scale"
@@ -66,7 +65,6 @@ class ClusterScale(Scenario):
     chunks: int = 1
     kill_node: Optional[int] = None
     kill_chunk: int = 2
-    scope_nodes: bool = True
 
     def cell_id(self) -> str:
         return (
@@ -109,7 +107,6 @@ class ClusterScale(Scenario):
             clients=[f"client-{i}" for i in range(self.sessions)],
             obs=obs,
             fault_plan=plan,
-            scope_nodes=self.scope_nodes,
         )
         window = cluster.nodes[0].server.batch_window
         rng = random.Random(self.seed)

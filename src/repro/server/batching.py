@@ -84,7 +84,7 @@ def group_into_batches(
     requests: Sequence[OpenSessionRequest],
     window: float,
     enabled: bool = True,
-    tracer=None,
+    rec=None,
 ) -> List[RequestBatch]:
     """Partition open requests into admission batches.
 
@@ -94,9 +94,10 @@ def group_into_batches(
     batch.  With ``enabled=False`` (or ``window=0``) every request is
     its own batch — the per-request admission baseline.
 
-    With a span *tracer*, each multi-member batch records one
-    ``server.batch`` span covering leader arrival → last member arrival
-    (the window the batch actually spanned).
+    Every batch formed — of any size — is reported to *rec* (the
+    server's :class:`~repro.obs.recorder.ServiceRecorder`, or None) with
+    its leader arrival → last member arrival, the window it actually
+    spanned.
 
     Returns batches ordered by admit time (leader arrival), ties broken
     by leader submission order.
@@ -126,12 +127,10 @@ def group_into_batches(
         )
         for members in batches
     ]
-    if tracer is not None and tracer.enabled:
+    if rec is not None:
         for batch in result:
-            span = tracer.start_span(
-                "server.batch",
-                batch.admit_time,
-                attrs={"rope": batch.key.rope_id, "size": batch.size},
+            rec.batch_formed(
+                batch.key.rope_id, batch.size, batch.admit_time,
+                batch.requests[-1].arrival,
             )
-            tracer.end_span(span, batch.requests[-1].arrival)
     return result

@@ -54,7 +54,7 @@ from repro.errors import (
     UnknownRopeError,
 )
 from repro.faults.recovery import RecoveryPolicy
-from repro.obs.registry import BATCH_SIZE_BUCKETS
+from repro.obs.recorder import recorder_for
 from repro.rope.server import (
     MultimediaRopeServer,
     RequestState,
@@ -125,9 +125,6 @@ class MediaServer:
         *requires* the cache (shared reads are realized through it), so
         with the cache disabled every request is admitted individually
         regardless of ``batch_window``.
-    cache_hit_time:
-        Simulated seconds a cache hit costs (default 0.0 — no
-        disk-round budget).
     requeue_limit:
         How many times an admission-rejected open is re-queued to the
         back of the admission queue before the refusal is final.
@@ -143,7 +140,6 @@ class MediaServer:
         architecture: Architecture = Architecture.PIPELINED,
         batch_window: float = 0.25,
         cache_blocks: int = 128,
-        cache_hit_time: float = 0.0,
         requeue_limit: int = 0,
         recovery: Optional[RecoveryPolicy] = None,
         tracer: Optional[Tracer] = None,
@@ -168,14 +164,9 @@ class MediaServer:
         self.recovery = recovery
         self.tracer = tracer
         self.obs = obs if obs is not None else mrs.msm.obs
-        #: Span tracer for causal request traces (None when unobserved).
-        self._spans = None
-        if self.obs is not None:
-            if self.obs.tracer.enabled:
-                self._spans = self.obs.tracer
-            if tracer is not None:
-                self.obs.attach_sim_tracer(tracer)
-        self.channel = RpcChannel("mrs-msm", tracer=self._spans)
+        #: What the request path reports to (None when unobserved).
+        self._rec = recorder_for(self.obs, "server")
+        self.channel = RpcChannel("mrs-msm", rec=self._rec)
         #: Admission calls cross the MRS↔MSM boundary through this stub,
         #: so every batch admission is logged with marshalled sizes (the
         #: stub targets the MSM's public surface, whose admit/release
@@ -183,10 +174,7 @@ class MediaServer:
         self._admission = stub_for(mrs.msm, self.channel)
         if cache_blocks:
             self.cache: Optional[BlockCache] = BlockCache(cache_blocks)
-            self._drive = CachedDrive(
-                mrs.msm.drive, self.cache,
-                hit_time=cache_hit_time, obs=self.obs,
-            )
+            self._drive = CachedDrive(mrs.msm.drive, self.cache, obs=self.obs)
         else:
             self.cache = None
             self._drive = mrs.msm.drive
@@ -196,50 +184,6 @@ class MediaServer:
         self._sessions: Dict[str, _Session] = {}
         self._session_ids = itertools.count(1)
         self._epoch_queue: List[str] = []
-        self._batches_formed = 0
-        if self.obs is not None:
-            registry = self.obs.registry
-            self._obs_opened = registry.counter("server.sessions_opened")
-            self._obs_rejected = registry.counter("server.sessions_rejected")
-            self._obs_batches = registry.counter("server.batches")
-            self._obs_batch_size = registry.histogram(
-                "server.batch_size", BATCH_SIZE_BUCKETS
-            )
-        else:
-            self._obs_opened = None
-
-    # -- span helpers -------------------------------------------------------------
-
-    def _verb_span(
-        self, name: str, session: _Session, time: float, status: str = "ok"
-    ) -> None:
-        """Record an instantaneous lifecycle-verb span on the session's
-        trace (no-op when untraced or the session has no MRS request)."""
-        tracer = self._spans
-        if tracer is None or session.request_id is None:
-            return
-        parent = tracer.context_for(session.request_id)
-        span = tracer.start_span(
-            name, time, parent=parent, session=session.request_id
-        )
-        tracer.end_span(span, time, status=status)
-
-    def _end_request_span(
-        self, session: _Session, fallback_time: float, status: str
-    ) -> None:
-        """Close a session's root ``server.request`` span at the latest
-        simulated time its trace reached, and drop the binding."""
-        tracer = self._spans
-        if tracer is None or session.request_id is None:
-            return
-        root = tracer.context_for(session.request_id)
-        if root is None:
-            return
-        end = max(
-            fallback_time, tracer.latest_end(root.trace_id, root.start)
-        )
-        tracer.end_span(root, end, status=status)
-        tracer.unbind(session.request_id)
 
     # -- public API: lifecycle verbs --------------------------------------------
 
@@ -261,7 +205,8 @@ class MediaServer:
             )
         session.state = SessionState.PLAYING
         self._epoch_queue.append(session.session_id)
-        self._verb_span("server.play", session, request.arrival)
+        if self._rec is not None:
+            self._rec.verb_applied(session.request_id, "play", request.arrival)
         return session.status()
 
     def pause(self, request: PauseRequest) -> SessionStatus:
@@ -276,10 +221,11 @@ class MediaServer:
         if request.destructive:
             self._release_resources(session)
         session.state = SessionState.PAUSED
-        self._verb_span(
-            "server.pause", session, request.arrival,
-            status="destructive" if request.destructive else "ok",
-        )
+        if self._rec is not None:
+            self._rec.verb_applied(
+                session.request_id, "pause", request.arrival,
+                "destructive" if request.destructive else "ok",
+            )
         return session.status()
 
     def resume(self, request: ResumeRequest) -> SessionStatus:
@@ -299,42 +245,27 @@ class MediaServer:
             descriptor = self.mrs.msm.descriptor_for_media(
                 session.media.includes_video
             )
-            admit_span = None
-            tracer = self._spans
-            if tracer is not None and session.request_id is not None:
-                admit_span = tracer.start_span(
-                    "server.admit",
-                    request.arrival,
-                    parent=tracer.context_for(session.request_id),
-                    session=session.request_id,
-                    attrs={"path": "resume"},
-                )
+            rec, rid, now = self._rec, session.request_id, request.arrival
+            carry = (
+                rec.admission_begun(rid, now, "resume")
+                if rec is not None else {}
+            )
             try:
-                if admit_span is not None:
-                    decision = self._admission.admit(
-                        descriptor,
-                        trace=admit_span.wire(request.arrival),
-                    )
-                else:
-                    decision = self._admission.admit(descriptor)
+                decision = self._admission.admit(descriptor, **carry)
             except AdmissionRejected as rejected:
                 session.state = SessionState.REJECTED
-                session.reject = self._classify(rejected)
-                if tracer is not None:
-                    tracer.end_span(
-                        admit_span, request.arrival, status="rejected"
-                    )
-                self._record_reject(session.reject)
-                self._end_request_span(
-                    session, request.arrival, "rejected"
-                )
+                session.reject = RejectReason(rejected.cause)
+                if rec is not None:
+                    rec.admission_decided(now, "rejected")
+                    rec.request_closed(rid, now, "rejected", rejected.cause)
                 return session.status()
-            if tracer is not None:
-                tracer.end_span(admit_span, request.arrival)
+            if rec is not None:
+                rec.admission_decided(now)
             session.admission_id = decision.request_id
         session.state = SessionState.PLAYING
         self._epoch_queue.append(session.session_id)
-        self._verb_span("server.resume", session, request.arrival)
+        if self._rec is not None:
+            self._rec.verb_applied(session.request_id, "resume", request.arrival)
         return session.status()
 
     def stop(self, request: StopRequest) -> SessionStatus:
@@ -342,12 +273,15 @@ class MediaServer:
         session = self._session(request.session_id)
         if session.state in (SessionState.STOPPED, SessionState.REJECTED):
             return session.status()
-        self._verb_span("server.stop", session, request.arrival)
+        rec, rid = self._rec, session.request_id
+        if rec is not None:
+            rec.verb_applied(rid, "stop", request.arrival)
         self._dequeue(session)
         self._release_resources(session)
         self._finalize_request(session)
         session.state = SessionState.STOPPED
-        self._end_request_span(session, request.arrival, "stopped")
+        if rec is not None:
+            rec.request_closed(rid, request.arrival, "stopped")
         return session.status()
 
     def status(self, session_id: str) -> SessionStatus:
@@ -388,8 +322,7 @@ class MediaServer:
         touched: List[str] = []
         rejects: List[OpenSessionResponse] = []
         batches = group_into_batches(
-            opens, self.batch_window, enabled=self.batching,
-            tracer=self._spans,
+            opens, self.batch_window, enabled=self.batching, rec=self._rec
         )
         queue: List[Tuple[RequestBatch, int]] = [(b, 0) for b in batches]
         position = 0
@@ -440,7 +373,7 @@ class MediaServer:
             rejects=tuple(rejects),
             rounds=epoch["rounds"],
             k_used=epoch["k_used"],
-            batches=self._count_batches(batches),
+            batches=len(batches),
             cache_stats=(
                 self.cache.stats.as_dict() if self.cache is not None else {}
             ),
@@ -460,8 +393,8 @@ class MediaServer:
         try:
             rope = self.mrs.get_rope(leader_req.rope_id)
         except UnknownRopeError:
-            return self._reject_batch(
-                batch, RejectReason.UNKNOWN_ROPE, requeues,
+            return self._reject_all(
+                batch.requests, RejectReason.UNKNOWN_ROPE, requeues,
                 f"no rope {leader_req.rope_id!r}",
             )
         denied: List[OpenSessionResponse] = []
@@ -470,11 +403,8 @@ class MediaServer:
             try:
                 rope.check_play(member.client_id)
             except AccessDenied as error:
-                denied.append(
-                    self._rejection(
-                        member, RejectReason.ACCESS_DENIED, requeues,
-                        str(error),
-                    )
+                denied += self._reject_all(
+                    [member], RejectReason.ACCESS_DENIED, requeues, str(error)
                 )
             else:
                 allowed.append(member)
@@ -490,27 +420,15 @@ class MediaServer:
                 media=leader_req.media,
             )
         except IntervalError as error:
-            return denied + [
-                self._rejection(
-                    member, RejectReason.EMPTY_INTERVAL, requeues, str(error)
-                )
-                for member in allowed
-            ]
-        tracer = self._spans
-        leader_span = None
-        if tracer is not None:
-            leader_span = tracer.start_span(
-                "server.request",
-                batch.admit_time,
-                session=leader_rid,
-                attrs={
-                    "rope": leader_req.rope_id,
-                    "client": leader_req.client_id,
-                    "batch_size": len(allowed),
-                },
+            return denied + self._reject_all(
+                allowed, RejectReason.EMPTY_INTERVAL, requeues, str(error)
             )
-            if leader_span is not None:
-                tracer.bind(leader_rid, leader_span)
+        rec, now = self._rec, batch.admit_time
+        if rec is not None:
+            rec.request_opened(
+                leader_rid, now, rope=leader_req.rope_id,
+                client=leader_req.client_id, batch_size=len(allowed),
+            )
         playback = self._playback_session()
         slots = tuple(
             f.slot
@@ -527,62 +445,41 @@ class MediaServer:
             # Every block is already resident: the session consumes no
             # disk-round budget, so it bypasses the §3.4 controller.
             cache_admitted = True
-            self._audit_cache_admit(batch, slots)
-            if leader_span is not None:
-                admit_span = tracer.start_span(
-                    "server.admit",
-                    batch.admit_time,
-                    parent=leader_span,
-                    attrs={"path": "cache", "slots": len(set(slots))},
+            if rec is not None:
+                rec.cache_admitted(
+                    leader_rid, now, batch.key.rope_id, len(set(slots))
                 )
-                tracer.end_span(admit_span, batch.admit_time)
         else:
             descriptor = self.mrs.msm.descriptor_for_media(
                 leader_req.media.includes_video
             )
-            admit_span = None
-            if leader_span is not None:
-                admit_span = tracer.start_span(
-                    "server.admit",
-                    batch.admit_time,
-                    parent=leader_span,
-                    attrs={"path": "controller"},
-                )
+            carry = (
+                rec.admission_begun(leader_rid, now, "controller")
+                if rec is not None else {}
+            )
             try:
-                if admit_span is not None:
-                    decision = self._admission.admit(
-                        descriptor,
-                        trace=admit_span.wire(batch.admit_time),
-                    )
-                else:
-                    decision = self._admission.admit(descriptor)
+                decision = self._admission.admit(descriptor, **carry)
             except AdmissionRejected as rejected:
                 self.mrs.stop(leader_rid)
                 will_requeue = (
                     allow_requeue and requeues < self.requeue_limit
                 )
-                if tracer is not None:
+                if rec is not None:
                     status = "requeued" if will_requeue else "rejected"
-                    tracer.end_span(
-                        admit_span, batch.admit_time, status=status
-                    )
-                    tracer.end_span(
-                        leader_span, batch.admit_time, status=status
-                    )
-                    tracer.unbind(leader_rid)
+                    rec.admission_decided(now, status)
+                    rec.request_closed(leader_rid, now, status)
                 if will_requeue:
                     return None
                 reason = (
                     RejectReason.QUEUE_FULL
                     if requeues
-                    else self._classify(rejected)
+                    else RejectReason(rejected.cause)
                 )
-                return denied + [
-                    self._rejection(member, reason, requeues, str(rejected))
-                    for member in allowed
-                ]
-            if tracer is not None:
-                tracer.end_span(admit_span, batch.admit_time)
+                return denied + self._reject_all(
+                    allowed, reason, requeues, str(rejected)
+                )
+            if rec is not None:
+                rec.admission_decided(now)
             admission_id = decision.request_id
             request = self.mrs.get_request(leader_rid)
             request.admission_id = admission_id
@@ -609,25 +506,17 @@ class MediaServer:
             follower.cache_admitted = cache_admitted
             members.append(follower)
             leader.followers.append(follower.session_id)
-            if tracer is not None:
-                follower_span = tracer.start_span(
-                    "server.request",
-                    batch.admit_time,
-                    session=follower_rid,
-                    attrs={
-                        "rope": follower_req.rope_id,
-                        "client": follower_req.client_id,
-                        "batch_leader": leader.session_id,
-                    },
+            if rec is not None:
+                rec.request_opened(
+                    follower_rid, now, rope=follower_req.rope_id,
+                    client=follower_req.client_id,
+                    batch_leader=leader.session_id,
                 )
-                if follower_span is not None:
-                    tracer.bind(follower_rid, follower_span)
-        self._batches_formed += 1
-        self._audit_batch(batch, leader, cache_admitted, requeues)
-        if self._obs_opened is not None:
-            self._obs_opened.inc(len(members))
-            self._obs_batches.inc()
-            self._obs_batch_size.observe(len(members))
+        if rec is not None:
+            rec.batch_admitted(
+                batch.key.rope_id, batch.size, len(members),
+                leader.session_id, cache_admitted, requeues,
+            )
         responses = list(denied)
         for member, request in zip(members, allowed):
             if request.auto_play:
@@ -648,131 +537,55 @@ class MediaServer:
     def _create_session(
         self,
         request: OpenSessionRequest,
-        request_id: str,
-        admit_time: float,
+        request_id: Optional[str],
+        arrival: float,
         requeues: int,
+        reject: Optional[RejectReason] = None,
     ) -> _Session:
         session = _Session(
             session_id=f"C{next(self._session_ids):04d}",
             client_id=request.client_id,
             rope_id=request.rope_id,
             request_id=request_id,
-            state=SessionState.OPEN,
-            arrival=admit_time,
+            state=(
+                SessionState.OPEN if reject is None else SessionState.REJECTED
+            ),
+            arrival=arrival,
             requeues=requeues,
             media=request.media,
+            reject=reject,
         )
         self._sessions[session.session_id] = session
         return session
 
-    def _rejection(
+    def _reject_all(
         self,
-        request: OpenSessionRequest,
-        reason: RejectReason,
-        requeues: int,
-        detail: str,
-    ) -> OpenSessionResponse:
-        session = _Session(
-            session_id=f"C{next(self._session_ids):04d}",
-            client_id=request.client_id,
-            rope_id=request.rope_id,
-            request_id=None,
-            state=SessionState.REJECTED,
-            arrival=request.arrival,
-            requeues=requeues,
-            media=request.media,
-            reject=reason,
-        )
-        self._sessions[session.session_id] = session
-        self._record_reject(reason)
-        if self._spans is not None:
-            span = self._spans.start_span(
-                "server.request",
-                request.arrival,
-                session=session.session_id,
-                attrs={"rope": request.rope_id, "reject": reason.value},
-            )
-            self._spans.end_span(span, request.arrival, status="rejected")
-        return OpenSessionResponse(
-            session_id=session.session_id,
-            accepted=False,
-            reject=reason,
-            requeues=requeues,
-            detail=detail,
-        )
-
-    def _record_reject(self, reason: RejectReason) -> None:
-        """Count a refusal, both in aggregate and by typed reason (the
-        per-reason counters feed the reject-rate SLOs)."""
-        if self._obs_opened is not None:
-            self._obs_rejected.inc()
-            self.obs.registry.counter(
-                f"server.reject.{reason.value}"
-            ).inc()
-
-    def _reject_batch(
-        self,
-        batch: RequestBatch,
+        members: Sequence[OpenSessionRequest],
         reason: RejectReason,
         requeues: int,
         detail: str,
     ) -> List[OpenSessionResponse]:
-        return [
-            self._rejection(member, reason, requeues, detail)
-            for member in batch.requests
-        ]
-
-    @staticmethod
-    def _classify(rejected: AdmissionRejected) -> RejectReason:
-        """Map a controller refusal to its typed reason."""
-        if "operating bound" in str(rejected):
-            return RejectReason.K_BOUND
-        return RejectReason.CAPACITY
-
-    def _audit_batch(
-        self,
-        batch: RequestBatch,
-        leader: _Session,
-        cache_admitted: bool,
-        requeues: int,
-    ) -> None:
-        """Log the batch verdict: one physical stream serves the batch."""
-        if self.obs is None:
-            return
-        self.obs.audit.record(
-            "admit",
-            f"batch(rope={batch.key.rope_id},n={batch.size})",
-            "physical_streams <= batch_size",
-            {
-                "batch_size": float(batch.size),
-                "physical_streams": 1.0,
-                "cache_admitted": float(cache_admitted),
-                "requeues": float(requeues),
-            },
-            satisfied=True,
-            detail=(
-                f"leader {leader.session_id} "
-                f"({'cache' if cache_admitted else 'controller'}-admitted), "
-                f"{batch.size - 1} follower(s) share its reads"
-            ),
-        )
-
-    def _audit_cache_admit(
-        self, batch: RequestBatch, slots: Tuple[int, ...]
-    ) -> None:
-        """Log a cache admission: residency stands in for disk budget."""
-        if self.obs is None:
-            return
-        planned = len(set(slots))
-        self.obs.audit.record(
-            "admit",
-            f"cache(rope={batch.key.rope_id})",
-            "resident >= planned",
-            {"resident": float(planned), "planned": float(planned)},
-            satisfied=True,
-            detail=f"{planned} slot(s) resident and pinned; "
-            "no disk-round budget consumed",
-        )
+        """Refuse every one of *members* for the same typed *reason*."""
+        responses = []
+        for request in members:
+            session = self._create_session(
+                request, None, request.arrival, requeues, reason
+            )
+            if self._rec is not None:
+                self._rec.request_rejected(
+                    session.session_id, request.arrival, request.rope_id,
+                    reason.value,
+                )
+            responses.append(
+                OpenSessionResponse(
+                    session_id=session.session_id,
+                    accepted=False,
+                    reject=reason,
+                    requeues=requeues,
+                    detail=detail,
+                )
+            )
+        return responses
 
     # -- epoch execution -----------------------------------------------------------
 
@@ -808,12 +621,15 @@ class MediaServer:
         t0 = min(self._sessions[sid].arrival for sid in queue)
         initial: List[str] = []
         later: List[Tuple[int, str]] = []
+        #: Each session is planned once; the same sequence is reported
+        #: in ``block_sequences`` and streamed by the round service.
+        fetches: Dict[str, List] = {}
         sequences: Dict[str, Tuple[Optional[int], ...]] = {}
         for sid in queue:
             session = self._sessions[sid]
-            sequences[sid] = tuple(
-                f.slot for f in playback.fetch_sequence(session.request_id)
-            )
+            planned = playback.fetch_sequence(session.request_id)
+            fetches[session.request_id] = planned
+            sequences[sid] = tuple(f.slot for f in planned)
             round_number = int((session.arrival - t0) / period)
             if round_number <= 0:
                 initial.append(session.request_id)
@@ -826,7 +642,7 @@ class MediaServer:
         self.mrs.msm.drive = self._drive
         try:
             result = playback.run(
-                initial, k=k, admissions=later,
+                initial, k=k, admissions=later, fetches=fetches
             )
         finally:
             self.mrs.msm.drive = original_drive
@@ -840,12 +656,11 @@ class MediaServer:
             session.state = SessionState.COMPLETED
             self._release_resources(session)
             self._finalize_request(session)
-            self._end_request_span(
-                session,
-                session.arrival,
-                "ok" if not (session.misses or session.skips)
-                else "degraded",
-            )
+            if self._rec is not None:
+                self._rec.request_closed(
+                    session.request_id, session.arrival,
+                    "degraded" if session.misses or session.skips else "ok",
+                )
         return {
             "played": queue,
             "rounds": result.rounds,
@@ -876,22 +691,13 @@ class MediaServer:
         to release.
         """
         if session.admission_id is not None:
-            root = None
-            if self._spans is not None and session.request_id is not None:
-                root = self._spans.context_for(session.request_id)
-            if root is not None:
-                release_time = self._spans.latest_end(
-                    root.trace_id, root.start
-                )
-                self._admission.release(
-                    session.admission_id,
-                    trace=root.wire(release_time),
-                )
-            else:
-                self._admission.release(session.admission_id)
+            carry = (
+                self._rec.release_carry(session.request_id)
+                if self._rec is not None else {}
+            )
+            self._admission.release(session.admission_id, **carry)
             session.admission_id = None
-            if session.request_id is not None:
-                self.mrs.get_request(session.request_id).admission_id = None
+            self.mrs.get_request(session.request_id).admission_id = None
         if session.pinned and self.cache is not None:
             self.cache.unpin(session.pinned)
             session.pinned = ()
@@ -903,9 +709,6 @@ class MediaServer:
         request = self.mrs.get_request(session.request_id)
         if request.state is not RequestState.STOPPED:
             self.mrs.stop(session.request_id)
-
-    def _count_batches(self, batches: Sequence[RequestBatch]) -> int:
-        return len(batches)
 
 
 def build_media_server(

@@ -81,18 +81,17 @@ def estimate_bytes(value: Any) -> int:
 class RpcChannel:
     """Call log and policy enforcement for one layer boundary.
 
-    With a span *tracer* attached, any call carrying a ``trace`` keyword
-    (a :meth:`repro.obs.tracing.Span.wire` context dict — marshalled and
-    size-counted like every other argument) is wrapped in an
-    ``rpc.<method>`` span, and the trace field the callee receives is
-    rewritten to that span's own context — so the caller's span parents
-    the RPC span, which parents whatever the callee opens, and one
-    session's trace stays a single connected tree across the boundary.
+    Given a recorder *rec* (:func:`repro.obs.recorder.recorder_for`), any
+    call carrying a ``trace`` keyword (a marshalled span context —
+    size-counted like every other argument) is reported to it, and the
+    trace field the callee receives is the one the recorder hands back —
+    so one session's trace stays a single connected tree across the
+    boundary.
     """
 
-    def __init__(self, name: str, tracer: Any = None):
+    def __init__(self, name: str, rec: Any = None):
         self.name = name
-        self.tracer = tracer
+        self._rec = rec
         self.calls: List[RpcCall] = []
 
     def invoke(
@@ -109,32 +108,18 @@ class RpcChannel:
             raise ParameterError(
                 f"{method!r} on {type(target).__name__} is not callable"
             )
-        span = None
-        trace = kwargs.get("trace")
-        if (
-            trace is not None
-            and self.tracer is not None
-            and self.tracer.enabled
-        ):
-            send_time = float(trace.get("time", 0.0))
-            span = self.tracer.start_span(
-                f"rpc.{method}",
-                send_time,
-                parent=trace,
-                attrs={"channel": self.name},
-            )
-            if span is not None:
-                kwargs = dict(kwargs)
-                kwargs["trace"] = span.wire(send_time)
+        rec, span = self._rec, None
+        if rec is not None and kwargs.get("trace") is not None:
+            span, kwargs = rec.rpc_begun(self.name, method, kwargs)
         argument_bytes = estimate_bytes(list(args)) + estimate_bytes(kwargs)
         try:
             result = bound(*args, **kwargs)
         except Exception:
             if span is not None:
-                self.tracer.end_span(span, span.start, status="error")
+                rec.rpc_ended(span, failed=True)
             raise
         if span is not None:
-            self.tracer.end_span(span, span.start)
+            rec.rpc_ended(span)
         self.calls.append(
             RpcCall(
                 method=method,

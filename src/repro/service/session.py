@@ -138,9 +138,12 @@ class PlaybackSession:
         return getattr(request, "session_id", request)
 
     def _stream_for(
-        self, request_id: str, k: int
+        self, request, k: int, planned: Dict[str, List]
     ) -> StreamState:
-        fetches = self.fetch_sequence(request_id)
+        request_id = self._request_id_of(request)
+        fetches = planned.get(request_id)
+        if fetches is None:
+            fetches = self.fetch_sequence(request_id)
         capacity = buffers_for_average_continuity(self.architecture, k)
         return StreamState(
             request_id=request_id,
@@ -190,6 +193,7 @@ class PlaybackSession:
         k: Optional[int] = None,
         admissions: Sequence[Tuple[int, str]] = (),
         k_schedule: Optional[Callable[[int, int], int]] = None,
+        fetches: Optional[Dict[str, List]] = None,
     ) -> SessionResult:
         """Service *request_ids* from round 0 (+ later admissions) to done.
 
@@ -207,6 +211,10 @@ class PlaybackSession:
             request may likewise be a :class:`~repro.api.PlayRequest`.
         k_schedule:
             Full override of the per-round k (wins over *k*).
+        fetches:
+            Request id → its :meth:`fetch_sequence`, for callers that
+            already derived it (the media server plans each session once
+            per epoch); any request not in it is planned here.
         """
         controller = self.server.msm.admission
         if k is None:
@@ -214,13 +222,12 @@ class PlaybackSession:
         if k_schedule is None:
             def k_schedule(round_number: int, active: int) -> int:
                 return k
-        initial = [
-            self._stream_for(self._request_id_of(r), k) for r in request_ids
-        ]
+        planned = fetches or {}
+        initial = [self._stream_for(r, k, planned) for r in request_ids]
         later = [
             Admission(
                 round_number=round_number,
-                stream=self._stream_for(self._request_id_of(r), k),
+                stream=self._stream_for(r, k, planned),
             )
             for round_number, r in admissions
         ]

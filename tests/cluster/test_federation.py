@@ -1,14 +1,15 @@
 """Per-node observability federation tests.
 
-The federation's acceptance bar is *equivalence*: handing each node a
-:class:`~repro.obs.ScopedObservability` view instead of the flat shared
-handle must change nothing observable at the cluster level — the parent
-snapshot is byte-identical, and :func:`~repro.obs.merge_snapshots` over
-every scoped view (nodes plus the router's ``"cluster"`` scope)
-reproduces the flat run's shared counters exactly.  Histogram bucket
-counts merge exactly too; only the float ``sum`` fields are compared
-with a tolerance, because per-node partial sums re-add in a different
-association order than flat interleaved accumulation.
+The federation's promise is *equivalence within one run*: every node
+reports through a :class:`~repro.obs.ScopedObservability` view and the
+router through the ``"cluster"`` scope, and
+:func:`~repro.obs.merge_snapshots` over every view reproduces that same
+run's shared registry exactly — counters, timer calls and histogram
+bucket counts; only the float ``sum`` fields are compared with a
+tolerance, because per-node partial sums re-add in a different
+association order than interleaved accumulation.  (Byte-identity with
+the flat, pre-federation wiring is pinned by the ``cluster-scale/*``
+export digests, generated in that era.)
 
 On top of equivalence, the federation must *add* information: per-node
 labeled ``cluster.*`` counters, per-node metric breakdowns, node-level
@@ -16,7 +17,6 @@ profiler attribution, and causally connected cross-node handoff
 traces.
 """
 
-import json
 import math
 
 import pytest
@@ -34,55 +34,25 @@ def scoped_run():
     return scenario.run(scenario.observability(profile=True))
 
 
-@pytest.fixture(scope="module")
-def flat_run():
-    scenario = get("cluster-scale").smoke(seed=SEED, scope_nodes=False)
-    return scenario.run(scenario.observability(profile=True))
-
-
 class TestFlatEquivalence:
-    def test_parent_snapshots_are_byte_identical(
-        self, scoped_run, flat_run
-    ):
-        # The profile section's per-node/per-drive maps are exactly the
-        # information federation adds, so they differ by design; every
-        # shared surface (metrics, timeline, audit, spans, SLOs) must
-        # serialize byte-identically.
-        scoped = scoped_run.obs.snapshot_dict()
-        flat = flat_run.obs.snapshot_dict()
-        scoped_profile = scoped.pop("profile")
-        flat_profile = flat.pop("profile")
-        assert json.dumps(scoped, sort_keys=True) == (
-            json.dumps(flat, sort_keys=True)
-        )
-        # Cluster-wide phase totals still agree exactly.
-        assert scoped_profile["phases"] == flat_profile["phases"]
-        assert scoped_profile["top"] == flat_profile["top"]
-
-    def test_serve_results_are_identical(self, scoped_run, flat_run):
-        assert scoped_run.result == flat_run.result
-
-    def test_merged_views_reproduce_flat_shared_counters(
-        self, scoped_run, flat_run
-    ):
+    def test_merged_views_reproduce_flat_shared_counters(self, scoped_run):
         merged = scoped_run.obs.merged_node_snapshot_dict()
-        flat = flat_run.obs.registry.snapshot_dict()
-        assert merged["metrics"]["counters"] == flat["counters"]
+        shared = scoped_run.obs.registry.snapshot_dict()
+        assert shared["counters"]["cluster.handoffs_total"] > 0
+        assert merged["metrics"]["counters"] == shared["counters"]
         assert merged["metrics"]["timers"].keys() == (
-            flat["timers"].keys()
+            shared["timers"].keys()
         )
         for name, entry in merged["metrics"]["timers"].items():
-            assert entry["calls"] == flat["timers"][name]["calls"]
+            assert entry["calls"] == shared["timers"][name]["calls"]
 
-    def test_merged_histograms_match_bucketwise(
-        self, scoped_run, flat_run
-    ):
+    def test_merged_histograms_match_bucketwise(self, scoped_run):
         merged = scoped_run.obs.merged_node_snapshot_dict()
-        flat = flat_run.obs.registry.snapshot_dict()
+        shared = scoped_run.obs.registry.snapshot_dict()
         histograms = merged["metrics"]["histograms"]
-        assert histograms.keys() == flat["histograms"].keys()
+        assert histograms.keys() == shared["histograms"].keys()
         for name, data in histograms.items():
-            expected = flat["histograms"][name]
+            expected = shared["histograms"][name]
             assert data["buckets"] == list(expected["buckets"]), name
             assert data["counts"] == list(expected["counts"]), name
             assert data["count"] == expected["count"], name

@@ -4,10 +4,13 @@
 ``obs.snapshot()`` and of the sorted-key Chrome trace for each
 registered scenario at ``smoke()`` size (seeds 0 and 7, with and without
 the profiler), the bare ``scale`` loop under each observability preset,
-and a few larger fixtures that reach the sampled finalize walk.  The
-digests were generated before the hot path was moved behind the
-recorder seam, so any refactor of the loop, drive, cache or fault
-recovery that changes one byte of any export fails here.  Regenerate
+a few larger fixtures that reach the sampled finalize walk, and the
+``request/*`` fixtures that drive the request path (lifecycle verbs,
+typed overload, router rejects, stranded handoffs) where the smoke
+scenarios never go.  Each digest was generated before the code it pins
+was moved behind the recorder seam, so any refactor of the loop, drive,
+cache, fault recovery, server, router, RPC channel or storage manager
+that changes one byte of any export fails here.  Regenerate
 intentionally with ``pytest --regen-golden``.
 """
 
@@ -16,8 +19,19 @@ import json
 
 import pytest
 
+from repro.api import (
+    OpenSessionRequest,
+    PauseRequest,
+    PlayRequest,
+    ResumeRequest,
+    StopRequest,
+)
+from repro.cluster.router import build_cluster
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.obs import Observability
 from repro.scenarios import REGISTRY, get
+from repro.scenarios.server import record_strands
+from repro.server.media_server import build_media_server
 
 pytestmark = pytest.mark.golden
 
@@ -75,6 +89,123 @@ def _sampled_fixtures():
     )
 
 
+def _open(client, rope, arrival, **extra):
+    return OpenSessionRequest(client, rope, arrival=arrival, **extra)
+
+
+def lifecycle_fixture(obs):
+    """Verb by verb on one server at ``n_max = 3``: a destructive pause
+    re-admitted on resume, a second one whose slot a new open took
+    meanwhile (the resume is *rejected*), a plain pause/resume, a stop,
+    and the epoch that plays out whoever is left."""
+    server = build_media_server(obs, cache_blocks=64, batch_window=0.0)
+    ropes = record_strands(server.mrs, 4, 1.0, ["viewer"], "life")
+    first, second, third = (
+        server.open(
+            _open("viewer", rope, 0.01 * index, auto_play=False)
+        ).session_id
+        for index, rope in enumerate(ropes[:3])
+    )
+    for session_id in (first, second, third):
+        server.play(PlayRequest(session_id, arrival=0.05))
+    server.pause(PauseRequest(first, arrival=0.06, destructive=True))
+    readmitted = server.resume(ResumeRequest(first, arrival=0.07))
+    server.pause(PauseRequest(second, arrival=0.08, destructive=True))
+    fourth = server.open(
+        _open("viewer", ropes[3], 0.09, auto_play=False)
+    ).session_id
+    refused = server.resume(ResumeRequest(second, arrival=0.10))
+    server.play(PlayRequest(fourth, arrival=0.11))
+    server.pause(PauseRequest(fourth, arrival=0.12))
+    server.resume(ResumeRequest(fourth, arrival=0.13))
+    server.stop(StopRequest(third, arrival=0.14))
+    return readmitted, refused, server.serve([])
+
+
+def overload_fixture(obs):
+    """Typed overload on a full server with ``requeue_limit=1``: a direct
+    open refused CAPACITY, then one serve() holding a two-member batch
+    (plus a denied third member), a batch that is requeued and finally
+    QUEUE_FULL, and UNKNOWN_ROPE / ACCESS_DENIED / EMPTY_INTERVAL; a
+    last epoch plays the held sessions beside a cache-admitted open."""
+    server = build_media_server(
+        obs, cache_blocks=64, batch_window=0.25, requeue_limit=1
+    )
+    ropes = record_strands(
+        server.mrs, 5, 1.0, ["viewer", "friend"], "over"
+    )
+    held = [
+        server.open(_open("viewer", rope, 0.0, auto_play=False))
+        for rope in ropes[:3]
+    ]
+    rejects = [server.open(_open("viewer", ropes[3], 0.0))]
+    server.stop(StopRequest(held[2].session_id, arrival=0.0))
+    rejects.extend(server.serve([
+        _open("viewer", ropes[2], 0.01),
+        _open("friend", ropes[2], 0.02),
+        _open("stranger", ropes[2], 0.03),
+        _open("viewer", ropes[3], 0.04),
+        _open("viewer", "R9999", 0.05),
+        _open("stranger", ropes[0], 0.06),
+        _open("viewer", ropes[4], 0.07, start=5.0),
+    ]).rejects)
+    for response in held[:2]:
+        server.play(PlayRequest(response.session_id, arrival=2.0))
+    return rejects, server.serve([_open("friend", ropes[2], 2.0)])
+
+
+def stranded_cluster_fixture(obs):
+    """Single-replica titles on two-stream nodes: the router refuses an
+    unknown title and two opens with no replica slack, and killing
+    node-01 strands both of its sessions (no survivor holds T04; the
+    one holding T01 is full)."""
+    plan = FaultPlan(
+        [FaultSpec(kind=FaultKind.HEAD_FAILURE, at_op=1, drive_index=1)],
+        seed=0,
+    )
+    cluster, catalog = build_cluster(
+        nodes=3, titles=4, seconds=1.0, per_node_streams=2,
+        min_replicas=1, clients=[f"c{i}" for i in range(9)], obs=obs,
+        fault_plan=plan,
+    )
+    requests = [
+        _open(f"c{i}", catalog[i % 4].title_id, 0.01 * i) for i in range(8)
+    ]
+    requests.append(_open("c8", "T99", 0.005))
+    return cluster.serve(requests, chunks=3)
+
+
+def node_reject_cluster_fixture(obs):
+    """One cold node routed four distinct titles: its server's real
+    ``n_max = 3`` refuses the fourth batch, so the *node* rejects a
+    session the router had admitted."""
+    cluster, catalog = build_cluster(
+        nodes=1, titles=4, seconds=1.0, per_node_streams=8,
+        min_replicas=1, clients=[f"c{i}" for i in range(4)], obs=obs,
+        warm=False,
+    )
+    return cluster.serve(
+        [_open(f"c{i}", catalog[i].title_id, 0.01 * i) for i in range(4)],
+        chunks=2,
+    )
+
+
+#: name -> (the scenario whose observability preset it runs under, body).
+REQUEST_FIXTURES = {
+    "lifecycle": ("server-steady", lifecycle_fixture),
+    "overload": ("server-steady", overload_fixture),
+    "cluster-stranded": ("cluster-scale", stranded_cluster_fixture),
+    "cluster-node-reject": ("cluster-scale", node_reject_cluster_fixture),
+}
+
+
+def run_request_fixture(name: str, profile: bool = False):
+    """(observer, whatever the fixture returns) for one request fixture."""
+    preset, body = REQUEST_FIXTURES[name]
+    obs = REGISTRY[preset].smoke(seed=0).observability(profile=profile)
+    return obs, body(obs)
+
+
 def compute_digests() -> dict:
     digests = {}
     for name in sorted(REGISTRY):
@@ -100,6 +231,11 @@ def compute_digests() -> dict:
             obs = build(seed=scenario.seed)
             scenario.run(obs)
             digests[f"{key}/{label}"] = _export(obs)
+    for name in REQUEST_FIXTURES:
+        for profile in (False, True):
+            obs, _outcome = run_request_fixture(name, profile)
+            key = f"request/{name}/{'profiled' if profile else 'plain'}"
+            digests[key] = _export(obs)
     return digests
 
 
@@ -136,3 +272,55 @@ def test_fixture_reaches_both_definitions_of_consumption_end():
     }
     assert 64 in skipped
     assert obs.tracer.spans(name="fault.skip")
+
+
+def _statuses(obs, name):
+    return {span.status for span in obs.tracer.spans(name=name)}
+
+
+def test_request_fixtures_reach_what_the_smoke_scenarios_do_not():
+    """Each request fixture must actually produce the spans, statuses
+    and counters its digest is there to pin."""
+    from repro.api import RejectReason, SessionState
+
+    obs, (readmitted, refused, epoch) = run_request_fixture("lifecycle")
+    assert readmitted.state is SessionState.PLAYING
+    assert refused.state is SessionState.REJECTED
+    assert len(epoch.statuses) == 2
+    spans = obs.snapshot_dict()["spans"]["by_name"]
+    assert {"server.play", "server.pause", "server.resume",
+            "server.stop"} <= spans.keys()
+    assert {"rejected", "stopped", "ok"} == _statuses(obs, "server.request")
+    assert {"destructive", "ok"} == _statuses(obs, "server.pause")
+    resumes = [
+        span.status for span in obs.tracer.spans(name="server.admit")
+        if span.attrs["path"] == "resume"
+    ]
+    assert resumes == ["ok", "rejected"]
+
+    obs, (rejects, epoch) = run_request_fixture("overload")
+    assert {response.reject for response in rejects} == {
+        RejectReason.CAPACITY, RejectReason.QUEUE_FULL,
+        RejectReason.UNKNOWN_ROPE, RejectReason.ACCESS_DENIED,
+        RejectReason.EMPTY_INTERVAL,
+    }
+    assert "requeued" in _statuses(obs, "server.admit")
+    assert "requeued" in _statuses(obs, "server.request")
+    assert any(status.cache_admitted for status in epoch.statuses)
+    counters = obs.registry.snapshot_dict()["counters"]
+    assert counters["server.reject.queue_full"] == 1
+    assert counters["server.sessions_rejected"] == len(rejects) == 6
+
+    obs, result = run_request_fixture("cluster-stranded")
+    counters = obs.registry.snapshot_dict()["counters"]
+    assert counters["cluster.rejects.router"] == 3
+    assert counters["cluster.handoffs_stranded.node-01"] == 2
+    assert counters["server.reject.unknown_rope"] == 1
+    assert {"stranded"} == _statuses(obs, "cluster.handoff")
+    assert all(record.to_node is None for record in result.handoffs)
+
+    obs, result = run_request_fixture("cluster-node-reject")
+    counters = obs.registry.snapshot_dict()["counters"]
+    assert counters["cluster.rejects.node-00"] == 1
+    assert "cluster.rejects.router" not in counters
+    assert [r.reject for r in result.rejects] == [RejectReason.CAPACITY]

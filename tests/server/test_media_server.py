@@ -138,6 +138,41 @@ class TestTypedRejects:
             for r in rejected
         )
 
+    def test_reject_reason_follows_the_typed_cause_not_the_message(
+        self, server, monkeypatch
+    ):
+        """A reworded controller message must not turn an Eq.-18 refusal
+        into CAPACITY: the reason comes from ``AdmissionRejected.cause``."""
+        from repro.errors import AdmissionRejected
+
+        rope_id = _rope(server)
+        held = server.open(_open(rope_id, auto_play=False))
+        server.pause(PauseRequest(held.session_id, destructive=True))
+
+        def refuse(_descriptor):
+            raise AdmissionRejected("k too large, reworded", cause="k_bound")
+
+        monkeypatch.setattr(server.mrs.msm.admission, "admit", refuse)
+        assert server.open(_open(rope_id)).reject is RejectReason.K_BOUND
+        refused = server.serve([ResumeRequest(held.session_id)]).rejects
+        assert [r.reject for r in refused] == [RejectReason.K_BOUND]
+
+    def test_controller_raise_sites_set_the_cause(self, server):
+        from repro.errors import AdmissionRejected
+
+        controller = server.mrs.msm.admission
+        descriptor = server.mrs.msm.descriptor_for_media(True)
+        controller.max_k = 1
+        with pytest.raises(AdmissionRejected) as k_bound:
+            for _ in range(8):
+                controller.admit(descriptor)
+        assert k_bound.value.cause == "k_bound"
+        controller.max_k = 10_000
+        with pytest.raises(AdmissionRejected) as capacity:
+            for _ in range(8):
+                controller.admit(descriptor)
+        assert capacity.value.cause == "capacity"
+
     def test_requeue_budget_exhaustion_is_queue_full(self):
         obs = Observability()
         server = build_media_server(obs=obs, requeue_limit=2)
@@ -192,6 +227,31 @@ class TestBatchedServe:
         calls = server.channel.calls_by_method()
         assert calls.get("admit", 0) == 1
         assert calls.get("release", 0) == 1
+
+    def test_one_admission_path_traced_or_not(self):
+        """The same admit/release calls cross the channel observed or
+        not; only a traced call carries the marshalled ``trace`` field,
+        so an unobserved server's RPC bytes do not grow."""
+        logs = []
+        for obs in (None, Observability()):
+            server = build_media_server(obs=obs)
+            rope_id = _rope(server)
+            held = server.open(_open(rope_id, auto_play=False))
+            server.pause(PauseRequest(held.session_id, destructive=True))
+            server.resume(ResumeRequest(held.session_id))
+            server.serve([])
+            logs.append(server.channel.calls)
+        plain, traced = logs
+        assert [c.method for c in plain] == [c.method for c in traced] == [
+            "admit", "release", "admit", "release",
+        ]
+        assert len({c.argument_bytes for c in plain if c.method == "admit"}) == 1
+        assert all(
+            t.argument_bytes > p.argument_bytes for p, t in zip(plain, traced)
+        )
+        assert [c.result_bytes for c in plain] == [
+            c.result_bytes for c in traced
+        ]
 
     def test_without_cache_batching_is_disabled(self):
         server = build_media_server(cache_blocks=0)

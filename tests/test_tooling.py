@@ -536,17 +536,22 @@ class TestBenchmarkPins:
 
 
 class TestRecorderSeam:
-    """The hot path's only observability dependency is the recorder.
+    """The stack's only observability dependency is the recorder.
 
     ``repro.obs.recorder`` alone names metrics, profiler phases, spans,
-    timeline stages and sim-trace tags; the six block-path modules
-    report *what happened* and import nothing else from ``repro.obs``.
+    audit decisions, timeline stages and sim-trace tags; the six
+    block-path and five request-path modules report *what happened* and
+    import nothing else from ``repro.obs`` (the router also re-exports
+    the ``CLUSTER_SLOS`` objective set, which ``bench/`` imports from it).
     """
 
     HOT_PATH = (
         "service/rounds.py", "service/playback.py", "service/besteffort.py",
         "disk/drive.py", "disk/cache.py", "faults/recovery.py",
+        "server/media_server.py", "server/batching.py", "cluster/router.py",
+        "service/rpc.py", "fs/storage_manager.py",
     )
+    REEXPORTS = {("cluster/router.py", "repro.obs.slo"): ["CLUSTER_SLOS"]}
 
     @staticmethod
     def _sink_names():
@@ -571,6 +576,9 @@ class TestRecorderSeam:
                 modules = []
                 if isinstance(node, ast.ImportFrom):
                     modules = [node.module or ""]
+                    allowed = self.REEXPORTS.get((relative, node.module))
+                    if [alias.name for alias in node.names] == allowed:
+                        continue
                 elif isinstance(node, ast.Import):
                     modules = [alias.name for alias in node.names]
                 for module in modules:
@@ -584,7 +592,9 @@ class TestRecorderSeam:
 
         names = self._sink_names()
         assert {"disk.seek_s", "seek", "service.block", "consumed",
-                "fault.skip", "buffer-full"} <= names
+                "fault.skip", "buffer-full", "server.request", "rpc.<method>",
+                "msm.admit", "cluster.handoff", "server.batches", "admit",
+                "revalidate"} <= names
         for relative in self.HOT_PATH:
             tree = ast.parse((ROOT / "src/repro" / relative).read_text())
             literals = {
@@ -621,10 +631,10 @@ class TestRecorderSeam:
 
 
 class TestSourceSize:
-    #: `src/` physical lines after the recorder-seam PR (25,958), rounded
-    #: up to the next 100.  ROADMAP aim 2: the count trends *down* —
+    #: `src/` physical lines after the request-path recorder PR (25,935),
+    #: rounded up to the next 50.  ROADMAP aim 2: the count trends *down* —
     #: lower this when a PR deletes code, never raise it to make room.
-    SRC_LINE_CEILING = 26000
+    SRC_LINE_CEILING = 25950
 
     def test_src_line_count_stays_under_the_ceiling(self):
         total = sum(
