@@ -33,7 +33,7 @@ from repro.fs import MultimediaStorageManager
 from repro.media import DisplayDevice, frames_for_duration, generate_talk_spurts
 from repro.media.audio import SilenceDetector
 from repro.rope import Media, MultimediaRopeServer
-from repro.rope.server import BlockFetch
+from repro.rope.server import FetchColumns
 from repro.service import (
     PlaybackSession,
     simulate_concurrent,
@@ -75,7 +75,7 @@ def fetches_with_gap(
     block_bits: float,
     duration: float,
     extra_cylinders: int = 0,
-) -> List[BlockFetch]:
+) -> FetchColumns:
     """A synthetic placement whose inter-block positioning delay ≈ *gap*.
 
     Blocks are laid at a fixed cylinder stride chosen so that
@@ -98,22 +98,18 @@ def fetches_with_gap(
         first = (cylinder * spc + spb - 1) // spb
         return min(first, drive.slots - 1)
 
-    fetches: List[BlockFetch] = []
+    slots: List[int] = []
     cylinder = 0
     direction = 1
     for _ in range(count):
-        fetches.append(
-            BlockFetch(
-                slot=slot_at(cylinder), bits=block_bits, duration=duration
-            )
-        )
+        slots.append(slot_at(cylinder))
         nxt = cylinder + direction * max(stride, 1)
         if not 0 <= nxt < geometry.cylinders:
             direction = -direction
             nxt = cylinder + direction * max(stride, 1)
             nxt = max(0, min(geometry.cylinders - 1, nxt))
         cylinder = nxt
-    return fetches
+    return FetchColumns.uniform(slots, block_bits, duration)
 
 
 def default_msm(
@@ -305,14 +301,16 @@ class E3Result:
     staged_misses: int
 
 
-def _equal_streams(
+def equal_streams(
     drive: SimulatedDrive,
     count: int,
     blocks: int,
     gap: float,
     block: BlockModel,
     capacity: int,
+    prefix: str = "s",
 ) -> List[StreamState]:
+    """*count* streams of *blocks* equally spaced blocks (``<prefix>0``…)."""
     streams = []
     for i in range(count):
         fetches = fetches_with_gap(
@@ -320,7 +318,7 @@ def _equal_streams(
         )
         streams.append(
             StreamState(
-                request_id=f"s{i}",
+                request_id=f"{prefix}{i}",
                 fetches=fetches,
                 buffer_capacity=capacity,
             )
@@ -373,11 +371,11 @@ def e3_transition(
     def run(staged: bool) -> Tuple[int, int, int]:
         drive, params, k_old, k_new = build(n_before)
         gap = params.seek_avg
-        streams = _equal_streams(
+        streams = equal_streams(
             drive, n_before, blocks, gap, block,
             capacity=2 * max(k_new, k_old),
         )
-        newcomer = _equal_streams(
+        newcomer = equal_streams(
             drive, 1, blocks, gap, block, capacity=2 * max(k_new, k_old)
         )[0]
         newcomer.request_id = "newcomer"
@@ -499,13 +497,9 @@ def e4_allocation(
             else:
                 allocator = ContiguousAllocator(drive, freemap)
             placement = StrandPlacer(drive, allocator).place(blocks)
-            fetches = [
-                BlockFetch(
-                    slot=slot, bits=block.block_bits,
-                    duration=block.playback_duration,
-                )
-                for slot in placement.slots
-            ]
+            fetches = FetchColumns.uniform(
+                placement.slots, block.block_bits, block.playback_duration
+            )
             drive.park(0)
             return drive, fetches, placement
         return make

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.analysis.experiments import fetches_with_gap
+from repro.analysis.experiments import equal_streams, fetches_with_gap
 from repro.analysis.report import Table
 from repro.config import TESTBED_1991, HardwareProfile
 from repro.core import admission as adm
@@ -138,21 +138,17 @@ def e14_scan_ordering(
         order = sorted(regions, key=lambda r: (r % 2, r))
         order = [order[i // 2] if i % 2 == 0 else order[-(i // 2 + 1)]
                  for i in range(len(order))]
-        from repro.rope.server import BlockFetch
+        from repro.rope.server import FetchColumns
 
         streams = []
         for i, region in enumerate(order[:n]):
             base_slot = region * drive.slots // n
             # Consecutive slots: the compact placement a constrained
             # allocator produces inside one strand's region.
-            fetches = [
-                BlockFetch(
-                    slot=min(base_slot + j, drive.slots - 1),
-                    bits=block.block_bits,
-                    duration=block.playback_duration,
-                )
-                for j in range(blocks)
-            ]
+            fetches = FetchColumns.uniform(
+                (min(base_slot + j, drive.slots - 1) for j in range(blocks)),
+                block.block_bits, block.playback_duration,
+            )
             streams.append(
                 StreamState(
                     request_id=f"s{i}", fetches=fetches,
@@ -506,18 +502,10 @@ def e19_unified_server(
     text_served: Dict[int, int] = {}
     for n in (0, 1, 2):
         drive = build_drive()
-        streams = []
-        for i in range(n):
-            fetches = fetches_with_gap(
-                drive, media_blocks, drive.parameters().seek_avg,
-                block.block_bits, block.playback_duration,
-            )
-            streams.append(
-                StreamState(
-                    request_id=f"m{i}", fetches=fetches,
-                    buffer_capacity=2 * k,
-                )
-            )
+        streams = equal_streams(
+            drive, n, media_blocks, drive.parameters().seek_avg, block,
+            2 * k, prefix="m",
+        )
         text = TextRequest(
             "text", list(range(drive.slots // 2, drive.slots // 2 + text_blocks))
         )
@@ -694,18 +682,10 @@ def e21_record_and_play(
                     staging_capacity=capacity,
                 )
             )
-        plays = []
-        for i in range(players):
-            fetches = fetches_with_gap(
-                drive, blocks, drive.parameters().seek_avg,
-                block.block_bits, block.playback_duration,
-            )
-            plays.append(
-                StreamState(
-                    request_id=f"play{i}", fetches=fetches,
-                    buffer_capacity=2 * k,
-                )
-            )
+        plays = equal_streams(
+            drive, players, blocks, drive.parameters().seek_avg, block,
+            2 * k, prefix="play",
+        )
         drive.park(0)
         service = MixedRoundService(
             drive, lambda r, n: k, record_streams=records

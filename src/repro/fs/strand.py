@@ -88,6 +88,8 @@ class Strand:
         self._contents: Dict[int, MediaBlock] = {}
         self._slots: List[Optional[int]] = []
         self._block_units: List[int] = []
+        self._block_bits: List[float] = []
+        self._block_tokens: List[Tuple[str, ...]] = []
         self._units: int = 0
         self._finalized = False
 
@@ -108,8 +110,6 @@ class Strand:
         units = block.frame_count if self.kind is not BlockKind.AUDIO else (
             block.sample_count
         )
-        if self.kind is BlockKind.MIXED:
-            units = block.frame_count
         entry = PrimaryEntry(
             sector=slot * self.sectors_per_block,
             sector_count=self.sectors_per_block,
@@ -118,6 +118,8 @@ class Strand:
         self._contents[number] = block
         self._slots.append(slot)
         self._block_units.append(units)
+        self._block_bits.append(block.payload_bits)
+        self._block_tokens.append(block.video_tokens)
         self._units += units
         return number
 
@@ -131,6 +133,8 @@ class Strand:
         number = self.index.append(None, units=units)
         self._slots.append(None)
         self._block_units.append(units)
+        self._block_bits.append(0.0)
+        self._block_tokens.append(())
         self._units += units
         return number
 
@@ -223,6 +227,21 @@ class Strand:
         """First unit (frame/sample) position covered by a block."""
         self.slot_of(block_number)  # bounds check
         return sum(self._block_units[:block_number])
+
+    def columns(self, first: int, last: int) -> Tuple[list, list, list, list]:
+        """Blocks *first*..*last* as parallel lists: slot (None = silence
+        holder), payload bits (0.0 for silence), units, video tokens.
+
+        The playback planner's view of the strand: one slice per column,
+        no per-block lookup.
+        """
+        self.slot_of(first)  # bounds checks
+        self.slot_of(last)
+        span = slice(first, last + 1)
+        return (
+            self._slots[span], self._block_bits[span],
+            self._block_units[span], self._block_tokens[span],
+        )
 
     def slots(self) -> List[int]:
         """All occupied media slots, in block order (silences skipped)."""

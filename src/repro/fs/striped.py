@@ -193,25 +193,19 @@ class StripedStorageManager:
     # -- playback ------------------------------------------------------------
 
     def playback_fetches(self, strand: StripedStrand):
-        """The strand as :class:`BlockFetch`es for simulate_concurrent.
+        """The strand as a fetch sequence for simulate_concurrent.
 
         Block i's slot addresses member ``i mod p``, which is exactly the
         convention :func:`repro.service.playback.simulate_concurrent`
         applies, so the fetches can be handed to it with this manager's
         array.
         """
-        from repro.rope.server import BlockFetch
+        from repro.rope.server import FetchColumns
 
-        fetches = []
         frame_duration = 1.0 / strand.frame_rate
-        for index, address in enumerate(strand.addresses):
-            frame_count = len(strand.tokens[index])
-            fetches.append(
-                BlockFetch(
-                    slot=address.slot,
-                    bits=strand.bits[index],
-                    duration=frame_count * frame_duration,
-                    tokens=strand.tokens[index],
-                )
-            )
-        return fetches
+        return FetchColumns(
+            [address.slot for address in strand.addresses],
+            strand.bits,
+            [len(tokens) * frame_duration for tokens in strand.tokens],
+            strand.tokens,
+        )

@@ -32,6 +32,7 @@ from repro.rope.scattering_repair import (
 )
 from repro.rope.server import (
     BlockFetch,
+    FetchColumns,
     MultimediaRopeServer,
     PlaybackPlan,
     Request,
@@ -44,6 +45,7 @@ from repro.rope.triggers import attach_trigger, trigger_schedule
 
 __all__ = [
     "BlockFetch",
+    "FetchColumns",
     "EditingSession",
     "LogEntry",
     "Media",

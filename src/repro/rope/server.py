@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import TESTBED_1991, HardwareProfile
 from repro.core.admission import RequestDescriptor
@@ -49,6 +49,7 @@ __all__ = [
     "RequestState",
     "Request",
     "BlockFetch",
+    "FetchColumns",
     "PlaybackPlan",
     "MultimediaRopeServer",
     "build_rope_server",
@@ -112,30 +113,78 @@ class BlockFetch:
     tokens: Tuple[str, ...] = ()
 
 
+@dataclass(eq=False, slots=True)
+class FetchColumns(Sequence):
+    """A fetch sequence held as parallel columns, one entry per block.
+
+    ``columns[i]`` is the :class:`BlockFetch` of entry *i*, built when
+    asked for; the service loop never asks — it reads ``slots[i]``,
+    ``bits[i]`` and ``durations[i]`` at its cursor.  ``tokens`` is None
+    for a sequence that carries no frame tokens.
+    """
+
+    slots: List[Optional[int]]
+    bits: List[float]
+    durations: List[float]
+    tokens: Optional[List[Tuple[str, ...]]] = None
+
+    @classmethod
+    def uniform(
+        cls, slots: Iterable[Optional[int]], bits: float, duration: float
+    ) -> "FetchColumns":
+        """Blocks at *slots* that all transfer *bits* and play *duration*."""
+        slots = list(slots)
+        return cls(slots, [bits] * len(slots), [duration] * len(slots))
+
+    @classmethod
+    def of(cls, fetches: Sequence[BlockFetch]) -> "FetchColumns":
+        """*fetches* as columns (itself, when it already is)."""
+        if isinstance(fetches, cls):
+            return fetches
+        return cls(
+            [fetch.slot for fetch in fetches],
+            [fetch.bits for fetch in fetches],
+            [fetch.duration for fetch in fetches],
+            [fetch.tokens for fetch in fetches],
+        )
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, index):
+        tokens = self.tokens
+        if isinstance(index, slice):
+            return FetchColumns(
+                self.slots[index], self.bits[index], self.durations[index],
+                tokens and tokens[index],
+            )
+        return BlockFetch(
+            self.slots[index], self.bits[index], self.durations[index],
+            tokens[index] if tokens else (),
+        )
+
+
 @dataclass(frozen=True)
 class PlaybackPlan:
     """Flattened fetch sequences for one request, per medium."""
 
     request_id: str
-    video: Tuple[BlockFetch, ...]
-    audio: Tuple[BlockFetch, ...]
+    video: FetchColumns
+    audio: FetchColumns
 
     @property
     def video_duration(self) -> float:
         """Total video playback time, seconds."""
-        return sum(fetch.duration for fetch in self.video)
+        return sum(self.video.durations)
 
     @property
     def audio_duration(self) -> float:
         """Total audio playback time, seconds."""
-        return sum(fetch.duration for fetch in self.audio)
+        return sum(self.audio.durations)
 
     def tokens(self) -> List[str]:
         """All video frame tokens in playback order."""
-        result: List[str] = []
-        for fetch in self.video:
-            result.extend(fetch.tokens)
-        return result
+        return [token for block in self.video.tokens for token in block]
 
 
 class MultimediaRopeServer:
@@ -186,6 +235,17 @@ class MultimediaRopeServer:
         """
         return self.msm.descriptor_for_media(media.includes_video)
 
+    @staticmethod
+    def _whole(strand) -> MediaTrack:
+        """The track covering all of *strand*."""
+        return MediaTrack(
+            strand_id=strand.strand_id,
+            start_unit=0,
+            length_units=strand.unit_count,
+            rate=strand.unit_rate,
+            granularity=strand.granularity,
+        )
+
     def _admit(self, media: Media) -> int:
         decision = self.msm.admission.admit(self._descriptor_for(media))
         return decision.request_id
@@ -226,32 +286,15 @@ class MultimediaRopeServer:
                 raise ParameterError(
                     "heterogeneous recording needs both media"
                 )
-            strand = self.msm.store_mixed_strand(frames, chunks)
-            video_track = MediaTrack(
-                strand_id=strand.strand_id,
-                start_unit=0,
-                length_units=strand.unit_count,
-                rate=strand.unit_rate,
-                granularity=strand.granularity,
+            video_track = self._whole(
+                self.msm.store_mixed_strand(frames, chunks)
             )
         else:
             if frames is not None:
-                strand = self.msm.store_video_strand(frames)
-                video_track = MediaTrack(
-                    strand_id=strand.strand_id,
-                    start_unit=0,
-                    length_units=strand.unit_count,
-                    rate=strand.unit_rate,
-                    granularity=strand.granularity,
-                )
+                video_track = self._whole(self.msm.store_video_strand(frames))
             if chunks is not None:
-                strand = self.msm.store_audio_strand(chunks, detector)
-                audio_track = MediaTrack(
-                    strand_id=strand.strand_id,
-                    start_unit=0,
-                    length_units=strand.unit_count,
-                    rate=strand.unit_rate,
-                    granularity=strand.granularity,
+                audio_track = self._whole(
+                    self.msm.store_audio_strand(chunks, detector)
                 )
         segment = Segment(video=video_track, audio=audio_track)
         rope = MultimediaRope(
@@ -295,23 +338,9 @@ class MultimediaRopeServer:
         video_track: Optional[MediaTrack] = None
         audio_track: Optional[MediaTrack] = None
         if video_strand_id is not None:
-            strand = self.msm.get_strand(video_strand_id)
-            video_track = MediaTrack(
-                strand_id=strand.strand_id,
-                start_unit=0,
-                length_units=strand.unit_count,
-                rate=strand.unit_rate,
-                granularity=strand.granularity,
-            )
+            video_track = self._whole(self.msm.get_strand(video_strand_id))
         if audio_strand_id is not None:
-            strand = self.msm.get_strand(audio_strand_id)
-            audio_track = MediaTrack(
-                strand_id=strand.strand_id,
-                start_unit=0,
-                length_units=strand.unit_count,
-                rate=strand.unit_rate,
-                granularity=strand.granularity,
-            )
+            audio_track = self._whole(self.msm.get_strand(audio_strand_id))
         rope = MultimediaRope(
             rope_id=f"R{next(self._rope_ids):04d}",
             creator=user,
@@ -368,9 +397,9 @@ class MultimediaRopeServer:
         The media server admits batches, not individual requests: one
         leader per batch holds an admission slot (passed here as
         ``admission_id``) while its followers share the leader's reads
-        and carry no slot of their own.  Access and interval checks are
-        identical to :meth:`play`; STOP and destructive PAUSE already
-        tolerate ``admission_id=None`` (nothing to release).
+        and carry no slot of their own.  Access checks are those of
+        :meth:`play`, and the interval must lie inside the rope; STOP and
+        destructive PAUSE tolerate ``admission_id=None`` (nothing to release).
         """
         rope = self.get_rope(rope_id)
         rope.check_play(user)
@@ -391,6 +420,9 @@ class MultimediaRopeServer:
             length=length,
             admission_id=admission_id,
         )
+        # Callers admit on this request before (or without) planning it, so
+        # an interval that selects no content is refused here: O(segments).
+        self._played_segments(request)
         self._requests[request.request_id] = request
         return request.request_id
 
@@ -610,80 +642,63 @@ class MultimediaRopeServer:
         Offsets are relative to the request's interval start; triggers
         outside the played interval do not fire.
         """
-        from repro.rope import operations
         from repro.rope.triggers import trigger_schedule
 
         request = self.get_request(request_id)
-        rope = self.get_rope(request.rope_id)
-        if (request.start, request.length) != (0.0, rope.duration):
-            segments = operations.substring(
-                rope.segments, Media.AUDIO_VISUAL,
-                request.start, request.length,
-            )
-        else:
-            segments = list(rope.segments)
-        return trigger_schedule(segments)
+        return trigger_schedule(self._played_segments(request))
 
     # -- playback planning -----------------------------------------------------------
+
+    def _played_segments(self, request: Request) -> List[Segment]:
+        """The segments of *request*'s rope that lie inside its interval."""
+        rope = self.get_rope(request.rope_id)
+        if (request.start, request.length) == (0.0, rope.duration):
+            return list(rope.segments)
+        return operations.substring(
+            rope.segments, Media.AUDIO_VISUAL, request.start, request.length
+        )
 
     def playback_plan(self, request_id: str) -> PlaybackPlan:
         """Flatten a PLAY request's rope interval into block fetches."""
         request = self.get_request(request_id)
-        rope = self.get_rope(request.rope_id)
-        segments = operations.substring(
-            rope.segments,
-            Media.AUDIO_VISUAL,
-            request.start,
-            request.length,
-        ) if (request.start, request.length) != (0.0, rope.duration) else (
-            list(rope.segments)
-        )
-        video: List[BlockFetch] = []
-        audio: List[BlockFetch] = []
+        segments = self._played_segments(request)
+        video = FetchColumns([], [], [], [])
+        audio = FetchColumns([], [], [])
         for segment in segments:
             if request.media.includes_video and segment.video is not None:
-                video.extend(self._track_fetches(segment.video, video=True))
+                self._extend(video, segment.video)
             if request.media.includes_audio and segment.audio is not None:
-                audio.extend(self._track_fetches(segment.audio, video=False))
-        return PlaybackPlan(
-            request_id=request_id, video=tuple(video), audio=tuple(audio)
-        )
+                self._extend(audio, segment.audio)
+        return PlaybackPlan(request_id=request_id, video=video, audio=audio)
 
-    def _track_fetches(
-        self, track: MediaTrack, video: bool
-    ) -> List[BlockFetch]:
+    def _extend(self, plan: FetchColumns, track: MediaTrack) -> None:
+        """Append *track*'s blocks to *plan*: slices of its strand's columns.
+
+        A whole block plays ``units / rate`` seconds.  Only the interval's
+        first and last block can be clipped: their duration and tokens
+        cover the overlap alone (the disk transfer stays the full block),
+        and an edge block the interval does not reach is dropped.
+        """
         strand = self.msm.get_strand(track.strand_id)
-        fetches: List[BlockFetch] = []
-        g = track.granularity
-        for number in range(track.first_block, track.last_block + 1):
-            block_start = number * g
-            block_units = strand.units_of(number)
-            overlap_start = max(track.start_unit, block_start)
-            overlap_end = min(track.end_unit, block_start + block_units)
-            overlap = max(0, overlap_end - overlap_start)
-            if overlap == 0:
+        first, rate = track.first_block, track.rate
+        slots, bits, units, tokens = strand.columns(first, track.last_block)
+        durations = [count / rate for count in units]
+        last = len(slots) - 1
+        # Last edge first, so dropping it cannot shift the first one.
+        for edge in (last, 0) if last else (0,):
+            block_start = (first + edge) * track.granularity
+            begin = max(track.start_unit, block_start)
+            end = min(track.end_unit, block_start + units[edge])
+            if end <= begin:
+                del slots[edge], bits[edge], durations[edge], tokens[edge]
                 continue
-            duration = overlap / track.rate
-            content = strand.block_at(number)
-            if content is None:
-                fetches.append(
-                    BlockFetch(slot=None, bits=0.0, duration=duration)
-                )
-                continue
-            slot = strand.slot_of(number)
-            tokens: Tuple[str, ...] = ()
-            if video and content.video_tokens:
-                first = overlap_start - block_start
-                tokens = content.video_tokens[first:first + overlap]
-            fetches.append(
-                BlockFetch(
-                    slot=slot,
-                    bits=content.payload_bits,
-                    duration=duration,
-                    tokens=tokens,
-                )
-            )
-        return fetches
+            durations[edge] = (end - begin) / rate
+            tokens[edge] = tokens[edge][begin - block_start:end - block_start]
+        plan.slots += slots
+        plan.bits += bits
+        plan.durations += durations
+        if plan.tokens is not None:
+            plan.tokens += tokens
 
 
 def build_rope_server(

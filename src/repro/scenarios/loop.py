@@ -20,7 +20,7 @@ from repro.disk.drive import SimulatedDrive
 from repro.disk.factory import DRIVE_CONFIGS, build_drive_config
 from repro.errors import ParameterError
 from repro.obs.observer import Observability
-from repro.rope.server import BlockFetch
+from repro.rope.server import FetchColumns
 from repro.scenarios.base import Scenario, ScenarioRun, register
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.service.session import SessionResult
@@ -110,7 +110,7 @@ class Scale(Scenario):
     ) -> Tuple[List[StreamState], List[Admission]]:
         """Materialize the streams against a concrete drive."""
         rng = random.Random(self.seed)
-        total_slots = drive.slots
+        total_slots, blocks = drive.slots, range(self.blocks_per_stream)
         initial: List[StreamState] = []
         admissions: List[Admission] = []
         for i in range(self.streams):
@@ -118,14 +118,10 @@ class Scale(Scenario):
             stride = rng.randrange(1, 9)
             stream = StreamState(
                 request_id=f"{self.label}-s{i:05d}",
-                fetches=[
-                    BlockFetch(
-                        slot=(base + j * stride) % total_slots,
-                        bits=drive.block_bits,
-                        duration=self.block_seconds,
-                    )
-                    for j in range(self.blocks_per_stream)
-                ],
+                fetches=FetchColumns.uniform(
+                    ((base + j * stride) % total_slots for j in blocks),
+                    drive.block_bits, self.block_seconds,
+                ),
                 buffer_capacity=self.buffer_capacity,
             )
             if self.arrivals == "staggered" and i > 0:

@@ -429,25 +429,24 @@ class MediaServer:
                 leader_rid, now, rope=leader_req.rope_id,
                 client=leader_req.client_id, batch_size=len(allowed),
             )
-        playback = self._playback_session()
-        slots = tuple(
-            f.slot
-            for f in playback.fetch_sequence(leader_rid)
-            if f.slot is not None
-        )
+        #: The plan's distinct disk slots — planned only when there is a
+        #: cache whose residency can decide the admission.
+        slots: Tuple[int, ...] = ()
         cache_admitted = False
         admission_id: Optional[int] = None
-        if (
-            self.cache is not None
-            and self.cache.resident_fraction(slots) >= 1.0
-            and self.cache.pin(set(slots))
-        ):
+        if self.cache is not None:
+            planned = self._playback_session().fetch_sequence(leader_rid)
+            slots = tuple(sorted(set(planned.slots) - {None}))
+            cache_admitted = (
+                self.cache.resident_fraction(slots) >= 1.0
+                and self.cache.pin(slots)
+            )
+        if cache_admitted:
             # Every block is already resident: the session consumes no
             # disk-round budget, so it bypasses the §3.4 controller.
-            cache_admitted = True
             if rec is not None:
                 rec.cache_admitted(
-                    leader_rid, now, batch.key.rope_id, len(set(slots))
+                    leader_rid, now, batch.key.rope_id, len(slots)
                 )
         else:
             descriptor = self.mrs.msm.descriptor_for_media(
@@ -489,7 +488,7 @@ class MediaServer:
         leader.batch_leader = leader.session_id
         leader.cache_admitted = cache_admitted
         leader.admission_id = admission_id
-        leader.pinned = tuple(sorted(set(slots))) if cache_admitted else ()
+        leader.pinned = slots if cache_admitted else ()
         members = [leader]
         for follower_req in allowed[1:]:
             follower_rid = self.mrs.open_request(
@@ -629,7 +628,7 @@ class MediaServer:
             session = self._sessions[sid]
             planned = playback.fetch_sequence(session.request_id)
             fetches[session.request_id] = planned
-            sequences[sid] = tuple(f.slot for f in planned)
+            sequences[sid] = tuple(planned.slots)
             round_number = int((session.arrival - t0) / period)
             if round_number <= 0:
                 initial.append(session.request_id)

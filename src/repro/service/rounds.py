@@ -29,7 +29,7 @@ from repro.disk.drive import SimulatedDrive
 from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.obs.recorder import recorder_for
-from repro.rope.server import BlockFetch
+from repro.rope.server import BlockFetch, FetchColumns
 from repro.sim.metrics import ContinuityMetrics
 from repro.sim.trace import Tracer
 
@@ -72,7 +72,9 @@ class StreamState:
 
     ``k_override``, when set, replaces the round's global k for this
     stream — the per-request k_i of Eq. (11)'s general formulation
-    (see :func:`repro.core.admission.solve_heterogeneous_k`).
+    (see :func:`repro.core.admission.solve_heterogeneous_k`).  *fetches*
+    is held as :class:`~repro.rope.server.FetchColumns`, converted once
+    here; ``next_fetch`` is the cursor the service loop walks them with.
     """
 
     request_id: str
@@ -114,6 +116,7 @@ class StreamState:
 
     def __post_init__(self) -> None:
         self.metrics.request_id = self.request_id
+        self.fetches = FetchColumns.of(self.fetches)
         if self.buffer_capacity < 1:
             raise ParameterError(
                 f"buffer_capacity must be >= 1, got {self.buffer_capacity}"
@@ -122,7 +125,9 @@ class StreamState:
     @property
     def finished(self) -> bool:
         """True when every block has been delivered."""
-        return self.next_fetch >= len(self.fetches)
+        # The slot list's len, not FetchColumns.__len__: the loop asks
+        # twice per stream per round.
+        return self.next_fetch >= len(self.fetches.slots)
 
     @property
     def duration_floor(self) -> float:
@@ -131,7 +136,7 @@ class StreamState:
         (computed once: the plan never changes)."""
         floor = self._duration_floor
         if floor < 0.0:
-            durations = [fetch.duration for fetch in self.fetches]
+            durations = self.fetches.durations
             floor = min(durations, default=0.0)
             if floor <= 0.0:
                 # Only plans with zero-length (silence) blocks pay the filter.
@@ -363,11 +368,12 @@ class RoundRobinService:
             if quota == 0:
                 continue
             stream_start = time
-            delivered = 0
-            while delivered < quota and not stream.finished:
-                index = stream.next_fetch
-                fetch = stream.fetches[index]
-                has_slot = fetch.slot is not None
+            slots = stream.fetches.slots
+            index = stream.next_fetch
+            stop = min(index + quota, len(slots))
+            delivered = stop - index
+            while index < stop:
+                has_slot = slots[index] is not None
                 sampled = index == stream.report_at
                 span = None
                 if sampled:
@@ -377,21 +383,19 @@ class RoundRobinService:
                 skipped = False
                 if has_slot:
                     time, skipped = self._fetch_block(
-                        stream, fetch, time, span
+                        stream, index, time, span
                     )
-                self._deliver(stream, fetch, time, skipped=skipped)
-                stream.next_fetch += 1
-                delivered += 1
+                self._deliver(stream, index, time, skipped=skipped)
                 if sampled:
                     rec.block_end(stream, index, span, time, skipped)
+                index += 1
+            stream.next_fetch = stop
             progressed = True
             deadline_queries += delivered
             # Playback starts once the anti-jitter read-ahead — the first
             # k-block service, capped by what the display buffer can
             # actually hold — is on board.
-            threshold = min(
-                stream_k, stream.buffer_capacity, len(stream.fetches)
-            )
+            threshold = min(stream_k, stream.buffer_capacity, len(slots))
             started = (
                 stream.clock_start is None
                 and len(stream.deliveries) >= threshold
@@ -417,25 +421,24 @@ class RoundRobinService:
     def _fetch_block(
         self,
         stream: StreamState,
-        fetch: BlockFetch,
+        index: int,
         time: float,
         span=None,
     ) -> Tuple[float, bool]:
-        """Read one block with fault recovery; returns (time, skipped).
+        """Read block *index* with fault recovery; returns (time, skipped).
 
         With *span* (the sampled block's span from the recorder) the read
         itself is traced — the drive and cache report their accesses, and
         fault recovery its retries and skips, as children of it.
         """
+        columns = stream.fetches
+        slot, bits = columns.slots[index], columns.bits[index]
         if span is None and self.drive.injector is None:
             # Healthy and unsampled: the zero-overhead path.
-            return time + self.drive.read_slot(fetch.slot, fetch.bits), False
+            return time + self.drive.read_slot(slot, bits), False
         try:
             elapsed, ok = read_with_recovery(
-                self.drive,
-                fetch.slot,
-                fetch.bits,
-                self.recovery,
+                self.drive, slot, bits, self.recovery,
                 now=time,
                 deadline=stream._next_deadline,
                 rec=self._rec,
@@ -457,21 +460,22 @@ class RoundRobinService:
     def _deliver(
         self,
         stream: StreamState,
-        fetch: BlockFetch,
+        index: int,
         ready: float,
         skipped: bool = False,
     ) -> None:
+        duration = stream.fetches.durations[index]
         if skipped:
             stream.skipped_indices.add(len(stream.deliveries))
         deadline = stream._next_deadline
         if deadline is None:
             # Unknown until the clock starts; placeholder scored in
             # _rescore.
-            stream.deliveries.append((ready, float("nan"), fetch.duration))
+            stream.deliveries.append((ready, float("nan"), duration))
             return
-        stream._elapsed_playback += fetch.duration
+        stream._elapsed_playback += duration
         stream._next_deadline = stream.clock_start + stream._elapsed_playback
-        stream.deliveries.append((ready, deadline, fetch.duration))
+        stream.deliveries.append((ready, deadline, duration))
         if skipped:
             stream.metrics.record_skip(ready, deadline)
         else:

@@ -54,9 +54,10 @@ class ScanOrderService(RoundRobinService):
         self, active: Sequence[StreamState], round_number: int
     ) -> List[StreamState]:
         def next_cylinder(stream: StreamState) -> int:
-            for fetch in stream.fetches[stream.next_fetch:]:
-                if fetch.slot is not None:
-                    return self.drive.cylinder_of(fetch.slot)
+            slots = stream.fetches.slots
+            for index in range(stream.next_fetch, len(slots)):
+                if slots[index] is not None:
+                    return self.drive.cylinder_of(slots[index])
             return 0
 
         ascending = round_number % 2 == 0

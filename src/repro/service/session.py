@@ -16,7 +16,11 @@ from repro.core.buffering import buffers_for_average_continuity
 from repro.core.continuity import Architecture
 from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy
-from repro.rope.server import MultimediaRopeServer, PlaybackPlan
+from repro.rope.server import (
+    FetchColumns,
+    MultimediaRopeServer,
+    PlaybackPlan,
+)
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.sim.metrics import ContinuityMetrics
 from repro.sim.trace import Tracer
@@ -151,7 +155,7 @@ class PlaybackSession:
             buffer_capacity=max(capacity, 2),
         )
 
-    def fetch_sequence(self, request_id: str) -> List:
+    def fetch_sequence(self, request_id: str) -> FetchColumns:
         """The interleaved disk-fetch sequence one request will follow.
 
         This is exactly the order :meth:`run` delivers the request's
@@ -161,31 +165,37 @@ class PlaybackSession:
         return self._interleave(self.server.playback_plan(request_id))
 
     @staticmethod
-    def _interleave(plan: PlaybackPlan) -> List:
+    def _interleave(plan: PlaybackPlan) -> FetchColumns:
         """Merge a plan's video and audio fetches into one disk sequence.
 
         Fetches are ordered by their cumulative playback position, so the
         round service reads each medium just ahead of its deadline —
         homogeneous blocks retrieved "for every n video blocks" (§3.3.3).
+        A single-medium plan is already that sequence.
         """
-        sequence = []
+        video, audio = plan.video, plan.audio
+        if not video or not audio:
+            return video or audio
+        picks: List[Tuple[FetchColumns, int]] = []
         v_time = 0.0
         a_time = 0.0
         vi = ai = 0
-        video, audio = plan.video, plan.audio
-        while vi < len(video) or ai < len(audio):
-            take_video = ai >= len(audio) or (
-                vi < len(video) and v_time <= a_time
-            )
-            if take_video:
-                sequence.append(video[vi])
-                v_time += video[vi].duration
+        v_end, a_end = len(video), len(audio)
+        while vi < v_end or ai < a_end:
+            if ai >= a_end or (vi < v_end and v_time <= a_time):
+                picks.append((video, vi))
+                v_time += video.durations[vi]
                 vi += 1
             else:
-                sequence.append(audio[ai])
-                a_time += audio[ai].duration
+                picks.append((audio, ai))
+                a_time += audio.durations[ai]
                 ai += 1
-        return sequence
+        return FetchColumns(
+            [medium.slots[i] for medium, i in picks],
+            [medium.bits[i] for medium, i in picks],
+            [medium.durations[i] for medium, i in picks],
+            [medium.tokens[i] if medium.tokens else () for medium, i in picks],
+        )
 
     def run(
         self,

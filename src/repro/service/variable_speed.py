@@ -23,12 +23,12 @@ continuity and the buffer/task-switch behaviour the paper predicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.disk.drive import SimulatedDrive
 from repro.errors import ParameterError
-from repro.rope.server import BlockFetch
+from repro.rope.server import BlockFetch, FetchColumns
 from repro.sim.metrics import ContinuityMetrics
 
 __all__ = [
@@ -42,7 +42,7 @@ def transform_plan(
     fetches: Sequence[BlockFetch],
     speed: float,
     skipping: bool = False,
-) -> List[BlockFetch]:
+) -> FetchColumns:
     """Rewrite a normal-speed fetch plan for playback at *speed*×.
 
     * ``speed > 1`` fast-forward: every duration shrinks by the factor.
@@ -55,19 +55,12 @@ def transform_plan(
         raise ParameterError(f"speed must be positive, got {speed}")
     if skipping and speed <= 1.0:
         raise ParameterError("skipping only applies to fast-forward")
-    if skipping:
-        stride = math.ceil(speed)
-        kept = list(fetches[::stride])
-        # Each kept block covers `stride` blocks of media in stride/speed
-        # of wall-clock time.
-        return [
-            replace(fetch, duration=fetch.duration * stride / speed)
-            for fetch in kept
-        ]
-    return [
-        replace(fetch, duration=fetch.duration / speed)
-        for fetch in fetches
-    ]
+    # Each kept block covers `stride` blocks of media in stride/speed of
+    # wall-clock time (stride 1: every block kept, duration / speed).
+    stride = math.ceil(speed) if skipping else 1
+    kept = FetchColumns.of(fetches)[::stride]
+    kept.durations = [d * stride / speed for d in kept.durations]
+    return kept
 
 
 @dataclass(frozen=True)
@@ -108,6 +101,7 @@ def simulate_variable_speed(
             f"buffer_capacity must be >= 1, got {buffer_capacity}"
         )
     plan = transform_plan(fetches, speed, skipping)
+    durations = plan.durations
     if switch_penalty is None:
         params = drive.parameters()
         switch_penalty = params.seek_max
@@ -126,8 +120,8 @@ def simulate_variable_speed(
             return 0
         count = 0
         elapsed = clock_start
-        for index, fetch in enumerate(plan[:len(ready)]):
-            end = max(elapsed, ready[index]) + fetch.duration
+        for index, duration in enumerate(durations[:len(ready)]):
+            end = max(elapsed, ready[index]) + duration
             if end <= now:
                 count += 1
                 elapsed = end
@@ -135,7 +129,7 @@ def simulate_variable_speed(
                 break
         return count
 
-    for index, fetch in enumerate(plan):
+    for index, slot in enumerate(plan.slots):
         # Buffer regulation with the task-switch protocol.
         buffered = len(ready) - consumed_by(time)
         if buffered >= buffer_capacity:
@@ -146,8 +140,8 @@ def simulate_variable_speed(
             wake = time
             elapsed = clock_start
             done = 0
-            for j, done_fetch in enumerate(plan[:len(ready)]):
-                end = max(elapsed, ready[j]) + done_fetch.duration
+            for j, duration in enumerate(durations[:len(ready)]):
+                end = max(elapsed, ready[j]) + duration
                 elapsed = end
                 done = j + 1
                 if done >= max(target, consumed_by(time) + 1):
@@ -155,19 +149,19 @@ def simulate_variable_speed(
                     break
             idle += max(0.0, wake - time)
             time = max(time, wake)
-        if fetch.slot is not None:
+        if slot is not None:
             penalty = switch_penalty if away else 0.0
             away = False
-            time += penalty + drive.read_slot(fetch.slot, fetch.bits)
+            time += penalty + drive.read_slot(slot, plan.bits[index])
         ready.append(time)
         if clock_start is None:
             clock_start = time
     # Score deadlines.
     deadline = clock_start if clock_start is not None else 0.0
     high_water = 0
-    for index, fetch in enumerate(plan):
+    for index, duration in enumerate(durations):
         metrics.record_delivery(ready[index], deadline)
-        deadline += fetch.duration
+        deadline += duration
     # High-water: densest over-delivery relative to consumption.
     for index in range(len(ready)):
         high_water = max(

@@ -121,6 +121,16 @@ class TestTypedRejects:
         response = server.open(_open(rope_id, length=-1.0))
         assert response.reject is RejectReason.EMPTY_INTERVAL
 
+    @pytest.mark.parametrize("cache_blocks", [0, 256])
+    def test_interval_past_the_rope_end_is_typed_not_raised(self, cache_blocks):
+        """No plan precedes a cacheless admission, so the interval is
+        checked when the request opens — not by a plan failing in serve."""
+        server = build_media_server(cache_blocks=cache_blocks)
+        rope_id = _rope(server, seconds=2.0)
+        response = server.open(_open(rope_id, start=0.5, length=50.0))
+        assert response.reject is RejectReason.EMPTY_INTERVAL
+        assert server.serve([]).admitted == 0
+
     def test_capacity_overload_is_typed_not_raised(self, server):
         """Solo opens beyond n_max come back CAPACITY, no exception."""
         rope_id = _rope(server, seconds=2.0)
@@ -290,6 +300,70 @@ class TestCacheAwareAdmission:
     def test_completion_unpins_the_cache(self):
         run = get("server-hot")(sessions=6, strands=2, seconds=1.0).run()
         assert run.stack.cache.pinned_count == 0
+
+
+class TestPlansOnlyWhereADecisionReadsOne:
+    @pytest.fixture
+    def plan_calls(self, monkeypatch):
+        from repro.rope import MultimediaRopeServer
+
+        calls = []
+        real = MultimediaRopeServer.playback_plan
+
+        def spy(mrs, request_id):
+            calls.append(request_id)
+            return real(mrs, request_id)
+
+        monkeypatch.setattr(MultimediaRopeServer, "playback_plan", spy)
+        return calls
+
+    def test_without_a_cache_serve_plans_once_per_served_session(
+        self, plan_calls
+    ):
+        server = build_media_server(cache_blocks=0)
+        rope_id = _rope(server, seconds=2.0)
+        result = server.serve([
+            _open(rope_id, client=f"client-{i}") for i in range(6)
+        ])
+        assert 0 < result.admitted < 6
+        assert result.continuous_sessions == result.admitted
+        assert len(plan_calls) == result.admitted
+        assert len(set(plan_calls)) == result.admitted
+
+    def test_without_a_cache_no_open_plans_accepted_or_rejected(
+        self, plan_calls
+    ):
+        server = build_media_server(cache_blocks=0)
+        rope_id = _rope(server, seconds=2.0)
+        responses = [
+            server.open(_open(rope_id, client=f"client-{i}", auto_play=False))
+            for i in range(6)
+        ]
+        assert responses[0].accepted
+        assert responses[-1].reject is RejectReason.CAPACITY
+        assert plan_calls == []
+
+    def test_with_a_cache_no_block_fetch_is_built_probe_to_last_round(
+        self, server, plan_calls, monkeypatch
+    ):
+        """The residency probe reads the slot column and the round loop
+        walks columns: an unobserved open + serve builds no BlockFetch."""
+        import repro.rope.server as rope_server
+
+        rope_id = _rope(server)
+        server.serve([_open(rope_id, client="warmer")])   # fill the cache
+
+        def no_objects(*args, **kwargs):
+            raise AssertionError("a BlockFetch was constructed")
+
+        monkeypatch.setattr(rope_server, "BlockFetch", no_objects)
+        response = server.open(_open(rope_id))
+        assert response.cache_admitted
+        result = server.serve([])
+        status = result.status_of(response.session_id)
+        assert status.continuous and status.blocks_delivered > 0
+        # One plan for the probe and one for the epoch, per session.
+        assert len(plan_calls) == 2 * 2
 
 
 class TestObservability:

@@ -60,6 +60,43 @@ class TestScanOrdering:
         scan.run(regional_streams(drive_scan, block))
         assert drive_scan.stats.seek_time <= drive_rr.stats.seek_time
 
+    def test_order_keys_on_the_next_stored_block_past_silence(self, block):
+        """Leading silence holders are looked through, from the cursor."""
+        drive = build_drive()
+        far, near = drive.slots - 1, drive.slots // 3
+
+        def stream(request_id, slots):
+            return StreamState(
+                request_id=request_id, buffer_capacity=4,
+                fetches=[
+                    BlockFetch(slot, block.block_bits, block.playback_duration)
+                    for slot in slots
+                ],
+            )
+
+        streams = [
+            stream("far", [None, None, far, 0]),
+            stream("near", [near, far]),
+            stream("silent", [None, None]),
+        ]
+        service = ScanOrderService(drive, lambda r, n: 1)
+
+        def order(round_number):
+            return [
+                s.request_id for s in service._scan_order(streams, round_number)
+            ]
+
+        assert drive.head_cylinder == 0
+        assert order(0) == ["silent", "near", "far"]
+        assert order(1) == ["silent", "near", "far"]   # all behind head 0
+        streams[0].next_fetch = 3          # past `far`: next stored is slot 0
+        streams[1].next_fetch = 1
+        assert order(0) == ["far", "silent", "near"]
+        delivered = {
+            rid: m.blocks_delivered for rid, m in service.run(streams).items()
+        }
+        assert delivered == {"far": 1, "near": 1, "silent": 2}
+
     def test_probe_measures_rounds(self, block):
         drive = build_drive()
         streams = regional_streams(drive, block, blocks=32, k=8)

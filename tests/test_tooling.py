@@ -630,6 +630,26 @@ class TestRecorderSeam:
             assert callable(getattr(ServiceRecorder, event)), event
 
 
+class TestColumnarPlans:
+    def test_only_the_rope_server_constructs_block_fetches(self):
+        """Plans are columns; a per-block object exists only where
+        ``FetchColumns`` materialises one on request."""
+        import ast
+
+        from repro.rope import MultimediaRopeServer
+
+        builders = sorted(
+            str(path.relative_to(ROOT / "src/repro"))
+            for path in (ROOT / "src").rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", ""))
+            == "BlockFetch"
+        )
+        assert set(builders) == {"rope/server.py"}, builders
+        assert not hasattr(MultimediaRopeServer, "_track_fetches")
+
+
 class TestSourceSize:
     #: `src/` physical lines after the request-path recorder PR (25,935),
     #: rounded up to the next 50.  ROADMAP aim 2: the count trends *down* —
