@@ -33,16 +33,14 @@ Commands
     ``trace-export [--out FILE] [--profile]``
         Its causal span trace as Chrome trace-event JSON, loadable in
         Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
-``perf-sweep [--streams N ...] [--blocks N] [--workers N] [--json]``
-    Fan a grid of service-loop scale scenarios across worker processes
-    and print simulator-throughput scores — see :mod:`repro.perf`.
 ``expt {run,gate,diff}``
     The experiment-matrix harness (:mod:`repro.expt`): ``run`` expands a
     declarative config (``--smoke`` for the builtin CI matrix) and
     writes a structured results directory; ``gate`` compares a results
-    manifest against the committed baseline with per-metric tolerances
-    and exits non-zero on regression; ``diff`` prints per-cell metric
-    deltas between two manifests.
+    manifest's seed-deterministic metrics against the committed
+    baseline and exits non-zero on regression (host time is
+    ``python -m bench compare``'s to judge); ``diff`` prints per-cell
+    metric deltas between two manifests.
 
 A :class:`~repro.errors.ParameterError` anywhere below ``main`` (an
 unknown ``--set`` key, a value of the wrong type, a malformed config)
@@ -60,11 +58,9 @@ from repro import analysis, scenarios
 from repro.config import PROFILES, get_profile
 from repro.core import continuity, video_block_model
 from repro.core.continuity import Architecture
-from repro.disk.factory import DRIVE_CONFIGS
 from repro.errors import InfeasibleError, ParameterError
 from repro.media import frames_for_duration, generate_talk_spurts
 from repro.rope import Media, build_rope_server
-from repro.scenarios.loop import ARRIVALS
 from repro.service import PlaybackSession
 from repro.units import format_rate, format_seconds
 
@@ -106,9 +102,8 @@ def _add_common_options(
     """Attach the ``--seed`` / ``--json`` pair every scenario command has.
 
     One shared builder keeps the contract uniform: the same flag names,
-    types, and defaults on ``demo``, ``perf-sweep``, the four scenario
-    views, and the ``expt`` subcommands — tests introspect the parser
-    to enforce this.
+    types, and defaults on ``demo``, the four scenario views, and the
+    ``expt`` subcommands — tests introspect the parser to enforce this.
     Commands whose determinism comes from a manifest rather than a
     seed (``expt run/gate/diff``) pass ``include_seed=False`` and keep
     only the ``--json`` half of the contract.
@@ -291,9 +286,6 @@ def _print_summary(run: scenarios.ScenarioRun) -> None:
         f"{run.scenario.name}: {totals}"
         f"{'' if run.healthy() else ' -- UNHEALTHY'}"
     )
-    perf = run.perf()
-    for key in sorted(set(perf) - set(scenarios.PERF_KEYS)):
-        print(f"  {key}: {perf[key]:.3f}")
     if hasattr(result, "statuses"):
         print(
             f"  {len(result.statuses)} sessions: {result.admitted} "
@@ -434,32 +426,6 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf import run_sweep, scale_grid
-
-    grid = scale_grid(
-        stream_counts=args.streams,
-        blocks_per_stream=args.blocks,
-        seeds=args.seeds if args.seeds is not None else [args.seed],
-        drives=args.drives,
-        arrivals=args.arrivals,
-        k=args.k,
-        buffer_capacity=args.buffer,
-    )
-    report = run_sweep(grid, workers=args.workers)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.table().render())
-        print(
-            f"\n{report.total_blocks} blocks in "
-            f"{format_seconds(report.wall_time_s)} wall"
-        )
-    return 0
-
-
 #: Default artifact locations for the ``expt`` command (cwd-relative,
 #: i.e. the repo root in the documented workflow).
 EXPT_BASELINE_PATH = "tests/baselines/matrix_baseline.json"
@@ -503,11 +469,20 @@ def _cmd_expt_run(args: argparse.Namespace) -> int:
         raise SystemExit(
             "expt run: pass --smoke or --config experiments/<name>.json"
         )
+    baseline = args.baseline
+    if args.regen_baseline and baseline is None:
+        if not args.smoke:
+            raise ParameterError(
+                "--regen-baseline with --config needs an explicit "
+                f"--baseline FILE; {EXPT_BASELINE_PATH} is the smoke "
+                "matrix's committed baseline"
+            )
+        baseline = EXPT_BASELINE_PATH
     report = run_matrix(config, workers=args.workers)
     out_dir = args.out or str(Path(EXPT_RESULTS_ROOT) / config.name)
     manifest_path = write_results(report, out_dir)
     if args.regen_baseline:
-        baseline_path = Path(args.baseline)
+        baseline_path = Path(baseline)
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(stable_json(report.manifest_dict()))
     if args.json:
@@ -530,7 +505,7 @@ def _cmd_expt_run(args: argparse.Namespace) -> int:
             print(f"  {cell.cell_id}: {metrics}")
         print(f"wrote {manifest_path}")
         if args.regen_baseline:
-            print(f"regenerated baseline {args.baseline}")
+            print(f"regenerated baseline {baseline}")
     return 0
 
 
@@ -685,48 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_trace_export
     )
 
-    perf_sweep = commands.add_parser(
-        "perf-sweep",
-        help="run the parallel service-loop scale sweep",
-    )
-    perf_sweep.add_argument(
-        "--streams", type=int, nargs="+", default=[10, 100],
-        help="concurrent-stream counts to sweep (default: 10 100)",
-    )
-    perf_sweep.add_argument(
-        "--blocks", type=int, default=200,
-        help="blocks per stream (default: 200)",
-    )
-    perf_sweep.add_argument("--k", type=int, default=4)
-    perf_sweep.add_argument(
-        "--buffer", type=int, default=8,
-        help="display buffers per stream (default: 8)",
-    )
-    perf_sweep.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
-        help="placement seeds to sweep (default: the --seed value)",
-    )
-    perf_sweep.add_argument(
-        "--drives", nargs="+", default=["testbed"],
-        choices=sorted(DRIVE_CONFIGS),
-        help="drive configs to sweep (default: testbed)",
-    )
-    perf_sweep.add_argument(
-        "--arrivals", nargs="+", default=["uniform"],
-        choices=list(ARRIVALS),
-        help="arrival mixes to sweep (default: uniform)",
-    )
-    perf_sweep.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: min(scenarios, cpu count))",
-    )
-    _add_common_options(
-        perf_sweep, seed_default=0,
-        seed_help="placement seed (when --seeds is not given)",
-        json_help="print the sweep report as JSON",
-    )
-    perf_sweep.set_defaults(handler=_cmd_perf_sweep)
-
     expt = commands.add_parser(
         "expt",
         help="experiment-matrix harness: run, gate, diff",
@@ -757,9 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also rewrite the committed gate baseline from this run",
     )
     expt_run.add_argument(
-        "--baseline", default=EXPT_BASELINE_PATH, metavar="FILE",
-        help="baseline path used by --regen-baseline "
-             f"(default: {EXPT_BASELINE_PATH})",
+        "--baseline", default=None, metavar="FILE",
+        help="baseline path used by --regen-baseline (default with "
+             f"--smoke: {EXPT_BASELINE_PATH}; required with --config)",
     )
     _add_common_options(
         expt_run, include_seed=False,

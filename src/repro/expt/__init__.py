@@ -1,12 +1,13 @@
-"""Config-driven experiment matrices with perf/SLO regression gates.
+"""Config-driven experiment matrices with a deterministic regression gate.
 
-The ROADMAP's substrate item: declarative **workload × drive topology ×
-cache × batching × seed** matrices (:mod:`repro.expt.config`), a runner
-that fans the expanded cells over the perf sweep's ProcessPool and
-writes structured results directories (:mod:`repro.expt.runner`), and a
-gate that compares a results manifest against the committed baseline
-with per-metric tolerances and fails tests on regression
-(:mod:`repro.expt.gate`).  Driven by ``repro expt run|gate|diff``.
+Declarative **workload × drive topology × cache × batching × seed**
+matrices (:mod:`repro.expt.config`), a runner that fans the expanded
+cells over worker processes and writes structured results directories
+(:mod:`repro.expt.runner`), and a gate that compares a results
+manifest's seed-deterministic metrics against the committed baseline
+and fails tests on regression (:mod:`repro.expt.gate`).  Cells record
+host time but no verdict reads it — wall-clock judgements belong to
+``python -m bench compare``.  Driven by ``repro expt run|gate|diff``.
 """
 
 from repro.expt.config import (
@@ -17,7 +18,6 @@ from repro.expt.config import (
     WorkloadSpec,
     canonical_json,
     config_hash,
-    full_config,
     load_config,
     smoke_config,
 )
@@ -33,8 +33,6 @@ from repro.expt.runner import (
     MANIFEST_SCHEMA_VERSION,
     CellResult,
     MatrixReport,
-    build_manifest,
-    cell_from_run,
     run_cell,
     run_matrix,
     stable_json,
@@ -55,12 +53,9 @@ __all__ = [
     "GateReport",
     "GateVerdict",
     "Tolerance",
-    "build_manifest",
     "canonical_json",
-    "cell_from_run",
     "config_hash",
     "diff_manifests",
-    "full_config",
     "gate_manifest",
     "load_config",
     "run_cell",

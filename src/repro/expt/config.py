@@ -4,7 +4,7 @@ An :class:`ExperimentConfig` describes a matrix of **workload preset ×
 drive topology × cache size × batching on/off × seed** as plain data —
 loadable from a dict or a JSON file under ``experiments/`` — and expands
 deterministically into concrete :class:`MatrixCell` specs the runner
-(:mod:`repro.expt.runner`) fans over the ProcessPool sweep.  The layout
+(:mod:`repro.expt.runner`) fans over worker processes.  The layout
 mirrors muBench-style replication suites (SNIPPETS.md): topology and
 scale live in declarative workmodel files, the runner maps each factor
 combination onto an executable scenario.
@@ -43,17 +43,13 @@ __all__ = [
     "config_hash",
     "load_config",
     "smoke_config",
-    "full_config",
 ]
 
 #: Version stamped into configs and manifests; bump on shape changes.
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 
 #: The config axes, in expansion order.
 AXES = ("drives", "cache_blocks", "batching", "seeds")
-
-#: Gate-tolerance comparison kinds (documented in repro.expt.gate).
-TOLERANCE_KINDS = ("relative_drop", "max", "min", "exact")
 
 
 class ExperimentConfigError(ParameterError):
@@ -103,7 +99,7 @@ class WorkloadSpec:
     an immutable sorted tuple of pairs so the spec stays hashable and
     pickles cleanly into worker processes.  ``golden`` marks the cell as
     an SLO-gated acceptance scenario: the gate refuses any SLO breach in
-    a golden cell regardless of tolerance overrides.
+    a golden cell, whatever the baseline recorded.
     """
 
     kind: str
@@ -144,12 +140,6 @@ class WorkloadSpec:
             f"{', '.join(unknown)}; allowed: "
             f"{', '.join(sorted(scenario.matrix))}",
         )
-        for key, value in params.items():
-            if isinstance(value, (int, float)) and value is not True:
-                _require(
-                    value > 0,
-                    f"workloads[{index}].{key} must be positive",
-                )
         try:
             scenario.from_spec({**scenario.matrix, **params})
         except ParameterError as error:
@@ -199,7 +189,6 @@ class ExperimentConfig:
     cache_blocks: Tuple[int, ...] = (256,)
     batching: Tuple[bool, ...] = (True,)
     seeds: Tuple[int, ...] = (0,)
-    tolerances: Tuple[Tuple[str, Tuple[str, float]], ...] = ()
     schema_version: int = CONFIG_SCHEMA_VERSION
     source: Dict = field(default_factory=dict, compare=False)
 
@@ -207,21 +196,20 @@ class ExperimentConfig:
     def from_dict(raw: Mapping) -> "ExperimentConfig":
         """Validate a plain mapping against the matrix schema."""
         _require(isinstance(raw, Mapping), "config must be an object")
+        version = raw.get("schema_version")
+        _require(
+            version == CONFIG_SCHEMA_VERSION,
+            f"schema_version must be {CONFIG_SCHEMA_VERSION}, "
+            f"got {version!r}",
+        )
         allowed_keys = {
-            "schema_version", "name", "description", "axes",
-            "workloads", "tolerances",
+            "schema_version", "name", "description", "axes", "workloads",
         }
         unknown = sorted(set(raw) - allowed_keys)
         _require(
             not unknown,
             f"unknown config key(s): {', '.join(unknown)}; allowed: "
             f"{', '.join(sorted(allowed_keys))}",
-        )
-        version = raw.get("schema_version")
-        _require(
-            version == CONFIG_SCHEMA_VERSION,
-            f"schema_version must be {CONFIG_SCHEMA_VERSION}, "
-            f"got {version!r}",
         )
         name = raw.get("name")
         _require(
@@ -284,34 +272,6 @@ class ExperimentConfig:
             for i, w in enumerate(workloads_raw)
         )
 
-        tolerances_raw = raw.get("tolerances", {})
-        _require(
-            isinstance(tolerances_raw, Mapping),
-            "tolerances must be an object of metric -> {kind, limit}",
-        )
-        tolerances = []
-        for metric in sorted(tolerances_raw):
-            entry = tolerances_raw[metric]
-            _require(
-                isinstance(entry, Mapping)
-                and set(entry) == {"kind", "limit"},
-                f"tolerances.{metric} must be an object with exactly "
-                "the keys kind and limit",
-            )
-            _require(
-                entry["kind"] in TOLERANCE_KINDS,
-                f"tolerances.{metric}.kind must be one of "
-                f"{', '.join(TOLERANCE_KINDS)}; got {entry['kind']!r}",
-            )
-            limit = entry["limit"]
-            _require(
-                isinstance(limit, (int, float))
-                and not isinstance(limit, bool)
-                and limit == limit,  # rejects NaN
-                f"tolerances.{metric}.limit must be a finite number",
-            )
-            tolerances.append((metric, (entry["kind"], float(limit))))
-
         return ExperimentConfig(
             name=name,
             description=description,
@@ -320,7 +280,6 @@ class ExperimentConfig:
             cache_blocks=cache_raw,
             batching=tuple(batching_raw),
             seeds=seeds_raw,
-            tolerances=tuple(tolerances),
             schema_version=version,
             source={key: raw[key] for key in sorted(raw)},
         )
@@ -345,20 +304,12 @@ class ExperimentConfig:
                 }
                 for spec in self.workloads
             ],
-            "tolerances": {
-                metric: {"kind": kind, "limit": limit}
-                for metric, (kind, limit) in self.tolerances
-            },
         }
 
     @property
     def hash(self) -> str:
         """Canonical content hash naming this exact matrix."""
         return config_hash(self.to_dict())
-
-    def tolerance_overrides(self) -> Dict[str, Tuple[str, float]]:
-        """Per-metric gate tolerances declared by this config."""
-        return dict(self.tolerances)
 
     def expand(self) -> List[MatrixCell]:
         """Deterministically expand the matrix into concrete cells.
@@ -421,17 +372,16 @@ def load_config(path_or_dict) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-#: The committed smoke matrix — tiny, seconds-fast, still multi-kind.
-#: ``experiments/smoke.json`` mirrors this dict byte for byte (a tooling
-#: test pins the two together), so `repro expt run --smoke` works even
-#: from an installed package without the experiments/ directory.
+#: The smoke matrix — tiny, seconds-fast, still multi-kind — behind
+#: ``repro expt run --smoke`` and the committed gate baseline.  Larger
+#: matrices are files: ``--config experiments/full.json``.
 SMOKE_CONFIG_DICT: Dict = {
     "schema_version": CONFIG_SCHEMA_VERSION,
     "name": "smoke",
     "description": (
         "Tiny end-to-end matrix for CI gating: one scale cell per "
-        "drive, server-hot with cache on/off, a small tracing "
-        "overhead probe, and a three-node cluster failover cell."
+        "drive, server-hot with cache on/off, and a three-node "
+        "cluster failover cell."
     ),
     "axes": {
         "drives": ["testbed"],
@@ -454,12 +404,6 @@ SMOKE_CONFIG_DICT: Dict = {
             "golden": True,
         },
         {
-            "kind": "obs-overhead",
-            "streams": 8,
-            "blocks_per_stream": 100,
-            "repeats": 3,
-        },
-        {
             "kind": "cluster-scale",
             "nodes": 3,
             "sessions": 12,
@@ -472,83 +416,9 @@ SMOKE_CONFIG_DICT: Dict = {
             "golden": True,
         },
     ],
-    "tolerances": {
-        # Wall-clock throughput varies across hosts; the smoke gate only
-        # refuses catastrophic (10x) collapses.  The full matrix tightens
-        # this to the ROADMAP's 10% budget.
-        "blocks_per_second": {"kind": "relative_drop", "limit": 0.9},
-        # Sub-millisecond smoke walls make the 1.15 tracing budget pure
-        # noise; the full matrix enforces the real budget.
-        "obs_overhead_ratio": {"kind": "max", "limit": 5.0},
-    },
-}
-
-#: The full matrix the perf trajectory is tracked against (not run in
-#: CI; `repro expt run --config experiments/full.json` on a quiet host).
-FULL_CONFIG_DICT: Dict = {
-    "schema_version": CONFIG_SCHEMA_VERSION,
-    "name": "full",
-    "description": (
-        "The BENCH_PERF-scale matrix: 10/100/1000-stream service-loop "
-        "cells across drive topologies and arrival mixes, the 50-session "
-        "server acceptance workload with and without the cache, the "
-        "tracing-overhead budget cell, and the four-node cluster "
-        "failover acceptance cell."
-    ),
-    "axes": {
-        "drives": ["testbed", "table"],
-        "cache_blocks": [0, 512],
-        "batching": [True, False],
-        "seeds": [0, 1],
-    },
-    "workloads": [
-        {"kind": "scale", "streams": 10, "blocks_per_stream": 1000},
-        {"kind": "scale", "streams": 100, "blocks_per_stream": 1000},
-        {"kind": "scale", "streams": 1000, "blocks_per_stream": 1000},
-        {
-            "kind": "scale",
-            "streams": 100,
-            "blocks_per_stream": 1000,
-            "arrivals": "staggered",
-        },
-        {
-            "kind": "server-hot",
-            "sessions": 50,
-            "strands": 5,
-            "seconds": 2.0,
-            "golden": True,
-        },
-        {
-            "kind": "obs-overhead",
-            "streams": 100,
-            "blocks_per_stream": 1000,
-            "repeats": 5,
-        },
-        {
-            "kind": "cluster-scale",
-            "nodes": 4,
-            "sessions": 32,
-            "titles": 8,
-            "seconds": 2.0,
-            "per_node_streams": 24,
-            "chunks": 4,
-            "kill_node": 1,
-            "kill_chunk": 2,
-            "golden": True,
-        },
-    ],
-    "tolerances": {
-        "blocks_per_second": {"kind": "relative_drop", "limit": 0.10},
-        "obs_overhead_ratio": {"kind": "max", "limit": 1.15},
-    },
 }
 
 
 def smoke_config() -> ExperimentConfig:
     """The validated builtin smoke matrix."""
     return ExperimentConfig.from_dict(SMOKE_CONFIG_DICT)
-
-
-def full_config() -> ExperimentConfig:
-    """The validated builtin full matrix."""
-    return ExperimentConfig.from_dict(FULL_CONFIG_DICT)

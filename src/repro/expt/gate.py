@@ -1,27 +1,27 @@
 """Regression gates: compare a results manifest against a baseline.
 
-The gate is what turns the perf/SLO trajectory from a log into a test.
-:func:`gate_manifest` walks the union of cells in a manifest and a
-committed baseline (``tests/baselines/matrix_baseline.json``), applies a
-per-metric :class:`Tolerance` to every recorded metric, and returns a
-:class:`GateReport` of typed :class:`GateVerdict` rows — each naming the
-cell, the metric, both values, and a human-readable reason — so a CI
-failure reads as *"scale-testbed-uniform-n4-b16-seed0 blocks_per_second
-dropped 23.1% (limit 10%)"* rather than a bare assert.
+The gate is what turns the SLO/continuity trajectory from a log into a
+test.  :func:`gate_manifest` walks the union of cells in a manifest and
+a committed baseline (``tests/baselines/matrix_baseline.json``), applies
+a per-metric :class:`Tolerance` to every seed-deterministic metric, and
+returns a :class:`GateReport` of typed :class:`GateVerdict` rows — each
+naming the cell, the metric, both values, and a human-readable reason —
+so a CI failure reads as *"scale-testbed-uniform-n4-b16-seed0 misses
+observed 3 != baseline 0"* rather than a bare assert.
+
+It reads a cell's ``metrics`` only.  The ``perf`` section (wall seconds,
+blocks per wall-second) is recorded and ``expt diff`` prints it, but no
+verdict depends on host time: wall-clock regressions are ``python -m
+bench compare``'s to call (paired runs, fixed bounds).
 
 Tolerance kinds
 ---------------
-``relative_drop``
-    Fail when ``observed < baseline * (1 - limit)`` — the ROADMAP's
-    "throughput drop > X%" gate.  A value exactly at the boundary
-    passes.  Zero/NaN baselines cannot anchor a relative comparison and
-    are reported as skipped-but-passing with an explanatory detail.
-``max`` / ``min``
-    Absolute ceiling/floor on the observed value (baseline ignored) —
-    e.g. the 1.15 tracing-overhead budget.  Boundary values pass.
 ``exact``
     Byte-deterministic metrics (continuity, rejects, cache hits on the
     seeded simulator) must match the baseline exactly.
+``max`` / ``min``
+    Absolute ceiling/floor on the observed value (baseline ignored) —
+    e.g. the 0.9 clean-handoff floor.  Boundary values pass.
 
 Cells present on only one side are failures in their own right:
 a baseline cell missing from the manifest means lost coverage, a
@@ -48,9 +48,8 @@ __all__ = [
     "diff_manifests",
 ]
 
-#: Default per-metric gates; configs override via their tolerances map.
+#: The per-metric gates, all on :data:`~repro.scenarios.METRIC_KEYS`.
 DEFAULT_TOLERANCES: Dict[str, Tuple[str, float]] = {
-    "blocks_per_second": ("relative_drop", 0.10),
     "blocks_delivered": ("exact", 0.0),
     "misses": ("exact", 0.0),
     "rounds": ("exact", 0.0),
@@ -63,7 +62,6 @@ DEFAULT_TOLERANCES: Dict[str, Tuple[str, float]] = {
     # ("max", 0.0) inside the gate regardless of this table.
     "slo_breaches": ("exact", 0.0),
     "slo_breach_events": ("exact", 0.0),
-    "obs_overhead_ratio": ("max", 1.15),
     # Cluster failover cells: the handoff count is seed-deterministic,
     # and the ISSUE's acceptance floor (>90% of affected sessions handed
     # off cleanly) gates as an absolute minimum, baseline-free.
@@ -81,7 +79,7 @@ class Tolerance:
     limit: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("relative_drop", "max", "min", "exact"):
+        if self.kind not in ("exact", "max", "min"):
             raise ParameterError(
                 f"unknown tolerance kind {self.kind!r} for "
                 f"{self.metric}"
@@ -195,23 +193,6 @@ def _is_number(value: object) -> bool:
     )
 
 
-def _resolve_tolerances(
-    manifest: Mapping,
-    overrides: Optional[Mapping[str, Tuple[str, float]]],
-) -> Dict[str, Tolerance]:
-    merged: Dict[str, Tuple[str, float]] = dict(DEFAULT_TOLERANCES)
-    config_tolerances = manifest.get("config", {}).get("tolerances", {})
-    for metric, entry in config_tolerances.items():
-        merged[metric] = (entry["kind"], float(entry["limit"]))
-    if overrides:
-        for metric, (kind, limit) in overrides.items():
-            merged[metric] = (kind, float(limit))
-    return {
-        metric: Tolerance(metric=metric, kind=kind, limit=limit)
-        for metric, (kind, limit) in merged.items()
-    }
-
-
 def _judge(
     cell_id: str,
     tolerance: Tolerance,
@@ -225,8 +206,8 @@ def _judge(
         baseline=baseline if _is_number(baseline) else None,
         observed=observed if _is_number(observed) else None,
     )
-    # A golden cell refuses SLO breaches outright, whatever the config
-    # says — that is what "golden" means.
+    # A golden cell refuses SLO breaches outright, whatever the baseline
+    # recorded — that is what "golden" means.
     if golden and metric == "slo_breaches":
         kind, limit = "max", 0.0
         base.update(kind=kind, limit=limit)
@@ -273,7 +254,7 @@ def _judge(
             ),
             **base,
         )
-    # relative_drop and exact both need an anchoring baseline value.
+    # exact: the baseline's value is what the run must reproduce.
     if baseline is None:
         return GateVerdict(
             passed=False,
@@ -283,48 +264,14 @@ def _judge(
             ),
             **base,
         )
-    if not _is_number(baseline):
-        return GateVerdict(
-            passed=True,
-            detail=(
-                f"baseline value {baseline!r} cannot anchor a "
-                f"{kind} comparison; check skipped"
-            ),
-            **base,
-        )
-    if kind == "exact":
-        passed = observed == baseline
-        return GateVerdict(
-            passed=passed,
-            detail=(
-                f"observed {observed:g} == baseline {baseline:g}"
-                if passed else
-                f"observed {observed:g} != baseline {baseline:g} "
-                "(deterministic metric drifted)"
-            ),
-            **base,
-        )
-    # relative_drop: a zero baseline cannot express a percentage drop.
-    if baseline <= 0:
-        return GateVerdict(
-            passed=True,
-            detail=(
-                f"baseline {baseline:g} <= 0 cannot anchor a relative "
-                "drop; check skipped"
-            ),
-            **base,
-        )
-    floor = baseline * (1.0 - limit)
-    passed = observed >= floor
-    drop = (baseline - observed) / baseline
+    passed = observed == baseline
     return GateVerdict(
         passed=passed,
         detail=(
-            f"observed {observed:g} vs baseline {baseline:g} "
-            f"(drop {drop * 100:.1f}%, limit {limit * 100:.1f}%)"
+            f"observed {observed:g} == baseline {baseline:g}"
             if passed else
-            f"observed {observed:g} dropped {drop * 100:.1f}% from "
-            f"baseline {baseline:g} (limit {limit * 100:.1f}%)"
+            f"observed {observed:g} != baseline {baseline:g} "
+            "(deterministic metric drifted)"
         ),
         **base,
     )
@@ -333,19 +280,21 @@ def _judge(
 def gate_manifest(
     manifest: Mapping,
     baseline: Mapping,
-    tolerances: Optional[Mapping[str, Tuple[str, float]]] = None,
     allow_extra_cells: bool = False,
 ) -> GateReport:
     """Compare *manifest* against *baseline*, one verdict per check.
 
-    *tolerances* overrides win over the manifest config's tolerances,
-    which win over :data:`DEFAULT_TOLERANCES`.  With
-    ``allow_extra_cells`` a manifest cell absent from the baseline is a
-    passing "new cell" note instead of a failure.
+    Every cell's ``metrics`` are judged by :data:`DEFAULT_TOLERANCES`;
+    its ``perf`` section is never read.  With ``allow_extra_cells`` a
+    manifest cell absent from the baseline is a passing "new cell" note
+    instead of a failure.
     """
     validate_manifest(dict(manifest))
     validate_manifest(dict(baseline))
-    resolved = _resolve_tolerances(manifest, tolerances)
+    tolerances = [
+        Tolerance(metric=metric, kind=kind, limit=limit)
+        for metric, (kind, limit) in sorted(DEFAULT_TOLERANCES.items())
+    ]
     manifest_cells: Dict = dict(manifest["cells"])
     baseline_cells: Dict = dict(baseline["cells"])
     verdicts: List[GateVerdict] = []
@@ -376,23 +325,14 @@ def gate_manifest(
                 ),
             ))
             continue
-        base_record = baseline_cells[cell_id]
+        baseline_metrics = baseline_cells[cell_id]["metrics"]
         golden = bool(record.get("golden"))
-        observed_values = {**record["metrics"], **record["perf"]}
-        baseline_values = {
-            **base_record["metrics"], **base_record["perf"],
-        }
-        for metric in sorted(resolved):
-            if (
-                metric not in observed_values
-                and metric not in baseline_values
-            ):
-                continue
+        for tolerance in tolerances:
             verdicts.append(_judge(
                 cell_id,
-                resolved[metric],
-                baseline_values.get(metric),
-                observed_values.get(metric),
+                tolerance,
+                baseline_metrics[tolerance.metric],
+                record["metrics"][tolerance.metric],
                 golden,
             ))
     return GateReport(

@@ -3,8 +3,9 @@
 :func:`run_matrix` expands an :class:`~repro.expt.config.ExperimentConfig`
 and maps :func:`run_cell` — one registry lookup, one
 :meth:`~repro.scenarios.Scenario.run` — over the cells through
-:func:`map_parallel`, the ProcessPool fan-out the perf sweep shares.
-The output is a structured results directory::
+:func:`map_parallel`, a ProcessPool fan-out.  A stream-count sweep is
+just a matrix of ``scale`` rows.  The output is a structured results
+directory::
 
     <out_dir>/
       matrix.json          # the manifest: config, hash, every cell
@@ -16,8 +17,8 @@ trailing newline (:func:`stable_json`).  A cell record separates its
 with the same seed (delivered blocks, misses, continuity/reject/cache
 ratios, SLO breaches) — from its **perf** section (wall seconds and
 blocks per wall-second), which is honest about being host- and
-run-dependent.  The gate (:mod:`repro.expt.gate`) reads both; regression
-tests pin only the metrics.
+run-dependent.  The gate (:mod:`repro.expt.gate`) reads the metrics
+only; ``expt diff`` prints both.
 """
 
 from __future__ import annotations
@@ -30,18 +31,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import scenarios
 from repro.errors import ParameterError
-from repro.expt.config import (
-    CONFIG_SCHEMA_VERSION,
-    ExperimentConfig,
-    MatrixCell,
-)
-from repro.scenarios import METRIC_KEYS, PERF_KEYS, ScenarioRun
+from repro.expt.config import ExperimentConfig, MatrixCell
+from repro.scenarios import METRIC_KEYS, PERF_KEYS
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "CellResult",
     "MatrixReport",
-    "cell_from_run",
     "map_parallel",
     "run_cell",
     "run_matrix",
@@ -64,8 +60,7 @@ def map_parallel(
 ) -> Tuple[List[_ResultT], int, bool]:
     """Map a picklable *fn* over *items*, fanning across worker processes.
 
-    The shared fan-out behind :func:`run_matrix` and the perf sweep
-    (:func:`repro.perf.run_sweep`).  Returns ``(results, workers,
+    The fan-out behind :func:`run_matrix`.  Returns ``(results, workers,
     parallel)`` with results in input order.  ``workers=None`` picks
     ``min(len(items), cpu_count)``; ``1`` forces in-process execution.
     Pool failures (sandboxed /dev/shm, fork limits) degrade to serial
@@ -126,35 +121,19 @@ class CellResult:
         }
 
 
-def cell_from_run(
-    run: ScenarioRun,
-    cell_id: Optional[str] = None,
-    golden: bool = False,
-    spec: Optional[Dict[str, object]] = None,
-) -> CellResult:
-    """Flatten a :class:`ScenarioRun` into the picklable cell record.
-
-    By default the id and spec are the scenario's own; the perf sweep
-    and ``benchmarks/bench_perf_scale.py`` use this to emit their scale
-    points in the matrix schema, so the bench trajectory and the
-    experiment gate speak one format.
-    """
-    scenario = run.scenario
+def run_cell(cell: MatrixCell) -> CellResult:
+    """Execute one matrix cell (module-level, so workers can pickle it)
+    and flatten the run into the small picklable record."""
+    spec = cell.spec_dict()
+    run = scenarios.get(cell.kind)(**spec).run()
     return CellResult(
-        cell_id=cell_id if cell_id is not None else scenario.cell_id(),
-        kind=scenario.name,
-        golden=golden,
-        spec=spec if spec is not None else scenario.spec(),
+        cell_id=cell.cell_id,
+        kind=cell.kind,
+        golden=cell.golden,
+        spec=spec,
         metrics=run.metrics(),
         perf=run.perf(),
     )
-
-
-def run_cell(cell: MatrixCell) -> CellResult:
-    """Execute one matrix cell (module-level, so workers can pickle it)."""
-    spec = cell.spec_dict()
-    run = scenarios.get(cell.kind)(**spec).run()
-    return cell_from_run(run, cell.cell_id, cell.golden, spec)
 
 
 @dataclass(frozen=True)
@@ -217,54 +196,6 @@ def write_results(report: MatrixReport, out_dir) -> str:
     manifest_path = out / "matrix.json"
     manifest_path.write_text(stable_json(report.manifest_dict()))
     return str(manifest_path)
-
-
-def build_manifest(
-    name: str,
-    cell_records: Sequence[Dict[str, object]],
-    config: Optional[ExperimentConfig] = None,
-    workers: int = 1,
-    parallel: bool = False,
-    wall_time_s: float = 0.0,
-) -> Dict[str, object]:
-    """Assemble a manifest dict from already-built cell records."""
-    if config is not None:
-        config_dict = config.to_dict()
-        digest = config.hash
-    else:
-        from repro.expt.config import config_hash
-
-        config_dict = {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "name": name,
-            "description": "external cell records (no declarative config)",
-            "axes": {},
-            "workloads": [],
-            "tolerances": {},
-        }
-        digest = config_hash(config_dict)
-    ids = [record["cell_id"] for record in cell_records]
-    duplicates = sorted({i for i in ids if ids.count(i) > 1})
-    if duplicates:
-        raise ParameterError(
-            "duplicate cell id(s) in manifest records: "
-            f"{', '.join(duplicates)}"
-        )
-    manifest = {
-        "kind": "expt_matrix",
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "name": name,
-        "config": config_dict,
-        "config_hash": digest,
-        "workers": workers,
-        "parallel": parallel,
-        "wall_time_s": wall_time_s,
-        "cells": {
-            record["cell_id"]: dict(record) for record in cell_records
-        },
-    }
-    validate_manifest(manifest)
-    return manifest
 
 
 def validate_manifest(manifest: object) -> Dict[str, object]:

@@ -3,9 +3,8 @@
 Every module in this package defines scenarios and registers them with
 :func:`~repro.scenarios.base.register`; they are imported here, so
 adding a scenario is one new file and nothing else — the CLI views
-(``repro run|obs-report|profile|trace-export --scenario NAME``), the
-experiment matrix (``kind``), the perf sweep and the benchmarks all
-find it through :func:`get`.
+(``repro run|obs-report|profile|trace-export --scenario NAME``) and
+the experiment matrix (``kind``) find it through :func:`get`.
 """
 
 import importlib

@@ -3,9 +3,9 @@
 A scenario is a frozen, picklable dataclass whose fields *are* its
 parameters, registered once under its ``name`` by :func:`register`.
 Everything that runs a canonical workload — the ``repro`` CLI views,
-the experiment matrix, the perf sweep, the benchmarks, the goldens —
-looks the class up here, builds it from a plain spec dict, and calls
-:meth:`Scenario.run`; the answer is always a :class:`ScenarioRun`.
+the experiment matrix, the goldens — looks the class up here, builds
+it from a plain spec dict, and calls :meth:`Scenario.run`; the answer is
+always a :class:`ScenarioRun`.
 """
 
 from __future__ import annotations
@@ -196,6 +196,16 @@ class Scenario:
             typed[key] = value
         return cls.smoke(**typed) if smoke else cls(**typed)
 
+    def _require_counts(self, *keys: str) -> None:
+        """Refuse a count field below 1.  A scenario's ``__post_init__``
+        is its one validator: ``--set`` and an experiment config both
+        construct the class, so both reject the same values."""
+        for key in keys:
+            if getattr(self, key) < 1:
+                raise ParameterError(
+                    f"{key} must be >= 1, got {getattr(self, key)}"
+                )
+
     @classmethod
     def smoke(cls, **overrides) -> "Scenario":
         """The tiny variant ``scripts/check.sh`` and ``--smoke`` run."""
@@ -344,8 +354,7 @@ class ScenarioRun:
     bounds: object = None
     #: What was driven: the rope server, MediaServer or MediaCluster.
     stack: object = None
-    #: What ran before the measured epoch: server-hot's warm-up results,
-    #: obs-overhead's unobserved baseline run.
+    #: What ran before the measured epoch: server-hot's warm-up results.
     warmups: Tuple = ()
 
     def snapshot(self, include_profile: bool = False) -> str:
@@ -358,7 +367,7 @@ class ScenarioRun:
         return self.scenario.metrics(self)
 
     def perf(self) -> Dict[str, float]:
-        """Host-dependent timings (at least :data:`PERF_KEYS`)."""
+        """Host-dependent timings on :data:`PERF_KEYS` (never gated)."""
         return self.scenario.perf(self)
 
     def healthy(self) -> bool:

@@ -66,6 +66,11 @@ class ClusterScale(Scenario):
     kill_node: Optional[int] = None
     kill_chunk: int = 2
 
+    def __post_init__(self) -> None:
+        # Sizes the stack itself refuses (nodes, titles, chunks, a
+        # kill_node off the cluster) fail typed when it is built.
+        self._require_counts("sessions")
+
     def cell_id(self) -> str:
         return (
             f"cluster-n{self.nodes}-s{self.sessions}-t{self.titles}"

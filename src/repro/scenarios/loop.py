@@ -4,9 +4,10 @@
 directly (seeded strided slot placement) instead of recording media
 through the rope server: the point is to load the round loop and the
 drive model — the hot paths — with exactly controlled block counts.  It
-runs a fixed k with no admission control, so it scores simulator
-throughput, not continuity.  ``obs-overhead`` runs the same loop with
-observability off and on and compares walls.
+runs a fixed k with no admission control, so it promises delivery, not
+continuity: the unobserved-loop microbench behind the op-count and
+equivalence tests, not a throughput measurement (that is
+``python -m bench run``, on loads admission accepted).
 """
 
 from __future__ import annotations
@@ -60,11 +61,7 @@ class Scale(Scenario):
     label: str = "profiled-scale"
 
     def __post_init__(self) -> None:
-        for key in ("streams", "blocks_per_stream", "k"):
-            if getattr(self, key) < 1:
-                raise ParameterError(
-                    f"{key} must be >= 1, got {getattr(self, key)}"
-                )
+        self._require_counts("streams", "blocks_per_stream", "k")
         if self.drive not in DRIVE_CONFIGS:
             raise ParameterError(
                 f"unknown drive config {self.drive!r}; known: "
@@ -94,8 +91,8 @@ class Scale(Scenario):
         return Observability(enabled=False)
 
     def profile_section(self, run: ScenarioRun) -> Dict[str, object]:
-        """The BENCH_PERF.json ``profile`` shape: the point's parameters
-        and loop totals ride along with the attribution."""
+        """The point's parameters and loop totals ride along with the
+        attribution."""
         metrics = run.metrics()
         return {
             "params": self.spec(),
@@ -164,84 +161,3 @@ class Scale(Scenario):
         """No admission test accepted this fixed-k load: it promises
         delivery, not continuity."""
         return all(m.blocks_delivered for m in run.result.metrics.values())
-
-
-def _faster(best: Optional[ScenarioRun], run: ScenarioRun) -> ScenarioRun:
-    return run if best is None or run.wall_s < best.wall_s else best
-
-
-@register
-@dataclass(frozen=True)
-class ObsOverhead(Scenario):
-    """Full sampled observability vs obs-off walls on one scale point.
-
-    The two sides run interleaved — off, traced, off, traced, … — so
-    clock drift biases neither, each on a fresh drive, stream set and
-    observer; min-of-*repeats* walls are compared, so scheduler noise
-    cannot manufacture a regression.  The run carries the best traced
-    side, with the best unobserved one as its ``warmups[0]``;
-    ``perf()["obs_overhead_ratio"]`` is traced wall / off wall.
-    """
-
-    name = "obs-overhead"
-    sampled = True
-    smoke_sizing = {"streams": 8, "blocks_per_stream": 50, "repeats": 2}
-    matrix = smoke_sizing
-
-    seed: int = 0
-    streams: int = 100
-    blocks_per_stream: int = 1000
-    repeats: int = 5
-    #: The acceptance budget ``benchmarks/bench_perf_scale.py`` enforces.
-    budget_ratio: float = 1.15
-
-    def __post_init__(self) -> None:
-        if self.repeats < 1:
-            raise ParameterError(f"repeats must be >= 1, got {self.repeats}")
-
-    def _loop(self) -> Scale:
-        return Scale(
-            streams=self.streams,
-            blocks_per_stream=self.blocks_per_stream,
-            seed=self.seed,
-            label=self.name,
-        )
-
-    def cell_id(self) -> str:
-        return (
-            f"obs-overhead-n{self.streams}-b{self.blocks_per_stream}"
-            f"-seed{self.seed}"
-        )
-
-    def run(self, obs: Optional[Observability] = None) -> ScenarioRun:
-        """An explicit *obs* observes every traced repeat (cumulatively)."""
-        loop = self._loop()
-        off = traced = None
-        for _ in range(self.repeats):
-            off = _faster(off, loop.run())
-            traced = _faster(
-                traced,
-                loop.run(obs if obs is not None else self.observability()),
-            )
-        # Spans are seed-deterministic, so any repeat's observer reports
-        # the same counts.
-        return ScenarioRun(
-            self, traced.obs, traced.result, traced.wall_s, warmups=(off,)
-        )
-
-    def metrics(self, run: ScenarioRun) -> Dict[str, Optional[float]]:
-        """A comparison of two runs vouches for its work volume only."""
-        return {
-            key: value if key == "blocks_delivered" else None
-            for key, value in super().metrics(run).items()
-        }
-
-    def perf(self, run: ScenarioRun) -> Dict[str, float]:
-        [off] = run.warmups
-        return {
-            **super().perf(run),
-            "obs_overhead_ratio": run.wall_s / max(off.wall_s, 1e-9),
-        }
-
-    def healthy(self, run: ScenarioRun) -> bool:
-        return self._loop().healthy(run)

@@ -112,6 +112,9 @@ class ServerHot(Scenario):
     batch_window: float = 0.25
     batching: bool = True
 
+    def __post_init__(self) -> None:
+        self._require_counts("sessions", "strands")
+
     def cell_id(self) -> str:
         return (
             f"server-hot-s{self.sessions}x{self.strands}"

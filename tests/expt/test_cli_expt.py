@@ -63,19 +63,22 @@ class TestRun:
         manifest = json.loads(capsys.readouterr().out)
         validate_manifest(manifest)
 
-    def test_config_file_run(self, tmp_path, capsys):
-        config = {
-            "schema_version": 1,
+    @staticmethod
+    def _mini_config(tmp_path):
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps({
+            "schema_version": 2,
             "name": "mini",
             "workloads": [{
                 "kind": "scale", "streams": 2, "blocks_per_stream": 8,
             }],
-        }
-        config_path = tmp_path / "mini.json"
-        config_path.write_text(json.dumps(config))
+        }))
+        return path
+
+    def test_config_file_run(self, tmp_path, capsys):
         out = tmp_path / "mini-out"
         code = main([
-            "expt", "run", "--config", str(config_path),
+            "expt", "run", "--config", str(self._mini_config(tmp_path)),
             "--out", str(out), "--workers", "1",
         ])
         assert code == 0
@@ -103,6 +106,52 @@ class TestRun:
         assert f"regenerated baseline {baseline}" in (
             capsys.readouterr().out
         )
+
+
+    def test_regen_baseline_with_config_needs_explicit_baseline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The default path is the *smoke* matrix's committed baseline; a
+        # --config run must never land there by omission.
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "expt", "run", "--config", str(self._mini_config(tmp_path)),
+            "--workers", "1", "--regen-baseline",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: --regen-baseline with --config")
+        assert "--baseline FILE" in line
+        # Refused before anything ran: no results dir, no baseline.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.json"]
+
+    def test_regen_baseline_with_config_and_explicit_baseline(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        baseline = tmp_path / "mini-baseline.json"
+        code = main([
+            "expt", "run", "--config", str(self._mini_config(tmp_path)),
+            "--workers", "1", "--regen-baseline",
+            "--baseline", str(baseline),
+        ])
+        assert code == 0
+        assert json.loads(baseline.read_text())["name"] == "mini"
+        assert not (tmp_path / "tests").exists()
+
+    def test_regen_baseline_with_smoke_defaults_to_committed_path(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "expt", "run", "--smoke", "--workers", "1",
+            "--regen-baseline",
+        ])
+        assert code == 0
+        written = tmp_path / "tests" / "baselines" / "matrix_baseline.json"
+        assert json.loads(written.read_text())["name"] == "smoke"
 
 
 class TestGate:

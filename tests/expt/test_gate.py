@@ -1,15 +1,16 @@
-"""Gate edge cases: missing/extra cells, boundaries, NaN/zero guards."""
+"""Gate edge cases: missing/extra cells, boundaries, null/NaN guards."""
 
 import pytest
 
 from repro.errors import ParameterError
 from repro.expt import (
+    DEFAULT_TOLERANCES,
     GateReport,
     GateVerdict,
     Tolerance,
-    build_manifest,
     diff_manifests,
     gate_manifest,
+    validate_manifest,
 )
 from repro.expt.runner import METRIC_KEYS
 
@@ -35,7 +36,17 @@ def _cell(cell_id, golden=False, **overrides):
 
 
 def _manifest(name, cells):
-    return build_manifest(name=name, cell_records=cells)
+    return validate_manifest({
+        "kind": "expt_matrix",
+        "schema_version": 1,
+        "name": name,
+        "config": {},
+        "config_hash": "sha256:00",
+        "workers": 1,
+        "parallel": False,
+        "wall_time_s": 0.0,
+        "cells": {cell["cell_id"]: cell for cell in cells},
+    })
 
 
 class TestCellCoverage:
@@ -79,47 +90,28 @@ class TestCellCoverage:
 
 
 class TestBoundaries:
-    def test_relative_drop_exactly_at_limit_passes(self):
-        # limit 0.5 with baseline 200 -> floor is exactly representable
-        # (100.0); a value exactly on the boundary must pass.
-        baseline = _manifest("base", [_cell("c", blocks_per_second=200.0)])
-        manifest = _manifest("run", [_cell("c", blocks_per_second=100.0)])
-        report = gate_manifest(
-            manifest, baseline,
-            tolerances={"blocks_per_second": ("relative_drop", 0.5)},
-        )
-        assert report.passed
-
-    def test_relative_drop_just_past_limit_fails(self):
-        baseline = _manifest("base", [_cell("c", blocks_per_second=200.0)])
-        manifest = _manifest("run", [_cell("c", blocks_per_second=99.0)])
-        report = gate_manifest(
-            manifest, baseline,
-            tolerances={"blocks_per_second": ("relative_drop", 0.5)},
-        )
-        [failure] = report.failures
-        assert failure.metric == "blocks_per_second"
-        assert "dropped 50.5%" in failure.detail
-        assert "limit 50.0%" in failure.detail
+    # Each kind is exercised on a row of the one tolerance table.
 
     def test_max_boundary_passes_and_above_fails(self):
-        baseline = _manifest("base", [_cell("c", wall_time_s=1.0)])
-        at_limit = _manifest("run", [_cell("c", wall_time_s=2.0)])
-        over = _manifest("run", [_cell("c", wall_time_s=2.5)])
-        tolerance = {"wall_time_s": ("max", 2.0)}
-        assert gate_manifest(at_limit, baseline, tolerance).passed
-        report = gate_manifest(over, baseline, tolerance)
-        [failure] = report.failures
+        # A golden cell's slo_breaches is ("max", 0).
+        baseline = _manifest("base", [_cell("g", golden=True)])
+        at_limit = _manifest(
+            "run", [_cell("g", golden=True, slo_breaches=0)]
+        )
+        over = _manifest("run", [_cell("g", golden=True, slo_breaches=1)])
+        assert gate_manifest(at_limit, baseline).passed
+        [failure] = gate_manifest(over, baseline).failures
+        assert failure.kind == "max"
         assert "exceeds ceiling" in failure.detail
 
     def test_min_boundary_passes_and_below_fails(self):
-        baseline = _manifest("base", [_cell("c", continuity_ratio=1.0)])
-        at_limit = _manifest("run", [_cell("c", continuity_ratio=0.9)])
-        below = _manifest("run", [_cell("c", continuity_ratio=0.89)])
-        tolerance = {"continuity_ratio": ("min", 0.9)}
-        assert gate_manifest(at_limit, baseline, tolerance).passed
-        report = gate_manifest(below, baseline, tolerance)
-        [failure] = report.failures
+        assert DEFAULT_TOLERANCES["handoff_clean_ratio"] == ("min", 0.9)
+        baseline = _manifest("base", [_cell("c", handoff_clean_ratio=1.0)])
+        at_limit = _manifest("run", [_cell("c", handoff_clean_ratio=0.9)])
+        below = _manifest("run", [_cell("c", handoff_clean_ratio=0.89)])
+        assert gate_manifest(at_limit, baseline).passed
+        [failure] = gate_manifest(below, baseline).failures
+        assert failure.kind == "min"
         assert "below floor" in failure.detail
 
     def test_exact_mismatch_names_cell_and_metric(self):
@@ -135,17 +127,6 @@ class TestBoundaries:
 
 
 class TestGuards:
-    def test_zero_baseline_cannot_anchor_relative_drop(self):
-        baseline = _manifest("base", [_cell("c", blocks_per_second=0.0)])
-        manifest = _manifest("run", [_cell("c", blocks_per_second=50.0)])
-        report = gate_manifest(manifest, baseline)
-        verdict = next(
-            v for v in report.verdicts
-            if v.metric == "blocks_per_second"
-        )
-        assert verdict.passed
-        assert "cannot anchor" in verdict.detail
-
     def test_null_pair_passes_with_note(self):
         baseline = _manifest("base", [_cell("c", cache_hit_ratio=None)])
         manifest = _manifest("run", [_cell("c", cache_hit_ratio=None)])
@@ -177,14 +158,23 @@ class TestGuards:
             Tolerance(metric="x", kind="max", limit=float("nan"))
 
     def test_unknown_tolerance_kind_rejected(self):
-        with pytest.raises(ParameterError, match="unknown tolerance"):
-            Tolerance(metric="x", kind="fuzzy", limit=1.0)
+        # The kinds are exact / max / min; the wall-clock kind is gone.
+        for kind in ("fuzzy", "relative_drop"):
+            with pytest.raises(ParameterError, match="unknown tolerance"):
+                Tolerance(metric="x", kind=kind, limit=1.0)
 
     def test_nan_metric_rejected_at_validation(self):
         bad = _cell("c")
         bad["metrics"]["misses"] = float("nan")
         with pytest.raises(ParameterError, match="NaN"):
             _manifest("run", [bad])
+
+
+class TestDeterministicOnly:
+    def test_every_gated_metric_is_a_deterministic_metric(self):
+        assert set(DEFAULT_TOLERANCES) <= set(METRIC_KEYS)
+        for metric, (kind, limit) in DEFAULT_TOLERANCES.items():
+            Tolerance(metric=metric, kind=kind, limit=limit)
 
 
 class TestGoldenCells:

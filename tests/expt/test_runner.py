@@ -6,8 +6,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.expt import (
-    build_manifest,
-    cell_from_run,
+    ExperimentConfig,
     run_cell,
     run_matrix,
     smoke_config,
@@ -15,7 +14,7 @@ from repro.expt import (
     validate_manifest,
     write_results,
 )
-from repro.expt.runner import METRIC_KEYS, PERF_KEYS
+from repro.expt.runner import METRIC_KEYS, PERF_KEYS, map_parallel
 from repro.scenarios import get
 from repro.scenarios.base import _ratio
 
@@ -79,14 +78,41 @@ class TestRunCell:
                 cell_id="x", kind="quantum", golden=False, spec=(),
             ))
 
-    def test_obs_overhead_ratio_lives_in_perf_not_metrics(
-        self, smoke_report
-    ):
-        [cell] = [
-            c for c in smoke_report.cells if c.kind == "obs-overhead"
-        ]
-        assert "obs_overhead_ratio" in cell.perf
-        assert "obs_overhead_ratio" not in cell.metrics
+
+class TestParallelFanOut:
+    """A stream-count sweep is a matrix of ``scale`` rows; this is the
+    one place the pool runs with more than one worker."""
+
+    @staticmethod
+    def _sweep():
+        return ExperimentConfig.from_dict({
+            "schema_version": 2,
+            "name": "sweep",
+            "axes": {"seeds": [0, 1]},
+            "workloads": [
+                {"kind": "scale", "streams": n, "blocks_per_stream": 12}
+                for n in (2, 3)
+            ],
+        })
+
+    def test_serial_and_parallel_agree(self):
+        config = self._sweep()
+        serial = run_matrix(config, workers=1)
+        parallel = run_matrix(config, workers=2)
+        assert not serial.parallel and serial.workers == 1
+        assert parallel.workers == 2
+        order = [cell.cell_id for cell in config.expand()]
+        assert [c.cell_id for c in serial.cells] == order
+        assert [c.cell_id for c in parallel.cells] == order
+        assert stable_json([c.metrics for c in serial.cells]) == (
+            stable_json([c.metrics for c in parallel.cells])
+        )
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ParameterError, match="at least one item"):
+            map_parallel(run_cell, [])
+        with pytest.raises(ParameterError, match="workers must be >= 1"):
+            run_matrix(self._sweep(), workers=0)
 
 
 class TestResultsLayout:
@@ -119,40 +145,6 @@ class TestResultsLayout:
             (tmp_path / "a" / "matrix.json").read_bytes()
             == (tmp_path / "b" / "matrix.json").read_bytes()
         )
-
-
-class TestBuildManifest:
-    def _record(self, cell_id="c"):
-        metrics = {key: None for key in METRIC_KEYS}
-        metrics["blocks_delivered"] = 10
-        return {
-            "cell_id": cell_id,
-            "kind": "scale",
-            "golden": False,
-            "spec": {},
-            "metrics": metrics,
-            "perf": {"wall_time_s": 0.1, "blocks_per_second": 100.0},
-        }
-
-    def test_builds_and_validates(self):
-        manifest = build_manifest("ext", [self._record()])
-        assert manifest["kind"] == "expt_matrix"
-        assert manifest["config_hash"].startswith("sha256:")
-        validate_manifest(manifest)
-
-    def test_duplicate_cell_ids_rejected(self):
-        with pytest.raises(ParameterError, match="duplicate cell id"):
-            build_manifest("ext", [self._record(), self._record()])
-
-    def test_cell_from_scale_result_bridges_schema(self):
-        run = get("scale")(
-            label="bridge", streams=2, blocks_per_stream=8,
-            k=2, buffer_capacity=4, seed=0,
-        ).run()
-        record = cell_from_run(run, cell_id="bridge").to_dict()
-        manifest = build_manifest("bench", [record])
-        validate_manifest(manifest)
-        assert record["metrics"]["blocks_delivered"] == 16
 
 
 class TestValidateManifest:

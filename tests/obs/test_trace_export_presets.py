@@ -18,8 +18,8 @@ from repro.scenarios import REGISTRY
 
 pytestmark = pytest.mark.trace
 
-#: ``scale`` is the bare loop timed with observability off (an empty
-#: trace); ``obs-overhead`` is the same loop traced.
+#: ``scale`` is the bare loop with observability off (an empty trace);
+#: the same loop traced is pinned by ``tests/obs/test_export_digests.py``.
 PRESETS = sorted(set(REGISTRY) - {"scale"})
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import repro.service.session as session_module
 from repro.disk.factory import build_drive
+from repro.errors import ParameterError
 from repro.scenarios import get
 from repro.scenarios.loop import Scale
 from repro.service.rounds import (
@@ -69,6 +70,39 @@ SCENARIOS = [
         buffer_capacity=2, seed=9,
     ),
 ]
+
+
+class TestScaleScenario:
+    """The microbench itself: seeded, complete, and self-validating."""
+
+    def test_deterministic_across_runs(self):
+        scenario = Scale(
+            label="det", streams=5, blocks_per_stream=30, seed=2,
+        )
+        assert scenario.run().metrics() == scenario.run().metrics()
+
+    def test_delivers_every_block(self):
+        run = Scale(
+            label="full", streams=4, blocks_per_stream=25,
+            arrivals="staggered",
+        ).run()
+        assert run.metrics()["blocks_delivered"] == 4 * 25
+        assert run.metrics()["rounds"] > 0
+        assert run.healthy()
+
+    def test_validation(self):
+        with pytest.raises(ParameterError, match="streams must be >= 1"):
+            Scale(label="bad", streams=0, blocks_per_stream=1)
+        with pytest.raises(ParameterError, match="unknown drive config"):
+            Scale(
+                label="bad", streams=1, blocks_per_stream=1,
+                drive="floppy",
+            )
+        with pytest.raises(ParameterError, match="unknown arrivals mode"):
+            Scale(
+                label="bad", streams=1, blocks_per_stream=1,
+                arrivals="sideways",
+            )
 
 
 class TestServiceEquivalence:

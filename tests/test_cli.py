@@ -303,8 +303,7 @@ class TestParser:
 
     def test_scenario_commands_share_seed_and_json_options(self):
         for name in (
-            "demo", "obs-report", "perf-sweep", "run", "trace-export",
-            "profile",
+            "demo", "obs-report", "run", "trace-export", "profile",
         ):
             options = self._subcommand_options(name)
             assert "--seed" in options, name

@@ -99,7 +99,7 @@ def check_runs_deterministically(cls, seeded):
 
 def check_is_a_matrix_kind(cls):
     config = ExperimentConfig.from_dict({
-        "schema_version": 1,
+        "schema_version": 2,
         "name": "contract",
         "axes": {"seeds": [3]},
         "workloads": [{"kind": cls.name, "golden": True}],
@@ -119,7 +119,7 @@ def check_is_a_matrix_kind(cls):
     assert cls(**cell.spec_dict()) == point
     with pytest.raises(ExperimentConfigError, match="unknown param"):
         ExperimentConfig.from_dict({
-            "schema_version": 1,
+            "schema_version": 2,
             "name": "contract",
             "workloads": [{"kind": cls.name, "no_such_parameter": 1}],
         })
@@ -176,10 +176,10 @@ class TestRegisteredScenario:
         assert "== profile ==" in capsys.readouterr().out
 
 
-def test_registry_holds_the_eight_canonical_scenarios():
+def test_registry_holds_the_seven_canonical_scenarios():
     assert NAMES == [
-        "cluster-scale", "fault", "obs-overhead", "scale",
-        "server-fault", "server-hot", "server-steady", "steady",
+        "cluster-scale", "fault", "scale", "server-fault", "server-hot",
+        "server-steady", "steady",
     ]
     for name in NAMES:
         assert get(name).name == name
@@ -243,7 +243,7 @@ class TestAddingAScenario:
 
     def test_run_cell_and_run_matrix_need_no_edits(self):
         config = ExperimentConfig.from_dict({
-            "schema_version": 1,
+            "schema_version": 2,
             "name": "throwaway",
             "axes": {"seeds": [0, 1]},
             "workloads": [{"kind": "throwaway", "clips": 1}],
