@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import TESTBED_1991, HDTV_2_5_GBIT, HardwareProfile
@@ -90,24 +91,19 @@ def fetches_with_gap(
         budget, drive.geometry.cylinders
     )
     stride = max(0, stride) + extra_cylinders
-    geometry = drive.geometry
-    spb = drive.sectors_per_block
-    spc = geometry.sectors_per_cylinder
-
-    def slot_at(cylinder: int) -> int:
-        first = (cylinder * spc + spb - 1) // spb
-        return min(first, drive.slots - 1)
-
+    cylinders = drive.geometry.cylinders
     slots: List[int] = []
     cylinder = 0
     direction = 1
     for _ in range(count):
-        slots.append(slot_at(cylinder))
+        slots.append(min(
+            drive.slot_window(cylinder, cylinder).start, drive.slots - 1
+        ))
         nxt = cylinder + direction * max(stride, 1)
-        if not 0 <= nxt < geometry.cylinders:
+        if not 0 <= nxt < cylinders:
             direction = -direction
             nxt = cylinder + direction * max(stride, 1)
-            nxt = max(0, min(geometry.cylinders - 1, nxt))
+            nxt = max(0, min(cylinders - 1, nxt))
         cylinder = nxt
     return FetchColumns.uniform(slots, block_bits, duration)
 
@@ -719,13 +715,10 @@ def e8_edit_copy(
             deficit = int(
                 msm.freemap.slots * dense_target
             ) - msm.freemap.used_count
-            for slot in range(msm.freemap.slots):
-                if deficit <= 0:
-                    break
-                if slot % 5 == 2 or not msm.freemap.is_free(slot):
-                    continue
-                msm.freemap.allocate(slot)
-                deficit -= 1
+            msm.freemap.claim(islice(
+                (s for s in msm.freemap.free_slots() if s % 5 != 2),
+                max(0, deficit),
+            ))
         strand_b = msm.store_video_strand(
             frames_b, hint=drive.slots - 1
         )

@@ -85,8 +85,16 @@ class Allocator:
         self.freemap = freemap
 
     def allocate_first(self, hint: Optional[int] = None) -> int:
-        """Allocate the first block of a strand."""
-        raise NotImplementedError
+        """Allocate a strand's first block: the first free slot at or
+        after *hint* (default slot 0), wrapping to the low end."""
+        start = 0 if hint is None else hint
+        slot = self.freemap.first_free_in_window(start, self.freemap.slots)
+        if slot is None:
+            slot = self.freemap.first_free_in_window(0, start)
+        if slot is None:
+            raise DiskFullError("no free slots for strand head")
+        self.freemap.allocate(slot)
+        return slot
 
     def allocate_after(self, previous: int) -> int:
         """Allocate the block following *previous* in the same strand."""
@@ -119,9 +127,8 @@ class ConstrainedScatterAllocator(Allocator):
 
     The seconds-valued bounds are translated into a cylinder-distance
     window once, using the drive's seek curve; each ``allocate_after``
-    then scans the corresponding slot window (forward first, then
-    backward) for a free slot and verifies the exact gap before
-    committing.
+    then scans that window's cylinders (forward first, then backward)
+    for a free slot, verifying the exact gap before committing.
 
     Parameters
     ----------
@@ -181,51 +188,34 @@ class ConstrainedScatterAllocator(Allocator):
         """Feasible cylinder distances (inclusive window, for tests)."""
         return range(self._d_min, self._d_max + 1)
 
-    def _slot_window(self, low_cyl: int, high_cyl: int) -> range:
-        """Slots whose starting sector lies within a cylinder interval."""
-        geometry = self.drive.geometry
-        low_cyl = max(0, low_cyl)
-        high_cyl = min(geometry.cylinders - 1, high_cyl)
-        if low_cyl > high_cyl:
-            return range(0)
-        spb = self.drive.sectors_per_block
-        first_lba = low_cyl * geometry.sectors_per_cylinder
-        last_lba = (high_cyl + 1) * geometry.sectors_per_cylinder - 1
-        first_slot = (first_lba + spb - 1) // spb
-        last_slot = min(last_lba // spb, self.drive.slots - 1)
-        return range(first_slot, last_slot + 1)
-
-    def _candidate_ok(self, previous: int, candidate: int) -> bool:
-        return self.bounds.admits(self.drive.access_gap(previous, candidate))
-
-    def allocate_first(self, hint: Optional[int] = None) -> int:
-        """Allocate the strand's first block near *hint* (default slot 0)."""
-        start = 0 if hint is None else hint
-        slot = self.freemap.first_free_in_window(start, self.freemap.slots)
-        if slot is None:
-            slot = self.freemap.first_free_in_window(0, start)
-        if slot is None:
-            raise DiskFullError("no free slots for strand head")
-        self.freemap.allocate(slot)
-        return slot
-
     def allocate_after(self, previous: int) -> int:
         """Allocate the next block within the scattering window.
 
         Scans the forward cylinder window first (keeping strands sweeping
         across the disk, which is what bounds intra-round seeks), then the
-        backward window.
+        backward window.  A candidate's gap depends only on its cylinder,
+        so the exact gap is verified once per cylinder and the first free
+        slot of the first admitted cylinder is taken.
         """
-        center = self.drive.cylinder_of(previous)
+        drive = self.drive
+        center = drive.cylinder_of(previous)
+        last = drive.geometry.cylinders - 1
         for low, high in (
             (center + self._d_min, center + self._d_max),
             (center - self._d_max, center - self._d_min),
         ):
-            window = self._slot_window(low, high)
-            for slot in self.freemap.free_in_window(window.start, window.stop):
-                if slot != previous and self._candidate_ok(previous, slot):
-                    self.freemap.allocate(slot)
-                    return slot
+            for cylinder in range(max(0, low), min(last, high) + 1):
+                if not self.bounds.admits(
+                    drive.positioning_time(center, cylinder)
+                ):
+                    continue
+                window = drive.slot_window(cylinder, cylinder)
+                for slot in self.freemap.free_in_window(
+                    window.start, window.stop
+                ):
+                    if slot != previous:
+                        self.freemap.allocate(slot)
+                        return slot
         raise ScatteringError(
             f"no free slot within the scattering window after slot "
             f"{previous} (cylinder {center}, distance window "
@@ -265,16 +255,6 @@ class ContiguousAllocator(Allocator):
     fragmentation message).
     """
 
-    def allocate_first(self, hint: Optional[int] = None) -> int:
-        start = 0 if hint is None else hint
-        slot = self.freemap.first_free_in_window(start, self.freemap.slots)
-        if slot is None:
-            slot = self.freemap.first_free_in_window(0, start)
-        if slot is None:
-            raise DiskFullError("no free slots")
-        self.freemap.allocate(slot)
-        return slot
-
     def allocate_after(self, previous: int) -> int:
         candidate = previous + 1
         if candidate >= self.freemap.slots or not self.freemap.is_free(candidate):
@@ -304,6 +284,5 @@ class ContiguousAllocator(Allocator):
                 f"need {count} slots, only {self.freemap.free_count} free"
             )
         slots = list(range(start, start + count))
-        for slot in slots:
-            self.freemap.allocate(slot)
+        self.freemap.claim(slots)
         return slots

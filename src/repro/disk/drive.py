@@ -23,7 +23,7 @@ from typing import Optional
 from repro.core.symbols import DiskParameters
 from repro.disk.geometry import DiskGeometry
 from repro.disk.seek import Rotation, SeekModel
-from repro.errors import ParameterError
+from repro.errors import AddressError, ParameterError
 from repro.obs.recorder import recorder_for
 
 __all__ = ["DriveStats", "SimulatedDrive"]
@@ -172,9 +172,32 @@ class SimulatedDrive:
         """Current head position."""
         return self._head_cylinder
 
+    # -- slot <-> cylinder arithmetic (the one copy the stack calls) ------------
+
     def cylinder_of(self, slot: int) -> int:
-        """Cylinder containing a block slot."""
-        return self.geometry.cylinder_of_slot(slot, self.sectors_per_block)
+        """Cylinder holding the first sector of a block slot — the same
+        integers as the reference :meth:`DiskGeometry.cylinder_of_slot`,
+        on the constants the drive resolved once."""
+        if not 0 <= slot < self._total_slots:
+            raise AddressError(
+                f"slot {slot} outside drive (0..{self._total_slots - 1})"
+            )
+        return slot * self.sectors_per_block // self._sectors_per_cylinder
+
+    def slot_window(self, low_cyl: int, high_cyl: int) -> range:
+        """Slots whose first sector lies in cylinders *low_cyl*..*high_cyl*
+        (clamped to the drive; empty when inverted).  Single-cylinder
+        windows partition the slots: ``cylinder_of(s) == c`` exactly for
+        the slots of ``slot_window(c, c)``."""
+        low_cyl = max(0, low_cyl)
+        high_cyl = min(self.geometry.cylinders - 1, high_cyl)
+        if low_cyl > high_cyl:
+            return range(0)
+        spb = self.sectors_per_block
+        spc = self._sectors_per_cylinder
+        first = (low_cyl * spc + spb - 1) // spb
+        last = min(((high_cyl + 1) * spc - 1) // spb, self._total_slots - 1)
+        return range(first, last + 1)
 
     # -- timing (pure: no state change) --------------------------------------
 
@@ -256,9 +279,9 @@ class SimulatedDrive:
                 # Dead head: fail fast, no mechanism time charged.
                 self.stats.faults_injected += 1
                 raise fault
-        # Slot range was checked above, so the cylinder arithmetic can
-        # skip the geometry layer's per-call LBA validation.
-        target = (slot * self.sectors_per_block) // self._sectors_per_cylinder
+        # cylinder_of's expression, inline: this is the per-block path and
+        # the range check above already raised this method's own error.
+        target = slot * self.sectors_per_block // self._sectors_per_cylinder
         distance = abs(target - self._head_cylinder)
         seek = self.seek_model.seek_time(distance)
         latency = self._sample_latency()

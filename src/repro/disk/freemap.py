@@ -15,7 +15,7 @@ The map supports the lookups each §3 allocator needs:
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.errors import AllocationError, DiskFullError, ParameterError
 
@@ -87,6 +87,24 @@ class FreeMap:
             raise AllocationError(f"slot {slot} is already free")
         self._state[slot] = _FREE
         self._free_count += 1
+
+    def claim(self, slots: Iterable[int]) -> None:
+        """Mark exactly *slots* used — all of them, or none.
+
+        For callers that already know which slots they own (a repair
+        plan, a strand moving back, a loaded image).  A slot outside the
+        map, already allocated, or named twice raises; nothing stays
+        taken.
+        """
+        taken: List[int] = []
+        try:
+            for slot in slots:
+                self.allocate(slot)
+                taken.append(slot)
+        except (AllocationError, ParameterError):
+            for slot in taken:
+                self.release(slot)
+            raise
 
     # -- queries for the allocators ----------------------------------------
 

@@ -16,7 +16,8 @@ disturbing any existing placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import Collection, List, Optional, Sequence
 
 from repro.disk.allocation import Allocator
 from repro.disk.drive import SimulatedDrive
@@ -31,39 +32,27 @@ def find_free_slot_near(
     drive: SimulatedDrive,
     cylinder: int,
     max_widen: Optional[int] = None,
+    taken: Collection[int] = (),
 ) -> int:
     """The free slot whose cylinder is closest to *cylinder*.
 
     Searches outward (±1 cylinder, ±2, ...) up to *max_widen* cylinders
     (default: the whole disk).  Used by the §4.2 redistribution algorithm,
-    which wants copied blocks at specific positions between two anchors.
+    which wants copied blocks at specific positions between two anchors;
+    *taken* names slots it has already chosen and not yet claimed.
 
     Raises :class:`DiskFullError` when nothing is free within the widening
     limit.
     """
-    geometry = drive.geometry
-    cylinder = max(0, min(geometry.cylinders - 1, cylinder))
+    cylinders = drive.geometry.cylinders
+    cylinder = max(0, min(cylinders - 1, cylinder))
     if max_widen is None:
-        max_widen = geometry.cylinders
-    spb = drive.sectors_per_block
-    spc = geometry.sectors_per_cylinder
-
-    def window_for(low_cyl: int, high_cyl: int):
-        low_cyl = max(0, low_cyl)
-        high_cyl = min(geometry.cylinders - 1, high_cyl)
-        if low_cyl > high_cyl:
-            return None
-        first = (low_cyl * spc + spb - 1) // spb
-        last = min(((high_cyl + 1) * spc - 1) // spb, drive.slots - 1)
-        return first, last
-
+        max_widen = cylinders
     for widen in range(max_widen + 1):
-        window = window_for(cylinder - widen, cylinder + widen)
-        if window is None:
-            continue
-        slot = freemap.first_free_in_window(window[0], window[1] + 1)
-        if slot is not None:
-            return slot
+        window = drive.slot_window(cylinder - widen, cylinder + widen)
+        for slot in freemap.free_in_window(window.start, window.stop):
+            if slot not in taken:
+                return slot
     raise DiskFullError(
         f"no free slot within {max_widen} cylinders of cylinder {cylinder}"
     )
@@ -167,17 +156,10 @@ class GapFiller:
                 f"need {block_count} slots, only "
                 f"{self.freemap.free_count} free"
             )
-        slots: List[int] = []
-        cursor = 0
-        while len(slots) < block_count:
-            slot = self.freemap.first_free_in_window(
-                cursor, self.freemap.slots
-            )
-            if slot is None:
-                raise DiskFullError("free map exhausted mid-allocation")
-            self.freemap.allocate(slot)
-            slots.append(slot)
-            cursor = slot + 1
+        slots = list(islice(
+            self.freemap.free_in_window(0, self.freemap.slots), block_count
+        ))
+        self.freemap.claim(slots)
         return slots
 
     def remove(self, slots: Sequence[int]) -> None:

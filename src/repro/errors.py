@@ -2,8 +2,8 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 install a single catch-all around file-system operations while still being
-able to discriminate the interesting cases (admission rejection, continuity
-violation, allocation failure) individually.
+able to discriminate the interesting cases (admission rejection, allocation
+failure, a corrupt image) individually.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ __all__ = [
     "InfeasibleError",
     "AdmissionError",
     "AdmissionRejected",
-    "ContinuityViolation",
     "DiskError",
     "DiskFullError",
     "AllocationError",
@@ -29,6 +28,7 @@ __all__ = [
     "StrandImmutableError",
     "UnknownStrandError",
     "IndexCorruptionError",
+    "ImageError",
     "RopeError",
     "UnknownRopeError",
     "IntervalError",
@@ -85,17 +85,6 @@ class AdmissionRejected(AdmissionError):
         self.active = active
         self.n_max = n_max
         self.cause = cause
-
-
-class ContinuityViolation(ReproError):
-    """A media block missed its playback deadline during simulation."""
-
-    def __init__(self, message: str, request_id: object = None,
-                 block_number: int = -1, lateness: float = 0.0):
-        super().__init__(message)
-        self.request_id = request_id
-        self.block_number = block_number
-        self.lateness = lateness
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +179,12 @@ class IndexCorruptionError(StrandError):
     """The 3-level block index failed an internal consistency check."""
 
 
+class ImageError(StorageError):
+    """A persisted image is truncated or inconsistent: a required key is
+    missing, a value is malformed, or a slot is out of range or named
+    twice.  Nothing of such an image is installed."""
+
+
 # ---------------------------------------------------------------------------
 # Rope-server (MRS) errors
 # ---------------------------------------------------------------------------
@@ -239,5 +234,6 @@ class GarbageCollectionError(StorageError):
 # ---------------------------------------------------------------------------
 
 class SimulationError(ReproError):
-    """The discrete-event engine detected an inconsistency (time reversal,
-    deadlocked processes, event scheduled in the past)."""
+    """A record of simulated time is inconsistent or over its budget: a
+    block timeline whose stages run backwards, or a strict tracer / span
+    tracer asked to hold more than its limit."""

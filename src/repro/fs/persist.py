@@ -16,9 +16,9 @@ are inspectable, diffable, and independent of internal refactoring.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import ParameterError
+from repro.errors import ImageError, ParameterError
 from repro.fs.blocks import AudioPayload, BlockKind, MediaBlock
 from repro.fs.index import StrandIndex, fanout_for, PRIMARY_ENTRY_BITS, SECONDARY_ENTRY_BITS
 from repro.fs.storage_manager import MultimediaStorageManager
@@ -209,6 +209,20 @@ def dump_image(
     return image
 
 
+def _decode(what: str, data: Any, key: str, decoder: Callable, *args) -> Any:
+    """Run one pure decoder over outside input; a missing key or a
+    malformed value becomes an :class:`ImageError` naming *what*."""
+    name = data.get(key, "?") if isinstance(data, dict) else "?"
+    try:
+        return decoder(data, *args)
+    except KeyError as missing:
+        raise ImageError(
+            f"{what} {name}: required key {missing} is missing"
+        ) from None
+    except (TypeError, ValueError, AttributeError) as error:
+        raise ImageError(f"{what} {name}: {error}") from None
+
+
 def load_image(
     image: Dict[str, Any],
     msm: MultimediaStorageManager,
@@ -217,7 +231,10 @@ def load_image(
     """Restore an image into a *fresh* MSM (and MRS) on equivalent hardware.
 
     The target storage manager must be empty and its drive must expose at
-    least as many slots as the image was taken on.
+    least as many slots as the image was taken on.  The whole image is
+    decoded and checked before the target is touched — a truncated or
+    inconsistent one raises :class:`ImageError` naming the strand, rope
+    or key at fault, and the target stays as empty as it was.
     """
     if image.get("version") != IMAGE_VERSION:
         raise ParameterError(
@@ -225,29 +242,45 @@ def load_image(
         )
     if msm.strand_ids():
         raise ParameterError("load_image requires an empty storage manager")
+    for key in ("slots", "strands"):
+        if key not in image:
+            raise ImageError(f"image: required key {key!r} is missing")
     if msm.freemap.slots < image["slots"]:
         raise ParameterError(
             f"target drive has {msm.freemap.slots} slots, image needs "
             f"{image['slots']}"
         )
-    block_bits = msm.drive.block_bits
-    highest_strand = 0
-    for strand_data in image["strands"]:
-        strand = _strand_from_json(strand_data, block_bits)
-        for slot in strand.slots():
-            msm.freemap.allocate(slot)
-        for slot in strand.index.assigned_slots():
-            msm.freemap.allocate(slot)
-        msm._strands[strand.strand_id] = strand
-        highest_strand = max(highest_strand, _numeric_suffix(strand.strand_id))
-    _advance_counter(msm, "_ids", highest_strand)
+    strands = [
+        _decode(
+            "strand", record, "strand_id", _strand_from_json,
+            msm.drive.block_bits,
+        )
+        for record in image["strands"]
+    ]
+    owner: Dict[int, str] = {}
+    for strand in strands:
+        for slot in strand.slots() + strand.index.assigned_slots():
+            if not 0 <= slot < msm.freemap.slots:
+                raise ImageError(
+                    f"strand {strand.strand_id}: slot {slot} outside the "
+                    f"target drive (0..{msm.freemap.slots - 1})"
+                )
+            if slot in owner:
+                raise ImageError(
+                    f"strand {strand.strand_id}: slot {slot} is already "
+                    f"owned by strand {owner[slot]}"
+                )
+            owner[slot] = strand.strand_id
+    ropes = [
+        _decode("rope", record, "rope_id", _rope_from_json)
+        for record in (image.get("ropes", ()) if mrs is not None else ())
+    ]
+    msm.restore_strands(strands)
+    _advance_counter(msm, "_ids", [strand.strand_id for strand in strands])
     if mrs is not None and "ropes" in image:
-        highest_rope = 0
-        for rope_data in image["ropes"]:
-            rope = _rope_from_json(rope_data)
+        for rope in ropes:
             mrs._install(rope)
-            highest_rope = max(highest_rope, _numeric_suffix(rope.rope_id))
-        _advance_counter(mrs, "_rope_ids", highest_rope)
+        _advance_counter(mrs, "_rope_ids", [rope.rope_id for rope in ropes])
 
 
 def _numeric_suffix(identifier: str) -> int:
@@ -255,11 +288,12 @@ def _numeric_suffix(identifier: str) -> int:
     return int(digits) if digits else 0
 
 
-def _advance_counter(owner: Any, attribute: str, minimum: int) -> None:
-    """Ensure an itertools.count ID generator starts past *minimum*."""
+def _advance_counter(owner: Any, attribute: str, identifiers) -> None:
+    """Restart an itertools.count ID generator past all of *identifiers*."""
     import itertools
 
-    setattr(owner, attribute, itertools.count(minimum + 1))
+    highest = max(map(_numeric_suffix, identifiers), default=0)
+    setattr(owner, attribute, itertools.count(highest + 1))
 
 
 def save_file(

@@ -11,9 +11,10 @@ merging multiple media strands so as to optimize storage utilization."
 fails, existing strands are migrated one at a time into fresh, compact
 constrained placements (sweeping from the low end of the disk), which
 coalesces the scattered free slots into a contiguous high region where
-new strands fit again.  Migration moves *physical* blocks only — the
-strand's logical content (its immutable frame/sample sequence) is
-untouched, and its 3-level index is rewritten to the new addresses.
+new strands fit again.  The migration itself — returning a strand's
+slots, re-placing them, claiming the old ones back on failure — is the
+storage manager's (:meth:`MultimediaStorageManager.relocate_strand`);
+this module decides which strand goes where, and when to stop.
 """
 
 from __future__ import annotations
@@ -22,13 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.disk.allocation import ConstrainedScatterAllocator, ScatterBounds
-from repro.errors import (
-    AllocationError,
-    DiskFullError,
-    ScatteringError,
-)
+from repro.errors import AllocationError, DiskFullError
 from repro.fs.storage_manager import MultimediaStorageManager
-from repro.fs.strand import Strand
 
 __all__ = ["ReorganizationReport", "Reorganizer"]
 
@@ -74,49 +70,12 @@ class Reorganizer:
         )
         try:
             slots = allocator.allocate_strand(block_count)
-        except (ScatteringError, AllocationError, DiskFullError):
+        except (AllocationError, DiskFullError):
             return False
         allocator.release(slots)
         return True
 
     # -- migration -----------------------------------------------------------------
-
-    def _migrate_strand(self, strand: Strand, hint: int) -> int:
-        """Re-place all of *strand*'s blocks compactly from *hint*.
-
-        Returns the number of blocks moved.  The old slots are released
-        only after the new placement fully succeeds, so a failed
-        migration leaves the strand untouched.
-        """
-        bounds = ScatterBounds(
-            strand.scattering_lower, strand.scattering_upper
-        )
-        old_slots = strand.slots()
-        if not old_slots:
-            return 0
-        # Release first so the allocator can reuse this strand's own
-        # region; on failure, re-claim the exact old slots.
-        for slot in old_slots:
-            self.msm.freemap.release(slot)
-        allocator = ConstrainedScatterAllocator(
-            self.msm.drive, self.msm.freemap, bounds
-        )
-        try:
-            new_slots = allocator.allocate_strand(len(old_slots), hint)
-        except (ScatteringError, AllocationError, DiskFullError):
-            for slot in old_slots:
-                self.msm.freemap.allocate(slot)
-            return 0
-        moved = 0
-        cursor = iter(new_slots)
-        for number in range(strand.block_count):
-            if strand.slot_of(number) is None:
-                continue
-            new_slot = next(cursor)
-            if strand.slot_of(number) != new_slot:
-                moved += 1
-            strand.relocate_block(number, new_slot)
-        return moved
 
     def make_room(
         self,
@@ -130,29 +89,21 @@ class Reorganizer:
         migration the trial placement is retried.  Index blocks are not
         moved (they have no real-time constraint).
         """
-        if self.placement_feasible(block_count, bounds):
-            return ReorganizationReport(
-                success=True, strands_migrated=0, blocks_moved=0,
-                trial_blocks=block_count,
-            )
-        migrated = 0
-        moved = 0
-        hint = 0
+        feasible = self.placement_feasible(block_count, bounds)
+        migrated = moved = hint = 0
         for strand_id in self.msm.strand_ids():
-            strand = self.msm.get_strand(strand_id)
-            moved_here = self._migrate_strand(strand, hint)
-            if strand.slots():
-                hint = max(strand.slots()) + 1
+            if feasible:
+                break
+            moved_here = self.msm.relocate_strand(strand_id, hint)
+            slots = self.msm.get_strand(strand_id).slots()
+            if slots:
+                hint = max(slots) + 1
             if moved_here:
                 migrated += 1
                 moved += moved_here
-            if self.placement_feasible(block_count, bounds):
-                return ReorganizationReport(
-                    success=True, strands_migrated=migrated,
-                    blocks_moved=moved, trial_blocks=block_count,
-                )
+            feasible = self.placement_feasible(block_count, bounds)
         return ReorganizationReport(
-            success=self.placement_feasible(block_count, bounds),
+            success=feasible,
             strands_migrated=migrated,
             blocks_moved=moved,
             trial_blocks=block_count,

@@ -16,8 +16,9 @@ which replays stored placements through the same drive with timing.
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core import admission
 from repro.core.continuity import Architecture, max_scattering_mixed
@@ -38,7 +39,12 @@ from repro.disk.allocation import ConstrainedScatterAllocator, ScatterBounds
 from repro.disk.drive import SimulatedDrive
 from repro.disk.freemap import FreeMap
 from repro.disk.layout import GapFiller
-from repro.errors import ParameterError, UnknownStrandError
+from repro.errors import (
+    AllocationError,
+    DiskFullError,
+    ParameterError,
+    UnknownStrandError,
+)
 from repro.fs.blocks import AudioPayload, BlockKind, MediaBlock
 from repro.fs.gc import GarbageCollector, InterestRegistry
 from repro.fs.index import (
@@ -345,33 +351,82 @@ class MultimediaStorageManager:
             return self.policies.mixed
         raise ParameterError(f"no placement policy for {kind}")
 
-    def _allocator_for(self, policy: PlacementPolicy) -> ConstrainedScatterAllocator:
+    def _placer(self, shape) -> ConstrainedScatterAllocator:
+        """The chain placer for a policy's (or a strand's) bounds."""
         return ConstrainedScatterAllocator(
-            self.drive,
-            self.freemap,
-            ScatterBounds(policy.scattering_lower, policy.scattering_upper),
+            self.drive, self.freemap,
+            ScatterBounds(shape.scattering_lower, shape.scattering_upper),
         )
+
+    # -- the write path ------------------------------------------------------------
+
+    def _write_strand(
+        self,
+        kind: BlockKind,
+        unit_rate: float,
+        shape,
+        contents: Sequence[Union[MediaBlock, int]],
+        hint: Optional[int] = None,
+        slots: Optional[Sequence[int]] = None,
+    ) -> Strand:
+        """Bring one strand into being — the only place that does.
+
+        *shape* gives ``granularity`` and the scattering bounds (a
+        :class:`PlacementPolicy`, or a copy's source strand); *contents*
+        is the strand in playback order, a :class:`MediaBlock` per stored
+        block and an int (units covered) per silence holder.  Media slots
+        are chain-placed from *hint*, or — exact *slots* given — claimed
+        all or none; index blocks take the lowest free slots.  Whatever
+        fails, every slot this call took goes back before the error
+        propagates: a failed store owns nothing.
+        """
+        if slots is None:
+            placer = self._placer(shape)
+            stored = sum(1 for item in contents if not isinstance(item, int))
+            taken = placer.allocate_strand(stored, hint) if stored else []
+        else:
+            self.freemap.claim(slots)
+            taken = list(slots)
+        try:
+            slot_bits = self.drive.block_bits
+            strand = Strand(
+                strand_id=f"S{next(self._ids):04d}",
+                kind=kind,
+                unit_rate=unit_rate,
+                granularity=shape.granularity,
+                sectors_per_block=self.drive.sectors_per_block,
+                index=StrandIndex(
+                    frame_rate=unit_rate,
+                    primary_fanout=fanout_for(slot_bits, PRIMARY_ENTRY_BITS),
+                    secondary_fanout=fanout_for(
+                        slot_bits, SECONDARY_ENTRY_BITS
+                    ),
+                ),
+                scattering_lower=shape.scattering_lower,
+                scattering_upper=shape.scattering_upper,
+            )
+            media_slots = iter(taken)
+            for item in contents:
+                if isinstance(item, int):
+                    strand.append_silence(item)
+                else:
+                    strand.append_block(item, next(media_slots))
+            index_slots = self._gap_filler.place(
+                strand.index.index_block_count()
+            )
+            taken = taken + index_slots
+            strand.index.assign_slots(index_slots)
+        except BaseException:
+            self._release(taken)
+            raise
+        self._strands[strand.strand_id] = strand.finalize()
+        return strand
+
+    def _release(self, slots: Sequence[int]) -> None:
+        for slot in slots:
+            self.freemap.release(slot)
 
     # -- strand bookkeeping ------------------------------------------------------
-
-    def _new_strand_id(self) -> str:
-        return f"S{next(self._ids):04d}"
-
-    def _new_index(self, unit_rate: float) -> StrandIndex:
-        slot_bits = self.drive.block_bits
-        return StrandIndex(
-            frame_rate=unit_rate,
-            primary_fanout=fanout_for(slot_bits, PRIMARY_ENTRY_BITS),
-            secondary_fanout=fanout_for(slot_bits, SECONDARY_ENTRY_BITS),
-        )
-
-    def _register(self, strand: Strand) -> Strand:
-        strand.index.assign_slots(
-            self._gap_filler.place(strand.index.index_block_count())
-        )
-        strand.finalize()
-        self._strands[strand.strand_id] = strand
-        return strand
 
     def get_strand(self, strand_id: str) -> Strand:
         """Look up a strand; raises :class:`UnknownStrandError`."""
@@ -391,13 +446,12 @@ class MultimediaStorageManager:
 
     # -- recording (batch interfaces) ---------------------------------------------
 
-    def _store(self, medium: str, store, *args) -> Strand:
-        """Run one ``store_*_strand`` body, reported (and timed) when
-        observed."""
+    def _stored(self, medium: str):
+        """Context of one ``store_*_strand`` body: reported (and timed)
+        when observed."""
         if self._rec is None:
-            return store(*args)
-        with self._rec.strand_stored(medium):
-            return store(*args)
+            return nullcontext()
+        return self._rec.strand_stored(medium)
 
     def store_video_strand(
         self,
@@ -405,44 +459,22 @@ class MultimediaStorageManager:
         hint: Optional[int] = None,
     ) -> Strand:
         """Store a video frame sequence as a new strand."""
-        return self._store("video", self._store_video_strand, frames, hint)
-
-    def _store_video_strand(
-        self,
-        frames: Sequence[Frame],
-        hint: Optional[int],
-    ) -> Strand:
-        if not frames:
-            raise ParameterError("cannot store an empty video strand")
-        policy = self.policies.video
-        allocator = self._allocator_for(policy)
-        index = self._new_index(self.video.frame_rate)
-        strand = Strand(
-            strand_id=self._new_strand_id(),
-            kind=BlockKind.VIDEO,
-            unit_rate=self.video.frame_rate,
-            granularity=policy.granularity,
-            sectors_per_block=self.drive.sectors_per_block,
-            index=index,
-            scattering_lower=policy.scattering_lower,
-            scattering_upper=policy.scattering_upper,
-        )
-        previous: Optional[int] = None
-        eta = policy.granularity
-        for start in range(0, len(frames), eta):
-            group = frames[start:start + eta]
-            block = MediaBlock(
-                kind=BlockKind.VIDEO,
-                video_tokens=tuple(frame.token for frame in group),
-                video_bits=sum(frame.size_bits for frame in group),
+        with self._stored("video"):
+            if not frames:
+                raise ParameterError("cannot store an empty video strand")
+            policy = self.policies.video
+            eta = policy.granularity
+            blocks = []
+            for start in range(0, len(frames), eta):
+                group = frames[start:start + eta]
+                blocks.append(MediaBlock(
+                    kind=BlockKind.VIDEO,
+                    video_tokens=tuple(frame.token for frame in group),
+                    video_bits=sum(frame.size_bits for frame in group),
+                ))
+            return self._write_strand(
+                BlockKind.VIDEO, self.video.frame_rate, policy, blocks, hint
             )
-            if previous is None:
-                slot = allocator.allocate_first(hint)
-            else:
-                slot = allocator.allocate_after(previous)
-            strand.append_block(block, slot)
-            previous = slot
-        return self._register(strand)
 
     def store_audio_strand(
         self,
@@ -454,46 +486,22 @@ class MultimediaStorageManager:
 
         Pass ``detector=None`` to store every block (the E10 baseline).
         """
-        return self._store(
-            "audio", self._store_audio_strand, chunks, detector, hint
-        )
-
-    def _store_audio_strand(
-        self,
-        chunks: Sequence[AudioChunk],
-        detector: Optional[SilenceDetector],
-        hint: Optional[int],
-    ) -> Strand:
-        if not chunks:
-            raise ParameterError("cannot store an empty audio strand")
-        policy = self.policies.audio
-        plan = plan_audio_blocks(
-            self.audio, chunks, policy.granularity, detector
-        )
-        allocator = self._allocator_for(policy)
-        strand = Strand(
-            strand_id=self._new_strand_id(),
-            kind=BlockKind.AUDIO,
-            unit_rate=self.audio.sample_rate,
-            granularity=policy.granularity,
-            sectors_per_block=self.drive.sectors_per_block,
-            index=self._new_index(self.audio.sample_rate),
-            scattering_lower=policy.scattering_lower,
-            scattering_upper=policy.scattering_upper,
-        )
-        previous: Optional[int] = None
-        for number, payload in enumerate(plan.payloads):
-            if payload is None:
-                strand.append_silence(plan.samples_in_block(number))
-                continue
-            block = MediaBlock(kind=BlockKind.AUDIO, audio=payload)
-            if previous is None:
-                slot = allocator.allocate_first(hint)
-            else:
-                slot = allocator.allocate_after(previous)
-            strand.append_block(block, slot)
-            previous = slot
-        return self._register(strand)
+        with self._stored("audio"):
+            if not chunks:
+                raise ParameterError("cannot store an empty audio strand")
+            policy = self.policies.audio
+            plan = plan_audio_blocks(
+                self.audio, chunks, policy.granularity, detector
+            )
+            contents = [
+                plan.samples_in_block(number) if payload is None
+                else MediaBlock(kind=BlockKind.AUDIO, audio=payload)
+                for number, payload in enumerate(plan.payloads)
+            ]
+            return self._write_strand(
+                BlockKind.AUDIO, self.audio.sample_rate, policy, contents,
+                hint,
+            )
 
     def store_mixed_strand(
         self,
@@ -507,111 +515,38 @@ class MultimediaStorageManager:
         same playback period, giving "implicit inter-media
         synchronization".
         """
-        return self._store(
-            "mixed", self._store_mixed_strand, frames, chunks, hint
-        )
-
-    def _store_mixed_strand(
-        self,
-        frames: Sequence[Frame],
-        chunks: Sequence[AudioChunk],
-        hint: Optional[int],
-    ) -> Strand:
-        if not frames or not chunks:
-            raise ParameterError("a mixed strand needs both media")
-        policy = self.policies.mixed
-        allocator = self._allocator_for(policy)
-        strand = Strand(
-            strand_id=self._new_strand_id(),
-            kind=BlockKind.MIXED,
-            unit_rate=self.video.frame_rate,
-            granularity=policy.granularity,
-            sectors_per_block=self.drive.sectors_per_block,
-            index=self._new_index(self.video.frame_rate),
-            scattering_lower=policy.scattering_lower,
-            scattering_upper=policy.scattering_upper,
-        )
-        eta = policy.granularity
-        total_samples = chunks[-1].end_sample
-        samples_per_block = int(
-            self.audio.sample_rate * eta / self.video.frame_rate
-        )
-        previous: Optional[int] = None
-        block_number = 0
-        for start in range(0, len(frames), eta):
-            group = frames[start:start + eta]
-            sample_start = block_number * samples_per_block
-            sample_count = max(
-                1, min(samples_per_block, total_samples - sample_start)
+        with self._stored("mixed"):
+            if not frames or not chunks:
+                raise ParameterError("a mixed strand needs both media")
+            policy = self.policies.mixed
+            eta = policy.granularity
+            total_samples = chunks[-1].end_sample
+            samples_per_block = int(
+                self.audio.sample_rate * eta / self.video.frame_rate
             )
-            audio_payload = AudioPayload(
-                start_sample=sample_start,
-                sample_count=sample_count,
-                average_energy=0.5,
-                bits=sample_count * self.audio.sample_size,
+            blocks = []
+            for start in range(0, len(frames), eta):
+                group = frames[start:start + eta]
+                sample_start = len(blocks) * samples_per_block
+                sample_count = max(
+                    1, min(samples_per_block, total_samples - sample_start)
+                )
+                blocks.append(MediaBlock(
+                    kind=BlockKind.MIXED,
+                    video_tokens=tuple(frame.token for frame in group),
+                    video_bits=sum(frame.size_bits for frame in group),
+                    audio=AudioPayload(
+                        start_sample=sample_start,
+                        sample_count=sample_count,
+                        average_energy=0.5,
+                        bits=sample_count * self.audio.sample_size,
+                    ),
+                ))
+            return self._write_strand(
+                BlockKind.MIXED, self.video.frame_rate, policy, blocks, hint
             )
-            block = MediaBlock(
-                kind=BlockKind.MIXED,
-                video_tokens=tuple(frame.token for frame in group),
-                video_bits=sum(frame.size_bits for frame in group),
-                audio=audio_payload,
-            )
-            if previous is None:
-                slot = allocator.allocate_first(hint)
-            else:
-                slot = allocator.allocate_after(previous)
-            strand.append_block(block, slot)
-            previous = slot
-            block_number += 1
-        return self._register(strand)
 
     # -- editing support (§4.2) ---------------------------------------------------
-
-    def copy_blocks_near(
-        self,
-        source: Strand,
-        block_numbers: Sequence[int],
-        anchor_slot: int,
-    ) -> Strand:
-        """Copy blocks of *source* into a new strand placed after *anchor*.
-
-        This is the §4.2 redistribution primitive: the copied blocks are
-        reallocated with the source's own scattering bounds, starting from
-        the anchor block's neighbourhood, so the seam they patch satisfies
-        the bounds.  "copying creates a new strand containing only the
-        copied blocks because (1) strands are immutable, and (2) creating
-        a separate strand aids the process of garbage collection."
-        """
-        if not block_numbers:
-            raise ParameterError("no blocks to copy")
-        bounds = ScatterBounds(
-            source.scattering_lower, source.scattering_upper
-        )
-        allocator = ConstrainedScatterAllocator(
-            self.drive, self.freemap, bounds
-        )
-        strand = Strand(
-            strand_id=self._new_strand_id(),
-            kind=source.kind,
-            unit_rate=source.unit_rate,
-            granularity=source.granularity,
-            sectors_per_block=self.drive.sectors_per_block,
-            index=self._new_index(source.unit_rate),
-            scattering_lower=source.scattering_lower,
-            scattering_upper=source.scattering_upper,
-        )
-        previous = anchor_slot
-        for number in block_numbers:
-            content = source.block_at(number)
-            if content is None:
-                strand.append_silence(
-                    max(1, source.granularity)
-                )
-                continue
-            slot = allocator.allocate_after(previous)
-            strand.append_block(content, slot)
-            previous = slot
-        return self._register(strand)
 
     def create_copied_strand(
         self,
@@ -623,8 +558,9 @@ class MultimediaStorageManager:
 
         The §4.2 repairer computes redistribution positions itself
         (equal spacing between the seam's anchors) and hands the exact
-        slots here; this method allocates them, copies the block contents,
-        and registers the result as a new immutable strand.
+        slots here; this method claims them — all or none — copies the
+        block contents, and registers the result as a new immutable
+        strand.
         """
         if len(block_numbers) != len(slots):
             raise ParameterError(
@@ -632,44 +568,68 @@ class MultimediaStorageManager:
             )
         if not block_numbers:
             raise ParameterError("no blocks to copy")
-        taken: List[int] = []
-        try:
-            for slot in slots:
-                self.freemap.allocate(slot)
-                taken.append(slot)
-        except Exception:
-            for slot in taken:
-                self.freemap.release(slot)
-            raise
-        strand = Strand(
-            strand_id=self._new_strand_id(),
-            kind=source.kind,
-            unit_rate=source.unit_rate,
-            granularity=source.granularity,
-            sectors_per_block=self.drive.sectors_per_block,
-            index=self._new_index(source.unit_rate),
-            scattering_lower=source.scattering_lower,
-            scattering_upper=source.scattering_upper,
+        blocks = [source.block_at(number) for number in block_numbers]
+        if None in blocks:
+            raise ParameterError(
+                f"block {block_numbers[blocks.index(None)]} of "
+                f"{source.strand_id} is a silence holder; copy stored "
+                "blocks only"
+            )
+        return self._write_strand(
+            source.kind, source.unit_rate, source, blocks, slots=slots
         )
-        for number, slot in zip(block_numbers, slots):
-            content = source.block_at(number)
-            if content is None:
-                raise ParameterError(
-                    f"block {number} of {source.strand_id} is a silence "
-                    "holder; copy stored blocks only"
-                )
-            strand.append_block(content, slot)
-        return self._register(strand)
+
+    def relocate_strand(self, strand_id: str, hint: int) -> int:
+        """Re-place a strand's media blocks compactly from *hint* (§6.2).
+
+        Physical migration only: the media sequence is untouched and the
+        index is rewritten to the new addresses.  The old slots are
+        returned first so the placer can reuse the strand's own region; a
+        placement that fails claims exactly them back.  Returns the
+        number of blocks moved.
+        """
+        strand = self.get_strand(strand_id)
+        old_slots = strand.slots()
+        if not old_slots:
+            return 0
+        placer = self._placer(strand)
+        self._release(old_slots)
+        try:
+            new_slots = iter(placer.allocate_strand(len(old_slots), hint))
+        except (AllocationError, DiskFullError):
+            self.freemap.claim(old_slots)
+            return 0
+        moved = 0
+        for number in range(strand.block_count):
+            current = strand.slot_of(number)
+            if current is None:
+                continue
+            new_slot = next(new_slots)
+            moved += new_slot != current
+            strand.relocate_block(number, new_slot)
+        return moved
+
+    def restore_strands(self, strands: Sequence[Strand]) -> None:
+        """Install strands decoded from a persisted image, claiming
+        exactly the media and index slots they name — all, or none."""
+        names = {strand.strand_id for strand in strands}
+        if len(names) != len(strands) or names & self._strands.keys():
+            raise ParameterError(
+                "restored strand ids must be new and distinct"
+            )
+        self.freemap.claim(
+            slot
+            for strand in strands
+            for slot in strand.slots() + strand.index.assigned_slots()
+        )
+        self._strands.update((strand.strand_id, strand) for strand in strands)
 
     # -- deletion -------------------------------------------------------------------
 
     def delete_strand(self, strand_id: str) -> None:
         """Reclaim a strand's media and index blocks."""
         strand = self.get_strand(strand_id)
-        for slot in strand.slots():
-            self.freemap.release(slot)
-        for slot in strand.index.assigned_slots():
-            self.freemap.release(slot)
+        self._release(strand.slots() + strand.index.assigned_slots())
         del self._strands[strand_id]
 
     def collect_garbage(self) -> List[str]:

@@ -149,7 +149,7 @@ class Strand:
         Storage reorganization (§6.2) is allowed on finalized strands:
         immutability protects the *logical* media sequence, not the
         physical addresses.  The 3-level index is rewritten to match.
-        The caller (the reorganizer) owns free-map bookkeeping.
+        The caller (``msm.relocate_strand``) owns free-map bookkeeping.
         """
         current = self.slot_of(block_number)
         if current is None:

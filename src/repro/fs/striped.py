@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.continuity import Architecture, max_scattering
 from repro.core.symbols import (
@@ -31,7 +31,12 @@ from repro.core.symbols import (
 from repro.disk.allocation import ConstrainedScatterAllocator, ScatterBounds
 from repro.disk.freemap import FreeMap
 from repro.disk.raid import DriveArray, StripedSlot
-from repro.errors import ParameterError, UnknownStrandError
+from repro.errors import (
+    AllocationError,
+    DiskFullError,
+    ParameterError,
+    UnknownStrandError,
+)
 from repro.media.frames import Frame
 
 __all__ = ["StripedStrand", "StripedStorageManager"]
@@ -140,33 +145,33 @@ class StripedStorageManager:
         """Stripe a frame sequence across the array's members."""
         if not frames:
             raise ParameterError("cannot store an empty strand")
-        addresses: List[StripedSlot] = []
-        tokens: List[Tuple[str, ...]] = []
-        bits: List[float] = []
-        previous_on_member: List[Optional[int]] = [None] * self.heads
-        for index, start in enumerate(
-            range(0, len(frames), self.granularity)
-        ):
-            group = frames[start:start + self.granularity]
-            member_index = index % self.heads
-            allocator = self._allocators[member_index]
-            previous = previous_on_member[member_index]
-            if previous is None:
-                slot = allocator.allocate_first()
-            else:
-                slot = allocator.allocate_after(previous)
-            previous_on_member[member_index] = slot
-            addresses.append(
-                StripedSlot(drive_index=member_index, slot=slot)
-            )
-            tokens.append(tuple(frame.token for frame in group))
-            bits.append(sum(frame.size_bits for frame in group))
+        groups = [
+            frames[start:start + self.granularity]
+            for start in range(0, len(frames), self.granularity)
+        ]
+        # Block i lives on member i mod p; each member chain-places its
+        # own share, and a member that cannot undoes the others'.
+        placed: List[List[int]] = []
+        try:
+            for member, allocator in enumerate(self._allocators):
+                share = len(range(member, len(groups), self.heads))
+                placed.append(
+                    allocator.allocate_strand(share) if share else []
+                )
+        except (AllocationError, DiskFullError):
+            for allocator, slots in zip(self._allocators, placed):
+                allocator.release(slots)
+            raise
+        heads = self.heads
         strand = StripedStrand(
             strand_id=f"X{next(self._ids):04d}",
             granularity=self.granularity,
-            addresses=addresses,
-            tokens=tokens,
-            bits=bits,
+            addresses=[
+                StripedSlot(index % heads, placed[index % heads][index // heads])
+                for index in range(len(groups))
+            ],
+            tokens=[tuple(frame.token for frame in group) for group in groups],
+            bits=[sum(frame.size_bits for frame in group) for group in groups],
             frame_rate=self.video.frame_rate,
         )
         self._strands[strand.strand_id] = strand

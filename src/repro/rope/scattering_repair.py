@@ -21,7 +21,7 @@ in place of the successor interval's prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.editing_bounds import seam_repair_bound
 from repro.disk.layout import find_free_slot_near
@@ -97,30 +97,42 @@ class ScatteringRepairer:
                 return slot
         return None
 
+    def _seams(
+        self, index: int, previous: Segment, current: Segment
+    ) -> Iterator[Tuple[SeamCheck, MediaTrack, Strand, int]]:
+        """The seams between two adjacent segments, one per shared medium:
+        ``(check, successor track, successor strand, anchor slot)``.
+
+        The anchor is the predecessor's last stored block.  A medium that
+        either side lacks, or holds only silence for, has no seam.
+        """
+        for medium in (Media.VIDEO, Media.AUDIO):
+            track_a = self._track_of(previous, medium)
+            track_b = self._track_of(current, medium)
+            if track_a is None or track_b is None:
+                continue
+            slot_a = self._edge_slot(track_a, last=True)
+            slot_b = self._edge_slot(track_b, last=False)
+            if slot_a is None or slot_b is None:
+                continue
+            strand_b = self.msm.get_strand(track_b.strand_id)
+            check = SeamCheck(
+                segment_index=index,
+                medium=medium,
+                gap=self.drive.access_gap(slot_a, slot_b),
+                bound=strand_b.scattering_upper,
+            )
+            yield check, track_b, strand_b, slot_a
+
     def check_segments(self, segments: Sequence[Segment]) -> List[SeamCheck]:
         """Measure every seam of a segment list against its bound."""
-        checks: List[SeamCheck] = []
-        for index in range(1, len(segments)):
-            previous, current = segments[index - 1], segments[index]
-            for medium in (Media.VIDEO, Media.AUDIO):
-                track_a = self._track_of(previous, medium)
-                track_b = self._track_of(current, medium)
-                if track_a is None or track_b is None:
-                    continue
-                slot_a = self._edge_slot(track_a, last=True)
-                slot_b = self._edge_slot(track_b, last=False)
-                if slot_a is None or slot_b is None:
-                    continue
-                strand_b = self.msm.get_strand(track_b.strand_id)
-                checks.append(
-                    SeamCheck(
-                        segment_index=index,
-                        medium=medium,
-                        gap=self.drive.access_gap(slot_a, slot_b),
-                        bound=strand_b.scattering_upper,
-                    )
-                )
-        return checks
+        return [
+            seam[0]
+            for index in range(1, len(segments))
+            for seam in self._seams(
+                index, segments[index - 1], segments[index]
+            )
+        ]
 
     # -- repair --------------------------------------------------------------------
 
@@ -146,7 +158,8 @@ class ScatteringRepairer:
         Returns (block_numbers, target_slots).  Block m+1 of the interval
         (the first *not* copied) is the far anchor; copies are placed at
         equally spaced cylinders between the two anchors — the paper's
-        "redistributing ... equally in the region between".
+        "redistributing ... equally in the region between".  The plan
+        only chooses; ``create_copied_strand`` claims, all or none.
         """
         d_max = self._max_hop_cylinders(bound)
         anchor_cyl = self.drive.cylinder_of(anchor_slot)
@@ -170,21 +183,12 @@ class ScatteringRepairer:
                 far_cyl = min(far_cyl, self.drive.geometry.cylinders - 1)
             span = far_cyl - anchor_cyl
             if abs(span) <= d_max * (m + 1):
-                targets = []
-                for i in range(1, m + 1):
-                    cylinder = anchor_cyl + round(span * i / (m + 1))
-                    targets.append(cylinder)
                 slots: List[int] = []
-                for cylinder in targets:
-                    slot = find_free_slot_near(
-                        self.msm.freemap, self.drive, cylinder
-                    )
-                    # Reserve immediately so later copies don't collide;
-                    # released before create_copied_strand re-allocates.
-                    self.msm.freemap.allocate(slot)
-                    slots.append(slot)
-                for slot in slots:
-                    self.msm.freemap.release(slot)
+                for i in range(1, m + 1):
+                    slots.append(find_free_slot_near(
+                        self.msm.freemap, self.drive,
+                        anchor_cyl + round(span * i / (m + 1)), taken=slots,
+                    ))
                 return stored_numbers[:m], slots
         raise ScatteringError(
             f"seam not repairable: even copying all {limit} blocks of the "
@@ -247,21 +251,13 @@ class ScatteringRepairer:
         while index < len(working):
             previous, current = working[index - 1], working[index]
             replaced = False
-            for medium in (Media.VIDEO, Media.AUDIO):
-                track_a = self._track_of(previous, medium)
-                track_b = self._track_of(current, medium)
-                if track_a is None or track_b is None:
-                    continue
-                slot_a = self._edge_slot(track_a, last=True)
-                slot_b = self._edge_slot(track_b, last=False)
-                if slot_a is None or slot_b is None:
-                    continue
+            for check, track_b, strand_b, slot_a in self._seams(
+                index, previous, current
+            ):
                 checked += 1
-                strand_b = self.msm.get_strand(track_b.strand_id)
-                bound = strand_b.scattering_upper
-                gap = self.drive.access_gap(slot_a, slot_b)
-                if gap <= bound:
+                if not check.violates:
                     continue
+                medium, bound = check.medium, check.bound
                 violating += 1
                 if strand_b.scattering_lower > 0:
                     bound_report = max(

@@ -278,25 +278,29 @@ class MultimediaRopeServer:
             if frames is not None and chunks is not None
             else (Media.VIDEO if frames is not None else Media.AUDIO)
         )
+        if heterogeneous and (frames is None or chunks is None):
+            raise ParameterError("heterogeneous recording needs both media")
         admission_id = self._admit(media)
-        video_track: Optional[MediaTrack] = None
-        audio_track: Optional[MediaTrack] = None
-        if heterogeneous:
-            if frames is None or chunks is None:
-                raise ParameterError(
-                    "heterogeneous recording needs both media"
-                )
-            video_track = self._whole(
-                self.msm.store_mixed_strand(frames, chunks)
-            )
-        else:
-            if frames is not None:
-                video_track = self._whole(self.msm.store_video_strand(frames))
-            if chunks is not None:
-                audio_track = self._whole(
-                    self.msm.store_audio_strand(chunks, detector)
-                )
-        segment = Segment(video=video_track, audio=audio_track)
+        video = audio = None
+        try:
+            if heterogeneous:
+                video = self.msm.store_mixed_strand(frames, chunks)
+            else:
+                if frames is not None:
+                    video = self.msm.store_video_strand(frames)
+                if chunks is not None:
+                    audio = self.msm.store_audio_strand(chunks, detector)
+        except BaseException:
+            # A RECORD that cannot store holds nothing: not the service
+            # slot it was admitted into, not the video half it did store.
+            if video is not None:
+                self.msm.delete_strand(video.strand_id)
+            self.msm.admission.release(admission_id)
+            raise
+        segment = Segment(
+            video=None if video is None else self._whole(video),
+            audio=None if audio is None else self._whole(audio),
+        )
         rope = MultimediaRope(
             rope_id=f"R{next(self._rope_ids):04d}",
             creator=user,

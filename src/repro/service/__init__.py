@@ -8,7 +8,6 @@ from repro.service.playback import (
 )
 from repro.service.besteffort import TextRequest, UnifiedService
 from repro.service.mixed_rounds import MixedRoundService, RecordStream
-from repro.service.recording import simulate_recording
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.service.rpc import RpcCall, RpcChannel, estimate_bytes, stub_for
 from repro.service.scan_order import (
@@ -48,7 +47,6 @@ __all__ = [
     "probe_round_times",
     "simulate_concurrent",
     "simulate_pipelined",
-    "simulate_recording",
     "simulate_sequential",
     "simulate_variable_speed",
     "staged_k_schedule",

@@ -85,6 +85,18 @@ class RecordStream:
             block_number + 1 + self.staging_capacity
         ) * self.block_period
 
+    def retire(self, now: float) -> None:
+        """Score the next block as written out at *now* — its deadline,
+        and the staging high-water mark (blocks captured but not yet
+        retired when this write completes) — and move past it."""
+        number = self.next_block
+        self.metrics.record_delivery(now, self.deadline_of(number))
+        self.metrics.buffer_high_water = max(
+            self.metrics.buffer_high_water,
+            self.captured_at(now) - number - 1,
+        )
+        self.next_block = number + 1
+
 
 class MixedRoundService(RoundRobinService):
     """Round service over playback *and* recording requests.
@@ -149,10 +161,7 @@ class MixedRoundService(RoundRobinService):
                 time = start + self.drive.write_slot(
                     record.slots[block_number], record.block_bits
                 )
-                record.metrics.record_delivery(
-                    time, record.deadline_of(block_number)
-                )
-                record.next_block += 1
+                record.retire(time)
                 written += 1
                 progressed = True
         return time, progressed

@@ -1,13 +1,10 @@
-"""Discrete-event simulation substrate: engine, metrics, tracing."""
+"""Simulation substrate: continuity metrics and the event trace."""
 
-from repro.sim.engine import Engine, Signal
 from repro.sim.metrics import ContinuityMetrics, SweepSeries
 from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "ContinuityMetrics",
-    "Engine",
-    "Signal",
     "SweepSeries",
     "TraceEvent",
     "Tracer",

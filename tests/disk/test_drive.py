@@ -6,7 +6,7 @@ from repro.disk import TESTBED_DRIVE, build_drive
 from repro.disk.drive import SimulatedDrive
 from repro.disk.geometry import DiskGeometry
 from repro.disk.seek import LinearSeek, Rotation
-from repro.errors import ParameterError
+from repro.errors import AddressError, ParameterError
 
 
 @pytest.fixture
@@ -125,3 +125,100 @@ class TestParameterDerivation:
                 transfer_rate=0,
                 sectors_per_block=64,
             )
+
+
+def _reference_window(drive, low_cyl, high_cyl):
+    """The pre-refactor ``ConstrainedScatterAllocator._slot_window``."""
+    geometry = drive.geometry
+    low_cyl = max(0, low_cyl)
+    high_cyl = min(geometry.cylinders - 1, high_cyl)
+    if low_cyl > high_cyl:
+        return range(0)
+    spb = drive.sectors_per_block
+    first_lba = low_cyl * geometry.sectors_per_cylinder
+    last_lba = (high_cyl + 1) * geometry.sectors_per_cylinder - 1
+    first_slot = (first_lba + spb - 1) // spb
+    last_slot = min(last_lba // spb, drive.slots - 1)
+    return range(first_slot, last_slot + 1)
+
+
+def _geometry_drive(name):
+    """One of the three ``DRIVE_CONFIGS``, or a ``spec/sectors_per_block``
+    variant whose blocks do not divide a cylinder: slots straddle
+    cylinders and the last sectors hold no whole slot, so ceil and clamp
+    both bite."""
+    from repro.disk.factory import DRIVE_CONFIGS, FAST_DRIVE
+
+    if name in DRIVE_CONFIGS:
+        return DRIVE_CONFIGS[name]()
+    spec, sectors = name.split("/")
+    return build_drive(
+        {"testbed": TESTBED_DRIVE, "fast": FAST_DRIVE}[spec],
+        sectors_per_block=int(sectors),
+    )
+
+
+@pytest.mark.parametrize("name", ["testbed", "fast", "table",
+                                  "testbed/60", "fast/100"])
+class TestSlotCylinderArithmetic:
+    """``drive.cylinder_of`` / ``drive.slot_window`` are the one copy of
+    the slot↔cylinder arithmetic the stack calls; ``DiskGeometry`` stays
+    as the validated reference they are compared against."""
+
+    def test_cylinder_of_equals_the_geometry_reference_for_every_slot(
+        self, name
+    ):
+        drive = _geometry_drive(name)
+        spb = drive.sectors_per_block
+        reference = drive.geometry.cylinder_of_slot
+        assert all(
+            drive.cylinder_of(slot) == reference(slot, spb)
+            for slot in range(drive.slots)
+        )
+
+    def test_out_of_range_slot_is_the_same_typed_error(self, name):
+        drive = _geometry_drive(name)
+        for slot in (-1, drive.slots, drive.slots + 10 ** 6):
+            with pytest.raises(AddressError) as ours:
+                drive.cylinder_of(slot)
+            with pytest.raises(AddressError) as reference:
+                drive.geometry.cylinder_of_slot(
+                    slot, drive.sectors_per_block
+                )
+            assert str(ours.value) == str(reference.value)
+            with pytest.raises(AddressError):
+                drive.access_gap(0, slot)
+
+    def test_slot_window_equals_the_old_formula(self, name):
+        """Every cylinder in both roles (low end, high end, alone), plus a
+        strided grid of pairs and the clamped / inverted cases — the
+        window's start depends on the low end only and its stop on the
+        high end only, so this covers every value either can take
+        without walking all ~2M pairs of the fast drive."""
+        drive = _geometry_drive(name)
+        last = drive.geometry.cylinders - 1
+        pairs = [(c, c) for c in range(last + 1)]
+        pairs += [(0, c) for c in range(last + 1)]
+        pairs += [(c, last) for c in range(last + 1)]
+        grid = range(0, last + 1, 37)
+        pairs += [(low, high) for low in grid for high in grid]
+        pairs += [(-5, 3), (-9, -1), (last - 2, last + 50),
+                  (last + 1, last + 9), (7, 6), (-3, last + 3)]
+        for low, high in pairs:
+            assert drive.slot_window(low, high) == _reference_window(
+                drive, low, high
+            ), (low, high)
+
+    def test_single_cylinder_windows_partition_the_slots(self, name):
+        """What lets the allocator verify a gap once per cylinder."""
+        drive = _geometry_drive(name)
+        covered = 0
+        for cylinder in range(drive.geometry.cylinders):
+            window = drive.slot_window(cylinder, cylinder)
+            if len(window) == 0:
+                continue
+            assert window.start == covered
+            assert drive.cylinder_of(window.start) == cylinder
+            assert drive.cylinder_of(window[-1]) == cylinder
+            covered = window.stop
+        assert covered == drive.slots

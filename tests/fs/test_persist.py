@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import TESTBED_1991
 from repro.disk import build_drive
-from repro.errors import ParameterError
+from repro.errors import ImageError, ParameterError
 from repro.fs import MultimediaStorageManager
 from repro.fs.persist import dump_image, load_file, load_image, save_file
 from repro.media.audio import generate_talk_spurts
@@ -119,3 +119,93 @@ class TestValidation:
         msm2, _ = fresh_pair()
         with pytest.raises(ParameterError):
             load_image(image, msm2)
+
+
+class TestCorruptImage:
+    """A corrupt image fails typed and installs nothing.
+
+    Parent behaviour these cases pin the end of: an image in which two
+    blocks name one slot raised ``AllocationError`` from the middle of
+    the load with ``['S0001']`` installed and 21 of 7,168 slots taken in
+    the "empty" target; a truncated one was a bare ``KeyError: 'blocks'``.
+    """
+
+    @staticmethod
+    def load_must_fail(image, match):
+        image = json.loads(json.dumps(image))  # as read back from a file
+        msm, mrs = fresh_pair()
+        with pytest.raises(ImageError, match=match) as caught:
+            load_image(image, msm, mrs)
+        assert not isinstance(caught.value, KeyError)
+        assert msm.strand_ids() == [] and mrs.rope_ids() == []
+        assert msm.freemap.free_count == msm.freemap.slots
+        assert msm.interests.strands_of("R0001") == set()
+        # The target is still loadable.
+        load_image({"version": 1, "slots": 1, "strands": []}, msm, mrs)
+
+    def test_clean_image_round_trips_byte_for_byte(self, populated):
+        msm, mrs, _, _ = populated
+        image = dump_image(msm, mrs)
+        msm2, mrs2 = fresh_pair()
+        load_image(json.loads(json.dumps(image)), msm2, mrs2)
+        assert json.dumps(dump_image(msm2, mrs2), sort_keys=True) == (
+            json.dumps(image, sort_keys=True)
+        )
+
+    def test_two_blocks_naming_one_slot(self, populated):
+        msm, mrs, _, _ = populated
+        image = dump_image(msm, mrs)
+        first, second = image["strands"][0], image["strands"][1]
+        stolen = next(b["slot"] for b in first["blocks"] if "slot" in b)
+        victim = next(b for b in second["blocks"] if "slot" in b)
+        victim["slot"] = stolen
+        self.load_must_fail(
+            image,
+            f"strand {second['strand_id']}: slot {stolen} is already "
+            f"owned by strand {first['strand_id']}",
+        )
+
+    def test_index_slot_colliding_with_a_media_slot(self, populated):
+        msm, mrs, _, _ = populated
+        image = dump_image(msm, mrs)
+        strand = image["strands"][0]
+        strand["index_slots"][0] = strand["blocks"][0]["slot"]
+        self.load_must_fail(image, f"strand {strand['strand_id']}: slot")
+
+    @pytest.mark.parametrize("slot", [-1, 7168, 10 ** 9])
+    def test_slot_out_of_range(self, populated, slot):
+        msm, mrs, _, _ = populated
+        image = dump_image(msm, mrs)
+        strand = image["strands"][-1]
+        strand["blocks"][0]["slot"] = slot
+        self.load_must_fail(image, f"strand {strand['strand_id']}")
+
+    @pytest.mark.parametrize(
+        "path, names",
+        [
+            (("slots",), "image: required key 'slots'"),
+            (("strands",), "image: required key 'strands'"),
+            (("strands", 1, "blocks"), "strand S0002: required key 'blocks'"),
+            (("strands", 0, "index_slots"),
+             "strand S0001: required key 'index_slots'"),
+            (("strands", 0, "blocks", 0, "content"),
+             "strand S0001: required key 'content'"),
+            (("ropes", 0, "segments"), "rope R0001: required key 'segments'"),
+            (("ropes", 1, "segments", 0, "video"),
+             "rope R0002: required key 'video'"),
+        ],
+    )
+    def test_missing_required_key(self, populated, path, names):
+        msm, mrs, _, _ = populated
+        image = dump_image(msm, mrs)
+        holder = image
+        for step in path[:-1]:
+            holder = holder[step]
+        del holder[path[-1]]
+        self.load_must_fail(image, names)
+
+    def test_malformed_value_names_the_strand(self, populated):
+        msm, mrs, _, _ = populated
+        image = dump_image(msm, mrs)
+        image["strands"][0]["kind"] = "hologram"
+        self.load_must_fail(image, "strand S0001: ")

@@ -133,18 +133,6 @@ class TestDeletion:
 
 
 class TestCopyPrimitives:
-    def test_copy_blocks_near(self, msm, drive, frames):
-        source = msm.store_video_strand(frames)
-        anchor = source.slots()[0]
-        copy = msm.copy_blocks_near(source, [0, 1], anchor)
-        assert copy.block_count == 2
-        assert copy.block_at(0).video_tokens == (
-            source.block_at(0).video_tokens
-        )
-        # The copy's placement honours the source's bounds from the anchor.
-        gap = drive.access_gap(anchor, copy.slots()[0])
-        assert gap <= source.scattering_upper + 1e-12
-
     def test_create_copied_strand_exact_slots(self, msm, frames):
         source = msm.store_video_strand(frames)
         free = [s for s in range(msm.freemap.slots)

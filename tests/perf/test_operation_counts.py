@@ -244,3 +244,69 @@ class TestDriveAccessCost:
             slot = (i * 101) % a.slots
             assert a.read_slot(slot) == b.read_slot(slot, b.block_bits)
         assert a.stats.busy_time == b.stats.busy_time
+
+
+class TestPlacementGeometryCalls:
+    """A placed block costs one ``cylinder_of`` — the anchor's.
+
+    The allocator scans its window cylinder by cylinder, so a
+    candidate's cylinder is known by construction; before, each
+    placement computed the anchor's cylinder twice and the candidate's
+    once, each through a nine-call ``DiskGeometry`` property chain
+    (10,776 calls for 3,592 placements).
+    """
+
+    @staticmethod
+    def _counting(monkeypatch):
+        from repro.disk.drive import SimulatedDrive
+
+        calls = []
+        inner = SimulatedDrive.cylinder_of
+        monkeypatch.setattr(
+            SimulatedDrive, "cylinder_of",
+            lambda self, slot: (calls.append(slot), inner(self, slot))[1],
+        )
+        return calls
+
+    def test_store_costs_one_call_per_chained_block(self, monkeypatch):
+        from repro.config import TESTBED_1991
+        from repro.media.frames import frames_for_duration
+        from repro.rope import build_rope_server
+
+        msm = build_rope_server().msm
+        frames = frames_for_duration(TESTBED_1991.video, 30.0, source="n")
+        calls = self._counting(monkeypatch)
+        placed = 0
+        for _ in range(4):  # later strands thread the earlier ones' gaps
+            before = len(calls)
+            strand = msm.store_video_strand(frames)
+            # The head block has no anchor; every later block has one.
+            assert len(calls) - before == strand.stored_block_count - 1
+            placed += strand.stored_block_count
+        assert placed > 400
+
+    def test_geometry_property_chain_is_off_the_placement_path(
+        self, monkeypatch
+    ):
+        from repro.disk import ConstrainedScatterAllocator, FreeMap
+        from repro.disk import ScatterBounds
+        from repro.disk.geometry import DiskGeometry
+
+        drive = build_drive()
+        allocator = ConstrainedScatterAllocator(
+            drive, FreeMap(drive.slots),
+            ScatterBounds(0.0, drive.rotation.average_latency + 0.006),
+        )
+        chain = []
+        for name in ("cylinder_of_slot", "cylinder_of_lba", "slot_to_lba"):
+            inner = getattr(DiskGeometry, name)
+            monkeypatch.setattr(
+                DiskGeometry, name,
+                lambda self, *a, _inner=inner: (
+                    chain.append(1), _inner(self, *a)
+                )[1],
+            )
+        calls = self._counting(monkeypatch)
+        slots = allocator.allocate_strand(200)
+        assert len(calls) == len(slots) - 1
+        assert chain == []

@@ -1,4 +1,5 @@
-"""Unit tests for the recording-side continuity simulator."""
+"""Unit tests for recording-side continuity: one recorder, no player —
+the degenerate case of :class:`MixedRoundService`."""
 
 import pytest
 
@@ -12,12 +13,32 @@ from repro.disk import (
     build_drive,
 )
 from repro.errors import ParameterError
-from repro.service.recording import simulate_recording
+from repro.service import MixedRoundService, RecordStream
 
 
 @pytest.fixture
 def block():
     return video_block_model(TESTBED_1991.video, 4)
+
+
+def simulate_recording(
+    slots, drive, block_period, buffer_capacity=2, k=1
+):
+    """Record *slots* alone on *drive*; returns (metrics, completions).
+
+    A block's write-completion time is its deadline plus its lateness.
+    """
+    record = RecordStream(
+        "rec", slots, block_period, staging_capacity=buffer_capacity
+    )
+    metrics = MixedRoundService(drive, lambda _round, _n: k, [record]).run(
+        []
+    )["rec"]
+    completions = [
+        record.deadline_of(number) + late
+        for number, late in enumerate(metrics._lateness_samples)
+    ]
+    return metrics, completions
 
 
 def constrained_placement(drive, count=60):

@@ -567,12 +567,140 @@ class TestColumnarPlans:
         assert not hasattr(MultimediaRopeServer, "_track_fetches")
 
 
+class TestOneWritePath:
+    """Each write-path decision is written once (ISSUE 18).
+
+    Chain placement is ``Allocator.allocate_strand``; a strand comes into
+    being in the MSM's one writer (and persist's decoder); slots are
+    taken and returned by ``repro.disk`` and the storage managers only;
+    slot↔cylinder arithmetic lives in ``disk/geometry.py`` (the
+    reference) and ``disk/drive.py`` (the copy everything calls).
+    """
+
+    SRC = ROOT / "src/repro"
+    LAYERS = ("fs", "rope", "service", "cluster", "server")
+
+    @classmethod
+    def _sites(cls, matches, folders=None):
+        """``{relative path: [enclosing function, ...]}`` of the AST nodes
+        *matches* accepts, over *folders* of ``src/repro`` (default all)."""
+        import ast
+
+        roots = [cls.SRC / f for f in folders] if folders else [cls.SRC]
+        found = {}
+        for root in roots:
+            for path in sorted(root.rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                for scope in ast.walk(tree):
+                    if not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                        continue
+                    for node in ast.iter_child_nodes(scope):
+                        stack = [node]
+                        while stack:
+                            inner = stack.pop()
+                            if isinstance(inner, ast.FunctionDef):
+                                continue  # visited as its own scope
+                            if matches(inner):
+                                found.setdefault(
+                                    str(path.relative_to(cls.SRC)), []
+                                ).append(getattr(scope, "name", "<module>"))
+                            stack.extend(ast.iter_child_nodes(inner))
+        return found
+
+    @staticmethod
+    def _calls(*names):
+        import ast
+
+        def matches(node):
+            return isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", "")
+            ) in names
+
+        return matches
+
+    @staticmethod
+    def _freemap_calls(*methods):
+        """``<anything>.freemap.<method>(...)`` / ``freemap.<method>(...)``."""
+        import ast
+
+        def matches(node):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in methods):
+                return False
+            owner = node.func.value
+            return getattr(owner, "attr", getattr(owner, "id", "")) in (
+                "freemap", "_freemaps"
+            ) or (isinstance(owner, ast.Subscript) and getattr(
+                owner.value, "attr", "") == "_freemaps")
+
+        return matches
+
+    def test_only_the_msm_writer_and_persist_construct_strands(self):
+        sites = self._sites(self._calls("Strand"), self.LAYERS)
+        assert sites == {
+            "fs/storage_manager.py": ["_write_strand"],
+            "fs/persist.py": ["_strand_from_json"],
+        }, sites
+
+    def test_chain_placement_is_written_once(self):
+        sites = self._sites(self._calls("allocate_first", "allocate_after"))
+        assert set(sites) == {"disk/allocation.py"}, sites
+        assert set(sites["disk/allocation.py"]) == {
+            "allocate_strand",   # the one chain loop
+            "allocate_after",    # RandomAllocator: every block is a head
+        }, sites
+
+    def test_only_disk_and_the_storage_managers_take_or_return_slots(self):
+        sites = self._sites(
+            self._freemap_calls("allocate", "release", "claim")
+        )
+        outside_disk = {
+            path: sorted(set(functions))
+            for path, functions in sites.items()
+            if not path.startswith("disk/")
+        }
+        assert outside_disk == {
+            "fs/storage_manager.py": [
+                "_release", "_write_strand", "relocate_strand",
+                "restore_strands",
+            ],
+            "fs/striped.py": ["delete_strand"],
+            # E8's disk-ageing fixture: filler slots no strand owns.
+            "analysis/experiments.py": ["e8_edit_copy"],
+        }, outside_disk
+
+    def test_slot_cylinder_arithmetic_lives_in_geometry_and_drive(self):
+        readers = sorted(
+            str(path.relative_to(self.SRC))
+            for path in self.SRC.rglob("*.py")
+            if "sectors_per_cylinder" in path.read_text()
+        )
+        assert readers == ["disk/drive.py", "disk/geometry.py"], readers
+
+    def test_retired_write_path_names_are_gone(self):
+        from repro.disk import ConstrainedScatterAllocator
+        from repro.fs import MultimediaStorageManager
+
+        assert not hasattr(MultimediaStorageManager, "copy_blocks_near")
+        assert not hasattr(ConstrainedScatterAllocator, "_slot_window")
+        assert not (self.SRC / "service/recording.py").exists()
+        assert not (self.SRC / "sim/engine.py").exists()
+        with pytest.raises(ImportError):
+            from repro.sim import Engine  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.service import simulate_recording  # noqa: F401
+        import repro.errors
+
+        assert not hasattr(repro.errors, "ContinuityViolation")
+
+
 class TestSourceSize:
-    #: `src/` physical lines after the pre-benchmark perf surface was
-    #: retired (25,371), rounded up to the next 50.  ROADMAP aim 2: the
-    #: count trends *down* — lower this when a PR deletes code, never
-    #: raise it to make room.
-    SRC_LINE_CEILING = 25400
+    #: `src/` physical lines after the write path was folded into one
+    #: placer / one claim / one writer (25,050), rounded up to the next
+    #: 50.  ROADMAP aim 2: the count trends *down* — lower this when a PR
+    #: deletes code, never raise it to make room.
+    SRC_LINE_CEILING = 25050
 
     def test_src_line_count_stays_under_the_ceiling(self):
         total = sum(
