@@ -36,7 +36,7 @@ assert not result["rejects"], result["rejects"]
 assert result["handoffs"] and all(h["clean"] for h in result["handoffs"])
 '
 
-echo "== profiler smoke =="
+echo "== profiler smoke (shares sum to 1; seek + transfer == the drives' own busy time) =="
 python -m repro profile --scenario scale --smoke
 
 echo "== every registered scenario at smoke size =="

@@ -43,8 +43,9 @@ Commands
     metric deltas between two manifests.
 
 A :class:`~repro.errors.ParameterError` anywhere below ``main`` (an
-unknown ``--set`` key, a value of the wrong type, a malformed config)
-ends in a one-line ``error: …`` on stderr and exit code 2.
+unknown ``--set`` key, a value of the wrong type, a malformed config) or
+an :class:`OSError` (an output path that cannot be written) ends in a
+one-line ``error: …`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -264,6 +265,14 @@ def _scenario(args: argparse.Namespace) -> scenarios.Scenario:
     )
 
 
+def _require_writable(path: Optional[str]) -> None:
+    """Fail on an output *path* nothing can be written to before the run
+    whose result it is to hold, not after (``main`` reports the error)."""
+    if path:
+        with open(path, "a", encoding="utf-8"):
+            pass
+
+
 def _write_json(path: str, document: object) -> None:
     import json
 
@@ -339,58 +348,40 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
+    import math
 
     scenario = _scenario(args)
+    _require_writable(args.trace_out)
     obs = scenario.observability(profile=True)
     section = scenario.profile_section(scenario.run(obs))
-    profiler = obs.profiler
-    share_sum = sum(
-        entry["share"] for entry in section["phases"].values()
-    )
-    # Attribution must account for the whole run: shares sum to 1
-    # whenever anything was recorded.
+    phases = section["phases"]
+    share_sum = sum(entry["share"] for entry in phases.values())
+    # The profile must account for the whole run: something was
+    # recorded, shares sum to 1, and the two mechanism phases add up to
+    # the busy time the attached drives report themselves.
     healthy = (
-        profiler.total_ops > 0 and abs(share_sum - 1.0) <= 1e-9
+        section["total_ops"] > 0
+        and abs(share_sum - 1.0) <= 1e-9
+        and math.isclose(
+            phases["seek"]["cost_s"] + phases["transfer"]["cost_s"],
+            obs.profiler.drive_busy_time(), rel_tol=1e-9,
+        )
     )
     if args.trace_out:
         _write_json(args.trace_out, obs.to_chrome_trace())
     if args.json:
         print(json.dumps(section, indent=2, sort_keys=True))
     elif args.smoke:
-        hottest = profiler.top_cost_centers(1)[0]
+        hottest = section["top"][0]
         print(
-            f"profile smoke: {profiler.total_ops} ops, "
-            f"{profiler.total_cost:.6f}s modeled, hottest "
+            f"profile smoke: {section['total_ops']} ops, "
+            f"{section['total_cost_s']:.6f}s modeled, hottest "
             f"{hottest['phase']} ({hottest['share']:.1%}), share sum "
             f"{share_sum:.12f}"
         )
     else:
         print(f"profile: {args.scenario} (seed {args.seed})")
-        print(
-            f"  total: {profiler.total_ops} ops, "
-            f"{profiler.total_cost:.6f}s modeled"
-        )
-        print("  cost centers:")
-        for entry in profiler.top_cost_centers(args.top):
-            print(
-                f"    {entry['phase']:<20} ops={entry['ops']:<10} "
-                f"cost={entry['cost_s']:.6f}s share={entry['share']:.4f}"
-            )
-        for drive, phases in sorted(section["per_drive"].items()):
-            cost = sum(stat["cost_s"] for stat in phases.values())
-            ops = sum(stat["ops"] for stat in phases.values())
-            print(
-                f"  drive {drive:<14} ops={ops:<10} cost={cost:.6f}s"
-            )
-        for node_id in obs.node_ids():
-            summary = profiler.node_summary(node_id)
-            if not summary:
-                continue
-            cost = sum(stat["cost_s"] for stat in summary.values())
-            ops = sum(stat["ops"] for stat in summary.values())
-            print(
-                f"  node {node_id:<15} ops={ops:<10} cost={cost:.6f}s"
-            )
+        print("\n".join(obs.profiler.render(args.top)))
         if args.trace_out:
             print(f"  wrote {args.trace_out}")
     return 0 if healthy else 1
@@ -400,6 +391,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     import json
 
     scenario = _scenario(args)
+    _require_writable(args.out)
     obs = scenario.observability(profile=args.profile)
     scenario.run(obs)
     document = obs.to_chrome_trace()
@@ -478,8 +470,10 @@ def _cmd_expt_run(args: argparse.Namespace) -> int:
                 "matrix's committed baseline"
             )
         baseline = EXPT_BASELINE_PATH
-    report = run_matrix(config, workers=args.workers)
     out_dir = args.out or str(Path(EXPT_RESULTS_ROOT) / config.name)
+    # An unwritable results directory fails before the matrix runs.
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    report = run_matrix(config, workers=args.workers)
     manifest_path = write_results(report, out_dir)
     if args.regen_baseline:
         baseline_path = Path(baseline)
@@ -756,7 +750,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParameterError as error:
+    except (ParameterError, OSError) as error:
+        # OSError: a path that cannot be written (or read) names itself.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -217,6 +217,8 @@ class CachedDrive:
     def attach_cache_observer(self, obs) -> None:
         """Report lookups and evictions to *obs*'s service recorder."""
         self._rec = recorder_for(obs, "cache")
+        if self._rec is not None:
+            self._rec.cache_attached(self)
 
     # -- drive surface proxied to the inner mechanism -------------------------
 
@@ -298,9 +300,7 @@ class CachedDrive:
         reads the mechanism through *read_inner*."""
         hit = self.cache.lookup(slot)
         if self._rec is not None:
-            self._rec.cache_probe(
-                hit, self.hit_time if hit else 0.0, self.inner.profile_label
-            )
+            self._rec.cache_probe(hit)
         if hit:
             return self.hit_time, "hit"
         try:

@@ -119,8 +119,8 @@ class SimulatedDrive:
         self.injector = None
         #: The service recorder accesses report to (None: unobserved).
         self._rec = None
-        #: Label this drive's profiler attributions carry (``per_drive``
-        #: in the cost summary); settable by whoever owns the drive.
+        #: Label this drive's row carries in a cost profile (``per_drive``);
+        #: settable by whoever owns the drive, read when a summary is made.
         self.profile_label = "drive"
         # Geometry, seek curve, rotation, and rates are fixed for the
         # drive's lifetime (all frozen dataclasses), so the per-access
@@ -144,11 +144,14 @@ class SimulatedDrive:
     def attach_observer(self, obs) -> None:
         """Install an :class:`~repro.obs.Observability` handle.
 
-        Every access is then reported to the handle's service recorder;
+        Every access is then reported to the handle's service recorder
+        (whose cost profile, if any, reads :attr:`stats` from now on);
         unobserved (the default, or a disabled handle) the access path
         tests one attribute.  Pass None to detach.
         """
         self._rec = recorder_for(obs, "drive")
+        if self._rec is not None:
+            self._rec.drive_attached(self)
 
     @property
     def observed(self) -> bool:
@@ -171,6 +174,13 @@ class SimulatedDrive:
     def head_cylinder(self) -> int:
         """Current head position."""
         return self._head_cylinder
+
+    @property
+    def charged_accesses(self) -> int:
+        """Accesses whose mechanism time was charged: the completed
+        reads and writes plus the attempts a fault doomed (each moved one
+        block slot's sectors under the head)."""
+        return self.stats.sectors_transferred // self.sectors_per_block
 
     # -- slot <-> cylinder arithmetic (the one copy the stack calls) ------------
 
@@ -299,7 +309,7 @@ class SimulatedDrive:
         self.stats.sectors_transferred += self.sectors_per_block
         duration = seek + latency + transfer
         if self._rec is not None:
-            self._rec.drive_access(seek, latency, transfer, self.profile_label)
+            self._rec.drive_access(seek)
         if self.injector is not None:
             # The failed attempt's time is already charged above: a fault
             # is only known once the access has been tried.

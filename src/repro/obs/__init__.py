@@ -18,10 +18,11 @@ reproduction proves it kept them.  Components report into an optional
 * :class:`SloMonitor` — declarative objectives (continuity, deadline
   slack quantiles, typed reject rates, cache hit ratio) evaluated per
   round with breach-transition events in the snapshot;
-* :class:`CostProfiler` — deterministic cost attribution decomposing
-  each service round into named phases (:data:`PHASES`) with per-phase
-  op counts and modeled-time costs, per stream / drive / cluster node,
-  exported as Perfetto counter tracks (``repro profile``); node-scoped
+* :class:`CostProfiler` — deterministic cost attribution: a view of
+  the drives' and caches' own statistics as named phases
+  (:data:`PHASES`) with op counts and modeled-time costs, per stream /
+  drive / cluster node, exported as Perfetto counter tracks (``repro
+  profile``); node-scoped
   :class:`ScopedObservability` views plus :func:`merge_snapshots`
   federate per-node registries back into one cluster snapshot.
 

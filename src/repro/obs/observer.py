@@ -78,6 +78,8 @@ class Observability:
         )
         self.slo: Optional[SloMonitor] = None
         self.profiler: Optional[CostProfiler] = None
+        #: A node-scoped view carries its node's id here; the root has none.
+        self.node_id: Optional[str] = None
         self._sim_tracers: list = []
         self._node_views: Dict[str, ScopedObservability] = {}
 
@@ -128,20 +130,11 @@ class Observability:
             )
         return self.slo
 
-    def enable_profiler(
-        self, profiler: Optional[CostProfiler] = None
-    ) -> CostProfiler:
-        """Attach a :class:`CostProfiler` (idempotent).
-
-        Off by default: the round loop and drive guard with a single
-        ``is None`` test, so an unprofiled run pays nothing and the
-        traced-overhead budget is untouched.
-        """
+    def enable_profiler(self) -> CostProfiler:
+        """Attach a :class:`CostProfiler` (idempotent); drives and
+        caches handed this observer *afterwards* register with it."""
         if self.profiler is None:
-            self.profiler = (
-                profiler if profiler is not None
-                else CostProfiler(enabled=self.enabled)
-            )
+            self.profiler = CostProfiler()
         return self.profiler
 
     # -- node-scoped federation --------------------------------------------------
@@ -152,7 +145,8 @@ class Observability:
         Hand one to each cluster node instead of sharing this object
         flat: writes still land here (totals, SLOs, and goldens are
         unchanged by construction) while each view keeps a private
-        per-node registry and node-attributed profiler handle.
+        per-node registry, and what is attached through it is
+        attributed to its node in the profile.
         """
         view = self._node_views.get(node_id)
         if view is None:
@@ -318,22 +312,7 @@ class Observability:
                 )
         if self.profiler is not None:
             lines.append("== profile ==")
-            for entry in self.profiler.top_cost_centers(top):
-                lines.append(
-                    f"  {entry['phase']:<20} ops={entry['ops']:<10} "
-                    f"cost={entry['cost_s']:.6f}s "
-                    f"share={entry['share']:.4f}"
-                )
-            for node_id in sorted(self._node_views):
-                summary = self.profiler.node_summary(node_id)
-                if not summary:
-                    continue
-                cost = sum(s["cost_s"] for s in summary.values())
-                ops = sum(s["ops"] for s in summary.values())
-                lines.append(
-                    f"  node {node_id:<14} ops={ops:<10} "
-                    f"cost={cost:.6f}s"
-                )
+            lines.extend(self.profiler.render(top))
         lines.append("== admission audit ==")
         audit = self.audit.render()
         if audit:

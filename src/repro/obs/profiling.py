@@ -4,14 +4,16 @@ Two related tools for answering "where does round time actually go?"
 without sacrificing the byte-stability contract every other obs surface
 keeps:
 
-* :class:`CostProfiler` decomposes a run into the named service
-  **phases** of :data:`PHASES` — the §3.4 round loop's admission scan
-  and deadline bookkeeping, the drive's positioning (seek + rotation)
-  and media transfer, cache lookups, fault-recovery overhead, and
-  per-stream span finalize — accumulating *operation counts* and
-  *modeled-time costs* per phase, per stream, per drive, and per
-  cluster node.  Costs are **simulated seconds only**: the profiler
-  never reads the wall clock, so two runs at the same seed serialize
+* :class:`CostProfiler` decomposes a run's **modeled** time into the
+  phases of :data:`PHASES`, per drive, per cluster node and per stream.
+  It is a *view*: a drive and a cache front end handed an observer
+  register themselves once, and every rollup is computed, when asked,
+  from the :class:`~repro.disk.drive.DriveStats` /
+  :class:`~repro.disk.cache.CacheStats` those objects keep anyway — so
+  the profile cannot disagree with them and a block costs the profiler
+  nothing.  Only what no other record holds is written: the delay fault
+  recovery adds and each stream's share of a round.  Costs are
+  simulated seconds only, so two runs at the same seed serialize
   byte-identically (the ``repro profile --json`` acceptance bar).
 * :class:`ScopedObservability` is the node-scoped view of one shared
   :class:`~repro.obs.Observability` that the cluster hands each
@@ -23,32 +25,30 @@ keeps:
   byte-stable cluster snapshot whose counters equal the legacy
   flat-shared values exactly.
 
-Phase taxonomy (see docs/OBSERVABILITY.md for the full semantics):
+Phase taxonomy (docs/OBSERVABILITY.md).  The paper's §3 cost model has
+two per-block components, positioning and transfer; the other two are
+what sits in front of the mechanism and what a fault adds:
 
 ========================  ====================================================
-``admission_scan``        per-round pending-admission pops + active-list
-                          compaction scans (ops; zero modeled cost)
-``deadline_ordering``     consumption-cursor / buffer-occupancy queries that
-                          order deliveries against playback deadlines (ops;
-                          zero modeled cost)
-``seek``                  drive positioning: seek + rotational latency
-                          (modeled seconds per access)
-``transfer``              media transfer seconds per access
-``cache_lookup``          block-cache residency probes (ops; a hit's memory
-                          copy is below the model's time granularity)
-``fault_recovery``        modeled delay attributable to injected faults:
-                          doomed attempts and retry backoff windows (this
+``seek``                  positioning, the paper's ``l_ds``: read as
+                          ``DriveStats.seek_time + rotation_time``
+``transfer``              media transfer: read as ``DriveStats.transfer_time``
+``cache_lookup``          residency probes: read as ``CacheStats.hits +
+                          misses``, costing ``hits * hit_time``
+``fault_recovery``        delay of doomed attempts and retry backoff (it
                           *overlaps* the seek/transfer charged to the failed
-                          attempts — it is attribution, not conservation)
-``span_finalize``         per-stream post-run scoring work: deliveries
-                          folded into timeline/slack/span records (ops)
+                          attempts: attribution, not conservation); written,
+                          one add per fault outcome
 ========================  ====================================================
+
+``ops`` of ``seek`` / ``transfer`` counts every access whose time the
+mechanism charged, an attempt a fault doomed included.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ParameterError
 from repro.obs.registry import MetricsRegistry
@@ -61,281 +61,215 @@ __all__ = [
     "merge_snapshots",
 ]
 
-#: The fixed phase taxonomy a service round decomposes into.
-PHASES: Tuple[str, ...] = (
-    "admission_scan",
-    "deadline_ordering",
-    "seek",
-    "transfer",
-    "cache_lookup",
-    "fault_recovery",
-    "span_finalize",
-)
+#: The fixed phase taxonomy modeled time decomposes into.
+PHASES: Tuple[str, ...] = ("seek", "transfer", "cache_lookup", "fault_recovery")
+
+#: Retained per-round checkpoints (the Perfetto counter tracks): when the
+#: series fills, every other sample is dropped and the stride doubles.
+CHECKPOINT_LIMIT = 256
+#: Per-stream rows a summary lists.
+TOP_STREAMS = 8
+
+#: key -> ``{"ops", "cost_s"}``: the shape of every rollup.
+_Table = Dict[Optional[str], Dict[str, Union[int, float]]]
 
 
-class _PhaseStat:
-    """Accumulated operations + modeled cost for one attribution key."""
+def _add(table: _Table, key: Optional[str], ops: int, cost: float) -> None:
+    row = table.get(key)
+    if row is None:
+        row = table[key] = {"ops": 0, "cost_s": 0.0}
+    row["ops"] += ops
+    row["cost_s"] += cost
 
-    __slots__ = ("ops", "cost")
 
-    def __init__(self) -> None:
-        self.ops = 0
-        self.cost = 0.0
+def _ranked(table: _Table) -> List[Tuple]:
+    """Rows by (cost desc, ops desc, key): fully ordered, so stable."""
+    return sorted(
+        table.items(),
+        key=lambda item: (-item[1]["cost_s"], -item[1]["ops"], item[0]),
+    )
 
-    def add(self, cost: float, ops: int) -> None:
-        self.ops += ops
-        self.cost += cost
 
-    def as_dict(self) -> Dict[str, Union[int, float]]:
-        return {"ops": self.ops, "cost_s": self.cost}
+def _read_drive(drive) -> Tuple[str, Tuple]:
+    """A mechanism's label and ``(phase, ops, cost_s)`` rows to date."""
+    stats, charged = drive.stats, drive.charged_accesses
+    return drive.profile_label, (
+        ("seek", charged, stats.seek_time + stats.rotation_time),
+        ("transfer", charged, stats.transfer_time),
+    )
+
+
+def _read_cache(cached) -> Tuple[str, Tuple]:
+    """The same for a cache front end, under its mechanism's label."""
+    stats = cached.cache.stats
+    probes = stats.hits + stats.misses
+    return cached.inner.profile_label, (
+        ("cache_lookup", probes, stats.hits * cached.hit_time),
+    )
 
 
 class CostProfiler:
-    """Deterministic per-phase cost accumulator.
+    """Deterministic per-phase view of where modeled time went.
 
-    Parameters
-    ----------
-    enabled:
-        When False every ``record`` is a no-op (call sites additionally
-        guard on ``profiler is None``, the default).
-    checkpoint_limit:
-        Maximum retained per-round checkpoints for the Perfetto counter
-        tracks.  When the limit fills, every other checkpoint is dropped
-        and the sampling stride doubles — deterministic decimation, so
-        the series stays bounded on million-round runs.
-    top_streams:
-        How many per-stream rows :meth:`summary_dict` retains (ranked
-        by cost, then ops, then id — fully deterministic).
+    ``seek``, ``transfer`` and ``cache_lookup`` are read from the
+    watched devices' own counters (as deltas against their values when
+    first watched; the label is read late: whoever owns a drive may name
+    it after building it).  ``fault_recovery`` and the per-stream
+    attribution are the two things written.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        checkpoint_limit: int = 256,
-        top_streams: int = 8,
-    ):
-        if checkpoint_limit < 2:
-            raise ParameterError(
-                f"checkpoint_limit must be >= 2, got {checkpoint_limit}"
-            )
-        if top_streams < 1:
-            raise ParameterError(
-                f"top_streams must be >= 1, got {top_streams}"
-            )
-        self.enabled = enabled
-        self.checkpoint_limit = checkpoint_limit
-        self.top_streams = top_streams
-        self._phases: Dict[str, _PhaseStat] = {
-            phase: _PhaseStat() for phase in PHASES
-        }
-        self._streams: Dict[str, _PhaseStat] = {}
-        self._drives: Dict[str, Dict[str, _PhaseStat]] = {}
-        self._nodes: Dict[str, Dict[str, _PhaseStat]] = {}
-        self._scoped: Dict[str, "_ScopedProfiler"] = {}
+    def __init__(self) -> None:
+        #: (device, node it was attached through, reader, its rows then).
+        self._watched: List[Tuple[object, Optional[str], object, Tuple]] = []
+        #: node (None outside a cluster) -> fault-recovery delay.
+        self._faults: _Table = {}
+        self._streams: _Table = {}
         #: (simulated time, per-PHASES cumulative cost tuple).
         self._checkpoints: List[Tuple[float, Tuple[float, ...]]] = []
         self._checkpoint_stride = 1
         self._checkpoint_calls = 0
 
-    # -- recording ---------------------------------------------------------------
+    # -- what is registered and what is written ----------------------------------
 
-    def record(
-        self,
-        phase: str,
-        cost: float = 0.0,
-        ops: int = 1,
-        drive: Optional[str] = None,
-        node: Optional[str] = None,
-    ) -> None:
-        """Charge *ops* operations and *cost* modeled seconds to *phase*.
+    def _watch(self, device, node: Optional[str], read) -> None:
+        if all(seen is not device for seen, *_ in self._watched):
+            self._watched.append((device, node, read, read(device)[1]))
 
-        *drive* and *node* additionally attribute the charge to a drive
-        label / cluster node.  Unknown phases are a
-        :class:`~repro.errors.ParameterError` — the taxonomy is closed
-        so downstream rankings are comparable across runs.
-        """
-        if not self.enabled:
-            return
-        stat = self._phases.get(phase)
-        if stat is None:
-            raise ParameterError(
-                f"unknown profile phase {phase!r}; known: "
-                f"{', '.join(PHASES)}"
-            )
-        stat.ops += ops
-        stat.cost += cost
-        if drive is not None:
-            per_drive = self._drives.get(drive)
-            if per_drive is None:
-                per_drive = self._drives[drive] = {}
-            drive_stat = per_drive.get(phase)
-            if drive_stat is None:
-                drive_stat = per_drive[phase] = _PhaseStat()
-            drive_stat.add(cost, ops)
-        if node is not None:
-            per_node = self._nodes.get(node)
-            if per_node is None:
-                per_node = self._nodes[node] = {}
-            node_stat = per_node.get(phase)
-            if node_stat is None:
-                node_stat = per_node[phase] = _PhaseStat()
-            node_stat.add(cost, ops)
+    def watch_drive(self, drive, node: Optional[str] = None) -> None:
+        """Read *drive*'s ``DriveStats`` from now on (once per drive,
+        however often an observer is attached to it)."""
+        self._watch(drive, node, _read_drive)
 
-    def attribute_stream(
-        self, stream_id: str, cost: float = 0.0, ops: int = 1
-    ) -> None:
-        """Charge *cost* modeled seconds of service work to one stream."""
-        if not self.enabled:
-            return
-        stat = self._streams.get(stream_id)
-        if stat is None:
-            stat = self._streams[stream_id] = _PhaseStat()
-        stat.add(cost, ops)
+    def watch_cache(self, cached, node: Optional[str] = None) -> None:
+        """Read a ``CachedDrive``'s ``CacheStats`` from now on."""
+        self._watch(cached, node, _read_cache)
+
+    def fault(self, cost: float, node: Optional[str] = None) -> None:
+        """One fault outcome added *cost* modeled seconds of delay."""
+        _add(self._faults, node, 1, cost)
+
+    def attribute_stream(self, stream_id: str, cost: float, ops: int) -> None:
+        """A turn served *ops* blocks of one stream in *cost* seconds."""
+        _add(self._streams, stream_id, ops, cost)
 
     def checkpoint(self, time: float) -> None:
         """Sample the cumulative per-phase costs at simulated *time*.
 
         The service loop calls this once per round; decimation keeps the
-        retained series under ``checkpoint_limit`` samples regardless of
-        round count, and which rounds survive is a pure function of the
-        call sequence (no randomness, no wall clock).
+        retained series under :data:`CHECKPOINT_LIMIT` samples regardless
+        of round count, and which rounds survive is a pure function of
+        the call sequence (no randomness, no wall clock).
         """
-        if not self.enabled:
-            return
         self._checkpoint_calls += 1
         if self._checkpoint_calls % self._checkpoint_stride:
             return
-        self._checkpoints.append((
-            time,
-            tuple(self._phases[phase].cost for phase in PHASES),
-        ))
-        if len(self._checkpoints) >= self.checkpoint_limit:
+        phases = self._tables()[0]
+        self._checkpoints.append(
+            (time, tuple(phases[phase]["cost_s"] for phase in PHASES))
+        )
+        if len(self._checkpoints) >= CHECKPOINT_LIMIT:
             self._checkpoints = self._checkpoints[::2]
             self._checkpoint_stride *= 2
 
-    def scoped(self, node_id: str) -> "_ScopedProfiler":
-        """A view whose records carry ``node=node_id`` attribution."""
-        view = self._scoped.get(node_id)
-        if view is None:
-            view = self._scoped[node_id] = _ScopedProfiler(self, node_id)
-        return view
-
     # -- rollups -----------------------------------------------------------------
 
-    @property
-    def total_cost(self) -> float:
-        """Sum of modeled cost over all phases."""
-        return sum(stat.cost for stat in self._phases.values())
+    def _rows(self) -> Iterator[Tuple]:
+        """``(drive label, node, phase, ops, cost_s)``: what each watched
+        device counted since it was first watched, then the faults."""
+        for device, node, read, then in self._watched:
+            label, now = read(device)
+            for (phase, ops, cost), (_, ops_then, cost_then) in zip(now, then):
+                yield label, node, phase, ops - ops_then, cost - cost_then
+        for node, row in self._faults.items():
+            yield None, node, "fault_recovery", row["ops"], row["cost_s"]
 
-    @property
-    def total_ops(self) -> int:
-        """Sum of operation counts over all phases."""
-        return sum(stat.ops for stat in self._phases.values())
-
-    def phase_shares(self) -> Dict[str, float]:
-        """Each phase's share of the total, summing to 1.0 (± float eps).
-
-        Shares are cost-weighted when any phase carried modeled cost;
-        otherwise (a run with no drive attached) they fall back to
-        operation-count weighting so the ranking is still meaningful.
-        """
-        total_cost = self.total_cost
-        if total_cost > 0.0:
-            return {
-                phase: stat.cost / total_cost
-                for phase, stat in self._phases.items()
-            }
-        total_ops = self.total_ops
-        if total_ops > 0:
-            return {
-                phase: stat.ops / total_ops
-                for phase, stat in self._phases.items()
-            }
-        return {phase: 0.0 for phase in self._phases}
-
-    def top_cost_centers(self, n: Optional[int] = None) -> List[Dict]:
-        """Phases ranked by (cost desc, ops desc, name) — the hot list.
-
-        Returns at most *n* entries (all phases when None); each entry
-        carries the phase name, ops, modeled cost, and share.
-        """
-        shares = self.phase_shares()
-        ranked = sorted(
-            self._phases.items(),
-            key=lambda item: (-item[1].cost, -item[1].ops, item[0]),
-        )
-        if n is not None:
-            if n < 1:
-                raise ParameterError(f"top n must be >= 1, got {n}")
-            ranked = ranked[:n]
-        return [
-            {
-                "phase": phase,
-                "ops": stat.ops,
-                "cost_s": stat.cost,
-                "share": shares[phase],
-            }
-            for phase, stat in ranked
-        ]
-
-    def node_summary(self, node_id: str) -> Dict[str, Dict]:
-        """One node's per-phase attribution (empty when unseen)."""
-        per_node = self._nodes.get(node_id, {})
-        return {
-            phase: stat.as_dict()
-            for phase, stat in sorted(per_node.items())
-        }
+    def _tables(self) -> Tuple[_Table, Dict[str, _Table], Dict[str, _Table]]:
+        """(total, per drive label, per node), each by phase; a phase
+        appears under a drive or node once it has counted something."""
+        phases: _Table = {}
+        for phase in PHASES:
+            _add(phases, phase, 0, 0.0)
+        drives: Dict[str, _Table] = {}
+        nodes: Dict[str, _Table] = {}
+        for label, node, phase, ops, cost in self._rows():
+            if ops:
+                _add(phases, phase, ops, cost)
+                if label is not None:
+                    _add(drives.setdefault(label, {}), phase, ops, cost)
+                if node is not None:
+                    _add(nodes.setdefault(node, {}), phase, ops, cost)
+        return phases, drives, nodes
 
     def summary_dict(self) -> Dict:
-        """The whole profile as a JSON-ready, byte-stable dict."""
-        shares = self.phase_shares()
-        top_streams = sorted(
-            self._streams.items(),
-            key=lambda item: (-item[1].cost, -item[1].ops, item[0]),
-        )[: self.top_streams]
+        """The whole profile as a JSON-ready, byte-stable dict.
+
+        Shares are cost-weighted and sum to 1.0 (± float eps) — all zero
+        while nothing has cost anything; ``top`` ranks the phases and the
+        costliest streams by (cost desc, ops desc, name).
+        """
+        phases, drives, nodes = self._tables()
+        total = sum(row["cost_s"] for row in phases.values())
+        for row in phases.values():
+            row["share"] = row["cost_s"] / total if total > 0.0 else 0.0
         return {
-            "phases": {
-                phase: {
-                    "ops": stat.ops,
-                    "cost_s": stat.cost,
-                    "share": shares[phase],
-                }
-                for phase, stat in self._phases.items()
-            },
-            "total_cost_s": self.total_cost,
-            "total_ops": self.total_ops,
-            "top": self.top_cost_centers(),
+            "phases": phases,
+            "total_cost_s": total,
+            "total_ops": sum(row["ops"] for row in phases.values()),
+            "top": [{"phase": phase, **row} for phase, row in _ranked(phases)],
             "per_stream": {
                 "count": len(self._streams),
                 "top": [
-                    {
-                        "stream": stream_id,
-                        "ops": stat.ops,
-                        "cost_s": stat.cost,
-                    }
-                    for stream_id, stat in top_streams
+                    {"stream": stream_id, **row}
+                    for stream_id, row in _ranked(self._streams)[:TOP_STREAMS]
                 ],
             },
-            "per_drive": {
-                label: {
-                    phase: stat.as_dict()
-                    for phase, stat in sorted(per_drive.items())
-                }
-                for label, per_drive in sorted(self._drives.items())
-            },
-            "per_node": {
-                node: {
-                    phase: stat.as_dict()
-                    for phase, stat in sorted(per_node.items())
-                }
-                for node, per_node in sorted(self._nodes.items())
-            },
+            "per_drive": drives,
+            "per_node": nodes,
             "checkpoints": len(self._checkpoints),
         }
 
-    def snapshot(self) -> str:
-        """Stable sorted-key JSON of :meth:`summary_dict`."""
-        return json.dumps(self.summary_dict(), sort_keys=True, indent=2)
+    def top_cost_centers(self, n: Optional[int] = None) -> List[Dict]:
+        """The *n* hottest phases (all when None), each with its name,
+        ops, modeled cost and share."""
+        if n is not None and n < 1:
+            raise ParameterError(f"top n must be >= 1, got {n}")
+        return self.summary_dict()["top"][:n]
+
+    def node_summary(self, node_id: str) -> _Table:
+        """One node's per-phase attribution (empty when unseen)."""
+        return self._tables()[2].get(node_id, {})
+
+    def drive_busy_time(self) -> float:
+        """``DriveStats.busy_time`` of the watched drives since they were
+        first watched — what ``seek`` + ``transfer`` must add up to."""
+        return sum(
+            device.stats.busy_time - sum(cost for _, _, cost in then)
+            for device, _node, read, then in self._watched
+            if read is _read_drive
+        )
+
+    def render(self, top: Optional[int] = None) -> List[str]:
+        """The operator-facing lines: the total, the *top* cost centers,
+        then one rollup line per drive and per node."""
+        summary = self.summary_dict()
+        lines = [
+            f"  total: {summary['total_ops']} ops, "
+            f"{summary['total_cost_s']:.6f}s modeled",
+            "  cost centers:",
+        ]
+        for entry in self.top_cost_centers(top):
+            lines.append(
+                f"    {entry['phase']:<20} ops={entry['ops']:<10} "
+                f"cost={entry['cost_s']:.6f}s share={entry['share']:.4f}"
+            )
+        for kind in ("drive", "node"):
+            for name, table in sorted(summary[f"per_{kind}"].items()):
+                lines.append(
+                    f"  {kind} {name:<15} "
+                    f"ops={sum(row['ops'] for row in table.values()):<10} "
+                    f"cost={sum(row['cost_s'] for row in table.values()):.6f}s"
+                )
+        return lines
 
     def chrome_counter_events(self) -> List[Dict]:
         """Perfetto ``"C"`` counter events: one track per phase.
@@ -344,69 +278,23 @@ class CostProfiler:
         carried cost, on counter tracks named ``profile.<phase>`` —
         loadable next to the span export in ui.perfetto.dev.
         """
+        phases = self._tables()[0]
         active = [
             index for index, phase in enumerate(PHASES)
-            if self._phases[phase].cost > 0.0
+            if phases[phase]["cost_s"] > 0.0
         ]
-        events: List[Dict] = []
-        for time, costs in self._checkpoints:
-            for index in active:
-                events.append({
-                    "ph": "C",
-                    "pid": 1,
-                    "tid": 0,
-                    "name": f"profile.{PHASES[index]}",
-                    "ts": round(time * 1e6, 3),
-                    "args": {"cost_ms": round(costs[index] * 1e3, 6)},
-                })
-        return events
-
-    def reset(self) -> None:
-        """Drop everything recorded (a fresh profiler)."""
-        for stat in self._phases.values():
-            stat.ops = 0
-            stat.cost = 0.0
-        self._streams.clear()
-        self._drives.clear()
-        self._nodes.clear()
-        self._checkpoints.clear()
-        self._checkpoint_stride = 1
-        self._checkpoint_calls = 0
-
-
-class _ScopedProfiler:
-    """A node-attributed facade over one shared :class:`CostProfiler`."""
-
-    __slots__ = ("_parent", "node_id")
-
-    def __init__(self, parent: CostProfiler, node_id: str):
-        self._parent = parent
-        self.node_id = node_id
-
-    @property
-    def enabled(self) -> bool:
-        return self._parent.enabled
-
-    def record(
-        self,
-        phase: str,
-        cost: float = 0.0,
-        ops: int = 1,
-        drive: Optional[str] = None,
-        node: Optional[str] = None,
-    ) -> None:
-        self._parent.record(
-            phase, cost=cost, ops=ops, drive=drive,
-            node=self.node_id if node is None else node,
-        )
-
-    def attribute_stream(
-        self, stream_id: str, cost: float = 0.0, ops: int = 1
-    ) -> None:
-        self._parent.attribute_stream(stream_id, cost=cost, ops=ops)
-
-    def checkpoint(self, time: float) -> None:
-        self._parent.checkpoint(time)
+        return [
+            {
+                "ph": "C",
+                "pid": 1,
+                "tid": 0,
+                "name": f"profile.{PHASES[index]}",
+                "ts": round(time * 1e6, 3),
+                "args": {"cost_ms": round(costs[index] * 1e3, 6)},
+            }
+            for time, costs in self._checkpoints
+            for index in active
+        ]
 
 
 # -- scoped registries -----------------------------------------------------------
@@ -556,9 +444,9 @@ class ScopedObservability:
     nodes.  Metric writes are *paired*: they land in the parent registry
     (so cluster totals, SLO evaluation, and golden snapshots are
     byte-identical to legacy flat sharing) **and** in a private
-    node-local registry serialized by :meth:`snapshot_dict`.  The
-    profiler handle, when the parent has one, attributes every record
-    to this view's node id.
+    node-local registry serialized by :meth:`snapshot_dict`.  A drive
+    or cache attached through this view is attributed to its node id
+    in the parent's profiler.
     """
 
     def __init__(self, parent, node_id: str):
@@ -581,11 +469,8 @@ class ScopedObservability:
 
     @property
     def profiler(self):
-        """Node-attributed view of the parent's profiler (or None)."""
-        parent_profiler = self.parent.profiler
-        if parent_profiler is None:
-            return None
-        return parent_profiler.scoped(self.node_id)
+        """The parent's profiler (or None)."""
+        return self.parent.profiler
 
     def scoped(self, node_id: str) -> "ScopedObservability":
         """Scoping is flat: delegate to the parent."""
@@ -602,15 +487,15 @@ class ScopedObservability:
 
     def snapshot_dict(self, include_profile: bool = False) -> Dict:
         """This node's view: local metrics + its profiler attribution."""
-        parent_profiler = self.parent.profiler
+        profiler = self.profiler
         return {
             "node_id": self.node_id,
             "metrics": self.registry.snapshot_dict(
                 include_profile=include_profile
             ),
             "profile": (
-                parent_profiler.node_summary(self.node_id)
-                if parent_profiler is not None else {}
+                profiler.node_summary(self.node_id)
+                if profiler is not None else {}
             ),
         }
 

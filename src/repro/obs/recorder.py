@@ -54,24 +54,21 @@ EVENTS: Dict[str, Tuple[str, str]] = {
     "block_end": ("loop", "span:service.block stage:read-done stage:skipped"),
     "turn_end": ("loop", "profile:per_stream sim:playback-start"),
     "round_served": (
-        "loop", "timer:service.round histogram:service.round_utilization "
-        "phase:deadline_ordering"),
-    "round_end": (
-        "loop", "phase:admission_scan phase:deadline_ordering "
-        "profile:checkpoint slo:round"),
+        "loop", "timer:service.round histogram:service.round_utilization"),
+    "round_end": ("loop", "profile:checkpoint slo:round"),
     "text_completed": ("loop", "sim:text-complete"),
     "run_end": (
         "loop", "histogram:session.deadline_slack_s "
         "counter:session.blocks_delivered counter:session.blocks_skipped "
         "counter:session.deadline_misses gauge:service.rounds_run "
-        "phase:admission_scan phase:span_finalize span:service.stream "
-        "stage:consumed slo:final"),
+        "span:service.stream stage:consumed slo:final"),
+    "drive_attached": ("drive", "phase:seek phase:transfer"),
     "drive_access": (
-        "drive", "counter:disk.accesses histogram:disk.seek_s phase:seek "
-        "phase:transfer span:disk.access"),
+        "drive", "counter:disk.accesses histogram:disk.seek_s "
+        "span:disk.access"),
+    "cache_attached": ("cache", "phase:cache_lookup"),
     "cache_probe": (
-        "cache", "counter:cache.hits counter:cache.misses "
-        "phase:cache_lookup span:cache.read"),
+        "cache", "counter:cache.hits counter:cache.misses span:cache.read"),
     "cache_evicted": ("cache", "counter:cache.evictions"),
     "block_scored": (
         "score", "histogram:session.deadline_slack_s "
@@ -254,10 +251,6 @@ class ServiceRecorder:
         if self._sim is not None:
             self._sim.emit(time, tag, subject, detail % args)
 
-    def _charge(self, phase: str, ops: int) -> None:
-        if ops and self._prof is not None:
-            self._prof.record(phase, ops=ops)
-
     def _count(self, name: str, amount: int = 1) -> None:
         self._obs.registry.counter(name).inc(amount)
 
@@ -359,14 +352,14 @@ class ServiceRecorder:
         """The turn moved *delivered* blocks in *cost* seconds; *started*
         when it started the playback clock."""
         if self._prof is not None:
-            self._prof.attribute_stream(stream.request_id, cost=cost, ops=delivered)
+            self._prof.attribute_stream(stream.request_id, cost, delivered)
         if started:
             self._log(
                 time, "playback-start", stream.request_id,
                 "after %d blocks", len(stream.deliveries),
             )
 
-    def round_served(self, start, time, deadline_queries, budget) -> None:
+    def round_served(self, start, time, budget) -> None:
         """Every stream had its turn: *budget* is the tightest Eq.-11
         ``k_i * T_i`` among those served (inf when none moved a block)."""
         if self._round_timer is not None:
@@ -374,13 +367,9 @@ class ServiceRecorder:
             self._round_timer = None
         if self._obs is not None and 0 < budget < float("inf"):
             self._m["service.round_utilization"].observe((time - start) / budget)
-        self._charge("deadline_ordering", deadline_queries)
 
-    def round_end(self, time, round_number, scanned, stalled) -> None:
-        """Round over: *scanned* admission-scan operations since the last
-        round, *stalled* wake-up probes when every buffer was full."""
-        self._charge("admission_scan", scanned)
-        self._charge("deadline_ordering", stalled)
+    def round_end(self, time, round_number) -> None:
+        """The round, any idle wait for buffer room included, is over."""
         if self._prof is not None:
             self._prof.checkpoint(time)
         if self._slo is not None:
@@ -390,9 +379,8 @@ class ServiceRecorder:
         """A best-effort text request finished inside the round slack."""
         self._log(time, "text-complete", request_id, "%d blocks", blocks)
 
-    def run_end(self, streams, time, rounds_run, scanned) -> None:
+    def run_end(self, streams, time, rounds_run) -> None:
         """Score the completed run, stream by stream."""
-        self._charge("admission_scan", scanned)
         if self._obs is not None:
             for stream in streams:
                 self._score(stream)
@@ -413,7 +401,6 @@ class ServiceRecorder:
         timeline, session = self._timeline, stream.request_id
         span = self._held.pop(session, None)
         deliveries = stream.deliveries
-        self._charge("span_finalize", len(deliveries) or 1)
         if stream.clock_start is None:
             if span is not None:
                 self._spans.end_span(span, span.start, "unstarted")
@@ -460,20 +447,26 @@ class ServiceRecorder:
 
     # -- drive, cache, fault recovery, single-request scoring --------------------
 
-    def drive_access(self, seek, latency, transfer, label: str) -> None:
-        """One mechanism access: positioning (seek + rotation) and media
-        transfer are the paper's two cost components."""
+    def drive_attached(self, drive) -> None:
+        """*drive* reports here from now on: the profile reads its
+        positioning and transfer seconds off its own ``DriveStats``."""
+        if self._prof is not None:
+            self._prof.watch_drive(drive, self._obs.node_id)
+
+    def drive_access(self, seek: float) -> None:
+        """One mechanism access that spent *seek* seconds seeking."""
         self._m["disk.accesses"].inc()
         self._m["disk.seek_s"].observe(seek)
-        if self._prof is not None:
-            self._prof.record("seek", cost=seek + latency, drive=label)
-            self._prof.record("transfer", cost=transfer, drive=label)
 
-    def cache_probe(self, hit: bool, cost: float, label: str) -> None:
-        """One residency probe (*cost* is the hit's modeled copy time)."""
-        self._m["cache.hits" if hit else "cache.misses"].inc()
+    def cache_attached(self, cached) -> None:
+        """The cache front end *cached* reports here from now on: the
+        profile reads its probes off its own ``CacheStats``."""
         if self._prof is not None:
-            self._prof.record("cache_lookup", cost=cost, drive=label)
+            self._prof.watch_cache(cached, self._obs.node_id)
+
+    def cache_probe(self, hit: bool) -> None:
+        """One residency probe."""
+        self._m["cache.hits" if hit else "cache.misses"].inc()
 
     def cache_evicted(self, count: int) -> None:
         """An insert pushed *count* resident slots out."""
@@ -513,7 +506,7 @@ class ServiceRecorder:
             for name in counters:
                 self._count(name)
         if cost is not None and self._prof is not None:
-            self._prof.record("fault_recovery", cost=cost)
+            self._prof.fault(cost, self._obs.node_id)
         if span_name and parent is not None:
             extra = {"reason": reason} if reason else {"attempt": detail["attempt"]}
             span = self._spans.start_span(

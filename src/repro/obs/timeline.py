@@ -73,6 +73,20 @@ class TimelineEvent:
         )
 
 
+def _gap_spread(times: List[float]) -> float:
+    """Peak-to-peak spread of the gaps between successive *times*."""
+    if len(times) < 3:
+        return 0.0
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    return max(gaps) - min(gaps)
+
+
+def _conserved(counts: Dict[str, int]) -> bool:
+    return counts.get("consumed", 0) + counts.get("skipped", 0) == (
+        counts.get("enqueued", 0)
+    )
+
+
 class SessionTimeline:
     """Records block lifecycle events for any number of sessions.
 
@@ -192,11 +206,7 @@ class SessionTimeline:
         The §3.3.2 anti-jitter buffering exists to absorb exactly this
         spread; 0.0 for sessions with fewer than three arrivals.
         """
-        times = self.read_done_times(session_id)
-        if len(times) < 3:
-            return 0.0
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        return max(gaps) - min(gaps)
+        return _gap_spread(self.read_done_times(session_id))
 
     # -- invariants --------------------------------------------------------------
 
@@ -245,10 +255,7 @@ class SessionTimeline:
 
     def conservation_holds(self, session_id: str) -> bool:
         """True iff ``consumed + skipped == enqueued`` for the session."""
-        counts = self.stage_counts(session_id)
-        return counts.get("consumed", 0) + counts.get("skipped", 0) == (
-            counts.get("enqueued", 0)
-        )
+        return _conserved(self.stage_counts(session_id))
 
     # -- serialization -----------------------------------------------------------
 
@@ -261,36 +268,47 @@ class SessionTimeline:
         scenarios with dozens of sessions produce goldens of bounded
         size.
         """
-        summary: Dict[str, Dict] = {}
-        session_ids = self.sessions()
-        cap = self.summary_sessions
-        listed = session_ids if cap is None else session_ids[:cap]
-        for session_id in listed:
-            counts = self.stage_counts(session_id)
-            summary[session_id] = {
-                "stages": counts,
-                "interarrival_jitter_s": self.interarrival_jitter(
-                    session_id
+        # One pass over the events, grouped by session; the per-session
+        # queries above (each its own scan) are the reference.
+        counts: Dict[str, Dict[str, int]] = {}
+        arrivals: Dict[str, List[Tuple[int, float]]] = {}
+        for event in self._events:
+            stages = counts.get(event.session_id)
+            if stages is None:
+                stages = counts[event.session_id] = {}
+                arrivals[event.session_id] = []
+            key = event.stage.value
+            stages[key] = stages.get(key, 0) + 1
+            if event.stage is BlockStage.READ_DONE:
+                arrivals[event.session_id].append(
+                    (event.block_index, event.time)
+                )
+        entries = {
+            session_id: {
+                "stages": counts[session_id],
+                "interarrival_jitter_s": _gap_spread(
+                    [time for _index, time in sorted(arrivals[session_id])]
                 ),
-                "conserved": self.conservation_holds(session_id),
+                "conserved": _conserved(counts[session_id]),
             }
-        rest = session_ids[len(listed):]
+            for session_id in sorted(counts)
+        }
+        session_ids = list(entries)
+        listed = session_ids[:self.summary_sessions]
+        summary = {session_id: entries[session_id] for session_id in listed}
+        rest = [entries[session_id] for session_id in session_ids[len(listed):]]
         if rest:
             stages: Dict[str, int] = {}
-            conserved = True
-            jitter = 0.0
-            for session_id in rest:
-                for key, count in self.stage_counts(session_id).items():
+            for entry in rest:
+                for key, count in entry["stages"].items():
                     stages[key] = stages.get(key, 0) + count
-                conserved = conserved and self.conservation_holds(
-                    session_id
-                )
-                jitter = max(jitter, self.interarrival_jitter(session_id))
             summary["~aggregate"] = {
                 "sessions": len(rest),
                 "stages": stages,
-                "interarrival_jitter_s": jitter,
-                "conserved": conserved,
+                "interarrival_jitter_s": max(
+                    entry["interarrival_jitter_s"] for entry in rest
+                ),
+                "conserved": all(entry["conserved"] for entry in rest),
             }
         return summary
 

@@ -138,7 +138,7 @@ class Scale(Scenario):
         mechanism = build_drive_config(self.drive)
         mechanism.profile_label = self.drive
         if obs.profiler is not None:
-            # Per-access seek/transfer attribution reports from the drive.
+            # The profile is read off the stats of the drives attached.
             mechanism.attach_observer(obs)
         initial, admissions = self.build_streams(mechanism)
         service = RoundRobinService(

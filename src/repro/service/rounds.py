@@ -272,8 +272,6 @@ class RoundRobinService:
         pending = sorted(admissions, key=lambda a: a.round_number)
         next_pending = 0
         round_number = 0
-        #: Admission pops + compaction scans since the last reported round.
-        scanned = 0
         while True:
             while (
                 next_pending < len(pending)
@@ -281,12 +279,10 @@ class RoundRobinService:
             ):
                 admitted = pending[next_pending]
                 next_pending += 1
-                scanned += 1
                 active.append(admitted.stream)
                 if rec is not None:
                     rec.stream_opened(admitted.stream, time, round_number)
             # Compact finished streams out in place, preserving order.
-            scanned += len(active)
             write = 0
             for stream in active:
                 if not stream.finished:
@@ -319,11 +315,7 @@ class RoundRobinService:
             round_number += 1
             self.rounds_run += 1
             if rec is not None:
-                rec.round_end(
-                    time, round_number, scanned,
-                    0 if progressed else len(active),
-                )
-            scanned = 0
+                rec.round_end(time, round_number)
             if round_number > max_rounds:
                 raise ParameterError(
                     f"exceeded {max_rounds} rounds; k schedule likely "
@@ -331,7 +323,7 @@ class RoundRobinService:
                 )
         streams = list(initial) + [a.stream for a in admissions]
         if rec is not None:
-            rec.run_end(streams, time, self.rounds_run, scanned)
+            rec.run_end(streams, time, self.rounds_run)
         return {stream.request_id: stream.metrics for stream in streams}
 
     def _run_round(
@@ -352,16 +344,12 @@ class RoundRobinService:
         turn_begins = turn_ends = False
         if rec is not None:
             turn_begins, turn_ends = rec.round_begin(len(active))
-        # Consumption-cursor / deadline bookkeeping queries this round
-        # (the buffer-room probe per stream + one per delivery).
-        deadline_queries = 0
         for stream in active:
             if stream.finished:
                 continue
             stream_k = stream.k_override if stream.k_override else k
             # Buffer regulation: never exceed display-subsystem capacity.
             room = stream.buffer_capacity - stream.buffered_at(time)
-            deadline_queries += 1
             quota = min(stream_k, max(0, room))
             if turn_begins:
                 rec.turn_begin(stream, time, round_number, quota)
@@ -391,7 +379,6 @@ class RoundRobinService:
                 index += 1
             stream.next_fetch = stop
             progressed = True
-            deadline_queries += delivered
             # Playback starts once the anti-jitter read-ahead — the first
             # k-block service, capped by what the display buffer can
             # actually hold — is on board.
@@ -415,7 +402,7 @@ class RoundRobinService:
                 if 0.0 < stream_k * floor < budget:
                     budget = stream_k * floor
         if rec is not None:
-            rec.round_served(round_start, time, deadline_queries, budget)
+            rec.round_served(round_start, time, budget)
         return time, progressed
 
     def _fetch_block(

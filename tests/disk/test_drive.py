@@ -84,6 +84,32 @@ class TestStatefulAccess:
         assert drive.stats.busy_time > 0
         assert drive.stats.seek_distance > 0
 
+    def test_charged_accesses_count_doomed_attempts_too(self, drive):
+        """A fault is only known once the access was tried: its time is
+        charged although ``reads`` never counts it; a dead head fails
+        fast and charges nothing."""
+        from repro.errors import HeadFailureError, TransientReadError
+        from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+
+        drive.attach_injector(FaultInjector(FaultPlan([
+            FaultSpec(FaultKind.TRANSIENT, slot=7),
+            FaultSpec(FaultKind.HEAD_FAILURE, at_op=4),
+        ])))
+        drive.read_slot(3)
+        with pytest.raises(TransientReadError):
+            drive.read_slot(7)
+        busy = drive.stats.busy_time
+        drive.read_slot(7)
+        drive.write_slot(9)
+        assert (drive.stats.reads, drive.stats.writes) == (2, 1)
+        assert drive.charged_accesses == 4
+        with pytest.raises(HeadFailureError):
+            drive.read_slot(11)
+        with pytest.raises(HeadFailureError):
+            drive.read_slot(12)
+        assert drive.charged_accesses == 4 + 1  # the access that lost it
+        assert drive.stats.busy_time > busy
+
     def test_slot_out_of_range(self, drive):
         with pytest.raises(ParameterError):
             drive.read_slot(drive.slots)

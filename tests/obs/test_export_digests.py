@@ -12,10 +12,20 @@ was moved behind the recorder seam, so any refactor of the loop, drive,
 cache, fault recovery, server, router, RPC channel or storage manager
 that changes one byte of any export fails here.  Regenerate
 intentionally with ``pytest --regen-golden``.
+
+A profiled run is pinned twice more: the digest of its snapshot without
+the ``"profile"`` section and of its trace without the ``profile.*``
+counter events — what the profiler does not own, so a change to the
+profiler must leave both alone — and ``profile_sections.json``, the
+profile sections themselves as generated at the parent of the PR that
+made the profile a read-side view of ``DriveStats`` / ``CacheStats``
+(ISSUE 19), which today's sections must still match: ops and per-stream
+rows exactly, modeled seconds to 1e-9 relative.
 """
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -32,6 +42,7 @@ from repro.obs import Observability
 from repro.scenarios import REGISTRY, get
 from repro.scenarios.server import record_strands
 from repro.server.media_server import build_media_server
+from tests.conftest import GOLDEN_DIR
 
 pytestmark = pytest.mark.golden
 
@@ -60,10 +71,25 @@ def _digest(text: str) -> str:
 
 
 def _export(obs) -> dict:
-    return {
+    trace = obs.to_chrome_trace()
+    out = {
         "snapshot": _digest(obs.snapshot()),
-        "trace": _digest(json.dumps(obs.to_chrome_trace(), sort_keys=True)),
+        "trace": _digest(json.dumps(trace, sort_keys=True)),
     }
+    if obs.profiler is not None:
+        snapshot = obs.snapshot_dict()
+        del snapshot["profile"]
+        trace["traceEvents"] = [
+            event for event in trace["traceEvents"]
+            if not event.get("name", "").startswith("profile.")
+        ]
+        out["snapshot_sans_profile"] = _digest(
+            json.dumps(snapshot, sort_keys=True, indent=2)
+        )
+        out["trace_sans_profile"] = _digest(
+            json.dumps(trace, sort_keys=True)
+        )
+    return out
 
 
 def _sampled_fixtures():
@@ -119,7 +145,7 @@ def lifecycle_fixture(obs):
     server.pause(PauseRequest(fourth, arrival=0.12))
     server.resume(ResumeRequest(fourth, arrival=0.13))
     server.stop(StopRequest(third, arrival=0.14))
-    return readmitted, refused, server.serve([])
+    return server, (readmitted, refused, server.serve([]))
 
 
 def overload_fixture(obs):
@@ -151,7 +177,7 @@ def overload_fixture(obs):
     ]).rejects)
     for response in held[:2]:
         server.play(PlayRequest(response.session_id, arrival=2.0))
-    return rejects, server.serve([_open("friend", ropes[2], 2.0)])
+    return server, (rejects, server.serve([_open("friend", ropes[2], 2.0)]))
 
 
 def stranded_cluster_fixture(obs):
@@ -172,7 +198,7 @@ def stranded_cluster_fixture(obs):
         _open(f"c{i}", catalog[i % 4].title_id, 0.01 * i) for i in range(8)
     ]
     requests.append(_open("c8", "T99", 0.005))
-    return cluster.serve(requests, chunks=3)
+    return cluster, cluster.serve(requests, chunks=3)
 
 
 def node_reject_cluster_fixture(obs):
@@ -184,13 +210,14 @@ def node_reject_cluster_fixture(obs):
         min_replicas=1, clients=[f"c{i}" for i in range(4)], obs=obs,
         warm=False,
     )
-    return cluster.serve(
+    return cluster, cluster.serve(
         [_open(f"c{i}", catalog[i].title_id, 0.01 * i) for i in range(4)],
         chunks=2,
     )
 
 
-#: name -> (the scenario whose observability preset it runs under, body).
+#: name -> (the scenario whose observability preset it runs under, body);
+#: a body returns (the server or cluster it drove, its outcome).
 REQUEST_FIXTURES = {
     "lifecycle": ("server-steady", lifecycle_fixture),
     "overload": ("server-steady", overload_fixture),
@@ -200,14 +227,14 @@ REQUEST_FIXTURES = {
 
 
 def run_request_fixture(name: str, profile: bool = False):
-    """(observer, whatever the fixture returns) for one request fixture."""
+    """(observer, the stack driven, the outcome) of one request fixture."""
     preset, body = REQUEST_FIXTURES[name]
     obs = REGISTRY[preset].smoke(seed=0).observability(profile=profile)
-    return obs, body(obs)
+    return (obs, *body(obs))
 
 
-def compute_digests() -> dict:
-    digests = {}
+def observed_runs():
+    """``(key, observer)`` of every pinned run, each run once."""
     for name in sorted(REGISTRY):
         for seed in SEEDS:
             for profile in (False, True):
@@ -216,13 +243,15 @@ def compute_digests() -> dict:
                 if not obs.enabled:
                     continue
                 scenario.run(obs)
-                key = f"{name}/seed{seed}/{'profiled' if profile else 'plain'}"
-                digests[key] = _export(obs)
+                yield (
+                    f"{name}/seed{seed}/"
+                    f"{'profiled' if profile else 'plain'}", obs,
+                )
     for preset, build in PRESETS.items():
         for seed in SEEDS:
             obs = build(seed=seed)
             SCALE.smoke(seed=seed).run(obs)
-            digests[f"scale/seed{seed}/{preset}"] = _export(obs)
+            yield f"scale/seed{seed}/{preset}", obs
     for key, scenario in _sampled_fixtures():
         for label, build in (
             ("for_scale", Observability.for_scale),
@@ -230,20 +259,83 @@ def compute_digests() -> dict:
         ):
             obs = build(seed=scenario.seed)
             scenario.run(obs)
-            digests[f"{key}/{label}"] = _export(obs)
+            yield f"{key}/{label}", obs
     for name in REQUEST_FIXTURES:
         for profile in (False, True):
-            obs, _outcome = run_request_fixture(name, profile)
-            key = f"request/{name}/{'profiled' if profile else 'plain'}"
-            digests[key] = _export(obs)
-    return digests
+            obs = run_request_fixture(name, profile)[0]
+            yield (
+                f"request/{name}/{'profiled' if profile else 'plain'}", obs
+            )
 
 
-def test_exports_match_pinned_digests(golden):
+@pytest.fixture(scope="module")
+def pinned():
+    """(export digests, profile sections) of :func:`observed_runs`."""
+    digests, sections = {}, {}
+    for key, obs in observed_runs():
+        digests[key] = _export(obs)
+        if obs.profiler is not None:
+            sections[key] = obs.snapshot_dict()["profile"]
+    return digests, sections
+
+
+def test_exports_match_pinned_digests(golden, pinned):
+    digests, sections = pinned
+    assert len(digests) == 50 and len(sections) == 25
     golden(
         "export_digests.json",
-        json.dumps(compute_digests(), indent=2, sort_keys=True),
+        json.dumps(digests, indent=2, sort_keys=True),
     )
+
+
+#: The phases a drive's, a cache's or fault recovery's own record feeds.
+KEPT_PHASES = ("seek", "transfer", "cache_lookup", "fault_recovery")
+
+
+def _assert_rows_agree(now, then, where):
+    """Two ``{phase: {"ops", "cost_s"}}`` maps agree on the kept phases:
+    the same ones present, ops equal, modeled seconds to 1e-9 relative
+    (the view sums a drive's seconds in another order than per access)."""
+    then = {phase: then[phase] for phase in KEPT_PHASES if phase in then}
+    assert now.keys() == then.keys(), where
+    for phase, row in now.items():
+        assert row["ops"] == then[phase]["ops"], (where, phase)
+        assert math.isclose(
+            row["cost_s"], then[phase]["cost_s"], rel_tol=1e-9
+        ), (where, phase)
+
+
+def test_profile_sections_match_the_pinned_ones(pinned, request):
+    """Per-stream rows, checkpoint counts and every kept phase's ops in
+    ``phases`` / ``per_drive`` / ``per_node`` are exactly the pinned
+    ones; modeled seconds and shares agree to 1e-9."""
+    sections = pinned[1]
+    path = GOLDEN_DIR / "profile_sections.json"
+    if request.config.getoption("--regen-golden"):
+        path.write_text(json.dumps(sections, indent=2, sort_keys=True) + "\n")
+        return
+    pinned_sections = json.loads(path.read_text())
+    assert sections.keys() == pinned_sections.keys()
+    for key, now in sections.items():
+        then = pinned_sections[key]
+        assert now["per_stream"] == then["per_stream"], key
+        assert now["checkpoints"] == then["checkpoints"], key
+        _assert_rows_agree(now["phases"], then["phases"], key)
+        for phase, row in now["phases"].items():
+            assert math.isclose(
+                row["share"], then["phases"][phase]["share"], rel_tol=1e-9
+            ), (key, phase)
+        assert math.isclose(
+            now["total_cost_s"], then["total_cost_s"], rel_tol=1e-9
+        ), key
+        for scope in ("per_drive", "per_node"):
+            kept = {
+                name: rows for name, rows in then[scope].items()
+                if set(rows) & set(KEPT_PHASES)
+            }
+            assert now[scope].keys() == kept.keys(), (key, scope)
+            for name, rows in now[scope].items():
+                _assert_rows_agree(rows, kept[name], (key, scope, name))
 
 
 def test_fixture_reaches_both_definitions_of_consumption_end():
@@ -283,7 +375,7 @@ def test_request_fixtures_reach_what_the_smoke_scenarios_do_not():
     and counters its digest is there to pin."""
     from repro.api import RejectReason, SessionState
 
-    obs, (readmitted, refused, epoch) = run_request_fixture("lifecycle")
+    obs, _, (readmitted, refused, epoch) = run_request_fixture("lifecycle")
     assert readmitted.state is SessionState.PLAYING
     assert refused.state is SessionState.REJECTED
     assert len(epoch.statuses) == 2
@@ -298,7 +390,7 @@ def test_request_fixtures_reach_what_the_smoke_scenarios_do_not():
     ]
     assert resumes == ["ok", "rejected"]
 
-    obs, (rejects, epoch) = run_request_fixture("overload")
+    obs, _, (rejects, epoch) = run_request_fixture("overload")
     assert {response.reject for response in rejects} == {
         RejectReason.CAPACITY, RejectReason.QUEUE_FULL,
         RejectReason.UNKNOWN_ROPE, RejectReason.ACCESS_DENIED,
@@ -311,7 +403,7 @@ def test_request_fixtures_reach_what_the_smoke_scenarios_do_not():
     assert counters["server.reject.queue_full"] == 1
     assert counters["server.sessions_rejected"] == len(rejects) == 6
 
-    obs, result = run_request_fixture("cluster-stranded")
+    obs, _, result = run_request_fixture("cluster-stranded")
     counters = obs.registry.snapshot_dict()["counters"]
     assert counters["cluster.rejects.router"] == 3
     assert counters["cluster.handoffs_stranded.node-01"] == 2
@@ -319,7 +411,7 @@ def test_request_fixtures_reach_what_the_smoke_scenarios_do_not():
     assert {"stranded"} == _statuses(obs, "cluster.handoff")
     assert all(record.to_node is None for record in result.handoffs)
 
-    obs, result = run_request_fixture("cluster-node-reject")
+    obs, _, result = run_request_fixture("cluster-node-reject")
     counters = obs.registry.snapshot_dict()["counters"]
     assert counters["cluster.rejects.node-00"] == 1
     assert "cluster.rejects.router" not in counters

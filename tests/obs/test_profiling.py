@@ -1,13 +1,18 @@
-"""Cost-attribution profiler tests: determinism, shares, federation.
+"""Cost-attribution profiler tests: a view, determinism, federation.
 
 The profiler's contract has three legs the tests pin separately:
 
-* **Determinism** — everything recorded is modeled time, so the summary
-  of a fixed-seed scenario serializes byte-identically across runs, and
+* **A view, not a second ledger** — ``seek`` / ``transfer`` /
+  ``cache_lookup`` are read off the ``DriveStats`` / ``CacheStats`` of
+  the drives and caches attached to the observer (each counted once,
+  from the moment it was attached, under the node it was attached
+  through); only fault-recovery delay and per-stream attribution are
+  written.  Shares are cost-weighted and sum to 1; rankings are fully
+  ordered.  (Exact conservation against the stats on every registered
+  scenario is a leg of ``tests/test_scenario_contract.py``.)
+* **Determinism** — everything is modeled time, so the summary of a
+  fixed-seed scenario serializes byte-identically across runs, and
   checkpoint decimation is a pure function of the call sequence.
-* **Attribution honesty** — phase shares always sum to 1 (cost-weighted
-  when any cost was recorded, op-weighted otherwise), the taxonomy is
-  closed (unknown phases raise), and rankings are fully ordered.
 * **Federation equivalence** — a :class:`ScopedObservability` pairs
   every metric write into shared + local registries, so the parent
   snapshot is byte-identical to flat sharing and
@@ -19,6 +24,7 @@ import json
 
 import pytest
 
+from repro.disk import BlockCache, CachedDrive, build_drive
 from repro.errors import ParameterError
 from repro.obs import (
     PHASES,
@@ -27,133 +33,221 @@ from repro.obs import (
     ScopedObservability,
     merge_snapshots,
 )
+from repro.obs.profiling import CHECKPOINT_LIMIT
 from repro.obs.registry import SEEK_TIME_BUCKETS
 from repro.scenarios import get
 
 pytestmark = pytest.mark.profile
 
 
+def _profiled(seed=0):
+    obs = Observability(seed=seed)
+    obs.enable_profiler()
+    return obs
+
+
+def _watched_drive(view, label="drive", reads=()):
+    """A testbed drive attached through *view*, then read at *reads*."""
+    drive = build_drive()
+    drive.profile_label = label
+    drive.attach_observer(view)
+    for slot in reads:
+        drive.read_slot(slot)
+    return drive
+
+
+def _positioning(drive):
+    return drive.stats.seek_time + drive.stats.rotation_time
+
+
+def _shares(profiler):
+    phases = profiler.summary_dict()["phases"]
+    return {phase: row["share"] for phase, row in phases.items()}
+
+
 class TestCostProfiler:
-    def test_phase_taxonomy_is_closed(self):
-        profiler = CostProfiler()
-        with pytest.raises(ParameterError):
-            profiler.record("disk_io")
-
     def test_totals_and_cost_weighted_shares(self):
-        profiler = CostProfiler()
-        profiler.record("seek", cost=0.3, ops=3)
-        profiler.record("transfer", cost=0.7, ops=3)
-        profiler.record("admission_scan", ops=10)
-        assert profiler.total_ops == 16
-        assert profiler.total_cost == pytest.approx(1.0)
-        shares = profiler.phase_shares()
-        assert shares["seek"] == pytest.approx(0.3)
-        assert shares["transfer"] == pytest.approx(0.7)
-        assert shares["admission_scan"] == 0.0
-        assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
-
-    def test_ops_weighted_fallback_when_no_cost(self):
-        profiler = CostProfiler()
-        profiler.record("admission_scan", ops=3)
-        profiler.record("deadline_ordering", ops=1)
-        shares = profiler.phase_shares()
-        assert shares["admission_scan"] == pytest.approx(0.75)
+        obs = _profiled()
+        drive = _watched_drive(obs, reads=(0, 900, 30))
+        profiler, stats = obs.profiler, drive.stats
+        # Each access is one seek and one transfer.
+        assert profiler.summary_dict()["total_ops"] == 6
+        assert profiler.summary_dict()["total_cost_s"] == pytest.approx(
+            stats.busy_time
+        )
+        assert profiler.drive_busy_time() == stats.busy_time
+        shares = _shares(profiler)
+        assert shares["seek"] == pytest.approx(
+            _positioning(drive) / stats.busy_time
+        )
+        assert shares["transfer"] == pytest.approx(
+            stats.transfer_time / stats.busy_time
+        )
+        assert shares["cache_lookup"] == shares["fault_recovery"] == 0.0
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_profiler_has_zero_shares(self):
-        shares = CostProfiler().phase_shares()
+        shares = _shares(CostProfiler())
         assert set(shares) == set(PHASES)
         assert all(value == 0.0 for value in shares.values())
+        # A watched drive nothing has read yet changes none of that.
+        obs = _profiled()
+        _watched_drive(obs)
+        assert _shares(obs.profiler) == shares
+        assert obs.profiler.summary_dict()["per_drive"] == {}
+
+    def test_only_what_happens_after_the_attach_is_counted(self):
+        obs = _profiled()
+        drive = build_drive()
+        drive.read_slot(500)
+        before = drive.stats.transfer_time
+        drive.attach_observer(obs)
+        drive.read_slot(20)
+        phases = obs.profiler.summary_dict()["phases"]
+        assert phases["transfer"]["ops"] == 1
+        assert phases["transfer"]["cost_s"] == pytest.approx(
+            drive.stats.transfer_time - before
+        )
 
     def test_top_cost_centers_ranking_and_bounds(self):
-        profiler = CostProfiler()
-        profiler.record("seek", cost=0.2)
-        profiler.record("transfer", cost=0.9)
-        profiler.record("cache_lookup", ops=50)
+        obs = _profiled()
+        cached = CachedDrive(
+            _watched_drive(obs), BlockCache(4), hit_time=0.0, obs=obs
+        )
+        for slot in (0, 900, 900, 0):
+            cached.read_slot(slot)
+        profiler = obs.profiler
         top = profiler.top_cost_centers(3)
+        # Transfer outweighs positioning on the testbed drive; probes
+        # cost nothing but were made; no fault occurred.
         assert [entry["phase"] for entry in top] == [
             "transfer", "seek", "cache_lookup",
         ]
+        assert [entry["ops"] for entry in top] == [2, 2, 4]
         assert len(profiler.top_cost_centers()) == len(PHASES)
         with pytest.raises(ParameterError):
             profiler.top_cost_centers(0)
 
+    def test_cache_hits_cost_their_hit_time(self):
+        obs = _profiled()
+        cached = CachedDrive(
+            _watched_drive(obs, "d0"), BlockCache(4), hit_time=0.002, obs=obs
+        )
+        for slot in (7, 7, 7, 8):
+            cached.read_slot(slot)
+        row = obs.profiler.summary_dict()["per_drive"]["d0"]["cache_lookup"]
+        assert row == {"ops": 4, "cost_s": 2 * 0.002}
+
     def test_disabled_profiler_records_nothing(self):
-        profiler = CostProfiler(enabled=False)
-        profiler.record("seek", cost=1.0)
-        profiler.attribute_stream("s1", cost=1.0)
-        profiler.checkpoint(1.0)
-        assert profiler.total_ops == 0
+        # A profiler exists iff attached; on a disabled observer nothing
+        # reports, so nothing registers with it either.
+        obs = Observability(enabled=False)
+        profiler = obs.enable_profiler()
+        drive = _watched_drive(obs, reads=(3,))
+        assert not drive.observed
+        assert profiler.summary_dict()["total_ops"] == 0
         assert profiler.summary_dict()["checkpoints"] == 0
 
     def test_checkpoint_decimation_stays_bounded(self):
-        profiler = CostProfiler(checkpoint_limit=16)
+        obs = _profiled()
+        drive = _watched_drive(obs)
         for round_number in range(10_000):
-            profiler.record("seek", cost=0.001)
-            profiler.checkpoint(float(round_number))
-        summary = profiler.summary_dict()
-        assert 0 < summary["checkpoints"] <= 16
-        times = [time for time, _ in profiler._checkpoints]
+            if round_number % 100 == 0:
+                drive.read_slot(round_number % drive.slots)
+            obs.profiler.checkpoint(float(round_number))
+        summary = obs.profiler.summary_dict()
+        assert 0 < summary["checkpoints"] <= CHECKPOINT_LIMIT
+        times = [time for time, _ in obs.profiler._checkpoints]
         assert times == sorted(times)
+        transfer = [costs[1] for _, costs in obs.profiler._checkpoints]
+        assert transfer == sorted(transfer) and transfer[-1] > 0.0
 
     def test_checkpoint_series_is_deterministic(self):
         def series(calls):
-            profiler = CostProfiler(checkpoint_limit=8)
+            obs = _profiled()
+            drive = _watched_drive(obs)
             for index in range(calls):
-                profiler.record("transfer", cost=0.01)
-                profiler.checkpoint(index * 0.5)
-            return profiler._checkpoints
+                drive.read_slot(index * 7 % drive.slots)
+                obs.profiler.checkpoint(index * 0.5)
+            return obs.profiler._checkpoints
 
-        assert series(500) == series(500)
+        assert series(700) == series(700)
 
     def test_chrome_counter_events_cover_costful_phases_only(self):
-        profiler = CostProfiler()
-        profiler.record("seek", cost=0.25)
-        profiler.record("admission_scan", ops=10)  # ops only, no cost
-        profiler.checkpoint(1.0)
-        events = profiler.chrome_counter_events()
-        names = {event["name"] for event in events}
-        assert names == {"profile.seek"}
+        obs = _profiled()
+        cached = CachedDrive(_watched_drive(obs), BlockCache(4), obs=obs)
+        cached.read_slot(5)  # one probe: ops only, no cost
+        obs.profiler.checkpoint(1.0)
+        events = obs.profiler.chrome_counter_events()
+        assert {event["name"] for event in events} == {
+            "profile.seek", "profile.transfer",
+        }
         event = events[0]
         assert event["ph"] == "C"
         assert event["ts"] == pytest.approx(1e6)
-        assert event["args"]["cost_ms"] == pytest.approx(250.0)
+        assert event["args"]["cost_ms"] == pytest.approx(
+            _positioning(cached.inner) * 1e3
+        )
 
     def test_per_drive_and_per_node_attribution(self):
-        profiler = CostProfiler()
-        profiler.record("seek", cost=0.1, drive="d0", node="n0")
-        profiler.record("seek", cost=0.2, drive="d0", node="n1")
-        summary = profiler.summary_dict()
+        obs = _profiled()
+        first = _watched_drive(obs.scoped("n0"), "d0", reads=(100,))
+        second = _watched_drive(obs.scoped("n1"), "d0", reads=(2000,))
+        summary = obs.profiler.summary_dict()
         assert summary["per_drive"]["d0"]["seek"]["ops"] == 2
         assert summary["per_node"]["n0"]["seek"]["cost_s"] == (
-            pytest.approx(0.1)
+            _positioning(first)
         )
-        assert profiler.node_summary("n1")["seek"]["cost_s"] == (
-            pytest.approx(0.2)
+        assert obs.profiler.node_summary("n1")["seek"]["cost_s"] == (
+            _positioning(second)
         )
-        assert profiler.node_summary("unseen") == {}
+        assert obs.profiler.node_summary("unseen") == {}
 
     def test_scoped_view_attributes_node_and_memoizes(self):
-        profiler = CostProfiler()
-        view = profiler.scoped("node-07")
-        assert profiler.scoped("node-07") is view
-        view.record("transfer", cost=0.5)
-        view.attribute_stream("s0", cost=0.5)
-        view.checkpoint(1.0)
-        assert profiler.node_summary("node-07")["transfer"]["ops"] == 1
-        assert profiler.total_cost == pytest.approx(0.5)
+        obs = _profiled()
+        view = obs.scoped("node-07")
+        drive = _watched_drive(view, reads=(40,))
+        # MSM construction, a playback session and a scenario may each
+        # attach the same observer (or the root) again: counted once,
+        # under the node it was first attached through.
+        drive.attach_observer(view)
+        drive.attach_observer(obs)
+        drive.read_slot(41)
+        assert len(obs.profiler._watched) == 1
+        assert obs.profiler.node_summary("node-07")["transfer"]["ops"] == 2
+        assert obs.profiler.summary_dict()["total_cost_s"] == (
+            pytest.approx(drive.stats.busy_time)
+        )
 
-    def test_reset_restores_fresh_state(self):
+    def test_label_is_read_when_the_summary_is_made(self):
+        obs = _profiled()
+        drive = _watched_drive(obs, reads=(9,))
+        drive.profile_label = "renamed-after-attach"
+        assert obs.profiler.summary_dict()["per_drive"].keys() == {
+            "renamed-after-attach"
+        }
+
+    def test_fault_delay_is_written_per_outcome_and_per_node(self):
         profiler = CostProfiler()
-        profiler.record("seek", cost=1.0, drive="d", node="n")
-        profiler.attribute_stream("s", cost=1.0)
-        profiler.checkpoint(1.0)
-        profiler.reset()
-        assert profiler.total_ops == 0
+        profiler.fault(0.25)
+        profiler.fault(0.5, node="n3")
         summary = profiler.summary_dict()
+        assert summary["phases"]["fault_recovery"] == {
+            "ops": 2, "cost_s": 0.75, "share": 1.0,
+        }
+        assert summary["per_node"] == {
+            "n3": {"fault_recovery": {"ops": 1, "cost_s": 0.5}},
+        }
         assert summary["per_drive"] == {}
-        assert summary["per_node"] == {}
-        assert summary["checkpoints"] == 0
+
+    def test_render_lists_centers_then_drives_then_nodes(self):
+        obs = _profiled()
+        _watched_drive(obs.scoped("n0"), "n0.drive", reads=(100, 200))
+        lines = obs.profiler.render(top=2)
+        assert lines[0].startswith("  total: 4 ops")
+        assert [line.split()[0] for line in lines[2:]] == [
+            "transfer", "seek", "drive", "node",
+        ]
 
 
 def _profiled_scale_section():
@@ -203,7 +297,6 @@ class TestProfiledScenarios:
         get("server-hot").smoke(seed=0).run(obs)
         phases = obs.profiler.summary_dict()["phases"]
         assert phases["cache_lookup"]["ops"] > 0
-        assert phases["span_finalize"]["ops"] > 0
 
     def test_observer_snapshot_gains_profile_section_only_when_attached(
         self,
@@ -214,12 +307,11 @@ class TestProfiledScenarios:
         assert "profile" in obs.snapshot_dict()
 
     def test_chrome_trace_rides_counter_tracks_alongside_spans(self):
-        obs = Observability(seed=0)
-        profiler = obs.enable_profiler()
+        obs = _profiled()
         span = obs.tracer.start_span("work", 0.0)
         obs.tracer.end_span(span, 1.0)
-        profiler.record("seek", cost=0.5)
-        profiler.checkpoint(1.0)
+        _watched_drive(obs, reads=(11,))
+        obs.profiler.checkpoint(1.0)
         document = obs.to_chrome_trace()
         phases = [
             event for event in document["traceEvents"]
@@ -285,28 +377,26 @@ class TestScopedObservability:
         assert view.scoped("n1") is obs.scoped("n1")
 
     def test_scoped_profiler_attributes_to_node(self):
-        obs = Observability(seed=0)
-        obs.enable_profiler()
+        obs = _profiled()
         view = obs.scoped("n0")
-        view.profiler.record("seek", cost=0.2)
+        assert view.profiler is obs.profiler
+        _watched_drive(view, reads=(11,))
         assert obs.profiler.node_summary("n0")["seek"]["ops"] == 1
 
     def test_node_snapshot_carries_profile_attribution(self):
-        obs = Observability(seed=0)
-        obs.enable_profiler()
+        obs = _profiled()
         view = obs.scoped("n0")
-        view.profiler.record("transfer", cost=0.4)
+        drive = _watched_drive(view, reads=(11,))
         snap = view.snapshot_dict()
         assert snap["node_id"] == "n0"
         assert snap["profile"]["transfer"]["cost_s"] == (
-            pytest.approx(0.4)
+            drive.stats.transfer_time
         )
 
 
 class TestMergeSnapshots:
     def _views(self):
-        obs = Observability(seed=0)
-        obs.enable_profiler()
+        obs = _profiled()
         a, b = obs.scoped("a"), obs.scoped("b")
         a.registry.counter("ops").inc(2)
         b.registry.counter("ops").inc(5)
@@ -314,8 +404,9 @@ class TestMergeSnapshots:
         b.registry.gauge("depth").set(4.0)
         a.registry.histogram("lat", SEEK_TIME_BUCKETS).observe(0.1)
         b.registry.histogram("lat", SEEK_TIME_BUCKETS).observe(0.2)
-        a.profiler.record("seek", cost=0.1)
-        b.profiler.record("seek", cost=0.3)
+        self.drives = [
+            _watched_drive(a, reads=(100,)), _watched_drive(b, reads=(900,)),
+        ]
         return obs, a, b
 
     def test_counters_sum_gauges_max_histograms_bucketwise(self):
@@ -333,8 +424,8 @@ class TestMergeSnapshots:
         assert histogram["count"] == 2
         assert histogram["sum"] == pytest.approx(0.3)
         assert merged["profile"]["seek"]["ops"] == 2
-        assert merged["profile"]["seek"]["cost_s"] == (
-            pytest.approx(0.4)
+        assert merged["profile"]["seek"]["cost_s"] == pytest.approx(
+            sum(_positioning(drive) for drive in self.drives)
         )
 
     def test_merge_accepts_json_strings_and_is_stable(self):

@@ -1,6 +1,10 @@
 """Unit tests for session timelines and their lifecycle invariants."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import BlockStage, SessionTimeline
@@ -118,6 +122,93 @@ class TestRendering:
             return timeline.summary_dict()
 
         assert build() == build()
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.sampled_from(["s0", "s1", "s2", "s3", "s4"]),
+                st.integers(min_value=0, max_value=200),
+                st.floats(min_value=0.0, max_value=50.0),
+                st.sampled_from(["played", "skipped", "silence", "lost"]),
+            ),
+            max_size=40,
+        ),
+        sampling=st.sampled_from([(None, None), (2, 8), (0, 3), (4, None)]),
+        cap=st.sampled_from([None, 1, 2, 8]),
+    )
+    def test_one_pass_summary_equals_the_per_session_queries(
+        self, blocks, sampling, cap
+    ):
+        """``summary_dict`` groups the events once; the dict built from
+        ``stage_counts`` / ``interarrival_jitter`` / ``conservation_holds``
+        (one scan per session each) is the reference — same values, same
+        key order, so the snapshot bytes are the same too."""
+        timeline = SessionTimeline(
+            keep_first=sampling[0], every_kth=sampling[1],
+            summary_sessions=cap,
+        )
+        for session, index, base, fate in blocks:
+            timeline.record(base, session, index, BlockStage.ENQUEUED)
+            if fate != "silence":  # a block with no slot is never read
+                timeline.record(base, session, index, BlockStage.READ_START)
+            timeline.record(base + 0.5, session, index, BlockStage.READ_DONE)
+            if fate == "skipped":
+                timeline.record(base + 0.5, session, index, BlockStage.SKIPPED)
+            elif fate != "lost":
+                timeline.record(base + 1.0, session, index, BlockStage.CONSUMED)
+
+        def listed(session_id):
+            return {
+                "stages": timeline.stage_counts(session_id),
+                "interarrival_jitter_s": timeline.interarrival_jitter(
+                    session_id
+                ),
+                "conserved": timeline.conservation_holds(session_id),
+            }
+
+        session_ids = timeline.sessions()
+        head = session_ids if cap is None else session_ids[:cap]
+        expected = {session_id: listed(session_id) for session_id in head}
+        rest = [listed(session_id) for session_id in session_ids[len(head):]]
+        if rest:
+            stages = {}
+            for entry in rest:
+                for key, count in entry["stages"].items():
+                    stages[key] = stages.get(key, 0) + count
+            expected["~aggregate"] = {
+                "sessions": len(rest),
+                "stages": stages,
+                "interarrival_jitter_s": max(
+                    entry["interarrival_jitter_s"] for entry in rest
+                ),
+                "conserved": all(entry["conserved"] for entry in rest),
+            }
+        assert json.dumps(timeline.summary_dict()) == json.dumps(expected)
+
+    def test_summary_visits_each_event_once(self):
+        """O(events), not O(sessions x events): 249 sessions' worth of
+        events cost one walk of the event list."""
+
+        class CountingEvents(list):
+            visited = 0
+
+            def __iter__(self):
+                for event in list.__iter__(self):
+                    CountingEvents.visited += 1
+                    yield event
+
+        timeline = SessionTimeline(summary_sessions=8)
+        for session in range(249):
+            for index in range(3):
+                _healthy_block(
+                    timeline, f"S{session:03d}", index, session + 0.2 * index
+                )
+        timeline._events = CountingEvents(timeline._events)
+        summary = timeline.summary_dict()
+        assert CountingEvents.visited == len(timeline) == 249 * 3 * 4
+        assert summary["~aggregate"]["sessions"] == 241
+        assert summary["~aggregate"]["conserved"] is True
 
     def test_render_tail(self):
         timeline = SessionTimeline()

@@ -247,6 +247,39 @@ class TestParameterErrors:
         ])
         assert "--json" in line
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--scenario", "scale", "--smoke", "--trace-out"],
+            ["trace-export", "--scenario", "steady", "--smoke", "--out"],
+        ],
+        ids=["profile", "trace-export"],
+    )
+    def test_unwritable_output_path_is_refused_before_the_run(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        # Used to run the scenario, then die with a bare FileNotFoundError.
+        from repro.scenarios import get
+
+        monkeypatch.setattr(
+            get(argv[2]), "run",
+            lambda *a, **k: pytest.fail("the scenario ran first"),
+        )
+        target = tmp_path / "no" / "such" / "directory" / "x.json"
+        line = self._error(capsys, argv + [str(target)])
+        assert str(target) in line
+
+    def test_unwritable_expt_results_directory_is_one_error_line(
+        self, capsys, tmp_path
+    ):
+        # Used to be a traceback out of os.mkdir.
+        (tmp_path / "a-file").write_text("")
+        target = tmp_path / "a-file" / "results"
+        line = self._error(capsys, [
+            "expt", "run", "--smoke", "--out", str(target),
+        ])
+        assert str(target) in line
+
     def test_smoke_sizing_honours_set_overrides(self, capsys):
         # `repro cluster --smoke --nodes 9` used to drop the 9 silently.
         payload = _run_json(

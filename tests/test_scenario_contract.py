@@ -3,9 +3,11 @@
 Whatever ``src/repro/scenarios/`` registers must, at ``smoke()`` size:
 build from a plain spec dict, survive pickling, run byte-deterministically
 (snapshot *and* metrics) per seed, report exactly ``METRIC_KEYS`` /
-``PERF_KEYS``, expand as an experiment-matrix ``kind``, and be accepted
-by all four CLI views.  (The trace-export determinism leg lives in
-``tests/obs/test_trace_export_presets.py``, parametrised the same way.)
+``PERF_KEYS``, expand as an experiment-matrix ``kind``, be accepted
+by all four CLI views, and — profiled — report a cost profile that *is*
+its drives' and caches' own statistics.  (The trace-export determinism
+leg lives in ``tests/obs/test_trace_export_presets.py``, parametrised
+the same way.)
 
 ``TestAddingAScenario`` is the "one file, one decorator, nothing else"
 claim: a throwaway scenario registered from this module goes through
@@ -125,6 +127,76 @@ def check_is_a_matrix_kind(cls):
         })
 
 
+def _mechanisms(stack):
+    """``(node id or None, drive, its cache front end or None)`` for each
+    mechanism under a run's *stack*: a cluster, a media server, a rope
+    server or the bare drive."""
+    if hasattr(stack, "nodes"):  # MediaCluster
+        return [
+            (node.node_id, *_mechanisms(node.server)[0][1:])
+            for node in stack.nodes
+        ]
+    if hasattr(stack, "mrs"):  # MediaServer
+        cached = stack._drive if stack.cache is not None else None
+        return [(None, stack.mrs.msm.drive, cached)]
+    if hasattr(stack, "msm"):  # MultimediaRopeServer
+        return [(None, stack.msm.drive, None)]
+    return [(None, stack, None)]  # scale's bare drive
+
+
+def check_profile_is_a_view_of_the_stats(obs, stack):
+    """Conservation: ``per_drive`` *equals* each drive's ``DriveStats``
+    and ``CacheStats`` (every stack here attaches its drives at birth, so
+    the deltas are the counters), ``per_node`` is the sum of the node's
+    drives plus the fault delay written for it, shares sum to 1."""
+    profile = obs.snapshot_dict()["profile"]
+    per_drive, per_node = {}, {}
+    for node_id, drive, cached in _mechanisms(stack):
+        stats, rows = drive.stats, {}
+        if drive.charged_accesses:
+            assert drive.charged_accesses >= stats.operations > 0
+            rows["seek"] = {
+                "ops": drive.charged_accesses,
+                "cost_s": stats.seek_time + stats.rotation_time,
+            }
+            rows["transfer"] = {
+                "ops": drive.charged_accesses, "cost_s": stats.transfer_time,
+            }
+        if cached is not None and cached.cache.stats.accesses:
+            rows["cache_lookup"] = {
+                "ops": cached.cache.stats.accesses,
+                "cost_s": cached.cache.stats.hits * cached.hit_time,
+            }
+        if rows:
+            per_drive[drive.profile_label] = rows
+            if node_id is not None:
+                per_node[node_id] = rows
+    assert per_drive
+    assert profile["per_drive"] == per_drive
+    assert {
+        node_id: {
+            phase: row for phase, row in rows.items()
+            if phase != "fault_recovery"
+        }
+        for node_id, rows in profile["per_node"].items()
+    } == per_node
+    for phase, total in profile["phases"].items():
+        rows = [
+            table[phase] for table in profile["per_drive"].values()
+            if phase in table
+        ]
+        if phase != "fault_recovery":
+            assert total["ops"] == sum(row["ops"] for row in rows)
+            assert total["cost_s"] == pytest.approx(
+                sum(row["cost_s"] for row in rows), rel=1e-9
+            )
+    shares = sum(row["share"] for row in profile["phases"].values())
+    assert abs(shares - 1.0) <= 1e-9
+    assert profile["phases"]["seek"]["cost_s"] + (
+        profile["phases"]["transfer"]["cost_s"]
+    ) == pytest.approx(obs.profiler.drive_busy_time(), rel=1e-9)
+
+
 def check_every_cli_view_accepts_it(name, capsys):
     for view in VIEWS:
         argv = [view, "--scenario", name, "--smoke", "--seed", "5"]
@@ -157,6 +229,11 @@ class TestRegisteredScenario:
     def test_every_cli_view_accepts_it(self, name, capsys):
         check_every_cli_view_accepts_it(name, capsys)
 
+    def test_profile_is_a_view_of_the_stats(self, name):
+        scenario = get(name).smoke()
+        obs = scenario.observability(profile=True)
+        check_profile_is_a_view_of_the_stats(obs, scenario.run(obs).stack)
+
     def test_profile_view_attributes_the_whole_run(self, name, capsys):
         assert main([
             "profile", "--scenario", name, "--smoke", "--json",
@@ -174,6 +251,16 @@ class TestRegisteredScenario:
         assert {"metrics", "spans", "slo", "profile"} <= set(snapshot)
         assert main(["obs-report", "--scenario", name, "--smoke"]) == 0
         assert "== profile ==" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["cluster-stranded", "cluster-node-reject"])
+def test_profile_is_a_view_of_the_stats_on_the_cluster_request_fixtures(
+    name,
+):
+    from tests.obs.test_export_digests import run_request_fixture
+
+    obs, cluster, _outcome = run_request_fixture(name, profile=True)
+    check_profile_is_a_view_of_the_stats(obs, cluster)
 
 
 def test_registry_holds_the_seven_canonical_scenarios():
@@ -240,6 +327,10 @@ class TestAddingAScenario:
         check_runs_deterministically(Throwaway, seeded=True)
         check_is_a_matrix_kind(Throwaway)
         check_every_cli_view_accepts_it("throwaway", capsys)
+        obs = Throwaway.smoke().observability(profile=True)
+        check_profile_is_a_view_of_the_stats(
+            obs, Throwaway.smoke().run(obs).stack
+        )
 
     def test_run_cell_and_run_matrix_need_no_edits(self):
         config = ExperimentConfig.from_dict({

@@ -547,6 +547,92 @@ class TestRecorderSeam:
             assert callable(getattr(ServiceRecorder, event)), event
 
 
+class TestOneLedgerOfModeledTime:
+    """The cost profile is a view of ``DriveStats`` / ``CacheStats``
+    (ISSUE 19): nothing on the per-block path writes to the profiler,
+    and the round loop carries no number that exists only for it."""
+
+    def test_only_attach_turn_round_and_fault_events_feed_the_profile(self):
+        from repro.obs.recorder import EVENTS, sinks
+
+        feeds = {
+            event: sinks(event, "phase") + sinks(event, "profile")
+            for event in EVENTS
+        }
+        assert {event: names for event, names in feeds.items() if names} == {
+            "drive_attached": ["seek", "transfer"],
+            "cache_attached": ["cache_lookup"],
+            "fault": ["fault_recovery"],
+            "turn_end": ["per_stream"],
+            "round_end": ["checkpoint"],
+        }
+        from repro.obs import PHASES
+
+        assert sorted(PHASES) == sorted(
+            phase for event in EVENTS for phase in sinks(event, "phase")
+        )
+
+    def test_per_block_reports_do_not_touch_the_profiler(self):
+        import inspect
+
+        from repro.obs.recorder import ServiceRecorder
+
+        for event in ("drive_access", "cache_probe", "block_begin",
+                      "block_end", "round_served", "run_end", "_score"):
+            source = inspect.getsource(getattr(ServiceRecorder, event))
+            assert "_prof" not in source, event
+
+    def test_the_write_path_names_are_gone(self):
+        import repro.obs.profiling as profiling
+        from repro.obs import CostProfiler, Observability
+        from repro.obs.recorder import ServiceRecorder
+
+        assert not hasattr(profiling, "_ScopedProfiler")
+        assert not hasattr(ServiceRecorder, "_charge")
+        for name in ("record", "reset", "scoped", "enabled"):
+            assert not hasattr(CostProfiler(), name), name
+        with pytest.raises(TypeError):
+            CostProfiler(enabled=True)
+        with pytest.raises(TypeError):
+            Observability().enable_profiler(CostProfiler())
+        rounds = (ROOT / "src/repro/service/rounds.py").read_text()
+        assert "scanned" not in rounds
+        assert "deadline_queries" not in rounds
+
+    def test_a_profiled_run_calls_the_profiler_per_turn_not_per_block(
+        self, monkeypatch
+    ):
+        from repro.obs import CostProfiler
+        from repro.obs.recorder import ServiceRecorder
+        from repro.scenarios import get
+
+        calls = {}
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name, member in vars(CostProfiler).items():
+            if callable(member) and not name.startswith("_"):
+                counted(CostProfiler, name)
+        counted(ServiceRecorder, "turn_end")
+        scenario = get("scale")(streams=6, blocks_per_stream=40, seed=3)
+        run = scenario.run(scenario.observability(profile=True))
+        blocks = run.metrics()["blocks_delivered"]
+        turns = calls.pop("turn_end")
+        assert blocks == 240 and turns < blocks / 2
+        assert calls == {
+            "watch_drive": 1,
+            "attribute_stream": turns,
+            "checkpoint": run.result.rounds,
+        }
+
+
 class TestColumnarPlans:
     def test_only_the_rope_server_constructs_block_fetches(self):
         """Plans are columns; a per-block object exists only where
@@ -696,11 +782,11 @@ class TestOneWritePath:
 
 
 class TestSourceSize:
-    #: `src/` physical lines after the write path was folded into one
-    #: placer / one claim / one writer (25,050), rounded up to the next
-    #: 50.  ROADMAP aim 2: the count trends *down* — lower this when a PR
+    #: `src/` physical lines, as measured, after the cost profile became
+    #: a view of `DriveStats` / `CacheStats` (ISSUE 19; 25,050 before).
+    #: ROADMAP aim 2: the count trends *down* — lower this when a PR
     #: deletes code, never raise it to make room.
-    SRC_LINE_CEILING = 25050
+    SRC_LINE_CEILING = 24918
 
     def test_src_line_count_stays_under_the_ceiling(self):
         total = sum(
