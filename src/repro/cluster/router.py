@@ -37,17 +37,16 @@ so two runs with the same inputs produce byte-identical
 ``ClusterServeResult.to_dict()`` output — placement map, admission
 order, and handoffs included.
 
-Observability federates across nodes: each node is built against a
-node-scoped view (``obs.scoped(node_id)``) of one shared
-:class:`~repro.obs.Observability`, and the router reports every
-routing, serving and handoff decision to its
-:class:`~repro.obs.recorder.ServiceRecorder`, which counts through the
-``"cluster"`` scope — shared totals, SLO evaluation, and spans are
-those of one flat observer, while per-node registries stay separable
-and ``merge_snapshots()`` folds them back into the cluster totals.
-The recorder's ``EVENTS`` table names the spans and the per-title and
-node-labeled counters; :data:`CLUSTER_SLOS` adds the ``handoff-clean``
-objective on top of the stock SLO set.
+One :class:`~repro.obs.Observability` observes the whole cluster: each
+node is built against a node-scoped view of it (``obs.scoped(node_id)``,
+the same registry, timeline and spans under a node id), and the router
+reports every routing, serving and handoff decision to its
+:class:`~repro.obs.recorder.ServiceRecorder` on the observer itself —
+so totals, SLO evaluation and spans are those of one flat observer, and
+what is per node is a node-labeled counter or a ``per_node`` row of the
+profile.  The recorder's ``EVENTS`` table names the spans and the
+per-title and node-labeled counters; :data:`CLUSTER_SLOS` adds the
+``handoff-clean`` objective on top of the stock SLO set.
 """
 
 from __future__ import annotations
@@ -662,9 +661,9 @@ def build_cluster(
     the title's own deterministic frame source and, when *warm* is on,
     plays each once so the hot waves are cache-admitted.
 
-    Each node is built against ``obs.scoped(node_id)`` — the federated
-    per-node view — and the router's counters go through the
-    ``"cluster"`` scope.
+    Each node is built against ``obs.scoped(node_id)``, so its drive and
+    cache are that node's rows in the profile; the router reports to
+    *obs* itself.
     """
     catalog = tuple(
         CatalogTitle(

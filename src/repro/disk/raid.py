@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 from repro.core.symbols import DiskParameters
 from repro.disk.drive import SimulatedDrive
-from repro.errors import HeadFailureError, ParameterError
+from repro.errors import ParameterError
 
 __all__ = ["StripedSlot", "DriveArray"]
 
@@ -81,19 +81,6 @@ class DriveArray:
 
     # -- fault injection -------------------------------------------------------
 
-    def attach_fault_plan(self, plan) -> None:
-        """Install a :class:`~repro.faults.plan.FaultPlan` array-wide.
-
-        Each member receives an injector executing the sub-plan whose
-        specs carry its ``drive_index``.
-        """
-        from repro.faults.injector import FaultInjector
-
-        for index, drive in enumerate(self.drives):
-            drive.attach_injector(
-                FaultInjector(plan.for_drive(index), drive_index=index)
-            )
-
     @property
     def failed_members(self) -> List[int]:
         """Indexes of members whose head has failed."""
@@ -127,38 +114,6 @@ class DriveArray:
             for address in addresses
         ]
         return max(durations)
-
-    def read_batch_degraded(
-        self, addresses: Sequence[StripedSlot]
-    ) -> Tuple[float, List[StripedSlot]]:
-        """Batch read that survives head failures.
-
-        Returns ``(duration, lost)``: the batch still takes as long as
-        its slowest *surviving* member, and ``lost`` lists the addresses
-        whose member head has failed (their data never arrives — the
-        caller records the glitches and shrinks its admission).
-        Transient and media-defect faults propagate; per-block retry
-        policy belongs to the service layer, not the array.
-        """
-        if not addresses:
-            return 0.0, []
-        members = [address.drive_index for address in addresses]
-        if len(set(members)) != len(members):
-            raise ParameterError(
-                "concurrent batch targets a member drive twice; a head "
-                "serves one access at a time"
-            )
-        durations = [0.0]
-        lost: List[StripedSlot] = []
-        for address in addresses:
-            try:
-                durations.append(
-                    self.member(address.drive_index).read_slot(address.slot)
-                )
-            except HeadFailureError as fault:
-                durations.append(fault.elapsed)
-                lost.append(address)
-        return max(durations), lost
 
     def read_striped_run(
         self, slots: Sequence[int], first_block_index: int = 0

@@ -80,14 +80,6 @@ class FaultInjector:
             self._transient_by_op
         )
 
-    def is_defective(self, slot: int) -> bool:
-        """True while *slot* carries an unrepaired media defect."""
-        return slot in self._defect_slots
-
-    def repair_slot(self, slot: int) -> None:
-        """Clear a media defect (models relocating the block)."""
-        self._defect_slots.discard(slot)
-
     # -- drive hooks ---------------------------------------------------------
 
     def pre_check(self, slot: int) -> Optional[HeadFailureError]:

@@ -49,15 +49,14 @@ class RecoveryPolicy:
     retry_backoff:
         Simulated settle time charged before each retry, seconds (e.g.
         one rotation for a recalibrate).
-    deadline_aware:
-        When True, a retry is abandoned (block skipped) as soon as the
-        clock has passed the block's deadline — spending more mechanism
-        time on an already-late block only steals it from other streams.
+
+    A retry is abandoned (block skipped) as soon as the clock has passed
+    the block's deadline — spending more mechanism time on an
+    already-late block only steals it from other streams.
     """
 
     retry_budget: int = 2
     retry_backoff: float = 0.0
-    deadline_aware: bool = True
 
     def __post_init__(self) -> None:
         if self.retry_budget < 0:
@@ -132,11 +131,7 @@ def read_with_recovery(
                     budget=policy.retry_budget,
                 )
                 return elapsed, False
-            if (
-                policy.deadline_aware
-                and deadline is not None
-                and at + policy.retry_backoff >= deadline
-            ):
+            if deadline is not None and at + policy.retry_backoff >= deadline:
                 report("deadline", at, at, fault.elapsed, deadline=deadline)
                 return elapsed, False
             attempts += 1

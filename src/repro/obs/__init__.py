@@ -22,23 +22,20 @@ reproduction proves it kept them.  Components report into an optional
   the drives' and caches' own statistics as named phases
   (:data:`PHASES`) with op counts and modeled-time costs, per stream /
   drive / cluster node, exported as Perfetto counter tracks (``repro
-  profile``); node-scoped
-  :class:`ScopedObservability` views plus :func:`merge_snapshots`
-  federate per-node registries back into one cluster snapshot.
+  profile``);
+* :class:`ScopedObservability` — ``obs.scoped(node_id)``, what a cluster
+  node is handed: the same observer under a node id.  Every write lands
+  once, in the one registry; the id decides whose ``per_node`` profile
+  row a drive, cache or fault delay lands in, and the other per-node
+  numbers are node-labelled ``cluster.*`` counters.
 
 The canonical end-to-end scenarios (the golden-trace baselines) live
 in :mod:`repro.scenarios`.
 """
 
 from repro.obs.audit import AdmissionAuditLog, AuditEntry
-from repro.obs.observer import Observability
-from repro.obs.profiling import (
-    PHASES,
-    CostProfiler,
-    ScopedObservability,
-    ScopedRegistry,
-    merge_snapshots,
-)
+from repro.obs.observer import Observability, ScopedObservability
+from repro.obs.profiling import PHASES, CostProfiler
 from repro.obs.registry import (
     DEADLINE_SLACK_BUCKETS,
     QUEUE_DEPTH_BUCKETS,
@@ -72,12 +69,10 @@ __all__ = [
     "ROUND_UTILIZATION_BUCKETS",
     "SEEK_TIME_BUCKETS",
     "ScopedObservability",
-    "ScopedRegistry",
     "SessionTimeline",
     "Slo",
     "SloMonitor",
     "Span",
     "SpanTracer",
     "TimelineEvent",
-    "merge_snapshots",
 ]

@@ -21,18 +21,15 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional, Union
 
+from repro.errors import ParameterError
 from repro.obs.audit import AdmissionAuditLog
-from repro.obs.profiling import (
-    CostProfiler,
-    ScopedObservability,
-    merge_snapshots,
-)
+from repro.obs.profiling import CostProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SloMonitor
 from repro.obs.timeline import SessionTimeline
 from repro.obs.tracing import SpanTracer
 
-__all__ = ["Observability"]
+__all__ = ["Observability", "ScopedObservability"]
 
 
 class Observability:
@@ -81,7 +78,6 @@ class Observability:
         #: A node-scoped view carries its node's id here; the root has none.
         self.node_id: Optional[str] = None
         self._sim_tracers: list = []
-        self._node_views: Dict[str, ScopedObservability] = {}
 
     @classmethod
     def for_scale(cls, seed: int = 0) -> "Observability":
@@ -137,42 +133,14 @@ class Observability:
             self.profiler = CostProfiler()
         return self.profiler
 
-    # -- node-scoped federation --------------------------------------------------
+    def scoped(self, node_id: str) -> "ScopedObservability":
+        """This observer under *node_id*: hand one to each cluster node.
 
-    def scoped(self, node_id: str) -> ScopedObservability:
-        """The node-scoped view for *node_id* (one per id, memoized).
-
-        Hand one to each cluster node instead of sharing this object
-        flat: writes still land here (totals, SLOs, and goldens are
-        unchanged by construction) while each view keeps a private
-        per-node registry, and what is attached through it is
-        attributed to its node in the profile.
+        Every write still lands here, once; a drive, a cache or a fault
+        delay reported through the view is attributed to its node in
+        the profile (``per_node``).
         """
-        view = self._node_views.get(node_id)
-        if view is None:
-            view = self._node_views[node_id] = ScopedObservability(
-                self, node_id
-            )
-        return view
-
-    def node_ids(self) -> list:
-        """Sorted ids of every scoped view handed out so far."""
-        return sorted(self._node_views)
-
-    def node_snapshot_dicts(self) -> Dict[str, Dict]:
-        """Each scoped view's snapshot, keyed by node id."""
-        return {
-            node_id: self._node_views[node_id].snapshot_dict()
-            for node_id in self.node_ids()
-        }
-
-    def merged_node_snapshot_dict(self) -> Dict:
-        """All scoped views folded back into one cluster-level dict
-        (see :func:`repro.obs.profiling.merge_snapshots`)."""
-        return merge_snapshots(
-            self._node_views[node_id].snapshot_dict()
-            for node_id in self.node_ids()
-        )
+        return ScopedObservability(self, node_id)
 
     def attach_sim_tracer(self, tracer) -> None:
         """Register a :class:`repro.sim.trace.Tracer` for health
@@ -318,3 +286,42 @@ class Observability:
         if audit:
             lines.extend(f"  {line}" for line in audit.splitlines())
         return "\n".join(lines)
+
+
+class ScopedObservability:
+    """One node's view of a shared :class:`Observability`.
+
+    It holds no metric state: the surfaces are the parent's own (totals
+    and causality must cross nodes), ``slo`` / ``profiler`` are looked up
+    when used, so attaching them after scoping works, and the ``node_id``
+    is all a scope adds.
+    """
+
+    def __init__(self, parent: Observability, node_id: str):
+        if not node_id:
+            raise ParameterError("scoped node_id must be non-empty")
+        self.parent = parent
+        self.node_id = node_id
+        self.enabled = parent.enabled
+        self.registry = parent.registry
+        self.timeline = parent.timeline
+        self.audit = parent.audit
+        self.tracer = parent.tracer
+
+    @property
+    def slo(self) -> Optional[SloMonitor]:
+        return self.parent.slo
+
+    @property
+    def profiler(self) -> Optional[CostProfiler]:
+        return self.parent.profiler
+
+    def scoped(self, node_id: str) -> "ScopedObservability":
+        """Scoping is flat: a view of the parent, not of this view."""
+        return self.parent.scoped(node_id)
+
+    def attach_sim_tracer(self, tracer) -> None:
+        self.parent.attach_sim_tracer(tracer)
+
+    def timed(self, name: str):
+        return self.registry.timed(name)

@@ -1,29 +1,20 @@
-"""Deterministic cost-attribution profiling and node-scoped registries.
+"""Deterministic cost-attribution profiling.
 
-Two related tools for answering "where does round time actually go?"
+:class:`CostProfiler` answers "where does round time actually go?"
 without sacrificing the byte-stability contract every other obs surface
-keeps:
-
-* :class:`CostProfiler` decomposes a run's **modeled** time into the
-  phases of :data:`PHASES`, per drive, per cluster node and per stream.
-  It is a *view*: a drive and a cache front end handed an observer
-  register themselves once, and every rollup is computed, when asked,
-  from the :class:`~repro.disk.drive.DriveStats` /
-  :class:`~repro.disk.cache.CacheStats` those objects keep anyway — so
-  the profile cannot disagree with them and a block costs the profiler
-  nothing.  Only what no other record holds is written: the delay fault
-  recovery adds and each stream's share of a round.  Costs are
-  simulated seconds only, so two runs at the same seed serialize
-  byte-identically (the ``repro profile --json`` acceptance bar).
-* :class:`ScopedObservability` is the node-scoped view of one shared
-  :class:`~repro.obs.Observability` that the cluster hands each
-  :class:`~repro.cluster.ClusterNode` instead of flat sharing: every
-  counter/gauge/histogram/timer write lands in **both** the shared
-  registry (so cluster-wide totals, SLOs, and goldens are unchanged)
-  and a private per-node registry (so hot spots are attributable).
-  :func:`merge_snapshots` folds the per-node views back into one
-  byte-stable cluster snapshot whose counters equal the legacy
-  flat-shared values exactly.
+keeps.  It decomposes a run's **modeled** time into the phases of
+:data:`PHASES`, per drive, per cluster node and per stream.  It is a
+*view*: a drive and a cache front end handed an observer register
+themselves once — under the node id of the
+:meth:`~repro.obs.Observability.scoped` view they were handed, if any —
+and every rollup is computed, when asked, from the
+:class:`~repro.disk.drive.DriveStats` /
+:class:`~repro.disk.cache.CacheStats` those objects keep anyway — so
+the profile cannot disagree with them and a block costs the profiler
+nothing.  Only what no other record holds is written: the delay fault
+recovery adds and each stream's share of a round.  Costs are simulated
+seconds only, so two runs at the same seed serialize byte-identically
+(the ``repro profile --json`` acceptance bar).
 
 Phase taxonomy (docs/OBSERVABILITY.md).  The paper's §3 cost model has
 two per-block components, positioning and transfer; the other two are
@@ -47,19 +38,11 @@ mechanism charged, an attempt a fault doomed included.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ParameterError
-from repro.obs.registry import MetricsRegistry
 
-__all__ = [
-    "PHASES",
-    "CostProfiler",
-    "ScopedObservability",
-    "ScopedRegistry",
-    "merge_snapshots",
-]
+__all__ = ["PHASES", "CostProfiler"]
 
 #: The fixed phase taxonomy modeled time decomposes into.
 PHASES: Tuple[str, ...] = ("seek", "transfer", "cache_lookup", "fault_recovery")
@@ -235,10 +218,6 @@ class CostProfiler:
             raise ParameterError(f"top n must be >= 1, got {n}")
         return self.summary_dict()["top"][:n]
 
-    def node_summary(self, node_id: str) -> _Table:
-        """One node's per-phase attribution (empty when unseen)."""
-        return self._tables()[2].get(node_id, {})
-
     def drive_busy_time(self) -> float:
         """``DriveStats.busy_time`` of the watched drives since they were
         first watched — what ``seek`` + ``transfer`` must add up to."""
@@ -295,300 +274,3 @@ class CostProfiler:
             for time, costs in self._checkpoints
             for index in active
         ]
-
-
-# -- scoped registries -----------------------------------------------------------
-
-
-class _PairedCounter:
-    __slots__ = ("_shared", "_local")
-
-    def __init__(self, shared, local):
-        self._shared = shared
-        self._local = local
-
-    def inc(self, amount: int = 1) -> None:
-        self._shared.inc(amount)
-        self._local.inc(amount)
-
-    @property
-    def value(self) -> int:
-        return self._local.value
-
-
-class _PairedGauge:
-    __slots__ = ("_shared", "_local")
-
-    def __init__(self, shared, local):
-        self._shared = shared
-        self._local = local
-
-    def set(self, value: float) -> None:
-        self._shared.set(value)
-        self._local.set(value)
-
-    @property
-    def value(self) -> float:
-        return self._local.value
-
-
-class _PairedHistogram:
-    __slots__ = ("_shared", "_local")
-
-    def __init__(self, shared, local):
-        self._shared = shared
-        self._local = local
-
-    def observe(self, value: float) -> None:
-        self._shared.observe(value)
-        self._local.observe(value)
-
-
-class _PairedTimer:
-    __slots__ = ("_shared", "_local")
-
-    def __init__(self, shared, local):
-        self._shared = shared
-        self._local = local
-
-    def __enter__(self) -> "_PairedTimer":
-        self._shared.__enter__()
-        self._local.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._local.__exit__(*exc)
-        self._shared.__exit__(*exc)
-
-
-class ScopedRegistry:
-    """Writes go to both a shared and a node-local registry.
-
-    Reads (``peek_*``) resolve against the **shared** registry so
-    derived evaluators (the SLO monitor) see cluster-wide values, while
-    :meth:`snapshot_dict` serializes the **local** registry — the
-    per-node breakdown :func:`merge_snapshots` folds back together.
-    """
-
-    def __init__(self, shared: MetricsRegistry, local: MetricsRegistry):
-        self.shared = shared
-        self.local = local
-        self._counters: Dict[str, _PairedCounter] = {}
-        self._gauges: Dict[str, _PairedGauge] = {}
-        self._histograms: Dict[str, _PairedHistogram] = {}
-        self._timers: Dict[str, _PairedTimer] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self.shared.enabled
-
-    def counter(self, name: str) -> _PairedCounter:
-        pair = self._counters.get(name)
-        if pair is None:
-            pair = self._counters[name] = _PairedCounter(
-                self.shared.counter(name), self.local.counter(name)
-            )
-        return pair
-
-    def gauge(self, name: str) -> _PairedGauge:
-        pair = self._gauges.get(name)
-        if pair is None:
-            pair = self._gauges[name] = _PairedGauge(
-                self.shared.gauge(name), self.local.gauge(name)
-            )
-        return pair
-
-    def histogram(self, name: str, buckets: Iterable[float]):
-        pair = self._histograms.get(name)
-        if pair is None:
-            bounds = tuple(float(b) for b in buckets)
-            pair = self._histograms[name] = _PairedHistogram(
-                self.shared.histogram(name, bounds),
-                self.local.histogram(name, bounds),
-            )
-        return pair
-
-    def timer(self, name: str) -> _PairedTimer:
-        pair = self._timers.get(name)
-        if pair is None:
-            pair = self._timers[name] = _PairedTimer(
-                self.shared.timer(name), self.local.timer(name)
-            )
-        return pair
-
-    def timed(self, name: str) -> _PairedTimer:
-        return self.timer(name)
-
-    def peek_counter(self, name: str) -> Optional[int]:
-        return self.shared.peek_counter(name)
-
-    def peek_histogram(self, name: str):
-        return self.shared.peek_histogram(name)
-
-    def snapshot_dict(self, include_profile: bool = False) -> Dict:
-        return self.local.snapshot_dict(include_profile=include_profile)
-
-    def snapshot(self, include_profile: bool = False) -> str:
-        return self.local.snapshot(include_profile=include_profile)
-
-    @staticmethod
-    def diff(before, after) -> Dict:
-        return MetricsRegistry.diff(before, after)
-
-
-class ScopedObservability:
-    """The node-scoped view of one shared :class:`Observability`.
-
-    Everything event-shaped (timeline, audit, spans, SLOs, sim-tracer
-    health) forwards to the parent unchanged — causality must cross
-    nodes.  Metric writes are *paired*: they land in the parent registry
-    (so cluster totals, SLO evaluation, and golden snapshots are
-    byte-identical to legacy flat sharing) **and** in a private
-    node-local registry serialized by :meth:`snapshot_dict`.  A drive
-    or cache attached through this view is attributed to its node id
-    in the parent's profiler.
-    """
-
-    def __init__(self, parent, node_id: str):
-        if not node_id:
-            raise ParameterError("scoped node_id must be non-empty")
-        self.parent = parent
-        self.node_id = node_id
-        self.enabled = parent.enabled
-        self.registry = ScopedRegistry(
-            parent.registry, MetricsRegistry(parent.enabled)
-        )
-        self.timeline = parent.timeline
-        self.audit = parent.audit
-        self.tracer = parent.tracer
-
-    @property
-    def slo(self):
-        """The parent's SLO monitor (attached after scoping is fine)."""
-        return self.parent.slo
-
-    @property
-    def profiler(self):
-        """The parent's profiler (or None)."""
-        return self.parent.profiler
-
-    def scoped(self, node_id: str) -> "ScopedObservability":
-        """Scoping is flat: delegate to the parent."""
-        return self.parent.scoped(node_id)
-
-    def enable_slos(self, slos=None):
-        return self.parent.enable_slos(slos)
-
-    def attach_sim_tracer(self, tracer) -> None:
-        self.parent.attach_sim_tracer(tracer)
-
-    def timed(self, name: str):
-        return self.registry.timed(name)
-
-    def snapshot_dict(self, include_profile: bool = False) -> Dict:
-        """This node's view: local metrics + its profiler attribution."""
-        profiler = self.profiler
-        return {
-            "node_id": self.node_id,
-            "metrics": self.registry.snapshot_dict(
-                include_profile=include_profile
-            ),
-            "profile": (
-                profiler.node_summary(self.node_id)
-                if profiler is not None else {}
-            ),
-        }
-
-    def snapshot(self, include_profile: bool = False) -> str:
-        """Stable sorted-key JSON of this node's view."""
-        return json.dumps(
-            self.snapshot_dict(include_profile=include_profile),
-            sort_keys=True,
-            indent=2,
-        )
-
-
-def merge_snapshots(snapshots: Iterable[Union[str, Dict]]) -> Dict:
-    """Fold per-node view snapshots into one cluster-level dict.
-
-    Accepts :meth:`ScopedObservability.snapshot_dict` dicts (or their
-    JSON strings, or bare registry ``snapshot_dict`` mappings) and
-    merges deterministically:
-
-    * **counters** and **timer calls** sum — so a merge over *every*
-      scoped view of a run reproduces the shared registry's values
-      exactly (the flat-equivalence acceptance bar);
-    * **histograms** sum bucket-wise (bucket layouts must agree, or
-      :class:`~repro.errors.ParameterError`); bucket counts merge
-      exactly, while the float ``sum`` field is order-sensitive
-      addition — it can differ from a flat-shared run's sum in the
-      last ulp (compare with a relative tolerance, not ``==``);
-    * **gauges** take the elementwise max — last-write-wins order does
-      not survive a merge, so the merge picks the deterministic bound;
-    * **profile** phase attributions sum ops and cost.
-
-    Returns ``{"metrics": ..., "profile": ...}``; serialize with
-    ``json.dumps(..., sort_keys=True)`` for the byte-stable form.
-    """
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict] = {}
-    timers: Dict[str, Dict] = {}
-    profile: Dict[str, Dict[str, Union[int, float]]] = {}
-    for snap in snapshots:
-        if isinstance(snap, str):
-            snap = json.loads(snap)
-        metrics = snap.get("metrics", snap)
-        for name, value in metrics.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in metrics.get("gauges", {}).items():
-            if name not in gauges or value > gauges[name]:
-                gauges[name] = value
-        for name, data in metrics.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    "buckets": list(data["buckets"]),
-                    "counts": list(data["counts"]),
-                    "overflow": data["overflow"],
-                    "count": data["count"],
-                    "sum": data["sum"],
-                }
-                continue
-            if merged["buckets"] != list(data["buckets"]):
-                raise ParameterError(
-                    f"histogram {name!r} bucket layouts disagree across "
-                    "node snapshots"
-                )
-            merged["counts"] = [
-                a + b for a, b in zip(merged["counts"], data["counts"])
-            ]
-            merged["overflow"] += data["overflow"]
-            merged["count"] += data["count"]
-            merged["sum"] += data["sum"]
-        for name, data in metrics.get("timers", {}).items():
-            entry = timers.get(name)
-            if entry is None:
-                timers[name] = dict(data)
-                continue
-            entry["calls"] += data.get("calls", 0)
-            if "wall_seconds" in entry and "wall_seconds" in data:
-                entry["wall_seconds"] += data["wall_seconds"]
-        for phase, stat in snap.get("profile", {}).items():
-            entry = profile.get(phase)
-            if entry is None:
-                profile[phase] = {
-                    "ops": stat["ops"], "cost_s": stat["cost_s"],
-                }
-            else:
-                entry["ops"] += stat["ops"]
-                entry["cost_s"] += stat["cost_s"]
-    return {
-        "metrics": {
-            "counters": dict(sorted(counters.items())),
-            "gauges": dict(sorted(gauges.items())),
-            "histograms": dict(sorted(histograms.items())),
-            "timers": dict(sorted(timers.items())),
-        },
-        "profile": dict(sorted(profile.items())),
-    }

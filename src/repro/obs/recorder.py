@@ -222,15 +222,14 @@ class ServiceRecorder:
         #: The timeline's (keep_first, every_kth); it also gates which
         #: blocks the run-end walk scores.
         self._tl_gate: Tuple[Optional[int], Optional[int]] = (None, None)
+        #: The node *obs* is scoped to, read once (None outside a cluster):
+        #: the profile's ``per_node`` key for what attaches or faults here.
+        self._node: Optional[str] = None if obs is None else obs.node_id
         if obs is None:
             return
-        if source == "cluster":
-            # The router counts through its own federated view (a merge
-            # over every view then reproduces the shared totals), and its
-            # counters exist once first used: a run without a reject has
-            # no ``cluster.rejects`` key.
-            self._obs = obs = obs.scoped(source)
-        else:
+        # The router's counters exist once first used: a run without a
+        # reject has no ``cluster.rejects`` key.
+        if source != "cluster":
             registry = obs.registry
             for event, (reporter, _sinks) in EVENTS.items():
                 if reporter == source:
@@ -451,7 +450,7 @@ class ServiceRecorder:
         """*drive* reports here from now on: the profile reads its
         positioning and transfer seconds off its own ``DriveStats``."""
         if self._prof is not None:
-            self._prof.watch_drive(drive, self._obs.node_id)
+            self._prof.watch_drive(drive, self._node)
 
     def drive_access(self, seek: float) -> None:
         """One mechanism access that spent *seek* seconds seeking."""
@@ -462,7 +461,7 @@ class ServiceRecorder:
         """The cache front end *cached* reports here from now on: the
         profile reads its probes off its own ``CacheStats``."""
         if self._prof is not None:
-            self._prof.watch_cache(cached, self._obs.node_id)
+            self._prof.watch_cache(cached, self._node)
 
     def cache_probe(self, hit: bool) -> None:
         """One residency probe."""
@@ -506,7 +505,7 @@ class ServiceRecorder:
             for name in counters:
                 self._count(name)
         if cost is not None and self._prof is not None:
-            self._prof.fault(cost, self._obs.node_id)
+            self._prof.fault(cost, self._node)
         if span_name and parent is not None:
             extra = {"reason": reason} if reason else {"attempt": detail["attempt"]}
             span = self._spans.start_span(

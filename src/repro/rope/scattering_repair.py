@@ -60,13 +60,6 @@ class RepairReport:
     paper_bound: int
     residual_violations: int
 
-    @property
-    def within_paper_bound(self) -> bool:
-        """True when no seam needed more copies than Eq. (19)/(20) allow."""
-        return self.blocks_copied <= max(
-            self.paper_bound * max(1, self.seams_repaired), 0
-        )
-
 
 class ScatteringRepairer:
     """Checks and repairs interval-seam scattering for edited ropes."""

@@ -12,7 +12,8 @@ stack and serves typed :mod:`repro.api` requests end to end:
   interval are grouped (:mod:`repro.server.batching`); only the batch
   leader is admitted against the §3.4 inequality and reads the disk,
   while followers ride the block cache — so fifty viewers of five hot
-  strands cost five admission slots, not fifty;
+  strands cost five admission slots, not fifty (a leader that leaves
+  first passes the slot to a follower still live);
 * a bounded LRU **block cache** (:mod:`repro.disk.cache`) between the
   service loop and the drive, with cache-aware admission: a session
   whose entire plan is resident is admitted without consuming any
@@ -66,6 +67,9 @@ from repro.service.session import PlaybackSession
 from repro.sim.trace import Tracer
 
 __all__ = ["MediaServer", "build_media_server"]
+
+#: States in which a batch member still needs its batch's physical stream.
+_LIVE = (SessionState.OPEN, SessionState.PLAYING, SessionState.PAUSED)
 
 
 @dataclass
@@ -653,6 +657,10 @@ class MediaServer:
             session.skips = metrics.skips
             session.startup_latency = metrics.startup_latency
             session.state = SessionState.COMPLETED
+        # Every member that played has ended before any of them releases:
+        # a leader's slot can only pass to a follower that has yet to play.
+        for sid in queue:
+            session = self._sessions[sid]
             self._release_resources(session)
             self._finalize_request(session)
             if self._rec is not None:
@@ -682,13 +690,38 @@ class MediaServer:
             sid for sid in self._epoch_queue if sid != session.session_id
         ]
 
+    def _hand_over(self, leaving: _Session) -> None:
+        """A batch is one physical stream.  When its leader leaves — stops,
+        pauses destructively or completes — the first follower still live
+        takes the admission slot or cache pins and leads the members that
+        remain, so none of them reads on a slot the controller believes
+        free; with no live follower the leader keeps them, to release."""
+        live = [
+            self._sessions[sid] for sid in leaving.followers
+            if self._sessions[sid].state in _LIVE
+        ]
+        leaving.followers = []
+        if not live:
+            return
+        heir = live[0]
+        heir.followers = [member.session_id for member in live[1:]]
+        for member in live:
+            member.batch_leader = heir.session_id
+        heir.pinned, leaving.pinned = leaving.pinned, ()
+        if leaving.admission_id is not None:
+            heir.admission_id, leaving.admission_id = leaving.admission_id, None
+            self.mrs.get_request(leaving.request_id).admission_id = None
+            self.mrs.get_request(heir.request_id).admission_id = heir.admission_id
+
     def _release_resources(self, session: _Session) -> None:
-        """Release the admission slot and cache pins a session holds.
+        """Release the admission slot and cache pins a session holds
+        (what a live follower does not take over, :meth:`_hand_over`).
 
         Releases cross the MRS↔MSM boundary through the RPC channel like
         admissions do; the MRS request is then stopped with nothing left
         to release.
         """
+        self._hand_over(session)
         if session.admission_id is not None:
             carry = (
                 self._rec.release_carry(session.request_id)

@@ -1,26 +1,19 @@
-"""Per-node observability federation tests.
+"""Per-node observability tests: one observer, node-scoped views.
 
-The federation's promise is *equivalence within one run*: every node
-reports through a :class:`~repro.obs.ScopedObservability` view and the
-router through the ``"cluster"`` scope, and
-:func:`~repro.obs.merge_snapshots` over every view reproduces that same
-run's shared registry exactly — counters, timer calls and histogram
-bucket counts; only the float ``sum`` fields are compared with a
-tolerance, because per-node partial sums re-add in a different
-association order than interleaved accumulation.  (Byte-identity with
-the flat, pre-federation wiring is pinned by the ``cluster-scale/*``
-export digests, generated in that era.)
+Every node of a cluster reports through ``obs.scoped(node_id)`` — the
+shared observer under a node id — and the router to the observer
+itself, so there is one registry and its totals are those of flat
+sharing by construction (byte-identity with the flat wiring is pinned
+by the ``cluster-scale/*`` export digests, generated in that era).
 
-On top of equivalence, the federation must *add* information: per-node
-labeled ``cluster.*`` counters, per-node metric breakdowns, node-level
-profiler attribution, and causally connected cross-node handoff
-traces.
+What is per node lives *in* that one snapshot: node-labeled
+``cluster.*`` counters, the profile's ``per_node`` / ``per_drive``
+rows, and causally connected cross-node handoff traces.
 """
-
-import math
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.scenarios import get
 
 pytestmark = [pytest.mark.cluster, pytest.mark.profile]
@@ -35,54 +28,43 @@ def scoped_run():
 
 
 class TestFlatEquivalence:
-    def test_merged_views_reproduce_flat_shared_counters(self, scoped_run):
-        merged = scoped_run.obs.merged_node_snapshot_dict()
-        shared = scoped_run.obs.registry.snapshot_dict()
-        assert shared["counters"]["cluster.handoffs_total"] > 0
-        assert merged["metrics"]["counters"] == shared["counters"]
-        assert merged["metrics"]["timers"].keys() == (
-            shared["timers"].keys()
-        )
-        for name, entry in merged["metrics"]["timers"].items():
-            assert entry["calls"] == shared["timers"][name]["calls"]
+    def test_merged_profile_matches_parent_phase_totals(self, scoped_run):
+        summary = scoped_run.obs.profiler.summary_dict()
+        # Every drive, cache and fault of a cluster reports through some
+        # node's scope, so the per-node rows add up to the flat totals.
+        for phase, total in summary["phases"].items():
+            rows = [
+                table[phase] for table in summary["per_node"].values()
+                if phase in table
+            ]
+            assert sum(row["ops"] for row in rows) == total["ops"], phase
+            assert sum(row["cost_s"] for row in rows) == pytest.approx(
+                total["cost_s"], rel=1e-9, abs=1e-12
+            ), phase
 
-    def test_merged_histograms_match_bucketwise(self, scoped_run):
-        merged = scoped_run.obs.merged_node_snapshot_dict()
-        shared = scoped_run.obs.registry.snapshot_dict()
-        histograms = merged["metrics"]["histograms"]
-        assert histograms.keys() == shared["histograms"].keys()
-        for name, data in histograms.items():
-            expected = shared["histograms"][name]
-            assert data["buckets"] == list(expected["buckets"]), name
-            assert data["counts"] == list(expected["counts"]), name
-            assert data["count"] == expected["count"], name
-            assert data["overflow"] == expected["overflow"], name
-            # Float sums re-associate across per-node partials; only
-            # the last ulp may move (see merge_snapshots docs).
-            assert math.isclose(
-                data["sum"], expected["sum"], rel_tol=1e-9, abs_tol=1e-12
-            ), name
 
-    def test_merged_profile_matches_parent_phase_totals(
-        self, scoped_run
+class TestOneRegistry:
+    def test_an_observed_cluster_run_builds_no_second_registry(
+        self, monkeypatch
     ):
-        merged = scoped_run.obs.merged_node_snapshot_dict()
-        parent = scoped_run.obs.profiler.summary_dict()["phases"]
-        for phase, stat in merged["profile"].items():
-            # Node-attributed work is a subset of the cluster total
-            # (single-node phases like checkpointing carry no node id).
-            assert stat["ops"] <= parent[phase]["ops"], phase
-            assert stat["cost_s"] <= parent[phase]["cost_s"] + 1e-12
+        scenario = get("cluster-scale").smoke(seed=SEED)
+        obs = scenario.observability(profile=True)
+        built = []
+        init = MetricsRegistry.__init__
+
+        def counting_init(registry, *args, **kwargs):
+            built.append(registry)
+            init(registry, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "__init__", counting_init)
+        # build_cluster(obs=obs) over three nodes, then the smoke load.
+        run = scenario.run(obs)
+        assert len(run.stack.nodes) == 3 and run.result.admitted > 0
+        assert built == []
+        assert obs.scoped("n0").registry is obs.registry
 
 
 class TestFederatedBreakdowns:
-    def test_every_node_and_the_router_scope_have_views(
-        self, scoped_run
-    ):
-        assert scoped_run.obs.node_ids() == [
-            "cluster", "node-00", "node-01", "node-02",
-        ]
-
     def test_labeled_cluster_counters_name_nodes(self, scoped_run):
         counters = scoped_run.obs.registry.snapshot_dict()["counters"]
         result = scoped_run.result
@@ -103,27 +85,12 @@ class TestFederatedBreakdowns:
         )
         assert clean_total == result.handoffs_clean
 
-    def test_node_views_carry_disjoint_local_metrics(self, scoped_run):
-        snaps = scoped_run.obs.node_snapshot_dicts()
-        # The router's own counters live only in the "cluster" scope.
-        cluster_counters = snaps["cluster"]["metrics"]["counters"]
-        assert all(
-            name.startswith("cluster.") or name.startswith("server.")
-            for name in cluster_counters
-        )
-        # Per-node disk work stays attributed to that node's view.
-        for node_id in ("node-00", "node-02"):
-            local = snaps[node_id]["metrics"]["counters"]
-            assert local["disk.accesses"] > 0
-        # The dead node served chunk 0 before the kill, so it has
-        # profile attribution too.
-        assert snaps["node-01"]["profile"]
-
     def test_profiler_attributes_per_node_drives(self, scoped_run):
         summary = scoped_run.obs.profiler.summary_dict()
-        assert {"node-00", "node-01", "node-02"} <= (
-            summary["per_node"].keys()
-        )
+        # Per-node disk work is attributed to its node — the dead one
+        # included: it served chunk 0 before the kill.
+        for node_id in ("node-00", "node-01", "node-02"):
+            assert summary["per_node"][node_id]["seek"]["ops"] > 0
         assert any(
             label.endswith(".drive") for label in summary["per_drive"]
         )

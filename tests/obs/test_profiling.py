@@ -1,4 +1,4 @@
-"""Cost-attribution profiler tests: a view, determinism, federation.
+"""Cost-attribution profiler tests: a view, determinism, node scopes.
 
 The profiler's contract has three legs the tests pin separately:
 
@@ -13,11 +13,10 @@ The profiler's contract has three legs the tests pin separately:
 * **Determinism** — everything is modeled time, so the summary of a
   fixed-seed scenario serializes byte-identically across runs, and
   checkpoint decimation is a pure function of the call sequence.
-* **Federation equivalence** — a :class:`ScopedObservability` pairs
-  every metric write into shared + local registries, so the parent
-  snapshot is byte-identical to flat sharing and
-  :func:`merge_snapshots` over all views reproduces the shared counters
-  exactly.
+* **A node scope is a label** — a :class:`ScopedObservability` is the
+  parent's own registry, timeline, audit and spans under a node id, so a
+  write through it lands once, the parent snapshot is byte-identical to
+  flat sharing, and the id shows only in the profile's ``per_node``.
 """
 
 import json
@@ -31,7 +30,6 @@ from repro.obs import (
     CostProfiler,
     Observability,
     ScopedObservability,
-    merge_snapshots,
 )
 from repro.obs.profiling import CHECKPOINT_LIMIT
 from repro.obs.registry import SEEK_TIME_BUCKETS
@@ -198,10 +196,10 @@ class TestCostProfiler:
         assert summary["per_node"]["n0"]["seek"]["cost_s"] == (
             _positioning(first)
         )
-        assert obs.profiler.node_summary("n1")["seek"]["cost_s"] == (
+        assert summary["per_node"]["n1"]["seek"]["cost_s"] == (
             _positioning(second)
         )
-        assert obs.profiler.node_summary("unseen") == {}
+        assert "unseen" not in summary["per_node"]
 
     def test_scoped_view_attributes_node_and_memoizes(self):
         obs = _profiled()
@@ -214,8 +212,9 @@ class TestCostProfiler:
         drive.attach_observer(obs)
         drive.read_slot(41)
         assert len(obs.profiler._watched) == 1
-        assert obs.profiler.node_summary("node-07")["transfer"]["ops"] == 2
-        assert obs.profiler.summary_dict()["total_cost_s"] == (
+        summary = obs.profiler.summary_dict()
+        assert summary["per_node"]["node-07"]["transfer"]["ops"] == 2
+        assert summary["total_cost_s"] == (
             pytest.approx(drive.stats.busy_time)
         )
 
@@ -332,22 +331,20 @@ class TestScopedObservability:
         with pytest.raises(ParameterError):
             ScopedObservability(Observability(seed=0), "")
 
-    def test_scoped_views_are_memoized(self):
-        obs = Observability(seed=0)
-        assert obs.scoped("n0") is obs.scoped("n0")
-        assert obs.node_ids() == ["n0"]
-
-    def test_writes_land_in_both_shared_and_local(self):
+    def test_write_through_a_view_lands_once(self):
         obs = Observability(seed=0)
         view = obs.scoped("n0")
+        assert view.registry is obs.registry
         view.registry.counter("x").inc(3)
         view.registry.gauge("g").set(2.5)
         view.registry.histogram("h", SEEK_TIME_BUCKETS).observe(0.5)
-        assert obs.registry.peek_counter("x") == 3
-        local = view.registry.snapshot_dict()
-        assert local["counters"]["x"] == 3
-        assert local["gauges"]["g"] == 2.5
-        assert local["histograms"]["h"]["count"] == 1
+        with view.timed("t"):
+            pass
+        metrics = obs.registry.snapshot_dict()
+        assert metrics["counters"]["x"] == 3
+        assert metrics["gauges"]["g"] == 2.5
+        assert metrics["histograms"]["h"]["count"] == 1
+        assert metrics["timers"]["t"]["calls"] == 1
 
     def test_parent_snapshot_equals_flat_sharing(self):
         def drive_writes(obs, scoped):
@@ -374,85 +371,32 @@ class TestScopedObservability:
         assert view.tracer is obs.tracer
         obs.enable_slos()
         assert view.slo is obs.slo
-        assert view.scoped("n1") is obs.scoped("n1")
+        scoped_again = view.scoped("n1")
+        assert scoped_again.parent is obs and scoped_again.node_id == "n1"
 
     def test_scoped_profiler_attributes_to_node(self):
         obs = _profiled()
         view = obs.scoped("n0")
         assert view.profiler is obs.profiler
         _watched_drive(view, reads=(11,))
-        assert obs.profiler.node_summary("n0")["seek"]["ops"] == 1
+        per_node = obs.profiler.summary_dict()["per_node"]
+        assert per_node["n0"]["seek"]["ops"] == 1
 
     def test_node_snapshot_carries_profile_attribution(self):
         obs = _profiled()
-        view = obs.scoped("n0")
-        drive = _watched_drive(view, reads=(11,))
-        snap = view.snapshot_dict()
-        assert snap["node_id"] == "n0"
-        assert snap["profile"]["transfer"]["cost_s"] == (
+        drive = _watched_drive(obs.scoped("n0"), reads=(11,))
+        # The one snapshot is where a node's numbers are read.
+        per_node = obs.snapshot_dict()["profile"]["per_node"]
+        assert per_node["n0"]["transfer"]["cost_s"] == (
             drive.stats.transfer_time
         )
 
-
-class TestMergeSnapshots:
-    def _views(self):
-        obs = _profiled()
-        a, b = obs.scoped("a"), obs.scoped("b")
-        a.registry.counter("ops").inc(2)
-        b.registry.counter("ops").inc(5)
-        a.registry.gauge("depth").set(1.0)
-        b.registry.gauge("depth").set(4.0)
-        a.registry.histogram("lat", SEEK_TIME_BUCKETS).observe(0.1)
-        b.registry.histogram("lat", SEEK_TIME_BUCKETS).observe(0.2)
-        self.drives = [
-            _watched_drive(a, reads=(100,)), _watched_drive(b, reads=(900,)),
-        ]
-        return obs, a, b
-
-    def test_counters_sum_gauges_max_histograms_bucketwise(self):
-        obs, a, b = self._views()
-        merged = merge_snapshots(
-            [a.snapshot_dict(), b.snapshot_dict()]
-        )
-        metrics = merged["metrics"]
-        assert metrics["counters"]["ops"] == 7
-        assert metrics["counters"]["ops"] == (
-            obs.registry.peek_counter("ops")
-        )
-        assert metrics["gauges"]["depth"] == 4.0
-        histogram = metrics["histograms"]["lat"]
-        assert histogram["count"] == 2
-        assert histogram["sum"] == pytest.approx(0.3)
-        assert merged["profile"]["seek"]["ops"] == 2
-        assert merged["profile"]["seek"]["cost_s"] == pytest.approx(
-            sum(_positioning(drive) for drive in self.drives)
-        )
-
-    def test_merge_accepts_json_strings_and_is_stable(self):
-        _, a, b = self._views()
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        again = merge_snapshots(
-            [a.snapshot_dict(), b.snapshot_dict()]
-        )
-        assert json.dumps(merged, sort_keys=True) == (
-            json.dumps(again, sort_keys=True)
-        )
-
-    def test_mismatched_histogram_layouts_raise(self):
-        with pytest.raises(ParameterError):
-            merge_snapshots([
-                {"histograms": {"h": {
-                    "buckets": [1.0], "counts": [1], "overflow": 0,
-                    "count": 1, "sum": 0.5,
-                }}},
-                {"histograms": {"h": {
-                    "buckets": [2.0], "counts": [1], "overflow": 0,
-                    "count": 1, "sum": 0.5,
-                }}},
-            ])
-
-    def test_merged_node_snapshot_dict_on_observer(self):
-        obs, _, _ = self._views()
-        merged = obs.merged_node_snapshot_dict()
-        assert merged["metrics"]["counters"]["ops"] == 7
-        assert obs.node_snapshot_dicts().keys() == {"a", "b"}
+    def test_slo_and_profiler_attached_after_scoping_are_seen(self):
+        obs = Observability(seed=0)
+        view = obs.scoped("n0")
+        assert view.slo is None and view.profiler is None
+        slo, profiler = obs.enable_slos(), obs.enable_profiler()
+        assert view.slo is slo and view.profiler is profiler
+        # A component built against the view afterwards reports to them.
+        _watched_drive(view, reads=(11,))
+        assert "n0" in obs.profiler.summary_dict()["per_node"]

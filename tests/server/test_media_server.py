@@ -1,5 +1,7 @@
 """End-to-end tests for the MediaServer front end."""
 
+import itertools
+
 import pytest
 
 from repro.api import (
@@ -276,6 +278,132 @@ class TestBatchedServe:
     def test_serve_refuses_untyped_requests(self, server):
         with pytest.raises(ParameterError):
             server.serve(["not-a-request"])
+
+
+class TestLeaderHandover:
+    """A batch is one physical stream: when its leader stops or pauses
+    destructively, the slot (or the cache pins) moves to a live follower
+    instead of leaving the followers to read unadmitted."""
+
+    MEMBERS = ("C0001", "C0002", "C0003")
+
+    @staticmethod
+    def _held_batch(server, seconds=1.0):
+        """Three opens in one batch, none playing yet."""
+        rope_id = _rope(server, seconds)
+        result = server.serve([
+            _open(rope_id, client=f"client-{i}", auto_play=False)
+            for i in range(3)
+        ])
+        assert result.batches == 1
+        return server.mrs.msm.admission
+
+    def test_stopped_leader_hands_its_slot_to_a_follower(self, server):
+        controller = self._held_batch(server, seconds=4.0)
+        assert controller.active_count == 1
+        server.stop(StopRequest("C0001"))
+        assert controller.active_count == 1
+        result = server.serve([PlayRequest("C0002"), PlayRequest("C0003")])
+        assert controller.active_count == 0
+        # The one disk pass the two followers share ran on that slot.
+        assert result.cache_stats["misses"] == 30
+        for sid in ("C0002", "C0003"):
+            status = result.status_of(sid)
+            assert status.state is SessionState.COMPLETED
+            assert status.blocks_delivered == 30
+            assert status.batch_leader == "C0002"
+        assert server.channel.calls_by_method() == {"admit": 1, "release": 1}
+
+    def test_destructively_paused_leader_resumes_on_its_own_slot(self, server):
+        controller = self._held_batch(server)
+        server.pause(PauseRequest("C0001", destructive=True))
+        assert controller.active_count == 1
+        assert server.status("C0001").batch_leader == "C0001"
+        assert server.status("C0003").batch_leader == "C0002"
+        server.resume(ResumeRequest("C0001"))
+        assert controller.active_count == 2
+        result = server.serve([PlayRequest("C0002"), PlayRequest("C0003")])
+        assert result.continuous_sessions == 3
+        assert controller.active_count == 0
+
+    def test_cache_admitted_batch_keeps_its_pins(self, server):
+        rope_id = _rope(server)
+        server.serve([_open(rope_id, client="warmer")])
+        held = server.serve([
+            _open(rope_id, client=f"client-{i}", auto_play=False)
+            for i in range(3)
+        ])
+        assert all(status.cache_admitted for status in held.statuses)
+        leader, second, last = (s.session_id for s in held.statuses)
+        pinned = server.cache.pinned_count
+        assert pinned > 0
+        server.stop(StopRequest(leader))
+        assert server.cache.pinned_count == pinned
+        # The heir ends by completing: the last live member holds them.
+        server.serve([PlayRequest(second)])
+        assert server.cache.pinned_count == pinned
+        result = server.serve([PlayRequest(last)])
+        assert result.status_of(last).state is SessionState.COMPLETED
+        assert server.cache.pinned_count == 0
+
+    def test_completed_leader_leaves_its_slot_to_a_waiting_follower(self):
+        # A cache too small to keep the leader's pass: the follower that
+        # plays an epoch later reads the disk again, so it needs the slot.
+        server = build_media_server(cache_blocks=4)
+        controller = self._held_batch(server)
+        server.serve([PlayRequest("C0001")])
+        assert controller.active_count == 1
+        assert server.status("C0002").batch_leader == "C0002"
+        before = server.cache.stats.misses
+        result = server.serve([PlayRequest("C0002"), PlayRequest("C0003")])
+        assert server.cache.stats.misses > before
+        assert result.continuous_sessions == 2
+        assert controller.active_count == 0
+        assert server.channel.calls_by_method() == {"admit": 1, "release": 1}
+
+    def test_leader_without_a_live_follower_releases_as_before(self, server):
+        controller = self._held_batch(server)
+        server.stop(StopRequest("C0002"))
+        server.stop(StopRequest("C0003"))
+        assert controller.active_count == 1
+        server.stop(StopRequest("C0001"))
+        assert controller.active_count == 0
+        assert server.channel.calls_by_method() == {"admit": 1, "release": 1}
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(MEMBERS)))
+    @pytest.mark.parametrize(
+        "verbs", list(itertools.product(("stop", "pause"), repeat=3))
+    )
+    def test_a_batch_holds_one_slot_while_a_member_is_live(
+        self, server, order, verbs
+    ):
+        controller = self._held_batch(server)
+        paused = []
+        for position, (sid, verb) in enumerate(zip(order, verbs)):
+            if verb == "stop":
+                server.stop(StopRequest(sid))
+            else:
+                server.pause(PauseRequest(sid, destructive=True))
+                paused.append(sid)
+            if position < 2:
+                # A member no verb has touched is still live.
+                assert controller.active_count == 1, (order, verbs, sid)
+        assert controller.active_count <= 1
+        # Every paused member resumes — on the slot it was handed, or on
+        # its own if it led and gave it up — or is refused, typed.
+        result = server.serve([ResumeRequest(sid) for sid in paused])
+        for sid in paused:
+            status = server.status(sid)
+            if status.state is SessionState.REJECTED:
+                assert any(
+                    r.session_id == sid and r.reject is not None
+                    for r in result.rejects
+                )
+            else:
+                assert status.state is SessionState.COMPLETED
+                assert status.misses == 0
+        assert controller.active_count == 0
+        assert server.cache.pinned_count == 0
 
 
 class TestCacheAwareAdmission:

@@ -34,6 +34,26 @@ def _run_pytest(args, timeout=300):
     )
 
 
+def _lines_naming(pattern, entries, suffixes, skip=()):
+    """``path:line: text`` of every line matching *pattern* in the files
+    with one of *suffixes* under *entries* (relative paths in *skip*
+    excepted)."""
+    hits = []
+    for entry in entries:
+        root = ROOT / entry
+        for path in [root] if root.is_file() else sorted(root.rglob("*")):
+            relative = str(path.relative_to(ROOT))
+            if (
+                path.suffix not in suffixes
+                or not path.is_file() or relative in skip
+            ):
+                continue
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if pattern.search(line):
+                    hits.append(f"{relative}:{number}: {line.strip()}")
+    return hits
+
+
 class TestBenchmarkSmoke:
     def test_smoke_mode_runs_every_bench(self):
         result = _run_pytest(
@@ -291,21 +311,9 @@ class TestOneWallClockAuthority:
     TEXT_SUFFIXES = {".py", ".md", ".json", ".sh", ".toml", ".txt"}
 
     def test_nothing_names_the_retired_surface(self):
-        hits = []
-        for entry in self.SEARCHED:
-            root = ROOT / entry
-            for path in [root] if root.is_file() else sorted(root.rglob("*")):
-                relative = str(path.relative_to(ROOT))
-                if (
-                    path.suffix not in self.TEXT_SUFFIXES
-                    or not path.is_file() or relative in self.GUARDS
-                ):
-                    continue
-                for number, line in enumerate(
-                    path.read_text().splitlines(), 1
-                ):
-                    if self.RETIRED.search(line):
-                        hits.append(f"{relative}:{number}: {line.strip()}")
+        hits = _lines_naming(
+            self.RETIRED, self.SEARCHED, self.TEXT_SUFFIXES, self.GUARDS
+        )
         assert not hits, "\n".join(hits)
 
     def test_retired_files_and_modules_are_gone(self):
@@ -633,6 +641,35 @@ class TestOneLedgerOfModeledTime:
         }
 
 
+class TestOneRegistry:
+    """A node scope is a label on the shared observer (ISSUE 20): there
+    is no second, node-local copy of any metric, and nothing that
+    existed to write, read or merge one."""
+
+    RETIRED = re.compile(
+        r"_Paired|ScopedRegistry|merge_snapshots|node_snapshot_dicts"
+        r"|merged_node_snapshot_dict"
+    )
+
+    def test_nothing_names_the_retired_federation(self):
+        hits = _lines_naming(self.RETIRED, ("src", "docs"), {".py", ".md"})
+        assert not hits, "\n".join(hits)
+
+    def test_profiling_is_the_cost_profiler_alone(self):
+        import ast
+
+        tree = ast.parse((ROOT / "src/repro/obs/profiling.py").read_text())
+        classes = [
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        ]
+        assert classes == ["CostProfiler"]
+
+    def test_the_recorder_scopes_nothing(self):
+        recorder = (ROOT / "src/repro/obs/recorder.py").read_text()
+        assert ".scoped(" not in recorder
+
+
 class TestColumnarPlans:
     def test_only_the_rope_server_constructs_block_fetches(self):
         """Plans are columns; a per-block object exists only where
@@ -782,11 +819,11 @@ class TestOneWritePath:
 
 
 class TestSourceSize:
-    #: `src/` physical lines, as measured, after the cost profile became
-    #: a view of `DriveStats` / `CacheStats` (ISSUE 19; 25,050 before).
+    #: `src/` physical lines, as measured, after node scopes became a
+    #: label on the one registry (ISSUE 20; 24,918 before).
     #: ROADMAP aim 2: the count trends *down* — lower this when a PR
     #: deletes code, never raise it to make room.
-    SRC_LINE_CEILING = 24918
+    SRC_LINE_CEILING = 24557
 
     def test_src_line_count_stays_under_the_ceiling(self):
         total = sum(
