@@ -19,8 +19,7 @@ from repro.disk import (
 )
 from repro.fs.index import PrimaryEntry, StrandIndex
 from repro.media.frames import frames_for_duration
-from repro.rope import Media, MultimediaRopeServer
-from repro.analysis.experiments import default_msm
+from repro.rope import Media, build_rope_server
 
 PROFILE = TESTBED_1991
 
@@ -80,8 +79,8 @@ def test_admission_decision_speed(benchmark):
 
 
 def test_edit_operation_speed(benchmark):
-    msm = default_msm()
-    mrs = MultimediaRopeServer(msm, auto_repair=False)
+    mrs = build_rope_server()
+    mrs.auto_repair = False
     frames = frames_for_duration(PROFILE.video, 30.0, source="bench")
     q1, rope_a = mrs.record("u", frames=frames)
     mrs.stop(q1)
@@ -102,8 +101,7 @@ def test_edit_operation_speed(benchmark):
 
 
 def test_playback_plan_speed(benchmark):
-    msm = default_msm()
-    mrs = MultimediaRopeServer(msm)
+    mrs = build_rope_server()
     frames = frames_for_duration(PROFILE.video, 60.0, source="bench")
     q, rope_id = mrs.record("u", frames=frames)
     mrs.stop(q)

@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one paper artifact (see DESIGN.md §3) and
-prints its table/series through :func:`emit`.  Because pytest captures
+``bench_experiments.py`` regenerates every row of the claims table
+(:data:`repro.analysis.EXPERIMENTS`, DESIGN.md §3) and prints its report
+through :func:`emit`.  Because pytest captures
 file descriptors during the run, emitted artifacts are buffered and
 flushed into the terminal summary after capture ends — so the rows appear
 in ``pytest benchmarks/ --benchmark-only`` output (and anything it is
@@ -9,7 +10,7 @@ piped to) without requiring ``-s``.
 
 Smoke mode: ``pytest benchmarks --smoke`` shrinks every benchmark's
 workload to the tiny values its :func:`param` calls declare, so a CI
-job can execute each ``bench_e*.py`` end to end in seconds — benches
+job can execute every ``bench_*.py`` end to end in seconds — benches
 can't silently rot between full runs.
 
 Every benchmark run also emits an observability snapshot of the
@@ -65,13 +66,9 @@ def pedantic_args() -> dict:
     return {"rounds": 3, "iterations": 1, "warmup_rounds": 1}
 
 
-def emit(*renderables) -> None:
+def emit(text: str) -> None:
     """Queue experiment output for the post-run terminal summary."""
-    for renderable in renderables:
-        text = renderable if isinstance(renderable, str) else (
-            renderable.render()
-        )
-        _EMITTED.append(text)
+    _EMITTED.append(text)
 
 
 def _emit_obs_snapshot() -> None:

@@ -28,6 +28,9 @@ echo "== smoke experiment matrix =="
 python -m repro expt run --smoke --out results/smoke
 python -m repro expt gate --manifest results/smoke/matrix.json
 
+echo "== claims table (every E-series shape verdict green) =="
+python -m repro experiments >/dev/null
+
 echo "== cluster smoke scenario (no rejects, every handoff clean) =="
 python -m repro run --scenario cluster-scale --smoke --json | python -c '
 import json, sys

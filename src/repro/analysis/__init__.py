@@ -1,67 +1,16 @@
-"""Experiment drivers and report rendering for the reproduction."""
+"""The claims table (one row per reproduced experiment) and its rendering."""
 
-from repro.analysis.ablations import (
-    ablate_block_size,
-    ablate_copy_budget,
-    ablate_granularity,
-)
-from repro.analysis.experiments import (
-    default_msm,
-    e1_architectures,
-    e2_k_vs_n,
-    e3_transition,
-    e4_allocation,
-    e5_buffering,
-    e6_mixed_media,
-    e7_hdtv,
-    e8_edit_copy,
-    e9_rope_ops,
-    e10_silence,
-    e11_symbols,
-    e12_prototype,
-    fetches_with_gap,
-)
-from repro.analysis.extensions import (
-    e13_variable_rate,
-    e14_scan_ordering,
-    e15_reorganization,
-    e16_variable_speed,
-    e17_striping,
-    e18_antijitter,
-    e19_unified_server,
-    e20_heterogeneous_k,
-    e21_record_and_play,
-)
-from repro.analysis.report import Table, format_cell, render_series
+from repro.analysis.claims import EXPERIMENTS, Experiment, select
+from repro.analysis.experiments import fetches_with_gap
+from repro.analysis.report import Result, Table, format_cell, render_series
 
 __all__ = [
-    "ablate_block_size",
-    "ablate_copy_budget",
-    "ablate_granularity",
-    "e13_variable_rate",
-    "e14_scan_ordering",
-    "e15_reorganization",
-    "e16_variable_speed",
-    "e17_striping",
-    "e18_antijitter",
-    "e19_unified_server",
-    "e20_heterogeneous_k",
-    "e21_record_and_play",
+    "EXPERIMENTS",
+    "Experiment",
+    "Result",
     "Table",
-    "default_msm",
-    "e1_architectures",
-    "e2_k_vs_n",
-    "e3_transition",
-    "e4_allocation",
-    "e5_buffering",
-    "e6_mixed_media",
-    "e7_hdtv",
-    "e8_edit_copy",
-    "e9_rope_ops",
-    "e10_silence",
-    "e11_symbols",
-    "e12_prototype",
     "fetches_with_gap",
     "format_cell",
     "render_series",
+    "select",
 ]

@@ -15,17 +15,15 @@ operating point:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
-from repro.analysis.report import Table
-from repro.config import TESTBED_1991, HardwareProfile
+from repro.analysis.experiments import PROFILE
+from repro.analysis.report import Result, Table
 from repro.core import admission as adm
 from repro.core import continuity
 from repro.core.continuity import Architecture
 from repro.core.granularity import scattering_lower_bound
 from repro.core.symbols import DisplayDeviceParameters, video_block_model
 from repro.disk import TESTBED_DRIVE, build_drive
+from repro.errors import AdmissionRejected
 
 __all__ = [
     "ablate_granularity",
@@ -34,20 +32,9 @@ __all__ = [
 ]
 
 
-@dataclass
-class AblationResult:
-    """One ablation's table plus the swept values for assertions."""
-
-    table: Table
-    series: Dict[object, object]
-
-
-def ablate_granularity(
-    profile: HardwareProfile = TESTBED_1991,
-) -> AblationResult:
+def ablate_granularity() -> Result:
     """Sweep η: scattering bound, capacity, startup cost, buffer bits."""
-    drive = build_drive()
-    params = drive.parameters()
+    params = build_drive().parameters()
     table = Table(
         title="Ablation: storage granularity η (frames/block)",
         columns=[
@@ -55,11 +42,10 @@ def ablate_granularity(
             "device buffer (Kbit, pipelined)",
         ],
     )
-    series: Dict[int, Dict[str, float]] = {}
     for eta in (1, 2, 4, 8):
-        block = video_block_model(profile.video, eta)
+        block = video_block_model(PROFILE.video, eta)
         device = DisplayDeviceParameters(
-            display_rate=profile.video_device.display_rate,
+            display_rate=PROFILE.video_device.display_rate,
             buffer_frames=2 * eta,
         )
         bound = continuity.max_scattering(
@@ -75,27 +61,21 @@ def ablate_granularity(
         )
         try:
             k_at_capacity = adm.k_transition(at_capacity)
-        except Exception:
+        except AdmissionRejected:
             k_at_capacity = None
-        buffer_bits = 2 * eta * profile.video.frame_size / 1e3
+        buffer_bits = 2 * eta * PROFILE.video.frame_size / 1e3
         table.add_row(
             eta, bound * 1e3, capacity, k_at_capacity, buffer_bits
         )
-        series[eta] = {
-            "bound": bound, "n_max": capacity,
-        }
-    return AblationResult(table=table, series=series)
+    return Result((table,))
 
 
-def ablate_copy_budget(
-    profile: HardwareProfile = TESTBED_1991,
-) -> AblationResult:
+def ablate_copy_budget() -> Result:
     """Sweep the §4.2 copy budget: lower bound vs placement window."""
-    drive = build_drive()
-    params = drive.parameters()
-    block = video_block_model(profile.video, 4)
+    params = build_drive().parameters()
+    block = video_block_model(PROFILE.video, 4)
     upper = continuity.max_scattering(
-        Architecture.PIPELINED, block, params, profile.video_device
+        Architecture.PIPELINED, block, params, PROFILE.video_device
     )
     table = Table(
         title="Ablation: editing copy budget C_b (blocks per seam repair)",
@@ -104,7 +84,6 @@ def ablate_copy_budget(
             "window (ms)", "window feasible",
         ],
     )
-    series: Dict[int, float] = {}
     for budget in (1, 2, 4, 8, 16, 0):
         lower = scattering_lower_bound(params, budget)
         window = upper - lower
@@ -112,13 +91,10 @@ def ablate_copy_budget(
             budget if budget else "unbounded",
             lower * 1e3, upper * 1e3, window * 1e3, window > 0,
         )
-        series[budget] = window
-    return AblationResult(table=table, series=series)
+    return Result((table,))
 
 
-def ablate_block_size(
-    profile: HardwareProfile = TESTBED_1991,
-) -> AblationResult:
+def ablate_block_size() -> Result:
     """Sweep the disk block-slot size (sectors/block).
 
     Bigger slots amortize positioning over more payload (higher effective
@@ -133,8 +109,7 @@ def ablate_block_size(
             "audio waste (fraction of slot)",
         ],
     )
-    series: Dict[int, float] = {}
-    audio_block_bits = 2048 * profile.audio.sample_size
+    audio_block_bits = 2048 * PROFILE.audio.sample_size
     for sectors in (16, 32, 64, 128):
         drive = build_drive(TESTBED_DRIVE, sectors_per_block=sectors)
         params = drive.parameters()
@@ -146,5 +121,4 @@ def ablate_block_size(
             sectors, drive.block_bits / 1e3, drive.slots,
             throughput / 1e6, waste,
         )
-        series[sectors] = throughput
-    return AblationResult(table=table, series=series)
+    return Result((table,))

@@ -1,4 +1,4 @@
-"""Experiment drivers beyond the paper's published evaluation.
+"""E13–E22: ``measure`` functions beyond the paper's published evaluation.
 
 The §6.2 future-work directions and several claims the paper makes in
 prose but never measures, each implemented and driven end to end:
@@ -20,25 +20,46 @@ prose but never measures, each implemented and driven end to end:
 * **E20** — the general Eq.-(11) per-request-k admission
   (:func:`repro.core.admission.solve_heterogeneous_k`);
 * **E21** — concurrent storage + retrieval in one round loop
-  (:mod:`repro.service.mixed_rounds`).
+  (:mod:`repro.service.mixed_rounds`);
+* **E22** — glitch rate vs injected fault rate, with and without retry
+  recovery (:mod:`repro.faults`; no paper counterpart).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+import random
+from typing import List
 
-from repro.analysis.experiments import equal_streams, fetches_with_gap
-from repro.analysis.report import Table
-from repro.config import TESTBED_1991, HardwareProfile
+from repro.analysis.experiments import (
+    PROFILE,
+    equal_streams,
+    fetches_with_gap,
+)
+from repro.analysis.report import Result, Table
 from repro.core import admission as adm
-from repro.core.symbols import video_block_model
+from repro.core import continuity
+from repro.core.continuity import Architecture
+from repro.core.symbols import BlockModel, VideoStream, video_block_model
 from repro.core.variable_rate import group_read_ahead, vbr_gain
-from repro.disk import ScatterBounds, build_drive
-from repro.fs import MultimediaStorageManager
+from repro.disk import (
+    ConstrainedScatterAllocator,
+    FreeMap,
+    ScatterBounds,
+    StrandPlacer,
+    build_array,
+    build_drive,
+)
+from repro.errors import AdmissionRejected
+from repro.faults import FaultInjector, FaultPlan, RecoveryPolicy
 from repro.fs.reorganize import Reorganizer
+from repro.fs.striped import StripedStorageManager
 from repro.media import frames_for_duration
 from repro.media.codec import DifferencingCodec
+from repro.rope import build_rope_server
+from repro.rope.server import FetchColumns
+from repro.service import simulate_concurrent, simulate_pipelined
+from repro.service.besteffort import TextRequest, UnifiedService
+from repro.service.mixed_rounds import MixedRoundService, RecordStream
 from repro.service.rounds import RoundRobinService, StreamState
 from repro.service.scan_order import (
     ScanOrderService,
@@ -48,6 +69,7 @@ from repro.service.scan_order import (
 from repro.service.variable_speed import simulate_variable_speed
 
 __all__ = [
+    "E22_BLOCKS",
     "e13_variable_rate",
     "e14_scan_ordering",
     "e15_reorganization",
@@ -57,27 +79,16 @@ __all__ = [
     "e19_unified_server",
     "e20_heterogeneous_k",
     "e21_record_and_play",
+    "e22_fault_recovery",
 ]
 
-
-# ---------------------------------------------------------------------------
-# E13 — §6.2: variable-rate compression bounds
-# ---------------------------------------------------------------------------
-
-@dataclass
-class E13Result:
-    """CBR vs VBR scattering bounds per granularity."""
-
-    table: Table
-    gains: Dict[int, float]
+#: Blocks each E22 sweep point plays (its glitch rates are counts / this).
+E22_BLOCKS = 120
 
 
-def e13_variable_rate(
-    profile: HardwareProfile = TESTBED_1991,
-) -> E13Result:
+def e13_variable_rate() -> Result:
     """Quantify §6.2: differencing compression widens the bounds."""
-    drive = build_drive()
-    params = drive.parameters()
+    params = build_drive().parameters()
     codec = DifferencingCodec(key_ratio=2.0, diff_ratio=20.0, group_size=10)
     table = Table(
         title="E13: variable-rate compression bounds (§6.2 extension)",
@@ -86,9 +97,8 @@ def e13_variable_rate(
             "VBR averaged (ms)", "gain", "read-ahead (blocks)",
         ],
     )
-    gains: Dict[int, float] = {}
     for granularity in (1, 2, 4):
-        comparison = vbr_gain(profile.video, codec, granularity, params)
+        comparison = vbr_gain(PROFILE.video, codec, granularity, params)
         table.add_row(
             granularity,
             comparison.cbr_bound * 1e3,
@@ -97,32 +107,11 @@ def e13_variable_rate(
             comparison.gain,
             group_read_ahead(comparison.profile),
         )
-        gains[granularity] = comparison.gain
-    return E13Result(table=table, gains=gains)
+    return Result((table,))
 
 
-# ---------------------------------------------------------------------------
-# E14 — §6.2: seek-minimizing service order
-# ---------------------------------------------------------------------------
-
-@dataclass
-class E14Result:
-    """Round-time and capacity comparison: round-robin vs SCAN order."""
-
-    table: Table
-    rr_mean_round: float
-    scan_mean_round: float
-    analytic_n_max: int
-    measured_n_max: int
-
-
-def e14_scan_ordering(
-    profile: HardwareProfile = TESTBED_1991,
-    n: int = 3,
-    k: int = 12,
-    blocks: int = 120,
-) -> E14Result:
-    """Service n regional streams under both orderings (§6.2).
+def e14_scan_ordering() -> Result:
+    """Service 3 regional streams under both orderings (§6.2).
 
     Streams live in different disk regions (as real strands do), and the
     round-robin arrival order is adversarial (low, high, mid, ...), so
@@ -130,16 +119,14 @@ def e14_scan_ordering(
     round.  The measured per-stream cost then supports a capacity
     estimate above Eq. (17)'s pessimistic one.
     """
-    block = video_block_model(profile.video, 1)
+    n, k, blocks = 3, 12, 120
+    block = video_block_model(PROFILE.video, 1)
 
     def regional_streams(drive) -> List[StreamState]:
-        regions = list(range(n))
         # Adversarial arrival order: alternate far ends.
-        order = sorted(regions, key=lambda r: (r % 2, r))
+        order = sorted(range(n), key=lambda r: (r % 2, r))
         order = [order[i // 2] if i % 2 == 0 else order[-(i // 2 + 1)]
                  for i in range(len(order))]
-        from repro.rope.server import FetchColumns
-
         streams = []
         for i, region in enumerate(order[:n]):
             base_slot = region * drive.slots // n
@@ -171,10 +158,6 @@ def e14_scan_ordering(
     descriptor = adm.RequestDescriptor(
         block=block, scattering_avg=params.seek_avg
     )
-    analytic = adm.n_max(adm.service_parameters([descriptor], params))
-    measured = measured_capacity(
-        block.playback_duration, k, scan_probe.worst, n
-    )
     table = Table(
         title="E14: request-service ordering (§6.2 extension)",
         columns=[
@@ -184,38 +167,16 @@ def e14_scan_ordering(
     )
     table.add_row(
         "round-robin (paper)", rr_probe.mean * 1e3, rr_probe.worst * 1e3,
-        analytic,
+        adm.n_max(adm.service_parameters([descriptor], params)),
     )
     table.add_row(
         "SCAN-ordered", scan_probe.mean * 1e3, scan_probe.worst * 1e3,
-        measured,
+        measured_capacity(block.playback_duration, k, scan_probe.worst, n),
     )
-    return E14Result(
-        table=table,
-        rr_mean_round=rr_probe.mean,
-        scan_mean_round=scan_probe.mean,
-        analytic_n_max=analytic,
-        measured_n_max=measured,
-    )
+    return Result((table,))
 
 
-# ---------------------------------------------------------------------------
-# E15 — §6.2: storage reorganization
-# ---------------------------------------------------------------------------
-
-@dataclass
-class E15Result:
-    """Reorganization outcome on a fragmented, dense disk."""
-
-    table: Table
-    feasible_before: bool
-    feasible_after: bool
-    blocks_moved: int
-
-
-def e15_reorganization(
-    profile: HardwareProfile = TESTBED_1991,
-) -> E15Result:
+def e15_reorganization() -> Result:
     """Fill and fragment the disk until placement fails, then reorganize.
 
     Strands are placed with a *minimum* spacing (a real §4.2 copy budget)
@@ -223,15 +184,12 @@ def e15_reorganization(
     strand's scattering window cannot be satisfied; reorganization
     migrates the survivors compactly and the placement succeeds.
     """
-    drive = build_drive()
-    msm = MultimediaStorageManager(
-        drive, profile.video, profile.audio, profile.video_device,
-        profile.audio_device,
-    )
+    msm = build_rope_server().msm
+    drive = msm.drive
     # Fill most of the disk with short strands (each packs ~60 adjacent
     # slots under the default policy)...
     strands = []
-    clip = frames_for_duration(profile.video, 8.0, source="filler")
+    clip = frames_for_duration(PROFILE.video, 8.0, source="filler")
     while msm.occupancy < 0.72:
         strands.append(msm.store_video_strand(clip))
     # ... then delete every second one: free space is plentiful (~40 %)
@@ -242,15 +200,14 @@ def e15_reorganization(
     # upper bound (hops of at most ~3 cylinders).  No fragmented free run
     # is long enough, so placement fails until the survivors are
     # migrated into one compact region.
-    rotation = drive.rotation.average_latency
     tight = ScatterBounds(
-        0.0, rotation + drive.seek_model.seek_time(3) + 1e-6
+        0.0,
+        drive.rotation.average_latency + drive.seek_model.seek_time(3) + 1e-6,
     )
     reorganizer = Reorganizer(msm)
     target_blocks = 160
     feasible_before = reorganizer.placement_feasible(target_blocks, tight)
     report = reorganizer.make_room(target_blocks, tight)
-    feasible_after = report.success
     table = Table(
         title="E15: storage reorganization on a dense disk (§6.2 extension)",
         columns=["quantity", "value"],
@@ -259,33 +216,13 @@ def e15_reorganization(
     table.add_row("placement feasible before", feasible_before)
     table.add_row("strands migrated", report.strands_migrated)
     table.add_row("blocks moved", report.blocks_moved)
-    table.add_row("placement feasible after", feasible_after)
-    return E15Result(
-        table=table,
-        feasible_before=feasible_before,
-        feasible_after=feasible_after,
-        blocks_moved=report.blocks_moved,
-    )
+    table.add_row("placement feasible after", report.success)
+    return Result((table,))
 
 
-# ---------------------------------------------------------------------------
-# E16 — §3.3.2: variable-speed playback behaviours
-# ---------------------------------------------------------------------------
-
-@dataclass
-class E16Result:
-    """Fast-forward / slow-motion behaviour table."""
-
-    table: Table
-    rows: Dict[str, object]
-
-
-def e16_variable_speed(
-    profile: HardwareProfile = TESTBED_1991,
-    blocks: int = 120,
-) -> E16Result:
+def e16_variable_speed() -> Result:
     """Drive the §3.3.2 variable-speed claims end to end."""
-    block = video_block_model(profile.video, 4)
+    block = video_block_model(PROFILE.video, 4)
     table = Table(
         title="E16: variable-speed playback (§3.3.2)",
         columns=[
@@ -293,12 +230,15 @@ def e16_variable_speed(
             "task switches", "disk idle (s)",
         ],
     )
-    rows: Dict[str, object] = {}
-
-    def run(label: str, speed: float, skipping: bool, capacity: int):
+    for label, speed, skipping, capacity in (
+        ("normal (1x)", 1.0, False, 8),
+        ("fast-forward 2x, skipping", 2.0, True, 8),
+        ("fast-forward 2x, no skip", 2.0, False, 16),
+        ("slow motion 0.5x", 0.5, False, 8),
+    ):
         drive = build_drive()
         fetches = fetches_with_gap(
-            drive, blocks, drive.parameters().seek_avg,
+            drive, 120, drive.parameters().seek_avg,
             block.block_bits, block.playback_duration,
         )
         result = simulate_variable_speed(
@@ -310,53 +250,23 @@ def e16_variable_speed(
             result.buffer_high_water, result.task_switches,
             result.switch_idle_time,
         )
-        rows[label] = result
-        return result
-
-    run("normal (1x)", 1.0, False, 8)
-    run("fast-forward 2x, skipping", 2.0, True, 8)
-    run("fast-forward 2x, no skip", 2.0, False, 16)
-    run("slow motion 0.5x", 0.5, False, 8)
-    return E16Result(table=table, rows=rows)
+    return Result((table,))
 
 
-# ---------------------------------------------------------------------------
-# E17 — Fig. 3 end to end: striped storage on a multi-head array
-# ---------------------------------------------------------------------------
-
-@dataclass
-class E17Result:
-    """Striped-storage outcome per head count."""
-
-    table: Table
-    misses_by_heads: Dict[int, int]
-    bounds_by_heads: Dict[int, float]
-
-
-def e17_striping(
-    profile: HardwareProfile = TESTBED_1991,
-    frame_rate: float = 45.0,
-    seconds: float = 5.0,
-) -> E17Result:
+def e17_striping() -> Result:
     """Store and play a demanding stream at increasing stripe widths.
 
-    The stream (45 fps, granularity 1) leaves a single testbed drive no
-    slack — its pipelined placement works but an unconstrained one does
-    not, and higher rates would be outright infeasible.  Striping over p
-    heads multiplies the per-head budget by (p−1); the experiment stores
-    the same stream through :class:`StripedStorageManager` at p = 2, 4, 8
-    and plays it back concurrently, reporting the per-member scattering
-    bound and the measured misses (all zero — Fig. 3 realized through the
-    storage manager, not synthetic placements).
+    The stream (45 fps, granularity 1, 5 s) leaves a single testbed drive
+    no slack — its pipelined placement works but an unconstrained one
+    does not, and higher rates would be outright infeasible.  Striping
+    over p heads multiplies the per-head budget by (p−1); the experiment
+    stores the same stream through :class:`StripedStorageManager` at
+    p = 2, 4, 8 and plays it back concurrently, reporting the per-member
+    scattering bound and the measured misses (all zero — Fig. 3 realized
+    through the storage manager, not synthetic placements).
     """
-    from repro.core.symbols import VideoStream
-    from repro.fs.striped import StripedStorageManager
-    from repro.service import simulate_concurrent
-
-    stream = VideoStream(
-        frame_rate=frame_rate, frame_size=profile.video.frame_size
-    )
-    frames = frames_for_duration(stream, seconds, source="stripe")
+    stream = VideoStream(frame_rate=45.0, frame_size=PROFILE.video.frame_size)
+    frames = frames_for_duration(stream, 5.0, source="stripe")
     table = Table(
         title="E17: striped storage on multi-head arrays (Fig. 3 end to end)",
         columns=[
@@ -364,14 +274,10 @@ def e17_striping(
             "misses", "continuous",
         ],
     )
-    misses: Dict[int, int] = {}
-    bounds: Dict[int, float] = {}
-    from repro.disk import build_array
-
     for heads in (2, 4, 8):
         array = build_array(heads=heads)
         manager = StripedStorageManager(
-            array, stream, profile.video_device, granularity=1
+            array, stream, PROFILE.video_device, granularity=1
         )
         strand = manager.store_video_strand(frames)
         metrics, _ = simulate_concurrent(
@@ -381,30 +287,10 @@ def e17_striping(
             heads, manager.scattering_upper * 1e3, strand.block_count,
             metrics.misses, metrics.continuous,
         )
-        misses[heads] = metrics.misses
-        bounds[heads] = manager.scattering_upper
-    return E17Result(
-        table=table, misses_by_heads=misses, bounds_by_heads=bounds
-    )
+    return Result((table,))
 
 
-# ---------------------------------------------------------------------------
-# E18 — §3.3.1: strict vs average continuity under timing jitter
-# ---------------------------------------------------------------------------
-
-@dataclass
-class E18Result:
-    """Anti-jitter read-ahead outcome under randomized rotation."""
-
-    table: Table
-    misses_by_readahead: Dict[int, int]
-
-
-def e18_antijitter(
-    profile: HardwareProfile = TESTBED_1991,
-    blocks: int = 300,
-    seed: int = 31,
-) -> E18Result:
+def e18_antijitter() -> Result:
     """Demonstrate §3.3.1: jitter breaks strict continuity; read-ahead
     restores average continuity.
 
@@ -416,12 +302,7 @@ def e18_antijitter(
     we can relax the continuity requirements so as to satisfy it on an
     average" — a k-block read-ahead absorbs the variation entirely.
     """
-    import random as _random
-
-    from repro.disk import build_drive as _build
-    from repro.service import simulate_pipelined
-
-    block = video_block_model(profile.video, 1)
+    block = video_block_model(PROFILE.video, 1)
     table = Table(
         title="E18: anti-jitter read-ahead under randomized rotation "
               "(§3.3.1)",
@@ -430,21 +311,14 @@ def e18_antijitter(
             "startup latency (ms)",
         ],
     )
-    misses: Dict[int, int] = {}
-
-    def run(read_ahead: int):
-        rng = _random.Random(seed)
-        drive = _build(randomized_rotation=True, rng=rng)
-        params = drive.parameters()
-        from repro.core import continuity as _continuity
-
-        bound = _continuity.max_scattering(
-            _continuity.Architecture.PIPELINED, block, params,
-            profile.video_device,
+    for read_ahead in (0, 1, 2, 4, 8):
+        drive = build_drive(randomized_rotation=True, rng=random.Random(31))
+        bound = continuity.max_scattering(
+            Architecture.PIPELINED, block, drive.parameters(),
+            PROFILE.video_device,
         )
         fetches = fetches_with_gap(
-            drive, blocks, bound, block.block_bits,
-            block.playback_duration,
+            drive, 300, bound, block.block_bits, block.playback_duration
         )
         metrics, _ = simulate_pipelined(
             fetches, drive, read_ahead=read_ahead
@@ -453,32 +327,10 @@ def e18_antijitter(
             read_ahead, metrics.misses, metrics.miss_ratio,
             metrics.startup_latency * 1e3,
         )
-        misses[read_ahead] = metrics.misses
-
-    for read_ahead in (0, 1, 2, 4, 8):
-        run(read_ahead)
-    return E18Result(table=table, misses_by_readahead=misses)
+    return Result((table,))
 
 
-# ---------------------------------------------------------------------------
-# E19 — §3: the unified media + text file server
-# ---------------------------------------------------------------------------
-
-@dataclass
-class E19Result:
-    """Unified-server outcome: media guarantee + text throughput."""
-
-    table: Table
-    media_misses_by_load: Dict[int, int]
-    text_served_by_load: Dict[int, int]
-
-
-def e19_unified_server(
-    profile: HardwareProfile = TESTBED_1991,
-    media_blocks: int = 80,
-    text_blocks: int = 200,
-    k: int = 4,
-) -> E19Result:
+def e19_unified_server() -> Result:
     """Serve text files from the media server's slack (§3).
 
     "A common file server can ... integrate the functions of both a
@@ -487,10 +339,8 @@ def e19_unified_server(
     leftover Eq.-(11) budget, so the real-time guarantee is preserved by
     construction; text throughput falls as the media load grows.
     """
-    from repro.service.besteffort import TextRequest, UnifiedService
-    from repro.service.rounds import StreamState
-
-    block = video_block_model(profile.video, 4)
+    media_blocks, text_blocks, k = 80, 200, 4
+    block = video_block_model(PROFILE.video, 4)
     table = Table(
         title="E19: unified media + text service (§3)",
         columns=[
@@ -498,8 +348,6 @@ def e19_unified_server(
             "text share of round budget",
         ],
     )
-    media_misses: Dict[int, int] = {}
-    text_served: Dict[int, int] = {}
     for n in (0, 1, 2):
         drive = build_drive()
         streams = equal_streams(
@@ -523,31 +371,10 @@ def e19_unified_server(
             misses = 0
             share = 1.0
         table.add_row(n, misses, service.text_blocks_served, share)
-        media_misses[n] = misses
-        text_served[n] = service.text_blocks_served
-    return E19Result(
-        table=table,
-        media_misses_by_load=media_misses,
-        text_served_by_load=text_served,
-    )
+    return Result((table,))
 
 
-# ---------------------------------------------------------------------------
-# E20 — Eq. (11) in full generality: per-request k for mixed workloads
-# ---------------------------------------------------------------------------
-
-@dataclass
-class E20Result:
-    """Uniform-average vs heterogeneous-k admission on mixed workloads."""
-
-    table: Table
-    uniform_admitted: Dict[str, bool]
-    heterogeneous_admitted: Dict[str, bool]
-
-
-def e20_heterogeneous_k(
-    profile: HardwareProfile = TESTBED_1991,
-) -> E20Result:
+def e20_heterogeneous_k() -> Result:
     """Solve Eq. (11) per request instead of averaging (§3.4's general
     formulation, which the paper leaves open).
 
@@ -557,35 +384,19 @@ def e20_heterogeneous_k(
     easily serve.  The per-request solver admits them with small k_i for
     audio and larger k_i for video, verified against the exact Eq. (11).
     """
-    from repro.core.admission import (
-        RequestDescriptor,
-        k_transition,
-        round_feasible,
-        service_parameters,
-        solve_heterogeneous_k,
+    params = build_drive().parameters()
+    video_req = adm.RequestDescriptor(
+        block=video_block_model(PROFILE.video, 4),
+        scattering_avg=params.seek_avg,
     )
-    from repro.core.symbols import BlockModel
-
-    drive = build_drive()
-    params_disk = drive.parameters()
-    video_block = video_block_model(profile.video, 4)
-    audio_block = BlockModel(
-        unit_rate=profile.audio.sample_rate,
-        unit_size=profile.audio.sample_size,
-        granularity=4096,
+    audio_req = adm.RequestDescriptor(
+        block=BlockModel(
+            unit_rate=PROFILE.audio.sample_rate,
+            unit_size=PROFILE.audio.sample_size,
+            granularity=4096,
+        ),
+        scattering_avg=params.seek_avg,
     )
-    video_req = RequestDescriptor(
-        block=video_block, scattering_avg=params_disk.seek_avg
-    )
-    audio_req = RequestDescriptor(
-        block=audio_block, scattering_avg=params_disk.seek_avg
-    )
-    mixes = {
-        "3 video": [video_req] * 3,
-        "2 video + 4 audio": [video_req] * 2 + [audio_req] * 4,
-        "1 video + 10 audio": [video_req] + [audio_req] * 10,
-        "16 audio": [audio_req] * 16,
-    }
     table = Table(
         title="E20: uniform-average vs per-request k (Eq. 11 in full)",
         columns=[
@@ -593,49 +404,27 @@ def e20_heterogeneous_k(
             "k values", "Eq. 11 verified",
         ],
     )
-    uniform: Dict[str, bool] = {}
-    heterogeneous: Dict[str, bool] = {}
-    for name, mix in mixes.items():
+    for name, mix in (
+        ("3 video", [video_req] * 3),
+        ("2 video + 4 audio", [video_req] * 2 + [audio_req] * 4),
+        ("1 video + 10 audio", [video_req] + [audio_req] * 10),
+        ("16 audio", [audio_req] * 16),
+    ):
         try:
-            k_transition(service_parameters(mix, params_disk))
+            adm.k_transition(adm.service_parameters(mix, params))
             uniform_ok = True
-        except Exception:
+        except AdmissionRejected:
             uniform_ok = False
-        ks = solve_heterogeneous_k(mix, params_disk)
-        hetero_ok = ks is not None
-        verified = (
-            round_feasible(mix, params_disk, ks) if hetero_ok else False
+        ks = adm.solve_heterogeneous_k(mix, params)
+        table.add_row(
+            name, uniform_ok, ks is not None,
+            "-" if ks is None else ",".join(str(k) for k in sorted(set(ks))),
+            ks is not None and adm.round_feasible(mix, params, ks),
         )
-        k_display = (
-            "-" if ks is None else ",".join(str(k) for k in sorted(set(ks)))
-        )
-        table.add_row(name, uniform_ok, hetero_ok, k_display, verified)
-        uniform[name] = uniform_ok
-        heterogeneous[name] = hetero_ok
-    return E20Result(
-        table=table,
-        uniform_admitted=uniform,
-        heterogeneous_admitted=heterogeneous,
-    )
+    return Result((table,))
 
 
-# ---------------------------------------------------------------------------
-# E21 — §3/§3.4: concurrent storage + retrieval
-# ---------------------------------------------------------------------------
-
-@dataclass
-class E21Result:
-    """Concurrent record+play outcomes across load levels."""
-
-    table: Table
-    misses_by_load: Dict[str, int]
-
-
-def e21_record_and_play(
-    profile: HardwareProfile = TESTBED_1991,
-    blocks: int = 40,
-    k: int = 4,
-) -> E21Result:
+def e21_record_and_play() -> Result:
     """Serve RECORD and PLAY requests in the same rounds (§3.4).
 
     The admission analysis covers "storage/retrieval requests" uniformly
@@ -645,16 +434,8 @@ def e21_record_and_play(
     recording side first (capture cannot be paused, so staging overruns
     are where overload surfaces).
     """
-    from repro.disk import (
-        ConstrainedScatterAllocator,
-        FreeMap,
-        ScatterBounds,
-        StrandPlacer,
-    )
-    from repro.service.mixed_rounds import MixedRoundService, RecordStream
-    from repro.service.rounds import StreamState
-
-    block = video_block_model(profile.video, 4)
+    blocks, k = 40, 4
+    block = video_block_model(PROFILE.video, 4)
     table = Table(
         title="E21: concurrent storage + retrieval (§3.4)",
         columns=[
@@ -662,26 +443,27 @@ def e21_record_and_play(
             "all continuous",
         ],
     )
-    misses: Dict[str, int] = {}
-
-    def run(label: str, players: int, recorders: int, capacity: int):
+    for label, players, recorders, capacity in (
+        ("1 record + 1 play", 1, 1, 4),
+        ("1 record + 2 play", 2, 1, 4),
+        ("2 record + 1 play", 1, 2, 4),
+        ("overload: 1-block staging, 3 play", 3, 1, 1),
+    ):
         drive = build_drive()
-        freemap = FreeMap(drive.slots)
         bounds = ScatterBounds(0.0, drive.rotation.average_latency + 0.01)
         placer = StrandPlacer(
-            drive, ConstrainedScatterAllocator(drive, freemap, bounds)
+            drive,
+            ConstrainedScatterAllocator(drive, FreeMap(drive.slots), bounds),
         )
-        records = []
-        for i in range(recorders):
-            placement = placer.place(blocks)
-            records.append(
-                RecordStream(
-                    request_id=f"rec{i}",
-                    slots=placement.slots,
-                    block_period=block.playback_duration,
-                    staging_capacity=capacity,
-                )
+        records = [
+            RecordStream(
+                request_id=f"rec{i}",
+                slots=placer.place(blocks).slots,
+                block_period=block.playback_duration,
+                staging_capacity=capacity,
             )
+            for i in range(recorders)
+        ]
         plays = equal_streams(
             drive, players, blocks, drive.parameters().seek_avg, block,
             2 * k, prefix="play",
@@ -701,11 +483,46 @@ def e21_record_and_play(
             label, play_misses, record_misses,
             play_misses + record_misses == 0,
         )
-        misses[label] = play_misses + record_misses
+    return Result((table,))
 
-    run("1 record + 1 play", players=1, recorders=1, capacity=4)
-    run("1 record + 2 play", players=2, recorders=1, capacity=4)
-    run("2 record + 1 play", players=1, recorders=2, capacity=4)
-    run("overload: 1-block staging, 3 play", players=3, recorders=1,
-        capacity=1)
-    return E21Result(table=table, misses_by_load=misses)
+
+def e22_fault_recovery() -> Result:
+    """Sweep the injected fault rate over a fixed playback workload.
+
+    No paper counterpart.  With a retry budget the glitch rate tracks the
+    *defect* rate only (transients are absorbed); with budget 0 it tracks
+    the total fault rate.
+    """
+    slots = list(range(0, E22_BLOCKS * 3, 3))
+    table = Table(
+        title="E22: glitch rate vs fault rate under recovery "
+              f"({E22_BLOCKS} blocks, retry budget 2 vs 0)",
+        columns=[
+            "transient", "defects", "fault rate",
+            "glitch rate (recovered)", "glitch rate (budget 0)", "retries",
+        ],
+    )
+
+    def play(transient: int, defects: int, budget: int):
+        drive = build_drive()
+        drive.attach_injector(FaultInjector(FaultPlan.random(
+            seed=22, slots=slots, transient=transient, defects=defects
+        )))
+        metrics, _ = simulate_pipelined(
+            FetchColumns.uniform(slots, drive.block_bits, 0.1334),
+            drive,
+            read_ahead=2,
+            recovery=RecoveryPolicy(retry_budget=budget),
+        )
+        return metrics, drive.stats
+
+    for transient, defects in (
+        (0, 0), (3, 1), (6, 2), (12, 4), (24, 8), (48, 16)
+    ):
+        recovered, stats = play(transient, defects, budget=2)
+        bare, _ = play(transient, defects, budget=0)
+        table.add_row(
+            transient, defects, (transient + defects) / E22_BLOCKS,
+            recovered.miss_ratio, bare.miss_ratio, stats.retries,
+        )
+    return Result((table,))

@@ -1,20 +1,19 @@
 """Plain-text rendering of experiment results (paper-style rows).
 
-Benchmarks print through these helpers so every experiment's output reads
-the same way: a titled table of aligned columns, or an (x, y) series
-rendered one point per line — the closest text analogue of the paper's
-figures.
+Every experiment prints through these helpers so its output reads the
+same way: a titled table of aligned columns, or two of its columns
+rendered one point per line as an (x, y) series — the closest text
+analogue of the paper's figures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 from repro.errors import ParameterError
-from repro.sim.metrics import SweepSeries
 
-__all__ = ["Table", "render_series", "format_cell"]
+__all__ = ["Table", "Result", "render_series", "format_cell"]
 
 Cell = Union[str, int, float, bool, None]
 
@@ -52,6 +51,31 @@ class Table:
             )
         self.rows.append(cells)
 
+    def _index(self, column: str) -> int:
+        try:
+            return list(self.columns).index(column)
+        except ValueError:
+            raise ParameterError(
+                f"table {self.title!r} has no column {column!r}; columns: "
+                f"{', '.join(self.columns)}"
+            ) from None
+
+    def column(self, name: str) -> List[Cell]:
+        """Every cell of the column called *name*, top to bottom."""
+        index = self._index(name)
+        return [row[index] for row in self.rows]
+
+    def cell(self, column: str, row: Cell) -> Cell:
+        """The *column* cell of the row whose first cell equals *row*."""
+        index = self._index(column)
+        for cells in self.rows:
+            if cells[0] == row:
+                return cells[index]
+        raise ParameterError(
+            f"table {self.title!r} has no row {row!r}; rows: "
+            f"{', '.join(format_cell(cells[0]) for cells in self.rows)}"
+        )
+
     def render(self) -> str:
         """The table as aligned text."""
         headers = [str(c) for c in self.columns]
@@ -77,17 +101,35 @@ class Table:
         return self.render()
 
 
-def render_series(series: SweepSeries, width: int = 40) -> str:
-    """Render a sweep series with a crude inline bar chart.
+@dataclass(frozen=True)
+class Result:
+    """What one experiment measured: the table(s) it prints, plus the
+    *facts* no table shows (name → value)."""
 
-    The text analogue of a paper figure: one line per point, with a bar
-    proportional to y (scaled to the series maximum).
+    tables: Tuple[Table, ...]
+    facts: Mapping[str, Cell] = field(default_factory=dict)
+
+    @property
+    def table(self) -> Table:
+        """The experiment's (first) table."""
+        return self.tables[0]
+
+
+def render_series(table: Table, x: str, y: str, width: int = 40) -> str:
+    """Render columns *x* and *y* of *table* with a crude inline bar chart.
+
+    The text analogue of a paper figure: one line per row with a *y*
+    value, with a bar proportional to y (scaled to the column maximum).
     """
-    if not series.xs:
-        return f"{series.name}: (empty)"
-    top = max(abs(y) for y in series.ys) or 1.0
-    lines = [f"{series.name}  ({series.x_label} vs {series.y_label})"]
-    for x, y in zip(series.xs, series.ys):
-        bar = "#" * max(0, int(round(width * abs(y) / top)))
-        lines.append(f"  {format_cell(x):>10}  {format_cell(y):>12}  {bar}")
+    points = [
+        (px, py) for px, py in zip(table.column(x), table.column(y))
+        if py is not None
+    ]
+    if not points:
+        return f"{table.title}: (empty)"
+    top = max(abs(py) for _, py in points) or 1.0
+    lines = [f"{table.title}  ({x} vs {y})"]
+    for px, py in points:
+        bar = "#" * max(0, int(round(width * abs(py) / top)))
+        lines.append(f"  {format_cell(px):>10}  {format_cell(py):>12}  {bar}")
     return "\n".join(lines)

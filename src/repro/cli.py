@@ -7,8 +7,9 @@ Commands
 ``policy [--profile NAME]``
     Show the §3.3.4 placement policies an MSM derives on a profile.
 ``experiments [ID ...]``
-    Run experiment drivers (e1..e21; default: all) and print their
-    tables — the figure-regeneration harness without pytest.
+    Run rows of the claims table (:data:`repro.analysis.EXPERIMENTS`:
+    e1..e22, a1..a3; default: all), print each one's tables and its
+    shape verdict, and exit 1 if any verdict is red.
 ``demo``
     The quickstart flow: derive policy, record a clip, play it back.
 ``run``, ``obs-report``, ``profile``, ``trace-export``
@@ -53,7 +54,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import analysis, scenarios
 from repro.config import PROFILES, get_profile
@@ -65,32 +66,7 @@ from repro.rope import Media, build_rope_server
 from repro.service import PlaybackSession
 from repro.units import format_rate, format_seconds
 
-__all__ = ["main", "EXPERIMENTS"]
-
-#: Experiment registry: id -> driver returning an object with ``.table``.
-EXPERIMENTS: Dict[str, Callable[[], object]] = {
-    "e1": analysis.e1_architectures,
-    "e2": analysis.e2_k_vs_n,
-    "e3": analysis.e3_transition,
-    "e4": analysis.e4_allocation,
-    "e5": analysis.e5_buffering,
-    "e6": analysis.e6_mixed_media,
-    "e7": analysis.e7_hdtv,
-    "e8": analysis.e8_edit_copy,
-    "e9": analysis.e9_rope_ops,
-    "e10": analysis.e10_silence,
-    "e11": analysis.e11_symbols,
-    "e12": analysis.e12_prototype,
-    "e13": analysis.e13_variable_rate,
-    "e14": analysis.e14_scan_ordering,
-    "e15": analysis.e15_reorganization,
-    "e16": analysis.e16_variable_speed,
-    "e17": analysis.e17_striping,
-    "e18": analysis.e18_antijitter,
-    "e19": analysis.e19_unified_server,
-    "e20": analysis.e20_heterogeneous_k,
-    "e21": analysis.e21_record_and_play,
-}
+__all__ = ["main"]
 
 
 def _add_common_options(
@@ -176,23 +152,13 @@ def _cmd_policy(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    ids = args.ids or sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
-    unknown = [i for i in ids if i not in EXPERIMENTS]
-    if unknown:
-        print(
-            f"unknown experiment id(s): {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(EXPERIMENTS, key=lambda e: int(e[1:])))}"
-        )
-        return 2
-    for experiment_id in ids:
-        result = EXPERIMENTS[experiment_id]()
-        print(result.table.render())
-        extra = getattr(result, "gc_behaviour", None)
-        if extra is not None:
-            print()
-            print(extra.render())
+    red = False
+    for row in analysis.select(args.ids):
+        result = row.measure()
+        print(row.report(result))
         print()
-    return 0
+        red = red or bool(row.failed(result))
+    return int(red)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -584,11 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
     policy.set_defaults(handler=_cmd_policy)
 
     experiments = commands.add_parser(
-        "experiments", help="run experiment drivers and print tables"
+        "experiments",
+        help="run rows of the claims table; print tables and verdicts",
     )
     experiments.add_argument(
         "ids", nargs="*",
-        help="experiment ids (e1..e21); default all",
+        help="experiment ids (e1..e22, a1..a3); default all",
     )
     experiments.set_defaults(handler=_cmd_experiments)
 

@@ -36,6 +36,7 @@ from repro.core.symbols import (
     DisplayDeviceParameters,
     VideoStream,
 )
+from repro.errors import ParameterError
 from repro.units import (
     gigabits_per_second,
     kilobytes,
@@ -163,4 +164,6 @@ def get_profile(name: str) -> HardwareProfile:
         return PROFILES[name]
     except KeyError:
         known = ", ".join(sorted(PROFILES))
-        raise KeyError(f"unknown profile {name!r}; known profiles: {known}") from None
+        raise ParameterError(
+            f"unknown profile {name!r}; known profiles: {known}"
+        ) from None

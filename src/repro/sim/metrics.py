@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.errors import ParameterError
-
-__all__ = ["ContinuityMetrics", "SweepSeries"]
+__all__ = ["ContinuityMetrics"]
 
 
 @dataclass
@@ -107,29 +105,3 @@ class ContinuityMetrics:
             f" startup={self.startup_latency!r}"
             f" high_water={self.buffer_high_water}"
         )
-
-
-@dataclass
-class SweepSeries:
-    """One (x, y) series of a parameter sweep, for report tables."""
-
-    name: str
-    x_label: str
-    y_label: str
-    xs: List[float] = field(default_factory=list)
-    ys: List[float] = field(default_factory=list)
-
-    def add(self, x: float, y: float) -> None:
-        """Append one sweep point."""
-        self.xs.append(x)
-        self.ys.append(y)
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-    def y_at(self, x: float) -> float:
-        """The y recorded for an exact x (raises if absent)."""
-        try:
-            return self.ys[self.xs.index(x)]
-        except ValueError:
-            raise ParameterError(f"no sweep point at x={x!r}") from None

@@ -1,61 +1,29 @@
-"""Shape tests for the design-choice ablations."""
-
-import pytest
-
-from repro.analysis import (
-    ablate_block_size,
-    ablate_copy_budget,
-    ablate_granularity,
-)
+"""Ablations: the pre-table test ids → the criteria that replaced them."""
 
 
 class TestGranularityAblation:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return ablate_granularity()
+    def test_bound_monotone_in_eta(self, holds):
+        holds("a1", "the l_ds bound grows with η")
 
-    def test_bound_monotone_in_eta(self, result):
-        bounds = [result.series[eta]["bound"] for eta in (1, 2, 4, 8)]
-        assert bounds == sorted(bounds)
-
-    def test_capacity_never_decreases_with_eta(self, result):
-        capacities = [result.series[eta]["n_max"] for eta in (1, 2, 4, 8)]
-        assert capacities == sorted(capacities)
+    def test_capacity_never_decreases_with_eta(self, holds):
+        holds("a1", "n_max never falls as η grows")
 
 
 class TestCopyBudgetAblation:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return ablate_copy_budget()
+    def test_window_monotone_in_budget(self, holds):
+        holds("a2", "the placement window widens with the budget")
 
-    def test_window_monotone_in_budget(self, result):
-        windows = [result.series[b] for b in (1, 2, 4, 8, 16)]
-        assert windows == sorted(windows)
+    def test_unbounded_budget_is_widest(self, holds):
+        holds("a2", "an unbounded budget leaves the widest window")
 
-    def test_unbounded_budget_is_widest(self, result):
-        bounded = max(result.series[b] for b in (1, 2, 4, 8, 16))
-        assert result.series[0] >= bounded
-
-    def test_window_loss_inversely_proportional_to_budget(self, result):
-        """The window given up equals l_seek_max/(2·C_b): doubling the
-        budget halves the sacrifice."""
-        unbounded = result.series[0]
-        loss_1 = unbounded - result.series[1]
-        loss_2 = unbounded - result.series[2]
-        loss_4 = unbounded - result.series[4]
-        assert loss_1 == pytest.approx(2 * loss_2, rel=1e-6)
-        assert loss_2 == pytest.approx(2 * loss_4, rel=1e-6)
+    def test_window_loss_inversely_proportional_to_budget(self, holds):
+        holds("a2", "doubling the budget halves the window given up "
+                    "(l_seek_max / 2·C_b)")
 
 
 class TestBlockSizeAblation:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return ablate_block_size()
+    def test_throughput_monotone_in_block_size(self, holds):
+        holds("a3", "throughput at the average gap grows with slot size")
 
-    def test_throughput_monotone_in_block_size(self, result):
-        throughputs = [result.series[s] for s in (16, 32, 64, 128)]
-        assert throughputs == sorted(throughputs)
-
-    def test_waste_reported(self, result):
-        waste = {row[0]: row[4] for row in result.table.rows}
-        assert waste[128] > waste[16]  # bigger slots waste more on audio
+    def test_waste_reported(self, holds):
+        holds("a3", "bigger slots waste more on audio blocks")

@@ -1,20 +1,10 @@
-"""Shape tests for E17 (striped storage)."""
-
-import pytest
-
-from repro.analysis import e17_striping
+"""E17: the pre-table test ids → the criteria that replaced them."""
 
 
 class TestE17Striping:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return e17_striping()
+    def test_all_widths_continuous(self, holds):
+        holds("e17", "every stripe width plays with 0 misses")
 
-    def test_all_widths_continuous(self, result):
-        assert all(m == 0 for m in result.misses_by_heads.values())
-
-    def test_bound_grows_with_heads(self, result):
-        bounds = [result.bounds_by_heads[p] for p in (2, 4, 8)]
-        assert bounds == sorted(bounds)
-        # Roughly (p-1)-proportional growth minus the fixed transfer term.
-        assert result.bounds_by_heads[8] > 2 * result.bounds_by_heads[4]
+    def test_bound_grows_with_heads(self, holds):
+        holds("e17", "the per-member bound grows with p, more than doubling "
+                     "from 4 to 8 heads")

@@ -1,25 +1,13 @@
-"""Shape tests for E18 (anti-jitter read-ahead)."""
-
-import pytest
-
-from repro.analysis import e18_antijitter
+"""E18: the pre-table test ids → the criteria that replaced them."""
 
 
 class TestE18AntiJitter:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return e18_antijitter()
+    def test_strict_continuity_breaks_under_jitter(self, holds):
+        holds("e18", "with no read-ahead, rotational jitter breaks strict "
+                     "continuity")
 
-    def test_strict_continuity_breaks_under_jitter(self, result):
-        assert result.misses_by_readahead[0] > 0
+    def test_read_ahead_restores_continuity(self, holds):
+        holds("e18", "an 8-block read-ahead restores continuity")
 
-    def test_read_ahead_restores_continuity(self, result):
-        assert result.misses_by_readahead[8] == 0
-
-    def test_misses_monotone_in_readahead(self, result):
-        ordered = [
-            result.misses_by_readahead[k] for k in sorted(
-                result.misses_by_readahead
-            )
-        ]
-        assert ordered == sorted(ordered, reverse=True)
+    def test_misses_monotone_in_readahead(self, holds):
+        holds("e18", "misses never rise with read-ahead")

@@ -1,49 +1,25 @@
-"""Shape tests for E19 (unified server) and E20 (heterogeneous k)."""
-
-import pytest
-
-from repro.analysis import e19_unified_server, e20_heterogeneous_k
+"""E19, E20: the pre-table test ids → the criteria that replaced them."""
 
 
 class TestE19UnifiedServer:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return e19_unified_server()
+    def test_media_guarantee_never_broken(self, holds):
+        holds("e19", "0 media misses at every load")
 
-    def test_media_guarantee_never_broken(self, result):
-        assert all(m == 0 for m in result.media_misses_by_load.values())
+    def test_text_throughput_decreases_with_media_load(self, holds):
+        holds("e19", "text throughput falls as media load grows")
 
-    def test_text_throughput_decreases_with_media_load(self, result):
-        served = [result.text_served_by_load[n] for n in (0, 1, 2)]
-        assert served == sorted(served, reverse=True)
-
-    def test_text_still_served_under_load(self, result):
-        assert result.text_served_by_load[2] > 0
+    def test_text_still_served_under_load(self, holds):
+        holds("e19", "text is still served under 2 media streams")
 
 
 class TestE20HeterogeneousK:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return e20_heterogeneous_k()
+    def test_solver_dominates_uniform_model(self, holds):
+        holds("e20", "per-request k admits everything the uniform model "
+                     "admits")
 
-    def test_solver_dominates_uniform_model(self, result):
-        for name, uniform_ok in result.uniform_admitted.items():
-            if uniform_ok:
-                assert result.heterogeneous_admitted[name]
+    def test_solver_rescues_mixed_workloads(self, holds):
+        holds("e20", "and rescues '2 video + 4 audio' and '1 video + 10 "
+                     "audio'")
 
-    def test_solver_rescues_mixed_workloads(self, result):
-        rescued = [
-            name
-            for name in result.heterogeneous_admitted
-            if result.heterogeneous_admitted[name]
-            and not result.uniform_admitted[name]
-        ]
-        assert "2 video + 4 audio" in rescued
-        assert "1 video + 10 audio" in rescued
-
-    def test_every_admission_verified_against_eq11(self, result):
-        # The table's last column was computed with round_feasible.
-        for row in result.table.rows:
-            name, _uniform, hetero, _ks, verified = row
-            if hetero:
-                assert verified, f"{name} admitted but not verified"
+    def test_every_admission_verified_against_eq11(self, holds):
+        holds("e20", "every per-request admission verifies against Eq. (11)")

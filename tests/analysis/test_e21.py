@@ -1,21 +1,9 @@
-"""Shape tests for E21 (concurrent storage + retrieval)."""
-
-import pytest
-
-from repro.analysis import e21_record_and_play
+"""E21: the pre-table test ids → the criteria that replaced them."""
 
 
 class TestE21RecordAndPlay:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return e21_record_and_play()
+    def test_sane_mixes_glitch_free(self, holds):
+        holds("e21", "1R+1P, 1R+2P and 2R+1P run with 0 misses")
 
-    def test_sane_mixes_glitch_free(self, result):
-        for label, misses in result.misses_by_load.items():
-            if "overload" not in label:
-                assert misses == 0, f"{label} missed {misses}"
-
-    def test_overload_breaks_down(self, result):
-        assert result.misses_by_load[
-            "overload: 1-block staging, 3 play"
-        ] > 0
+    def test_overload_breaks_down(self, holds):
+        holds("e21", "the overloaded mix misses")

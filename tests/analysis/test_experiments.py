@@ -1,141 +1,90 @@
-"""Shape tests for the experiment drivers (DESIGN.md §3 criteria).
-
-These are the reproduction's acceptance tests: each experiment must show
-the qualitative shape the paper reports — who wins, where the crossovers
-and capacity limits fall — without asserting exact magnitudes.
-"""
-
-import pytest
-
-from repro.analysis import experiments as exp
-
-
-@pytest.fixture(scope="module")
-def e1():
-    return exp.e1_architectures()
-
-
-@pytest.fixture(scope="module")
-def e2():
-    return exp.e2_k_vs_n()
+"""E1–E12: the pre-table test ids, each naming the criteria of
+:data:`repro.analysis.EXPERIMENTS` that took over its asserts (the
+predicates themselves are stated once, on the rows)."""
 
 
 class TestE1Architectures:
-    def test_bound_ordering(self, e1):
-        """Sequential < pipelined <= concurrent tolerance."""
-        assert e1.bounds["sequential"] < e1.bounds["pipelined"]
-        assert e1.bounds["pipelined"] <= e1.bounds["concurrent(p=2)"]
+    def test_bound_ordering(self, holds):
+        holds("e1", "l_ds tolerance: sequential < pipelined ≤ concurrent")
 
-    def test_analysis_is_safe(self, e1):
-        """No misses inside the analytic region, for any architecture."""
-        assert all(m == 0 for m in e1.misses_inside.values())
+    def test_analysis_is_safe(self, holds):
+        holds("e1", "the analysis is safe: 0 misses at 95 % of every bound")
 
-    def test_single_head_fails_at_widest_gap(self, e1):
-        assert e1.misses_outside["sequential"] > 0
-        assert e1.misses_outside["pipelined"] > 0
+    def test_single_head_fails_at_widest_gap(self, holds):
+        holds("e1", "single-head architectures miss at the widest gap")
 
 
-class TestE2KvsN(object):
-    def test_k_monotone_and_divergent(self, e2):
-        """Fig. 4's shape: k grows with n, steeply near capacity."""
-        ks = e2.series_transition.ys
-        assert ks == sorted(ks)
-        if len(ks) >= 3:
-            first_step = ks[1] - ks[0]
-            last_step = ks[-1] - ks[-2]
-            assert last_step > first_step  # hyperbolic steepening
+class TestE2KvsN:
+    def test_k_monotone_and_divergent(self, holds):
+        holds("e2", "k (Eq. 18) grows with n, steepening toward capacity")
 
-    def test_refusal_exactly_past_n_max(self, e2):
-        assert e2.n_max >= 1
-        assert len(e2.series_steady) == e2.n_max
+    def test_refusal_exactly_past_n_max(self, holds):
+        holds("e2", "feasible for n = 1…n_max, refused exactly at n_max + 1")
 
-    def test_transition_k_at_least_steady_k(self, e2):
-        for steady, transition in zip(
-            e2.series_steady.ys, e2.series_transition.ys
-        ):
-            assert transition >= steady
+    def test_transition_k_at_least_steady_k(self, holds):
+        holds("e2", "k transition (Eq. 18) ≥ k steady (Eq. 16) at every "
+                    "feasible n")
 
 
 class TestE3Transition:
-    def test_staged_walk_is_glitch_free(self):
-        result = exp.e3_transition()
-        assert result.staged_misses == 0
-        assert result.naive_misses > 0
+    def test_staged_walk_is_glitch_free(self, holds):
+        holds("e3", "naive k jump: existing streams miss",
+              "staged +1/round walk: 0 existing-stream misses")
 
 
 class TestE4Allocation:
-    def test_random_needs_buffering_constrained_does_not(self):
-        result = exp.e4_allocation()
-        assert result.read_ahead_needed["constrained"] == 0
-        assert result.read_ahead_needed["contiguous"] == 0
-        assert result.read_ahead_needed["random"] > 0
-        assert result.max_gaps["random"] > result.max_gaps["constrained"]
+    def test_random_needs_buffering_constrained_does_not(self, holds):
+        holds("e4", "constrained and contiguous placement need no read-ahead",
+              "random placement needs read-ahead to play continuously",
+              "random placement's widest gap exceeds constrained's")
 
 
 class TestE5Buffering:
-    def test_counts_and_h(self):
-        result = exp.e5_buffering()
-        rows = {(r[0], r[1]): (r[2], r[3]) for r in result.table.rows}
-        assert rows[("sequential", 4)] == (4, 4)
-        assert rows[("pipelined", 4)] == (4, 8)
-        assert rows[("concurrent(p=4)", 4)] == (16, 16)
-        assert result.switch_read_ahead >= 1
-        assert result.accumulation_rate > 0  # slow motion accumulates
+    def test_counts_and_h(self, holds):
+        holds("e5", "read-ahead k / k / pk and buffers k / 2k / pk at every k",
+              "task-switch read-ahead h ≥ 1 block",
+              "2× slow motion accumulates blocks")
 
 
 class TestE6MixedMedia:
-    def test_heterogeneous_tolerates_more_scattering(self):
-        result = exp.e6_mixed_media()
-        assert result.heterogeneous_bound > result.homogeneous_bound
+    def test_heterogeneous_tolerates_more_scattering(self, holds):
+        holds("e6", "heterogeneous blocks tolerate more scattering than "
+                    "homogeneous")
 
 
 class TestE7HDTV:
-    def test_matches_paper_figures(self):
-        result = exp.e7_hdtv()
-        # ~0.32 Gbit/s array throughput, ~7.8x short of HDTV.
-        assert result.array_throughput == pytest.approx(0.32e9, rel=0.05)
-        assert result.shortfall == pytest.approx(7.8, rel=0.1)
+    def test_matches_paper_figures(self, holds):
+        holds("e7", "array throughput within 5 % of the paper's 0.32 Gbit/s",
+              "HDTV demand ≈ 7.8× what the array sustains (±10 %)")
 
 
 class TestE8EditCopy:
-    def test_copies_within_paper_bounds(self):
-        result = exp.e8_edit_copy()
-        sparse_bound, dense_bound = result.bounds["sparse"]
-        assert 1 <= result.copies["sparse"] <= sparse_bound
-        assert 1 <= result.copies["dense"] <= dense_bound
-        assert dense_bound >= 2 * sparse_bound - 1
+    def test_copies_within_paper_bounds(self, holds):
+        holds("e8", "sparse disk: 1 ≤ blocks copied ≤ the Eq. (19) bound",
+              "dense disk: 1 ≤ blocks copied ≤ the Eq. (20) bound",
+              "dense bound ≥ 2 × sparse bound − 1")
 
 
 class TestE9RopeOps:
-    def test_editing_copies_no_media(self):
-        result = exp.e9_rope_ops()
-        assert all(c == 0 for c in result.media_blocks_copied.values())
+    def test_editing_copies_no_media(self, holds):
+        holds("e9", "every rope operation copies 0 media blocks")
 
 
 class TestE10Silence:
-    def test_saving_grows_with_silence(self):
-        result = exp.e10_silence()
-        savings = result.series.ys
-        assert savings == sorted(savings)
-        assert savings[0] == pytest.approx(0.0, abs=0.05)
-        assert savings[-1] > 0.4
-        # Duration preserved in every row.
-        assert all(row[4] for row in result.table.rows)
+    def test_saving_grows_with_silence(self, holds):
+        holds("e10", "space saved grows with the silence ratio",
+              "no silence saves < 5 %; 0.8 silence saves > 40 %",
+              "playback duration preserved at every ratio")
 
 
 class TestE11Symbols:
-    def test_hdtv_infeasible_testbed_feasible(self):
-        result = exp.e11_symbols()
-        by_profile = {row[0]: row for row in result.table.rows}
-        assert by_profile["testbed-1991"][6] is True
-        assert by_profile["hdtv-2.5gbit"][6] is False
+    def test_hdtv_infeasible_testbed_feasible(self, holds):
+        holds("e11", "the 1991 testbed is pipelined-feasible at average seek",
+              "HDTV on 1991 hardware is not")
 
 
 class TestE12Prototype:
-    def test_session_continuous_and_rejects_at_capacity(self):
-        result = exp.e12_prototype()
-        assert result.all_continuous
-        assert result.rejected_at >= 2
-        # Startup latency grows with each additional admitted request.
-        latencies = result.startup_series.ys
-        assert latencies == sorted(latencies)
+    def test_session_continuous_and_rejects_at_capacity(self, holds):
+        holds("e12", "every admitted request plays with 0 misses",
+              "admission refuses a request after admitting at least one",
+              "startup latency grows with each admitted request")

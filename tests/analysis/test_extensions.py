@@ -1,66 +1,40 @@
-"""Shape tests for the §6.2 extension experiments (E13-E16)."""
-
-import pytest
-
-from repro.analysis import extensions as ext
+"""E13–E16: the pre-table test ids → the criteria that replaced them."""
 
 
 class TestE13VariableRate:
-    def test_vbr_always_gains(self):
-        result = ext.e13_variable_rate()
-        assert all(gain > 1.0 for gain in result.gains.values())
+    def test_vbr_always_gains(self, holds):
+        holds("e13", "the averaged VBR bound beats CBR at every granularity")
 
-    def test_gain_uniform_across_granularity(self):
-        """The mean-size ratio is granularity-independent, so the gain is
-        (approximately) constant across η."""
-        result = ext.e13_variable_rate()
-        gains = list(result.gains.values())
-        assert max(gains) - min(gains) < 0.5
+    def test_gain_uniform_across_granularity(self, holds):
+        holds("e13", "the gain is uniform across granularity (spread < 0.5)")
 
 
 class TestE14ScanOrdering:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return ext.e14_scan_ordering()
+    def test_scan_never_slower(self, holds):
+        holds("e14", "SCAN-ordered rounds are no longer than round-robin's "
+                     "on average")
 
-    def test_scan_never_slower(self, result):
-        assert result.scan_mean_round <= result.rr_mean_round
-
-    def test_measured_capacity_beats_pessimistic(self, result):
-        assert result.measured_n_max > result.analytic_n_max
+    def test_measured_capacity_beats_pessimistic(self, holds):
+        holds("e14", "measured-β̂ capacity exceeds the pessimistic Eq. (17) "
+                     "estimate")
 
 
 class TestE15Reorganization:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return ext.e15_reorganization()
+    def test_fragmentation_blocks_placement(self, holds):
+        holds("e15", "fragmentation blocks the placement")
 
-    def test_fragmentation_blocks_placement(self, result):
-        assert not result.feasible_before
-
-    def test_reorganization_restores_it(self, result):
-        assert result.feasible_after
-        assert result.blocks_moved > 0
+    def test_reorganization_restores_it(self, holds):
+        holds("e15", "reorganization restores it", "by moving blocks")
 
 
 class TestE16VariableSpeed:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return ext.e16_variable_speed()
+    def test_all_modes_continuous(self, holds):
+        holds("e16", "0 misses in every mode")
 
-    def test_all_modes_continuous(self, result):
-        for label, row in result.rows.items():
-            assert row.continuous, f"{label} missed deadlines"
+    def test_skipping_reduces_fetches(self, holds):
+        holds("e16", "2× with skipping fetches half the blocks of 2× without")
 
-    def test_skipping_reduces_fetches(self, result):
-        skip = result.rows["fast-forward 2x, skipping"]
-        noskip = result.rows["fast-forward 2x, no skip"]
-        assert skip.metrics.blocks_delivered == (
-            noskip.metrics.blocks_delivered // 2
-        )
-
-    def test_slow_motion_accumulates_and_switches(self, result):
-        slow = result.rows["slow motion 0.5x"]
-        normal = result.rows["normal (1x)"]
-        assert slow.task_switches >= normal.task_switches
-        assert slow.switch_idle_time > normal.switch_idle_time
+    def test_slow_motion_accumulates_and_switches(self, holds):
+        holds("e16", "slow motion switches tasks, at least as often as "
+                     "normal speed",
+              "slow motion idles the disk longest")

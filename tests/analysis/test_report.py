@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.report import Table, format_cell, render_series
 from repro.errors import ParameterError
-from repro.sim.metrics import SweepSeries
 
 
 class TestFormatCell:
@@ -53,16 +52,40 @@ class TestTable:
         assert str(table) == table.render()
 
 
+class TestAccessors:
+    @pytest.fixture
+    def table(self):
+        table = Table("Demo", ["name", "value"])
+        table.add_row("alpha", 1)
+        table.add_row("beta", None)
+        return table
+
+    def test_column_by_name(self, table):
+        assert table.column("value") == [1, None]
+
+    def test_cell_by_column_and_first_cell(self, table):
+        assert table.cell("value", "alpha") == 1
+
+    def test_unknown_column_names_the_known_ones(self, table):
+        with pytest.raises(ParameterError, match="nope.*name, value"):
+            table.column("nope")
+        with pytest.raises(ParameterError, match="nope.*name, value"):
+            table.cell("nope", "alpha")
+
+    def test_unknown_row_names_the_known_ones(self, table):
+        with pytest.raises(ParameterError, match="gamma.*alpha, beta"):
+            table.cell("value", "gamma")
+
+
 class TestRenderSeries:
     def test_bars_scale_to_max(self):
-        series = SweepSeries("s", "x", "y")
-        series.add(1, 10.0)
-        series.add(2, 5.0)
-        text = render_series(series, width=10)
-        lines = text.splitlines()
-        assert lines[1].count("#") == 10
-        assert lines[2].count("#") == 5
+        table = Table("s", ["x", "y"])
+        table.add_row(1, 10.0)
+        table.add_row(2, 5.0)
+        table.add_row(3, None)  # no point, no line
+        lines = render_series(table, "x", "y", width=10).splitlines()
+        assert lines[0] == "s  (x vs y)"
+        assert [line.count("#") for line in lines[1:]] == [10, 5]
 
     def test_empty_series(self):
-        series = SweepSeries("s", "x", "y")
-        assert "empty" in render_series(series)
+        assert "empty" in render_series(Table("s", ["x", "y"]), "x", "y")

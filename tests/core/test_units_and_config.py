@@ -10,6 +10,7 @@ from repro.config import (
     TESTBED_1991,
     get_profile,
 )
+from repro.errors import ParameterError
 
 
 class TestSizeConversions:
@@ -67,7 +68,7 @@ class TestProfiles:
         assert get_profile("testbed-1991") is TESTBED_1991
 
     def test_get_profile_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ParameterError, match="known profiles"):
             get_profile("nonexistent")
 
     def test_testbed_matches_paper_figures(self):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ParameterError, SimulationError
-from repro.sim.metrics import ContinuityMetrics, SweepSeries
+from repro.errors import SimulationError
+from repro.sim.metrics import ContinuityMetrics
 from repro.sim.trace import Tracer
 
 
@@ -45,20 +45,6 @@ class TestContinuityMetrics:
         assert metrics.miss_ratio == 0.0
         assert metrics.jitter == 0.0
         assert metrics.mean_lateness == 0.0
-
-
-class TestSweepSeries:
-    def test_add_and_lookup(self):
-        series = SweepSeries("s", "x", "y")
-        series.add(1.0, 10.0)
-        series.add(2.0, 20.0)
-        assert len(series) == 2
-        assert series.y_at(2.0) == 20.0
-
-    def test_missing_x(self):
-        series = SweepSeries("s", "x", "y")
-        with pytest.raises(ParameterError):
-            series.y_at(5.0)
 
 
 class TestTracer:

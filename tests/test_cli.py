@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.analysis import EXPERIMENTS
+from repro.cli import build_parser, main
 
 
 class TestProfiles:
@@ -24,29 +25,50 @@ class TestPolicy:
         assert "video: granularity" in out
         assert "pipelined l_ds bound" in out
 
-    def test_unknown_profile_raises(self):
-        with pytest.raises(KeyError):
-            main(["policy", "--profile", "nope"])
+    def test_unknown_profile_raises(self, capsys):
+        for command in ("policy", "demo"):
+            assert main([command, "--profile", "nope"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: unknown profile 'nope'; known profiles: "
+                "fast-array-1995, hdtv-2.5gbit, testbed-1991\n"
+            )
 
 
 class TestExperiments:
+    IDS = [row.id for row in EXPERIMENTS]
+
     def test_registry_covers_all_experiments(self):
-        assert set(EXPERIMENTS) == {f"e{i}" for i in range(1, 22)}
+        assert self.IDS == [
+            *(f"e{n}" for n in range(1, 23)), "a1", "a2", "a3",
+        ]
 
     def test_single_experiment(self, capsys):
         assert main(["experiments", "e7"]) == 0
         out = capsys.readouterr().out
         assert "HDTV" in out
+        assert "e7 · §3 HDTV worked example · shape ✓: " in out
 
     def test_multiple_experiments(self, capsys):
         assert main(["experiments", "e2", "e5"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 4" in out
         assert "read-ahead" in out
+        assert out.count("shape ✓") == 2
+
+    def test_ids_are_case_insensitive(self, capsys):
+        assert main(["experiments", "E3"]) == 0
+        assert "e3 · " in capsys.readouterr().out
 
     def test_unknown_id_fails_cleanly(self, capsys):
-        assert main(["experiments", "e99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().out
+        assert main(["experiments", "e2", "e99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown experiment id(s): e99; known: "
+            f"{', '.join(self.IDS)}\n"
+        )
 
 
 class TestDemo:
@@ -511,6 +533,7 @@ class TestExtensionExperimentsViaCli:
         out = capsys.readouterr().out
         assert "variable-rate" in out
 
-    def test_ablation_experiments_not_in_registry(self):
-        # Ablations run through benchmarks, not the eN registry.
-        assert "ablate" not in " ".join(EXPERIMENTS)
+    def test_ablations_are_rows_printed_after_e22(self, capsys):
+        assert main(["experiments", "a2"]) == 0
+        assert "copy budget" in capsys.readouterr().out
+        assert TestExperiments.IDS[-4:] == ["e22", "a1", "a2", "a3"]

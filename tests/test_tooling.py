@@ -5,8 +5,8 @@ executes every ``benchmarks/bench_*.py`` end to end with tiny workloads
 in a subprocess, exactly as CI would.  The other tests pin the pytest
 marker registry, the ruff configuration, the experiment-matrix smoke
 entry points (``repro expt``, ``scripts/check.sh``), that the docs name
-only commands the CLI has, and that the retired pre-benchmark perf
-surface stays retired.
+only commands the CLI has, and — one table, ``TestRetiredNames`` — that
+what the simplicity PRs deleted stays deleted.
 """
 
 import json
@@ -316,18 +316,6 @@ class TestOneWallClockAuthority:
         )
         assert not hits, "\n".join(hits)
 
-    def test_retired_files_and_modules_are_gone(self):
-        for relative in (
-            "src/repro/perf", "benchmarks/bench_perf_scale.py",
-            "BENCH_PERF.json", "BENCH_PERF.matrix.json",
-            "experiments/smoke.json", "tests/perf/test_sweep.py",
-        ):
-            assert not (ROOT / relative).exists(), relative
-        import importlib
-
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.perf")
-
     def test_perf_sweep_is_an_invalid_choice(self, capsys):
         from repro.cli import main
 
@@ -421,6 +409,8 @@ class TestCheckScript:
         assert "run --scenario cluster-scale --smoke" in text
         assert "profile --scenario scale --smoke" in text
         assert 'run --scenario "$scenario" --smoke' in text
+        # The claims table: non-zero on any red shape verdict.
+        assert "python -m repro experiments >/dev/null" in text
         assert "repro.scenarios" in text, (
             "the smoke loop must enumerate the registry, not a list"
         )
@@ -591,14 +581,9 @@ class TestOneLedgerOfModeledTime:
             assert "_prof" not in source, event
 
     def test_the_write_path_names_are_gone(self):
-        import repro.obs.profiling as profiling
         from repro.obs import CostProfiler, Observability
-        from repro.obs.recorder import ServiceRecorder
 
-        assert not hasattr(profiling, "_ScopedProfiler")
-        assert not hasattr(ServiceRecorder, "_charge")
-        for name in ("record", "reset", "scoped", "enabled"):
-            assert not hasattr(CostProfiler(), name), name
+        assert not hasattr(CostProfiler(), "enabled")
         with pytest.raises(TypeError):
             CostProfiler(enabled=True)
         with pytest.raises(TypeError):
@@ -676,8 +661,6 @@ class TestColumnarPlans:
         ``FetchColumns`` materialises one on request."""
         import ast
 
-        from repro.rope import MultimediaRopeServer
-
         builders = sorted(
             str(path.relative_to(ROOT / "src/repro"))
             for path in (ROOT / "src").rglob("*.py")
@@ -687,7 +670,6 @@ class TestColumnarPlans:
             == "BlockFetch"
         )
         assert set(builders) == {"rope/server.py"}, builders
-        assert not hasattr(MultimediaRopeServer, "_track_fetches")
 
 
 class TestOneWritePath:
@@ -801,29 +783,86 @@ class TestOneWritePath:
         )
         assert readers == ["disk/drive.py", "disk/geometry.py"], readers
 
-    def test_retired_write_path_names_are_gone(self):
-        from repro.disk import ConstrainedScatterAllocator
-        from repro.fs import MultimediaStorageManager
 
-        assert not hasattr(MultimediaStorageManager, "copy_blocks_near")
-        assert not hasattr(ConstrainedScatterAllocator, "_slot_window")
-        assert not (self.SRC / "service/recording.py").exists()
-        assert not (self.SRC / "sim/engine.py").exists()
-        with pytest.raises(ImportError):
-            from repro.sim import Engine  # noqa: F401
-        with pytest.raises(ImportError):
-            from repro.service import simulate_recording  # noqa: F401
-        import repro.errors
+class TestRetiredNames:
+    """What simplicity PRs deleted stays deleted, with no alias: one row
+    per retired file (a path from the repo root) or dotted name."""
 
-        assert not hasattr(repro.errors, "ContinuityViolation")
+    RETIRED = [
+        # ISSUE 16: plans are columns.
+        "repro.rope.MultimediaRopeServer._track_fetches",
+        # ISSUE 17: one wall-clock authority.
+        "src/repro/perf", "repro.perf", "benchmarks/bench_perf_scale.py",
+        "BENCH_PERF.json", "BENCH_PERF.matrix.json",
+        "experiments/smoke.json", "tests/perf/test_sweep.py",
+        # ISSUE 18: one write path.
+        "repro.fs.MultimediaStorageManager.copy_blocks_near",
+        "repro.disk.ConstrainedScatterAllocator._slot_window",
+        "src/repro/service/recording.py", "src/repro/sim/engine.py",
+        "repro.sim.Engine", "repro.service.simulate_recording",
+        "repro.errors.ContinuityViolation",
+        # ISSUE 19: one ledger of modeled time.
+        "repro.obs.profiling._ScopedProfiler",
+        "repro.obs.recorder.ServiceRecorder._charge",
+        "repro.obs.CostProfiler.record", "repro.obs.CostProfiler.reset",
+        "repro.obs.CostProfiler.scoped",
+        # ISSUE 21: one claims table.
+        *(f"repro.analysis.experiments.E{n}Result" for n in range(1, 13)),
+        *(f"repro.analysis.extensions.E{n}Result" for n in range(13, 22)),
+        "repro.analysis.ablations.AblationResult",
+        "repro.sim.SweepSeries", "repro.sim.metrics.SweepSeries",
+        "repro.analysis.default_msm",
+        "repro.analysis.experiments.default_msm",
+        "repro.analysis.e1_architectures", "repro.cli.EXPERIMENTS",
+        "benchmarks/bench_ablations.py",
+        *(f"benchmarks/bench_{name}.py" for name in (
+            "e1_architectures", "e2_k_vs_n", "e3_transition",
+            "e4_allocation", "e5_buffering", "e6_mixed_media", "e7_hdtv",
+            "e8_edit_copy", "e9_rope_ops", "e10_silence", "e11_symbols",
+            "e12_prototype", "e13_variable_rate", "e14_scan_ordering",
+            "e15_reorganization", "e16_variable_speed", "e17_striping",
+            "e18_antijitter", "e19_unified_server", "e20_heterogeneous_k",
+            "e21_record_play", "e22_fault_recovery",
+        )),
+    ]
+
+    @staticmethod
+    def _exists(name):
+        """Whether *name* — a path from the repo root, or a dotted module
+        / attribute chain — still resolves."""
+        import importlib
+
+        if "/" in name or name.endswith(".json"):
+            return (ROOT / name).exists()
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            for attribute in parts[cut:]:
+                if not hasattr(target, attribute):
+                    return False
+                target = getattr(target, attribute)
+            return True
+        return False
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_is_gone(self, name):
+        assert not self._exists(name), f"{name} is back"
+
+    def test_the_check_can_tell_present_from_gone(self):
+        for name in ("repro.analysis.Table.cell", "repro.obs.recorder",
+                     "benchmarks/bench_experiments.py"):
+            assert self._exists(name), name
 
 
 class TestSourceSize:
-    #: `src/` physical lines, as measured, after node scopes became a
-    #: label on the one registry (ISSUE 20; 24,918 before).
+    #: `src/` physical lines, as measured, after the E-series became one
+    #: claims table (ISSUE 21; 24,557 before).
     #: ROADMAP aim 2: the count trends *down* — lower this when a PR
     #: deletes code, never raise it to make room.
-    SRC_LINE_CEILING = 24557
+    SRC_LINE_CEILING = 24336
 
     def test_src_line_count_stays_under_the_ceiling(self):
         total = sum(
