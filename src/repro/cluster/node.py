@@ -20,7 +20,7 @@ handoff) live in :class:`repro.cluster.MediaCluster`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Sequence
 
 from repro.api import NodeStatus, OpenSessionRequest, ServeResult
 from repro.config import TESTBED_1991
@@ -55,13 +55,10 @@ class ClusterNode:
         #: Cluster sessions the node accepts concurrently per epoch.
         self.capacity = capacity
         self.alive = True
-        #: Cluster sessions currently assigned here.
+        #: Cluster sessions currently placed here (the router's count).
         self.active = 0
         #: title -> the node's local rope id for its replica.
         self.local_ropes: Dict[str, str] = {}
-        #: MediaServer session ids already attributed to earlier calls
-        #: (warm-ups included), so each serve's new statuses separate.
-        self._seen_sessions: Set[str] = set()
 
     # -- catalog ------------------------------------------------------------------
 
@@ -105,7 +102,7 @@ class ClusterNode:
 
     def warm(self, title_id: str) -> ServeResult:
         """Play one warm-up session so the title's blocks go resident."""
-        result, _ = self.serve([
+        return self.serve([
             OpenSessionRequest(
                 client_id="warmer",
                 rope_id=self.rope_for(title_id),
@@ -113,7 +110,6 @@ class ClusterNode:
                 media=Media.VIDEO,
             )
         ])
-        return result
 
     # -- routing state ------------------------------------------------------------
 
@@ -126,7 +122,6 @@ class ClusterNode:
         if not self.alive:
             return
         self.alive = False
-        self.active = 0
         self.server.mrs.msm.drive.attach_injector(
             FaultInjector(
                 FaultPlan(
@@ -147,27 +142,15 @@ class ClusterNode:
 
     # -- serving ------------------------------------------------------------------
 
-    def serve(
-        self, requests: Sequence[OpenSessionRequest]
-    ) -> Tuple[ServeResult, List]:
-        """Serve one chunk epoch; returns (result, new statuses).
-
-        The second element is the statuses of sessions this call
-        created, in the MediaServer's admission order — the router
-        matches them back to its cluster sessions.
-        """
+    def serve(self, requests: Sequence[OpenSessionRequest]) -> ServeResult:
+        """Serve one chunk epoch: every status in the result is of a
+        session this call's opens created, which the router matches back
+        to its cluster sessions."""
         if not self.alive:
             raise ParameterError(
                 f"node {self.node_id} is dead and cannot serve"
             )
-        result = self.server.serve(requests)
-        fresh = [
-            status
-            for status in result.statuses
-            if status.session_id not in self._seen_sessions
-        ]
-        self._seen_sessions.update(s.session_id for s in fresh)
-        return result, fresh
+        return self.server.serve(requests)
 
 
 def build_node(

@@ -94,7 +94,7 @@ class _ClusterSession:
     arrival: float
     start: float
     length: float
-    node_id: str
+    node_id: str = ""
     state: SessionState = SessionState.PLAYING
     handoffs: int = 0
     blocks_delivered: int = 0
@@ -237,7 +237,6 @@ class MediaCluster:
             arrival=request.arrival,
             start=request.start,
             length=0.0,
-            node_id="",
             state=SessionState.REJECTED,
             cache_admitted=False,
             reject=reason,
@@ -254,6 +253,16 @@ class MediaCluster:
             reject=reason,
             detail=detail,
         )
+
+    def _place(self, session: _ClusterSession, node: ClusterNode) -> None:
+        """*session* plays on *node* from here on, counted in its load."""
+        session.node_id = node.node_id
+        node.active += 1
+
+    def _leave(self, session: _ClusterSession) -> None:
+        """*session* ended, was refused or lost its node: it leaves that
+        node's load (but keeps the ``node_id`` it is reported under)."""
+        self._by_id[session.node_id].active -= 1
 
     # -- serving ------------------------------------------------------------------
 
@@ -309,10 +318,9 @@ class MediaCluster:
                 arrival=request.arrival,
                 start=request.start,
                 length=length,
-                node_id=node.node_id,
             )
             self._sessions[session.session_id] = session
-            node.active += 1
+            self._place(session, node)
             admitted.append(session)
             admission_order.append((session.session_id, node.node_id))
             if self._rec is not None:
@@ -382,18 +390,15 @@ class MediaCluster:
                         media=session.media,
                     )
                 )
-            result, fresh = node.serve(opens)
+            result = node.serve(opens)
             per_node_results[node.node_id].append(result)
-            self._merge_chunk(
-                node, mine, result, fresh, chunk, chunks, rejects
-            )
+            self._merge_chunk(node, mine, result, chunk, chunks, rejects)
 
     def _merge_chunk(
         self,
         node: ClusterNode,
         mine: List[_ClusterSession],
         result: ServeResult,
-        fresh: List[SessionStatus],
         chunk: int,
         chunks: int,
         rejects: List[OpenSessionResponse],
@@ -412,7 +417,7 @@ class MediaCluster:
             if response.reject is not None
         }
         buckets: Dict[Tuple[str, str], List[SessionStatus]] = {}
-        for status in fresh:
+        for status in result.statuses:
             key = (status.client_id, status.rope_id)
             buckets.setdefault(key, []).append(status)
         for statuses in buckets.values():
@@ -432,7 +437,7 @@ class MediaCluster:
                 )
                 session.state = SessionState.REJECTED
                 session.reject = reason
-                node.active = max(node.active - 1, 0)
+                self._leave(session)
                 rejects.append(
                     OpenSessionResponse(
                         session_id=session.session_id,
@@ -530,12 +535,12 @@ class MediaCluster:
             and session.state is SessionState.PLAYING
         ]
         for session in affected:
+            self._leave(session)
             target = self.route(session.title_id)
             to_node = target.node_id if target is not None else None
             if target is not None:
-                session.node_id = to_node
+                self._place(session, target)
                 session.handoffs += 1
-                target.active += 1
                 detail = f"resumed at chunk {boundary} on {to_node}"
             else:
                 detail = (
@@ -583,8 +588,7 @@ class MediaCluster:
         for session in admitted:
             if session.state is SessionState.PLAYING:
                 session.state = SessionState.COMPLETED
-                node = self._by_id[session.node_id]
-                node.active = max(node.active - 1, 0)
+                self._leave(session)
                 if self._rec is not None:
                     self._rec.session_closed(
                         session.session_id, session.arrival + session.length,

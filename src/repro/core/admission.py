@@ -398,6 +398,11 @@ class AdmissionController:
         """Snapshot of the admitted request set keyed by request ID."""
         return dict(self._active)
 
+    def freeze(self) -> None:
+        """No mechanism is left to serve from: every later request would
+        need k ≥ 1 > ``max_k``, so it is refused as at its k bound."""
+        self.max_k = 0
+
     def parameters(
         self, extra: Optional[RequestDescriptor] = None
     ) -> ServiceParameters:

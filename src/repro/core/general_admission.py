@@ -52,11 +52,21 @@ class GeneralAdmissionController:
     _active: Dict[int, RequestDescriptor] = field(default_factory=dict)
     _k_values: Dict[int, int] = field(default_factory=dict)
     _ids: "itertools.count[int]" = field(default_factory=itertools.count)
+    _frozen: bool = False
 
     @property
     def active_count(self) -> int:
         """Requests currently admitted."""
         return len(self._active)
+
+    @property
+    def active_requests(self) -> Dict[int, RequestDescriptor]:
+        """Snapshot of the admitted request set keyed by request ID."""
+        return dict(self._active)
+
+    def freeze(self) -> None:
+        """No mechanism is left to serve from: refuse every later request."""
+        self._frozen = True
 
     @property
     def current_k(self) -> int:
@@ -83,7 +93,7 @@ class GeneralAdmissionController:
     def can_admit(self, candidate: RequestDescriptor) -> bool:
         """Non-mutating admission test."""
         mix = list(self._active.values()) + [candidate]
-        return solve_heterogeneous_k(
+        return not self._frozen and solve_heterogeneous_k(
             mix, self.disk, self.budget_limit
         ) is not None
 
@@ -91,6 +101,13 @@ class GeneralAdmissionController:
         self, candidate: RequestDescriptor
     ) -> GeneralAdmissionDecision:
         """Admit *candidate* with a fresh Eq.-(11) solution, or raise."""
+        if self._frozen:
+            raise AdmissionRejected(
+                "request rejected: admission is frozen (no disk mechanism "
+                "survives)",
+                active=self.active_count,
+                n_max=0,
+            )
         ids = list(self._active.keys())
         mix = [self._active[i] for i in ids] + [candidate]
         solution = solve_heterogeneous_k(mix, self.disk, self.budget_limit)

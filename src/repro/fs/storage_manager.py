@@ -178,9 +178,7 @@ class MultimediaStorageManager:
         surviving = total - heads_lost
         self.degraded_heads += heads_lost
         if surviving < 1:
-            # The last mechanism is gone: freeze admission entirely.
-            if hasattr(self.admission, "max_k"):
-                self.admission.max_k = 0
+            self.admission.freeze()
             self._report_revalidated(heads_lost, surviving, total, 0)
             return 0
         self.disk_params = replace(
@@ -190,8 +188,7 @@ class MultimediaStorageManager:
             heads=surviving,
         )
         self.admission.disk = self.disk_params
-        active = dict(getattr(self.admission, "active_requests", {}) or {})
-        requests = list(active.values())
+        requests = list(self.admission.active_requests.values())
         if not requests:
             probe = admission.RequestDescriptor(
                 block=video_block_model(

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import TESTBED_1991, HardwareProfile
-from repro.core.admission import RequestDescriptor
 from repro.disk.factory import build_drive
 from repro.errors import (
     IntervalError,
@@ -226,15 +225,6 @@ class MultimediaRopeServer:
 
     # -- admission plumbing -------------------------------------------------------
 
-    def _descriptor_for(self, media: Media) -> RequestDescriptor:
-        """Admission descriptor for a request's dominant medium.
-
-        Delegates to :meth:`MultimediaStorageManager.descriptor_for_media`
-        — the MSM owns the policies and disk parameters the descriptor is
-        derived from.
-        """
-        return self.msm.descriptor_for_media(media.includes_video)
-
     @staticmethod
     def _whole(strand) -> MediaTrack:
         """The track covering all of *strand*."""
@@ -247,8 +237,16 @@ class MultimediaRopeServer:
         )
 
     def _admit(self, media: Media) -> int:
-        decision = self.msm.admission.admit(self._descriptor_for(media))
-        return decision.request_id
+        """A service slot for a request's dominant medium, through the MSM
+        — which owns the policies and disk parameters it is judged on."""
+        descriptor = self.msm.descriptor_for_media(media.includes_video)
+        return self.msm.admit(descriptor).request_id
+
+    def _release(self, request: Request) -> None:
+        """Give back the service slot *request* holds, if it holds one."""
+        if request.admission_id is not None:
+            self.msm.release(request.admission_id)
+            request.admission_id = None
 
     # -- RECORD / PLAY / STOP / PAUSE / RESUME ---------------------------------------
 
@@ -295,7 +293,7 @@ class MultimediaRopeServer:
             # slot it was admitted into, not the video half it did store.
             if video is not None:
                 self.msm.delete_strand(video.strand_id)
-            self.msm.admission.release(admission_id)
+            self.msm.release(admission_id)
             raise
         segment = Segment(
             video=None if video is None else self._whole(video),
@@ -364,26 +362,7 @@ class MultimediaRopeServer:
         media: Media = Media.AUDIO_VISUAL,
     ) -> str:
         """PLAY[mmRopeID, interval, media] → requestID (§4.1)."""
-        rope = self.get_rope(rope_id)
-        rope.check_play(user)
-        if length is None:
-            length = rope.duration - start
-        if length <= 0:
-            raise IntervalError(
-                f"empty playback interval (start {start}, rope length "
-                f"{rope.duration:.3f})"
-            )
-        admission_id = self._admit(media)
-        request = Request(
-            request_id=f"Q{next(self._request_ids):04d}",
-            kind=RequestKind.PLAY,
-            rope_id=rope_id,
-            user=user,
-            media=media,
-            start=start,
-            length=length,
-            admission_id=admission_id,
-        )
+        request = self._play_request(user, rope_id, start, length, media, admit=True)
         self._requests[request.request_id] = request
         return request.request_id
 
@@ -394,17 +373,32 @@ class MultimediaRopeServer:
         start: float = 0.0,
         length: Optional[float] = None,
         media: Media = Media.AUDIO_VISUAL,
-        admission_id: Optional[int] = None,
     ) -> str:
         """Create a PLAY request whose admission is managed externally.
 
         The media server admits batches, not individual requests: one
-        leader per batch holds an admission slot (passed here as
-        ``admission_id``) while its followers share the leader's reads
-        and carry no slot of their own.  Access checks are those of
-        :meth:`play`, and the interval must lie inside the rope; STOP and
-        destructive PAUSE tolerate ``admission_id=None`` (nothing to release).
+        lease per batch holds the slot (or the cache pins) for every
+        member, so the request carries none and STOP / PAUSE release
+        nothing.  Access and interval checks are those of :meth:`play`.
         """
+        request = self._play_request(user, rope_id, start, length, media, admit=False)
+        # Callers admit on this request before (or without) planning it, so
+        # an interval that selects no content is refused here: O(segments).
+        self._played_segments(request)
+        self._requests[request.request_id] = request
+        return request.request_id
+
+    def _play_request(
+        self,
+        user: str,
+        rope_id: str,
+        start: float,
+        length: Optional[float],
+        media: Media,
+        admit: bool,
+    ) -> Request:
+        """A PLAY request on a checked interval, not yet registered; with
+        *admit* it holds a service slot (refused before it takes an ID)."""
         rope = self.get_rope(rope_id)
         rope.check_play(user)
         if length is None:
@@ -414,7 +408,8 @@ class MultimediaRopeServer:
                 f"empty playback interval (start {start}, rope length "
                 f"{rope.duration:.3f})"
             )
-        request = Request(
+        admission_id = self._admit(media) if admit else None
+        return Request(
             request_id=f"Q{next(self._request_ids):04d}",
             kind=RequestKind.PLAY,
             rope_id=rope_id,
@@ -424,20 +419,13 @@ class MultimediaRopeServer:
             length=length,
             admission_id=admission_id,
         )
-        # Callers admit on this request before (or without) planning it, so
-        # an interval that selects no content is refused here: O(segments).
-        self._played_segments(request)
-        self._requests[request.request_id] = request
-        return request.request_id
 
     def stop(self, request_id: str) -> None:
         """STOP[requestID]: halt storage/retrieval, release resources."""
         request = self.get_request(request_id)
         if request.state is RequestState.STOPPED:
             raise RequestStateError(f"request {request_id} already stopped")
-        if request.admission_id is not None:
-            self.msm.admission.release(request.admission_id)
-            request.admission_id = None
+        self._release(request)
         request.state = RequestState.STOPPED
 
     def pause(self, request_id: str, destructive: bool = False) -> None:
@@ -449,9 +437,7 @@ class MultimediaRopeServer:
                 f"{request.state.value}"
             )
         if destructive:
-            if request.admission_id is not None:
-                self.msm.admission.release(request.admission_id)
-                request.admission_id = None
+            self._release(request)
             request.state = RequestState.PAUSED_RELEASED
         else:
             request.state = RequestState.PAUSED
@@ -459,17 +445,16 @@ class MultimediaRopeServer:
     def resume(self, request_id: str) -> None:
         """RESUME a paused request; destructive pauses re-run admission."""
         request = self.get_request(request_id)
-        if request.state is RequestState.PAUSED:
-            request.state = RequestState.ACTIVE
-            return
+        if request.state not in (
+            RequestState.PAUSED, RequestState.PAUSED_RELEASED
+        ):
+            raise RequestStateError(
+                f"cannot resume request {request_id} in state "
+                f"{request.state.value}"
+            )
         if request.state is RequestState.PAUSED_RELEASED:
             request.admission_id = self._admit(request.media)
-            request.state = RequestState.ACTIVE
-            return
-        raise RequestStateError(
-            f"cannot resume request {request_id} in state "
-            f"{request.state.value}"
-        )
+        request.state = RequestState.ACTIVE
 
     def active_requests(self) -> List[Request]:
         """Requests currently holding service resources."""

@@ -12,8 +12,8 @@ stack and serves typed :mod:`repro.api` requests end to end:
   interval are grouped (:mod:`repro.server.batching`); only the batch
   leader is admitted against the §3.4 inequality and reads the disk,
   while followers ride the block cache — so fifty viewers of five hot
-  strands cost five admission slots, not fifty (a leader that leaves
-  first passes the slot to a follower still live);
+  strands cost five admission slots, not fifty (the batch's one lease
+  is held until its last live member leaves);
 * a bounded LRU **block cache** (:mod:`repro.disk.cache`) between the
   service loop and the drive, with cache-aware admission: a session
   whose entire plan is resident is admitted without consuming any
@@ -56,11 +56,7 @@ from repro.errors import (
 )
 from repro.faults.recovery import RecoveryPolicy
 from repro.obs.recorder import recorder_for
-from repro.rope.server import (
-    MultimediaRopeServer,
-    RequestState,
-    build_rope_server,
-)
+from repro.rope.server import MultimediaRopeServer, build_rope_server
 from repro.server.batching import RequestBatch, group_into_batches
 from repro.service.rpc import RpcChannel, stub_for
 from repro.service.session import PlaybackSession
@@ -73,6 +69,21 @@ _LIVE = (SessionState.OPEN, SessionState.PLAYING, SessionState.PAUSED)
 
 
 @dataclass
+class _Lease:
+    """One physical stream's claim on the disk — a controller slot *or*
+    cache pins — held for the sessions in ``members`` and for exactly as
+    long as there are any; what it held stays readable afterwards."""
+
+    admission_id: Optional[int] = None
+    pinned: Tuple[int, ...] = ()
+    members: List["_Session"] = field(default_factory=list)
+
+    @property
+    def cache_admitted(self) -> bool:
+        return self.admission_id is None
+
+
+@dataclass(eq=False)  # identity: a session is found among a lease's members
 class _Session:
     """Server-side state of one client session."""
 
@@ -83,17 +94,15 @@ class _Session:
     state: SessionState
     arrival: float
     batch_leader: Optional[str] = None
-    cache_admitted: bool = False
-    admission_id: Optional[int] = None
-    pinned: Tuple[int, ...] = ()
+    #: The lease this session last joined (None: refused at open); it
+    #: plays on it only while it is one of ``lease.members``.
+    lease: Optional[_Lease] = None
     requeues: int = 0
     blocks_delivered: int = 0
     misses: int = 0
     skips: int = 0
     startup_latency: float = 0.0
     reject: Optional[RejectReason] = None
-    media: object = None
-    followers: List[str] = field(default_factory=list)
 
     def status(self) -> SessionStatus:
         return SessionStatus(
@@ -106,8 +115,21 @@ class _Session:
             skips=self.skips,
             startup_latency=self.startup_latency,
             batch_leader=self.batch_leader,
-            cache_admitted=self.cache_admitted,
+            cache_admitted=self.lease is not None and self.lease.cache_admitted,
             request_id=self.request_id,
+        )
+
+    def response(self, detail: str) -> OpenSessionResponse:
+        """What the open that created this session — or a RESUME that was
+        refused re-admission — answers."""
+        return OpenSessionResponse(
+            session_id=self.session_id,
+            accepted=self.reject is None,
+            reject=self.reject,
+            batch_leader=self.batch_leader,
+            cache_admitted=self.lease is not None and self.lease.cache_admitted,
+            requeues=self.requeues,
+            detail=detail,
         )
 
 
@@ -149,18 +171,13 @@ class MediaServer:
         tracer: Optional[Tracer] = None,
         obs=None,
     ):
-        if batch_window < 0:
-            raise ParameterError(
-                f"batch_window must be >= 0, got {batch_window}"
-            )
-        if cache_blocks < 0:
-            raise ParameterError(
-                f"cache_blocks must be >= 0, got {cache_blocks}"
-            )
-        if requeue_limit < 0:
-            raise ParameterError(
-                f"requeue_limit must be >= 0, got {requeue_limit}"
-            )
+        for name, value in (
+            ("batch_window", batch_window),
+            ("cache_blocks", cache_blocks),
+            ("requeue_limit", requeue_limit),
+        ):
+            if value < 0:
+                raise ParameterError(f"{name} must be >= 0, got {value}")
         self.mrs = mrs
         self.architecture = architecture
         self.batch_window = batch_window
@@ -201,12 +218,7 @@ class MediaServer:
 
     def play(self, request: PlayRequest) -> SessionStatus:
         """Schedule an OPEN session into the next service epoch."""
-        session = self._session(request.session_id)
-        if session.state is not SessionState.OPEN:
-            raise ParameterError(
-                f"cannot play session {session.session_id} in state "
-                f"{session.state.value}"
-            )
+        session = self._session(request.session_id, "play", SessionState.OPEN)
         session.state = SessionState.PLAYING
         self._epoch_queue.append(session.session_id)
         if self._rec is not None:
@@ -215,15 +227,12 @@ class MediaServer:
 
     def pause(self, request: PauseRequest) -> SessionStatus:
         """PAUSE a session; destructive pauses release its resources."""
-        session = self._session(request.session_id)
-        if session.state not in (SessionState.OPEN, SessionState.PLAYING):
-            raise ParameterError(
-                f"cannot pause session {session.session_id} in state "
-                f"{session.state.value}"
-            )
+        session = self._session(
+            request.session_id, "pause", SessionState.OPEN, SessionState.PLAYING
+        )
         self._dequeue(session)
         if request.destructive:
-            self._release_resources(session)
+            self._vacate(session)
         session.state = SessionState.PAUSED
         if self._rec is not None:
             self._rec.verb_applied(
@@ -234,28 +243,15 @@ class MediaServer:
 
     def resume(self, request: ResumeRequest) -> SessionStatus:
         """RESUME a paused session; released resources are re-admitted."""
-        session = self._session(request.session_id)
-        if session.state is not SessionState.PAUSED:
-            raise ParameterError(
-                f"cannot resume session {session.session_id} in state "
-                f"{session.state.value}"
-            )
-        if (
-            session.admission_id is None
-            and not session.cache_admitted
-            and session.batch_leader == session.session_id
-        ):
-            # Destructive pause released the slot: re-run admission.
-            descriptor = self.mrs.msm.descriptor_for_media(
-                session.media.includes_video
-            )
+        session = self._session(request.session_id, "resume", SessionState.PAUSED)
+        if session not in session.lease.members:
+            # A destructive pause left the lease: win one back the way it
+            # was first held, or be refused.
             rec, rid, now = self._rec, session.request_id, request.arrival
-            carry = (
-                rec.admission_begun(rid, now, "resume")
-                if rec is not None else {}
-            )
             try:
-                decision = self._admission.admit(descriptor, **carry)
+                lease = self._acquire(
+                    rid, now, "resume", probe=session.lease.cache_admitted
+                )
             except AdmissionRejected as rejected:
                 session.state = SessionState.REJECTED
                 session.reject = RejectReason(rejected.cause)
@@ -263,9 +259,7 @@ class MediaServer:
                     rec.admission_decided(now, "rejected")
                     rec.request_closed(rid, now, "rejected", rejected.cause)
                 return session.status()
-            if rec is not None:
-                rec.admission_decided(now)
-            session.admission_id = decision.request_id
+            self._join(session, lease)
         session.state = SessionState.PLAYING
         self._epoch_queue.append(session.session_id)
         if self._rec is not None:
@@ -281,8 +275,10 @@ class MediaServer:
         if rec is not None:
             rec.verb_applied(rid, "stop", request.arrival)
         self._dequeue(session)
-        self._release_resources(session)
-        self._finalize_request(session)
+        self._vacate(session)
+        if session.state is not SessionState.COMPLETED:
+            # (A completed session's MRS request ended with its epoch.)
+            self.mrs.stop(session.request_id)
         session.state = SessionState.STOPPED
         if rec is not None:
             rec.request_closed(rid, request.arrival, "stopped")
@@ -300,7 +296,7 @@ class MediaServer:
 
     # -- public API: batched serve -----------------------------------------------
 
-    def serve(self, requests: Sequence, max_rounds: int = 100_000) -> ServeResult:
+    def serve(self, requests: Sequence) -> ServeResult:
         """Process a queue of typed requests and run one service epoch.
 
         Opens are grouped into admission batches; lifecycle verbs
@@ -308,15 +304,18 @@ class MediaServer:
         in arrival order after admission; then every session scheduled
         for playback is serviced to completion in one round-robin epoch.
         """
+        dispatch = {
+            PlayRequest: self.play,
+            PauseRequest: self.pause,
+            ResumeRequest: self.resume,
+            StopRequest: self.stop,
+        }
         opens: List[OpenSessionRequest] = []
         lifecycle: List[Tuple[float, int, object]] = []
         for index, request in enumerate(requests):
             if isinstance(request, OpenSessionRequest):
                 opens.append(request)
-            elif isinstance(
-                request,
-                (PlayRequest, PauseRequest, ResumeRequest, StopRequest),
-            ):
+            elif type(request) in dispatch:
                 lifecycle.append((request.arrival, index, request))
             else:
                 raise ParameterError(
@@ -339,16 +338,9 @@ class MediaServer:
                 queue.append((batch, requeues + 1))
                 continue
             for response in responses:
-                if response.session_id is not None:
-                    touched.append(response.session_id)
+                touched.append(response.session_id)
                 if not response.accepted:
                     rejects.append(response)
-        dispatch = {
-            PlayRequest: self.play,
-            PauseRequest: self.pause,
-            ResumeRequest: self.resume,
-            StopRequest: self.stop,
-        }
         for _arrival, _index, request in sorted(
             lifecycle, key=lambda item: (item[0], item[1])
         ):
@@ -356,32 +348,24 @@ class MediaServer:
             touched.append(status.session_id)
             if status.state is SessionState.REJECTED:
                 rejects.append(
-                    OpenSessionResponse(
-                        session_id=status.session_id,
-                        accepted=False,
-                        reject=self._sessions[status.session_id].reject,
-                        detail="re-admission on resume failed",
+                    self._sessions[status.session_id].response(
+                        "re-admission on resume failed"
                     )
                 )
-        epoch = self._run_epoch(max_rounds)
-        touched.extend(epoch["played"])
-        seen = set()
-        ordered = [
-            sid for sid in sorted(touched)
-            if not (sid in seen or seen.add(sid))
-        ]
+        played, rounds, k_used, sequences = self._run_epoch()
+        touched.extend(played)
         return ServeResult(
             statuses=tuple(
-                self._sessions[sid].status() for sid in ordered
+                self._sessions[sid].status() for sid in sorted(set(touched))
             ),
             rejects=tuple(rejects),
-            rounds=epoch["rounds"],
-            k_used=epoch["k_used"],
+            rounds=rounds,
+            k_used=k_used,
             batches=len(batches),
             cache_stats=(
                 self.cache.stats.as_dict() if self.cache is not None else {}
             ),
-            block_sequences=epoch["block_sequences"],
+            block_sequences=sequences,
         )
 
     # -- admission ---------------------------------------------------------------
@@ -416,13 +400,7 @@ class MediaServer:
             return denied
         leader_req = allowed[0]
         try:
-            leader_rid = self.mrs.open_request(
-                leader_req.client_id,
-                leader_req.rope_id,
-                start=leader_req.start,
-                length=leader_req.length,
-                media=leader_req.media,
-            )
+            leader_rid = self._open_request(leader_req)
         except IntervalError as error:
             return denied + self._reject_all(
                 allowed, RejectReason.EMPTY_INTERVAL, requeues, str(error)
@@ -433,82 +411,33 @@ class MediaServer:
                 leader_rid, now, rope=leader_req.rope_id,
                 client=leader_req.client_id, batch_size=len(allowed),
             )
-        #: The plan's distinct disk slots — planned only when there is a
-        #: cache whose residency can decide the admission.
-        slots: Tuple[int, ...] = ()
-        cache_admitted = False
-        admission_id: Optional[int] = None
-        if self.cache is not None:
-            planned = self._playback_session().fetch_sequence(leader_rid)
-            slots = tuple(sorted(set(planned.slots) - {None}))
-            cache_admitted = (
-                self.cache.resident_fraction(slots) >= 1.0
-                and self.cache.pin(slots)
+        try:
+            lease = self._acquire(
+                leader_rid, now, "controller", probe=self.cache is not None
             )
-        if cache_admitted:
-            # Every block is already resident: the session consumes no
-            # disk-round budget, so it bypasses the §3.4 controller.
+        except AdmissionRejected as rejected:
+            self.mrs.stop(leader_rid)
+            will_requeue = allow_requeue and requeues < self.requeue_limit
             if rec is not None:
-                rec.cache_admitted(
-                    leader_rid, now, batch.key.rope_id, len(slots)
-                )
-        else:
-            descriptor = self.mrs.msm.descriptor_for_media(
-                leader_req.media.includes_video
+                status = "requeued" if will_requeue else "rejected"
+                rec.admission_decided(now, status)
+                rec.request_closed(leader_rid, now, status)
+            if will_requeue:
+                return None
+            reason = (
+                RejectReason.QUEUE_FULL
+                if requeues
+                else RejectReason(rejected.cause)
             )
-            carry = (
-                rec.admission_begun(leader_rid, now, "controller")
-                if rec is not None else {}
+            return denied + self._reject_all(
+                allowed, reason, requeues, str(rejected)
             )
-            try:
-                decision = self._admission.admit(descriptor, **carry)
-            except AdmissionRejected as rejected:
-                self.mrs.stop(leader_rid)
-                will_requeue = (
-                    allow_requeue and requeues < self.requeue_limit
-                )
-                if rec is not None:
-                    status = "requeued" if will_requeue else "rejected"
-                    rec.admission_decided(now, status)
-                    rec.request_closed(leader_rid, now, status)
-                if will_requeue:
-                    return None
-                reason = (
-                    RejectReason.QUEUE_FULL
-                    if requeues
-                    else RejectReason(rejected.cause)
-                )
-                return denied + self._reject_all(
-                    allowed, reason, requeues, str(rejected)
-                )
-            if rec is not None:
-                rec.admission_decided(now)
-            admission_id = decision.request_id
-            request = self.mrs.get_request(leader_rid)
-            request.admission_id = admission_id
         leader = self._create_session(
-            leader_req, leader_rid, batch.admit_time, requeues
+            leader_req, leader_rid, now, requeues, lease
         )
-        leader.batch_leader = leader.session_id
-        leader.cache_admitted = cache_admitted
-        leader.admission_id = admission_id
-        leader.pinned = slots if cache_admitted else ()
-        members = [leader]
         for follower_req in allowed[1:]:
-            follower_rid = self.mrs.open_request(
-                follower_req.client_id,
-                follower_req.rope_id,
-                start=follower_req.start,
-                length=follower_req.length,
-                media=follower_req.media,
-            )
-            follower = self._create_session(
-                follower_req, follower_rid, batch.admit_time, requeues
-            )
-            follower.batch_leader = leader.session_id
-            follower.cache_admitted = cache_admitted
-            members.append(follower)
-            leader.followers.append(follower.session_id)
+            follower_rid = self._open_request(follower_req)
+            self._create_session(follower_req, follower_rid, now, requeues, lease)
             if rec is not None:
                 rec.request_opened(
                     follower_rid, now, rope=follower_req.rope_id,
@@ -517,25 +446,27 @@ class MediaServer:
                 )
         if rec is not None:
             rec.batch_admitted(
-                batch.key.rope_id, batch.size, len(members),
-                leader.session_id, cache_admitted, requeues,
+                batch.key.rope_id, batch.size, len(allowed),
+                leader.session_id, lease.cache_admitted, requeues,
             )
-        responses = list(denied)
-        for member, request in zip(members, allowed):
+        for member, request in zip(lease.members, allowed):
             if request.auto_play:
                 member.state = SessionState.PLAYING
                 self._epoch_queue.append(member.session_id)
-            responses.append(
-                OpenSessionResponse(
-                    session_id=member.session_id,
-                    accepted=True,
-                    batch_leader=leader.session_id,
-                    cache_admitted=cache_admitted,
-                    requeues=requeues,
-                    detail=f"request {member.request_id}",
-                )
-            )
-        return responses
+        return denied + [
+            member.response(f"request {member.request_id}")
+            for member in lease.members
+        ]
+
+    def _open_request(self, request: OpenSessionRequest) -> str:
+        """The MRS request behind one open; its admission is the lease's."""
+        return self.mrs.open_request(
+            request.client_id,
+            request.rope_id,
+            start=request.start,
+            length=request.length,
+            media=request.media,
+        )
 
     def _create_session(
         self,
@@ -543,6 +474,7 @@ class MediaServer:
         request_id: Optional[str],
         arrival: float,
         requeues: int,
+        lease: Optional[_Lease] = None,
         reject: Optional[RejectReason] = None,
     ) -> _Session:
         session = _Session(
@@ -555,10 +487,11 @@ class MediaServer:
             ),
             arrival=arrival,
             requeues=requeues,
-            media=request.media,
             reject=reject,
         )
         self._sessions[session.session_id] = session
+        if lease is not None:
+            self._join(session, lease)
         return session
 
     def _reject_all(
@@ -572,22 +505,14 @@ class MediaServer:
         responses = []
         for request in members:
             session = self._create_session(
-                request, None, request.arrival, requeues, reason
+                request, None, request.arrival, requeues, reject=reason
             )
             if self._rec is not None:
                 self._rec.request_rejected(
                     session.session_id, request.arrival, request.rope_id,
                     reason.value,
                 )
-            responses.append(
-                OpenSessionResponse(
-                    session_id=session.session_id,
-                    accepted=False,
-                    reject=reason,
-                    requeues=requeues,
-                    detail=detail,
-                )
-            )
+            responses.append(session.response(detail))
         return responses
 
     # -- epoch execution -----------------------------------------------------------
@@ -601,26 +526,20 @@ class MediaServer:
             obs=self.obs,
         )
 
-    def _round_period(self, k: int) -> float:
-        """Rough simulated seconds per service round at blocks-per-round *k*."""
-        descriptor = self.mrs.msm.descriptor_for_media(True)
-        return max(k, 1) * descriptor.block_playback
-
-    def _run_epoch(self, max_rounds: int) -> Dict:
-        """Service every scheduled session to completion."""
+    def _run_epoch(self) -> Tuple[List[str], int, int, Dict]:
+        """Service every scheduled session to completion; returns who
+        played, the rounds run, the k used and each session's slots."""
         queue = [
             sid for sid in self._epoch_queue
             if self._sessions[sid].state is SessionState.PLAYING
         ]
         self._epoch_queue = []
         if not queue:
-            return {
-                "played": [], "rounds": 0, "k_used": 0,
-                "block_sequences": {},
-            }
+            return [], 0, 0, {}
         playback = self._playback_session()
         k = max(1, self.mrs.msm.admission.current_k)
-        period = self._round_period(k)
+        #: Rough simulated seconds per service round.
+        period = k * self.mrs.msm.descriptor_for_media(True).block_playback
         t0 = min(self._sessions[sid].arrival for sid in queue)
         initial: List[str] = []
         later: List[Tuple[int, str]] = []
@@ -657,90 +576,107 @@ class MediaServer:
             session.skips = metrics.skips
             session.startup_latency = metrics.startup_latency
             session.state = SessionState.COMPLETED
-        # Every member that played has ended before any of them releases:
-        # a leader's slot can only pass to a follower that has yet to play.
+        # Every member that played has ended before any of them vacates:
+        # a lease outlives them only for a member that has yet to play.
         for sid in queue:
             session = self._sessions[sid]
-            self._release_resources(session)
-            self._finalize_request(session)
+            self._vacate(session)
+            self.mrs.stop(session.request_id)
             if self._rec is not None:
                 self._rec.request_closed(
                     session.request_id, session.arrival,
                     "degraded" if session.misses or session.skips else "ok",
                 )
-        return {
-            "played": queue,
-            "rounds": result.rounds,
-            "k_used": result.k_used,
-            "block_sequences": sequences,
-        }
+        return queue, result.rounds, result.k_used, sequences
 
     # -- resource management ---------------------------------------------------------
 
-    def _session(self, session_id: str) -> _Session:
-        try:
-            return self._sessions[session_id]
-        except KeyError:
+    def _session(
+        self, session_id: str, verb: str = "", *allowed: SessionState
+    ) -> _Session:
+        """The session a request names — in a state that allows *verb*."""
+        session = self._sessions.get(session_id)
+        if session is None:
+            raise ParameterError(f"unknown session {session_id!r}")
+        if verb and session.state not in allowed:
             raise ParameterError(
-                f"unknown session {session_id!r}"
-            ) from None
+                f"cannot {verb} session {session_id} in state "
+                f"{session.state.value}"
+            )
+        return session
 
     def _dequeue(self, session: _Session) -> None:
         self._epoch_queue = [
             sid for sid in self._epoch_queue if sid != session.session_id
         ]
 
-    def _hand_over(self, leaving: _Session) -> None:
-        """A batch is one physical stream.  When its leader leaves — stops,
-        pauses destructively or completes — the first follower still live
-        takes the admission slot or cache pins and leads the members that
-        remain, so none of them reads on a slot the controller believes
-        free; with no live follower the leader keeps them, to release."""
-        live = [
-            self._sessions[sid] for sid in leaving.followers
-            if self._sessions[sid].state in _LIVE
-        ]
-        leaving.followers = []
-        if not live:
-            return
-        heir = live[0]
-        heir.followers = [member.session_id for member in live[1:]]
-        for member in live:
-            member.batch_leader = heir.session_id
-        heir.pinned, leaving.pinned = leaving.pinned, ()
-        if leaving.admission_id is not None:
-            heir.admission_id, leaving.admission_id = leaving.admission_id, None
-            self.mrs.get_request(leaving.request_id).admission_id = None
-            self.mrs.get_request(heir.request_id).admission_id = heir.admission_id
+    def _acquire(
+        self, request_id: str, now: float, path: str, probe: bool
+    ) -> _Lease:
+        """Take the one claim a physical stream needs before it may read.
 
-    def _release_resources(self, session: _Session) -> None:
-        """Release the admission slot and cache pins a session holds
-        (what a live follower does not take over, :meth:`_hand_over`).
-
-        Releases cross the MRS↔MSM boundary through the RPC channel like
-        admissions do; the MRS request is then stopped with nothing left
-        to release.
+        With *probe*, a plan whose every disk slot is resident is pinned:
+        it consumes no disk-round budget, so it bypasses the §3.4
+        controller.  Otherwise the controller decides, across the RPC
+        channel (*path* tags that span), and its refusal propagates.
         """
-        self._hand_over(session)
-        if session.admission_id is not None:
+        rec = self._rec
+        request = self.mrs.get_request(request_id)
+        if probe:
+            planned = self._playback_session().fetch_sequence(request_id)
+            slots = tuple(sorted(set(planned.slots) - {None}))
+            if (
+                self.cache.resident_fraction(slots) >= 1.0
+                and self.cache.pin(slots)
+            ):
+                if rec is not None:
+                    rec.cache_admitted(
+                        request_id, now, request.rope_id, len(slots)
+                    )
+                return _Lease(pinned=slots)
+        descriptor = self.mrs.msm.descriptor_for_media(
+            request.media.includes_video
+        )
+        carry = (
+            rec.admission_begun(request_id, now, path)
+            if rec is not None else {}
+        )
+        decision = self._admission.admit(descriptor, **carry)
+        if rec is not None:
+            rec.admission_decided(now)
+        return _Lease(admission_id=decision.request_id)
+
+    @staticmethod
+    def _join(session: _Session, lease: _Lease) -> None:
+        lease.members.append(session)
+        session.lease = lease
+        session.batch_leader = lease.members[0].session_id
+
+    def _vacate(self, session: _Session) -> None:
+        """*session* stopped, completed or paused destructively: it leaves
+        its lease.  A batch is one physical stream, so the lease stays held
+        while another member is live (the first of them is reported as the
+        leader) and none reads on a slot the controller believes free; the
+        last one out gives the slot or the pins back, over the RPC channel.
+        """
+        lease = session.lease
+        if lease is None or session not in lease.members:
+            return
+        lease.members.remove(session)
+        live = [member for member in lease.members if member.state in _LIVE]
+        for member in live:
+            member.batch_leader = live[0].session_id
+        if live:
+            return
+        lease.members.clear()
+        if lease.admission_id is not None:
             carry = (
                 self._rec.release_carry(session.request_id)
                 if self._rec is not None else {}
             )
-            self._admission.release(session.admission_id, **carry)
-            session.admission_id = None
-            self.mrs.get_request(session.request_id).admission_id = None
-        if session.pinned and self.cache is not None:
-            self.cache.unpin(session.pinned)
-            session.pinned = ()
-
-    def _finalize_request(self, session: _Session) -> None:
-        """Mark the session's MRS request STOPPED (terminal states only)."""
-        if session.request_id is None:
-            return
-        request = self.mrs.get_request(session.request_id)
-        if request.state is not RequestState.STOPPED:
-            self.mrs.stop(session.request_id)
+            self._admission.release(lease.admission_id, **carry)
+        else:
+            self.cache.unpin(lease.pinned)
 
 
 def build_media_server(

@@ -105,6 +105,19 @@ class TestGeneralController:
         assert controller.can_admit(video)
         assert controller.active_count == 0
 
+    def test_frozen_controller_admits_nothing(self, disk, video):
+        controller = GeneralAdmissionController(disk)
+        held = controller.admit(video).request_id
+        assert controller.active_requests == {held: video}
+        controller.freeze()
+        assert not controller.can_admit(video)
+        with pytest.raises(AdmissionRejected) as refused:
+            controller.admit(video)
+        assert refused.value.n_max == 0
+        assert controller.active_count == 1  # what plays keeps playing
+        controller.release(held)
+        assert controller.active_requests == {}
+
 
 class TestSimulatedMixedWorkload:
     def test_solved_ks_play_continuously(self, disk, video, audio):

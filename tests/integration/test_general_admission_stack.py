@@ -83,3 +83,17 @@ class TestGeneralAdmissionStack:
         assert msm.admission.active_count == 1
         mrs.stop(request_id)
         assert msm.admission.active_count == 0
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_losing_the_last_head_admits_nothing(self, general):
+        """Degraded-mode revalidation reads and freezes either controller
+        through members both have — not duck-typing probes that let the
+        general one keep admitting at n_max = 0."""
+        msm, mrs = build_servers(general)
+        descriptor = msm.descriptor_for_media(True)
+        held = msm.admit(descriptor).request_id
+        assert msm.revalidate_admission(msm.disk_params.heads) == 0
+        with pytest.raises(AdmissionRejected):
+            msm.admit(descriptor)
+        assert msm.admission.active_count == 1
+        msm.release(held)

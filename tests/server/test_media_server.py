@@ -34,6 +34,25 @@ def _rope(server, seconds=1.0, clients=CLIENTS):
     return record_strands(server.mrs, 1, seconds, clients, "t")[0]
 
 
+def held_leases(server):
+    """The leases some session still plays on — after asserting that the
+    controller's slots and the cache's pins are exactly theirs: the
+    per-step invariant of ROADMAP item 1(b), checked after every verb."""
+    held = {
+        id(session.lease): session.lease
+        for session in server._sessions.values()
+        if session.lease is not None and session.lease.members
+    }.values()
+    slots = [lease for lease in held if not lease.cache_admitted]
+    pinned = set().union(
+        *(lease.pinned for lease in held if lease.cache_admitted)
+    )
+    assert server.mrs.msm.admission.active_count == len(slots)
+    if server.cache is not None:
+        assert server.cache.pinned_count == len(pinned)
+    return list(held)
+
+
 def _open(rope_id, client="client-0", **overrides):
     defaults = dict(
         client_id=client, rope_id=rope_id, media=Media.VIDEO,
@@ -281,9 +300,9 @@ class TestBatchedServe:
 
 
 class TestLeaderHandover:
-    """A batch is one physical stream: when its leader stops or pauses
-    destructively, the slot (or the cache pins) moves to a live follower
-    instead of leaving the followers to read unadmitted."""
+    """A batch is one physical stream on one lease: when its leader stops
+    or pauses destructively the slot (or the cache pins) stays held for
+    the followers still live, instead of leaving them to read unadmitted."""
 
     MEMBERS = ("C0001", "C0002", "C0003")
 
@@ -370,6 +389,42 @@ class TestLeaderHandover:
         assert controller.active_count == 0
         assert server.channel.calls_by_method() == {"admit": 1, "release": 1}
 
+    @staticmethod
+    def _churn(server, order, verbs):
+        """Stop or destructively pause each member of a held batch in
+        *order*, then resume the paused ones — checking the leases after
+        every verb."""
+        (lease,) = held_leases(server)
+        paused = []
+        for position, (sid, verb) in enumerate(zip(order, verbs)):
+            if verb == "stop":
+                server.stop(StopRequest(sid))
+            else:
+                server.pause(PauseRequest(sid, destructive=True))
+                paused.append(sid)
+            held = held_leases(server)
+            if position < 2:
+                # A member no verb has touched is still live, on the one
+                # slot (or set of pins) the batch was admitted with.
+                assert held == [lease], (order, verbs, sid)
+        assert held == []
+        # Every paused member left the batch's lease, so it resumes on
+        # one of its own, taken the way the batch's was — or is refused,
+        # typed.
+        for sid in paused:
+            server.resume(ResumeRequest(sid))
+            held_leases(server)
+        server.serve([])
+        for sid in paused:
+            status = server.status(sid)
+            if status.state is SessionState.REJECTED:
+                assert server._sessions[sid].reject is not None
+            else:
+                assert status.state is SessionState.COMPLETED
+                assert status.misses == 0
+                assert status.cache_admitted == lease.cache_admitted
+        assert held_leases(server) == []
+
     @pytest.mark.parametrize("order", list(itertools.permutations(MEMBERS)))
     @pytest.mark.parametrize(
         "verbs", list(itertools.product(("stop", "pause"), repeat=3))
@@ -378,32 +433,31 @@ class TestLeaderHandover:
         self, server, order, verbs
     ):
         controller = self._held_batch(server)
-        paused = []
-        for position, (sid, verb) in enumerate(zip(order, verbs)):
-            if verb == "stop":
-                server.stop(StopRequest(sid))
-            else:
-                server.pause(PauseRequest(sid, destructive=True))
-                paused.append(sid)
-            if position < 2:
-                # A member no verb has touched is still live.
-                assert controller.active_count == 1, (order, verbs, sid)
-        assert controller.active_count <= 1
-        # Every paused member resumes — on the slot it was handed, or on
-        # its own if it led and gave it up — or is refused, typed.
-        result = server.serve([ResumeRequest(sid) for sid in paused])
-        for sid in paused:
-            status = server.status(sid)
-            if status.state is SessionState.REJECTED:
-                assert any(
-                    r.session_id == sid and r.reject is not None
-                    for r in result.rejects
-                )
-            else:
-                assert status.state is SessionState.COMPLETED
-                assert status.misses == 0
+        assert controller.active_count == 1
+        self._churn(server, order, verbs)
         assert controller.active_count == 0
         assert server.cache.pinned_count == 0
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    @pytest.mark.parametrize(
+        "verbs", list(itertools.product(("stop", "pause"), repeat=3))
+    )
+    def test_a_cache_admitted_batch_holds_its_pins_while_a_member_is_live(
+        self, server, order, verbs
+    ):
+        rope_id = _rope(server)
+        server.serve([_open(rope_id, client="warmer")])
+        held = server.serve([
+            _open(rope_id, client=f"client-{i}", auto_play=False)
+            for i in range(3)
+        ])
+        assert all(status.cache_admitted for status in held.statuses)
+        pinned = server.cache.pinned_count
+        assert pinned > 0
+        members = [status.session_id for status in held.statuses]
+        self._churn(server, [members[i] for i in order], verbs)
+        assert server.mrs.msm.admission.active_count == 0
+        assert server.channel.calls_by_method() == {"admit": 1, "release": 1}
 
 
 class TestCacheAwareAdmission:
@@ -428,6 +482,122 @@ class TestCacheAwareAdmission:
     def test_completion_unpins_the_cache(self):
         run = get("server-hot")(sessions=6, strands=2, seconds=1.0).run()
         assert run.stack.cache.pinned_count == 0
+
+
+class TestResumeAcquiresALease:
+    """A destructive pause leaves the lease; RESUME must win one back —
+    the pins if every slot is still resident, else a controller slot,
+    else a typed refusal — before the session reads the disk again."""
+
+    @staticmethod
+    def _paused_then_evicted():
+        """A cache-admitted session, destructively paused, whose blocks a
+        play of another rope has since evicted."""
+        server = build_media_server(cache_blocks=10)
+        hot, other = record_strands(server.mrs, 2, 1.0, CLIENTS, "t")
+        server.serve([_open(hot, client="warmer")])
+        held = server.open(_open(hot, auto_play=False))
+        assert held.cache_admitted and server.cache.pinned_count == 8
+        server.pause(PauseRequest(held.session_id, destructive=True))
+        assert held_leases(server) == []
+        server.serve([_open(other, client="warmer")])
+        return server, held.session_id
+
+    def test_an_evicted_cache_lease_resumes_on_a_controller_slot(self):
+        server, sid = self._paused_then_evicted()
+        status = server.resume(ResumeRequest(sid))
+        assert status.state is SessionState.PLAYING
+        assert not status.cache_admitted
+        (lease,) = held_leases(server)
+        assert not lease.cache_admitted
+        assert server.mrs.msm.admission.active_count == 1
+        reads = server.mrs.msm.drive.stats.reads
+        result = server.serve([])
+        assert server.mrs.msm.drive.stats.reads > reads  # on that slot
+        assert result.status_of(sid).state is SessionState.COMPLETED
+        assert result.status_of(sid).misses == 0
+        assert held_leases(server) == []
+
+    def test_a_still_resident_cache_lease_resumes_on_its_pins(self, server):
+        rope_id = _rope(server)
+        server.serve([_open(rope_id, client="warmer")])
+        sid = server.open(_open(rope_id, auto_play=False)).session_id
+        server.pause(PauseRequest(sid, destructive=True))
+        assert server.cache.pinned_count == 0
+        assert server.resume(ResumeRequest(sid)).cache_admitted
+        (lease,) = held_leases(server)
+        assert lease.cache_admitted and server.cache.pinned_count > 0
+        assert server.serve([]).status_of(sid).continuous
+        assert server.channel.calls_by_method() == {"admit": 1, "release": 1}
+
+    def test_at_capacity_the_resume_is_refused_typed(self):
+        server, sid = self._paused_then_evicted()
+        controller = server.mrs.msm.admission
+        descriptor = server.mrs.msm.descriptor_for_media(True)
+        while controller.can_admit(descriptor):
+            controller.admit(descriptor)
+        full = controller.active_count
+        reads = server.mrs.msm.drive.stats.reads
+        result = server.serve([ResumeRequest(sid)])
+        assert result.status_of(sid).state is SessionState.REJECTED
+        assert [(r.session_id, r.reject) for r in result.rejects] == [
+            (sid, RejectReason.CAPACITY)
+        ]
+        assert controller.active_count == full
+        assert server.mrs.msm.drive.stats.reads == reads
+
+    def test_a_paused_follower_resumes_on_a_lease_of_its_own(self, server):
+        rope_id = _rope(server)
+        server.serve([
+            _open(rope_id, client=f"client-{i}", auto_play=False)
+            for i in range(2)
+        ])
+        server.pause(PauseRequest("C0002", destructive=True))
+        (batch,) = held_leases(server)
+        status = server.resume(ResumeRequest("C0002"))
+        assert status.batch_leader == "C0002"
+        assert len(held_leases(server)) == 2
+        assert server.status("C0001").batch_leader == "C0001"
+        server.serve([PlayRequest("C0001")])
+        assert held_leases(server) == []
+
+
+class TestOneAdmissionDoor:
+    def test_every_mrs_admit_and_release_passes_the_msm(self, monkeypatch):
+        """RECORD / PLAY / destructive PAUSE / RESUME / STOP on a bare
+        rope server: the controller has no caller but the MSM's door."""
+        from repro.config import TESTBED_1991
+        from repro.media.frames import frames_for_duration
+        from repro.rope.server import build_rope_server
+
+        mrs = build_rope_server()
+        msm, controller = mrs.msm, mrs.msm.admission
+        calls = {}
+
+        def counted(owner, label, method):
+            real = getattr(owner, method)
+
+            def spy(*args, **kwargs):
+                calls[label, method] = calls.get((label, method), 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, method, spy)
+
+        for method in ("admit", "release"):
+            counted(controller, "controller", method)
+            counted(msm, "msm", method)
+        frames = frames_for_duration(TESTBED_1991.video, 1.0, source="t")
+        recording, rope_id = mrs.record("u", frames=frames)
+        mrs.stop(recording)
+        playing = mrs.play("u", rope_id)
+        mrs.pause(playing, destructive=True)
+        mrs.resume(playing)
+        mrs.stop(playing)
+        with pytest.raises(ParameterError, match="empty video strand"):
+            mrs.record("u", frames=[])  # admitted, then cannot store
+        assert controller.active_count == 0
+        assert calls["msm", "admit"] == calls["controller", "admit"] == 4
+        assert calls["msm", "release"] == calls["controller", "release"] == 4
 
 
 class TestPlansOnlyWhereADecisionReadsOne:

@@ -775,6 +775,61 @@ class TestOneWritePath:
             "analysis/experiments.py": ["e8_edit_copy"],
         }, outside_disk
 
+    @staticmethod
+    def _writes(attribute):
+        """``<anything>.<attribute> = …`` (plain, augmented or annotated)
+        and ``<attribute>=…`` passed to a constructor."""
+        import ast
+
+        def matches(node):
+            if isinstance(node, ast.keyword):
+                return node.arg == attribute
+            targets = getattr(node, "targets", None) or [
+                getattr(node, "target", None)
+            ]
+            return isinstance(
+                node, (ast.Assign, ast.AugAssign, ast.AnnAssign)
+            ) and any(
+                isinstance(target, ast.Attribute) and target.attr == attribute
+                for target in targets
+            )
+
+        return matches
+
+    def test_the_controller_has_one_caller_and_a_slot_one_holder(self):
+        """ISSUE 22: the MSM's admit/release door is the controller's only
+        caller; the media server takes a slot or pins in ``_acquire`` and
+        gives them back in ``_vacate``; an MRS request's slot is written
+        by the MRS alone."""
+        callers = _lines_naming(
+            re.compile(r"\.admission\.(admit|release)\("), ("src",), {".py"},
+            skip=("src/repro/fs/storage_manager.py",),
+        )
+        assert not callers, "\n".join(callers)
+        for verbs, function in (
+            (("admit", "pin"), "_acquire"), (("release", "unpin"), "_vacate")
+        ):
+            takes = self._sites(self._calls(*verbs), ["server"])
+            assert takes == {
+                "server/media_server.py": [function, function]
+            }, takes
+        writers = {
+            path: sorted(set(functions)) for path, functions in
+            self._sites(self._writes("admission_id"), self.LAYERS).items()
+        }
+        assert writers == {
+            "server/media_server.py": ["_acquire"],
+            "rope/server.py": ["_play_request", "_release", "record",
+                               "resume"],
+        }, writers
+
+    def test_a_node_is_loaded_and_unloaded_in_one_place_each(self):
+        sites = self._sites(self._writes("active"), ["cluster"])
+        assert {path: sorted(names) for path, names in sites.items()} == {
+            "cluster/node.py": ["__init__"],
+            "cluster/router.py": ["_leave", "_place"],
+        }, sites
+
     def test_slot_cylinder_arithmetic_lives_in_geometry_and_drive(self):
         readers = sorted(
             str(path.relative_to(self.SRC))
@@ -824,7 +879,14 @@ class TestRetiredNames:
             "e18_antijitter", "e19_unified_server", "e20_heterogeneous_k",
             "e21_record_play", "e22_fault_recovery",
         )),
+        # ISSUE 22: one lease per physical stream.
+        "repro.server.media_server.MediaServer._hand_over",
+        "repro.server.media_server.MediaServer._release_resources",
+        "repro.server.media_server.MediaServer._finalize_request",
+        "repro.rope.MultimediaRopeServer._descriptor_for",
     ]
+    #: Retired instance attributes, which no import can resolve.
+    RETIRED_ATTRIBUTES = re.compile(r"_seen_sessions")
 
     @staticmethod
     def _exists(name):
@@ -851,6 +913,10 @@ class TestRetiredNames:
     def test_is_gone(self, name):
         assert not self._exists(name), f"{name} is back"
 
+    def test_no_source_names_a_retired_attribute(self):
+        hits = _lines_naming(self.RETIRED_ATTRIBUTES, ("src",), {".py"})
+        assert not hits, "\n".join(hits)
+
     def test_the_check_can_tell_present_from_gone(self):
         for name in ("repro.analysis.Table.cell", "repro.obs.recorder",
                      "benchmarks/bench_experiments.py"):
@@ -858,11 +924,11 @@ class TestRetiredNames:
 
 
 class TestSourceSize:
-    #: `src/` physical lines, as measured, after the E-series became one
-    #: claims table (ISSUE 21; 24,557 before).
+    #: `src/` physical lines, as measured, after a batch's slot or pins
+    #: became one lease (ISSUE 22; 24,336 before).
     #: ROADMAP aim 2: the count trends *down* — lower this when a PR
     #: deletes code, never raise it to make room.
-    SRC_LINE_CEILING = 24336
+    SRC_LINE_CEILING = 24263
 
     def test_src_line_count_stays_under_the_ceiling(self):
         total = sum(
