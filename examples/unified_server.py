@@ -9,8 +9,9 @@ audio, and conventional text files together.
 2. A *mixed* client population (video + audio-only) is admitted with the
    general per-request-k solver — the paper's averaged model would
    reject this mix outright.
-3. The round loop serves every media stream glitch-free, and spends each
-   round's leftover Eq.-(11) budget on text reads.
+3. The one §3.4 round loop (`RoundRobinService`) serves every media
+   stream glitch-free; a `TextQueue` handed to it as after-turn work
+   spends each round's leftover Eq.-(11) budget on text reads.
 
 Run:  python examples/unified_server.py
 """
@@ -20,8 +21,8 @@ from repro.config import TESTBED_1991
 from repro.core import GeneralAdmissionController, RequestDescriptor
 from repro.core.symbols import BlockModel, video_block_model
 from repro.disk import GapFiller, build_drive, FreeMap
-from repro.service.besteffort import TextRequest, UnifiedService
-from repro.service.rounds import StreamState
+from repro.service.besteffort import TextQueue, TextRequest
+from repro.service.rounds import RoundRobinService, StreamState
 
 
 def main() -> None:
@@ -71,12 +72,12 @@ def main() -> None:
             )
         )
     text = TextRequest("mail-spool", list(range(5000, 5300)))
-    service = UnifiedService(
+    queue = TextQueue([text])
+    metrics = RoundRobinService(
         drive,
         lambda round_number, n: max(controller.k_values().values()),
-        text_requests=[text],
-    )
-    metrics = service.run(streams)
+        after_turns=[queue],
+    ).run(streams)
 
     # --- report ----------------------------------------------------------------
     print("service results:")
@@ -87,11 +88,11 @@ def main() -> None:
         )
     total_misses = sum(m.misses for m in metrics.values())
     print(
-        f"\ntext served in media slack: {service.text_blocks_served} of "
+        f"\ntext served in media slack: {queue.blocks_served} of "
         f"{len(text.slots)} blocks "
-        f"({service.text_time_used:.2f} s of disk time)"
+        f"({queue.time_used:.2f} s of disk time)"
     )
-    service.drain_text(0.0)
+    queue.drain(drive, 0.0)
     print(f"text completed after media drain: {text.finished}")
     verdict = "held" if total_misses == 0 else "VIOLATED"
     print(f"real-time guarantee {verdict} for all 6 media clients")

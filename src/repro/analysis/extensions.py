@@ -58,14 +58,10 @@ from repro.media.codec import DifferencingCodec
 from repro.rope import build_rope_server
 from repro.rope.server import FetchColumns
 from repro.service import simulate_concurrent, simulate_pipelined
-from repro.service.besteffort import TextRequest, UnifiedService
-from repro.service.mixed_rounds import MixedRoundService, RecordStream
+from repro.service.besteffort import TextQueue, TextRequest
+from repro.service.mixed_rounds import RecordStream
 from repro.service.rounds import RoundRobinService, StreamState
-from repro.service.scan_order import (
-    ScanOrderService,
-    measured_capacity,
-    probe_round_times,
-)
+from repro.service.scan_order import measured_capacity, scan_order
 from repro.service.variable_speed import simulate_variable_speed
 
 __all__ = [
@@ -144,17 +140,29 @@ def e14_scan_ordering() -> Result:
             )
         return streams
 
-    drive_rr = build_drive()
-    rr_probe = probe_round_times(
-        RoundRobinService(drive_rr, lambda r, m: k),
-        regional_streams(drive_rr),
-    )
-    drive_scan = build_drive()
-    scan_probe = probe_round_times(
-        ScanOrderService(drive_scan, lambda r, m: k),
-        regional_streams(drive_scan),
-    )
-    params = drive_rr.parameters()
+    class RoundTimes(list):
+        """After-turn work that only notes how long the turns took."""
+
+        due = float("inf")
+
+        def serve(self, service, time, round_start, active, k):
+            if time > round_start:
+                self.append(time - round_start)
+            return time, False
+
+        def results(self):
+            return {}
+
+    def round_times(order) -> RoundTimes:
+        drive = build_drive()
+        times = RoundTimes()
+        RoundRobinService(
+            drive, lambda r, m: k, order=order, after_turns=[times]
+        ).run(regional_streams(drive))
+        return times
+
+    rr_times, scan_times = round_times(None), round_times(scan_order)
+    params = build_drive().parameters()
     descriptor = adm.RequestDescriptor(
         block=block, scattering_avg=params.seek_avg
     )
@@ -166,12 +174,14 @@ def e14_scan_ordering() -> Result:
         ],
     )
     table.add_row(
-        "round-robin (paper)", rr_probe.mean * 1e3, rr_probe.worst * 1e3,
+        "round-robin (paper)",
+        sum(rr_times) / len(rr_times) * 1e3, max(rr_times) * 1e3,
         adm.n_max(adm.service_parameters([descriptor], params)),
     )
     table.add_row(
-        "SCAN-ordered", scan_probe.mean * 1e3, scan_probe.worst * 1e3,
-        measured_capacity(block.playback_duration, k, scan_probe.worst, n),
+        "SCAN-ordered",
+        sum(scan_times) / len(scan_times) * 1e3, max(scan_times) * 1e3,
+        measured_capacity(block.playback_duration, k, max(scan_times), n),
     )
     return Result((table,))
 
@@ -357,20 +367,19 @@ def e19_unified_server() -> Result:
         text = TextRequest(
             "text", list(range(drive.slots // 2, drive.slots // 2 + text_blocks))
         )
-        service = UnifiedService(
-            drive, lambda r, m: k, text_requests=[text]
-        )
+        queue = TextQueue([text])
+        service = RoundRobinService(drive, lambda r, m: k, after_turns=[queue])
         if streams:
             metrics = service.run(streams)
             misses = sum(m.misses for m in metrics.values())
             budget = service.rounds_run * k * block.playback_duration
-            share = service.text_time_used / budget if budget else 0.0
+            share = queue.time_used / budget if budget else 0.0
         else:
             # No media load: the entire disk belongs to text.
-            service.drain_text(0.0)
+            queue.drain(drive, 0.0)
             misses = 0
             share = 1.0
-        table.add_row(n, misses, service.text_blocks_served, share)
+        table.add_row(n, misses, queue.blocks_served, share)
     return Result((table,))
 
 
@@ -469,10 +478,9 @@ def e21_record_and_play() -> Result:
             2 * k, prefix="play",
         )
         drive.park(0)
-        service = MixedRoundService(
-            drive, lambda r, n: k, record_streams=records
-        )
-        metrics = service.run(plays)
+        metrics = RoundRobinService(
+            drive, lambda r, n: k, after_turns=records
+        ).run(plays)
         play_misses = sum(
             m.misses for rid, m in metrics.items() if rid.startswith("play")
         )

@@ -70,9 +70,6 @@ EVENTS: Dict[str, Tuple[str, str]] = {
     "cache_probe": (
         "cache", "counter:cache.hits counter:cache.misses span:cache.read"),
     "cache_evicted": ("cache", "counter:cache.evictions"),
-    "block_scored": (
-        "score", "histogram:session.deadline_slack_s "
-        "counter:session.blocks_delivered counter:session.blocks_skipped"),
     "fault": (
         "fault", "counter:fault.injected counter:fault.retries "
         "counter:fault.skips counter:fault.deadline_abandons "
@@ -512,14 +509,6 @@ class ServiceRecorder:
                 span_name, start, parent=parent, attrs={"slot": slot, **extra}
             )
             self._spans.end_span(span, end)
-
-    def block_scored(self, arrival: float, deadline: float, skipped: bool) -> None:
-        """A single-request simulator scored one block."""
-        if skipped:
-            self._m["session.blocks_skipped"].inc()
-        else:
-            self._m["session.blocks_delivered"].inc()
-            self._m["session.deadline_slack_s"].observe(deadline - arrival)
 
     # -- the request path: media server and batching -----------------------------
 

@@ -6,16 +6,12 @@ from repro.service.playback import (
     simulate_pipelined,
     simulate_sequential,
 )
-from repro.service.besteffort import TextRequest, UnifiedService
-from repro.service.mixed_rounds import MixedRoundService, RecordStream
+from repro.service.besteffort import TextQueue, TextRequest
+from repro.service.mixed_rounds import RecordStream
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.service.rpc import RpcCall, RpcChannel, estimate_bytes, stub_for
-from repro.service.scan_order import (
-    RoundTimeProbe,
-    ScanOrderService,
-    measured_capacity,
-    probe_round_times,
-)
+# Not ``scan_order`` the function: it would shadow the submodule it is in.
+from repro.service.scan_order import measured_capacity
 from repro.service.session import (
     PlaybackSession,
     SessionResult,
@@ -29,22 +25,18 @@ from repro.service.variable_speed import (
 
 __all__ = [
     "Admission",
-    "MixedRoundService",
     "PlaybackSession",
     "RecordStream",
+    "TextQueue",
     "TextRequest",
-    "UnifiedService",
     "RoundRobinService",
-    "RoundTimeProbe",
     "RpcCall",
     "RpcChannel",
-    "ScanOrderService",
     "SessionResult",
     "StreamState",
     "VariableSpeedResult",
     "estimate_bytes",
     "measured_capacity",
-    "probe_round_times",
     "simulate_concurrent",
     "simulate_pipelined",
     "simulate_sequential",

@@ -7,25 +7,25 @@ and playback symmetrically (disk write time ≈ read time, capture time ≈
 display time), and §3.4's admission control covers "n active media
 storage/retrieval requests".
 
-:class:`MixedRoundService` realizes that: the round loop multiplexes
-playback streams (:class:`~repro.service.rounds.StreamState`) *and*
-recording streams (:class:`RecordStream`).  A recording stream's capture
-hardware produces one block per block period into a bounded staging
-buffer; the service must write each block out before the buffer overruns
-(block j's deadline is when block ``j + capacity`` finishes capturing),
-which is the storage-side continuity requirement.
+:class:`RecordStream` realizes that as after-turn work of the one round
+loop (``RoundRobinService(..., after_turns=[record, ...])``): once a
+round's playback turns are done every recording stream gets its k
+blocks.  A recording stream's capture hardware produces one block per
+block period into a bounded staging buffer; the service must write each
+block out before the buffer overruns (block j's deadline is when block
+``j + capacity`` finishes capturing), which is the storage-side
+continuity requirement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
-from repro.service.rounds import RoundRobinService, StreamState
 from repro.sim.metrics import ContinuityMetrics
 
-__all__ = ["RecordStream", "MixedRoundService"]
+__all__ = ["RecordStream"]
 
 
 @dataclass
@@ -97,72 +97,31 @@ class RecordStream:
         )
         self.next_block = number + 1
 
+    @property
+    def due(self) -> float:
+        """When the next block finishes capturing (inf once all are
+        written): the loop runs until then and never idles past it."""
+        if self.finished:
+            return float("inf")
+        return (self.next_block + 1) * self.block_period
 
-class MixedRoundService(RoundRobinService):
-    """Round service over playback *and* recording requests.
+    def results(self) -> Dict[str, ContinuityMetrics]:
+        """This request's staging-buffer continuity, by request id."""
+        return {self.request_id: self.metrics}
 
-    Each round serves the playback streams exactly as
-    :class:`RoundRobinService`, then gives every recording stream its k
-    blocks — writing only blocks that capture has actually produced (the
-    disk cannot write media that does not exist yet; if none is ready the
-    service waits for the next capture, which is recording's analogue of
-    buffer regulation).
-    """
-
-    def __init__(
-        self,
-        drive,
-        k_schedule: Callable[[int, int], int],
-        record_streams: Sequence[RecordStream] = (),
-        tracer=None,
-    ):
-        super().__init__(drive, k_schedule, tracer)
-        self.record_streams: List[RecordStream] = list(record_streams)
-
-    def run(
-        self,
-        initial: Sequence[StreamState],
-        admissions=(),
-        max_rounds: int = 100_000,
-    ) -> Dict[str, ContinuityMetrics]:
-        metrics = super().run(initial, admissions, max_rounds)
-        for record in self.record_streams:
-            metrics[record.request_id] = record.metrics
-        return metrics
-
-    def _extra_work_pending(self) -> bool:
-        return bool(self._active_recorders())
-
-    def _active_recorders(self) -> List[RecordStream]:
-        return [r for r in self.record_streams if not r.finished]
-
-    def _run_round(
-        self,
-        time: float,
-        active: Sequence[StreamState],
-        k: int,
-        round_number: int,
+    def serve(
+        self, service, time: float, round_start: float, active, k: int
     ) -> Tuple[float, bool]:
-        time, progressed = super()._run_round(time, active, k, round_number)
-        recorders = self._active_recorders()
-        for record in recorders:
-            quota = record.k_override if record.k_override else k
-            written = 0
-            while written < quota and not record.finished:
-                block_number = record.next_block
-                captured_time = (block_number + 1) * record.block_period
-                if captured_time > time:
-                    if written == 0 and not active:
-                        # Nothing else to do: wait for capture.
-                        time = captured_time
-                    else:
-                        break
-                start = max(time, captured_time)
-                time = start + self.drive.write_slot(
-                    record.slots[block_number], record.block_bits
-                )
-                record.retire(time)
-                written += 1
-                progressed = True
-        return time, progressed
-
+        """Write this round's k blocks — only blocks that capture has
+        actually produced: the disk cannot write media that does not
+        exist yet (the loop idles to :attr:`due` when nothing else can
+        move, which is recording's analogue of buffer regulation)."""
+        quota = self.k_override or k
+        written = 0
+        while written < quota and self.due <= time:
+            time += service.drive.write_slot(
+                self.slots[self.next_block], self.block_bits
+            )
+            self.retire(time)
+            written += 1
+        return time, written > 0

@@ -25,7 +25,6 @@ from repro.disk.raid import DriveArray
 from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.media.devices import DisplayDevice
-from repro.obs.recorder import recorder_for
 from repro.rope.server import BlockFetch
 from repro.sim.metrics import ContinuityMetrics
 
@@ -36,57 +35,70 @@ __all__ = [
 ]
 
 
-def _deadlines(
-    fetches: Sequence[BlockFetch], start: float
-) -> List[float]:
-    """Deadline of each block: start + cumulative prior playback time."""
-    deadlines = []
-    elapsed = start
-    for fetch in fetches:
-        deadlines.append(elapsed)
-        elapsed += fetch.duration
-    return deadlines
+def _replay(
+    fetches: Sequence[BlockFetch],
+    members: Sequence[SimulatedDrive],
+    read_ahead: int,
+    request_id: str,
+    recovery: Optional[RecoveryPolicy],
+    display: Optional[DisplayDevice] = None,
+    on_head_failure: Optional[Callable[[HeadFailureError], None]] = None,
+) -> Tuple[ContinuityMetrics, List[float]]:
+    """Replay *fetches* in stripes of ``p = len(members)`` and score them.
 
-
-def _score(
-    metrics: ContinuityMetrics,
-    ready: Sequence[float],
-    deadlines: Sequence[float],
-    skipped: Set[int],
-    rec=None,
-) -> None:
-    for index, (arrival, deadline) in enumerate(zip(ready, deadlines)):
-        skip = index in skipped
-        if skip:
+    Block i is read from member ``i mod p``; a stripe's reads run
+    concurrently and it lands when its slowest member does (p = 1: one
+    read after another).  With *display* each delivered block is then
+    converted before the next read may start (Fig. 1).  The playback
+    clock starts once *read_ahead* further blocks are on board behind the
+    first.  A dead head costs its member every later block (a skip each);
+    *on_head_failure* fires once per dead member.
+    """
+    if read_ahead < 0:
+        raise ParameterError(f"read_ahead must be >= 0, got {read_ahead}")
+    p = len(members)
+    policy = recovery or RecoveryPolicy()
+    time = 0.0
+    ready: List[float] = []
+    skipped: Set[int] = set()
+    failed_members: Set[int] = set()
+    for base in range(0, len(fetches), p):
+        stripe = fetches[base:base + p]
+        durations = []
+        converting = 0.0
+        for index, fetch in enumerate(stripe, base):
+            if fetch.slot is None:
+                continue
+            try:
+                elapsed, ok = read_with_recovery(
+                    members[index % p], fetch.slot, fetch.bits, policy,
+                    now=time,
+                )
+            except HeadFailureError as fault:
+                elapsed, ok = fault.elapsed, False
+                if index % p not in failed_members:
+                    failed_members.add(index % p)
+                    if on_head_failure is not None:
+                        on_head_failure(fault)
+            durations.append(elapsed)
+            if not ok:
+                skipped.add(index)
+            elif display is not None:
+                converting += display.display_time(fetch.bits)
+        time += max(durations) if durations else 0.0
+        time += converting
+        ready.extend([time] * len(stripe))
+    start = ready[min(read_ahead, len(ready) - 1)] if ready else 0.0
+    metrics = ContinuityMetrics(request_id=request_id)
+    metrics.startup_latency = start
+    deadline = start
+    for index, (arrival, fetch) in enumerate(zip(ready, fetches)):
+        if index in skipped:
             metrics.record_skip(arrival, deadline)
         else:
             metrics.record_delivery(arrival, deadline)
-        if rec is not None:
-            rec.block_scored(arrival, deadline, skip)
-
-
-def _read_block(
-    drive: SimulatedDrive,
-    fetch: BlockFetch,
-    time: float,
-    recovery: RecoveryPolicy,
-    rec=None,
-) -> Tuple[float, bool]:
-    """One fetch through the (possibly faulty) drive: (time, delivered).
-
-    A head failure is terminal for a single-drive simulator; it is
-    reported as an undelivered block and the drive keeps failing fast for
-    the remainder of the run.
-    """
-    if drive.injector is None:
-        return time + drive.read_slot(fetch.slot, fetch.bits), True
-    try:
-        elapsed, ok = read_with_recovery(
-            drive, fetch.slot, fetch.bits, recovery, now=time, rec=rec
-        )
-    except HeadFailureError as fault:
-        return time + fault.elapsed, False
-    return time + elapsed, ok
+        deadline += fetch.duration
+    return metrics, ready
 
 
 def simulate_sequential(
@@ -96,37 +108,15 @@ def simulate_sequential(
     request_id: str = "seq",
     read_ahead: int = 0,
     recovery: Optional[RecoveryPolicy] = None,
-    obs=None,
 ) -> Tuple[ContinuityMetrics, List[float]]:
     """Fig. 1: read a block, display it, read the next (Eq. 1 regime).
 
     Returns (metrics, ready-times).  *read_ahead* delays the playback
     clock start by that many block periods' worth of prefetched blocks
-    (§3.3.2 anti-jitter delay).
+    (§3.3.2 anti-jitter delay); blocks consumed as read-ahead are ready
+    by definition of the start.
     """
-    if read_ahead < 0:
-        raise ParameterError(f"read_ahead must be >= 0, got {read_ahead}")
-    policy = recovery or RecoveryPolicy()
-    rec = recorder_for(obs, "score")
-    time = 0.0
-    ready: List[float] = []
-    skipped: Set[int] = set()
-    for index, fetch in enumerate(fetches):
-        if fetch.slot is not None:
-            time, delivered = _read_block(drive, fetch, time, policy, rec)
-            if delivered:
-                time += display.display_time(fetch.bits)
-            else:
-                skipped.add(index)
-        ready.append(time)
-    anchor = min(read_ahead, len(ready) - 1) if ready else 0
-    start = ready[anchor] if ready else 0.0
-    deadlines = _deadlines(fetches, start)
-    # Blocks consumed as read-ahead are ready by definition of the start.
-    metrics = ContinuityMetrics(request_id=request_id)
-    metrics.startup_latency = start
-    _score(metrics, ready, deadlines, skipped, rec)
-    return metrics, ready
+    return _replay(fetches, [drive], read_ahead, request_id, recovery, display)
 
 
 def simulate_pipelined(
@@ -135,7 +125,6 @@ def simulate_pipelined(
     request_id: str = "pipe",
     read_ahead: int = 0,
     recovery: Optional[RecoveryPolicy] = None,
-    obs=None,
 ) -> Tuple[ContinuityMetrics, List[float]]:
     """Fig. 2: transfers overlap display; back-to-back reads (Eq. 2 regime).
 
@@ -143,26 +132,7 @@ def simulate_pipelined(
     transfer completes; display conversion happens concurrently with the
     next transfer.
     """
-    if read_ahead < 0:
-        raise ParameterError(f"read_ahead must be >= 0, got {read_ahead}")
-    policy = recovery or RecoveryPolicy()
-    rec = recorder_for(obs, "score")
-    time = 0.0
-    ready: List[float] = []
-    skipped: Set[int] = set()
-    for index, fetch in enumerate(fetches):
-        if fetch.slot is not None:
-            time, delivered = _read_block(drive, fetch, time, policy, rec)
-            if not delivered:
-                skipped.add(index)
-        ready.append(time)
-    anchor = min(read_ahead, len(ready) - 1) if ready else 0
-    start = ready[anchor] if ready else 0.0
-    deadlines = _deadlines(fetches, start)
-    metrics = ContinuityMetrics(request_id=request_id)
-    metrics.startup_latency = start
-    _score(metrics, ready, deadlines, skipped, rec)
-    return metrics, ready
+    return _replay(fetches, [drive], read_ahead, request_id, recovery)
 
 
 def simulate_concurrent(
@@ -171,7 +141,6 @@ def simulate_concurrent(
     request_id: str = "conc",
     recovery: Optional[RecoveryPolicy] = None,
     on_head_failure: Optional[Callable[[HeadFailureError], None]] = None,
-    obs=None,
 ) -> Tuple[ContinuityMetrics, List[float]]:
     """Fig. 3: p parallel accesses per batch (Eq. 3 regime).
 
@@ -190,48 +159,8 @@ def simulate_concurrent(
     dead member so the caller can revalidate admission against the
     surviving p.
     """
-    p = array.heads
-    policy = recovery or RecoveryPolicy()
-    rec = recorder_for(obs, "score")
-    time = 0.0
-    ready: List[float] = []
-    skipped: Set[int] = set()
-    failed_members: Set[int] = set()
-    index = 0
-    while index < len(fetches):
-        batch = fetches[index:index + p]
-        durations = []
-        for offset, fetch in enumerate(batch):
-            if fetch.slot is None:
-                continue
-            member_index = (index + offset) % p
-            member = array.member(member_index)
-            if member.injector is None:
-                durations.append(member.read_slot(fetch.slot, fetch.bits))
-                continue
-            try:
-                elapsed, ok = read_with_recovery(
-                    member, fetch.slot, fetch.bits, policy, now=time,
-                    rec=rec,
-                )
-            except HeadFailureError as fault:
-                durations.append(fault.elapsed)
-                skipped.add(index + offset)
-                if member_index not in failed_members:
-                    failed_members.add(member_index)
-                    if on_head_failure is not None:
-                        on_head_failure(fault)
-                continue
-            durations.append(elapsed)
-            if not ok:
-                skipped.add(index + offset)
-        batch_time = max(durations) if durations else 0.0
-        time += batch_time
-        ready.extend([time] * len(batch))
-        index += p
-    start = ready[min(p - 1, len(ready) - 1)] if ready else 0.0
-    deadlines = _deadlines(fetches, start)
-    metrics = ContinuityMetrics(request_id=request_id)
-    metrics.startup_latency = start
-    _score(metrics, ready, deadlines, skipped, rec)
-    return metrics, ready
+    members = [array.member(index) for index in range(array.heads)]
+    return _replay(
+        fetches, members, array.heads - 1, request_id, recovery,
+        on_head_failure=on_head_failure,
+    )

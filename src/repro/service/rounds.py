@@ -18,12 +18,19 @@ request.  It supports:
   overflow the buffering available in the display subsystem");
 * per-request playback clocks that start when the request's anti-jitter
   read-ahead (its first k-block service) completes.
+
+It is the only round loop; what §6.2 and §3 vary are its two policy
+points, both unset on the request path: the *order* a round visits its
+requests in (:func:`~repro.service.scan_order.scan_order`) and the work
+served *after the turns* — RECORD writes and best-effort text
+(:class:`~repro.service.mixed_rounds.RecordStream`,
+:class:`~repro.service.besteffort.TextQueue`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
 from repro.errors import HeadFailureError, ParameterError
@@ -42,7 +49,7 @@ __all__ = [
 
 
 def consumed_prefix(
-    deliveries: Sequence[Tuple[float, float, float]],
+    deliveries: Iterable[Tuple[float, float, float]],
     start: float,
     now: float,
 ) -> Tuple[int, float]:
@@ -229,6 +236,16 @@ class RoundRobinService:
         :class:`~repro.obs.recorder.ServiceRecorder` built from *obs* and
         *tracer*; with neither there is no recorder and every report
         site is a single None test.
+    order:
+        Visiting order ``(drive, active, round_number) -> streams`` for
+        each round; None is the paper's arrival order.
+    after_turns:
+        Work served, in list order, once a round's playback turns are
+        done.  Each item has ``serve(service, time, round_start, active,
+        k) -> (time, progressed)``; ``due``, the modeled time its next
+        unit can be served (inf: none it would hold the loop for) — the
+        loop runs while any is finite and never idles past the earliest;
+        and ``results()``, metrics by request id added to :meth:`run`'s.
     """
 
     def __init__(
@@ -239,22 +256,18 @@ class RoundRobinService:
         recovery: Optional[RecoveryPolicy] = None,
         on_head_failure: Optional[Callable[[HeadFailureError], None]] = None,
         obs=None,
+        order: Optional[Callable] = None,
+        after_turns: Sequence = (),
     ):
         self.drive = drive
         self.k_schedule = k_schedule
+        self.order = order
+        self.after_turns = list(after_turns)
         self.recovery = recovery or RecoveryPolicy()
         self.on_head_failure = on_head_failure
         self.head_failure: Optional[HeadFailureError] = None
         self.rounds_run = 0
         self._rec = recorder_for(obs, "loop", tracer)
-
-    def _extra_work_pending(self) -> bool:
-        """Hook for subclasses with non-playback work (e.g. recording).
-
-        When True, the service loop keeps running rounds even after every
-        playback stream has finished.
-        """
-        return False
 
     def run(
         self,
@@ -265,6 +278,8 @@ class RoundRobinService:
         """Service all streams to completion; returns metrics per request."""
         time = 0.0
         active: List[StreamState] = list(initial)
+        order, after = self.order, self.after_turns
+        never = float("inf")
         rec = self._rec
         if rec is not None:
             for stream in active:
@@ -290,7 +305,7 @@ class RoundRobinService:
                     write += 1
             if write != len(active):
                 del active[write:]
-            if not active and not self._extra_work_pending():
+            if not active and all(work.due == never for work in after):
                 if next_pending >= len(pending):
                     break
                 round_number += 1
@@ -300,13 +315,23 @@ class RoundRobinService:
                 raise ParameterError(
                     f"k schedule returned {k} for round {round_number}"
                 )
-            time, progressed = self._run_round(time, active, k, round_number)
+            round_start = time
+            visit = active
+            if order is not None:
+                visit = order(self.drive, active, round_number)
+            time, progressed = self._run_round(time, visit, k, round_number)
+            if after:   # guarded: a request-path round pays nothing for it
+                for work in after:
+                    time, served = work.serve(self, time, round_start, active, k)
+                    progressed = progressed or served
             if not progressed:
-                # Every buffer was full: idle until consumption frees one.
-                wake = min(
-                    stream.next_consumption_time(time) for stream in active
-                )
-                if wake == float("inf") or wake <= time:
+                # Every buffer was full and no after-turn work due: idle
+                # until consumption frees one or work (a capture) falls due.
+                waits = [stream.next_consumption_time(time) for stream in active]
+                if after:
+                    waits += [work.due for work in after]
+                wake = min(waits)
+                if wake == never or wake <= time:
                     raise ParameterError(
                         "service deadlocked: all buffers full and no "
                         "playback consuming them"
@@ -324,7 +349,10 @@ class RoundRobinService:
         streams = list(initial) + [a.stream for a in admissions]
         if rec is not None:
             rec.run_end(streams, time, self.rounds_run)
-        return {stream.request_id: stream.metrics for stream in streams}
+        metrics = {stream.request_id: stream.metrics for stream in streams}
+        for work in after:
+            metrics.update(work.results())
+        return metrics
 
     def _run_round(
         self,
@@ -335,8 +363,9 @@ class RoundRobinService:
     ) -> Tuple[float, bool]:
         progressed = False
         round_start = time
-        #: Tightest Eq.-11 budget among streams served this round:
+        #: Tightest Eq.-11 budget among streams *served* this round:
         #: min of (stream's k × its smallest positive block duration).
+        #: besteffort.round_budget is the same min over all of *active*.
         budget = float("inf")
         rec = self._rec
         #: Whether the recorder also wants each turn's begin / end

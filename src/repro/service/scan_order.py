@@ -8,119 +8,54 @@ requests ... are pessimistic.  We are investigating algorithms for
 servicing requests in the order that minimizes ... the separations
 between blocks, thereby minimizing the overhead of switching."
 
-:class:`ScanOrderService` implements that investigation: each round,
-instead of the arrival-order rotation, requests are serviced in the order
-of their next block's cylinder along the current head direction (the
-elevator/SCAN discipline applied at request granularity).  Switch
-overheads then approach a single sweep across the disk per round instead
-of n potentially full-stroke seeks, and the measured per-request switch
-cost β̂ feeds a *measured* capacity estimate that beats Eq. (17)'s
+:func:`scan_order` implements that investigation as a visiting-order
+policy of the one round loop (``RoundRobinService(..., order=scan_order)``):
+each round, instead of the arrival-order rotation, requests are serviced
+in the order of their next block's cylinder along the current head
+direction (the elevator/SCAN discipline applied at request granularity).
+Switch overheads then approach a single sweep across the disk per round
+instead of n potentially full-stroke seeks, and the measured per-request
+switch cost β̂ feeds a *measured* capacity estimate that beats Eq. (17)'s
 pessimistic one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
+from repro.disk.drive import SimulatedDrive
 from repro.errors import ParameterError
-from repro.service.rounds import RoundRobinService, StreamState
+from repro.service.rounds import StreamState
 
-__all__ = ["ScanOrderService", "RoundTimeProbe", "measured_capacity"]
-
-
-class ScanOrderService(RoundRobinService):
-    """Round service with per-round SCAN ordering of requests.
-
-    Identical semantics to :class:`RoundRobinService` — same k schedule,
-    buffer regulation, deadline scoring — except that within each round
-    the requests are visited in ascending cylinder order starting from
-    the current head position (and the sweep direction alternates, the
-    classic elevator), which minimizes inter-request switch seeks.
-    """
-
-    def _run_round(
-        self,
-        time: float,
-        active: Sequence[StreamState],
-        k: int,
-        round_number: int,
-    ) -> Tuple[float, bool]:
-        ordered = self._scan_order(active, round_number)
-        return super()._run_round(time, ordered, k, round_number)
-
-    def _scan_order(
-        self, active: Sequence[StreamState], round_number: int
-    ) -> List[StreamState]:
-        def next_cylinder(stream: StreamState) -> int:
-            slots = stream.fetches.slots
-            for index in range(stream.next_fetch, len(slots)):
-                if slots[index] is not None:
-                    return self.drive.cylinder_of(slots[index])
-            return 0
-
-        ascending = round_number % 2 == 0
-        head = self.drive.head_cylinder
-        keyed = [(next_cylinder(stream), stream) for stream in active]
-        if ascending:
-            ahead = sorted(
-                (c, s.request_id, s) for c, s in keyed if c >= head
-            )
-            behind = sorted(
-                ((c, s.request_id, s) for c, s in keyed if c < head),
-                reverse=True,
-            )
-        else:
-            ahead = sorted(
-                ((c, s.request_id, s) for c, s in keyed if c <= head),
-                reverse=True,
-            )
-            behind = sorted(
-                (c, s.request_id, s) for c, s in keyed if c > head
-            )
-        return [stream for _c, _rid, stream in ahead + behind]
+__all__ = ["scan_order", "measured_capacity"]
 
 
-@dataclass
-class RoundTimeProbe:
-    """Measures per-round service times for capacity estimation."""
+def scan_order(
+    drive: SimulatedDrive, active: Sequence[StreamState], round_number: int
+) -> List[StreamState]:
+    """*active* in elevator order for this round: by the cylinder of
+    each request's next stored block, sweeping away from the current
+    head position first, the direction alternating round by round."""
 
-    durations: List[float]
+    def next_cylinder(stream: StreamState) -> int:
+        slots = stream.fetches.slots
+        for index in range(stream.next_fetch, len(slots)):
+            if slots[index] is not None:
+                return drive.cylinder_of(slots[index])
+        return 0
 
-    @property
-    def mean(self) -> float:
-        """Average round duration, seconds."""
-        if not self.durations:
-            return 0.0
-        return sum(self.durations) / len(self.durations)
-
-    @property
-    def worst(self) -> float:
-        """Longest observed round, seconds."""
-        return max(self.durations, default=0.0)
-
-
-def probe_round_times(
-    service: RoundRobinService,
-    streams: Sequence[StreamState],
-) -> RoundTimeProbe:
-    """Run *streams* to completion, recording each round's duration."""
-    durations: List[float] = []
-    original = service._run_round
-
-    def instrumented(time, active, k, round_number):
-        new_time, progressed = original(time, active, k, round_number)
-        if progressed:
-            durations.append(new_time - time)
-        return new_time, progressed
-
-    service._run_round = instrumented  # type: ignore[method-assign]
-    try:
-        service.run(list(streams))
-    finally:
-        service._run_round = original  # type: ignore[method-assign]
-    return RoundTimeProbe(durations=durations)
+    head = drive.head_cylinder
+    keyed = sorted(
+        (next_cylinder(stream), stream.request_id, stream)
+        for stream in active
+    )
+    low = [stream for c, _rid, stream in keyed if c < head]
+    at = [stream for c, _rid, stream in keyed if c == head]
+    high = [stream for c, _rid, stream in keyed if c > head]
+    if round_number % 2 == 0:
+        return at + high + low[::-1]
+    return (low + at)[::-1] + high
 
 
 def measured_capacity(

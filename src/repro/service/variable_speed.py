@@ -29,6 +29,7 @@ from typing import List, Sequence
 from repro.disk.drive import SimulatedDrive
 from repro.errors import ParameterError
 from repro.rope.server import BlockFetch, FetchColumns
+from repro.service.rounds import consumed_prefix
 from repro.sim.metrics import ContinuityMetrics
 
 __all__ = [
@@ -103,14 +104,11 @@ def simulate_variable_speed(
     plan = transform_plan(fetches, speed, skipping)
     durations = plan.durations
     if switch_penalty is None:
-        params = drive.parameters()
-        switch_penalty = params.seek_max
+        switch_penalty = drive.parameters().seek_max
     metrics = ContinuityMetrics(request_id=request_id)
     ready: List[float] = []
     time = 0.0
     clock_start: float = None
-    display_elapsed = 0.0
-    consumed = 0
     switches = 0
     idle = 0.0
     away = False
@@ -118,16 +116,8 @@ def simulate_variable_speed(
     def consumed_by(now: float) -> int:
         if clock_start is None:
             return 0
-        count = 0
-        elapsed = clock_start
-        for index, duration in enumerate(durations[:len(ready)]):
-            end = max(elapsed, ready[index]) + duration
-            if end <= now:
-                count += 1
-                elapsed = end
-            else:
-                break
-        return count
+        landed = zip(ready, ready, durations)   # the deadline is not read
+        return consumed_prefix(landed, clock_start, now)[0]
 
     for index, slot in enumerate(plan.slots):
         # Buffer regulation with the task-switch protocol.
@@ -135,17 +125,16 @@ def simulate_variable_speed(
         if buffered >= buffer_capacity:
             switches += 1
             away = True
-            # Wait until half the buffers drain.
-            target = len(ready) - buffer_capacity // 2
+            # Wait until half the buffers drain (at least one block).
+            need = max(
+                len(ready) - buffer_capacity // 2, consumed_by(time) + 1
+            )
             wake = time
             elapsed = clock_start
-            done = 0
-            for j, duration in enumerate(durations[:len(ready)]):
-                end = max(elapsed, ready[j]) + duration
-                elapsed = end
-                done = j + 1
-                if done >= max(target, consumed_by(time) + 1):
-                    wake = end
+            for j, landed in enumerate(ready):
+                elapsed = max(elapsed, landed) + durations[j]
+                if j + 1 >= need:
+                    wake = elapsed
                     break
             idle += max(0.0, wake - time)
             time = max(time, wake)

@@ -52,16 +52,37 @@ class CountingTableSeek(TableSeek):
         return super()._interpolate_seek_time(distance)
 
 
-def _service_run(streams=8, blocks=60, obs=None):
+def _service_run(streams=8, blocks=60, obs=None, **policies):
     scenario = Scale(
         label="count", streams=streams, blocks_per_stream=blocks,
         k=4, buffer_capacity=6, seed=7,
     )
     drive = build_drive()
     initial, admissions = scenario.build_streams(drive)
-    service = RoundRobinService(drive, lambda _r, _n: scenario.k, obs=obs)
+    service = RoundRobinService(
+        drive, lambda _r, _n: scenario.k, obs=obs, **policies
+    )
     metrics = service.run(initial, admissions)
     return metrics, streams * blocks
+
+
+class TestPolicyPointsOffByDefault:
+    """A request-path loop is built with neither policy point set, and
+    then replays the `scale` load exactly as the loop did before the
+    points existed (the digest is the parent commit's)."""
+
+    PARENT = "dd9dc532a0e60b9c63c4e7470da2c1587e3b3432c9c6641f714937ff52857669"
+
+    @pytest.mark.parametrize(
+        "policies", [{}, {"order": None, "after_turns": ()}],
+        ids=["default", "explicit"],
+    )
+    def test_no_order_no_after_turn_work_is_the_parent_run(self, policies):
+        import hashlib
+
+        metrics, _ = _service_run(**policies)
+        text = "\n".join(m.summary() for _rid, m in sorted(metrics.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PARENT
 
 
 class TestObsOffFastPath:

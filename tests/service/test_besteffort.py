@@ -6,8 +6,8 @@ from repro.analysis.experiments import fetches_with_gap
 from repro.config import TESTBED_1991
 from repro.core.symbols import video_block_model
 from repro.disk import build_drive
-from repro.service.besteffort import TextRequest, UnifiedService
-from repro.service.rounds import StreamState
+from repro.service.besteffort import TextQueue, TextRequest
+from repro.service.rounds import RoundRobinService, StreamState
 
 
 @pytest.fixture
@@ -30,6 +30,12 @@ def media_streams(drive, block, n=1, blocks=60, k=4):
     return streams
 
 
+def unified(drive, k_schedule, *requests):
+    """The one loop with a text queue after its turns: (service, queue)."""
+    queue = TextQueue(requests)
+    return RoundRobinService(drive, k_schedule, after_turns=[queue]), queue
+
+
 def text_slots(drive, count, start=None):
     start = drive.slots // 2 if start is None else start
     return list(range(start, start + count))
@@ -39,42 +45,34 @@ class TestUnifiedService:
     def test_media_guarantee_unaffected_by_text(self, block):
         drive = build_drive()
         text = TextRequest("t0", text_slots(drive, 40))
-        service = UnifiedService(
-            drive, lambda r, n: 4, text_requests=[text]
-        )
+        service, queue = unified(drive, lambda r, n: 4, text)
         metrics = service.run(media_streams(drive, block))
         assert all(m.continuous for m in metrics.values())
 
     def test_text_served_in_slack(self, block):
         drive = build_drive()
         text = TextRequest("t0", text_slots(drive, 30))
-        service = UnifiedService(
-            drive, lambda r, n: 4, text_requests=[text]
-        )
+        service, queue = unified(drive, lambda r, n: 4, text)
         service.run(media_streams(drive, block))
-        assert service.text_blocks_served > 0
+        assert queue.blocks_served > 0
 
     def test_drain_completes_leftovers(self, block):
         drive = build_drive()
         text = TextRequest("t0", text_slots(drive, 500))
-        service = UnifiedService(
-            drive, lambda r, n: 4, text_requests=[text]
-        )
+        service, queue = unified(drive, lambda r, n: 4, text)
         service.run(media_streams(drive, block))
-        service.drain_text(0.0)
+        queue.drain(drive, 0.0)
         assert text.finished
         assert text.completion_time is not None
-        assert service.text_blocks_served == 500
+        assert queue.blocks_served == 500
 
     def test_heavier_media_load_slows_text(self, block):
         def throughput(n_media):
             drive = build_drive()
             text = TextRequest("t0", text_slots(drive, 20, start=100))
-            service = UnifiedService(
-                drive, lambda r, n: 4, text_requests=[text]
-            )
+            service, queue = unified(drive, lambda r, n: 4, text)
             service.run(media_streams(drive, block, n=n_media))
-            return service.text_blocks_served
+            return queue.blocks_served
 
         light = throughput(1)
         heavy = throughput(3)
@@ -84,11 +82,9 @@ class TestUnifiedService:
         drive = build_drive()
         first = TextRequest("first", text_slots(drive, 10, start=200))
         second = TextRequest("second", text_slots(drive, 10, start=400))
-        service = UnifiedService(
-            drive, lambda r, n: 4, text_requests=[first, second]
-        )
+        service, queue = unified(drive, lambda r, n: 4, first, second)
         service.run(media_streams(drive, block))
-        service.drain_text(1e6)
+        queue.drain(drive, 1e6)
         assert first.completion_time <= second.completion_time
 
     def test_text_request_state(self):
@@ -135,11 +131,9 @@ class TestPerRequestKBudget:
                 )
             )
         text = TextRequest("t", list(range(5000, 5300)))
-        service = UnifiedService(
-            drive,
-            lambda r, n: max(controller.k_values().values()),
-            text_requests=[text],
+        service, queue = unified(
+            drive, lambda r, n: max(controller.k_values().values()), text
         )
         metrics = service.run(streams)
         assert all(m.continuous for m in metrics.values())
-        assert service.text_blocks_served > 0
+        assert queue.blocks_served > 0

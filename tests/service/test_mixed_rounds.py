@@ -13,8 +13,8 @@ from repro.disk import (
     build_drive,
 )
 from repro.errors import ParameterError
-from repro.service.mixed_rounds import MixedRoundService, RecordStream
-from repro.service.rounds import StreamState
+from repro.service.mixed_rounds import RecordStream
+from repro.service.rounds import RoundRobinService, StreamState
 
 
 @pytest.fixture
@@ -69,8 +69,8 @@ class TestMixedService:
     def test_recording_alone_is_continuous(self, block):
         drive = build_drive()
         record = record_stream(drive, block)
-        service = MixedRoundService(
-            drive, lambda r, n: 4, record_streams=[record]
+        service = RoundRobinService(
+            drive, lambda r, n: 4, after_turns=[record]
         )
         metrics = service.run([])
         assert record.finished
@@ -82,8 +82,8 @@ class TestMixedService:
         drive = build_drive()
         record = record_stream(drive, block)
         play = play_stream(drive, block)
-        service = MixedRoundService(
-            drive, lambda r, n: 4, record_streams=[record]
+        service = RoundRobinService(
+            drive, lambda r, n: 4, after_turns=[record]
         )
         metrics = service.run([play])
         assert metrics["play"].continuous
@@ -96,8 +96,8 @@ class TestMixedService:
             for i in range(2)
         ]
         play = play_stream(drive, block, blocks=30)
-        service = MixedRoundService(
-            drive, lambda r, n: 4, record_streams=recorders
+        service = RoundRobinService(
+            drive, lambda r, n: 4, after_turns=recorders
         )
         metrics = service.run([play])
         assert all(m.continuous for m in metrics.values())
@@ -106,15 +106,11 @@ class TestMixedService:
     def test_writes_never_precede_capture(self, block):
         drive = build_drive()
         record = record_stream(drive, block, blocks=20)
-        service = MixedRoundService(
-            drive, lambda r, n: 8, record_streams=[record]
+        service = RoundRobinService(
+            drive, lambda r, n: 8, after_turns=[record]
         )
         service.run([])
         # Delivery j completes after block j finished capturing.
-        for j, (ready, _deadline, _dur) in enumerate(
-            []  # RecordStream keeps metrics, not delivery tuples
-        ):
-            pass
         samples = record.metrics._lateness_samples
         for j, lateness in enumerate(samples):
             write_end = record.deadline_of(j) + lateness
@@ -129,8 +125,8 @@ class TestMixedService:
             play_stream(drive, block, request_id=f"p{i}", blocks=30)
             for i in range(3)
         ]
-        service = MixedRoundService(
-            drive, lambda r, n: 8, record_streams=[record]
+        service = RoundRobinService(
+            drive, lambda r, n: 8, after_turns=[record]
         )
         metrics = service.run(plays)
         assert metrics["rec"].misses > 0

@@ -1,5 +1,5 @@
 """Unit tests for recording-side continuity: one recorder, no player —
-the degenerate case of :class:`MixedRoundService`."""
+the round loop with no playback turn, only after-turn writes."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.disk import (
     build_drive,
 )
 from repro.errors import ParameterError
-from repro.service import MixedRoundService, RecordStream
+from repro.service import RecordStream, RoundRobinService
 
 
 @pytest.fixture
@@ -31,9 +31,9 @@ def simulate_recording(
     record = RecordStream(
         "rec", slots, block_period, staging_capacity=buffer_capacity
     )
-    metrics = MixedRoundService(drive, lambda _round, _n: k, [record]).run(
-        []
-    )["rec"]
+    metrics = RoundRobinService(
+        drive, lambda _round, _n: k, after_turns=[record]
+    ).run([])["rec"]
     completions = [
         record.deadline_of(number) + late
         for number, late in enumerate(metrics._lateness_samples)

@@ -8,11 +8,7 @@ from repro.disk import build_drive
 from repro.errors import ParameterError
 from repro.rope.server import BlockFetch
 from repro.service.rounds import RoundRobinService, StreamState
-from repro.service.scan_order import (
-    ScanOrderService,
-    measured_capacity,
-    probe_round_times,
-)
+from repro.service.scan_order import measured_capacity, scan_order
 
 
 @pytest.fixture
@@ -42,12 +38,26 @@ def regional_streams(drive, block, n=3, blocks=60, k=8):
     return streams
 
 
+class RoundTimes(list):
+    """After-turn work that only notes how long each round's turns took."""
+
+    due = float("inf")
+
+    def serve(self, service, time, round_start, active, k):
+        if time > round_start:
+            self.append(time - round_start)
+        return time, False
+
+    def results(self):
+        return {}
+
+
 class TestScanOrdering:
     def test_same_deliveries_as_round_robin(self, block):
         """SCAN changes order, never correctness: all blocks delivered."""
         drive = build_drive()
         streams = regional_streams(drive, block)
-        service = ScanOrderService(drive, lambda r, n: 8)
+        service = RoundRobinService(drive, lambda r, n: 8, order=scan_order)
         metrics = service.run(streams)
         assert all(m.blocks_delivered == 60 for m in metrics.values())
 
@@ -56,7 +66,7 @@ class TestScanOrdering:
         rr = RoundRobinService(drive_rr, lambda r, n: 8)
         rr.run(regional_streams(drive_rr, block))
         drive_scan = build_drive()
-        scan = ScanOrderService(drive_scan, lambda r, n: 8)
+        scan = RoundRobinService(drive_scan, lambda r, n: 8, order=scan_order)
         scan.run(regional_streams(drive_scan, block))
         assert drive_scan.stats.seek_time <= drive_rr.stats.seek_time
 
@@ -79,11 +89,11 @@ class TestScanOrdering:
             stream("near", [near, far]),
             stream("silent", [None, None]),
         ]
-        service = ScanOrderService(drive, lambda r, n: 1)
+        service = RoundRobinService(drive, lambda r, n: 1, order=scan_order)
 
         def order(round_number):
             return [
-                s.request_id for s in service._scan_order(streams, round_number)
+                s.request_id for s in scan_order(drive, streams, round_number)
             ]
 
         assert drive.head_cylinder == 0
@@ -100,18 +110,24 @@ class TestScanOrdering:
     def test_probe_measures_rounds(self, block):
         drive = build_drive()
         streams = regional_streams(drive, block, blocks=32, k=8)
-        probe = probe_round_times(
-            ScanOrderService(drive, lambda r, n: 8), streams
-        )
-        assert len(probe.durations) >= 4
-        assert 0 < probe.mean <= probe.worst
+        times = RoundTimes()
+        RoundRobinService(
+            drive, lambda r, n: 8, order=scan_order, after_turns=[times]
+        ).run(streams)
+        assert len(times) >= 4
+        assert 0 < sum(times) / len(times) <= max(times)
+        # The rounds' turns are all the drive did.
+        assert sum(times) == pytest.approx(drive.stats.busy_time)
 
     def test_probe_restores_service(self, block):
+        """Measuring replaces no method: the probe is after-turn work."""
         drive = build_drive()
-        service = ScanOrderService(drive, lambda r, n: 8)
-        original = service._run_round
-        probe_round_times(service, regional_streams(drive, block, blocks=8))
-        assert service._run_round == original
+        service = RoundRobinService(
+            drive, lambda r, n: 8, order=scan_order,
+            after_turns=[RoundTimes()],
+        )
+        service.run(regional_streams(drive, block, blocks=8))
+        assert "_run_round" not in vars(service)
 
 
 class TestMeasuredCapacity:
