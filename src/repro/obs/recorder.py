@@ -34,6 +34,7 @@ from repro.obs.registry import (
     SEEK_TIME_BUCKETS,
 )
 from repro.obs.timeline import BlockStage
+from repro.sim.metrics import consumed_prefix
 
 __all__ = ["EVENTS", "FAULTS", "ServiceRecorder", "recorder_for", "sinks"]
 
@@ -352,7 +353,7 @@ class ServiceRecorder:
         if started:
             self._log(
                 time, "playback-start", stream.request_id,
-                "after %d blocks", len(stream.deliveries),
+                "after %d blocks", len(stream.ready),
             )
 
     def round_served(self, start, time, budget) -> None:
@@ -391,49 +392,45 @@ class ServiceRecorder:
         cascades over the delivery schedule).  A continuous stream never
         stalled on a late block, so block i finished playing at exactly
         ``deadline_i + duration_i``; a stalled one needs the running fold
-        ``max(elapsed, ready) + duration`` — the two are not bit-equal, so
-        both definitions of *end* stay.
+        of :func:`~repro.sim.metrics.consumed_prefix` — the two are not
+        bit-equal, so both definitions of *end* stay.
         """
         timeline, session = self._timeline, stream.request_id
         span = self._held.pop(session, None)
-        deliveries = stream.deliveries
-        if stream.clock_start is None:
+        start = stream.clock_start
+        if start is None:
             if span is not None:
                 self._spans.end_span(span, span.start, "unstarted")
             return
-        skipped = stream.skipped_indices
+        ready, durations = stream.ready, stream.fetches.durations
+        offsets, skipped = stream.offsets, stream.skipped_indices
         continuous = not skipped and not stream.metrics.misses
         observe_slack = self._m["session.deadline_slack_s"].observe
-        elapsed = stream.clock_start
+        elapsed, never = start, float("inf")
         pos = 0
         upcoming = _next_sampled(0, *self._tl_gate)
-        while upcoming < len(deliveries):
+        while upcoming < len(ready):
             index = upcoming
             upcoming = _next_sampled(index + 1, *self._tl_gate)
-            ready, deadline, duration = deliveries[index]
+            deadline = start + offsets[index]
             if continuous:
-                end = deadline + duration
+                end = deadline + durations[index]
             else:
-                for earlier, _deadline, length in deliveries[pos:index]:
-                    if earlier > elapsed:
-                        elapsed = earlier
-                    elapsed += length
-                end = elapsed = max(elapsed, ready) + duration
+                end = elapsed = consumed_prefix(
+                    ready[pos:index + 1], durations[pos:index + 1], elapsed, never
+                )[1]
                 pos = index + 1
                 if index in skipped:
                     continue
             if timeline is not None:
                 timeline.record(end, session, index, BlockStage.CONSUMED)
-            observe_slack(deadline - ready)
+            observe_slack(deadline - ready[index])
         if continuous:
-            _ready, deadline, duration = deliveries[-1]
-            elapsed = deadline + duration
+            last = len(ready) - 1
+            elapsed = start + offsets[last] + durations[last]
         else:
-            for earlier, _deadline, length in deliveries[pos:]:
-                if earlier > elapsed:
-                    elapsed = earlier
-                elapsed += length
-        self._m["session.blocks_delivered"].inc(len(deliveries) - len(skipped))
+            elapsed = consumed_prefix(ready[pos:], durations[pos:], elapsed, never)[1]
+        self._m["session.blocks_delivered"].inc(len(ready) - len(skipped))
         self._m["session.blocks_skipped"].inc(len(skipped))
         if stream.metrics.misses:
             self._m["session.deadline_misses"].inc(stream.metrics.misses)

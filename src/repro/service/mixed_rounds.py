@@ -20,7 +20,7 @@ continuity requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
 from repro.sim.metrics import ContinuityMetrics
@@ -58,6 +58,8 @@ class RecordStream:
     block_bits: Optional[float] = None
     next_block: int = 0
     metrics: ContinuityMetrics = field(default_factory=ContinuityMetrics)
+    #: When each block's write completed, in recording order.
+    written: List[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.block_period <= 0:
@@ -90,6 +92,7 @@ class RecordStream:
         and the staging high-water mark (blocks captured but not yet
         retired when this write completes) — and move past it."""
         number = self.next_block
+        self.written.append(now)
         self.metrics.record_delivery(now, self.deadline_of(number))
         self.metrics.buffer_high_water = max(
             self.metrics.buffer_high_water,

@@ -18,6 +18,7 @@ completes.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
@@ -25,7 +26,7 @@ from repro.disk.raid import DriveArray
 from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.media.devices import DisplayDevice
-from repro.rope.server import BlockFetch
+from repro.rope.server import BlockFetch, FetchColumns
 from repro.sim.metrics import ContinuityMetrics
 
 __all__ = [
@@ -89,15 +90,12 @@ def _replay(
         time += converting
         ready.extend([time] * len(stripe))
     start = ready[min(read_ahead, len(ready) - 1)] if ready else 0.0
-    metrics = ContinuityMetrics(request_id=request_id)
-    metrics.startup_latency = start
-    deadline = start
-    for index, (arrival, fetch) in enumerate(zip(ready, fetches)):
-        if index in skipped:
-            metrics.record_skip(arrival, deadline)
-        else:
-            metrics.record_delivery(arrival, deadline)
-        deadline += fetch.duration
+    metrics = ContinuityMetrics(request_id=request_id, startup_latency=start)
+    durations = FetchColumns.of(fetches).durations
+    metrics.score(
+        ready, accumulate(durations, initial=start), durations, start,
+        skipped, high_water_from=len(ready),   # no buffer model here
+    )
     return metrics, ready
 
 

@@ -30,47 +30,22 @@ served *after the turns* — RECORD writes and best-effort text
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
 from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.obs.recorder import recorder_for
 from repro.rope.server import BlockFetch, FetchColumns
-from repro.sim.metrics import ContinuityMetrics
+from repro.sim.metrics import ContinuityMetrics, consumed_prefix
 from repro.sim.trace import Tracer
 
 __all__ = [
     "StreamState",
     "Admission",
     "RoundRobinService",
-    "consumed_prefix",
 ]
-
-
-def consumed_prefix(
-    deliveries: Iterable[Tuple[float, float, float]],
-    start: float,
-    now: float,
-) -> Tuple[int, float]:
-    """Reference playback-consumption scan: ``(count, elapsed)`` at *now*.
-
-    Playback cascades over the delivery schedule: block j starts when its
-    data is ready and the previous block has finished, so consumption is a
-    running fold over ``(ready, duration)``.  This is the O(n) rescan the
-    :class:`StreamState` cursor replaces on its hot path; it remains the
-    ground truth for non-monotone queries and for the equivalence tests.
-    """
-    count = 0
-    elapsed = start
-    for ready, _deadline, duration in deliveries:
-        end = max(elapsed, ready) + duration
-        if end <= now:
-            count += 1
-            elapsed = end
-        else:
-            break
-    return count, elapsed
 
 
 @dataclass
@@ -82,6 +57,9 @@ class StreamState:
     (see :func:`repro.core.admission.solve_heterogeneous_k`).  *fetches*
     is held as :class:`~repro.rope.server.FetchColumns`, converted once
     here; ``next_fetch`` is the cursor the service loop walks them with.
+    The one fact the loop adds per block is ``ready[i]``, when block i
+    landed; §3.1's continuity is scored from that column once the run
+    is over (:meth:`~repro.sim.metrics.ContinuityMetrics.score`).
     """
 
     request_id: str
@@ -90,10 +68,13 @@ class StreamState:
     k_override: Optional[int] = None
     next_fetch: int = 0
     clock_start: Optional[float] = None
-    _elapsed_playback: float = 0.0
     metrics: ContinuityMetrics = field(default_factory=ContinuityMetrics)
-    #: (ready time, deadline, duration) per delivered block.
-    deliveries: List[Tuple[float, float, float]] = field(default_factory=list)
+    #: When each delivered block landed in the display buffer (for a
+    #: skipped one, when recovery gave up on it), in playback order.
+    ready: List[float] = field(default_factory=list)
+    #: Playback time before each block — the left fold of the plan's
+    #: durations — so block i is due at ``clock_start + offsets[i]``.
+    offsets: List[float] = field(init=False, repr=False)
     #: Delivery indexes whose data never arrived (fault-recovery skips);
     #: the playback timeline still advances over them (the glitch).
     skipped_indices: Set[int] = field(default_factory=set)
@@ -110,11 +91,9 @@ class StreamState:
     #: every consumption query O(1) amortized over a stream's lifetime.
     _consumed_count: int = field(default=0, init=False, repr=False)
     _consumed_end: float = field(default=0.0, init=False, repr=False)
-    #: Deadline of the next block to deliver (None until the playback
-    #: clock starts): ``clock_start`` + the playback time delivered so far.
-    _next_deadline: Optional[float] = field(
-        default=None, init=False, repr=False
-    )
+    #: Blocks on board when the playback clock started (the anti-jitter
+    #: read-ahead): the buffer high-water counts the ones landing after.
+    _read_ahead: int = field(default=0, init=False, repr=False)
     #: :attr:`duration_floor` once computed (negative: not yet).  A plain
     #: field, not ``functools.cached_property``: that writes through
     #: ``__dict__``, which materializes the instance dict and slows every
@@ -124,6 +103,7 @@ class StreamState:
     def __post_init__(self) -> None:
         self.metrics.request_id = self.request_id
         self.fetches = FetchColumns.of(self.fetches)
+        self.offsets = list(accumulate(self.fetches.durations, initial=0.0))
         if self.buffer_capacity < 1:
             raise ParameterError(
                 f"buffer_capacity must be >= 1, got {self.buffer_capacity}"
@@ -162,14 +142,13 @@ class StreamState:
         if self.clock_start is None:
             return 0, 0.0
         count = self._consumed_count
+        ready, durations = self.ready, self.fetches.durations
         if count and now < self._consumed_end:
-            return consumed_prefix(self.deliveries, self.clock_start, now)
+            return consumed_prefix(ready, durations, self.clock_start, now)
         elapsed = self._consumed_end if count else self.clock_start
-        deliveries = self.deliveries
-        total = len(deliveries)
+        total = len(ready)
         while count < total:
-            ready, _deadline, duration = deliveries[count]
-            end = max(elapsed, ready) + duration
+            end = max(elapsed, ready[count]) + durations[count]
             if end > now:
                 break
             count += 1
@@ -185,7 +164,7 @@ class StreamState:
 
     def buffered_at(self, now: float) -> int:
         """Blocks sitting in the display buffer at *now*."""
-        return len(self.deliveries) - self._consume_state(now)[0]
+        return len(self.ready) - self._consume_state(now)[0]
 
     def next_consumption_time(self, now: float) -> float:
         """When the next buffered block finishes playing (inf if never).
@@ -196,10 +175,9 @@ class StreamState:
         if self.clock_start is None:
             return float("inf")
         count, elapsed = self._consume_state(now)
-        if count >= len(self.deliveries):
+        if count >= len(self.ready):
             return float("inf")
-        ready, _deadline, duration = self.deliveries[count]
-        return max(elapsed, ready) + duration
+        return max(elapsed, self.ready[count]) + self.fetches.durations[count]
 
 
 @dataclass(frozen=True)
@@ -287,6 +265,7 @@ class RoundRobinService:
         pending = sorted(admissions, key=lambda a: a.round_number)
         next_pending = 0
         round_number = 0
+        rounds_before = self.rounds_run
         while True:
             while (
                 next_pending < len(pending)
@@ -308,7 +287,8 @@ class RoundRobinService:
             if not active and all(work.due == never for work in after):
                 if next_pending >= len(pending):
                     break
-                round_number += 1
+                # Nothing happens until the next admission: go to its round.
+                round_number = pending[next_pending].round_number
                 continue
             k = self.k_schedule(round_number, len(active))
             if k < 1:
@@ -341,12 +321,21 @@ class RoundRobinService:
             self.rounds_run += 1
             if rec is not None:
                 rec.round_end(time, round_number)
-            if round_number > max_rounds:
+            if self.rounds_run - rounds_before > max_rounds:
                 raise ParameterError(
                     f"exceeded {max_rounds} rounds; k schedule likely "
                     "starves a stream"
                 )
         streams = list(initial) + [a.stream for a in admissions]
+        for stream in streams:
+            start = stream.clock_start
+            if start is not None:
+                stream.metrics.startup_latency = start
+                stream.metrics.score(
+                    stream.ready, (start + due for due in stream.offsets),
+                    stream.fetches.durations, start,
+                    stream.skipped_indices, stream._read_ahead,
+                )
         if rec is not None:
             rec.run_end(streams, time, self.rounds_run)
         metrics = {stream.request_id: stream.metrics for stream in streams}
@@ -385,7 +374,7 @@ class RoundRobinService:
             if quota == 0:
                 continue
             stream_start = time
-            slots = stream.fetches.slots
+            slots, ready = stream.fetches.slots, stream.ready
             index = stream.next_fetch
             stop = min(index + quota, len(slots))
             delivered = stop - index
@@ -402,7 +391,9 @@ class RoundRobinService:
                     time, skipped = self._fetch_block(
                         stream, index, time, span
                     )
-                self._deliver(stream, index, time, skipped=skipped)
+                    if skipped:
+                        stream.skipped_indices.add(len(ready))
+                ready.append(time)
                 if sampled:
                     rec.block_end(stream, index, span, time, skipped)
                 index += 1
@@ -412,14 +403,10 @@ class RoundRobinService:
             # k-block service, capped by what the display buffer can
             # actually hold — is on board.
             threshold = min(stream_k, stream.buffer_capacity, len(slots))
-            started = (
-                stream.clock_start is None
-                and len(stream.deliveries) >= threshold
-            )
+            started = stream.clock_start is None and len(ready) >= threshold
             if started:
                 stream.clock_start = time
-                stream.metrics.startup_latency = time
-                self._rescore(stream)
+                stream._read_ahead = len(ready)
             if turn_ends:
                 rec.turn_end(
                     stream, time, time - stream_start, delivered, started
@@ -452,11 +439,14 @@ class RoundRobinService:
         if span is None and self.drive.injector is None:
             # Healthy and unsampled: the zero-overhead path.
             return time + self.drive.read_slot(slot, bits), False
+        deadline = stream.clock_start
+        if deadline is not None:
+            deadline += stream.offsets[len(stream.ready)]
         try:
             elapsed, ok = read_with_recovery(
                 self.drive, slot, bits, self.recovery,
                 now=time,
-                deadline=stream._next_deadline,
+                deadline=deadline,
                 rec=self._rec,
                 parent=span,
             )
@@ -472,50 +462,3 @@ class RoundRobinService:
         self.head_failure = fault
         if self.on_head_failure is not None:
             self.on_head_failure(fault)
-
-    def _deliver(
-        self,
-        stream: StreamState,
-        index: int,
-        ready: float,
-        skipped: bool = False,
-    ) -> None:
-        duration = stream.fetches.durations[index]
-        if skipped:
-            stream.skipped_indices.add(len(stream.deliveries))
-        deadline = stream._next_deadline
-        if deadline is None:
-            # Unknown until the clock starts; placeholder scored in
-            # _rescore.
-            stream.deliveries.append((ready, float("nan"), duration))
-            return
-        stream._elapsed_playback += duration
-        stream._next_deadline = stream.clock_start + stream._elapsed_playback
-        stream.deliveries.append((ready, deadline, duration))
-        if skipped:
-            stream.metrics.record_skip(ready, deadline)
-        else:
-            stream.metrics.record_delivery(ready, deadline)
-        high = stream.buffered_at(ready)
-        stream.metrics.buffer_high_water = max(
-            stream.metrics.buffer_high_water, high
-        )
-
-    def _rescore(self, stream: StreamState) -> None:
-        """Assign deadlines to pre-start deliveries once the clock starts."""
-        start = stream.clock_start
-        rescored: List[Tuple[float, float, float]] = []
-        elapsed = 0.0
-        for index, (ready, _deadline, duration) in enumerate(
-            stream.deliveries
-        ):
-            deadline = start + elapsed
-            elapsed += duration
-            rescored.append((ready, deadline, duration))
-            if index in stream.skipped_indices:
-                stream.metrics.record_skip(ready, deadline)
-            else:
-                stream.metrics.record_delivery(ready, deadline)
-        stream.deliveries = rescored
-        stream._elapsed_playback = elapsed
-        stream._next_deadline = start + elapsed

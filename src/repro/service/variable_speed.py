@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from itertools import accumulate
+from typing import List, Optional, Sequence
 
 from repro.disk.drive import SimulatedDrive
 from repro.errors import ParameterError
 from repro.rope.server import BlockFetch, FetchColumns
-from repro.service.rounds import consumed_prefix
-from repro.sim.metrics import ContinuityMetrics
+from repro.sim.metrics import ContinuityMetrics, consumed_prefix
 
 __all__ = [
     "VariableSpeedResult",
@@ -69,7 +69,6 @@ class VariableSpeedResult:
     """Outcome of a variable-speed playback simulation."""
 
     metrics: ContinuityMetrics
-    buffer_high_water: int
     task_switches: int
     switch_idle_time: float
 
@@ -78,6 +77,11 @@ class VariableSpeedResult:
         """True when every displayed block met its deadline."""
         return self.metrics.continuous
 
+    @property
+    def buffer_high_water(self) -> int:
+        """Most blocks ever buffered at once."""
+        return self.metrics.buffer_high_water
+
 
 def simulate_variable_speed(
     fetches: Sequence[BlockFetch],
@@ -85,7 +89,7 @@ def simulate_variable_speed(
     speed: float,
     buffer_capacity: int,
     skipping: bool = False,
-    switch_penalty: float = None,
+    switch_penalty: Optional[float] = None,
     request_id: str = "varspeed",
 ) -> VariableSpeedResult:
     """Replay a plan at *speed*× with bounded buffering and task switches.
@@ -108,34 +112,23 @@ def simulate_variable_speed(
     metrics = ContinuityMetrics(request_id=request_id)
     ready: List[float] = []
     time = 0.0
-    clock_start: float = None
+    clock_start: Optional[float] = None
     switches = 0
     idle = 0.0
     away = False
 
-    def consumed_by(now: float) -> int:
-        if clock_start is None:
-            return 0
-        landed = zip(ready, ready, durations)   # the deadline is not read
-        return consumed_prefix(landed, clock_start, now)[0]
-
     for index, slot in enumerate(plan.slots):
-        # Buffer regulation with the task-switch protocol.
-        buffered = len(ready) - consumed_by(time)
-        if buffered >= buffer_capacity:
+        # Buffer regulation with the task-switch protocol (nothing has
+        # landed, so nothing is consumed, until the clock starts).
+        consumed = consumed_prefix(ready, durations, clock_start, time)[0]
+        if len(ready) - consumed >= buffer_capacity:
             switches += 1
             away = True
             # Wait until half the buffers drain (at least one block).
-            need = max(
-                len(ready) - buffer_capacity // 2, consumed_by(time) + 1
-            )
-            wake = time
-            elapsed = clock_start
-            for j, landed in enumerate(ready):
-                elapsed = max(elapsed, landed) + durations[j]
-                if j + 1 >= need:
-                    wake = elapsed
-                    break
+            need = max(len(ready) - buffer_capacity // 2, consumed + 1)
+            wake = consumed_prefix(
+                ready[:need], durations, clock_start, math.inf
+            )[1]
             idle += max(0.0, wake - time)
             time = max(time, wake)
         if slot is not None:
@@ -145,21 +138,13 @@ def simulate_variable_speed(
         ready.append(time)
         if clock_start is None:
             clock_start = time
-    # Score deadlines.
-    deadline = clock_start if clock_start is not None else 0.0
-    high_water = 0
-    for index, duration in enumerate(durations):
-        metrics.record_delivery(ready[index], deadline)
-        deadline += duration
-    # High-water: densest over-delivery relative to consumption.
-    for index in range(len(ready)):
-        high_water = max(
-            high_water, index + 1 - consumed_by(ready[index])
-        )
-    metrics.buffer_high_water = high_water
+    # Trick play buffers from the first block on: high-water counts all.
+    metrics.score(
+        ready, accumulate(durations, initial=clock_start), durations,
+        clock_start,
+    )
     return VariableSpeedResult(
         metrics=metrics,
-        buffer_high_water=high_water,
         task_switches=switches,
         switch_idle_time=idle,
     )

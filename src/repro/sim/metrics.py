@@ -7,14 +7,42 @@ against that requirement: every block has a deadline (from the recording
 rate) and an arrival time (from the simulated disk); a block arriving
 after its deadline is a **continuity violation** ("glitch"), and its
 lateness quantifies how audible/visible the glitch would be.
+
+The one new fact per block is when it landed — a ``ready`` column beside
+the plan's durations.  :func:`consumed_prefix` is the playback fold over
+those two columns and :meth:`ContinuityMetrics.score` the one scorer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Container, Iterable, Sequence, Tuple
 
-__all__ = ["ContinuityMetrics"]
+__all__ = ["ContinuityMetrics", "consumed_prefix"]
+
+
+def consumed_prefix(
+    ready: Iterable[float],
+    durations: Iterable[float],
+    start: float,
+    now: float,
+) -> Tuple[int, float]:
+    """Playback consumption at *now*: ``(blocks played, clock after them)``.
+
+    Playback cascades over the delivery schedule: block j starts when its
+    data is ready and the previous block has finished, so consumption is
+    a running fold over ``(ready, duration)`` from the clock's *start*.
+    With ``now = inf`` it is the whole fold — when the last block ends.
+    """
+    count = 0
+    elapsed = start
+    for landed, duration in zip(ready, durations):
+        end = max(elapsed, landed) + duration
+        if end > now:
+            break
+        count += 1
+        elapsed = end
+    return count, elapsed
 
 
 @dataclass
@@ -29,13 +57,20 @@ class ContinuityMetrics:
     max_lateness: float = 0.0
     startup_latency: float = 0.0
     buffer_high_water: int = 0
-    _lateness_samples: List[float] = field(default_factory=list)
+    #: Signed lateness over delivered blocks: running sum and extremes.
+    _late_sum: float = field(default=0.0, repr=False)
+    _late_min: float = field(default=float("inf"), repr=False)
+    _late_max: float = field(default=float("-inf"), repr=False)
 
     def record_delivery(self, arrival: float, deadline: float) -> None:
         """Score one block's arrival against its deadline."""
         self.blocks_delivered += 1
         late = arrival - deadline
-        self._lateness_samples.append(late)
+        self._late_sum += late
+        if late < self._late_min:
+            self._late_min = late
+        if late > self._late_max:
+            self._late_max = late
         if late > 0:
             self.misses += 1
             self.total_lateness += late
@@ -55,6 +90,44 @@ class ContinuityMetrics:
         if late > 0:
             self.total_lateness += late
             self.max_lateness = max(self.max_lateness, late)
+
+    def score(
+        self,
+        ready: Sequence[float],
+        deadlines: Iterable[float],
+        durations: Sequence[float],
+        start: float,
+        skipped: Container[int] = (),
+        high_water_from: int = 0,
+    ) -> None:
+        """Score one playback, in playback order, from its ``ready`` column.
+
+        Block i landed at ``ready[i]`` and was due at the i-th of
+        *deadlines* (the caller's, so each keeps its own float
+        association); indexes in *skipped* never arrived.  The buffer
+        high-water is sampled as each block from *high_water_from* on
+        lands — that block and those before it, less what playback
+        (clock started at *start*, the fold of :func:`consumed_prefix`)
+        has consumed of them by then.  *ready* must be non-decreasing.
+        """
+        consumed, elapsed = 0, start
+        high = self.buffer_high_water
+        for index, (landed, deadline) in enumerate(zip(ready, deadlines)):
+            if index in skipped:
+                self.record_skip(landed, deadline)
+            else:
+                self.record_delivery(landed, deadline)
+            if index < high_water_from:
+                continue
+            while consumed <= index:
+                end = max(elapsed, ready[consumed]) + durations[consumed]
+                if end > landed:
+                    break
+                consumed += 1
+                elapsed = end
+            if index + 1 - consumed > high:
+                high = index + 1 - consumed
+        self.buffer_high_water = high
 
     @property
     def continuous(self) -> bool:
@@ -77,16 +150,16 @@ class ContinuityMetrics:
     @property
     def mean_lateness(self) -> float:
         """Mean signed lateness across all blocks (negative = early)."""
-        if not self._lateness_samples:
+        if not self.blocks_delivered:
             return 0.0
-        return sum(self._lateness_samples) / len(self._lateness_samples)
+        return self._late_sum / self.blocks_delivered
 
     @property
     def jitter(self) -> float:
         """Peak-to-peak spread of arrival lateness, seconds."""
-        if not self._lateness_samples:
+        if self._late_max < self._late_min:
             return 0.0
-        return max(self._lateness_samples) - min(self._lateness_samples)
+        return self._late_max - self._late_min
 
     def summary(self) -> str:
         """Canonical one-line rendering, stable to the last bit.

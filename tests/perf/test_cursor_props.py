@@ -1,7 +1,8 @@
 """Hypothesis: the consumption cursor equals the reference rescan.
 
-Randomized delivery schedules (ready times and durations), randomized
-clock starts, and randomized — deliberately non-monotone — query
+Randomized delivery schedules (a ``ready`` column and the plan's
+durations), randomized clock starts, and randomized — deliberately
+non-monotone — query
 sequences: for every query, ``consumed_at`` / ``buffered_at`` /
 ``next_consumption_time`` through the cached cursor must equal a fresh
 O(n) rescan of the same schedule.  The non-monotone queries force the
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.rounds import StreamState, consumed_prefix
+from repro.rope.server import FetchColumns
+from repro.service.rounds import StreamState
+from repro.sim.metrics import consumed_prefix
 
 pytestmark = pytest.mark.perf
 
@@ -38,21 +41,24 @@ queries = st.lists(
 )
 
 
-def _reference_next_consumption(deliveries, start, now):
-    count, elapsed = consumed_prefix(deliveries, start, now)
-    if count >= len(deliveries):
+def _reference_next_consumption(ready, durations, start, now):
+    count, elapsed = consumed_prefix(ready, durations, start, now)
+    if count >= len(ready):
         return math.inf
-    ready, _deadline, duration = deliveries[count]
-    return max(elapsed, ready) + duration
+    return max(elapsed, ready[count]) + durations[count]
 
 
-def _stream_with(schedule, clock_start):
+def _stream_with(schedule, clock_start=None):
+    """A stream whose ``ready`` column and plan durations are *schedule*'s
+    (the two columns every consumption query reads)."""
     stream = StreamState(
-        request_id="prop", fetches=(), buffer_capacity=1,
+        request_id="prop", buffer_capacity=1,
+        fetches=FetchColumns(
+            [None] * len(schedule), [0.0] * len(schedule),
+            [duration for _ready, duration in schedule],
+        ),
     )
-    stream.deliveries = [
-        (ready, 0.0, duration) for ready, duration in schedule
-    ]
+    stream.ready = [ready for ready, _duration in schedule]
     stream.clock_start = clock_start
     return stream
 
@@ -64,17 +70,16 @@ class TestCursorMatchesReference:
         self, schedule, clock_start, now_values
     ):
         stream = _stream_with(schedule, clock_start)
+        ready, lengths = stream.ready, stream.fetches.durations
         for now in now_values:
             expect_count, _ = consumed_prefix(
-                stream.deliveries, clock_start, now
+                ready, lengths, clock_start, now
             )
             assert stream.consumed_at(now) == expect_count
-            assert stream.buffered_at(now) == (
-                len(stream.deliveries) - expect_count
-            )
+            assert stream.buffered_at(now) == len(ready) - expect_count
             assert stream.next_consumption_time(now) == (
                 _reference_next_consumption(
-                    stream.deliveries, clock_start, now
+                    ready, lengths, clock_start, now
                 )
             )
 
@@ -86,20 +91,15 @@ class TestCursorMatchesReference:
         stream = _stream_with(schedule, clock_start)
         for now in sorted(now_values):
             expect_count, _ = consumed_prefix(
-                stream.deliveries, clock_start, now
+                stream.ready, stream.fetches.durations, clock_start, now
             )
             assert stream.consumed_at(now) == expect_count
 
     @settings(deadline=None, max_examples=50)
     @given(schedule=schedules, now_values=queries)
     def test_unstarted_clock_consumes_nothing(self, schedule, now_values):
-        stream = StreamState(
-            request_id="prop", fetches=(), buffer_capacity=1,
-        )
-        stream.deliveries = [
-            (ready, 0.0, duration) for ready, duration in schedule
-        ]
+        stream = _stream_with(schedule)
         for now in now_values:
             assert stream.consumed_at(now) == 0
-            assert stream.buffered_at(now) == len(stream.deliveries)
+            assert stream.buffered_at(now) == len(stream.ready)
             assert stream.next_consumption_time(now) == math.inf

@@ -16,11 +16,8 @@ from repro.disk.factory import build_drive
 from repro.errors import ParameterError
 from repro.scenarios import get
 from repro.scenarios.loop import Scale
-from repro.service.rounds import (
-    RoundRobinService,
-    StreamState,
-    consumed_prefix,
-)
+from repro.service.rounds import RoundRobinService, StreamState
+from repro.sim.metrics import consumed_prefix
 
 pytestmark = pytest.mark.perf
 
@@ -31,7 +28,9 @@ class ReferenceStreamState(StreamState):
     def _consume_state(self, now: float) -> Tuple[int, float]:
         if self.clock_start is None:
             return 0, 0.0
-        return consumed_prefix(self.deliveries, self.clock_start, now)
+        return consumed_prefix(
+            self.ready, self.fetches.durations, self.clock_start, now
+        )
 
 
 def _run(scenario: Scale, stream_cls):
@@ -123,7 +122,7 @@ class TestServiceEquivalence:
                 ref_metrics[rid].summary()
             )
         for fast, ref in zip(fast_streams, ref_streams):
-            assert fast.deliveries == ref.deliveries
+            assert fast.ready == ref.ready
             assert fast.clock_start == ref.clock_start
             assert fast.skipped_indices == ref.skipped_indices
 

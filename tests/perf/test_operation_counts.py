@@ -23,7 +23,8 @@ from repro.disk.factory import TESTBED_DRIVE, build_drive
 from repro.disk.seek import LinearSeek, SeekModel, TableSeek
 from repro.obs import Observability
 from repro.scenarios.loop import Scale
-from repro.service.rounds import RoundRobinService, consumed_prefix
+from repro.service.rounds import RoundRobinService
+from repro.sim.metrics import consumed_prefix
 
 pytestmark = pytest.mark.perf
 
@@ -178,9 +179,9 @@ class TestConsumptionCursor:
         """The monotone service loop stays on the O(1) cursor path."""
         calls = []
 
-        def spying_prefix(deliveries, start, now):
+        def spying_prefix(ready, durations, start, now):
             calls.append(now)
-            return consumed_prefix(deliveries, start, now)
+            return consumed_prefix(ready, durations, start, now)
 
         monkeypatch.setattr(
             rounds_module, "consumed_prefix", spying_prefix
@@ -205,7 +206,7 @@ class TestConsumptionCursor:
         service = RoundRobinService(drive, lambda _r, _n: scenario.k)
         service.run(initial)
         for stream in initial:
-            assert stream._consumed_count <= len(stream.deliveries)
+            assert stream._consumed_count <= len(stream.ready)
 
 
 class TestTableSeekMemo:

@@ -222,6 +222,27 @@ class TestTypedRejects:
         assert all(r.requeues == 2 for r in result.rejects)
 
 
+class TestIdleGapBetweenArrivals:
+    @pytest.mark.parametrize("gap", [1e5, 1e9])
+    def test_serve_spans_an_idle_gap_of_any_length(self, gap):
+        """Two sessions admission accepted play to completion however far
+        apart they arrive in one ``serve``: the loop does not walk the
+        idle rounds between them (it used to, one iteration each, and at
+        100,000 of them raised "exceeded 100000 rounds")."""
+        server = build_media_server(cache_blocks=0, batch_window=0.0)
+        rope_id = _rope(server, seconds=2.0)
+        result = server.serve([
+            _open(rope_id, client="client-0", arrival=0.0),
+            _open(rope_id, client="client-1", arrival=gap),
+        ])
+        assert not result.rejects
+        assert [s.state for s in result.statuses] == (
+            [SessionState.COMPLETED] * 2
+        )
+        assert [s.misses for s in result.statuses] == [0, 0]
+        assert result.rounds == 40
+
+
 class TestBatchedServe:
     def test_same_interval_requests_share_one_batch(self, server):
         rope_id = _rope(server)

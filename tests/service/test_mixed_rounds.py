@@ -111,9 +111,7 @@ class TestMixedService:
         )
         service.run([])
         # Delivery j completes after block j finished capturing.
-        samples = record.metrics._lateness_samples
-        for j, lateness in enumerate(samples):
-            write_end = record.deadline_of(j) + lateness
+        for j, write_end in enumerate(record.written):
             captured = (j + 1) * block.playback_duration
             assert write_end > captured
 

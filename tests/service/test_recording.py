@@ -24,21 +24,14 @@ def block():
 def simulate_recording(
     slots, drive, block_period, buffer_capacity=2, k=1
 ):
-    """Record *slots* alone on *drive*; returns (metrics, completions).
-
-    A block's write-completion time is its deadline plus its lateness.
-    """
+    """Record *slots* alone on *drive*; returns (metrics, completions)."""
     record = RecordStream(
         "rec", slots, block_period, staging_capacity=buffer_capacity
     )
     metrics = RoundRobinService(
         drive, lambda _round, _n: k, after_turns=[record]
     ).run([])["rec"]
-    completions = [
-        record.deadline_of(number) + late
-        for number, late in enumerate(metrics._lateness_samples)
-    ]
-    return metrics, completions
+    return metrics, record.written
 
 
 def constrained_placement(drive, count=60):

@@ -140,3 +140,44 @@ class TestValidation:
         service = RoundRobinService(drive, lambda r, n: 1)
         assert service.run([]) == {}
         assert service.rounds_run == 0
+
+
+class TestIdleGapBeforeAnAdmission:
+    """With nothing active and an admission pending the loop goes to the
+    admission's round: idle rounds cost no iteration and are not rounds
+    served, so ``max_rounds`` guards real service only."""
+
+    def test_far_admission_costs_no_idle_rounds(self, block):
+        drive = build_drive()
+        first = make_stream(drive, block, "first", blocks=20)
+        late = make_stream(drive, block, "late", blocks=20)
+        tracer = Tracer()
+        service = RoundRobinService(drive, lambda r, n: 4, tracer=tracer)
+        metrics = service.run(
+            [first], [Admission(round_number=10**9, stream=late)]
+        )
+        assert metrics["first"].blocks_delivered == 20
+        assert metrics["late"].blocks_delivered == 20
+        assert service.rounds_run == 10
+        # The late stream still joins at the round it asked for.
+        (admit,) = tracer.filter(tag="admit", subject="late")
+        assert admit.detail == f"round {10**9}"
+
+    def test_guard_counts_rounds_served_not_round_numbers(self, block):
+        drive = build_drive()
+        late = make_stream(drive, block, "late", blocks=20)
+        service = RoundRobinService(drive, lambda r, n: 4)
+        service.run([], [Admission(round_number=500, stream=late)], max_rounds=10)
+        assert service.rounds_run == 5
+
+    def test_starving_schedule_still_trips_the_guard(self, block):
+        drive = build_drive()
+        stream = make_stream(drive, block, "r0", blocks=60)
+        late = make_stream(drive, block, "late", blocks=60)
+        service = RoundRobinService(drive, lambda r, n: 1)
+        with pytest.raises(ParameterError, match="exceeded 10 rounds"):
+            service.run(
+                [stream], [Admission(round_number=10**9, stream=late)],
+                max_rounds=10,
+            )
+        assert service.rounds_run == 11
