@@ -17,6 +17,7 @@ from repro.disk import build_drive
 from repro.faults import FaultInjector, FaultPlan, RecoveryPolicy
 from repro.fs import MultimediaStorageManager
 from repro.media.frames import frames_for_duration
+from repro.obs import Observability
 from repro.rope import Media, MultimediaRopeServer
 from repro.service import PlaybackSession
 from repro.sim.trace import Tracer
@@ -53,9 +54,12 @@ def chaos_run(seed):
     ]
     plan = FaultPlan.random(seed=seed, slots=slots, transient=5, defects=2)
     drive.attach_injector(FaultInjector(plan))
-    tracer = Tracer()
+    # The trace is the one sink wanted here: an observer with every
+    # surface off, carrying the sim event log.
+    tracer, obs = Tracer(), Observability(enabled=False)
+    obs.attach_sim_tracer(tracer)
     session = PlaybackSession(
-        mrs, tracer=tracer, recovery=RecoveryPolicy(retry_budget=2)
+        mrs, recovery=RecoveryPolicy(retry_budget=2), obs=obs
     )
     result = session.run([play_id], k=4)
     return drive, tracer, result, play_id

@@ -41,9 +41,11 @@ module as the package facade.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.errors import ParameterError
 from repro.rope.structures import Media
 
 __all__ = [
@@ -110,13 +112,18 @@ class OpenSessionRequest:
         reads.
     start / length:
         Interval within the rope, seconds (``length=None`` plays to the
-        end).
+        end).  A finite ``length <= 0`` selects nothing and is refused
+        ``EMPTY_INTERVAL`` by the server.
     media:
         Which media components to deliver.
     auto_play:
         When True (the default) an admitted session is scheduled for
         playback immediately; when False the client must follow up with
         a :class:`PlayRequest`.
+
+    A non-finite ``arrival``, a non-finite or negative ``start`` or a
+    non-finite ``length`` is a :class:`~repro.errors.ParameterError`
+    naming the field, raised when the request is built.
     """
 
     client_id: str
@@ -126,6 +133,16 @@ class OpenSessionRequest:
     length: Optional[float] = None
     media: Media = Media.VIDEO
     auto_play: bool = True
+
+    def __post_init__(self) -> None:
+        for name, value in (
+            ("arrival", self.arrival), ("start", self.start),
+            ("length", 0.0 if self.length is None else self.length),
+        ):
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+        if self.start < 0:
+            raise ParameterError(f"start must be >= 0, got {self.start}")
 
 
 @dataclass(frozen=True)

@@ -153,19 +153,10 @@ class ClusterNode:
         return self.server.serve(requests)
 
 
-def build_node(
-    node_id: str,
-    capacity: int,
-    cache_blocks: int = 512,
-    batch_window: float = 0.25,
-    obs=None,
-) -> ClusterNode:
-    """A ClusterNode over a fresh testbed drive and storage manager."""
-    server = build_media_server(
-        obs=obs,
-        cache_blocks=cache_blocks,
-        batch_window=batch_window,
-        # Per-drive profiler rollups should distinguish the shards.
-        label=f"{node_id}.drive",
-    )
+def build_node(node_id: str, capacity: int, obs=None) -> ClusterNode:
+    """A ClusterNode over a fresh testbed drive and storage manager, with
+    :func:`build_media_server`'s 512-block cache and 0.25-s batching
+    window."""
+    # Per-drive profiler rollups should distinguish the shards.
+    server = build_media_server(obs=obs, label=f"{node_id}.drive")
     return ClusterNode(node_id=node_id, server=server, capacity=capacity)

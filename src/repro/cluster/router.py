@@ -653,8 +653,6 @@ def build_cluster(
     obs=None,
     warm: bool = True,
     fault_plan: Optional[FaultPlan] = None,
-    cache_blocks: int = 512,
-    batch_window: float = 0.25,
 ) -> Tuple[MediaCluster, Tuple[CatalogTitle, ...]]:
     """A cluster of *nodes* MediaServers sharing a Zipf catalog.
 
@@ -687,15 +685,13 @@ def build_cluster(
         node = build_node(
             node_id,
             capacity=per_node_streams,
-            cache_blocks=cache_blocks,
-            batch_window=batch_window,
             obs=obs.scoped(node_id) if obs is not None else None,
         )
         for title in catalog:
             if node_id in placement.replicas(title.title_id):
                 node.record_title(title, viewers)
         built.append(node)
-    if warm and cache_blocks > 0:
+    if warm:
         for node in built:
             for title_id in sorted(node.local_ropes):
                 node.warm(title_id)

@@ -79,22 +79,6 @@ class DriveArray:
             )
         return self.drives[index]
 
-    # -- fault injection -------------------------------------------------------
-
-    @property
-    def failed_members(self) -> List[int]:
-        """Indexes of members whose head has failed."""
-        return [
-            index
-            for index, drive in enumerate(self.drives)
-            if drive.injector is not None and drive.injector.head_failed
-        ]
-
-    @property
-    def surviving_heads(self) -> int:
-        """Members still able to transfer (degraded p)."""
-        return self.heads - len(self.failed_members)
-
     def read_batch(self, addresses: Sequence[StripedSlot]) -> float:
         """Read up to p blocks concurrently; returns the batch duration.
 
@@ -137,19 +121,14 @@ class DriveArray:
             batches += 1
         return total, batches
 
-    def parameters(self, degraded: bool = False) -> DiskParameters:
-        """Project the array onto the Table-1 symbols (heads = p).
-
-        With ``degraded=True``, p counts only surviving members — the
-        projection admission revalidation uses after a head failure.
-        """
+    def parameters(self) -> DiskParameters:
+        """Project the array onto the Table-1 symbols (heads = p)."""
         base = self.drives[0].parameters()
-        heads = self.surviving_heads if degraded else self.heads
         return DiskParameters(
             transfer_rate=base.transfer_rate,
             seek_max=base.seek_max,
             seek_avg=base.seek_avg,
             seek_track=base.seek_track,
             cylinders=base.cylinders,
-            heads=max(1, heads),
+            heads=self.heads,
         )

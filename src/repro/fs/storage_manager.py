@@ -93,10 +93,6 @@ class MultimediaStorageManager:
     video_device / audio_device:
         Display-device parameters — their buffer sizes determine
         granularity (§3.3.4).
-    architecture:
-        Retrieval architecture the policies are derived for.
-    copy_budget:
-        §4.2 editing-copy budget, setting the scattering lower bound.
     general_admission:
         When True, use the per-request-k controller
         (:class:`repro.core.general_admission.GeneralAdmissionController`,
@@ -117,9 +113,6 @@ class MultimediaStorageManager:
         audio: AudioStream,
         video_device: DisplayDeviceParameters,
         audio_device: DisplayDeviceParameters,
-        architecture: Architecture = Architecture.PIPELINED,
-        copy_budget: int = 4,
-        freemap: Optional[FreeMap] = None,
         general_admission: bool = False,
         obs=None,
     ):
@@ -128,13 +121,15 @@ class MultimediaStorageManager:
         self._rec = recorder_for(obs, "msm")
         if obs is not None:
             drive.attach_observer(obs)
-        self.freemap = freemap if freemap is not None else FreeMap(drive.slots)
+        self.freemap = FreeMap(drive.slots)
         self.video = video
         self.audio = audio
         self.video_device = video_device
         self.audio_device = audio_device
-        self.architecture = architecture
-        self.copy_budget = copy_budget
+        #: The policies' retrieval architecture — the one the §3.4 loop runs —
+        #: and §4.2 editing-copy budget, which sets the scattering lower bound.
+        self.architecture = Architecture.PIPELINED
+        self.copy_budget = 4
         self.disk_params = drive.parameters()
         self.policies = self._derive_policies()
         if general_admission:

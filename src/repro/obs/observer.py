@@ -43,62 +43,38 @@ class Observability:
     seed:
         Folded into the span tracer's deterministic trace ids; pass the
         scenario seed so distinct seeds get distinct id spaces.
-    timeline_keep_first / timeline_every_kth / timeline_summary_sessions:
-        Forwarded to :class:`SessionTimeline` (per-block sampling and
-        the summary cap for large scenarios).
-    tracer:
-        A pre-built :class:`SpanTracer` (e.g. with block sampling or a
-        strict limit); by default a full-fidelity tracer is created.
+
+    Every surface starts full-fidelity; the presets (:meth:`for_scale`,
+    :meth:`for_profiling`) replace the ones they sample or switch off.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        seed: int = 0,
-        timeline_keep_first: Optional[int] = None,
-        timeline_every_kth: Optional[int] = None,
-        timeline_summary_sessions: Optional[int] = None,
-        tracer: Optional[SpanTracer] = None,
-    ):
+    def __init__(self, enabled: bool = True, seed: int = 0):
         self.enabled = enabled
         self.registry = MetricsRegistry(enabled)
-        self.timeline = SessionTimeline(
-            enabled,
-            keep_first=timeline_keep_first,
-            every_kth=timeline_every_kth,
-            summary_sessions=timeline_summary_sessions,
-        )
+        self.timeline = SessionTimeline(enabled)
         self.audit = AdmissionAuditLog(enabled)
-        self.tracer = (
-            tracer if tracer is not None
-            else SpanTracer(enabled=enabled, seed=seed)
-        )
+        self.tracer = SpanTracer(enabled=enabled, seed=seed)
         self.slo: Optional[SloMonitor] = None
         self.profiler: Optional[CostProfiler] = None
         #: A node-scoped view carries its node's id here; the root has none.
         self.node_id: Optional[str] = None
-        self._sim_tracers: list = []
+        #: The :class:`repro.sim.trace.Tracer` event log the round loop
+        #: writes to, once one is attached (:meth:`attach_sim_tracer`).
+        self.sim_log = None
 
     @classmethod
     def for_scale(cls, seed: int = 0) -> "Observability":
-        """A sampled/capped configuration for large scenarios.
+        """The sampled/capped surfaces for large scenarios.
 
         Keeps the first blocks of every session at full per-block
         fidelity, then samples every 64th block, and caps the timeline
         summary — bounding both golden-snapshot size and the tracing
-        overhead on 100k-block runs, while metrics/SLO rollups still see
-        every block.
+        overhead on 100k-block runs, while metrics (and the SLOs the
+        caller attaches) still see every block.
         """
-        obs = cls(
-            seed=seed,
-            timeline_keep_first=8,
-            timeline_every_kth=64,
-            timeline_summary_sessions=8,
-            tracer=SpanTracer(
-                seed=seed, block_keep_first=4, block_every_kth=64
-            ),
-        )
-        obs.enable_slos()
+        obs = cls(seed=seed)
+        obs.timeline = SessionTimeline(keep_first=8, every_kth=64, summary_sessions=8)
+        obs.tracer = SpanTracer(seed=seed, block_keep_first=4, block_every_kth=64)
         return obs
 
     @classmethod
@@ -110,7 +86,8 @@ class Observability:
         run as little as possible; everything recorded is modeled time,
         so snapshots stay byte-stable per seed.
         """
-        obs = cls(seed=seed, tracer=SpanTracer(enabled=False, seed=seed))
+        obs = cls(seed=seed)
+        obs.tracer = SpanTracer(enabled=False, seed=seed)
         obs.timeline = SessionTimeline(False)
         obs.audit = AdmissionAuditLog(False)
         obs.enable_profiler()
@@ -143,11 +120,11 @@ class Observability:
         return ScopedObservability(self, node_id)
 
     def attach_sim_tracer(self, tracer) -> None:
-        """Register a :class:`repro.sim.trace.Tracer` for health
-        surfacing, so snapshots report its drop count instead of letting
-        overflow truncate event traces silently."""
-        if all(existing is not tracer for existing in self._sim_tracers):
-            self._sim_tracers.append(tracer)
+        """Make a :class:`repro.sim.trace.Tracer` this observer's sim event
+        log (the observer may be disabled): loops built over it afterwards
+        log to it, and snapshots report its drop count instead of letting
+        overflow truncate the log silently."""
+        self.sim_log = tracer
 
     def timed(self, name: str):
         """Profiling context manager on the shared registry."""
@@ -161,6 +138,7 @@ class Observability:
         The ``profile`` section appears only when a profiler is
         attached, so every pre-profiler golden stays byte-stable.
         """
+        log = self.sim_log
         out = {
             "metrics": self.registry.snapshot_dict(
                 include_profile=include_profile
@@ -172,10 +150,8 @@ class Observability:
                 self.slo.summary_dict() if self.slo is not None else {}
             ),
             "trace_health": {
-                "sim_events_dropped": sum(
-                    t.dropped for t in self._sim_tracers
-                ),
-                "sim_strict": any(t.strict for t in self._sim_tracers),
+                "sim_events_dropped": log.dropped if log is not None else 0,
+                "sim_strict": log is not None and log.strict,
                 "spans_dropped": self.tracer.dropped_count,
                 "spans_strict": self.tracer.strict,
             },
@@ -315,6 +291,10 @@ class ScopedObservability:
     @property
     def profiler(self) -> Optional[CostProfiler]:
         return self.parent.profiler
+
+    @property
+    def sim_log(self):
+        return self.parent.sim_log
 
     def scoped(self, node_id: str) -> "ScopedObservability":
         """Scoping is flat: a view of the parent, not of this view."""

@@ -14,7 +14,7 @@ stages, the SLO ticks, and the ``sim.trace.Tracer`` tag strings.
 
 A component obtains its recorder once from :func:`recorder_for`, which
 returns None when there is nothing to record (no observer, or a disabled
-one, and no sim tracer) — so the unobserved hot path is one ``is None``
+one with no sim event log) — so the unobserved hot path is one ``is None``
 test per report site and never formats a string.  Per-block sampling
 stays data on the surfaces (``SessionTimeline.keep_first/every_kth``,
 ``SpanTracer.block_keep_first/block_every_kth``):
@@ -185,22 +185,27 @@ def _next_sampled(index: int, keep: Optional[int], every: Optional[int]) -> int:
     return NEVER if every is None else index + (-index % every)
 
 
-def recorder_for(obs, source: str, sim=None) -> Optional["ServiceRecorder"]:
+#: The sources some :data:`EVENTS` row gives a ``sim:`` sink: the only
+#: recorders the observer's sim event log is handed to.
+_LOGGING = {source for source, row in EVENTS.values() if "sim:" in row}
+
+
+def recorder_for(obs, source: str) -> Optional["ServiceRecorder"]:
     """The recorder a *source* component reports into, or None.
 
     *obs* is an :class:`~repro.obs.Observability`, a node-scoped view of
-    one, or None; *sim* an optional :class:`repro.sim.trace.Tracer`
-    (registered with *obs* so snapshots surface its drop count).
+    one, or None.  Its sim event log (``obs.sim_log``), when one is
+    attached and enabled, goes to a source that logs — even when *obs*
+    itself is disabled.
     """
-    if obs is not None and sim is not None:
-        obs.attach_sim_tracer(sim)
+    if obs is None:
+        return None
+    sim = obs.sim_log if source in _LOGGING else None
     if sim is not None and not sim.enabled:
         sim = None
-    if obs is not None and not obs.enabled:
-        obs = None
-    if obs is None and sim is None:
+    if not obs.enabled and sim is None:
         return None
-    return ServiceRecorder(obs, source, sim)
+    return ServiceRecorder(obs if obs.enabled else None, source, sim)
 
 
 class ServiceRecorder:

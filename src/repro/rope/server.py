@@ -382,9 +382,6 @@ class MultimediaRopeServer:
         nothing.  Access and interval checks are those of :meth:`play`.
         """
         request = self._play_request(user, rope_id, start, length, media, admit=False)
-        # Callers admit on this request before (or without) planning it, so
-        # an interval that selects no content is refused here: O(segments).
-        self._played_segments(request)
         self._requests[request.request_id] = request
         return request.request_id
 
@@ -408,6 +405,10 @@ class MultimediaRopeServer:
                 f"empty playback interval (start {start}, rope length "
                 f"{rope.duration:.3f})"
             )
+        # Callers admit on a request before (or without) planning it, so an
+        # interval holding no block of the medium is refused here, before
+        # any slot or ID: O(segments).
+        operations.project_medium(self._played_segments(rope_id, start, length), media)
         admission_id = self._admit(media) if admit else None
         return Request(
             request_id=f"Q{next(self._request_ids):04d}",
@@ -634,23 +635,30 @@ class MultimediaRopeServer:
         from repro.rope.triggers import trigger_schedule
 
         request = self.get_request(request_id)
-        return trigger_schedule(self._played_segments(request))
+        return trigger_schedule(
+            self._played_segments(request.rope_id, request.start, request.length)
+        )
 
     # -- playback planning -----------------------------------------------------------
 
-    def _played_segments(self, request: Request) -> List[Segment]:
-        """The segments of *request*'s rope that lie inside its interval."""
-        rope = self.get_rope(request.rope_id)
-        if (request.start, request.length) == (0.0, rope.duration):
+    def _played_segments(
+        self, rope_id: str, start: float, length: float
+    ) -> List[Segment]:
+        """The segments of a rope inside ``[start, start + length)``;
+        :class:`IntervalError` when that selects no content."""
+        rope = self.get_rope(rope_id)
+        if (start, length) == (0.0, rope.duration):
             return list(rope.segments)
         return operations.substring(
-            rope.segments, Media.AUDIO_VISUAL, request.start, request.length
+            rope.segments, Media.AUDIO_VISUAL, start, length
         )
 
     def playback_plan(self, request_id: str) -> PlaybackPlan:
         """Flatten a PLAY request's rope interval into block fetches."""
         request = self.get_request(request_id)
-        segments = self._played_segments(request)
+        segments = self._played_segments(
+            request.rope_id, request.start, request.length
+        )
         video = FetchColumns([], [], [], [])
         audio = FetchColumns([], [], [])
         for segment in segments:

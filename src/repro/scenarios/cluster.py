@@ -23,7 +23,7 @@ from repro.cluster.bounds import bounds_for_placement
 from repro.cluster.router import build_cluster
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.obs.observer import Observability
-from repro.obs.slo import CLUSTER_SLOS, SloMonitor
+from repro.obs.slo import CLUSTER_SLOS
 from repro.scenarios.base import Scenario, ScenarioRun, register
 
 
@@ -79,8 +79,10 @@ class ClusterScale(Scenario):
 
     def observability(self, profile: bool = False) -> Observability:
         """Sampled observability with the cluster objective set."""
-        obs = super().observability(profile)
-        obs.slo = SloMonitor(obs.registry, CLUSTER_SLOS)
+        obs = Observability.for_scale(seed=self.seed)
+        obs.enable_slos(CLUSTER_SLOS)
+        if profile:
+            obs.enable_profiler()
         return obs
 
     def healthy(self, run: ScenarioRun) -> bool:

@@ -45,7 +45,6 @@ from repro.api import (
     SessionStatus,
     StopRequest,
 )
-from repro.core.continuity import Architecture
 from repro.disk.cache import BlockCache, CachedDrive
 from repro.errors import (
     AccessDenied,
@@ -60,7 +59,6 @@ from repro.rope.server import MultimediaRopeServer, build_rope_server
 from repro.server.batching import RequestBatch, group_into_batches
 from repro.service.rpc import RpcChannel, stub_for
 from repro.service.session import PlaybackSession
-from repro.sim.trace import Tracer
 
 __all__ = ["MediaServer", "build_media_server"]
 
@@ -141,8 +139,6 @@ class MediaServer:
     mrs:
         The rope server (and, through it, the storage manager, drive,
         and admission controller) this front end owns.
-    architecture:
-        Buffering architecture forwarded to the playback sessions.
     batch_window:
         Seconds within which opens of the same rope interval join one
         admission batch.  0 disables batching.
@@ -163,12 +159,10 @@ class MediaServer:
     def __init__(
         self,
         mrs: MultimediaRopeServer,
-        architecture: Architecture = Architecture.PIPELINED,
         batch_window: float = 0.25,
         cache_blocks: int = 128,
         requeue_limit: int = 0,
         recovery: Optional[RecoveryPolicy] = None,
-        tracer: Optional[Tracer] = None,
         obs=None,
     ):
         for name, value in (
@@ -179,11 +173,9 @@ class MediaServer:
             if value < 0:
                 raise ParameterError(f"{name} must be >= 0, got {value}")
         self.mrs = mrs
-        self.architecture = architecture
         self.batch_window = batch_window
         self.requeue_limit = requeue_limit
         self.recovery = recovery
-        self.tracer = tracer
         self.obs = obs if obs is not None else mrs.msm.obs
         #: What the request path reports to (None when unobserved).
         self._rec = recorder_for(self.obs, "server")
@@ -518,13 +510,7 @@ class MediaServer:
     # -- epoch execution -----------------------------------------------------------
 
     def _playback_session(self) -> PlaybackSession:
-        return PlaybackSession(
-            self.mrs,
-            architecture=self.architecture,
-            tracer=self.tracer,
-            recovery=self.recovery,
-            obs=self.obs,
-        )
+        return PlaybackSession(self.mrs, recovery=self.recovery, obs=self.obs)
 
     def _run_epoch(self) -> Tuple[List[str], int, int, Dict]:
         """Service every scheduled session to completion; returns who

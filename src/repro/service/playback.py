@@ -19,7 +19,7 @@ completes.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
 from repro.disk.raid import DriveArray
@@ -43,7 +43,6 @@ def _replay(
     request_id: str,
     recovery: Optional[RecoveryPolicy],
     display: Optional[DisplayDevice] = None,
-    on_head_failure: Optional[Callable[[HeadFailureError], None]] = None,
 ) -> Tuple[ContinuityMetrics, List[float]]:
     """Replay *fetches* in stripes of ``p = len(members)`` and score them.
 
@@ -52,8 +51,7 @@ def _replay(
     read after another).  With *display* each delivered block is then
     converted before the next read may start (Fig. 1).  The playback
     clock starts once *read_ahead* further blocks are on board behind the
-    first.  A dead head costs its member every later block (a skip each);
-    *on_head_failure* fires once per dead member.
+    first.  A dead head costs its member every later block (a skip each).
     """
     if read_ahead < 0:
         raise ParameterError(f"read_ahead must be >= 0, got {read_ahead}")
@@ -62,7 +60,6 @@ def _replay(
     time = 0.0
     ready: List[float] = []
     skipped: Set[int] = set()
-    failed_members: Set[int] = set()
     for base in range(0, len(fetches), p):
         stripe = fetches[base:base + p]
         durations = []
@@ -77,10 +74,6 @@ def _replay(
                 )
             except HeadFailureError as fault:
                 elapsed, ok = fault.elapsed, False
-                if index % p not in failed_members:
-                    failed_members.add(index % p)
-                    if on_head_failure is not None:
-                        on_head_failure(fault)
             durations.append(elapsed)
             if not ok:
                 skipped.add(index)
@@ -138,7 +131,6 @@ def simulate_concurrent(
     array: DriveArray,
     request_id: str = "conc",
     recovery: Optional[RecoveryPolicy] = None,
-    on_head_failure: Optional[Callable[[HeadFailureError], None]] = None,
 ) -> Tuple[ContinuityMetrics, List[float]]:
     """Fig. 3: p parallel accesses per batch (Eq. 3 regime).
 
@@ -153,12 +145,7 @@ def simulate_concurrent(
 
     Under fault injection the batch degrades rather than aborts: a
     member whose head dies loses its share of every later stripe (each
-    lost block a recorded skip), and *on_head_failure* fires once per
-    dead member so the caller can revalidate admission against the
-    surviving p.
+    lost block a recorded skip).
     """
     members = [array.member(index) for index in range(array.heads)]
-    return _replay(
-        fetches, members, array.heads - 1, request_id, recovery,
-        on_head_failure=on_head_failure,
-    )
+    return _replay(fetches, members, array.heads - 1, request_id, recovery)

@@ -39,7 +39,6 @@ from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.obs.recorder import recorder_for
 from repro.rope.server import BlockFetch, FetchColumns
 from repro.sim.metrics import ContinuityMetrics, consumed_prefix
-from repro.sim.trace import Tracer
 
 __all__ = [
     "StreamState",
@@ -199,8 +198,6 @@ class RoundRobinService:
         Callable ``(round_number, active_count) -> k`` giving the blocks
         per request to transfer in that round.  The paper's algorithm
         passes the admission controller's staged plan through this hook.
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer` event log.
     recovery:
         Fault-recovery policy applied when the drive carries a
         :class:`~repro.faults.injector.FaultInjector`; defaults to the
@@ -211,9 +208,10 @@ class RoundRobinService:
     obs:
         Optional :class:`~repro.obs.Observability` handle (or node-scoped
         view).  The loop reports what happened to the one
-        :class:`~repro.obs.recorder.ServiceRecorder` built from *obs* and
-        *tracer*; with neither there is no recorder and every report
-        site is a single None test.
+        :class:`~repro.obs.recorder.ServiceRecorder` built from *obs* —
+        its surfaces and the sim event log attached to it, if any; with
+        nothing to record there is no recorder and every report site is
+        a single None test.
     order:
         Visiting order ``(drive, active, round_number) -> streams`` for
         each round; None is the paper's arrival order.
@@ -230,7 +228,6 @@ class RoundRobinService:
         self,
         drive: SimulatedDrive,
         k_schedule: Callable[[int, int], int],
-        tracer: Optional[Tracer] = None,
         recovery: Optional[RecoveryPolicy] = None,
         on_head_failure: Optional[Callable[[HeadFailureError], None]] = None,
         obs=None,
@@ -245,7 +242,7 @@ class RoundRobinService:
         self.on_head_failure = on_head_failure
         self.head_failure: Optional[HeadFailureError] = None
         self.rounds_run = 0
-        self._rec = recorder_for(obs, "loop", tracer)
+        self._rec = recorder_for(obs, "loop")
 
     def run(
         self,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.buffering import buffers_for_average_continuity
-from repro.core.continuity import Architecture
 from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy
 from repro.rope.server import (
@@ -23,7 +22,6 @@ from repro.rope.server import (
 )
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.sim.metrics import ContinuityMetrics
-from repro.sim.trace import Tracer
 
 __all__ = ["SessionResult", "PlaybackSession", "staged_k_schedule"]
 
@@ -97,9 +95,8 @@ class PlaybackSession:
     ----------
     server:
         The rope server whose storage manager owns the drive and the
-        admission controller.
-    architecture:
-        Governs buffer sizing (2k for pipelined, §3.3.2).
+        admission controller; display buffers are sized for its
+        storage manager's architecture (2k for pipelined, §3.3.2).
     recovery:
         Fault-recovery policy forwarded to the round service (applies
         only when the drive carries a fault injector).
@@ -107,20 +104,18 @@ class PlaybackSession:
         Optional :class:`~repro.obs.Observability` handle forwarded to
         the round service and attached to the drive for the run.
         Defaults to the storage manager's own observer (if any), so one
-        handle wired at MSM construction observes every session.
+        handle wired at MSM construction observes every session; a sim
+        event log attached to it (``obs.attach_sim_tracer``) records the
+        run.
     """
 
     def __init__(
         self,
         server: MultimediaRopeServer,
-        architecture: Architecture = Architecture.PIPELINED,
-        tracer: Optional[Tracer] = None,
         recovery: Optional[RecoveryPolicy] = None,
         obs=None,
     ):
         self.server = server
-        self.architecture = architecture
-        self.tracer = tracer
         self.recovery = recovery
         self.obs = obs if obs is not None else server.msm.obs
         self._degraded_n_max: Optional[int] = None
@@ -148,7 +143,7 @@ class PlaybackSession:
         fetches = planned.get(request_id)
         if fetches is None:
             fetches = self.fetch_sequence(request_id)
-        capacity = buffers_for_average_continuity(self.architecture, k)
+        capacity = buffers_for_average_continuity(self.server.msm.architecture, k)
         return StreamState(
             request_id=request_id,
             fetches=fetches,
@@ -244,7 +239,6 @@ class PlaybackSession:
         service = RoundRobinService(
             self.server.msm.drive,
             k_schedule,
-            tracer=self.tracer,
             recovery=self.recovery,
             on_head_failure=self._on_head_failure,
             obs=self.obs,

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.api import OpenSessionRequest, RejectReason, SessionState
+from repro.api import Media, OpenSessionRequest, RejectReason, SessionState
 from repro.cluster import build_cluster
+from repro.errors import ParameterError
 from repro.scenarios import get
 
 pytestmark = pytest.mark.cluster
@@ -59,6 +60,34 @@ class TestAdmission:
         assert [r.reject for r in result.rejects] == [
             RejectReason.NO_REPLICA
         ]
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_malformed_or_empty_requests_are_refused_like_a_server(self, chunks):
+        """Regression: ``start=-1`` completed at one chunk and not at two
+        (a server played it whole), and a NaN arrival raised a bare
+        ``ValueError``.  The request refuses itself when built; what is
+        well-formed but selects nothing — a finite ``length <= 0``, or
+        audio on a video-only title — is EMPTY_INTERVAL on a node that
+        then holds no slot and no pin."""
+        cluster, _ = _small_cluster()
+        for field, value in (("start", -1.0), ("arrival", float("nan"))):
+            with pytest.raises(ParameterError, match=field):
+                cluster.serve(
+                    [OpenSessionRequest("alice", "T01", **{field: value})],
+                    chunks=chunks,
+                )
+        result = cluster.serve([
+            OpenSessionRequest("alice", "T01", length=0.0),
+            OpenSessionRequest("bob", "T02", media=Media.AUDIO),
+        ], chunks=chunks)
+        assert result.admitted == 0
+        assert [r.reject for r in result.rejects] == (
+            [RejectReason.EMPTY_INTERVAL] * 2
+        )
+        for node in cluster.nodes:
+            assert node.active == 0
+            assert node.server.mrs.msm.admission.active_count == 0
+            assert node.server.cache.pinned_count == 0
 
     def test_routing_prefers_least_loaded_replica(self):
         cluster, _ = _small_cluster(

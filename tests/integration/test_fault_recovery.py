@@ -18,6 +18,7 @@ from repro.faults import (
     RecoveryPolicy,
 )
 from repro.media.frames import frames_for_duration
+from repro.obs import Observability
 from repro.rope import Media
 from repro.service import PlaybackSession
 from repro.sim.trace import Tracer
@@ -50,9 +51,10 @@ class TestChaosPlayback:
             seed=SEED, slots=slots, transient=6, defects=3
         )
         mrs.msm.drive.attach_injector(FaultInjector(plan))
-        tracer = Tracer()
+        tracer, obs = Tracer(), Observability(enabled=False)
+        obs.attach_sim_tracer(tracer)
         session = PlaybackSession(
-            mrs, tracer=tracer, recovery=RecoveryPolicy(retry_budget=2)
+            mrs, recovery=RecoveryPolicy(retry_budget=2), obs=obs
         )
         result = session.run([play_id], k=4)
         metrics = result.metrics[play_id]
@@ -147,9 +149,10 @@ class TestChaosPlayback:
             seed=SEED + 1, slots=slots, transient=10, defects=6
         )
         mrs.msm.drive.attach_injector(FaultInjector(plan))
-        tracer = Tracer()
+        tracer, obs = Tracer(), Observability(enabled=False)
+        obs.attach_sim_tracer(tracer)
         session = PlaybackSession(
-            mrs, tracer=tracer, recovery=RecoveryPolicy(retry_budget=3)
+            mrs, recovery=RecoveryPolicy(retry_budget=3), obs=obs
         )
         result = session.run([play_a, play_b, play_c], k=4)
         # Every stream reads the same 6 defective slots; transients fire

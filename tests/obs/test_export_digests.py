@@ -51,19 +51,28 @@ SEEDS = (0, 7)
 SCALE = get("scale")
 FAULT = get("fault")
 
+
+def _sampled(seed):
+    """The ``for_scale`` surfaces with the stock SLO set, as a sampled
+    scenario observes."""
+    obs = Observability.for_scale(seed=seed)
+    obs.enable_slos()
+    return obs
+
+
+def _sampled_profiled(seed):
+    obs = _sampled(seed)
+    obs.enable_profiler()
+    return obs
+
+
 #: The presets the bare loop is pinned under (``scale`` runs unobserved
 #: by default, so its configurations are listed explicitly).
 PRESETS = {
     "default": lambda seed: Observability(seed=seed),
-    "for_scale": Observability.for_scale,
+    "for_scale": _sampled,
     "for_profiling": Observability.for_profiling,
 }
-
-
-def _sampled_profiled(seed):
-    obs = Observability.for_scale(seed=seed)
-    obs.enable_profiler()
-    return obs
 
 
 def _digest(text: str) -> str:
@@ -254,7 +263,7 @@ def observed_runs():
             yield f"scale/seed{seed}/{preset}", obs
     for key, scenario in _sampled_fixtures():
         for label, build in (
-            ("for_scale", Observability.for_scale),
+            ("for_scale", _sampled),
             ("for_scale+profiler", _sampled_profiled),
         ):
             obs = build(seed=scenario.seed)

@@ -14,7 +14,7 @@ from repro.api import (
     SessionState,
     StopRequest,
 )
-from repro.errors import ParameterError
+from repro.errors import IntervalError, ParameterError
 from repro.obs import Observability
 from repro.scenarios import get
 from repro.scenarios.server import record_strands
@@ -151,6 +151,41 @@ class TestTypedRejects:
         response = server.open(_open(rope_id, start=0.5, length=50.0))
         assert response.reject is RejectReason.EMPTY_INTERVAL
         assert server.serve([]).admitted == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("arrival", float("nan")), ("arrival", float("inf")),
+        ("start", float("nan")), ("start", -1.0),
+        ("length", float("nan")), ("length", float("-inf")),
+    ])
+    def test_a_malformed_request_cannot_be_built(self, server, field, value):
+        """Regression: a NaN arrival raised a bare ``ValueError`` from the
+        epoch's round arithmetic, and ``start=-1`` played a 2-s rope whole.
+        The request refuses itself, naming the field, before any server
+        sees it; a finite ``length <= 0`` stays EMPTY_INTERVAL."""
+        rope_id = _rope(server, seconds=2.0)
+        with pytest.raises(ParameterError, match=field):
+            server.serve([_open(rope_id, **{field: value})])
+        assert server.sessions() == []
+        assert server.serve([_open(rope_id, length=0.0)]).rejects[0].reject is (
+            RejectReason.EMPTY_INTERVAL
+        )
+
+    @pytest.mark.parametrize("cache_blocks", [0, 256])
+    def test_a_medium_the_interval_lacks_holds_no_slot(self, cache_blocks):
+        """Regression: audio on a video-only rope was admitted on a
+        controller slot (or zero pins) and COMPLETED with 0 blocks."""
+        server = build_media_server(cache_blocks=cache_blocks)
+        rope_id = _rope(server, seconds=2.0)
+        opened = server.open(_open(rope_id, media=Media.AUDIO, auto_play=False))
+        served = server.serve([_open(rope_id, media=Media.AUDIO)])
+        assert opened.reject is RejectReason.EMPTY_INTERVAL
+        assert [r.reject for r in served.rejects] == [RejectReason.EMPTY_INTERVAL]
+        assert held_leases(server) == []
+        assert server.mrs.msm.admission.active_count == 0
+        with pytest.raises(IntervalError):
+            server.mrs.play("client-0", rope_id, media=Media.AUDIO)
+        assert server.mrs.msm.admission.active_count == 0
+        assert server.mrs.active_requests() == []
 
     def test_capacity_overload_is_typed_not_raised(self, server):
         """Solo opens beyond n_max come back CAPACITY, no exception."""

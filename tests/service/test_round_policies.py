@@ -98,8 +98,9 @@ class TestComposition:
             [FaultSpec(kind=FaultKind.TRANSIENT, slot=faulted)]
         )))
         obs, tracer = Observability(), Tracer()
+        obs.attach_sim_tracer(tracer)
         service = RoundRobinService(
-            drive, lambda r, n: K, tracer=tracer, obs=obs,
+            drive, lambda r, n: K, obs=obs,
             after_turns=[record, TextQueue([text])],
         )
         metrics = service.run(plays)

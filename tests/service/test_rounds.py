@@ -8,6 +8,7 @@ from repro.core import admission as adm
 from repro.core.symbols import video_block_model
 from repro.disk import build_drive
 from repro.errors import ParameterError
+from repro.obs import Observability
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.sim.trace import Tracer
 
@@ -95,10 +96,11 @@ class TestMultipleStreams:
 
     def test_tracer_records_admissions(self, block):
         drive = build_drive()
-        tracer = Tracer()
+        tracer, obs = Tracer(), Observability(enabled=False)
+        obs.attach_sim_tracer(tracer)
         first = make_stream(drive, block, "first", blocks=30)
         late = make_stream(drive, block, "late", blocks=10)
-        service = RoundRobinService(drive, lambda r, n: 5, tracer=tracer)
+        service = RoundRobinService(drive, lambda r, n: 5, obs=obs)
         service.run([first], [Admission(round_number=1, stream=late)])
         assert tracer.filter(tag="admit", subject="late")
         assert tracer.filter(tag="playback-start")
@@ -151,8 +153,9 @@ class TestIdleGapBeforeAnAdmission:
         drive = build_drive()
         first = make_stream(drive, block, "first", blocks=20)
         late = make_stream(drive, block, "late", blocks=20)
-        tracer = Tracer()
-        service = RoundRobinService(drive, lambda r, n: 4, tracer=tracer)
+        tracer, obs = Tracer(), Observability(enabled=False)
+        obs.attach_sim_tracer(tracer)
+        service = RoundRobinService(drive, lambda r, n: 4, obs=obs)
         metrics = service.run(
             [first], [Admission(round_number=10**9, stream=late)]
         )
