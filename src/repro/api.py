@@ -528,13 +528,6 @@ class ClusterServeResult:
                 return status
         raise KeyError(session_id)
 
-    def node_result(self, node_id: str) -> NodeServeResult:
-        """One node's chunk results (raises KeyError if absent)."""
-        for node in self.per_node:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(node_id)
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready mapping (``result`` in ``repro run --json``)."""
         return {

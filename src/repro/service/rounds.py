@@ -47,6 +47,16 @@ __all__ = [
 ]
 
 
+def check_k_override(k_override) -> None:
+    """Refuse a per-request k that is neither None nor an int >= 1."""
+    if k_override is not None and (
+        not isinstance(k_override, int) or k_override < 1
+    ):
+        raise ParameterError(
+            f"k_override must be None or an int >= 1, got {k_override!r}"
+        )
+
+
 @dataclass
 class StreamState:
     """One request's progress through its fetch plan.
@@ -74,6 +84,9 @@ class StreamState:
     #: Playback time before each block — the left fold of the plan's
     #: durations — so block i is due at ``clock_start + offsets[i]``.
     offsets: List[float] = field(init=False, repr=False)
+    #: Smallest positive block duration in the plan — the T_i of Eq.
+    #: (11)'s ``k_i * T_i`` budget — or 0.0 when there is none.
+    duration_floor: float = field(init=False, repr=False)
     #: Delivery indexes whose data never arrived (fault-recovery skips);
     #: the playback timeline still advances over them (the glitch).
     skipped_indices: Set[int] = field(default_factory=set)
@@ -90,45 +103,35 @@ class StreamState:
     #: every consumption query O(1) amortized over a stream's lifetime.
     _consumed_count: int = field(default=0, init=False, repr=False)
     _consumed_end: float = field(default=0.0, init=False, repr=False)
+    #: When the display buffer next frees a slot (its
+    #: :meth:`next_consumption_time`), stored when a turn leaves it full:
+    #: only consumption frees room, so the loop skips the stream until
+    #: then and idles to the earliest of these.
+    _wake: float = field(default=0.0, init=False, repr=False)
     #: Blocks on board when the playback clock started (the anti-jitter
     #: read-ahead): the buffer high-water counts the ones landing after.
     _read_ahead: int = field(default=0, init=False, repr=False)
-    #: :attr:`duration_floor` once computed (negative: not yet).  A plain
-    #: field, not ``functools.cached_property``: that writes through
-    #: ``__dict__``, which materializes the instance dict and slows every
-    #: attribute load the hot loop makes on the stream afterwards.
-    _duration_floor: float = field(default=-1.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.metrics.request_id = self.request_id
         self.fetches = FetchColumns.of(self.fetches)
-        self.offsets = list(accumulate(self.fetches.durations, initial=0.0))
+        durations = self.fetches.durations
+        self.offsets = list(accumulate(durations, initial=0.0))
+        floor = min(durations, default=0.0)
+        if floor <= 0.0:
+            # Only plans with zero-length (silence) blocks pay the filter.
+            floor = min((d for d in durations if d > 0.0), default=0.0)
+        self.duration_floor = floor
         if self.buffer_capacity < 1:
             raise ParameterError(
                 f"buffer_capacity must be >= 1, got {self.buffer_capacity}"
             )
+        check_k_override(self.k_override)
 
     @property
     def finished(self) -> bool:
         """True when every block has been delivered."""
-        # The slot list's len, not FetchColumns.__len__: the loop asks
-        # twice per stream per round.
         return self.next_fetch >= len(self.fetches.slots)
-
-    @property
-    def duration_floor(self) -> float:
-        """Smallest positive block duration in the fetch plan — the T_i
-        of Eq. (11)'s ``k_i * T_i`` budget — or 0.0 when there is none
-        (computed once: the plan never changes)."""
-        floor = self._duration_floor
-        if floor < 0.0:
-            durations = self.fetches.durations
-            floor = min(durations, default=0.0)
-            if floor <= 0.0:
-                # Only plans with zero-length (silence) blocks pay the filter.
-                floor = min((d for d in durations if d > 0.0), default=0.0)
-            self._duration_floor = floor
-        return floor
 
     def _consume_state(self, now: float) -> Tuple[int, float]:
         """``(consumed count, playback clock after them)`` at *now*.
@@ -168,8 +171,8 @@ class StreamState:
     def next_consumption_time(self, now: float) -> float:
         """When the next buffered block finishes playing (inf if never).
 
-        Used by the service loop to advance time when every stream's
-        buffer is full — consumption is the only thing that frees space.
+        The service loop stores it when a turn leaves the buffer full —
+        consumption is the only thing that frees space.
         """
         if self.clock_start is None:
             return float("inf")
@@ -276,7 +279,7 @@ class RoundRobinService:
             # Compact finished streams out in place, preserving order.
             write = 0
             for stream in active:
-                if not stream.finished:
+                if stream.next_fetch < len(stream.fetches.slots):
                     active[write] = stream
                     write += 1
             if write != len(active):
@@ -304,10 +307,13 @@ class RoundRobinService:
             if not progressed:
                 # Every buffer was full and no after-turn work due: idle
                 # until consumption frees one or work (a capture) falls due.
-                waits = [stream.next_consumption_time(time) for stream in active]
-                if after:
-                    waits += [work.due for work in after]
-                wake = min(waits)
+                # That is each stream's stored wake, unless after-turn work
+                # (text reads) carried time past it.
+                wake = min([
+                    stream._wake if stream._wake > time
+                    else stream.next_consumption_time(time)
+                    for stream in active
+                ] + [work.due for work in after])
                 if wake == never or wake <= time:
                     raise ParameterError(
                         "service deadlocked: all buffers full and no "
@@ -359,41 +365,34 @@ class RoundRobinService:
         turn_begins = turn_ends = False
         if rec is not None:
             turn_begins, turn_ends = rec.round_begin(len(active))
+        read, faulty = self.drive.read_slot, self.drive.injector is not None
         for stream in active:
-            if stream.finished:
-                continue
-            stream_k = stream.k_override if stream.k_override else k
+            stream_k = stream.k_override or k
             # Buffer regulation: never exceed display-subsystem capacity.
-            room = stream.buffer_capacity - stream.buffered_at(time)
-            quota = min(stream_k, max(0, room))
+            # A buffer a turn left full has no room before its wake.
+            quota = 0
+            if time >= stream._wake:
+                room = stream.buffer_capacity - stream.buffered_at(time)
+                quota = min(stream_k, max(0, room))
             if turn_begins:
                 rec.turn_begin(stream, time, round_number, quota)
             if quota == 0:
                 continue
             stream_start = time
             slots, ready = stream.fetches.slots, stream.ready
-            index = stream.next_fetch
+            index, bits = stream.next_fetch, stream.fetches.bits
             stop = min(index + quota, len(slots))
             delivered = stop - index
-            while index < stop:
-                has_slot = slots[index] is not None
-                sampled = index == stream.report_at
-                span = None
-                if sampled:
-                    span = rec.block_begin(
-                        stream, index, time, round_number, has_slot
-                    )
-                skipped = False
-                if has_slot:
-                    time, skipped = self._fetch_block(
-                        stream, index, time, span
-                    )
-                    if skipped:
-                        stream.skipped_indices.add(len(ready))
+            # A block the recorder samples, or a drive that can fault,
+            # takes the turn off the bare read.
+            careful = faulty or index <= stream.report_at < stop
+            for index in range(index, stop):
+                slot = slots[index]
+                if careful:
+                    time = self._fetch_block(stream, index, time, round_number)
+                elif slot is not None:
+                    time += read(slot, bits[index])
                 ready.append(time)
-                if sampled:
-                    rec.block_end(stream, index, span, time, skipped)
-                index += 1
             stream.next_fetch = stop
             progressed = True
             # Playback starts once the anti-jitter read-ahead — the first
@@ -404,16 +403,16 @@ class RoundRobinService:
             if started:
                 stream.clock_start = time
                 stream._read_ahead = len(ready)
+            if quota == room and (
+                stream.buffered_at(time) == stream.buffer_capacity
+            ):
+                stream._wake = stream.next_consumption_time(time)
             if turn_ends:
                 rec.turn_end(
                     stream, time, time - stream_start, delivered, started
                 )
-            if rec is not None:
-                floor = stream._duration_floor
-                if floor < 0.0:
-                    floor = stream.duration_floor
-                if 0.0 < stream_k * floor < budget:
-                    budget = stream_k * floor
+            if rec is not None and 0.0 < stream_k * stream.duration_floor < budget:
+                budget = stream_k * stream.duration_floor
         if rec is not None:
             rec.round_served(round_start, time, budget)
         return time, progressed
@@ -423,39 +422,43 @@ class RoundRobinService:
         stream: StreamState,
         index: int,
         time: float,
-        span=None,
-    ) -> Tuple[float, bool]:
-        """Read block *index* with fault recovery; returns (time, skipped).
+        round_number: int,
+    ) -> float:
+        """Block *index* through fault recovery; returns when it landed.
 
-        With *span* (the sampled block's span from the recorder) the read
-        itself is traced — the drive and cache report their accesses, and
-        fault recovery its retries and skips, as children of it.
+        The block the recorder samples (``stream.report_at``) is reported;
+        with a span, the read itself is traced — the drive and cache report
+        their accesses, and fault recovery its retries and skips, as
+        children of it.  A block whose data never arrived is a skip.
         """
-        columns = stream.fetches
-        slot, bits = columns.slots[index], columns.bits[index]
-        if span is None and self.drive.injector is None:
-            # Healthy and unsampled: the zero-overhead path.
-            return time + self.drive.read_slot(slot, bits), False
-        deadline = stream.clock_start
-        if deadline is not None:
-            deadline += stream.offsets[len(stream.ready)]
-        try:
-            elapsed, ok = read_with_recovery(
-                self.drive, slot, bits, self.recovery,
-                now=time,
-                deadline=deadline,
-                rec=self._rec,
-                parent=span,
+        slot, rec = stream.fetches.slots[index], self._rec
+        sampled = index == stream.report_at
+        span = None
+        if sampled:
+            span = rec.block_begin(
+                stream, index, time, round_number, slot is not None
             )
-        except HeadFailureError as fault:
-            self._note_head_failure(fault)
-            return time + fault.elapsed, True
-        return time + elapsed, not ok
-
-    def _note_head_failure(self, fault: HeadFailureError) -> None:
-        """Keep the (first) head failure and fire the degrade hook."""
-        if self.head_failure is not None:
-            return
-        self.head_failure = fault
-        if self.on_head_failure is not None:
-            self.on_head_failure(fault)
+        ok = True
+        if slot is not None:
+            deadline = stream.clock_start
+            if deadline is not None:
+                deadline += stream.offsets[len(stream.ready)]
+            try:
+                elapsed, ok = read_with_recovery(
+                    self.drive, slot, stream.fetches.bits[index],
+                    self.recovery, now=time, deadline=deadline, rec=rec,
+                    parent=span,
+                )
+            except HeadFailureError as fault:
+                # Keep the first head failure and fire the degrade hook.
+                if self.head_failure is None:
+                    self.head_failure = fault
+                    if self.on_head_failure is not None:
+                        self.on_head_failure(fault)
+                elapsed, ok = fault.elapsed, False
+            time += elapsed
+            if not ok:
+                stream.skipped_indices.add(len(stream.ready))
+        if sampled:
+            rec.block_end(stream, index, span, time, not ok)
+        return time

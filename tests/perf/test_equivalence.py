@@ -1,29 +1,41 @@
 """Behavioral equivalence: the fast paths change nothing observable.
 
 A ``ReferenceStreamState`` recomputes consumption with the O(n) rescan on
-every query — the pre-optimization semantics, kept alive here as the
-oracle.  Whole service runs through the cursor implementation must
-produce byte-identical :meth:`ContinuityMetrics.summary` lines, identical
+every query and stores no wake time, so every stream is re-evaluated
+every round and an idle round asks each one when it next consumes — the
+pre-optimization semantics, kept alive here as the oracle.  Whole service
+runs through the cursor and the stored wake times must produce
+byte-identical :meth:`ContinuityMetrics.summary` lines, identical
 delivery schedules, and byte-identical observability snapshots.
 """
 
 from typing import Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.service.session as session_module
+from repro.disk import BlockCache, CachedDrive
 from repro.disk.factory import build_drive
 from repro.errors import ParameterError
+from repro.rope.server import FetchColumns
 from repro.scenarios import get
 from repro.scenarios.loop import Scale
-from repro.service.rounds import RoundRobinService, StreamState
+from repro.service import RecordStream, TextQueue, TextRequest
+from repro.service.rounds import Admission, RoundRobinService, StreamState
+from repro.service.scan_order import scan_order
 from repro.sim.metrics import consumed_prefix
 
 pytestmark = pytest.mark.perf
 
 
 class ReferenceStreamState(StreamState):
-    """Pre-cursor semantics: full rescan per consumption query."""
+    """Pre-cursor, pre-wake semantics: a full rescan per consumption
+    query, and a wake time that always reads as past — no turn is
+    skipped on it and the idle wake asks every stream again."""
+
+    _wake = property(lambda self: float("-inf"), lambda self, value: None)
 
     def _consume_state(self, now: float) -> Tuple[int, float]:
         if self.clock_start is None:
@@ -33,26 +45,43 @@ class ReferenceStreamState(StreamState):
         )
 
 
-def _run(scenario: Scale, stream_cls):
-    drive = build_drive()
-    initial, admissions = scenario.build_streams(drive)
+def _run(
+    stream_cls, load, k_schedule, drive=build_drive,
+    policies=lambda _drive: {},
+):
+    """Serve *load(drive)*'s ``(initial, admissions)``, rebuilt as
+    *stream_cls*, on a fresh *drive()* with ``policies(drive)`` for the
+    loop; returns everything the two implementations must agree on."""
+    drive = drive()
+    initial, admissions = load(drive)
 
     def convert(stream):
         return stream_cls(
             request_id=stream.request_id,
             fetches=stream.fetches,
             buffer_capacity=stream.buffer_capacity,
+            k_override=stream.k_override,
         )
 
     initial = [convert(s) for s in initial]
     admissions = [
-        type(a)(round_number=a.round_number, stream=convert(a.stream))
+        Admission(round_number=a.round_number, stream=convert(a.stream))
         for a in admissions
     ]
-    service = RoundRobinService(drive, lambda _r, _n: scenario.k)
+    service = RoundRobinService(drive, k_schedule, **policies(drive))
     metrics = service.run(initial, admissions)
     streams = initial + [a.stream for a in admissions]
-    return metrics, streams, service.rounds_run
+    return (
+        service.rounds_run,
+        {rid: m.summary() for rid, m in sorted(metrics.items())},
+        [(s.ready, s.clock_start, s.skipped_indices) for s in streams],
+    )
+
+
+def assert_equivalent(load, k_schedule, **options):
+    fast = _run(StreamState, load, k_schedule, **options)
+    assert fast == _run(ReferenceStreamState, load, k_schedule, **options)
+    return fast
 
 
 SCENARIOS = [
@@ -109,22 +138,111 @@ class TestServiceEquivalence:
         "scenario", SCENARIOS, ids=[s.label for s in SCENARIOS]
     )
     def test_summaries_byte_identical(self, scenario):
-        fast_metrics, fast_streams, fast_rounds = _run(
-            scenario, StreamState
+        assert_equivalent(scenario.build_streams, lambda _r, _n: scenario.k)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_generated_loads(self, data):
+        """Silence holders, zero-length blocks, tight buffers, per-stream
+        k and mid-run admissions: full-buffer rounds of every shape."""
+        k = data.draw(st.integers(1, 5), label="k")
+        plans = data.draw(st.lists(
+            st.tuples(
+                st.lists(st.tuples(
+                    st.one_of(st.none(), st.integers(0, 10**6)),
+                    st.sampled_from([0.0, 0.004, 0.03, 1 / 30, 0.2]),
+                ), max_size=30),
+                st.integers(1, 6),
+                st.sampled_from([None, None, 1, 2, 5]),
+                st.integers(0, 12),
+            ),
+            min_size=1, max_size=8,
+        ), label="streams")
+
+        def load(drive):
+            initial, admissions = [], []
+            for number, (blocks, capacity, k_override, joins) in enumerate(
+                plans
+            ):
+                slots = [
+                    None if slot is None else slot % drive.slots
+                    for slot, _duration in blocks
+                ]
+                stream = StreamState(
+                    request_id=f"s{number}",
+                    fetches=FetchColumns(
+                        slots, [drive.block_bits] * len(slots),
+                        [duration for _slot, duration in blocks],
+                    ),
+                    buffer_capacity=capacity, k_override=k_override,
+                )
+                if joins:
+                    admissions.append(Admission(joins, stream))
+                else:
+                    initial.append(stream)
+            return initial, admissions
+
+        assert_equivalent(load, lambda _r, _n: k)
+
+    def test_scan_order(self):
+        scenario = SCENARIOS[1]
+        assert_equivalent(
+            scenario.build_streams, lambda _r, _n: scenario.k,
+            policies=lambda _drive: {"order": scan_order},
         )
-        ref_metrics, ref_streams, ref_rounds = _run(
-            scenario, ReferenceStreamState
+
+    def test_record_and_text_after_the_turns(self):
+        """Idle rounds whose text reads carry time past stored wakes."""
+
+        def load(drive):
+            return [
+                StreamState(
+                    request_id=f"play{number}", buffer_capacity=2,
+                    fetches=FetchColumns.uniform(
+                        range(1000 * number, 1000 * number + 150, 5),
+                        drive.block_bits, 0.2,
+                    ),
+                )
+                for number in range(2)
+            ], []
+
+        def policies(drive):
+            return {"after_turns": [
+                RecordStream(
+                    "rec", list(range(3000, 3280, 7)), block_period=0.5,
+                    staging_capacity=4,
+                ),
+                TextQueue([TextRequest("text", list(range(5000, 6200, 3)))]),
+            ]}
+
+        rounds, summaries, _streams = assert_equivalent(
+            load, lambda _r, _n: 1, policies=policies
         )
-        assert fast_rounds == ref_rounds
-        assert sorted(fast_metrics) == sorted(ref_metrics)
-        for rid in fast_metrics:
-            assert fast_metrics[rid].summary() == (
-                ref_metrics[rid].summary()
-            )
-        for fast, ref in zip(fast_streams, ref_streams):
-            assert fast.ready == ref.ready
-            assert fast.clock_start == ref.clock_start
-            assert fast.skipped_indices == ref.skipped_indices
+        assert "rec" in summaries and rounds > 0
+
+    def test_cached_drive(self):
+        """Cache hits cost nothing, so turns fill buffers in no time."""
+        scenario = SCENARIOS[0]
+
+        def load(drive):
+            initial, _ = scenario.build_streams(drive)
+            shared = initial[0].fetches
+            replays = [
+                StreamState(
+                    request_id=f"replay{number}", fetches=shared,
+                    buffer_capacity=number + 2,
+                )
+                for number in range(3)
+            ]
+            return initial, [
+                Admission(2 + 3 * number, stream)
+                for number, stream in enumerate(replays)
+            ]
+
+        assert_equivalent(
+            load, lambda _r, _n: scenario.k,
+            drive=lambda: CachedDrive(build_drive(), BlockCache(64)),
+        )
 
 
 class TestObservedEquivalence:

@@ -23,7 +23,7 @@ from repro.disk.factory import TESTBED_DRIVE, build_drive
 from repro.disk.seek import LinearSeek, SeekModel, TableSeek
 from repro.obs import Observability
 from repro.scenarios.loop import Scale
-from repro.service.rounds import RoundRobinService
+from repro.service.rounds import RoundRobinService, StreamState
 from repro.sim.metrics import consumed_prefix
 
 pytestmark = pytest.mark.perf
@@ -194,6 +194,39 @@ class TestConsumptionCursor:
             "service run hit the O(n) reference rescan "
             f"{len(calls)} times; the cursor hot path regressed"
         )
+
+    def test_an_idle_round_wakes_without_a_consumption_query(
+        self, monkeypatch
+    ):
+        """A round where every buffer is full idles to the earliest wake
+        time its streams stored: no cursor or wake query between it and
+        the next round (the loop used to ask every active stream)."""
+        queries, idle_gaps = [], []
+        for name in ("_consume_state", "next_consumption_time"):
+            inner = getattr(StreamState, name)
+            monkeypatch.setattr(
+                StreamState, name,
+                lambda self, now, _inner=inner: (
+                    queries.append(now), _inner(self, now)
+                )[1],
+            )
+        run_round, idle_since = RoundRobinService._run_round, None
+
+        def observed_round(self, *args):
+            nonlocal idle_since
+            if idle_since is not None:
+                idle_gaps.append(len(queries) - idle_since)
+            time, progressed = run_round(self, *args)
+            idle_since = None if progressed else len(queries)
+            return time, progressed
+
+        monkeypatch.setattr(RoundRobinService, "_run_round", observed_round)
+        # Two streams read faster than they play, so buffers fill.
+        metrics, total_blocks = _service_run(streams=2)
+        assert sum(m.blocks_delivered for m in metrics.values()) == (
+            total_blocks
+        )
+        assert idle_gaps and not any(idle_gaps), idle_gaps
 
     def test_cursor_consumes_each_block_once(self):
         """Cursor work is bounded by delivered blocks (amortized O(1))."""

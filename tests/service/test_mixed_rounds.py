@@ -63,6 +63,9 @@ class TestRecordStream:
             RecordStream("r", [1], block_period=0.0)
         with pytest.raises(ParameterError):
             RecordStream("r", [1], block_period=0.1, staging_capacity=0)
+        for k_override in (-1, 0, 2.5):
+            with pytest.raises(ParameterError, match="k_override"):
+                RecordStream("r", [1], block_period=0.1, k_override=k_override)
 
 
 class TestMixedService:

@@ -137,6 +137,16 @@ class TestValidation:
         with pytest.raises(ParameterError):
             StreamState(request_id="x", fetches=[], buffer_capacity=0)
 
+    @pytest.mark.parametrize("k_override", [-1, 0, 2.5, "4"])
+    def test_bad_k_override_rejected(self, k_override):
+        """A per-request k below 1 walked ``next_fetch`` backwards until
+        the round guard tripped; a float indexed the plan with it."""
+        with pytest.raises(ParameterError, match="k_override"):
+            StreamState(
+                request_id="x", fetches=[], buffer_capacity=4,
+                k_override=k_override,
+            )
+
     def test_no_streams_no_rounds(self, block):
         drive = build_drive()
         service = RoundRobinService(drive, lambda r, n: 1)
