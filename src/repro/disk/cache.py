@@ -263,7 +263,9 @@ class CachedDrive:
 
     def read_slot(self, slot: int, bits: Optional[float] = None) -> float:
         """Read through the cache; returns elapsed simulated seconds."""
-        return self._read(slot, bits, self.inner.read_slot)[0]
+        if self._probe(slot):
+            return self.hit_time
+        return self._miss(slot, self.inner.read_slot, bits)
 
     def traced_read(
         self, slot: int, bits: Optional[float], now: float, rec, parent
@@ -277,14 +279,12 @@ class CachedDrive:
         consumed (``defect``, or the fault's type name) and propagates.
         """
         span = rec.span_begin("cache_probe", now, parent, slot)
+        if self._probe(slot):
+            rec.span_end(span, now + self.hit_time, "hit")
+            return self.hit_time
         below = span if span is not None else parent
         try:
-            duration, status = self._read(
-                slot, bits,
-                lambda slot, bits: self.inner.traced_read(
-                    slot, bits, now, rec, below
-                ),
-            )
+            duration = self._miss(slot, self.inner.traced_read, bits, now, rec, below)
         except Exception as fault:
             defect = isinstance(fault, MediaDefectError)
             rec.span_end(
@@ -292,19 +292,20 @@ class CachedDrive:
                 "defect" if defect else type(fault).__name__,
             )
             raise
-        rec.span_end(span, now + duration, status)
+        rec.span_end(span, now + duration, "miss")
         return duration
 
-    def _read(self, slot: int, bits: Optional[float], read_inner):
-        """The one cached read: ``(elapsed, "hit" | "miss")``; a miss
-        reads the mechanism through *read_inner*."""
+    def _probe(self, slot: int) -> bool:
+        """Whether *slot* is resident: one lookup, counted and reported."""
         hit = self.cache.lookup(slot)
         if self._rec is not None:
             self._rec.cache_probe(hit)
-        if hit:
-            return self.hit_time, "hit"
+        return hit
+
+    def _miss(self, slot: int, read_inner, *args) -> float:
+        """Absent *slot* read by ``read_inner(slot, *args)``, then cached."""
         try:
-            duration = read_inner(slot, bits)
+            duration = read_inner(slot, *args)
         except MediaDefectError:
             # The media is bad: any stale residency for the slot must go
             # (data cached before the defect surfaced may predate it).
@@ -315,7 +316,7 @@ class CachedDrive:
         evicted = self.cache.stats.evictions - evictions_before
         if evicted and self._rec is not None:
             self._rec.cache_evicted(evicted)
-        return duration, "miss"
+        return duration
 
     def write_slot(self, slot: int, bits: Optional[float] = None) -> float:
         """Write through to the mechanism, invalidating residency."""

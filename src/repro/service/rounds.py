@@ -103,10 +103,10 @@ class StreamState:
     #: every consumption query O(1) amortized over a stream's lifetime.
     _consumed_count: int = field(default=0, init=False, repr=False)
     _consumed_end: float = field(default=0.0, init=False, repr=False)
-    #: When the display buffer next frees a slot (its
-    #: :meth:`next_consumption_time`), stored when a turn leaves it full:
-    #: only consumption frees room, so the loop skips the stream until
-    #: then and idles to the earliest of these.
+    #: When the display buffer next frees a slot (the end of the next
+    #: block to finish playing), stored when a turn fills it: only
+    #: consumption frees room, so the loop skips the stream until then
+    #: and idles to the earliest of these.
     _wake: float = field(default=0.0, init=False, repr=False)
     #: Blocks on board when the playback clock started (the anti-jitter
     #: read-ahead): the buffer high-water counts the ones landing after.
@@ -127,11 +127,6 @@ class StreamState:
                 f"buffer_capacity must be >= 1, got {self.buffer_capacity}"
             )
         check_k_override(self.k_override)
-
-    @property
-    def finished(self) -> bool:
-        """True when every block has been delivered."""
-        return self.next_fetch >= len(self.fetches.slots)
 
     def _consume_state(self, now: float) -> Tuple[int, float]:
         """``(consumed count, playback clock after them)`` at *now*.
@@ -160,20 +155,8 @@ class StreamState:
             self._consumed_end = elapsed
         return count, elapsed
 
-    def consumed_at(self, now: float) -> int:
-        """Blocks whose playback has completed by *now*."""
-        return self._consume_state(now)[0]
-
-    def buffered_at(self, now: float) -> int:
-        """Blocks sitting in the display buffer at *now*."""
-        return len(self.ready) - self._consume_state(now)[0]
-
     def next_consumption_time(self, now: float) -> float:
-        """When the next buffered block finishes playing (inf if never).
-
-        The service loop stores it when a turn leaves the buffer full —
-        consumption is the only thing that frees space.
-        """
+        """When the next buffered block finishes playing (inf if never)."""
         if self.clock_start is None:
             return float("inf")
         count, elapsed = self._consume_state(now)
@@ -266,6 +249,7 @@ class RoundRobinService:
         next_pending = 0
         round_number = 0
         rounds_before = self.rounds_run
+        compact = True   # an initial plan may be empty
         while True:
             while (
                 next_pending < len(pending)
@@ -274,15 +258,17 @@ class RoundRobinService:
                 admitted = pending[next_pending]
                 next_pending += 1
                 active.append(admitted.stream)
+                compact = True
                 if rec is not None:
                     rec.stream_opened(admitted.stream, time, round_number)
-            # Compact finished streams out in place, preserving order.
-            write = 0
-            for stream in active:
-                if stream.next_fetch < len(stream.fetches.slots):
-                    active[write] = stream
-                    write += 1
-            if write != len(active):
+            if compact:
+                # Compact finished streams out in place, preserving order;
+                # only a join or a turn that ends a plan can add one.
+                write = 0
+                for stream in active:
+                    if stream.next_fetch < len(stream.fetches.slots):
+                        active[write] = stream
+                        write += 1
                 del active[write:]
             if not active and all(work.due == never for work in after):
                 if next_pending >= len(pending):
@@ -291,15 +277,15 @@ class RoundRobinService:
                 round_number = pending[next_pending].round_number
                 continue
             k = self.k_schedule(round_number, len(active))
-            if k < 1:
+            if not isinstance(k, int) or k < 1:
                 raise ParameterError(
-                    f"k schedule returned {k} for round {round_number}"
+                    f"k schedule returned {k!r} for round {round_number}"
                 )
             round_start = time
             visit = active
             if order is not None:
                 visit = order(self.drive, active, round_number)
-            time, progressed = self._run_round(time, visit, k, round_number)
+            time, progressed, compact = self._run_round(time, visit, k, round_number)
             if after:   # guarded: a request-path round pays nothing for it
                 for work in after:
                     time, served = work.serve(self, time, round_start, active, k)
@@ -352,7 +338,7 @@ class RoundRobinService:
         active: Sequence[StreamState],
         k: int,
         round_number: int,
-    ) -> Tuple[float, bool]:
+    ) -> Tuple[float, bool, bool]:
         progressed = False
         round_start = time
         #: Tightest Eq.-11 budget among streams *served* this round:
@@ -366,13 +352,17 @@ class RoundRobinService:
         if rec is not None:
             turn_begins, turn_ends = rec.round_begin(len(active))
         read, faulty = self.drive.read_slot, self.drive.injector is not None
+        finished = False
         for stream in active:
             stream_k = stream.k_override or k
             # Buffer regulation: never exceed display-subsystem capacity.
-            # A buffer a turn left full has no room before its wake.
+            # A buffer a turn filled has no room before its wake.
             quota = 0
             if time >= stream._wake:
-                room = stream.buffer_capacity - stream.buffered_at(time)
+                # The turn's one cursor answer: blocks played out by now,
+                # and the playback clock right after them.
+                count, elapsed = stream._consume_state(time)
+                room = stream.buffer_capacity - len(stream.ready) + count
                 quota = min(stream_k, max(0, room))
             if turn_begins:
                 rec.turn_begin(stream, time, round_number, quota)
@@ -395,18 +385,24 @@ class RoundRobinService:
                 ready.append(time)
             stream.next_fetch = stop
             progressed = True
+            finished = finished or stop == len(slots)
             # Playback starts once the anti-jitter read-ahead — the first
             # k-block service, capped by what the display buffer can
             # actually hold — is on board.
-            threshold = min(stream_k, stream.buffer_capacity, len(slots))
-            started = stream.clock_start is None and len(ready) >= threshold
+            started = stream.clock_start is None and len(ready) >= min(
+                stream_k, stream.buffer_capacity, len(slots)
+            )
             if started:
                 stream.clock_start = time
                 stream._read_ahead = len(ready)
-            if quota == room and (
-                stream.buffered_at(time) == stream.buffer_capacity
-            ):
-                stream._wake = stream.next_consumption_time(time)
+            if quota == room:
+                # The turn filled the buffer as of its one cursor answer: a
+                # slot frees when block `count` plays out.  One that did so
+                # during the reads leaves a past wake, as a buffer with room.
+                if started:
+                    count, elapsed = 0, time
+                durations = stream.fetches.durations
+                stream._wake = max(elapsed, ready[count]) + durations[count]
             if turn_ends:
                 rec.turn_end(
                     stream, time, time - stream_start, delivered, started
@@ -415,7 +411,7 @@ class RoundRobinService:
                 budget = stream_k * stream.duration_floor
         if rec is not None:
             rec.round_served(round_start, time, budget)
-        return time, progressed
+        return time, progressed, finished
 
     def _fetch_block(
         self,

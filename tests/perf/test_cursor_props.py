@@ -3,7 +3,7 @@
 Randomized delivery schedules (a ``ready`` column and the plan's
 durations), randomized clock starts, and randomized — deliberately
 non-monotone — query
-sequences: for every query, ``consumed_at`` / ``buffered_at`` /
+sequences: for every query, ``_consume_state`` and
 ``next_consumption_time`` through the cached cursor must equal a fresh
 O(n) rescan of the same schedule.  The non-monotone queries force the
 cursor's cold fallback path; interleaved monotone runs exercise the
@@ -72,11 +72,9 @@ class TestCursorMatchesReference:
         stream = _stream_with(schedule, clock_start)
         ready, lengths = stream.ready, stream.fetches.durations
         for now in now_values:
-            expect_count, _ = consumed_prefix(
+            assert stream._consume_state(now) == consumed_prefix(
                 ready, lengths, clock_start, now
             )
-            assert stream.consumed_at(now) == expect_count
-            assert stream.buffered_at(now) == len(ready) - expect_count
             assert stream.next_consumption_time(now) == (
                 _reference_next_consumption(
                     ready, lengths, clock_start, now
@@ -90,16 +88,14 @@ class TestCursorMatchesReference:
     ):
         stream = _stream_with(schedule, clock_start)
         for now in sorted(now_values):
-            expect_count, _ = consumed_prefix(
+            assert stream._consume_state(now) == consumed_prefix(
                 stream.ready, stream.fetches.durations, clock_start, now
             )
-            assert stream.consumed_at(now) == expect_count
 
     @settings(deadline=None, max_examples=50)
     @given(schedule=schedules, now_values=queries)
     def test_unstarted_clock_consumes_nothing(self, schedule, now_values):
         stream = _stream_with(schedule)
         for now in now_values:
-            assert stream.consumed_at(now) == 0
-            assert stream.buffered_at(now) == len(stream.ready)
+            assert stream._consume_state(now) == (0, 0.0)
             assert stream.next_consumption_time(now) == math.inf

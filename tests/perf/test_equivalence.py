@@ -84,6 +84,68 @@ def assert_equivalent(load, k_schedule, **options):
     return fast
 
 
+def _plans(data, slots=st.integers(0, 10**6)):
+    """Silence holders, zero-length blocks, tight buffers, per-stream k
+    and mid-run admissions: ``(blocks, capacity, k_override, joins)``."""
+    return data.draw(st.lists(
+        st.tuples(
+            st.lists(st.tuples(
+                st.one_of(st.none(), slots),
+                st.sampled_from([0.0, 0.004, 0.03, 1 / 30, 0.2]),
+            ), max_size=30),
+            st.integers(1, 6),
+            st.sampled_from([None, None, 1, 2, 5]),
+            st.integers(0, 12),
+        ),
+        min_size=1, max_size=8,
+    ), label="streams")
+
+
+def _load_of(plans):
+    """The ``load`` for *plans*: streams joining at round 0 start it."""
+
+    def load(drive):
+        initial, admissions = [], []
+        for number, (blocks, capacity, k_override, joins) in enumerate(plans):
+            slots = [
+                None if slot is None else slot % drive.slots
+                for slot, _duration in blocks
+            ]
+            stream = StreamState(
+                request_id=f"s{number}",
+                fetches=FetchColumns(
+                    slots, [drive.block_bits] * len(slots),
+                    [duration for _slot, duration in blocks],
+                ),
+                buffer_capacity=capacity, k_override=k_override,
+            )
+            if joins:
+                admissions.append(Admission(joins, stream))
+            else:
+                initial.append(stream)
+        return initial, admissions
+
+    return load
+
+
+def _uniform_load(streams, blocks, capacity, duration):
+    """*streams* streams of *blocks* blocks of *duration* seconds each."""
+
+    def load(drive):
+        return [
+            StreamState(
+                request_id=f"u{number}", buffer_capacity=capacity,
+                fetches=FetchColumns.uniform(
+                    range(1000 * number, 1000 * number + 5 * blocks, 5),
+                    drive.block_bits, duration,
+                ),
+            )
+            for number in range(streams)
+        ], []
+
+    return load
+
+
 SCENARIOS = [
     Scale(
         label="uniform", streams=6, blocks_per_stream=50, k=4,
@@ -143,46 +205,58 @@ class TestServiceEquivalence:
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
     def test_generated_loads(self, data):
-        """Silence holders, zero-length blocks, tight buffers, per-stream
-        k and mid-run admissions: full-buffer rounds of every shape."""
+        """Full-buffer rounds of every shape."""
         k = data.draw(st.integers(1, 5), label="k")
-        plans = data.draw(st.lists(
-            st.tuples(
-                st.lists(st.tuples(
-                    st.one_of(st.none(), st.integers(0, 10**6)),
-                    st.sampled_from([0.0, 0.004, 0.03, 1 / 30, 0.2]),
-                ), max_size=30),
-                st.integers(1, 6),
-                st.sampled_from([None, None, 1, 2, 5]),
-                st.integers(0, 12),
-            ),
-            min_size=1, max_size=8,
-        ), label="streams")
+        assert_equivalent(_load_of(_plans(data)), lambda _r, _n: k)
 
-        def load(drive):
-            initial, admissions = [], []
-            for number, (blocks, capacity, k_override, joins) in enumerate(
-                plans
-            ):
-                slots = [
-                    None if slot is None else slot % drive.slots
-                    for slot, _duration in blocks
-                ]
-                stream = StreamState(
-                    request_id=f"s{number}",
-                    fetches=FetchColumns(
-                        slots, [drive.block_bits] * len(slots),
-                        [duration for _slot, duration in blocks],
-                    ),
-                    buffer_capacity=capacity, k_override=k_override,
-                )
-                if joins:
-                    admissions.append(Admission(joins, stream))
-                else:
-                    initial.append(stream)
-            return initial, admissions
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_generated_loads_in_scan_order(self, data):
+        """The turns' order changes which streams' clocks a round's reads
+        carry forward; each turn still answers for itself."""
+        k = data.draw(st.integers(1, 5), label="k")
+        assert_equivalent(
+            _load_of(_plans(data)), lambda _r, _n: k,
+            policies=lambda _drive: {"order": scan_order},
+        )
 
-        assert_equivalent(load, lambda _r, _n: k)
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_generated_loads_through_a_cache(self, data):
+        """Plans over a small slot pool read through a small LRU, part of
+        the pool resident before the run: hits that cost nothing and
+        misses that cost a seek mix within one turn."""
+        k = data.draw(st.integers(1, 5), label="k")
+        capacity = data.draw(st.integers(1, 8), label="cache blocks")
+        warm = data.draw(
+            st.lists(st.integers(0, 15), max_size=8), label="pre-warmed"
+        )
+        plans = _plans(data, slots=st.integers(0, 15))
+
+        def cached_drive():
+            cached = CachedDrive(build_drive(), BlockCache(capacity))
+            for slot in warm:
+                cached.read_slot(slot)
+            return cached
+
+        assert_equivalent(_load_of(plans), lambda _r, _n: k, drive=cached_drive)
+
+    def test_clock_starting_in_the_turn_that_fills_the_buffer(self):
+        """k = capacity: each stream's first turn fills its buffer and
+        starts its clock, so its wake is one block after the start (a
+        wake even 5 ms late delays the next read)."""
+        _rounds, _summaries, streams = assert_equivalent(
+            _uniform_load(2, 40, 3, 0.2), lambda _r, _n: 3
+        )
+        for ready, clock_start, _skipped in streams:
+            assert clock_start == ready[2]
+
+    def test_blocks_playing_out_during_a_turns_reads(self):
+        """0.004-s blocks play out faster than the testbed drive reads
+        them, so a turn that filled the buffer as of its cursor answer
+        ends with a wake already past: the lone stream's next turn is the
+        next round, with no idle wait."""
+        assert_equivalent(_uniform_load(1, 40, 4, 0.004), lambda _r, _n: 4)
 
     def test_scan_order(self):
         scenario = SCENARIOS[1]

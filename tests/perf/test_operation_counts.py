@@ -22,6 +22,7 @@ import repro.service.rounds as rounds_module
 from repro.disk.factory import TESTBED_DRIVE, build_drive
 from repro.disk.seek import LinearSeek, SeekModel, TableSeek
 from repro.obs import Observability
+from repro.rope.server import FetchColumns
 from repro.scenarios.loop import Scale
 from repro.service.rounds import RoundRobinService, StreamState
 from repro.sim.metrics import consumed_prefix
@@ -216,9 +217,9 @@ class TestConsumptionCursor:
             nonlocal idle_since
             if idle_since is not None:
                 idle_gaps.append(len(queries) - idle_since)
-            time, progressed = run_round(self, *args)
+            time, progressed, finished = run_round(self, *args)
             idle_since = None if progressed else len(queries)
-            return time, progressed
+            return time, progressed, finished
 
         monkeypatch.setattr(RoundRobinService, "_run_round", observed_round)
         # Two streams read faster than they play, so buffers fill.
@@ -227,6 +228,88 @@ class TestConsumptionCursor:
             total_blocks
         )
         assert idle_gaps and not any(idle_gaps), idle_gaps
+
+    def test_a_served_turn_asks_the_cursor_once(self, monkeypatch):
+        """One stream whose 0.2-s blocks outlast each ~10-ms read: the
+        first turn fills the buffer and starts the clock, and every later
+        one finds one slot free, reads one block and fills it again, no
+        block playing out during the read.  Each turn's one answer gives
+        its room and its wake (the loop used to ask three times)."""
+        queries = []
+        inner = StreamState._consume_state
+        monkeypatch.setattr(
+            StreamState, "_consume_state",
+            lambda self, now: (queries.append(now), inner(self, now))[1],
+        )
+        drive, blocks, capacity = build_drive(), 20, 2
+        stream = StreamState(
+            request_id="one", buffer_capacity=capacity,
+            fetches=FetchColumns.uniform(
+                range(0, 10 * blocks, 10), drive.block_bits, 0.2
+            ),
+        )
+        RoundRobinService(drive, lambda _r, _n: capacity).run([stream])
+        assert stream.metrics.continuous
+        assert len(queries) == 1 + (blocks - capacity)   # served turns
+
+    def test_a_request_path_run_asks_no_wake_query(self, monkeypatch):
+        """Turns and idle rounds take every wake from the turns' cursor
+        answers; ``next_consumption_time`` serves only after-turn work."""
+        calls = []
+        inner = StreamState.next_consumption_time
+        monkeypatch.setattr(
+            StreamState, "next_consumption_time",
+            lambda self, now: (calls.append(now), inner(self, now))[1],
+        )
+        for streams in (2, 8):
+            metrics, total_blocks = _service_run(streams=streams)
+            assert sum(m.blocks_delivered for m in metrics.values()) == (
+                total_blocks
+            )
+        assert calls == []
+
+    def test_active_is_rescanned_only_after_a_join_or_a_finish(
+        self, monkeypatch
+    ):
+        """Between two rounds the loop reads streams' ``next_fetch`` only
+        to compact finished ones out, and does so only on entry, in the
+        round an admission joins, and after a round whose turn delivered
+        a plan's last block (it used to re-scan ``active`` every round)."""
+        reads = []
+        monkeypatch.setattr(StreamState, "next_fetch", property(
+            lambda self: (reads.append(1), self.__dict__["_next"])[1],
+            lambda self, value: self.__dict__.__setitem__("_next", value),
+        ))
+        rounds = []   # (round number, reads before its turns, after, finished)
+        run_round = RoundRobinService._run_round
+
+        def observed_round(self, time, active, k, round_number):
+            before = len(reads)
+            result = run_round(self, time, active, k, round_number)
+            rounds.append((round_number, before, len(reads), result[2]))
+            return result
+
+        monkeypatch.setattr(RoundRobinService, "_run_round", observed_round)
+        scenario = Scale(
+            label="joins", streams=5, blocks_per_stream=12, k=2,
+            buffer_capacity=3, seed=5, arrivals="staggered",
+        )
+        drive = build_drive()
+        initial, admissions = scenario.build_streams(drive)
+        assert admissions
+        RoundRobinService(drive, lambda _r, _n: scenario.k).run(
+            initial, admissions
+        )
+        joins = {admission.round_number for admission in admissions}
+        expected, rescanned = [], []
+        last, reads_after_last, last_finished = -1, 0, True   # entry
+        for number, before, after, finished in rounds:
+            if last_finished or any(last < join <= number for join in joins):
+                expected.append(number)
+            if before > reads_after_last:
+                rescanned.append(number)
+            last, reads_after_last, last_finished = number, after, finished
+        assert rescanned == expected and len(expected) < len(rounds)
 
     def test_cursor_consumes_each_block_once(self):
         """Cursor work is bounded by delivered blocks (amortized O(1))."""

@@ -1,6 +1,8 @@
 """Unit tests for the bounded LRU block cache and the cached drive."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disk import BlockCache, CachedDrive, build_drive
 from repro.errors import (
@@ -230,3 +232,55 @@ class TestOneCachedRead:
         [span] = obs.tracer.spans(name="cache.read")
         assert span.status == status
         assert len(obs.tracer.spans(name="disk.access")) == (case != "hit")
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        capacity=st.integers(1, 6),
+        ops=st.lists(st.one_of(
+            st.tuples(st.just("read"), st.integers(0, 11)),
+            st.tuples(st.just("pin"), st.lists(st.integers(0, 11), max_size=3)),
+            st.tuples(
+                st.just("unpin"), st.lists(st.integers(0, 11), max_size=3)
+            ),
+            st.tuples(st.just("invalidate"), st.integers(0, 11)),
+        ), max_size=60),
+    )
+    def test_entry_points_agree_on_any_access_sequence(self, capacity, ops):
+        """Reads among pins and invalidations, in any order: either entry
+        point leaves the same counters, LRU order and durations, and
+        counts each miss once — the one the mechanism reads."""
+        from repro.obs import Observability
+        from repro.obs.recorder import recorder_for
+
+        def replay(entry):
+            obs = Observability()
+            drive = build_drive()
+            cache = BlockCache(capacity)
+            cached = CachedDrive(drive, cache, hit_time=0.001, obs=obs)
+            rec = recorder_for(obs, "loop")
+            parent = obs.tracer.start_span("test.block", 0.0, session="s")
+            now, durations = 0.0, []
+            for op, arg in ops:
+                if op != "read":
+                    getattr(cache, op)(arg)
+                    continue
+                if entry == "read_slot":
+                    durations.append(cached.read_slot(arg))
+                else:
+                    durations.append(
+                        cached.traced_read(arg, None, now, rec, parent)
+                    )
+                now += durations[-1]
+            counters = obs.registry.snapshot_dict()["counters"]
+            return (
+                durations, cache.stats.as_dict(), list(cache._resident),
+                drive.stats.reads, counters.get("cache.hits", 0),
+                counters.get("cache.misses", 0),
+            )
+
+        plain = replay("read_slot")
+        assert plain == replay("traced_read")
+        durations, stats, _order, mechanism_reads, hits, misses = plain
+        assert stats["hits"] == hits == durations.count(0.001)
+        assert stats["misses"] == misses == mechanism_reads
+        assert hits + misses == len(durations)

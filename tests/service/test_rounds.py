@@ -1,5 +1,7 @@
 """Unit tests for the §3.4 round-robin service loop."""
 
+import re
+
 import pytest
 
 from repro.analysis.experiments import fetches_with_gap
@@ -35,7 +37,7 @@ class TestSingleStream:
         service = RoundRobinService(drive, lambda r, n: 4)
         metrics = service.run([stream])
         assert metrics["r0"].blocks_delivered == 60
-        assert stream.finished
+        assert stream.next_fetch == len(stream.ready) == 60
 
     def test_continuous_at_sane_k(self, block):
         drive = build_drive()
@@ -130,6 +132,18 @@ class TestValidation:
         stream = make_stream(drive, block, "r0")
         service = RoundRobinService(drive, lambda r, n: 0)
         with pytest.raises(ParameterError):
+            service.run([stream])
+
+    @pytest.mark.parametrize("k", [2.5, None, "3"])
+    def test_a_non_int_k_schedule_is_named_with_its_round(self, block, k):
+        """A float escaped from the loop as a bare TypeError from
+        ``range``; None and a str as one from ``k < 1``."""
+        drive = build_drive()
+        stream = make_stream(drive, block, "r0")
+        service = RoundRobinService(drive, lambda r, n: 4 if r < 2 else k)
+        with pytest.raises(
+            ParameterError, match=rf"returned {re.escape(repr(k))} for round 2$"
+        ):
             service.run([stream])
 
     def test_bad_buffer_capacity_rejected(self, block):

@@ -257,4 +257,5 @@ class TestOnlyLandedBlocksAreConsumed:
             fetches=FetchColumns([None] * 6, [0.0] * 6, [0.0] * 6),
         )
         RoundRobinService(drive, lambda r, n: 2).run([stream])
-        assert stream.buffered_at(0.0) == 0 == stream.metrics.buffer_high_water
+        consumed, _elapsed = stream._consume_state(0.0)
+        assert len(stream.ready) - consumed == 0 == stream.metrics.buffer_high_water
