@@ -18,7 +18,7 @@ Run:  python examples/unified_server.py
 
 from repro.analysis.experiments import fetches_with_gap
 from repro.config import TESTBED_1991
-from repro.core import GeneralAdmissionController, RequestDescriptor
+from repro.core import AdmissionController, RequestDescriptor
 from repro.core.symbols import BlockModel, video_block_model
 from repro.disk import GapFiller, build_drive, FreeMap
 from repro.service.besteffort import TextQueue, TextRequest
@@ -39,7 +39,7 @@ def main() -> None:
     )
     video_req = RequestDescriptor(video_block, scattering_avg=params.seek_avg)
     audio_req = RequestDescriptor(audio_block, scattering_avg=params.seek_avg)
-    controller = GeneralAdmissionController(params)
+    controller = AdmissionController(params, per_request=True)
     population = [("video", video_req)] * 2 + [("audio", audio_req)] * 4
     decisions = []
     for kind, descriptor in population:

@@ -62,10 +62,6 @@ from repro.core.editing_bounds import (
     copy_bound_sparse,
     seam_repair_bound,
 )
-from repro.core.general_admission import (
-    GeneralAdmissionController,
-    GeneralAdmissionDecision,
-)
 from repro.core.granularity import (
     PlacementPolicy,
     derive_policy,
@@ -134,8 +130,6 @@ __all__ = [
     # admission
     "AdmissionController",
     "AdmissionDecision",
-    "GeneralAdmissionController",
-    "GeneralAdmissionDecision",
     "RequestDescriptor",
     "ServiceParameters",
     "TransitionPlan",

@@ -34,7 +34,8 @@ the transition.  The paper's fix: compute k from the stricter Eq. (18),
 each step's extra transfer time is then covered by the previous step's
 buffered playback, "an admission control algorithm that guarantees both
 transient and steady state continuity."  :class:`AdmissionController`
-implements exactly this algorithm.
+implements exactly this algorithm, and — with ``per_request`` — the
+general Eq. (11) with a k_i per request (:func:`solve_heterogeneous_k`).
 """
 
 from __future__ import annotations
@@ -247,10 +248,13 @@ def round_feasible(
     return duration <= budget
 
 
+#: Largest round budget (s) the Eq.-(11) search tries before it gives up.
+_BUDGET_LIMIT = 300.0
+
+
 def solve_heterogeneous_k(
     requests: Sequence[RequestDescriptor],
     disk: DiskParameters,
-    budget_limit: float = 300.0,
 ) -> Optional[List[int]]:
     """Per-request k_i satisfying the general Eq. (11), or None.
 
@@ -268,11 +272,21 @@ def solve_heterogeneous_k(
     bisection on the smallest feasible B (smallest k_i ⇒ smallest
     startup latency, the §3.4 preference).
 
-    Returns the k_i list, or None when no budget up to *budget_limit*
+    Returns the k_i list, or None when no budget up to ``_BUDGET_LIMIT``
     seconds works (the mix exceeds capacity).
     """
     if not requests:
         return []
+    ks, feasible = _budget_search(requests, disk)
+    return ks if feasible else None
+
+
+def _budget_search(
+    requests: Sequence[RequestDescriptor], disk: DiskParameters
+) -> Tuple[List[int], bool]:
+    """:func:`solve_heterogeneous_k`'s search: ``(k_i, True)`` at the
+    smallest feasible budget, else ``(k_i, False)`` at the last budget
+    probed, where Eq. (11) is false."""
 
     def k_for(budget: float) -> List[int]:
         return [
@@ -280,28 +294,23 @@ def solve_heterogeneous_k(
             for request in requests
         ]
 
-    def feasible(budget: float) -> bool:
-        ks = k_for(budget)
-        return round_time(requests, disk, ks) <= min(
-            k * request.block_playback
-            for k, request in zip(ks, requests)
-        )
-
     low = min(request.block_playback for request in requests)
     high = low
-    while not feasible(high):
+    ks = k_for(high)
+    while not round_feasible(requests, disk, ks):
+        if high * 2.0 > _BUDGET_LIMIT:
+            return ks, False
         high *= 2.0
-        if high > budget_limit:
-            return None
+        ks = k_for(high)
     # Bisect to the smallest feasible budget (k values are step
     # functions of B; 40 iterations pin B far below one block period).
     for _ in range(40):
         mid = (low + high) / 2.0
-        if feasible(mid):
+        if round_feasible(requests, disk, k_for(mid)):
             high = mid
         else:
             low = mid
-    return k_for(high)
+    return k_for(high), True
 
 
 @dataclass(frozen=True)
@@ -313,7 +322,8 @@ class TransitionPlan:
     k_old:
         Blocks per round before the change.
     k_new:
-        Target blocks per round (Eq. 18 value for the new request set).
+        Target blocks per round (the largest k_i solved for the new
+        request set: Eq. 18's k in uniform mode).
     steps:
         The intermediate k values to run, one round each, in order.
         Empty when k_new ≤ k_old (shrinking k is immediately safe: a
@@ -340,7 +350,8 @@ def _plan_transition(k_old: int, k_new: int) -> TransitionPlan:
 
 @dataclass(frozen=True)
 class AdmissionDecision:
-    """Result of a successful admission."""
+    """Result of a successful admission: *k* is the largest k_i in force
+    after it, and *transition* moves the round loop's k to it."""
 
     request_id: int
     params: ServiceParameters
@@ -352,24 +363,29 @@ class AdmissionDecision:
 class AdmissionController:
     """Stateful §3.4 admission controller for a file server.
 
-    Tracks the active request set, the current blocks-per-round value, and
-    produces step-of-1 transition plans on every admission.  All k values
-    come from the transition-safe Eq. (18), which the paper adopts for the
-    final algorithm ("using Equation (18) to determine k, and increasing
-    it in steps of 1, yields an admission control algorithm that
-    guarantees both transient and steady state continuity").
+    Tracks the active request set and a k_i for each request, and
+    produces step-of-1 transition plans on every admission.  By default
+    every k_i is the transition-safe Eq.-(18) k, which the paper adopts
+    for the final algorithm ("using Equation (18) to determine k, and
+    increasing it in steps of 1, yields an admission control algorithm
+    that guarantees both transient and steady state continuity").
 
     Parameters
     ----------
     disk:
         The disk the server schedules.
+    per_request:
+        Solve the general Eq. (11) for a k_i per request instead
+        (:func:`solve_heterogeneous_k`): admits mixed audio+video
+        populations the averaged model rejects, but solves the steady
+        state only — n identical requests get Eq. (16)'s k.
     max_k:
         Upper bound on blocks-per-round the server will operate at.
-        Near capacity, Eq. (18)'s k diverges (γ − nβ → 0⁺), and with it
+        Near capacity, k diverges (γ − nβ → 0⁺ for Eq. 18), and with it
         the startup latency and buffering; a request whose admission
-        would push k beyond this bound is rejected as effectively at
-        capacity ("it is desirable to use the minimum possible value of
-        k", §3.4).
+        would push any k_i beyond this bound is rejected as effectively
+        at capacity ("it is desirable to use the minimum possible value
+        of k", §3.4).
     audit:
         Optional :class:`~repro.obs.audit.AdmissionAuditLog`; when set,
         every admit/reject is recorded with the exact inequality and
@@ -377,10 +393,11 @@ class AdmissionController:
     """
 
     disk: DiskParameters
+    per_request: bool = False
     max_k: int = 10_000
     audit: Optional[AdmissionAuditLog] = None
     _active: Dict[int, RequestDescriptor] = field(default_factory=dict)
-    _k: int = 0
+    _k: Dict[int, int] = field(default_factory=dict)
     _ids: "itertools.count[int]" = field(default_factory=itertools.count)
 
     @property
@@ -390,8 +407,23 @@ class AdmissionController:
 
     @property
     def current_k(self) -> int:
-        """Blocks per round the service loop should currently use."""
-        return self._k
+        """Blocks per round the service loop should currently use: the
+        largest k_i in force (streams may carry their own via
+        ``StreamState.k_override``)."""
+        return max(self._k.values(), default=0)
+
+    def k_for(self, request_id: int) -> int:
+        """The k_i currently assigned to a request."""
+        try:
+            return self._k[request_id]
+        except KeyError:
+            raise ParameterError(
+                f"unknown request id {request_id!r}"
+            ) from None
+
+    def k_values(self) -> Dict[int, int]:
+        """Snapshot of every active request's k_i."""
+        return dict(self._k)
 
     @property
     def active_requests(self) -> Dict[int, RequestDescriptor]:
@@ -403,42 +435,55 @@ class AdmissionController:
         need k ≥ 1 > ``max_k``, so it is refused as at its k bound."""
         self.max_k = 0
 
-    def parameters(
-        self, extra: Optional[RequestDescriptor] = None
-    ) -> ServiceParameters:
-        """(α, β, γ) for the active set, optionally plus a candidate."""
-        requests: List[RequestDescriptor] = list(self._active.values())
-        if extra is not None:
-            requests.append(extra)
-        return service_parameters(requests, self.disk)
-
     def capacity(self, candidate: RequestDescriptor) -> int:
         """n_max if the workload looked like *candidate* plus the active set."""
-        return n_max(self.parameters(extra=candidate))
+        mix = [*self._active.values(), candidate]
+        return n_max(service_parameters(mix, self.disk))
+
+    def _solve(
+        self, requests: List[RequestDescriptor]
+    ) -> Tuple[ServiceParameters, List[int], bool]:
+        """(α, β, γ) of *requests*, a k per request, and whether those k
+        satisfy continuity.  When none do, per-request mode returns the
+        last k_i its search probed and uniform mode an empty list."""
+        params = service_parameters(requests, self.disk)
+        if self.per_request:
+            return (params, *_budget_search(requests, self.disk))
+        if _headroom(params) <= 0:
+            return params, [], False
+        return params, [k_transition(params)] * params.n, True
 
     def can_admit(self, candidate: RequestDescriptor) -> bool:
-        """Non-mutating admission test for *candidate*."""
-        params = self.parameters(extra=candidate)
-        return _headroom(params) > 0
+        """Non-mutating: True exactly when :meth:`admit` would succeed."""
+        _, ks, feasible = self._solve([*self._active.values(), candidate])
+        return feasible and max(ks) <= self.max_k
 
     def admit(self, candidate: RequestDescriptor) -> AdmissionDecision:
         """Admit *candidate* or raise :class:`AdmissionRejected`.
 
-        On success the controller's request set and current k are updated;
+        On success the controller's request set and k values are updated;
         the returned decision carries the transition plan the service loop
         must execute (grow k by 1 per round) before the new request's
         transfers begin.
         """
-        params = self.parameters(extra=candidate)
-        if _headroom(params) <= 0:
-            self._audit_headroom(params, satisfied=False)
+        mix = [*self._active.values(), candidate]
+        params, ks, feasible = self._solve(mix)
+        if not feasible:
+            self._audit_solve(mix, params, ks)
+            if self.per_request:
+                raise AdmissionRejected(
+                    "request rejected: no per-request k satisfies Eq. (11) "
+                    f"for the {len(mix)}-request mix",
+                    active=self.active_count,
+                    n_max=self.active_count,
+                )
             raise AdmissionRejected(
                 f"request rejected: admitting it would make n={params.n} "
                 f"exceed n_max={n_max(params)}",
                 active=self.active_count,
                 n_max=n_max(params),
             )
-        new_k = k_transition(params)
+        new_k = max(ks)
         if new_k > self.max_k:
             if self.audit is not None:
                 self.audit.record(
@@ -461,37 +506,52 @@ class AdmissionController:
                 n_max=n_max(params),
                 cause="k_bound",
             )
-        plan = _plan_transition(self._k, new_k)
+        plan = _plan_transition(self.current_k, new_k)
         request_id = next(self._ids)
         self._active[request_id] = candidate
-        self._k = max(new_k, 1)
-        self._audit_headroom(
-            params, satisfied=True,
-            subject=f"request-{request_id}",
-            detail=f"k={self._k} transition_steps={len(plan.steps)}",
-        )
+        self._k = dict(zip(self._active, ks))
+        self._audit_solve(mix, params, ks, request_id, plan)
         return AdmissionDecision(
-            request_id=request_id, params=params, k=self._k, transition=plan
+            request_id=request_id, params=params, k=new_k, transition=plan
         )
 
-    def _audit_headroom(
+    def _audit_solve(
         self,
+        mix: List[RequestDescriptor],
         params: ServiceParameters,
-        satisfied: bool,
-        subject: Optional[str] = None,
-        detail: str = "",
+        ks: List[int],
+        request_id: Optional[int] = None,
+        plan: Optional[TransitionPlan] = None,
     ) -> None:
-        """Log the Eq.-(15) headroom verdict with its exact operands.
-
-        The logged constraint mirrors :func:`_headroom`'s clamped test
-        bit-for-bit, so re-evaluating it from the operands reproduces
-        the decision.
-        """
+        """Log the solve's verdict — an admit when *request_id* is given —
+        with operands that reproduce it when the row is re-evaluated:
+        the Eq.-(15) headroom test mirroring :func:`_headroom` bit for
+        bit, or in per-request mode Eq. (11) at the k_i the solve ended
+        on (a reject's: the search's last probe)."""
         if self.audit is None:
             return
+        satisfied = request_id is not None
+        verdict = "admit" if satisfied else "reject"
+        if self.per_request:
+            self.audit.record(
+                verdict,
+                f"mix(n={len(mix)})",
+                "round_seconds <= playback_budget_seconds",
+                {
+                    "round_seconds": round_time(mix, self.disk, ks),
+                    "playback_budget_seconds": min(
+                        k * r.block_playback for k, r in zip(ks, mix)
+                    ),
+                    "n": len(mix),
+                },
+                satisfied=satisfied,
+                detail=f"k_values={ks}",
+            )
+            return
         self.audit.record(
-            "admit" if satisfied else "reject",
-            subject or f"candidate(n={params.n})",
+            verdict,
+            f"request-{request_id}" if satisfied
+            else f"candidate(n={params.n})",
             "gamma - n * beta > gamma * epsilon",
             {
                 "alpha": params.alpha,
@@ -502,7 +562,8 @@ class AdmissionController:
                 "n_max": n_max(params),
             },
             satisfied=satisfied,
-            detail=detail or f"n_max={n_max(params)}",
+            detail=f"k={max(ks)} transition_steps={len(plan.steps)}"
+            if satisfied else f"n_max={n_max(params)}",
         )
 
     def release(self, request_id: int) -> TransitionPlan:
@@ -510,17 +571,17 @@ class AdmissionController:
 
         Shrinking k is transition-safe without staging: the next (smaller)
         round necessarily finishes within the playback time the previous
-        (larger) round buffered.
+        (larger) round buffered.  Releasing never raises for a known id:
+        when the survivors have no solution (degraded-mode revalidation
+        shrank the disk under them), they keep the k they play at.
         """
-        try:
-            del self._active[request_id]
-        except KeyError:
-            raise ParameterError(
-                f"unknown request id {request_id!r}"
-            ) from None
-        old_k = self._k
+        if request_id not in self._active:
+            raise ParameterError(f"unknown request id {request_id!r}")
+        old_k = self.current_k
+        del self._active[request_id]
+        del self._k[request_id]
         if self._active:
-            self._k = k_transition(self.parameters())
-        else:
-            self._k = 0
-        return _plan_transition(old_k, self._k)
+            _, ks, feasible = self._solve(list(self._active.values()))
+            if feasible:
+                self._k = dict(zip(self._active, ks))
+        return _plan_transition(old_k, self.current_k)

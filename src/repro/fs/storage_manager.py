@@ -94,11 +94,10 @@ class MultimediaStorageManager:
         Display-device parameters — their buffer sizes determine
         granularity (§3.3.4).
     general_admission:
-        When True, use the per-request-k controller
-        (:class:`repro.core.general_admission.GeneralAdmissionController`,
-        the Eq.-11 general form) instead of the paper's uniform-k
-        algorithm — admits mixed audio+video populations the averaged
-        model rejects.
+        When True, the admission controller solves per-request k
+        (``AdmissionController(per_request=True)``, the Eq.-11 general
+        form) instead of the paper's uniform k — admits mixed
+        audio+video populations the averaged model rejects.
     obs:
         Optional :class:`~repro.obs.Observability` handle.  When given,
         it is attached to the drive, its audit log is wired into the
@@ -132,14 +131,9 @@ class MultimediaStorageManager:
         self.copy_budget = 4
         self.disk_params = drive.parameters()
         self.policies = self._derive_policies()
-        if general_admission:
-            from repro.core.general_admission import (
-                GeneralAdmissionController,
-            )
-
-            self.admission = GeneralAdmissionController(self.disk_params)
-        else:
-            self.admission = admission.AdmissionController(self.disk_params)
+        self.admission = admission.AdmissionController(
+            self.disk_params, per_request=general_admission
+        )
         if obs is not None:
             self.admission.audit = obs.audit
         self.interests = InterestRegistry()

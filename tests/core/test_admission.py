@@ -223,3 +223,20 @@ class TestAdmissionController:
         controller.release(decisions[0].request_id)
         controller.admit(descriptor)  # now fits again
         assert controller.active_count == limit
+
+    @pytest.mark.parametrize("max_k", [0, 5, 10_000])
+    @pytest.mark.parametrize("mode", [{}, {"per_request": True}])
+    def test_can_admit_agrees_with_admit(self, descriptor, disk, mode, max_k):
+        """A frozen controller, or one whose next k exceeds ``max_k``,
+        must not promise an admission that ``admit`` then refuses."""
+        controller = adm.AdmissionController(disk, max_k=max_k, **mode)
+        for _ in range(5):
+            promised = controller.can_admit(descriptor)
+            try:
+                controller.admit(descriptor)
+            except AdmissionRejected:
+                assert not promised
+            else:
+                assert promised
+        controller.freeze()
+        assert not controller.can_admit(descriptor)

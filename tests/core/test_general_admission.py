@@ -1,9 +1,8 @@
-"""Unit tests for the general (per-request k) admission controller."""
+"""Unit tests for the admission controller's per-request k mode."""
 
 import pytest
 
 from repro.core import admission as adm
-from repro.core.general_admission import GeneralAdmissionController
 from repro.core.symbols import BlockModel, DiskParameters
 from repro.errors import AdmissionRejected, ParameterError
 
@@ -29,9 +28,13 @@ def audio(disk):
     )
 
 
+def per_request(disk, **options):
+    return adm.AdmissionController(disk, per_request=True, **options)
+
+
 class TestGeneralController:
     def test_admits_mixed_workload(self, disk, video, audio):
-        controller = GeneralAdmissionController(disk)
+        controller = per_request(disk)
         for descriptor in [video, video, audio, audio, audio, audio]:
             controller.admit(descriptor)
         assert controller.active_count == 6
@@ -43,7 +46,7 @@ class TestGeneralController:
 
     def test_beats_uniform_controller_on_mixes(self, disk, video, audio):
         uniform = adm.AdmissionController(disk)
-        general = GeneralAdmissionController(disk)
+        general = per_request(disk)
         mix = [video, video] + [audio] * 4
         uniform_admitted = 0
         for descriptor in mix:
@@ -62,7 +65,7 @@ class TestGeneralController:
         assert general_admitted > uniform_admitted
 
     def test_rejects_at_true_capacity(self, disk, video):
-        controller = GeneralAdmissionController(disk, budget_limit=10.0)
+        controller = per_request(disk, max_k=75)
         admitted = 0
         with pytest.raises(AdmissionRejected):
             for _ in range(50):
@@ -72,15 +75,17 @@ class TestGeneralController:
         assert controller.active_count == admitted
 
     def test_transition_rounds_reported(self, disk, video):
-        controller = GeneralAdmissionController(disk)
+        controller = per_request(disk)
         first = controller.admit(video)
         second = controller.admit(video)
-        assert second.transition_rounds >= 0
+        plan = second.transition
+        assert (plan.k_old, plan.k_new) == (first.k, controller.current_k)
+        assert plan.rounds_required == max(0, plan.k_new - plan.k_old)
         k_after = controller.k_for(second.request_id)
         assert k_after >= 1
 
     def test_release_shrinks_k(self, disk, video):
-        controller = GeneralAdmissionController(disk)
+        controller = per_request(disk)
         a = controller.admit(video)
         b = controller.admit(video)
         k_two = controller.k_for(a.request_id)
@@ -89,31 +94,31 @@ class TestGeneralController:
         assert controller.k_for(a.request_id) <= k_two
 
     def test_release_last_clears(self, disk, video):
-        controller = GeneralAdmissionController(disk)
+        controller = per_request(disk)
         decision = controller.admit(video)
         controller.release(decision.request_id)
         assert controller.active_count == 0
         assert controller.k_values() == {}
 
     def test_release_unknown(self, disk):
-        controller = GeneralAdmissionController(disk)
+        controller = per_request(disk)
         with pytest.raises(ParameterError):
             controller.release(3)
 
     def test_can_admit_non_mutating(self, disk, video):
-        controller = GeneralAdmissionController(disk)
+        controller = per_request(disk)
         assert controller.can_admit(video)
         assert controller.active_count == 0
 
     def test_frozen_controller_admits_nothing(self, disk, video):
-        controller = GeneralAdmissionController(disk)
+        controller = per_request(disk)
         held = controller.admit(video).request_id
         assert controller.active_requests == {held: video}
         controller.freeze()
         assert not controller.can_admit(video)
         with pytest.raises(AdmissionRejected) as refused:
             controller.admit(video)
-        assert refused.value.n_max == 0
+        assert refused.value.cause == "k_bound"
         assert controller.active_count == 1  # what plays keeps playing
         controller.release(held)
         assert controller.active_requests == {}

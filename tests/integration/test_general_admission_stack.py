@@ -1,4 +1,6 @@
-"""Integration: the general admission controller through the full stack."""
+"""Integration: per-request admission through the full stack."""
+
+import dataclasses
 
 import pytest
 
@@ -97,3 +99,35 @@ class TestGeneralAdmissionStack:
             msm.admit(descriptor)
         assert msm.admission.active_count == 1
         msm.release(held)
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_stop_after_degraded_revalidation_never_raises(self, general):
+        """Two of four heads lost under three admitted videos: the two
+        survivors of a stop have no solution on the derated disk, so they
+        keep the k they play at instead of failing the release."""
+        msm, _ = build_servers(general)
+        msm.disk_params = dataclasses.replace(msm.disk_params, heads=4)
+        msm.admission.disk = msm.disk_params
+        descriptor = msm.descriptor_for_media(True)
+        held = [msm.admit(descriptor).request_id for _ in range(3)]
+        k_played = msm.admission.current_k
+        msm.revalidate_admission(2)
+        msm.release(held[0])
+        assert msm.admission.active_count == 2
+        assert msm.admission.current_k == k_played
+        for request_id in held[1:]:
+            msm.release(request_id)
+        assert msm.admission.k_values() == {}
+
+    def test_three_testbed_videos_get_eq16_or_eq18_k(self):
+        """Identical requests do not get identical k in both modes: the
+        per-request solve lands on Eq. (16)'s steady-state k, the uniform
+        one runs Eq. (18)'s transition-safe k."""
+        k_at_three = {}
+        for general in (False, True):
+            msm, _ = build_servers(general)
+            descriptor = msm.descriptor_for_media(True)
+            for _ in range(3):
+                msm.admit(descriptor)
+            k_at_three[general] = msm.admission.current_k
+        assert k_at_three == {False: 865, True: 287}

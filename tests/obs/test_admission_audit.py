@@ -51,53 +51,77 @@ def _drive_to_rejection(controller, descriptor, cap=200):
     return False
 
 
+def _audit_to_rejection(disk, block, largest=150, **mode):
+    """The audit log of a controller driven with identical requests to
+    its first reject, for a workload whose Eq.-(17) capacity lies in
+    (0, *largest*]."""
+    descriptor = adm.RequestDescriptor(
+        block=block, scattering_avg=disk.seek_avg
+    )
+    capacity = adm.n_max(
+        adm.service_parameters([descriptor], disk)
+    )
+    assume(0 < capacity <= largest)
+    controller = adm.AdmissionController(
+        disk, audit=AdmissionAuditLog(), **mode
+    )
+    assert _drive_to_rejection(controller, descriptor)
+    return controller.audit
+
+
+def _assert_every_entry_recomputes(log):
+    assert len(log.rejects()) >= 1
+    assert len(log.admits()) >= 1
+    for entry in log:
+        assert entry.evaluate() == entry.satisfied, str(entry)
+    for entry in log.rejects():
+        assert entry.evaluate() is False, (
+            f"logged reject re-evaluates true: {entry}"
+        )
+
+
+def _assert_reject_is_self_contained(reject):
+    # Every identifier the inequality references is a logged operand,
+    # so the entry is self-contained evidence of the failure.
+    logged = {key for key, _ in reject.operands}
+    for name in re.findall(r"[a-z_]+", reject.constraint):
+        assert name in logged, (
+            f"constraint references {name!r} but it was not logged: "
+            f"{reject}"
+        )
+
+
 class TestAuditedController:
     @settings(deadline=None, max_examples=40)
     @given(disk=disks, block=blocks)
     def test_every_entry_recomputes_its_decision(self, disk, block):
-        descriptor = adm.RequestDescriptor(
-            block=block, scattering_avg=disk.seek_avg
-        )
-        capacity = adm.n_max(
-            adm.service_parameters([descriptor], disk)
-        )
-        assume(0 < capacity <= 150)
-        controller = adm.AdmissionController(disk)
-        controller.audit = AdmissionAuditLog()
-        rejected = _drive_to_rejection(controller, descriptor)
-        log = controller.audit
-        assert rejected
-        assert len(log.rejects()) >= 1
-        assert len(log.admits()) >= 1
-        for entry in log:
-            assert entry.evaluate() == entry.satisfied, str(entry)
-        for entry in log.rejects():
-            assert entry.evaluate() is False, (
-                f"logged reject re-evaluates true: {entry}"
-            )
+        _assert_every_entry_recomputes(_audit_to_rejection(disk, block))
 
     @settings(deadline=None, max_examples=40)
     @given(disk=disks, block=blocks)
     def test_reject_shows_which_constraint_failed(self, disk, block):
-        descriptor = adm.RequestDescriptor(
-            block=block, scattering_avg=disk.seek_avg
+        log = _audit_to_rejection(disk, block)
+        _assert_reject_is_self_contained(log.rejects()[0])
+
+    # Per-request mode logs Eq. (11); a reject carries the operands of
+    # the budget search's last probe.  Smaller capacities keep the
+    # per-admission search cheap.
+    @settings(deadline=None, max_examples=25)
+    @given(disk=disks, block=blocks)
+    def test_every_per_request_entry_recomputes_its_decision(
+        self, disk, block
+    ):
+        _assert_every_entry_recomputes(
+            _audit_to_rejection(disk, block, largest=40, per_request=True)
         )
-        capacity = adm.n_max(
-            adm.service_parameters([descriptor], disk)
-        )
-        assume(0 < capacity <= 150)
-        controller = adm.AdmissionController(disk)
-        controller.audit = AdmissionAuditLog()
-        assert _drive_to_rejection(controller, descriptor)
-        reject = controller.audit.rejects()[0]
-        # Every identifier the inequality references is a logged operand,
-        # so the entry is self-contained evidence of the failure.
-        logged = {key for key, _ in reject.operands}
-        for name in re.findall(r"[a-z_]+", reject.constraint):
-            assert name in logged, (
-                f"constraint references {name!r} but it was not logged: "
-                f"{reject}"
-            )
+
+    @settings(deadline=None, max_examples=25)
+    @given(disk=disks, block=blocks)
+    def test_per_request_reject_shows_which_constraint_failed(
+        self, disk, block
+    ):
+        log = _audit_to_rejection(disk, block, largest=40, per_request=True)
+        _assert_reject_is_self_contained(log.rejects()[0])
 
     def test_unaudited_controller_still_works(self):
         """audit=None stays the default and costs nothing."""

@@ -1,7 +1,7 @@
 """Property-based tests for admission control (hypothesis)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import admission as adm
@@ -84,8 +84,6 @@ class TestCapacityProperties:
     @settings(deadline=None, max_examples=30)
     @given(disk=disks, block=blocks)
     def test_controller_never_exceeds_capacity(self, disk, block):
-        from hypothesis import assume
-
         descriptor = descriptor_for(block, disk)
         controller = adm.AdmissionController(disk)
         params = adm.service_parameters([descriptor], disk)
@@ -126,7 +124,35 @@ class TestCapacityProperties:
             controller.release(request_id)
         assert controller.active_count == len(live)
         if live:
-            params = controller.parameters()
+            params = adm.service_parameters(
+                list(controller.active_requests.values()), disk
+            )
             assert controller.current_k == adm.k_transition(params)
         else:
             assert controller.current_k == 0
+
+    @settings(deadline=None)
+    @given(disk=disks, block=blocks, n=st.integers(1, 12))
+    def test_identical_requests_get_eq16_per_request_and_eq18_uniform(
+        self, disk, block, n
+    ):
+        """n identical requests with headroom: the per-request Eq.-(11)
+        solve gives exactly Eq. (16)'s steady-state k, the uniform solve
+        Eq. (18)'s transition-safe k — the two modes do not agree."""
+        descriptor = descriptor_for(block, disk)
+        params = adm.service_parameters([descriptor] * n, disk)
+        try:
+            k_uniform = adm.k_transition(params)
+        except AdmissionRejected:
+            assume(False)
+        k_steady = adm.k_steady(params)
+        # Inside max_k, and inside the search's 300-s round budget.
+        assume(k_uniform <= 10_000)
+        assume(2 * k_steady * descriptor.block_playback <= 300.0)
+        uniform = adm.AdmissionController(disk)
+        per_request = adm.AdmissionController(disk, per_request=True)
+        for _ in range(n):
+            uniform.admit(descriptor)
+            per_request.admit(descriptor)
+        assert set(uniform.k_values().values()) == {k_uniform}
+        assert set(per_request.k_values().values()) == {k_steady}

@@ -101,10 +101,7 @@ class TestPerRequestKBudget:
         """Regression: after fast (video) streams finish, the text budget
         must come from the surviving streams' k_override, not the global
         k — otherwise slow-draining audio starves behind text reads."""
-        from repro.core import (
-            GeneralAdmissionController,
-            RequestDescriptor,
-        )
+        from repro.core import AdmissionController, RequestDescriptor
         from repro.core.symbols import BlockModel
 
         drive = build_drive()
@@ -113,7 +110,7 @@ class TestPerRequestKBudget:
         audio_block = BlockModel(8000.0, 8.0, 4096)
         video = RequestDescriptor(video_block, scattering_avg=params.seek_avg)
         audio = RequestDescriptor(audio_block, scattering_avg=params.seek_avg)
-        controller = GeneralAdmissionController(params)
+        controller = AdmissionController(params, per_request=True)
         mix = [video, video, audio, audio, audio, audio]
         ids = [controller.admit(d).request_id for d in mix]
         streams = []
