@@ -28,8 +28,9 @@ def test_index_lookup_speed(benchmark):
     index = StrandIndex(
         frame_rate=30.0, primary_fanout=4096, secondary_fanout=2048
     )
-    for i in range(10_000):
-        index.append(PrimaryEntry(sector=i * 64, sector_count=64))
+    index.extend(
+        [PrimaryEntry(sector=i * 64, sector_count=64) for i in range(10_000)]
+    )
     rng = random.Random(3)
     probes = [rng.randrange(10_000) for _ in range(256)]
 

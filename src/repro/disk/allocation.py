@@ -126,9 +126,10 @@ class ConstrainedScatterAllocator(Allocator):
     """§3 constrained allocation: bounded inter-block positioning delay.
 
     The seconds-valued bounds are translated into a cylinder-distance
-    window once, using the drive's seek curve; each ``allocate_after``
-    then scans that window's cylinders (forward first, then backward)
-    for a free slot, verifying the exact gap before committing.
+    window once, using the drive's seek curve, and the distances whose
+    exact gap the bounds admit are resolved once too; each
+    ``allocate_after`` then takes the first free slot of the first of
+    those cylinders (forward first, then backward) that has one.
 
     Parameters
     ----------
@@ -161,6 +162,17 @@ class ConstrainedScatterAllocator(Allocator):
                 f"no cylinder distance satisfies the scattering window "
                 f"[{bounds.lower:.6f}, {bounds.upper:.6f}] s on this drive"
             )
+        # A gap depends on |distance| alone and never falls as it grows
+        # (SeekModel's contract), so the distances the bounds admit are
+        # one run inside [d_min, d_max]: trim its two ends once.
+        near, far, gap = self._d_min, self._d_max, drive.positioning_time
+        while near <= far and not bounds.admits(gap(0, near)):
+            near += 1
+        while far > near and not bounds.admits(gap(0, far)):
+            far -= 1
+        self._near, self._far = near, far
+        self._last = cylinders - 1
+        self._starts = drive.cylinder_starts
 
     def _min_distance(self, budget: float, cylinders: int) -> int:
         """Smallest distance whose seek time is >= *budget*."""
@@ -191,31 +203,28 @@ class ConstrainedScatterAllocator(Allocator):
     def allocate_after(self, previous: int) -> int:
         """Allocate the next block within the scattering window.
 
-        Scans the forward cylinder window first (keeping strands sweeping
-        across the disk, which is what bounds intra-round seeks), then the
-        backward window.  A candidate's gap depends only on its cylinder,
-        so the exact gap is verified once per cylinder and the first free
-        slot of the first admitted cylinder is taken.
+        Scans the admitted forward cylinders first, nearest first
+        (keeping strands sweeping across the disk, which is what bounds
+        intra-round seeks), then the admitted backward ones, farthest
+        first, and takes the first free slot other than *previous*.
         """
-        drive = self.drive
-        center = drive.cylinder_of(previous)
-        last = drive.geometry.cylinders - 1
+        center = self.drive.cylinder_of(previous)
+        starts, last = self._starts, self._last
+        first_free = self.freemap.first_free_in_window
         for low, high in (
-            (center + self._d_min, center + self._d_max),
-            (center - self._d_max, center - self._d_min),
+            (center + self._near, center + self._far),
+            (center - self._far, center - self._near),
         ):
-            for cylinder in range(max(0, low), min(last, high) + 1):
-                if not self.bounds.admits(
-                    drive.positioning_time(center, cylinder)
-                ):
-                    continue
-                window = drive.slot_window(cylinder, cylinder)
-                for slot in self.freemap.free_in_window(
-                    window.start, window.stop
-                ):
-                    if slot != previous:
-                        self.freemap.allocate(slot)
-                        return slot
+            # Clamp to the disk; a conditional costs less than max/min here.
+            low = low if low > 0 else 0
+            for cylinder in range(low, (high if high < last else last) + 1):
+                stop = starts[cylinder + 1]
+                slot = first_free(starts[cylinder], stop)
+                if slot == previous:
+                    slot = first_free(previous + 1, stop)
+                if slot is not None:
+                    self.freemap.allocate(slot)
+                    return slot
         raise ScatteringError(
             f"no free slot within the scattering window after slot "
             f"{previous} (cylinder {center}, distance window "

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.symbols import DiskParameters
 from repro.disk.geometry import DiskGeometry
@@ -133,6 +133,9 @@ class SimulatedDrive:
         self._fixed_latency = (
             None if rotation.randomized else rotation.average_latency
         )
+        # Set here, filled on first use: an attribute first assigned
+        # after __init__ would slow every attribute read on _access.
+        self._cylinder_starts: Optional[List[int]] = None
 
     def attach_injector(self, injector) -> None:
         """Install a :class:`~repro.faults.injector.FaultInjector`.
@@ -194,6 +197,18 @@ class SimulatedDrive:
             )
         return slot * self.sectors_per_block // self._sectors_per_cylinder
 
+    @property
+    def cylinder_starts(self) -> List[int]:
+        """Cylinder c holds slots ``cylinder_starts[c]`` up to (not
+        including) ``cylinder_starts[c + 1]``; resolved on first use."""
+        if self._cylinder_starts is None:
+            spb, spc = self.sectors_per_block, self._sectors_per_cylinder
+            self._cylinder_starts = [
+                min((cylinder * spc + spb - 1) // spb, self._total_slots)
+                for cylinder in range(self.geometry.cylinders + 1)
+            ]
+        return self._cylinder_starts
+
     def slot_window(self, low_cyl: int, high_cyl: int) -> range:
         """Slots whose first sector lies in cylinders *low_cyl*..*high_cyl*
         (clamped to the drive; empty when inverted).  Single-cylinder
@@ -203,11 +218,9 @@ class SimulatedDrive:
         high_cyl = min(self.geometry.cylinders - 1, high_cyl)
         if low_cyl > high_cyl:
             return range(0)
-        spb = self.sectors_per_block
-        spc = self._sectors_per_cylinder
-        first = (low_cyl * spc + spb - 1) // spb
-        last = min(((high_cyl + 1) * spc - 1) // spb, self._total_slots - 1)
-        return range(first, last + 1)
+        return range(
+            self.cylinder_starts[low_cyl], self.cylinder_starts[high_cyl + 1]
+        )
 
     # -- timing (pure: no state change) --------------------------------------
 

@@ -15,7 +15,7 @@ The map supports the lookups each §3 allocator needs:
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.errors import AllocationError, DiskFullError, ParameterError
 
@@ -108,32 +108,16 @@ class FreeMap:
 
     # -- queries for the allocators ----------------------------------------
 
-    def free_in_window(self, start: int, stop: int) -> Iterator[int]:
-        """Yield free slots in ``[start, stop)`` in ascending order.
+    def first_free_in_window(self, start: int, stop: int) -> Optional[int]:
+        """First free slot in ``[start, stop)``, or None.
 
-        The window is clamped to the map; an inverted window yields
+        The window is clamped to the map; an inverted window holds
         nothing.
         """
-        lo = max(0, start)
-        hi = min(len(self._state), stop)
-        state = self._state
-        for slot in range(lo, hi):
-            if state[slot] == _FREE:
-                yield slot
-
-    def first_free_in_window(self, start: int, stop: int) -> Optional[int]:
-        """First free slot in ``[start, stop)``, or None."""
-        return next(self.free_in_window(start, stop), None)
-
-    def last_free_in_window(self, start: int, stop: int) -> Optional[int]:
-        """Last free slot in ``[start, stop)``, or None."""
-        lo = max(0, start)
-        hi = min(len(self._state), stop)
-        state = self._state
-        for slot in range(hi - 1, lo - 1, -1):
-            if state[slot] == _FREE:
-                return slot
-        return None
+        slot = self._state.find(
+            _FREE, start if start > 0 else 0, stop if stop > 0 else 0
+        )
+        return None if slot < 0 else slot
 
     def find_run(self, length: int, start: int = 0) -> Optional[int]:
         """First index of *length* consecutive free slots at/after *start*.
@@ -143,16 +127,8 @@ class FreeMap:
         """
         if length < 1:
             raise ParameterError(f"run length must be >= 1, got {length}")
-        state = self._state
-        run = 0
-        for slot in range(max(0, start), len(state)):
-            if state[slot] == _FREE:
-                run += 1
-                if run == length:
-                    return slot - length + 1
-            else:
-                run = 0
-        return None
+        first = self._state.find(bytes([_FREE]) * length, max(0, start))
+        return None if first < 0 else first
 
     def random_free(self, rng: random.Random) -> int:
         """A uniformly random free slot (the §3 'random allocation' baseline).

@@ -16,7 +16,6 @@ disturbing any existing placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Collection, List, Optional, Sequence
 
 from repro.disk.allocation import Allocator
@@ -50,9 +49,11 @@ def find_free_slot_near(
         max_widen = cylinders
     for widen in range(max_widen + 1):
         window = drive.slot_window(cylinder - widen, cylinder + widen)
-        for slot in freemap.free_in_window(window.start, window.stop):
-            if slot not in taken:
-                return slot
+        slot = freemap.first_free_in_window(window.start, window.stop)
+        while slot in taken:
+            slot = freemap.first_free_in_window(slot + 1, window.stop)
+        if slot is not None:
+            return slot
     raise DiskFullError(
         f"no free slot within {max_widen} cylinders of cylinder {cylinder}"
     )
@@ -156,9 +157,10 @@ class GapFiller:
                 f"need {block_count} slots, only "
                 f"{self.freemap.free_count} free"
             )
-        slots = list(islice(
-            self.freemap.free_in_window(0, self.freemap.slots), block_count
-        ))
+        freemap, slots, slot = self.freemap, [], -1
+        for _ in range(block_count):
+            slot = freemap.first_free_in_window(slot + 1, freemap.slots)
+            slots.append(slot)
         self.freemap.claim(slots)
         return slots
 

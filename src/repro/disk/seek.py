@@ -128,7 +128,7 @@ class LinearSeek(SeekModel):
     def max_distance_within(self, budget: float, cylinders: int) -> int:
         if budget < 0:
             return -1
-        if budget < self.settle_time or self.slope == 0:
+        if budget < self.settle_time or self.slope == 0 or math.isinf(budget):
             return cylinders - 1 if budget >= self.settle_time else 0
         distance = int((budget - self.settle_time) / self.slope)
         return min(distance, cylinders - 1)
@@ -166,7 +166,7 @@ class SqrtAffineSeek(SeekModel):
             return -1
         if budget < self.settle_time:
             return 0
-        if self.coefficient == 0:
+        if self.coefficient == 0 or math.isinf(budget):
             return cylinders - 1
         distance = int(((budget - self.settle_time) / self.coefficient) ** 2)
         return min(distance, cylinders - 1)

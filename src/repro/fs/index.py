@@ -25,7 +25,7 @@ fields = 128 bits; fan-outs derive from the disk block size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from repro.errors import IndexCorruptionError, ParameterError
 
@@ -98,14 +98,6 @@ class PrimaryBlock:
     def is_full(self) -> bool:
         """True when no more entries fit."""
         return len(self.entries) >= self.capacity
-
-    def append(self, entry: Optional[PrimaryEntry]) -> None:
-        """Add a media-block address (or a NULL silence holder)."""
-        if self.is_full:
-            raise IndexCorruptionError(
-                f"primary block overfilled past capacity {self.capacity}"
-            )
-        self.entries.append(entry)
 
 
 @dataclass(frozen=True)
@@ -187,46 +179,43 @@ class StrandIndex:
 
     # -- construction --------------------------------------------------------
 
-    def append(
-        self, entry: Optional[PrimaryEntry], units: int = 0
-    ) -> int:
-        """Record the next media block's address; returns its block number.
+    def extend(
+        self, entries: Sequence[Optional[PrimaryEntry]], units: int = 0
+    ) -> None:
+        """Record the next media blocks' addresses, in block order.
 
-        ``entry=None`` appends a silence delay holder.  *units* (frames or
-        samples represented by the block — for silence, the samples the
+        A ``None`` entry is a silence delay holder.  *units* (the frames
+        or samples the blocks represent — for silence, the samples the
         silent period covers) accumulates into the header's frame count.
+        Each primary block touched takes its share as one slice, and its
+        secondary entry is written once.
         """
         if units < 0:
             raise ParameterError(f"units must be >= 0, got {units}")
-        if not self.primaries or self.primaries[-1].is_full:
-            self._add_primary()
-        block_number = self.block_count
-        self.primaries[-1].append(entry)
-        self._current_secondary_entry_grow()
+        done = 0
+        while done < len(entries):
+            if self.primaries and not self.primaries[-1].is_full:
+                primary = self.primaries[-1]
+                last = self.secondaries[-1].entries.pop()
+                sector, sector_count = last.sector, last.sector_count
+            else:
+                if not self.secondaries or self.secondaries[-1].is_full:
+                    self.secondaries.append(
+                        SecondaryBlock(self.secondary_fanout)
+                    )
+                    self.header.secondary_slots.append(None)
+                primary = PrimaryBlock(self.primary_fanout)
+                self.primaries.append(primary)
+                sector, sector_count = -1, 0
+            room = self.primary_fanout - len(primary.entries)
+            primary.entries += entries[done:done + room]
+            done += room
+            self.secondaries[-1].entries.append(SecondaryEntry(
+                start_block=(len(self.primaries) - 1) * self.primary_fanout,
+                block_count=len(primary.entries),
+                sector=sector, sector_count=sector_count,
+            ))
         self.header.frame_count += units
-        return block_number
-
-    def _add_primary(self) -> None:
-        if not self.secondaries or self.secondaries[-1].is_full:
-            self.secondaries.append(SecondaryBlock(self.secondary_fanout))
-            self.header.secondary_slots.append(None)
-        self.primaries.append(PrimaryBlock(self.primary_fanout))
-        start = (len(self.primaries) - 1) * self.primary_fanout
-        self.secondaries[-1].entries.append(
-            SecondaryEntry(
-                start_block=start, block_count=0, sector=-1, sector_count=0
-            )
-        )
-
-    def _current_secondary_entry_grow(self) -> None:
-        secondary = self.secondaries[-1]
-        last = secondary.entries[-1]
-        secondary.entries[-1] = SecondaryEntry(
-            start_block=last.start_block,
-            block_count=last.block_count + 1,
-            sector=last.sector,
-            sector_count=last.sector_count,
-        )
 
     # -- lookup ----------------------------------------------------------------
 

@@ -110,13 +110,14 @@ def _strand_from_json(
         scattering_lower=data["scattering_lower"],
         scattering_upper=float("inf") if upper is None else upper,
     )
+    contents, slots = [], []
     for entry in data["blocks"]:
         if entry.get("silence"):
-            strand.append_silence(entry["units"])
+            contents.append(entry["units"])
         else:
-            strand.append_block(
-                _block_from_json(entry["content"]), entry["slot"]
-            )
+            contents.append(_block_from_json(entry["content"]))
+            slots.append(entry["slot"])
+    strand.extend(contents, slots)
     if data["index_slots"]:
         strand.index.assign_slots(list(data["index_slots"]))
     return strand.finalize()

@@ -391,12 +391,7 @@ class MultimediaStorageManager:
                 scattering_lower=shape.scattering_lower,
                 scattering_upper=shape.scattering_upper,
             )
-            media_slots = iter(taken)
-            for item in contents:
-                if isinstance(item, int):
-                    strand.append_silence(item)
-                else:
-                    strand.append_block(item, next(media_slots))
+            strand.extend(contents, taken)
             index_slots = self._gap_filler.place(
                 strand.index.index_block_count()
             )
@@ -450,14 +445,17 @@ class MultimediaStorageManager:
                 raise ParameterError("cannot store an empty video strand")
             policy = self.policies.video
             eta = policy.granularity
-            blocks = []
-            for start in range(0, len(frames), eta):
-                group = frames[start:start + eta]
-                blocks.append(MediaBlock(
-                    kind=BlockKind.VIDEO,
-                    video_tokens=tuple(frame.token for frame in group),
-                    video_bits=sum(frame.size_bits for frame in group),
-                ))
+            tokens = tuple(frame.token for frame in frames)
+            bits = [frame.size_bits for frame in frames]
+            # (kind, video_tokens, video_bits), positionally: this runs
+            # once per stored block.
+            blocks = [
+                MediaBlock(
+                    BlockKind.VIDEO, tokens[start:start + eta],
+                    sum(bits[start:start + eta]),
+                )
+                for start in range(0, len(frames), eta)
+            ]
             return self._write_strand(
                 BlockKind.VIDEO, self.video.frame_rate, policy, blocks, hint
             )
@@ -510,17 +508,18 @@ class MultimediaStorageManager:
             samples_per_block = int(
                 self.audio.sample_rate * eta / self.video.frame_rate
             )
+            tokens = tuple(frame.token for frame in frames)
+            bits = [frame.size_bits for frame in frames]
             blocks = []
             for start in range(0, len(frames), eta):
-                group = frames[start:start + eta]
                 sample_start = len(blocks) * samples_per_block
                 sample_count = max(
                     1, min(samples_per_block, total_samples - sample_start)
                 )
                 blocks.append(MediaBlock(
                     kind=BlockKind.MIXED,
-                    video_tokens=tuple(frame.token for frame in group),
-                    video_bits=sum(frame.size_bits for frame in group),
+                    video_tokens=tokens[start:start + eta],
+                    video_bits=sum(bits[start:start + eta]),
                     audio=AudioPayload(
                         start_sample=sample_start,
                         sample_count=sample_count,

@@ -13,15 +13,15 @@ A :class:`Strand` couples three things:
 * the **3-level index** (:class:`repro.fs.index.StrandIndex`) mapping
   block numbers to raw disk addresses, with NULL entries for silence.
 
-A strand under recording accepts appends; :meth:`finalize` freezes it.
-Every later mutation attempt raises
+A strand under recording takes its blocks in bulk (:meth:`extend`);
+:meth:`finalize` freezes it.  Every later mutation attempt raises
 :class:`~repro.errors.StrandImmutableError` — rope editing never touches
 strand contents, it only builds new interval lists (§4).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParameterError, StrandImmutableError
 from repro.fs.blocks import BlockKind, MediaBlock
@@ -102,44 +102,46 @@ class Strand:
                 "immutable — edit at the rope layer instead"
             )
 
-    def append_block(self, block: MediaBlock, slot: int) -> int:
-        """Append a stored media block at disk *slot*; returns block number."""
+    def extend(
+        self,
+        contents: Sequence[Union[MediaBlock, int]],
+        slots: Sequence[int],
+    ) -> None:
+        """Append a recording in playback order: a :class:`MediaBlock` per
+        stored block, placed at the next of *slots*, and an int (units
+        covered) per NULL silence holder."""
         self._check_mutable()
-        if slot < 0:
-            raise ParameterError(f"slot must be >= 0, got {slot}")
-        units = block.frame_count if self.kind is not BlockKind.AUDIO else (
-            block.sample_count
-        )
-        entry = PrimaryEntry(
-            sector=slot * self.sectors_per_block,
-            sector_count=self.sectors_per_block,
-        )
-        number = self.index.append(entry, units=units)
-        self._contents[number] = block
-        self._slots.append(slot)
-        self._block_units.append(units)
-        self._block_bits.append(block.payload_bits)
-        self._block_tokens.append(block.video_tokens)
-        self._units += units
-        return number
-
-    def append_silence(self, units: int) -> int:
-        """Append a NULL silence holder covering *units* samples."""
-        self._check_mutable()
-        if self.kind is BlockKind.VIDEO:
+        silences = [item for item in contents if isinstance(item, int)]
+        if silences and self.kind is BlockKind.VIDEO:
             raise ParameterError("video strands have no silence holders")
-        if units < 1:
-            raise ParameterError(f"units must be >= 1, got {units}")
-        number = self.index.append(None, units=units)
-        self._slots.append(None)
-        self._block_units.append(units)
-        self._block_bits.append(0.0)
-        self._block_tokens.append(())
+        if min(silences, default=1) < 1:
+            raise ParameterError(f"units must be >= 1, got {min(silences)}")
+        if min(slots, default=0) < 0:
+            raise ParameterError(f"slot must be >= 0, got {min(slots)}")
+        if len(slots) != len(contents) - len(silences):
+            raise ParameterError(f"{len(slots)} slots for the stored blocks")
+        audio, placed = self.kind is BlockKind.AUDIO, iter(slots)
+        spb, entries, first = self.sectors_per_block, [], len(self._slots)
+        for number, item in enumerate(contents, first):
+            if isinstance(item, int):
+                slot, units, bits, tokens, entry = None, item, 0.0, (), None
+            else:
+                slot = next(placed)
+                units = item.sample_count if audio else len(item.video_tokens)
+                bits, tokens = item.payload_bits, item.video_tokens
+                entry = PrimaryEntry(slot * spb, spb)  # (sector, sector_count)
+                self._contents[number] = item
+            self._slots.append(slot)
+            self._block_units.append(units)
+            self._block_bits.append(bits)
+            self._block_tokens.append(tokens)
+            entries.append(entry)
+        units = sum(self._block_units[first:])
+        self.index.extend(entries, units=units)
         self._units += units
-        return number
 
     def finalize(self) -> "Strand":
-        """Freeze the strand; further appends raise.  Returns self."""
+        """Freeze the strand; a later :meth:`extend` raises.  Returns self."""
         self._finalized = True
         return self
 

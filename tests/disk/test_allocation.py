@@ -1,5 +1,6 @@
 """Unit tests for the three §3 allocation disciplines."""
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,9 @@ from repro.disk import (
     ScatterBounds,
     build_drive,
 )
+from repro.disk.drive import SimulatedDrive
+from repro.disk.factory import TESTBED_DRIVE
+from repro.disk.seek import LinearSeek, SqrtAffineSeek
 from repro.errors import (
     AllocationError,
     DiskFullError,
@@ -122,6 +126,29 @@ class TestConstrainedScatter:
         allocator = ConstrainedScatterAllocator(drive, freemap, bounds)
         with pytest.raises(DiskFullError):
             allocator.allocate_first()
+
+
+class TestUnboundedWindow:
+    """``ScatterBounds(0, inf)`` is valid — it is a strand's default upper
+    bound, and what a persisted ``null`` bound reads back as.  Both
+    closed-form seek inverses used to raise ``OverflowError`` on it."""
+
+    @pytest.mark.parametrize(
+        "seek", [LinearSeek(0.003, 2e-5), SqrtAffineSeek(0.003, 1e-3)],
+        ids=["linear", "sqrt"],
+    )
+    def test_every_distance_is_admitted(self, seek):
+        drive = SimulatedDrive(
+            TESTBED_DRIVE.geometry(), seek, TESTBED_DRIVE.rotation(),
+            TESTBED_DRIVE.transfer_rate, sectors_per_block=64,
+        )
+        cylinders = drive.geometry.cylinders
+        assert seek.max_distance_within(math.inf, cylinders) == cylinders - 1
+        allocator = ConstrainedScatterAllocator(
+            drive, FreeMap(drive.slots), ScatterBounds(0.0, math.inf)
+        )
+        assert allocator.distance_window == range(0, cylinders)
+        assert len(set(allocator.allocate_strand(50, hint=3000))) == 50
 
 
 class TestRandomAllocator:

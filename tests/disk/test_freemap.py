@@ -57,23 +57,23 @@ class TestWindows:
         assert fm.first_free_in_window(0, 10) == 3
         assert fm.first_free_in_window(0, 3) is None
 
-    def test_last_free_in_window(self):
-        fm = FreeMap(10)
-        fm.allocate(9)
-        assert fm.last_free_in_window(0, 10) == 8
-
     def test_window_clamped(self):
         fm = FreeMap(10)
         assert fm.first_free_in_window(-5, 100) == 0
+        # A negative stop is an empty window, not a count from the end.
+        assert fm.first_free_in_window(0, -1) is None
 
     def test_inverted_window_empty(self):
         fm = FreeMap(10)
         assert fm.first_free_in_window(8, 3) is None
 
-    def test_free_in_window_ascending(self):
+    def test_first_free_in_window_walks_ascending(self):
         fm = FreeMap(10)
         fm.allocate(4)
-        slots = list(fm.free_in_window(2, 8))
+        slots, slot = [], fm.first_free_in_window(2, 8)
+        while slot is not None:
+            slots.append(slot)
+            slot = fm.first_free_in_window(slot + 1, 8)
         assert slots == [2, 3, 5, 6, 7]
 
 

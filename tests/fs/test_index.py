@@ -35,32 +35,42 @@ class TestFanout:
             fanout_for(32, 64)
 
 
+def entries(count):
+    return [PrimaryEntry(sector=i, sector_count=1) for i in range(count)]
+
+
 class TestAppendLookup:
     def test_roundtrip(self):
         index = make_index()
-        entries = [PrimaryEntry(sector=i * 64, sector_count=64) for i in range(10)]
-        for i, entry in enumerate(entries):
-            assert index.append(entry, units=4) == i
-        for i, entry in enumerate(entries):
+        stored = [PrimaryEntry(sector=i * 64, sector_count=64) for i in range(10)]
+        # Three calls: the second and third each start in a partly
+        # filled primary block.
+        for part in (stored[:3], stored[3:6], stored[6:]):
+            index.extend(part, units=4 * len(part))
+        for i, entry in enumerate(stored):
             assert index.lookup(i) == entry
+        counts = [entry.block_count for entry in index.secondaries[0].entries]
+        assert counts == [4, 4, 2]
+        index.verify()
 
     def test_null_silence_entries(self):
         index = make_index()
-        index.append(PrimaryEntry(sector=0, sector_count=64), units=4)
-        index.append(None, units=4)  # silence delay holder
+        # The second entry is a silence delay holder.
+        index.extend([PrimaryEntry(sector=0, sector_count=64), None], units=8)
         assert index.lookup(0) is not None
         assert index.lookup(1) is None
 
     def test_block_count_and_units(self):
         index = make_index()
-        for _ in range(7):
-            index.append(PrimaryEntry(sector=0, sector_count=1), units=4)
+        index.extend(entries(7), units=28)
         assert index.block_count == 7
         assert index.header.frame_count == 28
+        with pytest.raises(ParameterError):
+            index.extend(entries(1), units=-1)
 
     def test_lookup_out_of_range(self):
         index = make_index()
-        index.append(PrimaryEntry(sector=0, sector_count=1))
+        index.extend(entries(1))
         with pytest.raises(ParameterError):
             index.lookup(1)
         with pytest.raises(ParameterError):
@@ -68,20 +78,18 @@ class TestAppendLookup:
 
     def test_iteration_order(self):
         index = make_index(primary_fanout=2)
-        entries = [
+        stored = [
             PrimaryEntry(sector=i, sector_count=1) if i % 2 == 0 else None
             for i in range(5)
         ]
-        for entry in entries:
-            index.append(entry)
-        assert list(index) == entries
+        index.extend(stored)
+        assert list(index) == stored
 
 
 class TestMultiLevelGrowth:
     def test_primary_blocks_fill_then_split(self):
         index = make_index(primary_fanout=4)
-        for i in range(9):
-            index.append(PrimaryEntry(sector=i, sector_count=1))
+        index.extend(entries(9))
         assert len(index.primaries) == 3
         assert len(index.primaries[0].entries) == 4
         assert len(index.primaries[2].entries) == 1
@@ -89,16 +97,14 @@ class TestMultiLevelGrowth:
     def test_secondary_blocks_grow(self):
         # fanout 2x2: 4 primaries per secondary pair.
         index = make_index(primary_fanout=2, secondary_fanout=2)
-        for i in range(10):  # 5 primaries -> 3 secondaries
-            index.append(PrimaryEntry(sector=i, sector_count=1))
+        index.extend(entries(10))  # 5 primaries -> 3 secondaries
         assert len(index.primaries) == 5
         assert len(index.secondaries) == 3
         assert index.header.secondary_count == 3
 
     def test_large_strand_constant_time_lookup(self):
         index = make_index(primary_fanout=8, secondary_fanout=8)
-        for i in range(1000):
-            index.append(PrimaryEntry(sector=i, sector_count=1))
+        index.extend(entries(1000))
         assert index.lookup(999).sector == 999
         assert index.lookup(123).sector == 123
 
@@ -106,8 +112,7 @@ class TestMultiLevelGrowth:
 class TestSlotAssignment:
     def test_assign_and_list(self):
         index = make_index(primary_fanout=2, secondary_fanout=2)
-        for i in range(5):
-            index.append(PrimaryEntry(sector=i, sector_count=1))
+        index.extend(entries(5))
         count = index.index_block_count()
         assert count == 1 + len(index.secondaries) + len(index.primaries)
         slots = list(range(100, 100 + count))
@@ -121,7 +126,7 @@ class TestSlotAssignment:
 
     def test_wrong_slot_count_rejected(self):
         index = make_index()
-        index.append(PrimaryEntry(sector=0, sector_count=1))
+        index.extend(entries(1))
         with pytest.raises(ParameterError):
             index.assign_slots([1, 2, 3, 4, 5, 6, 7])
 
@@ -129,24 +134,23 @@ class TestSlotAssignment:
 class TestVerification:
     def test_fresh_index_verifies(self):
         index = make_index(primary_fanout=3, secondary_fanout=2)
-        for i in range(11):
-            index.append(PrimaryEntry(sector=i, sector_count=1))
+        index.extend(entries(11))
         index.verify()
 
     def test_detects_header_mismatch(self):
         index = make_index()
-        index.append(PrimaryEntry(sector=0, sector_count=1))
+        index.extend(entries(1))
         index.header.secondary_slots.append(None)  # corrupt
         with pytest.raises(IndexCorruptionError):
             index.verify()
 
     def test_detects_overfilled_primary(self):
         index = make_index(primary_fanout=2)
-        index.append(PrimaryEntry(sector=0, sector_count=1))
+        index.extend(entries(1))
         index.primaries[0].entries.append(None)
-        index.primaries[0].entries.append(None)
+        index.primaries[0].entries.append(None)  # corrupt: 3 of 2
         with pytest.raises(IndexCorruptionError):
-            index.primaries[0].append(None)
+            index.verify()
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ParameterError):

@@ -89,6 +89,22 @@ class TestRoundTrip:
             mrs.get_rope(rope_a).duration
         )
 
+    def test_an_unbounded_strand_relocates_after_load(self, populated):
+        """A ``null`` upper bound reads back as ``inf``; relocating that
+        strand used to end in a bare ``OverflowError``."""
+        msm, mrs, _, _ = populated
+        image = dump_image(msm, mrs)
+        record = image["strands"][0]
+        record["scattering_upper"] = None
+        msm2, mrs2 = fresh_pair()
+        load_image(image, msm2, mrs2)
+        strand = msm2.get_strand(record["strand_id"])
+        assert strand.scattering_upper == float("inf")
+        moved = msm2.relocate_strand(strand.strand_id, hint=5000)
+        assert 0 < moved <= strand.stored_block_count
+        strand.verify_against_index()
+        assert msm2.freemap.used_count == msm.freemap.used_count
+
     def test_new_ids_do_not_collide_after_load(self, populated, profile):
         msm, mrs, _, frames = populated
         msm2, mrs2 = fresh_pair()

@@ -45,16 +45,17 @@ def audio_block(samples=100, start=0):
 class TestRecording:
     def test_append_blocks(self):
         strand = make_strand()
-        assert strand.append_block(video_block(), slot=10) == 0
-        assert strand.append_block(video_block(start=4), slot=20) == 1
+        strand.extend([video_block()], [10])
+        strand.extend([video_block(start=4)], [20])
         assert strand.block_count == 2
+        assert strand.slots() == [10, 20]
         assert strand.unit_count == 8
         assert strand.duration == pytest.approx(8 / 30)
         assert strand.stored_bits == pytest.approx(8000.0)
 
     def test_slots_and_contents(self):
         strand = make_strand()
-        strand.append_block(video_block(), slot=10)
+        strand.extend([video_block()], [10])
         assert strand.slot_of(0) == 10
         assert strand.block_at(0).video_tokens[0] == "f0"
         assert strand.slots() == [10]
@@ -62,9 +63,7 @@ class TestRecording:
     def test_silence_holders(self):
         strand = make_strand(kind=BlockKind.AUDIO, rate=8000.0,
                              granularity=100)
-        strand.append_block(audio_block(), slot=5)
-        strand.append_silence(units=100)
-        strand.append_block(audio_block(start=200), slot=9)
+        strand.extend([audio_block(), 100, audio_block(start=200)], [5, 9])
         assert strand.block_count == 3
         assert strand.stored_block_count == 2
         assert strand.slot_of(1) is None
@@ -76,12 +75,25 @@ class TestRecording:
     def test_video_strands_reject_silence(self):
         strand = make_strand()
         with pytest.raises(ParameterError):
-            strand.append_silence(4)
+            strand.extend([video_block(), 4], [1])
+        assert strand.block_count == 0    # refused whole
+
+    def test_bad_recordings_are_refused_whole(self):
+        audio = make_strand(kind=BlockKind.AUDIO, rate=8000.0,
+                            granularity=100)
+        for contents, slots in (
+            ([audio_block(), 0], [1]),             # silence covering nothing
+            ([audio_block()], [-1]),                # a negative slot
+            ([audio_block(), audio_block()], [1]),  # a block with no slot
+        ):
+            with pytest.raises(ParameterError):
+                audio.extend(contents, slots)
+        assert audio.block_count == 0 and audio.index.block_count == 0
 
     def test_block_units_tracked(self):
         strand = make_strand()
-        strand.append_block(video_block(4), slot=1)
-        strand.append_block(video_block(2, start=4), slot=2)  # partial tail
+        # The second block is a partial tail.
+        strand.extend([video_block(4), video_block(2, start=4)], [1, 2])
         assert strand.units_of(0) == 4
         assert strand.units_of(1) == 2
         assert strand.unit_offset_of(1) == 4
@@ -90,15 +102,15 @@ class TestRecording:
 class TestImmutability:
     def test_finalize_freezes(self):
         strand = make_strand()
-        strand.append_block(video_block(), slot=1)
+        strand.extend([video_block()], [1])
         strand.finalize()
         assert strand.is_finalized
         with pytest.raises(StrandImmutableError):
-            strand.append_block(video_block(), slot=2)
+            strand.extend([video_block()], [2])
 
     def test_finalize_returns_self(self):
         strand = make_strand()
-        strand.append_block(video_block(), slot=1)
+        strand.extend([video_block()], [1])
         assert strand.finalize() is strand
 
 
@@ -106,21 +118,19 @@ class TestConsistency:
     def test_verify_against_index(self):
         strand = make_strand(kind=BlockKind.AUDIO, rate=8000.0,
                              granularity=100)
-        strand.append_block(audio_block(), slot=3)
-        strand.append_silence(units=100)
-        strand.append_block(audio_block(start=200), slot=7)
+        strand.extend([audio_block(), 100, audio_block(start=200)], [3, 7])
         strand.verify_against_index()
 
     def test_index_entries_carry_sectors(self):
         strand = make_strand()
-        strand.append_block(video_block(), slot=3)
+        strand.extend([video_block()], [3])
         entry = strand.index.lookup(0)
         assert entry.sector == 3 * 64
         assert entry.sector_count == 64
 
     def test_out_of_range_access(self):
         strand = make_strand()
-        strand.append_block(video_block(), slot=1)
+        strand.extend([video_block()], [1])
         with pytest.raises(ParameterError):
             strand.slot_of(1)
         with pytest.raises(ParameterError):
@@ -129,8 +139,7 @@ class TestConsistency:
     def test_blocks_iteration(self):
         strand = make_strand(kind=BlockKind.AUDIO, rate=8000.0,
                              granularity=100)
-        strand.append_block(audio_block(), slot=3)
-        strand.append_silence(units=50)
+        strand.extend([audio_block(), 50], [3])
         pairs = list(strand.blocks())
         assert len(pairs) == 2
         assert pairs[0][1] is not None

@@ -448,3 +448,80 @@ class TestPlacementGeometryCalls:
         slots = allocator.allocate_strand(200)
         assert len(calls) == len(slots) - 1
         assert chain == []
+
+
+class TestOnePassPerStrand:
+    """Storing a strand makes its per-strand decisions once: the placer
+    resolves its scattering window when built, and the index writes one
+    secondary entry per primary block, not one per media block.
+    """
+
+    def test_positioning_is_resolved_per_strand_not_per_block(
+        self, monkeypatch
+    ):
+        """The placer resolves its admitted distances once, when built:
+        storing a strand asks ``positioning_time`` a fixed number of
+        times however long it is (it used to ask once per candidate
+        cylinder of every block)."""
+        from repro.config import TESTBED_1991
+        from repro.disk.drive import SimulatedDrive
+        from repro.media.frames import frames_for_duration
+        from repro.rope import build_rope_server
+
+        calls = []
+        inner = SimulatedDrive.positioning_time
+        monkeypatch.setattr(
+            SimulatedDrive, "positioning_time",
+            lambda self, a, b: (calls.append(b), inner(self, a, b))[1],
+        )
+        asked = {}
+        for seconds in (5.0, 60.0):
+            msm = build_rope_server().msm
+            frames = frames_for_duration(
+                TESTBED_1991.video, seconds, source="n"
+            )
+            before = len(calls)
+            blocks = msm.store_video_strand(frames).stored_block_count
+            asked[blocks] = len(calls) - before
+        assert len(asked) == 2 and max(asked) > 400
+        assert len(set(asked.values())) == 1, asked
+        assert max(asked.values()) <= 4, asked
+
+    def test_one_secondary_entry_per_primary_block(self, monkeypatch):
+        """Indexing a recording writes each primary block's secondary
+        entry once (it used to rebuild the frozen entry per block), and
+        assigning the index its slots back-fills each once more."""
+        import repro.fs.index as index_module
+        import repro.fs.storage_manager as msm_module
+        from repro.config import TESTBED_1991
+        from repro.media.frames import frames_for_duration
+        from repro.rope import build_rope_server
+
+        # Small fan-outs, so one strand spans many primary and secondary
+        # blocks.
+        monkeypatch.setattr(
+            msm_module, "fanout_for", lambda _bits, entry: 1024 // entry
+        )
+        built, in_assign = [], []
+        real = index_module.SecondaryEntry
+        monkeypatch.setattr(
+            index_module, "SecondaryEntry",
+            lambda **fields: (built.append(1), real(**fields))[1],
+        )
+        assign = index_module.StrandIndex.assign_slots
+        monkeypatch.setattr(
+            index_module.StrandIndex, "assign_slots",
+            lambda self, slots: (
+                in_assign.append(-len(built)), assign(self, slots),
+                in_assign.append(len(built)),
+            )[1],
+        )
+        msm = build_rope_server().msm
+        frames = frames_for_duration(TESTBED_1991.video, 30.0, source="n")
+        strand = msm.store_video_strand(frames)
+        primaries = len(strand.index.primaries)
+        assert primaries == -(-strand.block_count // 16) > 10
+        assert len(strand.index.secondaries) > 1
+        assert sum(in_assign) == primaries
+        assert len(built) - sum(in_assign) == primaries
+        strand.verify_against_index()

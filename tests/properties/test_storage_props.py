@@ -107,16 +107,13 @@ class TestIndexProperties:
             primary_fanout=primary_fanout,
             secondary_fanout=secondary_fanout,
         )
-        reference = []
-        for i, stored in enumerate(pattern):
-            entry = (
-                PrimaryEntry(sector=i * 64, sector_count=64)
-                if stored
-                else None
-            )
-            index.append(entry, units=4)
-            reference.append(entry)
+        reference = [
+            PrimaryEntry(sector=i * 64, sector_count=64) if stored else None
+            for i, stored in enumerate(pattern)
+        ]
+        index.extend(reference, units=4 * len(reference))
         assert index.block_count == len(reference)
+        assert index.header.frame_count == 4 * len(reference)
         for i, expected in enumerate(reference):
             assert index.lookup(i) == expected
         assert list(index) == reference

@@ -129,6 +129,7 @@ def install_strand(msm, strand_id, video, granularity, units, silent=()):
         ),
     )
     base = 1000 * len(msm._strands)
+    contents, slots = [], []
     for number, count in enumerate(units):
         if video:
             block = MediaBlock(
@@ -139,14 +140,16 @@ def install_strand(msm, strand_id, video, granularity, units, silent=()):
                 video_bits=1000.0 * count + number,
             )
         elif number in silent:
-            strand.append_silence(count)
+            contents.append(count)
             continue
         else:
             block = MediaBlock(kind=BlockKind.AUDIO, audio=AudioPayload(
                 start_sample=number * granularity, sample_count=count,
                 average_energy=0.5, bits=8.0 * count + number,
             ))
-        strand.append_block(block, base + 7 * number)
+        contents.append(block)
+        slots.append(base + 7 * number)
+    strand.extend(contents, slots)
     msm._strands[strand_id] = strand.finalize()
     return strand
 
