@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.symbols import DiskParameters
 from repro.disk.geometry import DiskGeometry
@@ -136,6 +136,9 @@ class SimulatedDrive:
         # Set here, filled on first use: an attribute first assigned
         # after __init__ would slow every attribute read on _access.
         self._cylinder_starts: Optional[List[int]] = None
+        #: Seek seconds per cylinder distance, each evaluated on the
+        #: curve once: a strand's reads repeat a few distances.
+        self._seek_seconds: Dict[int, float] = {}
 
     def attach_injector(self, injector) -> None:
         """Install a :class:`~repro.faults.injector.FaultInjector`.
@@ -285,29 +288,32 @@ class SimulatedDrive:
 
     # -- stateful operations --------------------------------------------------
 
-    def _sample_latency(self) -> float:
-        if self._fixed_latency is not None:
-            return self._fixed_latency
-        return self.rotation.latency(self.rng)
-
-    def _access(self, slot: int, bits: Optional[float]) -> float:
+    def _access(self, slot: int, bits: Optional[float], reading: bool) -> float:
+        """Charge one read (or write) of *slot*; returns its seconds."""
         total_slots = self._total_slots
         if not 0 <= slot < total_slots:
             raise ParameterError(
                 f"slot {slot} outside drive (0..{total_slots - 1})"
             )
-        if self.injector is not None:
-            fault = self.injector.pre_check(slot)
+        stats, injector = self.stats, self.injector
+        if injector is not None:
+            fault = injector.pre_check(slot)
             if fault is not None:
                 # Dead head: fail fast, no mechanism time charged.
-                self.stats.faults_injected += 1
+                stats.faults_injected += 1
                 raise fault
         # cylinder_of's expression, inline: this is the per-block path and
         # the range check above already raised this method's own error.
         target = slot * self.sectors_per_block // self._sectors_per_cylinder
         distance = abs(target - self._head_cylinder)
-        seek = self.seek_model.seek_time(distance)
-        latency = self._sample_latency()
+        try:
+            seek = self._seek_seconds[distance]
+        except KeyError:
+            seek = self.seek_model.seek_time(distance)
+            self._seek_seconds[distance] = seek
+        latency = self._fixed_latency
+        if latency is None:
+            latency = self.rotation.latency(self.rng)
         if bits is None or bits >= self._block_bits:
             transfer = self._full_block_transfer
         else:
@@ -315,23 +321,25 @@ class SimulatedDrive:
                 raise ParameterError(f"bits must be >= 0, got {bits}")
             transfer = bits / self.transfer_rate
         self._head_cylinder = target
-        self.stats.seek_time += seek
-        self.stats.rotation_time += latency
-        self.stats.transfer_time += transfer
-        self.stats.seek_distance += distance
-        self.stats.sectors_transferred += self.sectors_per_block
+        stats.seek_time += seek
+        stats.rotation_time += latency
+        stats.transfer_time += transfer
+        stats.seek_distance += distance
+        stats.sectors_transferred += self.sectors_per_block
         duration = seek + latency + transfer
         if self._rec is not None:
             self._rec.drive_access(seek)
-        if self.injector is not None:
+        if injector is not None:
             # The failed attempt's time is already charged above: a fault
             # is only known once the access has been tried.
-            fault = self.injector.post_check(
-                slot, duration, self.stats.busy_time
-            )
+            fault = injector.post_check(slot, duration, stats.busy_time)
             if fault is not None:
-                self.stats.faults_injected += 1
+                stats.faults_injected += 1
                 raise fault
+        if reading:
+            stats.reads += 1
+        else:
+            stats.writes += 1
         return duration
 
     def read_slot(self, slot: int, bits: Optional[float] = None) -> float:
@@ -340,9 +348,7 @@ class SimulatedDrive:
         *bits* may give the valid payload size for a partially filled
         block; timing is charged for the payload actually moved.
         """
-        duration = self._access(slot, bits)
-        self.stats.reads += 1
-        return duration
+        return self._access(slot, bits, True)
 
     def traced_read(
         self, slot: int, bits: Optional[float], now: float, rec, parent
@@ -370,9 +376,7 @@ class SimulatedDrive:
 
     def write_slot(self, slot: int, bits: Optional[float] = None) -> float:
         """Write the block in *slot*; timing identical to a read (§3)."""
-        duration = self._access(slot, bits)
-        self.stats.writes += 1
-        return duration
+        return self._access(slot, bits, False)
 
     def park(self, cylinder: int = 0) -> None:
         """Move the head without charging time (test/setup helper)."""

@@ -34,7 +34,6 @@ from repro.obs.registry import (
     SEEK_TIME_BUCKETS,
 )
 from repro.obs.timeline import BlockStage
-from repro.sim.metrics import consumed_prefix
 
 __all__ = ["EVENTS", "FAULTS", "ServiceRecorder", "recorder_for", "sinks"]
 
@@ -396,9 +395,9 @@ class ServiceRecorder:
         Consumption times are derivable only after the fact (playback
         cascades over the delivery schedule).  A continuous stream never
         stalled on a late block, so block i finished playing at exactly
-        ``deadline_i + duration_i``; a stalled one needs the running fold
-        of :func:`~repro.sim.metrics.consumed_prefix` — the two are not
-        bit-equal, so both definitions of *end* stay.
+        ``deadline_i + duration_i``; a stalled one reads the play-out end
+        the loop folded, ``stream.ends[i]`` — the two are not bit-equal,
+        so both definitions of *end* stay.
         """
         timeline, session = self._timeline, stream.request_id
         span = self._held.pop(session, None)
@@ -407,12 +406,10 @@ class ServiceRecorder:
             if span is not None:
                 self._spans.end_span(span, span.start, "unstarted")
             return
-        ready, durations = stream.ready, stream.fetches.durations
+        ready, ends, durations = stream.ready, stream.ends, stream.fetches.durations
         offsets, skipped = stream.offsets, stream.skipped_indices
         continuous = not skipped and not stream.metrics.misses
         observe_slack = self._m["session.deadline_slack_s"].observe
-        elapsed, never = start, float("inf")
-        pos = 0
         upcoming = _next_sampled(0, *self._tl_gate)
         while upcoming < len(ready):
             index = upcoming
@@ -421,10 +418,7 @@ class ServiceRecorder:
             if continuous:
                 end = deadline + durations[index]
             else:
-                end = elapsed = consumed_prefix(
-                    ready[pos:index + 1], durations[pos:index + 1], elapsed, never
-                )[1]
-                pos = index + 1
+                end = ends[index]
                 if index in skipped:
                     continue
             if timeline is not None:
@@ -434,7 +428,7 @@ class ServiceRecorder:
             last = len(ready) - 1
             elapsed = start + offsets[last] + durations[last]
         else:
-            elapsed = consumed_prefix(ready[pos:], durations[pos:], elapsed, never)[1]
+            elapsed = ends[-1]
         self._m["session.blocks_delivered"].inc(len(ready) - len(skipped))
         self._m["session.blocks_skipped"].inc(len(skipped))
         if stream.metrics.misses:

@@ -86,8 +86,8 @@ def _replay(
     metrics = ContinuityMetrics(request_id=request_id, startup_latency=start)
     durations = FetchColumns.of(fetches).durations
     metrics.score(
-        ready, accumulate(durations, initial=start), durations, start,
-        skipped, high_water_from=len(ready),   # no buffer model here
+        ready, accumulate(durations, initial=start), (), skipped,
+        high_water_from=len(ready),   # no buffer model: no play-out ends
     )
     return metrics, ready
 

@@ -29,8 +29,10 @@ served *after the turns* — RECORD writes and best-effort text
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
@@ -38,13 +40,15 @@ from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.obs.recorder import recorder_for
 from repro.rope.server import BlockFetch, FetchColumns
-from repro.sim.metrics import ContinuityMetrics, consumed_prefix
+from repro.sim.metrics import ContinuityMetrics
 
 __all__ = [
     "StreamState",
     "Admission",
     "RoundRobinService",
 ]
+
+_wake_of = attrgetter("_wake")
 
 
 def check_k_override(k_override) -> None:
@@ -66,9 +70,10 @@ class StreamState:
     (see :func:`repro.core.admission.solve_heterogeneous_k`).  *fetches*
     is held as :class:`~repro.rope.server.FetchColumns`, converted once
     here; ``next_fetch`` is the cursor the service loop walks them with.
-    The one fact the loop adds per block is ``ready[i]``, when block i
-    landed; §3.1's continuity is scored from that column once the run
-    is over (:meth:`~repro.sim.metrics.ContinuityMetrics.score`).
+    The loop adds two facts per block: ``ready[i]``, when block i
+    landed, and ``ends[i]``, when it finished playing; §3.1's continuity
+    is scored from those columns once the run is over
+    (:meth:`~repro.sim.metrics.ContinuityMetrics.score`).
     """
 
     request_id: str
@@ -96,13 +101,12 @@ class StreamState:
     #: Next block index whose begin/end the service recorder wants
     #: reported (it sets and advances this; -1: none).
     report_at: int = -1
-    #: Consumption cursor: blocks fully played as of the last query, and
-    #: the playback clock right after the last consumed block.  Block end
-    #: times are non-decreasing, so the cursor only ever moves forward
-    #: while query times are monotone — the service loop's case — making
-    #: every consumption query O(1) amortized over a stream's lifetime.
-    _consumed_count: int = field(default=0, init=False, repr=False)
-    _consumed_end: float = field(default=0.0, init=False, repr=False)
+    #: When each landed block finished playing — §3.1's cascade
+    #: ``ends[i] = max(ends[i-1], ready[i]) + duration[i]`` from the
+    #: clock's start — folded once per block as it lands (the read-ahead's
+    #: when the clock starts): once started, ``len(ends) == len(ready)``.
+    #: Non-decreasing, so consumption at any time is one bisect.
+    ends: List[float] = field(default_factory=list, init=False, repr=False)
     #: When the display buffer next frees a slot (the end of the next
     #: block to finish playing), stored when a turn fills it: only
     #: consumption frees room, so the loop skips the stream until then
@@ -129,40 +133,16 @@ class StreamState:
         check_k_override(self.k_override)
 
     def _consume_state(self, now: float) -> Tuple[int, float]:
-        """``(consumed count, playback clock after them)`` at *now*.
-
-        Advances the cached cursor forward when *now* has not moved
-        backwards; a query earlier than the last consumed block's end
-        (never issued by the service loop) falls back to the reference
-        rescan without disturbing the cursor.
-        """
+        """``(consumed count, playback clock after them)`` at *now*."""
         if self.clock_start is None:
             return 0, 0.0
-        count = self._consumed_count
-        ready, durations = self.ready, self.fetches.durations
-        if count and now < self._consumed_end:
-            return consumed_prefix(ready, durations, self.clock_start, now)
-        elapsed = self._consumed_end if count else self.clock_start
-        total = len(ready)
-        while count < total:
-            end = max(elapsed, ready[count]) + durations[count]
-            if end > now:
-                break
-            count += 1
-            elapsed = end
-        if count != self._consumed_count:
-            self._consumed_count = count
-            self._consumed_end = elapsed
-        return count, elapsed
+        count = bisect_right(self.ends, now)
+        return count, self.ends[count - 1] if count else self.clock_start
 
     def next_consumption_time(self, now: float) -> float:
         """When the next buffered block finishes playing (inf if never)."""
-        if self.clock_start is None:
-            return float("inf")
-        count, elapsed = self._consume_state(now)
-        if count >= len(self.ready):
-            return float("inf")
-        return max(elapsed, self.ready[count]) + self.fetches.durations[count]
+        count = bisect_right(self.ends, now)
+        return self.ends[count] if count < len(self.ends) else float("inf")
 
 
 @dataclass(frozen=True)
@@ -292,20 +272,18 @@ class RoundRobinService:
                     progressed = progressed or served
             if not progressed:
                 # Every buffer was full and no after-turn work due: idle
-                # until consumption frees one or work (a capture) falls due.
-                # That is each stream's stored wake, unless after-turn work
-                # (text reads) carried time past it.
-                wake = min([
-                    stream._wake if stream._wake > time
-                    else stream.next_consumption_time(time)
-                    for stream in active
-                ] + [work.due for work in after])
-                if wake == never or wake <= time:
+                # until consumption frees one or work (a capture) falls due
+                # — the earliest stored wake or due.  One that after-turn
+                # work (text reads) carried time past has room already.
+                wake = min(map(_wake_of, active), default=never)
+                for work in after:
+                    wake = min(wake, work.due)
+                if wake == never:
                     raise ParameterError(
                         "service deadlocked: all buffers full and no "
                         "playback consuming them"
                     )
-                time = wake
+                time = max(time, wake)
             round_number += 1
             self.rounds_run += 1
             if rec is not None:
@@ -321,9 +299,8 @@ class RoundRobinService:
             if start is not None:
                 stream.metrics.startup_latency = start
                 stream.metrics.score(
-                    stream.ready, (start + due for due in stream.offsets),
-                    stream.fetches.durations, start,
-                    stream.skipped_indices, stream._read_ahead,
+                    stream.ready, map(add, repeat(start), stream.offsets),
+                    stream.ends, stream.skipped_indices, stream._read_ahead,
                 )
         if rec is not None:
             rec.run_end(streams, time, self.rounds_run)
@@ -354,58 +331,66 @@ class RoundRobinService:
         read, faulty = self.drive.read_slot, self.drive.injector is not None
         finished = False
         for stream in active:
+            if time < stream._wake:
+                # A buffer a turn filled has no room before its wake.
+                if turn_begins:
+                    rec.turn_begin(stream, time, round_number, 0)
+                continue
             stream_k = stream.k_override or k
             # Buffer regulation: never exceed display-subsystem capacity.
-            # A buffer a turn filled has no room before its wake.
-            quota = 0
-            if time >= stream._wake:
-                # The turn's one cursor answer: blocks played out by now,
-                # and the playback clock right after them.
-                count, elapsed = stream._consume_state(time)
-                room = stream.buffer_capacity - len(stream.ready) + count
-                quota = min(stream_k, max(0, room))
+            # The turn's one consumption answer, blocks played out by now;
+            # past its wake a buffer has room, so the quota is >= 1.
+            ends, ready = stream.ends, stream.ready
+            count = bisect_right(ends, time)
+            room = stream.buffer_capacity - len(ready) + count
+            quota = min(stream_k, room)
             if turn_begins:
                 rec.turn_begin(stream, time, round_number, quota)
-            if quota == 0:
-                continue
             stream_start = time
-            slots, ready = stream.fetches.slots, stream.ready
-            index, bits = stream.next_fetch, stream.fetches.bits
-            stop = min(index + quota, len(slots))
-            delivered = stop - index
+            slots, durations = stream.fetches.slots, stream.fetches.durations
+            first, bits = stream.next_fetch, stream.fetches.bits
+            stop = min(first + quota, len(slots))
             # A block the recorder samples, or a drive that can fault,
             # takes the turn off the bare read.
-            careful = faulty or index <= stream.report_at < stop
-            for index in range(index, stop):
+            careful = faulty or first <= stream.report_at < stop
+            # Each landed block's play-out end is folded once: as it
+            # lands, once the clock runs.
+            start = stream.clock_start
+            if start is not None:
+                end = ends[-1]
+            for index in range(first, stop):
                 slot = slots[index]
                 if careful:
                     time = self._fetch_block(stream, index, time, round_number)
                 elif slot is not None:
                     time += read(slot, bits[index])
                 ready.append(time)
+                if start is not None:
+                    end = max(end, time) + durations[index]
+                    ends.append(end)
             stream.next_fetch = stop
             progressed = True
             finished = finished or stop == len(slots)
             # Playback starts once the anti-jitter read-ahead — the first
             # k-block service, capped by what the display buffer can
-            # actually hold — is on board.
-            started = stream.clock_start is None and len(ready) >= min(
+            # actually hold — is on board; its ends fold from there.
+            started = start is None and len(ready) >= min(
                 stream_k, stream.buffer_capacity, len(slots)
             )
             if started:
-                stream.clock_start = time
+                stream.clock_start = end = time
                 stream._read_ahead = len(ready)
+                for landed, duration in zip(ready, durations):
+                    end = max(end, landed) + duration
+                    ends.append(end)
             if quota == room:
-                # The turn filled the buffer as of its one cursor answer: a
+                # The turn filled the buffer as of its consumption answer: a
                 # slot frees when block `count` plays out.  One that did so
                 # during the reads leaves a past wake, as a buffer with room.
-                if started:
-                    count, elapsed = 0, time
-                durations = stream.fetches.durations
-                stream._wake = max(elapsed, ready[count]) + durations[count]
+                stream._wake = ends[count]
             if turn_ends:
                 rec.turn_end(
-                    stream, time, time - stream_start, delivered, started
+                    stream, time, time - stream_start, stop - first, started
                 )
             if rec is not None and 0.0 < stream_k * stream.duration_floor < budget:
                 budget = stream_k * stream.duration_floor

@@ -23,6 +23,7 @@ continuity and the buffer/task-switch behaviour the paper predicts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Sequence
@@ -30,7 +31,7 @@ from typing import List, Optional, Sequence
 from repro.disk.drive import SimulatedDrive
 from repro.errors import ParameterError
 from repro.rope.server import BlockFetch, FetchColumns
-from repro.sim.metrics import ContinuityMetrics, consumed_prefix
+from repro.sim.metrics import ContinuityMetrics
 
 __all__ = [
     "VariableSpeedResult",
@@ -110,25 +111,24 @@ def simulate_variable_speed(
     if switch_penalty is None:
         switch_penalty = drive.parameters().seek_max
     metrics = ContinuityMetrics(request_id=request_id)
+    # When each block landed, and when it finished playing (the clock
+    # starts as the first lands).
     ready: List[float] = []
+    ends: List[float] = []
     time = 0.0
-    clock_start: Optional[float] = None
     switches = 0
     idle = 0.0
     away = False
 
     for index, slot in enumerate(plan.slots):
-        # Buffer regulation with the task-switch protocol (nothing has
-        # landed, so nothing is consumed, until the clock starts).
-        consumed = consumed_prefix(ready, durations, clock_start, time)[0]
+        # Buffer regulation with the task-switch protocol.
+        consumed = bisect_right(ends, time)
         if len(ready) - consumed >= buffer_capacity:
             switches += 1
             away = True
             # Wait until half the buffers drain (at least one block).
             need = max(len(ready) - buffer_capacity // 2, consumed + 1)
-            wake = consumed_prefix(
-                ready[:need], durations, clock_start, math.inf
-            )[1]
+            wake = ends[need - 1]
             idle += max(0.0, wake - time)
             time = max(time, wake)
         if slot is not None:
@@ -136,13 +136,10 @@ def simulate_variable_speed(
             away = False
             time += penalty + drive.read_slot(slot, plan.bits[index])
         ready.append(time)
-        if clock_start is None:
-            clock_start = time
+        ends.append(max(ends[-1] if ends else time, time) + durations[index])
     # Trick play buffers from the first block on: high-water counts all.
-    metrics.score(
-        ready, accumulate(durations, initial=clock_start), durations,
-        clock_start,
-    )
+    clock_start = ready[0] if ready else None
+    metrics.score(ready, accumulate(durations, initial=clock_start), ends)
     return VariableSpeedResult(
         metrics=metrics,
         task_switches=switches,

@@ -8,41 +8,18 @@ rate) and an arrival time (from the simulated disk); a block arriving
 after its deadline is a **continuity violation** ("glitch"), and its
 lateness quantifies how audible/visible the glitch would be.
 
-The one new fact per block is when it landed — a ``ready`` column beside
-the plan's durations.  :func:`consumed_prefix` is the playback fold over
-those two columns and :meth:`ContinuityMetrics.score` the one scorer.
+A playback is two columns: when each block landed (``ready``) and when
+it finished playing (``ends``, §3.1's cascade ``ends[i] = max(ends[i-1],
+ready[i]) + duration[i]``, folded by whoever served it).
+:meth:`ContinuityMetrics.score` is the one scorer over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Sequence, Tuple
+from typing import Container, Iterable, Sequence
 
-__all__ = ["ContinuityMetrics", "consumed_prefix"]
-
-
-def consumed_prefix(
-    ready: Iterable[float],
-    durations: Iterable[float],
-    start: float,
-    now: float,
-) -> Tuple[int, float]:
-    """Playback consumption at *now*: ``(blocks played, clock after them)``.
-
-    Playback cascades over the delivery schedule: block j starts when its
-    data is ready and the previous block has finished, so consumption is
-    a running fold over ``(ready, duration)`` from the clock's *start*.
-    With ``now = inf`` it is the whole fold — when the last block ends.
-    """
-    count = 0
-    elapsed = start
-    for landed, duration in zip(ready, durations):
-        end = max(elapsed, landed) + duration
-        if end > now:
-            break
-        count += 1
-        elapsed = end
-    return count, elapsed
+__all__ = ["ContinuityMetrics"]
 
 
 @dataclass
@@ -95,38 +72,53 @@ class ContinuityMetrics:
         self,
         ready: Sequence[float],
         deadlines: Iterable[float],
-        durations: Sequence[float],
-        start: float,
+        ends: Sequence[float],
         skipped: Container[int] = (),
         high_water_from: int = 0,
     ) -> None:
-        """Score one playback, in playback order, from its ``ready`` column.
+        """Score one playback, in playback order, from its two columns.
 
-        Block i landed at ``ready[i]`` and was due at the i-th of
-        *deadlines* (the caller's, so each keeps its own float
-        association); indexes in *skipped* never arrived.  The buffer
-        high-water is sampled as each block from *high_water_from* on
-        lands — that block and those before it, less what playback
-        (clock started at *start*, the fold of :func:`consumed_prefix`)
-        has consumed of them by then.  *ready* must be non-decreasing.
+        Block i landed at ``ready[i]``, was due at the i-th of *deadlines*
+        (the caller's, so each keeps its own float association) and
+        finished playing at ``ends[i]``; indexes in *skipped* never
+        arrived.  The buffer high-water is sampled as each block from
+        *high_water_from* on lands — that block and those before it, less
+        the ones whose play-out ended by then.  *ready* must be
+        non-decreasing.  :meth:`record_delivery` / :meth:`record_skip`
+        per block, inline.
         """
-        consumed, elapsed = 0, start
-        high = self.buffer_high_water
+        delivered, misses, skips = self.blocks_delivered, self.misses, self.skips
+        total, worst = self.total_lateness, self.max_lateness
+        late_sum, late_min, late_max = self._late_sum, self._late_min, self._late_max
+        consumed, high = 0, self.buffer_high_water
         for index, (landed, deadline) in enumerate(zip(ready, deadlines)):
+            late = landed - deadline
             if index in skipped:
-                self.record_skip(landed, deadline)
+                skips += 1
+                misses += 1
+                if late > 0:
+                    total += late
+                    worst = max(worst, late)
             else:
-                self.record_delivery(landed, deadline)
+                delivered += 1
+                late_sum += late
+                if late < late_min:
+                    late_min = late
+                if late > late_max:
+                    late_max = late
+                if late > 0:
+                    misses += 1
+                    total += late
+                    worst = max(worst, late)
             if index < high_water_from:
                 continue
-            while consumed <= index:
-                end = max(elapsed, ready[consumed]) + durations[consumed]
-                if end > landed:
-                    break
+            while consumed <= index and ends[consumed] <= landed:
                 consumed += 1
-                elapsed = end
             if index + 1 - consumed > high:
                 high = index + 1 - consumed
+        self.blocks_delivered, self.misses, self.skips = delivered, misses, skips
+        self.total_lateness, self.max_lateness = total, worst
+        self._late_sum, self._late_min, self._late_max = late_sum, late_min, late_max
         self.buffer_high_water = high
 
     @property

@@ -1,13 +1,14 @@
-"""Hypothesis: the consumption cursor equals the reference rescan.
+"""Hypothesis: consumption read from the ``ends`` column equals the
+reference rescan.
 
 Randomized delivery schedules (a ``ready`` column and the plan's
 durations), randomized clock starts, and randomized — deliberately
-non-monotone — query
-sequences: for every query, ``_consume_state`` and
-``next_consumption_time`` through the cached cursor must equal a fresh
-O(n) rescan of the same schedule.  The non-monotone queries force the
-cursor's cold fallback path; interleaved monotone runs exercise the
-amortized advance.
+non-monotone — query sequences: for every query, ``_consume_state`` and
+``next_consumption_time``, one bisect of the stream's play-out ends,
+must equal a fresh O(n) rescan of the same schedule.  Ties, zero-length
+blocks and blocks landing after the previous one ended are all drawn.
+That the loop folds ``ends`` as the reference does is pinned by the
+equivalence and scoring-reference suites.
 """
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.rope.server import FetchColumns
 from repro.service.rounds import StreamState
-from repro.sim.metrics import consumed_prefix
+from tests.reference import consumed_prefix, playout_ends
 
 pytestmark = pytest.mark.perf
 
@@ -49,8 +50,8 @@ def _reference_next_consumption(ready, durations, start, now):
 
 
 def _stream_with(schedule, clock_start=None):
-    """A stream whose ``ready`` column and plan durations are *schedule*'s
-    (the two columns every consumption query reads)."""
+    """A stream whose ``ready`` column and plan durations are *schedule*'s,
+    its ``ends`` column folded as the loop folds it once the clock runs."""
     stream = StreamState(
         request_id="prop", buffer_capacity=1,
         fetches=FetchColumns(
@@ -60,6 +61,10 @@ def _stream_with(schedule, clock_start=None):
     )
     stream.ready = [ready for ready, _duration in schedule]
     stream.clock_start = clock_start
+    if clock_start is not None:
+        stream.ends = playout_ends(
+            stream.ready, stream.fetches.durations, clock_start
+        )
     return stream
 
 

@@ -1,15 +1,15 @@
 """Behavioral equivalence: the fast paths change nothing observable.
 
-A ``ReferenceStreamState`` recomputes consumption with the O(n) rescan on
-every query and stores no wake time, so every stream is re-evaluated
-every round and an idle round asks each one when it next consumes — the
-pre-optimization semantics, kept alive here as the oracle.  Whole service
-runs through the cursor and the stored wake times must produce
-byte-identical :meth:`ContinuityMetrics.summary` lines, identical
-delivery schedules, and byte-identical observability snapshots.
+A ``ReferenceStreamState`` keeps no ``ends`` column and stores no wake
+time: every read of ``ends`` refolds the whole ``ready`` column, and the
+wake is recomputed from that fold on every read — when the buffer next
+has room, so a stream with room at the loop's time wakes at it — the
+pre-optimization semantics, kept alive here as the oracle.  Whole
+service runs through the folded-once column and the stored wake times
+must produce byte-identical :meth:`ContinuityMetrics.summary` lines,
+identical delivery schedules and play-out ends, and byte-identical
+observability snapshots.
 """
-
-from typing import Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -25,24 +25,33 @@ from repro.scenarios.loop import Scale
 from repro.service import RecordStream, TextQueue, TextRequest
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.service.scan_order import scan_order
-from repro.sim.metrics import consumed_prefix
+from tests.reference import playout_ends
 
 pytestmark = pytest.mark.perf
 
 
 class ReferenceStreamState(StreamState):
-    """Pre-cursor, pre-wake semantics: a full rescan per consumption
-    query, and a wake time that always reads as past — no turn is
-    skipped on it and the idle wake asks every stream again."""
+    """No stored column, no stored wake: ``ends`` is a full rescan of the
+    delivery schedule per read, and the wake is the end of the block
+    whose play-out gives a full buffer room (-inf while it has room
+    without one) — so no turn with room is skipped, and an idle round
+    whose after-turn work carried time past that end serves it next."""
 
-    _wake = property(lambda self: float("-inf"), lambda self, value: None)
+    ends = property(
+        lambda self: [] if self.clock_start is None else playout_ends(
+            self.ready, self.fetches.durations, self.clock_start
+        ),
+        lambda self, value: None,
+    )
 
-    def _consume_state(self, now: float) -> Tuple[int, float]:
-        if self.clock_start is None:
-            return 0, 0.0
-        return consumed_prefix(
-            self.ready, self.fetches.durations, self.clock_start, now
-        )
+    @property
+    def _wake(self) -> float:
+        full = len(self.ready) - self.buffer_capacity
+        return self.ends[full] if full >= 0 else float("-inf")
+
+    @_wake.setter
+    def _wake(self, value) -> None:
+        pass
 
 
 def _run(
@@ -74,7 +83,8 @@ def _run(
     return (
         service.rounds_run,
         {rid: m.summary() for rid, m in sorted(metrics.items())},
-        [(s.ready, s.clock_start, s.skipped_indices) for s in streams],
+        [(s.ready, s.ends, s.clock_start, s.skipped_indices)
+         for s in streams],
     )
 
 
@@ -248,7 +258,7 @@ class TestServiceEquivalence:
         _rounds, _summaries, streams = assert_equivalent(
             _uniform_load(2, 40, 3, 0.2), lambda _r, _n: 3
         )
-        for ready, clock_start, _skipped in streams:
+        for ready, _ends, clock_start, _skipped in streams:
             assert clock_start == ready[2]
 
     def test_blocks_playing_out_during_a_turns_reads(self):
@@ -293,6 +303,17 @@ class TestServiceEquivalence:
             load, lambda _r, _n: 1, policies=policies
         )
         assert "rec" in summaries and rounds > 0
+
+    def test_text_carrying_time_past_every_wake(self):
+        """Text reads outlast the lone buffer's play-out: the idle round
+        serves the room the reads opened instead of waiting past it."""
+        rounds, summaries, _streams = assert_equivalent(
+            _uniform_load(1, 20, 2, 1 / 30), lambda _r, _n: 3,
+            policies=lambda drive: {"after_turns": [TextQueue([TextRequest(
+                "text", list(range(drive.slots // 2, drive.slots // 2 + 200))
+            )])]},
+        )
+        assert rounds == 14 and "delivered=20" in summaries["u0"]
 
     def test_cached_drive(self):
         """Cache hits cost nothing, so turns fill buffers in no time."""

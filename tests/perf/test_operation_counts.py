@@ -3,18 +3,21 @@
 These tests wrap the hot-path collaborators with counting proxies and
 assert *how much work* a service run performs, not just what it returns:
 
-* the :class:`StreamState` consumption cursor never falls back to the
-  O(n) reference rescan during a (monotone-time) service run;
+* each landed block enters its stream's ``ends`` column once, and a turn
+  answers consumption with at most one bisect of it — none while the
+  stream sleeps on its stored wake;
 * :class:`TableSeek` interpolates each distance once, ever;
 * the generic ``max_distance_within`` binary search runs once per
   distinct ``(budget, cylinders)`` pair;
-* :meth:`SimulatedDrive.read_slot` costs exactly one seek-curve
-  evaluation per access.
+* :meth:`SimulatedDrive.read_slot` evaluates the seek curve once per
+  distinct distance and enters one frame below itself.
 
 If a future change quietly reintroduces a rescan or a per-access
 recomputation, these counters move and the suite fails — the perf
 guarantee is pinned behaviorally, without timing flakiness.
 """
+
+import sys
 
 import pytest
 
@@ -25,7 +28,6 @@ from repro.obs import Observability
 from repro.rope.server import FetchColumns
 from repro.scenarios.loop import Scale
 from repro.service.rounds import RoundRobinService, StreamState
-from repro.sim.metrics import consumed_prefix
 
 pytestmark = pytest.mark.perf
 
@@ -54,13 +56,17 @@ class CountingTableSeek(TableSeek):
         return super()._interpolate_seek_time(distance)
 
 
-def _service_run(streams=8, blocks=60, obs=None, **policies):
+def _service_run(streams=8, blocks=60, obs=None, prepare=None, **policies):
+    """Serve the `scale` load; *prepare*, if given, first sees every
+    stream the run will serve."""
     scenario = Scale(
         label="count", streams=streams, blocks_per_stream=blocks,
         k=4, buffer_capacity=6, seed=7,
     )
     drive = build_drive()
     initial, admissions = scenario.build_streams(drive)
+    if prepare is not None:
+        prepare(initial + [admission.stream for admission in admissions])
     service = RoundRobinService(
         drive, lambda _r, _n: scenario.k, obs=obs, **policies
     )
@@ -175,50 +181,78 @@ class TestObsOffFastPath:
             assert stream.trace is None and stream.report_at == -1
 
 
+class CountingEnds(list):
+    """An ``ends`` column that counts the blocks folded into it and
+    refuses any rewrite of one already there."""
+
+    appends = 0
+
+    def append(self, end):
+        self.appends += 1
+        super().append(end)
+
+    def __setitem__(self, index, end):
+        raise AssertionError(f"ends[{index}] re-folded")
+
+
+def _counting_bisect(monkeypatch, owner=None):
+    """Record every consumption bisect the loop makes: ``(now, wake)``,
+    the stream's stored wake looked up through *owner* (ends id →
+    stream) when given."""
+    calls = []
+    inner = rounds_module.bisect_right
+
+    def spying(ends, now):
+        stream = owner.get(id(ends)) if owner is not None else None
+        calls.append((now, stream._wake if stream is not None else None))
+        return inner(ends, now)
+
+    monkeypatch.setattr(rounds_module, "bisect_right", spying)
+    return calls
+
+
 class TestConsumptionCursor:
-    def test_service_run_never_rescans(self, monkeypatch):
-        """The monotone service loop stays on the O(1) cursor path."""
-        calls = []
+    """Consumption is one bisect of a stream's ``ends`` column, which
+    each landed block's play-out end enters once."""
 
-        def spying_prefix(ready, durations, start, now):
-            calls.append(now)
-            return consumed_prefix(ready, durations, start, now)
+    def test_service_run_never_rescans(self):
+        """Each landed block's end is folded exactly once per stream: the
+        column only grows, by one append per block."""
+        streams = []
 
-        monkeypatch.setattr(
-            rounds_module, "consumed_prefix", spying_prefix
-        )
-        metrics, total_blocks = _service_run()
+        def prepare(served):
+            for stream in served:
+                stream.ends = CountingEnds()
+            streams.extend(served)
+
+        metrics, total_blocks = _service_run(prepare=prepare)
         assert sum(m.blocks_delivered for m in metrics.values()) == (
             total_blocks
         )
-        assert calls == [], (
-            "service run hit the O(n) reference rescan "
-            f"{len(calls)} times; the cursor hot path regressed"
-        )
+        for stream in streams:
+            assert stream.ends.appends == len(stream.ends) == len(stream.ready)
 
     def test_an_idle_round_wakes_without_a_consumption_query(
         self, monkeypatch
     ):
         """A round where every buffer is full idles to the earliest wake
-        time its streams stored: no cursor or wake query between it and
+        time its streams stored: no bisect or wake query between it and
         the next round (the loop used to ask every active stream)."""
+        bisects = _counting_bisect(monkeypatch)
         queries, idle_gaps = [], []
-        for name in ("_consume_state", "next_consumption_time"):
-            inner = getattr(StreamState, name)
-            monkeypatch.setattr(
-                StreamState, name,
-                lambda self, now, _inner=inner: (
-                    queries.append(now), _inner(self, now)
-                )[1],
-            )
+        inner = StreamState.next_consumption_time
+        monkeypatch.setattr(
+            StreamState, "next_consumption_time",
+            lambda self, now: (queries.append(now), inner(self, now))[1],
+        )
         run_round, idle_since = RoundRobinService._run_round, None
 
         def observed_round(self, *args):
             nonlocal idle_since
             if idle_since is not None:
-                idle_gaps.append(len(queries) - idle_since)
+                idle_gaps.append(len(queries) + len(bisects) - idle_since)
             time, progressed, finished = run_round(self, *args)
-            idle_since = None if progressed else len(queries)
+            idle_since = None if progressed else len(queries) + len(bisects)
             return time, progressed, finished
 
         monkeypatch.setattr(RoundRobinService, "_run_round", observed_round)
@@ -233,14 +267,9 @@ class TestConsumptionCursor:
         """One stream whose 0.2-s blocks outlast each ~10-ms read: the
         first turn fills the buffer and starts the clock, and every later
         one finds one slot free, reads one block and fills it again, no
-        block playing out during the read.  Each turn's one answer gives
+        block playing out during the read.  Each turn's one bisect gives
         its room and its wake (the loop used to ask three times)."""
-        queries = []
-        inner = StreamState._consume_state
-        monkeypatch.setattr(
-            StreamState, "_consume_state",
-            lambda self, now: (queries.append(now), inner(self, now))[1],
-        )
+        calls = _counting_bisect(monkeypatch)
         drive, blocks, capacity = build_drive(), 20, 2
         stream = StreamState(
             request_id="one", buffer_capacity=capacity,
@@ -250,7 +279,34 @@ class TestConsumptionCursor:
         )
         RoundRobinService(drive, lambda _r, _n: capacity).run([stream])
         assert stream.metrics.continuous
-        assert len(queries) == 1 + (blocks - capacity)   # served turns
+        assert len(calls) == 1 + (blocks - capacity)   # served turns
+
+    def test_a_sleeping_turn_makes_no_bisect(self, monkeypatch):
+        """A stream whose buffer a turn filled sleeps until its stored
+        wake: its turn is one compare.  Every bisect is a served turn's,
+        at or past the stream's wake, and sleeping turns happened."""
+        owner = {}
+
+        def prepare(served):
+            owner.update((id(stream.ends), stream) for stream in served)
+
+        calls = _counting_bisect(monkeypatch, owner)
+        service_rounds = []
+        run = RoundRobinService.run
+        monkeypatch.setattr(
+            RoundRobinService, "run",
+            lambda self, *a, **k: (
+                run(self, *a, **k), service_rounds.append(self.rounds_run)
+            )[0],
+        )
+        metrics, total_blocks = _service_run(streams=2, prepare=prepare)
+        assert sum(m.blocks_delivered for m in metrics.values()) == (
+            total_blocks
+        )
+        assert calls and all(now >= wake for now, wake in calls), calls
+        # Two streams each take a turn every round: the ones not served
+        # slept.
+        assert len(calls) < 2 * service_rounds[0]
 
     def test_a_request_path_run_asks_no_wake_query(self, monkeypatch):
         """Turns and idle rounds take every wake from the turns' cursor
@@ -312,7 +368,8 @@ class TestConsumptionCursor:
         assert rescanned == expected and len(expected) < len(rounds)
 
     def test_cursor_consumes_each_block_once(self):
-        """Cursor work is bounded by delivered blocks (amortized O(1))."""
+        """Once a stream's clock runs, its ``ends`` column holds exactly
+        one non-decreasing play-out end per landed block."""
         scenario = Scale(
             label="amortized", streams=4, blocks_per_stream=80,
             k=4, buffer_capacity=6, seed=3,
@@ -322,7 +379,8 @@ class TestConsumptionCursor:
         service = RoundRobinService(drive, lambda _r, _n: scenario.k)
         service.run(initial)
         for stream in initial:
-            assert stream._consumed_count <= len(stream.ready)
+            assert len(stream.ends) == len(stream.ready) == 80
+            assert stream.ends == sorted(stream.ends)
 
 
 class TestTableSeekMemo:
@@ -367,14 +425,43 @@ class TestInverseMemo:
 
 
 class TestDriveAccessCost:
-    def test_one_seek_evaluation_per_read(self):
+    def test_one_seek_evaluation_per_distance(self):
+        """The seek curve is evaluated once per distinct distance the
+        drive ever moves, not once per access."""
         counting = CountingSeek(TESTBED_DRIVE.seek_model())
         drive = build_drive()
         drive.seek_model = counting
+        distances, head = set(), 0
         reads = 200
         for i in range(reads):
-            drive.read_slot((i * 37) % drive.slots)
-        assert counting.seek_time_calls == reads
+            slot = (i * 37) % 400
+            distances.add(abs(drive.cylinder_of(slot) - head))
+            head = drive.cylinder_of(slot)
+            drive.read_slot(slot)
+        assert counting.seek_time_calls == len(distances) < reads
+
+    def test_an_uncached_read_is_one_access_frame(self):
+        """A fault-free read at a distance seen before runs ``read_slot``
+        and one ``_access`` frame — no seek-curve, distance-check or
+        latency-sampling frame — and counts one read."""
+        drive = build_drive()
+        far = drive.slots // 2
+        drive.read_slot(far)
+        drive.read_slot(0)
+        frames = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        reads = drive.stats.reads
+        sys.setprofile(profile)
+        try:
+            drive.read_slot(far)
+        finally:
+            sys.setprofile(None)
+        assert frames == ["read_slot", "_access"], frames
+        assert drive.stats.reads == reads + 1 and drive.stats.writes == 0
 
     def test_full_block_fast_path_matches_explicit_bits(self):
         a, b = build_drive(), build_drive()

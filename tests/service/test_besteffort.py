@@ -6,6 +6,7 @@ from repro.analysis.experiments import fetches_with_gap
 from repro.config import TESTBED_1991
 from repro.core.symbols import video_block_model
 from repro.disk import build_drive
+from repro.rope.server import FetchColumns
 from repro.service.besteffort import TextQueue, TextRequest
 from repro.service.rounds import RoundRobinService, StreamState
 
@@ -94,6 +95,29 @@ class TestUnifiedService:
         request.served = 3
         assert request.finished
         assert request.remaining == 0
+
+
+class TestIdleWakeAfterText:
+    def test_text_carrying_time_past_a_wake_does_not_deadlock(self):
+        """Regression: 1/30-s blocks, buffer 2, k = 3.  Round 0 fills the
+        buffer and text reads fill the slack, carrying time past the
+        stored wake; the idle round then asked for the *next*
+        consumption, found the buffer already drained (inf) and raised
+        "service deadlocked" after 2 of 20 blocks.  A wake already past
+        means a buffer with room: the next round serves it."""
+        drive = build_drive()
+        stream = StreamState(
+            request_id="s", buffer_capacity=2,
+            fetches=FetchColumns.uniform(
+                range(0, 200, 10), drive.block_bits, 1 / 30
+            ),
+        )
+        service, queue = unified(
+            drive, lambda r, n: 3, TextRequest("t", text_slots(drive, 200))
+        )
+        metrics = service.run([stream])
+        assert metrics["s"].blocks_delivered == 20
+        assert service.rounds_run == 14 and queue.blocks_served > 0
 
 
 class TestPerRequestKBudget:

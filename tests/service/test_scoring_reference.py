@@ -21,7 +21,8 @@ from repro.rope.server import FetchColumns
 from repro.service.playback import simulate_pipelined
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.service.variable_speed import simulate_variable_speed
-from repro.sim.metrics import ContinuityMetrics, consumed_prefix
+from repro.sim.metrics import ContinuityMetrics
+from tests.reference import consumed_prefix, playout_ends
 
 
 def reference_metrics(ready, durations, start, skipped, prefix):
@@ -118,8 +119,8 @@ class TestScorerMatchesPerBlockScoring:
         start = ready[prefix - 1]   # the clock starts as the prefix lands
         metrics = ContinuityMetrics(startup_latency=start)
         metrics.score(
-            ready, loop_deadlines(durations, start), durations, start,
-            skipped, prefix,
+            ready, loop_deadlines(durations, start),
+            playout_ends(ready, durations, start), skipped, prefix,
         )
         assert_scores_like_reference(
             metrics, ready, durations, start, skipped, prefix
@@ -183,6 +184,9 @@ class TestScorerMatchesPerBlockScoring:
                 stream.k_override or k, stream.buffer_capacity, len(durations)
             )
             assert stream.clock_start == stream.ready[prefix - 1]
+            assert stream.ends == playout_ends(
+                stream.ready, durations, stream.clock_start
+            )
             assert_scores_like_reference(
                 stream.metrics, stream.ready, durations,
                 stream.clock_start, stream.skipped_indices, prefix,
@@ -245,7 +249,10 @@ class TestOnlyLandedBlocksAreConsumed:
         zero-length, 3 is not: each sample sees only what has landed."""
         ready, durations = [0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.5]
         metrics = ContinuityMetrics()
-        metrics.score(ready, loop_deadlines(durations, 0.0), durations, 0.0, (), 1)
+        metrics.score(
+            ready, loop_deadlines(durations, 0.0),
+            playout_ends(ready, durations, 0.0), (), 1,
+        )
         assert metrics.buffer_high_water == 1
         assert_scores_like_reference(metrics, ready, durations, 0.0, set(), 1)
 

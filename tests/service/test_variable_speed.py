@@ -1,17 +1,24 @@
 """Unit tests for §3.3.2 variable-speed playback."""
 
+import math
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import fetches_with_gap
 from repro.config import TESTBED_1991
 from repro.core.symbols import video_block_model
 from repro.disk import build_drive
 from repro.errors import ParameterError
-from repro.rope.server import BlockFetch
+from repro.rope.server import BlockFetch, FetchColumns
 from repro.service.variable_speed import (
     simulate_variable_speed,
     transform_plan,
 )
+from repro.sim.metrics import ContinuityMetrics
+from tests.reference import consumed_prefix, playout_ends
 
 
 @pytest.fixture
@@ -110,3 +117,65 @@ class TestSimulation:
             simulate_variable_speed(
                 plan_for(drive, block), drive, speed=1.0, buffer_capacity=0
             )
+
+
+def reference_variable_speed(fetches, drive, speed, capacity, skipping):
+    """The trick-play loop with every buffer test and wake a rescan of
+    the delivered prefix: ``(metrics, switches, idle)``."""
+    plan = transform_plan(fetches, speed, skipping)
+    durations, penalty_s = plan.durations, drive.parameters().seek_max
+    ready, time, start, switches, idle, away = [], 0.0, None, 0, 0.0, False
+    for index, slot in enumerate(plan.slots):
+        consumed = consumed_prefix(ready, durations, start, time)[0]
+        if len(ready) - consumed >= capacity:
+            switches += 1
+            away = True
+            need = max(len(ready) - capacity // 2, consumed + 1)
+            wake = consumed_prefix(ready[:need], durations, start, math.inf)[1]
+            idle += max(0.0, wake - time)
+            time = max(time, wake)
+        if slot is not None:
+            time += (penalty_s if away else 0.0) + drive.read_slot(
+                slot, plan.bits[index]
+            )
+            away = False
+        ready.append(time)
+        if start is None:
+            start = time
+    metrics = ContinuityMetrics(request_id="varspeed")
+    metrics.score(
+        ready, accumulate(durations, initial=start),
+        playout_ends(ready, durations, start),
+    )
+    return metrics, switches, idle
+
+
+class TestMatchesPrefixRescan:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        blocks=st.lists(st.tuples(
+            st.one_of(st.none(), st.integers(0, 5000)),
+            st.sampled_from([0.0, 0.004, 1 / 30, 0.2]),
+        ), max_size=40),
+        speed=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.5]),
+        capacity=st.integers(1, 8),
+        skipping=st.booleans(),
+    )
+    def test_generated_plans(self, blocks, speed, capacity, skipping):
+        """Buffer tests and task-switch wakes read trick play's own
+        play-out ends; the rescan of the delivered prefix agrees."""
+        skipping = skipping and speed > 1.0
+        fetches = FetchColumns(
+            [slot for slot, _duration in blocks], [2.0e5] * len(blocks),
+            [duration for _slot, duration in blocks],
+        )
+        result = simulate_variable_speed(
+            fetches, build_drive(), speed, capacity, skipping=skipping
+        )
+        metrics, switches, idle = reference_variable_speed(
+            fetches, build_drive(), speed, capacity, skipping
+        )
+        assert result.metrics.summary() == metrics.summary()
+        assert (result.task_switches, result.switch_idle_time) == (
+            switches, idle
+        )
