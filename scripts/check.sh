@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# The one-command CI gate: lint, tier-1 tests, the smoke experiment
-# matrix against its committed baseline (docs/MATRIX.md), the scenario
-# smoke runs, then the repository benchmark's smoke run and self-test.
+# The one-command CI gate: lint, tier-1 tests, the claims table, the
+# scenario smoke runs, then the repository benchmark's smoke run and
+# self-test.
 #
 #   scripts/check.sh            # everything
-#   SKIP_TESTS=1 scripts/check.sh   # lint + matrix gate only
+#   SKIP_TESTS=1 scripts/check.sh   # all but the tier-1 tests
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,10 +23,6 @@ if [ "${SKIP_TESTS:-0}" != "1" ]; then
     echo "== tier-1 pytest =="
     python -m pytest -x -q
 fi
-
-echo "== smoke experiment matrix =="
-python -m repro expt run --smoke --out results/smoke
-python -m repro expt gate --manifest results/smoke/matrix.json
 
 echo "== claims table (every E-series shape verdict green) =="
 python -m repro experiments >/dev/null

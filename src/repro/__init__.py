@@ -50,8 +50,8 @@ Quick start::
     )
     print(result.continuous_sessions)
 
-The canonical seed-deterministic workloads (the goldens, the experiment
-matrix, ``python -m repro run --scenario NAME``) are one registry,
+The canonical seed-deterministic workloads (the goldens, ``python -m
+repro run --scenario NAME``) are one registry,
 :mod:`repro.scenarios`::
 
     from repro.scenarios import get

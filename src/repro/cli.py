@@ -34,19 +34,11 @@ Commands
     ``trace-export [--out FILE] [--profile]``
         Its causal span trace as Chrome trace-event JSON, loadable in
         Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
-``expt {run,gate,diff}``
-    The experiment-matrix harness (:mod:`repro.expt`): ``run`` expands a
-    declarative config (``--smoke`` for the builtin CI matrix) and
-    writes a structured results directory; ``gate`` compares a results
-    manifest's seed-deterministic metrics against the committed
-    baseline and exits non-zero on regression (host time is
-    ``python -m bench compare``'s to judge); ``diff`` prints per-cell
-    metric deltas between two manifests.
 
-A :class:`~repro.errors.ParameterError` anywhere below ``main`` (an
-unknown ``--set`` key, a value of the wrong type, a malformed config) or
-an :class:`OSError` (an output path that cannot be written) ends in a
-one-line ``error: …`` on stderr and exit code 2.
+A :class:`~repro.errors.ReproError` anywhere below ``main`` (an unknown
+``--set`` key, a value of the wrong type or out of range, a request
+admission refuses) or an :class:`OSError` (an output path that cannot
+be written) ends in a one-line ``error: …`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ from repro import analysis, scenarios
 from repro.config import PROFILES, get_profile
 from repro.core import continuity, video_block_model
 from repro.core.continuity import Architecture
-from repro.errors import InfeasibleError, ParameterError
+from repro.errors import InfeasibleError, ParameterError, ReproError
 from repro.media import frames_for_duration, generate_talk_spurts
 from repro.rope import Media, build_rope_server
 from repro.service import PlaybackSession
@@ -74,20 +66,15 @@ def _add_common_options(
     seed_default: int = 20260806,
     seed_help: str = "deterministic scenario seed",
     json_help: str = "print machine-readable JSON instead of the report",
-    include_seed: bool = True,
 ) -> argparse.ArgumentParser:
     """Attach the ``--seed`` / ``--json`` pair every scenario command has.
 
     One shared builder keeps the contract uniform: the same flag names,
-    types, and defaults on ``demo``, the four scenario views, and the
-    ``expt`` subcommands — tests introspect the parser to enforce this.
-    Commands whose determinism comes from a manifest rather than a
-    seed (``expt run/gate/diff``) pass ``include_seed=False`` and keep
-    only the ``--json`` half of the contract.
+    types, and defaults on ``demo`` and the four scenario views — tests
+    introspect the parser to enforce this.
     """
-    if include_seed:
-        parser.add_argument("--seed", type=int, default=seed_default,
-                            help=seed_help)
+    parser.add_argument("--seed", type=int, default=seed_default,
+                        help=seed_help)
     parser.add_argument("--json", action="store_true", help=json_help)
     return parser
 
@@ -384,148 +371,6 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default artifact locations for the ``expt`` command (cwd-relative,
-#: i.e. the repo root in the documented workflow).
-EXPT_BASELINE_PATH = "tests/baselines/matrix_baseline.json"
-EXPT_RESULTS_ROOT = "results"
-
-
-def _load_manifest_file(path: str) -> dict:
-    import json
-
-    from repro.expt import validate_manifest
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except FileNotFoundError:
-        raise SystemExit(
-            f"expt: manifest {path!r} not found; run "
-            "`repro expt run --smoke` first (or pass --manifest)"
-        ) from None
-    except json.JSONDecodeError as error:
-        raise SystemExit(
-            f"expt: manifest {path!r} is not valid JSON: {error}"
-        ) from None
-    return validate_manifest(manifest)
-
-
-def _cmd_expt_run(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.expt import load_config, run_matrix, smoke_config
-    from repro.expt.runner import stable_json, write_results
-
-    if args.smoke and args.config:
-        raise SystemExit("expt run: pass either --smoke or --config")
-    if args.config:
-        config = load_config(args.config)
-    elif args.smoke:
-        config = smoke_config()
-    else:
-        raise SystemExit(
-            "expt run: pass --smoke or --config experiments/<name>.json"
-        )
-    baseline = args.baseline
-    if args.regen_baseline and baseline is None:
-        if not args.smoke:
-            raise ParameterError(
-                "--regen-baseline with --config needs an explicit "
-                f"--baseline FILE; {EXPT_BASELINE_PATH} is the smoke "
-                "matrix's committed baseline"
-            )
-        baseline = EXPT_BASELINE_PATH
-    out_dir = args.out or str(Path(EXPT_RESULTS_ROOT) / config.name)
-    # An unwritable results directory fails before the matrix runs.
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    report = run_matrix(config, workers=args.workers)
-    manifest_path = write_results(report, out_dir)
-    if args.regen_baseline:
-        baseline_path = Path(baseline)
-        baseline_path.parent.mkdir(parents=True, exist_ok=True)
-        baseline_path.write_text(stable_json(report.manifest_dict()))
-    if args.json:
-        print(json.dumps(
-            report.manifest_dict(), indent=2, sort_keys=True
-        ))
-    else:
-        print(
-            f"expt run '{config.name}' ({config.hash[:19]}…): "
-            f"{len(report.cells)} cells, {report.workers} worker(s), "
-            f"{'parallel' if report.parallel else 'serial'}, "
-            f"{format_seconds(report.wall_time_s)} wall"
-        )
-        for cell in report.cells:
-            metrics = {
-                key: value
-                for key, value in cell.metrics.items()
-                if value is not None
-            }
-            print(f"  {cell.cell_id}: {metrics}")
-        print(f"wrote {manifest_path}")
-        if args.regen_baseline:
-            print(f"regenerated baseline {baseline}")
-    return 0
-
-
-def _cmd_expt_gate(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.expt import gate_manifest
-
-    manifest = _load_manifest_file(args.manifest)
-    try:
-        baseline = _load_manifest_file(args.baseline)
-    except SystemExit:
-        raise SystemExit(
-            f"expt: baseline {args.baseline!r} not found or invalid; "
-            "regenerate with `repro expt run --smoke --regen-baseline`"
-        ) from None
-    report = gate_manifest(
-        manifest, baseline, allow_extra_cells=args.allow_extra_cells
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        if args.verbose:
-            print(report.table().render())
-        print(report.render())
-    return 0 if report.passed else 1
-
-
-def _cmd_expt_diff(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.expt import diff_manifests
-
-    manifest = _load_manifest_file(args.manifest)
-    baseline = _load_manifest_file(args.baseline)
-    delta = diff_manifests(manifest, baseline)
-    if args.json:
-        print(json.dumps(delta, indent=2, sort_keys=True))
-        return 0
-    print(
-        f"expt diff: '{delta['manifest']}' vs baseline "
-        f"'{delta['baseline']}'"
-    )
-    for cell_id, entry in delta["cells"].items():
-        if entry["status"] != "common":
-            print(f"  {cell_id}: {entry['status']}")
-            continue
-        for metric, change in entry["deltas"].items():
-            relative = change.get("relative")
-            suffix = (
-                f" ({relative * 100:+.1f}%)" if relative is not None
-                else ""
-            )
-            print(
-                f"  {cell_id} :: {metric}: "
-                f"{change['baseline']} -> {change['observed']}{suffix}"
-            )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -621,93 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_trace_export
     )
 
-    expt = commands.add_parser(
-        "expt",
-        help="experiment-matrix harness: run, gate, diff",
-    )
-    expt_commands = expt.add_subparsers(dest="expt_command", required=True)
-
-    expt_run = expt_commands.add_parser(
-        "run", help="expand a matrix config and run every cell"
-    )
-    expt_run.add_argument(
-        "--config", default=None, metavar="FILE",
-        help="experiment config JSON (see experiments/)",
-    )
-    expt_run.add_argument(
-        "--smoke", action="store_true",
-        help="run the builtin tiny CI matrix",
-    )
-    expt_run.add_argument(
-        "--out", default=None, metavar="DIR",
-        help=f"results directory (default: {EXPT_RESULTS_ROOT}/<name>)",
-    )
-    expt_run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: min(cells, cpu count))",
-    )
-    expt_run.add_argument(
-        "--regen-baseline", action="store_true",
-        help="also rewrite the committed gate baseline from this run",
-    )
-    expt_run.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline path used by --regen-baseline (default with "
-             f"--smoke: {EXPT_BASELINE_PATH}; required with --config)",
-    )
-    _add_common_options(
-        expt_run, include_seed=False,
-        json_help="print the manifest JSON instead of the summary",
-    )
-    expt_run.set_defaults(handler=_cmd_expt_run)
-
-    expt_gate = expt_commands.add_parser(
-        "gate",
-        help="compare a results manifest against the committed baseline",
-    )
-    expt_gate.add_argument(
-        "--manifest", metavar="FILE",
-        default=f"{EXPT_RESULTS_ROOT}/smoke/matrix.json",
-        help="results manifest to judge "
-             f"(default: {EXPT_RESULTS_ROOT}/smoke/matrix.json)",
-    )
-    expt_gate.add_argument(
-        "--baseline", default=EXPT_BASELINE_PATH, metavar="FILE",
-        help=f"baseline manifest (default: {EXPT_BASELINE_PATH})",
-    )
-    expt_gate.add_argument(
-        "--allow-extra-cells", action="store_true",
-        help="treat manifest cells absent from the baseline as notes, "
-             "not failures",
-    )
-    expt_gate.add_argument(
-        "--verbose", action="store_true",
-        help="print the full per-check verdict table",
-    )
-    _add_common_options(
-        expt_gate, include_seed=False,
-        json_help="print the verdicts as JSON",
-    )
-    expt_gate.set_defaults(handler=_cmd_expt_gate)
-
-    expt_diff = expt_commands.add_parser(
-        "diff", help="per-cell metric deltas between two manifests"
-    )
-    expt_diff.add_argument(
-        "--manifest", metavar="FILE",
-        default=f"{EXPT_RESULTS_ROOT}/smoke/matrix.json",
-        help="results manifest "
-             f"(default: {EXPT_RESULTS_ROOT}/smoke/matrix.json)",
-    )
-    expt_diff.add_argument(
-        "--baseline", default=EXPT_BASELINE_PATH, metavar="FILE",
-        help=f"manifest to diff against (default: {EXPT_BASELINE_PATH})",
-    )
-    _add_common_options(
-        expt_diff, include_seed=False,
-        json_help="print the deltas as JSON",
-    )
-    expt_diff.set_defaults(handler=_cmd_expt_diff)
     return parser
 
 
@@ -717,7 +475,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParameterError, OSError) as error:
+    except (ReproError, OSError) as error:
         # OSError: a path that cannot be written (or read) names itself.
         print(f"error: {error}", file=sys.stderr)
         return 2

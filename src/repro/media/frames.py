@@ -11,6 +11,7 @@ frames in order, without materializing megabytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
@@ -121,7 +122,9 @@ def frames_for_duration(
     source: str = "camera0",
 ) -> List[Frame]:
     """All frames captured in *duration* seconds of recording."""
-    if duration < 0:
-        raise ParameterError(f"duration must be >= 0, got {duration}")
+    if not 0 <= duration < math.inf:
+        raise ParameterError(
+            f"duration must be finite and >= 0, got {duration}"
+        )
     count = int(duration * stream.frame_rate)
     return list(generate_frames(stream, count, codec, source))

@@ -3,8 +3,8 @@
 Every module in this package defines scenarios and registers them with
 :func:`~repro.scenarios.base.register`; they are imported here, so
 adding a scenario is one new file and nothing else — the CLI views
-(``repro run|obs-report|profile|trace-export --scenario NAME``) and
-the experiment matrix (``kind``) find it through :func:`get`.
+(``repro run|obs-report|profile|trace-export --scenario NAME``) find it
+through :func:`get`.
 """
 
 import importlib
@@ -13,7 +13,6 @@ import pkgutil
 from repro.scenarios.base import (
     DEFAULT_SEED,
     METRIC_KEYS,
-    PERF_KEYS,
     REGISTRY,
     Scenario,
     ScenarioRun,
@@ -27,7 +26,6 @@ for _module in pkgutil.iter_modules(__path__):
 __all__ = [
     "DEFAULT_SEED",
     "METRIC_KEYS",
-    "PERF_KEYS",
     "REGISTRY",
     "Scenario",
     "ScenarioRun",

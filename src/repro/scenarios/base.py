@@ -3,9 +3,9 @@
 A scenario is a frozen, picklable dataclass whose fields *are* its
 parameters, registered once under its ``name`` by :func:`register`.
 Everything that runs a canonical workload — the ``repro`` CLI views,
-the experiment matrix, the goldens — looks the class up here, builds
-it from a plain spec dict, and calls :meth:`Scenario.run`; the answer is
-always a :class:`ScenarioRun`.
+the goldens — looks the class up here, builds it (``--set`` from a plain
+spec dict), and calls :meth:`Scenario.run`; the answer is always a
+:class:`ScenarioRun`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.service.session import SessionResult
 __all__ = [
     "DEFAULT_SEED",
     "METRIC_KEYS",
-    "PERF_KEYS",
     "REGISTRY",
     "Scenario",
     "ScenarioRun",
@@ -58,9 +57,6 @@ METRIC_KEYS = (
     "handoffs",
     "handoff_clean_ratio",
 )
-
-#: Wall-clock keys every run reports (host- and run-dependent).
-PERF_KEYS = ("wall_time_s", "blocks_per_second")
 
 #: name -> scenario class; filled by :func:`register`.
 REGISTRY: Dict[str, Type["Scenario"]] = {}
@@ -133,23 +129,16 @@ class Scenario:
     Class attributes describe how the scenario appears elsewhere:
 
     ``name``
-        The registry key, CLI ``--scenario`` choice and matrix ``kind``.
+        The registry key and CLI ``--scenario`` choice.
     ``sampled``
         Observe through :meth:`Observability.for_scale` (large runs).
     ``smoke_sizing``
         Field overrides of the tiny CI variant (:meth:`smoke`).
-    ``matrix``
-        The parameters an experiment config may set, with their matrix
-        defaults; together with the axis fields they are the cell spec.
-    ``axes``
-        Experiment-config axis -> the field it feeds.
     """
 
     name: ClassVar[str]
     sampled: ClassVar[bool] = False
     smoke_sizing: ClassVar[Mapping[str, object]] = {}
-    matrix: ClassVar[Mapping[str, object]] = {}
-    axes: ClassVar[Mapping[str, str]] = {"seeds": "seed"}
 
     seed: int = DEFAULT_SEED
 
@@ -198,8 +187,8 @@ class Scenario:
 
     def _require_counts(self, *keys: str) -> None:
         """Refuse a count field below 1.  A scenario's ``__post_init__``
-        is its one validator: ``--set`` and an experiment config both
-        construct the class, so both reject the same values."""
+        is its one validator: ``--set`` and a direct construction
+        reject the same values."""
         for key in keys:
             if getattr(self, key) < 1:
                 raise ParameterError(
@@ -210,27 +199,6 @@ class Scenario:
     def smoke(cls, **overrides) -> "Scenario":
         """The tiny variant ``scripts/check.sh`` and ``--smoke`` run."""
         return cls(**{**cls.smoke_sizing, **overrides})
-
-    @classmethod
-    def from_matrix(cls, **overrides) -> "Scenario":
-        """The matrix-default variant (what an empty workload expands to)."""
-        return cls(**{**cls.matrix, **overrides})
-
-    # -- how the experiment matrix sees it ----------------------------------------
-
-    def spec(self) -> Dict[str, object]:
-        """The cell spec: matrix parameters plus axis fields."""
-        keys = set(self.matrix) | set(self.axes.values())
-        return {key: getattr(self, key) for key in sorted(keys)}
-
-    def cell_id(self) -> str:
-        """The matrix cell id of this exact parameterization."""
-        return f"{self.name}-seed{self.seed}"
-
-    def acceptance(self) -> bool:
-        """Whether this parameterization is an SLO-gated acceptance
-        configuration (a workload's ``golden`` mark binds only then)."""
-        return True
 
     # -- running ------------------------------------------------------------------
 
@@ -254,7 +222,7 @@ class Scenario:
         (all modeled time and op counts, never wall clock)."""
         return run.obs.profiler.summary_dict()
 
-    # -- scoring a run (what ScenarioRun.metrics/perf/healthy answer) -------------
+    # -- scoring a run (what ScenarioRun.metrics/healthy answer) ------------------
 
     def metrics(self, run: "ScenarioRun") -> Dict[str, Optional[float]]:
         """Simulation outcomes on :data:`METRIC_KEYS`, one branch per
@@ -317,16 +285,6 @@ class Scenario:
             )
         return out
 
-    def perf(self, run: "ScenarioRun") -> Dict[str, float]:
-        """Wall seconds and blocks per wall-second (:data:`PERF_KEYS`)."""
-        delivered = run.metrics()["blocks_delivered"] or 0
-        return {
-            "wall_time_s": run.wall_s,
-            # Sub-microsecond walls only occur for trivial smoke runs;
-            # clamp so the rate stays finite.
-            "blocks_per_second": delivered / max(run.wall_s, 1e-9),
-        }
-
     def healthy(self, run: "ScenarioRun") -> bool:
         """The exit-code predicate: what was admitted played, glitching
         only where a fault was injected."""
@@ -349,7 +307,6 @@ class ScenarioRun:
     #: SessionResult (bare loop / playback), ServeResult or
     #: ClusterServeResult — the measured (last) epoch.
     result: object
-    wall_s: float
     #: The distributed-VoD analytical bounds (cluster runs only).
     bounds: object = None
     #: What was driven: the rope server, MediaServer or MediaCluster.
@@ -365,10 +322,6 @@ class ScenarioRun:
         """Deterministic outcomes on :data:`METRIC_KEYS`; byte-identical
         across runs at the same parameters."""
         return self.scenario.metrics(self)
-
-    def perf(self) -> Dict[str, float]:
-        """Host-dependent timings on :data:`PERF_KEYS` (never gated)."""
-        return self.scenario.perf(self)
 
     def healthy(self) -> bool:
         """Whether the run met its scenario's bar (the CLI exit code)."""

@@ -14,13 +14,13 @@ Every run carries the distributed-VoD analytical bounds
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.api import Media, OpenSessionRequest
 from repro.cluster.bounds import bounds_for_placement
 from repro.cluster.router import build_cluster
+from repro.errors import ParameterError
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.obs.observer import Observability
 from repro.obs.slo import CLUSTER_SLOS
@@ -49,13 +49,6 @@ class ClusterScale(Scenario):
         "per_node_streams": 8, "chunks": 3, "kill_node": 1,
         "kill_chunk": 1,
     }
-    #: The four-node failover acceptance run.
-    matrix = {
-        "nodes": 4, "sessions": 32, "titles": 8, "seconds": 2.0,
-        "per_node_streams": 24, "min_replicas": 2, "chunks": 4,
-        "kill_node": 1, "kill_chunk": 2,
-    }
-
     nodes: int = 20
     sessions: int = 1000
     titles: int = 40
@@ -70,12 +63,14 @@ class ClusterScale(Scenario):
         # Sizes the stack itself refuses (nodes, titles, chunks, a
         # kill_node off the cluster) fail typed when it is built.
         self._require_counts("sessions")
-
-    def cell_id(self) -> str:
-        return (
-            f"cluster-n{self.nodes}-s{self.sessions}-t{self.titles}"
-            f"-seed{self.seed}"
-        )
+        if self.kill_node is not None and not (
+            1 <= self.kill_chunk < self.chunks
+        ):
+            # The router kills a node only at a boundary between chunks.
+            raise ParameterError(
+                f"kill_chunk must be a chunk boundary in [1, {self.chunks}),"
+                f" got {self.kill_chunk}"
+            )
 
     def observability(self, profile: bool = False) -> Observability:
         """Sampled observability with the cluster objective set."""
@@ -94,7 +89,6 @@ class ClusterScale(Scenario):
         )
 
     def run(self, obs: Optional[Observability] = None) -> ScenarioRun:
-        started = time.perf_counter()
         obs = obs if obs is not None else self.observability()
         plan = None
         if self.kill_node is not None:
@@ -138,6 +132,5 @@ class ClusterScale(Scenario):
             demand=demand,
         )
         return ScenarioRun(
-            self, obs, result, time.perf_counter() - started,
-            bounds=bounds, stack=cluster,
+            self, obs, result, bounds=bounds, stack=cluster
         )

@@ -12,8 +12,8 @@ equivalence tests, not a throughput measurement (that is
 
 from __future__ import annotations
 
+import math
 import random
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -43,11 +43,6 @@ class Scale(Scenario):
     smoke_sizing = {
         "streams": 4, "blocks_per_stream": 16, "label": "profile-smoke",
     }
-    matrix = {
-        "streams": 10, "blocks_per_stream": 100, "k": 4,
-        "buffer_capacity": 8, "arrivals": "uniform",
-    }
-    axes = {"drives": "drive", "seeds": "seed"}
 
     seed: int = 0
     streams: int = 1000
@@ -72,16 +67,11 @@ class Scale(Scenario):
                 f"unknown arrivals mode {self.arrivals!r}; known: "
                 f"{', '.join(ARRIVALS)}"
             )
-        if self.block_seconds <= 0:
+        if not 0 < self.block_seconds < math.inf:
             raise ParameterError(
-                f"block_seconds must be positive, got {self.block_seconds}"
+                "block_seconds must be positive and finite, got "
+                f"{self.block_seconds}"
             )
-
-    def cell_id(self) -> str:
-        return (
-            f"scale-{self.drive}-{self.arrivals}-n{self.streams}"
-            f"-b{self.blocks_per_stream}-seed{self.seed}"
-        )
 
     def observability(self, profile: bool = False) -> Observability:
         """Off, so the loop is timed bare; profiling wants every access
@@ -95,7 +85,12 @@ class Scale(Scenario):
         attribution."""
         metrics = run.metrics()
         return {
-            "params": self.spec(),
+            "params": {
+                key: getattr(self, key) for key in (
+                    "arrivals", "blocks_per_stream", "buffer_capacity",
+                    "drive", "k", "seed", "streams",
+                )
+            },
             "rounds": metrics["rounds"],
             "blocks_delivered": metrics["blocks_delivered"],
             "misses": metrics["misses"],
@@ -133,7 +128,6 @@ class Scale(Scenario):
         return initial, admissions
 
     def run(self, obs: Optional[Observability] = None) -> ScenarioRun:
-        """``wall_s`` times the service loop only, not stream building."""
         obs = obs if obs is not None else self.observability()
         mechanism = build_drive_config(self.drive)
         mechanism.profile_label = self.drive
@@ -144,16 +138,13 @@ class Scale(Scenario):
         service = RoundRobinService(
             mechanism, lambda _round, _n: self.k, obs=obs
         )
-        started = time.perf_counter()
         metrics = service.run(initial, admissions, max_rounds=10_000_000)
-        wall = time.perf_counter() - started
         return ScenarioRun(
             scenario=self,
             obs=obs,
             result=SessionResult(
                 metrics=metrics, rounds=service.rounds_run, k_used=self.k
             ),
-            wall_s=wall,
             stack=mechanism,
         )
 

@@ -7,7 +7,6 @@ faults.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -55,15 +54,15 @@ class Steady(Scenario):
     requests: int = 2
     k: int = 4
 
+    def __post_init__(self) -> None:
+        self._require_counts("requests")
+
     def run(self, obs: Optional[Observability] = None) -> ScenarioRun:
-        started = time.perf_counter()
         obs = obs if obs is not None else self.observability()
         mrs = build_rope_server(obs=obs)
         play_ids = _record_plays(mrs, self.requests, self.seconds, "steady")
         result = PlaybackSession(mrs).run(play_ids, k=self.k)
-        return ScenarioRun(
-            self, obs, result, time.perf_counter() - started, stack=mrs
-        )
+        return ScenarioRun(self, obs, result, stack=mrs)
 
 
 @register
@@ -89,7 +88,6 @@ class Fault(Scenario):
     head_failure_at_op: Optional[int] = None
 
     def run(self, obs: Optional[Observability] = None) -> ScenarioRun:
-        started = time.perf_counter()
         obs = obs if obs is not None else self.observability()
         mrs = build_rope_server(obs=obs)
         play_ids = _record_plays(mrs, 1, self.seconds, "faulted")
@@ -109,6 +107,4 @@ class Fault(Scenario):
             mrs, recovery=RecoveryPolicy(retry_budget=self.retry_budget)
         )
         result = session.run(play_ids, k=self.k)
-        return ScenarioRun(
-            self, obs, result, time.perf_counter() - started, stack=mrs
-        )
+        return ScenarioRun(self, obs, result, stack=mrs)

@@ -11,7 +11,6 @@ cache-admitted without consuming any disk-round budget.  Run it with
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -65,8 +64,10 @@ class ServerSteady(Scenario):
     seconds: float = 3.0
     clients: int = 2
 
+    def __post_init__(self) -> None:
+        self._require_counts("clients")
+
     def run(self, obs: Optional[Observability] = None) -> ScenarioRun:
-        started = time.perf_counter()
         obs = obs if obs is not None else self.observability()
         server = build_media_server(obs)
         clients = [f"client-{i}" for i in range(self.clients)]
@@ -76,9 +77,7 @@ class ServerSteady(Scenario):
         result = server.serve(
             [_open(client, rope) for client, rope in zip(clients, rope_ids)]
         )
-        return ScenarioRun(
-            self, obs, result, time.perf_counter() - started, stack=server
-        )
+        return ScenarioRun(self, obs, result, stack=server)
 
 
 @register
@@ -98,11 +97,6 @@ class ServerHot(Scenario):
     name = "server-hot"
     sampled = True
     smoke_sizing = {"sessions": 6, "strands": 2, "seconds": 1.0}
-    matrix = {**smoke_sizing, "batch_window": 0.25}
-    axes = {
-        "cache_blocks": "cache_blocks", "batching": "batching",
-        "seeds": "seed",
-    }
 
     sessions: int = 50
     strands: int = 5
@@ -115,20 +109,7 @@ class ServerHot(Scenario):
     def __post_init__(self) -> None:
         self._require_counts("sessions", "strands")
 
-    def cell_id(self) -> str:
-        return (
-            f"server-hot-s{self.sessions}x{self.strands}"
-            f"-c{self.cache_blocks}"
-            f"-batch{'on' if self.batching else 'off'}-seed{self.seed}"
-        )
-
-    def acceptance(self) -> bool:
-        # Cache-off / batch-off variants are degraded baselines that
-        # reject by §3.4 design.
-        return self.cache_blocks > 0 and self.batching
-
     def run(self, obs: Optional[Observability] = None) -> ScenarioRun:
-        started = time.perf_counter()
         obs = obs if obs is not None else self.observability()
         window = self.batch_window if self.batching else 0.0
         server = build_media_server(
@@ -154,8 +135,7 @@ class ServerHot(Scenario):
             for i, client in enumerate(clients)
         ])
         return ScenarioRun(
-            self, obs, result, time.perf_counter() - started,
-            stack=server, warmups=warmups,
+            self, obs, result, stack=server, warmups=warmups
         )
 
 
@@ -181,7 +161,6 @@ class ServerFault(Scenario):
     retry_budget: int = 2
 
     def run(self, obs: Optional[Observability] = None) -> ScenarioRun:
-        started = time.perf_counter()
         obs = obs if obs is not None else self.observability()
         server = build_media_server(
             obs, recovery=RecoveryPolicy(retry_budget=self.retry_budget)
@@ -207,6 +186,4 @@ class ServerFault(Scenario):
             _open(client, rope_id, 0.01 * i)
             for i, client in enumerate(clients)
         ])
-        return ScenarioRun(
-            self, obs, result, time.perf_counter() - started, stack=server
-        )
+        return ScenarioRun(self, obs, result, stack=server)

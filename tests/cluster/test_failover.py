@@ -10,13 +10,20 @@ pytestmark = pytest.mark.cluster
 
 CLUSTER = get("cluster-scale")
 
+#: The four-node failover acceptance run: node 1 dies at the second of
+#: the three boundaries between its four chunks.
+FAILOVER = {
+    "nodes": 4, "sessions": 32, "titles": 8, "seconds": 2.0,
+    "per_node_streams": 24, "min_replicas": 2, "chunks": 4,
+    "kill_node": 1, "kill_chunk": 2,
+}
+
 
 @pytest.fixture(scope="module")
 def failover_run():
     # One shared run: the scenario is deterministic, so every test
     # reads the same facts.
-    # The four-node node-kill run is the matrix-default sizing.
-    return CLUSTER.from_matrix().run()
+    return CLUSTER(**FAILOVER).run()
 
 
 class TestNodeDeath:
@@ -77,15 +84,10 @@ class TestStrandedSessions:
         # min_replicas=2 on 2 nodes: killing one leaves titles with a
         # single replica; the survivor's slack caps how many sessions
         # can land, so an undersized survivor strands the rest.
-        run = CLUSTER.from_matrix(
-            nodes=2,
-            sessions=8,
-            titles=2,
-            per_node_streams=4,
-            kill_node=1,
-            kill_chunk=1,
-            chunks=4,
-        ).run()
+        run = CLUSTER(**{
+            **FAILOVER, "nodes": 2, "sessions": 8, "titles": 2,
+            "per_node_streams": 4, "kill_chunk": 1,
+        }).run()
         stranded = [
             r for r in run.result.handoffs if r.to_node is None
         ]

@@ -13,6 +13,14 @@ pytestmark = pytest.mark.cluster
 
 CLUSTER = get("cluster-scale")
 
+#: The four-node failover acceptance run: node 1 dies at the second of
+#: the three boundaries between its four chunks.
+FAILOVER = {
+    "nodes": 4, "sessions": 32, "titles": 8, "seconds": 2.0,
+    "per_node_streams": 24, "min_replicas": 2, "chunks": 4,
+    "kill_node": 1, "kill_chunk": 2,
+}
+
 
 def _small_cluster(**overrides):
     defaults = dict(
@@ -126,8 +134,8 @@ class TestDeterminism:
         # The ISSUE's router-determinism bar: same seed + same fault
         # plan => byte-identical placement map, admission order, and
         # handoff decisions across two independent runs.
-        a = CLUSTER.from_matrix(seed=7).run()
-        b = CLUSTER.from_matrix(seed=7).run()
+        a = CLUSTER(**FAILOVER, seed=7).run()
+        b = CLUSTER(**FAILOVER, seed=7).run()
         assert json.dumps(
             a.result.to_dict(), sort_keys=True
         ) == json.dumps(b.result.to_dict(), sort_keys=True)

@@ -291,17 +291,6 @@ class TestParameterErrors:
         line = self._error(capsys, argv + [str(target)])
         assert str(target) in line
 
-    def test_unwritable_expt_results_directory_is_one_error_line(
-        self, capsys, tmp_path
-    ):
-        # Used to be a traceback out of os.mkdir.
-        (tmp_path / "a-file").write_text("")
-        target = tmp_path / "a-file" / "results"
-        line = self._error(capsys, [
-            "expt", "run", "--smoke", "--out", str(target),
-        ])
-        assert str(target) in line
-
     def test_smoke_sizing_honours_set_overrides(self, capsys):
         # `repro cluster --smoke --nodes 9` used to drop the 9 silently.
         payload = _run_json(
@@ -363,30 +352,6 @@ class TestParser:
             options = self._subcommand_options(name)
             assert "--seed" in options, name
             assert "--json" in options, name
-
-    def test_expt_subcommands_share_the_json_option(self):
-        # expt run/gate/diff take --json through the same shared
-        # builder as the scenario commands (seed does not apply: the
-        # matrix's seeds axis owns seeding).
-        parser = build_parser()
-        subparsers = next(
-            a for a in parser._actions
-            if isinstance(a, type(parser._subparsers._group_actions[0]))
-        )
-        expt = subparsers.choices["expt"]
-        nested = next(
-            a for a in expt._actions
-            if isinstance(a, type(parser._subparsers._group_actions[0]))
-        )
-        for name in ("run", "gate", "diff"):
-            sub = nested.choices[name]
-            options = {
-                option
-                for action in sub._actions
-                for option in action.option_strings
-            }
-            assert "--json" in options, name
-            assert "--seed" not in options, name
 
     VIEWS = ("run", "obs-report", "profile", "trace-export")
 

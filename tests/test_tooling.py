@@ -3,10 +3,10 @@
 The benchmark smoke job is the "benches can't silently rot" guard: it
 executes every ``benchmarks/bench_*.py`` end to end with tiny workloads
 in a subprocess, exactly as CI would.  The other tests pin the pytest
-marker registry, the ruff configuration, the experiment-matrix smoke
-entry points (``repro expt``, ``scripts/check.sh``), that the docs name
-only commands the CLI has, and — one table, ``TestRetiredNames`` — that
-what the simplicity PRs deleted stays deleted.
+marker registry, the ruff configuration, ``scripts/check.sh``, that the
+docs name only commands the CLI has, and — one table,
+``TestRetiredNames`` — that what the simplicity PRs deleted stays
+deleted.
 """
 
 import json
@@ -97,7 +97,7 @@ class TestMarkers:
         config = tomllib.loads((ROOT / "pyproject.toml").read_text())
         markers = config["tool"]["pytest"]["ini_options"]["markers"]
         for name in (
-            "chaos", "cluster", "golden", "matrix", "perf", "profile",
+            "chaos", "cluster", "golden", "perf", "profile",
             "server", "trace",
         ):
             assert any(m.startswith(f"{name}:") for m in markers), name
@@ -128,13 +128,6 @@ class TestMarkers:
         assert not undeclared, (
             f"markers used but not declared in pyproject: {undeclared}"
         )
-
-    def test_matrix_marker_selects_matrix_tests(self):
-        result = _run_pytest(
-            ["tests/expt", "-m", "matrix", "--collect-only", "-q"]
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "test_matrix_e2e" in result.stdout
 
     def test_server_marker_selects_server_tests(self):
         result = _run_pytest(
@@ -324,14 +317,13 @@ class TestVersion:
 class TestNoTrackedScratchArtifacts:
     def test_gitignore_covers_results(self):
         ignored = (ROOT / ".gitignore").read_text().splitlines()
-        assert "results/" in ignored
         assert "bench/out/" in ignored
 
 
 class TestOneWallClockAuthority:
-    """`python -m bench run|compare` judges host time; `repro expt`
-    gates seed-deterministic metrics.  The surface that existed for the
-    other answer is gone and may not drift back in, code or prose."""
+    """`python -m bench run|compare` judges host time.  The surface that
+    existed for another answer is gone and may not drift back in, code or
+    prose."""
 
     #: What the retired surface was called, wherever it was mentioned.
     RETIRED = re.compile(
@@ -339,10 +331,9 @@ class TestOneWallClockAuthority:
         r"|relative_drop|obs-overhead|obs_overhead"
     )
     #: Tests that name a retired thing in order to refuse it.
-    GUARDS = {"tests/test_tooling.py", "tests/expt/test_gate.py"}
+    GUARDS = {"tests/test_tooling.py"}
     SEARCHED = (
-        "src", "tests", "docs", "benchmarks", "scripts", "experiments",
-        "README.md",
+        "src", "tests", "docs", "benchmarks", "scripts", "README.md",
     )
     TEXT_SUFFIXES = {".py", ".md", ".json", ".sh", ".toml", ".txt"}
 
@@ -388,42 +379,6 @@ class TestOneWallClockAuthority:
         assert named >= 40, "the pattern stopped matching the docs"
 
 
-class TestExptSmoke:
-    def test_expt_smoke_run_completes_and_manifest_validates(
-        self, tmp_path
-    ):
-        from repro.expt import smoke_config, validate_manifest
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(ROOT / "src")
-        out = tmp_path / "smoke"
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "expt", "run",
-                "--smoke", "--out", str(out),
-            ],
-            cwd=ROOT, capture_output=True, text=True, env=env,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "expt run 'smoke'" in result.stdout
-        manifest = validate_manifest(
-            json.loads((out / "matrix.json").read_text())
-        )
-        assert manifest["config_hash"] == smoke_config().hash
-
-        gate = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "expt", "gate",
-                "--manifest", str(out / "matrix.json"),
-            ],
-            cwd=ROOT, capture_output=True, text=True, env=env,
-            timeout=120,
-        )
-        assert gate.returncode == 0, gate.stdout + gate.stderr
-        assert "PASS" in gate.stdout
-
-
 class TestCheckScript:
     def test_check_script_exists_and_is_executable(self):
         script = ROOT / "scripts" / "check.sh"
@@ -433,15 +388,12 @@ class TestCheckScript:
         )
 
     def test_check_script_runs_every_gate(self):
-        # Lint, tier-1 tests, the smoke matrix gate, the cluster and
-        # profiler smoke runs, and the every-registered-scenario smoke
-        # loop must all appear; a check.sh that quietly drops one is a
-        # CI hole.
+        # Lint, tier-1 tests, the cluster and profiler smoke runs, and
+        # the every-registered-scenario smoke loop must all appear; a
+        # check.sh that quietly drops one is a CI hole.
         text = (ROOT / "scripts" / "check.sh").read_text()
         assert "ruff" in text
         assert "pytest" in text
-        assert "expt run --smoke" in text
-        assert "expt gate" in text
         assert "run --scenario cluster-scale --smoke" in text
         assert "profile --scenario scale --smoke" in text
         assert 'run --scenario "$scenario" --smoke' in text
@@ -964,6 +916,15 @@ class TestRetiredNames:
         "repro.service.rounds.StreamState._consumed_count",
         "repro.service.rounds.StreamState._consumed_end",
         "repro.disk.drive.SimulatedDrive._sample_latency",
+        # One deterministic contract: the smoke matrix is a golden.
+        "repro.expt", "src/repro/expt",
+        "tests/baselines/matrix_baseline.json", "experiments/full.json",
+        "docs/MATRIX.md", "repro.scenarios.PERF_KEYS",
+        "repro.scenarios.Scenario.from_matrix",
+        "repro.scenarios.Scenario.spec", "repro.scenarios.Scenario.cell_id",
+        "repro.scenarios.Scenario.acceptance",
+        "repro.scenarios.Scenario.perf", "repro.scenarios.ScenarioRun.perf",
+        "repro.scenarios.ScenarioRun.wall_s",
     ]
     #: Retired instance attributes, which no import can resolve.
     RETIRED_ATTRIBUTES = re.compile(r"_seen_sessions|_sim_tracers")
@@ -995,6 +956,14 @@ class TestRetiredNames:
     @pytest.mark.parametrize("name", RETIRED)
     def test_is_gone(self, name):
         assert not self._exists(name), f"{name} is back"
+
+    def test_expt_is_an_invalid_choice(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["expt"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'expt'" in capsys.readouterr().err
 
     def test_no_source_names_a_retired_attribute(self):
         hits = _lines_naming(self.RETIRED_ATTRIBUTES, ("src",), {".py"})
@@ -1063,11 +1032,11 @@ class TestRetiredNames:
 
 
 class TestSourceSize:
-    #: `src/` physical lines, as measured, after each landed block's
-    #: play-out end came to be folded once (23,829 before).
+    #: `src/` physical lines, as measured, after the experiment matrix
+    #: became one golden and `repro.expt` went (23,801 before).
     #: ROADMAP aim 2: the count trends *down* — lower this when a PR
     #: deletes code, never raise it to make room.
-    SRC_LINE_CEILING = 23801
+    SRC_LINE_CEILING = 22315
 
     def test_src_line_count_stays_under_the_ceiling(self):
         total = sum(
