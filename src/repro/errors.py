@@ -234,6 +234,5 @@ class GarbageCollectionError(StorageError):
 # ---------------------------------------------------------------------------
 
 class SimulationError(ReproError):
-    """A record of simulated time is inconsistent or over its budget: a
-    block timeline whose stages run backwards, or a strict tracer / span
-    tracer asked to hold more than its limit."""
+    """A record of simulated time is over its budget: a strict tracer /
+    span tracer asked to hold more than its limit."""

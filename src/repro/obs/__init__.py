@@ -7,9 +7,9 @@ reproduction proves it kept them.  Components report into an optional
 * :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms
   (deadline slack, seek time, round utilization, queue depth), and
   profiling timers, serialized to byte-stable sorted JSON;
-* :class:`SessionTimeline` — per-block lifecycle events
-  (``enqueued → read-start → read-done → consumed | skipped``) with
-  simulated timestamps and machine-checked ordering invariants;
+* :class:`SessionTimeline` — per-session block lifecycle stage counts
+  (``enqueued → read-start → read-done → consumed | skipped``), read-done
+  jitter and the conservation check, tallied from the loop's columns;
 * :class:`AdmissionAuditLog` — every admit/reject/revalidate with the
   exact inequality and operand values the decision turned on;
 * :class:`SpanTracer` — deterministic causal spans across the whole
@@ -48,7 +48,7 @@ from repro.obs.registry import (
     ProfileTimer,
 )
 from repro.obs.slo import DEFAULT_SLOS, Slo, SloMonitor
-from repro.obs.timeline import BlockStage, SessionTimeline, TimelineEvent
+from repro.obs.timeline import BlockStage, SessionTimeline
 from repro.obs.tracing import Span, SpanTracer
 
 __all__ = [
@@ -74,5 +74,4 @@ __all__ = [
     "SloMonitor",
     "Span",
     "SpanTracer",
-    "TimelineEvent",
 ]

@@ -69,8 +69,10 @@ class Observability:
         Keeps the first blocks of every session at full per-block
         fidelity, then samples every 64th block, and caps the timeline
         summary — bounding both golden-snapshot size and the tracing
-        overhead on 100k-block runs, while metrics (and the SLOs the
-        caller attaches) still see every block.
+        overhead on 100k-block runs.  The ``session.*`` block counters
+        still count every block, but ``session.deadline_slack_s`` — and
+        so the ``slack-p95`` / ``slack-p99`` SLOs that read it — sees
+        only the timeline's sampled blocks.
         """
         obs = cls(seed=seed)
         obs.timeline = SessionTimeline(keep_first=8, every_kth=64, summary_sessions=8)

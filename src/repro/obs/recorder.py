@@ -16,10 +16,11 @@ A component obtains its recorder once from :func:`recorder_for`, which
 returns None when there is nothing to record (no observer, or a disabled
 one with no sim event log) — so the unobserved hot path is one ``is None``
 test per report site and never formats a string.  Per-block sampling
-stays data on the surfaces (``SessionTimeline.keep_first/every_kth``,
-``SpanTracer.block_keep_first/block_every_kth``):
-``StreamState.report_at`` — set by the recorder — names the next block
-index of a stream the loop should report, and it reports only those.
+stays data on the surfaces.  ``SpanTracer.block_keep_first/block_every_kth``
+picks the blocks traced live: ``StreamState.report_at`` — set by the
+recorder — names the next block index of a stream the loop should report,
+and it reports only those.  ``SessionTimeline.keep_first/every_kth`` picks
+the blocks the run-end walk tallies from the loop's columns.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.obs.registry import (
     ROUND_UTILIZATION_BUCKETS,
     SEEK_TIME_BUCKETS,
 )
-from repro.obs.timeline import BlockStage
 
 __all__ = ["EVENTS", "FAULTS", "ServiceRecorder", "recorder_for", "sinks"]
 
@@ -49,9 +49,8 @@ EVENTS: Dict[str, Tuple[str, str]] = {
     "round_begin": (
         "loop", "histogram:service.queue_depth timer:service.round"),
     "turn_begin": ("loop", "sim:buffer-full"),
-    "block_begin": (
-        "loop", "span:service.block stage:enqueued stage:read-start"),
-    "block_end": ("loop", "span:service.block stage:read-done stage:skipped"),
+    "block_begin": ("loop", "span:service.block"),
+    "block_end": ("loop", "span:service.block"),
     "turn_end": ("loop", "profile:per_stream sim:playback-start"),
     "round_served": (
         "loop", "timer:service.round histogram:service.round_utilization"),
@@ -61,7 +60,8 @@ EVENTS: Dict[str, Tuple[str, str]] = {
         "loop", "histogram:session.deadline_slack_s "
         "counter:session.blocks_delivered counter:session.blocks_skipped "
         "counter:session.deadline_misses gauge:service.rounds_run "
-        "span:service.stream stage:consumed slo:final"),
+        "span:service.stream stage:enqueued stage:read-start stage:read-done "
+        "stage:skipped stage:consumed slo:final"),
     "drive_attached": ("drive", "phase:seek phase:transfer"),
     "drive_access": (
         "drive", "counter:disk.accesses histogram:disk.seek_s "
@@ -221,8 +221,8 @@ class ServiceRecorder:
         self._round_timer = self._admit = None
         self._m: Dict[str, object] = {}
         self._timeline = self._spans = self._slo = self._prof = None
-        #: The timeline's (keep_first, every_kth); it also gates which
-        #: blocks the run-end walk scores.
+        #: The timeline's (keep_first, every_kth): the blocks the run-end
+        #: walk tallies, and whose deadline slack it observes.
         self._tl_gate: Tuple[Optional[int], Optional[int]] = (None, None)
         #: The node *obs* is scoped to, read once (None outside a cluster):
         #: the profile's ``per_node`` key for what attaches or faults here.
@@ -268,17 +268,12 @@ class ServiceRecorder:
         return span
 
     def _report_from(self, stream, index: int) -> None:
-        """Point *stream* at the smallest block index >= *index* that some
-        per-block surface records (:data:`NEVER` when none does)."""
-        wanted = NEVER
-        if self._timeline is not None:
-            wanted = _next_sampled(index, *self._tl_gate)
+        """Point *stream* at the smallest block index >= *index* the tracer
+        samples (:data:`NEVER` when untraced)."""
         spans = self._spans
-        if spans is not None:
-            wanted = min(wanted, _next_sampled(
-                index, spans.block_keep_first, spans.block_every_kth
-            ))
-        stream.report_at = wanted
+        stream.report_at = NEVER if spans is None else _next_sampled(
+            index, spans.block_keep_first, spans.block_every_kth
+        )
 
     # -- the round loop ----------------------------------------------------------
 
@@ -320,34 +315,18 @@ class ServiceRecorder:
         if quota == 0:
             self._log(time, "buffer-full", stream.request_id, "round %d", round_number)
 
-    def block_begin(self, stream, index, time, round_number, has_slot: bool):
-        """A block the recorder asked for (``stream.report_at``) starts
-        service; returns its span (or None)."""
+    def block_begin(self, stream, index, time, round_number):
+        """A block the tracer samples (``stream.report_at``) starts
+        service; returns its span (None when the tracer dropped it)."""
         self._report_from(stream, index + 1)
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.record(time, stream.request_id, index, BlockStage.ENQUEUED)
-            if has_slot:
-                timeline.record(
-                    time, stream.request_id, index, BlockStage.READ_START
-                )
-        spans = self._spans
-        if spans is None or not spans.samples_block(index):
-            return None
-        return spans.start_span(
+        return self._spans.start_span(
             "service.block", time, parent=stream.trace, session=stream.request_id,
             attrs={"block": index, "round": round_number},
         )
 
     def block_end(self, stream, index, span, time, skipped: bool) -> None:
         """The block begun with *span* is in the buffer (or was skipped)."""
-        if span is not None:
-            self._spans.end_span(span, time, "skipped" if skipped else "ok")
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.record(time, stream.request_id, index, BlockStage.READ_DONE)
-            if skipped:
-                timeline.record(time, stream.request_id, index, BlockStage.SKIPPED)
+        self._spans.end_span(span, time, "skipped" if skipped else "ok")
 
     def turn_end(self, stream, time, cost, delivered, started: bool) -> None:
         """The turn moved *delivered* blocks in *cost* seconds; *started*
@@ -390,45 +369,54 @@ class ServiceRecorder:
             self._slo.finalize(time)
 
     def _score(self, stream) -> None:
-        """One walk over the stream's sampled delivery indexes.
+        """One walk over the stream's sampled delivery indexes, reading
+        the loop's columns: each was enqueued, read (when it has a slot)
+        and done at ``ready[i]``; it was skipped when recovery gave up on
+        it, else consumed once the clock started — and then its deadline
+        slack is observed.
 
-        Consumption times are derivable only after the fact (playback
-        cascades over the delivery schedule).  A continuous stream never
-        stalled on a late block, so block i finished playing at exactly
-        ``deadline_i + duration_i``; a stalled one reads the play-out end
-        the loop folded, ``stream.ends[i]`` — the two are not bit-equal,
-        so both definitions of *end* stay.
+        Only the last block's play-out end is needed, for the span.  A
+        continuous stream never stalled on a late block, so it finished
+        playing at exactly ``deadline + duration``; a stalled one reads the
+        fold, ``stream.ends[-1]`` — the two are not bit-equal, so both
+        definitions of *end* stay.
         """
         timeline, session = self._timeline, stream.request_id
         span = self._held.pop(session, None)
         start = stream.clock_start
+        ready, slots = stream.ready, stream.fetches.slots
+        offsets, skipped = stream.offsets, stream.skipped_indices
+        observe_slack = self._m["session.deadline_slack_s"].observe
+        arrivals: List[Tuple[int, float]] = []
+        read = dropped = 0
+        index = _next_sampled(0, *self._tl_gate)
+        while index < len(ready):
+            arrivals.append((index, ready[index]))
+            if slots[index] is not None:
+                read += 1
+            if index in skipped:
+                dropped += 1
+            elif start is not None:
+                observe_slack(start + offsets[index] - ready[index])
+            index = _next_sampled(index + 1, *self._tl_gate)
+        if timeline is not None:
+            blocks = len(arrivals)
+            timeline.add(session, {
+                "enqueued": blocks, "read-start": read, "read-done": blocks,
+                "skipped": dropped,
+                "consumed": 0 if start is None else blocks - dropped,
+            }, arrivals)
         if start is None:
             if span is not None:
                 self._spans.end_span(span, span.start, "unstarted")
             return
-        ready, ends, durations = stream.ready, stream.ends, stream.fetches.durations
-        offsets, skipped = stream.offsets, stream.skipped_indices
+        durations = stream.fetches.durations
         continuous = not skipped and not stream.metrics.misses
-        observe_slack = self._m["session.deadline_slack_s"].observe
-        upcoming = _next_sampled(0, *self._tl_gate)
-        while upcoming < len(ready):
-            index = upcoming
-            upcoming = _next_sampled(index + 1, *self._tl_gate)
-            deadline = start + offsets[index]
-            if continuous:
-                end = deadline + durations[index]
-            else:
-                end = ends[index]
-                if index in skipped:
-                    continue
-            if timeline is not None:
-                timeline.record(end, session, index, BlockStage.CONSUMED)
-            observe_slack(deadline - ready[index])
         if continuous:
             last = len(ready) - 1
             elapsed = start + offsets[last] + durations[last]
         else:
-            elapsed = ends[-1]
+            elapsed = stream.ends[-1]
         self._m["session.blocks_delivered"].inc(len(ready) - len(skipped))
         self._m["session.blocks_skipped"].inc(len(skipped))
         if stream.metrics.misses:

@@ -1,28 +1,25 @@
-"""Per-session block lifecycle timelines.
+"""Per-session block lifecycle summaries.
 
 Every media block a service loop touches moves through a fixed lifecycle
-(``enqueued → read-start → read-done → consumed | skipped``), each stage
-stamped with **simulated** time.  A :class:`SessionTimeline` records
-those transitions per ``(session, block)`` pair and derives the
-per-session telemetry the admission analysis needs to defend itself:
-inter-arrival jitter, consumption counts, and the conservation law
-``consumed + skipped == enqueued`` that proves no block was silently
-lost between admission and the display device.
-
-Timestamps come from the simulation clock, so a timeline is exactly
-reproducible under a fixed seed; :meth:`SessionTimeline.validate`
-machine-checks the well-ordering invariants the property tests rely on.
+(``enqueued → read-start → read-done → consumed | skipped``).  Once a run
+is over, the service recorder tallies each stream's sampled blocks from
+the loop's columns into a :class:`SessionTimeline`: stage counts and
+``(block index, read-done time)`` arrivals, on the simulation clock.  From
+those it derives the per-session telemetry the admission analysis needs
+to defend itself: inter-arrival jitter, consumption counts, and the
+conservation law ``consumed + skipped == enqueued`` that proves no block
+was silently lost between admission and the display device.  Per-block
+timestamps live in the trace's ``service.block`` spans.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.errors import ParameterError, SimulationError
+from repro.errors import ParameterError
 
-__all__ = ["BlockStage", "TimelineEvent", "SessionTimeline"]
+__all__ = ["BlockStage", "SessionTimeline"]
 
 
 class BlockStage(enum.Enum):
@@ -35,72 +32,21 @@ class BlockStage(enum.Enum):
     SKIPPED = "skipped"
 
 
-#: Lifecycle position of each stage (CONSUMED and SKIPPED are the two
-#: mutually exclusive terminals).
-_STAGE_ORDER = {
-    BlockStage.ENQUEUED: 0,
-    BlockStage.READ_START: 1,
-    BlockStage.READ_DONE: 2,
-    BlockStage.CONSUMED: 3,
-    BlockStage.SKIPPED: 3,
-}
-
-_TERMINALS = (BlockStage.CONSUMED, BlockStage.SKIPPED)
-
-
-@dataclass
-class TimelineEvent:
-    """One lifecycle transition of one block.
-
-    Slotted and not frozen: one is built per recorded stage, so its
-    construction (a frozen dataclass pays an ``object.__setattr__`` per
-    field, five times the cost) and its per-instance ``__dict__`` (one
-    more allocation for the collector to walk) are observed-path
-    overhead.
-    """
-
-    __slots__ = ("time", "session_id", "block_index", "stage")
-
-    time: float
-    session_id: str
-    block_index: int
-    stage: BlockStage
-
-    def __str__(self) -> str:
-        return (
-            f"[{self.time:12.6f}] {self.session_id:<10} "
-            f"block {self.block_index:<6d} {self.stage.value}"
-        )
-
-
-def _gap_spread(times: List[float]) -> float:
-    """Peak-to-peak spread of the gaps between successive *times*."""
-    if len(times) < 3:
-        return 0.0
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    return max(gaps) - min(gaps)
-
-
-def _conserved(counts: Dict[str, int]) -> bool:
-    return counts.get("consumed", 0) + counts.get("skipped", 0) == (
-        counts.get("enqueued", 0)
-    )
-
-
 class SessionTimeline:
-    """Records block lifecycle events for any number of sessions.
+    """Per-session stage counts and sampled block arrivals.
 
     Parameters
     ----------
     enabled:
-        When False, :meth:`record` is a no-op (the null-observer
-        pattern; see :mod:`repro.obs.registry`).
+        When False, :meth:`add` is a no-op (the null-observer pattern;
+        see :mod:`repro.obs.registry`).
     keep_first / every_kth:
-        Per-block sampling for large scenarios: blocks with index below
-        ``keep_first`` always record, then every ``every_kth``-th block.
-        The gate is purely index-based, so a sampled block keeps *all*
-        of its lifecycle stages and the conservation law still holds on
-        the sample.  Both None (the default) records every block.
+        Per-block sampling for large scenarios, which the recorder's walk
+        follows: blocks with index below ``keep_first`` are tallied, then
+        every ``every_kth``-th block.  The gate is purely index-based, so
+        a sampled block counts in *all* of its lifecycle stages and the
+        conservation law still holds on the sample.  Both None (the
+        default) tallies every block.
     summary_sessions:
         Cap on fully-listed sessions in :meth:`summary_dict`; sessions
         beyond the cap collapse into one ``"~aggregate"`` entry (``~``
@@ -130,75 +76,41 @@ class SessionTimeline:
         self.keep_first = keep_first
         self.every_kth = every_kth
         self.summary_sessions = summary_sessions
-        self._events: List[TimelineEvent] = []
+        self._stages: Dict[str, Dict[str, int]] = {}
+        self._arrivals: Dict[str, List[Tuple[int, float]]] = {}
 
-    # -- recording ---------------------------------------------------------------
-
-    def record(
+    def add(
         self,
-        time: float,
         session_id: str,
-        block_index: int,
-        stage: BlockStage,
+        stages: Mapping[str, int],
+        arrivals: Iterable[Tuple[int, float]],
     ) -> None:
-        """Append one lifecycle event (no-op when disabled/sampled out)."""
-        if not self.enabled:
+        """Tally one run of *session_id*: blocks per stage (keys are
+        :class:`BlockStage` values) and its ``(block index, read-done
+        time)`` arrivals.  A session with no block in any stage stays
+        unlisted; a no-op when disabled."""
+        if not self.enabled or not any(stages.values()):
             return
-        keep = self.keep_first
-        if keep is not None and block_index >= keep:
-            every = self.every_kth
-            if every is None or block_index % every:
-                return
-        self._events.append(
-            TimelineEvent(time, session_id, block_index, stage)
-        )
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TimelineEvent]:
-        return iter(self._events)
+        counts = self._stages.setdefault(session_id, {})
+        for key, count in stages.items():
+            if count:
+                counts[key] = counts.get(key, 0) + count
+        self._arrivals.setdefault(session_id, []).extend(arrivals)
 
     # -- queries -----------------------------------------------------------------
 
     def sessions(self) -> List[str]:
-        """All session IDs seen, sorted."""
-        return sorted({event.session_id for event in self._events})
-
-    def events(
-        self,
-        session_id: Optional[str] = None,
-        block_index: Optional[int] = None,
-        stage: Optional[BlockStage] = None,
-    ) -> List[TimelineEvent]:
-        """Events matching the given filters, in recording order."""
-        return [
-            event
-            for event in self._events
-            if (session_id is None or event.session_id == session_id)
-            and (block_index is None or event.block_index == block_index)
-            and (stage is None or event.stage == stage)
-        ]
+        """All session IDs tallied, sorted."""
+        return sorted(self._stages)
 
     def stage_counts(self, session_id: str) -> Dict[str, int]:
-        """Events per stage for one session (keys are stage values)."""
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            if event.session_id != session_id:
-                continue
-            key = event.stage.value
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        """Blocks per stage for one session (keys are stage values)."""
+        return dict(self._stages.get(session_id, {}))
 
     def read_done_times(self, session_id: str) -> List[float]:
         """Block arrival times for one session, in block order."""
-        arrivals = [
-            (event.block_index, event.time)
-            for event in self._events
-            if event.session_id == session_id
-            and event.stage is BlockStage.READ_DONE
-        ]
-        return [time for _index, time in sorted(arrivals)]
+        arrivals = sorted(self._arrivals.get(session_id, ()))
+        return [time for _index, time in arrivals]
 
     def interarrival_jitter(self, session_id: str) -> float:
         """Peak-to-peak spread of successive block arrival gaps, seconds.
@@ -206,56 +118,17 @@ class SessionTimeline:
         The §3.3.2 anti-jitter buffering exists to absorb exactly this
         spread; 0.0 for sessions with fewer than three arrivals.
         """
-        return _gap_spread(self.read_done_times(session_id))
-
-    # -- invariants --------------------------------------------------------------
-
-    def validate(self) -> None:
-        """Machine-check the lifecycle invariants; raises on violation.
-
-        * per-block event times are monotonically non-decreasing;
-        * stages appear in lifecycle order, starting at ``enqueued``;
-        * at most one terminal (``consumed`` xor ``skipped``) per block.
-        """
-        per_block: Dict[Tuple[str, int], List[TimelineEvent]] = {}
-        for event in self._events:
-            per_block.setdefault(
-                (event.session_id, event.block_index), []
-            ).append(event)
-        for (session_id, block_index), events in per_block.items():
-            label = f"{session_id} block {block_index}"
-            if events[0].stage is not BlockStage.ENQUEUED:
-                raise SimulationError(
-                    f"{label}: first event is {events[0].stage.value}, "
-                    "not enqueued"
-                )
-            terminals = 0
-            for previous, current in zip(events, events[1:]):
-                if current.time < previous.time:
-                    raise SimulationError(
-                        f"{label}: time reversed "
-                        f"({previous.time} -> {current.time})"
-                    )
-                if (
-                    _STAGE_ORDER[current.stage]
-                    < _STAGE_ORDER[previous.stage]
-                ):
-                    raise SimulationError(
-                        f"{label}: stage {current.stage.value} after "
-                        f"{previous.stage.value}"
-                    )
-            for event in events:
-                if event.stage in _TERMINALS:
-                    terminals += 1
-            if terminals > 1:
-                raise SimulationError(
-                    f"{label}: {terminals} terminal events (consumed/"
-                    "skipped must be exclusive)"
-                )
+        times = self.read_done_times(session_id)
+        if len(times) < 3:
+            return 0.0
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        return max(gaps) - min(gaps)
 
     def conservation_holds(self, session_id: str) -> bool:
         """True iff ``consumed + skipped == enqueued`` for the session."""
-        return _conserved(self.stage_counts(session_id))
+        counts = self._stages.get(session_id, {})
+        terminal = counts.get("consumed", 0) + counts.get("skipped", 0)
+        return terminal == counts.get("enqueued", 0)
 
     # -- serialization -----------------------------------------------------------
 
@@ -268,30 +141,13 @@ class SessionTimeline:
         scenarios with dozens of sessions produce goldens of bounded
         size.
         """
-        # One pass over the events, grouped by session; the per-session
-        # queries above (each its own scan) are the reference.
-        counts: Dict[str, Dict[str, int]] = {}
-        arrivals: Dict[str, List[Tuple[int, float]]] = {}
-        for event in self._events:
-            stages = counts.get(event.session_id)
-            if stages is None:
-                stages = counts[event.session_id] = {}
-                arrivals[event.session_id] = []
-            key = event.stage.value
-            stages[key] = stages.get(key, 0) + 1
-            if event.stage is BlockStage.READ_DONE:
-                arrivals[event.session_id].append(
-                    (event.block_index, event.time)
-                )
         entries = {
             session_id: {
-                "stages": counts[session_id],
-                "interarrival_jitter_s": _gap_spread(
-                    [time for _index, time in sorted(arrivals[session_id])]
-                ),
-                "conserved": _conserved(counts[session_id]),
+                "stages": self.stage_counts(session_id),
+                "interarrival_jitter_s": self.interarrival_jitter(session_id),
+                "conserved": self.conservation_holds(session_id),
             }
-            for session_id in sorted(counts)
+            for session_id in self.sessions()
         }
         session_ids = list(entries)
         listed = session_ids[:self.summary_sessions]
@@ -311,8 +167,3 @@ class SessionTimeline:
                 "conserved": all(entry["conserved"] for entry in rest),
             }
         return summary
-
-    def render(self, session_id: Optional[str] = None, last: int = 50) -> str:
-        """Human-readable tail of one session's (or all) events."""
-        events = self.events(session_id=session_id)
-        return "\n".join(str(event) for event in events[-last:])

@@ -132,8 +132,8 @@ class SpanTracer:
         When True, exceeding *limit* raises :class:`SimulationError`
         instead of dropping.
     block_keep_first / block_every_kth:
-        Per-block sampling the service recorder consults (see
-        :meth:`samples_block`): block indexes below ``block_keep_first``
+        Per-block sampling the service recorder follows when it opens
+        ``service.block`` spans: block indexes below ``block_keep_first``
         are always traced, then every ``block_every_kth``-th.  Both None
         (the default) traces every block.
     """
@@ -273,17 +273,6 @@ class SpanTracer:
     def context_for(self, key: str) -> Optional[Span]:
         """The span bound to *key*, or None."""
         return self._bindings.get(key)
-
-    # -- sampling ---------------------------------------------------------------
-
-    def samples_block(self, block_index: int) -> bool:
-        """Whether per-block spans are recorded for *block_index* (the
-        service recorder asks before opening a ``service.block`` span)."""
-        keep = self.block_keep_first
-        if keep is None or block_index < keep:
-            return True
-        every = self.block_every_kth
-        return every is not None and block_index % every == 0
 
     # -- queries ----------------------------------------------------------------
 

@@ -416,9 +416,7 @@ class RoundRobinService:
         sampled = index == stream.report_at
         span = None
         if sampled:
-            span = rec.block_begin(
-                stream, index, time, round_number, slot is not None
-            )
+            span = rec.block_begin(stream, index, time, round_number)
         ok = True
         if slot is not None:
             deadline = stream.clock_start

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 
 __all__ = ["TraceEvent", "Tracer"]
 
@@ -38,8 +38,8 @@ class Tracer:
     enabled:
         When False, :meth:`emit` is a no-op.
     limit:
-        Maximum retained events; older events are dropped FIFO beyond it
-        (simulations can generate millions).
+        Maximum retained events (at least 1); older events are dropped
+        FIFO beyond it (simulations can generate millions).
     strict:
         When True, exceeding *limit* raises :class:`SimulationError`
         instead of silently dropping — for tests that assert their trace
@@ -52,6 +52,8 @@ class Tracer:
         limit: int = 100_000,
         strict: bool = False,
     ):
+        if limit < 1:
+            raise ParameterError(f"limit must be >= 1, got {limit}")
         self.enabled = enabled
         self.limit = limit
         self.strict = strict

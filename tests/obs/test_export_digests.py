@@ -350,7 +350,8 @@ def test_profile_sections_match_the_pinned_ones(pinned, request):
 def test_fixture_reaches_both_definitions_of_consumption_end():
     """The trap the digests exist for: a miss-free stream's span ends at
     ``deadline + duration`` of its last block, a stalled one's at the
-    running fold — both must be exercised on *sampled* indexes."""
+    running fold — and the run-end walk must reach *sampled* indexes past
+    the keep-first prefixes (the tracer's 4, the timeline's 8)."""
     fixtures = dict(_sampled_fixtures())
     for key, continuous in (
         ("scale-continuous-sampled", True),
@@ -361,17 +362,27 @@ def test_fixture_reaches_both_definitions_of_consumption_end():
         assert all(
             m.continuous is continuous for m in run.result.metrics.values()
         )
-        sampled = {
-            event.block_index for event in obs.timeline
-            if event.stage.value == "consumed"
+        traced = {
+            span.attrs["block"]
+            for span in obs.tracer.spans(name="service.block")
         }
-        assert {0, 7, 64, 128} <= sampled and 8 not in sampled
+        assert {0, 3, 64, 128} <= traced and 4 not in traced
+        # Blocks 0-7, 64 and 128 of each 150-block stream are tallied.
+        assert len(obs.timeline.sessions()) == len(run.result.metrics)
+        for session in obs.timeline.sessions():
+            assert obs.timeline.stage_counts(session)["consumed"] == 10
+            assert len(obs.timeline.read_done_times(session)) == 10
     obs = Observability.for_scale(seed=17)
     fixtures["fault-sampled-seed17"].run(obs)
     skipped = {
-        e.block_index for e in obs.timeline if e.stage.value == "skipped"
+        span.attrs["block"] for span in obs.tracer.spans(name="service.block")
+        if span.status == "skipped"
     }
     assert 64 in skipped
+    assert any(
+        obs.timeline.stage_counts(session).get("skipped")
+        for session in obs.timeline.sessions()
+    )
     assert obs.tracer.spans(name="fault.skip")
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for session timelines and their lifecycle invariants."""
+"""Unit tests for session timelines: the per-session tally and its views."""
 
 import json
 
@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.obs import BlockStage, SessionTimeline
+
+HEALTHY = {"enqueued": 1, "read-start": 1, "read-done": 1, "consumed": 1}
 
 
 def _healthy_block(timeline, session, index, base):
-    timeline.record(base, session, index, BlockStage.ENQUEUED)
-    timeline.record(base + 0.01, session, index, BlockStage.READ_START)
-    timeline.record(base + 0.02, session, index, BlockStage.READ_DONE)
-    timeline.record(base + 0.10, session, index, BlockStage.CONSUMED)
+    timeline.add(session, HEALTHY, [(index, base + 0.02)])
 
 
 class TestRecording:
@@ -23,94 +21,62 @@ class TestRecording:
         _healthy_block(timeline, "A", 0, 0.0)
         _healthy_block(timeline, "B", 0, 0.5)
         assert timeline.sessions() == ["A", "B"]
-        assert len(timeline) == 8
-        assert timeline.stage_counts("A") == {
-            "enqueued": 1, "read-start": 1, "read-done": 1, "consumed": 1,
-        }
-
-    def test_event_filters(self):
-        timeline = SessionTimeline()
-        _healthy_block(timeline, "A", 0, 0.0)
+        assert timeline.stage_counts("A") == HEALTHY
+        # A second tally under the same session id adds to the first.
         _healthy_block(timeline, "A", 1, 0.2)
-        done = timeline.events(session_id="A", stage=BlockStage.READ_DONE)
-        assert [event.block_index for event in done] == [0, 1]
+        assert timeline.stage_counts("A") == {
+            stage: 2 for stage in HEALTHY
+        }
 
     def test_disabled_timeline_records_nothing(self):
         timeline = SessionTimeline(enabled=False)
         _healthy_block(timeline, "A", 0, 0.0)
-        assert len(timeline) == 0
-        timeline.validate()  # vacuously valid
+        assert timeline.sessions() == []
+        assert timeline.summary_dict() == {}
+
+    def test_zero_counts_are_not_stages_and_an_empty_tally_is_no_session(self):
+        timeline = SessionTimeline()
+        timeline.add("A", {stage.value: 0 for stage in BlockStage}, [])
+        assert timeline.sessions() == []
+        timeline.add("A", {**HEALTHY, "skipped": 0}, [(0, 0.1)])
+        assert timeline.stage_counts("A") == HEALTHY
+
+    def test_stage_counts_is_a_copy(self):
+        timeline = SessionTimeline()
+        _healthy_block(timeline, "A", 0, 0.0)
+        timeline.stage_counts("A")["consumed"] = 7
+        assert timeline.stage_counts("A") == HEALTHY
+        assert timeline.stage_counts("unknown") == {}
 
 
 class TestDerivedTelemetry:
     def test_read_done_times_sorted_by_block(self):
         timeline = SessionTimeline()
-        # Record out of block order; arrival times come back block-ordered.
-        timeline.record(0.0, "A", 1, BlockStage.ENQUEUED)
-        timeline.record(0.3, "A", 1, BlockStage.READ_DONE)
-        timeline.record(0.0, "A", 0, BlockStage.ENQUEUED)
-        timeline.record(0.1, "A", 0, BlockStage.READ_DONE)
+        # Tallied out of block order; arrival times come back block-ordered.
+        timeline.add("A", {"enqueued": 2, "read-done": 2}, [(1, 0.3), (0, 0.1)])
         assert timeline.read_done_times("A") == [0.1, 0.3]
 
     def test_interarrival_jitter_peak_to_peak(self):
         timeline = SessionTimeline()
-        for index, when in enumerate((0.0, 0.1, 0.3, 0.4)):
-            timeline.record(when, "A", index, BlockStage.ENQUEUED)
-            timeline.record(when, "A", index, BlockStage.READ_DONE)
+        timeline.add(
+            "A", {"enqueued": 4, "read-done": 4},
+            list(enumerate((0.0, 0.1, 0.3, 0.4))),
+        )
         # Gaps are 0.1, 0.2, 0.1 -> peak-to-peak 0.1.
         assert timeline.interarrival_jitter("A") == pytest.approx(0.1)
 
     def test_jitter_needs_three_arrivals(self):
         timeline = SessionTimeline()
-        timeline.record(0.0, "A", 0, BlockStage.ENQUEUED)
-        timeline.record(0.0, "A", 0, BlockStage.READ_DONE)
+        timeline.add("A", {"enqueued": 1, "read-done": 1}, [(0, 0.0)])
         assert timeline.interarrival_jitter("A") == 0.0
 
     def test_conservation(self):
         timeline = SessionTimeline()
         _healthy_block(timeline, "A", 0, 0.0)
-        timeline.record(0.5, "A", 1, BlockStage.ENQUEUED)
-        timeline.record(0.6, "A", 1, BlockStage.SKIPPED)
+        timeline.add("A", {"enqueued": 1, "read-done": 1, "skipped": 1}, [])
         assert timeline.conservation_holds("A")
-        timeline.record(0.9, "A", 2, BlockStage.ENQUEUED)
-        assert not timeline.conservation_holds("A")  # 2 has no terminal
-
-
-class TestValidate:
-    def test_healthy_timeline_validates(self):
-        timeline = SessionTimeline()
-        for index in range(4):
-            _healthy_block(timeline, "A", index, index * 0.1)
-        timeline.validate()
-
-    def test_first_event_must_be_enqueued(self):
-        timeline = SessionTimeline()
-        timeline.record(0.0, "A", 0, BlockStage.READ_START)
-        with pytest.raises(SimulationError, match="not enqueued"):
-            timeline.validate()
-
-    def test_time_reversal_rejected(self):
-        timeline = SessionTimeline()
-        timeline.record(1.0, "A", 0, BlockStage.ENQUEUED)
-        timeline.record(0.5, "A", 0, BlockStage.READ_DONE)
-        with pytest.raises(SimulationError, match="time reversed"):
-            timeline.validate()
-
-    def test_stage_regression_rejected(self):
-        timeline = SessionTimeline()
-        timeline.record(0.0, "A", 0, BlockStage.ENQUEUED)
-        timeline.record(0.1, "A", 0, BlockStage.READ_DONE)
-        timeline.record(0.2, "A", 0, BlockStage.READ_START)
-        with pytest.raises(SimulationError, match="stage"):
-            timeline.validate()
-
-    def test_double_terminal_rejected(self):
-        timeline = SessionTimeline()
-        timeline.record(0.0, "A", 0, BlockStage.ENQUEUED)
-        timeline.record(0.1, "A", 0, BlockStage.CONSUMED)
-        timeline.record(0.1, "A", 0, BlockStage.SKIPPED)
-        with pytest.raises(SimulationError, match="terminal"):
-            timeline.validate()
+        timeline.add("A", {"enqueued": 1}, [])
+        assert not timeline.conservation_holds("A")  # no terminal
 
 
 class TestRendering:
@@ -125,38 +91,50 @@ class TestRendering:
 
     @settings(deadline=None, max_examples=80)
     @given(
-        blocks=st.lists(
+        tallies=st.lists(
             st.tuples(
                 st.sampled_from(["s0", "s1", "s2", "s3", "s4"]),
-                st.integers(min_value=0, max_value=200),
-                st.floats(min_value=0.0, max_value=50.0),
-                st.sampled_from(["played", "skipped", "silence", "lost"]),
+                st.dictionaries(
+                    st.sampled_from([stage.value for stage in BlockStage]),
+                    st.integers(min_value=0, max_value=5),
+                ),
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=200),
+                        st.floats(min_value=0.0, max_value=50.0),
+                    ),
+                    max_size=6,
+                ),
             ),
-            max_size=40,
+            max_size=20,
         ),
-        sampling=st.sampled_from([(None, None), (2, 8), (0, 3), (4, None)]),
         cap=st.sampled_from([None, 1, 2, 8]),
     )
     def test_one_pass_summary_equals_the_per_session_queries(
-        self, blocks, sampling, cap
+        self, tallies, cap
     ):
-        """``summary_dict`` groups the events once; the dict built from
-        ``stage_counts`` / ``interarrival_jitter`` / ``conservation_holds``
-        (one scan per session each) is the reference — same values, same
-        key order, so the snapshot bytes are the same too."""
-        timeline = SessionTimeline(
-            keep_first=sampling[0], every_kth=sampling[1],
-            summary_sessions=cap,
-        )
-        for session, index, base, fate in blocks:
-            timeline.record(base, session, index, BlockStage.ENQUEUED)
-            if fate != "silence":  # a block with no slot is never read
-                timeline.record(base, session, index, BlockStage.READ_START)
-            timeline.record(base + 0.5, session, index, BlockStage.READ_DONE)
-            if fate == "skipped":
-                timeline.record(base + 0.5, session, index, BlockStage.SKIPPED)
-            elif fate != "lost":
-                timeline.record(base + 1.0, session, index, BlockStage.CONSUMED)
+        """``summary_dict`` is the per-session views (``stage_counts`` /
+        ``interarrival_jitter`` / ``conservation_holds``) with the tail
+        past *cap* folded into ``~aggregate`` — same values, same key
+        order, so the snapshot bytes are the same too — and the views sum
+        exactly what was added."""
+        timeline = SessionTimeline(summary_sessions=cap)
+        totals, arrivals = {}, {}
+        for session, stages, landed in tallies:
+            timeline.add(session, stages, landed)
+            if any(stages.values()):
+                mine = totals.setdefault(session, {})
+                for key, count in stages.items():
+                    mine[key] = mine.get(key, 0) + count
+                arrivals.setdefault(session, []).extend(landed)
+        assert timeline.sessions() == sorted(totals)
+        for session, mine in totals.items():
+            assert timeline.stage_counts(session) == {
+                key: count for key, count in mine.items() if count
+            }
+            assert timeline.read_done_times(session) == [
+                time for _index, time in sorted(arrivals[session])
+            ]
 
         def listed(session_id):
             return {
@@ -187,16 +165,16 @@ class TestRendering:
         assert json.dumps(timeline.summary_dict()) == json.dumps(expected)
 
     def test_summary_visits_each_event_once(self):
-        """O(events), not O(sessions x events): 249 sessions' worth of
-        events cost one walk of the event list."""
+        """O(arrivals), not O(sessions x arrivals): 249 sessions' worth of
+        arrivals are each read once."""
 
-        class CountingEvents(list):
+        class CountingArrivals(list):
             visited = 0
 
             def __iter__(self):
-                for event in list.__iter__(self):
-                    CountingEvents.visited += 1
-                    yield event
+                for arrival in list.__iter__(self):
+                    CountingArrivals.visited += 1
+                    yield arrival
 
         timeline = SessionTimeline(summary_sessions=8)
         for session in range(249):
@@ -204,15 +182,12 @@ class TestRendering:
                 _healthy_block(
                     timeline, f"S{session:03d}", index, session + 0.2 * index
                 )
-        timeline._events = CountingEvents(timeline._events)
+        for session, landed in timeline._arrivals.items():
+            timeline._arrivals[session] = CountingArrivals(landed)
         summary = timeline.summary_dict()
-        assert CountingEvents.visited == len(timeline) == 249 * 3 * 4
+        assert CountingArrivals.visited == 249 * 3
         assert summary["~aggregate"]["sessions"] == 241
+        assert summary["~aggregate"]["stages"] == {
+            stage: 241 * 3 for stage in HEALTHY
+        }
         assert summary["~aggregate"]["conserved"] is True
-
-    def test_render_tail(self):
-        timeline = SessionTimeline()
-        _healthy_block(timeline, "A", 0, 0.0)
-        text = timeline.render(session_id="A", last=2)
-        assert "consumed" in text
-        assert "enqueued" not in text  # truncated to the last 2 events

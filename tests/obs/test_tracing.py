@@ -168,20 +168,53 @@ class TestBindings:
 
 
 class TestSampling:
+    """The recorder's one lattice rule, ``_next_sampled``: the block index
+    a stream reports next (``StreamState.report_at``) under the tracer's
+    ``(block_keep_first, block_every_kth)``."""
+
+    @staticmethod
+    def _lattice(tracer, upto):
+        from repro.obs.recorder import _next_sampled
+
+        gate = (tracer.block_keep_first, tracer.block_every_kth)
+        sampled, index = [], _next_sampled(0, *gate)
+        while index < upto:
+            sampled.append(index)
+            index = _next_sampled(index + 1, *gate)
+        return sampled
+
     def test_unsampled_traces_every_block(self):
         tracer = SpanTracer(seed=0)
-        assert all(tracer.samples_block(i) for i in range(100))
+        assert self._lattice(tracer, 100) == list(range(100))
 
     def test_keep_first_and_every_kth(self):
         tracer = SpanTracer(
             seed=0, block_keep_first=4, block_every_kth=16
         )
-        sampled = [i for i in range(64) if tracer.samples_block(i)]
-        assert sampled == [0, 1, 2, 3, 16, 32, 48]
+        assert self._lattice(tracer, 64) == [0, 1, 2, 3, 16, 32, 48]
 
     def test_keep_first_only(self):
         tracer = SpanTracer(seed=0, block_keep_first=2)
-        assert [i for i in range(8) if tracer.samples_block(i)] == [0, 1]
+        assert self._lattice(tracer, 8) == [0, 1]
+
+    def test_a_run_opens_block_spans_on_the_lattice_alone(self):
+        """The loop reports exactly the lattice's blocks, whatever the
+        timeline samples."""
+        from repro.obs import Observability, SessionTimeline
+        from repro.scenarios import get
+
+        obs = Observability()
+        obs.timeline = SessionTimeline(keep_first=3, every_kth=4)
+        obs.tracer = SpanTracer(seed=0, block_keep_first=2, block_every_kth=5)
+        get("scale")(streams=2, blocks_per_stream=12, seed=1).run(obs)
+        spans = obs.tracer.spans(name="service.block")
+        sessions = {span.session for span in spans}
+        assert len(sessions) == 2
+        for session in sessions:
+            assert [
+                span.attrs["block"] for span in spans
+                if span.session == session
+            ] == self._lattice(obs.tracer, 12) == [0, 1, 5, 10]
 
 
 class TestSummaryAndExport:

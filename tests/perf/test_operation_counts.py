@@ -97,7 +97,7 @@ class TestObsOffFastPath:
     """With observability off, the service loop does zero obs work.
 
     The obs-off configuration (``obs=None``) must not construct spans,
-    timeline events, or metric instruments anywhere on the hot path —
+    timeline tallies, or metric instruments anywhere on the hot path —
     not merely discard them.  Counting proxies on the class methods pin
     that the calls never happen, so the fast path stays allocation-free
     regardless of how the gated branches evolve.
@@ -121,8 +121,8 @@ class TestObsOffFastPath:
             counting("span", SpanTracer.start_span),
         )
         monkeypatch.setattr(
-            SessionTimeline, "record",
-            counting("timeline", SessionTimeline.record),
+            SessionTimeline, "add",
+            counting("timeline", SessionTimeline.add),
         )
         monkeypatch.setattr(
             MetricsRegistry, "counter",

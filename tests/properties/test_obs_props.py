@@ -2,9 +2,9 @@
 
 The invariants golden files alone cannot pin down:
 
-(a) timeline well-ordering — per-block lifecycle events are
-    monotonically timestamped and stage-ordered for *any* serviced
-    workload, faulted or not;
+(a) column well-ordering — the loop's per-block columns the timeline is
+    tallied from are monotonically timestamped and consistent for *any*
+    serviced workload, faulted or not;
 (b) conservation — ``consumed + skipped == enqueued`` for every
     completed session, and timeline skips equal the continuity
     metrics' skips;
@@ -77,15 +77,26 @@ def _run_observed(spec):
         obs=obs,
     )
     metrics = service.run(streams)
-    return obs, metrics
+    return obs, metrics, streams
 
 
 class TestTimelineProperties:
     @settings(deadline=None, max_examples=25)
     @given(spec=workloads)
     def test_events_well_ordered_and_conserved(self, spec):
-        obs, _metrics = _run_observed(spec)
-        obs.timeline.validate()
+        """Blocks land in order, each finishes playing no earlier than it
+        landed, and a skip names a landed block — the columns the
+        timeline's stages are tallied from."""
+        obs, _metrics, streams = _run_observed(spec)
+        for stream in streams:
+            ready = stream.ready
+            assert ready == sorted(ready), stream.request_id
+            if stream.clock_start is not None:
+                assert len(stream.ends) == len(ready)
+                assert all(
+                    end >= landed for end, landed in zip(stream.ends, ready)
+                )
+            assert stream.skipped_indices <= set(range(len(ready)))
         for session_id in obs.timeline.sessions():
             assert obs.timeline.conservation_holds(session_id), (
                 obs.timeline.stage_counts(session_id)
@@ -94,7 +105,7 @@ class TestTimelineProperties:
     @settings(deadline=None, max_examples=25)
     @given(spec=workloads)
     def test_timeline_skips_equal_metric_skips(self, spec):
-        obs, metrics = _run_observed(spec)
+        obs, metrics, _streams = _run_observed(spec)
         timeline_skips = sum(
             obs.timeline.stage_counts(sid).get("skipped", 0)
             for sid in obs.timeline.sessions()
@@ -104,7 +115,7 @@ class TestTimelineProperties:
     @settings(deadline=None, max_examples=25)
     @given(spec=workloads)
     def test_delivered_counter_matches_metrics(self, spec):
-        obs, metrics = _run_observed(spec)
+        obs, metrics, _streams = _run_observed(spec)
         delivered = obs.registry.counter("session.blocks_delivered")
         assert delivered.value == sum(
             m.blocks_delivered for m in metrics.values()
@@ -145,7 +156,7 @@ class TestHistogramProperties:
     @settings(deadline=None, max_examples=25)
     @given(spec=workloads)
     def test_run_histograms_satisfy_invariant(self, spec):
-        obs, _metrics = _run_observed(spec)
+        obs, _metrics, _streams = _run_observed(spec)
         snapshot = obs.registry.snapshot_dict()
         assert snapshot["histograms"], "run recorded no histograms"
         for name, data in snapshot["histograms"].items():
@@ -158,8 +169,8 @@ class TestSnapshotDeterminism:
     @settings(deadline=None, max_examples=15)
     @given(spec=workloads)
     def test_same_seed_same_snapshot(self, spec):
-        first, _ = _run_observed(spec)
-        second, _ = _run_observed(spec)
+        first, _, _ = _run_observed(spec)
+        second, _, _ = _run_observed(spec)
         assert first.snapshot() == second.snapshot()
         assert Observability.diff(
             first.snapshot(), second.snapshot()

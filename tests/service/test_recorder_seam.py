@@ -59,7 +59,7 @@ class FakeRecorder:
         self.events.append(("round_begin", (active,), {}))
         return True, True
 
-    def block_begin(self, stream, index, time, round_number, has_slot):
+    def block_begin(self, stream, index, time, round_number):
         self.events.append(
             ("block_begin", (stream, index, time, round_number), {})
         )

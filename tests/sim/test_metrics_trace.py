@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.sim.metrics import ContinuityMetrics
 from repro.sim.trace import Tracer
 
@@ -71,6 +71,13 @@ class TestTracer:
         assert len(tracer) == 2
         assert tracer.dropped == 3
         assert tracer.filter(subject="s4")
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_refused(self, limit):
+        # Refused at construction, as SpanTracer refuses it: a limit of 0
+        # used to make the first emit pop from an empty list.
+        with pytest.raises(ParameterError, match="limit must be >= 1"):
+            Tracer(limit=limit)
 
     def test_render(self):
         tracer = Tracer(limit=2)
