@@ -26,7 +26,7 @@ the blocks its continuity guarantee now depends on.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.disk.drive import SimulatedDrive
@@ -61,14 +61,7 @@ class CacheStats:
 
     def as_dict(self) -> Dict[str, int]:
         """JSON-ready counter mapping."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "pin_failures": self.pin_failures,
-        }
+        return asdict(self)
 
 
 class BlockCache:
@@ -121,7 +114,10 @@ class BlockCache:
             self._resident.move_to_end(slot)
             return True
         while len(self._resident) >= self.capacity:
-            victim = self._next_victim()
+            victim = next(
+                (held for held in self._resident if held not in self._pins),
+                None,
+            )
             if victim is None:
                 return False
             del self._resident[victim]
@@ -129,12 +125,6 @@ class BlockCache:
         self._resident[slot] = None
         self.stats.insertions += 1
         return True
-
-    def _next_victim(self) -> Optional[int]:
-        for slot in self._resident:
-            if slot not in self._pins:
-                return slot
-        return None
 
     def invalidate(self, slot: int) -> None:
         """Drop residency for *slot* (no-op when absent).  Pins stay —
@@ -212,6 +202,13 @@ class CachedDrive:
         self.inner = inner
         self.cache = cache
         self.hit_time = hit_time
+        # The inner drive's fixed surface, bound once: its counters, block
+        # size and count, and the methods that install or derive on it.
+        self.stats = inner.stats
+        self.block_bits, self.slots = inner.block_bits, inner.slots
+        self.attach_injector = inner.attach_injector
+        self.attach_observer = inner.attach_observer
+        self.parameters = inner.parameters
         self.attach_cache_observer(obs)
 
     def attach_cache_observer(self, obs) -> None:
@@ -228,44 +225,51 @@ class CachedDrive:
         return self.inner.injector
 
     @property
-    def stats(self):
-        """The inner drive's mechanism counters."""
-        return self.inner.stats
-
-    @property
     def observed(self) -> bool:
         """Whether the inner drive has an enabled observer attached."""
         return self.inner.observed
 
-    @property
-    def block_bits(self) -> float:
-        """Bits per block slot."""
-        return self.inner.block_bits
-
-    @property
-    def slots(self) -> int:
-        """Number of block slots."""
-        return self.inner.slots
-
-    def attach_injector(self, injector) -> None:
-        """Install a fault injector on the inner drive."""
-        self.inner.attach_injector(injector)
-
-    def attach_observer(self, obs) -> None:
-        """Install an observability handle on the inner drive."""
-        self.inner.attach_observer(obs)
-
-    def parameters(self):
-        """Analytic parameters of the inner mechanism."""
-        return self.inner.parameters()
-
     # -- cached accesses -------------------------------------------------------
 
     def read_slot(self, slot: int, bits: Optional[float] = None) -> float:
-        """Read through the cache; returns elapsed simulated seconds."""
-        if self._probe(slot):
+        """Read through the cache; returns elapsed simulated seconds.
+
+        This is the per-block path, so it is :meth:`BlockCache.lookup`,
+        the inner read and :meth:`BlockCache.insert` written out in one
+        frame (the insert is called only when a pin may block it): the
+        same counters, LRU order and reports.
+        """
+        cache, rec = self.cache, self._rec
+        resident, stats = cache._resident, cache.stats
+        if slot in resident:
+            resident.move_to_end(slot)
+            stats.hits += 1
+            if rec is not None:
+                rec.cache_probe(True)
             return self.hit_time
-        return self._miss(slot, self.inner.read_slot, bits)
+        stats.misses += 1
+        if rec is not None:
+            rec.cache_probe(False)
+        try:
+            duration = self.inner.read_slot(slot, bits)
+        except MediaDefectError:
+            # The media is bad: any stale residency for the slot must go
+            # (data cached before the defect surfaced may predate it).
+            cache.invalidate(slot)
+            raise
+        if len(resident) < cache.capacity:
+            resident[slot] = None
+            stats.insertions += 1
+        elif cache._pins:
+            self._fill(slot)
+        else:
+            resident.popitem(last=False)
+            resident[slot] = None
+            stats.evictions += 1
+            stats.insertions += 1
+            if rec is not None:
+                rec.cache_evicted(1)
+        return duration
 
     def traced_read(
         self, slot: int, bits: Optional[float], now: float, rec, parent
@@ -278,45 +282,37 @@ class CachedDrive:
         status ``miss``; a fault closes it at the time the doomed attempt
         consumed (``defect``, or the fault's type name) and propagates.
         """
+        cache = self.cache
         span = rec.span_begin("cache_probe", now, parent, slot)
-        if self._probe(slot):
+        hit = cache.lookup(slot)
+        if self._rec is not None:
+            self._rec.cache_probe(hit)
+        if hit:
             rec.span_end(span, now + self.hit_time, "hit")
             return self.hit_time
         below = span if span is not None else parent
         try:
-            duration = self._miss(slot, self.inner.traced_read, bits, now, rec, below)
+            duration = self.inner.traced_read(slot, bits, now, rec, below)
         except Exception as fault:
             defect = isinstance(fault, MediaDefectError)
+            if defect:
+                cache.invalidate(slot)
             rec.span_end(
                 span, now + getattr(fault, "elapsed", 0.0),
                 "defect" if defect else type(fault).__name__,
             )
             raise
+        self._fill(slot)
         rec.span_end(span, now + duration, "miss")
         return duration
 
-    def _probe(self, slot: int) -> bool:
-        """Whether *slot* is resident: one lookup, counted and reported."""
-        hit = self.cache.lookup(slot)
-        if self._rec is not None:
-            self._rec.cache_probe(hit)
-        return hit
-
-    def _miss(self, slot: int, read_inner, *args) -> float:
-        """Absent *slot* read by ``read_inner(slot, *args)``, then cached."""
-        try:
-            duration = read_inner(slot, *args)
-        except MediaDefectError:
-            # The media is bad: any stale residency for the slot must go
-            # (data cached before the defect surfaced may predate it).
-            self.cache.invalidate(slot)
-            raise
-        evictions_before = self.cache.stats.evictions
+    def _fill(self, slot: int) -> None:
+        """Make the just-read *slot* resident, reporting what that evicted."""
+        stats = self.cache.stats
+        evictions_before = stats.evictions
         self.cache.insert(slot)
-        evicted = self.cache.stats.evictions - evictions_before
-        if evicted and self._rec is not None:
-            self._rec.cache_evicted(evicted)
-        return duration
+        if stats.evictions > evictions_before and self._rec is not None:
+            self._rec.cache_evicted(stats.evictions - evictions_before)
 
     def write_slot(self, slot: int, bits: Optional[float] = None) -> float:
         """Write through to the mechanism, invalidating residency."""

@@ -142,6 +142,8 @@ class MultimediaStorageManager:
         self._ids = itertools.count(1)
         self._gap_filler = GapFiller(self.freemap)
         self.degraded_heads = 0
+        #: Blocks :meth:`relocate_strand` moved: a seam measured before may not hold.
+        self.relocations = 0
 
     # -- degraded-mode admission (fault recovery) -------------------------------
 
@@ -592,6 +594,7 @@ class MultimediaStorageManager:
             new_slot = next(new_slots)
             moved += new_slot != current
             strand.relocate_block(number, new_slot)
+        self.relocations += moved
         return moved
 
     def restore_strands(self, strands: Sequence[Strand]) -> None:

@@ -163,26 +163,18 @@ class Segment:
 
     def strand_ids(self) -> List[str]:
         """Strands this segment references."""
-        ids = []
-        if self.video is not None:
-            ids.append(self.video.strand_id)
-        if self.audio is not None:
-            ids.append(self.audio.strand_id)
-        return ids
+        return [
+            track.strand_id for track in (self.video, self.audio) if track
+        ]
 
     def slice(self, offset_seconds: float, duration_seconds: float) -> "Segment":
         """Sub-segment; slices every present track consistently."""
-        video = (
-            self.video.slice(offset_seconds, duration_seconds)
-            if self.video is not None
-            else None
+        video, audio = self.video, self.audio
+        return Segment(
+            video=video and video.slice(offset_seconds, duration_seconds),
+            audio=audio and audio.slice(offset_seconds, duration_seconds),
+            triggers=self.triggers,
         )
-        audio = (
-            self.audio.slice(offset_seconds, duration_seconds)
-            if self.audio is not None
-            else None
-        )
-        return Segment(video=video, audio=audio, triggers=self.triggers)
 
     def with_tracks(
         self,

@@ -67,7 +67,8 @@ def project_medium(
 def strip_medium(
     segments: Sequence[Segment], media: Media
 ) -> List[Segment]:
-    """Remove the selected media from segments (single-medium DELETE).
+    """Remove the selected media from segments (single-medium DELETE):
+    the projection onto the other medium.
 
     Segments whose only track was removed are dropped — their playback
     time disappears with them, matching interval semantics.
@@ -76,16 +77,8 @@ def strip_medium(
         raise IntervalError(
             "stripping both media would empty the rope; use delete()"
         )
-    result: List[Segment] = []
-    for segment in segments:
-        video = None if media.includes_video else segment.video
-        audio = None if media.includes_audio else segment.audio
-        if video is None and audio is None:
-            continue
-        result.append(segment.with_tracks(video, audio))
-    if not result:
-        raise IntervalError("stripping removed the entire rope content")
-    return result
+    kept = Media.AUDIO if media.includes_video else Media.VIDEO
+    return project_medium(segments, kept)
 
 
 def substring(
@@ -118,11 +111,17 @@ def insert(
     return splice_segments(base, position, insertion)
 
 
-def _covers_all(base: Sequence[Segment], start: float, length: float) -> bool:
-    """True when [start, start+length) spans the whole segment list."""
-    return start <= _EPSILON and (
+def _overwrite(
+    base: Sequence[Segment], start: float, length: float,
+    content: List[Segment],
+) -> List[Segment]:
+    """*base* with ``[start, start+length)`` replaced by *content*."""
+    if start <= _EPSILON and (
         start + length >= total_duration(base) - _EPSILON
-    )
+    ):
+        return content
+    remainder = delete_range(base, start, length)
+    return splice_segments(remainder, start, content)
 
 
 def delete(
@@ -141,11 +140,7 @@ def delete(
     if media is Media.AUDIO_VISUAL:
         return delete_range(base, start, length)
     affected = slice_segments(base, start, length)
-    stripped = strip_medium(affected, media)
-    if _covers_all(base, start, length):
-        return stripped
-    remainder = delete_range(base, start, length)
-    return splice_segments(remainder, start, stripped)
+    return _overwrite(base, start, length, strip_medium(affected, media))
 
 
 def replace(
@@ -168,22 +163,12 @@ def replace(
     segment by segment — generating fresh block-level correspondence
     between previously unrelated strands (the Rope4/Rope5 example).
     """
-    if media is Media.AUDIO_VISUAL:
-        insertion = slice_segments(with_segments, with_start, with_length)
-        if _covers_all(base, base_start, base_length):
-            return insertion
-        remainder = delete_range(base, base_start, base_length)
-        return splice_segments(remainder, base_start, insertion)
-
-    replacement = project_medium(
-        slice_segments(with_segments, with_start, with_length), media
-    )
-    affected = slice_segments(base, base_start, base_length)
-    merged = _merge_tracks(affected, replacement, media)
-    if _covers_all(base, base_start, base_length):
-        return merged
-    remainder = delete_range(base, base_start, base_length)
-    return splice_segments(remainder, base_start, merged)
+    insertion = slice_segments(with_segments, with_start, with_length)
+    if media is not Media.AUDIO_VISUAL:
+        replacement = project_medium(insertion, media)
+        affected = slice_segments(base, base_start, base_length)
+        insertion = _merge_tracks(affected, replacement, media)
+    return _overwrite(base, base_start, base_length, insertion)
 
 
 def _merge_tracks(
@@ -193,9 +178,12 @@ def _merge_tracks(
 ) -> List[Segment]:
     """Overlay *replacement*'s selected medium onto *affected*'s timeline.
 
-    Both lists cover the same duration; the result is cut at the union of
-    both lists' boundaries, each piece taking the kept medium from
-    *affected* and the selected medium from *replacement*.
+    Both lists cover about the same duration (off the frame grid they
+    round to different unit counts); the result is cut at the union of
+    both lists' boundaries inside *affected*, each piece taking the kept
+    medium from *affected* and the selected medium from *replacement*.
+    The replacement's surplus is cut off, and a shortfall holds its
+    last unit.
     """
     duration = total_duration(affected)
     replacement_duration = total_duration(replacement)
@@ -206,17 +194,20 @@ def _merge_tracks(
             f"REPLACE intervals differ too much: base {duration:.3f} s vs "
             f"replacement {replacement_duration:.3f} s"
         )
-    boundaries = sorted(
-        set(_boundaries(affected)) | set(_boundaries(replacement))
-    )
+    boundaries = sorted({
+        min(time, duration)
+        for time in _boundaries(affected) + _boundaries(replacement)
+    })
+    last = replacement_duration - 2 * _EPSILON
     merged: List[Segment] = []
     for begin, end in zip(boundaries, boundaries[1:]):
         if end - begin <= _EPSILON:
             continue
         kept = slice_segments(affected, begin, end - begin)[0]
-        incoming_start = min(begin, replacement_duration - _EPSILON)
+        incoming_start = min(begin, last)
         incoming = slice_segments(
-            replacement, incoming_start, min(end, replacement_duration) - incoming_start
+            replacement, incoming_start,
+            max(min(end, replacement_duration) - incoming_start, 2 * _EPSILON),
         )[0]
         if media.includes_video:
             merged.append(kept.with_tracks(incoming.video, kept.audio))

@@ -21,7 +21,7 @@ in place of the successor interval's prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.editing_bounds import seam_repair_bound
 from repro.disk.layout import find_free_slot_near
@@ -38,7 +38,6 @@ __all__ = ["SeamCheck", "RepairReport", "ScatteringRepairer"]
 class SeamCheck:
     """Continuity status of one interval seam for one medium."""
 
-    segment_index: int
     medium: Media
     gap: float
     bound: float
@@ -51,7 +50,12 @@ class SeamCheck:
 
 @dataclass(frozen=True)
 class RepairReport:
-    """Outcome of a whole-rope repair pass."""
+    """Outcome of a whole-rope repair pass.
+
+    ``seams_checked`` counts the seams this pass measured: every seam of
+    the rope when :meth:`ScatteringRepairer.repair_segments` is called
+    bare, and only the seams the edit created under an MRS edit.
+    """
 
     seams_checked: int
     seams_violating: int
@@ -69,9 +73,6 @@ class ScatteringRepairer:
         self.drive = msm.drive
 
     # -- seam inspection ---------------------------------------------------------
-
-    def _track_of(self, segment: Segment, medium: Media) -> Optional[MediaTrack]:
-        return segment.video if medium is Media.VIDEO else segment.audio
 
     def _edge_slot(
         self, track: MediaTrack, last: bool
@@ -91,18 +92,24 @@ class ScatteringRepairer:
         return None
 
     def _seams(
-        self, index: int, previous: Segment, current: Segment
+        self, previous: Segment, current: Segment,
+        known: Collection[Tuple[int, int]] = (),
     ) -> Iterator[Tuple[SeamCheck, MediaTrack, Strand, int]]:
         """The seams between two adjacent segments, one per shared medium:
         ``(check, successor track, successor strand, anchor slot)``.
 
         The anchor is the predecessor's last stored block.  A medium that
-        either side lacks, or holds only silence for, has no seam.
+        either side lacks, or holds only silence for, has no seam; nor
+        has a track pair whose ``(id, id)`` is in *known*.
         """
-        for medium in (Media.VIDEO, Media.AUDIO):
-            track_a = self._track_of(previous, medium)
-            track_b = self._track_of(current, medium)
-            if track_a is None or track_b is None:
+        for medium, track_a, track_b in (
+            (Media.VIDEO, previous.video, current.video),
+            (Media.AUDIO, previous.audio, current.audio),
+        ):
+            if (
+                track_a is None or track_b is None
+                or (id(track_a), id(track_b)) in known
+            ):
                 continue
             slot_a = self._edge_slot(track_a, last=True)
             slot_b = self._edge_slot(track_b, last=False)
@@ -110,7 +117,6 @@ class ScatteringRepairer:
                 continue
             strand_b = self.msm.get_strand(track_b.strand_id)
             check = SeamCheck(
-                segment_index=index,
                 medium=medium,
                 gap=self.drive.access_gap(slot_a, slot_b),
                 bound=strand_b.scattering_upper,
@@ -121,10 +127,8 @@ class ScatteringRepairer:
         """Measure every seam of a segment list against its bound."""
         return [
             seam[0]
-            for index in range(1, len(segments))
-            for seam in self._seams(
-                index, segments[index - 1], segments[index]
-            )
+            for previous, current in zip(segments, segments[1:])
+            for seam in self._seams(previous, current)
         ]
 
     # -- repair --------------------------------------------------------------------
@@ -227,7 +231,9 @@ class ScatteringRepairer:
         return [prefix, suffix]
 
     def repair_segments(
-        self, segments: Sequence[Segment]
+        self,
+        segments: Sequence[Segment],
+        verified: Iterable[Sequence[Segment]] = (),
     ) -> Tuple[List[Segment], RepairReport]:
         """Repair every violating seam; returns (new segments, report).
 
@@ -235,7 +241,22 @@ class ScatteringRepairer:
         successor segment with (copied-prefix segment, suffix segment);
         single-medium repairs split only the affected track, leaving the
         other medium's reference intact on both pieces.
+
+        *verified* are segment lists every seam of which is known to meet
+        its bound (an edit's operands).  Strands are immutable (§2), so a
+        seam between two track objects that sat side by side in one of
+        them still does, and is not measured again: an edit measures the
+        seams it created, and a bare call measures every seam.
         """
+        known = {
+            (id(track_a), id(track_b))
+            for operand in verified
+            for previous, current in zip(operand, operand[1:])
+            for track_a, track_b in (
+                (previous.video, current.video),
+                (previous.audio, current.audio),
+            )
+        }
         working = list(segments)
         checked = violating = repaired = copied = residual = 0
         occupancy = self.msm.occupancy
@@ -245,7 +266,7 @@ class ScatteringRepairer:
             previous, current = working[index - 1], working[index]
             replaced = False
             for check, track_b, strand_b, slot_a in self._seams(
-                index, previous, current
+                previous, current, known
             ):
                 checked += 1
                 if not check.violates:
@@ -286,11 +307,10 @@ class ScatteringRepairer:
                 # plan wanted it) is recorded as residual rather than
                 # retried forever.
                 chain = [slot_a] + copy_strand.slots()
-                chain_ok = all(
+                if all(
                     self.drive.access_gap(first, second) <= bound
                     for first, second in zip(chain, chain[1:])
-                )
-                if chain_ok:
+                ):
                     replaced = True
                 else:
                     residual += 1
@@ -316,39 +336,17 @@ class ScatteringRepairer:
         """Rebuild segment(s) after the medium's track was split in two.
 
         The *other* medium (if present) is sliced to stay aligned with
-        the pieces' durations.
+        the pieces' durations; the triggers stay on the last piece.
         """
-        if len(tracks) == 1:
-            if medium is Media.VIDEO:
-                return [segment.with_tracks(tracks[0], segment.audio)]
-            return [segment.with_tracks(segment.video, tracks[0])]
-        first, second = tracks
-        cut = first.duration
         other = segment.audio if medium is Media.VIDEO else segment.video
-        if other is None:
-            if medium is Media.VIDEO:
-                return [
-                    Segment(video=first),
-                    Segment(video=second, triggers=segment.triggers),
-                ]
-            return [
-                Segment(audio=first),
-                Segment(audio=second, triggers=segment.triggers),
+        others = [other]
+        if len(tracks) == 2:
+            cut = tracks[0].duration
+            others = [None, None] if other is None else [
+                other.slice(0.0, cut),
+                other.slice(cut, max(other.duration - cut, 1e-9)),
             ]
-        other_first = other.slice(0.0, cut)
-        other_second = other.slice(cut, max(other.duration - cut, 1e-9))
+        triggers = [()] * (len(tracks) - 1) + [segment.triggers]
         if medium is Media.VIDEO:
-            return [
-                Segment(video=first, audio=other_first),
-                Segment(
-                    video=second, audio=other_second,
-                    triggers=segment.triggers,
-                ),
-            ]
-        return [
-            Segment(video=other_first, audio=first),
-            Segment(
-                video=other_second, audio=second,
-                triggers=segment.triggers,
-            ),
-        ]
+            return list(map(Segment, tracks, others, triggers))
+        return list(map(Segment, others, tracks, triggers))

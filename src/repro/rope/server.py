@@ -202,6 +202,9 @@ class MultimediaRopeServer:
         self._rope_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
         self.last_repair: Optional[RepairReport] = None
+        #: rope ID -> (the rope a clean repair pass installed, the MSM's
+        #: ``relocations`` then): an edit's operand every seam of which holds.
+        self._verified: Dict[str, Tuple[MultimediaRope, int]] = {}
 
     # -- lookup ------------------------------------------------------------------
 
@@ -476,14 +479,30 @@ class MultimediaRopeServer:
         updated = rope.with_segments(segments)
         return self._install(updated)
 
-    def _maybe_repair(self, rope: MultimediaRope) -> MultimediaRope:
+    def _maybe_repair(
+        self, rope: MultimediaRope, *operands: MultimediaRope
+    ) -> MultimediaRope:
+        """Repair an edit's result, measuring only the seams it created:
+        a seam inside an *operand* this pass verified earlier still holds."""
         if not self.auto_repair:
             self.last_repair = None
             return rope
-        segments, report = self.repairer.repair_segments(rope.segments)
+        relocations = self.msm.relocations
+        verified = []
+        for operand in operands:
+            rope_then, then = self._verified.get(operand.rope_id, (None, -1))
+            if rope_then is operand and then == relocations:
+                verified.append(operand.segments)
+        segments, report = self.repairer.repair_segments(
+            rope.segments, verified
+        )
         self.last_repair = report
         if report.seams_repaired:
-            return self._update(rope, segments)
+            rope = self._update(rope, segments)
+        if report.residual_violations:
+            self._verified.pop(rope.rope_id, None)
+        else:
+            self._verified[rope.rope_id] = (rope, relocations)
         return rope
 
     def grant_access(
@@ -517,6 +536,7 @@ class MultimediaRopeServer:
         rope.check_edit(user)
         self.msm.interests.drop_rope(rope_id)
         del self._ropes[rope_id]
+        self._verified.pop(rope_id, None)
         return self.msm.collect_garbage()
 
     # -- editing operations (§4.1) -----------------------------------------------------
@@ -541,7 +561,7 @@ class MultimediaRopeServer:
             source.segments, with_start, with_length,
         )
         updated = self._update(base, segments)
-        return self._maybe_repair(updated)
+        return self._maybe_repair(updated, base, source)
 
     def replace(
         self,
@@ -564,7 +584,7 @@ class MultimediaRopeServer:
             source.segments, with_start, with_length,
         )
         updated = self._update(base, segments)
-        return self._maybe_repair(updated)
+        return self._maybe_repair(updated, base, source)
 
     def substring(
         self,
@@ -584,7 +604,7 @@ class MultimediaRopeServer:
             segments=tuple(segments),
         )
         installed = self._install(rope)
-        return self._maybe_repair(installed)
+        return self._maybe_repair(installed, base)
 
     def concate(
         self, user: str, first_rope_id: str, second_rope_id: str
@@ -596,7 +616,7 @@ class MultimediaRopeServer:
         second.check_play(user)
         segments = operations.concate(first.segments, second.segments)
         updated = self._update(first, segments)
-        return self._maybe_repair(updated)
+        return self._maybe_repair(updated, first, second)
 
     def delete(
         self,
@@ -611,7 +631,7 @@ class MultimediaRopeServer:
         base.check_edit(user)
         segments = operations.delete(base.segments, media, start, length)
         updated = self._update(base, segments)
-        return self._maybe_repair(updated)
+        return self._maybe_repair(updated, base)
 
     # -- triggers (Fig. 8) -------------------------------------------------------------
 

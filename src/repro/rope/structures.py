@@ -87,10 +87,10 @@ class MultimediaRope:
 
     def referenced_strands(self) -> Set[str]:
         """All strand IDs this rope points into (for interests/GC)."""
-        ids: Set[str] = set()
-        for segment in self.segments:
-            ids.update(segment.strand_ids())
-        return ids
+        return {
+            strand_id
+            for segment in self.segments for strand_id in segment.strand_ids()
+        }
 
     def check_play(self, user: str) -> None:
         """Raise :class:`AccessDenied` unless *user* may PLAY this rope."""

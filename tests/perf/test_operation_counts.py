@@ -612,3 +612,91 @@ class TestOnePassPerStrand:
         assert sum(in_assign) == primaries
         assert len(built) - sum(in_assign) == primaries
         strand.verify_against_index()
+
+
+def _frames(function, *args):
+    """Qualified names of the Python frames ``function(*args)`` enters."""
+    frames = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            frames.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+class TestCachedReadFrames:
+    """A cached read is one frame: the residency test, LRU refresh,
+    counters and insert are ``CachedDrive.read_slot``'s own body."""
+
+    def _cached(self, capacity):
+        from repro.disk.cache import BlockCache, CachedDrive
+
+        drive = build_drive()
+        far = drive.slots // 2
+        # Both directions of the far hop are seen, so no seek-curve frame.
+        drive.read_slot(far)
+        drive.read_slot(0)
+        return CachedDrive(drive, BlockCache(capacity)), far
+
+    def test_a_hit_is_one_frame(self):
+        cached, far = self._cached(4)
+        cached.read_slot(far)
+        assert _frames(cached.read_slot, far) == [
+            "CachedDrive.read_slot"
+        ]
+        assert cached.cache.stats.hits == 1
+
+    def test_an_evicting_miss_is_the_drive_read_below_one_frame(self):
+        cached, far = self._cached(2)
+        neighbour = far + 1
+        assert cached.inner.cylinder_of(neighbour) == cached.inner.cylinder_of(far)
+        cached.read_slot(far)
+        cached.read_slot(0)
+        frames = _frames(cached.read_slot, neighbour)
+        assert frames == [
+            "CachedDrive.read_slot", "SimulatedDrive.read_slot",
+            "SimulatedDrive._access",
+        ], frames
+        assert list(cached.cache._resident) == [0, neighbour]
+        assert cached.cache.stats.evictions == 1
+
+
+class TestEditMeasuresCreatedSeams:
+    """An edit measures the seams it creates, not the rope's: the same
+    edit at the end of a 4-segment and of a 64-segment rope makes the
+    same number of ``access_gap`` calls."""
+
+    @staticmethod
+    def _gaps_of_an_edit_at_the_end(segments):
+        from repro.config import TESTBED_1991
+        from repro.media.frames import frames_for_duration
+        from repro.rope import Media, build_rope_server
+
+        mrs = build_rope_server()
+        video = TESTBED_1991.video
+        _, base = mrs.record("u", frames=frames_for_duration(video, 2.0, source="b"))
+        _, clip = mrs.record("u", frames=frames_for_duration(video, 1.0, source="c"))
+        for _ in range(segments - 1):
+            mrs.concate("u", base, clip)
+        assert mrs.get_rope(base).interval_count() == segments
+        calls = []
+        drive = mrs.msm.drive
+        gap = drive.access_gap
+        drive.access_gap = lambda a, b: (calls.append(1), gap(a, b))[1]
+        rope = mrs.insert(
+            "u", base, mrs.get_rope(base).duration, Media.VIDEO, clip, 0.0, 0.5
+        )
+        assert rope.interval_count() == segments + 1
+        assert mrs.last_repair.residual_violations == 0
+        return len(calls), mrs.last_repair.seams_checked
+
+    def test_an_edit_at_the_end_is_o1_in_rope_length(self):
+        short = self._gaps_of_an_edit_at_the_end(4)
+        long = self._gaps_of_an_edit_at_the_end(64)
+        assert short == long and short[0] >= 1, (short, long)

@@ -208,6 +208,62 @@ class TestEditingThroughServer:
         assert not shared.intersection(reclaimed)
 
 
+class TestSingleMediumReplaceOffTheFrameGrid:
+    """A single-medium REPLACE at arbitrary times: the base interval and
+    the replacement round to different unit counts, so the merge cuts at
+    the base interval's end and holds the replacement's last unit."""
+
+    def test_uniform_random_video_replaces_succeed(self, mrs, profile):
+        import random
+
+        video = frames_for_duration(profile.video, 30.0, source="v")
+        q1, plain = mrs.record("venkat", frames=video)
+        q2, both = mrs.record(
+            "venkat",
+            frames=frames_for_duration(profile.video, 30.0, source="av"),
+            chunks=generate_talk_spurts(
+                profile.audio, 30.0, 0.4, random.Random(7)
+            ),
+        )
+        mrs.stop(q1)
+        mrs.stop(q2)
+        draw = random.Random(20260806)
+        for turn in range(120):
+            base, source = (plain, both) if turn % 2 else (both, plain)
+            before = mrs.get_rope(base).duration
+            length = draw.uniform(0.5, 3.0)
+            rope = mrs.replace(
+                "venkat", base, Media.VIDEO,
+                draw.uniform(0.0, before - length), length,
+                source, draw.uniform(0.0, 30.0 - length), length,
+            )
+            assert rope.has_video
+            request = mrs.play("venkat", base)
+            plan = mrs.playback_plan(request)
+            mrs.stop(request)
+            assert plan.video_duration == pytest.approx(rope.duration)
+
+    def test_replacement_past_the_base_end_is_cut(self, mrs, profile):
+        _, base = mrs.record(
+            "venkat",
+            frames=frames_for_duration(profile.video, 4.0, source="b"),
+        )
+        _, source = mrs.record(
+            "venkat",
+            frames=frames_for_duration(profile.video, 4.0, source="s"),
+        )
+        # In float seconds the base interval [1.0, 2.05) is 31.4999...
+        # frames long and rounds to 31; the source interval [0.5, 1.55)
+        # is 31.5 and rounds to 32.  The surplus frame is cut.
+        rope = mrs.replace(
+            "venkat", base, Media.VIDEO, 1.0, 1.05, source, 0.5, 1.05,
+        )
+        assert rope.duration == pytest.approx(4.0)
+        assert [segment.video.length_units for segment in rope.segments] == [
+            30, 31, 59,
+        ]
+
+
 class TestAdoptStrands:
     def test_adopt_builds_rope(self, msm, mrs, frames):
         strand = msm.store_video_strand(frames)

@@ -930,6 +930,13 @@ class TestRetiredNames:
         "repro.obs.SessionTimeline.record", "repro.obs.SessionTimeline.events",
         "repro.obs.SessionTimeline.validate", "repro.obs.SessionTimeline.render",
         "repro.obs.SpanTracer.samples_block",
+        # Pay for what changed: an edit measures the seams it creates,
+        # and a cached read is one frame.
+        "repro.disk.CachedDrive._probe", "repro.disk.CachedDrive._miss",
+        "repro.disk.BlockCache._next_victim",
+        "repro.rope.ScatteringRepairer._track_of",
+        "repro.rope.SeamCheck.segment_index",
+        "repro.rope.operations._covers_all",
     ]
     #: Retired instance attributes, which no import can resolve.
     RETIRED_ATTRIBUTES = re.compile(r"_seen_sessions|_sim_tracers")
