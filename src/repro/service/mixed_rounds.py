@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
-from repro.service.rounds import check_k_override
+from repro.service.rounds import check_count
 from repro.sim.metrics import ContinuityMetrics
 
 __all__ = ["RecordStream"]
@@ -71,7 +71,8 @@ class RecordStream:
             raise ParameterError(
                 f"staging_capacity must be >= 1, got {self.staging_capacity}"
             )
-        check_k_override(self.k_override)
+        if self.k_override is not None:
+            check_count("k_override", self.k_override)
         self.metrics.request_id = self.request_id
 
     @property

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from operator import add, attrgetter
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
@@ -48,17 +48,11 @@ __all__ = [
     "RoundRobinService",
 ]
 
-_wake_of = attrgetter("_wake")
 
-
-def check_k_override(k_override) -> None:
-    """Refuse a per-request k that is neither None nor an int >= 1."""
-    if k_override is not None and (
-        not isinstance(k_override, int) or k_override < 1
-    ):
-        raise ParameterError(
-            f"k_override must be None or an int >= 1, got {k_override!r}"
-        )
+def check_count(name: str, value) -> None:
+    """Refuse a *name* (k, buffer, round limit) that is not an int >= 1."""
+    if not isinstance(value, int) or value < 1:
+        raise ParameterError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass
@@ -126,23 +120,9 @@ class StreamState:
             # Only plans with zero-length (silence) blocks pay the filter.
             floor = min((d for d in durations if d > 0.0), default=0.0)
         self.duration_floor = floor
-        if self.buffer_capacity < 1:
-            raise ParameterError(
-                f"buffer_capacity must be >= 1, got {self.buffer_capacity}"
-            )
-        check_k_override(self.k_override)
-
-    def _consume_state(self, now: float) -> Tuple[int, float]:
-        """``(consumed count, playback clock after them)`` at *now*."""
-        if self.clock_start is None:
-            return 0, 0.0
-        count = bisect_right(self.ends, now)
-        return count, self.ends[count - 1] if count else self.clock_start
-
-    def next_consumption_time(self, now: float) -> float:
-        """When the next buffered block finishes playing (inf if never)."""
-        count = bisect_right(self.ends, now)
-        return self.ends[count] if count < len(self.ends) else float("inf")
+        check_count("buffer_capacity", self.buffer_capacity)
+        if self.k_override is not None:
+            check_count("k_override", self.k_override)
 
 
 @dataclass(frozen=True)
@@ -217,11 +197,13 @@ class RoundRobinService:
         max_rounds: int = 100_000,
     ) -> Dict[str, ContinuityMetrics]:
         """Service all streams to completion; returns metrics per request."""
+        check_count("max_rounds", max_rounds)
         time = 0.0
         active: List[StreamState] = list(initial)
         order, after = self.order, self.after_turns
         never = float("inf")
         rec = self._rec
+        unwatched = rec is None and order is None and not after
         if rec is not None:
             for stream in active:
                 rec.stream_opened(stream, time)
@@ -230,6 +212,7 @@ class RoundRobinService:
         round_number = 0
         rounds_before = self.rounds_run
         compact = True   # an initial plan may be empty
+        soonest = 0.0   # earliest stored wake of a playing stream (joiner: 0)
         while True:
             while (
                 next_pending < len(pending)
@@ -239,6 +222,7 @@ class RoundRobinService:
                 next_pending += 1
                 active.append(admitted.stream)
                 compact = True
+                soonest = 0.0
                 if rec is not None:
                     rec.stream_opened(admitted.stream, time, round_number)
             if compact:
@@ -262,10 +246,13 @@ class RoundRobinService:
                     f"k schedule returned {k!r} for round {round_number}"
                 )
             round_start = time
-            visit = active
-            if order is not None:
-                visit = order(self.drive, active, round_number)
-            time, progressed, compact = self._run_round(time, visit, k, round_number)
+            if unwatched and time < soonest < never:   # every turn would sleep
+                progressed = compact = False
+            else:
+                visit = order(self.drive, active, round_number) if order else active
+                time, progressed, compact, soonest = self._run_round(
+                    time, visit, k, round_number
+                )
             if after:   # guarded: a request-path round pays nothing for it
                 for work in after:
                     time, served = work.serve(self, time, round_start, active, k)
@@ -275,7 +262,7 @@ class RoundRobinService:
                 # until consumption frees one or work (a capture) falls due
                 # — the earliest stored wake or due.  One that after-turn
                 # work (text reads) carried time past has room already.
-                wake = min(map(_wake_of, active), default=never)
+                wake = soonest
                 for work in after:
                     wake = min(wake, work.due)
                 if wake == never:
@@ -315,13 +302,14 @@ class RoundRobinService:
         active: Sequence[StreamState],
         k: int,
         round_number: int,
-    ) -> Tuple[float, bool, bool]:
-        progressed = False
+    ) -> Tuple[float, bool, bool, float]:
+        """One round's turns: ``(time after them, whether one served,
+        whether one ended its plan, earliest wake of a stream playing on)``."""
+        progressed = finished = False
         round_start = time
-        #: Tightest Eq.-11 budget among streams *served* this round:
-        #: min of (stream's k × its smallest positive block duration).
-        #: besteffort.round_budget is the same min over all of *active*.
-        budget = float("inf")
+        #: Tightest Eq.-11 budget (k × smallest positive duration) of a stream
+        #: *served* this round; besteffort.round_budget's is over all *active*.
+        budget = soonest = float("inf")
         rec = self._rec
         #: Whether the recorder also wants each turn's begin / end
         #: reported (someone consumes them: a trace log, the profiler).
@@ -329,12 +317,14 @@ class RoundRobinService:
         if rec is not None:
             turn_begins, turn_ends = rec.round_begin(len(active))
         read, faulty = self.drive.read_slot, self.drive.injector is not None
-        finished = False
         for stream in active:
-            if time < stream._wake:
+            wake = stream._wake
+            if time < wake:
                 # A buffer a turn filled has no room before its wake.
                 if turn_begins:
                     rec.turn_begin(stream, time, round_number, 0)
+                if wake < soonest:
+                    soonest = wake
                 continue
             stream_k = stream.k_override or k
             # Buffer regulation: never exceed display-subsystem capacity.
@@ -343,22 +333,25 @@ class RoundRobinService:
             ends, ready = stream.ends, stream.ready
             count = bisect_right(ends, time)
             room = stream.buffer_capacity - len(ready) + count
-            quota = min(stream_k, room)
+            quota = room if room < stream_k else stream_k
             if turn_begins:
                 rec.turn_begin(stream, time, round_number, quota)
             stream_start = time
-            slots, durations = stream.fetches.slots, stream.fetches.durations
-            first, bits = stream.next_fetch, stream.fetches.bits
-            stop = min(first + quota, len(slots))
+            fetches, first = stream.fetches, stream.next_fetch
+            slots, bits, durations = fetches.slots, fetches.bits, fetches.durations
+            last, stop = len(slots), first + quota
+            if stop > last:
+                stop = last
             # A block the recorder samples, or a drive that can fault,
             # takes the turn off the bare read.
-            careful = faulty or first <= stream.report_at < stop
+            careful = faulty or rec is not None and first <= stream.report_at < stop
             # Each landed block's play-out end is folded once: as it
             # lands, once the clock runs.
             start = stream.clock_start
             if start is not None:
                 end = ends[-1]
-            for index in range(first, stop):
+            index = first   # < stop: only unfinished streams are visited
+            while True:
                 slot = slots[index]
                 if careful:
                     time = self._fetch_block(stream, index, time, round_number)
@@ -368,14 +361,16 @@ class RoundRobinService:
                 if start is not None:
                     end = max(end, time) + durations[index]
                     ends.append(end)
+                index += 1
+                if index == stop:
+                    break
             stream.next_fetch = stop
             progressed = True
-            finished = finished or stop == len(slots)
             # Playback starts once the anti-jitter read-ahead — the first
             # k-block service, capped by what the display buffer can
             # actually hold — is on board; its ends fold from there.
             started = start is None and len(ready) >= min(
-                stream_k, stream.buffer_capacity, len(slots)
+                stream_k, stream.buffer_capacity, last
             )
             if started:
                 stream.clock_start = end = time
@@ -387,16 +382,20 @@ class RoundRobinService:
                 # The turn filled the buffer as of its consumption answer: a
                 # slot frees when block `count` plays out.  One that did so
                 # during the reads leaves a past wake, as a buffer with room.
-                stream._wake = ends[count]
-            if turn_ends:
-                rec.turn_end(
-                    stream, time, time - stream_start, stop - first, started
-                )
-            if rec is not None and 0.0 < stream_k * stream.duration_floor < budget:
-                budget = stream_k * stream.duration_floor
+                stream._wake = wake = ends[count]
+            if stop == last:
+                finished = True
+            elif wake < soonest:   # one with room left has a past wake
+                soonest = wake
+            if rec is not None:
+                if turn_ends:
+                    elapsed = time - stream_start
+                    rec.turn_end(stream, time, elapsed, stop - first, started)
+                if 0.0 < stream_k * stream.duration_floor < budget:
+                    budget = stream_k * stream.duration_floor
         if rec is not None:
             rec.round_served(round_start, time, budget)
-        return time, progressed, finished
+        return time, progressed, finished, soonest
 
     def _fetch_block(
         self,

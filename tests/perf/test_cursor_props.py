@@ -3,15 +3,17 @@ reference rescan.
 
 Randomized delivery schedules (a ``ready`` column and the plan's
 durations), randomized clock starts, and randomized — deliberately
-non-monotone — query sequences: for every query, ``_consume_state`` and
-``next_consumption_time``, one bisect of the stream's play-out ends,
-must equal a fresh O(n) rescan of the same schedule.  Ties, zero-length
+non-monotone — query sequences: for every query, one bisect of the
+stream's play-out ends — the blocks played, the clock after them and
+when the next one ends — must equal a fresh O(n) rescan of the same
+schedule.  Ties, zero-length
 blocks and blocks landing after the previous one ended are all drawn.
 That the loop folds ``ends`` as the reference does is pinned by the
 equivalence and scoring-reference suites.
 """
 
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,15 @@ def _reference_next_consumption(ready, durations, start, now):
     return max(elapsed, ready[count]) + durations[count]
 
 
+def _consumption(stream, now):
+    """``(blocks played, clock after them, when the next one ends)`` at
+    *now*, from one bisect of the stream's ``ends`` column."""
+    ends = stream.ends
+    count = bisect_right(ends, now)
+    elapsed = ends[count - 1] if count else stream.clock_start or 0.0
+    return count, elapsed, ends[count] if count < len(ends) else math.inf
+
+
 def _stream_with(schedule, clock_start=None):
     """A stream whose ``ready`` column and plan durations are *schedule*'s,
     its ``ends`` column folded as the loop folds it once the clock runs."""
@@ -77,13 +88,12 @@ class TestCursorMatchesReference:
         stream = _stream_with(schedule, clock_start)
         ready, lengths = stream.ready, stream.fetches.durations
         for now in now_values:
-            assert stream._consume_state(now) == consumed_prefix(
+            count, elapsed, following = _consumption(stream, now)
+            assert (count, elapsed) == consumed_prefix(
                 ready, lengths, clock_start, now
             )
-            assert stream.next_consumption_time(now) == (
-                _reference_next_consumption(
-                    ready, lengths, clock_start, now
-                )
+            assert following == _reference_next_consumption(
+                ready, lengths, clock_start, now
             )
 
     @settings(deadline=None, max_examples=100)
@@ -93,7 +103,7 @@ class TestCursorMatchesReference:
     ):
         stream = _stream_with(schedule, clock_start)
         for now in sorted(now_values):
-            assert stream._consume_state(now) == consumed_prefix(
+            assert _consumption(stream, now)[:2] == consumed_prefix(
                 stream.ready, stream.fetches.durations, clock_start, now
             )
 
@@ -102,5 +112,4 @@ class TestCursorMatchesReference:
     def test_unstarted_clock_consumes_nothing(self, schedule, now_values):
         stream = _stream_with(schedule)
         for now in now_values:
-            assert stream._consume_state(now) == (0, 0.0)
-            assert stream.next_consumption_time(now) == math.inf
+            assert _consumption(stream, now) == (0, 0.0, math.inf)

@@ -6,6 +6,8 @@ assert *how much work* a service run performs, not just what it returns:
 * each landed block enters its stream's ``ends`` column once, and a turn
   answers consumption with at most one bisect of it — none while the
   stream sleeps on its stored wake;
+* a round in which every buffer is full is counted without a
+  ``_run_round`` pass, unless something watches the loop;
 * :class:`TableSeek` interpolates each distance once, ever;
 * the generic ``max_distance_within`` binary search runs once per
   distinct ``(budget, cylinders)`` pair;
@@ -235,29 +237,27 @@ class TestConsumptionCursor:
     def test_an_idle_round_wakes_without_a_consumption_query(
         self, monkeypatch
     ):
-        """A round where every buffer is full idles to the earliest wake
-        time its streams stored: no bisect or wake query between it and
-        the next round (the loop used to ask every active stream)."""
+        """A walked round where every buffer is full idles to the
+        earliest wake its turns stored and handed back: no bisect between
+        it and the next round (the loop used to ask every active stream).
+        A visiting order keeps every round walked."""
         bisects = _counting_bisect(monkeypatch)
-        queries, idle_gaps = [], []
-        inner = StreamState.next_consumption_time
-        monkeypatch.setattr(
-            StreamState, "next_consumption_time",
-            lambda self, now: (queries.append(now), inner(self, now))[1],
-        )
+        idle_gaps = []
         run_round, idle_since = RoundRobinService._run_round, None
 
         def observed_round(self, *args):
             nonlocal idle_since
             if idle_since is not None:
-                idle_gaps.append(len(queries) + len(bisects) - idle_since)
-            time, progressed, finished = run_round(self, *args)
-            idle_since = None if progressed else len(queries) + len(bisects)
-            return time, progressed, finished
+                idle_gaps.append(len(bisects) - idle_since)
+            time, progressed, finished, soonest = run_round(self, *args)
+            idle_since = None if progressed else len(bisects)
+            return time, progressed, finished, soonest
 
         monkeypatch.setattr(RoundRobinService, "_run_round", observed_round)
         # Two streams read faster than they play, so buffers fill.
-        metrics, total_blocks = _service_run(streams=2)
+        metrics, total_blocks = _service_run(
+            streams=2, order=lambda _drive, active, _round: active
+        )
         assert sum(m.blocks_delivered for m in metrics.values()) == (
             total_blocks
         )
@@ -310,19 +310,29 @@ class TestConsumptionCursor:
 
     def test_a_request_path_run_asks_no_wake_query(self, monkeypatch):
         """Turns and idle rounds take every wake from the turns' cursor
-        answers; ``next_consumption_time`` serves only after-turn work."""
-        calls = []
-        inner = StreamState.next_consumption_time
+        answers: each bisect is a served turn's — a stream is asked again
+        only once a block has landed since — and nothing else asks."""
+        owner = {}
+
+        def prepare(served):
+            owner.update((id(stream.ends), stream) for stream in served)
+
+        inner, asked = rounds_module.bisect_right, []
         monkeypatch.setattr(
-            StreamState, "next_consumption_time",
-            lambda self, now: (calls.append(now), inner(self, now))[1],
+            rounds_module, "bisect_right",
+            lambda ends, now: (
+                asked.append((id(ends), len(owner[id(ends)].ready))),
+                inner(ends, now),
+            )[1],
         )
         for streams in (2, 8):
-            metrics, total_blocks = _service_run(streams=streams)
+            metrics, total_blocks = _service_run(
+                streams=streams, prepare=prepare
+            )
             assert sum(m.blocks_delivered for m in metrics.values()) == (
                 total_blocks
             )
-        assert calls == []
+        assert asked and len(set(asked)) == len(asked)
 
     def test_active_is_rescanned_only_after_a_join_or_a_finish(
         self, monkeypatch
@@ -700,3 +710,101 @@ class TestEditMeasuresCreatedSeams:
         short = self._gaps_of_an_edit_at_the_end(4)
         long = self._gaps_of_an_edit_at_the_end(64)
         assert short == long and short[0] >= 1, (short, long)
+
+
+def _serve_cold(seconds=60.0, seed=3):
+    """A `server_cold`-shaped epoch: a cacheless, unbatched MediaServer on
+    the fast drive, loaded to n_max with sessions arriving over 5 s."""
+    import random
+
+    from repro.api import OpenSessionRequest
+    from repro.config import TESTBED_1991
+    from repro.disk.factory import FAST_DRIVE
+    from repro.fs import MultimediaStorageManager
+    from repro.media.frames import frames_for_duration
+    from repro.rope import MultimediaRopeServer
+    from repro.server.media_server import MediaServer
+
+    profile = TESTBED_1991
+    msm = MultimediaStorageManager(
+        build_drive(FAST_DRIVE), profile.video, profile.audio,
+        profile.video_device, profile.audio_device,
+    )
+    server = MediaServer(
+        MultimediaRopeServer(msm), batch_window=0.0, cache_blocks=0
+    )
+    ropes = []
+    for index in range(msm.admission.capacity(msm.descriptor_for_media(True))):
+        request_id, rope_id = server.mrs.record(
+            "librarian", play_access=("viewer",),
+            frames=frames_for_duration(profile.video, seconds, source=f"c{index}"),
+        )
+        server.mrs.stop(request_id)
+        ropes.append(rope_id)
+    rng = random.Random(seed)
+    return server.serve([
+        OpenSessionRequest("viewer", rope_id, arrival=rng.uniform(0.0, 5.0))
+        for rope_id in ropes
+    ])
+
+
+class TestIdleRoundsAreCounted:
+    """A round in which every buffer is full is counted, not walked:
+    ``_run_round`` runs once per round that serves a turn, and the rounds
+    counted are the walked loop's (``tests/reference.py``)."""
+
+    def test_run_round_is_entered_once_per_serving_round(self, monkeypatch):
+        import repro.service.session as session_module
+        from tests.reference import WalkedRoundRobinService
+
+        entered, served = [], []
+        fast = RoundRobinService._run_round
+        monkeypatch.setattr(
+            RoundRobinService, "_run_round",
+            lambda self, *a: (entered.append(1), fast(self, *a))[1],
+        )
+        result = _serve_cold()
+        walked = WalkedRoundRobinService._run_round
+
+        def walked_round(self, *args):
+            time, progressed, finished = walked(self, *args)
+            served.append(progressed)
+            return time, progressed, finished
+
+        monkeypatch.setattr(WalkedRoundRobinService, "_run_round", walked_round)
+        monkeypatch.setattr(
+            session_module, "RoundRobinService", WalkedRoundRobinService
+        )
+        reference = _serve_cold()
+        assert result.rounds == reference.rounds == len(served)
+        assert len(entered) == sum(served) < result.rounds
+        assert all(s.state.value == "completed" for s in result.statuses)
+
+    def test_a_sim_tracer_sees_every_round_begin(self, monkeypatch):
+        """A sim event log watches the loop, so every round is walked and
+        reported: one ``round_begin`` per counted round."""
+        from repro.obs.recorder import ServiceRecorder
+        from repro.sim.trace import Tracer
+
+        begun = []
+        inner = ServiceRecorder.round_begin
+        monkeypatch.setattr(
+            ServiceRecorder, "round_begin",
+            lambda self, n: (begun.append(n), inner(self, n))[1],
+        )
+        rounds = []
+        for attach in (False, True):
+            obs = Observability(enabled=False)
+            if attach:
+                obs.attach_sim_tracer(Tracer())
+            scenario = Scale(
+                label="traced", streams=2, blocks_per_stream=60,
+                k=4, buffer_capacity=6, seed=7,
+            )
+            drive = build_drive()
+            service = RoundRobinService(
+                drive, lambda _r, _n: scenario.k, obs=obs
+            )
+            service.run(*scenario.build_streams(drive))
+            rounds.append(service.rounds_run)
+        assert rounds[0] == rounds[1] == len(begun) > 0

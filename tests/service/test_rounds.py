@@ -151,6 +151,29 @@ class TestValidation:
         with pytest.raises(ParameterError):
             StreamState(request_id="x", fetches=[], buffer_capacity=0)
 
+    @pytest.mark.parametrize(
+        "capacity", [2.5, float("nan"), float("inf"), "4", None]
+    )
+    def test_a_non_int_buffer_capacity_is_refused(self, block, capacity):
+        """2.5 escaped from the loop as a bare TypeError from ``range``;
+        NaN and inf were accepted and run."""
+        drive = build_drive()
+        with pytest.raises(ParameterError, match="buffer_capacity must be"):
+            make_stream(drive, block, "r0", capacity=capacity)
+
+    @pytest.mark.parametrize("max_rounds", [None, 0, -1, 2.5, "10"])
+    def test_a_bad_max_rounds_is_refused_up_front(self, block, max_rounds):
+        """None raised a bare TypeError after the first round."""
+        drive = build_drive()
+        stream = make_stream(drive, block, "r0")
+        service = RoundRobinService(drive, lambda r, n: 4)
+        got = re.escape(repr(max_rounds))
+        with pytest.raises(
+            ParameterError, match=rf"max_rounds must be an int >= 1, got {got}$"
+        ):
+            service.run([stream], max_rounds=max_rounds)
+        assert service.rounds_run == 0 and stream.ready == []
+
     @pytest.mark.parametrize("k_override", [-1, 0, 2.5, "4"])
     def test_bad_k_override_rejected(self, k_override):
         """A per-request k below 1 walked ``next_fetch`` backwards until

@@ -10,6 +10,8 @@ scored by ``_rescore`` when it did.  Those semantics live on here, in
 ``ready`` column when the run is over — must agree with to the last bit.
 """
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,5 +266,5 @@ class TestOnlyLandedBlocksAreConsumed:
             fetches=FetchColumns([None] * 6, [0.0] * 6, [0.0] * 6),
         )
         RoundRobinService(drive, lambda r, n: 2).run([stream])
-        consumed, _elapsed = stream._consume_state(0.0)
+        consumed = bisect_right(stream.ends, 0.0)
         assert len(stream.ready) - consumed == 0 == stream.metrics.buffer_high_water

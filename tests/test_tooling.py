@@ -937,6 +937,12 @@ class TestRetiredNames:
         "repro.rope.ScatteringRepairer._track_of",
         "repro.rope.SeamCheck.segment_index",
         "repro.rope.operations._covers_all",
+        # A round costs only the turns it serves: the loop's wakes are the
+        # ones its turns hand back.
+        "repro.service.rounds.StreamState._consume_state",
+        "repro.service.rounds.StreamState.next_consumption_time",
+        "repro.service.rounds._wake_of",
+        "repro.service.rounds.check_k_override",
     ]
     #: Retired instance attributes, which no import can resolve.
     RETIRED_ATTRIBUTES = re.compile(r"_seen_sessions|_sim_tracers")
