@@ -212,10 +212,11 @@ class CachedDrive:
         self.attach_cache_observer(obs)
 
     def attach_cache_observer(self, obs) -> None:
-        """Report lookups and evictions to *obs*'s service recorder."""
-        self._rec = recorder_for(obs, "cache")
-        if self._rec is not None:
-            self._rec.cache_attached(self)
+        """Hand this front end to *obs*'s service recorder, which reads the
+        probes and evictions off :class:`CacheStats` from now on."""
+        rec = recorder_for(obs, "cache")
+        if rec is not None:
+            rec.cache_attached(self)
 
     # -- drive surface proxied to the inner mechanism -------------------------
 
@@ -237,19 +238,16 @@ class CachedDrive:
         This is the per-block path, so it is :meth:`BlockCache.lookup`,
         the inner read and :meth:`BlockCache.insert` written out in one
         frame (the insert is called only when a pin may block it): the
-        same counters, LRU order and reports.
+        same counters and LRU order.  It reports nothing: an observer
+        reads the counters.
         """
-        cache, rec = self.cache, self._rec
+        cache = self.cache
         resident, stats = cache._resident, cache.stats
         if slot in resident:
             resident.move_to_end(slot)
             stats.hits += 1
-            if rec is not None:
-                rec.cache_probe(True)
             return self.hit_time
         stats.misses += 1
-        if rec is not None:
-            rec.cache_probe(False)
         try:
             duration = self.inner.read_slot(slot, bits)
         except MediaDefectError:
@@ -261,14 +259,12 @@ class CachedDrive:
             resident[slot] = None
             stats.insertions += 1
         elif cache._pins:
-            self._fill(slot)
+            cache.insert(slot)
         else:
             resident.popitem(last=False)
             resident[slot] = None
             stats.evictions += 1
             stats.insertions += 1
-            if rec is not None:
-                rec.cache_evicted(1)
         return duration
 
     def traced_read(
@@ -283,11 +279,8 @@ class CachedDrive:
         consumed (``defect``, or the fault's type name) and propagates.
         """
         cache = self.cache
-        span = rec.span_begin("cache_probe", now, parent, slot)
-        hit = cache.lookup(slot)
-        if self._rec is not None:
-            self._rec.cache_probe(hit)
-        if hit:
+        span = rec.cache_read(now, parent, slot)
+        if cache.lookup(slot):
             rec.span_end(span, now + self.hit_time, "hit")
             return self.hit_time
         below = span if span is not None else parent
@@ -302,17 +295,9 @@ class CachedDrive:
                 "defect" if defect else type(fault).__name__,
             )
             raise
-        self._fill(slot)
+        cache.insert(slot)
         rec.span_end(span, now + duration, "miss")
         return duration
-
-    def _fill(self, slot: int) -> None:
-        """Make the just-read *slot* resident, reporting what that evicted."""
-        stats = self.cache.stats
-        evictions_before = stats.evictions
-        self.cache.insert(slot)
-        if stats.evictions > evictions_before and self._rec is not None:
-            self._rec.cache_evicted(stats.evictions - evictions_before)
 
     def write_slot(self, slot: int, bits: Optional[float] = None) -> float:
         """Write through to the mechanism, invalidating residency."""

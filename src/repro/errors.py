@@ -53,6 +53,13 @@ class ParameterError(ReproError, ValueError):
     """A model parameter is out of its physical domain (negative rate, ...)."""
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse a count *name* (k, a buffer, a sampling gate) that is not an
+    int >= *minimum*; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ParameterError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 class InfeasibleError(ReproError):
     """The continuity equations admit no solution for the given hardware.
 

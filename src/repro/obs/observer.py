@@ -269,10 +269,10 @@ class Observability:
 class ScopedObservability:
     """One node's view of a shared :class:`Observability`.
 
-    It holds no metric state: the surfaces are the parent's own (totals
-    and causality must cross nodes), ``slo`` / ``profiler`` are looked up
-    when used, so attaching them after scoping works, and the ``node_id``
-    is all a scope adds.
+    It holds no metric state: every surface (totals and causality must
+    cross nodes), and scoping itself, is the parent's own, looked up when
+    used — so attaching an SLO monitor or a profiler after scoping works —
+    and the ``node_id`` is all a scope adds.
     """
 
     def __init__(self, parent: Observability, node_id: str):
@@ -280,30 +280,8 @@ class ScopedObservability:
             raise ParameterError("scoped node_id must be non-empty")
         self.parent = parent
         self.node_id = node_id
-        self.enabled = parent.enabled
-        self.registry = parent.registry
-        self.timeline = parent.timeline
-        self.audit = parent.audit
-        self.tracer = parent.tracer
 
-    @property
-    def slo(self) -> Optional[SloMonitor]:
-        return self.parent.slo
-
-    @property
-    def profiler(self) -> Optional[CostProfiler]:
-        return self.parent.profiler
-
-    @property
-    def sim_log(self):
-        return self.parent.sim_log
-
-    def scoped(self, node_id: str) -> "ScopedObservability":
-        """Scoping is flat: a view of the parent, not of this view."""
-        return self.parent.scoped(node_id)
-
-    def attach_sim_tracer(self, tracer) -> None:
-        self.parent.attach_sim_tracer(tracer)
-
-    def timed(self, name: str):
-        return self.registry.timed(name)
+    def __getattr__(self, name: str):
+        if name.startswith("__"):   # copy / pickle probes are the view's
+            raise AttributeError(name)
+        return getattr(self.parent, name)

@@ -12,7 +12,8 @@ and every rollup is computed, when asked, from the
 :class:`~repro.disk.cache.CacheStats` those objects keep anyway — so
 the profile cannot disagree with them and a block costs the profiler
 nothing.  Only what no other record holds is written: the delay fault
-recovery adds and each stream's share of a round.  Costs are simulated
+recovery adds and each stream's share of a round, which the loop
+folds per stream and hands over once a run ends.  Costs are simulated
 seconds only, so two runs at the same seed serialize byte-identically
 (the ``repro profile --json`` acceptance bar).
 
@@ -131,9 +132,16 @@ class CostProfiler:
         """One fault outcome added *cost* modeled seconds of delay."""
         _add(self._faults, node, 1, cost)
 
-    def attribute_stream(self, stream_id: str, cost: float, ops: int) -> None:
-        """A turn served *ops* blocks of one stream in *cost* seconds."""
-        _add(self._streams, stream_id, ops, cost)
+    def stream_cost(self, stream_id: str) -> float:
+        """What *stream_id*'s turns have cost so far: the loop that opens
+        it folds each of its turns' costs onto this."""
+        return self._streams.get(stream_id, {}).get("cost_s", 0.0)
+
+    def fold_stream(self, stream_id: str, ops: int, cost: float) -> None:
+        """A loop served *ops* more blocks of *stream_id*, which now cost
+        *cost* in all: :meth:`stream_cost` plus its turns', in turn order."""
+        _add(self._streams, stream_id, ops, 0.0)
+        self._streams[stream_id]["cost_s"] = cost
 
     def checkpoint(self, time: float) -> None:
         """Sample the cumulative per-phase costs at simulated *time*.

@@ -51,25 +51,27 @@ EVENTS: Dict[str, Tuple[str, str]] = {
     "turn_begin": ("loop", "sim:buffer-full"),
     "block_begin": ("loop", "span:service.block"),
     "block_end": ("loop", "span:service.block"),
-    "turn_end": ("loop", "profile:per_stream sim:playback-start"),
+    "playback_started": ("loop", "sim:playback-start"),
     "round_served": (
         "loop", "timer:service.round histogram:service.round_utilization"),
-    "round_end": ("loop", "profile:checkpoint slo:round"),
+    "round_end": (
+        "loop", "histogram:service.queue_depth timer:service.round "
+        "profile:checkpoint slo:round"),
     "text_completed": ("loop", "sim:text-complete"),
     "run_end": (
         "loop", "histogram:session.deadline_slack_s "
         "counter:session.blocks_delivered counter:session.blocks_skipped "
         "counter:session.deadline_misses gauge:service.rounds_run "
         "span:service.stream stage:enqueued stage:read-start stage:read-done "
-        "stage:skipped stage:consumed slo:final"),
+        "stage:skipped stage:consumed profile:per_stream slo:final"),
     "drive_attached": ("drive", "phase:seek phase:transfer"),
     "drive_access": (
         "drive", "counter:disk.accesses histogram:disk.seek_s "
         "span:disk.access"),
-    "cache_attached": ("cache", "phase:cache_lookup"),
-    "cache_probe": (
-        "cache", "counter:cache.hits counter:cache.misses span:cache.read"),
-    "cache_evicted": ("cache", "counter:cache.evictions"),
+    "cache_attached": (
+        "cache", "phase:cache_lookup counter:cache.hits counter:cache.misses "
+        "counter:cache.evictions"),
+    "cache_read": ("cache", "span:cache.read"),
     "fault": (
         "fault", "counter:fault.injected counter:fault.retries "
         "counter:fault.skips counter:fault.deadline_abandons "
@@ -142,7 +144,7 @@ def sinks(event: str, kind: str) -> List[str]:
 
 #: The span each traceable access event opens (:meth:`span_begin`).
 _TRACED = {
-    event: sinks(event, "span")[0] for event in ("drive_access", "cache_probe")
+    event: sinks(event, "span")[0] for event in ("drive_access", "cache_read")
 }
 _INJECT, _SKIP = "fault.inject", "fault.skip"
 #: fault outcome -> (sim-trace events as (tag, detail template), counters,
@@ -213,11 +215,15 @@ class ServiceRecorder:
     def __init__(self, obs, source: str, sim=None):
         self._obs = obs
         self._sim = sim
+        #: Whether a sim event log wants every turn, a sleeping one too.
+        self.logging = sim is not None
         self._subject = ""
         self._head_lost = False
         #: Open spans this recorder closes later: stream id -> its
         #: ``service.stream`` (loop), session id -> its root (cluster).
         self._held: Dict[str, object] = {}
+        #: id of a stream opened under a profiler -> its next block then.
+        self._opened: Dict[int, int] = {}
         self._round_timer = self._admit = None
         self._m: Dict[str, object] = {}
         self._timeline = self._spans = self._slo = self._prof = None
@@ -229,10 +235,10 @@ class ServiceRecorder:
         self._node: Optional[str] = None if obs is None else obs.node_id
         if obs is None:
             return
+        registry = self._registry = obs.registry
         # The router's counters exist once first used: a run without a
         # reject has no ``cluster.rejects`` key.
         if source != "cluster":
-            registry = obs.registry
             for event, (reporter, _sinks) in EVENTS.items():
                 if reporter == source:
                     for name in sinks(event, "counter"):
@@ -253,7 +259,7 @@ class ServiceRecorder:
             self._sim.emit(time, tag, subject, detail % args)
 
     def _count(self, name: str, amount: int = 1) -> None:
-        self._obs.registry.counter(name).inc(amount)
+        self._registry.counter(name).inc(amount)
 
     def _span(self, name, time, parent=None, session=None, attrs=None,
               end=None, status="ok"):
@@ -284,6 +290,9 @@ class ServiceRecorder:
         if admitted_round is not None:
             self._log(time, "admit", stream.request_id, "round %d", admitted_round)
         self._report_from(stream, stream.next_fetch)
+        if self._prof is not None:   # its turns' costs add on, in turn order
+            stream.turn_cost = self._prof.stream_cost(stream.request_id)
+            self._opened[id(stream)] = stream.next_fetch
         tracer = self._spans
         if tracer is None:
             return
@@ -298,16 +307,14 @@ class ServiceRecorder:
             self._held[stream.request_id] = span
             stream.trace = span
 
-    def round_begin(self, active: int) -> Tuple[bool, bool]:
-        """A round starts over *active* streams; returns whether each
-        turn's begin (the trace log consumes it) and end (the trace log
-        and the profiler do) should be reported too."""
+    def round_begin(self, active: int) -> bool:
+        """A round starts over *active* streams; returns whether its turns
+        should be reported too (the sim event log consumes them)."""
         if self._obs is not None:
             self._m["service.queue_depth"].observe(active)
-            self._round_timer = self._obs.timed("service.round")
+            self._round_timer = self._registry.timed("service.round")
             self._round_timer.__enter__()
-        logged = self._sim is not None
-        return logged, logged or self._prof is not None
+        return self.logging
 
     def turn_begin(self, stream, time: float, round_number: int, quota: int) -> None:
         """*stream*'s turn starts with *quota* blocks of buffer room."""
@@ -328,16 +335,12 @@ class ServiceRecorder:
         """The block begun with *span* is in the buffer (or was skipped)."""
         self._spans.end_span(span, time, "skipped" if skipped else "ok")
 
-    def turn_end(self, stream, time, cost, delivered, started: bool) -> None:
-        """The turn moved *delivered* blocks in *cost* seconds; *started*
-        when it started the playback clock."""
-        if self._prof is not None:
-            self._prof.attribute_stream(stream.request_id, cost, delivered)
-        if started:
-            self._log(
-                time, "playback-start", stream.request_id,
-                "after %d blocks", len(stream.ready),
-            )
+    def playback_started(self, stream, time) -> None:
+        """A turn that ended at *time* started *stream*'s playback clock."""
+        self._log(
+            time, "playback-start", stream.request_id,
+            "after %d blocks", len(stream.ready),
+        )
 
     def round_served(self, start, time, budget) -> None:
         """Every stream had its turn: *budget* is the tightest Eq.-11
@@ -348,11 +351,19 @@ class ServiceRecorder:
         if self._obs is not None and 0 < budget < float("inf"):
             self._m["service.round_utilization"].observe((time - start) / budget)
 
-    def round_end(self, time, round_number) -> None:
-        """The round, any idle wait for buffer room included, is over."""
+    def round_end(self, time, round_number, counted=None) -> None:
+        """The round, any idle wait for buffer room included, is over.  A
+        round the loop counted without walking it (*counted*: its active
+        streams, every buffer full) reports what a walked idle round does
+        but the SLO tick: it follows a walked round that ticked, with no
+        turn, join or after-turn work since, so no counter moved."""
+        if counted is not None and self._obs is not None:
+            self._m["service.queue_depth"].observe(counted)
+            with self._registry.timed("service.round"):
+                pass
         if self._prof is not None:
             self._prof.checkpoint(time)
-        if self._slo is not None:
+        if self._slo is not None and counted is None:
             self._slo.on_round(time, round_number)
 
     def text_completed(self, request_id: str, time: float, blocks: int) -> None:
@@ -360,11 +371,16 @@ class ServiceRecorder:
         self._log(time, "text-complete", request_id, "%d blocks", blocks)
 
     def run_end(self, streams, time, rounds_run) -> None:
-        """Score the completed run, stream by stream."""
+        """Score the completed run, stream by stream, and hand each its
+        folded turn cost."""
         if self._obs is not None:
             for stream in streams:
                 self._score(stream)
-            self._obs.registry.gauge("service.rounds_run").set(rounds_run)
+                fetched = stream.next_fetch
+                served = fetched - self._opened.pop(id(stream), fetched)
+                if served:
+                    self._prof.fold_stream(stream.request_id, served, stream.turn_cost)
+            self._registry.gauge("service.rounds_run").set(rounds_run)
         if self._slo is not None:
             self._slo.finalize(time)
 
@@ -440,20 +456,21 @@ class ServiceRecorder:
 
     def cache_attached(self, cached) -> None:
         """The cache front end *cached* reports here from now on: the
-        profile reads its probes off its own ``CacheStats``."""
+        profile and the cache counters read its own ``CacheStats``, as
+        growth since now."""
+        stats = cached.cache.stats
+        for name in sinks("cache_attached", "counter"):
+            self._registry.watch_counter(name, stats, name.partition(".")[2])
         if self._prof is not None:
             self._prof.watch_cache(cached, self._node)
 
-    def cache_probe(self, hit: bool) -> None:
-        """One residency probe."""
-        self._m["cache.hits" if hit else "cache.misses"].inc()
-
-    def cache_evicted(self, count: int) -> None:
-        """An insert pushed *count* resident slots out."""
-        self._m["cache.evictions"].inc(count)
+    def cache_read(self, now: float, parent, slot: int):
+        """A traced cache read of *slot* starts under *parent*; returns its
+        span, closed by :meth:`span_end`."""
+        return self.span_begin("cache_read", now, parent, slot)
 
     def span_begin(self, event: str, now: float, parent, slot: int):
-        """The traced form of *event* (``drive_access`` / ``cache_probe``)
+        """The traced form of *event* (``drive_access`` / ``cache_read``)
         starts on *slot* under *parent*; returns its span."""
         return self._spans.start_span(
             _TRACED[event], now, parent=parent, attrs={"slot": slot}
@@ -641,7 +658,7 @@ class ServiceRecorder:
 
     def strand_stored(self, medium: str):
         """A *medium* strand is being stored; times the ``with`` body."""
-        return self._obs.timed(f"msm.store_{medium}_strand")
+        return self._registry.timed(f"msm.store_{medium}_strand")
 
     def revalidated(self, heads_lost, surviving, total, n_max, cumulative) -> None:
         """Admission was revalidated after a head loss.  The logged

@@ -82,6 +82,24 @@ class Counter:
         self.value += amount
 
 
+class WatchedCounter:
+    """A counter other objects keep: *base* plus the growth of each
+    watched ``(owner, attribute, value then)`` since it was watched."""
+
+    __slots__ = ("name", "base", "watched")
+
+    def __init__(self, name: str, base: int):
+        self.name, self.base = name, base
+        self.watched: List[Tuple[object, str, int]] = []
+
+    @property
+    def value(self) -> int:
+        total = self.base
+        for owner, attribute, then in self.watched:
+            total += getattr(owner, attribute) - then
+        return total
+
+
 class Gauge:
     """A point-in-time numeric value (last write wins)."""
 
@@ -240,23 +258,34 @@ class MetricsRegistry:
 
     # -- instrument registration ------------------------------------------------
 
+    def _get(self, table: Dict, name: str, make):
+        """*table*'s instrument *name*, ``make(name)`` on first use (the
+        shared null instrument when disabled)."""
+        if not self.enabled:
+            return _NULL
+        instrument = table.get(name)
+        if instrument is None:
+            instrument = table[name] = make(name)
+        return instrument
+
     def counter(self, name: str) -> Counter:
         """Get or create the counter *name*."""
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
+        return self._get(self._counters, name, Counter)
+
+    def watch_counter(self, name: str, owner, attribute: str) -> None:
+        """Make counter *name* read *owner*'s own *attribute* from now on
+        (its growth, once per owner) instead of being counted here."""
+        counter = self._get(self._counters, name, Counter)
+        if counter is _NULL:
+            return
+        if not isinstance(counter, WatchedCounter):
+            counter = self._counters[name] = WatchedCounter(name, counter.value)
+        if all(seen is not owner for seen, _, _ in counter.watched):
+            counter.watched.append((owner, attribute, getattr(owner, attribute)))
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge *name*."""
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
+        return self._get(self._gauges, name, Gauge)
 
     def histogram(
         self, name: str, buckets: Iterable[float]
@@ -266,12 +295,11 @@ class MetricsRegistry:
         Re-registering an existing histogram with different buckets is an
         error — bucket layout is part of the metric's identity.
         """
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(name, buckets)
-        elif instrument.buckets != tuple(float(b) for b in buckets):
+        bounds = tuple(float(b) for b in buckets)
+        instrument = self._get(
+            self._histograms, name, lambda name: Histogram(name, bounds)
+        )
+        if instrument is not _NULL and instrument.buckets != bounds:
             raise ParameterError(
                 f"histogram {name!r} already registered with buckets "
                 f"{instrument.buckets}"
@@ -280,22 +308,10 @@ class MetricsRegistry:
 
     def timer(self, name: str) -> ProfileTimer:
         """Get or create the profiling timer *name*."""
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
-        instrument = self._timers.get(name)
-        if instrument is None:
-            instrument = self._timers[name] = ProfileTimer(name)
-        return instrument
+        return self._get(self._timers, name, ProfileTimer)
 
-    def timed(self, name: str) -> Union[ProfileTimer, _NullInstrument]:
-        """Context manager timing one code section (no-op when disabled).
-
-        Usage::
-
-            with registry.timed("service.run"):
-                ...
-        """
-        return self.timer(name)
+    #: The timer as a context manager: ``with registry.timed("x"): ...``.
+    timed = timer
 
     # -- read-only access --------------------------------------------------------
 

@@ -107,6 +107,12 @@ CLUSTER_SLOS: Tuple[Slo, ...] = DEFAULT_SLOS + (
 )
 
 
+def _share(part: Optional[int], whole: int) -> Optional[float]:
+    """*part* (0 when never registered) over *whole*, or None — no data —
+    while *whole* is 0."""
+    return (part or 0) / whole if whole else None
+
+
 class SloMonitor:
     """Evaluates a set of :class:`Slo` objectives against a registry.
 
@@ -121,6 +127,8 @@ class SloMonitor:
             raise ParameterError(f"duplicate slo names: {names}")
         self.registry = registry
         self.slos: Tuple[Slo, ...] = tuple(slos)
+        self._scoped = {scope: [s for s in self.slos if s.scope == scope]
+                        for scope in ("round", "final")}
         self.events: List[Dict[str, object]] = []
         self._breached: Dict[str, bool] = {}
         self._last: Dict[str, Optional[float]] = {}
@@ -130,46 +138,27 @@ class SloMonitor:
 
     def value_of(self, metric: str) -> Optional[float]:
         """Resolve a derived metric; None means "no data yet"."""
-        reg = self.registry
+        peek = self.registry.peek_counter
         if metric == "continuity_ratio":
-            delivered = reg.peek_counter("session.blocks_delivered")
-            if not delivered:
-                return None
-            missed = reg.peek_counter("session.deadline_misses") or 0
-            return (delivered - missed) / delivered
+            delivered = peek("session.blocks_delivered") or 0
+            missed = peek("session.deadline_misses") or 0
+            return _share(delivered - missed, delivered)
         if metric == "cache_hit_ratio":
-            hits = reg.peek_counter("cache.hits")
-            misses = reg.peek_counter("cache.misses")
-            if hits is None and misses is None:
-                return None
-            total = (hits or 0) + (misses or 0)
-            if total == 0:
-                return None
-            return (hits or 0) / total
+            hits = peek("cache.hits")
+            return _share(hits, (hits or 0) + (peek("cache.misses") or 0))
         if metric == "deadline_slack_p95_s":
             return self._slack_quantile(0.05)
         if metric == "deadline_slack_p99_s":
             return self._slack_quantile(0.01)
-        if metric == "reject_rate" or metric.startswith("reject_rate:"):
-            opened = reg.peek_counter("server.sessions_opened")
-            rejected = reg.peek_counter("server.sessions_rejected")
-            if opened is None and rejected is None:
-                return None
-            decided = (opened or 0) + (rejected or 0)
-            if decided == 0:
-                return None
-            if ":" in metric:
-                reason = metric.split(":", 1)[1]
-                numerator = reg.peek_counter(f"server.reject.{reason}") or 0
-            else:
-                numerator = rejected or 0
-            return numerator / decided
+        base, typed, reason = metric.partition(":")
+        if base == "reject_rate":
+            rejected = peek("server.sessions_rejected")
+            part = peek(f"server.reject.{reason}") if typed else rejected
+            opened = peek("server.sessions_opened")
+            return _share(part, (opened or 0) + (rejected or 0))
         if metric == "handoff_clean_ratio":
-            total = reg.peek_counter("cluster.handoffs_total")
-            if not total:
-                return None
-            clean = reg.peek_counter("cluster.handoffs_clean") or 0
-            return clean / total
+            total = peek("cluster.handoffs_total")
+            return _share(peek("cluster.handoffs_clean"), total or 0)
         raise ParameterError(f"unknown slo metric {metric!r}")
 
     def _slack_quantile(self, q: float) -> Optional[float]:
@@ -204,9 +193,7 @@ class SloMonitor:
         round_number: Optional[int],
     ) -> List[Dict[str, object]]:
         emitted: List[Dict[str, object]] = []
-        for slo in self.slos:
-            if slo.scope != scope:
-                continue
+        for slo in self._scoped[scope]:
             value = self.value_of(slo.metric)
             self._last[slo.name] = value
             if value is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, check_count
 
 __all__ = ["BlockStage", "SessionTimeline"]
 
@@ -60,14 +60,10 @@ class SessionTimeline:
         every_kth: Optional[int] = None,
         summary_sessions: Optional[int] = None,
     ):
-        if keep_first is not None and keep_first < 0:
-            raise ParameterError(
-                f"keep_first must be >= 0, got {keep_first}"
-            )
-        if every_kth is not None and every_kth < 1:
-            raise ParameterError(
-                f"every_kth must be >= 1, got {every_kth}"
-            )
+        if keep_first is not None:
+            check_count("keep_first", keep_first, 0)
+        if every_kth is not None:
+            check_count("every_kth", every_kth)
         if summary_sessions is not None and summary_sessions < 1:
             raise ParameterError(
                 f"summary_sessions must be >= 1, got {summary_sessions}"

@@ -35,7 +35,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.errors import ParameterError, SimulationError
+from repro.errors import ParameterError, SimulationError, check_count
 
 __all__ = ["Span", "SpanTracer"]
 
@@ -149,14 +149,10 @@ class SpanTracer:
     ):
         if limit < 1:
             raise ParameterError(f"limit must be >= 1, got {limit}")
-        if block_keep_first is not None and block_keep_first < 0:
-            raise ParameterError(
-                f"block_keep_first must be >= 0, got {block_keep_first}"
-            )
-        if block_every_kth is not None and block_every_kth < 1:
-            raise ParameterError(
-                f"block_every_kth must be >= 1, got {block_every_kth}"
-            )
+        if block_keep_first is not None:
+            check_count("block_keep_first", block_keep_first, 0)
+        if block_every_kth is not None:
+            check_count("block_every_kth", block_every_kth)
         self.enabled = enabled
         self.seed = seed
         self.limit = limit
@@ -229,13 +225,8 @@ class SpanTracer:
                 session = str(raw) if raw is not None else None
         self._sequence += 1
         span = Span(
-            span_id=f"{trace_id}:{self._sequence:06d}",
-            trace_id=trace_id,
-            parent_id=parent_id,
-            name=name,
-            session=session,
-            start=time,
-            attrs=attrs,
+            f"{trace_id}:{self._sequence:06d}", trace_id, parent_id, name,
+            session, time, attrs,
         )
         self._spans.append(span)
         self._by_id[span.span_id] = span

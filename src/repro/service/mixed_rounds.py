@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ParameterError
-from repro.service.rounds import check_count
+from repro.errors import ParameterError, check_count
 from repro.sim.metrics import ContinuityMetrics
 
 __all__ = ["RecordStream"]

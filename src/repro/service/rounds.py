@@ -36,7 +36,7 @@ from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
-from repro.errors import HeadFailureError, ParameterError
+from repro.errors import HeadFailureError, ParameterError, check_count
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.obs.recorder import recorder_for
 from repro.rope.server import BlockFetch, FetchColumns
@@ -47,12 +47,6 @@ __all__ = [
     "Admission",
     "RoundRobinService",
 ]
-
-
-def check_count(name: str, value) -> None:
-    """Refuse a *name* (k, buffer, round limit) that is not an int >= 1."""
-    if not isinstance(value, int) or value < 1:
-        raise ParameterError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass
@@ -95,6 +89,9 @@ class StreamState:
     #: Next block index whose begin/end the service recorder wants
     #: reported (it sets and advances this; -1: none).
     report_at: int = -1
+    #: Modeled seconds this stream's turns took, each turn's added in turn
+    #: order while a recorder watches the loop (which seeds it on open).
+    turn_cost: float = field(default=0.0, init=False, repr=False)
     #: When each landed block finished playing — §3.1's cascade
     #: ``ends[i] = max(ends[i-1], ready[i]) + duration[i]`` from the
     #: clock's start — folded once per block as it lands (the read-ahead's
@@ -157,7 +154,9 @@ class RoundRobinService:
         :class:`~repro.obs.recorder.ServiceRecorder` built from *obs* —
         its surfaces and the sim event log attached to it, if any; with
         nothing to record there is no recorder and every report site is
-        a single None test.
+        a single None test.  A round in which every buffer is full is
+        counted, not walked, unless a sim event log, an *order* or
+        after-turn work watches the loop.
     order:
         Visiting order ``(drive, active, round_number) -> streams`` for
         each round; None is the paper's arrival order.
@@ -203,7 +202,8 @@ class RoundRobinService:
         order, after = self.order, self.after_turns
         never = float("inf")
         rec = self._rec
-        unwatched = rec is None and order is None and not after
+        # Only a sim event log wants each sleeping stream's turn reported.
+        unwatched = (rec is None or not rec.logging) and order is None and not after
         if rec is not None:
             for stream in active:
                 rec.stream_opened(stream, time)
@@ -246,7 +246,8 @@ class RoundRobinService:
                     f"k schedule returned {k!r} for round {round_number}"
                 )
             round_start = time
-            if unwatched and time < soonest < never:   # every turn would sleep
+            counted = unwatched and time < soonest < never
+            if counted:   # every turn would sleep
                 progressed = compact = False
             else:
                 visit = order(self.drive, active, round_number) if order else active
@@ -274,7 +275,7 @@ class RoundRobinService:
             round_number += 1
             self.rounds_run += 1
             if rec is not None:
-                rec.round_end(time, round_number)
+                rec.round_end(time, round_number, len(active) if counted else None)
             if self.rounds_run - rounds_before > max_rounds:
                 raise ParameterError(
                     f"exceeded {max_rounds} rounds; k schedule likely "
@@ -311,17 +312,15 @@ class RoundRobinService:
         #: *served* this round; besteffort.round_budget's is over all *active*.
         budget = soonest = float("inf")
         rec = self._rec
-        #: Whether the recorder also wants each turn's begin / end
-        #: reported (someone consumes them: a trace log, the profiler).
-        turn_begins = turn_ends = False
-        if rec is not None:
-            turn_begins, turn_ends = rec.round_begin(len(active))
+        recorded = rec is not None
+        #: Whether the recorder also wants turns reported (a sim event log).
+        logged = recorded and rec.round_begin(len(active))
         read, faulty = self.drive.read_slot, self.drive.injector is not None
         for stream in active:
             wake = stream._wake
             if time < wake:
                 # A buffer a turn filled has no room before its wake.
-                if turn_begins:
+                if logged:
                     rec.turn_begin(stream, time, round_number, 0)
                 if wake < soonest:
                     soonest = wake
@@ -334,7 +333,7 @@ class RoundRobinService:
             count = bisect_right(ends, time)
             room = stream.buffer_capacity - len(ready) + count
             quota = room if room < stream_k else stream_k
-            if turn_begins:
+            if logged:
                 rec.turn_begin(stream, time, round_number, quota)
             stream_start = time
             fetches, first = stream.fetches, stream.next_fetch
@@ -342,9 +341,9 @@ class RoundRobinService:
             last, stop = len(slots), first + quota
             if stop > last:
                 stop = last
-            # A block the recorder samples, or a drive that can fault,
-            # takes the turn off the bare read.
-            careful = faulty or rec is not None and first <= stream.report_at < stop
+            # A block the recorder samples (it keeps report_at >= first), or
+            # a drive that can fault, takes the turn off the bare read.
+            careful = faulty or recorded and stream.report_at < stop
             # Each landed block's play-out end is folded once: as it
             # lands, once the clock runs.
             start = stream.clock_start
@@ -387,13 +386,13 @@ class RoundRobinService:
                 finished = True
             elif wake < soonest:   # one with room left has a past wake
                 soonest = wake
-            if rec is not None:
-                if turn_ends:
-                    elapsed = time - stream_start
-                    rec.turn_end(stream, time, elapsed, stop - first, started)
+            if recorded:
+                stream.turn_cost += time - stream_start
+                if started and logged:
+                    rec.playback_started(stream, time)
                 if 0.0 < stream_k * stream.duration_floor < budget:
                     budget = stream_k * stream.duration_floor
-        if rec is not None:
+        if recorded:
             rec.round_served(round_start, time, budget)
         return time, progressed, finished, soonest
 

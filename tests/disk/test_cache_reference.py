@@ -3,14 +3,15 @@
 ``CachedDrive.read_slot`` does the residency test, the LRU refresh, the
 counters, the inner read and the insert in its own body.  The reference
 below is the earlier path, kept verbatim in behaviour: ``_probe`` (a
-``BlockCache.lookup`` then the ``cache_probe`` report) and ``_miss`` (the
-inner read, then ``BlockCache.insert`` with its ``_next_victim`` scan and
-the ``cache_evicted`` report).  Generated sequences of reads, traced
-reads, pins, unpins, invalidations, writes, injected faults and media
-defects run through both, with a recorder attached and without; after
-every step the resident order, the pins, ``CacheStats.as_dict()``, the
-inner drive's counters, the returned duration (or raised fault) and the
-recorder calls must be equal.
+``BlockCache.lookup``) and ``_miss`` (the inner read, then
+``BlockCache.insert`` with its ``_next_victim`` scan).  Neither reports a
+probe or an eviction: an observer reads the ``cache.*`` counters off
+``CacheStats``.  Generated sequences of reads, traced reads, pins,
+unpins, invalidations, writes, injected faults and media defects run
+through both, with an observer attached and without; after every step
+the resident order, the pins, ``CacheStats.as_dict()``, the inner
+drive's counters, the returned duration (or raised fault), the
+observer's counters and the tracing recorder's calls must be equal.
 """
 
 from collections import OrderedDict
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.disk import build_drive
 from repro.disk.cache import BlockCache, CachedDrive
 from repro.errors import MediaDefectError, ParameterError, TransientReadError
+from repro.obs import Observability
 
 
 class ReferenceCache(BlockCache):
@@ -66,7 +68,7 @@ class ReferenceCachedDrive(CachedDrive):
         return self._miss(slot, self.inner.read_slot, bits)
 
     def traced_read(self, slot, bits, now, rec, parent):
-        span = rec.span_begin("cache_probe", now, parent, slot)
+        span = rec.cache_read(now, parent, slot)
         if self._probe(slot):
             rec.span_end(span, now + self.hit_time, "hit")
             return self.hit_time
@@ -86,10 +88,7 @@ class ReferenceCachedDrive(CachedDrive):
         return duration
 
     def _probe(self, slot):
-        hit = self.cache.lookup(slot)
-        if self._rec is not None:
-            self._rec.cache_probe(hit)
-        return hit
+        return self.cache.lookup(slot)
 
     def _miss(self, slot, read_inner, *args):
         try:
@@ -97,11 +96,7 @@ class ReferenceCachedDrive(CachedDrive):
         except MediaDefectError:
             self.cache.invalidate(slot)
             raise
-        evictions_before = self.cache.stats.evictions
         self.cache.insert(slot)
-        evicted = self.cache.stats.evictions - evictions_before
-        if evicted and self._rec is not None:
-            self._rec.cache_evicted(evicted)
         return duration
 
 
@@ -115,7 +110,7 @@ class Calls:
     def __getattr__(self, name):
         def record(*args):
             self.log.append((name, args))
-            if name == "span_begin":
+            if name in ("cache_read", "span_begin"):
                 self.spans += 1
                 return self.spans
             return None
@@ -145,8 +140,8 @@ def _stack(cache_class, drive_class, capacity, observed):
     injector = ScriptedInjector()
     drive.attach_injector(injector)
     cached = drive_class(drive, cache_class(capacity))
-    if observed:
-        cached._rec = Calls()
+    cached.observer = Observability() if observed else None
+    cached.attach_cache_observer(cached.observer)
     return cached, injector
 
 
@@ -197,7 +192,8 @@ def _state(cached):
         dict(cached.cache._pins),
         cached.cache.stats.as_dict(),
         (inner.reads, inner.writes, inner.busy_time, inner.faults_injected),
-        cached._rec.log if cached._rec is not None else None,
+        cached.observer.registry.snapshot_dict()["counters"]
+        if cached.observer is not None else None,
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ParameterError
 from repro.obs import BlockStage, SessionTimeline
 
 HEALTHY = {"enqueued": 1, "read-start": 1, "read-done": 1, "consumed": 1}
@@ -13,6 +14,32 @@ HEALTHY = {"enqueued": 1, "read-start": 1, "read-done": 1, "consumed": 1}
 
 def _healthy_block(timeline, session, index, base):
     timeline.add(session, HEALTHY, [(index, base + 0.02)])
+
+
+class TestSamplingGates:
+    @pytest.mark.parametrize("gate", ["keep_first", "every_kth"])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), "3", True, 4.0])
+    def test_a_gate_that_is_not_an_int_is_refused(self, gate, bad):
+        """every_kth=2.5 raised a bare TypeError from the run-end walk,
+        NaN tallied one block, "3" raised a bare TypeError here and True
+        passed: each is now a ParameterError when the timeline is built."""
+        with pytest.raises(ParameterError, match=rf"{gate} must be an int"):
+            SessionTimeline(**{gate: bad})
+
+    def test_int_gates_and_none_are_accepted(self):
+        timeline = SessionTimeline(keep_first=0, every_kth=1)
+        assert (timeline.keep_first, timeline.every_kth) == (0, 1)
+        assert SessionTimeline().every_kth is None
+
+    def test_a_refused_gate_never_reaches_a_run(self):
+        """One 23-block serve under every_kth=2.5 never starts."""
+        from repro.obs import Observability
+        from repro.scenarios import get
+
+        with pytest.raises(ParameterError):
+            obs = Observability()
+            obs.timeline = SessionTimeline(keep_first=1, every_kth=2.5)
+            get("scale")(streams=1, blocks_per_stream=23, seed=1).run(obs)
 
 
 class TestRecording:

@@ -193,6 +193,15 @@ class TestSampling:
         )
         assert self._lattice(tracer, 64) == [0, 1, 2, 3, 16, 32, 48]
 
+    @pytest.mark.parametrize("gate", ["block_keep_first", "block_every_kth"])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), "3", True, 4.0])
+    def test_a_sampling_gate_that_is_not_an_int_is_refused(self, gate, bad):
+        """2.5 silently traced one block span of a 23-block serve instead
+        of about 12, "3" raised a bare TypeError and NaN and True passed:
+        each is now a ParameterError when the tracer is built."""
+        with pytest.raises(ParameterError, match=rf"{gate} must be an int"):
+            SpanTracer(**{gate: bad})
+
     def test_keep_first_only(self):
         tracer = SpanTracer(seed=0, block_keep_first=2)
         assert self._lattice(tracer, 8) == [0, 1]

@@ -808,3 +808,119 @@ class TestIdleRoundsAreCounted:
             service.run(*scenario.build_streams(drive))
             rounds.append(service.rounds_run)
         assert rounds[0] == rounds[1] == len(begun) > 0
+
+
+def _cluster_preset():
+    """The stock cluster observability: ``for_scale``, the cluster SLOs
+    and the profiler."""
+    from repro.cluster.router import CLUSTER_SLOS
+    from repro.obs import SloMonitor
+
+    obs = Observability.for_scale(seed=3)
+    obs.slo = SloMonitor(obs.registry, CLUSTER_SLOS)
+    obs.enable_profiler()
+    return obs
+
+
+def _hit_epoch(obs, streams=4, blocks=40):
+    """A `failover_observed`-shaped epoch: every read a cache hit, k = 1.
+    Returns (rounds run, ``_run_round`` passes, blocks delivered)."""
+    from repro.disk.cache import BlockCache, CachedDrive
+
+    drive = build_drive()
+    slots = [[s * 500 + b for b in range(blocks)] for s in range(streams)]
+    cached = CachedDrive(drive, BlockCache(streams * blocks), obs=obs)
+    for plan in slots:
+        for slot in plan:
+            cached.read_slot(slot)
+    initial = [
+        StreamState(f"s{s}", FetchColumns.uniform(plan, drive.block_bits, 1 / 30), 2)
+        for s, plan in enumerate(slots)
+    ]
+    service = RoundRobinService(cached, lambda _r, _n: 1, obs=obs)
+    passes = []
+    walk = service._run_round
+    service._run_round = lambda *args: (passes.append(1), walk(*args))[1]
+    metrics = service.run(initial)
+    delivered = sum(m.blocks_delivered for m in metrics.values())
+    return service.rounds_run, len(passes), delivered
+
+
+class TestWatchingIsNotWalking:
+    """An observer does not make the loop walk, call the recorder per
+    block, or count cache probes a second time."""
+
+    def test_an_observed_hit_epoch_passes_over_the_unobserved_rounds(self):
+        plain = _hit_epoch(None)
+        observed = _hit_epoch(_cluster_preset())
+        assert observed == plain
+        rounds, passes, delivered = observed
+        assert delivered == 160 and passes < rounds
+
+    def test_an_unsampled_block_makes_no_recorder_call(self, monkeypatch):
+        from repro.obs import SpanTracer
+        from repro.obs.recorder import ServiceRecorder
+
+        calls = {}
+        for name, member in list(vars(ServiceRecorder).items()):
+            if callable(member) and not name.startswith("_"):
+                def counted(self, *args, _name=name, _inner=member, **kw):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _inner(self, *args, **kw)
+                monkeypatch.setattr(ServiceRecorder, name, counted)
+        obs = _cluster_preset()
+        obs.tracer = SpanTracer(seed=3, block_keep_first=1, block_every_kth=25)
+        passes = []
+        walk = RoundRobinService._run_round
+        monkeypatch.setattr(
+            RoundRobinService, "_run_round",
+            lambda self, *a: (passes.append(1), walk(self, *a))[1],
+        )
+        metrics, total = _service_run(streams=4, blocks=60, obs=obs)
+        assert sum(m.blocks_delivered for m in metrics.values()) == total
+        # Blocks 0, 25 and 50 of each stream are traced: their reads are
+        # the drive's traced accesses.  No other block reaches the recorder.
+        sampled = 4 * 3
+        rounds = obs.registry.peek_histogram("service.queue_depth").count
+        assert calls == {
+            "stream_opened": 4, "round_begin": len(passes),
+            "round_served": len(passes), "round_end": rounds,
+            "block_begin": sampled, "block_end": sampled,
+            "span_begin": sampled, "span_end": sampled, "run_end": 1,
+        }
+
+    def test_cache_counters_are_the_caches_own(self):
+        from repro.disk.cache import BlockCache, CachedDrive
+        from repro.obs.recorder import recorder_for
+
+        drive = build_drive()
+        far = drive.slots // 2
+        drive.read_slot(far)
+        drive.read_slot(0)
+        cached = CachedDrive(drive, BlockCache(2))
+        for slot in (0, far, 0, 7):   # read before any observer
+            cached.read_slot(slot)
+        obs = Observability(seed=0)
+        cached.attach_cache_observer(obs)
+        cached.attach_cache_observer(obs)   # attaching twice counts once
+        before = cached.cache.stats.as_dict()
+        rec = recorder_for(obs, "loop")
+        parent = obs.tracer.start_span("test", 0.0, session="s")
+        for step, slot in enumerate((0, far, far, 9, 0, 7, far, 9)):
+            if step % 2:
+                cached.traced_read(slot, None, float(step), rec, parent)
+            else:
+                cached.read_slot(slot)
+        after = cached.cache.stats.as_dict()
+        counters = obs.registry.snapshot_dict()["counters"]
+        assert {
+            name: counters[f"cache.{name}"]
+            for name in ("hits", "misses", "evictions")
+        } == {
+            name: after[name] - before[name]
+            for name in ("hits", "misses", "evictions")
+        }
+        assert counters["cache.hits"] > 0 and counters["cache.evictions"] > 0
+        # A hit is the same one frame observed or not.
+        cached.read_slot(far)
+        assert _frames(cached.read_slot, far) == ["CachedDrive.read_slot"]

@@ -166,9 +166,7 @@ class WalkedRoundRobinService(RoundRobinService):
         round_start = time
         budget = float("inf")
         rec = self._rec
-        turn_begins = turn_ends = False
-        if rec is not None:
-            turn_begins, turn_ends = rec.round_begin(len(active))
+        turn_begins = rec is not None and rec.round_begin(len(active))
         read, faulty = self.drive.read_slot, self.drive.injector is not None
         finished = False
         for stream in active:
@@ -215,10 +213,10 @@ class WalkedRoundRobinService(RoundRobinService):
                     ends.append(end)
             if quota == room:
                 stream._wake = ends[count]
-            if turn_ends:
-                rec.turn_end(
-                    stream, time, time - stream_start, stop - first, started
-                )
+            if rec is not None:
+                stream.turn_cost += time - stream_start
+            if started and turn_begins:
+                rec.playback_started(stream, time)
             if rec is not None and 0.0 < stream_k * stream.duration_floor < budget:
                 budget = stream_k * stream.duration_floor
         if rec is not None:

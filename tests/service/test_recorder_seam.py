@@ -5,10 +5,10 @@ real :class:`~repro.obs.recorder.ServiceRecorder` — drives
 :class:`RoundRobinService` over generated loads and checks what the loop
 *reports*, independent of any sink: every stream's block begins and ends
 pair up and account for every block, events never run backwards, every
-block ends inside its round, and what each turn hands over is exactly
-what a real run attributes to that stream in the cost profile (the
-loop carries no other number for the profiler: the rest of a profile is
-read off the drive's own stats).
+block ends inside its round, and the cost a stream's turns fold into
+``StreamState.turn_cost`` is exactly what a real run attributes to that
+stream in the cost profile (the loop carries no other number for the
+profiler: the rest of a profile is read off the drive's own stats).
 """
 
 from hypothesis import given, settings
@@ -40,7 +40,10 @@ loads = st.fixed_dictionaries(
 
 
 class FakeRecorder:
-    """Appends ``(event, args)`` for every report; wants every block."""
+    """Appends ``(event, args)`` for every report; wants every block and
+    every turn, so every round is walked."""
+
+    logging = True
 
     def __init__(self):
         self.events = []
@@ -57,7 +60,7 @@ class FakeRecorder:
 
     def round_begin(self, active):
         self.events.append(("round_begin", (active,), {}))
-        return True, True
+        return True
 
     def block_begin(self, stream, index, time, round_number):
         self.events.append(
@@ -130,7 +133,8 @@ def test_loop_reports_each_fact_once_and_in_order(spec):
     # Events never run backwards in simulated time.
     time_of = {
         "stream_opened": 1, "turn_begin": 1, "block_begin": 2,
-        "block_end": 3, "turn_end": 1, "round_served": 1, "round_end": 0,
+        "block_end": 3, "playback_started": 1, "round_served": 1,
+        "round_end": 0,
         "run_end": 1,
     }
     times = [
@@ -155,14 +159,14 @@ def test_loop_reports_each_fact_once_and_in_order(spec):
     assert rounds_run == service.rounds_run == len(fake.named("round_end"))
     assert len(streams) == len(opened)
 
-    # Each turn's (cost, blocks) is what a real run attributes per stream.
-    assert all(len(args) == 2 for args in fake.named("round_end"))
+    # Each stream's (blocks, folded turn cost) is what a real run
+    # attributes to it; a walked round is never a counted one.
+    assert all(args[2] is None for args in fake.named("round_end"))
     assert all(len(args) == 3 for args in fake.named("round_served"))
-    turns = {}
-    for stream, _time, cost, delivered, _started in fake.named("turn_end"):
-        entry = turns.setdefault(stream.request_id, [0, 0.0])
-        entry[0] += delivered
-        entry[1] += cost
+    turns = {
+        stream.request_id: [len(stream.ready), stream.turn_cost]
+        for stream in streams
+    }
     drive, initial, admissions = _build(spec)
     obs = Observability.for_profiling(seed=spec["seed"])
     _service(spec, drive, obs).run(initial, admissions)

@@ -1,0 +1,264 @@
+"""Differential: the round loop against the executable model of §3.4.
+
+``tests/round_model.py`` states round service plainly and imports
+nothing from ``repro``.  Here ``RoundRobinService`` serves the same
+generated loads — joins, buffers of 1–5, per-stream k, k schedules that
+vary by round and by load, ``max_rounds`` guards, silence holders and
+zero-length blocks — through a stub drive that charges the model's own
+pure cost of (previous slot, slot), under three configurations:
+
+* unobserved, where an idle round is counted, not walked;
+* observed with the stock cluster preset the benchmark runs
+  (``Observability.for_scale``, the cluster SLOs and the profiler),
+  where an idle round is counted too;
+* with a sim event log attached, where every round is walked.
+
+Each must give every stream the model's ``ready`` / ``ends`` /
+``clock_start`` columns and no skips, the model's ``rounds_run`` (or
+its error), and — observed — one queue-depth observation, one
+``service.round`` timer call and one profiler checkpoint per round, and
+per-stream profile rows equal to the model's blocks and turn costs
+added in turn order, across two epochs sharing one profiler.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.router import CLUSTER_SLOS
+from repro.disk import BlockCache, CachedDrive
+from repro.disk.factory import build_drive
+from repro.errors import ParameterError
+from repro.obs import Observability, SloMonitor
+from repro.rope.server import FetchColumns
+from repro.service.rounds import Admission, RoundRobinService, StreamState
+from repro.sim.trace import Tracer
+from tests.round_model import ModelError, Stream, serve, turn_cost
+
+#: Read costs as pure functions of (previous slot, slot).  ``hit`` is
+#: ``failover_observed``'s shape: every read a zero-cost cache hit.
+COSTS = {
+    "seek": lambda prev, slot: 0.004 + 1e-5 * abs(slot - (prev or 0)),
+    "flat": lambda prev, slot: 0.013,
+    "hit": lambda prev, slot: 0.0,
+}
+#: The loop's ParameterError for each ModelError reason.
+ERRORS = {
+    "k": "k schedule returned",
+    "deadlock": "service deadlocked",
+    "max_rounds": "exceeded",
+}
+
+
+class StubDrive:
+    """Drive-shaped: a read costs ``cost(previous slot read, slot)``."""
+
+    injector = None
+
+    def __init__(self, cost):
+        self.cost, self.head = cost, None
+
+    def read_slot(self, slot, bits=None):
+        elapsed = self.cost(self.head, slot)
+        self.head = slot
+        return elapsed
+
+    def traced_read(self, slot, bits, now, rec, parent):
+        return self.read_slot(slot, bits)
+
+
+def cluster_preset(seed):
+    """The stock cluster observability the benchmark's cluster runs use."""
+    obs = Observability.for_scale(seed=seed)
+    obs.slo = SloMonitor(obs.registry, CLUSTER_SLOS)
+    obs.enable_profiler()
+    return obs
+
+
+def sim_logged(seed):
+    obs = Observability(seed=seed)
+    obs.attach_sim_tracer(Tracer())
+    return obs
+
+
+CONFIGS = {"unobserved": lambda seed: None, "observed": cluster_preset,
+           "logged": sim_logged}
+
+blocks = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 3000)),
+        st.sampled_from([0.0, 0.02, 0.05, 0.1]),
+    ),
+    max_size=12,
+)
+streams = st.lists(
+    st.tuples(
+        blocks, st.integers(1, 5), st.one_of(st.none(), st.integers(1, 4)),
+        st.one_of(st.none(), st.integers(0, 12)),
+    ),
+    min_size=1, max_size=4,
+)
+loads = st.fixed_dictionaries({
+    "streams": streams,
+    "ks": st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    "cost": st.sampled_from(sorted(COSTS)),
+    "max_rounds": st.one_of(st.just(100_000), st.integers(1, 30)),
+})
+
+
+def model_streams(load):
+    return [
+        Stream(f"s{i}", [slot for slot, _ in plan],
+               [duration for _, duration in plan], capacity, k, joins)
+        for i, (plan, capacity, k, joins) in enumerate(load["streams"])
+    ]
+
+
+def k_schedule(load):
+    ks = load["ks"]
+    return lambda round_number, active: ks[(round_number + active) % len(ks)]
+
+
+def loop_run(load, obs):
+    """Serve *load* through the loop; returns (service, every stream in
+    the model's order, loop passes, error reason or None)."""
+    drive = StubDrive(COSTS[load["cost"]])
+    states, initial, admissions = [], [], []
+    for stream in model_streams(load):
+        state = StreamState(
+            stream.request_id,
+            FetchColumns(list(stream.slots), [1.0] * len(stream.slots),
+                         list(stream.durations)),
+            stream.capacity, stream.k_override,
+        )
+        states.append(state)
+        if stream.joins is None:
+            initial.append(state)
+        else:
+            admissions.append(Admission(stream.joins, state))
+    service = RoundRobinService(drive, k_schedule(load), obs=obs)
+    passes = []
+    walk = service._run_round
+    service._run_round = lambda *args: (passes.append(1), walk(*args))[1]
+    try:
+        service.run(initial, admissions, max_rounds=load["max_rounds"])
+    except ParameterError as error:
+        reason = [key for key, text in ERRORS.items() if text in str(error)]
+        return service, states, len(passes), reason
+    return service, states, len(passes), None
+
+
+def assert_matches_model(load, seed=0):
+    try:
+        expected = serve(model_streams(load), k_schedule(load),
+                         COSTS[load["cost"]], load["max_rounds"])
+    except ModelError as error:
+        expected = error.args[0]
+    passes = {}
+    for name, make in CONFIGS.items():
+        obs = make(seed)
+        service, states, passes[name], error = loop_run(load, obs)
+        if isinstance(expected, str):
+            assert error == [expected], (name, error)
+            continue
+        assert error is None, (name, error)
+        assert service.rounds_run == expected.rounds_run, name
+        for state, stream in zip(states, model_streams(load)):
+            served = expected.served[state.request_id]
+            assert state.ready == served.ready, (name, state.request_id)
+            assert state.ends == served.ends(stream.durations), name
+            assert state.clock_start == served.clock_start, name
+            assert state.skipped_indices == set(), name
+        if name == "observed":
+            assert_observed(obs, load, expected)
+        if name == "logged":
+            assert passes[name] == expected.rounds_run
+    if not isinstance(expected, str):
+        # Watching is not walking: the observed loop passes over exactly
+        # the rounds the unobserved one does.
+        assert passes["observed"] == passes["unobserved"] <= passes["logged"]
+    return expected
+
+
+def assert_observed(obs, load, expected):
+    rounds = expected.rounds_run
+    depth = obs.registry.peek_histogram("service.queue_depth")
+    assert depth.count == rounds
+    assert depth.total == sum(expected.active_per_round)
+    timers = obs.registry.snapshot_dict()["timers"]
+    assert timers.get("service.round", {"calls": 0})["calls"] == rounds
+    assert obs.profiler._checkpoint_calls == rounds
+    # A second epoch on the same profiler folds onto the first's rows.
+    loop_run(load, obs)
+    rows = {
+        row["stream"]: (row["ops"], row["cost_s"])
+        for row in obs.profiler.summary_dict()["per_stream"]["top"]
+    }
+    assert rows == {
+        request_id: (2 * len(served.ready), turn_cost(served, turn_cost(served)))
+        for request_id, served in expected.served.items() if served.turns
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(load=loads, seed=st.integers(0, 3))
+def test_the_loop_serves_what_the_model_states(load, seed):
+    assert_matches_model(load, seed)
+
+
+def test_an_idle_gap_is_counted_observed_or_not():
+    """Two joins far apart, a zero-cost drive: most rounds are idle."""
+    load = {
+        "streams": [
+            ([(slot, 0.1) for slot in range(8)], 2, None, None),
+            ([(None, 0.05)] + [(slot, 0.1) for slot in range(8)], 1, 1, 9),
+        ],
+        "ks": [2], "cost": "hit", "max_rounds": 100_000,
+    }
+    expected = assert_matches_model(load)
+    _, _, passes, _ = loop_run(load, cluster_preset(0))
+    assert passes < expected.rounds_run
+
+
+def test_a_tight_max_rounds_trips_in_every_configuration():
+    load = {
+        "streams": [([(slot, 0.1) for slot in range(10)], 1, None, None)],
+        "ks": [1], "cost": "hit", "max_rounds": 5,
+    }
+    assert assert_matches_model(load) == "max_rounds"
+
+
+class TestTheSkippedSloTickIsUnobservable:
+    """A counted round skips the SLO tick: no counter moved since the
+    walked round before it ticked, so the tick could emit nothing.  The
+    same run walked (a sim log attached) ticks every round and ends in
+    the same SLO state, breach events and their rounds included."""
+
+    @staticmethod
+    def _run(logged):
+        obs = cluster_preset(0)
+        if logged:
+            obs.attach_sim_tracer(Tracer())
+        drive = CachedDrive(build_drive(), BlockCache(64), obs=obs)
+        slots = [n * 577 for n in range(12)]
+        first, second = (
+            StreamState(f"r{i}", FetchColumns.uniform(slots, 1.0, 0.25), 2)
+            for i in range(2)
+        )
+        service = RoundRobinService(drive, lambda _r, _n: 1, obs=obs)
+        ticks = []
+        tick = obs.slo.on_round
+        obs.slo.on_round = lambda *args: (ticks.append(args), tick(*args))[1]
+        service.run([first], [Admission(14, second)])
+        return obs, service.rounds_run, len(ticks)
+
+    def test_the_counted_run_ends_in_the_walked_runs_slo_state(self):
+        counted, rounds, counted_ticks = self._run(logged=False)
+        walked, walked_rounds, walked_ticks = self._run(logged=True)
+        assert rounds == walked_rounds == walked_ticks > counted_ticks
+        events = counted.slo.summary_dict()["breach_events"]
+        assert [event["to"] for event in events] == ["breach", "ok"]
+        assert counted.slo.summary_dict() == walked.slo.summary_dict()
+        assert (
+            counted.registry.snapshot_dict()["counters"]
+            == walked.registry.snapshot_dict()["counters"]
+        )

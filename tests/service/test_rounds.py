@@ -184,6 +184,20 @@ class TestValidation:
                 k_override=k_override,
             )
 
+    def test_a_bool_is_not_a_count(self, block):
+        """``check_count`` is the sampling gates' check too: True, an int
+        subclass, passed as 1 before."""
+        drive = build_drive()
+        with pytest.raises(ParameterError, match="buffer_capacity must be"):
+            make_stream(drive, block, "r0", capacity=True)
+        with pytest.raises(ParameterError, match="k_override must be"):
+            StreamState(
+                request_id="x", fetches=[], buffer_capacity=4, k_override=True
+            )
+        service = RoundRobinService(drive, lambda r, n: 4)
+        with pytest.raises(ParameterError, match="max_rounds must be"):
+            service.run([make_stream(drive, block, "r1")], max_rounds=True)
+
     def test_no_streams_no_rounds(self, block):
         drive = build_drive()
         service = RoundRobinService(drive, lambda r, n: 1)

@@ -536,7 +536,8 @@ class TestRecorderSeam:
 class TestOneLedgerOfModeledTime:
     """The cost profile is a view of ``DriveStats`` / ``CacheStats``
     (ISSUE 19): nothing on the per-block path writes to the profiler,
-    and the round loop carries no number that exists only for it."""
+    and the round loop carries one number for it, each stream's folded
+    turn cost, which the recorder hands over once the run is over."""
 
     def test_only_attach_turn_round_and_fault_events_feed_the_profile(self):
         from repro.obs.recorder import EVENTS, sinks
@@ -549,7 +550,7 @@ class TestOneLedgerOfModeledTime:
             "drive_attached": ["seek", "transfer"],
             "cache_attached": ["cache_lookup"],
             "fault": ["fault_recovery"],
-            "turn_end": ["per_stream"],
+            "run_end": ["per_stream"],
             "round_end": ["checkpoint"],
         }
         from repro.obs import PHASES
@@ -563,8 +564,9 @@ class TestOneLedgerOfModeledTime:
 
         from repro.obs.recorder import ServiceRecorder
 
-        for event in ("drive_access", "cache_probe", "block_begin",
-                      "block_end", "round_served", "run_end", "_score"):
+        for event in ("drive_access", "cache_read", "block_begin",
+                      "block_end", "turn_begin", "playback_started",
+                      "round_served", "_score"):
             source = inspect.getsource(getattr(ServiceRecorder, event))
             assert "_prof" not in source, event
 
@@ -580,7 +582,7 @@ class TestOneLedgerOfModeledTime:
         assert "scanned" not in rounds
         assert "deadline_queries" not in rounds
 
-    def test_a_profiled_run_calls_the_profiler_per_turn_not_per_block(
+    def test_a_profiled_run_calls_the_profiler_per_stream(
         self, monkeypatch
     ):
         from repro.obs import CostProfiler
@@ -601,16 +603,31 @@ class TestOneLedgerOfModeledTime:
         for name, member in vars(CostProfiler).items():
             if callable(member) and not name.startswith("_"):
                 counted(CostProfiler, name)
-        counted(ServiceRecorder, "turn_end")
+        for name in vars(ServiceRecorder):
+            if not name.startswith("_"):
+                counted(ServiceRecorder, name)
         scenario = get("scale")(streams=6, blocks_per_stream=40, seed=3)
         run = scenario.run(scenario.observability(profile=True))
-        blocks = run.metrics()["blocks_delivered"]
-        turns = calls.pop("turn_end")
-        assert blocks == 240 and turns < blocks / 2
+        assert run.metrics()["blocks_delivered"] == 240
+        rounds = run.result.rounds
+        # No recorder call per turn or per block: a stream's turns fold
+        # their cost on the stream, handed over once per stream.
+        recorded = {name: calls.pop(name) for name in list(calls)
+                    if name in vars(ServiceRecorder)}
+        assert recorded["round_end"] == rounds < 240
+        assert recorded["round_begin"] == recorded["round_served"] <= rounds
+        assert recorded["stream_opened"] == 6 and recorded["run_end"] == 1
+        # The drive reports each access's seek (a histogram needs each).
+        assert recorded.pop("drive_access") == 240
+        assert set(recorded) == {
+            "drive_attached", "stream_opened", "round_begin", "round_served",
+            "round_end", "run_end",
+        }
         assert calls == {
             "watch_drive": 1,
-            "attribute_stream": turns,
-            "checkpoint": run.result.rounds,
+            "stream_cost": 6,
+            "fold_stream": 6,
+            "checkpoint": rounds,
         }
 
 
@@ -943,6 +960,13 @@ class TestRetiredNames:
         "repro.service.rounds.StreamState.next_consumption_time",
         "repro.service.rounds._wake_of",
         "repro.service.rounds.check_k_override",
+        # Watching is not walking: a recorder folds a stream's turns and
+        # reads the cache's own counts instead of being called per block.
+        "repro.obs.recorder.ServiceRecorder.cache_probe",
+        "repro.obs.recorder.ServiceRecorder.cache_evicted",
+        "repro.obs.recorder.ServiceRecorder.turn_end",
+        "repro.obs.CostProfiler.attribute_stream",
+        "repro.disk.cache.CachedDrive._fill",
     ]
     #: Retired instance attributes, which no import can resolve.
     RETIRED_ATTRIBUTES = re.compile(r"_seen_sessions|_sim_tracers")
@@ -1050,14 +1074,15 @@ class TestRetiredNames:
 
 
 class TestSourceSize:
-    #: `src/` physical lines, as measured, after the session timeline
-    #: became a tally of the loop's columns (22,315 before).
+    #: `src/` physical lines, as measured, after a recorder stopped
+    #: making the loop walk and the cache counters became reads of
+    #: ``CacheStats`` (22,143 before).
     #: ROADMAP aim 2: the count trends *down* — lower this when a PR
     #: deletes code, never raise it to make room.
-    SRC_LINE_CEILING = 22143
-    #: `src/repro/obs/` alone, measured at the same point (3,019 before):
+    SRC_LINE_CEILING = 22126
+    #: `src/repro/obs/` alone, measured at the same point (2,848 before):
     #: the largest package in `src/`, pinned on its own.
-    OBS_LINE_CEILING = 2848
+    OBS_LINE_CEILING = 2841
 
     @staticmethod
     def _lines(root):
