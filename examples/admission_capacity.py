@@ -11,25 +11,16 @@ Run:  python examples/admission_capacity.py
 """
 
 from repro.config import TESTBED_1991
-from repro.disk import build_drive
 from repro.errors import AdmissionRejected
-from repro.fs import MultimediaStorageManager
 from repro.media import frames_for_duration
-from repro.rope import Media, MultimediaRopeServer
+from repro.rope import Media, build_rope_server
 from repro.service import PlaybackSession
 from repro.units import format_seconds
 
 
 def main() -> None:
     profile = TESTBED_1991
-    msm = MultimediaStorageManager(
-        build_drive(),
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
-    )
-    mrs = MultimediaRopeServer(msm)
+    mrs = build_rope_server(profile)
 
     frames = frames_for_duration(profile.video, 10.0, source="movie")
     request_id, movie = mrs.record("studio", frames=frames,
@@ -48,7 +39,7 @@ def main() -> None:
             )
             break
         admitted.append(play_id)
-        controller = msm.admission
+        controller = mrs.msm.admission
         print(
             f"client #{len(admitted)} admitted: service runs "
             f"k = {controller.current_k} blocks/round"

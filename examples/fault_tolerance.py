@@ -13,12 +13,10 @@ Run:  PYTHONPATH=src python examples/fault_tolerance.py
 """
 
 from repro.config import TESTBED_1991
-from repro.disk import build_drive
 from repro.faults import FaultInjector, FaultPlan, RecoveryPolicy
-from repro.fs import MultimediaStorageManager
 from repro.media.frames import frames_for_duration
 from repro.obs import Observability
-from repro.rope import Media, MultimediaRopeServer
+from repro.rope import Media, build_rope_server
 from repro.service import PlaybackSession
 from repro.sim.trace import Tracer
 
@@ -28,20 +26,12 @@ SEED = 42
 def build_stack():
     """A fresh testbed server with one 8-second recorded clip."""
     profile = TESTBED_1991
-    drive = build_drive()
-    msm = MultimediaStorageManager(
-        drive,
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
-    )
-    mrs = MultimediaRopeServer(msm)
+    mrs = build_rope_server(profile)
     frames = frames_for_duration(profile.video, 8.0, source="clip")
     request_id, rope_id = mrs.record("ops", frames=frames)
     mrs.stop(request_id)
     play_id = mrs.play("ops", rope_id, media=Media.VIDEO)
-    return drive, mrs, play_id
+    return mrs.msm.drive, mrs, play_id
 
 
 def chaos_run(seed):

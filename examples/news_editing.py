@@ -13,23 +13,14 @@ Run:  python examples/news_editing.py
 import random
 
 from repro.config import TESTBED_1991
-from repro.disk import build_drive
-from repro.fs import MultimediaStorageManager
 from repro.media import frames_for_duration, generate_talk_spurts
-from repro.rope import EditingSession, Media, MultimediaRopeServer
+from repro.rope import EditingSession, Media, build_rope_server
 from repro.service import PlaybackSession
 
 
 def main() -> None:
     profile = TESTBED_1991
-    msm = MultimediaStorageManager(
-        build_drive(),
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
-    )
-    mrs = MultimediaRopeServer(msm)
+    mrs = build_rope_server(profile)
     session = EditingSession(mrs, user="editor")
     rng = random.Random(11)
 

@@ -16,10 +16,8 @@ Run:  python examples/quickstart.py
 import random
 
 from repro.config import TESTBED_1991
-from repro.disk import build_drive
-from repro.fs import MultimediaStorageManager
 from repro.media import frames_for_duration, generate_talk_spurts
-from repro.rope import Media, MultimediaRopeServer
+from repro.rope import Media, build_rope_server
 from repro.service import PlaybackSession
 from repro.units import format_seconds
 
@@ -28,14 +26,8 @@ def main() -> None:
     profile = TESTBED_1991
 
     # --- 1-2: hardware + derived storage policy -------------------------
-    drive = build_drive()
-    msm = MultimediaStorageManager(
-        drive,
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
-    )
+    mrs = build_rope_server(profile)
+    msm = mrs.msm
     policy = msm.policies.video
     print(f"profile: {profile.description}")
     print(
@@ -46,7 +38,6 @@ def main() -> None:
     )
 
     # --- 3: RECORD -------------------------------------------------------
-    mrs = MultimediaRopeServer(msm)
     rng = random.Random(2026)
     frames = frames_for_duration(profile.video, 10.0, source="camera0")
     chunks = generate_talk_spurts(profile.audio, 10.0, 0.35, rng)

@@ -20,10 +20,9 @@ from repro.config import TESTBED_1991
 from repro.core import vbr_gain
 from repro.core.symbols import video_block_model
 from repro.disk import build_drive
-from repro.fs import MultimediaStorageManager
 from repro.media import frames_for_duration
 from repro.media.codec import DifferencingCodec
-from repro.rope import MultimediaRopeServer
+from repro.rope import build_rope_server
 from repro.service import simulate_variable_speed
 
 
@@ -60,12 +59,7 @@ def main() -> None:
         )
 
     # --- 3: chapter triggers -------------------------------------------------
-    drive = build_drive()
-    msm = MultimediaStorageManager(
-        drive, profile.video, profile.audio,
-        profile.video_device, profile.audio_device,
-    )
-    mrs = MultimediaRopeServer(msm)
+    mrs = build_rope_server(profile)
     frames = frames_for_duration(profile.video, 12.0, source="movie")
     request_id, rope_id = mrs.record("studio", frames=frames)
     mrs.stop(request_id)

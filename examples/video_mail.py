@@ -13,11 +13,9 @@ Run:  python examples/video_mail.py
 import random
 
 from repro.config import TESTBED_1991
-from repro.disk import build_drive
 from repro.errors import AccessDenied
-from repro.fs import MultimediaStorageManager
 from repro.media import frames_for_duration, generate_talk_spurts
-from repro.rope import Media, MultimediaRopeServer
+from repro.rope import Media, build_rope_server
 from repro.service import PlaybackSession
 
 
@@ -29,14 +27,8 @@ def blocks_on_disk(msm) -> int:
 
 def main() -> None:
     profile = TESTBED_1991
-    msm = MultimediaStorageManager(
-        build_drive(),
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
-    )
-    mrs = MultimediaRopeServer(msm)
+    mrs = build_rope_server(profile)
+    msm = mrs.msm
     rng = random.Random(7)
 
     # The sender's stored signature clip (2 s) and new message (20 s).

@@ -20,9 +20,8 @@ for Digital Video and Audio* (SOSP 1991):
 * a **discrete-event simulation engine** and a round-based real-time
   service loop used to validate continuity empirically
   (:mod:`repro.sim`, :mod:`repro.service`);
-* workload generators and experiment drivers regenerating every
-  quantitative figure in the paper (:mod:`repro.workload`,
-  :mod:`repro.analysis`).
+* experiment drivers regenerating every quantitative figure in the
+  paper (:mod:`repro.analysis`).
 
 The supported public surface is the typed message API plus the two
 deployment front ends:
@@ -82,7 +81,6 @@ from repro import (
     service,
     sim,
     units,
-    workload,
 )
 from repro.api import (
     ClusterServeResult,
@@ -140,6 +138,5 @@ __all__ = [
     "service",
     "sim",
     "units",
-    "workload",
     "__version__",
 ]

@@ -37,7 +37,6 @@ from repro.disk import (
     build_drive,
 )
 from repro.errors import AdmissionRejected
-# repro.fs must load before repro.rope (fs.persist imports rope.server).
 from repro.fs import MultimediaStorageManager
 from repro.media import DisplayDevice, frames_for_duration, generate_talk_spurts
 from repro.media.audio import SilenceDetector

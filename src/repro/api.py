@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, UnknownSessionError
 from repro.rope.structures import Media
 
 __all__ = [
@@ -320,11 +320,12 @@ class ServeResult:
         return sum(s.misses for s in self.statuses)
 
     def status_of(self, session_id: str) -> SessionStatus:
-        """Look up one session's status (raises KeyError if absent)."""
+        """Look up one session's status (:class:`UnknownSessionError`,
+        a ``KeyError``, if absent)."""
         for status in self.statuses:
             if status.session_id == session_id:
                 return status
-        raise KeyError(session_id)
+        raise UnknownSessionError(session_id)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready mapping (``result`` in ``repro run --json``)."""
@@ -522,11 +523,12 @@ class ClusterServeResult:
         return self.handoffs_clean / len(self.handoffs)
 
     def status_of(self, session_id: str) -> SessionStatus:
-        """Look up one session's status (raises KeyError if absent)."""
+        """Look up one session's status (:class:`UnknownSessionError`,
+        a ``KeyError``, if absent)."""
         for status in self.statuses:
             if status.session_id == session_id:
                 return status
-        raise KeyError(session_id)
+        raise UnknownSessionError(session_id)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready mapping (``result`` in ``repro run --json``)."""

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, UnknownRopeError
 
 __all__ = [
     "CatalogTitle",
@@ -117,11 +117,12 @@ class PlacementMap:
         return tuple(title for title, _ in self.assignments)
 
     def replicas(self, title_id: str) -> Tuple[str, ...]:
-        """The ordered replica nodes of one title (KeyError if absent)."""
+        """The ordered replica nodes of one title (:class:`UnknownRopeError`,
+        a ``KeyError``, if absent)."""
         for title, nodes in self.assignments:
             if title == title_id:
                 return nodes
-        raise KeyError(title_id)
+        raise UnknownRopeError(title_id)
 
     def has_title(self, title_id: str) -> bool:
         """Whether the placement knows this title at all."""

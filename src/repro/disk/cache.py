@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.disk.drive import SimulatedDrive
-from repro.errors import MediaDefectError, ParameterError
+from repro.errors import MediaDefectError, ParameterError, check_count
 from repro.obs.recorder import recorder_for
 
 __all__ = ["CacheStats", "BlockCache", "CachedDrive"]
@@ -77,10 +77,7 @@ class BlockCache:
     """
 
     def __init__(self, capacity_blocks: int):
-        if capacity_blocks < 1:
-            raise ParameterError(
-                f"capacity_blocks must be >= 1, got {capacity_blocks}"
-            )
+        check_count("capacity_blocks", capacity_blocks)
         self.capacity = capacity_blocks
         self.stats = CacheStats()
         #: slot -> None, in LRU order (oldest first).

@@ -35,6 +35,7 @@ __all__ = [
     "AccessDenied",
     "RequestError",
     "UnknownRequestError",
+    "UnknownSessionError",
     "RequestStateError",
     "GarbageCollectionError",
     "SimulationError",
@@ -222,6 +223,10 @@ class RequestError(ReproError):
 
 class UnknownRequestError(RequestError, KeyError):
     """The referenced request ID does not exist."""
+
+
+class UnknownSessionError(RequestError, KeyError):
+    """The referenced session ID is not in the serve result."""
 
 
 class RequestStateError(RequestError):

@@ -32,6 +32,7 @@ from repro.errors import (
     MediaDefectError,
     ParameterError,
     TransientReadError,
+    check_count,
 )
 
 __all__ = ["RecoveryPolicy", "read_with_recovery"]
@@ -59,10 +60,7 @@ class RecoveryPolicy:
     retry_backoff: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.retry_budget < 0:
-            raise ParameterError(
-                f"retry_budget must be >= 0, got {self.retry_budget}"
-            )
+        check_count("retry_budget", self.retry_budget, 0)
         if self.retry_backoff < 0:
             raise ParameterError(
                 f"retry_backoff must be >= 0, got {self.retry_backoff}"

@@ -20,12 +20,6 @@ from repro.fs.index import (
     StrandIndex,
     fanout_for,
 )
-from repro.fs.persist import (
-    dump_image,
-    load_file,
-    load_image,
-    save_file,
-)
 from repro.fs.reorganize import ReorganizationReport, Reorganizer
 from repro.fs.silence import AudioBlockPlan, SilenceStats, plan_audio_blocks
 from repro.fs.storage_manager import MediaPolicies, MultimediaStorageManager
@@ -55,10 +49,6 @@ __all__ = [
     "StrandIndex",
     "StripedStorageManager",
     "StripedStrand",
-    "dump_image",
     "fanout_for",
-    "load_file",
-    "load_image",
     "plan_audio_blocks",
-    "save_file",
 ]

@@ -1,4 +1,4 @@
-"""Simulated media devices: frames, audio, codecs, buffers, and clocks.
+"""Simulated media devices: frames, audio, codecs, and buffers.
 
 This package replaces the prototype's UVC capture/compression hardware and
 audio digitizer (§5.1).  Media content is carried as sizes + opaque
@@ -15,14 +15,6 @@ from repro.media.audio import (
     chunks_to_blocks,
     generate_talk_spurts,
     silence_fraction,
-)
-from repro.media.clock import (
-    MediaClock,
-    continuous,
-    forced_display_times,
-    is_automatic,
-    lateness,
-    max_lateness,
 )
 from repro.media.codec import Codec, DifferencingCodec, FixedRateCodec
 from repro.media.devices import CaptureDevice, DeviceBuffer, DisplayDevice
@@ -47,7 +39,6 @@ __all__ = [
     "DisplayDevice",
     "FixedRateCodec",
     "Frame",
-    "MediaClock",
     "NTSC_BITS_PER_PIXEL",
     "NTSC_HEIGHT",
     "NTSC_WIDTH",
@@ -55,14 +46,9 @@ __all__ = [
     "SPEECH_ENERGY",
     "SilenceDetector",
     "chunks_to_blocks",
-    "continuous",
-    "forced_display_times",
     "frames_for_duration",
     "generate_frames",
     "generate_talk_spurts",
-    "is_automatic",
-    "lateness",
-    "max_lateness",
     "ntsc_raw_frame_bits",
     "raw_frame_bits",
     "silence_fraction",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.errors import ParameterError, check_count
+from repro.errors import check_count
 
 __all__ = ["BlockStage", "SessionTimeline"]
 
@@ -64,10 +64,8 @@ class SessionTimeline:
             check_count("keep_first", keep_first, 0)
         if every_kth is not None:
             check_count("every_kth", every_kth)
-        if summary_sessions is not None and summary_sessions < 1:
-            raise ParameterError(
-                f"summary_sessions must be >= 1, got {summary_sessions}"
-            )
+        if summary_sessions is not None:
+            check_count("summary_sessions", summary_sessions)
         self.enabled = enabled
         self.keep_first = keep_first
         self.every_kth = every_kth

@@ -35,7 +35,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.errors import ParameterError, SimulationError, check_count
+from repro.errors import SimulationError, check_count
 
 __all__ = ["Span", "SpanTracer"]
 
@@ -147,8 +147,7 @@ class SpanTracer:
         block_keep_first: Optional[int] = None,
         block_every_kth: Optional[int] = None,
     ):
-        if limit < 1:
-            raise ParameterError(f"limit must be >= 1, got {limit}")
+        check_count("limit", limit)
         if block_keep_first is not None:
             check_count("block_keep_first", block_keep_first, 0)
         if block_every_kth is not None:

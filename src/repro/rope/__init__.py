@@ -25,6 +25,7 @@ from repro.rope.operations import (
     strip_medium,
     substring,
 )
+from repro.rope.persist import dump_image, load_file, load_image, save_file
 from repro.rope.scattering_repair import (
     RepairReport,
     ScatteringRepairer,
@@ -66,9 +67,13 @@ __all__ = [
     "concate",
     "delete",
     "delete_range",
+    "dump_image",
     "insert",
+    "load_file",
+    "load_image",
     "project_medium",
     "replace",
+    "save_file",
     "slice_segments",
     "splice_segments",
     "strip_medium",

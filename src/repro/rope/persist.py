@@ -10,7 +10,9 @@ list and access rights.
 
 The image deliberately serializes *through the public structure* (block
 kinds, primary entries, segments) rather than pickling objects, so images
-are inspectable, diffable, and independent of internal refactoring.
+are inspectable, diffable, and independent of internal refactoring.  It
+lives in :mod:`repro.rope`, above :mod:`repro.fs`, because an image holds
+the rope server's ropes as well as the MSM's strands.
 """
 
 from __future__ import annotations

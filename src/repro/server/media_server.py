@@ -7,7 +7,7 @@ stack and serves typed :mod:`repro.api` requests end to end:
 
 * a simulated-time request queue with the §4.1 session lifecycle
   (open → play / pause / resume → stop) and arrival patterns supplied
-  by the caller (e.g. from :mod:`repro.workload`);
+  by the caller;
 * **batched admission**: near-simultaneous opens of the same rope
   interval are grouped (:mod:`repro.server.batching`); only the batch
   leader is admitted against the §3.4 inequality and reads the disk,
@@ -52,6 +52,7 @@ from repro.errors import (
     IntervalError,
     ParameterError,
     UnknownRopeError,
+    check_count,
 )
 from repro.faults.recovery import RecoveryPolicy
 from repro.obs.recorder import recorder_for
@@ -165,13 +166,12 @@ class MediaServer:
         recovery: Optional[RecoveryPolicy] = None,
         obs=None,
     ):
-        for name, value in (
-            ("batch_window", batch_window),
-            ("cache_blocks", cache_blocks),
-            ("requeue_limit", requeue_limit),
-        ):
-            if value < 0:
-                raise ParameterError(f"{name} must be >= 0, got {value}")
+        if batch_window < 0:
+            raise ParameterError(
+                f"batch_window must be >= 0, got {batch_window}"
+            )
+        check_count("cache_blocks", cache_blocks, 0)
+        check_count("requeue_limit", requeue_limit, 0)
         self.mrs = mrs
         self.batch_window = batch_window
         self.requeue_limit = requeue_limit

@@ -66,10 +66,7 @@ class RecordStream:
             raise ParameterError(
                 f"block_period must be positive, got {self.block_period}"
             )
-        if self.staging_capacity < 1:
-            raise ParameterError(
-                f"staging_capacity must be >= 1, got {self.staging_capacity}"
-            )
+        check_count("staging_capacity", self.staging_capacity)
         if self.k_override is not None:
             check_count("k_override", self.k_override)
         self.metrics.request_id = self.request_id

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.errors import ParameterError, SimulationError
+from repro.errors import SimulationError, check_count
 
 __all__ = ["TraceEvent", "Tracer"]
 
@@ -52,8 +52,7 @@ class Tracer:
         limit: int = 100_000,
         strict: bool = False,
     ):
-        if limit < 1:
-            raise ParameterError(f"limit must be >= 1, got {limit}")
+        check_count("limit", limit)
         self.enabled = enabled
         self.limit = limit
         self.strict = strict

@@ -8,7 +8,7 @@ from repro.config import TESTBED_1991
 from repro.disk import build_drive
 from repro.errors import ImageError, ParameterError
 from repro.fs import MultimediaStorageManager
-from repro.fs.persist import dump_image, load_file, load_image, save_file
+from repro.rope.persist import dump_image, load_file, load_image, save_file
 from repro.media.audio import generate_talk_spurts
 from repro.media.frames import frames_for_duration
 from repro.rope import Media, MultimediaRopeServer

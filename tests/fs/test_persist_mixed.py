@@ -4,11 +4,11 @@ import pytest
 
 from repro.config import TESTBED_1991
 from repro.disk import build_drive
-from repro.fs import MultimediaStorageManager, dump_image, load_image
+from repro.fs import MultimediaStorageManager
 from repro.fs.blocks import BlockKind
 from repro.media.audio import generate_talk_spurts
 from repro.media.frames import frames_for_duration
-from repro.rope import MultimediaRopeServer
+from repro.rope import MultimediaRopeServer, dump_image, load_image
 
 
 def fresh_pair():

@@ -17,7 +17,7 @@ from repro.config import TESTBED_1991
 from repro.core.symbols import DisplayDeviceParameters
 from repro.disk import ScatterBounds, build_array, build_drive
 from repro.fs import MultimediaStorageManager
-from repro.fs.persist import dump_image
+from repro.rope.persist import dump_image
 from repro.fs.reorganize import Reorganizer
 from repro.fs.striped import StripedStorageManager
 from repro.media.audio import generate_talk_spurts

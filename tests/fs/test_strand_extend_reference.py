@@ -22,7 +22,7 @@ from repro.fs.index import (
     SecondaryEntry,
     StrandIndex,
 )
-from repro.fs.persist import _strand_from_json, _strand_to_json
+from repro.rope.persist import _strand_from_json, _strand_to_json
 from repro.fs.strand import Strand
 
 

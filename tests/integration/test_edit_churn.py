@@ -7,7 +7,26 @@ import pytest
 from repro.media.frames import frames_for_duration
 from repro.rope import EditingSession, Media
 from repro.service import PlaybackSession
-from repro.workload import random_edit_script
+
+
+def edit_script(rope_duration, clip_duration, operations, seed):
+    """A seeded churn script: inserts of 1-3 s of donor material
+    alternating with deletes of up to 2 s, every position legal for a
+    rope of *rope_duration* seconds tracked through each step."""
+    rng = random.Random(seed)
+    steps, current = [], rope_duration
+    for i in range(operations):
+        if i % 2 == 0:
+            length = min(clip_duration, rng.uniform(1.0, 3.0))
+            position = rng.uniform(0.0, max(0.1, current - 0.1))
+            start = rng.uniform(0.0, max(0.0, clip_duration - length))
+            steps.append(("insert", (position, start, length)))
+            current += length
+        else:
+            length = min(rng.uniform(0.5, 2.0), current / 2.0)
+            steps.append(("delete", (rng.uniform(0.0, current - length), length)))
+            current -= length
+    return steps
 
 
 class TestEditChurn:
@@ -26,10 +45,9 @@ class TestEditChurn:
     def test_scripted_churn_preserves_invariants(self, session, mrs, msm):
         """Run 20 scripted edits; duration bookkeeping, interests, and
         playability must survive the whole sequence."""
-        rng = random.Random(77)
-        script = random_edit_script(30.0, 10.0, 20, rng)
+        script = edit_script(30.0, 10.0, 20, seed=77)
         expected = 30.0
-        for operation, args in script.steps:
+        for operation, args in script:
             if operation == "insert":
                 position, start, length = args
                 session.insert("target", position, "donor", start, length)
@@ -59,10 +77,9 @@ class TestEditChurn:
 
     def test_churn_then_undo_all(self, session):
         """Undo unwinds the whole scripted history exactly."""
-        rng = random.Random(78)
         original = session.rope("target").segments
-        script = random_edit_script(30.0, 10.0, 10, rng)
-        for operation, args in script.steps:
+        script = edit_script(30.0, 10.0, 10, seed=78)
+        for operation, args in script:
             if operation == "insert":
                 position, start, length = args
                 session.insert("target", position, "donor", start, length)
@@ -75,9 +92,8 @@ class TestEditChurn:
 
     def test_churn_garbage_collection(self, session, mrs, msm):
         """Deleting everything after churn reclaims the whole disk."""
-        rng = random.Random(79)
-        script = random_edit_script(30.0, 10.0, 8, rng)
-        for operation, args in script.steps:
+        script = edit_script(30.0, 10.0, 8, seed=79)
+        for operation, args in script:
             if operation == "insert":
                 position, start, length = args
                 session.insert("target", position, "donor", start, length)

@@ -6,7 +6,6 @@ from repro.errors import AdmissionRejected
 from repro.media.frames import frames_for_duration
 from repro.rope import Media
 from repro.service import PlaybackSession
-from repro.workload import staggered_mix, uniform_mix
 
 
 @pytest.fixture
@@ -21,10 +20,9 @@ class TestUniformMixPlayback:
     def test_uniform_mix_within_capacity_is_continuous(
         self, mrs, catalogue
     ):
-        mix = uniform_mix(2, duration=8.0)
         request_ids = [
             mrs.play("studio", catalogue, media=Media.VIDEO)
-            for _client in mix.initial()
+            for _client in range(2)
         ]
         result = PlaybackSession(mrs).run(request_ids)
         assert result.all_continuous
@@ -32,10 +30,9 @@ class TestUniformMixPlayback:
     def test_oversized_uniform_mix_partially_admitted(
         self, mrs, catalogue
     ):
-        mix = uniform_mix(12, duration=8.0)
         admitted = []
         rejected = 0
-        for _client in mix.initial():
+        for _client in range(12):
             try:
                 admitted.append(
                     mrs.play("studio", catalogue, media=Media.VIDEO)
@@ -48,17 +45,14 @@ class TestUniformMixPlayback:
 
 class TestStaggeredMixPlayback:
     def test_staggered_arrivals_via_admissions(self, mrs, catalogue):
-        mix = staggered_mix(3, duration=8.0, rounds_between=4)
-        initial = [
-            mrs.play("studio", catalogue, media=Media.VIDEO)
-            for _client in mix.initial()
-        ]
+        # Three clients, one every four rounds: round 0, then 4 and 8.
+        initial = [mrs.play("studio", catalogue, media=Media.VIDEO)]
         later = []
-        for client in mix.later():
+        for arrival_round in (4, 8):
             try:
                 later.append(
                     (
-                        client.arrival_round,
+                        arrival_round,
                         mrs.play("studio", catalogue, media=Media.VIDEO),
                     )
                 )

@@ -16,10 +16,10 @@ from repro.core.editing_bounds import copy_bound_dense
 from repro.core.symbols import DisplayDeviceParameters, video_block_model
 from repro.disk import build_drive
 from repro.errors import AdmissionRejected
-from repro.fs import MultimediaStorageManager, dump_image, load_image
+from repro.fs import MultimediaStorageManager
 from repro.fs.storage_manager import MultimediaStorageManager as MSM
 from repro.media.frames import frames_for_duration
-from repro.rope import Media, MultimediaRopeServer
+from repro.rope import Media, MultimediaRopeServer, dump_image, load_image
 from repro.rope.scattering_repair import ScatteringRepairer
 from repro.service import PlaybackSession
 

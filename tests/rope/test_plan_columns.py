@@ -15,7 +15,7 @@ from repro.errors import IntervalError
 from repro.fs import MultimediaStorageManager
 from repro.fs.blocks import AudioPayload, BlockKind, MediaBlock
 from repro.fs.index import StrandIndex
-from repro.fs.persist import dump_image, load_image
+from repro.rope.persist import dump_image, load_image
 from repro.fs.strand import Strand
 from repro.media.audio import generate_talk_spurts
 from repro.media.frames import frames_for_duration

@@ -152,14 +152,13 @@ class TestConcurrent:
 
 class TestForcedSynchronization:
     def test_forced_sync_zeroes_display_jitter(self, block):
-        """§3.2: with enough read-ahead, forcing displays to the clock's
-        deadlines removes all display-time jitter that arrival jitter
-        would otherwise cause."""
+        """§3.2: with enough read-ahead, forcing block i to display at
+        max(arrival, start + i·period) removes all display-time jitter
+        that arrival jitter would otherwise cause."""
         import random
 
         from repro.disk import TESTBED_DRIVE
         from repro.disk import build_drive as build
-        from repro.media.clock import MediaClock, forced_display_times
 
         rng = random.Random(5)
         drive = build(TESTBED_DRIVE, randomized_rotation=True, rng=rng)
@@ -170,13 +169,11 @@ class TestForcedSynchronization:
         fetches = make_fetches(drive, block, bound * 0.8, count=60)
         metrics, ready = simulate_pipelined(fetches, drive, read_ahead=4)
         assert metrics.continuous
-        clock = MediaClock(
-            start=ready[4], period=block.playback_duration
-        )
-        display = forced_display_times(ready, clock)
+        start, period = ready[4], block.playback_duration
         # Every block displays exactly on its deadline: zero jitter.
-        for number, time in enumerate(display):
-            assert time == pytest.approx(clock.deadline(number))
+        for i, arrival in enumerate(ready):
+            deadline = start + i * period
+            assert max(arrival, deadline) == pytest.approx(deadline)
         # Without forcing, arrival spacing varies (randomized rotation).
         gaps = {round(b - a, 6) for a, b in zip(ready, ready[1:])}
         assert len(gaps) > 1

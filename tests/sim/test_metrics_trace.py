@@ -76,7 +76,7 @@ class TestTracer:
     def test_limit_below_one_is_refused(self, limit):
         # Refused at construction, as SpanTracer refuses it: a limit of 0
         # used to make the first emit pop from an empty list.
-        with pytest.raises(ParameterError, match="limit must be >= 1"):
+        with pytest.raises(ParameterError, match="limit must be an int >= 1"):
             Tracer(limit=limit)
 
     def test_render(self):
