@@ -1,0 +1,291 @@
+#!/usr/bin/env python3
+"""Re-run every recorded mutation check: each mutant must still be killed.
+
+A fast path is checked against the round model (``tests/round_model.py``)
+or a written spec, and a check is only worth what it catches.  Each row
+below is one mutant: the change that recorded it, a label, a file, the
+exact text it replaces (which must occur exactly once in the tree), the
+text it puts there, and the test that kills it.  The script copies the
+tree to a temporary directory — it never touches the checkout — and, one
+mutant at a time, applies it there, runs its killing test (Hypothesis
+seeded, so a run is repeatable, and not shrinking the first failure), and
+puts the file back.  A mutant is killed when that test fails; the script
+exits non-zero if any mutant survives, its test runs past ten minutes, or
+an old text does not occur exactly once.
+
+    python scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = "src/repro/service/rounds.py"
+CACHE = "src/repro/disk/cache.py"
+PLACER = "src/repro/disk/allocation.py"
+RECORDER = "src/repro/obs/recorder.py"
+
+EQUIVALENCE = "tests/perf/test_equivalence.py::TestServiceEquivalence::"
+WALKED = "tests/perf/test_walked_reference.py::TestCountedRoundsMatchTheWalkedLoop::"
+MODEL = "tests/service/test_round_model.py::test_the_loop_serves_what_the_model_states"
+PLACES = "tests/disk/test_placer_reference.py::"
+CACHED = (
+    "tests/disk/test_cache_reference.py::TestOneFrameReadMatchesTheReference::"
+    "test_generated_sequences_agree"
+)
+EXTEND = (
+    "tests/fs/test_strand_extend_reference.py::TestBulkEqualsPerBlock::"
+    "test_columns_index_and_header"
+)
+TIMELINE = "tests/obs/test_timeline_reference.py::"
+SCORES = (
+    "tests/service/test_scoring_reference.py::TestScorerMatchesPerBlockScoring::"
+    "test_generated_delivery_traces"
+)
+
+
+#: The change that recorded each mutant, by the name it goes by in
+#: CHANGES.md and the retired-names table.
+WAKES = "one wake time per stream"
+CURSOR = "one cursor answer per turn"
+STRANDS = "one pass per strand"
+FOLDS = "one fold per landed block"
+CHANGED = "pay for what changed"
+TURNS = "a round costs only the turns it serves"
+WATCHING = "watching is not walking"
+ORACLE = "one oracle"
+
+
+class Mutant(NamedTuple):
+    change: str
+    label: str
+    path: str
+    old: str
+    new: str
+    test: str
+
+
+WAKE = "                stream._wake = wake = ends[count]\n"
+FOLD = (
+    "            if started:\n"
+    "                stream.clock_start = end = time\n"
+    "                stream._read_ahead = len(ready)\n"
+    "                for landed, duration in zip(ready, durations):\n"
+    "                    end = max(end, landed) + duration\n"
+    "                    ends.append(end)\n"
+)
+STORE = (
+    "            if quota == room:\n"
+    "                # The turn filled the buffer as of its consumption answer: a\n"
+    "                # slot frees when block `count` plays out.  One that did so\n"
+    "                # during the reads leaves a past wake, as a buffer with room.\n"
+    + WAKE
+)
+
+MUTANTS = [
+    # Re-expressed on today's one-column loop.
+    Mutant(WAKES, "wake stored before the clock starts", ROUNDS,
+           FOLD + STORE,
+           "            if quota == room and count < len(ends):\n" + WAKE + FOLD,
+           EQUIVALENCE + "test_clock_starting_in_the_turn_that_fills_the_buffer"),
+    Mutant(WAKES, "no fullness check", ROUNDS,
+           "            if quota == room:\n",
+           "            if quota == room or count < len(ends):\n",
+           EQUIVALENCE + "test_generated_loads"),
+    Mutant(WAKES, "`<=` skip", ROUNDS,
+           "            if time < wake:\n", "            if time <= wake:\n",
+           EQUIVALENCE + "test_generated_loads_through_a_cache"),
+    Mutant(WAKES, "no stale-wake refresh", ROUNDS,
+           "            elif wake < soonest:",
+           "            elif quota == room and wake < soonest:",
+           EQUIVALENCE + "test_generated_loads"),
+    Mutant(CURSOR, "wake from max(time, ...)", ROUNDS,
+           WAKE, "                stream._wake = wake = max(time, ends[count])"
+           " + 1e-9\n",
+           EQUIVALENCE + "test_generated_loads"),
+    Mutant(CURSOR, "a start wake 5 ms late", ROUNDS,
+           WAKE,
+           "                stream._wake = wake = ends[count] + 0.005 * started\n",
+           EQUIVALENCE + "test_clock_starting_in_the_turn_that_fills_the_buffer"),
+    Mutant(CURSOR, "compaction skipped after finishes", ROUNDS,
+           "                finished = True\n", "                pass\n",
+           EQUIVALENCE + "test_generated_loads"),
+    # The placer's four.
+    Mutant(STRANDS, "placer: backward cylinders before forward ones", PLACER,
+           "            (center + self._near, center + self._far),\n"
+           "            (center - self._far, center - self._near),\n",
+           "            (center - self._far, center - self._near),\n"
+           "            (center + self._near, center + self._far),\n",
+           PLACES + "TestPlacerEqualsTheScan::"
+           "test_strands_from_hints_on_occupied_disks"),
+    Mutant(STRANDS, "placer: the previous slot not skipped", PLACER,
+           "                if slot == previous:\n",
+           "                if slot == previous and False:\n",
+           PLACES + "TestPlacerEqualsTheScan::"
+           "test_after_a_previous_slot_that_is_itself_free"),
+    Mutant(STRANDS, "placer: the far end not trimmed", PLACER,
+           "        while far > near and not bounds.admits(gap(0, far)):\n",
+           "        while False:\n",
+           PLACES + "TestBoundsOneUlpFromAGap::"
+           "test_a_gap_one_ulp_above_the_upper_bound_is_refused"),
+    Mutant(STRANDS, "placer: the near end not trimmed", PLACER,
+           "        while near <= far and not bounds.admits(gap(0, near)):\n",
+           "        while False:\n",
+           PLACES + "TestBoundsOneUlpFromAGap::"
+           "test_a_gap_one_ulp_below_the_lower_bound_is_refused"),
+    Mutant(FOLDS, "the stored wake one block late", ROUNDS,
+           WAKE, "                stream._wake = wake = ends[min(count + 1,"
+           " len(ends) - 1)]\n",
+           EQUIVALENCE + "test_generated_loads"),
+    Mutant(FOLDS, "the loop fold drops the stall", ROUNDS,
+           "                    end = max(end, time) + durations[index]\n",
+           "                    end = end + durations[index]\n",
+           EQUIVALENCE + "test_generated_loads"),
+    Mutant(FOLDS, "trick play's bisect counts ties as unplayed",
+           "src/repro/service/variable_speed.py",
+           "        consumed = bisect_right(ends, time)\n",
+           "        consumed = sum(1 for end in ends if end < time)\n",
+           "tests/service/test_variable_speed.py::TestMatchesPrefixRescan::"
+           "test_generated_plans"),
+    Mutant(CHANGED, "repair ignores relocations", "src/repro/rope/server.py",
+           "if rope_then is operand and then == relocations:",
+           "if rope_then is operand:",
+           "tests/rope/test_repair_reference.py::TestRepairMatchesTheWholeRopePass::"
+           "test_a_relocation_voids_what_was_verified"),
+    Mutant(CHANGED, "repair trusts every operand", "src/repro/rope/server.py",
+           "if rope_then is operand and then == relocations:", "if True:",
+           "tests/rope/test_repair_reference.py::TestRepairMatchesTheWholeRopePass::"
+           "test_generated_scripts_agree"),
+    Mutant(CHANGED, "MRU eviction", CACHE,
+           "resident.popitem(last=False)", "resident.popitem(last=True)", CACHED),
+    Mutant(CHANGED, "a dropped eviction count", CACHE,
+           "            stats.evictions += 1\n", "", CACHED),
+    Mutant(CHANGED, "a dropped defect invalidation", CACHE,
+           "            # (data cached before the defect surfaced may predate it).\n"
+           "            cache.invalidate(slot)\n",
+           "",
+           "tests/disk/test_cache_reference.py::TestOneFrameReadMatchesTheReference::"
+           "test_a_defect_on_a_pinned_absent_slot_counts_its_invalidation"),
+    Mutant(TURNS, "a stream that finished this turn counted into `soonest`", ROUNDS,
+           "                finished = True\n            elif wake < soonest:",
+           "                finished = True\n            if wake < soonest:", MODEL),
+    Mutant(TURNS, "the join reset dropped", ROUNDS,
+           "                soonest = 0.0\n", "", MODEL),
+    Mutant(WATCHING, "a counted round drops its queue-depth observation", ROUNDS,
+           "len(active) if counted else None", "None", MODEL),
+    Mutant(WATCHING, "the per-stream fold not seeded", RECORDER,
+           "stream.turn_cost = self._prof.stream_cost(stream.request_id)",
+           "stream.turn_cost = 0.0", MODEL),
+    Mutant(WATCHING, "a sim log no longer forces walking", ROUNDS,
+           "unwatched = (rec is None or not rec.logging) and order",
+           "unwatched = order", MODEL),
+    Mutant(WATCHING, "a counted round ticks the SLOs", RECORDER,
+           "if self._slo is not None and counted is None:",
+           "if self._slo is not None:",
+           "tests/service/test_round_model.py::TestTheSkippedSloTickIsUnobservable::"
+           "test_the_counted_run_ends_in_the_walked_runs_slo_state"),
+    # Each new spec kills mutants of its own.
+    Mutant(ORACLE, "a counted round's k goes unchecked", ROUNDS,
+           "            k = self.k_schedule(round_number, len(active))\n",
+           "            k = self.k_schedule(round_number, len(active))\n"
+           "            k = 1 if unwatched and time < soonest < never else k\n",
+           WALKED + "test_a_bad_k_on_a_counted_round"),
+    Mutant(ORACLE, "the round guard trips one round early", ROUNDS,
+           "if self.rounds_run - rounds_before > max_rounds:",
+           "if self.rounds_run - rounds_before >= max_rounds:",
+           WALKED + "test_the_round_guard_at_and_around_its_trip"),
+    Mutant(ORACLE, "the loop ignores its order policy", ROUNDS,
+           "visit = order(self.drive, active, round_number) if order else active",
+           "visit = active", EQUIVALENCE + "test_generated_loads_in_scan_order"),
+    Mutant(ORACLE, "after-turn work never counts as progress", ROUNDS,
+           "                    progressed = progressed or served\n", "",
+           EQUIVALENCE + "test_record_and_text_after_the_turns"),
+    Mutant(ORACLE, "score: a skip is not a miss", "src/repro/sim/metrics.py",
+           "                skips += 1\n                misses += 1\n",
+           "                skips += 1\n", SCORES),
+    Mutant(ORACLE, "score: high-water sampled from block 0", "src/repro/sim/metrics.py",
+           "            if index < high_water_from:\n", "            if index < 0:\n",
+           SCORES),
+    Mutant(ORACLE, "placer: a flat curve's near distances refused", PLACER,
+           "        while near > 0 and bounds.admits(gap(0, near - 1)):\n",
+           "        while False:\n",
+           PLACES + "TestAdmittedDistancesOutsideTheClosedFormWindow::"
+           "test_a_flat_seek_curve_admits_the_nearest_cylinder"),
+    Mutant(ORACLE, "placer: the far end not extended", PLACER,
+           "        while far < cylinders - 1 and bounds.admits(gap(0, far + 1)):\n",
+           "        while False:\n",
+           PLACES + "TestAdmittedDistancesOutsideTheClosedFormWindow::"
+           "test_an_upper_bound_equal_to_a_gap_admits_that_distance"),
+    Mutant(ORACLE, "strand: each call's units counted from block 0",
+           "src/repro/fs/strand.py",
+           "units = sum(self._block_units[first:])",
+           "units = sum(self._block_units)", EXTEND),
+    Mutant(ORACLE, "strand: a primary entry addressed by slot, not sector",
+           "src/repro/fs/strand.py",
+           "entry = PrimaryEntry(slot * spb, spb)", "entry = PrimaryEntry(slot, spb)",
+           EXTEND),
+    Mutant(ORACLE, "index: a secondary entry counts the room, not the blocks",
+           "src/repro/fs/index.py",
+           "block_count=len(primary.entries),", "block_count=room,", EXTEND),
+    Mutant(ORACLE, "cache: a pin that is not all-or-nothing", CACHE,
+           "        if any(slot not in self._resident for slot in wanted):\n",
+           "        if all(slot not in self._resident for slot in wanted):\n", CACHED),
+    Mutant(ORACLE, "timeline: every sampled block counted as read", RECORDER,
+           '"read-start": read,', '"read-start": blocks,',
+           TIMELINE + "test_tally_summarises_as_the_event_store_did"),
+    Mutant(ORACLE, "timeline: consumed before the clock started", RECORDER,
+           '"consumed": 0 if start is None else blocks - dropped,',
+           '"consumed": blocks - dropped,',
+           TIMELINE + "test_for_scale_lattice_past_the_prefix"),
+]
+
+
+def run(copy: Path, mutant: Mutant) -> str:
+    """Apply *mutant* in *copy*, run its killing test, restore the file;
+    returns the verdict."""
+    path = copy / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return f"old text occurs {text.count(mutant.old)} times"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    # No bytecode cache: two mutants of one file can share a size and a
+    # modification second.
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", "--hypothesis-profile=mutants", mutant.test],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=600,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    finally:
+        path.write_text(text)
+    # pytest exits 1 when a test failed; 0 is a survivor, anything else
+    # (no such test, a collection error) is no verdict at all.
+    return {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exited {code}")
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = Path(scratch) / "tree"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out",
+        ))
+        for mutant in MUTANTS:
+            verdict = run(copy, mutant)
+            failed += verdict != "killed"
+            print(f"{verdict:<8}  {mutant.change}: {mutant.label}\n"
+                  f"          <- {mutant.test}", flush=True)
+    print(f"{len(MUTANTS) - failed}/{len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

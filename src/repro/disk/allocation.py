@@ -163,9 +163,13 @@ class ConstrainedScatterAllocator(Allocator):
                 f"[{bounds.lower:.6f}, {bounds.upper:.6f}] s on this drive"
             )
         # A gap depends on |distance| alone and never falls as it grows
-        # (SeekModel's contract), so the distances the bounds admit are
-        # one run inside [d_min, d_max]: trim its two ends once.
+        # (SeekModel's contract), so the admitted distances are one run: move
+        # the closed-form window's ends onto it (a flat curve may widen it).
         near, far, gap = self._d_min, self._d_max, drive.positioning_time
+        while near > 0 and bounds.admits(gap(0, near - 1)):
+            near -= 1
+        while far < cylinders - 1 and bounds.admits(gap(0, far + 1)):
+            far += 1
         while near <= far and not bounds.admits(gap(0, near)):
             near += 1
         while far > near and not bounds.admits(gap(0, far)):

@@ -27,9 +27,17 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, check_count
 
 __all__ = ["FaultKind", "FaultSpec", "FaultPlan"]
+
+
+def check_seconds(name: str, value) -> None:
+    """Refuse a time *name* that is not a finite real >= 0 (nor a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        0 <= value < float("inf")
+    ):
+        raise ParameterError(f"{name} must be a finite real >= 0, got {value!r}")
 
 
 class FaultKind(enum.Enum):
@@ -72,22 +80,20 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind is FaultKind.MEDIA_DEFECT and self.slot is None:
             raise ParameterError("MEDIA_DEFECT requires a target slot")
-        if self.kind is FaultKind.TRANSIENT and (
-            self.slot is None and self.at_op is None
-        ):
-            raise ParameterError(
-                "TRANSIENT requires a target slot or operation index"
-            )
+        if self.kind is FaultKind.TRANSIENT and (self.slot, self.at_op) == (None, None):
+            raise ParameterError("TRANSIENT requires a target slot or operation index")
         if self.kind is FaultKind.HEAD_FAILURE and (
             self.at_op is None and self.at_time is None
         ):
             raise ParameterError(
                 "HEAD_FAILURE requires an operation index or a time"
             )
-        if self.drive_index < 0:
-            raise ParameterError(
-                f"drive_index must be >= 0, got {self.drive_index}"
-            )
+        for name in ("slot", "at_op"):
+            if getattr(self, name) is not None:
+                check_count(name, getattr(self, name), 0)
+        check_count("drive_index", self.drive_index, 0)
+        if self.at_time is not None:
+            check_seconds("at_time", self.at_time)
 
 
 class FaultPlan:
@@ -132,30 +138,21 @@ class FaultPlan:
         fails once"); ``defects`` marks further distinct slots as
         permanently bad.
         """
-        if transient < 0 or defects < 0:
-            raise ParameterError("fault counts must be >= 0")
+        check_count("transient", transient, 0)
+        check_count("defects", defects, 0)
         unique = sorted(set(slots))
         if transient + defects > len(unique):
             raise ParameterError(
                 f"cannot target {transient + defects} distinct slots: "
                 f"only {len(unique)} candidates"
             )
-        rng = random.Random(seed)
-        chosen = rng.sample(unique, transient + defects)
+        kinds = [FaultKind.TRANSIENT] * transient
+        kinds += [FaultKind.MEDIA_DEFECT] * defects
+        chosen = random.Random(seed).sample(unique, transient + defects)
         specs = [
-            FaultSpec(
-                kind=FaultKind.TRANSIENT, slot=slot, drive_index=drive_index
-            )
-            for slot in chosen[:transient]
+            FaultSpec(kind=kind, slot=slot, drive_index=drive_index)
+            for kind, slot in zip(kinds, chosen)
         ]
-        specs.extend(
-            FaultSpec(
-                kind=FaultKind.MEDIA_DEFECT,
-                slot=slot,
-                drive_index=drive_index,
-            )
-            for slot in chosen[transient:]
-        )
         if head_failure_at_op is not None:
             specs.append(
                 FaultSpec(

@@ -30,10 +30,10 @@ from typing import Optional, Tuple
 from repro.errors import (
     HeadFailureError,
     MediaDefectError,
-    ParameterError,
     TransientReadError,
     check_count,
 )
+from repro.faults.plan import check_seconds
 
 __all__ = ["RecoveryPolicy", "read_with_recovery"]
 
@@ -61,10 +61,7 @@ class RecoveryPolicy:
 
     def __post_init__(self) -> None:
         check_count("retry_budget", self.retry_budget, 0)
-        if self.retry_backoff < 0:
-            raise ParameterError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
+        check_seconds("retry_backoff", self.retry_backoff)
 
 
 def read_with_recovery(

@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro.config import TESTBED_1991
 from repro.core.symbols import video_block_model
@@ -13,6 +14,12 @@ from repro.rope import MultimediaRopeServer
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: ``--hypothesis-profile=mutants`` (``scripts/mutants.py``): a mutant is
+#: killed by the first failing example, so that is not shrunk.
+settings.register_profile(
+    "mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
 
 
 def pytest_addoption(parser):

@@ -1,17 +1,21 @@
-"""The one-frame cached read against the path it replaced.
+"""The cached read against an ``OrderedDict`` model of an LRU with pins.
 
-``CachedDrive.read_slot`` does the residency test, the LRU refresh, the
-counters, the inner read and the insert in its own body.  The reference
-below is the earlier path, kept verbatim in behaviour: ``_probe`` (a
-``BlockCache.lookup``) and ``_miss`` (the inner read, then
-``BlockCache.insert`` with its ``_next_victim`` scan).  Neither reports a
-probe or an eviction: an observer reads the ``cache.*`` counters off
-``CacheStats``.  Generated sequences of reads, traced reads, pins,
+``LruModel`` states the cache's contract plainly.  Residency is an
+``OrderedDict`` in recency order, oldest first; pins are counts.  A read
+of a resident slot is a hit: it moves to the newest end and costs
+nothing.  A miss reads the drive underneath, then makes the slot
+resident, evicting the oldest unpinned slot when full (refusing the
+insert when every slot is pinned).  A media defect on a miss drops the
+slot instead.  An invalidation or a write drops residency, counting
+when the slot was resident or pinned.  A pin is all-or-nothing over
+resident slots.  Generated sequences of reads, traced reads, pins,
 unpins, invalidations, writes, injected faults and media defects run
-through both, with an observer attached and without; after every step
-the resident order, the pins, ``CacheStats.as_dict()``, the inner
-drive's counters, the returned duration (or raised fault), the
-observer's counters and the tracing recorder's calls must be equal.
+through ``CachedDrive`` and through the model over a twin drive, with an
+observer attached and without.  After every step the resident order,
+the pins, ``CacheStats.as_dict()``, the inner drive's counters and the
+returned duration (or raised fault) must be equal, the observer's
+``cache.*`` counters must read the stats, and a traced read must report
+one access with its hit, miss or fault status.
 """
 
 from collections import OrderedDict
@@ -25,79 +29,65 @@ from repro.errors import MediaDefectError, ParameterError, TransientReadError
 from repro.obs import Observability
 
 
-class ReferenceCache(BlockCache):
-    """``BlockCache`` with the earlier ``lookup`` / ``insert`` /
-    ``_next_victim``."""
+class LruModel:
+    """A bounded LRU over slots with pins, in front of *drive*; it has
+    ``CachedDrive``'s surface, its ``cache`` being itself."""
 
-    def lookup(self, slot):
-        if slot in self._resident:
-            self._resident.move_to_end(slot)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
+    def __init__(self, drive, capacity):
+        self.drive, self.capacity, self.cache = drive, capacity, self
+        self.resident, self.pins = OrderedDict(), {}
+        self.stats = dict.fromkeys((
+            "hits", "misses", "insertions", "evictions", "invalidations",
+            "pin_failures",
+        ), 0)
 
-    def insert(self, slot):
-        if slot in self._resident:
-            self._resident.move_to_end(slot)
-            return True
-        while len(self._resident) >= self.capacity:
-            victim = self._next_victim()
-            if victim is None:
-                return False
-            del self._resident[victim]
-            self.stats.evictions += 1
-        self._resident[slot] = None
-        self.stats.insertions += 1
-        return True
-
-    def _next_victim(self):
-        for slot in self._resident:
-            if slot not in self._pins:
-                return slot
-        return None
-
-
-class ReferenceCachedDrive(CachedDrive):
-    """``CachedDrive`` whose reads take the earlier ``_probe`` / ``_miss``
-    path."""
-
-    def read_slot(self, slot, bits=None):
-        if self._probe(slot):
-            return self.hit_time
-        return self._miss(slot, self.inner.read_slot, bits)
+    def read_slot(self, slot):
+        if slot in self.resident:
+            self.resident.move_to_end(slot)
+            self.stats["hits"] += 1
+            return 0.0
+        self.stats["misses"] += 1
+        try:
+            duration = self.drive.read_slot(slot)
+        except MediaDefectError:
+            self.invalidate(slot)
+            raise
+        if len(self.resident) >= self.capacity:
+            unpinned = [held for held in self.resident if held not in self.pins]
+            if not unpinned:
+                return duration
+            del self.resident[unpinned[0]]
+            self.stats["evictions"] += 1
+        self.resident[slot] = None
+        self.stats["insertions"] += 1
+        return duration
 
     def traced_read(self, slot, bits, now, rec, parent):
-        span = rec.cache_read(now, parent, slot)
-        if self._probe(slot):
-            rec.span_end(span, now + self.hit_time, "hit")
-            return self.hit_time
-        below = span if span is not None else parent
-        try:
-            duration = self._miss(
-                slot, self.inner.traced_read, bits, now, rec, below
-            )
-        except Exception as fault:
-            defect = isinstance(fault, MediaDefectError)
-            rec.span_end(
-                span, now + getattr(fault, "elapsed", 0.0),
-                "defect" if defect else type(fault).__name__,
-            )
-            raise
-        rec.span_end(span, now + duration, "miss")
-        return duration
+        return self.read_slot(slot)
 
-    def _probe(self, slot):
-        return self.cache.lookup(slot)
+    def invalidate(self, slot):
+        if slot in self.resident or slot in self.pins:
+            self.stats["invalidations"] += 1
+        self.resident.pop(slot, None)
 
-    def _miss(self, slot, read_inner, *args):
-        try:
-            duration = read_inner(slot, *args)
-        except MediaDefectError:
-            self.cache.invalidate(slot)
-            raise
-        self.cache.insert(slot)
-        return duration
+    def pin(self, slots):
+        if any(slot not in self.resident for slot in slots):
+            self.stats["pin_failures"] += 1
+            return False
+        for slot in slots:
+            self.pins[slot] = self.pins.get(slot, 0) + 1
+        return True
+
+    def unpin(self, slots):
+        for slot in slots:
+            if slot in self.pins:
+                self.pins[slot] -= 1
+                if not self.pins[slot]:
+                    del self.pins[slot]
+
+    def write_slot(self, slot):
+        self.invalidate(slot)
+        return self.drive.write_slot(slot)
 
 
 class Calls:
@@ -135,14 +125,18 @@ class ScriptedInjector:
         return error(f"scripted {kind}", slot=slot, elapsed=elapsed)
 
 
-def _stack(cache_class, drive_class, capacity, observed):
-    drive = build_drive()
-    injector = ScriptedInjector()
-    drive.attach_injector(injector)
-    cached = drive_class(drive, cache_class(capacity))
+def _stacks(capacity, observed):
+    """``((CachedDrive, its injector), (the model, its twin's injector))``."""
+    pair = []
+    for wrap in (lambda drive: CachedDrive(drive, BlockCache(capacity)),
+                 lambda drive: LruModel(drive, capacity)):
+        drive, injector = build_drive(), ScriptedInjector()
+        drive.attach_injector(injector)
+        pair.append((wrap(drive), injector))
+    cached = pair[0][0]
     cached.observer = Observability() if observed else None
     cached.attach_cache_observer(cached.observer)
-    return cached, injector
+    return pair
 
 
 #: Six slots on different cylinders, and one past the drive's end.
@@ -186,15 +180,42 @@ def _apply(cached, injector, step, tracer):
 
 
 def _state(cached):
-    inner = cached.inner.stats
+    """What the model and the cached drive must agree on after a step."""
+    model = isinstance(cached, LruModel)
+    cache = cached if model else cached.cache
+    inner = (cached.drive if model else cached.inner).stats
     return (
-        list(cached.cache._resident),
-        dict(cached.cache._pins),
-        cached.cache.stats.as_dict(),
+        list(cache.resident if model else cache._resident),
+        dict(cache.pins if model else cache._pins),
+        cache.stats if model else cache.stats.as_dict(),
         (inner.reads, inner.writes, inner.busy_time, inner.faults_injected),
-        cached.observer.registry.snapshot_dict()["counters"]
-        if cached.observer is not None else None,
     )
+
+
+def assert_observed(cached):
+    """An observer's ``cache.*`` counters are reads of the stats."""
+    if cached.observer is None:
+        return
+    counters = cached.observer.registry.snapshot_dict()["counters"]
+    stats, names = cached.cache.stats.as_dict(), ("hits", "misses", "evictions")
+    assert set(counters) <= {f"cache.{name}" for name in names}
+    for name in names:
+        assert counters.get(f"cache.{name}", 0) == stats[name], name
+
+
+def assert_traced(tracer, slot, result, hit):
+    """A traced read is one access under the parent, closed as a hit, a
+    miss or its fault when it returned or raised."""
+    status = "hit" if hit else "miss"
+    if isinstance(result, tuple):
+        status = "defect" if result[0] == "MediaDefectError" else result[0]
+    elif isinstance(result, str):
+        status = "ParameterError"
+    elapsed = result if isinstance(result, float) else (
+        result[1] if isinstance(result, tuple) else 0.0
+    )
+    assert tracer.log[0] == ("cache_read", (1.0, "parent", slot))
+    assert tracer.log[-1] == ("span_end", (1, 1.0 + elapsed, status))
 
 
 class TestOneFrameReadMatchesTheReference:
@@ -205,43 +226,36 @@ class TestOneFrameReadMatchesTheReference:
         observed=st.booleans(),
     )
     def test_generated_sequences_agree(self, steps, capacity, observed):
-        new, new_faults = _stack(BlockCache, CachedDrive, capacity, observed)
-        old, old_faults = _stack(
-            ReferenceCache, ReferenceCachedDrive, capacity, observed
-        )
-        new_tracer, old_tracer = Calls(), Calls()
+        (cached, faults), (model, model_faults) = _stacks(capacity, observed)
         for step in steps:
-            assert _apply(new, new_faults, step, new_tracer) == _apply(
-                old, old_faults, step, old_tracer
-            ), step
-            assert _state(new) == _state(old), step
-            assert new_tracer.log == old_tracer.log, step
+            tracer, hits = Calls(), model.stats["hits"]
+            result = _apply(cached, faults, step, tracer)
+            assert result == _apply(model, model_faults, step, None), step
+            assert _state(cached) == _state(model), step
+            assert_observed(cached)
+            if step[0] == "traced":
+                assert_traced(tracer, step[1], result, model.stats["hits"] > hits)
 
     def test_a_full_pinned_cache_refuses_the_insert_and_keeps_order(self):
-        new, _ = _stack(BlockCache, CachedDrive, 2, True)
-        old, _ = _stack(ReferenceCache, ReferenceCachedDrive, 2, True)
-        for cached in (new, old):
-            cached.read_slot(0)
-            cached.read_slot(593)
-            assert cached.cache.pin([0, 593])
-            cached.read_slot(2 * 593)
-        assert _state(new) == _state(old)
+        (new, _), (model, _) = _stacks(2, True)
+        for target in (new, model):
+            target.read_slot(0)
+            target.read_slot(593)
+            assert target.cache.pin([0, 593])
+            target.read_slot(2 * 593)
+        assert _state(new) == _state(model)
         assert list(new.cache._resident) == [0, 593]
         assert isinstance(new.cache._resident, OrderedDict)
 
     def test_a_defect_on_a_pinned_absent_slot_counts_its_invalidation(self):
         states = []
-        for cache_class, drive_class in (
-            (BlockCache, CachedDrive), (ReferenceCache, ReferenceCachedDrive)
-        ):
-            cached, injector = _stack(cache_class, drive_class, 2, True)
-            tracer = Calls()
+        for target, injector in _stacks(2, True):
             for step in (
                 ("read", 593), ("pin", [593]), ("invalidate", 593),
                 ("defect", 593), ("read", 593), ("defect", 593),
                 ("traced", 593),
             ):
-                _apply(cached, injector, step, tracer)
-            states.append((_state(cached), tracer.log))
+                _apply(target, injector, step, Calls())
+            states.append(_state(target))
         assert states[0] == states[1]
-        assert states[0][0][2]["invalidations"] == 3
+        assert states[0][2]["invalidations"] == 3

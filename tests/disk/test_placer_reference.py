@@ -1,14 +1,16 @@
-"""The chain placer equals the per-cylinder scan it replaced, exactly.
+"""The chain placer against a brute-force statement of its contract.
 
-``reference_strand`` is the scan ``ConstrainedScatterAllocator`` ran
-before it resolved the admitted distances once: every cylinder of the
-``[d_min, d_max]`` window, forward then backward, its exact gap checked
-through ``drive.positioning_time`` and its slots walked one by one.  It
-reads slot windows through the geometry's own arithmetic, not the
-drive's resolved table, so both halves of the change are compared.
-Over all three seek curves, lower bounds of zero and above, unbounded
-upper bounds, pre-occupied disks and hints, the placer must return the
-same slots (or raise the same error type) and leave the same free map.
+``spec_after`` states what ``allocate_after(previous)`` promises, with no
+window arithmetic: of every free slot other than *previous*, those whose
+cylinder's exact gap from *previous*'s (``drive.positioning_time``) the
+bounds ``[lower, upper]`` admit; of those, the first in the placer's
+stated order — forward cylinders nearest first, then backward ones
+farthest first, the lowest slot of a cylinder first.  A strand's head is
+the first free slot at or after the hint, wrapping to slot 0, and a
+strand that cannot be placed whole releases what it took.  Over all three
+seek curves, lower bounds of zero and above, unbounded upper bounds,
+pre-occupied disks and hints, the placer must return the spec's slots
+(or raise the same error type) and leave the same free map.
 """
 
 import math
@@ -24,61 +26,40 @@ from repro.errors import AllocationError, DiskFullError, ScatteringError
 ROTATION = Rotation(rpm=3600.0)
 
 
-def reference_free(freemap, start, stop):
-    """The retired ``FreeMap.free_in_window`` generator."""
-    for slot in range(max(0, start), min(freemap.slots, stop)):
-        if freemap.is_free(slot):
-            yield slot
-
-
-def reference_cylinder(drive, cylinder):
-    """Cylinder *cylinder*'s slots, from the geometry reference."""
+def spec_after(allocator, previous):
+    """The slot the placer must take after *previous* (and takes it)."""
+    drive, freemap, bounds = allocator.drive, allocator.freemap, allocator.bounds
     spb = drive.sectors_per_block
-    spc = drive.geometry.sectors_per_cylinder
-    first = (cylinder * spc + spb - 1) // spb
-    last = min(((cylinder + 1) * spc - 1) // spb, drive.slots - 1)
-    return first, last + 1
+
+    def cylinder(slot):
+        return drive.geometry.cylinder_of_slot(slot, spb)
+
+    center = cylinder(previous)
+    admitted = [
+        slot for slot in range(drive.slots)
+        if slot != previous and freemap.is_free(slot)
+        and bounds.admits(drive.positioning_time(center, cylinder(slot)))
+    ]
+    if not admitted:
+        raise ScatteringError(f"no free slot after {previous}")
+    slot = min(admitted, key=lambda s: (cylinder(s) < center, cylinder(s), s))
+    freemap.allocate(slot)
+    return slot
 
 
-def reference_after(allocator, previous):
-    """The parent's ``allocate_after``, scan for scan."""
-    drive, freemap = allocator.drive, allocator.freemap
-    window = allocator.distance_window
-    d_min, d_max = window.start, window.stop - 1
-    center = drive.geometry.cylinder_of_slot(previous, drive.sectors_per_block)
-    last = drive.geometry.cylinders - 1
-    for low, high in (
-        (center + d_min, center + d_max),
-        (center - d_max, center - d_min),
-    ):
-        for cylinder in range(max(0, low), min(last, high) + 1):
-            if not allocator.bounds.admits(
-                drive.positioning_time(center, cylinder)
-            ):
-                continue
-            for slot in reference_free(
-                freemap, *reference_cylinder(drive, cylinder)
-            ):
-                if slot != previous:
-                    freemap.allocate(slot)
-                    return slot
-    raise ScatteringError(f"no free slot after {previous}")
-
-
-def reference_strand(allocator, count, hint):
-    """The parent's ``allocate_strand`` over ``reference_after``."""
+def spec_strand(allocator, count, hint):
+    """The strand the placer must place: a head, then ``spec_after``."""
     freemap, slots = allocator.freemap, []
+    start = 0 if hint is None else hint
+    free = [s for s in range(freemap.slots) if freemap.is_free(s)]
     try:
-        start = 0 if hint is None else hint
-        head = next(reference_free(freemap, start, freemap.slots), None)
-        if head is None:
-            head = next(reference_free(freemap, 0, start), None)
-        if head is None:
+        if not free:
             raise DiskFullError("no free slots for strand head")
+        head = min(free, key=lambda s: (s < start, s))
         freemap.allocate(head)
         slots.append(head)
         for _ in range(count - 1):
-            slots.append(reference_after(allocator, slots[-1]))
+            slots.append(spec_after(allocator, slots[-1]))
     except (AllocationError, DiskFullError):
         for slot in slots:
             freemap.release(slot)
@@ -184,7 +165,7 @@ class TestPlacerEqualsTheScan:
             return
         ours, theirs = pair
         assert outcome(lambda: ours.allocate_strand(count, hint)) == outcome(
-            lambda: reference_strand(theirs, count, hint)
+            lambda: spec_strand(theirs, count, hint)
         )
         assert ours.freemap.free_slots() == theirs.freemap.free_slots()
 
@@ -199,7 +180,7 @@ class TestPlacerEqualsTheScan:
         previous = data.draw(st.sampled_from(free))
         ours, theirs = pair
         assert outcome(lambda: ours.allocate_after(previous)) == outcome(
-            lambda: reference_after(theirs, previous)
+            lambda: spec_after(theirs, previous)
         )
         assert ours.freemap.free_slots() == theirs.freemap.free_slots()
         assert ours.freemap.is_free(previous)
@@ -207,8 +188,8 @@ class TestPlacerEqualsTheScan:
 
 class TestBoundsOneUlpFromAGap:
     """Where inverting the seek curve and checking the gap round apart,
-    the placer trims the window's ends exactly as the per-cylinder check
-    did (rare enough that the generated cases above seldom land there)."""
+    the placer trims the window's ends to what the exact gap admits (rare
+    enough that the generated cases above seldom land there)."""
 
     @staticmethod
     def drive():
@@ -228,7 +209,7 @@ class TestBoundsOneUlpFromAGap:
         ours, theirs = twin_allocators(drive, ScatterBounds(0.0, upper), used)
         assert ours.distance_window.stop - 1 == 36
         assert outcome(lambda: ours.allocate_after(40 * 4)) == outcome(
-            lambda: reference_after(theirs, 40 * 4)
+            lambda: spec_after(theirs, 40 * 4)
         ) == ScatteringError
 
     def test_a_gap_one_ulp_below_the_lower_bound_is_refused(self):
@@ -239,4 +220,50 @@ class TestBoundsOneUlpFromAGap:
         )
         assert ours.distance_window.start == 14
         slots = ours.allocate_strand(3, hint=0)
-        assert slots == reference_strand(theirs, 3, 0) == [0, 15 * 4, 30 * 4]
+        assert slots == spec_strand(theirs, 3, 0) == [0, 15 * 4, 30 * 4]
+
+
+class TestAdmittedDistancesOutsideTheClosedFormWindow:
+    """Two distances the exact gap admits and the seek curve's closed-form
+    inverse puts outside ``[d_min, d_max]``: the placer used to refuse
+    them, placing farther than it had to or not at all."""
+
+    @staticmethod
+    def strand(seek, cylinders, lower, upper):
+        drive = SimulatedDrive(
+            DiskGeometry(cylinders, 1, 5, 4096.0), seek, ROTATION, 1e7,
+            sectors_per_block=1,
+        )
+        ours, theirs = twin_allocators(
+            drive, ScatterBounds(lower(drive), upper(drive)), set()
+        )
+        slots = ours.allocate_strand(3, hint=0)
+        assert slots == spec_strand(theirs, 3, 0)
+        return slots
+
+    def test_a_flat_seek_curve_admits_the_nearest_cylinder(self):
+        """Every move costs the settle time alone, so a bound equal to it
+        admits distance 1 as much as distance 14."""
+        def exact(drive):
+            return drive.positioning_time(0, 1)
+
+        slots = self.strand(SqrtAffineSeek(0.002, 0.0), 15, exact, exact)
+        assert slots == [0, 5, 10]
+
+    def test_an_upper_bound_equal_to_a_gap_admits_that_distance(self):
+        """``upper − rotation`` rounds one ulp below ``seek(3)``, while the
+        gap at distance 3 equals the bound; only that cylinder has room."""
+        drive = TestBoundsOneUlpFromAGap.drive()
+        used = set(range(drive.slots)) - {40 * 4, 43 * 4}
+        bounds = ScatterBounds(0.0, drive.positioning_time(0, 3))
+        ours, theirs = twin_allocators(drive, bounds, used)
+        assert ours.allocate_after(40 * 4) == spec_after(theirs, 40 * 4) == 43 * 4
+
+    def test_a_lower_bound_equal_to_a_gap_admits_that_distance(self):
+        """``lower − rotation`` rounds one ulp above ``seek(5)``, while the
+        gap at distance 5 equals the bound exactly."""
+        slots = self.strand(
+            SqrtAffineSeek(0.002, 0.001), 13,
+            lambda drive: drive.positioning_time(0, 5), lambda drive: math.inf,
+        )
+        assert slots == [0, 25, 50]

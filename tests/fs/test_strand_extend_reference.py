@@ -1,78 +1,60 @@
-"""A recording taken in bulk equals the same recording taken block by block.
+"""A recording taken in bulk equals the list of blocks appended.
 
-``reference_extend`` is the per-block path ``Strand.extend`` replaced,
-kept here verbatim in effect: each stored block built one
-``PrimaryEntry`` and went through ``StrandIndex.append``, which rebuilt
-the open primary block's frozen ``SecondaryEntry`` with a count one
-higher.  Over generated strands of every media kind — silence holders
-included, fan-outs small enough that a strand crosses primary and
-secondary block boundaries, and recordings taken in one call or several
-— the two must agree on every column, index entry, secondary entry and
-header count, before and after index slots are assigned, and the bulk
-strand must survive a persist round trip unchanged.
+``expected`` states what a strand holds after any number of
+``Strand.extend`` calls, from the concatenation of what they appended
+alone: one block per item, in order — a stored block at its slot with
+its payload bits, tokens and units (frames, or samples for audio), a
+silence holder at no slot covering its units.  The index holds one
+primary entry per block (its sector range, or None for silence), the
+primaries full but the last, one secondary entry per primary block
+(its first block and count, no address until the index has slots), the
+secondaries full but the last, and a header counting every unit.  Over
+generated strands of every media kind — silence holders included,
+fan-outs small enough that a strand crosses primary and secondary block
+boundaries, and recordings taken in one call or several — the strand
+must equal the statement, before and after index slots are assigned,
+and survive a persist round trip unchanged.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.fs.blocks import AudioPayload, BlockKind, MediaBlock
-from repro.fs.index import (
-    PrimaryBlock,
-    PrimaryEntry,
-    SecondaryBlock,
-    SecondaryEntry,
-    StrandIndex,
-)
+from repro.fs.index import PrimaryEntry, SecondaryEntry, StrandIndex
 from repro.rope.persist import _strand_from_json, _strand_to_json
 from repro.fs.strand import Strand
 
 
-def reference_index_append(index, entry, units):
-    """The retired ``StrandIndex.append``."""
-    if not index.primaries or index.primaries[-1].is_full:
-        if not index.secondaries or index.secondaries[-1].is_full:
-            index.secondaries.append(SecondaryBlock(index.secondary_fanout))
-            index.header.secondary_slots.append(None)
-        index.primaries.append(PrimaryBlock(index.primary_fanout))
-        start = (len(index.primaries) - 1) * index.primary_fanout
-        index.secondaries[-1].entries.append(SecondaryEntry(
-            start_block=start, block_count=0, sector=-1, sector_count=0
-        ))
-    number = index.block_count
-    index.primaries[-1].entries.append(entry)
-    secondary = index.secondaries[-1]
-    last = secondary.entries[-1]
-    secondary.entries[-1] = SecondaryEntry(
-        start_block=last.start_block, block_count=last.block_count + 1,
-        sector=last.sector, sector_count=last.sector_count,
-    )
-    index.header.frame_count += units
-    return number
+def chunks(items, size):
+    """*items* in consecutive runs of *size*, the last possibly shorter."""
+    return [items[at:at + size] for at in range(0, len(items), size)]
 
 
-def reference_extend(strand, contents, slots):
-    """The retired ``append_block`` / ``append_silence`` loop."""
-    placed = iter(slots)
+def expected(strand, contents, slots):
+    """``(columns, primary entries per primary block, secondary entries per
+    secondary block, frame count)`` of *strand* once *contents* are
+    appended at *slots*."""
+    audio, placed = strand.kind is BlockKind.AUDIO, iter(slots)
+    spb = strand.sectors_per_block
+    columns, entries = ([], [], [], []), []
     for item in contents:
-        if isinstance(item, int):
-            entry, units, slot = None, item, None
+        if isinstance(item, int):   # a silence holder covering *item* units
+            row, entry = (None, 0.0, item, ()), None
         else:
             slot = next(placed)
-            units = (
-                item.sample_count if strand.kind is BlockKind.AUDIO
-                else item.frame_count
-            )
-            entry = PrimaryEntry(
-                sector=slot * strand.sectors_per_block,
-                sector_count=strand.sectors_per_block,
-            )
-        number = reference_index_append(strand.index, entry, units)
-        if slot is not None:
-            strand._contents[number] = item
-        strand._slots.append(slot)
-        strand._block_units.append(units)
-        strand._block_bits.append(0.0 if slot is None else item.payload_bits)
-        strand._block_tokens.append(() if slot is None else item.video_tokens)
-        strand._units += units
+            units = item.sample_count if audio else len(item.video_tokens)
+            row = (slot, item.payload_bits, units, item.video_tokens)
+            entry = PrimaryEntry(slot * spb, spb)
+        for column, value in zip(columns, row):
+            column.append(value)
+        entries.append(entry)
+    fanout = strand.index.primary_fanout
+    primaries = chunks(entries, fanout)
+    secondaries = [
+        [SecondaryEntry(first * fanout, len(primaries[first]), -1, 0)
+         for first in numbers]
+        for numbers in chunks(range(len(primaries)), strand.index.secondary_fanout)
+    ]
+    return columns, primaries, secondaries, sum(columns[2])
 
 
 def new_strand(kind, primary_fanout, secondary_fanout):
@@ -129,21 +111,35 @@ def calls(contents, slots, cuts):
         taken += stored
 
 
-def assert_same_strand(ours, theirs):
-    count = ours.block_count
-    assert count == theirs.block_count
+def assert_strand_is(strand, contents, slots, assigned=None):
+    """*strand* holds exactly *contents* at *slots*; with *assigned* (the
+    index's slots, header first), each secondary entry carries its
+    primary block's slot."""
+    columns, primaries, secondaries, frames = expected(strand, contents, slots)
+    count = len(contents)
+    assert strand.block_count == count and strand.unit_count == frames
+    assert strand.stored_bits == sum(columns[1])
     if count:
-        assert ours.columns(0, count - 1) == theirs.columns(0, count - 1)
-    assert list(ours.blocks()) == list(theirs.blocks())
-    assert ours.unit_count == theirs.unit_count
-    assert ours.stored_bits == theirs.stored_bits
-    mine, yours = ours.index, theirs.index
-    assert list(mine) == list(yours)
-    assert [s.entries for s in mine.secondaries] == [
-        s.entries for s in yours.secondaries
+        assert strand.columns(0, count - 1) == columns
+    assert list(strand.blocks()) == [
+        (n, None if isinstance(item, int) else item)
+        for n, item in enumerate(contents)
     ]
-    assert mine.header == yours.header
-    assert mine.index_block_count() == yours.index_block_count()
+    index = strand.index
+    assert [p.entries for p in index.primaries] == primaries
+    if assigned is not None:
+        slot_of = assigned[1 + len(secondaries):]
+        secondaries = [
+            [SecondaryEntry(e.start_block, e.block_count,
+                            slot_of[e.start_block // index.primary_fanout], 1)
+             for e in entries]
+            for entries in secondaries
+        ]
+        assert index.header.slot == assigned[0]
+        assert index.header.secondary_slots == assigned[1:1 + len(secondaries)]
+    assert [s.entries for s in index.secondaries] == secondaries
+    assert len(index.header.secondary_slots) == len(secondaries)
+    assert index.header.frame_count == frames
 
 
 class TestBulkEqualsPerBlock:
@@ -157,18 +153,15 @@ class TestBulkEqualsPerBlock:
         self, recording, primary_fanout, secondary_fanout
     ):
         kind, contents, slots, cuts = recording
-        ours = new_strand(kind, primary_fanout, secondary_fanout)
-        theirs = new_strand(kind, primary_fanout, secondary_fanout)
+        strand = new_strand(kind, primary_fanout, secondary_fanout)
         for part, part_slots in calls(contents, slots, cuts):
-            ours.extend(part, part_slots)
-        reference_extend(theirs, contents, slots)
-        assert_same_strand(ours, theirs)
-        ours.verify_against_index()
-        index_slots = list(range(1000, 1000 + ours.index.index_block_count()))
+            strand.extend(part, part_slots)
+        assert_strand_is(strand, contents, slots)
+        strand.verify_against_index()
         if contents:
-            ours.index.assign_slots(index_slots)
-            theirs.index.assign_slots(index_slots)
-            assert_same_strand(ours, theirs)
+            assigned = list(range(1000, 1000 + strand.index.index_block_count()))
+            strand.index.assign_slots(assigned)
+            assert_strand_is(strand, contents, slots, assigned)
 
     @settings(max_examples=100, deadline=None)
     @given(recording=recordings(), secondary_fanout=st.integers(1, 3))
@@ -181,13 +174,13 @@ class TestBulkEqualsPerBlock:
         kind, contents, slots, _ = recording
         strand = new_strand(kind, 2 * secondary_fanout, secondary_fanout)
         strand.extend(contents, slots)
+        assigned = None
         if contents:
-            strand.index.assign_slots(list(range(
-                1000, 1000 + strand.index.index_block_count()
-            )))
+            assigned = list(range(1000, 1000 + strand.index.index_block_count()))
+            strand.index.assign_slots(assigned)
         loaded = _strand_from_json(
             _strand_to_json(strand.finalize()), 128.0 * secondary_fanout
         )
-        assert_same_strand(loaded, strand)
+        assert_strand_is(loaded, contents, slots, assigned)
         assert loaded.index.assigned_slots() == strand.index.assigned_slots()
         loaded.verify_against_index()

@@ -1,112 +1,50 @@
-"""The timeline tally against the per-block event store it replaced.
+"""The timeline tally against its statement from the loop's columns.
 
-Before the timeline became a tally, the service recorder appended one
-event per lifecycle stage of every sampled block as the loop served it
-(``enqueued`` and ``read-start`` when the read began, ``read-done`` and
-``skipped`` when it ended) and ``consumed`` in the run-end walk, and
-``summary_dict`` grouped those events by session.  That store lives on
-here, in :class:`EventTimeline`, fed one event per stage from the loop's
-columns; the tally the recorder now builds in its run-end walk must
-summarise to the same bytes on generated :class:`RoundRobinService`
-runs — faulted, with silence slots, with a clock that never started, on
-sampled lattices, and with two runs under one session id.  The
-full-fidelity ``service.block`` spans, opened and closed live, are a
-second witness for the read-done times and skips.
+Each sampled block of a run (under the timeline's ``keep_first`` /
+``every_kth`` lattice: every block below the first, then every k-th)
+counts once in each stage it reached: ``enqueued``; ``read-start`` if it
+has a slot; ``read-done``, at ``ready[i]``; then ``skipped`` if recovery
+gave up on it, else ``consumed`` once the clock started.  A session with
+no sampled block is not listed, and two runs under one session id add
+up.  :func:`tally` states that from the columns; the tally the recorder
+builds in its run-end walk must hold the same stage counts, sessions and
+read-done times on generated :class:`RoundRobinService` runs — faulted,
+with silence slots, with a clock that never started, on sampled
+lattices, and with two runs under one session id.  The full-fidelity
+``service.block`` spans, opened and closed live, are a second witness
+for the read-done times and skips.
 """
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.disk import build_drive
 from repro.faults import FaultInjector, FaultPlan, RecoveryPolicy
-from repro.obs import BlockStage, Observability, SessionTimeline
+from repro.obs import Observability, SessionTimeline
 from repro.rope.server import BlockFetch
 from repro.service.rounds import RoundRobinService, StreamState
 
 BLOCK_PLAYBACK = 0.2
 
 
-class EventTimeline:
-    """The old event store: one ``(time, session, block, stage)`` event
-    per recorded stage, gated by ``keep_first`` / ``every_kth``."""
-
-    def __init__(self, keep_first=None, every_kth=None, summary_sessions=None):
-        self.keep_first = keep_first
-        self.every_kth = every_kth
-        self.summary_sessions = summary_sessions
-        self.events = []
-
-    def record(self, time, session_id, block_index, stage):
-        keep = self.keep_first
-        if keep is not None and block_index >= keep:
-            every = self.every_kth
-            if every is None or block_index % every:
-                return
-        self.events.append((time, session_id, block_index, stage))
-
-    def summary_dict(self):
-        counts, arrivals = {}, {}
-        for time, session_id, block_index, stage in self.events:
-            stages = counts.get(session_id)
-            if stages is None:
-                stages = counts[session_id] = {}
-                arrivals[session_id] = []
-            stages[stage.value] = stages.get(stage.value, 0) + 1
-            if stage is BlockStage.READ_DONE:
-                arrivals[session_id].append((block_index, time))
-        entries = {}
-        for session_id in sorted(counts):
-            stages = counts[session_id]
-            times = [time for _index, time in sorted(arrivals[session_id])]
-            gaps = [b - a for a, b in zip(times, times[1:])]
-            entries[session_id] = {
-                "stages": stages,
-                "interarrival_jitter_s": (
-                    max(gaps) - min(gaps) if len(times) >= 3 else 0.0
-                ),
-                "conserved": stages.get("consumed", 0)
-                + stages.get("skipped", 0) == stages.get("enqueued", 0),
-            }
-        session_ids = list(entries)
-        listed = session_ids[:self.summary_sessions]
-        summary = {session_id: entries[session_id] for session_id in listed}
-        rest = [entries[session_id] for session_id in session_ids[len(listed):]]
-        if rest:
-            stages = {}
-            for entry in rest:
-                for key, count in entry["stages"].items():
-                    stages[key] = stages.get(key, 0) + count
-            summary["~aggregate"] = {
-                "sessions": len(rest),
-                "stages": stages,
-                "interarrival_jitter_s": max(
-                    entry["interarrival_jitter_s"] for entry in rest
-                ),
-                "conserved": all(entry["conserved"] for entry in rest),
-            }
-        return summary
-
-
-def feed(reference, stream):
-    """One event per stage of every block *stream* landed: read-done at
-    ``ready[i]``; skipped, or consumed at ``ends[i]`` once the clock ran.
-    (The enqueue and read-start times are not columns, and no summary
-    reads them.)"""
-    slots = stream.fetches.slots
-    for index, landed in enumerate(stream.ready):
-        session = stream.request_id
-        reference.record(landed, session, index, BlockStage.ENQUEUED)
-        if slots[index] is not None:
-            reference.record(landed, session, index, BlockStage.READ_START)
-        reference.record(landed, session, index, BlockStage.READ_DONE)
-        if index in stream.skipped_indices:
-            reference.record(landed, session, index, BlockStage.SKIPPED)
-        elif stream.clock_start is not None:
-            reference.record(
-                stream.ends[index], session, index, BlockStage.CONSUMED
-            )
+def tally(expected, stream, keep, every):
+    """Add *stream*'s sampled blocks to *expected*: session id →
+    (stage counts, ``(block, read-done time)`` arrivals)."""
+    picked = [
+        index for index in range(len(stream.ready))
+        if keep is None or index < keep or every and index % every == 0
+    ]
+    skipped = sum(index in stream.skipped_indices for index in picked)
+    stages, arrivals = expected.setdefault(stream.request_id, ({}, []))
+    for stage, count in (
+        ("enqueued", len(picked)),
+        ("read-start", sum(stream.fetches.slots[i] is not None for i in picked)),
+        ("read-done", len(picked)), ("skipped", skipped),
+        ("consumed", 0 if stream.clock_start is None else len(picked) - skipped),
+    ):
+        if count:
+            stages[stage] = stages.get(stage, 0) + count
+    arrivals += [(index, stream.ready[index]) for index in picked]
 
 
 def _streams(spec, drive):
@@ -129,11 +67,8 @@ def _streams(spec, drive):
 
 def run_both(spec, obs):
     """Serve *spec* under *obs* (twice, under the same session ids, when
-    ``spec["twice"]``); returns the reference fed every run's streams."""
-    timeline = obs.timeline
-    reference = EventTimeline(
-        timeline.keep_first, timeline.every_kth, timeline.summary_sessions
-    )
+    ``spec["twice"]``); returns the tally stated from every run's columns."""
+    timeline, expected = obs.timeline, {}
     for _run in range(2 if spec["twice"] else 1):
         drive = build_drive()
         streams, slots = _streams(spec, drive)
@@ -158,15 +93,17 @@ def run_both(spec, obs):
             rec.run_end = unstart
         service.run(streams)
         for stream in streams:
-            feed(reference, stream)
-    return reference
+            tally(expected, stream, timeline.keep_first, timeline.every_kth)
+    return {session: got for session, got in expected.items() if got[0]}
 
 
-def _bytes(summary):
-    """A summary as the snapshot writes it.  Sorted keys: the order stages
-    were first seen in is no part of the contract (``obs.report()`` sorts
-    them too)."""
-    return json.dumps(summary, sort_keys=True, indent=2)
+def assert_tallied(timeline, expected):
+    assert timeline.sessions() == sorted(expected)
+    for session, (stages, arrivals) in expected.items():
+        assert timeline.stage_counts(session) == stages, session
+        assert timeline.read_done_times(session) == [
+            time for _index, time in sorted(arrivals)
+        ], session
 
 
 specs = st.fixed_dictionaries(
@@ -196,12 +133,13 @@ def test_tally_summarises_as_the_event_store_did(spec, lattice, cap):
     obs.timeline = SessionTimeline(
         keep_first=lattice[0], every_kth=lattice[1], summary_sessions=cap
     )
-    reference = run_both(spec, obs)
-    assert _bytes(obs.timeline.summary_dict()) == _bytes(reference.summary_dict())
+    expected = run_both(spec, obs)
+    assert_tallied(obs.timeline, expected)
     # The live witness: every block's span closed when it landed.
     sampled = {
         (session, index)
-        for _time, session, index, _stage in reference.events
+        for session, (_stages, arrivals) in expected.items()
+        for index, _time in arrivals
     }
     spans = {}
     for span in obs.tracer.spans(name="service.block"):
@@ -230,8 +168,7 @@ def test_for_scale_lattice_past_the_prefix():
         "budget": 1, "twice": True, "unstarted": True,
     }
     obs = Observability.for_scale()
-    reference = run_both(spec, obs)
+    assert_tallied(obs.timeline, run_both(spec, obs))
     summary = obs.timeline.summary_dict()
-    assert _bytes(summary) == _bytes(reference.summary_dict())
     assert summary["r1"]["stages"]["enqueued"] == 2 * 10
     assert "consumed" not in summary["r0"]["stages"]

@@ -751,33 +751,43 @@ def _serve_cold(seconds=60.0, seed=3):
 class TestIdleRoundsAreCounted:
     """A round in which every buffer is full is counted, not walked:
     ``_run_round`` runs once per round that serves a turn, and the rounds
-    counted are the walked loop's (``tests/reference.py``)."""
+    counted are the round model's (``tests/round_model.py``), which walks
+    every round."""
 
     def test_run_round_is_entered_once_per_serving_round(self, monkeypatch):
-        import repro.service.session as session_module
-        from tests.reference import WalkedRoundRobinService
+        from copy import deepcopy
 
-        entered, served = [], []
-        fast = RoundRobinService._run_round
+        from tests.round_model import Stream, serve
+
+        entered, models = [], []
+        fast_run, fast_round = RoundRobinService.run, RoundRobinService._run_round
+
+        def run(self, initial, admissions=(), max_rounds=100_000):
+            """The model serves the epoch first, reading a twin drive."""
+            joined = [(None, s) for s in initial]
+            joined += [(a.round_number, a.stream) for a in admissions]
+            bits = {
+                slot: size for _, s in joined
+                for slot, size in zip(s.fetches.slots, s.fetches.bits)
+            }
+            twin = deepcopy(self.drive)
+            models.append(serve(
+                [Stream(s.request_id, s.fetches.slots, s.fetches.durations,
+                        s.buffer_capacity, s.k_override, joins)
+                 for joins, s in joined],
+                self.k_schedule, lambda _head, slot: twin.read_slot(slot, bits[slot]),
+            ))
+            return fast_run(self, initial, admissions, max_rounds)
+
+        monkeypatch.setattr(RoundRobinService, "run", run)
         monkeypatch.setattr(
             RoundRobinService, "_run_round",
-            lambda self, *a: (entered.append(1), fast(self, *a))[1],
+            lambda self, *a: (entered.append(1), fast_round(self, *a))[1],
         )
         result = _serve_cold()
-        walked = WalkedRoundRobinService._run_round
-
-        def walked_round(self, *args):
-            time, progressed, finished = walked(self, *args)
-            served.append(progressed)
-            return time, progressed, finished
-
-        monkeypatch.setattr(WalkedRoundRobinService, "_run_round", walked_round)
-        monkeypatch.setattr(
-            session_module, "RoundRobinService", WalkedRoundRobinService
-        )
-        reference = _serve_cold()
-        assert result.rounds == reference.rounds == len(served)
-        assert len(entered) == sum(served) < result.rounds
+        assert result.rounds == sum(model.rounds_run for model in models)
+        serving = sum(model.rounds_run - model.idle_rounds for model in models)
+        assert len(entered) == serving < result.rounds
         assert all(s.state.value == "completed" for s in result.statuses)
 
     def test_a_sim_tracer_sees_every_round_begin(self, monkeypatch):

@@ -14,12 +14,21 @@ pure cost of (previous slot, slot), under three configurations:
 * with a sim event log attached, where every round is walked.
 
 Each must give every stream the model's ``ready`` / ``ends`` /
-``clock_start`` columns and no skips, the model's ``rounds_run`` (or
-its error), and — observed — one queue-depth observation, one
+``clock_start`` columns and no skips, the ``summary()`` line of the
+model's own score of those columns, the model's ``rounds_run`` (or its
+error), and — observed — one queue-depth observation, one
 ``service.round`` timer call and one profiler checkpoint per round, and
 per-stream profile rows equal to the model's blocks and turn costs
 added in turn order, across two epochs sharing one profiler.
+
+:func:`assert_twins_agree` is the same comparison on a real drive: the
+model's ``cost`` reads a twin of the loop's drive (bare, or a cache the
+test pre-warms alike), which sees the reads in the model's order, so a
+wrong order shows as a wrong duration.  It also takes an ``order``
+policy and after-turn work, built once per side.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,8 +40,10 @@ from repro.errors import ParameterError
 from repro.obs import Observability, SloMonitor
 from repro.rope.server import FetchColumns
 from repro.service.rounds import Admission, RoundRobinService, StreamState
+from repro.service.scan_order import scan_order
+from repro.sim.metrics import ContinuityMetrics
 from repro.sim.trace import Tracer
-from tests.round_model import ModelError, Stream, serve, turn_cost
+from tests.round_model import ModelError, Stream, score, serve, turn_cost
 
 #: Read costs as pure functions of (previous slot, slot).  ``hit`` is
 #: ``failover_observed``'s shape: every read a zero-cost cache hit.
@@ -118,15 +129,16 @@ def k_schedule(load):
     return lambda round_number, active: ks[(round_number + active) % len(ks)]
 
 
-def loop_run(load, obs):
-    """Serve *load* through the loop; returns (service, every stream in
-    the model's order, loop passes, error reason or None)."""
-    drive = StubDrive(COSTS[load["cost"]])
+def loop_serve(drive, streams, schedule, max_rounds, obs=None, **policies):
+    """Serve model *streams* through the loop on *drive*; returns
+    (service, their states, the round numbers it walked, summaries by
+    request id or the error message)."""
     states, initial, admissions = [], [], []
-    for stream in model_streams(load):
+    bits = getattr(drive, "block_bits", 1.0)
+    for stream in streams:
         state = StreamState(
             stream.request_id,
-            FetchColumns(list(stream.slots), [1.0] * len(stream.slots),
+            FetchColumns(list(stream.slots), [bits] * len(stream.slots),
                          list(stream.durations)),
             stream.capacity, stream.k_override,
         )
@@ -135,47 +147,125 @@ def loop_run(load, obs):
             initial.append(state)
         else:
             admissions.append(Admission(stream.joins, state))
-    service = RoundRobinService(drive, k_schedule(load), obs=obs)
+    service = RoundRobinService(drive, schedule, obs=obs, **policies)
     passes = []
     walk = service._run_round
-    service._run_round = lambda *args: (passes.append(1), walk(*args))[1]
+    service._run_round = lambda *args: (passes.append(args[3]), walk(*args))[1]
     try:
-        service.run(initial, admissions, max_rounds=load["max_rounds"])
+        metrics = service.run(initial, admissions, max_rounds=max_rounds)
     except ParameterError as error:
-        reason = [key for key, text in ERRORS.items() if text in str(error)]
-        return service, states, len(passes), reason
-    return service, states, len(passes), None
+        return service, states, passes, str(error)
+    summaries = {rid: m.summary() for rid, m in sorted(metrics.items())}
+    return service, states, passes, summaries
+
+
+def model_serve(streams, schedule, cost, max_rounds, **options):
+    """The model's outcome for the same load, or its error."""
+    try:
+        return serve(streams, schedule, cost, max_rounds, **options)
+    except ModelError as error:
+        return error
+
+
+def summary(request_id, verdict):
+    """The model's score as a ``ContinuityMetrics.summary()`` line."""
+    return ContinuityMetrics(
+        request_id, verdict.delivered, verdict.misses, verdict.skips,
+        verdict.total_lateness, verdict.max_lateness, verdict.startup,
+        verdict.high_water,
+    ).summary()
+
+
+def assert_agree(streams, expected, service, states, result, after=()):
+    """The loop's run is the model's: the same error, or the same rounds,
+    columns and summary lines (after-turn work's from its own results)."""
+    if isinstance(expected, ModelError):
+        assert isinstance(result, str), result
+        reason = expected.args[0]
+        assert ERRORS[reason] in result, (reason, result)
+        if reason == "k":
+            assert result.endswith(f"for round {expected.args[1]}"), result
+        return
+    assert isinstance(result, dict), result
+    assert service.rounds_run == expected.rounds_run
+    lines = {}
+    for state, stream in zip(states, streams):
+        served = expected.served[state.request_id]
+        assert state.ready == served.ready, state.request_id
+        assert state.ends == served.ends(stream.durations), state.request_id
+        assert state.clock_start == served.clock_start, state.request_id
+        assert state.skipped_indices == set(), state.request_id
+        lines[state.request_id] = summary(
+            state.request_id, score(served, stream.durations)
+        )
+    for work in after:
+        lines.update((rid, m.summary()) for rid, m in work.results().items())
+    assert result == dict(sorted(lines.items()))
 
 
 def assert_matches_model(load, seed=0):
-    try:
-        expected = serve(model_streams(load), k_schedule(load),
-                         COSTS[load["cost"]], load["max_rounds"])
-    except ModelError as error:
-        expected = error.args[0]
+    streams, schedule = model_streams(load), k_schedule(load)
+    expected = model_serve(
+        streams, schedule, COSTS[load["cost"]], load["max_rounds"]
+    )
     passes = {}
     for name, make in CONFIGS.items():
         obs = make(seed)
-        service, states, passes[name], error = loop_run(load, obs)
-        if isinstance(expected, str):
-            assert error == [expected], (name, error)
+        service, states, passes[name], result = loop_serve(
+            StubDrive(COSTS[load["cost"]]), streams, schedule,
+            load["max_rounds"], obs,
+        )
+        assert_agree(streams, expected, service, states, result)
+        if isinstance(expected, ModelError):
             continue
-        assert error is None, (name, error)
-        assert service.rounds_run == expected.rounds_run, name
-        for state, stream in zip(states, model_streams(load)):
-            served = expected.served[state.request_id]
-            assert state.ready == served.ready, (name, state.request_id)
-            assert state.ends == served.ends(stream.durations), name
-            assert state.clock_start == served.clock_start, name
-            assert state.skipped_indices == set(), name
         if name == "observed":
             assert_observed(obs, load, expected)
         if name == "logged":
-            assert passes[name] == expected.rounds_run
-    if not isinstance(expected, str):
-        # Watching is not walking: the observed loop passes over exactly
-        # the rounds the unobserved one does.
-        assert passes["observed"] == passes["unobserved"] <= passes["logged"]
+            assert len(passes[name]) == expected.rounds_run
+    if isinstance(expected, ModelError):
+        return expected.args[0]
+    # Watching is not walking: the observed loop passes over exactly
+    # the rounds the unobserved one does.
+    assert passes["observed"] == passes["unobserved"]
+    assert len(passes["unobserved"]) <= len(passes["logged"])
+    return expected
+
+
+def model_scan(twin):
+    """``scan_order`` over model streams, reading the twin's head."""
+
+    def order(round_number, active, served):
+        queue = [
+            SimpleNamespace(
+                request_id=stream.request_id, stream=stream,
+                fetches=SimpleNamespace(slots=stream.slots),
+                next_fetch=len(served[stream.request_id].ready),
+            )
+            for stream in active
+        ]
+        return [shim.stream for shim in scan_order(twin, queue, round_number)]
+
+    return order
+
+
+def assert_twins_agree(streams, schedule, drive=build_drive,
+                       max_rounds=100_000, scan=False, after=None):
+    """The loop on ``drive()`` against the model reading a second
+    ``drive()``, in SCAN order if *scan*, with ``after(drive)``'s work
+    after the turns; returns the model's outcome (or error)."""
+    loop_drive, twin = drive(), drive()
+    loop_after = after(loop_drive) if after else ()
+    model_after = after(twin) if after else ()
+    service, states, _passes, result = loop_serve(
+        loop_drive, streams, schedule, max_rounds,
+        order=scan_order if scan else None, after_turns=loop_after,
+    )
+    expected = model_serve(
+        streams, schedule, lambda _head, slot: twin.read_slot(slot),
+        max_rounds, order=model_scan(twin) if scan else None,
+        after=model_after, host=SimpleNamespace(drive=twin, _rec=None),
+    )
+    assert_agree(streams, expected, service, states, result, model_after)
     return expected
 
 
@@ -188,7 +278,8 @@ def assert_observed(obs, load, expected):
     assert timers.get("service.round", {"calls": 0})["calls"] == rounds
     assert obs.profiler._checkpoint_calls == rounds
     # A second epoch on the same profiler folds onto the first's rows.
-    loop_run(load, obs)
+    loop_serve(StubDrive(COSTS[load["cost"]]), model_streams(load),
+               k_schedule(load), load["max_rounds"], obs)
     rows = {
         row["stream"]: (row["ops"], row["cost_s"])
         for row in obs.profiler.summary_dict()["per_stream"]["top"]
@@ -215,8 +306,11 @@ def test_an_idle_gap_is_counted_observed_or_not():
         "ks": [2], "cost": "hit", "max_rounds": 100_000,
     }
     expected = assert_matches_model(load)
-    _, _, passes, _ = loop_run(load, cluster_preset(0))
-    assert passes < expected.rounds_run
+    _, _, passes, _ = loop_serve(
+        StubDrive(COSTS["hit"]), model_streams(load), k_schedule(load),
+        load["max_rounds"], cluster_preset(0),
+    )
+    assert len(passes) < expected.rounds_run
 
 
 def test_a_tight_max_rounds_trips_in_every_configuration():

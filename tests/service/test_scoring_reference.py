@@ -1,13 +1,12 @@
-"""The one scorer against the per-block scoring it replaced.
+"""The one scorer against the round model's score.
 
-Until ISSUE 24 the round loop scored every block as it landed:
-``_deliver`` appended a ``(ready, deadline, duration)`` triple, called
-``record_delivery`` / ``record_skip`` and sampled ``buffered_at``; blocks
-landing before the playback clock started were held with no deadline and
-scored by ``_rescore`` when it did.  Those semantics live on here, in
-:func:`reference_metrics`, as the oracle
-:meth:`repro.sim.metrics.ContinuityMetrics.score` — one pass over the
-``ready`` column when the run is over — must agree with to the last bit.
+``ContinuityMetrics.score`` makes one pass over a stream's ``ready``
+column when the run is over.  ``tests/round_model.py::score`` states
+§3.1's verdict on the same columns plainly: each block due at ``clock
+start + offset i``, a late or skipped block a miss, the high-water
+sampled as each block after the read-ahead lands.  The two must agree
+to the last bit: the ``summary()`` line, the mean lateness and the
+jitter.
 """
 
 from bisect import bisect_right
@@ -24,62 +23,21 @@ from repro.service.playback import simulate_pipelined
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.service.variable_speed import simulate_variable_speed
 from repro.sim.metrics import ContinuityMetrics
-from tests.reference import consumed_prefix, playout_ends
+from tests.round_model import Served, score
+from tests.service.test_round_model import summary
 
 
-def reference_metrics(ready, durations, start, skipped, prefix):
-    """``(metrics, signed lateness of each delivered block)`` by the old
-    per-block rules; the first *prefix* blocks landed before the clock
-    started at *start*."""
-    metrics = ContinuityMetrics(startup_latency=start)
-    deliveries, lateness = [], []
-
-    def buffered_at(now):
-        count, elapsed = 0, start
-        for landed, _deadline, duration in deliveries:
-            end = max(elapsed, landed) + duration
-            if end > now:
-                break
-            count += 1
-            elapsed = end
-        return len(deliveries) - count
-
-    def deliver(index, deadline):
-        deliveries.append((ready[index], deadline, durations[index]))
-        if index in skipped:
-            metrics.record_skip(ready[index], deadline)
-        else:
-            metrics.record_delivery(ready[index], deadline)
-            lateness.append(ready[index] - deadline)
-
-    elapsed_playback = 0.0
-    for index in range(prefix):             # _rescore, at clock start
-        deliver(index, start + elapsed_playback)
-        elapsed_playback += durations[index]
-    next_deadline = start + elapsed_playback
-    for index in range(prefix, len(ready)):     # _deliver, block by block
-        deadline = next_deadline
-        elapsed_playback += durations[index]
-        next_deadline = start + elapsed_playback
-        deliver(index, deadline)
-        metrics.buffer_high_water = max(
-            metrics.buffer_high_water, buffered_at(ready[index])
-        )
-    return metrics, lateness
-
-
-def assert_scores_like_reference(metrics, ready, durations, start, skipped, prefix):
-    expected, lateness = reference_metrics(
-        ready, durations, start, skipped, prefix
-    )
-    expected.request_id = metrics.request_id
-    assert metrics.summary() == expected.summary()
+def assert_scores_like_model(metrics, ready, durations, start, skipped, prefix):
+    """*metrics* is the model's score of the columns ``ready`` (the first
+    *prefix* of which landed before the clock started at *start*)."""
+    expected = score(Served(list(ready), start, prefix), durations, skipped)
+    assert metrics.summary() == summary(metrics.request_id, expected)
     total = 0.0
-    for late in lateness:
+    for late in expected.lateness:
         total += late
-    if lateness:
-        assert metrics.mean_lateness == total / len(lateness)
-        assert metrics.jitter == max(lateness) - min(lateness)
+    if expected.lateness:
+        assert metrics.mean_lateness == total / len(expected.lateness)
+        assert metrics.jitter == max(expected.lateness) - min(expected.lateness)
     else:
         assert metrics.mean_lateness == 0.0 and metrics.jitter == 0.0
 
@@ -122,9 +80,9 @@ class TestScorerMatchesPerBlockScoring:
         metrics = ContinuityMetrics(startup_latency=start)
         metrics.score(
             ready, loop_deadlines(durations, start),
-            playout_ends(ready, durations, start), skipped, prefix,
+            Served(ready, start).ends(durations), skipped, prefix,
         )
-        assert_scores_like_reference(
+        assert_scores_like_model(
             metrics, ready, durations, start, skipped, prefix
         )
 
@@ -186,10 +144,10 @@ class TestScorerMatchesPerBlockScoring:
                 stream.k_override or k, stream.buffer_capacity, len(durations)
             )
             assert stream.clock_start == stream.ready[prefix - 1]
-            assert stream.ends == playout_ends(
-                stream.ready, durations, stream.clock_start
-            )
-            assert_scores_like_reference(
+            assert stream.ends == Served(
+                stream.ready, stream.clock_start
+            ).ends(durations)
+            assert_scores_like_model(
                 stream.metrics, stream.ready, durations,
                 stream.clock_start, stream.skipped_indices, prefix,
             )
@@ -244,7 +202,8 @@ class TestOnlyLandedBlocksAreConsumed:
 
     def test_the_fold_stops_at_the_last_landed_block(self):
         # Three zero-length blocks are planned; one has landed.
-        assert consumed_prefix([0.0], [0.0, 0.0, 0.0], 0.0, 5.0) == (1, 0.0)
+        ends = Served([0.0], 0.0).ends([0.0, 0.0, 0.0])
+        assert (bisect_right(ends, 5.0), ends[-1]) == (1, 0.0)
 
     def test_blocks_landing_at_one_instant_are_buffered_in_turn(self):
         """Blocks 1–3 land together as block 0 ends; 1 and 2 are
@@ -253,10 +212,10 @@ class TestOnlyLandedBlocksAreConsumed:
         metrics = ContinuityMetrics()
         metrics.score(
             ready, loop_deadlines(durations, 0.0),
-            playout_ends(ready, durations, 0.0), (), 1,
+            Served(ready, 0.0).ends(durations), (), 1,
         )
         assert metrics.buffer_high_water == 1
-        assert_scores_like_reference(metrics, ready, durations, 0.0, set(), 1)
+        assert_scores_like_model(metrics, ready, durations, 0.0, set(), 1)
 
     @pytest.mark.parametrize("capacity", [1, 3])
     def test_the_loop_never_reports_a_negative_buffer(self, capacity):

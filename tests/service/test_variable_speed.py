@@ -1,6 +1,6 @@
 """Unit tests for §3.3.2 variable-speed playback."""
 
-import math
+from bisect import bisect_right
 from itertools import accumulate
 
 import pytest
@@ -18,7 +18,7 @@ from repro.service.variable_speed import (
     transform_plan,
 )
 from repro.sim.metrics import ContinuityMetrics
-from tests.reference import consumed_prefix, playout_ends
+from tests.round_model import Served
 
 
 @pytest.fixture
@@ -121,17 +121,18 @@ class TestSimulation:
 
 def reference_variable_speed(fetches, drive, speed, capacity, skipping):
     """The trick-play loop with every buffer test and wake a rescan of
-    the delivered prefix: ``(metrics, switches, idle)``."""
+    the delivered prefix, folded as the round model folds it: ``(metrics,
+    switches, idle)``."""
     plan = transform_plan(fetches, speed, skipping)
     durations, penalty_s = plan.durations, drive.parameters().seek_max
     ready, time, start, switches, idle, away = [], 0.0, None, 0, 0.0, False
     for index, slot in enumerate(plan.slots):
-        consumed = consumed_prefix(ready, durations, start, time)[0]
+        ends = Served(ready, start).ends(durations)
+        consumed = bisect_right(ends, time)
         if len(ready) - consumed >= capacity:
             switches += 1
             away = True
-            need = max(len(ready) - capacity // 2, consumed + 1)
-            wake = consumed_prefix(ready[:need], durations, start, math.inf)[1]
+            wake = ends[max(len(ready) - capacity // 2, consumed + 1) - 1]
             idle += max(0.0, wake - time)
             time = max(time, wake)
         if slot is not None:
@@ -145,7 +146,7 @@ def reference_variable_speed(fetches, drive, speed, capacity, skipping):
     metrics = ContinuityMetrics(request_id="varspeed")
     metrics.score(
         ready, accumulate(durations, initial=start),
-        playout_ends(ready, durations, start),
+        Served(ready, start).ends(durations),
     )
     return metrics, switches, idle
 

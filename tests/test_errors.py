@@ -1,11 +1,13 @@
 """Every failure path ends in a typed :mod:`repro.errors` value.
 
-Two families checked here: count parameters off the service loop go
+Three families checked here: count parameters off the service loop go
 through ``check_count`` (a string used to raise a bare ``TypeError``; a
-float or a bool was silently accepted), and a lookup of an absent
-session or title raises a ``ReproError`` that is still a ``KeyError``.
+float or a bool was silently accepted), a fault plan refuses a value it
+cannot use, and a lookup of an absent session or title raises a
+``ReproError`` that is still a ``KeyError``.
 """
 
+import math
 import re
 
 import pytest
@@ -19,7 +21,7 @@ from repro.errors import (
     UnknownRopeError,
     UnknownSessionError,
 )
-from repro.faults import RecoveryPolicy
+from repro.faults import FaultKind, FaultPlan, FaultSpec, RecoveryPolicy
 from repro.obs import SessionTimeline, SpanTracer
 from repro.server import build_media_server
 from repro.service import RecordStream
@@ -59,6 +61,47 @@ def test_a_count_that_is_not_an_int_is_refused(name, minimum, build, value):
         ParameterError, match=rf"^{name} must be an int >= {minimum}, got {got}$"
     ):
         build(value)
+
+
+HEAD, TRANSIENT = FaultKind.HEAD_FAILURE, FaultKind.TRANSIENT
+#: (parameter, constructor, a value it cannot use).  Each was accepted —
+#: or raised a bare ``TypeError`` — before: a NaN head-failure time never
+#: fired, ``at_op=-1`` fired on op 0, a NaN backoff scored a faulted run
+#: as continuous, and ``transient=True`` meant one fault.
+FAULTS = [
+    ("at_time", lambda v: FaultSpec(HEAD, at_time=v), math.nan),
+    ("at_time", lambda v: FaultSpec(HEAD, at_time=v), -1.0),
+    ("at_time", lambda v: FaultSpec(HEAD, at_time=v), True),
+    ("at_op", lambda v: FaultSpec(HEAD, at_op=v), -1),
+    ("at_op", lambda v: FaultSpec(TRANSIENT, at_op=v), 2.5),
+    ("slot", lambda v: FaultSpec(TRANSIENT, slot=v), 1.5),
+    ("drive_index", lambda v: FaultSpec(TRANSIENT, slot=0, drive_index=v), 0.5),
+    ("drive_index", lambda v: FaultSpec(TRANSIENT, slot=0, drive_index=v), "0"),
+    ("transient", lambda v: FaultPlan.random(0, [1, 2], transient=v), 1.5),
+    ("transient", lambda v: FaultPlan.random(0, [1, 2], transient=v), True),
+    ("defects", lambda v: FaultPlan.random(0, [1, 2], defects=v), -1),
+    ("at_op", lambda v: FaultPlan.random(0, [1], head_failure_at_op=v), -2),
+    ("retry_backoff", lambda v: RecoveryPolicy(retry_backoff=v), math.nan),
+    ("retry_backoff", lambda v: RecoveryPolicy(retry_backoff=v), math.inf),
+    ("retry_backoff", lambda v: RecoveryPolicy(retry_backoff=v), "1"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, value", FAULTS,
+    ids=[f"{name}={value!r}" for name, _, value in FAULTS],
+)
+def test_a_fault_parameter_it_cannot_use_is_refused(name, build, value):
+    with pytest.raises(ParameterError, match=rf"^{name} must be an? "):
+        build(value)
+
+
+def test_a_cli_fault_plan_it_cannot_use_is_one_error_line(capsys):
+    from repro.cli import main
+
+    assert main(["run", "--scenario", "fault", "--smoke",
+                 "--set", "head_failure_at_op=-1"]) == 2
+    assert capsys.readouterr().err == "error: at_op must be an int >= 0, got -1\n"
 
 
 class TestUnknownKeys:
