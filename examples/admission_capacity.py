@@ -20,7 +20,7 @@ from repro.units import format_seconds
 
 def main() -> None:
     profile = TESTBED_1991
-    mrs = build_rope_server(profile)
+    mrs = build_rope_server()
 
     frames = frames_for_duration(profile.video, 10.0, source="movie")
     request_id, movie = mrs.record("studio", frames=frames,

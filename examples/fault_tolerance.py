@@ -26,7 +26,7 @@ SEED = 42
 def build_stack():
     """A fresh testbed server with one 8-second recorded clip."""
     profile = TESTBED_1991
-    mrs = build_rope_server(profile)
+    mrs = build_rope_server()
     frames = frames_for_duration(profile.video, 8.0, source="clip")
     request_id, rope_id = mrs.record("ops", frames=frames)
     mrs.stop(request_id)

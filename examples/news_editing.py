@@ -20,7 +20,7 @@ from repro.service import PlaybackSession
 
 def main() -> None:
     profile = TESTBED_1991
-    mrs = build_rope_server(profile)
+    mrs = build_rope_server()
     session = EditingSession(mrs, user="editor")
     rng = random.Random(11)
 

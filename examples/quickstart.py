@@ -26,7 +26,7 @@ def main() -> None:
     profile = TESTBED_1991
 
     # --- 1-2: hardware + derived storage policy -------------------------
-    mrs = build_rope_server(profile)
+    mrs = build_rope_server()
     msm = mrs.msm
     policy = msm.policies.video
     print(f"profile: {profile.description}")

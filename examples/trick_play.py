@@ -59,7 +59,7 @@ def main() -> None:
         )
 
     # --- 3: chapter triggers -------------------------------------------------
-    mrs = build_rope_server(profile)
+    mrs = build_rope_server()
     frames = frames_for_duration(profile.video, 12.0, source="movie")
     request_id, rope_id = mrs.record("studio", frames=frames)
     mrs.stop(request_id)

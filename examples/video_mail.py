@@ -27,7 +27,7 @@ def blocks_on_disk(msm) -> int:
 
 def main() -> None:
     profile = TESTBED_1991
-    mrs = build_rope_server(profile)
+    mrs = build_rope_server()
     msm = mrs.msm
     rng = random.Random(7)
 

@@ -59,6 +59,7 @@ CHANGED = "pay for what changed"
 TURNS = "a round costs only the turns it serves"
 WATCHING = "watching is not walking"
 ORACLE = "one oracle"
+ONE_COPY = "one copy of each mechanism"
 
 
 class Mutant(NamedTuple):
@@ -242,6 +243,17 @@ MUTANTS = [
            '"consumed": 0 if start is None else blocks - dropped,',
            '"consumed": blocks - dropped,',
            TIMELINE + "test_for_scale_lattice_past_the_prefix"),
+    Mutant(ONE_COPY, "record: each block scored against the next one's deadline",
+           "src/repro/service/mixed_rounds.py",
+           "map(self.deadline_of, range(len(written)))",
+           "map(self.deadline_of, range(1, len(written) + 1))",
+           "tests/service/test_mixed_rounds.py::TestRecordStream::"
+           "test_results_score_the_written_column"),
+    Mutant(ONE_COPY, "revalidation: a lost head does not freeze admission",
+           "src/repro/fs/storage_manager.py",
+           "        self.admission.freeze()\n", "",
+           "tests/obs/test_admission_audit.py::TestRevalidateAudit::"
+           "test_last_head_freezes_admission_and_fails_constraint"),
 ]
 
 

@@ -9,7 +9,6 @@ seeded and deterministic; none takes a parameter.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import islice
 from typing import List
 
@@ -38,9 +37,9 @@ from repro.disk import (
 )
 from repro.errors import AdmissionRejected
 from repro.fs import MultimediaStorageManager
-from repro.media import DisplayDevice, frames_for_duration, generate_talk_spurts
+from repro.media import frames_for_duration, generate_talk_spurts
 from repro.media.audio import SilenceDetector
-from repro.rope import Media, build_rope_server
+from repro.rope import Media, MultimediaRopeServer, build_rope_server
 from repro.rope.server import FetchColumns
 from repro.service import (
     PlaybackSession,
@@ -176,7 +175,7 @@ def e1_architectures() -> Result:
         )
         if architecture is Architecture.SEQUENTIAL:
             metrics, _ = simulate_sequential(
-                fetches, drive, DisplayDevice(PROFILE.video_device)
+                fetches, drive, PROFILE.video_device
             )
         else:
             metrics, _ = simulate_pipelined(fetches, drive)
@@ -476,12 +475,14 @@ def e8_edit_copy() -> Result:
             "dense bound", "seams continuous after",
         ],
     )
-    narrowed = replace(PROFILE, video_device=DisplayDeviceParameters(
+    narrowed = DisplayDeviceParameters(
         display_rate=PROFILE.video_device.display_rate, buffer_frames=2
-    ))
+    )
     for label, densify in (("sparse", False), ("dense", True)):
-        mrs = build_rope_server(narrowed)
-        mrs.auto_repair = False
+        mrs = MultimediaRopeServer(MultimediaStorageManager(
+            build_drive(), PROFILE.video, PROFILE.audio, narrowed,
+            PROFILE.audio_device,
+        ), auto_repair=False)
         msm = mrs.msm
         strand_a = msm.store_video_strand(
             frames_for_duration(PROFILE.video, 8.0, source="early"), hint=0

@@ -4,8 +4,8 @@ Commands
 --------
 ``profiles``
     List the built-in hardware profiles with their derived §2 figures.
-``policy [--profile NAME]``
-    Show the §3.3.4 placement policies an MSM derives on a profile.
+``policy``
+    Show the §3.3.4 placement policies the testbed's MSM derives.
 ``experiments [ID ...]``
     Run rows of the claims table (:data:`repro.analysis.EXPERIMENTS`:
     e1..e22, a1..a3; default: all), print each one's tables and its
@@ -49,7 +49,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro import analysis, scenarios
-from repro.config import PROFILES, get_profile
+from repro.config import PROFILES
 from repro.core import continuity, video_block_model
 from repro.core.continuity import Architecture
 from repro.errors import InfeasibleError, ParameterError, ReproError
@@ -104,13 +104,8 @@ def _cmd_profiles(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_policy(args: argparse.Namespace) -> int:
-    profile = get_profile(args.profile)
-    try:
-        msm = build_rope_server(profile=profile).msm
-    except InfeasibleError as error:
-        print(f"no feasible policy on this profile: {error}")
-        return 1
+def _cmd_policy(_args: argparse.Namespace) -> int:
+    msm = build_rope_server().msm
     for label, policy in (
         ("video", msm.policies.video),
         ("audio", msm.policies.audio),
@@ -122,13 +117,13 @@ def _cmd_policy(args: argparse.Namespace) -> int:
             f"[{format_seconds(policy.scattering_lower)}, "
             f"{format_seconds(policy.scattering_upper)}]"
         )
-    block = video_block_model(profile.video, msm.policies.video.granularity)
+    block = video_block_model(msm.video, msm.policies.video.granularity)
     for architecture in (
         Architecture.SEQUENTIAL, Architecture.PIPELINED
     ):
         try:
             bound = continuity.max_scattering(
-                architecture, block, msm.disk_params, profile.video_device
+                architecture, block, msm.disk_params, msm.video_device
             )
             print(
                 f"{architecture.value} l_ds bound: {format_seconds(bound)}"
@@ -149,11 +144,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    profile = get_profile(args.profile)
-    mrs = build_rope_server(profile=profile)
+    mrs = build_rope_server()
     rng = random.Random(args.seed)
-    frames = frames_for_duration(profile.video, args.seconds, source="demo")
-    chunks = generate_talk_spurts(profile.audio, args.seconds, 0.35, rng)
+    frames = frames_for_duration(mrs.msm.video, args.seconds, source="demo")
+    chunks = generate_talk_spurts(mrs.msm.audio, args.seconds, 0.35, rng)
     request_id, rope_id = mrs.record("demo", frames=frames, chunks=chunks)
     mrs.stop(request_id)
     play_id = mrs.play("demo", rope_id, media=Media.AUDIO_VISUAL)
@@ -386,13 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         "profiles", help="list hardware profiles"
     ).set_defaults(handler=_cmd_profiles)
 
-    policy = commands.add_parser(
-        "policy", help="show derived placement policies"
-    )
-    policy.add_argument(
-        "--profile", default="testbed-1991", help="profile name"
-    )
-    policy.set_defaults(handler=_cmd_policy)
+    commands.add_parser(
+        "policy", help="show the testbed's derived placement policies"
+    ).set_defaults(handler=_cmd_policy)
 
     experiments = commands.add_parser(
         "experiments",
@@ -405,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.set_defaults(handler=_cmd_experiments)
 
     demo = commands.add_parser("demo", help="record and play a demo clip")
-    demo.add_argument("--profile", default="testbed-1991")
     demo.add_argument("--seconds", type=float, default=10.0)
     _add_common_options(
         demo, seed_default=2026, seed_help="talk-spurt generator seed",

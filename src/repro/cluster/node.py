@@ -24,7 +24,7 @@ from typing import Dict, Sequence
 
 from repro.api import NodeStatus, OpenSessionRequest, ServeResult
 from repro.config import TESTBED_1991
-from repro.errors import ParameterError
+from repro.errors import ParameterError, check_count
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.media.frames import frames_for_duration
 from repro.rope import Media
@@ -46,10 +46,7 @@ class ClusterNode:
     ):
         if not node_id:
             raise ParameterError("node_id must be non-empty")
-        if capacity < 1:
-            raise ParameterError(
-                f"node {node_id}: capacity must be >= 1, got {capacity}"
-            )
+        check_count(f"node {node_id}: capacity", capacity)
         self.node_id = node_id
         self.server = server
         #: Cluster sessions the node accepts concurrently per epoch.

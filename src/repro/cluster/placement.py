@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ParameterError, UnknownRopeError
+from repro.errors import ParameterError, UnknownRopeError, check_count
 
 __all__ = [
     "CatalogTitle",
@@ -197,10 +197,7 @@ class PlacementPolicy:
             raise ParameterError("node list must be non-empty")
         if len(set(node_ids)) != len(node_ids):
             raise ParameterError(f"duplicate node ids: {node_ids}")
-        if per_node_streams < 1:
-            raise ParameterError(
-                f"per_node_streams must be >= 1, got {per_node_streams}"
-            )
+        check_count("per_node_streams", per_node_streams)
         if self.min_replicas > len(node_ids):
             raise ParameterError(
                 f"min_replicas {self.min_replicas} exceeds the node count "

@@ -67,7 +67,7 @@ from repro.api import (
     SessionState,
     SessionStatus,
 )
-from repro.errors import ParameterError
+from repro.errors import ParameterError, check_count
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.obs.recorder import recorder_for
 from repro.obs.slo import CLUSTER_SLOS
@@ -272,8 +272,7 @@ class MediaCluster:
         chunks: int = 1,
     ) -> ClusterServeResult:
         """Route, serve in chunk epochs, hand off around node deaths."""
-        if chunks < 1:
-            raise ParameterError(f"chunks must be >= 1, got {chunks}")
+        check_count("chunks", chunks)
         for request in requests:
             if not isinstance(request, OpenSessionRequest):
                 raise ParameterError(

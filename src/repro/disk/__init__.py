@@ -25,7 +25,6 @@ from repro.disk.factory import (
     DriveSpec,
     build_array,
     build_drive,
-    drive_with_freemap,
 )
 from repro.disk.freemap import FreeMap
 from repro.disk.geometry import CHS, DiskGeometry
@@ -68,5 +67,4 @@ __all__ = [
     "TableSeek",
     "build_array",
     "build_drive",
-    "drive_with_freemap",
 ]

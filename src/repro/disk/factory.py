@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.disk.drive import SimulatedDrive
-from repro.disk.freemap import FreeMap
 from repro.disk.geometry import DiskGeometry
 from repro.disk.raid import DriveArray
 from repro.disk.seek import LinearSeek, Rotation, SeekModel, TableSeek
@@ -31,7 +30,6 @@ __all__ = [
     "build_drive",
     "build_drive_config",
     "build_array",
-    "drive_with_freemap",
 ]
 
 
@@ -166,14 +164,3 @@ def build_array(
     return DriveArray(
         [build_drive(spec, sectors_per_block) for _ in range(heads)]
     )
-
-
-def drive_with_freemap(
-    spec: DriveSpec = TESTBED_DRIVE,
-    sectors_per_block: int = 64,
-    randomized_rotation: bool = False,
-    rng: Optional[random.Random] = None,
-):
-    """Convenience: a drive plus a matching free map, as a tuple."""
-    drive = build_drive(spec, sectors_per_block, randomized_rotation, rng)
-    return drive, FreeMap(drive.slots)

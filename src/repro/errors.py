@@ -61,6 +61,14 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise ParameterError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
+def check_seconds(name: str, value) -> None:
+    """Refuse a time *name* that is not a finite real >= 0 (nor a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        0 <= value < float("inf")
+    ):
+        raise ParameterError(f"{name} must be a finite real >= 0, got {value!r}")
+
+
 class InfeasibleError(ReproError):
     """The continuity equations admit no solution for the given hardware.
 

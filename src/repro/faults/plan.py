@@ -27,17 +27,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from repro.errors import ParameterError, check_count
+from repro.errors import ParameterError, check_count, check_seconds
 
 __all__ = ["FaultKind", "FaultSpec", "FaultPlan"]
-
-
-def check_seconds(name: str, value) -> None:
-    """Refuse a time *name* that is not a finite real >= 0 (nor a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        0 <= value < float("inf")
-    ):
-        raise ParameterError(f"{name} must be a finite real >= 0, got {value!r}")
 
 
 class FaultKind(enum.Enum):

@@ -32,8 +32,8 @@ from repro.errors import (
     MediaDefectError,
     TransientReadError,
     check_count,
+    check_seconds,
 )
-from repro.faults.plan import check_seconds
 
 __all__ = ["RecoveryPolicy", "read_with_recovery"]
 

@@ -21,7 +21,7 @@ from repro.fs.index import (
     fanout_for,
 )
 from repro.fs.reorganize import ReorganizationReport, Reorganizer
-from repro.fs.silence import AudioBlockPlan, SilenceStats, plan_audio_blocks
+from repro.fs.silence import AudioBlockPlan, plan_audio_blocks
 from repro.fs.storage_manager import MediaPolicies, MultimediaStorageManager
 from repro.fs.strand import Strand
 from repro.fs.striped import StripedStorageManager, StripedStrand
@@ -44,7 +44,6 @@ __all__ = [
     "SECONDARY_ENTRY_BITS",
     "SecondaryBlock",
     "SecondaryEntry",
-    "SilenceStats",
     "Strand",
     "StrandIndex",
     "StripedStorageManager",

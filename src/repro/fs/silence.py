@@ -22,7 +22,7 @@ from repro.errors import ParameterError
 from repro.fs.blocks import AudioPayload
 from repro.media.audio import AudioChunk, SilenceDetector, chunks_to_blocks
 
-__all__ = ["AudioBlockPlan", "SilenceStats", "plan_audio_blocks"]
+__all__ = ["AudioBlockPlan", "plan_audio_blocks"]
 
 
 @dataclass(frozen=True)
@@ -68,54 +68,6 @@ class AudioBlockPlan:
         if block_number == self.block_count - 1 and self.trailing_samples:
             return self.trailing_samples
         return self.samples_per_block
-
-    def stats(self, sample_size: float) -> "SilenceStats":
-        """Bit-level outcome of the plan at *sample_size* bits/sample."""
-        if sample_size <= 0:
-            raise ParameterError(
-                f"sample_size must be positive, got {sample_size}"
-            )
-        stored_bits = sum(
-            payload.bits for payload in self.payloads if payload is not None
-        )
-        eliminated_bits = sum(
-            self.samples_in_block(number) * sample_size
-            for number, payload in enumerate(self.payloads)
-            if payload is None
-        )
-        return SilenceStats(
-            total_blocks=self.block_count,
-            stored_blocks=self.stored_count,
-            silent_blocks=self.silent_count,
-            stored_bits=stored_bits,
-            eliminated_bits=eliminated_bits,
-        )
-
-
-@dataclass(frozen=True)
-class SilenceStats:
-    """Bytes-level outcome of silence elimination for reporting."""
-
-    total_blocks: int
-    stored_blocks: int
-    silent_blocks: int
-    stored_bits: float
-    eliminated_bits: float
-
-    @property
-    def silence_ratio(self) -> float:
-        """Fraction of block periods eliminated."""
-        if self.total_blocks == 0:
-            return 0.0
-        return self.silent_blocks / self.total_blocks
-
-    @property
-    def space_saving(self) -> float:
-        """Fraction of raw bits not stored."""
-        total = self.stored_bits + self.eliminated_bits
-        if total == 0:
-            return 0.0
-        return self.eliminated_bits / total
 
 
 def plan_audio_blocks(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core import admission
@@ -44,6 +44,7 @@ from repro.errors import (
     DiskFullError,
     ParameterError,
     UnknownStrandError,
+    check_count,
 )
 from repro.fs.blocks import AudioPayload, BlockKind, MediaBlock
 from repro.fs.gc import GarbageCollector, InterestRegistry
@@ -148,65 +149,21 @@ class MultimediaStorageManager:
     # -- degraded-mode admission (fault recovery) -------------------------------
 
     def revalidate_admission(self, heads_lost: int = 1) -> int:
-        """Shrink admission capacity after losing disk heads mid-service.
+        """Freeze admission after losing a disk head mid-service.
 
-        Degraded mode derates the analytic transfer rate by the surviving
-        head fraction (each lost head takes its share of the aggregate
-        bandwidth with it), which raises β and therefore lowers the
-        Eq.-(17) capacity ``n_max = ⌈γ/β⌉ − 1``.  Active requests keep
-        playing — degraded, with recovery skips — but no *new* request is
-        admitted against capacity the hardware no longer has.
-
-        Returns the revalidated n_max: for the currently active request
-        set when one exists, else for a representative video request.
-        0 means the server can admit nothing (the last head died).
+        The storage manager schedules one drive, whose parameters report
+        one head, so a lost head leaves no mechanism to admit against:
+        active requests keep playing — degraded, with recovery skips —
+        but no *new* request is admitted.  Returns the n_max left, 0.
         """
-        if heads_lost < 1:
-            raise ParameterError(
-                f"heads_lost must be >= 1, got {heads_lost}"
-            )
-        total = max(1, self.disk_params.heads)
-        surviving = total - heads_lost
+        check_count("heads_lost", heads_lost)
         self.degraded_heads += heads_lost
-        if surviving < 1:
-            self.admission.freeze()
-            self._report_revalidated(heads_lost, surviving, total, 0)
-            return 0
-        self.disk_params = replace(
-            self.disk_params,
-            transfer_rate=self.disk_params.transfer_rate
-            * (surviving / total),
-            heads=surviving,
-        )
-        self.admission.disk = self.disk_params
-        requests = list(self.admission.active_requests.values())
-        if not requests:
-            probe = admission.RequestDescriptor(
-                block=video_block_model(
-                    self.video, self.policies.video.granularity
-                ),
-                scattering_avg=min(
-                    self.policies.video.scattering_upper,
-                    self.disk_params.seek_max,
-                ),
-            )
-            requests = [probe]
-        degraded_n_max = max(
-            0,
-            admission.n_max(
-                admission.service_parameters(requests, self.disk_params)
-            ),
-        )
-        self._report_revalidated(heads_lost, surviving, total, degraded_n_max)
-        return degraded_n_max
-
-    def _report_revalidated(
-        self, heads_lost: int, surviving: int, total: int, new_n_max: int
-    ) -> None:
+        self.admission.freeze()
         if self._rec is not None:
             self._rec.revalidated(
-                heads_lost, surviving, total, new_n_max, self.degraded_heads
+                heads_lost, 1 - heads_lost, 1, 0, self.degraded_heads
             )
+        return 0
 
     # -- admission (RPC-visible surface) -----------------------------------------
 

@@ -1,4 +1,4 @@
-"""Simulated media devices: frames, audio, codecs, and buffers.
+"""Simulated media devices: frames, audio and codecs.
 
 This package replaces the prototype's UVC capture/compression hardware and
 audio digitizer (§5.1).  Media content is carried as sizes + opaque
@@ -14,10 +14,8 @@ from repro.media.audio import (
     SilenceDetector,
     chunks_to_blocks,
     generate_talk_spurts,
-    silence_fraction,
 )
 from repro.media.codec import Codec, DifferencingCodec, FixedRateCodec
-from repro.media.devices import CaptureDevice, DeviceBuffer, DisplayDevice
 from repro.media.frames import (
     Frame,
     NTSC_BITS_PER_PIXEL,
@@ -31,12 +29,9 @@ from repro.media.frames import (
 
 __all__ = [
     "AudioChunk",
-    "CaptureDevice",
     "Codec",
     "DEFAULT_SILENCE_THRESHOLD",
-    "DeviceBuffer",
     "DifferencingCodec",
-    "DisplayDevice",
     "FixedRateCodec",
     "Frame",
     "NTSC_BITS_PER_PIXEL",
@@ -51,5 +46,4 @@ __all__ = [
     "generate_talk_spurts",
     "ntsc_raw_frame_bits",
     "raw_frame_bits",
-    "silence_fraction",
 ]

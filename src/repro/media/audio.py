@@ -27,7 +27,6 @@ __all__ = [
     "SilenceDetector",
     "generate_talk_spurts",
     "chunks_to_blocks",
-    "silence_fraction",
     "DEFAULT_SILENCE_THRESHOLD",
     "SPEECH_ENERGY",
     "SILENCE_ENERGY",
@@ -183,16 +182,3 @@ def chunks_to_blocks(
             covered += overlap
             position += overlap
         yield weighted / covered
-
-
-def silence_fraction(
-    chunks: Sequence[AudioChunk],
-    samples_per_block: int,
-    detector: SilenceDetector = SilenceDetector(),
-) -> float:
-    """Fraction of blocks the detector classifies as silent."""
-    energies = list(chunks_to_blocks(chunks, samples_per_block))
-    if not energies:
-        return 0.0
-    silent = sum(1 for e in energies if detector.is_silent(e))
-    return silent / len(energies)

@@ -662,9 +662,9 @@ class ServiceRecorder:
 
     def revalidated(self, heads_lost, surviving, total, n_max, cumulative) -> None:
         """Admission was revalidated after a head loss.  The logged
-        inequality is the liveness condition the degrade path branches
-        on: with ``surviving >= 1`` the server keeps admitting against the
-        shrunk *n_max*; below it, admission freezes."""
+        inequality is the liveness condition: the storage manager's one
+        drive has one head, so ``surviving >= 1`` fails and admission
+        freezes at *n_max* 0."""
         self._obs.audit.record(
             "revalidate", f"degraded(heads={surviving}/{total})",
             "surviving >= 1",

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.config import TESTBED_1991, HardwareProfile
+from repro.config import TESTBED_1991
 from repro.disk.factory import build_drive
 from repro.errors import (
     IntervalError,
@@ -719,11 +719,10 @@ class MultimediaRopeServer:
 
 
 def build_rope_server(
-    profile: HardwareProfile = TESTBED_1991,
-    obs=None,
-    label: Optional[str] = None,
+    obs=None, label: Optional[str] = None
 ) -> MultimediaRopeServer:
-    """Testbed drive -> storage manager -> rope server, wired in one place.
+    """Testbed drive -> storage manager -> rope server, wired in one place:
+    the 1991 testbed's mechanism, streams and devices.
 
     *label* becomes the drive's ``profile_label`` so per-drive profiler
     rollups can tell shards apart.  Every scenario, ``build_media_server``
@@ -734,10 +733,10 @@ def build_rope_server(
         drive.profile_label = label
     msm = MultimediaStorageManager(
         drive,
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
+        TESTBED_1991.video,
+        TESTBED_1991.audio,
+        TESTBED_1991.video_device,
+        TESTBED_1991.audio_device,
         obs=obs,
     )
     return MultimediaRopeServer(msm)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import OpenSessionRequest
-from repro.errors import ParameterError
+from repro.errors import check_seconds
 
 __all__ = ["BatchKey", "RequestBatch", "group_into_batches"]
 
@@ -102,8 +102,7 @@ def group_into_batches(
     Returns batches ordered by admit time (leader arrival), ties broken
     by leader submission order.
     """
-    if window < 0:
-        raise ParameterError(f"window must be >= 0, got {window}")
+    check_seconds("window", window)
     ordered = sorted(
         enumerate(requests), key=lambda pair: (pair[1].arrival, pair[0])
     )

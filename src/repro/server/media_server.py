@@ -53,6 +53,7 @@ from repro.errors import (
     ParameterError,
     UnknownRopeError,
     check_count,
+    check_seconds,
 )
 from repro.faults.recovery import RecoveryPolicy
 from repro.obs.recorder import recorder_for
@@ -166,10 +167,7 @@ class MediaServer:
         recovery: Optional[RecoveryPolicy] = None,
         obs=None,
     ):
-        if batch_window < 0:
-            raise ParameterError(
-                f"batch_window must be >= 0, got {batch_window}"
-            )
+        check_seconds("batch_window", batch_window)
         check_count("cache_blocks", cache_blocks, 0)
         check_count("requeue_limit", requeue_limit, 0)
         self.mrs = mrs
@@ -344,7 +342,7 @@ class MediaServer:
                         "re-admission on resume failed"
                     )
                 )
-        played, rounds, k_used, sequences = self._run_epoch()
+        played, rounds, k_used, sequences = self._run_epoch(rejects)
         touched.extend(played)
         return ServeResult(
             statuses=tuple(
@@ -512,9 +510,12 @@ class MediaServer:
     def _playback_session(self) -> PlaybackSession:
         return PlaybackSession(self.mrs, recovery=self.recovery, obs=self.obs)
 
-    def _run_epoch(self) -> Tuple[List[str], int, int, Dict]:
+    def _run_epoch(
+        self, rejects: List[OpenSessionResponse]
+    ) -> Tuple[List[str], int, int, Dict]:
         """Service every scheduled session to completion; returns who
-        played, the rounds run, the k used and each session's slots."""
+        played or was refused, the rounds run, the k used and each
+        session's slots.  A refusal's response is added to *rejects*."""
         queue = [
             sid for sid in self._epoch_queue
             if self._sessions[sid].state is SessionState.PLAYING
@@ -523,21 +524,33 @@ class MediaServer:
         if not queue:
             return [], 0, 0, {}
         playback = self._playback_session()
+        #: Each session is planned once; the same sequence is reported
+        #: in ``block_sequences`` and streamed by the round service.
+        fetches: Dict[str, List] = {}
+        refused: List[str] = []
+        for sid in queue:
+            session = self._sessions[sid]
+            if session.state is SessionState.PLAYING:   # not refused yet
+                planned = playback.fetch_sequence(session.request_id)
+                fetches[session.request_id] = planned
+                refused += self._hold_what_it_reads(session, planned.slots)
+        for sid in refused:
+            rejects.append(
+                self._sessions[sid].response("re-admission at the epoch failed")
+            )
+        queue = [sid for sid in queue if sid not in refused]
+        if not queue:
+            return refused, 0, 0, {}
         k = max(1, self.mrs.msm.admission.current_k)
         #: Rough simulated seconds per service round.
         period = k * self.mrs.msm.descriptor_for_media(True).block_playback
         t0 = min(self._sessions[sid].arrival for sid in queue)
         initial: List[str] = []
         later: List[Tuple[int, str]] = []
-        #: Each session is planned once; the same sequence is reported
-        #: in ``block_sequences`` and streamed by the round service.
-        fetches: Dict[str, List] = {}
         sequences: Dict[str, Tuple[Optional[int], ...]] = {}
         for sid in queue:
             session = self._sessions[sid]
-            planned = playback.fetch_sequence(session.request_id)
-            fetches[session.request_id] = planned
-            sequences[sid] = tuple(planned.slots)
+            sequences[sid] = tuple(fetches[session.request_id].slots)
             round_number = int((session.arrival - t0) / period)
             if round_number <= 0:
                 initial.append(session.request_id)
@@ -573,7 +586,7 @@ class MediaServer:
                     session.request_id, session.arrival,
                     "degraded" if session.misses or session.skips else "ok",
                 )
-        return queue, result.rounds, result.k_used, sequences
+        return queue + refused, result.rounds, result.k_used, sequences
 
     # -- resource management ---------------------------------------------------------
 
@@ -631,6 +644,41 @@ class MediaServer:
         if rec is not None:
             rec.admission_decided(now)
         return _Lease(admission_id=decision.request_id)
+
+    def _hold_what_it_reads(self, session: _Session, slots) -> List[str]:
+        """Make *session*'s lease cover the *slots* its plan reads; returns
+        the members refused instead.
+
+        Cache pins cover only the slots resident at admission, and an
+        edit since may point the plan elsewhere.  Such a lease goes back
+        through :meth:`_acquire`, the one way in: it re-pins if the slots
+        are resident, else takes a controller slot, else every member
+        ends REJECTED with the controller's reason.
+        """
+        lease = session.lease
+        if not lease.cache_admitted or not set(slots).difference(
+            lease.pinned, (None,)
+        ):
+            return []
+        rec, now = self._rec, session.arrival
+        try:
+            held = self._acquire(session.request_id, now, "epoch", probe=True)
+        except AdmissionRejected as rejected:
+            held, cause = None, rejected.cause
+            if rec is not None:
+                rec.admission_decided(now, "rejected")
+        members = list(lease.members)
+        for member in members:
+            self._vacate(member)   # the last one out unpins the old slots
+            if held is not None:
+                self._join(member, held)
+                continue
+            member.state = SessionState.REJECTED
+            member.reject = RejectReason(cause)
+            self.mrs.stop(member.request_id)
+            if rec is not None:
+                rec.request_closed(member.request_id, now, "rejected", cause)
+        return [] if held is not None else [m.session_id for m in members]
 
     @staticmethod
     def _join(session: _Session, lease: _Lease) -> None:

@@ -56,9 +56,7 @@ class RecordStream:
     staging_capacity: int = 2
     k_override: Optional[int] = None
     block_bits: Optional[float] = None
-    next_block: int = 0
-    metrics: ContinuityMetrics = field(default_factory=ContinuityMetrics)
-    #: When each block's write completed, in recording order.
+    #: When each block's write completed: block j's is ``written[j]``.
     written: List[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -69,7 +67,11 @@ class RecordStream:
         check_count("staging_capacity", self.staging_capacity)
         if self.k_override is not None:
             check_count("k_override", self.k_override)
-        self.metrics.request_id = self.request_id
+
+    @property
+    def next_block(self) -> int:
+        """The next block to write (every one before it is written)."""
+        return len(self.written)
 
     @property
     def finished(self) -> bool:
@@ -86,19 +88,6 @@ class RecordStream:
             block_number + 1 + self.staging_capacity
         ) * self.block_period
 
-    def retire(self, now: float) -> None:
-        """Score the next block as written out at *now* — its deadline,
-        and the staging high-water mark (blocks captured but not yet
-        retired when this write completes) — and move past it."""
-        number = self.next_block
-        self.written.append(now)
-        self.metrics.record_delivery(now, self.deadline_of(number))
-        self.metrics.buffer_high_water = max(
-            self.metrics.buffer_high_water,
-            self.captured_at(now) - number - 1,
-        )
-        self.next_block = number + 1
-
     @property
     def due(self) -> float:
         """When the next block finishes capturing (inf once all are
@@ -108,8 +97,23 @@ class RecordStream:
         return (self.next_block + 1) * self.block_period
 
     def results(self) -> Dict[str, ContinuityMetrics]:
-        """This request's staging-buffer continuity, by request id."""
-        return {self.request_id: self.metrics}
+        """This request's staging-buffer continuity, by request id: the
+        ``written`` column scored against each block's overrun deadline,
+        and the staging high-water (blocks captured but not yet written
+        as each write completes)."""
+        written = self.written
+        metrics = ContinuityMetrics(
+            request_id=self.request_id,
+            buffer_high_water=max([0, *(
+                self.captured_at(now) - number - 1
+                for number, now in enumerate(written)
+            )]),
+        )
+        metrics.score(
+            written, map(self.deadline_of, range(len(written))), (),
+            high_water_from=len(written),   # the staging rule, above
+        )
+        return {self.request_id: metrics}
 
     def serve(
         self, service, time: float, round_start: float, active, k: int
@@ -124,6 +128,6 @@ class RecordStream:
             time += service.drive.write_slot(
                 self.slots[self.next_block], self.block_bits
             )
-            self.retire(time)
+            self.written.append(time)
             written += 1
         return time, written > 0

@@ -21,11 +21,11 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.core.symbols import DisplayDeviceParameters
 from repro.disk.drive import SimulatedDrive
 from repro.disk.raid import DriveArray
 from repro.errors import HeadFailureError, ParameterError
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
-from repro.media.devices import DisplayDevice
 from repro.rope.server import BlockFetch, FetchColumns
 from repro.sim.metrics import ContinuityMetrics
 
@@ -42,16 +42,17 @@ def _replay(
     read_ahead: int,
     request_id: str,
     recovery: Optional[RecoveryPolicy],
-    display: Optional[DisplayDevice] = None,
+    display: Optional[DisplayDeviceParameters] = None,
 ) -> Tuple[ContinuityMetrics, List[float]]:
     """Replay *fetches* in stripes of ``p = len(members)`` and score them.
 
     Block i is read from member ``i mod p``; a stripe's reads run
     concurrently and it lands when its slowest member does (p = 1: one
     read after another).  With *display* each delivered block is then
-    converted before the next read may start (Fig. 1).  The playback
-    clock starts once *read_ahead* further blocks are on board behind the
-    first.  A dead head costs its member every later block (a skip each).
+    converted at the device's ``R_vd`` (§2: ``bits / R_vd``) before the
+    next read may start (Fig. 1).  The playback clock starts once
+    *read_ahead* further blocks are on board behind the first.  A dead
+    head costs its member every later block (a skip each).
     """
     if read_ahead < 0:
         raise ParameterError(f"read_ahead must be >= 0, got {read_ahead}")
@@ -78,7 +79,7 @@ def _replay(
             if not ok:
                 skipped.add(index)
             elif display is not None:
-                converting += display.display_time(fetch.bits)
+                converting += fetch.bits / display.display_rate
         time += max(durations) if durations else 0.0
         time += converting
         ready.extend([time] * len(stripe))
@@ -95,7 +96,7 @@ def _replay(
 def simulate_sequential(
     fetches: Sequence[BlockFetch],
     drive: SimulatedDrive,
-    display: DisplayDevice,
+    display: DisplayDeviceParameters,
     request_id: str = "seq",
     read_ahead: int = 0,
     recovery: Optional[RecoveryPolicy] = None,

@@ -121,12 +121,8 @@ class PlaybackSession:
         self._degraded_n_max: Optional[int] = None
 
     def _on_head_failure(self, fault: HeadFailureError) -> None:
-        """Degrade admission the moment a head dies mid-round.
-
-        The storage manager recomputes its analytic parameters with the
-        surviving head count, shrinking ``n_max`` so no *new* request is
-        admitted against capacity the hardware no longer has.
-        """
+        """Freeze admission the moment the head dies mid-round, so no
+        *new* request is admitted against a mechanism that is gone."""
         self._degraded_n_max = self.server.msm.revalidate_admission(
             heads_lost=1
         )

@@ -39,35 +39,6 @@ class ContinuityMetrics:
     _late_min: float = field(default=float("inf"), repr=False)
     _late_max: float = field(default=float("-inf"), repr=False)
 
-    def record_delivery(self, arrival: float, deadline: float) -> None:
-        """Score one block's arrival against its deadline."""
-        self.blocks_delivered += 1
-        late = arrival - deadline
-        self._late_sum += late
-        if late < self._late_min:
-            self._late_min = late
-        if late > self._late_max:
-            self._late_max = late
-        if late > 0:
-            self.misses += 1
-            self.total_lateness += late
-            self.max_lateness = max(self.max_lateness, late)
-
-    def record_skip(self, given_up: float, deadline: float) -> None:
-        """Score a block whose data never arrived (fault recovery gave up).
-
-        A skip is always a glitch — the display substitutes (repeats the
-        previous frame, mutes the audio) for the block's playback period
-        — so it counts as a miss even when recovery abandoned it ahead of
-        the deadline to protect the rest of the round.
-        """
-        self.skips += 1
-        self.misses += 1
-        late = given_up - deadline
-        if late > 0:
-            self.total_lateness += late
-            self.max_lateness = max(self.max_lateness, late)
-
     def score(
         self,
         ready: Sequence[float],
@@ -84,8 +55,9 @@ class ContinuityMetrics:
         arrived.  The buffer high-water is sampled as each block from
         *high_water_from* on lands — that block and those before it, less
         the ones whose play-out ended by then.  *ready* must be
-        non-decreasing.  :meth:`record_delivery` / :meth:`record_skip`
-        per block, inline.
+        non-decreasing.  A skip is always a glitch (the display substitutes
+        for the block's period), so it counts as a miss even when recovery
+        gave up ahead of the deadline.
         """
         delivered, misses, skips = self.blocks_delivered, self.misses, self.skips
         total, worst = self.total_lateness, self.max_lateness

@@ -7,7 +7,6 @@ from repro.disk import (
     TESTBED_DRIVE,
     build_array,
     build_drive,
-    drive_with_freemap,
 )
 from repro.errors import ParameterError
 
@@ -37,10 +36,6 @@ class TestBuilders:
     def test_custom_block_size(self):
         drive = build_drive(sectors_per_block=8)
         assert drive.block_bits == 8 * 512 * 8
-
-    def test_drive_with_freemap_sizes_match(self):
-        drive, freemap = drive_with_freemap()
-        assert freemap.slots == drive.slots
 
     def test_build_array_members_independent(self):
         array = build_array(3)

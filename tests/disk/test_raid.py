@@ -1,9 +1,15 @@
-"""Unit tests for the multi-head drive array."""
+"""Unit tests for the multi-head drive array.
+
+The array addresses its members; the one stripe timing is the concurrent
+replayer's, so the read tests run ``simulate_concurrent`` on it.
+"""
 
 import pytest
 
-from repro.disk import DriveArray, StripedSlot, build_array, build_drive
+from repro.disk import DriveArray, build_array, build_drive
 from repro.errors import ParameterError
+from repro.rope.server import BlockFetch
+from repro.service import simulate_concurrent, simulate_pipelined
 
 
 @pytest.fixture
@@ -11,14 +17,14 @@ def array():
     return build_array(heads=4)
 
 
+def fetches(slots):
+    return [BlockFetch(slot=slot, bits=None, duration=1.0) for slot in slots]
+
+
 class TestStriping:
     def test_round_robin(self, array):
-        for i in range(12):
-            assert array.stripe(i, slot=0).drive_index == i % 4
-
-    def test_negative_index_rejected(self, array):
-        with pytest.raises(ParameterError):
-            array.stripe(-1, slot=0)
+        simulate_concurrent(fetches([0] * 12), array)
+        assert [member.stats.reads for member in array.drives] == [3] * 4
 
     def test_heads(self, array):
         assert array.heads == 4
@@ -38,24 +44,12 @@ class TestBatchReads:
     def test_batch_duration_is_slowest_member(self, array):
         for member in array.drives:
             member.park(0)
-        near = StripedSlot(drive_index=0, slot=0)
-        far = StripedSlot(drive_index=1, slot=array.member(1).slots - 1)
+        far = array.member(1).slots - 1
         single_far = build_drive()
         single_far.park(0)
-        expected = single_far.read_slot(single_far.slots - 1)
-        assert array.read_batch([near, far]) == pytest.approx(expected)
-
-    def test_duplicate_member_rejected(self, array):
-        with pytest.raises(ParameterError):
-            array.read_batch(
-                [
-                    StripedSlot(drive_index=0, slot=0),
-                    StripedSlot(drive_index=0, slot=5),
-                ]
-            )
-
-    def test_empty_batch_is_free(self, array):
-        assert array.read_batch([]) == 0.0
+        expected = single_far.read_slot(far)
+        _, ready = simulate_concurrent(fetches([0, far]), array)
+        assert ready == [pytest.approx(expected)] * 2
 
     def test_member_out_of_range(self, array):
         with pytest.raises(ParameterError):
@@ -63,19 +57,13 @@ class TestBatchReads:
 
 
 class TestStripedRun:
-    def test_batches_counted(self, array):
-        slots = [0, 0, 0, 0, 1, 1]
-        total, batches = array.read_striped_run(slots)
-        assert batches == 2
-        assert total > 0
-
     def test_parallel_run_faster_than_serial(self):
         array = build_array(heads=4)
         serial = build_drive()
         slots = list(range(0, 64, 4))
-        serial_time = sum(serial.read_slot(s) for s in slots)
-        parallel_time, _ = array.read_striped_run(slots)
-        assert parallel_time < serial_time
+        _, serial_ready = simulate_pipelined(fetches(slots), serial)
+        _, parallel_ready = simulate_concurrent(fetches(slots), array)
+        assert parallel_ready[-1] < serial_ready[-1]
 
     def test_parameters_report_heads(self, array):
         params = array.parameters()

@@ -87,38 +87,3 @@ class TestStatisticalBehaviour:
             plan = plan_audio_blocks(stream, chunks, 2048, SilenceDetector())
             fractions.append(plan.silent_count / plan.block_count)
         assert fractions[0] < fractions[1] < fractions[2]
-
-
-class TestSilenceStats:
-    def test_stats_partition_all_bits(self, stream):
-        chunks = [
-            AudioChunk(start_sample=0, count=500, energy=0.6),
-            AudioChunk(start_sample=500, count=500, energy=0.01),
-        ]
-        plan = plan_audio_blocks(stream, chunks, 100, SilenceDetector())
-        stats = plan.stats(stream.sample_size)
-        total_bits = 1000 * stream.sample_size
-        assert stats.stored_bits + stats.eliminated_bits == total_bits
-        assert stats.silence_ratio == 0.5
-        assert stats.space_saving == 0.5
-        assert stats.total_blocks == 10
-        assert stats.stored_blocks == 5
-
-    def test_stats_no_silence(self, stream):
-        chunks = [AudioChunk(start_sample=0, count=300, energy=0.6)]
-        plan = plan_audio_blocks(stream, chunks, 100, SilenceDetector())
-        stats = plan.stats(stream.sample_size)
-        assert stats.space_saving == 0.0
-        assert stats.silence_ratio == 0.0
-
-    def test_stats_empty_plan(self, stream):
-        plan = plan_audio_blocks(stream, [], 100, SilenceDetector())
-        stats = plan.stats(stream.sample_size)
-        assert stats.silence_ratio == 0.0
-        assert stats.space_saving == 0.0
-
-    def test_rejects_bad_sample_size(self, stream):
-        chunks = [AudioChunk(start_sample=0, count=100, energy=0.6)]
-        plan = plan_audio_blocks(stream, chunks, 100, SilenceDetector())
-        with pytest.raises(ParameterError):
-            plan.stats(0)

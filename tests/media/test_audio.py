@@ -11,7 +11,6 @@ from repro.media.audio import (
     SilenceDetector,
     chunks_to_blocks,
     generate_talk_spurts,
-    silence_fraction,
 )
 
 
@@ -108,10 +107,3 @@ class TestBlockEnergies:
     def test_rejects_bad_block_size(self):
         with pytest.raises(ParameterError):
             list(chunks_to_blocks([], 0))
-
-    def test_silence_fraction(self):
-        chunks = [
-            AudioChunk(start_sample=0, count=100, energy=0.02),
-            AudioChunk(start_sample=100, count=100, energy=0.8),
-        ]
-        assert silence_fraction(chunks, 100) == pytest.approx(0.5)

@@ -7,7 +7,6 @@ False for every reject, True for every admit — across randomized
 workloads, not just the testbed profile.
 """
 
-import dataclasses
 import re
 
 from hypothesis import assume, given, settings
@@ -138,7 +137,7 @@ class TestAuditedController:
         assert decision.request_id is not None
 
 
-def _observed_msm(heads=1):
+def _observed_msm():
     from repro.config import TESTBED_1991
 
     profile = TESTBED_1991
@@ -152,41 +151,42 @@ def _observed_msm(heads=1):
         profile.audio_device,
         obs=obs,
     )
-    if heads != 1:
-        msm.disk_params = dataclasses.replace(
-            msm.disk_params, heads=heads
-        )
-        msm.admission.disk = msm.disk_params
     return msm, obs
 
 
 class TestRevalidateAudit:
+    """The storage manager schedules one one-head drive, so a head loss
+    shrinks n_max to 0: admission freezes."""
+
     def test_revalidate_emits_entry_with_shrunk_n_max(self):
-        msm, obs = _observed_msm(heads=4)
+        msm, obs = _observed_msm()
+        assert msm.disk_params.heads == 1
         before = msm.revalidate_admission(heads_lost=1)
         entries = obs.audit.revalidations()
         assert len(entries) == 1
         entry = entries[0]
         assert entry.decision == "revalidate"
-        assert entry.satisfied is True  # 3 of 4 heads survive
-        assert entry.evaluate() is True
-        assert entry.operand("surviving") == 3.0
-        assert entry.operand("n_max") == float(before)
+        assert entry.operand("surviving") == 0.0
+        assert entry.operand("total") == 1.0
+        assert entry.operand("n_max") == float(before) == 0.0
         assert f"n_max={before}" in entry.detail
+        assert msm.admission.max_k == 0
 
     def test_shrunk_n_max_never_grows(self):
-        msm, obs = _observed_msm(heads=4)
+        msm, obs = _observed_msm()
         baseline = msm.revalidate_admission(heads_lost=1)
         again = msm.revalidate_admission(heads_lost=1)
-        assert again <= baseline
+        assert again == baseline == 0
         n_maxes = [
             entry.operand("n_max")
             for entry in obs.audit.revalidations()
         ]
-        assert n_maxes == sorted(n_maxes, reverse=True)
+        assert n_maxes == [0.0, 0.0]
+        assert "cumulative heads lost: 2" in obs.audit.revalidations()[-1].detail
+        assert msm.admission.max_k == 0
 
     def test_last_head_freezes_admission_and_fails_constraint(self):
-        msm, obs = _observed_msm(heads=1)
+        msm, obs = _observed_msm()
         assert msm.revalidate_admission(heads_lost=1) == 0
         entry = obs.audit.revalidations()[-1]
         assert entry.satisfied is False

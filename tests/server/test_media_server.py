@@ -19,6 +19,7 @@ from repro.obs import Observability
 from repro.scenarios import get
 from repro.scenarios.server import record_strands
 from repro.server import build_media_server
+from repro.service import PlaybackSession
 
 pytestmark = pytest.mark.server
 
@@ -616,6 +617,91 @@ class TestResumeAcquiresALease:
         assert server.status("C0001").batch_leader == "C0001"
         server.serve([PlayRequest("C0001")])
         assert held_leases(server) == []
+
+
+class TestAnEditedCacheLeaseIsReacquired:
+    """A cache lease pins the slots resident at open; an edit since may
+    point the plan at others.  At the epoch such a lease goes back through
+    the one way in — re-pinned, a controller slot, or a typed refusal —
+    so no session reads a slot it holds neither a pin nor a slot for."""
+
+    @staticmethod
+    def _edited(warm_other=False, members=1):
+        """A cache-admitted batch of *members* on a warmed 2-s rope whose
+        first second was then replaced with another rope's content; the
+        members' session ids."""
+        server = build_media_server()
+        hot, other = record_strands(server.mrs, 2, 2.0, CLIENTS, "t")
+        warm = [_open(hot, client="warmer")]
+        if warm_other:
+            warm.append(_open(other, client="warmer"))
+        server.serve(warm)
+        held = server.serve([
+            _open(hot, client=f"client-{i}", auto_play=False)
+            for i in range(members)
+        ]).statuses
+        assert all(status.cache_admitted for status in held)
+        assert server.mrs.msm.admission.active_count == 0
+        server.mrs.replace(
+            "librarian", hot, Media.VIDEO, 0.0, 1.0, other, 0.0, 1.0
+        )
+        return server, [status.session_id for status in held]
+
+    @staticmethod
+    def _play(server, sid, monkeypatch):
+        """Serve *sid*'s PLAY; also what its lease held while it played."""
+        reads = server.mrs.msm.drive.stats.reads
+        held, run = [], PlaybackSession.run
+
+        def spy(self, *args, **kwargs):
+            lease = server._sessions[sid].lease
+            held.append((lease.admission_id, set(lease.pinned)))
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlaybackSession, "run", spy)
+        result = server.serve([PlayRequest(sid)])
+        return result, held, server.mrs.msm.drive.stats.reads - reads
+
+    def test_an_evicted_slot_takes_a_controller_slot(self, monkeypatch):
+        server, (sid,) = self._edited()
+        result, held, reads = self._play(server, sid, monkeypatch)
+        status = result.status_of(sid)
+        assert status.state is SessionState.COMPLETED and status.continuous
+        assert not status.cache_admitted
+        (admission_id, _), = held
+        assert admission_id is not None and reads == 8
+        assert server.channel.calls_by_method() == {"admit": 2, "release": 2}
+        assert held_leases(server) == []
+
+    def test_resident_slots_are_repinned(self, monkeypatch):
+        server, (sid,) = self._edited(warm_other=True)
+        result, held, reads = self._play(server, sid, monkeypatch)
+        status = result.status_of(sid)
+        assert status.state is SessionState.COMPLETED and status.continuous
+        assert status.cache_admitted
+        (admission_id, pinned), = held
+        sequence = result.block_sequences[sid]
+        assert admission_id is None and pinned >= set(sequence) - {None}
+        assert reads == 0
+        assert held_leases(server) == []
+
+    def test_at_capacity_the_edited_lease_is_refused_typed(self):
+        server, (sid, follower) = self._edited(members=2)
+        controller = server.mrs.msm.admission
+        descriptor = server.mrs.msm.descriptor_for_media(True)
+        while controller.can_admit(descriptor):
+            controller.admit(descriptor)
+        full = controller.active_count
+        reads = server.mrs.msm.drive.stats.reads
+        result = server.serve([PlayRequest(sid)])
+        for member in (sid, follower):   # the follower never played
+            assert result.status_of(member).state is SessionState.REJECTED
+        assert [(r.session_id, r.reject) for r in result.rejects] == [
+            (sid, RejectReason.CAPACITY), (follower, RejectReason.CAPACITY)
+        ]
+        assert controller.active_count == full
+        assert server.cache.pinned_count == 0
+        assert server.mrs.msm.drive.stats.reads == reads
 
 
 class TestOneAdmissionDoor:

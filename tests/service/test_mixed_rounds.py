@@ -58,6 +58,23 @@ class TestRecordStream:
         assert record.captured_at(10.0) == 3  # clamped to the plan
         assert record.deadline_of(0) == pytest.approx(0.3)
 
+    def test_results_score_the_written_column(self):
+        """Block j is due when block ``j + capacity`` finishes capturing
+        — (j + 2) periods here — and the high-water is what capture has
+        staged but not yet written as each write completes; a second
+        call gives the same answer."""
+        record = RecordStream("r", [1, 2, 3], block_period=0.1,
+                              staging_capacity=1)
+        record.written += [0.15, 0.35, 0.45]
+        assert record.finished and record.next_block == 3
+        (metrics,) = record.results().values()
+        assert (metrics.blocks_delivered, metrics.misses) == (3, 2)
+        assert metrics.max_lateness == pytest.approx(0.05)
+        assert metrics.total_lateness == pytest.approx(0.1)
+        assert metrics.mean_lateness == pytest.approx(0.05 / 3)
+        assert metrics.buffer_high_water == 1
+        assert record.results()["r"].summary() == metrics.summary()
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             RecordStream("r", [1], block_period=0.0)

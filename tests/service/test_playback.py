@@ -8,7 +8,6 @@ from repro.core import continuity
 from repro.core.continuity import Architecture
 from repro.core.symbols import video_block_model
 from repro.disk import build_array, build_drive
-from repro.media.devices import DisplayDevice
 from repro.rope.server import BlockFetch
 from repro.service import (
     simulate_concurrent,
@@ -82,7 +81,7 @@ class TestPipelined:
 class TestSequential:
     def test_needs_more_slack_than_pipelined(self, block):
         """At a gap between the two bounds, sequential misses, pipelined not."""
-        device = DisplayDevice(TESTBED_1991.video_device)
+        device = TESTBED_1991.video_device
         reference = build_drive()
         params = reference.parameters()
         seq_bound = continuity.max_scattering(
@@ -107,7 +106,7 @@ class TestSequential:
 
     def test_continuous_inside_own_bound(self, block):
         drive = build_drive()
-        device = DisplayDevice(TESTBED_1991.video_device)
+        device = TESTBED_1991.video_device
         bound = continuity.max_scattering(
             Architecture.SEQUENTIAL, block, drive.parameters(),
             TESTBED_1991.video_device,

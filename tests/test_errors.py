@@ -1,19 +1,27 @@
 """Every failure path ends in a typed :mod:`repro.errors` value.
 
-Three families checked here: count parameters off the service loop go
+Four families checked here: count parameters off the service loop go
 through ``check_count`` (a string used to raise a bare ``TypeError``; a
-float or a bool was silently accepted), a fault plan refuses a value it
-cannot use, and a lookup of an absent session or title raises a
-``ReproError`` that is still a ``KeyError``.
+float or a bool was silently accepted), the front door's windows through
+``check_seconds`` (a NaN window silently turned batching off), a fault
+plan refuses a value it cannot use, and a lookup of an absent session or
+title raises a ``ReproError`` that is still a ``KeyError``.
 """
 
+import functools
 import math
 import re
 
 import pytest
 
 from repro.api import ClusterServeResult, ServeResult
-from repro.cluster import PlacementMap
+from repro.cluster import (
+    CatalogTitle,
+    ClusterNode,
+    PlacementMap,
+    PlacementPolicy,
+    build_cluster,
+)
 from repro.disk import BlockCache
 from repro.errors import (
     ParameterError,
@@ -24,8 +32,21 @@ from repro.errors import (
 from repro.faults import FaultKind, FaultPlan, FaultSpec, RecoveryPolicy
 from repro.obs import SessionTimeline, SpanTracer
 from repro.server import build_media_server
+from repro.server.batching import group_into_batches
 from repro.service import RecordStream
 from repro.sim.trace import Tracer
+
+
+@functools.lru_cache(maxsize=None)
+def _cluster():
+    """One small unwarmed cluster: ``serve`` refuses *chunks* up front."""
+    return build_cluster(nodes=2, titles=1, warm=False)[0]
+
+
+def _plan(per_node_streams):
+    titles = [CatalogTitle("T01", 1.0, 1.0)]
+    return PlacementPolicy(min_replicas=1).plan(titles, ["n0"], per_node_streams)
+
 
 #: (parameter, minimum it accepts, constructor, bad value).
 COUNTS = [
@@ -47,6 +68,18 @@ COUNTS = [
     (
         "staging_capacity", 1,
         lambda v: RecordStream("r", [0], 0.1, staging_capacity=v), 1.5,
+    ),
+    ("chunks", 1, lambda v: _cluster().serve([], chunks=v), 2.5),
+    ("chunks", 1, lambda v: _cluster().serve([], chunks=v), "2"),
+    ("chunks", 1, lambda v: _cluster().serve([], chunks=v), True),
+    (
+        "per_node_streams", 1,
+        lambda v: build_cluster(2, 1, per_node_streams=v), 2.5,
+    ),
+    ("per_node_streams", 1, _plan, 2.5),
+    (
+        "node n0: capacity", 1,
+        lambda v: ClusterNode("n0", build_media_server(), capacity=v), 2.5,
     ),
 ]
 
@@ -85,6 +118,29 @@ FAULTS = [
     ("retry_backoff", lambda v: RecoveryPolicy(retry_backoff=v), math.inf),
     ("retry_backoff", lambda v: RecoveryPolicy(retry_backoff=v), "1"),
 ]
+
+
+#: (window, constructor, a value it cannot use): a time goes through
+#: ``check_seconds``.  Before, ``batch_window=nan`` silently turned
+#: batching off, ``inf`` was accepted and ``"x"`` raised a bare TypeError.
+WINDOWS = [
+    ("batch_window", lambda v: build_media_server(batch_window=v), math.nan),
+    ("batch_window", lambda v: build_media_server(batch_window=v), math.inf),
+    ("batch_window", lambda v: build_media_server(batch_window=v), "x"),
+    ("window", lambda v: group_into_batches([], window=v), math.nan),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, value", WINDOWS,
+    ids=[f"{name}={value!r}" for name, _, value in WINDOWS],
+)
+def test_a_window_that_is_not_a_finite_time_is_refused(name, build, value):
+    got = re.escape(repr(value))
+    with pytest.raises(
+        ParameterError, match=rf"^{name} must be a finite real >= 0, got {got}$"
+    ):
+        build(value)
 
 
 @pytest.mark.parametrize(
