@@ -4,7 +4,9 @@ The paper guarantees continuity on a healthy drive; this example breaks
 the drive on purpose.  A seeded :class:`FaultPlan` schedules transient
 read errors (recoverable by bounded retry) and latent sector errors
 (permanent — the block is skipped as a recorded glitch), the playback
-session recovers what it can, and the trace explains every glitch.  The
+session recovers what it can, and the causal trace explains every glitch:
+each skipped block's span carries a ``fault.skip`` child naming the slot
+and the reason.  The
 same seed then replays bit-identically, and the identical workload on a
 healthy drive plays clean — the glitches were the faults' doing, nothing
 else.
@@ -18,7 +20,6 @@ from repro.media.frames import frames_for_duration
 from repro.obs import Observability
 from repro.rope import Media, build_rope_server
 from repro.service import PlaybackSession
-from repro.sim.trace import Tracer
 
 SEED = 42
 
@@ -44,15 +45,13 @@ def chaos_run(seed):
     ]
     plan = FaultPlan.random(seed=seed, slots=slots, transient=5, defects=2)
     drive.attach_injector(FaultInjector(plan))
-    # The trace is the one sink wanted here: an observer with every
-    # surface off, carrying the sim event log.
-    tracer, obs = Tracer(), Observability(enabled=False)
-    obs.attach_sim_tracer(tracer)
+    # A plain observer traces every block, so every skip has its span.
+    obs = Observability()
     session = PlaybackSession(
         mrs, recovery=RecoveryPolicy(retry_budget=2), obs=obs
     )
     result = session.run([play_id], k=4)
-    return drive, tracer, result, play_id
+    return drive, obs.tracer, result, play_id
 
 
 def main():
@@ -70,9 +69,15 @@ def main():
     print(f"reads recovered  : {drive.stats.degraded_reads}")
     print()
     print("trace excerpt (every glitch is explained):")
-    for event in tracer:
-        if event.tag.startswith("fault."):
-            print(f"  {event}")
+    skips = tracer.spans(name="fault.skip")
+    for skip in skips:
+        block = tracer.span(skip.parent_id)
+        print(
+            f"  [{skip.start:10.6f}] block {block.attrs['block']:>3} "
+            f"(slot {skip.attrs['slot']}): skipped, {skip.attrs['reason']}"
+        )
+    retries = len(tracer.spans(name="fault.retry"))
+    print(f"  ({retries} retries recovered their blocks on time)")
     print()
 
     replay = chaos_run(SEED)[2].metrics[play_id]
@@ -93,6 +98,7 @@ def main():
     assert identical, "replay diverged"
     assert healthy.all_continuous
     assert metrics.skips == 2 and metrics.misses == 2
+    assert len(skips) == metrics.skips
 
 
 if __name__ == "__main__":

@@ -182,9 +182,6 @@ MUTANTS = [
     Mutant(WATCHING, "the per-stream fold not seeded", RECORDER,
            "stream.turn_cost = self._prof.stream_cost(stream.request_id)",
            "stream.turn_cost = 0.0", MODEL),
-    Mutant(WATCHING, "a sim log no longer forces walking", ROUNDS,
-           "unwatched = (rec is None or not rec.logging) and order",
-           "unwatched = order", MODEL),
     Mutant(WATCHING, "a counted round ticks the SLOs", RECORDER,
            "if self._slo is not None and counted is None:",
            "if self._slo is not None:",

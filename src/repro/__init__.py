@@ -17,9 +17,9 @@ for Digital Video and Audio* (SOSP 1991):
 * the **Multimedia Rope Server** — ropes, synchronization information, the
   copy-free editing operations INSERT / REPLACE / SUBSTRING / CONCATE /
   DELETE, and the §4.2 scattering-repair algorithm (:mod:`repro.rope`);
-* a **discrete-event simulation engine** and a round-based real-time
-  service loop used to validate continuity empirically
-  (:mod:`repro.sim`, :mod:`repro.service`);
+* the round-based real-time **service loop** and the continuity scorer
+  used to validate continuity empirically (:mod:`repro.service`,
+  :mod:`repro.sim`);
 * experiment drivers regenerating every quantitative figure in the
   paper (:mod:`repro.analysis`).
 

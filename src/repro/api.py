@@ -121,9 +121,10 @@ class OpenSessionRequest:
         playback immediately; when False the client must follow up with
         a :class:`PlayRequest`.
 
-    A non-finite ``arrival``, a non-finite or negative ``start`` or a
-    non-finite ``length`` is a :class:`~repro.errors.ParameterError`
-    naming the field, raised when the request is built.
+    A time field that is not a finite real number (a bool is none), a
+    negative ``start`` or a ``media`` that is not a :class:`Media` is a
+    :class:`~repro.errors.ParameterError` naming the field, raised when
+    the request is built.
     """
 
     client_id: str
@@ -139,10 +140,16 @@ class OpenSessionRequest:
             ("arrival", self.arrival), ("start", self.start),
             ("length", 0.0 if self.length is None else self.length),
         ):
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                not math.isfinite(value)
+            ):
+                raise ParameterError(
+                    f"{name} must be a finite real number, got {value!r}"
+                )
         if self.start < 0:
             raise ParameterError(f"start must be >= 0, got {self.start}")
+        if not isinstance(self.media, Media):
+            raise ParameterError(f"media must be a Media, got {self.media!r}")
 
 
 @dataclass(frozen=True)

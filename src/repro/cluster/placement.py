@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ParameterError, UnknownRopeError, check_count
+from repro.errors import ParameterError, UnknownRopeError, check_count, check_seconds
 
 __all__ = [
     "CatalogTitle",
@@ -66,6 +66,7 @@ class CatalogTitle:
     def __post_init__(self) -> None:
         if not self.title_id:
             raise ParameterError("title_id must be non-empty")
+        check_seconds(f"title {self.title_id}: seconds", self.seconds)
         if self.seconds <= 0:
             raise ParameterError(
                 f"title {self.title_id}: seconds must be > 0, "

@@ -666,6 +666,9 @@ def build_cluster(
     cache are that node's rows in the profile; the router reports to
     *obs* itself.
     """
+    check_count("nodes", nodes)
+    check_count("titles", titles)
+    check_count("min_replicas", min_replicas)
     catalog = tuple(
         CatalogTitle(
             title_id=f"T{rank:02d}",

@@ -36,7 +36,6 @@ from repro.core.symbols import (
     DisplayDeviceParameters,
     VideoStream,
 )
-from repro.errors import ParameterError
 from repro.units import (
     gigabits_per_second,
     kilobytes,
@@ -51,7 +50,6 @@ __all__ = [
     "HDTV_2_5_GBIT",
     "FAST_ARRAY_1995",
     "PROFILES",
-    "get_profile",
 ]
 
 
@@ -156,14 +154,3 @@ PROFILES = {
     profile.name: profile
     for profile in (TESTBED_1991, HDTV_2_5_GBIT, FAST_ARRAY_1995)
 }
-
-
-def get_profile(name: str) -> HardwareProfile:
-    """Look up a profile by name, with a helpful error on typos."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(PROFILES))
-        raise ParameterError(
-            f"unknown profile {name!r}; known profiles: {known}"
-        ) from None

@@ -27,7 +27,7 @@ from repro.disk.factory import (
     build_drive,
 )
 from repro.disk.freemap import FreeMap
-from repro.disk.geometry import CHS, DiskGeometry
+from repro.disk.geometry import DiskGeometry
 from repro.disk.layout import GapFiller, Placement, StrandPlacer
 from repro.disk.raid import DriveArray, StripedSlot
 from repro.disk.seek import (
@@ -41,7 +41,6 @@ from repro.disk.seek import (
 __all__ = [
     "Allocator",
     "BlockCache",
-    "CHS",
     "CacheStats",
     "CachedDrive",
     "ConstrainedScatterAllocator",

@@ -1,6 +1,6 @@
 """Disk geometry: cylinders, tracks, sectors, and address arithmetic.
 
-The simulated drive uses classic CHS (cylinder/head/sector) geometry, with
+The simulated drive uses classic cylinder/head/sector geometry, with
 linear block addresses (LBA) assigned in the conventional order: all
 sectors of a track, then the next track (head) of the same cylinder, then
 the next cylinder.  Placement and seek-distance arithmetic all reduce to
@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 from repro.errors import AddressError, ParameterError
 
-__all__ = ["CHS", "DiskGeometry"]
-
-
-@dataclass(frozen=True)
-class CHS:
-    """A cylinder/head/sector coordinate."""
-
-    cylinder: int
-    head: int
-    sector: int
+__all__ = ["DiskGeometry"]
 
 
 @dataclass(frozen=True)
@@ -80,7 +71,7 @@ class DiskGeometry:
         """Total raw capacity in bits."""
         return self.total_sectors * self.sector_bits
 
-    # -- LBA <-> CHS -------------------------------------------------------
+    # -- addresses ---------------------------------------------------------
 
     def validate_lba(self, lba: int) -> None:
         """Raise :class:`AddressError` if *lba* is outside the drive."""
@@ -88,27 +79,6 @@ class DiskGeometry:
             raise AddressError(
                 f"LBA {lba} outside drive (0..{self.total_sectors - 1})"
             )
-
-    def to_chs(self, lba: int) -> CHS:
-        """Convert a linear block address to cylinder/head/sector."""
-        self.validate_lba(lba)
-        cylinder, rest = divmod(lba, self.sectors_per_cylinder)
-        head, sector = divmod(rest, self.sectors_per_track)
-        return CHS(cylinder=cylinder, head=head, sector=sector)
-
-    def to_lba(self, chs: CHS) -> int:
-        """Convert cylinder/head/sector to a linear block address."""
-        if not 0 <= chs.cylinder < self.cylinders:
-            raise AddressError(f"cylinder {chs.cylinder} outside drive")
-        if not 0 <= chs.head < self.tracks_per_cylinder:
-            raise AddressError(f"head {chs.head} outside drive")
-        if not 0 <= chs.sector < self.sectors_per_track:
-            raise AddressError(f"sector {chs.sector} outside drive")
-        return (
-            chs.cylinder * self.sectors_per_cylinder
-            + chs.head * self.sectors_per_track
-            + chs.sector
-        )
 
     def cylinder_of_lba(self, lba: int) -> int:
         """Cylinder coordinate of an LBA (the seek-relevant part)."""

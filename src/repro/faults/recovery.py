@@ -96,15 +96,15 @@ def read_with_recovery(
 
     Every outcome is reported once to *rec* (the caller's
     :class:`~repro.obs.recorder.ServiceRecorder`, or None), which turns
-    it into trace events, counters, profiler cost and spans.  With a
-    *parent* span (a sampled block's) each access attempt is traced
-    through the drive's ``traced_read`` and retries / skips become
-    children of it — so the causal trace explains every glitch.
+    it into counters, profiler cost and spans.  With a *parent* span (a
+    sampled block's) each access attempt is traced through the drive's
+    ``traced_read`` and retries / skips become children of it — so the
+    causal trace explains every glitch.
     """
 
-    def report(kind, start, end, cost=None, **detail):
+    def report(kind, start, end, cost=None, attempt=None):
         if rec is not None:
-            rec.fault(kind, slot, start, end, parent, cost, **detail)
+            rec.fault(kind, slot, start, end, parent, cost, attempt)
 
     elapsed = 0.0
     attempts = 0
@@ -119,15 +119,12 @@ def read_with_recovery(
         except TransientReadError as fault:
             elapsed += fault.elapsed
             at = now + elapsed
-            report("transient", at, at, attempt=attempts)
+            report("transient", at, at)
             if attempts >= policy.retry_budget:
-                report(
-                    "budget", at, at, fault.elapsed,
-                    budget=policy.retry_budget,
-                )
+                report("budget", at, at, fault.elapsed)
                 return elapsed, False
             if deadline is not None and at + policy.retry_backoff >= deadline:
-                report("deadline", at, at, fault.elapsed, deadline=deadline)
+                report("deadline", at, at, fault.elapsed)
                 return elapsed, False
             attempts += 1
             drive.stats.retries += 1
@@ -137,8 +134,7 @@ def read_with_recovery(
             # the failed attempt already charged).
             report(
                 "retry", at, now + elapsed,
-                fault.elapsed + policy.retry_backoff,
-                attempt=attempts, budget=policy.retry_budget,
+                fault.elapsed + policy.retry_backoff, attempts,
             )
             continue
         except MediaDefectError as fault:
@@ -150,11 +146,9 @@ def read_with_recovery(
             # No modeled cost: a dead head fails fast; the caller's
             # degrade path owns whatever follows.
             at = now + fault.elapsed
-            report("head", at, at, 0.0, head=fault.drive_index)
+            report("head", at, at, 0.0)
             raise
         if attempts:
             drive.stats.degraded_reads += 1
-            report(
-                "recovered", now + elapsed, now + elapsed, attempt=attempts
-            )
+            report("recovered", now + elapsed, now + elapsed)
         return elapsed, True

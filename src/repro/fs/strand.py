@@ -225,11 +225,6 @@ class Strand:
         self.slot_of(block_number)  # bounds check
         return self._block_units[block_number]
 
-    def unit_offset_of(self, block_number: int) -> int:
-        """First unit (frame/sample) position covered by a block."""
-        self.slot_of(block_number)  # bounds check
-        return sum(self._block_units[:block_number])
-
     def columns(self, first: int, last: int) -> Tuple[list, list, list, list]:
         """Blocks *first*..*last* as parallel lists: slot (None = silence
         holder), payload bits (0.0 for silence), units, video tokens.

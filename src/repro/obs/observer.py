@@ -58,9 +58,6 @@ class Observability:
         self.profiler: Optional[CostProfiler] = None
         #: A node-scoped view carries its node's id here; the root has none.
         self.node_id: Optional[str] = None
-        #: The :class:`repro.sim.trace.Tracer` event log the round loop
-        #: writes to, once one is attached (:meth:`attach_sim_tracer`).
-        self.sim_log = None
 
     @classmethod
     def for_scale(cls, seed: int = 0) -> "Observability":
@@ -121,17 +118,6 @@ class Observability:
         """
         return ScopedObservability(self, node_id)
 
-    def attach_sim_tracer(self, tracer) -> None:
-        """Make a :class:`repro.sim.trace.Tracer` this observer's sim event
-        log (the observer may be disabled): loops built over it afterwards
-        log to it, and snapshots report its drop count instead of letting
-        overflow truncate the log silently."""
-        self.sim_log = tracer
-
-    def timed(self, name: str):
-        """Profiling context manager on the shared registry."""
-        return self.registry.timed(name)
-
     # -- serialization -----------------------------------------------------------
 
     def snapshot_dict(self, include_profile: bool = False) -> Dict:
@@ -140,7 +126,6 @@ class Observability:
         The ``profile`` section appears only when a profiler is
         attached, so every pre-profiler golden stays byte-stable.
         """
-        log = self.sim_log
         out = {
             "metrics": self.registry.snapshot_dict(
                 include_profile=include_profile
@@ -152,8 +137,6 @@ class Observability:
                 self.slo.summary_dict() if self.slo is not None else {}
             ),
             "trace_health": {
-                "sim_events_dropped": log.dropped if log is not None else 0,
-                "sim_strict": log is not None and log.strict,
                 "spans_dropped": self.tracer.dropped_count,
                 "spans_strict": self.tracer.strict,
             },

@@ -7,20 +7,20 @@ cluster router) report *what happened* — each fact once, to a
 :class:`ServiceRecorder` — and this module alone decides which sink sees
 it: registry instruments (names, buckets), profiler phases, span names
 and parents, the request-id ↔ root-span binding, audit records, timeline
-stages, the SLO ticks, and the ``sim.trace.Tracer`` tag strings.
+stages and the SLO ticks.
 :data:`EVENTS` is the declarative event → sinks table
 (docs/OBSERVABILITY.md mirrors it, checked by a tooling test);
 :data:`FAULTS` is the same for fault outcomes.
 
 A component obtains its recorder once from :func:`recorder_for`, which
 returns None when there is nothing to record (no observer, or a disabled
-one with no sim event log) — so the unobserved hot path is one ``is None``
-test per report site and never formats a string.  Per-block sampling
-stays data on the surfaces.  ``SpanTracer.block_keep_first/block_every_kth``
-picks the blocks traced live: ``StreamState.report_at`` — set by the
-recorder — names the next block index of a stream the loop should report,
-and it reports only those.  ``SessionTimeline.keep_first/every_kth`` picks
-the blocks the run-end walk tallies from the loop's columns.
+one) — so the unobserved hot path is one ``is None`` test per report
+site.  Per-block sampling stays data on the surfaces.
+``SpanTracer.block_keep_first/block_every_kth`` picks the blocks traced
+live: ``StreamState.report_at`` — set by the recorder — names the next
+block index of a stream the loop should report, and it reports only
+those.  ``SessionTimeline.keep_first/every_kth`` picks the blocks the
+run-end walk tallies from the loop's columns.
 """
 
 from __future__ import annotations
@@ -45,19 +45,16 @@ __all__ = ["EVENTS", "FAULTS", "ServiceRecorder", "recorder_for", "sinks"]
 #: gauges, names with a ``<label>`` part, the fault counters and all the
 #: cluster router's counters exist once first used.
 EVENTS: Dict[str, Tuple[str, str]] = {
-    "stream_opened": ("loop", "span:service.stream sim:admit"),
+    "stream_opened": ("loop", "span:service.stream"),
     "round_begin": (
         "loop", "histogram:service.queue_depth timer:service.round"),
-    "turn_begin": ("loop", "sim:buffer-full"),
     "block_begin": ("loop", "span:service.block"),
     "block_end": ("loop", "span:service.block"),
-    "playback_started": ("loop", "sim:playback-start"),
     "round_served": (
         "loop", "timer:service.round histogram:service.round_utilization"),
     "round_end": (
         "loop", "histogram:service.queue_depth timer:service.round "
         "profile:checkpoint slo:round"),
-    "text_completed": ("loop", "sim:text-complete"),
     "run_end": (
         "loop", "histogram:session.deadline_slack_s "
         "counter:session.blocks_delivered counter:session.blocks_skipped "
@@ -76,8 +73,7 @@ EVENTS: Dict[str, Tuple[str, str]] = {
         "fault", "counter:fault.injected counter:fault.retries "
         "counter:fault.skips counter:fault.deadline_abandons "
         "counter:fault.head_failures counter:fault.recovered_reads "
-        "phase:fault_recovery span:fault.retry span:fault.skip "
-        "sim:fault.inject sim:fault.retry sim:fault.skip sim:fault.degrade"),
+        "phase:fault_recovery span:fault.retry span:fault.skip"),
     "batch_formed": ("server", "span:server.batch"),
     "request_opened": ("server", "span:server.request"),
     "request_rejected": (
@@ -146,32 +142,17 @@ def sinks(event: str, kind: str) -> List[str]:
 _TRACED = {
     event: sinks(event, "span")[0] for event in ("drive_access", "cache_read")
 }
-_INJECT, _SKIP = "fault.inject", "fault.skip"
-#: fault outcome -> (sim-trace events as (tag, detail template), counters,
-#: span name, skip reason); a retry span covers the backoff window.
+_SKIP = "fault.skip"
+#: fault outcome -> (counters, span name, skip reason); a retry span
+#: covers the backoff window.
 FAULTS: Dict[str, tuple] = {
-    "transient": (
-        ((_INJECT, "transient at slot {slot} (attempt {attempt})"),),
-        ("fault.injected",), "", ""),
-    "budget": (
-        ((_SKIP, "slot {slot}: retry budget {budget} exhausted"),),
-        ("fault.skips",), _SKIP, "budget"),
-    "deadline": (
-        ((_SKIP, "slot {slot}: retry would miss deadline {deadline:.6f}"),),
-        ("fault.skips", "fault.deadline_abandons"), _SKIP, "deadline"),
-    "retry": (
-        (("fault.retry", "slot {slot}: attempt {attempt} of {budget}"),),
-        ("fault.retries",), "fault.retry", ""),
-    "defect": (
-        ((_INJECT, "media defect at slot {slot}"),
-         (_SKIP, "slot {slot}: media defect is permanent")),
-        ("fault.injected", "fault.skips"), _SKIP, "defect"),
-    "head": (
-        ((_INJECT, "head {head} failure at slot {slot}"),),
-        ("fault.injected", "fault.head_failures"), "", ""),
-    "recovered": (
-        (("fault.degrade", "slot {slot}: recovered after {attempt} {retries}"),),
-        ("fault.recovered_reads",), "", ""),
+    "transient": (("fault.injected",), "", ""),
+    "budget": (("fault.skips",), _SKIP, "budget"),
+    "deadline": (("fault.skips", "fault.deadline_abandons"), _SKIP, "deadline"),
+    "retry": (("fault.retries",), "fault.retry", ""),
+    "defect": (("fault.injected", "fault.skips"), _SKIP, "defect"),
+    "head": (("fault.injected", "fault.head_failures"), "", ""),
+    "recovered": (("fault.recovered_reads",), "", ""),
 }
 
 #: "No block of this stream is sampled again" (past any real index).
@@ -186,39 +167,20 @@ def _next_sampled(index: int, keep: Optional[int], every: Optional[int]) -> int:
     return NEVER if every is None else index + (-index % every)
 
 
-#: The sources some :data:`EVENTS` row gives a ``sim:`` sink: the only
-#: recorders the observer's sim event log is handed to.
-_LOGGING = {source for source, row in EVENTS.values() if "sim:" in row}
-
-
 def recorder_for(obs, source: str) -> Optional["ServiceRecorder"]:
-    """The recorder a *source* component reports into, or None.
-
-    *obs* is an :class:`~repro.obs.Observability`, a node-scoped view of
-    one, or None.  Its sim event log (``obs.sim_log``), when one is
-    attached and enabled, goes to a source that logs — even when *obs*
-    itself is disabled.
-    """
-    if obs is None:
+    """The recorder a *source* component reports into, or None when *obs*
+    (an :class:`~repro.obs.Observability`, a node-scoped view of one, or
+    None) records nothing."""
+    if obs is None or not obs.enabled:
         return None
-    sim = obs.sim_log if source in _LOGGING else None
-    if sim is not None and not sim.enabled:
-        sim = None
-    if not obs.enabled and sim is None:
-        return None
-    return ServiceRecorder(obs if obs.enabled else None, source, sim)
+    return ServiceRecorder(obs, source)
 
 
 class ServiceRecorder:
     """Fans each reported fact out to the sinks :data:`EVENTS` names."""
 
-    def __init__(self, obs, source: str, sim=None):
+    def __init__(self, obs, source: str):
         self._obs = obs
-        self._sim = sim
-        #: Whether a sim event log wants every turn, a sleeping one too.
-        self.logging = sim is not None
-        self._subject = ""
-        self._head_lost = False
         #: Open spans this recorder closes later: stream id -> its
         #: ``service.stream`` (loop), session id -> its root (cluster).
         self._held: Dict[str, object] = {}
@@ -232,9 +194,7 @@ class ServiceRecorder:
         self._tl_gate: Tuple[Optional[int], Optional[int]] = (None, None)
         #: The node *obs* is scoped to, read once (None outside a cluster):
         #: the profile's ``per_node`` key for what attaches or faults here.
-        self._node: Optional[str] = None if obs is None else obs.node_id
-        if obs is None:
-            return
+        self._node: Optional[str] = obs.node_id
         registry = self._registry = obs.registry
         # The router's counters exist once first used: a run without a
         # reject has no ``cluster.rejects`` key.
@@ -253,10 +213,6 @@ class ServiceRecorder:
             self._spans = obs.tracer
         self._slo = obs.slo
         self._prof = obs.profiler
-
-    def _log(self, time: float, tag: str, subject: str, detail: str, *args) -> None:
-        if self._sim is not None:
-            self._sim.emit(time, tag, subject, detail % args)
 
     def _count(self, name: str, amount: int = 1) -> None:
         self._registry.counter(name).inc(amount)
@@ -283,12 +239,10 @@ class ServiceRecorder:
 
     # -- the round loop ----------------------------------------------------------
 
-    def stream_opened(self, stream, time: float, admitted_round=None) -> None:
-        """A stream joined the service (mid-run when *admitted_round*).  Its
-        span continues the server-side root span bound for the request (or
-        the wire context it carries), else roots a trace keyed by its id."""
-        if admitted_round is not None:
-            self._log(time, "admit", stream.request_id, "round %d", admitted_round)
+    def stream_opened(self, stream, time: float) -> None:
+        """A stream joined the service.  Its span continues the server-side
+        root span bound for the request (or the wire context it carries),
+        else roots a trace keyed by its id."""
         self._report_from(stream, stream.next_fetch)
         if self._prof is not None:   # its turns' costs add on, in turn order
             stream.turn_cost = self._prof.stream_cost(stream.request_id)
@@ -307,20 +261,11 @@ class ServiceRecorder:
             self._held[stream.request_id] = span
             stream.trace = span
 
-    def round_begin(self, active: int) -> bool:
-        """A round starts over *active* streams; returns whether its turns
-        should be reported too (the sim event log consumes them)."""
-        if self._obs is not None:
-            self._m["service.queue_depth"].observe(active)
-            self._round_timer = self._registry.timed("service.round")
-            self._round_timer.__enter__()
-        return self.logging
-
-    def turn_begin(self, stream, time: float, round_number: int, quota: int) -> None:
-        """*stream*'s turn starts with *quota* blocks of buffer room."""
-        self._subject = stream.request_id
-        if quota == 0:
-            self._log(time, "buffer-full", stream.request_id, "round %d", round_number)
+    def round_begin(self, active: int) -> None:
+        """A round starts over *active* streams."""
+        self._m["service.queue_depth"].observe(active)
+        self._round_timer = self._registry.timed("service.round")
+        self._round_timer.__enter__()
 
     def block_begin(self, stream, index, time, round_number):
         """A block the tracer samples (``stream.report_at``) starts
@@ -335,20 +280,11 @@ class ServiceRecorder:
         """The block begun with *span* is in the buffer (or was skipped)."""
         self._spans.end_span(span, time, "skipped" if skipped else "ok")
 
-    def playback_started(self, stream, time) -> None:
-        """A turn that ended at *time* started *stream*'s playback clock."""
-        self._log(
-            time, "playback-start", stream.request_id,
-            "after %d blocks", len(stream.ready),
-        )
-
     def round_served(self, start, time, budget) -> None:
         """Every stream had its turn: *budget* is the tightest Eq.-11
         ``k_i * T_i`` among those served (inf when none moved a block)."""
-        if self._round_timer is not None:
-            self._round_timer.__exit__(None, None, None)
-            self._round_timer = None
-        if self._obs is not None and 0 < budget < float("inf"):
+        self._round_timer.__exit__(None, None, None)
+        if 0 < budget < float("inf"):
             self._m["service.round_utilization"].observe((time - start) / budget)
 
     def round_end(self, time, round_number, counted=None) -> None:
@@ -357,7 +293,7 @@ class ServiceRecorder:
         streams, every buffer full) reports what a walked idle round does
         but the SLO tick: it follows a walked round that ticked, with no
         turn, join or after-turn work since, so no counter moved."""
-        if counted is not None and self._obs is not None:
+        if counted is not None:
             self._m["service.queue_depth"].observe(counted)
             with self._registry.timed("service.round"):
                 pass
@@ -366,21 +302,16 @@ class ServiceRecorder:
         if self._slo is not None and counted is None:
             self._slo.on_round(time, round_number)
 
-    def text_completed(self, request_id: str, time: float, blocks: int) -> None:
-        """A best-effort text request finished inside the round slack."""
-        self._log(time, "text-complete", request_id, "%d blocks", blocks)
-
     def run_end(self, streams, time, rounds_run) -> None:
         """Score the completed run, stream by stream, and hand each its
         folded turn cost."""
-        if self._obs is not None:
-            for stream in streams:
-                self._score(stream)
-                fetched = stream.next_fetch
-                served = fetched - self._opened.pop(id(stream), fetched)
-                if served:
-                    self._prof.fold_stream(stream.request_id, served, stream.turn_cost)
-            self._registry.gauge("service.rounds_run").set(rounds_run)
+        for stream in streams:
+            self._score(stream)
+            fetched = stream.next_fetch
+            served = fetched - self._opened.pop(id(stream), fetched)
+            if served:
+                self._prof.fold_stream(stream.request_id, served, stream.turn_cost)
+        self._registry.gauge("service.rounds_run").set(rounds_run)
         if self._slo is not None:
             self._slo.finalize(time)
 
@@ -480,32 +411,18 @@ class ServiceRecorder:
         """Close a span handed out by :meth:`span_begin`."""
         self._spans.end_span(span, time, status)
 
-    def fault(self, kind, slot, start, end, parent=None, cost=None, **detail) -> None:
+    def fault(self, kind, slot, start, end, parent=None, cost=None,
+              attempt=None) -> None:
         """One fault-recovery outcome (a :data:`FAULTS` key) over ``[start,
         end]``; *cost* is the modeled delay it added, *parent* the traced
-        block's span."""
-        events, counters, span_name, reason = FAULTS[kind]
-        if self._sim is not None:
-            retries = "retry" if detail.get("attempt") == 1 else "retries"
-            for tag, template in events:
-                text = template.format(slot=slot, retries=retries, **detail)
-                self._sim.emit(end, tag, self._subject, text)
-            if kind == "head" and not self._head_lost:
-                # The service degrades once, however often the dead head
-                # is tried again afterwards.
-                self._head_lost = True
-                self._sim.emit(
-                    end, "fault.degrade", "service",
-                    f"head {detail['head']} lost; degraded service, "
-                    "admission revalidation requested",
-                )
-        if self._obs is not None:
-            for name in counters:
-                self._count(name)
+        block's span, *attempt* a retry's number."""
+        counters, span_name, reason = FAULTS[kind]
+        for name in counters:
+            self._count(name)
         if cost is not None and self._prof is not None:
             self._prof.fault(cost, self._node)
         if span_name and parent is not None:
-            extra = {"reason": reason} if reason else {"attempt": detail["attempt"]}
+            extra = {"reason": reason} if reason else {"attempt": attempt}
             span = self._spans.start_span(
                 span_name, start, parent=parent, attrs={"slot": slot, **extra}
             )

@@ -22,8 +22,7 @@ parameter (the playback session building stream plans from request ids),
 :meth:`SpanTracer.bind` registers a context under a key —
 ``context_for`` returns it downstream.
 
-Overflow mirrors :class:`repro.sim.trace.Tracer`: past ``limit`` spans,
-new spans are dropped (counted in :attr:`SpanTracer.dropped_count`) so
+Overflow is bounded: past ``limit`` spans, new spans are dropped (counted in :attr:`SpanTracer.dropped_count`) so
 existing parent chains stay intact, or :class:`SimulationError` is
 raised in ``strict`` mode.  ``block_keep_first`` / ``block_every_kth``
 are the per-block sampling knobs the service recorder consults so tracing

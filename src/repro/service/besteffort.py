@@ -108,13 +108,13 @@ class TextQueue:
         construction.
         """
         deadline = round_start + round_budget(active, k)
-        return self._read(service.drive, time, deadline, service._rec), False
+        return self._read(service.drive, time, deadline), False
 
     def drain(self, drive: SimulatedDrive, start_time: float) -> float:
         """Serve any remaining text after media streams complete."""
         return self._read(drive, start_time, float("inf"))
 
-    def _read(self, drive, time: float, deadline: float, rec=None) -> float:
+    def _read(self, drive, time: float, deadline: float) -> float:
         """Read queued blocks, FIFO, while the next one's worst case ends
         by *deadline*; returns the time the last read ended."""
         for request in self.requests:
@@ -129,8 +129,4 @@ class TextQueue:
                 self.blocks_served += 1
                 if request.finished:
                     request.completion_time = time
-                    if rec is not None:
-                        rec.text_completed(
-                            request.request_id, time, len(request.slots)
-                        )
         return time

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.core.symbols import DisplayDeviceParameters
 from repro.disk.drive import SimulatedDrive
 from repro.disk.raid import DriveArray
-from repro.errors import HeadFailureError, ParameterError
+from repro.errors import HeadFailureError, check_count
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.rope.server import BlockFetch, FetchColumns
 from repro.sim.metrics import ContinuityMetrics
@@ -54,8 +54,7 @@ def _replay(
     *read_ahead* further blocks are on board behind the first.  A dead
     head costs its member every later block (a skip each).
     """
-    if read_ahead < 0:
-        raise ParameterError(f"read_ahead must be >= 0, got {read_ahead}")
+    check_count("read_ahead", read_ahead, 0)
     p = len(members)
     policy = recovery or RecoveryPolicy()
     time = 0.0

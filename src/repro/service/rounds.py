@@ -151,12 +151,11 @@ class RoundRobinService:
     obs:
         Optional :class:`~repro.obs.Observability` handle (or node-scoped
         view).  The loop reports what happened to the one
-        :class:`~repro.obs.recorder.ServiceRecorder` built from *obs* —
-        its surfaces and the sim event log attached to it, if any; with
-        nothing to record there is no recorder and every report site is
-        a single None test.  A round in which every buffer is full is
-        counted, not walked, unless a sim event log, an *order* or
-        after-turn work watches the loop.
+        :class:`~repro.obs.recorder.ServiceRecorder` built from *obs*;
+        with nothing to record there is no recorder and every report
+        site is a single None test.  A round in which every buffer is
+        full is counted, not walked, unless an *order* or after-turn
+        work watches the loop.
     order:
         Visiting order ``(drive, active, round_number) -> streams`` for
         each round; None is the paper's arrival order.
@@ -202,8 +201,8 @@ class RoundRobinService:
         order, after = self.order, self.after_turns
         never = float("inf")
         rec = self._rec
-        # Only a sim event log wants each sleeping stream's turn reported.
-        unwatched = (rec is None or not rec.logging) and order is None and not after
+        # Only a policy point wants a round whose turns would all sleep.
+        unwatched = order is None and not after
         if rec is not None:
             for stream in active:
                 rec.stream_opened(stream, time)
@@ -224,7 +223,7 @@ class RoundRobinService:
                 compact = True
                 soonest = 0.0
                 if rec is not None:
-                    rec.stream_opened(admitted.stream, time, round_number)
+                    rec.stream_opened(admitted.stream, time)
             if compact:
                 # Compact finished streams out in place, preserving order;
                 # only a join or a turn that ends a plan can add one.
@@ -313,15 +312,13 @@ class RoundRobinService:
         budget = soonest = float("inf")
         rec = self._rec
         recorded = rec is not None
-        #: Whether the recorder also wants turns reported (a sim event log).
-        logged = recorded and rec.round_begin(len(active))
+        if recorded:
+            rec.round_begin(len(active))
         read, faulty = self.drive.read_slot, self.drive.injector is not None
         for stream in active:
             wake = stream._wake
             if time < wake:
                 # A buffer a turn filled has no room before its wake.
-                if logged:
-                    rec.turn_begin(stream, time, round_number, 0)
                 if wake < soonest:
                     soonest = wake
                 continue
@@ -333,8 +330,6 @@ class RoundRobinService:
             count = bisect_right(ends, time)
             room = stream.buffer_capacity - len(ready) + count
             quota = room if room < stream_k else stream_k
-            if logged:
-                rec.turn_begin(stream, time, round_number, quota)
             stream_start = time
             fetches, first = stream.fetches, stream.next_fetch
             slots, bits, durations = fetches.slots, fetches.bits, fetches.durations
@@ -388,8 +383,6 @@ class RoundRobinService:
                 soonest = wake
             if recorded:
                 stream.turn_cost += time - stream_start
-                if started and logged:
-                    rec.playback_started(stream, time)
                 if 0.0 < stream_k * stream.duration_floor < budget:
                     budget = stream_k * stream.duration_floor
         if recorded:

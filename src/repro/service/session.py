@@ -104,9 +104,7 @@ class PlaybackSession:
         Optional :class:`~repro.obs.Observability` handle forwarded to
         the round service and attached to the drive for the run.
         Defaults to the storage manager's own observer (if any), so one
-        handle wired at MSM construction observes every session; a sim
-        event log attached to it (``obs.attach_sim_tracer``) records the
-        run.
+        handle wired at MSM construction observes every session.
     """
 
     def __init__(

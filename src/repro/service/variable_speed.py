@@ -29,7 +29,7 @@ from itertools import accumulate
 from typing import List, Optional, Sequence
 
 from repro.disk.drive import SimulatedDrive
-from repro.errors import ParameterError
+from repro.errors import ParameterError, check_count, check_seconds
 from repro.rope.server import BlockFetch, FetchColumns
 from repro.sim.metrics import ContinuityMetrics
 
@@ -53,8 +53,10 @@ def transform_plan(
       "fast-forwarding with skipping").
     * ``speed < 1`` slow motion: durations stretch by 1/speed.
     """
-    if speed <= 0:
-        raise ParameterError(f"speed must be positive, got {speed}")
+    if isinstance(speed, bool) or not isinstance(speed, (int, float)) or not (
+        0 < speed < math.inf
+    ):
+        raise ParameterError(f"speed must be a finite real > 0, got {speed!r}")
     if skipping and speed <= 1.0:
         raise ParameterError("skipping only applies to fast-forward")
     # Each kept block covers `stride` blocks of media in stride/speed of
@@ -102,14 +104,12 @@ def simulate_variable_speed(
     time) before the next read — the behaviour §3.3.2 prescribes, with
     the h-block read-ahead realized by the full buffer it leaves behind.
     """
-    if buffer_capacity < 1:
-        raise ParameterError(
-            f"buffer_capacity must be >= 1, got {buffer_capacity}"
-        )
+    check_count("buffer_capacity", buffer_capacity)
     plan = transform_plan(fetches, speed, skipping)
     durations = plan.durations
     if switch_penalty is None:
         switch_penalty = drive.parameters().seek_max
+    check_seconds("switch_penalty", switch_penalty)
     metrics = ContinuityMetrics(request_id=request_id)
     # When each block landed, and when it finished playing (the clock
     # starts as the first lands).

@@ -1,10 +1,5 @@
-"""Simulation substrate: continuity metrics and the event trace."""
+"""Simulation substrate: the continuity scorer."""
 
 from repro.sim.metrics import ContinuityMetrics
-from repro.sim.trace import TraceEvent, Tracer
 
-__all__ = [
-    "ContinuityMetrics",
-    "TraceEvent",
-    "Tracer",
-]
+__all__ = ["ContinuityMetrics"]

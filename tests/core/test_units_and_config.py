@@ -8,9 +8,7 @@ from repro.config import (
     HDTV_2_5_GBIT,
     PROFILES,
     TESTBED_1991,
-    get_profile,
 )
-from repro.errors import ParameterError
 
 
 class TestSizeConversions:
@@ -63,13 +61,6 @@ class TestProfiles:
         assert set(PROFILES) == {
             "testbed-1991", "hdtv-2.5gbit", "fast-array-1995"
         }
-
-    def test_get_profile(self):
-        assert get_profile("testbed-1991") is TESTBED_1991
-
-    def test_get_profile_unknown(self):
-        with pytest.raises(ParameterError, match="known profiles"):
-            get_profile("nonexistent")
 
     def test_testbed_matches_paper_figures(self):
         # 30 fps NTSC video, 8 KByte/s audio (8000 x 8-bit samples).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.disk.geometry import CHS, DiskGeometry
+from repro.disk.geometry import DiskGeometry
 from repro.errors import AddressError, ParameterError
 
 
@@ -28,15 +28,6 @@ class TestCapacity:
 
 
 class TestAddressing:
-    def test_lba_chs_roundtrip(self, geometry):
-        for lba in (0, 1, 63, 64, 639):
-            chs = geometry.to_chs(lba)
-            assert geometry.to_lba(chs) == lba
-
-    def test_chs_components(self, geometry):
-        chs = geometry.to_chs(64 + 16 + 3)  # cyl 1, head 1, sector 3
-        assert chs == CHS(cylinder=1, head=1, sector=3)
-
     def test_cylinder_of_lba(self, geometry):
         assert geometry.cylinder_of_lba(0) == 0
         assert geometry.cylinder_of_lba(63) == 0
@@ -45,17 +36,9 @@ class TestAddressing:
 
     def test_out_of_range_lba(self, geometry):
         with pytest.raises(AddressError):
-            geometry.to_chs(640)
+            geometry.cylinder_of_lba(640)
         with pytest.raises(AddressError):
             geometry.validate_lba(-1)
-
-    def test_out_of_range_chs(self, geometry):
-        with pytest.raises(AddressError):
-            geometry.to_lba(CHS(cylinder=10, head=0, sector=0))
-        with pytest.raises(AddressError):
-            geometry.to_lba(CHS(cylinder=0, head=4, sector=0))
-        with pytest.raises(AddressError):
-            geometry.to_lba(CHS(cylinder=0, head=0, sector=16))
 
 
 class TestSlots:

@@ -70,7 +70,6 @@ class TestRecording:
         assert strand.block_at(1) is None
         assert strand.unit_count == 300
         assert strand.units_of(1) == 100
-        assert strand.unit_offset_of(2) == 200
 
     def test_video_strands_reject_silence(self):
         strand = make_strand()
@@ -96,7 +95,6 @@ class TestRecording:
         strand.extend([video_block(4), video_block(2, start=4)], [1, 2])
         assert strand.units_of(0) == 4
         assert strand.units_of(1) == 2
-        assert strand.unit_offset_of(1) == 4
 
 
 class TestImmutability:

@@ -21,7 +21,6 @@ from repro.media.frames import frames_for_duration
 from repro.obs import Observability
 from repro.rope import Media
 from repro.service import PlaybackSession
-from repro.sim.trace import Tracer
 
 SEED = 20260806
 
@@ -51,8 +50,7 @@ class TestChaosPlayback:
             seed=SEED, slots=slots, transient=6, defects=3
         )
         mrs.msm.drive.attach_injector(FaultInjector(plan))
-        tracer, obs = Tracer(), Observability(enabled=False)
-        obs.attach_sim_tracer(tracer)
+        obs = Observability()
         session = PlaybackSession(
             mrs, recovery=RecoveryPolicy(retry_budget=2), obs=obs
         )
@@ -67,11 +65,17 @@ class TestChaosPlayback:
         assert stats.faults_injected == 9
         assert stats.degraded_reads == 6
         assert stats.retries == 6
-        counts = tracer.counts_by_tag()
-        assert counts["fault.inject"] == 9
-        assert counts["fault.retry"] == 6
-        assert counts["fault.skip"] == 3
-        assert counts["fault.degrade"] == 6
+        counters = obs.registry.snapshot_dict()["counters"]
+        assert counters["fault.injected"] == 9
+        assert counters["fault.retries"] == 6
+        assert counters["fault.skips"] == 3
+        assert counters["fault.recovered_reads"] == 6
+        # Every block is traced: each skip is a defect's span under the
+        # skipped block's own span, on a faulted slot.
+        skips = obs.tracer.spans(name="fault.skip")
+        assert [span.attrs["reason"] for span in skips] == ["defect"] * 3
+        assert {span.attrs["slot"] for span in skips} <= set(slots)
+        assert len(obs.tracer.spans(name="fault.retry")) == 6
 
     def test_same_seed_replays_byte_identical(self, profile):
         """Deterministic replay: identical seeds, identical summaries."""
@@ -149,8 +153,7 @@ class TestChaosPlayback:
             seed=SEED + 1, slots=slots, transient=10, defects=6
         )
         mrs.msm.drive.attach_injector(FaultInjector(plan))
-        tracer, obs = Tracer(), Observability(enabled=False)
-        obs.attach_sim_tracer(tracer)
+        obs = Observability()
         session = PlaybackSession(
             mrs, recovery=RecoveryPolicy(retry_budget=3), obs=obs
         )
@@ -165,3 +168,7 @@ class TestChaosPlayback:
         injector = mrs.msm.drive.injector
         assert injector.injected == stats.faults_injected
         assert injector.pending_transients == 0
+        counters = obs.registry.snapshot_dict()["counters"]
+        assert counters["fault.injected"] == stats.faults_injected
+        assert counters["fault.skips"] == result.total_skips
+        assert counters["fault.recovered_reads"] == stats.degraded_reads

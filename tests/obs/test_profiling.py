@@ -338,7 +338,7 @@ class TestScopedObservability:
         view.registry.counter("x").inc(3)
         view.registry.gauge("g").set(2.5)
         view.registry.histogram("h", SEEK_TIME_BUCKETS).observe(0.5)
-        with view.timed("t"):
+        with view.registry.timed("t"):
             pass
         metrics = obs.registry.snapshot_dict()
         assert metrics["counters"]["x"] == 3

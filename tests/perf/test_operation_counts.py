@@ -149,26 +149,21 @@ class TestObsOffFastPath:
     def test_obs_off_builds_no_recorder_and_formats_nothing(
         self, monkeypatch, obs
     ):
-        """No observer (or a disabled one) and no sim tracer: the loop
-        holds no recorder at all, so nothing can be formatted for — let
-        alone emitted to — a trace log."""
+        """No observer (or a disabled one): the loop holds no recorder at
+        all, so nothing can be formatted for any sink."""
         from repro.obs.recorder import ServiceRecorder
-        from repro.sim.trace import Tracer
 
-        built, emitted = [], []
+        built = []
         init = ServiceRecorder.__init__
         monkeypatch.setattr(
             ServiceRecorder, "__init__",
             lambda self, *a, **k: (built.append(a), init(self, *a, **k))[1],
         )
-        monkeypatch.setattr(
-            Tracer, "emit", lambda self, *a, **k: emitted.append(a)
-        )
         metrics, total_blocks = _service_run(obs=obs)
         assert sum(m.blocks_delivered for m in metrics.values()) == (
             total_blocks
         )
-        assert built == [] and emitted == []
+        assert built == []
 
     def test_obs_off_streams_carry_no_trace_state(self):
         scenario = Scale(
@@ -789,35 +784,6 @@ class TestIdleRoundsAreCounted:
         serving = sum(model.rounds_run - model.idle_rounds for model in models)
         assert len(entered) == serving < result.rounds
         assert all(s.state.value == "completed" for s in result.statuses)
-
-    def test_a_sim_tracer_sees_every_round_begin(self, monkeypatch):
-        """A sim event log watches the loop, so every round is walked and
-        reported: one ``round_begin`` per counted round."""
-        from repro.obs.recorder import ServiceRecorder
-        from repro.sim.trace import Tracer
-
-        begun = []
-        inner = ServiceRecorder.round_begin
-        monkeypatch.setattr(
-            ServiceRecorder, "round_begin",
-            lambda self, n: (begun.append(n), inner(self, n))[1],
-        )
-        rounds = []
-        for attach in (False, True):
-            obs = Observability(enabled=False)
-            if attach:
-                obs.attach_sim_tracer(Tracer())
-            scenario = Scale(
-                label="traced", streams=2, blocks_per_stream=60,
-                k=4, buffer_capacity=6, seed=7,
-            )
-            drive = build_drive()
-            service = RoundRobinService(
-                drive, lambda _r, _n: scenario.k, obs=obs
-            )
-            service.run(*scenario.build_streams(drive))
-            rounds.append(service.rounds_run)
-        assert rounds[0] == rounds[1] == len(begun) > 0
 
 
 def _cluster_preset():

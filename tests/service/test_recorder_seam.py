@@ -5,7 +5,8 @@ real :class:`~repro.obs.recorder.ServiceRecorder` — drives
 :class:`RoundRobinService` over generated loads and checks what the loop
 *reports*, independent of any sink: every stream's block begins and ends
 pair up and account for every block, events never run backwards, every
-block ends inside its round, and the cost a stream's turns fold into
+block ends inside its round, every round is walked or counted once, and
+the cost a stream's turns fold into
 ``StreamState.turn_cost`` is exactly what a real run attributes to that
 stream in the cost profile (the loop carries no other number for the
 profiler: the rest of a profile is read off the drive's own stats).
@@ -40,10 +41,7 @@ loads = st.fixed_dictionaries(
 
 
 class FakeRecorder:
-    """Appends ``(event, args)`` for every report; wants every block and
-    every turn, so every round is walked."""
-
-    logging = True
+    """Appends ``(event, args)`` for every report; wants every block."""
 
     def __init__(self):
         self.events = []
@@ -54,13 +52,9 @@ class FakeRecorder:
             return f"{event}-{len(self.events)}"
         return report
 
-    def stream_opened(self, stream, time, admitted_round=None):
+    def stream_opened(self, stream, time):
         self.events.append(("stream_opened", (stream, time), {}))
         stream.report_at = stream.next_fetch
-
-    def round_begin(self, active):
-        self.events.append(("round_begin", (active,), {}))
-        return True
 
     def block_begin(self, stream, index, time, round_number):
         self.events.append(
@@ -132,10 +126,8 @@ def test_loop_reports_each_fact_once_and_in_order(spec):
 
     # Events never run backwards in simulated time.
     time_of = {
-        "stream_opened": 1, "turn_begin": 1, "block_begin": 2,
-        "block_end": 3, "playback_started": 1, "round_served": 1,
-        "round_end": 0,
-        "run_end": 1,
+        "stream_opened": 1, "block_begin": 2, "block_end": 3,
+        "round_served": 1, "round_end": 0, "run_end": 1,
     }
     times = [
         args[time_of[name]] for name, args, _kw in fake.events
@@ -159,10 +151,17 @@ def test_loop_reports_each_fact_once_and_in_order(spec):
     assert rounds_run == service.rounds_run == len(fake.named("round_end"))
     assert len(streams) == len(opened)
 
-    # Each stream's (blocks, folded turn cost) is what a real run
-    # attributes to it; a walked round is never a counted one.
-    assert all(args[2] is None for args in fake.named("round_end"))
+    # A round is walked (begun, served, then ended uncounted) or counted
+    # (ended with its active streams, every buffer full), never both.
+    walked = len(fake.named("round_begin"))
+    assert walked == len(fake.named("round_served"))
+    counted = [args[2] for args in fake.named("round_end") if args[2] is not None]
+    assert walked + len(counted) == service.rounds_run
+    assert all(active >= 1 for active in counted)
     assert all(len(args) == 3 for args in fake.named("round_served"))
+
+    # Each stream's (blocks, folded turn cost) is what a real run
+    # attributes to it.
     turns = {
         stream.request_id: [len(stream.ready), stream.turn_cost]
         for stream in streams

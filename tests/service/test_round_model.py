@@ -5,13 +5,12 @@ nothing from ``repro``.  Here ``RoundRobinService`` serves the same
 generated loads — joins, buffers of 1–5, per-stream k, k schedules that
 vary by round and by load, ``max_rounds`` guards, silence holders and
 zero-length blocks — through a stub drive that charges the model's own
-pure cost of (previous slot, slot), under three configurations:
+pure cost of (previous slot, slot), under two configurations:
 
 * unobserved, where an idle round is counted, not walked;
 * observed with the stock cluster preset the benchmark runs
   (``Observability.for_scale``, the cluster SLOs and the profiler),
-  where an idle round is counted too;
-* with a sim event log attached, where every round is walked.
+  where an idle round is counted too.
 
 Each must give every stream the model's ``ready`` / ``ends`` /
 ``clock_start`` columns and no skips, the ``summary()`` line of the
@@ -25,7 +24,8 @@ added in turn order, across two epochs sharing one profiler.
 model's ``cost`` reads a twin of the loop's drive (bare, or a cache the
 test pre-warms alike), which sees the reads in the model's order, so a
 wrong order shows as a wrong duration.  It also takes an ``order``
-policy and after-turn work, built once per side.
+policy and after-turn work, built once per side: the policy points,
+under which an idle round is walked.
 """
 
 from types import SimpleNamespace
@@ -42,7 +42,6 @@ from repro.rope.server import FetchColumns
 from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.service.scan_order import scan_order
 from repro.sim.metrics import ContinuityMetrics
-from repro.sim.trace import Tracer
 from tests.round_model import ModelError, Stream, score, serve, turn_cost
 
 #: Read costs as pure functions of (previous slot, slot).  ``hit`` is
@@ -85,14 +84,7 @@ def cluster_preset(seed):
     return obs
 
 
-def sim_logged(seed):
-    obs = Observability(seed=seed)
-    obs.attach_sim_tracer(Tracer())
-    return obs
-
-
-CONFIGS = {"unobserved": lambda seed: None, "observed": cluster_preset,
-           "logged": sim_logged}
+CONFIGS = {"unobserved": lambda seed: None, "observed": cluster_preset}
 
 blocks = st.lists(
     st.tuples(
@@ -220,14 +212,11 @@ def assert_matches_model(load, seed=0):
             continue
         if name == "observed":
             assert_observed(obs, load, expected)
-        if name == "logged":
-            assert len(passes[name]) == expected.rounds_run
     if isinstance(expected, ModelError):
         return expected.args[0]
     # Watching is not walking: the observed loop passes over exactly
     # the rounds the unobserved one does.
     assert passes["observed"] == passes["unobserved"]
-    assert len(passes["unobserved"]) <= len(passes["logged"])
     return expected
 
 
@@ -324,21 +313,21 @@ def test_a_tight_max_rounds_trips_in_every_configuration():
 class TestTheSkippedSloTickIsUnobservable:
     """A counted round skips the SLO tick: no counter moved since the
     walked round before it ticked, so the tick could emit nothing.  The
-    same run walked (a sim log attached) ticks every round and ends in
-    the same SLO state, breach events and their rounds included."""
+    same run walked (an ``order`` that keeps arrival order) ticks every
+    round and ends in the same SLO state, breach events and their rounds
+    included."""
 
     @staticmethod
-    def _run(logged):
+    def _run(walked):
         obs = cluster_preset(0)
-        if logged:
-            obs.attach_sim_tracer(Tracer())
         drive = CachedDrive(build_drive(), BlockCache(64), obs=obs)
         slots = [n * 577 for n in range(12)]
         first, second = (
             StreamState(f"r{i}", FetchColumns.uniform(slots, 1.0, 0.25), 2)
             for i in range(2)
         )
-        service = RoundRobinService(drive, lambda _r, _n: 1, obs=obs)
+        order = (lambda _drive, active, _r: active) if walked else None
+        service = RoundRobinService(drive, lambda _r, _n: 1, obs=obs, order=order)
         ticks = []
         tick = obs.slo.on_round
         obs.slo.on_round = lambda *args: (ticks.append(args), tick(*args))[1]
@@ -346,8 +335,8 @@ class TestTheSkippedSloTickIsUnobservable:
         return obs, service.rounds_run, len(ticks)
 
     def test_the_counted_run_ends_in_the_walked_runs_slo_state(self):
-        counted, rounds, counted_ticks = self._run(logged=False)
-        walked, walked_rounds, walked_ticks = self._run(logged=True)
+        counted, rounds, counted_ticks = self._run(walked=False)
+        walked, walked_rounds, walked_ticks = self._run(walked=True)
         assert rounds == walked_rounds == walked_ticks > counted_ticks
         events = counted.slo.summary_dict()["breach_events"]
         assert [event["to"] for event in events] == ["breach", "ok"]

@@ -20,7 +20,6 @@ from repro.rope.server import FetchColumns
 from repro.service import RecordStream, TextQueue, TextRequest
 from repro.service.rounds import RoundRobinService, StreamState
 from repro.service.scan_order import scan_order
-from repro.sim.trace import Tracer
 
 K = 4
 
@@ -88,17 +87,17 @@ class TestComposition:
         assert queue.blocks_served > 0
 
     def test_record_and_text_run_observed_on_a_faulty_drive(self, block):
-        """`recovery=`, `obs=` and a sim tracer reach a run with
-        after-turn work: the snapshot counts its rounds, the transient on
-        a playback read is retried, the text completion is logged."""
+        """`recovery=` and `obs=` reach a run with after-turn work: the
+        snapshot counts its rounds, the transient on a playback read is
+        retried under that block's span, and the text request completes
+        inside the rounds' slack (nothing drains it)."""
         drive = build_drive()
         plays, record, text = load(drive, block, blocks=20)
         faulted = plays[0].fetches.slots[7]
         drive.attach_injector(FaultInjector(FaultPlan(
             [FaultSpec(kind=FaultKind.TRANSIENT, slot=faulted)]
         )))
-        obs, tracer = Observability(), Tracer()
-        obs.attach_sim_tracer(tracer)
+        obs = Observability()
         service = RoundRobinService(
             drive, lambda r, n: K, obs=obs,
             after_turns=[record, TextQueue([text])],
@@ -114,8 +113,9 @@ class TestComposition:
         assert snapshot["histograms"]["service.queue_depth"]["count"] == (
             service.rounds_run
         )
-        tags = tracer.counts_by_tag()
-        assert tags["text-complete"] == 1 and tags["fault.retry"] == 1
+        (retry,) = obs.tracer.spans(name="fault.retry")
+        assert retry.attrs == {"slot": faulted, "attempt": 1}
+        assert obs.tracer.span(retry.parent_id).attrs["block"] == 7
 
 
 class TestIdleWake:

@@ -12,7 +12,6 @@ from repro.disk import build_drive
 from repro.errors import ParameterError
 from repro.obs import Observability
 from repro.service.rounds import Admission, RoundRobinService, StreamState
-from repro.sim.trace import Tracer
 
 
 @pytest.fixture
@@ -51,7 +50,8 @@ class TestSingleStream:
         stream = make_stream(drive, block, "r0")
         service = RoundRobinService(drive, lambda r, n: 8)
         service.run([stream])
-        assert stream.clock_start is not None
+        # The clock starts as the eighth block lands, not before.
+        assert stream.clock_start == stream.ready[7] > stream.ready[6]
         assert stream.metrics.startup_latency == pytest.approx(
             stream.clock_start
         )
@@ -97,15 +97,19 @@ class TestMultipleStreams:
         assert metrics["first"].blocks_delivered == 60
 
     def test_tracer_records_admissions(self, block):
+        """A stream admitted mid-run opens its ``service.stream`` span as
+        it joins, after round 0's turns; it is served after the first
+        stream's round-1 turn, and its clock starts on its fifth block."""
         drive = build_drive()
-        tracer, obs = Tracer(), Observability(enabled=False)
-        obs.attach_sim_tracer(tracer)
+        obs = Observability()
         first = make_stream(drive, block, "first", blocks=30)
         late = make_stream(drive, block, "late", blocks=10)
         service = RoundRobinService(drive, lambda r, n: 5, obs=obs)
         service.run([first], [Admission(round_number=1, stream=late)])
-        assert tracer.filter(tag="admit", subject="late")
-        assert tracer.filter(tag="playback-start")
+        (span,) = obs.tracer.spans(name="service.stream", session="late")
+        assert span.attrs == {"blocks": 10}
+        assert first.ready[4] == span.start < first.ready[9] < late.ready[0]
+        assert late.clock_start == late.ready[4]
 
 
 class TestBufferRegulation:
@@ -214,9 +218,10 @@ class TestIdleGapBeforeAnAdmission:
         drive = build_drive()
         first = make_stream(drive, block, "first", blocks=20)
         late = make_stream(drive, block, "late", blocks=20)
-        tracer, obs = Tracer(), Observability(enabled=False)
-        obs.attach_sim_tracer(tracer)
-        service = RoundRobinService(drive, lambda r, n: 4, obs=obs)
+        asked = []
+        service = RoundRobinService(
+            drive, lambda r, n: (asked.append(r), 4)[1]
+        )
         metrics = service.run(
             [first], [Admission(round_number=10**9, stream=late)]
         )
@@ -224,8 +229,7 @@ class TestIdleGapBeforeAnAdmission:
         assert metrics["late"].blocks_delivered == 20
         assert service.rounds_run == 10
         # The late stream still joins at the round it asked for.
-        (admit,) = tracer.filter(tag="admit", subject="late")
-        assert admit.detail == f"round {10**9}"
+        assert asked == [*range(5), *range(10**9, 10**9 + 5)]
 
     def test_guard_counts_rounds_served_not_round_numbers(self, block):
         drive = build_drive()

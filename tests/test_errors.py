@@ -1,11 +1,13 @@
 """Every failure path ends in a typed :mod:`repro.errors` value.
 
-Four families checked here: count parameters off the service loop go
+Five families checked here: count parameters off the service loop go
 through ``check_count`` (a string used to raise a bare ``TypeError``; a
 float or a bool was silently accepted), the front door's windows through
-``check_seconds`` (a NaN window silently turned batching off), a fault
-plan refuses a value it cannot use, and a lookup of an absent session or
-title raises a ``ReproError`` that is still a ``KeyError``.
+``check_seconds`` (a NaN window silently turned batching off), a request
+or a single-request simulator refuses a field of the wrong type or
+range, a fault plan refuses a value it cannot use, and a lookup of an
+absent session or title raises a ``ReproError`` that is still a
+``KeyError``.
 """
 
 import functools
@@ -14,7 +16,7 @@ import re
 
 import pytest
 
-from repro.api import ClusterServeResult, ServeResult
+from repro.api import ClusterServeResult, OpenSessionRequest, ServeResult
 from repro.cluster import (
     CatalogTitle,
     ClusterNode,
@@ -22,7 +24,7 @@ from repro.cluster import (
     PlacementPolicy,
     build_cluster,
 )
-from repro.disk import BlockCache
+from repro.disk import BlockCache, build_drive
 from repro.errors import (
     ParameterError,
     ReproError,
@@ -31,10 +33,11 @@ from repro.errors import (
 )
 from repro.faults import FaultKind, FaultPlan, FaultSpec, RecoveryPolicy
 from repro.obs import SessionTimeline, SpanTracer
+from repro.rope.server import BlockFetch
 from repro.server import build_media_server
 from repro.server.batching import group_into_batches
-from repro.service import RecordStream
-from repro.sim.trace import Tracer
+from repro.service import RecordStream, simulate_pipelined
+from repro.service.variable_speed import simulate_variable_speed, transform_plan
 
 
 @functools.lru_cache(maxsize=None)
@@ -48,10 +51,22 @@ def _plan(per_node_streams):
     return PlacementPolicy(min_replicas=1).plan(titles, ["n0"], per_node_streams)
 
 
+#: A four-block plan for the single-request simulators.
+FETCHES = [BlockFetch(slot, 1.0, 0.1) for slot in range(4)]
+
+
+def _pipelined(read_ahead):
+    return simulate_pipelined(FETCHES, build_drive(), read_ahead=read_ahead)
+
+
+def _trick_play(speed=1.0, buffer_capacity=2, **options):
+    return simulate_variable_speed(
+        FETCHES, build_drive(), speed, buffer_capacity, **options
+    )
+
+
 #: (parameter, minimum it accepts, constructor, bad value).
 COUNTS = [
-    ("limit", 1, lambda v: Tracer(limit=v), "3"),
-    ("limit", 1, lambda v: Tracer(limit=v), 2.5),
     ("limit", 1, lambda v: SpanTracer(limit=v), "3"),
     ("limit", 1, lambda v: SpanTracer(limit=v), True),
     ("summary_sessions", 1, lambda v: SessionTimeline(summary_sessions=v), "2"),
@@ -81,6 +96,16 @@ COUNTS = [
         "node n0: capacity", 1,
         lambda v: ClusterNode("n0", build_media_server(), capacity=v), 2.5,
     ),
+    ("nodes", 1, lambda v: build_cluster(v, 1), 2.5),
+    ("nodes", 1, lambda v: build_cluster(v, 1), True),
+    ("titles", 1, lambda v: build_cluster(2, v), 2.5),
+    ("titles", 1, lambda v: build_cluster(2, v), "3"),
+    ("titles", 1, lambda v: build_cluster(2, v), True),
+    ("min_replicas", 1, lambda v: build_cluster(2, 1, min_replicas=v), 1.5),
+    ("min_replicas", 1, lambda v: build_cluster(2, 1, min_replicas=v), True),
+    ("read_ahead", 0, _pipelined, 2.5),
+    ("read_ahead", 0, _pipelined, True),
+    ("buffer_capacity", 1, lambda v: _trick_play(buffer_capacity=v), 2.5),
 ]
 
 
@@ -122,12 +147,17 @@ FAULTS = [
 
 #: (window, constructor, a value it cannot use): a time goes through
 #: ``check_seconds``.  Before, ``batch_window=nan`` silently turned
-#: batching off, ``inf`` was accepted and ``"x"`` raised a bare TypeError.
+#: batching off, ``inf`` was accepted and ``"x"`` raised a bare TypeError,
+#: as a string title length did; a NaN or negative trick-play switch
+#: penalty was charged.
 WINDOWS = [
     ("batch_window", lambda v: build_media_server(batch_window=v), math.nan),
     ("batch_window", lambda v: build_media_server(batch_window=v), math.inf),
     ("batch_window", lambda v: build_media_server(batch_window=v), "x"),
     ("window", lambda v: group_into_batches([], window=v), math.nan),
+    ("title T01: seconds", lambda v: build_cluster(2, 1, seconds=v), "1"),
+    ("switch_penalty", lambda v: _trick_play(switch_penalty=v), math.nan),
+    ("switch_penalty", lambda v: _trick_play(switch_penalty=v), -1.0),
 ]
 
 
@@ -140,6 +170,38 @@ def test_a_window_that_is_not_a_finite_time_is_refused(name, build, value):
     with pytest.raises(
         ParameterError, match=rf"^{name} must be a finite real >= 0, got {got}$"
     ):
+        build(value)
+
+
+def _request(**fields):
+    return OpenSessionRequest("alice", "R0001", **fields)
+
+
+#: (id, the field the error names, constructor, a value it cannot use).
+#: Before, a string time raised a bare ``TypeError`` from ``math.isfinite``,
+#: ``start=True`` was taken as 1.0 s, ``media="video"`` was built and then
+#: raised an ``AttributeError`` inside ``serve``, and a NaN speed returned
+#: NaN durations (with skipping, a ``ValueError``; an infinite one an
+#: ``OverflowError``).
+FIELDS = [
+    ("arrival='0'", "arrival", lambda v: _request(arrival=v), "0"),
+    ("length='1'", "length", lambda v: _request(length=v), "1"),
+    ("start=True", "start", lambda v: _request(start=v), True),
+    ("media='video'", "media", lambda v: _request(media=v), "video"),
+    ("speed=nan", "speed", lambda v: transform_plan(FETCHES, v), math.nan),
+    ("skipping speed=nan", "speed",
+     lambda v: transform_plan(FETCHES, v, skipping=True), math.nan),
+    ("skipping speed=inf", "speed",
+     lambda v: transform_plan(FETCHES, v, skipping=True), math.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, value", [row[1:] for row in FIELDS],
+    ids=[row[0] for row in FIELDS],
+)
+def test_a_field_of_the_wrong_type_or_range_is_refused(name, build, value):
+    with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must be a"):
         build(value)
 
 
