@@ -23,7 +23,7 @@ from repro.disk import build_drive
 from repro.media import frames_for_duration
 from repro.media.codec import DifferencingCodec
 from repro.rope import build_rope_server
-from repro.service import simulate_variable_speed
+from repro.service import play_single, task_switches, transform_plan
 
 
 def main() -> None:
@@ -47,15 +47,15 @@ def main() -> None:
         ("slow motion 0.5x     ", 0.5, False, 8),
     ):
         drive, fetches = fresh_plan()
-        result = simulate_variable_speed(
-            fetches, drive, speed=speed, skipping=skipping,
+        stream = play_single(
+            transform_plan(fetches, speed, skipping), drive,
             buffer_capacity=capacity,
         )
+        switches, idle = task_switches(stream)
         print(
-            f"  {label} fetched {result.metrics.blocks_delivered:3d} "
-            f"blocks, misses {result.metrics.misses}, task switches "
-            f"{result.task_switches:2d}, disk idle "
-            f"{result.switch_idle_time:5.1f} s"
+            f"  {label} fetched {stream.metrics.blocks_delivered:3d} "
+            f"blocks, misses {stream.metrics.misses}, task switches "
+            f"{switches:3d}, disk idle {idle:5.1f} s"
         )
 
     # --- 3: chapter triggers -------------------------------------------------

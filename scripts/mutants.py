@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = "src/repro/service/rounds.py"
 CACHE = "src/repro/disk/cache.py"
 PLACER = "src/repro/disk/allocation.py"
+PLAYBACK = "src/repro/service/playback.py"
+STRIPES = "src/repro/disk/raid.py"
 RECORDER = "src/repro/obs/recorder.py"
 
 EQUIVALENCE = "tests/perf/test_equivalence.py::TestServiceEquivalence::"
@@ -60,6 +62,7 @@ TURNS = "a round costs only the turns it serves"
 WATCHING = "watching is not walking"
 ORACLE = "one oracle"
 ONE_COPY = "one copy of each mechanism"
+ONE_SIMULATOR = "one simulator"
 
 
 class Mutant(NamedTuple):
@@ -147,12 +150,6 @@ MUTANTS = [
            "                    end = max(end, time) + durations[index]\n",
            "                    end = end + durations[index]\n",
            EQUIVALENCE + "test_generated_loads"),
-    Mutant(FOLDS, "trick play's bisect counts ties as unplayed",
-           "src/repro/service/variable_speed.py",
-           "        consumed = bisect_right(ends, time)\n",
-           "        consumed = sum(1 for end in ends if end < time)\n",
-           "tests/service/test_variable_speed.py::TestMatchesPrefixRescan::"
-           "test_generated_plans"),
     Mutant(CHANGED, "repair ignores relocations", "src/repro/rope/server.py",
            "if rope_then is operand and then == relocations:",
            "if rope_then is operand:",
@@ -251,6 +248,28 @@ MUTANTS = [
            "        self.admission.freeze()\n", "",
            "tests/obs/test_admission_audit.py::TestRevalidateAudit::"
            "test_last_head_freezes_admission_and_fails_constraint"),
+    Mutant(ONE_SIMULATOR, "Fig. 1: the display conversion dropped", PLAYBACK,
+           "read_slot(slot, bits) + shown / self.display_rate",
+           "read_slot(slot, bits)",
+           "tests/service/test_playback.py::TestSequential::"
+           "test_needs_more_slack_than_pipelined"),
+    Mutant(ONE_SIMULATOR, "Fig. 3: a block lands when its own member does",
+           STRIPES,
+           "        elapsed = max(self._busy) - self._charged\n",
+           "        elapsed = max(self._charged, self._busy[block % p])"
+           " - self._charged\n",
+           "tests/disk/test_raid.py::TestBatchReads::"
+           "test_batch_duration_is_slowest_member"),
+    Mutant(ONE_SIMULATOR, "Fig. 3: a retry counted on the stripe's first member",
+           STRIPES,
+           "        self.stats = self.members[block % p].stats\n", "",
+           "tests/disk/test_raid.py::TestStripesUnderFaults::"
+           "test_a_transient_is_retried_on_its_member_alone"),
+    Mutant(ONE_SIMULATOR, "trick play: a tie counted as still playing", PLAYBACK,
+           "        played = bisect_right(ends, landed)\n",
+           "        played = sum(1 for end in ends if end < landed)\n",
+           "tests/service/test_variable_speed.py::TestTrickPlayMatchesTheModel::"
+           "test_generated_plans"),
 ]
 
 

@@ -43,9 +43,8 @@ from repro.rope import Media, MultimediaRopeServer, build_rope_server
 from repro.rope.server import FetchColumns
 from repro.service import (
     PlaybackSession,
-    simulate_concurrent,
-    simulate_pipelined,
-    simulate_sequential,
+    SequentialReads,
+    play_single,
     staged_k_schedule,
 )
 from repro.service.rounds import Admission, RoundRobinService, StreamState
@@ -162,24 +161,15 @@ def e1_architectures() -> Result:
     )
 
     def simulate(architecture: Architecture, p: int, gap: float):
-        if architecture is Architecture.CONCURRENT:
-            array = build_array(p)
-            fetches = fetches_with_gap(
-                array.member(0), blocks, gap, block.block_bits, duration
-            )
-            metrics, _ = simulate_concurrent(fetches, array)
-            return metrics
-        drive = build_drive()
+        array = drive = build_array(p)
         fetches = fetches_with_gap(
-            drive, blocks, gap, block.block_bits, duration
+            array.member(0), blocks, gap, block.block_bits, duration
         )
+        if architecture is not Architecture.CONCURRENT:
+            drive = array.member(0)
         if architecture is Architecture.SEQUENTIAL:
-            metrics, _ = simulate_sequential(
-                fetches, drive, PROFILE.video_device
-            )
-        else:
-            metrics, _ = simulate_pipelined(fetches, drive)
-        return metrics
+            drive = SequentialReads(drive, PROFILE.video_device)
+        return play_single(fetches, drive, read_ahead=p - 1).metrics
 
     def run(name: str, architecture: Architecture, p: int = 1):
         reference = build_drive()
@@ -349,16 +339,15 @@ def e4_allocation() -> Result:
 
     for name in ("constrained", "random", "contiguous"):
         drive, fetches, placement = place(name)
-        misses0 = simulate_pipelined(fetches, drive, read_ahead=0)[0].misses
+        misses0 = play_single(fetches, drive).metrics.misses
         needed = 0
         if misses0:
             low, high = 1, blocks - 1
             while low < high:
                 mid = (low + high) // 2
                 drive, fetches, _ = place(name)
-                if simulate_pipelined(
-                    fetches, drive, read_ahead=mid
-                )[0].continuous:
+                stream = play_single(fetches, drive, read_ahead=mid)
+                if stream.metrics.continuous:
                     high = mid
                 else:
                     low = mid + 1

@@ -10,7 +10,7 @@ prose but never measures, each implemented and driven end to end:
 * **E15** — storage reorganization on a densely utilized disk
   (:mod:`repro.fs.reorganize`);
 * **E16** — variable-speed playback with disk task switching
-  (:mod:`repro.service.variable_speed`);
+  on the round loop (:mod:`repro.service.playback`);
 * **E17** — Fig. 3 realized through striped storage on multi-head
   arrays (:mod:`repro.fs.striped`);
 * **E18** — §3.3.1 strict-vs-average continuity under randomized
@@ -57,12 +57,11 @@ from repro.media import frames_for_duration
 from repro.media.codec import DifferencingCodec
 from repro.rope import build_rope_server
 from repro.rope.server import FetchColumns
-from repro.service import simulate_concurrent, simulate_pipelined
+from repro.service import play_single, task_switches, transform_plan
 from repro.service.besteffort import TextQueue, TextRequest
 from repro.service.mixed_rounds import RecordStream
 from repro.service.rounds import RoundRobinService, StreamState
 from repro.service.scan_order import measured_capacity, scan_order
-from repro.service.variable_speed import simulate_variable_speed
 
 __all__ = [
     "E22_BLOCKS",
@@ -231,7 +230,10 @@ def e15_reorganization() -> Result:
 
 
 def e16_variable_speed() -> Result:
-    """Drive the §3.3.2 variable-speed claims end to end."""
+    """Drive the §3.3.2 variable-speed claims end to end, each mode alone
+    on the round loop at k = 1.  A "task switch" is one of the loop's
+    sleeps (a turn filled the buffer while the next block still played),
+    and "disk idle" the time until that block's play-out freed a slot."""
     block = video_block_model(PROFILE.video, 4)
     table = Table(
         title="E16: variable-speed playback (§3.3.2)",
@@ -251,15 +253,13 @@ def e16_variable_speed() -> Result:
             drive, 120, drive.parameters().seek_avg,
             block.block_bits, block.playback_duration,
         )
-        result = simulate_variable_speed(
-            fetches, drive, speed=speed, skipping=skipping,
+        stream = play_single(
+            transform_plan(fetches, speed, skipping), drive,
             buffer_capacity=capacity,
         )
-        table.add_row(
-            label, result.metrics.blocks_delivered, result.metrics.misses,
-            result.buffer_high_water, result.task_switches,
-            result.switch_idle_time,
-        )
+        metrics = stream.metrics
+        table.add_row(label, metrics.blocks_delivered, metrics.misses,
+                      metrics.buffer_high_water, *task_switches(stream))
     return Result((table,))
 
 
@@ -290,9 +290,9 @@ def e17_striping() -> Result:
             array, stream, PROFILE.video_device, granularity=1
         )
         strand = manager.store_video_strand(frames)
-        metrics, _ = simulate_concurrent(
-            manager.playback_fetches(strand), array
-        )
+        metrics = play_single(
+            manager.playback_fetches(strand), array, read_ahead=heads - 1
+        ).metrics
         table.add_row(
             heads, manager.scattering_upper * 1e3, strand.block_count,
             metrics.misses, metrics.continuous,
@@ -330,9 +330,7 @@ def e18_antijitter() -> Result:
         fetches = fetches_with_gap(
             drive, 300, bound, block.block_bits, block.playback_duration
         )
-        metrics, _ = simulate_pipelined(
-            fetches, drive, read_ahead=read_ahead
-        )
+        metrics = play_single(fetches, drive, read_ahead=read_ahead).metrics
         table.add_row(
             read_ahead, metrics.misses, metrics.miss_ratio,
             metrics.startup_latency * 1e3,
@@ -516,13 +514,12 @@ def e22_fault_recovery() -> Result:
         drive.attach_injector(FaultInjector(FaultPlan.random(
             seed=22, slots=slots, transient=transient, defects=defects
         )))
-        metrics, _ = simulate_pipelined(
+        return play_single(
             FetchColumns.uniform(slots, drive.block_bits, 0.1334),
             drive,
             read_ahead=2,
             recovery=RecoveryPolicy(retry_budget=budget),
-        )
-        return metrics, drive.stats
+        ).metrics, drive.stats
 
     for transient, defects in (
         (0, 0), (3, 1), (6, 2), (12, 4), (24, 8), (48, 16)

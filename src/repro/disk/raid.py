@@ -4,23 +4,22 @@ The paper's concurrent retrieval architecture assumes "disks with multiple
 heads ... (such as RAIDs)" performing p accesses in parallel.
 :class:`DriveArray` models that as p identical, independently seeking
 mechanisms with media blocks striped across them round-robin: block i of a
-strand lives on drive ``i mod p``.  The array only holds and addresses
-the members: the one stripe timing is the concurrent replayer's
-(:func:`repro.service.simulate_concurrent`), which reads p consecutive
-blocks on all members at once and lands the stripe when the slowest
-finishes — exactly the timing Eq. (3) budgets for.
+strand lives on drive ``i mod p``.  :class:`StripedReads` is the one
+stripe timing: it shows the array to the round loop as one drive that
+reads p consecutive blocks on all members at once and lands the stripe
+when the slowest finishes — exactly the timing Eq. (3) budgets for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.symbols import DiskParameters
 from repro.disk.drive import SimulatedDrive
-from repro.errors import ParameterError
+from repro.errors import DiskFaultError, ParameterError
 
-__all__ = ["StripedSlot", "DriveArray"]
+__all__ = ["StripedSlot", "DriveArray", "StripedReads"]
 
 
 @dataclass(frozen=True)
@@ -82,3 +81,61 @@ class DriveArray:
             cylinders=base.cylinders,
             heads=self.heads,
         )
+
+
+class StripedReads:
+    """The array read as one drive: Fig. 3's view of one striped plan.
+
+    The loop names a block by its plan index: block i lives on member
+    ``i mod p`` at ``slots[i]``.  A stripe's first read issues all p and
+    lands when the slowest member finishes; the rest land with it.  A
+    fault surfaces at its own block, and a retry re-reads that block's
+    member alone — ``stats`` are that member's, so recovery counts the
+    retry there — delaying the stripe only past its slowest member.
+    """
+
+    def __init__(self, array: DriveArray, slots: Sequence, bits: Sequence):
+        self.members, self.slots, self.bits = array.drives, slots, bits
+        self._stripe, self._outcomes = -1, {}
+        self._busy, self._charged = [], 0.0
+        self.stats = self.members[0].stats
+
+    @property
+    def injector(self):
+        """A member's fault injector (None: no member has one)."""
+        return next(filter(None, (m.injector for m in self.members)), None)
+
+    def read_slot(self, block: int, bits: Optional[float] = None) -> float:
+        """Read plan block *block*; returns how far it moved the stripe."""
+        p = len(self.members)
+        stripe = block // p
+        if stripe != self._stripe:
+            self._stripe, self._busy, self._charged = stripe, [0.0] * p, 0.0
+            first = stripe * p
+            self._outcomes = {
+                index: self._attempt(index, self.bits[index])
+                for index in range(first, min(first + p, len(self.slots)))
+                if self.slots[index] is not None
+            }
+        outcome = self._outcomes.pop(block, None)
+        if outcome is None:   # a retry
+            outcome = self._attempt(block, bits)
+        self.stats = self.members[block % p].stats
+        elapsed = max(self._busy) - self._charged
+        self._charged += elapsed
+        if isinstance(outcome, DiskFaultError):
+            outcome.elapsed = elapsed
+            raise outcome
+        return elapsed
+
+    def _attempt(self, block: int, bits: Optional[float]):
+        """One access to *block*'s member: its seconds, or its fault."""
+        member = block % len(self.members)
+        try:
+            elapsed = outcome = self.members[member].read_slot(
+                self.slots[block], bits
+            )
+        except DiskFaultError as fault:
+            elapsed, outcome = fault.elapsed, fault
+        self._busy[member] += elapsed
+        return outcome

@@ -3,8 +3,7 @@
 The continuity requirement (§3.1) makes fault recovery a *scheduling*
 problem: a retry is only worth issuing if the block can still arrive "at
 or before the time of its playback".  :func:`read_with_recovery`
-implements the bounded retry-with-backoff loop the round service and the
-single-request simulators share:
+implements the bounded retry-with-backoff loop the round service runs:
 
 * a :class:`TransientReadError` is retried up to ``retry_budget`` times,
   each retry charged its full (failed) access time plus ``retry_backoff``

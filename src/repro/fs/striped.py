@@ -198,12 +198,12 @@ class StripedStorageManager:
     # -- playback ------------------------------------------------------------
 
     def playback_fetches(self, strand: StripedStrand):
-        """The strand as a fetch sequence for simulate_concurrent.
+        """The strand as a fetch sequence for concurrent playback.
 
         Block i's slot addresses member ``i mod p``, which is exactly the
-        convention :func:`repro.service.playback.simulate_concurrent`
-        applies, so the fetches can be handed to it with this manager's
-        array.
+        convention :class:`~repro.disk.raid.StripedReads` applies, so the
+        fetches can be played with this manager's array
+        (:func:`repro.service.play_single`).
         """
         from repro.rope.server import FetchColumns
 

@@ -1,9 +1,9 @@
 """The service recorder: the one seam between the stack and observability.
 
 The block path (the round loop, the drive, the block cache, fault
-recovery, the single-request simulators) and the request path (the media
-server and its batching, the RPC channel, the storage manager, the
-cluster router) report *what happened* — each fact once, to a
+recovery) and the request path (the media server and its batching, the
+RPC channel, the storage manager, the cluster router) report *what
+happened* — each fact once, to a
 :class:`ServiceRecorder` — and this module alone decides which sink sees
 it: registry instruments (names, buckets), profiler phases, span names
 and parents, the request-id ↔ root-span binding, audit records, timeline
@@ -372,7 +372,7 @@ class ServiceRecorder:
             status = "ok" if stream.metrics.continuous else "degraded"
             self._spans.end_span(span, elapsed, status)
 
-    # -- drive, cache, fault recovery, single-request scoring --------------------
+    # -- drive, cache, fault recovery ---------------------------------------------
 
     def drive_attached(self, drive) -> None:
         """*drive* reports here from now on: the profile reads its

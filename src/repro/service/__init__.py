@@ -1,10 +1,8 @@
-"""The real-time service layer: architecture simulators, round-robin
-service, recording, sessions, and the MRS↔MSM RPC boundary."""
+"""The real-time service layer: round-robin service, single-request
+studies, recording, sessions, and the MRS↔MSM RPC boundary."""
 
 from repro.service.playback import (
-    simulate_concurrent,
-    simulate_pipelined,
-    simulate_sequential,
+    SequentialReads, play_single, task_switches, transform_plan,
 )
 from repro.service.besteffort import TextQueue, TextRequest
 from repro.service.mixed_rounds import RecordStream
@@ -17,11 +15,6 @@ from repro.service.session import (
     SessionResult,
     staged_k_schedule,
 )
-from repro.service.variable_speed import (
-    VariableSpeedResult,
-    simulate_variable_speed,
-    transform_plan,
-)
 
 __all__ = [
     "Admission",
@@ -32,16 +25,14 @@ __all__ = [
     "RoundRobinService",
     "RpcCall",
     "RpcChannel",
+    "SequentialReads",
     "SessionResult",
     "StreamState",
-    "VariableSpeedResult",
     "estimate_bytes",
     "measured_capacity",
-    "simulate_concurrent",
-    "simulate_pipelined",
-    "simulate_sequential",
-    "simulate_variable_speed",
+    "play_single",
     "staged_k_schedule",
     "stub_for",
+    "task_switches",
     "transform_plan",
 ]

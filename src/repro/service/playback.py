@@ -1,151 +1,114 @@
-"""Single-request retrieval simulators for the three §3.1 architectures.
+"""One request alone on the round loop: §3.1's architectures, trick play.
 
-These replay a request's block-fetch sequence through the simulated drive
-under sequential (Fig. 1), pipelined (Fig. 2), or concurrent (Fig. 3)
-disk↔display organization, and score the resulting arrival times against
-the playback deadlines.  They are the empirical side of experiment E1:
-inside the analytic feasibility region of Eqs. (1)–(3) the simulators must
-measure zero misses (the analysis is safe); outside it, sustained misses
-appear.
-
-Scoring convention: playback starts the moment the first block is ready
-for display ("anti-jitter" read-ahead of further blocks can be layered on
-by starting the clock later); block j's deadline is that start plus the
-cumulative playback duration of blocks 0..j−1; a block is *ready* when its
-transfer (and, for the sequential architecture, its display conversion)
-completes.
+:func:`play_single` runs a plan as the one stream of the §3.4 loop, on
+the drive that makes its architecture: the drive itself for Fig. 2,
+:class:`SequentialReads` for Fig. 1, a
+:class:`~repro.disk.raid.DriveArray` for Fig. 3 (E1).  Trick play (E16)
+is :func:`transform_plan`'s plan with a small buffer at k = 1: the disk
+switches "to some other task" when it is full — the loop's own sleep.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import List, Optional, Sequence, Set, Tuple
+import math
+from bisect import bisect_right
+from typing import Optional, Sequence, Tuple
 
 from repro.core.symbols import DisplayDeviceParameters
-from repro.disk.drive import SimulatedDrive
-from repro.disk.raid import DriveArray
-from repro.errors import HeadFailureError, check_count
-from repro.faults.recovery import RecoveryPolicy, read_with_recovery
+from repro.disk.raid import DriveArray, StripedReads
+from repro.errors import ParameterError, check_count
+from repro.faults.recovery import RecoveryPolicy
 from repro.rope.server import BlockFetch, FetchColumns
-from repro.sim.metrics import ContinuityMetrics
+from repro.service.rounds import RoundRobinService, StreamState
 
-__all__ = [
-    "simulate_sequential",
-    "simulate_pipelined",
-    "simulate_concurrent",
-]
+__all__ = ["SequentialReads", "play_single", "task_switches", "transform_plan"]
 
 
-def _replay(
+class SequentialReads:
+    """Fig. 1's drive: each read is followed by the block's display
+    conversion, ``bits / R_vd`` (§2; None bits: a whole block), before
+    the next may start."""
+
+    def __init__(self, drive, display: DisplayDeviceParameters):
+        self.drive, self.display_rate = drive, display.display_rate
+        self.stats = drive.stats
+
+    @property
+    def injector(self):
+        """The drive's fault injector."""
+        return self.drive.injector
+
+    def read_slot(self, slot: int, bits: Optional[float] = None) -> float:
+        shown = self.drive.block_bits if bits is None else bits
+        return self.drive.read_slot(slot, bits) + shown / self.display_rate
+
+
+def play_single(
     fetches: Sequence[BlockFetch],
-    members: Sequence[SimulatedDrive],
-    read_ahead: int,
-    request_id: str,
-    recovery: Optional[RecoveryPolicy],
-    display: Optional[DisplayDeviceParameters] = None,
-) -> Tuple[ContinuityMetrics, List[float]]:
-    """Replay *fetches* in stripes of ``p = len(members)`` and score them.
+    drive,
+    read_ahead: int = 0,
+    buffer_capacity: Optional[int] = None,
+    recovery: Optional[RecoveryPolicy] = None,
+) -> StreamState:
+    """Play *fetches* alone on the round loop; returns the served stream.
 
-    Block i is read from member ``i mod p``; a stripe's reads run
-    concurrently and it lands when its slowest member does (p = 1: one
-    read after another).  With *display* each delivered block is then
-    converted at the device's ``R_vd`` (§2: ``bits / R_vd``) before the
-    next read may start (Fig. 1).  The playback clock starts once
-    *read_ahead* further blocks are on board behind the first.  A dead
-    head costs its member every later block (a skip each).
-    """
+    Each turn reads ``k = read_ahead + 1`` blocks into a buffer of
+    *buffer_capacity* (None: the plan's length, so reads run back to
+    back).  On a :class:`~repro.disk.raid.DriveArray`, fetch i is read
+    from member ``i mod p``."""
     check_count("read_ahead", read_ahead, 0)
-    p = len(members)
-    policy = recovery or RecoveryPolicy()
-    time = 0.0
-    ready: List[float] = []
-    skipped: Set[int] = set()
-    for base in range(0, len(fetches), p):
-        stripe = fetches[base:base + p]
-        durations = []
-        converting = 0.0
-        for index, fetch in enumerate(stripe, base):
-            if fetch.slot is None:
-                continue
-            try:
-                elapsed, ok = read_with_recovery(
-                    members[index % p], fetch.slot, fetch.bits, policy,
-                    now=time,
-                )
-            except HeadFailureError as fault:
-                elapsed, ok = fault.elapsed, False
-            durations.append(elapsed)
-            if not ok:
-                skipped.add(index)
-            elif display is not None:
-                converting += fetch.bits / display.display_rate
-        time += max(durations) if durations else 0.0
-        time += converting
-        ready.extend([time] * len(stripe))
-    start = ready[min(read_ahead, len(ready) - 1)] if ready else 0.0
-    metrics = ContinuityMetrics(request_id=request_id, startup_latency=start)
-    durations = FetchColumns.of(fetches).durations
-    metrics.score(
-        ready, accumulate(durations, initial=start), (), skipped,
-        high_water_from=len(ready),   # no buffer model: no play-out ends
+    plan = FetchColumns.of(fetches)
+    if isinstance(drive, DriveArray):
+        drive = StripedReads(drive, plan.slots, plan.bits)
+        indexes = [None if s is None else i for i, s in enumerate(plan.slots)]
+        plan = FetchColumns(indexes, plan.bits, plan.durations)
+    blocks = len(plan)
+    if buffer_capacity is None:
+        buffer_capacity = max(blocks, 1)
+    stream = StreamState("play", plan, buffer_capacity)
+    # Every round reads a block or sleeps until the next one has room.
+    RoundRobinService(drive, lambda _round, _n: read_ahead + 1, recovery).run(
+        [stream], max_rounds=2 * blocks + 1
     )
-    return metrics, ready
+    return stream
 
 
-def simulate_sequential(
+def transform_plan(
     fetches: Sequence[BlockFetch],
-    drive: SimulatedDrive,
-    display: DisplayDeviceParameters,
-    request_id: str = "seq",
-    read_ahead: int = 0,
-    recovery: Optional[RecoveryPolicy] = None,
-) -> Tuple[ContinuityMetrics, List[float]]:
-    """Fig. 1: read a block, display it, read the next (Eq. 1 regime).
+    speed: float,
+    skipping: bool = False,
+) -> FetchColumns:
+    """Rewrite a normal-speed fetch plan for playback at *speed*×.
 
-    Returns (metrics, ready-times).  *read_ahead* delays the playback
-    clock start by that many block periods' worth of prefetched blocks
-    (§3.3.2 anti-jitter delay); blocks consumed as read-ahead are ready
-    by definition of the start.
+    * ``speed > 1`` fast-forward: every duration shrinks by the factor.
+      With *skipping*, only every ``⌈speed⌉``-th block is fetched, each
+      shown for its un-skipped wall-clock share (the paper's
+      "fast-forwarding with skipping").
+    * ``speed < 1`` slow motion: durations stretch by 1/speed.
     """
-    return _replay(fetches, [drive], read_ahead, request_id, recovery, display)
+    if isinstance(speed, bool) or not isinstance(speed, (int, float)) or not (
+        0 < speed < math.inf
+    ):
+        raise ParameterError(f"speed must be a finite real > 0, got {speed!r}")
+    if skipping and speed <= 1.0:
+        raise ParameterError("skipping only applies to fast-forward")
+    # Each kept block covers `stride` blocks of media in stride/speed of
+    # wall-clock time (stride 1: every block kept, duration / speed).
+    stride = math.ceil(speed) if skipping else 1
+    kept = FetchColumns.of(fetches)[::stride]
+    kept.durations = [d * stride / speed for d in kept.durations]
+    return kept
 
 
-def simulate_pipelined(
-    fetches: Sequence[BlockFetch],
-    drive: SimulatedDrive,
-    request_id: str = "pipe",
-    read_ahead: int = 0,
-    recovery: Optional[RecoveryPolicy] = None,
-) -> Tuple[ContinuityMetrics, List[float]]:
-    """Fig. 2: transfers overlap display; back-to-back reads (Eq. 2 regime).
-
-    With two device buffers, a block is ready for display the moment its
-    transfer completes; display conversion happens concurrently with the
-    next transfer.
-    """
-    return _replay(fetches, [drive], read_ahead, request_id, recovery)
-
-
-def simulate_concurrent(
-    fetches: Sequence[BlockFetch],
-    array: DriveArray,
-    request_id: str = "conc",
-    recovery: Optional[RecoveryPolicy] = None,
-) -> Tuple[ContinuityMetrics, List[float]]:
-    """Fig. 3: p parallel accesses per batch (Eq. 3 regime).
-
-    Consecutive blocks are striped over the array's members; each batch
-    of p blocks is read concurrently and completes when its slowest
-    member does.  Playback starts when the first batch lands (the p
-    buffered blocks of §3.3.2).
-
-    Fetches must carry slots addressed per member drive — i.e. block i's
-    ``slot`` is a slot on drive ``i mod p``.  Silence fetches participate
-    in the batch structure but cost no disk time.
-
-    Under fault injection the batch degrades rather than aborts: a
-    member whose head dies loses its share of every later stripe (each
-    lost block a recorded skip).
-    """
-    members = [array.member(index) for index in range(array.heads)]
-    return _replay(fetches, members, array.heads - 1, request_id, recovery)
+def task_switches(stream: StreamState) -> Tuple[int, float]:
+    """The loop's sleeps in a served stream: ``(count, idle seconds)``.
+    A turn that fills the buffer while the next block is still playing
+    sleeps until its play-out frees a slot; alone, the disk idles."""
+    ends, capacity = stream.ends, stream.buffer_capacity
+    switches, idle = 0, 0.0
+    for index, landed in enumerate(stream.ready[:-1]):
+        played = bisect_right(ends, landed)
+        if index + 1 - played == capacity:
+            switches += 1
+            idle += ends[played] - landed
+    return switches, idle

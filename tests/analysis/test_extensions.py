@@ -1,4 +1,4 @@
-"""E13–E16: the pre-table test ids → the criteria that replaced them."""
+"""E13–E15: the pre-table test ids → the criteria that replaced them."""
 
 
 class TestE13VariableRate:
@@ -26,15 +26,3 @@ class TestE15Reorganization:
     def test_reorganization_restores_it(self, holds):
         holds("e15", "reorganization restores it", "by moving blocks")
 
-
-class TestE16VariableSpeed:
-    def test_all_modes_continuous(self, holds):
-        holds("e16", "0 misses in every mode")
-
-    def test_skipping_reduces_fetches(self, holds):
-        holds("e16", "2× with skipping fetches half the blocks of 2× without")
-
-    def test_slow_motion_accumulates_and_switches(self, holds):
-        holds("e16", "slow motion switches tasks, at least as often as "
-                     "normal speed",
-              "slow motion idles the disk longest")

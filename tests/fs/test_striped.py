@@ -10,7 +10,7 @@ from repro.disk import build_array
 from repro.errors import ParameterError, UnknownStrandError
 from repro.fs.striped import StripedStorageManager
 from repro.media.frames import frames_for_duration
-from repro.service import simulate_concurrent
+from repro.service import play_single
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ class TestConcurrentPlayback:
     ):
         strand = striped.store_video_strand(frames)
         fetches = striped.playback_fetches(strand)
-        metrics, _ = simulate_concurrent(fetches, array)
+        metrics = play_single(fetches, array, read_ahead=3).metrics
         assert metrics.continuous
         assert metrics.blocks_delivered == strand.block_count
 
@@ -119,7 +119,7 @@ class TestConcurrentPlayback:
         )
         frames = frames_for_duration(fast, 4.0, source="fast")
         strand = manager.store_video_strand(frames)
-        metrics, _ = simulate_concurrent(
-            manager.playback_fetches(strand), array
-        )
+        metrics = play_single(
+            manager.playback_fetches(strand), array, read_ahead=3
+        ).metrics
         assert metrics.continuous

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.disk import build_drive
 from repro.faults import FaultInjector, FaultPlan, RecoveryPolicy
 from repro.rope.server import BlockFetch
-from repro.service import simulate_pipelined
+from repro.service import play_single
 
 BLOCKS = 40
 #: Generous per-block playback duration so deadline pressure never skips
@@ -39,13 +39,13 @@ def _run(seed, transient, defects, budget):
     )
     injector = FaultInjector(plan)
     drive.attach_injector(injector)
-    metrics, ready = simulate_pipelined(
+    stream = play_single(
         fetches,
         drive,
         read_ahead=2,
         recovery=RecoveryPolicy(retry_budget=budget),
     )
-    return drive, injector, metrics, ready
+    return drive, injector, stream.metrics, stream.ready
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

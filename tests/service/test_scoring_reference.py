@@ -19,9 +19,8 @@ from repro.disk import build_drive
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.rope.server import FetchColumns
-from repro.service.playback import simulate_pipelined
+from repro.service import play_single, transform_plan
 from repro.service.rounds import Admission, RoundRobinService, StreamState
-from repro.service.variable_speed import simulate_variable_speed
 from repro.sim.metrics import ContinuityMetrics
 from tests.round_model import Served, score
 from tests.service.test_round_model import summary
@@ -181,20 +180,25 @@ class TestHighWaterRule:
         assert stream.clock_start == stream.ready[3]
         assert 1 <= metrics["two"].buffer_high_water <= 8
 
-    def test_the_stripe_replayer_reports_none(self):
+    def test_a_single_request_counts_what_lands_after_its_read_ahead(self):
+        """§3.1's architectures play on the loop, under its one rule."""
         drive = build_drive()
-        metrics, ready = simulate_pipelined(
-            self._plan(8), drive, read_ahead=2
-        )
-        assert len(ready) == 8 and metrics.buffer_high_water == 0
+        plan = self._plan(8)
+        stream = play_single(plan, drive, read_ahead=2)
+        assert stream.clock_start == stream.ready[2]
+        expected = score(Served(stream.ready, stream.clock_start, 3),
+                         plan.durations)
+        assert stream.metrics.buffer_high_water == expected.high_water >= 1
 
-    def test_trick_play_counts_every_block(self):
+    def test_trick_play_counts_what_lands_after_its_first_block(self):
+        """At k = 1 the read-ahead is the first block: a one-block plan
+        is delivered whole in its first turn and reports zero."""
         drive = build_drive()
-        result = simulate_variable_speed(
-            self._plan(1), drive, speed=1.0, buffer_capacity=4
+        stream = play_single(
+            transform_plan(self._plan(1), 1.0), drive, buffer_capacity=4
         )
-        assert result.metrics.buffer_high_water == 1
-        assert result.buffer_high_water == 1
+        assert stream.clock_start == stream.ready[0]
+        assert stream.metrics.buffer_high_water == 0
 
 
 class TestOnlyLandedBlocksAreConsumed:

@@ -1,7 +1,10 @@
-"""Unit tests for §3.3.2 variable-speed playback."""
+"""Unit tests for §3.3.2 variable-speed playback.
 
-from bisect import bisect_right
-from itertools import accumulate
+Trick play is :func:`transform_plan`'s plan alone on the round loop with
+the caller's buffer at k = 1, and its task switches are the loop's
+sleeps; the generated plans below check both against the round model
+(``tests/round_model.py``).
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,9 @@ from repro.core.symbols import video_block_model
 from repro.disk import build_drive
 from repro.errors import ParameterError
 from repro.rope.server import BlockFetch, FetchColumns
-from repro.service.variable_speed import (
-    simulate_variable_speed,
-    transform_plan,
-)
-from repro.sim.metrics import ContinuityMetrics
-from tests.round_model import Served
+from repro.service import play_single, task_switches, transform_plan
+from tests.round_model import Stream, score, serve, turn_cost
+from tests.service.test_round_model import COSTS, StubDrive, summary
 
 
 @pytest.fixture
@@ -30,6 +30,14 @@ def plan_for(drive, block, count=60):
     return fetches_with_gap(
         drive, count, drive.parameters().seek_avg,
         block.block_bits, block.playback_duration,
+    )
+
+
+def trick_play(fetches, drive, speed, buffer_capacity, skipping=False):
+    """The served stream of *fetches* played at *speed*×."""
+    return play_single(
+        transform_plan(fetches, speed, skipping), drive,
+        buffer_capacity=buffer_capacity,
     )
 
 
@@ -65,94 +73,63 @@ class TestTransformPlan:
 class TestSimulation:
     def test_normal_speed_continuous(self, block):
         drive = build_drive()
-        result = simulate_variable_speed(
+        stream = trick_play(
             plan_for(drive, block), drive, speed=1.0, buffer_capacity=8
         )
-        assert result.continuous
-        assert result.metrics.blocks_delivered == 60
+        assert stream.metrics.continuous
+        assert stream.metrics.blocks_delivered == 60
 
     def test_skipping_halves_fetches(self, block):
         drive = build_drive()
-        result = simulate_variable_speed(
+        stream = trick_play(
             plan_for(drive, block), drive, speed=2.0, skipping=True,
             buffer_capacity=8,
         )
-        assert result.metrics.blocks_delivered == 30
-        assert result.continuous
+        assert stream.metrics.blocks_delivered == 30
+        assert stream.metrics.continuous
 
     def test_slow_motion_triggers_task_switches(self, block):
         """§3.3.2: over-satisfied continuity fills buffers; the disk
         switches away and the playback still never starves."""
         drive = build_drive()
-        result = simulate_variable_speed(
+        stream = trick_play(
             plan_for(drive, block), drive, speed=0.5, buffer_capacity=6
         )
-        assert result.task_switches > 0
-        assert result.switch_idle_time > 0
-        assert result.buffer_high_water <= 6
-        assert result.continuous
+        switches, idle = task_switches(stream)
+        assert switches > 0
+        assert idle > 0
+        assert stream.metrics.buffer_high_water <= 6
+        assert stream.metrics.continuous
 
     def test_slower_playback_idles_more(self, block):
         drive_a = build_drive()
-        half = simulate_variable_speed(
+        half = trick_play(
             plan_for(drive_a, block), drive_a, speed=0.5, buffer_capacity=8
         )
         drive_b = build_drive()
-        quarter = simulate_variable_speed(
+        quarter = trick_play(
             plan_for(drive_b, block), drive_b, speed=0.25, buffer_capacity=8
         )
-        assert quarter.switch_idle_time > half.switch_idle_time
+        assert task_switches(quarter)[1] > task_switches(half)[1]
 
     def test_hopeless_fast_forward_misses(self, block):
         """Without skipping, a big enough speedup exceeds the disk."""
         drive = build_drive()
-        result = simulate_variable_speed(
+        stream = trick_play(
             plan_for(drive, block), drive, speed=10.0, buffer_capacity=16
         )
-        assert result.metrics.misses > 0
+        assert stream.metrics.misses > 0
 
     def test_validation(self, block):
         drive = build_drive()
         with pytest.raises(ParameterError):
-            simulate_variable_speed(
+            trick_play(
                 plan_for(drive, block), drive, speed=1.0, buffer_capacity=0
             )
 
 
-def reference_variable_speed(fetches, drive, speed, capacity, skipping):
-    """The trick-play loop with every buffer test and wake a rescan of
-    the delivered prefix, folded as the round model folds it: ``(metrics,
-    switches, idle)``."""
-    plan = transform_plan(fetches, speed, skipping)
-    durations, penalty_s = plan.durations, drive.parameters().seek_max
-    ready, time, start, switches, idle, away = [], 0.0, None, 0, 0.0, False
-    for index, slot in enumerate(plan.slots):
-        ends = Served(ready, start).ends(durations)
-        consumed = bisect_right(ends, time)
-        if len(ready) - consumed >= capacity:
-            switches += 1
-            away = True
-            wake = ends[max(len(ready) - capacity // 2, consumed + 1) - 1]
-            idle += max(0.0, wake - time)
-            time = max(time, wake)
-        if slot is not None:
-            time += (penalty_s if away else 0.0) + drive.read_slot(
-                slot, plan.bits[index]
-            )
-            away = False
-        ready.append(time)
-        if start is None:
-            start = time
-    metrics = ContinuityMetrics(request_id="varspeed")
-    metrics.score(
-        ready, accumulate(durations, initial=start),
-        Served(ready, start).ends(durations),
-    )
-    return metrics, switches, idle
-
-
-class TestMatchesPrefixRescan:
-    @settings(deadline=None, max_examples=60)
+class TestTrickPlayMatchesTheModel:
+    @settings(deadline=None, max_examples=80)
     @given(
         blocks=st.lists(st.tuples(
             st.one_of(st.none(), st.integers(0, 5000)),
@@ -161,22 +138,32 @@ class TestMatchesPrefixRescan:
         speed=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.5]),
         capacity=st.integers(1, 8),
         skipping=st.booleans(),
+        cost=st.sampled_from(sorted(COSTS)),
     )
-    def test_generated_plans(self, blocks, speed, capacity, skipping):
-        """Buffer tests and task-switch wakes read trick play's own
-        play-out ends; the rescan of the delivered prefix agrees."""
+    def test_generated_plans(self, blocks, speed, capacity, skipping, cost):
+        """A rewritten plan on the loop at k = 1 is the model's one
+        stream: the same columns and score, one task switch per idle
+        round, and the disk idle for what the turns leave of the run."""
         skipping = skipping and speed > 1.0
-        fetches = FetchColumns(
+        plan = transform_plan(FetchColumns(
             [slot for slot, _duration in blocks], [2.0e5] * len(blocks),
             [duration for _slot, duration in blocks],
+        ), speed, skipping)
+        stream = play_single(
+            plan, StubDrive(COSTS[cost]), buffer_capacity=capacity
         )
-        result = simulate_variable_speed(
-            fetches, build_drive(), speed, capacity, skipping=skipping
+        outcome = serve(
+            [Stream("play", plan.slots, plan.durations, capacity)],
+            lambda _round, _active: 1, COSTS[cost],
         )
-        metrics, switches, idle = reference_variable_speed(
-            fetches, build_drive(), speed, capacity, skipping
+        served = outcome.served["play"]
+        assert stream.ready == served.ready
+        assert stream.clock_start == served.clock_start
+        assert stream.ends == served.ends(plan.durations)
+        assert stream.metrics.summary() == summary(
+            "play", score(served, plan.durations)
         )
-        assert result.metrics.summary() == metrics.summary()
-        assert (result.task_switches, result.switch_idle_time) == (
-            switches, idle
-        )
+        switches, idle = task_switches(stream)
+        assert switches == outcome.idle_rounds
+        run = served.ready[-1] if served.ready else 0.0
+        assert idle == pytest.approx(run - turn_cost(served), abs=1e-9)

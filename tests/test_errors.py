@@ -4,7 +4,7 @@ Five families checked here: count parameters off the service loop go
 through ``check_count`` (a string used to raise a bare ``TypeError``; a
 float or a bool was silently accepted), the front door's windows through
 ``check_seconds`` (a NaN window silently turned batching off), a request
-or a single-request simulator refuses a field of the wrong type or
+or a trick-play speed refuses a field of the wrong type or
 range, a fault plan refuses a value it cannot use, and a lookup of an
 absent session or title raises a ``ReproError`` that is still a
 ``KeyError``.
@@ -36,8 +36,7 @@ from repro.obs import SessionTimeline, SpanTracer
 from repro.rope.server import BlockFetch
 from repro.server import build_media_server
 from repro.server.batching import group_into_batches
-from repro.service import RecordStream, simulate_pipelined
-from repro.service.variable_speed import simulate_variable_speed, transform_plan
+from repro.service import RecordStream, play_single, transform_plan
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,18 +50,12 @@ def _plan(per_node_streams):
     return PlacementPolicy(min_replicas=1).plan(titles, ["n0"], per_node_streams)
 
 
-#: A four-block plan for the single-request simulators.
+#: A four-block plan for a single-request run.
 FETCHES = [BlockFetch(slot, 1.0, 0.1) for slot in range(4)]
 
 
 def _pipelined(read_ahead):
-    return simulate_pipelined(FETCHES, build_drive(), read_ahead=read_ahead)
-
-
-def _trick_play(speed=1.0, buffer_capacity=2, **options):
-    return simulate_variable_speed(
-        FETCHES, build_drive(), speed, buffer_capacity, **options
-    )
+    return play_single(FETCHES, build_drive(), read_ahead=read_ahead)
 
 
 #: (parameter, minimum it accepts, constructor, bad value).
@@ -105,7 +98,8 @@ COUNTS = [
     ("min_replicas", 1, lambda v: build_cluster(2, 1, min_replicas=v), True),
     ("read_ahead", 0, _pipelined, 2.5),
     ("read_ahead", 0, _pipelined, True),
-    ("buffer_capacity", 1, lambda v: _trick_play(buffer_capacity=v), 2.5),
+    ("buffer_capacity", 1,
+     lambda v: play_single(FETCHES, build_drive(), buffer_capacity=v), 2.5),
 ]
 
 
@@ -148,16 +142,13 @@ FAULTS = [
 #: (window, constructor, a value it cannot use): a time goes through
 #: ``check_seconds``.  Before, ``batch_window=nan`` silently turned
 #: batching off, ``inf`` was accepted and ``"x"`` raised a bare TypeError,
-#: as a string title length did; a NaN or negative trick-play switch
-#: penalty was charged.
+#: as a string title length did.
 WINDOWS = [
     ("batch_window", lambda v: build_media_server(batch_window=v), math.nan),
     ("batch_window", lambda v: build_media_server(batch_window=v), math.inf),
     ("batch_window", lambda v: build_media_server(batch_window=v), "x"),
     ("window", lambda v: group_into_batches([], window=v), math.nan),
     ("title T01: seconds", lambda v: build_cluster(2, 1, seconds=v), "1"),
-    ("switch_penalty", lambda v: _trick_play(switch_penalty=v), math.nan),
-    ("switch_penalty", lambda v: _trick_play(switch_penalty=v), -1.0),
 ]
 
 

@@ -263,8 +263,8 @@ class TestPublicSurface:
         ("repro.service", "RoundRobinService"):
             "drive k_schedule recovery on_head_failure obs order after_turns",
         ("repro.obs", "Observability"): "enabled seed",
-        ("repro.service", "simulate_concurrent"):
-            "fetches array request_id recovery",
+        ("repro.service", "play_single"):
+            "fetches drive read_ahead buffer_capacity recovery",
         ("repro.disk", "DriveArray.parameters"): "",
         ("repro.cluster", "build_cluster"):
             "nodes titles seconds per_node_streams min_replicas clients obs "
@@ -1042,6 +1042,15 @@ class TestRetiredNames:
         "repro.config.get_profile", "repro.disk.CHS", "repro.disk.geometry.CHS",
         "repro.disk.DiskGeometry.to_chs", "repro.disk.DiskGeometry.to_lba",
         "repro.fs.Strand.unit_offset_of",
+        # One simulator: Figs. 1–3 and trick play run on the round loop.
+        "repro.service.playback._replay",
+        "repro.service.simulate_sequential", "repro.service.simulate_pipelined",
+        "repro.service.simulate_concurrent",
+        "repro.service.simulate_variable_speed",
+        "repro.service.simulate_variable_speed(switch_penalty)",
+        "repro.service.VariableSpeedResult",
+        "src/repro/service/variable_speed.py", "repro.service.variable_speed",
+        "tests/analysis/test_e17.py", "tests/analysis/test_e18.py",
     ]
     #: Retired instance attributes, which no import can resolve.
     RETIRED_ATTRIBUTES = re.compile(
@@ -1135,10 +1144,10 @@ class TestRetiredNames:
 
     def test_src_scores_a_playback_in_one_place(self):
         """``ContinuityMetrics.score`` is the one scorer: no block is
-        scored one at a time anywhere (the RECORD side scores its
-        ``written`` column too), and §3.1's play-out fold is written once
-        per ``ends`` column that has one: the loop's and trick play's.
-        The recorder reads the loop's; nothing re-folds it."""
+        scored one at a time anywhere, and it is called by the loop and
+        by the RECORD side (its ``written`` column) alone.  §3.1's
+        play-out fold is written once, in the loop; the recorder and
+        trick play read its ``ends``, and nothing re-folds them."""
         from repro.sim.metrics import ContinuityMetrics
 
         scoring = re.compile(r"\.record_(delivery|skip)\(")
@@ -1155,8 +1164,14 @@ class TestRetiredNames:
         )
         assert [hit.split(":")[0] for hit in folds] == [
             "src/repro/service/rounds.py",
-            "src/repro/service/variable_speed.py",
         ], "\n".join(folds)
+        calls = _lines_naming(
+            re.compile(r"^\s*[^#\s].*\.score\("), ("src",), {".py"}
+        )
+        assert [hit.split(":")[0] for hit in calls] == [
+            "src/repro/service/mixed_rounds.py",
+            "src/repro/service/rounds.py",
+        ], "\n".join(calls)
 
     def test_the_check_can_tell_present_from_gone(self):
         for name in ("repro.analysis.Table.cell", "repro.obs.recorder",
@@ -1207,11 +1222,11 @@ class TestReferencesAreNotSubclasses:
 
 
 class TestSourceSize:
-    #: `src/` physical lines, as measured, after the sim event log and
-    #: the names only their own tests called left (21,352 before).
+    #: `src/` physical lines, as measured, after Figs. 1–3 and trick play
+    #: moved onto the round loop (21,072 before).
     #: ROADMAP aim 2: the count trends *down* — lower this when a PR
     #: deletes code, never raise it to make room.
-    SRC_LINE_CEILING = 21072
+    SRC_LINE_CEILING = 20921
     #: `src/repro/obs/` alone, measured when the sim event log left
     #: (2,838 before): the largest package in `src/`, pinned on its own.
     OBS_LINE_CEILING = 2737
