@@ -17,7 +17,7 @@ from repro.disk import (
     ScatterBounds,
     build_drive,
 )
-from repro.fs.index import PrimaryEntry, StrandIndex
+from repro.fs.index import StrandIndex
 from repro.media.frames import frames_for_duration
 from repro.rope import Media, build_rope_server
 
@@ -28,9 +28,7 @@ def test_index_lookup_speed(benchmark):
     index = StrandIndex(
         frame_rate=30.0, primary_fanout=4096, secondary_fanout=2048
     )
-    index.extend(
-        [PrimaryEntry(sector=i * 64, sector_count=64) for i in range(10_000)]
-    )
+    index.extend([i * 64 for i in range(10_000)], 64)
     rng = random.Random(3)
     probes = [rng.randrange(10_000) for _ in range(256)]
 

@@ -63,6 +63,7 @@ WATCHING = "watching is not walking"
 ORACLE = "one oracle"
 ONE_COPY = "one copy of each mechanism"
 ONE_SIMULATOR = "one simulator"
+COLUMNS = "a recording is columns"
 
 
 class Mutant(NamedTuple):
@@ -75,6 +76,8 @@ class Mutant(NamedTuple):
 
 
 WAKE = "                stream._wake = wake = ends[count]\n"
+FORWARD = "                range(center + near, (high if high < last else last) + 1),\n"
+BACKWARD = "                range(low if low > 0 else 0, center - near + 1),\n"
 FOLD = (
     "            if started:\n"
     "                stream.clock_start = end = time\n"
@@ -121,10 +124,7 @@ MUTANTS = [
            EQUIVALENCE + "test_generated_loads"),
     # The placer's four.
     Mutant(STRANDS, "placer: backward cylinders before forward ones", PLACER,
-           "            (center + self._near, center + self._far),\n"
-           "            (center - self._far, center - self._near),\n",
-           "            (center - self._far, center - self._near),\n"
-           "            (center + self._near, center + self._far),\n",
+           FORWARD + BACKWARD, BACKWARD + FORWARD,
            PLACES + "TestPlacerEqualsTheScan::"
            "test_strands_from_hints_on_occupied_disks"),
     Mutant(STRANDS, "placer: the previous slot not skipped", PLACER,
@@ -218,12 +218,12 @@ MUTANTS = [
            "test_an_upper_bound_equal_to_a_gap_admits_that_distance"),
     Mutant(ORACLE, "strand: each call's units counted from block 0",
            "src/repro/fs/strand.py",
-           "units = sum(self._block_units[first:])",
-           "units = sum(self._block_units)", EXTEND),
+           "spb, units=sum(units),", "spb, units=sum(self._block_units),",
+           EXTEND),
     Mutant(ORACLE, "strand: a primary entry addressed by slot, not sector",
            "src/repro/fs/strand.py",
-           "entry = PrimaryEntry(slot * spb, spb)", "entry = PrimaryEntry(slot, spb)",
-           EXTEND),
+           "None if slot is None else slot * spb for slot in slots",
+           "None if slot is None else slot for slot in slots", EXTEND),
     Mutant(ORACLE, "index: a secondary entry counts the room, not the blocks",
            "src/repro/fs/index.py",
            "block_count=len(primary.entries),", "block_count=room,", EXTEND),
@@ -270,6 +270,23 @@ MUTANTS = [
            "        played = sum(1 for end in ends if end < landed)\n",
            "tests/service/test_variable_speed.py::TestTrickPlayMatchesTheModel::"
            "test_generated_plans"),
+    Mutant(COLUMNS, "block_at: a MIXED block's video bits as payload less audio",
+           "src/repro/fs/strand.py",
+           "self._video_bits[block_number], self._audio[block_number],",
+           "self._block_bits[block_number] - getattr("
+           "self._audio[block_number], 'bits', 0.0), self._audio[block_number],",
+           "tests/fs/test_strand.py::TestBlocksAreViews::"
+           "test_a_mixed_block_round_trips_exactly"),
+    Mutant(COLUMNS, "extend: a negative video_bits let through",
+           "src/repro/fs/strand.py",
+           "        if min(bits, default=0.0) < 0:\n", "        if False:\n",
+           "tests/fs/test_strand.py::TestRecording::"
+           "test_the_block_checks_run_over_the_columns"),
+    Mutant(COLUMNS, "placer: every hop anchored at the head's cylinder", PLACER,
+           "            previous, center = slot, cylinder\n",
+           "            previous = slot\n",
+           PLACES + "TestPlacerEqualsTheScan::"
+           "test_strands_from_hints_on_occupied_disks"),
 ]
 
 

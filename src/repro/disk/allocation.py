@@ -22,6 +22,7 @@ hardware.
 from __future__ import annotations
 
 import random
+from itertools import chain
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -97,8 +98,11 @@ class Allocator:
         return slot
 
     def allocate_after(self, previous: int) -> int:
-        """Allocate the block following *previous* in the same strand."""
-        raise NotImplementedError
+        """Allocate the block following *previous* in the same strand:
+        the one-hop case of the chain."""
+        slots = [previous]
+        self._chain(slots, 1)
+        return slots[1]
 
     def allocate_strand(
         self, count: int, hint: Optional[int] = None
@@ -109,12 +113,16 @@ class Allocator:
         slots: List[int] = []
         try:
             slots.append(self.allocate_first(hint))
-            for _ in range(count - 1):
-                slots.append(self.allocate_after(slots[-1]))
+            self._chain(slots, count - 1)
         except (AllocationError, DiskFullError):
             self.release(slots)
             raise
         return slots
+
+    def _chain(self, slots: List[int], count: int) -> None:
+        """Append *count* slots to *slots*, each placed after the last; a
+        hop that cannot raises, with the slots placed so far in *slots*."""
+        raise NotImplementedError
 
     def release(self, slots: List[int]) -> None:
         """Return slots to the free map."""
@@ -127,9 +135,9 @@ class ConstrainedScatterAllocator(Allocator):
 
     The seconds-valued bounds are translated into a cylinder-distance
     window once, using the drive's seek curve, and the distances whose
-    exact gap the bounds admit are resolved once too; each
-    ``allocate_after`` then takes the first free slot of the first of
-    those cylinders (forward first, then backward) that has one.
+    exact gap the bounds admit are resolved once too; each hop of a
+    chain then takes the first free slot of the first of those
+    cylinders (forward first, then backward) that has one.
 
     Parameters
     ----------
@@ -204,36 +212,40 @@ class ConstrainedScatterAllocator(Allocator):
         """Feasible cylinder distances (inclusive window, for tests)."""
         return range(self._d_min, self._d_max + 1)
 
-    def allocate_after(self, previous: int) -> int:
-        """Allocate the next block within the scattering window.
-
-        Scans the admitted forward cylinders first, nearest first
-        (keeping strands sweeping across the disk, which is what bounds
-        intra-round seeks), then the admitted backward ones, farthest
-        first, and takes the first free slot other than *previous*.
+    def _chain(self, slots: List[int], count: int) -> None:
+        """Each hop scans the admitted forward cylinders first, nearest
+        first (keeping strands sweeping across the disk, which is what
+        bounds intra-round seeks), then the admitted backward ones,
+        farthest first, and takes the first free slot other than the
+        previous one — whose cylinder is the one its scan found it in.
         """
-        center = self.drive.cylinder_of(previous)
-        starts, last = self._starts, self._last
+        near, far, last, starts = self._near, self._far, self._last, self._starts
         first_free = self.freemap.first_free_in_window
-        for low, high in (
-            (center + self._near, center + self._far),
-            (center - self._far, center - self._near),
-        ):
+        take = self.freemap.allocate
+        previous = slots[-1]
+        center = self.drive.cylinder_of(previous)
+        for _ in range(count):
             # Clamp to the disk; a conditional costs less than max/min here.
-            low = low if low > 0 else 0
-            for cylinder in range(low, (high if high < last else last) + 1):
+            high, low = center + far, center - far
+            for cylinder in chain(
+                range(center + near, (high if high < last else last) + 1),
+                range(low if low > 0 else 0, center - near + 1),
+            ):
                 stop = starts[cylinder + 1]
                 slot = first_free(starts[cylinder], stop)
                 if slot == previous:
                     slot = first_free(previous + 1, stop)
                 if slot is not None:
-                    self.freemap.allocate(slot)
-                    return slot
-        raise ScatteringError(
-            f"no free slot within the scattering window after slot "
-            f"{previous} (cylinder {center}, distance window "
-            f"[{self._d_min}, {self._d_max}])"
-        )
+                    break
+            else:
+                raise ScatteringError(
+                    f"no free slot within the scattering window after slot "
+                    f"{previous} (cylinder {center}, distance window "
+                    f"[{self._d_min}, {self._d_max}])"
+                )
+            take(slot)
+            slots.append(slot)
+            previous, center = slot, cylinder
 
 
 class RandomAllocator(Allocator):
@@ -255,8 +267,9 @@ class RandomAllocator(Allocator):
         self.freemap.allocate(slot)
         return slot
 
-    def allocate_after(self, previous: int) -> int:
-        return self.allocate_first()
+    def _chain(self, slots: List[int], count: int) -> None:
+        for _ in range(count):
+            slots.append(self.allocate_first())
 
 
 class ContiguousAllocator(Allocator):
@@ -268,15 +281,15 @@ class ContiguousAllocator(Allocator):
     fragmentation message).
     """
 
-    def allocate_after(self, previous: int) -> int:
-        candidate = previous + 1
-        if candidate >= self.freemap.slots or not self.freemap.is_free(candidate):
-            raise AllocationError(
-                f"slot {candidate} after {previous} is unavailable — "
-                "contiguous run broken (fragmentation)"
-            )
-        self.freemap.allocate(candidate)
-        return candidate
+    def _chain(self, slots: List[int], count: int) -> None:
+        for candidate in range(slots[-1] + 1, slots[-1] + 1 + count):
+            if candidate >= self.freemap.slots or not self.freemap.is_free(candidate):
+                raise AllocationError(
+                    f"slot {candidate} after {candidate - 1} is unavailable "
+                    "— contiguous run broken (fragmentation)"
+                )
+            self.freemap.allocate(candidate)
+            slots.append(candidate)
 
     def allocate_strand(
         self, count: int, hint: Optional[int] = None

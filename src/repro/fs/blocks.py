@@ -43,19 +43,30 @@ class AudioPayload:
 
     def __post_init__(self) -> None:
         if self.start_sample < 0:
-            raise ParameterError(
-                f"start_sample must be >= 0, got {self.start_sample}"
-            )
+            raise ParameterError(f"start_sample must be >= 0, got {self.start_sample}")
         if self.sample_count < 1:
-            raise ParameterError(
-                f"sample_count must be >= 1, got {self.sample_count}"
-            )
+            raise ParameterError(f"sample_count must be >= 1, got {self.sample_count}")
         if not 0.0 <= self.average_energy <= 1.0:
             raise ParameterError(
                 f"average_energy must be in [0, 1], got {self.average_energy}"
             )
         if self.bits <= 0:
             raise ParameterError(f"bits must be positive, got {self.bits}")
+
+
+#: What a block of each media kind holds — (frames?, an audio payload?) —
+#: and the error that names it.
+MEDIA_NEEDS = {
+    BlockKind.VIDEO: (
+        True, False, "a VIDEO block needs frames and no audio payload"
+    ),
+    BlockKind.AUDIO: (
+        False, True, "an AUDIO block needs an audio payload and no frames"
+    ),
+    BlockKind.MIXED: (
+        True, True, "a MIXED block needs both frames and an audio payload"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -82,24 +93,10 @@ class MediaBlock:
 
     def __post_init__(self) -> None:
         if self.video_bits < 0:
-            raise ParameterError(
-                f"video_bits must be >= 0, got {self.video_bits}"
-            )
-        if self.kind is BlockKind.VIDEO:
-            if not self.video_tokens or self.audio is not None:
-                raise ParameterError(
-                    "a VIDEO block needs frames and no audio payload"
-                )
-        elif self.kind is BlockKind.AUDIO:
-            if self.audio is None or self.video_tokens:
-                raise ParameterError(
-                    "an AUDIO block needs an audio payload and no frames"
-                )
-        elif self.kind is BlockKind.MIXED:
-            if self.audio is None or not self.video_tokens:
-                raise ParameterError(
-                    "a MIXED block needs both frames and an audio payload"
-                )
+            raise ParameterError(f"video_bits must be >= 0, got {self.video_bits}")
+        needs = MEDIA_NEEDS.get(self.kind)
+        if needs and needs[:2] != (bool(self.video_tokens), bool(self.audio)):
+            raise ParameterError(needs[2])
 
     @property
     def payload_bits(self) -> float:

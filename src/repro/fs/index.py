@@ -19,7 +19,10 @@ synthesizes silence without any disk access.
 
 Entry sizes follow Fig. 6's field lists (four-byte fields): a primary
 entry is 2 fields (sector, sectorCount) = 64 bits; a secondary entry is 4
-fields = 128 bits; fan-outs derive from the disk block size.
+fields = 128 bits; fan-outs derive from the disk block size.  Every block
+of a strand spans the same sectorCount, so a primary block holds one
+sector int per block and the index holds the count once;
+:class:`PrimaryEntry` is the view :meth:`StrandIndex.lookup` hands out.
 """
 
 from __future__ import annotations
@@ -74,30 +77,16 @@ class PrimaryEntry:
         if self.sector < 0:
             raise ParameterError(f"sector must be >= 0, got {self.sector}")
         if self.sector_count < 1:
-            raise ParameterError(
-                f"sector_count must be >= 1, got {self.sector_count}"
-            )
+            raise ParameterError(f"sector_count must be >= 1, got {self.sector_count}")
 
 
 @dataclass
 class PrimaryBlock:
-    """A sequence of media-block addresses (None = silence holder)."""
+    """Up to ``primary_fanout`` media-block start sectors (None = silence
+    holder), and the disk slot holding the PB once assigned."""
 
-    capacity: int
-    entries: List[Optional[PrimaryEntry]] = field(default_factory=list)
-    #: Disk slot holding this PB once assigned (None while in memory only).
+    entries: List[Optional[int]] = field(default_factory=list)
     slot: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ParameterError(
-                f"capacity must be >= 1, got {self.capacity}"
-            )
-
-    @property
-    def is_full(self) -> bool:
-        """True when no more entries fit."""
-        return len(self.entries) >= self.capacity
 
 
 @dataclass(frozen=True)
@@ -112,22 +101,11 @@ class SecondaryEntry:
 
 @dataclass
 class SecondaryBlock:
-    """A sequence of pointers to primary blocks."""
+    """Up to ``secondary_fanout`` pointers to primary blocks, and the
+    disk slot holding the SB once assigned."""
 
-    capacity: int
     entries: List[SecondaryEntry] = field(default_factory=list)
     slot: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ParameterError(
-                f"capacity must be >= 1, got {self.capacity}"
-            )
-
-    @property
-    def is_full(self) -> bool:
-        """True when no more entries fit."""
-        return len(self.entries) >= self.capacity
 
 
 @dataclass
@@ -138,11 +116,6 @@ class HeaderBlock:
     frame_count: int = 0
     secondary_slots: List[Optional[int]] = field(default_factory=list)
     slot: Optional[int] = None
-
-    @property
-    def secondary_count(self) -> int:
-        """Number of secondary blocks in the strand."""
-        return len(self.secondary_slots)
 
 
 class StrandIndex:
@@ -163,9 +136,7 @@ class StrandIndex:
         secondary_fanout: int,
     ):
         if frame_rate <= 0:
-            raise ParameterError(
-                f"frame_rate must be positive, got {frame_rate}"
-            )
+            raise ParameterError(f"frame_rate must be positive, got {frame_rate}")
         if primary_fanout < 1 or secondary_fanout < 1:
             raise ParameterError(
                 "fan-outs must be >= 1, got "
@@ -174,46 +145,60 @@ class StrandIndex:
         self.primary_fanout = primary_fanout
         self.secondary_fanout = secondary_fanout
         self.header = HeaderBlock(frame_rate=frame_rate)
+        #: Sectors every media block of the strand spans (Fig. 6's
+        #: sectorCount, the same in each primary entry).
+        self.sector_count = 1
         self.primaries: List[PrimaryBlock] = []
         self.secondaries: List[SecondaryBlock] = []
 
     # -- construction --------------------------------------------------------
 
     def extend(
-        self, entries: Sequence[Optional[PrimaryEntry]], units: int = 0
+        self,
+        entries: Sequence[Optional[int]],
+        sector_count: int,
+        units: int = 0,
     ) -> None:
-        """Record the next media blocks' addresses, in block order.
+        """Record the next media blocks' start sectors, in block order.
 
-        A ``None`` entry is a silence delay holder.  *units* (the frames
-        or samples the blocks represent — for silence, the samples the
-        silent period covers) accumulates into the header's frame count.
-        Each primary block touched takes its share as one slice, and its
-        secondary entry is written once.
+        A ``None`` entry is a silence delay holder; every stored block
+        spans *sector_count* sectors, the same in each call.  *units*
+        (the frames or samples the blocks represent — for silence, the
+        samples the silent period covers) accumulates into the header's
+        frame count.  Each primary block touched takes its share as one
+        slice, and its secondary entry is written once.
         """
         if units < 0:
             raise ParameterError(f"units must be >= 0, got {units}")
+        if sector_count < 1 or self.primaries and sector_count != self.sector_count:
+            raise ParameterError(
+                f"an index of {self.sector_count}-sector blocks given {sector_count}"
+            )
+        self.sector_count = sector_count
         done = 0
         while done < len(entries):
-            if self.primaries and not self.primaries[-1].is_full:
+            if self.primaries and (
+                len(self.primaries[-1].entries) < self.primary_fanout
+            ):
                 primary = self.primaries[-1]
                 last = self.secondaries[-1].entries.pop()
-                sector, sector_count = last.sector, last.sector_count
+                pb_sector, pb_sector_count = last.sector, last.sector_count
             else:
-                if not self.secondaries or self.secondaries[-1].is_full:
-                    self.secondaries.append(
-                        SecondaryBlock(self.secondary_fanout)
-                    )
+                if not self.secondaries or (
+                    len(self.secondaries[-1].entries) >= self.secondary_fanout
+                ):
+                    self.secondaries.append(SecondaryBlock())
                     self.header.secondary_slots.append(None)
-                primary = PrimaryBlock(self.primary_fanout)
+                primary = PrimaryBlock()
                 self.primaries.append(primary)
-                sector, sector_count = -1, 0
+                pb_sector, pb_sector_count = -1, 0
             room = self.primary_fanout - len(primary.entries)
             primary.entries += entries[done:done + room]
             done += room
             self.secondaries[-1].entries.append(SecondaryEntry(
                 start_block=(len(self.primaries) - 1) * self.primary_fanout,
                 block_count=len(primary.entries),
-                sector=sector, sector_count=sector_count,
+                sector=pb_sector, sector_count=pb_sector_count,
             ))
         self.header.frame_count += units
 
@@ -229,19 +214,25 @@ class StrandIndex:
             + len(self.primaries[-1].entries)
         )
 
-    def lookup(self, block_number: int) -> Optional[PrimaryEntry]:
-        """Resolve a media block number to its disk address (None=silence).
-
-        Constant-time: immutable strands fill their primary blocks
-        uniformly, so the position is pure arithmetic.
-        """
+    def _locate(self, block_number: int):
+        """The primary block holding *block_number*, and its offset there:
+        immutable strands fill their primary blocks uniformly, so the
+        position is pure arithmetic — no tree walk."""
         if not 0 <= block_number < self.block_count:
             raise ParameterError(
                 f"block {block_number} outside strand "
                 f"(0..{self.block_count - 1})"
             )
-        primary_index, offset = divmod(block_number, self.primary_fanout)
-        return self.primaries[primary_index].entries[offset]
+        primary, offset = divmod(block_number, self.primary_fanout)
+        return self.primaries[primary].entries, offset
+
+    def lookup(self, block_number: int) -> Optional[PrimaryEntry]:
+        """Resolve a media block number to its disk address (None=silence)."""
+        entries, offset = self._locate(block_number)
+        sector = entries[offset]
+        return None if sector is None else PrimaryEntry(
+            sector, self.sector_count
+        )
 
     def update(
         self, block_number: int, entry: Optional[PrimaryEntry]
@@ -252,17 +243,15 @@ class StrandIndex:
         immutable, but its blocks may be moved on disk, which rewrites
         the corresponding primary entry in place.
         """
-        if not 0 <= block_number < self.block_count:
+        if entry is not None and entry.sector_count != self.sector_count:
             raise ParameterError(
-                f"block {block_number} outside strand "
-                f"(0..{self.block_count - 1})"
+                f"{entry} in an index of {self.sector_count}-sector blocks"
             )
-        primary_index, offset = divmod(block_number, self.primary_fanout)
-        self.primaries[primary_index].entries[offset] = entry
+        entries, offset = self._locate(block_number)
+        entries[offset] = None if entry is None else entry.sector
 
     def __iter__(self) -> Iterator[Optional[PrimaryEntry]]:
-        for primary in self.primaries:
-            yield from primary.entries
+        return map(self.lookup, range(self.block_count))
 
     # -- disk residence ----------------------------------------------------------
 
@@ -278,9 +267,7 @@ class StrandIndex:
         """
         needed = self.index_block_count()
         if len(slots) != needed:
-            raise ParameterError(
-                f"index needs {needed} slots, got {len(slots)}"
-            )
+            raise ParameterError(f"index needs {needed} slots, got {len(slots)}")
         cursor = iter(slots)
         self.header.slot = next(cursor)
         for position, secondary in enumerate(self.secondaries):
@@ -301,16 +288,8 @@ class StrandIndex:
 
     def assigned_slots(self) -> List[int]:
         """All disk slots the index occupies (for deletion)."""
-        slots: List[int] = []
-        if self.header.slot is not None:
-            slots.append(self.header.slot)
-        for secondary in self.secondaries:
-            if secondary.slot is not None:
-                slots.append(secondary.slot)
-        for primary in self.primaries:
-            if primary.slot is not None:
-                slots.append(primary.slot)
-        return slots
+        blocks = [self.header, *self.secondaries, *self.primaries]
+        return [block.slot for block in blocks if block.slot is not None]
 
     # -- verification -----------------------------------------------------------
 

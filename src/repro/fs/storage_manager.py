@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import admission
 from repro.core.continuity import Architecture, max_scattering_mixed
@@ -46,7 +46,7 @@ from repro.errors import (
     UnknownStrandError,
     check_count,
 )
-from repro.fs.blocks import AudioPayload, BlockKind, MediaBlock
+from repro.fs.blocks import AudioPayload, BlockKind
 from repro.fs.gc import GarbageCollector, InterestRegistry
 from repro.fs.index import (
     PRIMARY_ENTRY_BITS,
@@ -80,6 +80,17 @@ def _clamp_granularity(eta: int, unit_size: float, slot_bits: float) -> int:
             f"a {slot_bits}-bit slot cannot hold one {unit_size}-bit unit"
         )
     return max(1, min(eta, capacity))
+
+
+def frame_columns(frames: Sequence[Frame], eta: int):
+    """The units, video bits and tokens of *frames* cut into blocks of
+    η frames (the last possibly shorter)."""
+    tokens = tuple(frame.token for frame in frames)
+    sizes = [frame.size_bits for frame in frames]
+    starts = range(0, len(frames), eta)
+    blocks = [tokens[start:start + eta] for start in starts]
+    bits = [sum(sizes[start:start + eta]) for start in starts]
+    return list(map(len, blocks)), bits, blocks
 
 
 class MultimediaStorageManager:
@@ -310,28 +321,39 @@ class MultimediaStorageManager:
         kind: BlockKind,
         unit_rate: float,
         shape,
-        contents: Sequence[Union[MediaBlock, int]],
+        units: Sequence[int],
+        bits: Sequence[float],
+        tokens: Sequence[Tuple[str, ...]],
+        audio: Optional[Sequence[Optional[AudioPayload]]] = None,
         hint: Optional[int] = None,
         slots: Optional[Sequence[int]] = None,
     ) -> Strand:
         """Bring one strand into being — the only place that does.
 
         *shape* gives ``granularity`` and the scattering bounds (a
-        :class:`PlacementPolicy`, or a copy's source strand); *contents*
-        is the strand in playback order, a :class:`MediaBlock` per stored
-        block and an int (units covered) per silence holder.  Media slots
-        are chain-placed from *hint*, or — exact *slots* given — claimed
+        :class:`PlacementPolicy`, or a copy's source strand).  The strand
+        comes as :meth:`Strand.extend`'s columns less the slots, a None
+        audio payload marking a silence holder.  Its stored blocks are
+        chain-placed from *hint*, or — exact *slots* given — claim those,
         all or none; index blocks take the lowest free slots.  Whatever
         fails, every slot this call took goes back before the error
         propagates: a failed store owns nothing.
         """
-        if slots is None:
-            placer = self._placer(shape)
-            stored = sum(1 for item in contents if not isinstance(item, int))
-            taken = placer.allocate_strand(stored, hint) if stored else []
-        else:
+        if slots is not None:
             self.freemap.claim(slots)
-            taken = list(slots)
+            taken = column = list(slots)
+        else:
+            stored = len(units) - (0 if audio is None else audio.count(None))
+            placer = self._placer(shape)
+            taken = column = (
+                placer.allocate_strand(stored, hint) if stored else []
+            )
+            if stored < len(units):     # silence holders take no slot
+                placed = iter(taken)
+                column = [
+                    None if payload is None else next(placed)
+                    for payload in audio
+                ]
         try:
             slot_bits = self.drive.block_bits
             strand = Strand(
@@ -350,7 +372,7 @@ class MultimediaStorageManager:
                 scattering_lower=shape.scattering_lower,
                 scattering_upper=shape.scattering_upper,
             )
-            strand.extend(contents, taken)
+            strand.extend(column, units, bits, tokens, audio)
             index_slots = self._gap_filler.place(
                 strand.index.index_block_count()
             )
@@ -403,20 +425,9 @@ class MultimediaStorageManager:
             if not frames:
                 raise ParameterError("cannot store an empty video strand")
             policy = self.policies.video
-            eta = policy.granularity
-            tokens = tuple(frame.token for frame in frames)
-            bits = [frame.size_bits for frame in frames]
-            # (kind, video_tokens, video_bits), positionally: this runs
-            # once per stored block.
-            blocks = [
-                MediaBlock(
-                    BlockKind.VIDEO, tokens[start:start + eta],
-                    sum(bits[start:start + eta]),
-                )
-                for start in range(0, len(frames), eta)
-            ]
             return self._write_strand(
-                BlockKind.VIDEO, self.video.frame_rate, policy, blocks, hint
+                BlockKind.VIDEO, self.video.frame_rate, policy,
+                *frame_columns(frames, policy.granularity), hint=hint,
             )
 
     def store_audio_strand(
@@ -436,14 +447,11 @@ class MultimediaStorageManager:
             plan = plan_audio_blocks(
                 self.audio, chunks, policy.granularity, detector
             )
-            contents = [
-                plan.samples_in_block(number) if payload is None
-                else MediaBlock(kind=BlockKind.AUDIO, audio=payload)
-                for number, payload in enumerate(plan.payloads)
-            ]
+            count = plan.block_count
             return self._write_strand(
-                BlockKind.AUDIO, self.audio.sample_rate, policy, contents,
-                hint,
+                BlockKind.AUDIO, self.audio.sample_rate, policy,
+                [plan.samples_in_block(number) for number in range(count)],
+                [0.0] * count, [()] * count, list(plan.payloads), hint=hint,
             )
 
     def store_mixed_strand(
@@ -467,27 +475,23 @@ class MultimediaStorageManager:
             samples_per_block = int(
                 self.audio.sample_rate * eta / self.video.frame_rate
             )
-            tokens = tuple(frame.token for frame in frames)
-            bits = [frame.size_bits for frame in frames]
-            blocks = []
-            for start in range(0, len(frames), eta):
-                sample_start = len(blocks) * samples_per_block
-                sample_count = max(
-                    1, min(samples_per_block, total_samples - sample_start)
+            units, bits, tokens = frame_columns(frames, eta)
+            if (len(units) - 1) * samples_per_block >= total_samples:
+                raise ParameterError(
+                    f"the video runs {len(units)} blocks but the audio "
+                    f"ends at sample {total_samples}: a mixed strand "
+                    "stores no audio that was never captured"
                 )
-                blocks.append(MediaBlock(
-                    kind=BlockKind.MIXED,
-                    video_tokens=tokens[start:start + eta],
-                    video_bits=sum(bits[start:start + eta]),
-                    audio=AudioPayload(
-                        start_sample=sample_start,
-                        sample_count=sample_count,
-                        average_energy=0.5,
-                        bits=sample_count * self.audio.sample_size,
-                    ),
+            audio = []
+            for number in range(len(units)):
+                start = number * samples_per_block
+                count = max(1, min(samples_per_block, total_samples - start))
+                audio.append(AudioPayload(
+                    start, count, 0.5, count * self.audio.sample_size
                 ))
             return self._write_strand(
-                BlockKind.MIXED, self.video.frame_rate, policy, blocks, hint
+                BlockKind.MIXED, self.video.frame_rate, policy,
+                units, bits, tokens, audio, hint=hint,
             )
 
     # -- editing support (§4.2) ---------------------------------------------------
@@ -512,15 +516,15 @@ class MultimediaStorageManager:
             )
         if not block_numbers:
             raise ParameterError("no blocks to copy")
-        blocks = [source.block_at(number) for number in block_numbers]
-        if None in blocks:
-            raise ParameterError(
-                f"block {block_numbers[blocks.index(None)]} of "
-                f"{source.strand_id} is a silence holder; copy stored "
-                "blocks only"
-            )
+        for number in block_numbers:
+            if source.slot_of(number) is None:
+                raise ParameterError(
+                    f"block {number} of {source.strand_id} is a silence "
+                    "holder; copy stored blocks only"
+                )
         return self._write_strand(
-            source.kind, source.unit_rate, source, blocks, slots=slots
+            source.kind, source.unit_rate, source,
+            *source.contents(block_numbers), slots=slots,
         )
 
     def relocate_strand(self, strand_id: str, hint: int) -> int:
@@ -539,18 +543,15 @@ class MultimediaStorageManager:
         placer = self._placer(strand)
         self._release(old_slots)
         try:
-            new_slots = iter(placer.allocate_strand(len(old_slots), hint))
+            new_slots = placer.allocate_strand(len(old_slots), hint)
         except (AllocationError, DiskFullError):
             self.freemap.claim(old_slots)
             return 0
-        moved = 0
-        for number in range(strand.block_count):
-            current = strand.slot_of(number)
-            if current is None:
-                continue
-            new_slot = next(new_slots)
-            moved += new_slot != current
+        numbers = range(strand.block_count)
+        stored = [n for n in numbers if strand.slot_of(n) is not None]
+        for number, new_slot in zip(stored, new_slots):
             strand.relocate_block(number, new_slot)
+        moved = sum(new != old for new, old in zip(new_slots, old_slots))
         self.relocations += moved
         return moved
 

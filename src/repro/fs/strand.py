@@ -6,8 +6,9 @@ process of garbage collection."
 
 A :class:`Strand` couples three things:
 
-* the **content** of its media blocks (:class:`repro.fs.blocks.MediaBlock`
-  per block number; silence-eliminated audio blocks have no content),
+* the **content** of its media blocks, held as columns; a
+  :class:`repro.fs.blocks.MediaBlock` is a view built on demand
+  (silence-eliminated audio blocks have none),
 * the **placement** of those blocks on disk (a slot per block; silence
   holders have none),
 * the **3-level index** (:class:`repro.fs.index.StrandIndex`) mapping
@@ -21,10 +22,10 @@ strand contents, it only builds new interval lists (§4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError, StrandImmutableError
-from repro.fs.blocks import BlockKind, MediaBlock
+from repro.fs.blocks import MEDIA_NEEDS, AudioPayload, BlockKind, MediaBlock
 from repro.fs.index import PrimaryEntry, StrandIndex
 
 __all__ = ["Strand"]
@@ -66,13 +67,9 @@ class Strand:
         if kind not in (BlockKind.VIDEO, BlockKind.AUDIO, BlockKind.MIXED):
             raise ParameterError(f"strands hold media, not {kind}")
         if unit_rate <= 0:
-            raise ParameterError(
-                f"unit_rate must be positive, got {unit_rate}"
-            )
+            raise ParameterError(f"unit_rate must be positive, got {unit_rate}")
         if granularity < 1:
-            raise ParameterError(
-                f"granularity must be >= 1, got {granularity}"
-            )
+            raise ParameterError(f"granularity must be >= 1, got {granularity}")
         if sectors_per_block < 1:
             raise ParameterError(
                 f"sectors_per_block must be >= 1, got {sectors_per_block}"
@@ -85,60 +82,81 @@ class Strand:
         self.index = index
         self.scattering_lower = scattering_lower
         self.scattering_upper = scattering_upper
-        self._contents: Dict[int, MediaBlock] = {}
+        # The columns, one entry per block: the only record of its content.
         self._slots: List[Optional[int]] = []
         self._block_units: List[int] = []
-        self._block_bits: List[float] = []
+        self._block_bits: List[float] = []          # payload: video + audio
         self._block_tokens: List[Tuple[str, ...]] = []
-        self._units: int = 0
+        # Kept beside the payload: a MIXED block's video bits are not its
+        # payload less its audio bits in floating point.
+        self._video_bits: List[float] = []
+        self._audio: List[Optional[AudioPayload]] = []
         self._finalized = False
 
     # -- recording-time mutation -----------------------------------------------
 
-    def _check_mutable(self) -> None:
+    def extend(
+        self,
+        slots: Sequence[Optional[int]],
+        units: Sequence[int],
+        bits: Sequence[float],
+        tokens: Sequence[Tuple[str, ...]],
+        audio: Optional[Sequence[Optional[AudioPayload]]] = None,
+    ) -> None:
+        """Append a recording in playback order, as columns with one
+        entry per block: its slot (None for a NULL silence holder), the
+        units (frames, or samples) it covers, its video bits, its frame
+        tokens and its audio payload (*audio* None: none in any block).
+
+        The checks a :class:`MediaBlock` makes of itself run once over
+        the columns; a recording that fails one is refused whole.
+        """
         if self._finalized:
             raise StrandImmutableError(
                 f"strand {self.strand_id} is finalized; strands are "
                 "immutable — edit at the rope layer instead"
             )
-
-    def extend(
-        self,
-        contents: Sequence[Union[MediaBlock, int]],
-        slots: Sequence[int],
-    ) -> None:
-        """Append a recording in playback order: a :class:`MediaBlock` per
-        stored block, placed at the next of *slots*, and an int (units
-        covered) per NULL silence holder."""
-        self._check_mutable()
-        silences = [item for item in contents if isinstance(item, int)]
-        if silences and self.kind is BlockKind.VIDEO:
+        count = len(slots)
+        audio = [None] * count if audio is None else audio
+        if not count == len(units) == len(bits) == len(tokens) == len(audio):
+            raise ParameterError("the columns of a recording differ in length")
+        if min(units, default=1) < 1:
+            raise ParameterError(f"units must be >= 1, got {min(units)}")
+        if min(bits, default=0.0) < 0:
+            raise ParameterError(f"video_bits must be >= 0, got {min(bits)}")
+        if self.kind is BlockKind.VIDEO and None in slots:
             raise ParameterError("video strands have no silence holders")
-        if min(silences, default=1) < 1:
-            raise ParameterError(f"units must be >= 1, got {min(silences)}")
-        if min(slots, default=0) < 0:
-            raise ParameterError(f"slot must be >= 0, got {min(slots)}")
-        if len(slots) != len(contents) - len(silences):
-            raise ParameterError(f"{len(slots)} slots for the stored blocks")
-        audio, placed = self.kind is BlockKind.AUDIO, iter(slots)
-        spb, entries, first = self.sectors_per_block, [], len(self._slots)
-        for number, item in enumerate(contents, first):
-            if isinstance(item, int):
-                slot, units, bits, tokens, entry = None, item, 0.0, (), None
-            else:
-                slot = next(placed)
-                units = item.sample_count if audio else len(item.video_tokens)
-                bits, tokens = item.payload_bits, item.video_tokens
-                entry = PrimaryEntry(slot * spb, spb)  # (sector, sector_count)
-                self._contents[number] = item
-            self._slots.append(slot)
-            self._block_units.append(units)
-            self._block_bits.append(bits)
-            self._block_tokens.append(tokens)
-            entries.append(entry)
-        units = sum(self._block_units[first:])
-        self.index.extend(entries, units=units)
-        self._units += units
+        frames_needed, audio_needed, needs = MEDIA_NEEDS[self.kind]
+        for slot, covered, video, frames, payload in zip(
+            slots, units, bits, tokens, audio
+        ):
+            if slot is None:
+                if frames or video or payload:
+                    raise ParameterError("a silence holder holds no media")
+            elif slot < 0:
+                raise ParameterError(f"slot must be >= 0, got {slot}")
+            elif bool(frames) is not frames_needed or (
+                bool(payload) is not audio_needed
+            ):
+                raise ParameterError(needs)
+            elif covered != (
+                len(frames) if frames_needed else payload.sample_count
+            ):
+                raise ParameterError(f"{covered} units for a block of other size")
+        self._slots += slots
+        self._block_units += units
+        self._block_tokens += tokens
+        self._video_bits += bits
+        self._audio += audio
+        self._block_bits += [
+            video if payload is None else video + payload.bits
+            for video, payload in zip(bits, audio)
+        ]
+        spb = self.sectors_per_block
+        self.index.extend(
+            [None if slot is None else slot * spb for slot in slots],
+            spb, units=sum(units),
+        )
 
     def finalize(self) -> "Strand":
         """Freeze the strand; a later :meth:`extend` raises.  Returns self."""
@@ -161,13 +179,8 @@ class Strand:
         if new_slot < 0:
             raise ParameterError(f"new_slot must be >= 0, got {new_slot}")
         self._slots[block_number] = new_slot
-        self.index.update(
-            block_number,
-            PrimaryEntry(
-                sector=new_slot * self.sectors_per_block,
-                sector_count=self.sectors_per_block,
-            ),
-        )
+        spb = self.sectors_per_block
+        self.index.update(block_number, PrimaryEntry(new_slot * spb, spb))
 
     # -- read access ----------------------------------------------------------
 
@@ -189,17 +202,17 @@ class Strand:
     @property
     def unit_count(self) -> int:
         """Total frames/samples, including silence-covered samples."""
-        return self._units
+        return self.index.header.frame_count
 
     @property
     def duration(self) -> float:
         """Playback length in seconds."""
-        return self._units / self.unit_rate
+        return self.unit_count / self.unit_rate
 
     @property
     def stored_bits(self) -> float:
         """Total payload bits on disk."""
-        return sum(block.payload_bits for block in self._contents.values())
+        return sum(self._block_bits)
 
     @property
     def block_playback_duration(self) -> float:
@@ -216,9 +229,25 @@ class Strand:
         return self._slots[block_number]
 
     def block_at(self, block_number: int) -> Optional[MediaBlock]:
-        """Content of a block (None = silence holder)."""
-        self.slot_of(block_number)  # bounds check
-        return self._contents.get(block_number)
+        """Content of a block (None = silence holder): a view of the
+        columns."""
+        if self.slot_of(block_number) is None:
+            return None
+        return MediaBlock(
+            self.kind, self._block_tokens[block_number],
+            self._video_bits[block_number], self._audio[block_number],
+        )
+
+    def contents(self, numbers: Sequence[int]) -> List[list]:
+        """The units, video bits, tokens and audio payloads of blocks
+        *numbers*: the columns :meth:`extend` takes, for a copy."""
+        return [
+            [column[number] for number in numbers]
+            for column in (
+                self._block_units, self._video_bits, self._block_tokens,
+                self._audio,
+            )
+        ]
 
     def units_of(self, block_number: int) -> int:
         """Frames/samples a block covers (silence holders included)."""
@@ -247,7 +276,7 @@ class Strand:
     def blocks(self) -> Iterator[Tuple[int, Optional[MediaBlock]]]:
         """Iterate ``(block_number, content-or-None)`` in playback order."""
         for number in range(len(self._slots)):
-            yield number, self._contents.get(number)
+            yield number, self.block_at(number)
 
     def verify_against_index(self) -> None:
         """Cross-check placement against the index (test/debug aid)."""
@@ -257,22 +286,10 @@ class Strand:
                 f"index holds {self.index.block_count} blocks, strand "
                 f"placement holds {self.block_count}"
             )
-        for number, slot in enumerate(self._slots):
-            entry = self.index.lookup(number)
-            if slot is None:
-                if entry is not None:
-                    raise ParameterError(
-                        f"block {number}: silence in placement but indexed "
-                        f"at sector {entry.sector}"
-                    )
-            else:
-                if entry is None:
-                    raise ParameterError(
-                        f"block {number}: placed at slot {slot} but index "
-                        "holds a NULL silence entry"
-                    )
-                if entry.sector != slot * self.sectors_per_block:
-                    raise ParameterError(
-                        f"block {number}: slot {slot} disagrees with "
-                        f"indexed sector {entry.sector}"
-                    )
+        spb = self.sectors_per_block
+        for number, (slot, entry) in enumerate(zip(self._slots, self.index)):
+            if entry != (None if slot is None else PrimaryEntry(slot * spb, spb)):
+                raise ParameterError(
+                    f"block {number}: placed at slot {slot} but indexed as "
+                    f"{entry}"
+                )

@@ -37,6 +37,7 @@ from repro.errors import (
     ParameterError,
     UnknownStrandError,
 )
+from repro.fs.storage_manager import frame_columns
 from repro.media.frames import Frame
 
 __all__ = ["StripedStrand", "StripedStorageManager"]
@@ -145,16 +146,13 @@ class StripedStorageManager:
         """Stripe a frame sequence across the array's members."""
         if not frames:
             raise ParameterError("cannot store an empty strand")
-        groups = [
-            frames[start:start + self.granularity]
-            for start in range(0, len(frames), self.granularity)
-        ]
+        _units, bits, tokens = frame_columns(frames, self.granularity)
         # Block i lives on member i mod p; each member chain-places its
         # own share, and a member that cannot undoes the others'.
         placed: List[List[int]] = []
         try:
             for member, allocator in enumerate(self._allocators):
-                share = len(range(member, len(groups), self.heads))
+                share = len(range(member, len(tokens), self.heads))
                 placed.append(
                     allocator.allocate_strand(share) if share else []
                 )
@@ -168,10 +166,10 @@ class StripedStorageManager:
             granularity=self.granularity,
             addresses=[
                 StripedSlot(index % heads, placed[index % heads][index // heads])
-                for index in range(len(groups))
+                for index in range(len(tokens))
             ],
-            tokens=[tuple(frame.token for frame in group) for group in groups],
-            bits=[sum(frame.size_bits for frame in group) for group in groups],
+            tokens=tokens,
+            bits=bits,
             frame_rate=self.video.frame_rate,
         )
         self._strands[strand.strand_id] = strand

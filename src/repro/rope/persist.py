@@ -18,6 +18,7 @@ the rope server's ropes as well as the MSM's strands.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ImageError, ParameterError
@@ -45,25 +46,8 @@ def _block_to_json(block: MediaBlock) -> Dict[str, Any]:
         "video_bits": block.video_bits,
     }
     if block.audio is not None:
-        payload["audio"] = {
-            "start_sample": block.audio.start_sample,
-            "sample_count": block.audio.sample_count,
-            "average_energy": block.audio.average_energy,
-            "bits": block.audio.bits,
-        }
+        payload["audio"] = asdict(block.audio)
     return payload
-
-
-def _block_from_json(data: Dict[str, Any]) -> MediaBlock:
-    audio = None
-    if "audio" in data:
-        audio = AudioPayload(**data["audio"])
-    return MediaBlock(
-        kind=BlockKind(data["kind"]),
-        video_tokens=tuple(data["video_tokens"]),
-        video_bits=data["video_bits"],
-        audio=audio,
-    )
 
 
 def _strand_to_json(strand: Strand) -> Dict[str, Any]:
@@ -112,14 +96,23 @@ def _strand_from_json(
         scattering_lower=data["scattering_lower"],
         scattering_upper=float("inf") if upper is None else upper,
     )
-    contents, slots = [], []
+    columns = ([], [], [], [], [])   # slots, units, bits, tokens, audio
     for entry in data["blocks"]:
-        if entry.get("silence"):
-            contents.append(entry["units"])
-        else:
-            contents.append(_block_from_json(entry["content"]))
-            slots.append(entry["slot"])
-    strand.extend(contents, slots)
+        row = (None, entry["units"], 0.0, (), None)     # a silence holder
+        if not entry.get("silence"):
+            content = entry["content"]
+            if BlockKind(content["kind"]) is not strand.kind:
+                raise ParameterError(
+                    f"a {content['kind']} block in a {strand.kind.value} strand"
+                )
+            row = (
+                entry["slot"], entry["units"], content["video_bits"],
+                tuple(content["video_tokens"]),
+                AudioPayload(**content["audio"]) if "audio" in content else None,
+            )
+        for column, value in zip(columns, row):
+            column.append(value)
+    strand.extend(*columns)
     if data["index_slots"]:
         strand.index.assign_slots(list(data["index_slots"]))
     return strand.finalize()

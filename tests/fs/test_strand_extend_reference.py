@@ -13,7 +13,9 @@ generated strands of every media kind — silence holders included,
 fan-outs small enough that a strand crosses primary and secondary block
 boundaries, and recordings taken in one call or several — the strand
 must equal the statement, before and after index slots are assigned,
-and survive a persist round trip unchanged.
+and survive a persist round trip unchanged.  ``Strand.extend`` takes a
+recording as columns; ``as_columns`` is the one place a recording stated
+as blocks becomes them.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,28 @@ from repro.fs.strand import Strand
 def chunks(items, size):
     """*items* in consecutive runs of *size*, the last possibly shorter."""
     return [items[at:at + size] for at in range(0, len(items), size)]
+
+
+def as_columns(kind, contents, slots):
+    """The ``(slots, units, bits, tokens, audio)`` columns
+    ``Strand.extend`` takes for *contents* (a :class:`MediaBlock` per
+    stored block, an int of units per silence holder) at *slots*."""
+    placed, columns = iter(slots), ([], [], [], [], [])
+    for item in contents:
+        if isinstance(item, int):
+            row = (None, item, 0.0, (), None)
+        else:
+            units = (
+                item.sample_count if kind is BlockKind.AUDIO
+                else len(item.video_tokens)
+            )
+            row = (
+                next(placed), units, item.video_bits, item.video_tokens,
+                item.audio,
+            )
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
 
 
 def expected(strand, contents, slots):
@@ -126,7 +150,11 @@ def assert_strand_is(strand, contents, slots, assigned=None):
         for n, item in enumerate(contents)
     ]
     index = strand.index
-    assert [p.entries for p in index.primaries] == primaries
+    fanout = index.primary_fanout
+    assert [
+        [index.lookup(first * fanout + n) for n in range(len(p.entries))]
+        for first, p in enumerate(index.primaries)
+    ] == primaries
     if assigned is not None:
         slot_of = assigned[1 + len(secondaries):]
         secondaries = [
@@ -155,7 +183,7 @@ class TestBulkEqualsPerBlock:
         kind, contents, slots, cuts = recording
         strand = new_strand(kind, primary_fanout, secondary_fanout)
         for part, part_slots in calls(contents, slots, cuts):
-            strand.extend(part, part_slots)
+            strand.extend(*as_columns(kind, part, part_slots))
         assert_strand_is(strand, contents, slots)
         strand.verify_against_index()
         if contents:
@@ -173,7 +201,7 @@ class TestBulkEqualsPerBlock:
         that pair."""
         kind, contents, slots, _ = recording
         strand = new_strand(kind, 2 * secondary_fanout, secondary_fanout)
-        strand.extend(contents, slots)
+        strand.extend(*as_columns(kind, contents, slots))
         assigned = None
         if contents:
             assigned = list(range(1000, 1000 + strand.index.index_block_count()))

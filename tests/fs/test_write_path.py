@@ -67,6 +67,18 @@ def disk_full(*_args, **_kwargs):
     raise DiskFullError("no room for the index blocks")
 
 
+def leave_free_only_a_chain(msm, length):
+    """Take every free slot but the *length* a video strand would be
+    chain-placed on from the lowest free slot (its head and first hops);
+    returns the slots taken."""
+    placer = msm._placer(msm.policies.video)
+    chain = placer.allocate_strand(length)
+    placer.release(chain)
+    others = sorted(set(msm.freemap.free_slots()) - set(chain))
+    msm.freemap.claim(others)
+    return others
+
+
 class TestFailedRecordLeaksNothing:
     def test_record_until_the_disk_cannot_place(self):
         """Parent: the 16th 60-s record raises ``ScatteringError`` with
@@ -106,6 +118,19 @@ class TestFailedRecordLeaksNothing:
             mrs.record("u", frames=video(1.0), heterogeneous=True)
         assert mrs.msm.admission.active_count == 0
 
+    def test_mixed_video_outlasting_its_audio_is_refused(self, mrs):
+        """Parent: 40 MIXED blocks stored, blocks 10-39 each holding one
+        audio sample from past the end of the 1-s recording."""
+        msm = mrs.msm
+        with pytest.raises(ParameterError, match="never captured"):
+            mrs.record(
+                "librarian", frames=video(4.0), chunks=talk(1.0, 0.0, 4),
+                heterogeneous=True,
+            )
+        assert msm.strand_ids() == [] and mrs.rope_ids() == []
+        assert msm.freemap.free_count == msm.freemap.slots
+        assert msm.admission.active_count == 0
+
 
 class TestFailedStoreOwnsNothing:
     @pytest.mark.parametrize("medium", ["video", "audio", "mixed", "copy"])
@@ -131,21 +156,23 @@ class TestFailedStoreOwnsNothing:
     def test_chain_failure_mid_strand_returns_the_placed_prefix(
         self, msm, monkeypatch
     ):
-        placed = []
-        original = ConstrainedScatterAllocator.allocate_after
+        """Every slot but a head and its first two hops is taken, so the
+        window closes at the third hop."""
+        others = leave_free_only_a_chain(msm, 3)
+        taken = []
+        allocate = msm.freemap.allocate
 
-        def third_hop_fails(self, previous):
-            if len(placed) == 2:
-                raise ScatteringError("window full")
-            placed.append(original(self, previous))
-            return placed[-1]
+        def spied(slot):
+            allocate(slot)
+            taken.append(slot)
 
-        monkeypatch.setattr(
-            ConstrainedScatterAllocator, "allocate_after", third_hop_fails
-        )
+        monkeypatch.setattr(msm.freemap, "allocate", spied)
         with pytest.raises(ScatteringError):
             msm.store_video_strand(video(3.0))
+        _head, *placed = taken
         assert len(placed) == 2
+        for slot in others:
+            msm.freemap.release(slot)
         assert msm.freemap.free_count == msm.freemap.slots
 
     def test_all_silence_audio_strand_still_stores(self, msm):
@@ -317,21 +344,14 @@ def _apply(msm, operation, argument):
         finally:
             msm._gap_filler.place = real
     elif operation == "store-fails-mid-chain":
-        real = ConstrainedScatterAllocator.allocate_after
-        hops = []
-
-        def fails_later(self, previous):
-            if len(hops) == argument:
-                raise ScatteringError("window full")
-            hops.append(real(self, previous))
-            return hops[-1]
-
-        ConstrainedScatterAllocator.allocate_after = fails_later
+        # 4 s of video is more blocks than the head and *argument* hops.
+        others = leave_free_only_a_chain(msm, argument + 1)
         try:
             with pytest.raises(ScatteringError):
                 msm.store_video_strand(video(4.0))
         finally:
-            ConstrainedScatterAllocator.allocate_after = real
+            for slot in others:
+                msm.freemap.release(slot)
 
 
 @settings(

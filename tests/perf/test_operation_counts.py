@@ -477,13 +477,15 @@ class TestDriveAccessCost:
 
 
 class TestPlacementGeometryCalls:
-    """A placed block costs one ``cylinder_of`` — the anchor's.
+    """A placed chain costs one ``cylinder_of`` — its head's.
 
-    The allocator scans its window cylinder by cylinder, so a
-    candidate's cylinder is known by construction; before, each
-    placement computed the anchor's cylinder twice and the candidate's
-    once, each through a nine-call ``DiskGeometry`` property chain
-    (10,776 calls for 3,592 placements).
+    The allocator scans its window cylinder by cylinder, so a placed
+    slot's cylinder is known by construction and is the next hop's
+    anchor.  Before, each hop asked for its anchor's cylinder (one call
+    per chained block), and earlier still each placement computed the
+    anchor's cylinder twice and the candidate's once, each through a
+    nine-call ``DiskGeometry`` property chain (10,776 calls for 3,592
+    placements).
     """
 
     @staticmethod
@@ -510,8 +512,9 @@ class TestPlacementGeometryCalls:
         for _ in range(4):  # later strands thread the earlier ones' gaps
             before = len(calls)
             strand = msm.store_video_strand(frames)
-            # The head block has no anchor; every later block has one.
-            assert len(calls) - before == strand.stored_block_count - 1
+            # The head anchors the chain; every later hop's anchor is
+            # the cylinder its scan found it in.
+            assert len(calls) - before == 1
             placed += strand.stored_block_count
         assert placed > 400
 
@@ -538,7 +541,7 @@ class TestPlacementGeometryCalls:
             )
         calls = self._counting(monkeypatch)
         slots = allocator.allocate_strand(200)
-        assert len(calls) == len(slots) - 1
+        assert len(slots) == 200 and len(calls) == 1
         assert chain == []
 
 
@@ -617,6 +620,39 @@ class TestOnePassPerStrand:
         assert sum(in_assign) == primaries
         assert len(built) - sum(in_assign) == primaries
         strand.verify_against_index()
+
+    def test_a_recording_builds_no_block_or_entry_objects(self, monkeypatch):
+        """A strand's columns are the one record of its blocks: storing
+        an N-block video strand and a silence-bearing audio strand
+        constructs no ``MediaBlock`` and no ``PrimaryEntry`` (the parent
+        built one of each per stored block)."""
+        import random
+
+        from repro.config import TESTBED_1991
+        from repro.fs.blocks import MediaBlock
+        from repro.fs.index import PrimaryEntry
+        from repro.media.audio import generate_talk_spurts
+        from repro.media.frames import frames_for_duration
+        from repro.rope import build_rope_server
+
+        built = []
+        for view in (MediaBlock, PrimaryEntry):
+            monkeypatch.setattr(
+                view, "__post_init__",
+                lambda self, _check=view.__post_init__: (
+                    built.append(type(self).__name__), _check(self)
+                )[1],
+            )
+        msm = build_rope_server().msm
+        video = msm.store_video_strand(
+            frames_for_duration(TESTBED_1991.video, 30.0, source="n")
+        )
+        audio = msm.store_audio_strand(generate_talk_spurts(
+            TESTBED_1991.audio, 30.0, 0.4, random.Random(7)
+        ))
+        assert video.stored_block_count > 200
+        assert 0 < audio.stored_block_count < audio.block_count
+        assert built == []
 
 
 def _frames(function, *args):

@@ -111,7 +111,10 @@ class TestIndexProperties:
             PrimaryEntry(sector=i * 64, sector_count=64) if stored else None
             for i, stored in enumerate(pattern)
         ]
-        index.extend(reference, units=4 * len(reference))
+        index.extend(
+            [None if entry is None else entry.sector for entry in reference],
+            64, units=4 * len(reference),
+        )
         assert index.block_count == len(reference)
         assert index.header.frame_count == 4 * len(reference)
         for i, expected in enumerate(reference):

@@ -23,6 +23,7 @@ from repro.rope import Media, MultimediaRope, MultimediaRopeServer, operations
 from repro.rope.intervals import MediaTrack, Segment
 from repro.rope.server import BlockFetch
 from repro.service.session import PlaybackSession
+from tests.fs.test_strand_extend_reference import as_columns
 
 VIDEO_RATE, AUDIO_RATE = 30.0, 40.0
 
@@ -149,7 +150,7 @@ def install_strand(msm, strand_id, video, granularity, units, silent=()):
             ))
         contents.append(block)
         slots.append(base + 7 * number)
-    strand.extend(contents, slots)
+    strand.extend(*as_columns(strand.kind, contents, slots))
     msm._strands[strand_id] = strand.finalize()
     return strand
 
