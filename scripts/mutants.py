@@ -31,6 +31,7 @@ PLACER = "src/repro/disk/allocation.py"
 PLAYBACK = "src/repro/service/playback.py"
 STRIPES = "src/repro/disk/raid.py"
 RECORDER = "src/repro/obs/recorder.py"
+RPC = "src/repro/service/rpc.py"
 
 EQUIVALENCE = "tests/perf/test_equivalence.py::TestServiceEquivalence::"
 WALKED = "tests/perf/test_walked_reference.py::TestCountedRoundsMatchTheWalkedLoop::"
@@ -45,6 +46,7 @@ EXTEND = (
     "test_columns_index_and_header"
 )
 TIMELINE = "tests/obs/test_timeline_reference.py::"
+SIZES = "tests/service/test_rpc.py::TestSizingRules::test_rule"
 SCORES = (
     "tests/service/test_scoring_reference.py::TestScorerMatchesPerBlockScoring::"
     "test_generated_delivery_traces"
@@ -64,6 +66,7 @@ ORACLE = "one oracle"
 ONE_COPY = "one copy of each mechanism"
 ONE_SIMULATOR = "one simulator"
 COLUMNS = "a recording is columns"
+SHAPES = "a message is sized by its shape"
 
 
 class Mutant(NamedTuple):
@@ -287,6 +290,28 @@ MUTANTS = [
            "            previous = slot\n",
            PLACES + "TestPlacerEqualsTheScan::"
            "test_strands_from_hints_on_occupied_disks"),
+    Mutant(SHAPES, "sizing: a bool admitted to the numeric shortcut", RPC,
+           "_NUMBERS = frozenset((int, float))",
+           "_NUMBERS = frozenset((int, float, bool))", SIZES),
+    Mutant(SHAPES, "sizing: the shortcut drops the 8-byte envelope", RPC,
+           "                return 8 + 8 * len(value)\n",
+           "                return 8 * len(value)\n", SIZES),
+    Mutant(SHAPES, "sizing: the shortcut taken when an item is a str", RPC,
+           "_NUMBERS = frozenset((int, float))",
+           "_NUMBERS = frozenset((int, float, str))", SIZES),
+    Mutant(SHAPES, "sizing: one class's field names used for every class", RPC,
+           "    names = _FIELD_NAMES.get(cls)\n",
+           "    names = next(iter(_FIELD_NAMES.values()), None)\n", SIZES),
+    Mutant(SHAPES, "sizing: a sequence of numbers sized item by item", RPC,
+           "            if {*map(type, value)} <= _NUMBERS:\n",
+           "            if False:\n",
+           "tests/perf/test_operation_counts.py::TestSizingIsByShape::"
+           "test_a_long_plan_costs_no_more_calls_than_a_short_one"),
+    Mutant(SHAPES, "k bound: a frozen refusal reports the solve's n_max",
+           "src/repro/core/admission.py",
+           "            capacity = 0 if frozen else n_max(params)\n",
+           "            capacity = n_max(params)\n",
+           "tests/obs/test_admission_audit.py::TestKBoundRefusalNamesItsCause"),
 ]
 
 

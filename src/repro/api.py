@@ -87,7 +87,7 @@ class RejectReason(enum.Enum):
     """
 
     CAPACITY = "capacity"            # γ ≤ n·β: no admission headroom
-    K_BOUND = "k_bound"              # Eq.-18 k beyond the operating bound
+    K_BOUND = "k_bound"              # k beyond the bound, or no head left
     QUEUE_FULL = "queue_full"        # re-queue budget exhausted
     UNKNOWN_ROPE = "unknown_rope"    # no such rope
     ACCESS_DENIED = "access_denied"  # caller lacks Play access

@@ -485,25 +485,27 @@ class AdmissionController:
             )
         new_k = max(ks)
         if new_k > self.max_k:
+            # A frozen controller (max_k 0) has no disk head left at all.
+            frozen = not self.max_k
+            capacity = 0 if frozen else n_max(params)
+            solved = "Eq.-(11) k_i" if self.per_request else "Eq.-18 k"
             if self.audit is not None:
                 self.audit.record(
                     "reject",
                     f"candidate(n={params.n})",
                     "k <= max_k",
-                    {
-                        "k": new_k,
-                        "max_k": self.max_k,
-                        "n": params.n,
-                        "n_max": n_max(params),
-                    },
+                    {"k": new_k, "max_k": self.max_k,
+                     "n": params.n, "n_max": capacity},
                     satisfied=False,
-                    detail="Eq.-18 k diverging near capacity",
+                    detail="no disk head left: admission frozen" if frozen
+                    else f"{solved} diverging near capacity",
                 )
             raise AdmissionRejected(
                 f"request rejected: k={new_k} would exceed the server's "
-                f"operating bound {self.max_k} (effectively at capacity)",
+                f"operating bound {self.max_k} ("
+                f"{'no disk head left' if frozen else 'effectively at capacity'})",
                 active=self.active_count,
-                n_max=n_max(params),
+                n_max=capacity,
                 cause="k_bound",
             )
         plan = _plan_transition(self.current_k, new_k)

@@ -87,10 +87,10 @@ class AdmissionRejected(AdmissionError):
 
     Carries the number of active requests and the computed maximum so the
     caller (or test) can verify the refusal happened at the analytic limit,
-    and the typed *cause* — ``"capacity"`` (no admission headroom, Eq. 17)
-    or ``"k_bound"`` (Eq.-18 k beyond the operating bound) — the values of
-    the matching :class:`repro.api.RejectReason` members, so callers
-    classify a refusal without reading its message.
+    and the typed *cause* — ``"capacity"`` (no headroom, Eq. 17) or
+    ``"k_bound"`` (the solved k past the operating bound; *n_max* 0 if no
+    head is left) — the values of the matching :class:`repro.api.RejectReason`
+    members, so callers classify a refusal without reading its message.
     """
 
     def __init__(

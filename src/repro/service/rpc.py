@@ -13,10 +13,10 @@ different hardware") stays checkable.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from dataclasses import dataclass
-from typing import Any, Dict, List
+from collections import Counter
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ParameterError
 
@@ -32,50 +32,56 @@ class RpcCall:
     result_bytes: int
 
 
+#: Bytes of a value whose type is exactly one of these.
+_SCALAR_BYTES = {type(None): 1, bool: 1, int: 8, float: 8}
+_NUMBERS = frozenset((int, float))
+#: Field names (no values) per dataclass, read once, past every other check.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
 def estimate_bytes(value: Any) -> int:
     """Rough marshalled size of a call argument/result.
 
     Deliberately crude — the point is relative magnitude (rope metadata is
     tiny; media never crosses the boundary), not wire-format accuracy.
+    ``tests/service/test_rpc.py`` states the rules as a table.
     """
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value.encode("utf-8"))
-    if isinstance(value, (list, tuple, set)):
-        return 8 + sum(estimate_bytes(item) for item in value)
-    if isinstance(value, dict):
-        return 8 + sum(
-            estimate_bytes(k) + estimate_bytes(v) for k, v in value.items()
-        )
-    if isinstance(value, enum.Enum):
-        # An enum marshals as its value (the API types use string values).
-        return estimate_bytes(value.value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # Typed request/response messages (repro.api and friends): a
-        # small envelope plus every field, recursively — so nested
-        # dataclasses and collections are sized instead of falling into
-        # the scalar-attributes guess below.
-        return 16 + sum(
-            estimate_bytes(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        )
-    # Arbitrary objects: count their public scalar attributes.
-    total = 16
-    for name in dir(value):
-        if name.startswith("_"):
-            continue
-        try:
-            attribute = getattr(value, name)
-        except Exception:
-            continue
-        if isinstance(attribute, (int, float, str, bool)):
-            total += estimate_bytes(attribute)
-    return total
+    cls = type(value)
+    size = _SCALAR_BYTES.get(cls)
+    if size is not None:
+        return size
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if isinstance(value, (int, float)):  # an IntEnum, say
+            return 8
+        if isinstance(value, str):
+            return len(value.encode("utf-8"))
+        if isinstance(value, (list, tuple, set)):
+            # Plain ints and floats (never a bool) are sized in one C pass.
+            if {*map(type, value)} <= _NUMBERS:
+                return 8 + 8 * len(value)
+            return 8 + sum(map(estimate_bytes, value))
+        if isinstance(value, dict):
+            return 8 + sum(map(estimate_bytes, [*value, *value.values()]))
+        if isinstance(value, enum.Enum):
+            # An enum marshals as its value (the API types use string values).
+            return estimate_bytes(value.value)
+        if not is_dataclass(value) or isinstance(value, type):
+            # Arbitrary objects: count their public scalar attributes.
+            total = 16
+            for name in dir(value):
+                if name.startswith("_"):
+                    continue
+                try:
+                    attribute = getattr(value, name)
+                except Exception:
+                    continue
+                if isinstance(attribute, (int, float, str, bool)):
+                    total += estimate_bytes(attribute)
+            return total
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(value))
+    # A typed message (repro.api and friends): envelope plus every field.
+    return 16 + sum(estimate_bytes(getattr(value, n)) for n in names)
 
 
 class RpcChannel:
@@ -120,13 +126,7 @@ class RpcChannel:
             raise
         if span is not None:
             rec.rpc_ended(span)
-        self.calls.append(
-            RpcCall(
-                method=method,
-                argument_bytes=argument_bytes,
-                result_bytes=estimate_bytes(result),
-            )
-        )
+        self.calls.append(RpcCall(method, argument_bytes, estimate_bytes(result)))
         return result
 
     @property
@@ -141,10 +141,7 @@ class RpcChannel:
 
     def calls_by_method(self) -> Dict[str, int]:
         """Histogram of invoked methods."""
-        histogram: Dict[str, int] = {}
-        for call in self.calls:
-            histogram[call.method] = histogram.get(call.method, 0) + 1
-        return histogram
+        return dict(Counter(call.method for call in self.calls))
 
 
 class _Stub:

@@ -9,6 +9,7 @@ workloads, not just the testbed profile.
 
 import re
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -193,3 +194,47 @@ class TestRevalidateAudit:
         assert entry.evaluate() is False  # surviving >= 1 is violated
         assert entry.operand("n_max") == 0.0
         assert msm.admission.max_k == 0
+
+
+class TestKBoundRefusalNamesItsCause:
+    """A ``k_bound`` refusal says why k is out of bounds: a frozen
+    controller has no head left (not a k diverging near capacity), and a
+    per-request controller solved Eq. (11)'s k_i (not Eq. 18's k)."""
+
+    @staticmethod
+    def _descriptor(msm):
+        return msm.descriptor_for_media(True)
+
+    @pytest.mark.parametrize("per_request", [False, True])
+    def test_a_frozen_controller_refuses_for_want_of_a_head(self, per_request):
+        msm, obs = _observed_msm()
+        msm.admission.per_request = per_request
+        msm.revalidate_admission(heads_lost=1)
+        with pytest.raises(AdmissionRejected) as refusal:
+            msm.admit(self._descriptor(msm))
+        assert refusal.value.cause == "k_bound"
+        assert "no disk head left" in str(refusal.value)
+        assert "capacity" not in str(refusal.value)
+        assert refusal.value.n_max == 0
+        row = obs.audit.rejects()[-1]
+        assert "no disk head left" in row.detail
+        assert "Eq." not in row.detail
+        revalidation = obs.audit.revalidations()[-1]
+        assert row.operand("n_max") == revalidation.operand("n_max") == 0
+        assert row.evaluate() is False
+
+    def test_a_per_request_k_bound_row_names_eq_11(self):
+        drive = build_drive()
+        log = AdmissionAuditLog()
+        controller = adm.AdmissionController(
+            drive.parameters(), per_request=True, max_k=2, audit=log
+        )
+        descriptor = adm.RequestDescriptor(
+            block=BlockModel(unit_rate=30.0, unit_size=64e3, granularity=1),
+            scattering_avg=drive.parameters().seek_avg,
+        )
+        assert _drive_to_rejection(controller, descriptor)
+        row = log.rejects()[-1]
+        assert row.constraint == "k <= max_k"
+        assert "Eq.-(11) k_i" in row.detail
+        assert "Eq.-18" not in row.detail

@@ -936,3 +936,62 @@ class TestWatchingIsNotWalking:
         # A hit is the same one frame observed or not.
         cached.read_slot(far)
         assert _frames(cached.read_slot, far) == ["CachedDrive.read_slot"]
+
+
+class TestSizingIsByShape:
+    """Logging an admission costs the same at k = 3 as at k = 865: a
+    transition plan's steps are sized in one pass, not one call each."""
+
+    @staticmethod
+    def _decision(k):
+        from repro.core.admission import (
+            AdmissionDecision,
+            ServiceParameters,
+            TransitionPlan,
+        )
+
+        return AdmissionDecision(
+            request_id=2,
+            params=ServiceParameters(alpha=0.03, beta=0.01, gamma=0.1, n=3),
+            k=k,
+            transition=TransitionPlan(
+                k_old=1, k_new=k, steps=tuple(range(2, k + 1))
+            ),
+        )
+
+    def test_a_long_plan_costs_no_more_calls_than_a_short_one(
+        self, monkeypatch
+    ):
+        import repro.service.rpc as rpc
+
+        calls = []
+        inner = rpc.estimate_bytes
+
+        def counting(value):
+            calls.append(value)
+            return inner(value)
+
+        monkeypatch.setattr(rpc, "estimate_bytes", counting)
+        counts = {}
+        for steps in (2, 864, 2):
+            calls.clear()
+            rpc.estimate_bytes(self._decision(steps + 1))
+            counts[steps] = len(calls)
+        assert counts[864] == counts[2]
+
+    def test_three_sessions_send_the_bytes_they_always_sent(self):
+        from repro.api import Media, OpenSessionRequest
+        from repro.scenarios.server import record_strands
+        from repro.server import build_media_server
+
+        server = build_media_server()
+        clients = [f"client-{i}" for i in range(3)]
+        rope_ids = record_strands(server.mrs, 3, 1.0, clients, "rpc")
+        server.serve([
+            OpenSessionRequest(client_id=client, rope_id=rope, media=Media.VIDEO)
+            for client, rope in zip(clients, rope_ids)
+        ])
+        admits = [c for c in server.channel.calls if c.method == "admit"]
+        # The third admission asks for k = 865: an 864-step plan.
+        assert admits[-1].result_bytes == 7_016
+        assert server.channel.bytes_transferred == 7_595

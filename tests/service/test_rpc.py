@@ -1,10 +1,17 @@
 """Unit tests for the MRS<->MSM RPC boundary."""
 
+import enum
+from dataclasses import dataclass
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.media.frames import frames_for_duration
-from repro.service.rpc import RpcChannel, stub_for
+from repro.service import rpc
+from repro.service.rpc import RpcChannel, estimate_bytes, stub_for
 
 
 class Calculator:
@@ -116,6 +123,152 @@ class TestMarshalledSizes:
         assert call.argument_bytes == call.result_bytes + 16
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Colour(str, enum.Enum):
+    RED = "red"
+
+
+class Plain(enum.Enum):
+    WORD = "été"
+    NUMBER = 3
+    PAIR = (1, 2)
+
+
+class Span(NamedTuple):
+    start: int
+    end: float
+
+
+@dataclass(frozen=True)
+class Point:
+    x: int
+    y: float
+
+
+@dataclass(frozen=True)
+class Labelled:
+    point: Point
+    name: str = "pt"
+    tags: tuple = ()
+
+
+class Opaque:
+    """No dataclass: only its public scalar attributes are counted."""
+
+    count = 3
+    _hidden = 99
+    name = "ab"
+    items = (1, 2)
+
+    def method(self):
+        return 0
+
+    @property
+    def broken(self):
+        raise RuntimeError("not readable")
+
+
+#: The sizing spec, one row per rule: (id, value, bytes).
+SIZING_RULES = [
+    ("None", None, 1),
+    ("True", True, 1),
+    ("False", False, 1),
+    ("int", 7, 8),
+    ("big int", 2**70, 8),
+    ("negative float", -1.5, 8),
+    ("str is its UTF-8 length", "été", 5),
+    ("empty str", "", 0),
+    ("empty list", [], 8),
+    ("empty tuple", (), 8),
+    ("empty set", set(), 8),
+    ("ints", [1, 2, 3], 8 + 3 * 8),
+    ("int and float", (1, 2.0), 8 + 8 + 8),
+    ("set of ints", {1, 2}, 8 + 2 * 8),
+    ("bool beside an int", (True, 1), 8 + 1 + 8),
+    ("bools", [True, False], 8 + 1 + 1),
+    ("None in a tuple", (None,), 8 + 1),
+    ("None beside an int", (None, 1), 8 + 1 + 8),
+    ("str beside an int", ("ab", 1), 8 + 2 + 8),
+    ("nested sequences", [[1, 2], (3,)], 8 + (8 + 16) + (8 + 8)),
+    ("IntEnum beside an int", (Level.HIGH, 1), 8 + 8 + 8),
+    ("NamedTuple is a tuple", Span(1, 2.0), 8 + 8 + 8),
+    ("empty dict", {}, 8),
+    ("dict", {"a": 1, "bc": None}, 8 + (1 + 8) + (2 + 1)),
+    ("IntEnum is an int", Level.LOW, 8),
+    ("str enum is its str", Colour.RED, 3),
+    ("enum is its str value", Plain.WORD, 5),
+    ("enum is its int value", Plain.NUMBER, 8),
+    ("enum is its tuple value", Plain.PAIR, 8 + 16),
+    ("dataclass", Point(1, 2.0), 16 + 8 + 8),
+    ("nested dataclasses", Labelled(Point(1, 2.0), "ab", (1, None)),
+     16 + (16 + 16) + 2 + (8 + 8 + 1)),
+    ("dataclasses in a list", [Point(1, 2.0), Point(3, 4.0)], 8 + 2 * 32),
+    ("dataclass type: its scalar class attributes", Labelled, 16 + 2),
+    ("object: public scalar attributes", Opaque(), 16 + 8 + 2),
+]
+
+
+class TestSizingRules:
+    """``estimate_bytes`` as a table of rules, stated by hand."""
+
+    @pytest.mark.parametrize(
+        "value, expected", [row[1:] for row in SIZING_RULES],
+        ids=[row[0] for row in SIZING_RULES],
+    )
+    def test_rule(self, value, expected):
+        assert estimate_bytes(value) == expected
+
+
+def _sized(values, envelope):
+    """A list of generated (value, bytes) pairs as (its values, *envelope*
+    plus their bytes)."""
+    return st.lists(values).map(
+        lambda pairs: ([v for v, _ in pairs], envelope + sum(n for _, n in pairs))
+    )
+
+
+#: (value, bytes) pairs, each strategy stating its own rule.
+_LEAVES = st.one_of(
+    st.none().map(lambda v: (v, 1)),
+    st.booleans().map(lambda v: (v, 1)),
+    st.integers().map(lambda v: (v, 8)),
+    st.floats().map(lambda v: (v, 8)),
+    st.text().map(lambda v: (v, len(v.encode("utf-8")))),
+    st.sampled_from(Level).map(lambda v: (v, 8)),
+    st.sampled_from(Colour).map(lambda v: (v, len(v.value))),
+)
+_NUMBER_SETS = st.sets(st.integers() | st.floats(allow_nan=False)).map(
+    lambda v: (v, 8 + 8 * len(v))
+)
+_SIZED = st.recursive(
+    _LEAVES | _NUMBER_SETS,
+    lambda children: st.one_of(
+        _sized(children, 8),
+        _sized(children, 8).map(lambda p: (tuple(p[0]), p[1])),
+        st.dictionaries(st.text(), children).map(lambda d: (
+            {k: v for k, (v, _) in d.items()},
+            8 + sum(len(k.encode("utf-8")) + n for k, (_, n) in d.items()),
+        )),
+        st.tuples(children, children).map(
+            lambda pair: (Labelled(Point(1, 2.0), "", (pair[0][0], pair[1][0])),
+                          16 + 32 + 0 + 8 + pair[0][1] + pair[1][1])
+        ),
+    ),
+    max_leaves=20,
+)
+
+
+class TestSizingProperty:
+    @given(_SIZED)
+    def test_generated_values_size_as_the_rules_state(self, pair):
+        value, expected = pair
+        assert estimate_bytes(value) == expected
+
+
 class TestSizingCompleteness:
     @staticmethod
     def _example(message_type):
@@ -196,6 +349,52 @@ class TestSizingCompleteness:
             )
             assert estimate_bytes(example) > 16, message_type.__name__
 
+    def test_msm_channel_messages_size_as_envelope_plus_fields(
+        self, monkeypatch
+    ):
+        # What the MRS and the media server send the storage manager
+        # (admit's descriptor) and what comes back (the decision and
+        # everything inside it): sized by their fields, never by the
+        # dir() guess, which here would also count properties.
+        import dataclasses as dc
+
+        from repro.core.admission import (
+            AdmissionDecision,
+            RequestDescriptor,
+            ServiceParameters,
+            TransitionPlan,
+        )
+        from repro.core.symbols import BlockModel
+
+        block = BlockModel(unit_rate=30.0, unit_size=8e4, granularity=3)
+        params = ServiceParameters(alpha=0.03, beta=0.01, gamma=0.1, n=2)
+        plan = TransitionPlan(k_old=1, k_new=4, steps=(2, 3, 4))
+        examples = [
+            block,
+            RequestDescriptor(block=block, scattering_avg=0.01),
+            params,
+            plan,
+            AdmissionDecision(request_id=0, params=params, k=4, transition=plan),
+        ]
+
+        def no_guess(value):
+            raise AssertionError(f"{type(value).__name__} sized through dir()")
+
+        monkeypatch.setattr(rpc, "dir", no_guess, raising=False)
+        for example in examples:
+            expected = 16 + sum(
+                estimate_bytes(getattr(example, f.name))
+                for f in dc.fields(example)
+            )
+            assert estimate_bytes(example) == expected > 16
+        assert [estimate_bytes(e) for e in examples] == [
+            16 + 3 * 8,
+            16 + 40 + 8,
+            16 + 4 * 8,
+            16 + 8 + 8 + (8 + 3 * 8),
+            16 + 8 + 48 + 8 + 64,
+        ]
+
     def test_cluster_messages_cross_a_channel(self):
         from repro.api import NodeStatus
         from repro.service.rpc import estimate_bytes
@@ -234,6 +433,27 @@ class TestBatchAdmissionLogging:
         assert methods == {"admit": 1, "release": 1}
         for call in server.channel.calls:
             assert call.argument_bytes > 0
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP small debt: refused calls are not logged"
+)
+def test_a_refused_admit_is_logged_like_an_admitted_one():
+    """The storage manager refuses an admit by raising; the channel logs
+    the call only when the callee returns, so the refusal crossed the
+    boundary with no record.  Logging it moves ``rpc.calls``,
+    ``rpc.bytes`` and ``lifecycle_overload``'s ``sim_digest``: a by-design
+    change of its own."""
+    from repro.errors import AdmissionRejected
+    from repro.rope import build_rope_server
+
+    msm = build_rope_server().msm
+    msm.revalidate_admission(heads_lost=1)
+    channel = RpcChannel("mrs<->msm")
+    descriptor = msm.descriptor_for_media(True)
+    with pytest.raises(AdmissionRejected):
+        channel.invoke(msm, "admit", descriptor, trace=None)
+    assert channel.calls_by_method() == {"admit": 1}
 
 
 class TestLayerBoundary:
