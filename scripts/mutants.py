@@ -32,6 +32,7 @@ PLAYBACK = "src/repro/service/playback.py"
 STRIPES = "src/repro/disk/raid.py"
 RECORDER = "src/repro/obs/recorder.py"
 RPC = "src/repro/service/rpc.py"
+API = "src/repro/api.py"
 
 EQUIVALENCE = "tests/perf/test_equivalence.py::TestServiceEquivalence::"
 WALKED = "tests/perf/test_walked_reference.py::TestCountedRoundsMatchTheWalkedLoop::"
@@ -67,6 +68,7 @@ ONE_COPY = "one copy of each mechanism"
 ONE_SIMULATOR = "one simulator"
 COLUMNS = "a recording is columns"
 SHAPES = "a message is sized by its shape"
+TRAFFIC = "keep what the traffic runs"
 
 
 class Mutant(NamedTuple):
@@ -312,6 +314,23 @@ MUTANTS = [
            "            capacity = 0 if frozen else n_max(params)\n",
            "            capacity = n_max(params)\n",
            "tests/obs/test_admission_audit.py::TestKBoundRefusalNamesItsCause"),
+    # The cluster's tally is the server's: its own skip test left, so it
+    # rests on the scorer counting a skip as a miss.
+    Mutant(TRAFFIC, "score: a skip not counted as a miss", "src/repro/sim/metrics.py",
+           "                skips += 1\n                misses += 1\n",
+           "                skips += 1\n",
+           "tests/server/test_golden_server.py::TestFaultGolden::"
+           "test_a_session_that_skipped_is_not_continuous"),
+    Mutant(TRAFFIC, "tally: a REJECTED session counted as admitted", API,
+           "1 for s in self.statuses if s.state is not SessionState.REJECTED",
+           "1 for s in self.statuses",
+           "tests/server/test_api.py::TestClusterMessages::"
+           "test_admitted_excludes_rejected"),
+    Mutant(TRAFFIC, "tally: a non-COMPLETED session counted as continuous", API,
+           "if s.state is SessionState.COMPLETED and s.continuous",
+           "if s.continuous",
+           "tests/server/test_api.py::TestClusterMessages::"
+           "test_continuous_requires_glitch_free_completion"),
 ]
 
 

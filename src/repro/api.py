@@ -30,11 +30,9 @@ messages:
   typed rejects, the placement map, the admission order, and every
   handoff, all byte-deterministic under a fixed seed.
 
-:class:`repro.server.MediaServer` consumes and produces these types;
-:class:`repro.service.session.PlaybackSession` accepts
-:class:`PlayRequest` wherever it accepts raw request IDs; and
-:func:`repro.service.rpc.stub_for` estimates marshalled sizes for all of
-them (they are plain dataclasses).  ``repro.__init__`` re-exports this
+:class:`repro.server.MediaServer` consumes and produces these types,
+and :func:`repro.service.rpc.stub_for` estimates marshalled sizes for all
+of them (they are plain dataclasses).  ``repro.__init__`` re-exports this
 module as the package facade.
 """
 
@@ -270,40 +268,21 @@ class SessionStatus:
 
 
 @dataclass(frozen=True)
-class ServeResult:
-    """The outcome of one :meth:`repro.server.MediaServer.serve` call.
+class _SessionTally:
+    """The per-session answer a served request queue gives, whoever
+    served it: one server's epoch (:class:`ServeResult`) or a cluster's
+    (:class:`ClusterServeResult`), so a cluster's tally is a server's.
 
     Attributes
     ----------
     statuses:
-        Final status of every session touched this epoch, in session-ID
-        order.
+        Final status of every session touched, in session-ID order.
     rejects:
         Responses for requests that ended rejected, in arrival order.
-    rounds:
-        Service rounds the epoch ran.
-    k_used:
-        Blocks-per-round the service loop operated at.
-    batches:
-        Admission batches formed (a solo request is a batch of one).
-    cache_stats:
-        Block-cache counters for the epoch (empty when the cache is
-        disabled).
-    block_sequences:
-        Per-session ordered disk-slot sequences actually fetched
-        (silence holders are None).  The cache-equivalence property
-        tests assert these are byte-identical with the cache on or off.
     """
 
     statuses: Tuple[SessionStatus, ...]
     rejects: Tuple[OpenSessionResponse, ...] = ()
-    rounds: int = 0
-    k_used: int = 0
-    batches: int = 0
-    cache_stats: Dict[str, int] = field(default_factory=dict)
-    block_sequences: Dict[str, Tuple[Optional[int], ...]] = field(
-        default_factory=dict
-    )
 
     @property
     def admitted(self) -> int:
@@ -314,7 +293,8 @@ class ServeResult:
 
     @property
     def continuous_sessions(self) -> int:
-        """Sessions that completed playback without a glitch."""
+        """Sessions that completed playback without a glitch (a skipped
+        block is scored as a miss, so it is a glitch too)."""
         return sum(
             1
             for s in self.statuses
@@ -334,8 +314,8 @@ class ServeResult:
                 return status
         raise UnknownSessionError(session_id)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready mapping (``result`` in ``repro run --json``)."""
+    def _sessions_dict(self) -> Dict[str, object]:
+        """The ``sessions`` / ``rejects`` head of ``to_dict()``."""
         return {
             "sessions": [s.to_dict() for s in self.statuses],
             "rejects": [
@@ -347,6 +327,45 @@ class ServeResult:
                 }
                 for r in self.rejects
             ],
+        }
+
+
+@dataclass(frozen=True)
+class ServeResult(_SessionTally):
+    """The outcome of one :meth:`repro.server.MediaServer.serve` call.
+
+    Attributes
+    ----------
+    statuses / rejects:
+        The sessions touched this epoch and the refusals
+        (:class:`_SessionTally`).
+    rounds:
+        Service rounds the epoch ran.
+    k_used:
+        Blocks-per-round the service loop operated at.
+    batches:
+        Admission batches formed (a solo request is a batch of one).
+    cache_stats:
+        Block-cache counters for the epoch (empty when the cache is
+        disabled).
+    block_sequences:
+        Per-session ordered disk-slot sequences actually fetched
+        (silence holders are None).  The cache-equivalence property
+        tests assert these are byte-identical with the cache on or off.
+    """
+
+    rounds: int = 0
+    k_used: int = 0
+    batches: int = 0
+    cache_stats: Dict[str, int] = field(default_factory=dict)
+    block_sequences: Dict[str, Tuple[Optional[int], ...]] = field(
+        default_factory=dict
+    )
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-ready mapping (``result`` in ``repro run --json``)."""
+        return {
+            **self._sessions_dict(),
             "rounds": self.rounds,
             "k_used": self.k_used,
             "batches": self.batches,
@@ -473,49 +492,25 @@ class NodeServeResult:
 
 
 @dataclass(frozen=True)
-class ClusterServeResult:
+class ClusterServeResult(_SessionTally):
     """The outcome of one :meth:`repro.cluster.MediaCluster.serve` call.
 
     Aggregates the per-node :class:`ServeResult` epochs behind one
-    cluster-level answer in the same shape :class:`ServeResult` uses,
-    plus the routing evidence: the placement map the router consulted,
-    the exact admission order, and every handoff decision.  All of it is
-    a pure function of (requests, placement, fault plan, seed), so
+    cluster-level answer with :class:`ServeResult`'s session tally, plus
+    the routing evidence: the placement map the router consulted, the
+    exact admission order, and every handoff decision.  A session's
+    misses and skips are summed over its chunks.  All of it is a pure
+    function of (requests, placement, fault plan, seed), so
     ``to_dict()`` is byte-deterministic — the router-determinism tests
     compare two runs' serialized results verbatim.
     """
 
-    statuses: Tuple[SessionStatus, ...]
-    rejects: Tuple[OpenSessionResponse, ...] = ()
     per_node: Tuple[NodeServeResult, ...] = ()
     nodes: Tuple[NodeStatus, ...] = ()
     handoffs: Tuple[HandoffRecord, ...] = ()
     placement: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
     admission_order: Tuple[Tuple[str, str], ...] = ()
     chunks: int = 1
-
-    @property
-    def admitted(self) -> int:
-        """Sessions the router admitted onto some replica."""
-        return sum(
-            1 for s in self.statuses if s.state is not SessionState.REJECTED
-        )
-
-    @property
-    def continuous_sessions(self) -> int:
-        """Sessions that completed every chunk without a glitch."""
-        return sum(
-            1
-            for s in self.statuses
-            if s.state is SessionState.COMPLETED
-            and s.continuous
-            and s.skips == 0
-        )
-
-    @property
-    def total_misses(self) -> int:
-        """Deadline misses summed over every session and chunk."""
-        return sum(s.misses for s in self.statuses)
 
     @property
     def handoffs_clean(self) -> int:
@@ -529,27 +524,10 @@ class ClusterServeResult:
             return None
         return self.handoffs_clean / len(self.handoffs)
 
-    def status_of(self, session_id: str) -> SessionStatus:
-        """Look up one session's status (:class:`UnknownSessionError`,
-        a ``KeyError``, if absent)."""
-        for status in self.statuses:
-            if status.session_id == session_id:
-                return status
-        raise UnknownSessionError(session_id)
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready mapping (``result`` in ``repro run --json``)."""
         return {
-            "sessions": [s.to_dict() for s in self.statuses],
-            "rejects": [
-                {
-                    "session_id": r.session_id,
-                    "reject": r.reject.value if r.reject else None,
-                    "requeues": r.requeues,
-                    "detail": r.detail,
-                }
-                for r in self.rejects
-            ],
+            **self._sessions_dict(),
             "per_node": [n.to_dict() for n in self.per_node],
             "nodes": [n.to_dict() for n in self.nodes],
             "handoffs": [h.to_dict() for h in self.handoffs],

@@ -26,14 +26,14 @@ Commands
     ``obs-report [--top N] [--profile-timers]``
         Its observability report, cost profile included (``--json``:
         the raw snapshot).
-    ``profile [--top N] [--trace-out FILE]``
+    ``profile [--top N]``
         Its ranked cost centers under the deterministic
         :class:`repro.obs.CostProfiler` (``--json``: the byte-stable
-        profile section; ``--trace-out``: a Perfetto document with
-        per-phase counter tracks).
+        profile section).
     ``trace-export [--out FILE] [--profile]``
         Its causal span trace as Chrome trace-event JSON, loadable in
-        Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
+        Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``
+        (``--profile``: with per-phase counter tracks).
 
 A :class:`~repro.errors.ReproError` anywhere below ``main`` (an unknown
 ``--set`` key, a value of the wrong type or out of range, a request
@@ -220,13 +220,6 @@ def _require_writable(path: Optional[str]) -> None:
             pass
 
 
-def _write_json(path: str, document: object) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-
 def _print_summary(run: scenarios.ScenarioRun) -> None:
     """The human outcome of a run, whatever its result type."""
     result, metrics = run.result, run.metrics()
@@ -298,7 +291,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import math
 
     scenario = _scenario(args)
-    _require_writable(args.trace_out)
     obs = scenario.observability(profile=True)
     section = scenario.profile_section(scenario.run(obs))
     phases = section["phases"]
@@ -314,8 +306,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             obs.profiler.drive_busy_time(), rel_tol=1e-9,
         )
     )
-    if args.trace_out:
-        _write_json(args.trace_out, obs.to_chrome_trace())
     if args.json:
         print(json.dumps(section, indent=2, sort_keys=True))
     elif args.smoke:
@@ -329,8 +319,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     else:
         print(f"profile: {args.scenario} (seed {args.seed})")
         print("\n".join(obs.profiler.render(args.top)))
-        if args.trace_out:
-            print(f"  wrote {args.trace_out}")
     return 0 if healthy else 1
 
 
@@ -342,12 +330,12 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     obs = scenario.observability(profile=args.profile)
     scenario.run(obs)
     document = obs.to_chrome_trace()
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write_json(args.out, document)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     if args.json:
-        sys.stdout.write(
-            json.dumps(document, indent=2, sort_keys=True) + "\n"
-        )
+        sys.stdout.write(text)
     else:
         other = document["otherData"]
         print(
@@ -430,11 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--top", type=int, default=5,
         help="cost centers to list (default: 5)",
-    )
-    profile.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="also write a Perfetto-loadable trace with profile.<phase> "
-             "counter tracks to FILE",
     )
     _add_scenario_options(profile).set_defaults(handler=_cmd_profile)
 

@@ -52,7 +52,7 @@ per-title and node-labeled counters; :data:`CLUSTER_SLOS` adds the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import (
@@ -121,19 +121,6 @@ class _ClusterSession:
             node_id=self.node_id,
             handoffs=self.handoffs,
         )
-
-
-@dataclass
-class _PendingHandoff:
-    """A handoff decision awaiting its final clean/broken verdict."""
-
-    session_id: str
-    title_id: str
-    from_node: str
-    to_node: Optional[str]
-    at_chunk: int
-    blocks_before: int
-    detail: str
 
 
 class MediaCluster:
@@ -330,7 +317,7 @@ class MediaCluster:
         per_node_results: Dict[str, List[ServeResult]] = {
             node.node_id: [] for node in self.nodes
         }
-        pending_handoffs: List[_PendingHandoff] = []
+        pending_handoffs: List[HandoffRecord] = []
         for chunk in range(chunks):
             self._serve_chunk(
                 admitted, chunk, chunks, per_node_results, rejects
@@ -477,7 +464,7 @@ class MediaCluster:
         admitted: List[_ClusterSession],
         chunk: int,
         chunks: int,
-        pending: List[_PendingHandoff],
+        pending: List[HandoffRecord],
         rejects: List[OpenSessionResponse],
     ) -> None:
         """Kill scheduled nodes at the boundary after epoch *chunk*.
@@ -520,7 +507,7 @@ class MediaCluster:
         boundary: int,
         chunks: int,
         admitted: List[_ClusterSession],
-        pending: List[_PendingHandoff],
+        pending: List[HandoffRecord],
         rejects: List[OpenSessionResponse],
     ) -> None:
         """Kill *node* and hand its live sessions to surviving replicas."""
@@ -556,9 +543,10 @@ class MediaCluster:
                         detail=detail,
                     )
                 )
-            pending.append(_PendingHandoff(
+            # Clean or not is decided when every chunk has played.
+            pending.append(HandoffRecord(
                 session_id=session.session_id,
-                title_id=session.title_id,
+                rope_id=session.title_id,
                 from_node=node.node_id,
                 to_node=to_node,
                 at_chunk=boundary,
@@ -581,7 +569,7 @@ class MediaCluster:
         rejects: List[OpenSessionResponse],
         admission_order: List[Tuple[str, str]],
         per_node_results: Dict[str, List[ServeResult]],
-        pending: List[_PendingHandoff],
+        pending: List[HandoffRecord],
         chunks: int,
     ) -> ClusterServeResult:
         for session in admitted:
@@ -598,23 +586,13 @@ class MediaCluster:
             session.session_id: session for session in admitted
         }
         handoffs: List[HandoffRecord] = []
-        for entry in pending:
-            session = by_session[entry.session_id]
-            clean = (
-                entry.to_node is not None
+        for record in pending:
+            session = by_session[record.session_id]
+            handoffs.append(replace(record, clean=(
+                record.to_node is not None
                 and session.state is SessionState.COMPLETED
                 and session.glitches_after_handoff == 0
-            )
-            handoffs.append(HandoffRecord(
-                session_id=entry.session_id,
-                rope_id=entry.title_id,
-                from_node=entry.from_node,
-                to_node=entry.to_node,
-                at_chunk=entry.at_chunk,
-                blocks_before=entry.blocks_before,
-                clean=clean,
-                detail=entry.detail,
-            ))
+            )))
         if self._rec is not None:
             self._rec.handoffs_scored(
                 [record.to_node for record in handoffs if record.clean],

@@ -30,7 +30,6 @@ from repro.core.admission import (
     solve_heterogeneous_k,
 )
 from repro.core.buffering import (
-    BufferPlan,
     buffers_for_average_continuity,
     fast_forward_block,
     read_ahead_required,
@@ -39,9 +38,6 @@ from repro.core.buffering import (
 )
 from repro.core.continuity import (
     Architecture,
-    ContinuityVerdict,
-    buffers_required,
-    check,
     concurrent_slack,
     effective_throughput,
     is_continuous,
@@ -99,9 +95,6 @@ __all__ = [
     "video_block_model",
     # continuity
     "Architecture",
-    "ContinuityVerdict",
-    "buffers_required",
-    "check",
     "concurrent_slack",
     "effective_throughput",
     "is_continuous",
@@ -121,7 +114,6 @@ __all__ = [
     "max_granularity",
     "scattering_lower_bound",
     # buffering
-    "BufferPlan",
     "buffers_for_average_continuity",
     "fast_forward_block",
     "read_ahead_required",

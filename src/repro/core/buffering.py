@@ -3,7 +3,8 @@
 Two continuity regimes appear in the paper:
 
 * **Strict continuity** — every block individually meets its deadline.
-  Buffer needs are 1 (sequential), 2 (pipelined), p (concurrent).
+  Buffer needs are 1 (sequential), 2 (pipelined), p (concurrent): the
+  k = 1 case of :func:`buffers_for_average_continuity`.
 * **Average continuity over k blocks** — scheduling and seek-time jitter is
   absorbed by an *anti-jitter delay* (read-ahead) at the start of each
   request.  Guaranteeing that the next group of k blocks arrives within
@@ -28,52 +29,18 @@ Two continuity regimes appear in the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.core.continuity import Architecture
 from repro.core.symbols import BlockModel, DiskParameters
 from repro.errors import ParameterError
 
 __all__ = [
-    "BufferPlan",
     "read_ahead_required",
     "buffers_for_average_continuity",
     "task_switch_read_ahead",
-    "plan",
     "fast_forward_block",
     "slow_motion_accumulation_rate",
 ]
-
-
-@dataclass(frozen=True)
-class BufferPlan:
-    """Complete §3.3.2 buffering answer for one request.
-
-    Attributes
-    ----------
-    architecture:
-        Retrieval architecture the plan is for.
-    k:
-        Averaging window (blocks); k = 1 is strict continuity.
-    read_ahead:
-        Blocks to prefetch as anti-jitter delay before playback starts.
-    buffers:
-        Device/server buffers that must be reserved for the request.
-    switch_read_ahead:
-        Additional blocks (h) to prefetch before the disk may switch to
-        another task during over-satisfied (slow-motion) playback.
-    """
-
-    architecture: Architecture
-    k: int
-    read_ahead: int
-    buffers: int
-    switch_read_ahead: int
-
-    @property
-    def total_reserved(self) -> int:
-        """Buffers including the task-switch reserve."""
-        return self.buffers + self.switch_read_ahead
 
 
 def _validate(k: int, p: int) -> None:
@@ -127,26 +94,6 @@ def task_switch_read_ahead(block: BlockModel, disk: DiskParameters) -> int:
     the block playback rate.
     """
     return math.ceil(disk.seek_max * block.blocks_per_second)
-
-
-def plan(
-    architecture: Architecture,
-    block: BlockModel,
-    disk: DiskParameters,
-    k: int = 1,
-    p: int = 1,
-    allow_task_switch: bool = False,
-) -> BufferPlan:
-    """Assemble the complete buffering plan for one request."""
-    _validate(k, p)
-    switch = task_switch_read_ahead(block, disk) if allow_task_switch else 0
-    return BufferPlan(
-        architecture=architecture,
-        k=k,
-        read_ahead=read_ahead_required(architecture, k, p),
-        buffers=buffers_for_average_continuity(architecture, k, p),
-        switch_read_ahead=switch,
-    )
 
 
 def fast_forward_block(

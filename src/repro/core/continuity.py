@@ -38,20 +38,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from repro.core.symbols import BlockModel, DiskParameters, DisplayDeviceParameters
 from repro.errors import InfeasibleError, ParameterError
 
 __all__ = [
     "Architecture",
-    "ContinuityVerdict",
     "sequential_slack",
     "pipelined_slack",
     "concurrent_slack",
     "slack",
     "is_continuous",
-    "check",
     "max_scattering",
     "min_concurrency",
     "min_granularity",
@@ -59,7 +56,6 @@ __all__ = [
     "mixed_heterogeneous_slack",
     "max_scattering_mixed",
     "effective_throughput",
-    "buffers_required",
 ]
 
 
@@ -69,29 +65,6 @@ class Architecture(enum.Enum):
     SEQUENTIAL = "sequential"
     PIPELINED = "pipelined"
     CONCURRENT = "concurrent"
-
-
-@dataclass(frozen=True)
-class ContinuityVerdict:
-    """Outcome of a continuity check, with its arithmetic shown.
-
-    Attributes
-    ----------
-    feasible:
-        True when the continuity inequality holds.
-    slack:
-        Budget − demand, seconds per block period (negative ⇒ infeasible,
-        and |slack| is the per-block lateness that will accumulate).
-    budget:
-        Right-hand side of the inequality (playback allowance), seconds.
-    demand:
-        Left-hand side (effective access time per block), seconds.
-    """
-
-    feasible: bool
-    slack: float
-    budget: float
-    demand: float
 
 
 def _validate_concurrency(p: int) -> None:
@@ -169,30 +142,6 @@ def is_continuous(
 ) -> bool:
     """True when the continuity requirement holds for this configuration."""
     return slack(architecture, block, disk, device, scattering, p) >= 0.0
-
-
-def check(
-    architecture: Architecture,
-    block: BlockModel,
-    disk: DiskParameters,
-    device: DisplayDeviceParameters,
-    scattering: float,
-    p: int = 1,
-) -> ContinuityVerdict:
-    """Full verdict with budget/demand decomposition for reporting."""
-    if architecture is Architecture.CONCURRENT:
-        _validate_concurrency(p)
-        budget = (p - 1) * block.playback_duration
-    else:
-        budget = block.playback_duration
-    if architecture is Architecture.SEQUENTIAL:
-        demand = block.read_time(disk, scattering) + block.display_time(device)
-    else:
-        demand = block.read_time(disk, scattering)
-    margin = budget - demand
-    return ContinuityVerdict(
-        feasible=margin >= 0.0, slack=margin, budget=budget, demand=demand
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +321,7 @@ def max_scattering_mixed(
 
 
 # ---------------------------------------------------------------------------
-# Aggregate throughput and buffer counts
+# Aggregate throughput
 # ---------------------------------------------------------------------------
 
 def effective_throughput(
@@ -389,19 +338,3 @@ def effective_throughput(
     """
     per_head = block_bits / disk.access_time(block_bits, gap)
     return disk.heads * per_head
-
-
-def buffers_required(architecture: Architecture, p: int = 1) -> int:
-    """Device buffers needed under strict continuity (§3.3.2).
-
-    "the sequential, pipelined, and concurrent architectures require 1, 2,
-    and p buffers, respectively."
-    """
-    if architecture is Architecture.SEQUENTIAL:
-        return 1
-    if architecture is Architecture.PIPELINED:
-        return 2
-    if architecture is Architecture.CONCURRENT:
-        _validate_concurrency(p)
-        return p
-    raise ParameterError(f"unknown architecture: {architecture!r}")

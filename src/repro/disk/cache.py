@@ -14,8 +14,12 @@ holds no data bytes — residency is the cached fact.  Correctness under
 fault injection is by construction: a faulted access raises *before*
 the slot is inserted, so defective or transiently-failing reads never
 populate the cache, and a :class:`~repro.errors.MediaDefectError`
-additionally invalidates any stale residency for its slot.  Writes go
-straight through to the mechanism and invalidate the written slot.
+additionally invalidates any stale residency for its slot.  A write
+*through* :class:`CachedDrive` invalidates the written slot, but the
+storage manager writes no slot through the cache, and nothing tells the
+cache when it frees one: residency survives a slot's free and its reuse
+by a new recording (ROADMAP small debt, "a freed slot stays
+cache-resident").
 
 Pinning supports cache-aware admission: a session admitted against
 cache residency (its whole plan resident ⇒ it consumes no disk-round

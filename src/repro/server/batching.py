@@ -83,7 +83,6 @@ class RequestBatch:
 def group_into_batches(
     requests: Sequence[OpenSessionRequest],
     window: float,
-    enabled: bool = True,
     rec=None,
 ) -> List[RequestBatch]:
     """Partition open requests into admission batches.
@@ -91,8 +90,8 @@ def group_into_batches(
     Requests are processed in ``(arrival, submission index)`` order.  A
     request joins the open batch for its key when its arrival is within
     *window* seconds of that batch's leader; otherwise it starts a new
-    batch.  With ``enabled=False`` (or ``window=0``) every request is
-    its own batch — the per-request admission baseline.
+    batch.  With ``window=0`` every request is its own batch — the
+    per-request admission baseline.
 
     Every batch formed — of any size — is reported to *rec* (the
     server's :class:`~repro.obs.recorder.ServiceRecorder`, or None) with
@@ -110,7 +109,7 @@ def group_into_batches(
     open_batch: Dict[BatchKey, int] = {}
     for _index, request in ordered:
         key = BatchKey.of(request)
-        position = open_batch.get(key) if enabled and window > 0 else None
+        position = open_batch.get(key) if window > 0 else None
         if position is not None:
             leader = batches[position][0]
             if request.arrival - leader.arrival <= window:

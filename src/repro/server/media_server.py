@@ -315,7 +315,7 @@ class MediaServer:
         touched: List[str] = []
         rejects: List[OpenSessionResponse] = []
         batches = group_into_batches(
-            opens, self.batch_window, enabled=self.batching, rec=self._rec
+            opens, self.batch_window if self.batching else 0.0, rec=self._rec
         )
         queue: List[Tuple[RequestBatch, int]] = [(b, 0) for b in batches]
         position = 0

@@ -3,8 +3,9 @@
 This is the wiring layer the §5 prototype calls "the file system": it
 takes PLAY requests admitted by the rope server, flattens them to
 playback plans, builds the §3.4 round-robin service with the admission
-controller's k (including staged transitions), runs the simulation, and
-returns per-request continuity metrics.
+controller's k, runs the simulation, and returns per-request continuity
+metrics.  A staged transition is a per-round k,
+``RoundRobinService(drive, staged_k_schedule(k_old, steps))``.
 """
 
 from __future__ import annotations
@@ -125,15 +126,9 @@ class PlaybackSession:
             heads_lost=1
         )
 
-    @staticmethod
-    def _request_id_of(request) -> str:
-        """Accept both raw request-ID strings and typed API requests."""
-        return getattr(request, "session_id", request)
-
     def _stream_for(
-        self, request, k: int, planned: Dict[str, List]
+        self, request_id: str, k: int, planned: Dict[str, List]
     ) -> StreamState:
-        request_id = self._request_id_of(request)
         fetches = planned.get(request_id)
         if fetches is None:
             fetches = self.fetch_sequence(request_id)
@@ -188,10 +183,9 @@ class PlaybackSession:
 
     def run(
         self,
-        request_ids: Sequence,
+        request_ids: Sequence[str],
         k: Optional[int] = None,
         admissions: Sequence[Tuple[int, str]] = (),
-        k_schedule: Optional[Callable[[int, int], int]] = None,
         fetches: Optional[Dict[str, List]] = None,
     ) -> SessionResult:
         """Service *request_ids* from round 0 (+ later admissions) to done.
@@ -199,17 +193,13 @@ class PlaybackSession:
         Parameters
         ----------
         request_ids:
-            Raw MRS request-ID strings, or typed
-            :class:`repro.api.PlayRequest` values (their ``session_id``
-            is the request ID).
+            MRS request IDs.
         k:
             Blocks per request per round; defaults to the admission
-            controller's current k.
+            controller's current k.  A per-round k is
+            ``RoundRobinService(drive, k_schedule)``, as E3 runs it.
         admissions:
-            ``(round_number, request_id)`` pairs joining mid-run; the
-            request may likewise be a :class:`~repro.api.PlayRequest`.
-        k_schedule:
-            Full override of the per-round k (wins over *k*).
+            ``(round_number, request_id)`` pairs joining mid-run.
         fetches:
             Request id → its :meth:`fetch_sequence`, for callers that
             already derived it (the media server plans each session once
@@ -218,9 +208,6 @@ class PlaybackSession:
         controller = self.server.msm.admission
         if k is None:
             k = max(1, controller.current_k)
-        if k_schedule is None:
-            def k_schedule(round_number: int, active: int) -> int:
-                return k
         planned = fetches or {}
         initial = [self._stream_for(r, k, planned) for r in request_ids]
         later = [
@@ -232,7 +219,7 @@ class PlaybackSession:
         ]
         service = RoundRobinService(
             self.server.msm.drive,
-            k_schedule,
+            lambda _round, _active: k,
             recovery=self.recovery,
             on_head_failure=self._on_head_failure,
             obs=self.obs,

@@ -22,26 +22,14 @@ __all__ = [
     "MEGA",
     "GIGA",
     "KIBI",
-    "MEBI",
-    "GIBI",
-    "bits",
     "bytes_",
     "kilobytes",
-    "megabytes",
-    "gigabytes",
-    "kilobits",
     "megabits",
     "gigabits",
-    "bits_to_bytes",
-    "bits_per_second",
     "kilobytes_per_second",
-    "megabytes_per_second",
     "megabits_per_second",
     "gigabits_per_second",
     "milliseconds",
-    "microseconds",
-    "seconds",
-    "minutes",
     "format_bits",
     "format_rate",
     "format_seconds",
@@ -55,20 +43,13 @@ KILO = 10 ** 3
 MEGA = 10 ** 6
 GIGA = 10 ** 9
 
-#: Binary multipliers, used for memory-style block sizes (4 KB block = 4 KiB).
+#: Binary multiplier, used for memory-style block sizes (4 KB block = 4 KiB).
 KIBI = 2 ** 10
-MEBI = 2 ** 20
-GIBI = 2 ** 30
 
 
 # ---------------------------------------------------------------------------
 # Sizes (canonical unit: bits)
 # ---------------------------------------------------------------------------
-
-def bits(value: float) -> float:
-    """Identity helper: *value* is already in bits."""
-    return float(value)
-
 
 def bytes_(value: float) -> float:
     """Convert bytes to bits."""
@@ -78,21 +59,6 @@ def bytes_(value: float) -> float:
 def kilobytes(value: float) -> float:
     """Convert binary kilobytes (KiB, as in a '4 Kbyte disk block') to bits."""
     return float(value) * KIBI * BITS_PER_BYTE
-
-
-def megabytes(value: float) -> float:
-    """Convert binary megabytes (MiB) to bits."""
-    return float(value) * MEBI * BITS_PER_BYTE
-
-
-def gigabytes(value: float) -> float:
-    """Convert binary gigabytes (GiB) to bits."""
-    return float(value) * GIBI * BITS_PER_BYTE
-
-
-def kilobits(value: float) -> float:
-    """Convert decimal kilobits to bits."""
-    return float(value) * KILO
 
 
 def megabits(value: float) -> float:
@@ -105,28 +71,13 @@ def gigabits(value: float) -> float:
     return float(value) * GIGA
 
 
-def bits_to_bytes(value: float) -> float:
-    """Convert a size in bits back to bytes."""
-    return float(value) / BITS_PER_BYTE
-
-
 # ---------------------------------------------------------------------------
 # Rates (canonical unit: bits/second)
 # ---------------------------------------------------------------------------
 
-def bits_per_second(value: float) -> float:
-    """Identity helper: *value* is already in bits/second."""
-    return float(value)
-
-
 def kilobytes_per_second(value: float) -> float:
     """Convert KiB/s to bits/s (the paper's 8 KByte/s audio digitizer)."""
     return kilobytes(value)
-
-
-def megabytes_per_second(value: float) -> float:
-    """Convert MiB/s to bits/s."""
-    return megabytes(value)
 
 
 def megabits_per_second(value: float) -> float:
@@ -143,24 +94,9 @@ def gigabits_per_second(value: float) -> float:
 # Times (canonical unit: seconds)
 # ---------------------------------------------------------------------------
 
-def seconds(value: float) -> float:
-    """Identity helper: *value* is already in seconds."""
-    return float(value)
-
-
 def milliseconds(value: float) -> float:
     """Convert milliseconds to seconds (seek times are quoted in ms)."""
     return float(value) / KILO
-
-
-def microseconds(value: float) -> float:
-    """Convert microseconds to seconds."""
-    return float(value) / MEGA
-
-
-def minutes(value: float) -> float:
-    """Convert minutes to seconds (strand lengths are quoted in minutes)."""
-    return float(value) * 60.0
 
 
 # ---------------------------------------------------------------------------

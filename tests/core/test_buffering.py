@@ -83,23 +83,6 @@ class TestTaskSwitchReadAhead:
         )
 
 
-class TestPlan:
-    def test_plan_combines_pieces(self, block, disk):
-        plan = buffering.plan(
-            Architecture.PIPELINED, block, disk, k=3,
-            allow_task_switch=True,
-        )
-        assert plan.read_ahead == 3
-        assert plan.buffers == 6
-        assert plan.switch_read_ahead >= 1
-        assert plan.total_reserved == plan.buffers + plan.switch_read_ahead
-
-    def test_plan_without_task_switch(self, block, disk):
-        plan = buffering.plan(Architecture.SEQUENTIAL, block, disk, k=2)
-        assert plan.switch_read_ahead == 0
-        assert plan.total_reserved == plan.buffers
-
-
 class TestFastForward:
     def test_without_skipping_inflates_rate(self, block):
         fast = buffering.fast_forward_block(block, 2.0, skipping=False)

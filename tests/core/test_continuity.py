@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import continuity
+from repro.core.buffering import buffers_for_average_continuity
 from repro.core.continuity import Architecture
 from repro.core.symbols import (
     BlockModel,
@@ -119,17 +120,16 @@ class TestMaxScattering:
                 Architecture.PIPELINED, monster, disk, device
             )
 
-    def test_is_continuous_consistent_with_check(self, block, disk, device):
-        for l_ds in (0.0, 0.05, 0.2):
-            verdict = continuity.check(
-                Architecture.PIPELINED, block, disk, device, l_ds
-            )
-            assert verdict.feasible == continuity.is_continuous(
-                Architecture.PIPELINED, block, disk, device, l_ds
-            )
-            assert verdict.slack == pytest.approx(
-                verdict.budget - verdict.demand
-            )
+    def test_is_continuous_is_a_nonnegative_slack(self, block, disk, device):
+        bound = continuity.max_scattering(
+            Architecture.PIPELINED, block, disk, device
+        )
+        verdicts = []
+        for l_ds in (0.0, bound, 1.01 * bound):
+            args = (Architecture.PIPELINED, block, disk, device, l_ds)
+            verdicts.append(continuity.is_continuous(*args))
+            assert verdicts[-1] == (continuity.slack(*args) >= 0.0)
+        assert verdicts[0] and not verdicts[-1]
 
 
 class TestMinConcurrency:
@@ -237,8 +237,10 @@ class TestThroughputAndBuffers:
         assert tight > loose
 
     def test_buffer_counts(self):
-        assert continuity.buffers_required(Architecture.SEQUENTIAL) == 1
-        assert continuity.buffers_required(Architecture.PIPELINED) == 2
-        assert continuity.buffers_required(
-            Architecture.CONCURRENT, p=7
+        """§3.3.2's strict-continuity 1 / 2 / p buffers are the k = 1
+        case of the average-continuity counts."""
+        assert buffers_for_average_continuity(Architecture.SEQUENTIAL, 1) == 1
+        assert buffers_for_average_continuity(Architecture.PIPELINED, 1) == 2
+        assert buffers_for_average_continuity(
+            Architecture.CONCURRENT, 1, p=7
         ) == 7

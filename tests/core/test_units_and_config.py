@@ -18,14 +18,8 @@ class TestSizeConversions:
     def test_kilobytes_are_binary(self):
         assert units.kilobytes(4) == 4 * 1024 * 8
 
-    def test_megabytes(self):
-        assert units.megabytes(1) == 1024 * 1024 * 8
-
     def test_gigabits(self):
         assert units.gigabits(2.5) == 2.5e9
-
-    def test_bits_roundtrip(self):
-        assert units.bits_to_bytes(units.bytes_(123)) == 123
 
 
 class TestRateAndTime:
@@ -35,9 +29,6 @@ class TestRateAndTime:
 
     def test_milliseconds(self):
         assert units.milliseconds(28) == pytest.approx(0.028)
-
-    def test_minutes(self):
-        assert units.minutes(2) == 120.0
 
 
 class TestFormatting:

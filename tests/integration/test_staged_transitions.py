@@ -1,10 +1,10 @@
-"""Integration: the controller's transition plans drive the session."""
+"""Integration: the controller's transition plans drive the round loop."""
 
-import pytest
-
+from repro.core.buffering import buffers_for_average_continuity
 from repro.media.frames import frames_for_duration
 from repro.rope import Media
 from repro.service import PlaybackSession, staged_k_schedule
+from repro.service.rounds import Admission, RoundRobinService, StreamState
 
 
 class TestStagedTransitionThroughSession:
@@ -12,7 +12,8 @@ class TestStagedTransitionThroughSession:
         self, mrs, msm, profile
     ):
         """Admit requests one by one, execute each decision's staged plan
-        through the real session API, and verify continuity throughout."""
+        on the round loop over the session's own fetch sequences and
+        buffers, and verify continuity throughout."""
         frames = frames_for_duration(profile.video, 6.0, source="stg")
         record_id, rope_id = mrs.record("u", frames=frames)
         mrs.stop(record_id)
@@ -37,12 +38,23 @@ class TestStagedTransitionThroughSession:
             0, k_after_second - k_after_first
         )
         session = PlaybackSession(mrs)
-        result = session.run(
-            [first],
-            admissions=[(join_round, second)],
-            k_schedule=schedule,
+        capacity = buffers_for_average_continuity(
+            msm.architecture, max(1, k_after_second)
         )
-        assert result.all_continuous
+
+        def stream(request_id):
+            return StreamState(
+                request_id=request_id,
+                fetches=session.fetch_sequence(request_id),
+                buffer_capacity=max(capacity, 2),
+            )
+
+        metrics = RoundRobinService(msm.drive, schedule).run(
+            [stream(first)],
+            [Admission(round_number=join_round, stream=stream(second))],
+        )
+        assert sorted(metrics) == sorted([first, second])
+        assert all(m.continuous for m in metrics.values())
 
     def test_transition_plan_matches_current_k(self, mrs, msm, profile):
         frames = frames_for_duration(profile.video, 4.0, source="stg2")
@@ -61,7 +73,7 @@ class TestTableSeekDrive:
     def test_full_stack_on_a_datasheet_drive(self, profile):
         """A drive built from a measured (table) seek curve works through
         placement, storage, and playback."""
-        from repro.disk import TESTBED_DRIVE, FreeMap, SimulatedDrive
+        from repro.disk import TESTBED_DRIVE, SimulatedDrive
         from repro.disk.seek import Rotation, TableSeek
         from repro.fs import MultimediaStorageManager
         from repro.media.frames import frames_for_duration

@@ -59,10 +59,8 @@ class TestGrouping:
 
     def test_disabled_or_zero_window_is_per_request(self):
         requests = [_open("a", "R1", 0.0), _open("b", "R1", 0.0)]
+        # A server with batching off passes a zero window.
         assert len(group_into_batches(requests, window=0.0)) == 2
-        assert len(
-            group_into_batches(requests, window=1.0, enabled=False)
-        ) == 2
 
     def test_batches_ordered_by_admit_time(self):
         requests = [

@@ -74,3 +74,10 @@ class TestFaultGolden:
         assert len(set(skips)) == 1
         counters = json.loads(run.snapshot())["metrics"]["counters"]
         assert counters["fault.skips"] == sum(skips)
+
+    def test_a_session_that_skipped_is_not_continuous(self):
+        """A skip is scored as a miss, so the tally a server and a
+        cluster share needs no skip test of its own."""
+        result = FAULT.run().result
+        assert all(s.skips > 0 for s in result.statuses)
+        assert result.continuous_sessions == 0
