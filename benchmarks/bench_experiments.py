@@ -9,20 +9,11 @@ verdict fails the case.
 import pytest
 from conftest import emit, pedantic_args
 
-from repro.analysis import EXPERIMENTS, render_series
-
-#: Rows whose table is also a curve: the (x, y) columns drawn as bars.
-FIGURES = {
-    "e2": ("n", "k transition (Eq.18)"),
-    "e10": ("target silence", "space saved"),
-    "e12": ("request", "startup latency (s)"),
-}
+from repro.analysis import EXPERIMENTS
 
 
 @pytest.mark.parametrize("row", EXPERIMENTS, ids=lambda row: row.id)
 def test_experiment(benchmark, row):
     result = benchmark.pedantic(row.measure, **pedantic_args())
     emit(row.report(result))
-    if row.id in FIGURES:
-        emit(render_series(result.table, *FIGURES[row.id]))
     assert row.failed(result) == []

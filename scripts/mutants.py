@@ -48,6 +48,7 @@ EXTEND = (
 )
 TIMELINE = "tests/obs/test_timeline_reference.py::"
 SIZES = "tests/service/test_rpc.py::TestSizingRules::test_rule"
+CAPTURES = "tests/media/test_frame_column.py::"
 SCORES = (
     "tests/service/test_scoring_reference.py::TestScorerMatchesPerBlockScoring::"
     "test_generated_delivery_traces"
@@ -69,6 +70,7 @@ ONE_SIMULATOR = "one simulator"
 COLUMNS = "a recording is columns"
 SHAPES = "a message is sized by its shape"
 TRAFFIC = "keep what the traffic runs"
+COLUMN = "captured video is a column"
 
 
 class Mutant(NamedTuple):
@@ -331,6 +333,21 @@ MUTANTS = [
            "if s.continuous",
            "tests/server/test_api.py::TestClusterMessages::"
            "test_continuous_requires_glitch_free_completion"),
+    Mutant(COLUMN, "a slice drops its first-index offset",
+           "src/repro/media/frames.py",
+           "                self.indices[key],\n",
+           "                range(len(self.tokens[key])),\n",
+           CAPTURES + "TestColumnMatchesTheSpec::test_generated_captures"),
+    Mutant(COLUMN, "the capture-time size check is skipped",
+           "src/repro/media/frames.py",
+           "    if bad is not None:\n", "    if False:\n",
+           CAPTURES + "TestColumnMatchesTheSpec::"
+           "test_a_codec_size_at_or_below_zero_is_refused_at_capture"),
+    Mutant(COLUMN, "a hand-built list's tokens are cut one frame late",
+           "src/repro/fs/storage_manager.py",
+           "        tokens = tuple(frame.token for frame in frames)\n",
+           "        tokens = (*(f.token for f in frames[1:]), frames[-1].token)\n",
+           CAPTURES + "TestRecordingAColumnEqualsRecordingItsList::test_video"),
 ]
 
 

@@ -2,7 +2,7 @@
 
 from repro.analysis.claims import EXPERIMENTS, Experiment, select
 from repro.analysis.experiments import fetches_with_gap
-from repro.analysis.report import Result, Table, format_cell, render_series
+from repro.analysis.report import Result, Table, format_cell
 
 __all__ = [
     "EXPERIMENTS",
@@ -11,6 +11,5 @@ __all__ = [
     "Table",
     "fetches_with_gap",
     "format_cell",
-    "render_series",
     "select",
 ]

@@ -1,9 +1,7 @@
 """Plain-text rendering of experiment results (paper-style rows).
 
 Every experiment prints through these helpers so its output reads the
-same way: a titled table of aligned columns, or two of its columns
-rendered one point per line as an (x, y) series — the closest text
-analogue of the paper's figures.
+same way: a titled table of aligned columns.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from typing import List, Mapping, Sequence, Tuple, Union
 
 from repro.errors import ParameterError
 
-__all__ = ["Table", "Result", "render_series", "format_cell"]
+__all__ = ["Table", "Result", "format_cell"]
 
 Cell = Union[str, int, float, bool, None]
 
@@ -113,23 +111,3 @@ class Result:
     def table(self) -> Table:
         """The experiment's (first) table."""
         return self.tables[0]
-
-
-def render_series(table: Table, x: str, y: str, width: int = 40) -> str:
-    """Render columns *x* and *y* of *table* with a crude inline bar chart.
-
-    The text analogue of a paper figure: one line per row with a *y*
-    value, with a bar proportional to y (scaled to the column maximum).
-    """
-    points = [
-        (px, py) for px, py in zip(table.column(x), table.column(y))
-        if py is not None
-    ]
-    if not points:
-        return f"{table.title}: (empty)"
-    top = max(abs(py) for _, py in points) or 1.0
-    lines = [f"{table.title}  ({x} vs {y})"]
-    for px, py in points:
-        bar = "#" * max(0, int(round(width * abs(py) / top)))
-        lines.append(f"  {format_cell(px):>10}  {format_cell(py):>12}  {bar}")
-    return "\n".join(lines)

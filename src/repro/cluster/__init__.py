@@ -31,7 +31,6 @@ from repro.cluster.placement import (
     CatalogTitle,
     PlacementMap,
     PlacementPolicy,
-    demand_from_counters,
     zipf_popularity,
 )
 from repro.cluster.router import CLUSTER_SLOS, MediaCluster, build_cluster
@@ -47,7 +46,6 @@ __all__ = [
     "bounds_for_placement",
     "build_cluster",
     "build_node",
-    "demand_from_counters",
     "demand_max_flow",
     "full_catalog_bound",
     "single_video_bound",

@@ -15,10 +15,9 @@ capacity), so the policy:
   spreading consecutive titles across the array so no node becomes the
   hot shard.
 
-Demand defaults to the declared catalog popularity, but
-:func:`demand_from_counters` derives it from the observed per-title
-open counters the router records (``cluster.opens.<title>``), so a
-running cluster can re-plan placement from what viewers actually
+Demand defaults to the declared catalog popularity; a caller may pass
+observed demand instead (e.g. the router's ``cluster.opens.<title>``
+counters), so a cluster can be re-planned from what viewers actually
 watched rather than what the catalog predicted.
 
 Everything is a pure function of its inputs: the same catalog, node
@@ -38,7 +37,6 @@ __all__ = [
     "CatalogTitle",
     "PlacementMap",
     "PlacementPolicy",
-    "demand_from_counters",
     "zipf_popularity",
 ]
 
@@ -143,12 +141,6 @@ class PlacementMap:
             title: len(nodes) for title, nodes in self.assignments
         }
 
-    def to_dict(self) -> Dict[str, Tuple[str, ...]]:
-        """JSON-ready title -> replica-list mapping."""
-        return {
-            title: list(nodes) for title, nodes in self.assignments
-        }
-
 
 class PlacementPolicy:
     """Derives a :class:`PlacementMap` from catalog, nodes, and demand.
@@ -189,8 +181,8 @@ class PlacementPolicy:
         """Assign every title to an ordered replica set.
 
         ``demand`` overrides the catalog popularity (e.g. with observed
-        open counts from :func:`demand_from_counters`); titles absent
-        from it fall back to their declared popularity.
+        open counts); titles absent from it fall back to their declared
+        popularity.
         """
         if not titles:
             raise ParameterError("catalog must be non-empty")
@@ -260,20 +252,3 @@ class PlacementPolicy:
             )
         )
 
-
-def demand_from_counters(
-    registry, titles: Sequence[CatalogTitle]
-) -> Dict[str, float]:
-    """Observed per-title demand from the router's open counters.
-
-    Reads the ``cluster.opens.<title>`` counters a
-    :class:`repro.cluster.MediaCluster` increments on every routed
-    admission; titles never opened are absent from the result, so a
-    re-plan falls back to their declared popularity.
-    """
-    observed: Dict[str, float] = {}
-    for title in titles:
-        count = registry.peek_counter(f"cluster.opens.{title.title_id}")
-        if count:
-            observed[title.title_id] = float(count)
-    return observed

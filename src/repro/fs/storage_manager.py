@@ -57,7 +57,7 @@ from repro.fs.index import (
 from repro.fs.silence import plan_audio_blocks
 from repro.fs.strand import Strand
 from repro.media.audio import AudioChunk, SilenceDetector
-from repro.media.frames import Frame
+from repro.media.frames import Frame, FrameColumn
 from repro.obs.recorder import recorder_for
 
 __all__ = ["MediaPolicies", "MultimediaStorageManager"]
@@ -84,10 +84,14 @@ def _clamp_granularity(eta: int, unit_size: float, slot_bits: float) -> int:
 
 def frame_columns(frames: Sequence[Frame], eta: int):
     """The units, video bits and tokens of *frames* cut into blocks of
-    η frames (the last possibly shorter)."""
-    tokens = tuple(frame.token for frame in frames)
-    sizes = [frame.size_bits for frame in frames]
-    starts = range(0, len(frames), eta)
+    η frames (the last possibly shorter).  A :class:`FrameColumn` hands
+    over its columns as they are; a list of frames is turned into them."""
+    if isinstance(frames, FrameColumn):
+        tokens, sizes = frames.tokens, frames.sizes
+    else:
+        tokens = tuple(frame.token for frame in frames)
+        sizes = [frame.size_bits for frame in frames]
+    starts = range(0, len(tokens), eta)
     blocks = [tokens[start:start + eta] for start in starts]
     bits = [sum(sizes[start:start + eta]) for start in starts]
     return list(map(len, blocks)), bits, blocks

@@ -12,8 +12,10 @@ frames in order, without materializing megabytes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from itertools import repeat
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.symbols import VideoStream
 from repro.errors import ParameterError
@@ -26,6 +28,7 @@ __all__ = [
     "raw_frame_bits",
     "ntsc_raw_frame_bits",
     "Frame",
+    "FrameColumn",
     "generate_frames",
     "frames_for_duration",
 ]
@@ -85,6 +88,58 @@ class Frame:
             )
 
 
+@dataclass(frozen=True, repr=False)
+class FrameColumn(Sequence[Frame]):
+    """Captured frames as columns: tokens, sizes, the frame period and the
+    capture indices covered.  Indexing, iteration and slicing yield the
+    frames a list would, each built only when asked for; a slice is a
+    column.  Sizes are checked at capture; indices are never < 0."""
+
+    tokens: Tuple[str, ...]
+    sizes: List[float]
+    period: float
+    indices: range
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return FrameColumn(
+                self.tokens[key], self.sizes[key], self.period,
+                self.indices[key],
+            )
+        index = self.indices[key]
+        return Frame(
+            index, self.sizes[key], index * self.period, self.tokens[key]
+        )
+
+    def __iter__(self) -> Iterator[Frame]:
+        period = self.period
+        for index, size, token in zip(self.indices, self.sizes, self.tokens):
+            yield Frame(index, size, index * period, token)
+
+
+def _capture(
+    stream: VideoStream, count: int, codec: Optional[Codec], source: str
+) -> FrameColumn:
+    """The column of *count* frames of *stream* compressed by *codec*."""
+    if count < 0:
+        raise ParameterError(f"count must be >= 0, got {count}")
+    if codec is None:
+        codec = FixedRateCodec(ratio=1.0)
+        raw = stream.frame_size
+    else:
+        raw = stream.frame_size * codec.nominal_ratio
+    indices = range(count)
+    sizes = list(map(codec.compressed_bits, repeat(raw, count), indices))
+    bad = next((size for size in sizes if size <= 0), None)
+    if bad is not None:
+        raise ParameterError(f"frame size must be positive, got {bad}")
+    tokens = tuple([f"{source}:frame:{index}" for index in indices])
+    return FrameColumn(tokens, sizes, stream.unit_duration, indices)
+
+
 def generate_frames(
     stream: VideoStream,
     count: int,
@@ -98,21 +153,7 @@ def generate_frames(
     each frame's raw size is passed through the codec — a variable-rate
     codec then produces varying frame sizes, the §6.2 extension.
     """
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
-    if codec is None:
-        codec = FixedRateCodec(ratio=1.0)
-        raw = stream.frame_size
-    else:
-        raw = stream.frame_size * codec.nominal_ratio
-    period = stream.unit_duration
-    for index in range(count):
-        yield Frame(
-            index=index,
-            size_bits=codec.compressed_bits(raw, index),
-            timestamp=index * period,
-            token=f"{source}:frame:{index}",
-        )
+    yield from _capture(stream, count, codec, source)
 
 
 def frames_for_duration(
@@ -120,11 +161,13 @@ def frames_for_duration(
     duration: float,
     codec: Optional[Codec] = None,
     source: str = "camera0",
-) -> List[Frame]:
-    """All frames captured in *duration* seconds of recording."""
+) -> FrameColumn:
+    """All whole frames captured in *duration* seconds of recording (a
+    product a few ulps short of a whole number, as 4.1 × 30 is, counts)."""
     if not 0 <= duration < math.inf:
         raise ParameterError(
             f"duration must be finite and >= 0, got {duration}"
         )
-    count = int(duration * stream.frame_rate)
-    return list(generate_frames(stream, count, codec, source))
+    product = duration * stream.frame_rate
+    count = math.floor(product + 4 * math.ulp(product))
+    return _capture(stream, count, codec, source)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import Table, format_cell, render_series
+from repro.analysis.report import Table, format_cell
 from repro.errors import ParameterError
 
 
@@ -76,16 +76,3 @@ class TestAccessors:
         with pytest.raises(ParameterError, match="gamma.*alpha, beta"):
             table.cell("value", "gamma")
 
-
-class TestRenderSeries:
-    def test_bars_scale_to_max(self):
-        table = Table("s", ["x", "y"])
-        table.add_row(1, 10.0)
-        table.add_row(2, 5.0)
-        table.add_row(3, None)  # no point, no line
-        lines = render_series(table, "x", "y", width=10).splitlines()
-        assert lines[0] == "s  (x vs y)"
-        assert [line.count("#") for line in lines[1:]] == [10, 5]
-
-    def test_empty_series(self):
-        assert "empty" in render_series(Table("s", ["x", "y"]), "x", "y")

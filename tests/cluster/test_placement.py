@@ -6,11 +6,9 @@ from repro.cluster import (
     CatalogTitle,
     PlacementMap,
     PlacementPolicy,
-    demand_from_counters,
     zipf_popularity,
 )
 from repro.errors import ParameterError
-from repro.obs import MetricsRegistry
 
 pytestmark = pytest.mark.cluster
 
@@ -141,15 +139,3 @@ class TestPolicy:
         ):
             PlacementPolicy(min_replicas=3).plan(_catalog(2), _nodes(2), 4)
 
-
-class TestDemandFromCounters:
-    def test_reads_router_open_counters(self):
-        registry = MetricsRegistry()
-        registry.counter("cluster.opens.T01").inc(7)
-        registry.counter("cluster.opens.T03").inc(2)
-        observed = demand_from_counters(registry, _catalog(3))
-        assert observed == {"T01": 7.0, "T03": 2.0}
-
-    def test_unopened_titles_are_absent(self):
-        observed = demand_from_counters(MetricsRegistry(), _catalog(2))
-        assert observed == {}

@@ -12,7 +12,8 @@ assert *how much work* a service run performs, not just what it returns:
 * the generic ``max_distance_within`` binary search runs once per
   distinct ``(budget, cylinders)`` pair;
 * :meth:`SimulatedDrive.read_slot` evaluates the seek curve once per
-  distinct distance and enters one frame below itself.
+  distinct distance and enters one frame below itself;
+* capturing video and recording it constructs no ``Frame``.
 
 If a future change quietly reintroduces a rescan or a per-access
 recomputation, these counters move and the suite fails — the perf
@@ -653,6 +654,31 @@ class TestOnePassPerStrand:
         assert video.stored_block_count > 200
         assert 0 < audio.stored_block_count < audio.block_count
         assert built == []
+
+
+class TestCaptureIsAColumn:
+    """Captured video is a column: capturing 300 s and recording them
+    constructs no ``Frame`` (the parent built one per frame, 9,000)."""
+
+    def test_a_capture_and_its_record_build_no_frame(self, monkeypatch):
+        from repro.config import TESTBED_1991
+        from repro.media.frames import Frame, frames_for_duration
+        from repro.rope import build_rope_server
+
+        built = []
+        check = Frame.__post_init__
+        monkeypatch.setattr(
+            Frame, "__post_init__",
+            lambda self: (built.append(self.index), check(self))[1],
+        )
+        mrs = build_rope_server()
+        frames = frames_for_duration(TESTBED_1991.video, 300.0, source="n")
+        request_id, rope_id = mrs.record("u", frames=frames)
+        mrs.stop(request_id)
+        assert len(frames) == 9_000
+        assert mrs.get_rope(rope_id).duration == pytest.approx(300.0)
+        assert built == []
+        assert frames[-1].index == 8_999 and built == [8_999]
 
 
 def _frames(function, *args):

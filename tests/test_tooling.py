@@ -1117,6 +1117,12 @@ class TestRetiredNames:
         "repro.units.bits_per_second", "repro.units.megabytes_per_second",
         "repro.units.seconds", "repro.units.microseconds", "repro.units.minutes",
         "repro.units.MEBI", "repro.units.GIBI",
+        # Captured video is a column: the lines it needed came from
+        # helpers that only their own tests entered, and one nothing did.
+        "repro.analysis.render_series", "repro.analysis.report.render_series",
+        "repro.cluster.demand_from_counters",
+        "repro.cluster.placement.demand_from_counters",
+        "repro.cluster.PlacementMap.to_dict",
     ]
     #: Retired instance attributes, which no import can resolve.
     RETIRED_ATTRIBUTES = re.compile(
@@ -1308,11 +1314,11 @@ class TestReferencesAreNotSubclasses:
 
 
 class TestSourceSize:
-    #: `src/` physical lines, as measured, after the census retired the
-    #: stack's second copies and unused switches (20,918 before).
+    #: `src/` physical lines, as measured, after captured video became a
+    #: column and three test-only helpers left (20,655 before).
     #: ROADMAP aim 2: the count trends *down* — lower this when a PR
     #: deletes code, never raise it to make room.
-    SRC_LINE_CEILING = 20655
+    SRC_LINE_CEILING = 20652
     #: `src/repro/obs/` alone, measured when the sim event log left
     #: (2,838 before): the largest package in `src/`, pinned on its own.
     OBS_LINE_CEILING = 2737
