@@ -16,8 +16,9 @@ and traced (one per interpreter: ``bench run`` without ``--workload``
 would re-run each in a subprocess the hook does not follow), every row
 of the claims table, every registered scenario through each of the four
 CLI scenario views (``run`` also with ``--json``), the ``demo`` /
-``profiles`` / ``policy`` commands, and every example.  Opt-in:
-``scripts/check.sh`` does not run it.
+``profiles`` / ``policy`` commands, every example, and the
+``benchmarks/`` cases at smoke size (``pytest benchmarks --smoke``).
+Opt-in: ``scripts/check.sh`` does not run it.
 """
 
 import argparse
@@ -106,6 +107,10 @@ def entry_points(scratch):
         points.append((
             f"examples/{example}", "path", str(ROOT / "examples" / example), [],
         ))
+    points.append((
+        "pytest benchmarks --smoke", "module", "pytest",
+        ["benchmarks", "--smoke", "-q", "-p", "no:cacheprovider"],
+    ))
     return points
 
 

@@ -33,6 +33,7 @@ STRIPES = "src/repro/disk/raid.py"
 RECORDER = "src/repro/obs/recorder.py"
 RPC = "src/repro/service/rpc.py"
 API = "src/repro/api.py"
+PROFILER = "src/repro/obs/profiling.py"
 
 EQUIVALENCE = "tests/perf/test_equivalence.py::TestServiceEquivalence::"
 WALKED = "tests/perf/test_walked_reference.py::TestCountedRoundsMatchTheWalkedLoop::"
@@ -49,6 +50,11 @@ EXTEND = (
 TIMELINE = "tests/obs/test_timeline_reference.py::"
 SIZES = "tests/service/test_rpc.py::TestSizingRules::test_rule"
 CAPTURES = "tests/media/test_frame_column.py::"
+WARMING = "tests/cluster/test_warm_by_state.py::"
+CHECKPOINTS = (
+    "tests/obs/test_profiling.py::TestCostProfiler::"
+    "test_a_checkpoint_samples_exactly_the_summary_totals"
+)
 SCORES = (
     "tests/service/test_scoring_reference.py::TestScorerMatchesPerBlockScoring::"
     "test_generated_delivery_traces"
@@ -71,6 +77,7 @@ COLUMNS = "a recording is columns"
 SHAPES = "a message is sized by its shape"
 TRAFFIC = "keep what the traffic runs"
 COLUMN = "captured video is a column"
+WARM = "warm by state"
 
 
 class Mutant(NamedTuple):
@@ -348,6 +355,22 @@ MUTANTS = [
            "        tokens = tuple(frame.token for frame in frames)\n",
            "        tokens = (*(f.token for f in frames[1:]), frames[-1].token)\n",
            CAPTURES + "TestRecordingAColumnEqualsRecordingItsList::test_video"),
+    Mutant(WARM, "the plan is read in reverse", "src/repro/cluster/node.py",
+           "zip(fetches.slots, fetches.bits)",
+           "zip(fetches.slots[::-1], fetches.bits[::-1])",
+           WARMING + "test_warming_leaves_what_a_warm_up_session_leaves"),
+    Mutant(WARM, "a block's payload size is dropped", "src/repro/cluster/node.py",
+           "                read(slot, bits)\n", "                read(slot)\n",
+           WARMING + "test_warming_leaves_what_a_warm_up_session_leaves"),
+    Mutant(WARM, "the warm-up request is left open", "src/repro/cluster/node.py",
+           "        mrs.stop(request_id)\n", "",
+           WARMING + "test_warming_serves_no_session"),
+    Mutant(WARM, "a checkpoint's positioning leaves out rotation", PROFILER,
+           "seek += stats.seek_time + stats.rotation_time - then[0][2]",
+           "seek += stats.seek_time - then[0][2]", CHECKPOINTS),
+    Mutant(WARM, "a checkpoint leaves out cache hit time", PROFILER,
+           "lookup += device.cache.stats.hits * device.hit_time - then[0][2]",
+           "lookup += 0.0", CHECKPOINTS),
 ]
 
 

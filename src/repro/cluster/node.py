@@ -29,6 +29,7 @@ from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.media.frames import frames_for_duration
 from repro.rope import Media
 from repro.server.media_server import MediaServer, build_media_server
+from repro.service.session import PlaybackSession
 
 from repro.cluster.placement import CatalogTitle
 
@@ -89,24 +90,25 @@ class ClusterNode:
         """The local rope holding *title_id* (KeyError if not a replica)."""
         return self.local_ropes[title_id]
 
-    def holds(self, title_id: str) -> bool:
-        """Whether this node stores a replica of *title_id*."""
-        return title_id in self.local_ropes
-
     def title_duration(self, title_id: str) -> float:
         """Recorded duration of the node's replica of *title_id*."""
         return self.server.mrs.get_rope(self.rope_for(title_id)).duration
 
-    def warm(self, title_id: str) -> ServeResult:
-        """Play one warm-up session so the title's blocks go resident."""
-        return self.serve([
-            OpenSessionRequest(
-                client_id="warmer",
-                rope_id=self.rope_for(title_id),
-                arrival=0.0,
-                media=Media.VIDEO,
-            )
-        ])
+    def warm(self, title_id: str) -> None:
+        """Make the title's blocks resident: read its replica through the
+        cache in the order one session plays it.  Warm-up is set-up state,
+        not a served session, so it costs the drive and the cache what
+        that session's reads would and leaves no session behind."""
+        mrs = self.server.mrs
+        request_id = mrs.open_request(
+            "warmer", self.rope_for(title_id), media=Media.VIDEO
+        )
+        fetches = PlaybackSession(mrs).fetch_sequence(request_id)
+        mrs.stop(request_id)
+        read = self.server._drive.read_slot
+        for slot, bits in zip(fetches.slots, fetches.bits):
+            if slot is not None:
+                read(slot, bits)
 
     # -- routing state ------------------------------------------------------------
 

@@ -127,14 +127,6 @@ class PlacementMap:
         """Whether the placement knows this title at all."""
         return any(title == title_id for title, _ in self.assignments)
 
-    def titles_on(self, node_id: str) -> Tuple[str, ...]:
-        """Every title replicated onto one node, in assignment order."""
-        return tuple(
-            title
-            for title, nodes in self.assignments
-            if node_id in nodes
-        )
-
     def replica_counts(self) -> Dict[str, int]:
         """title -> replica count, for the bounds computation."""
         return {

@@ -638,11 +638,13 @@ def build_cluster(
     nodes (so every title has a failover target) and stripes replicas
     least-loaded-first.  Every node records its assigned replicas from
     the title's own deterministic frame source and, when *warm* is on,
-    plays each once so the hot waves are cache-admitted.
+    reads each one's playback plan through its cache
+    (:meth:`ClusterNode.warm`), so the hot waves are cache-admitted.
 
     Each node is built against ``obs.scoped(node_id)``, so its drive and
     cache are that node's rows in the profile; the router reports to
-    *obs* itself.
+    *obs* itself.  Warming is set-up, not traffic: its reads are in the
+    drive and cache counters, but it opens no session, span or RPC call.
     """
     check_count("nodes", nodes)
     check_count("titles", titles)

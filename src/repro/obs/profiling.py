@@ -86,9 +86,8 @@ def _read_drive(drive) -> Tuple[str, Tuple]:
 def _read_cache(cached) -> Tuple[str, Tuple]:
     """The same for a cache front end, under its mechanism's label."""
     stats = cached.cache.stats
-    probes = stats.hits + stats.misses
     return cached.inner.profile_label, (
-        ("cache_lookup", probes, stats.hits * cached.hit_time),
+        ("cache_lookup", stats.hits + stats.misses, stats.hits * cached.hit_time),
     )
 
 
@@ -154,10 +153,7 @@ class CostProfiler:
         self._checkpoint_calls += 1
         if self._checkpoint_calls % self._checkpoint_stride:
             return
-        phases = self._tables()[0]
-        self._checkpoints.append(
-            (time, tuple(phases[phase]["cost_s"] for phase in PHASES))
-        )
+        self._checkpoints.append((time, self._totals()))
         if len(self._checkpoints) >= CHECKPOINT_LIMIT:
             self._checkpoints = self._checkpoints[::2]
             self._checkpoint_stride *= 2
@@ -174,12 +170,25 @@ class CostProfiler:
         for node, row in self._faults.items():
             yield None, node, "fault_recovery", row["ops"], row["cost_s"]
 
+    def _totals(self) -> Tuple[float, ...]:
+        """:meth:`_tables`' phase costs, read straight off the stats and
+        summed in its order (it skips rows that counted nothing: 0.0 here)."""
+        seek = transfer = lookup = fault = 0.0
+        for device, _node, read, then in self._watched:
+            if read is _read_drive:
+                stats = device.stats
+                seek += stats.seek_time + stats.rotation_time - then[0][2]
+                transfer += stats.transfer_time - then[1][2]
+            else:
+                lookup += device.cache.stats.hits * device.hit_time - then[0][2]
+        for row in self._faults.values():
+            fault += row["cost_s"]
+        return seek, transfer, lookup, fault
+
     def _tables(self) -> Tuple[_Table, Dict[str, _Table], Dict[str, _Table]]:
         """(total, per drive label, per node), each by phase; a phase
         appears under a drive or node once it has counted something."""
-        phases: _Table = {}
-        for phase in PHASES:
-            _add(phases, phase, 0, 0.0)
+        phases: _Table = {phase: {"ops": 0, "cost_s": 0.0} for phase in PHASES}
         drives: Dict[str, _Table] = {}
         nodes: Dict[str, _Table] = {}
         for label, node, phase, ops, cost in self._rows():
@@ -265,20 +274,11 @@ class CostProfiler:
         carried cost, on counter tracks named ``profile.<phase>`` —
         loadable next to the span export in ui.perfetto.dev.
         """
-        phases = self._tables()[0]
-        active = [
-            index for index, phase in enumerate(PHASES)
-            if phases[phase]["cost_s"] > 0.0
-        ]
+        active = [i for i, cost in enumerate(self._totals()) if cost > 0.0]
         return [
-            {
-                "ph": "C",
-                "pid": 1,
-                "tid": 0,
-                "name": f"profile.{PHASES[index]}",
-                "ts": round(time * 1e6, 3),
-                "args": {"cost_ms": round(costs[index] * 1e3, 6)},
-            }
+            {"ph": "C", "pid": 1, "tid": 0, "name": f"profile.{PHASES[i]}",
+             "ts": round(time * 1e6, 3),
+             "args": {"cost_ms": round(costs[i] * 1e3, 6)}}
             for time, costs in self._checkpoints
-            for index in active
+            for i in active
         ]

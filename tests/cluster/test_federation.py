@@ -13,8 +13,10 @@ rows, and causally connected cross-node handoff traces.
 
 import pytest
 
+from repro.api import Media
 from repro.obs import MetricsRegistry
 from repro.scenarios import get
+from repro.service.session import PlaybackSession
 
 pytestmark = [pytest.mark.cluster, pytest.mark.profile]
 
@@ -87,10 +89,20 @@ class TestFederatedBreakdowns:
 
     def test_profiler_attributes_per_node_drives(self, scoped_run):
         summary = scoped_run.obs.profiler.summary_dict()
-        # Per-node disk work is attributed to its node — the dead one
-        # included: it served chunk 0 before the kill.
-        for node_id in ("node-00", "node-01", "node-02"):
-            assert summary["per_node"][node_id]["seek"]["ops"] > 0
+        # The smoke load is all cache hits, so every disk access is a
+        # node warming its replicas: each node's seeks are exactly its
+        # replicas' plan blocks, the dead node's included.
+        for node in scoped_run.stack.nodes:
+            mrs, blocks = node.server.mrs, 0
+            for title_id in node.local_ropes:
+                request_id = mrs.open_request(
+                    "warmer", node.rope_for(title_id), media=Media.VIDEO
+                )
+                slots = PlaybackSession(mrs).fetch_sequence(request_id).slots
+                blocks += sum(slot is not None for slot in slots)
+                mrs.stop(request_id)
+            seeks = summary["per_node"][node.node_id]["seek"]["ops"]
+            assert seeks == blocks > 0, node.node_id
         assert any(
             label.endswith(".drive") for label in summary["per_drive"]
         )

@@ -60,7 +60,10 @@ class TestPlacementMap:
             ("T02", ("node-01",)),
         ))
         assert placement.replicas("T01") == ("node-00", "node-01")
-        assert placement.titles_on("node-01") == ("T01", "T02")
+        assert [
+            title for title, nodes in placement.assignments
+            if "node-01" in nodes
+        ] == ["T01", "T02"]
         assert placement.has_title("T02")
         assert not placement.has_title("T99")
         assert placement.replica_counts() == {"T01": 2, "T02": 1}
@@ -97,7 +100,8 @@ class TestPolicy:
             _catalog(10), _nodes(5), per_node_streams=8
         )
         per_node = [
-            len(placement.titles_on(node)) for node in _nodes(5)
+            sum(node in nodes for _title, nodes in placement.assignments)
+            for node in _nodes(5)
         ]
         assert min(per_node) >= 1
 

@@ -160,6 +160,31 @@ class TestCostProfiler:
         transfer = [costs[1] for _, costs in obs.profiler._checkpoints]
         assert transfer == sorted(transfer) and transfer[-1] > 0.0
 
+    def test_a_checkpoint_samples_exactly_the_summary_totals(self):
+        # Two drives attached after some reads, each behind a cache that
+        # charges its hits, and fault delays on two nodes: every sampled
+        # phase cost equals the summary's, float for float.
+        obs = _profiled()
+        profiler = obs.profiler
+        caches = []
+        for index in range(2):
+            drive = build_drive()
+            drive.read_slot(300 + index)
+            drive.attach_observer(obs.scoped(f"n{index}"))
+            caches.append(CachedDrive(
+                drive, BlockCache(3), hit_time=0.001 * (index + 1),
+                obs=obs.scoped(f"n{index}"),
+            ))
+        for step, slot in enumerate((5, 900, 5, 17, 900, 5, 40, 41, 5)):
+            caches[step % 2].read_slot(slot)
+            if step % 3 == 0:
+                profiler.fault(0.1 / (step + 3), node=f"n{step % 2}")
+            profiler.checkpoint(float(step))
+            phases = profiler.summary_dict()["phases"]
+            sampled = profiler._checkpoints[-1][1]
+            assert sampled == tuple(phases[p]["cost_s"] for p in PHASES)
+        assert all(cost > 0.0 for cost in profiler._checkpoints[-1][1])
+
     def test_checkpoint_series_is_deterministic(self):
         def series(calls):
             obs = _profiled()
