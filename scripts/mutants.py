@@ -78,6 +78,7 @@ SHAPES = "a message is sized by its shape"
 TRAFFIC = "keep what the traffic runs"
 COLUMN = "captured video is a column"
 WARM = "warm by state"
+PER_CALL = "the write path pays per call"
 
 
 class Mutant(NamedTuple):
@@ -90,8 +91,21 @@ class Mutant(NamedTuple):
 
 
 WAKE = "                stream._wake = wake = ends[count]\n"
-FORWARD = "                range(center + near, (high if high < last else last) + 1),\n"
-BACKWARD = "                range(low if low > 0 else 0, center - near + 1),\n"
+FORWARD = "                    center + near, (high if high < last else last) + 1\n"
+BACKWARD = "                        low if low > 0 else 0, center - near + 1\n"
+#: A hop's forward scan, from its range's arguments to the backward
+#: scan's: the two loops differ in indentation only.
+PROBE = (
+    "                ):\n"
+    "                    stop = starts[cylinder + 1]\n"
+    "                    slot = find(_FREE, starts[cylinder], stop)\n"
+    "                    if slot == previous:\n"
+    "                        slot = find(_FREE, previous + 1, stop)\n"
+    "                    if slot >= 0:\n"
+    "                        break\n"
+    "                else:\n"
+    "                    for cylinder in range(\n"
+)
 FOLD = (
     "            if started:\n"
     "                stream.clock_start = end = time\n"
@@ -138,12 +152,12 @@ MUTANTS = [
            EQUIVALENCE + "test_generated_loads"),
     # The placer's four.
     Mutant(STRANDS, "placer: backward cylinders before forward ones", PLACER,
-           FORWARD + BACKWARD, BACKWARD + FORWARD,
+           FORWARD + PROBE + BACKWARD, BACKWARD + PROBE + FORWARD,
            PLACES + "TestPlacerEqualsTheScan::"
            "test_strands_from_hints_on_occupied_disks"),
     Mutant(STRANDS, "placer: the previous slot not skipped", PLACER,
-           "                if slot == previous:\n",
-           "                if slot == previous and False:\n",
+           "\n                    if slot == previous:\n",
+           "\n                    if slot == previous and False:\n",
            PLACES + "TestPlacerEqualsTheScan::"
            "test_after_a_previous_slot_that_is_itself_free"),
     Mutant(STRANDS, "placer: the far end not trimmed", PLACER,
@@ -297,8 +311,8 @@ MUTANTS = [
            "tests/fs/test_strand.py::TestRecording::"
            "test_the_block_checks_run_over_the_columns"),
     Mutant(COLUMNS, "placer: every hop anchored at the head's cylinder", PLACER,
-           "            previous, center = slot, cylinder\n",
-           "            previous = slot\n",
+           "                previous, center = slot, cylinder\n",
+           "                previous = slot\n",
            PLACES + "TestPlacerEqualsTheScan::"
            "test_strands_from_hints_on_occupied_disks"),
     Mutant(SHAPES, "sizing: a bool admitted to the numeric shortcut", RPC,
@@ -347,7 +361,7 @@ MUTANTS = [
            CAPTURES + "TestColumnMatchesTheSpec::test_generated_captures"),
     Mutant(COLUMN, "the capture-time size check is skipped",
            "src/repro/media/frames.py",
-           "    if bad is not None:\n", "    if False:\n",
+           "    if not min(sizes, default=1.0) > 0:", "    if False:",
            CAPTURES + "TestColumnMatchesTheSpec::"
            "test_a_codec_size_at_or_below_zero_is_refused_at_capture"),
     Mutant(COLUMN, "a hand-built list's tokens are cut one frame late",
@@ -371,6 +385,52 @@ MUTANTS = [
     Mutant(WARM, "a checkpoint leaves out cache hit time", PROFILER,
            "lookup += device.cache.stats.hits * device.hit_time - then[0][2]",
            "lookup += 0.0", CHECKPOINTS),
+    Mutant(PER_CALL, "a leading NaN size hides a bad one",
+           "src/repro/media/frames.py",
+           "    if not min(sizes, default=1.0) > 0:",
+           "    if min(sizes, default=1.0) <= 0:",
+           CAPTURES + "TestColumnMatchesTheSpec::"
+           "test_a_nan_size_hides_no_bad_size_after_it"),
+    Mutant(PER_CALL, "placer: a failed hop leaves the free count stale", PLACER,
+           "        finally:\n"
+           "            freemap._free_count -= len(slots) - placed\n",
+           "        except ScatteringError:\n"
+           "            raise\n"
+           "        else:\n"
+           "            freemap._free_count -= len(slots) - placed\n",
+           "tests/fs/test_write_path.py::TestFailedStoreOwnsNothing::"
+           "test_chain_failure_mid_strand_returns_the_placed_prefix"),
+    Mutant(PER_CALL, "placer: a hop marks its slot free", PLACER,
+           "                state[slot] = _USED\n",
+           "                state[slot] = _FREE\n",
+           PLACES + "TestPlacerEqualsTheScan::"
+           "test_strands_from_hints_on_occupied_disks"),
+    Mutant(PER_CALL, "placer: the previous slot not skipped going backward",
+           PLACER,
+           "                        if slot == previous:\n",
+           "                        if slot == previous and False:\n",
+           PLACES + "TestPlacerEqualsTheScan::"
+           "test_after_a_previous_slot_that_is_itself_free"),
+    Mutant(PER_CALL, "the fixed-rate column skips its raw-size check",
+           "src/repro/media/codec.py",
+           "        if raw_bits <= 0:\n"
+           "            raise ParameterError(f\"raw_bits must be positive, got "
+           "{raw_bits}\")\n"
+           "        return [raw_bits / self.ratio] * count\n",
+           "        return [raw_bits / self.ratio] * count\n",
+           "tests/media/test_codec.py::TestFixedRateCodec::"
+           "test_rejects_bad_raw_size"),
+    Mutant(PER_CALL, "the differencing column's key frames one frame early",
+           "src/repro/media/codec.py",
+           "        return (group * -(-count // self.group_size))[:count]\n",
+           "        return (group * -(-count // self.group_size) + group)"
+           "[1:count + 1]\n",
+           CAPTURES + "TestColumnMatchesTheSpec::test_generated_captures"),
+    Mutant(PER_CALL, "a capture reports its last bad size, not its first",
+           "src/repro/media/frames.py",
+           "        for bad in sizes:\n", "        for bad in reversed(sizes):\n",
+           CAPTURES + "TestColumnMatchesTheSpec::"
+           "test_a_codec_size_at_or_below_zero_is_refused_at_capture"),
 ]
 
 

@@ -100,9 +100,7 @@ def block_size_profile(
     group_frames = getattr(codec, "group_size", 1)
     # Cover a whole number of blocks AND a whole number of size groups.
     span = _lcm(granularity, group_frames)
-    frame_bits = [
-        codec.compressed_bits(raw, index) for index in range(span)
-    ]
+    frame_bits = codec.compressed_sizes(raw, span)
     block_bits: List[float] = [
         sum(frame_bits[start:start + granularity])
         for start in range(0, span, granularity)

@@ -22,12 +22,11 @@ hardware.
 from __future__ import annotations
 
 import random
-from itertools import chain
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.disk.drive import SimulatedDrive
-from repro.disk.freemap import FreeMap
+from repro.disk.freemap import _FREE, _USED, FreeMap
 from repro.errors import (
     AllocationError,
     DiskFullError,
@@ -218,34 +217,48 @@ class ConstrainedScatterAllocator(Allocator):
         bounds intra-round seeks), then the admitted backward ones,
         farthest first, and takes the first free slot other than the
         previous one — whose cylinder is the one its scan found it in.
+        A hop probes and marks the free map's bitmap in place; its free
+        count is settled once, when the chain ends or a hop raises.
         """
         near, far, last, starts = self._near, self._far, self._last, self._starts
-        first_free = self.freemap.first_free_in_window
-        take = self.freemap.allocate
+        freemap, state = self.freemap, self.freemap._state
+        find, append, placed = state.find, slots.append, len(slots)
         previous = slots[-1]
         center = self.drive.cylinder_of(previous)
-        for _ in range(count):
-            # Clamp to the disk; a conditional costs less than max/min here.
-            high, low = center + far, center - far
-            for cylinder in chain(
-                range(center + near, (high if high < last else last) + 1),
-                range(low if low > 0 else 0, center - near + 1),
-            ):
-                stop = starts[cylinder + 1]
-                slot = first_free(starts[cylinder], stop)
-                if slot == previous:
-                    slot = first_free(previous + 1, stop)
-                if slot is not None:
-                    break
-            else:
-                raise ScatteringError(
-                    f"no free slot within the scattering window after slot "
-                    f"{previous} (cylinder {center}, distance window "
-                    f"[{self._d_min}, {self._d_max}])"
-                )
-            take(slot)
-            slots.append(slot)
-            previous, center = slot, cylinder
+        try:
+            for _ in range(count):
+                # Clamp to the disk; a conditional costs less than max/min.
+                high, low = center + far, center - far
+                for cylinder in range(
+                    center + near, (high if high < last else last) + 1
+                ):
+                    stop = starts[cylinder + 1]
+                    slot = find(_FREE, starts[cylinder], stop)
+                    if slot == previous:
+                        slot = find(_FREE, previous + 1, stop)
+                    if slot >= 0:
+                        break
+                else:
+                    for cylinder in range(
+                        low if low > 0 else 0, center - near + 1
+                    ):
+                        stop = starts[cylinder + 1]
+                        slot = find(_FREE, starts[cylinder], stop)
+                        if slot == previous:
+                            slot = find(_FREE, previous + 1, stop)
+                        if slot >= 0:
+                            break
+                    else:
+                        raise ScatteringError(
+                            f"no free slot within the scattering window "
+                            f"after slot {previous} (cylinder {center}, "
+                            f"distance window [{self._d_min}, {self._d_max}])"
+                        )
+                state[slot] = _USED
+                append(slot)
+                previous, center = slot, cylinder
+        finally:
+            freemap._free_count -= len(slots) - placed
 
 
 class RandomAllocator(Allocator):

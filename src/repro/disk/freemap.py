@@ -26,7 +26,12 @@ _USED = 1
 
 
 class FreeMap:
-    """Allocation bitmap over *slots* block slots."""
+    """Allocation bitmap over *slots* block slots.
+
+    The constrained-scatter placer's chain probes and marks ``_state``
+    in place and settles ``_free_count`` once per chain (one hop is one
+    ``find`` and one store); every other caller goes through the methods.
+    """
 
     def __init__(self, slots: int):
         if slots < 1:

@@ -22,7 +22,7 @@ strand contents, it only builds new interval lists (§4).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError, StrandImmutableError
 from repro.fs.blocks import MEDIA_NEEDS, AudioPayload, BlockKind, MediaBlock
@@ -185,11 +185,6 @@ class Strand:
     # -- read access ----------------------------------------------------------
 
     @property
-    def is_finalized(self) -> bool:
-        """True once recording completed."""
-        return self._finalized
-
-    @property
     def block_count(self) -> int:
         """Blocks including silence holders."""
         return len(self._slots)
@@ -213,11 +208,6 @@ class Strand:
     def stored_bits(self) -> float:
         """Total payload bits on disk."""
         return sum(self._block_bits)
-
-    @property
-    def block_playback_duration(self) -> float:
-        """Nominal playback duration of one full block (η/R)."""
-        return self.granularity / self.unit_rate
 
     def slot_of(self, block_number: int) -> Optional[int]:
         """Disk slot of a block (None = silence holder)."""
@@ -272,11 +262,6 @@ class Strand:
     def slots(self) -> List[int]:
         """All occupied media slots, in block order (silences skipped)."""
         return [slot for slot in self._slots if slot is not None]
-
-    def blocks(self) -> Iterator[Tuple[int, Optional[MediaBlock]]]:
-        """Iterate ``(block_number, content-or-None)`` in playback order."""
-        for number in range(len(self._slots)):
-            yield number, self.block_at(number)
 
     def verify_against_index(self) -> None:
         """Cross-check placement against the index (test/debug aid)."""

@@ -75,11 +75,6 @@ class StripedStrand:
         """Blocks in the strand."""
         return len(self.addresses)
 
-    @property
-    def block_playback_duration(self) -> float:
-        """Nominal playback seconds per full block."""
-        return self.granularity / self.frame_rate
-
 
 class StripedStorageManager:
     """Video strand storage striped over a :class:`DriveArray`.

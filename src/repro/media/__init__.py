@@ -22,7 +22,6 @@ from repro.media.frames import (
     NTSC_HEIGHT,
     NTSC_WIDTH,
     frames_for_duration,
-    generate_frames,
     ntsc_raw_frame_bits,
     raw_frame_bits,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "SilenceDetector",
     "chunks_to_blocks",
     "frames_for_duration",
-    "generate_frames",
     "generate_talk_spurts",
     "ntsc_raw_frame_bits",
     "raw_frame_bits",

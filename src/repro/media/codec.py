@@ -20,6 +20,7 @@ Both regimes are modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from repro.errors import ParameterError
 
@@ -34,12 +35,9 @@ class Codec:
         """Raw/compressed ratio used to recover raw size from nominal."""
         raise NotImplementedError
 
-    def compressed_bits(self, raw_bits: float, frame_index: int) -> float:
-        """Compressed size of frame *frame_index* whose raw size is given."""
-        raise NotImplementedError
-
-    def mean_compressed_bits(self, raw_bits: float) -> float:
-        """Long-run average compressed frame size."""
+    def compressed_sizes(self, raw_bits: float, count: int) -> List[float]:
+        """Compressed sizes of frames ``0 .. count - 1``, each of raw size
+        *raw_bits* — a capture's whole size column in one call."""
         raise NotImplementedError
 
 
@@ -59,13 +57,10 @@ class FixedRateCodec(Codec):
     def nominal_ratio(self) -> float:
         return self.ratio
 
-    def compressed_bits(self, raw_bits: float, frame_index: int) -> float:
+    def compressed_sizes(self, raw_bits: float, count: int) -> List[float]:
         if raw_bits <= 0:
             raise ParameterError(f"raw_bits must be positive, got {raw_bits}")
-        return raw_bits / self.ratio
-
-    def mean_compressed_bits(self, raw_bits: float) -> float:
-        return self.compressed_bits(raw_bits, 0)
+        return [raw_bits / self.ratio] * count
 
 
 @dataclass(frozen=True)
@@ -101,22 +96,10 @@ class DifferencingCodec(Codec):
     def nominal_ratio(self) -> float:
         return self.key_ratio
 
-    def compressed_bits(self, raw_bits: float, frame_index: int) -> float:
+    def compressed_sizes(self, raw_bits: float, count: int) -> List[float]:
         if raw_bits <= 0:
             raise ParameterError(f"raw_bits must be positive, got {raw_bits}")
-        if frame_index < 0:
-            raise ParameterError(
-                f"frame_index must be >= 0, got {frame_index}"
-            )
-        if frame_index % self.group_size == 0:
-            return raw_bits / self.key_ratio
-        return raw_bits / self.diff_ratio
-
-    def mean_compressed_bits(self, raw_bits: float) -> float:
-        keys = 1
-        diffs = self.group_size - 1
-        total = (
-            keys * raw_bits / self.key_ratio
-            + diffs * raw_bits / self.diff_ratio
-        )
-        return total / self.group_size
+        # Frame i is a key frame when i % group_size == 0.
+        group = [raw_bits / self.key_ratio]
+        group += [raw_bits / self.diff_ratio] * (self.group_size - 1)
+        return (group * -(-count // self.group_size))[:count]

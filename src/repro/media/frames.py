@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.symbols import VideoStream
@@ -29,7 +28,6 @@ __all__ = [
     "ntsc_raw_frame_bits",
     "Frame",
     "FrameColumn",
-    "generate_frames",
     "frames_for_duration",
 ]
 
@@ -120,42 +118,6 @@ class FrameColumn(Sequence[Frame]):
             yield Frame(index, size, index * period, token)
 
 
-def _capture(
-    stream: VideoStream, count: int, codec: Optional[Codec], source: str
-) -> FrameColumn:
-    """The column of *count* frames of *stream* compressed by *codec*."""
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
-    if codec is None:
-        codec = FixedRateCodec(ratio=1.0)
-        raw = stream.frame_size
-    else:
-        raw = stream.frame_size * codec.nominal_ratio
-    indices = range(count)
-    sizes = list(map(codec.compressed_bits, repeat(raw, count), indices))
-    bad = next((size for size in sizes if size <= 0), None)
-    if bad is not None:
-        raise ParameterError(f"frame size must be positive, got {bad}")
-    tokens = tuple([f"{source}:frame:{index}" for index in indices])
-    return FrameColumn(tokens, sizes, stream.unit_duration, indices)
-
-
-def generate_frames(
-    stream: VideoStream,
-    count: int,
-    codec: Optional[Codec] = None,
-    source: str = "camera0",
-) -> Iterator[Frame]:
-    """Yield *count* frames of *stream*, compressed by *codec*.
-
-    Without a codec, frames carry the stream's nominal ``frame_size``
-    (fixed-size frames, the paper's baseline assumption).  With a codec,
-    each frame's raw size is passed through the codec — a variable-rate
-    codec then produces varying frame sizes, the §6.2 extension.
-    """
-    yield from _capture(stream, count, codec, source)
-
-
 def frames_for_duration(
     stream: VideoStream,
     duration: float,
@@ -163,11 +125,28 @@ def frames_for_duration(
     source: str = "camera0",
 ) -> FrameColumn:
     """All whole frames captured in *duration* seconds of recording (a
-    product a few ulps short of a whole number, as 4.1 × 30 is, counts)."""
+    product a few ulps short of a whole number, as 4.1 × 30 is, counts),
+    compressed by *codec*: without one, each is the stream's nominal
+    ``frame_size`` (the paper's fixed-size frames); a variable-rate codec
+    gives varying sizes, the §6.2 extension."""
     if not 0 <= duration < math.inf:
         raise ParameterError(
             f"duration must be finite and >= 0, got {duration}"
         )
     product = duration * stream.frame_rate
     count = math.floor(product + 4 * math.ulp(product))
-    return _capture(stream, count, codec, source)
+    if codec is None:
+        codec = FixedRateCodec(ratio=1.0)
+        raw = stream.frame_size
+    else:
+        raw = stream.frame_size * codec.nominal_ratio
+    # One codec call for the whole size column; none for no frames.
+    sizes = codec.compressed_sizes(raw, count) if count else []
+    # Not `<= 0`: min() returns a leading NaN, which must hide no bad size.
+    if not min(sizes, default=1.0) > 0:
+        for bad in sizes:
+            if bad <= 0:
+                raise ParameterError(f"frame size must be positive, got {bad}")
+    indices = range(count)
+    tokens = tuple([f"{source}:frame:{index}" for index in indices])
+    return FrameColumn(tokens, sizes, stream.unit_duration, indices)

@@ -46,9 +46,9 @@ class TestBlockSizeProfile:
     def test_mean_matches_codec_mean(self, stream, codec):
         profile = vr.block_size_profile(stream, codec, 4)
         raw = stream.frame_size * codec.nominal_ratio
-        assert profile.mean_bits == pytest.approx(
-            4 * codec.mean_compressed_bits(raw)
-        )
+        # One size group of 10 frames: 1 key frame and 9 difference ones.
+        frame = (raw / codec.key_ratio + 9 * raw / codec.diff_ratio) / 10
+        assert profile.mean_bits == pytest.approx(4 * frame)
 
     def test_inconsistent_profile_rejected(self):
         with pytest.raises(ParameterError):

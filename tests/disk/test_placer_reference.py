@@ -10,7 +10,8 @@ the first free slot at or after the hint, wrapping to slot 0, and a
 strand that cannot be placed whole releases what it took.  Over all three
 seek curves, lower bounds of zero and above, unbounded upper bounds,
 pre-occupied disks and hints, the placer must return the spec's slots
-(or raise the same error type) and leave the same free map.
+(or raise the same error type) and leave the same free map, its free
+count equal to the free slots it holds — chains that fail partway too.
 """
 
 import math
@@ -168,6 +169,8 @@ class TestPlacerEqualsTheScan:
             lambda: spec_strand(theirs, count, hint)
         )
         assert ours.freemap.free_slots() == theirs.freemap.free_slots()
+        # The chain settles its free count once, when it ends or fails.
+        assert ours.freemap.free_count == len(ours.freemap.free_slots())
 
     @settings(max_examples=300, deadline=None)
     @given(case=placements(), data=st.data())
@@ -183,6 +186,8 @@ class TestPlacerEqualsTheScan:
             lambda: spec_after(theirs, previous)
         )
         assert ours.freemap.free_slots() == theirs.freemap.free_slots()
+        # The chain settles its free count once, when it ends or fails.
+        assert ours.freemap.free_count == len(ours.freemap.free_slots())
         assert ours.freemap.is_free(previous)
 
 

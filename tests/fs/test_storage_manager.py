@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from repro.errors import ParameterError, UnknownStrandError
+from repro.errors import (
+    ParameterError,
+    StrandImmutableError,
+    UnknownStrandError,
+)
 from repro.fs.blocks import BlockKind
 from repro.media.audio import SilenceDetector, generate_talk_spurts
 from repro.media.frames import frames_for_duration
@@ -47,7 +51,8 @@ class TestPolicies:
 class TestVideoStorage:
     def test_store_and_verify(self, msm, frames):
         strand = msm.store_video_strand(frames)
-        assert strand.is_finalized
+        with pytest.raises(StrandImmutableError):  # stored is finalized
+            strand.extend([], [], [], [])
         assert strand.kind is BlockKind.VIDEO
         assert strand.unit_count == len(frames)
         assert strand.duration == pytest.approx(5.0)
@@ -65,8 +70,8 @@ class TestVideoStorage:
     def test_tokens_preserved_in_order(self, msm, frames):
         strand = msm.store_video_strand(frames)
         tokens = []
-        for _, block in strand.blocks():
-            tokens.extend(block.video_tokens)
+        for number in range(strand.block_count):
+            tokens.extend(strand.block_at(number).video_tokens)
         assert tokens == [f.token for f in frames]
 
     def test_empty_input_rejected(self, msm):

@@ -145,7 +145,7 @@ def assert_strand_is(strand, contents, slots, assigned=None):
     assert strand.stored_bits == sum(columns[1])
     if count:
         assert strand.columns(0, count - 1) == columns
-    assert list(strand.blocks()) == [
+    assert [(n, strand.block_at(n)) for n in range(count)] == [
         (n, None if isinstance(item, int) else item)
         for n, item in enumerate(contents)
     ]

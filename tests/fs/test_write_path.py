@@ -157,20 +157,26 @@ class TestFailedStoreOwnsNothing:
         self, msm, monkeypatch
     ):
         """Every slot but a head and its first two hops is taken, so the
-        window closes at the third hop."""
+        window closes at the third hop.  The rollback releases exactly the
+        placed prefix, which the bitmap then holds and the free count
+        already counts; afterwards the map is where it started."""
         others = leave_free_only_a_chain(msm, 3)
-        taken = []
-        allocate = msm.freemap.allocate
+        chain, free = msm.freemap.free_slots(), msm.freemap.free_count
+        assert free == len(chain) == 3
+        released = []
+        release = ConstrainedScatterAllocator.release
 
-        def spied(slot):
-            allocate(slot)
-            taken.append(slot)
+        def seen(self, slots):
+            released.append((sorted(slots), msm.freemap.free_slots(),
+                             msm.freemap.free_count))
+            release(self, slots)
 
-        monkeypatch.setattr(msm.freemap, "allocate", spied)
+        monkeypatch.setattr(ConstrainedScatterAllocator, "release", seen)
         with pytest.raises(ScatteringError):
             msm.store_video_strand(video(3.0))
-        _head, *placed = taken
-        assert len(placed) == 2
+        assert released == [(chain, [], 0)]
+        assert msm.freemap.free_slots() == chain
+        assert msm.freemap.free_count == free
         for slot in others:
             msm.freemap.release(slot)
         assert msm.freemap.free_count == msm.freemap.slots

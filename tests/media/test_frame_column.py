@@ -1,8 +1,9 @@
 """Captured video is a column: the frames it yields are the ones stated.
 
 ``spec`` states the frames of a capture: frame ``i`` of ``count`` has
-index ``i``, the size the codec gives frame ``i`` (the stream's nominal
-size without one), timestamp ``i`` frame periods and token
+index ``i``, the size the codec's ratio gives frame ``i`` (the stream's
+nominal size without one; a differencing codec's key frames are those
+with ``i % group_size == 0``), timestamp ``i`` frame periods and token
 ``<source>:frame:<i>``.  Over generated captures — every count, no codec
 or either codec, any source — ``frames_for_duration`` must yield exactly
 those frames by iteration, by index (negative ones too, ``IndexError``
@@ -11,6 +12,7 @@ write path must store a column exactly as it stores the list of the
 same frames.
 """
 
+import math
 import random
 
 import pytest
@@ -23,12 +25,7 @@ from repro.fs import MultimediaStorageManager
 from repro.fs.striped import StripedStorageManager
 from repro.media.audio import generate_talk_spurts
 from repro.media.codec import DifferencingCodec, FixedRateCodec
-from repro.media.frames import (
-    Frame,
-    FrameColumn,
-    frames_for_duration,
-    generate_frames,
-)
+from repro.media.frames import Frame, FrameColumn, frames_for_duration
 from repro.rope import build_rope_server
 
 VIDEO = TESTBED_1991.video
@@ -46,6 +43,14 @@ SLICES = st.builds(
 )
 
 
+def spec_size(codec, raw, i):
+    """Frame *i*'s compressed size: raw over the ratio that applies to it."""
+    if isinstance(codec, DifferencingCodec):
+        key = i % codec.group_size == 0
+        return raw / (codec.key_ratio if key else codec.diff_ratio)
+    return raw / codec.ratio
+
+
 def spec(stream, count, codec, source):
     """The frames of a *count*-frame capture of *stream*, as §2 states
     them."""
@@ -54,7 +59,7 @@ def spec(stream, count, codec, source):
     return [
         Frame(
             index=i,
-            size_bits=codec.compressed_bits(raw, i),
+            size_bits=spec_size(codec, raw, i),
             timestamp=i * stream.unit_duration,
             token=f"{source}:frame:{i}",
         )
@@ -79,7 +84,6 @@ class TestColumnMatchesTheSpec:
         assert isinstance(column, FrameColumn)
         assert len(column) == count
         assert list(column) == frames
-        assert list(generate_frames(VIDEO, count, codec, source)) == frames
         if -count <= index < count:
             assert column[index] == frames[index]
         else:
@@ -97,15 +101,44 @@ class TestColumnMatchesTheSpec:
         class Broken:  # the codec interface, duck-typed
             nominal_ratio = 1.0
 
-            def compressed_bits(self, raw_bits, frame_index):
-                return (raw_bits, raw_bits, 0.0, -5.0)[min(frame_index, 3)]
+            def compressed_sizes(self, raw_bits, count):
+                return ([raw_bits, raw_bits, 0.0] + [-5.0] * count)[:count]
 
         message = "^frame size must be positive, got 0.0$"
         with pytest.raises(ParameterError, match=message):
             frames_for_duration(VIDEO, 1.0, Broken())
         with pytest.raises(ParameterError, match=message):
-            list(generate_frames(VIDEO, 4, Broken()))
+            frames_for_duration(VIDEO, 4 / 30, Broken())
         assert len(frames_for_duration(VIDEO, 2 / 30, Broken())) == 2
+
+    def test_a_nan_size_hides_no_bad_size_after_it(self):
+        """A NaN is no bad size itself (``nan <= 0`` is false), but it is
+        what ``min`` keeps when it comes first."""
+
+        class Leading:
+            nominal_ratio = 1.0
+
+            def __init__(self, *sizes):
+                self.sizes = list(sizes)
+
+            def compressed_sizes(self, raw_bits, count):
+                return self.sizes[:count]
+
+        nan = float("nan")
+        message = "^frame size must be positive, got -5.0$"
+        with pytest.raises(ParameterError, match=message):
+            frames_for_duration(VIDEO, 3 / 30, Leading(nan, 2.0, -5.0))
+        column = frames_for_duration(VIDEO, 2 / 30, Leading(nan, 2.0))
+        assert math.isnan(column.sizes[0]) and column.sizes[1] == 2.0
+
+    def test_no_frames_ask_the_codec_nothing(self):
+        class Refusing:
+            nominal_ratio = 1.0
+
+            def compressed_sizes(self, raw_bits, count):
+                raise AssertionError("asked for an empty column")
+
+        assert len(frames_for_duration(VIDEO, 0.0, Refusing())) == 0
 
 
 class TestWholeFrames:

@@ -39,6 +39,7 @@ from repro.api import (
 from repro.cluster.router import build_cluster
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.obs import Observability
+from repro.obs.profiling import PHASES
 from repro.scenarios import REGISTRY, get
 from repro.scenarios.server import record_strands
 from repro.server.media_server import build_media_server
@@ -297,16 +298,13 @@ def test_exports_match_pinned_digests(golden, pinned):
     )
 
 
-#: The phases a drive's, a cache's or fault recovery's own record feeds.
-KEPT_PHASES = ("seek", "transfer", "cache_lookup", "fault_recovery")
-
-
 def _assert_rows_agree(now, then, where):
-    """Two ``{phase: {"ops", "cost_s"}}`` maps agree on the kept phases:
-    the same ones present, ops equal, modeled seconds to 1e-9 relative
-    (the view sums a drive's seconds in another order than per access)."""
-    then = {phase: then[phase] for phase in KEPT_PHASES if phase in then}
+    """Two ``{phase: {"ops", "cost_s"}}`` maps agree: the same phases
+    present, each one of the profiler's ``PHASES``, ops equal, modeled
+    seconds to 1e-9 relative (the view sums a drive's seconds in another
+    order than per access)."""
     assert now.keys() == then.keys(), where
+    assert set(now) <= set(PHASES), (where, sorted(set(now) - set(PHASES)))
     for phase, row in now.items():
         assert row["ops"] == then[phase]["ops"], (where, phase)
         assert math.isclose(
@@ -315,7 +313,7 @@ def _assert_rows_agree(now, then, where):
 
 
 def test_profile_sections_match_the_pinned_ones(pinned, request):
-    """Per-stream rows, checkpoint counts and every kept phase's ops in
+    """Per-stream rows, checkpoint counts and every phase's ops in
     ``phases`` / ``per_drive`` / ``per_node`` are exactly the pinned
     ones; modeled seconds and shares agree to 1e-9."""
     sections = pinned[1]
@@ -329,6 +327,7 @@ def test_profile_sections_match_the_pinned_ones(pinned, request):
         then = pinned_sections[key]
         assert now["per_stream"] == then["per_stream"], key
         assert now["checkpoints"] == then["checkpoints"], key
+        assert set(now["phases"]) == set(PHASES), key
         _assert_rows_agree(now["phases"], then["phases"], key)
         for phase, row in now["phases"].items():
             assert math.isclose(
@@ -338,13 +337,9 @@ def test_profile_sections_match_the_pinned_ones(pinned, request):
             now["total_cost_s"], then["total_cost_s"], rel_tol=1e-9
         ), key
         for scope in ("per_drive", "per_node"):
-            kept = {
-                name: rows for name, rows in then[scope].items()
-                if set(rows) & set(KEPT_PHASES)
-            }
-            assert now[scope].keys() == kept.keys(), (key, scope)
+            assert now[scope].keys() == then[scope].keys(), (key, scope)
             for name, rows in now[scope].items():
-                _assert_rows_agree(rows, kept[name], (key, scope, name))
+                _assert_rows_agree(rows, then[scope][name], (key, scope, name))
 
 
 def test_fixture_reaches_both_definitions_of_consumption_end():

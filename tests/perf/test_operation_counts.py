@@ -697,6 +697,64 @@ def _frames(function, *args):
     return frames
 
 
+class TestTheWritePathPaysPerCall:
+    """RECORD pays per call, not per frame or per hop: recording one
+    300-s title asks its codec for the whole size column once (the parent
+    asked once per frame, 9,000 times), and its placer probes and marks
+    the free map in place, so the strand's chain makes one
+    ``first_free_in_window`` and one ``allocate`` call, for the head (the
+    parent made one of each per hop, about 2,250)."""
+
+    @staticmethod
+    def _record(seconds):
+        from repro.config import TESTBED_1991
+        from repro.media.frames import frames_for_duration
+        from repro.rope import build_rope_server
+
+        mrs = build_rope_server()
+        frames = frames_for_duration(TESTBED_1991.video, seconds, source="n")
+        request_id, _rope = mrs.record("u", frames=frames)
+        mrs.stop(request_id)
+        return mrs
+
+    def test_a_capture_asks_its_codec_once(self):
+        for seconds in (1.0, 300.0):
+            codec = [
+                name for name in _frames(self._record, seconds)
+                if name.split(".")[0].endswith("Codec")
+            ]
+            assert codec == [
+                "FixedRateCodec.__post_init__", "FixedRateCodec.compressed_sizes"
+            ], (seconds, len(codec))
+
+    def test_a_chain_makes_no_free_map_call_per_hop(self, monkeypatch):
+        from repro.disk import Allocator, FreeMap
+
+        placing, calls = [], {"first_free_in_window": 0, "allocate": 0}
+        for name in calls:
+            monkeypatch.setattr(
+                FreeMap, name,
+                lambda self, *args, _name=name, _inner=getattr(FreeMap, name): (
+                    calls.__setitem__(_name, calls[_name] + bool(placing)),
+                    _inner(self, *args),
+                )[1],
+            )
+        strand = Allocator.allocate_strand
+
+        def placed(self, *args):
+            placing.append(self)
+            try:
+                return strand(self, *args)
+            finally:
+                placing.pop()
+
+        monkeypatch.setattr(Allocator, "allocate_strand", placed)
+        mrs = self._record(300.0)
+        (strand_id,) = mrs.msm.strand_ids()
+        assert mrs.msm.get_strand(strand_id).stored_block_count == 2_250
+        assert calls == {"first_free_in_window": 1, "allocate": 1}
+
+
 class TestCachedReadFrames:
     """A cached read is one frame: the residency test, LRU refresh,
     counters and insert are ``CachedDrive.read_slot``'s own body."""
