@@ -312,21 +312,47 @@ def _assert_rows_agree(now, then, where):
         ), (where, phase)
 
 
+def _keep_what_agrees(now, then):
+    """*now*, with each float that agrees with *then* to 1e-9 relative
+    kept as *then* pins it: a regen rewrites only the values that moved
+    past the test's tolerance, not the summation-order ulps.  Per-stream
+    rows are compared exactly, so they are taken as they are."""
+    if isinstance(now, dict) and isinstance(then, dict):
+        return {
+            key: value if key not in then or key == "per_stream"
+            else _keep_what_agrees(value, then[key])
+            for key, value in now.items()
+        }
+    if isinstance(now, list) and isinstance(then, list) and len(now) == len(then):
+        return [_keep_what_agrees(*pair) for pair in zip(now, then)]
+    if (
+        isinstance(now, float) and isinstance(then, float)
+        and math.isclose(now, then, rel_tol=1e-9)
+    ):
+        return then
+    return now
+
+
 def test_profile_sections_match_the_pinned_ones(pinned, request):
-    """Per-stream rows, checkpoint counts and every phase's ops in
-    ``phases`` / ``per_drive`` / ``per_node`` are exactly the pinned
-    ones; modeled seconds and shares agree to 1e-9."""
+    """Per-stream rows, checkpoint counts, total ops and every phase's
+    ops in ``phases`` / ``per_drive`` / ``per_node`` are exactly the
+    pinned ones; modeled seconds and shares agree to 1e-9."""
     sections = pinned[1]
     path = GOLDEN_DIR / "profile_sections.json"
+    pinned_sections = json.loads(path.read_text()) if path.exists() else {}
     if request.config.getoption("--regen-golden"):
+        sections = {
+            key: _keep_what_agrees(now, pinned_sections.get(key, {}))
+            for key, now in sections.items()
+        }
         path.write_text(json.dumps(sections, indent=2, sort_keys=True) + "\n")
         return
-    pinned_sections = json.loads(path.read_text())
     assert sections.keys() == pinned_sections.keys()
     for key, now in sections.items():
         then = pinned_sections[key]
         assert now["per_stream"] == then["per_stream"], key
         assert now["checkpoints"] == then["checkpoints"], key
+        assert now["total_ops"] == then["total_ops"], key
         assert set(now["phases"]) == set(PHASES), key
         _assert_rows_agree(now["phases"], then["phases"], key)
         for phase, row in now["phases"].items():
