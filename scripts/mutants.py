@@ -36,7 +36,6 @@ API = "src/repro/api.py"
 PROFILER = "src/repro/obs/profiling.py"
 
 EQUIVALENCE = "tests/perf/test_equivalence.py::TestServiceEquivalence::"
-WALKED = "tests/perf/test_walked_reference.py::TestCountedRoundsMatchTheWalkedLoop::"
 MODEL = "tests/service/test_round_model.py::test_the_loop_serves_what_the_model_states"
 PLACES = "tests/disk/test_placer_reference.py::"
 CACHED = (
@@ -78,6 +77,7 @@ SHAPES = "a message is sized by its shape"
 TRAFFIC = "keep what the traffic runs"
 COLUMN = "captured video is a column"
 WARM = "warm by state"
+ONE_JOIN = "one join, one kind of round"
 PER_CALL = "the write path pays per call"
 
 
@@ -200,28 +200,13 @@ MUTANTS = [
     Mutant(TURNS, "a stream that finished this turn counted into `soonest`", ROUNDS,
            "                finished = True\n            elif wake < soonest:",
            "                finished = True\n            if wake < soonest:", MODEL),
-    Mutant(TURNS, "the join reset dropped", ROUNDS,
-           "                soonest = 0.0\n", "", MODEL),
-    Mutant(WATCHING, "a counted round drops its queue-depth observation", ROUNDS,
-           "len(active) if counted else None", "None", MODEL),
     Mutant(WATCHING, "the per-stream fold not seeded", RECORDER,
            "stream.turn_cost = self._prof.stream_cost(stream.request_id)",
            "stream.turn_cost = 0.0", MODEL),
-    Mutant(WATCHING, "a counted round ticks the SLOs", RECORDER,
-           "if self._slo is not None and counted is None:",
-           "if self._slo is not None:",
-           "tests/service/test_round_model.py::TestTheSkippedSloTickIsUnobservable::"
-           "test_the_counted_run_ends_in_the_walked_runs_slo_state"),
     # Each new spec kills mutants of its own.
-    Mutant(ORACLE, "a counted round's k goes unchecked", ROUNDS,
-           "            k = self.k_schedule(round_number, len(active))\n",
-           "            k = self.k_schedule(round_number, len(active))\n"
-           "            k = 1 if unwatched and time < soonest < never else k\n",
-           WALKED + "test_a_bad_k_on_a_counted_round"),
     Mutant(ORACLE, "the round guard trips one round early", ROUNDS,
            "if self.rounds_run - rounds_before > max_rounds:",
-           "if self.rounds_run - rounds_before >= max_rounds:",
-           WALKED + "test_the_round_guard_at_and_around_its_trip"),
+           "if self.rounds_run - rounds_before >= max_rounds:", MODEL),
     Mutant(ORACLE, "the loop ignores its order policy", ROUNDS,
            "visit = order(self.drive, active, round_number) if order else active",
            "visit = active", EQUIVALENCE + "test_generated_loads_in_scan_order"),
@@ -431,6 +416,20 @@ MUTANTS = [
            "        for bad in sizes:\n", "        for bad in reversed(sizes):\n",
            CAPTURES + "TestColumnMatchesTheSpec::"
            "test_a_codec_size_at_or_below_zero_is_refused_at_capture"),
+    Mutant(ONE_JOIN, "a join admitted one round late", ROUNDS,
+           "            while next_join <= time:\n",
+           "            while next_join < time:\n",
+           "tests/service/test_rounds.py::TestMultipleStreams::"
+           "test_a_join_at_a_rounds_start_is_served_in_that_round"),
+    Mutant(ONE_JOIN, "the idle wait ignores the next join", ROUNDS,
+           "            if next_join < wake:\n                wake = next_join\n",
+           "", "tests/service/test_round_model.py::"
+           "test_a_join_inside_an_idle_wait_is_served_at_its_time"),
+    Mutant(ONE_JOIN, "start-up measured from the origin, not the join", ROUNDS,
+           "stream.metrics.startup_latency = start - join",
+           "stream.metrics.startup_latency = start",
+           "tests/server/test_arrival_time.py::"
+           "test_no_session_plays_before_its_own_arrival"),
 ]
 
 

@@ -266,15 +266,14 @@ def e3_transition() -> Result:
                 (admission_round + i, k)
                 for i, k in enumerate(range(k_old + 1, k_new + 1))
             ]
-            join_round = admission_round + max(0, k_new - k_old)
+            # The newcomer joins once the +1/round ramp is done, and the
+            # ramp outlasts the existing streams' plans.
+            join = blocks * block.playback_duration
         else:
             steps = [(admission_round, k_new)]
-            join_round = admission_round
+            join = admission_round * k_old * block.playback_duration
         service = RoundRobinService(drive, staged_k_schedule(k_old, steps))
-        metrics = service.run(
-            streams,
-            [Admission(round_number=join_round, stream=newcomer)],
-        )
+        metrics = service.run(streams, [Admission(join, newcomer)])
         return sum(
             m.misses for rid, m in metrics.items() if rid != "newcomer"
         )

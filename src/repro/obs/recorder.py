@@ -52,9 +52,7 @@ EVENTS: Dict[str, Tuple[str, str]] = {
     "block_end": ("loop", "span:service.block"),
     "round_served": (
         "loop", "timer:service.round histogram:service.round_utilization"),
-    "round_end": (
-        "loop", "histogram:service.queue_depth timer:service.round "
-        "profile:checkpoint slo:round"),
+    "round_end": ("loop", "profile:checkpoint slo:round"),
     "run_end": (
         "loop", "histogram:session.deadline_slack_s "
         "counter:session.blocks_delivered counter:session.blocks_skipped "
@@ -287,19 +285,12 @@ class ServiceRecorder:
         if 0 < budget < float("inf"):
             self._m["service.round_utilization"].observe((time - start) / budget)
 
-    def round_end(self, time, round_number, counted=None) -> None:
-        """The round, any idle wait for buffer room included, is over.  A
-        round the loop counted without walking it (*counted*: its active
-        streams, every buffer full) reports what a walked idle round does
-        but the SLO tick: it follows a walked round that ticked, with no
-        turn, join or after-turn work since, so no counter moved."""
-        if counted is not None:
-            self._m["service.queue_depth"].observe(counted)
-            with self._registry.timed("service.round"):
-                pass
+    def round_end(self, time, round_number) -> None:
+        """The round, its idle wait for buffer room or a join included, is
+        over."""
         if self._prof is not None:
             self._prof.checkpoint(time)
-        if self._slo is not None and counted is None:
+        if self._slo is not None:
             self._slo.on_round(time, round_number)
 
     def run_end(self, streams, time, rounds_run) -> None:

@@ -35,7 +35,7 @@ class Scale(Scenario):
     """*streams* concurrent requests of *blocks_per_stream* blocks each.
 
     ``arrivals="staggered"`` joins streams in admission order over the
-    early rounds, loading the mid-run admission path; *label* prefixes
+    early playback, loading the mid-run admission path; *label* prefixes
     the stream ids (it shows in per-stream profile rollups).
     """
 
@@ -117,12 +117,11 @@ class Scale(Scenario):
                 buffer_capacity=self.buffer_capacity,
             )
             if self.arrivals == "staggered" and i > 0:
-                # Spread joins over the early rounds, one every other
-                # round, capped so late joiners still overlap the
+                # Spread joins over the early playback, one every 2k
+                # blocks' worth, capped so late joiners still overlap the
                 # initial cohort.
-                admissions.append(Admission(
-                    round_number=min(2 * i, 4 * self.k), stream=stream
-                ))
+                join = min(2 * i, 4 * self.k) * self.k * self.block_seconds
+                admissions.append(Admission(join, stream))
             else:
                 initial.append(stream)
         return initial, admissions

@@ -542,29 +542,20 @@ class MediaServer:
         if not queue:
             return refused, 0, 0, {}
         k = max(1, self.mrs.msm.admission.current_k)
-        #: Rough simulated seconds per service round.
-        period = k * self.mrs.msm.descriptor_for_media(True).block_playback
         t0 = min(self._sessions[sid].arrival for sid in queue)
-        initial: List[str] = []
-        later: List[Tuple[int, str]] = []
+        joins: List[Tuple[float, str]] = []
         sequences: Dict[str, Tuple[Optional[int], ...]] = {}
         for sid in queue:
             session = self._sessions[sid]
             sequences[sid] = tuple(fetches[session.request_id].slots)
-            round_number = int((session.arrival - t0) / period)
-            if round_number <= 0:
-                initial.append(session.request_id)
-            else:
-                later.append((round_number, session.request_id))
+            joins.append((session.arrival - t0, session.request_id))
         # The leader of each batch precedes its followers in queue order,
         # so within a round the leader's miss populates the cache and
         # every follower's identical read hits it.
         original_drive = self.mrs.msm.drive
         self.mrs.msm.drive = self._drive
         try:
-            result = playback.run(
-                initial, k=k, admissions=later, fetches=fetches
-            )
+            result = playback.run((), k=k, admissions=joins, fetches=fetches)
         finally:
             self.mrs.msm.drive = original_drive
         for sid in queue:

@@ -10,9 +10,9 @@ maximum seek).
 one simulated drive under a per-round k schedule, scoring continuity per
 request.  It supports:
 
-* mid-run admissions (new streams joining at a chosen round) with either
-  the paper's transition-safe step-of-1 k growth or a naive jump — the
-  E3 experiment's comparison;
+* mid-run admissions (new streams joining at their own arrival time)
+  with either the paper's transition-safe step-of-1 k growth or a naive
+  jump — the E3 experiment's comparison;
 * buffer-capacity regulation ("regulating the number of data blocks
   transferred for each request during each service round, so as not to
   overflow the buffering available in the display subsystem");
@@ -124,9 +124,11 @@ class StreamState:
 
 @dataclass(frozen=True)
 class Admission:
-    """A stream joining the service at the start of a given round."""
+    """A stream joining the service at modeled time *join* (seconds from
+    the run's origin): it is admitted at the first round that starts at
+    or after it, and its start-up is measured from it."""
 
-    round_number: int
+    join: float
     stream: StreamState
 
 
@@ -153,9 +155,7 @@ class RoundRobinService:
         view).  The loop reports what happened to the one
         :class:`~repro.obs.recorder.ServiceRecorder` built from *obs*;
         with nothing to record there is no recorder and every report
-        site is a single None test.  A round in which every buffer is
-        full is counted, not walked, unless an *order* or after-turn
-        work watches the loop.
+        site is a single None test.
     order:
         Visiting order ``(drive, active, round_number) -> streams`` for
         each round; None is the paper's arrival order.
@@ -201,27 +201,25 @@ class RoundRobinService:
         order, after = self.order, self.after_turns
         never = float("inf")
         rec = self._rec
-        # Only a policy point wants a round whose turns would all sleep.
-        unwatched = order is None and not after
         if rec is not None:
             for stream in active:
                 rec.stream_opened(stream, time)
-        pending = sorted(admissions, key=lambda a: a.round_number)
+        pending = sorted(admissions, key=lambda a: a.join)
+        next_join = pending[0].join if pending else never
         next_pending = 0
         round_number = 0
         rounds_before = self.rounds_run
         compact = True   # an initial plan may be empty
-        soonest = 0.0   # earliest stored wake of a playing stream (joiner: 0)
         while True:
-            while (
-                next_pending < len(pending)
-                and pending[next_pending].round_number <= round_number
-            ):
+            while next_join <= time:
                 admitted = pending[next_pending]
                 next_pending += 1
+                next_join = (
+                    pending[next_pending].join
+                    if next_pending < len(pending) else never
+                )
                 active.append(admitted.stream)
                 compact = True
-                soonest = 0.0
                 if rec is not None:
                     rec.stream_opened(admitted.stream, time)
             if compact:
@@ -234,10 +232,11 @@ class RoundRobinService:
                         write += 1
                 del active[write:]
             if not active and all(work.due == never for work in after):
-                if next_pending >= len(pending):
+                if next_join == never:
                     break
-                # Nothing happens until the next admission: go to its round.
-                round_number = pending[next_pending].round_number
+                # Nothing happens until the next join: no round runs
+                # before it.
+                time = next_join
                 continue
             k = self.k_schedule(round_number, len(active))
             if not isinstance(k, int) or k < 1:
@@ -245,46 +244,47 @@ class RoundRobinService:
                     f"k schedule returned {k!r} for round {round_number}"
                 )
             round_start = time
-            counted = unwatched and time < soonest < never
-            if counted:   # every turn would sleep
-                progressed = compact = False
-            else:
-                visit = order(self.drive, active, round_number) if order else active
-                time, progressed, compact, soonest = self._run_round(
-                    time, visit, k, round_number
-                )
+            visit = order(self.drive, active, round_number) if order else active
+            time, progressed, compact, wake = self._run_round(
+                time, visit, k, round_number
+            )
             if after:   # guarded: a request-path round pays nothing for it
                 for work in after:
                     time, served = work.serve(self, time, round_start, active, k)
                     progressed = progressed or served
-            if not progressed:
-                # Every buffer was full and no after-turn work due: idle
-                # until consumption frees one or work (a capture) falls due
-                # — the earliest stored wake or due.  One that after-turn
-                # work (text reads) carried time past has room already.
-                wake = soonest
                 for work in after:
-                    wake = min(wake, work.due)
-                if wake == never:
-                    raise ParameterError(
-                        "service deadlocked: all buffers full and no "
-                        "playback consuming them"
-                    )
-                time = max(time, wake)
+                    if work.due < wake:
+                        wake = work.due
+            # The round ends with its idle wait: until consumption frees a
+            # buffer (the earliest stored wake), work (a capture) falls due
+            # or the next stream joins.  A stream with room left, or one
+            # that after-turn work (text reads) carried time past, has a
+            # past wake: the next round follows at once.
+            if next_join < wake:
+                wake = next_join
+            if time < wake < never:
+                time = wake
+            elif not progressed and wake == never:
+                raise ParameterError(
+                    "service deadlocked: all buffers full and no "
+                    "playback consuming them"
+                )
             round_number += 1
             self.rounds_run += 1
             if rec is not None:
-                rec.round_end(time, round_number, len(active) if counted else None)
+                rec.round_end(time, round_number)
             if self.rounds_run - rounds_before > max_rounds:
                 raise ParameterError(
                     f"exceeded {max_rounds} rounds; k schedule likely "
                     "starves a stream"
                 )
-        streams = list(initial) + [a.stream for a in admissions]
-        for stream in streams:
+        joined = [(0.0, stream) for stream in initial]
+        joined += [(a.join, a.stream) for a in admissions]
+        streams = [stream for _join, stream in joined]
+        for join, stream in joined:
             start = stream.clock_start
             if start is not None:
-                stream.metrics.startup_latency = start
+                stream.metrics.startup_latency = start - join
                 stream.metrics.score(
                     stream.ready, map(add, repeat(start), stream.offsets),
                     stream.ends, stream.skipped_indices, stream._read_ahead,

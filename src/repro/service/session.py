@@ -185,10 +185,10 @@ class PlaybackSession:
         self,
         request_ids: Sequence[str],
         k: Optional[int] = None,
-        admissions: Sequence[Tuple[int, str]] = (),
+        admissions: Sequence[Tuple[float, str]] = (),
         fetches: Optional[Dict[str, List]] = None,
     ) -> SessionResult:
-        """Service *request_ids* from round 0 (+ later admissions) to done.
+        """Service *request_ids* from time 0 (+ later admissions) to done.
 
         Parameters
         ----------
@@ -199,7 +199,8 @@ class PlaybackSession:
             controller's current k.  A per-round k is
             ``RoundRobinService(drive, k_schedule)``, as E3 runs it.
         admissions:
-            ``(round_number, request_id)`` pairs joining mid-run.
+            ``(join_time, request_id)`` pairs joining mid-run, each at its
+            modeled time (seconds from the run's origin).
         fetches:
             Request id → its :meth:`fetch_sequence`, for callers that
             already derived it (the media server plans each session once
@@ -211,11 +212,8 @@ class PlaybackSession:
         planned = fetches or {}
         initial = [self._stream_for(r, k, planned) for r in request_ids]
         later = [
-            Admission(
-                round_number=round_number,
-                stream=self._stream_for(r, k, planned),
-            )
-            for round_number, r in admissions
+            Admission(join=join, stream=self._stream_for(r, k, planned))
+            for join, r in admissions
         ]
         service = RoundRobinService(
             self.server.msm.drive,

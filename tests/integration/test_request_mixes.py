@@ -45,23 +45,21 @@ class TestUniformMixPlayback:
 
 class TestStaggeredMixPlayback:
     def test_staggered_arrivals_via_admissions(self, mrs, catalogue):
-        # Three clients, one every four rounds: round 0, then 4 and 8.
+        # Three clients, one every half second: at 0, then 0.5 and 1.0 s.
         initial = [mrs.play("studio", catalogue, media=Media.VIDEO)]
         later = []
-        for arrival_round in (4, 8):
+        for arrival in (0.5, 1.0):
             try:
                 later.append(
-                    (
-                        arrival_round,
-                        mrs.play("studio", catalogue, media=Media.VIDEO),
-                    )
+                    (arrival, mrs.play("studio", catalogue, media=Media.VIDEO))
                 )
             except AdmissionRejected:
                 break
         session = PlaybackSession(mrs)
         result = session.run(initial, admissions=later)
         assert result.all_continuous
-        # Later arrivals start later.
+        # A later arrival waits its turn behind the streams playing, so
+        # it starts up slower, counted from its own arrival.
         if later:
             first_metrics = result.metrics[initial[0]]
             late_metrics = result.metrics[later[-1][1]]

@@ -34,8 +34,14 @@ class TestStagedTransitionThroughSession:
             )
         ]
         schedule = staged_k_schedule(max(1, k_after_first), steps)
+        # The second stream joins once the ramp's rounds would have
+        # played at the new k.
         join_round = admission_round + max(
             0, k_after_second - k_after_first
+        )
+        join = (
+            join_round * max(1, k_after_second)
+            * msm.descriptor_for_media(True).block_playback
         )
         session = PlaybackSession(mrs)
         capacity = buffers_for_average_continuity(
@@ -51,7 +57,7 @@ class TestStagedTransitionThroughSession:
 
         metrics = RoundRobinService(msm.drive, schedule).run(
             [stream(first)],
-            [Admission(round_number=join_round, stream=stream(second))],
+            [Admission(join, stream(second))],
         )
         assert sorted(metrics) == sorted([first, second])
         assert all(m.continuous for m in metrics.values())

@@ -233,31 +233,30 @@ class TestConsumptionCursor:
     def test_an_idle_round_wakes_without_a_consumption_query(
         self, monkeypatch
     ):
-        """A walked round where every buffer is full idles to the
-        earliest wake its turns stored and handed back: no bisect between
-        it and the next round (the loop used to ask every active stream).
-        A visiting order keeps every round walked."""
+        """A round ends with an idle wait to the earliest wake its turns
+        stored and handed back: no bisect between one round's turns and
+        the next round's (the loop used to ask every active stream)."""
         bisects = _counting_bisect(monkeypatch)
-        idle_gaps = []
-        run_round, idle_since = RoundRobinService._run_round, None
+        gaps, waited = [], []
+        run_round, last = RoundRobinService._run_round, None
 
-        def observed_round(self, *args):
-            nonlocal idle_since
-            if idle_since is not None:
-                idle_gaps.append(len(bisects) - idle_since)
-            time, progressed, finished, soonest = run_round(self, *args)
-            idle_since = None if progressed else len(bisects)
-            return time, progressed, finished, soonest
+        def observed_round(self, time, *args):
+            nonlocal last
+            if last is not None:
+                gaps.append(len(bisects) - last[0])
+                waited.append(time > last[1])
+            result = run_round(self, time, *args)
+            last = (len(bisects), result[0])
+            return result
 
         monkeypatch.setattr(RoundRobinService, "_run_round", observed_round)
         # Two streams read faster than they play, so buffers fill.
-        metrics, total_blocks = _service_run(
-            streams=2, order=lambda _drive, active, _round: active
-        )
+        metrics, total_blocks = _service_run(streams=2)
         assert sum(m.blocks_delivered for m in metrics.values()) == (
             total_blocks
         )
-        assert idle_gaps and not any(idle_gaps), idle_gaps
+        assert gaps and not any(gaps), gaps
+        assert any(waited)
 
     def test_a_served_turn_asks_the_cursor_once(self, monkeypatch):
         """One stream whose 0.2-s blocks outlast each ~10-ms read: the
@@ -335,20 +334,22 @@ class TestConsumptionCursor:
     ):
         """Between two rounds the loop reads streams' ``next_fetch`` only
         to compact finished ones out, and does so only on entry, in the
-        round an admission joins, and after a round whose turn delivered
-        a plan's last block (it used to re-scan ``active`` every round)."""
+        round an admission joins (the first to start at or after its
+        join), and after a round whose turn delivered a plan's last block
+        (it used to re-scan ``active`` every round)."""
         reads = []
         monkeypatch.setattr(StreamState, "next_fetch", property(
             lambda self: (reads.append(1), self.__dict__["_next"])[1],
             lambda self, value: self.__dict__.__setitem__("_next", value),
         ))
-        rounds = []   # (round number, reads before its turns, after, finished)
+        rounds = []   # (round number, start, reads before its turns, after,
+        #               finished)
         run_round = RoundRobinService._run_round
 
         def observed_round(self, time, active, k, round_number):
             before = len(reads)
             result = run_round(self, time, active, k, round_number)
-            rounds.append((round_number, before, len(reads), result[2]))
+            rounds.append((round_number, time, before, len(reads), result[2]))
             return result
 
         monkeypatch.setattr(RoundRobinService, "_run_round", observed_round)
@@ -362,15 +363,15 @@ class TestConsumptionCursor:
         RoundRobinService(drive, lambda _r, _n: scenario.k).run(
             initial, admissions
         )
-        joins = {admission.round_number for admission in admissions}
+        joins = {admission.join for admission in admissions}
         expected, rescanned = [], []
-        last, reads_after_last, last_finished = -1, 0, True   # entry
-        for number, before, after, finished in rounds:
-            if last_finished or any(last < join <= number for join in joins):
+        last, reads_after_last, last_finished = -1.0, 0, True   # entry
+        for number, start, before, after, finished in rounds:
+            if last_finished or any(last < join <= start for join in joins):
                 expected.append(number)
             if before > reads_after_last:
                 rescanned.append(number)
-            last, reads_after_last, last_finished = number, after, finished
+            last, reads_after_last, last_finished = start, after, finished
         assert rescanned == expected and len(expected) < len(rounds)
 
     def test_cursor_consumes_each_block_once(self):
@@ -863,13 +864,11 @@ def _serve_cold(seconds=60.0, seed=3):
     ])
 
 
-class TestIdleRoundsAreCounted:
-    """A round in which every buffer is full is counted, not walked:
-    ``_run_round`` runs once per round that serves a turn, and the rounds
-    counted are the round model's (``tests/round_model.py``), which walks
-    every round."""
+class TestEveryRoundIsWalked:
+    """There is one kind of round: ``_run_round`` runs once per round,
+    and the rounds are the round model's (``tests/round_model.py``)."""
 
-    def test_run_round_is_entered_once_per_serving_round(self, monkeypatch):
+    def test_run_round_is_entered_once_per_round(self, monkeypatch):
         from copy import deepcopy
 
         from tests.round_model import Stream, serve
@@ -880,7 +879,7 @@ class TestIdleRoundsAreCounted:
         def run(self, initial, admissions=(), max_rounds=100_000):
             """The model serves the epoch first, reading a twin drive."""
             joined = [(None, s) for s in initial]
-            joined += [(a.round_number, a.stream) for a in admissions]
+            joined += [(a.join, a.stream) for a in admissions]
             bits = {
                 slot: size for _, s in joined
                 for slot, size in zip(s.fetches.slots, s.fetches.bits)
@@ -901,8 +900,7 @@ class TestIdleRoundsAreCounted:
         )
         result = _serve_cold()
         assert result.rounds == sum(model.rounds_run for model in models)
-        serving = sum(model.rounds_run - model.idle_rounds for model in models)
-        assert len(entered) == serving < result.rounds
+        assert len(entered) == result.rounds
         assert all(s.state.value == "completed" for s in result.statuses)
 
 
@@ -943,15 +941,15 @@ def _hit_epoch(obs, streams=4, blocks=40):
 
 
 class TestWatchingIsNotWalking:
-    """An observer does not make the loop walk, call the recorder per
-    block, or count cache probes a second time."""
+    """An observer does not change the rounds the loop runs, call the
+    recorder per block, or count cache probes a second time."""
 
     def test_an_observed_hit_epoch_passes_over_the_unobserved_rounds(self):
         plain = _hit_epoch(None)
         observed = _hit_epoch(_cluster_preset())
         assert observed == plain
         rounds, passes, delivered = observed
-        assert delivered == 160 and passes < rounds
+        assert delivered == 160 and passes == rounds
 
     def test_an_unsampled_block_makes_no_recorder_call(self, monkeypatch):
         from repro.obs import SpanTracer

@@ -12,11 +12,11 @@ every quantity is recomputed from scratch whenever it is needed.
 
 The rules, one per line of :func:`serve`:
 
-* A round starts by admitting every stream whose join round has come,
-  in join order, then forgetting every stream that has read its whole
-  plan.  With no stream left, no after-turn work due and one still to
-  join, the next round *number* is its join round: no round is served
-  or counted between.
+* A stream joins at a modeled time: a round starts by admitting every
+  stream whose join time it has reached, in join order, then forgetting
+  every stream that has read its whole plan.  With no stream left, no
+  after-turn work due and one still to join, time moves on to its join:
+  no round is served or counted between.
 * k comes from the schedule ``k(round number, streams active)``; a
   stream's ``k_override`` replaces it.  A k that is not an int >= 1 is
   an error.
@@ -32,10 +32,11 @@ The rules, one per line of :func:`serve`:
 * After the turns, each after-turn work item (RECORD writes, best-effort
   text) is served in list order through its own ``serve`` / ``due`` /
   ``results``; the model says only how they compose with the turns.
-* A round in which no stream had room and no work item served is idle:
-  time moves on to the earliest moment some stream's buffer next frees a
-  slot or some work item falls due.  A round is counted either way, and
-  more than *max_rounds* of them is an error.
+* A round ends with its idle wait: time moves on to the earliest moment
+  some stream still reading has room (now, if one has), the next stream
+  joins or some work item falls due, if that is later.  A round in which
+  no stream had room and no work item served, with nothing to wait for,
+  is a deadlock.  More than *max_rounds* rounds is an error.
 
 Nothing here faults, so no block is ever skipped; :func:`score` states
 §3.1's continuity score of any stream's columns, skips included.
@@ -62,8 +63,8 @@ class Stream:
     durations: Sequence[float]
     capacity: int
     k_override: Optional[int] = None
-    #: The round it joins in; None: there from the start.
-    joins: Optional[int] = None
+    #: The modeled time it joins at; None: there from the start.
+    joins: Optional[float] = None
 
     @property
     def duration_floor(self) -> float:
@@ -82,6 +83,8 @@ class Served:
     read_ahead: int = 0
     #: Each turn's cost, in turn order: when it ended less when it began.
     turns: List[float] = field(default_factory=list)
+    #: The modeled time the stream joined at (0.0: from the start).
+    join: float = 0.0
 
     def ends(self, durations: Sequence[float]) -> List[float]:
         """When each landed block finished playing (none before the
@@ -98,12 +101,13 @@ class Served:
 @dataclass
 class Outcome:
     """The whole run: each stream's columns, the rounds counted, the
-    active count of each round, and how many rounds were idle."""
+    active count of each round, and how many rounds ended with an idle
+    wait."""
 
     served: Dict[str, Served]
     rounds_run: int
     active_per_round: List[int]
-    idle_rounds: int
+    waits: int
 
 
 def _played(stream: Stream, served: Served, time: float) -> int:
@@ -115,9 +119,12 @@ def _room(stream: Stream, served: Served, time: float) -> int:
     return stream.capacity - len(served.ready) + _played(stream, served, time)
 
 
-def _frees_at(stream: Stream, served: Served) -> float:
-    """When a full buffer next has room: the end of the block whose play-out
-    brings the blocks on board below capacity."""
+def _next_room(stream: Stream, served: Served, time: float) -> float:
+    """When *stream*'s buffer next has room: *time* if it has some, else
+    the end of the block whose play-out brings the blocks on board below
+    capacity."""
+    if _room(stream, served, time) > 0:
+        return time
     ends = served.ends(stream.durations)
     index = len(served.ready) - stream.capacity
     return ends[index] if 0 <= index < len(ends) else NEVER
@@ -139,15 +146,15 @@ def serve(
     ``serve(host, time, round start, active streams, k) -> (time,
     served)``, with *host* passed through as the loop passes itself.
     """
-    served = {stream.request_id: Served() for stream in streams}
+    served = {s.request_id: Served(join=s.joins or 0.0) for s in streams}
     waiting = sorted(
         (s for s in streams if s.joins is not None), key=lambda s: s.joins
     )
     active = [s for s in streams if s.joins is None]
-    time, head, round_number, rounds_run, idle_rounds = 0.0, None, 0, 0, 0
+    time, head, round_number, rounds_run, waits = 0.0, None, 0, 0, 0
     active_per_round: List[int] = []
     while True:
-        while waiting and waiting[0].joins <= round_number:
+        while waiting and waiting[0].joins <= time:
             active.append(waiting.pop(0))
         active = [
             s for s in active if len(served[s.request_id].ready) < len(s.slots)
@@ -155,7 +162,7 @@ def serve(
         if not active and all(work.due == NEVER for work in after):
             if not waiting:
                 break
-            round_number = waiting[0].joins
+            time = waiting[0].joins
             continue
         k = k_schedule(round_number, len(active))
         if not isinstance(k, int) or k < 1:
@@ -186,20 +193,22 @@ def serve(
         for work in after:
             time, progressed = work.serve(host, time, round_start, active, k)
             idle = idle and not progressed
-        if idle:
-            idle_rounds += 1
-            wake = min(
-                [_frees_at(s, served[s.request_id]) for s in active]
-                + [work.due for work in after], default=NEVER,
-            )
-            if wake == NEVER:
-                raise ModelError("deadlock")
-            time = max(time, wake)
+        wake = min(
+            [_next_room(s, served[s.request_id], time) for s in active
+             if len(served[s.request_id].ready) < len(s.slots)]
+            + [waiting[0].joins if waiting else NEVER]
+            + [work.due for work in after],
+        )
+        if time < wake < NEVER:
+            waits += 1
+            time = wake
+        elif idle and wake == NEVER:
+            raise ModelError("deadlock")
         round_number += 1
         rounds_run += 1
         if rounds_run > max_rounds:
             raise ModelError("max_rounds")
-    return Outcome(served, rounds_run, active_per_round, idle_rounds)
+    return Outcome(served, rounds_run, active_per_round, waits)
 
 
 def turn_cost(served: Served, start: float = 0.0) -> float:
@@ -236,14 +245,14 @@ def score(
     is a miss, by how late it was; a skipped block is a miss however
     early recovery gave up on it.  The buffer high-water is sampled as
     each block after the read-ahead lands: blocks 0..i landed, less those
-    whose play-out ended by then.  Nothing is scored before the clock
-    starts.
+    whose play-out ended by then.  Start-up is measured from the join.
+    Nothing is scored before the clock starts.
     """
     result = Score()
     start = served.clock_start
     if start is None:
         return result
-    result.startup = start
+    result.startup = start - served.join
     ends, offset = served.ends(durations), 0.0
     for index, landed in enumerate(served.ready):
         late = landed - (start + offset)

@@ -264,7 +264,9 @@ class TestIdleGapBetweenArrivals:
         """Two sessions admission accepted play to completion however far
         apart they arrive in one ``serve``: the loop does not walk the
         idle rounds between them (it used to, one iteration each, and at
-        100,000 of them raised "exceeded 100000 rounds")."""
+        100,000 of them raised "exceeded 100000 rounds").  Each session's
+        15 blocks take 11 rounds, each ending with its own idle wait (40
+        rounds while an idle wait was a round of its own)."""
         server = build_media_server(cache_blocks=0, batch_window=0.0)
         rope_id = _rope(server, seconds=2.0)
         result = server.serve([
@@ -276,7 +278,7 @@ class TestIdleGapBetweenArrivals:
             [SessionState.COMPLETED] * 2
         )
         assert [s.misses for s in result.statuses] == [0, 0]
-        assert result.rounds == 40
+        assert result.rounds == 22
 
 
 class TestBatchedServe:

@@ -5,7 +5,8 @@ real :class:`~repro.obs.recorder.ServiceRecorder` — drives
 :class:`RoundRobinService` over generated loads and checks what the loop
 *reports*, independent of any sink: every stream's block begins and ends
 pair up and account for every block, events never run backwards, every
-block ends inside its round, every round is walked or counted once, and
+block ends inside its round, every round is begun, served and ended
+once, and
 the cost a stream's turns fold into
 ``StreamState.turn_cost`` is exactly what a real run attributes to that
 stream in the cost profile (the loop carries no other number for the
@@ -29,9 +30,7 @@ loads = st.fixed_dictionaries(
         "blocks": st.integers(min_value=1, max_value=12),
         "k": st.integers(min_value=1, max_value=4),
         "capacity": st.integers(min_value=1, max_value=6),
-        "late": st.lists(
-            st.integers(min_value=0, max_value=6), max_size=2
-        ),
+        "late": st.lists(st.floats(min_value=0.0, max_value=3.0), max_size=2),
         "seed": st.integers(min_value=0, max_value=2**16),
         "transient": st.integers(min_value=0, max_value=3),
         "defects": st.integers(min_value=0, max_value=2),
@@ -89,8 +88,8 @@ def _build(spec):
         )))
     initial = streams[:spec["streams"]]
     admissions = [
-        Admission(round_number, stream)
-        for round_number, stream in zip(spec["late"], streams[spec["streams"]:])
+        Admission(join, stream)
+        for join, stream in zip(spec["late"], streams[spec["streams"]:])
     ]
     return drive, initial, admissions
 
@@ -151,14 +150,12 @@ def test_loop_reports_each_fact_once_and_in_order(spec):
     assert rounds_run == service.rounds_run == len(fake.named("round_end"))
     assert len(streams) == len(opened)
 
-    # A round is walked (begun, served, then ended uncounted) or counted
-    # (ended with its active streams, every buffer full), never both.
-    walked = len(fake.named("round_begin"))
-    assert walked == len(fake.named("round_served"))
-    counted = [args[2] for args in fake.named("round_end") if args[2] is not None]
-    assert walked + len(counted) == service.rounds_run
-    assert all(active >= 1 for active in counted)
+    # Every round is begun, served, then ended: there is one kind.
+    assert [name for name, _args, _kw in fake.events if name.startswith("round_")] == [
+        "round_begin", "round_served", "round_end"
+    ] * service.rounds_run
     assert all(len(args) == 3 for args in fake.named("round_served"))
+    assert all(len(args) == 2 for args in fake.named("round_end"))
 
     # Each stream's (blocks, folded turn cost) is what a real run
     # attributes to it.

@@ -2,30 +2,30 @@
 
 ``tests/round_model.py`` states round service plainly and imports
 nothing from ``repro``.  Here ``RoundRobinService`` serves the same
-generated loads — joins, buffers of 1–5, per-stream k, k schedules that
+generated loads — joins at any modeled time (at the start, mid-round or
+inside an idle wait), buffers of 1–5, per-stream k, k schedules that
 vary by round and by load, ``max_rounds`` guards, silence holders and
 zero-length blocks — through a stub drive that charges the model's own
 pure cost of (previous slot, slot), under two configurations:
 
-* unobserved, where an idle round is counted, not walked;
+* unobserved;
 * observed with the stock cluster preset the benchmark runs
-  (``Observability.for_scale``, the cluster SLOs and the profiler),
-  where an idle round is counted too.
+  (``Observability.for_scale``, the cluster SLOs and the profiler).
 
 Each must give every stream the model's ``ready`` / ``ends`` /
 ``clock_start`` columns and no skips, the ``summary()`` line of the
 model's own score of those columns, the model's ``rounds_run`` (or its
-error), and — observed — one queue-depth observation, one
-``service.round`` timer call and one profiler checkpoint per round, and
-per-stream profile rows equal to the model's blocks and turn costs
-added in turn order, across two epochs sharing one profiler.
+error), one ``_run_round`` pass per round, and — observed — one
+queue-depth observation, one ``service.round`` timer call and one
+profiler checkpoint per round, and per-stream profile rows equal to the
+model's blocks and turn costs added in turn order, across two epochs
+sharing one profiler.
 
 :func:`assert_twins_agree` is the same comparison on a real drive: the
 model's ``cost`` reads a twin of the loop's drive (bare, or a cache the
 test pre-warms alike), which sees the reads in the model's order, so a
 wrong order shows as a wrong duration.  It also takes an ``order``
-policy and after-turn work, built once per side: the policy points,
-under which an idle round is walked.
+policy and after-turn work, built once per side.
 """
 
 from types import SimpleNamespace
@@ -34,7 +34,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.router import CLUSTER_SLOS
-from repro.disk import BlockCache, CachedDrive
 from repro.disk.factory import build_drive
 from repro.errors import ParameterError
 from repro.obs import Observability, SloMonitor
@@ -214,9 +213,10 @@ def assert_matches_model(load, seed=0):
             assert_observed(obs, load, expected)
     if isinstance(expected, ModelError):
         return expected.args[0]
-    # Watching is not walking: the observed loop passes over exactly
-    # the rounds the unobserved one does.
-    assert passes["observed"] == passes["unobserved"]
+    # One kind of round: each is one ``_run_round`` pass, watched or not.
+    assert passes["observed"] == passes["unobserved"] == list(
+        range(expected.rounds_run)
+    )
     return expected
 
 
@@ -285,21 +285,36 @@ def test_the_loop_serves_what_the_model_states(load, seed):
     assert_matches_model(load, seed)
 
 
-def test_an_idle_gap_is_counted_observed_or_not():
-    """Two joins far apart, a zero-cost drive: most rounds are idle."""
+def test_an_idle_gap_takes_no_round():
+    """Two joins far apart, a zero-cost drive: the loop waits out the gap
+    at the end of a round, and with nothing active it moves time to the
+    next join, so the gap adds no round."""
     load = {
         "streams": [
             ([(slot, 0.1) for slot in range(8)], 2, None, None),
-            ([(None, 0.05)] + [(slot, 0.1) for slot in range(8)], 1, 1, 9),
+            ([(None, 0.05)] + [(slot, 0.1) for slot in range(8)], 1, 1, 30.0),
         ],
         "ks": [2], "cost": "hit", "max_rounds": 100_000,
     }
     expected = assert_matches_model(load)
-    _, _, passes, _ = loop_serve(
-        StubDrive(COSTS["hit"]), model_streams(load), k_schedule(load),
-        load["max_rounds"], cluster_preset(0),
-    )
-    assert len(passes) < expected.rounds_run
+    assert expected.rounds_run == 7 + 9   # each round is one turn
+    served = expected.served["s1"]
+    assert served.ready[0] == 30.0 and served.join == 30.0
+
+
+def test_a_join_inside_an_idle_wait_is_served_at_its_time():
+    """A round's idle wait ends at the next join: a stream joining while
+    the only other one sleeps on a full buffer takes its turn at its own
+    join time, not when the sleeper wakes."""
+    load = {
+        "streams": [
+            ([(1, 0.1), (2, 0.1), (3, 0.1)], 1, None, None),
+            ([(4, 0.1), (5, 0.1)], 1, None, 0.05),
+        ],
+        "ks": [1], "cost": "hit", "max_rounds": 100_000,
+    }
+    expected = assert_matches_model(load)
+    assert expected.served["s1"].ready[0] == 0.05
 
 
 def test_a_tight_max_rounds_trips_in_every_configuration():
@@ -308,40 +323,3 @@ def test_a_tight_max_rounds_trips_in_every_configuration():
         "ks": [1], "cost": "hit", "max_rounds": 5,
     }
     assert assert_matches_model(load) == "max_rounds"
-
-
-class TestTheSkippedSloTickIsUnobservable:
-    """A counted round skips the SLO tick: no counter moved since the
-    walked round before it ticked, so the tick could emit nothing.  The
-    same run walked (an ``order`` that keeps arrival order) ticks every
-    round and ends in the same SLO state, breach events and their rounds
-    included."""
-
-    @staticmethod
-    def _run(walked):
-        obs = cluster_preset(0)
-        drive = CachedDrive(build_drive(), BlockCache(64), obs=obs)
-        slots = [n * 577 for n in range(12)]
-        first, second = (
-            StreamState(f"r{i}", FetchColumns.uniform(slots, 1.0, 0.25), 2)
-            for i in range(2)
-        )
-        order = (lambda _drive, active, _r: active) if walked else None
-        service = RoundRobinService(drive, lambda _r, _n: 1, obs=obs, order=order)
-        ticks = []
-        tick = obs.slo.on_round
-        obs.slo.on_round = lambda *args: (ticks.append(args), tick(*args))[1]
-        service.run([first], [Admission(14, second)])
-        return obs, service.rounds_run, len(ticks)
-
-    def test_the_counted_run_ends_in_the_walked_runs_slo_state(self):
-        counted, rounds, counted_ticks = self._run(walked=False)
-        walked, walked_rounds, walked_ticks = self._run(walked=True)
-        assert rounds == walked_rounds == walked_ticks > counted_ticks
-        events = counted.slo.summary_dict()["breach_events"]
-        assert [event["to"] for event in events] == ["breach", "ok"]
-        assert counted.slo.summary_dict() == walked.slo.summary_dict()
-        assert (
-            counted.registry.snapshot_dict()["counters"]
-            == walked.registry.snapshot_dict()["counters"]
-        )

@@ -90,22 +90,35 @@ class TestMultipleStreams:
         first = make_stream(drive, block, "first")
         late = make_stream(drive, block, "late", blocks=20)
         service = RoundRobinService(drive, lambda r, n: 5)
-        metrics = service.run(
-            [first], [Admission(round_number=3, stream=late)]
-        )
+        metrics = service.run([first], [Admission(join=1.0, stream=late)])
         assert metrics["late"].blocks_delivered == 20
         assert metrics["first"].blocks_delivered == 60
+        # Start-up is measured from the stream's own join.
+        assert late.ready[0] >= 1.0
+        assert metrics["late"].startup_latency == late.clock_start - 1.0
+
+    def test_a_join_at_a_rounds_start_is_served_in_that_round(self, block):
+        """A stream is admitted at the first round that starts at or after
+        its join: joining at 0.0, it takes its turn in round 0, right
+        after the stream already there."""
+        drive = build_drive()
+        first = make_stream(drive, block, "first", blocks=10)
+        late = make_stream(drive, block, "late", blocks=10)
+        service = RoundRobinService(drive, lambda r, n: 5)
+        service.run([first], [Admission(join=0.0, stream=late)])
+        assert first.ready[4] < late.ready[0] < late.ready[4] < first.ready[5]
 
     def test_tracer_records_admissions(self, block):
-        """A stream admitted mid-run opens its ``service.stream`` span as
-        it joins, after round 0's turns; it is served after the first
-        stream's round-1 turn, and its clock starts on its fifth block."""
+        """A stream joining during round 0's turns opens its
+        ``service.stream`` span as round 1 starts; it is served after the
+        first stream's round-1 turn, and its clock starts on its fifth
+        block."""
         drive = build_drive()
         obs = Observability()
         first = make_stream(drive, block, "first", blocks=30)
         late = make_stream(drive, block, "late", blocks=10)
         service = RoundRobinService(drive, lambda r, n: 5, obs=obs)
-        service.run([first], [Admission(round_number=1, stream=late)])
+        service.run([first], [Admission(join=0.01, stream=late)])
         (span,) = obs.tracer.spans(name="service.stream", session="late")
         assert span.attrs == {"blocks": 10}
         assert first.ready[4] == span.start < first.ready[9] < late.ready[0]
@@ -210,9 +223,9 @@ class TestValidation:
 
 
 class TestIdleGapBeforeAnAdmission:
-    """With nothing active and an admission pending the loop goes to the
-    admission's round: idle rounds cost no iteration and are not rounds
-    served, so ``max_rounds`` guards real service only."""
+    """With nothing active and an admission pending the loop moves time
+    to the admission's join: the gap costs no iteration and is no round,
+    so ``max_rounds`` guards real service only."""
 
     def test_far_admission_costs_no_idle_rounds(self, block):
         drive = build_drive()
@@ -222,20 +235,19 @@ class TestIdleGapBeforeAnAdmission:
         service = RoundRobinService(
             drive, lambda r, n: (asked.append(r), 4)[1]
         )
-        metrics = service.run(
-            [first], [Admission(round_number=10**9, stream=late)]
-        )
+        metrics = service.run([first], [Admission(join=1e9, stream=late)])
         assert metrics["first"].blocks_delivered == 20
         assert metrics["late"].blocks_delivered == 20
         assert service.rounds_run == 10
-        # The late stream still joins at the round it asked for.
-        assert asked == [*range(5), *range(10**9, 10**9 + 5)]
+        assert asked == list(range(10))
+        # The late stream is read no earlier than it joins.
+        assert late.ready[0] > 1e9
 
     def test_guard_counts_rounds_served_not_round_numbers(self, block):
         drive = build_drive()
         late = make_stream(drive, block, "late", blocks=20)
         service = RoundRobinService(drive, lambda r, n: 4)
-        service.run([], [Admission(round_number=500, stream=late)], max_rounds=10)
+        service.run([], [Admission(join=500.0, stream=late)], max_rounds=10)
         assert service.rounds_run == 5
 
     def test_starving_schedule_still_trips_the_guard(self, block):
@@ -245,7 +257,6 @@ class TestIdleGapBeforeAnAdmission:
         service = RoundRobinService(drive, lambda r, n: 1)
         with pytest.raises(ParameterError, match="exceeded 10 rounds"):
             service.run(
-                [stream], [Admission(round_number=10**9, stream=late)],
-                max_rounds=10,
+                [stream], [Admission(join=1e9, stream=late)], max_rounds=10,
             )
         assert service.rounds_run == 11

@@ -26,10 +26,15 @@ from tests.round_model import Served, score
 from tests.service.test_round_model import summary
 
 
-def assert_scores_like_model(metrics, ready, durations, start, skipped, prefix):
+def assert_scores_like_model(
+    metrics, ready, durations, start, skipped, prefix, join=0.0
+):
     """*metrics* is the model's score of the columns ``ready`` (the first
-    *prefix* of which landed before the clock started at *start*)."""
-    expected = score(Served(list(ready), start, prefix), durations, skipped)
+    *prefix* of which landed before the clock started at *start*) of a
+    stream that joined at *join*."""
+    expected = score(
+        Served(list(ready), start, prefix, join=join), durations, skipped
+    )
     assert metrics.summary() == summary(metrics.request_id, expected)
     total = 0.0
     for late in expected.lateness:
@@ -123,9 +128,10 @@ class TestScorerMatchesPerBlockScoring:
             ])))
         joining = data.draw(st.integers(0, len(streams) - 1), label="joining")
         admissions = [
-            Admission(data.draw(st.integers(1, 20)), stream)
+            Admission(data.draw(st.floats(0.0, 20.0)), stream)
             for stream in streams[len(streams) - joining:]
         ]
+        joins = {a.stream.request_id: a.join for a in admissions}
         initial = streams[:len(streams) - joining]
         RoundRobinService(drive, lambda _round, _active: k).run(
             initial, admissions
@@ -149,6 +155,7 @@ class TestScorerMatchesPerBlockScoring:
             assert_scores_like_model(
                 stream.metrics, stream.ready, durations,
                 stream.clock_start, stream.skipped_indices, prefix,
+                joins.get(stream.request_id, 0.0),
             )
 
 

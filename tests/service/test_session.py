@@ -55,7 +55,7 @@ class TestPlaybackSession:
         first = mrs.play("u", rope, media=Media.VIDEO)
         second = mrs.play("u", rope, media=Media.VIDEO)
         session = PlaybackSession(mrs)
-        result = session.run([first], admissions=[(2, second)])
+        result = session.run([first], admissions=[(0.5, second)])
         assert result.metrics[second].blocks_delivered > 0
 
     def test_av_interleaving_orders_by_playback_position(

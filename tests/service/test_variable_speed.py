@@ -143,7 +143,7 @@ class TestTrickPlayMatchesTheModel:
     def test_generated_plans(self, blocks, speed, capacity, skipping, cost):
         """A rewritten plan on the loop at k = 1 is the model's one
         stream: the same columns and score, one task switch per idle
-        round, and the disk idle for what the turns leave of the run."""
+        wait, and the disk idle for what the turns leave of the run."""
         skipping = skipping and speed > 1.0
         plan = transform_plan(FetchColumns(
             [slot for slot, _duration in blocks], [2.0e5] * len(blocks),
@@ -164,6 +164,6 @@ class TestTrickPlayMatchesTheModel:
             "play", score(served, plan.durations)
         )
         switches, idle = task_switches(stream)
-        assert switches == outcome.idle_rounds
+        assert switches == outcome.waits
         run = served.ready[-1] if served.ready else 0.0
         assert idle == pytest.approx(run - turn_cost(served), abs=1e-9)
