@@ -262,8 +262,10 @@ class ServiceRecorder:
     def round_begin(self, active: int) -> None:
         """A round starts over *active* streams."""
         self._m["service.queue_depth"].observe(active)
-        self._round_timer = self._registry.timed("service.round")
-        self._round_timer.__enter__()
+        timer = self._round_timer
+        if timer is None:   # made by the first round: a run without one has none
+            timer = self._round_timer = self._registry.timed("service.round")
+        timer.__enter__()
 
     def block_begin(self, stream, index, time, round_number):
         """A block the tracer samples (``stream.report_at``) starts

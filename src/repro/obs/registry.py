@@ -83,21 +83,20 @@ class Counter:
 
 
 class WatchedCounter:
-    """A counter other objects keep: *base* plus the growth of each
-    watched ``(owner, attribute, value then)`` since it was watched."""
+    """A counter other objects keep: *base* plus each watched owner's
+    attribute now, *base* lowered by its value when it was watched (so
+    each owner adds its growth since)."""
 
-    __slots__ = ("name", "base", "watched")
+    __slots__ = ("name", "base", "owners", "attributes")
 
     def __init__(self, name: str, base: int):
         self.name, self.base = name, base
-        self.watched: List[Tuple[object, str, int]] = []
+        self.owners: List[object] = []
+        self.attributes: List[str] = []
 
     @property
     def value(self) -> int:
-        total = self.base
-        for owner, attribute, then in self.watched:
-            total += getattr(owner, attribute) - then
-        return total
+        return self.base + sum(map(getattr, self.owners, self.attributes))
 
 
 class Gauge:
@@ -280,8 +279,10 @@ class MetricsRegistry:
             return
         if not isinstance(counter, WatchedCounter):
             counter = self._counters[name] = WatchedCounter(name, counter.value)
-        if all(seen is not owner for seen, _, _ in counter.watched):
-            counter.watched.append((owner, attribute, getattr(owner, attribute)))
+        if all(seen is not owner for seen in counter.owners):
+            counter.owners.append(owner)
+            counter.attributes.append(attribute)
+            counter.base -= getattr(owner, attribute)
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge *name*."""

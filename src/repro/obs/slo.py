@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ParameterError
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["Slo", "SloMonitor", "DEFAULT_SLOS", "CLUSTER_SLOS"]
+
+#: The slack quantile each ``deadline_slack_*`` metric reads.
+_QUANTILES = {"deadline_slack_p95_s": 0.05, "deadline_slack_p99_s": 0.01}
 
 #: Comparison operators an objective may use.
 _OPS = (">=", "<=")
@@ -127,8 +130,12 @@ class SloMonitor:
             raise ParameterError(f"duplicate slo names: {names}")
         self.registry = registry
         self.slos: Tuple[Slo, ...] = tuple(slos)
-        self._scoped = {scope: [s for s in self.slos if s.scope == scope]
-                        for scope in ("round", "final")}
+        #: Each scope's objectives, each with its metric's reader.
+        self._scoped = {
+            scope: [(s, self._reader(s.metric)) for s in self.slos
+                    if s.scope == scope]
+            for scope in ("round", "final")
+        }
         self.events: List[Dict[str, object]] = []
         self._breached: Dict[str, bool] = {}
         self._last: Dict[str, Optional[float]] = {}
@@ -138,45 +145,48 @@ class SloMonitor:
 
     def value_of(self, metric: str) -> Optional[float]:
         """Resolve a derived metric; None means "no data yet"."""
-        peek = self.registry.peek_counter
-        if metric == "continuity_ratio":
-            delivered = peek("session.blocks_delivered") or 0
-            missed = peek("session.deadline_misses") or 0
-            return _share(delivered - missed, delivered)
-        if metric == "cache_hit_ratio":
-            hits = peek("cache.hits")
-            return _share(hits, (hits or 0) + (peek("cache.misses") or 0))
-        if metric == "deadline_slack_p95_s":
-            return self._slack_quantile(0.05)
-        if metric == "deadline_slack_p99_s":
-            return self._slack_quantile(0.01)
-        base, typed, reason = metric.partition(":")
-        if base == "reject_rate":
-            rejected = peek("server.sessions_rejected")
-            part = peek(f"server.reject.{reason}") if typed else rejected
-            opened = peek("server.sessions_opened")
-            return _share(part, (opened or 0) + (rejected or 0))
-        if metric == "handoff_clean_ratio":
-            total = peek("cluster.handoffs_total")
-            return _share(peek("cluster.handoffs_clean"), total or 0)
-        raise ParameterError(f"unknown slo metric {metric!r}")
+        return self._reader(metric)()
 
-    def _slack_quantile(self, q: float) -> Optional[float]:
-        hist = self.registry.peek_histogram("session.deadline_slack_s")
-        if hist is None:
-            return None
-        return hist.quantile(q)
+    def _reader(self, metric: str) -> Callable[[], Optional[float]]:
+        """*metric*'s value now, as a call of no arguments: the name is
+        dispatched once, and a tick reads each input counter in place
+        (``getattr(get(name), "value", None)`` is ``peek_counter``)."""
+        registry, get = self.registry, self.registry._counters.get
+        base, typed, reason = metric.partition(":")
+        if metric == "continuity_ratio":
+            def read():
+                delivered = getattr(get("session.blocks_delivered"), "value", 0)
+                missed = getattr(get("session.deadline_misses"), "value", 0)
+                return _share(delivered - missed, delivered)
+        elif metric == "cache_hit_ratio":
+            def read():
+                hits = getattr(get("cache.hits"), "value", None)
+                misses = getattr(get("cache.misses"), "value", 0)
+                return _share(hits, (hits or 0) + misses)
+        elif metric in _QUANTILES:
+            def read():
+                hist = registry.peek_histogram("session.deadline_slack_s")
+                return None if hist is None else hist.quantile(_QUANTILES[metric])
+        elif base == "reject_rate":
+            part = f"server.reject.{reason}" if typed else "server.sessions_rejected"
+
+            def read():
+                opened = getattr(get("server.sessions_opened"), "value", 0)
+                rejected = getattr(get("server.sessions_rejected"), "value", 0)
+                return _share(getattr(get(part), "value", None), opened + rejected)
+        elif metric == "handoff_clean_ratio":
+            def read():
+                clean = getattr(get("cluster.handoffs_clean"), "value", None)
+                return _share(clean, getattr(get("cluster.handoffs_total"), "value", 0))
+        else:
+            raise ParameterError(f"unknown slo metric {metric!r}")
+        return read
 
     # -- evaluation --------------------------------------------------------------
 
-    def on_round(
-        self, time: float, round_number: int
-    ) -> List[Dict[str, object]]:
-        """Evaluate round-scope objectives after one service round.
-
-        Returns the breach-transition events emitted by this evaluation
-        (usually empty).
-        """
+    def on_round(self, time: float, round_number: int) -> List[Dict[str, object]]:
+        """Evaluate round-scope objectives after one service round; returns
+        the breach-transition events it emitted (usually none)."""
         return self._evaluate("round", time, round_number)
 
     def finalize(self, time: float) -> List[Dict[str, object]]:
@@ -187,22 +197,18 @@ class SloMonitor:
         return events
 
     def _evaluate(
-        self,
-        scope: str,
-        time: float,
-        round_number: Optional[int],
+        self, scope: str, time: float, round_number: Optional[int]
     ) -> List[Dict[str, object]]:
         emitted: List[Dict[str, object]] = []
-        for slo in self._scoped[scope]:
-            value = self.value_of(slo.metric)
-            self._last[slo.name] = value
+        last, was = self._last, self._breached
+        for slo, read in self._scoped[scope]:
+            value = last[slo.name] = read()
             if value is None:
-                # No data yet: neither satisfied nor breached.
-                continue
+                continue   # no data yet: neither satisfied nor breached
             breached = not slo.satisfied_by(value)
-            if breached == self._breached.get(slo.name, False):
+            if breached == was.get(slo.name, False):
                 continue
-            self._breached[slo.name] = breached
+            was[slo.name] = breached
             event = {
                 "slo": slo.name,
                 "metric": slo.metric,
