@@ -417,12 +417,13 @@ MUTANTS = [
            CAPTURES + "TestColumnMatchesTheSpec::"
            "test_a_codec_size_at_or_below_zero_is_refused_at_capture"),
     Mutant(ONE_JOIN, "a join admitted one round late", ROUNDS,
-           "            while next_join <= time:\n",
-           "            while next_join < time:\n",
+           "            while joins[next_pending] <= time:\n",
+           "            while joins[next_pending] < time:\n",
            "tests/service/test_rounds.py::TestMultipleStreams::"
            "test_a_join_at_a_rounds_start_is_served_in_that_round"),
     Mutant(ONE_JOIN, "the idle wait ignores the next join", ROUNDS,
-           "            if next_join < wake:\n                wake = next_join\n",
+           "            if joins[next_pending] < wake:\n"
+           "                wake = joins[next_pending]\n",
            "", "tests/service/test_round_model.py::"
            "test_a_join_inside_an_idle_wait_is_served_at_its_time"),
     Mutant(ONE_JOIN, "start-up measured from the origin, not the join", ROUNDS,

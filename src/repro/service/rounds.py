@@ -205,19 +205,15 @@ class RoundRobinService:
             for stream in active:
                 rec.stream_opened(stream, time)
         pending = sorted(admissions, key=lambda a: a.join)
-        next_join = pending[0].join if pending else never
+        joins = [a.join for a in pending] + [never]   # never: none left
         next_pending = 0
         round_number = 0
         rounds_before = self.rounds_run
         compact = True   # an initial plan may be empty
         while True:
-            while next_join <= time:
+            while joins[next_pending] <= time:
                 admitted = pending[next_pending]
                 next_pending += 1
-                next_join = (
-                    pending[next_pending].join
-                    if next_pending < len(pending) else never
-                )
                 active.append(admitted.stream)
                 compact = True
                 if rec is not None:
@@ -232,11 +228,11 @@ class RoundRobinService:
                         write += 1
                 del active[write:]
             if not active and all(work.due == never for work in after):
-                if next_join == never:
+                if next_pending == len(pending):
                     break
                 # Nothing happens until the next join: no round runs
                 # before it.
-                time = next_join
+                time = joins[next_pending]
                 continue
             k = self.k_schedule(round_number, len(active))
             if not isinstance(k, int) or k < 1:
@@ -260,8 +256,8 @@ class RoundRobinService:
             # or the next stream joins.  A stream with room left, or one
             # that after-turn work (text reads) carried time past, has a
             # past wake: the next round follows at once.
-            if next_join < wake:
-                wake = next_join
+            if joins[next_pending] < wake:
+                wake = joins[next_pending]
             if time < wake < never:
                 time = wake
             elif not progressed and wake == never:

@@ -215,8 +215,7 @@ class TestServiceEquivalence:
 
     def test_text_carrying_time_past_every_wake(self):
         """Text reads outlast the lone buffer's play-out: the next round
-        serves the room the reads opened instead of waiting past it (13
-        rounds; 14 while a round's idle wait was a round of its own)."""
+        serves the room the reads opened instead of waiting past it."""
 
         def after(drive):
             middle = drive.slots // 2

@@ -265,8 +265,7 @@ class TestIdleGapBetweenArrivals:
         apart they arrive in one ``serve``: the loop does not walk the
         idle rounds between them (it used to, one iteration each, and at
         100,000 of them raised "exceeded 100000 rounds").  Each session's
-        15 blocks take 11 rounds, each ending with its own idle wait (40
-        rounds while an idle wait was a round of its own)."""
+        15 blocks take 11 rounds, each ending with its own idle wait."""
         server = build_media_server(cache_blocks=0, batch_window=0.0)
         rope_id = _rope(server, seconds=2.0)
         result = server.serve([

@@ -104,8 +104,7 @@ class TestIdleWakeAfterText:
         stored wake; the idle round then asked for the *next*
         consumption, found the buffer already drained (inf) and raised
         "service deadlocked" after 2 of 20 blocks.  A wake already past
-        means a buffer with room: the next round serves it.  13 rounds (14
-        while a round's idle wait was a round of its own)."""
+        means a buffer with room: the next round serves it."""
         drive = build_drive()
         stream = StreamState(
             request_id="s", buffer_capacity=2,
