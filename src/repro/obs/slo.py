@@ -22,6 +22,7 @@ the ``slo`` snapshot section is byte-stable under a fixed seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -33,8 +34,9 @@ __all__ = ["Slo", "SloMonitor", "DEFAULT_SLOS", "CLUSTER_SLOS"]
 #: The slack quantile each ``deadline_slack_*`` metric reads.
 _QUANTILES = {"deadline_slack_p95_s": 0.05, "deadline_slack_p99_s": 0.01}
 
-#: Comparison operators an objective may use.
-_OPS = (">=", "<=")
+#: Comparison operators an objective may use, each with its test.
+_TESTS = {">=": operator.ge, "<=": operator.le}
+_OPS = tuple(_TESTS)
 
 #: Metrics the resolver understands (``reject_rate`` also accepts a
 #: ``:<reason>`` suffix matching a typed RejectReason value).
@@ -85,9 +87,7 @@ class Slo:
 
     def satisfied_by(self, value: float) -> bool:
         """Whether *value* meets this objective."""
-        if self.op == ">=":
-            return value >= self.threshold
-        return value <= self.threshold
+        return _TESTS[self.op](value, self.threshold)
 
 
 #: The stock objective set scenarios attach: perfect continuity, block
@@ -130,9 +130,9 @@ class SloMonitor:
             raise ParameterError(f"duplicate slo names: {names}")
         self.registry = registry
         self.slos: Tuple[Slo, ...] = tuple(slos)
-        #: Each scope's objectives, each with its metric's reader.
+        #: Each scope's objectives, each with its metric's reader and test.
         self._scoped = {
-            scope: [(s, self._reader(s.metric)) for s in self.slos
+            scope: [(s, self._reader(s.metric), _TESTS[s.op]) for s in self.slos
                     if s.scope == scope]
             for scope in ("round", "final")
         }
@@ -201,11 +201,11 @@ class SloMonitor:
     ) -> List[Dict[str, object]]:
         emitted: List[Dict[str, object]] = []
         last, was = self._last, self._breached
-        for slo, read in self._scoped[scope]:
+        for slo, read, test in self._scoped[scope]:
             value = last[slo.name] = read()
             if value is None:
                 continue   # no data yet: neither satisfied nor breached
-            breached = not slo.satisfied_by(value)
+            breached = not test(value, slo.threshold)
             if breached == was.get(slo.name, False):
                 continue
             was[slo.name] = breached
