@@ -36,7 +36,7 @@ from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
-from repro.errors import HeadFailureError, ParameterError, check_count
+from repro.errors import HeadFailureError, ParameterError, check_count, check_seconds
 from repro.faults.recovery import RecoveryPolicy, read_with_recovery
 from repro.obs.recorder import recorder_for
 from repro.rope.server import BlockFetch, FetchColumns
@@ -130,6 +130,9 @@ class Admission:
 
     join: float
     stream: StreamState
+
+    def __post_init__(self) -> None:
+        check_seconds("join", self.join)   # a NaN join would never come
 
 
 class RoundRobinService:

@@ -215,6 +215,13 @@ class TestValidation:
         with pytest.raises(ParameterError, match="max_rounds must be"):
             service.run([make_stream(drive, block, "r1")], max_rounds=True)
 
+    @pytest.mark.parametrize("join", [float("nan"), float("inf"), -1.0, True, "1"])
+    def test_a_join_that_is_not_a_time_is_refused(self, block, join):
+        """A NaN join is never reached: the loop would wait for it forever."""
+        stream = make_stream(build_drive(), block, "late")
+        with pytest.raises(ParameterError, match="join must be a finite real"):
+            Admission(join, stream)
+
     def test_no_streams_no_rounds(self, block):
         drive = build_drive()
         service = RoundRobinService(drive, lambda r, n: 1)
