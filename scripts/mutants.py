@@ -205,8 +205,8 @@ MUTANTS = [
            "stream.turn_cost = 0.0", MODEL),
     # Each new spec kills mutants of its own.
     Mutant(ORACLE, "the round guard trips one round early", ROUNDS,
-           "if self.rounds_run - rounds_before > max_rounds:",
-           "if self.rounds_run - rounds_before >= max_rounds:", MODEL),
+           "if round_number > max_rounds:",
+           "if round_number >= max_rounds:", MODEL),
     Mutant(ORACLE, "the loop ignores its order policy", ROUNDS,
            "visit = order(self.drive, active, round_number) if order else active",
            "visit = active", EQUIVALENCE + "test_generated_loads_in_scan_order"),
@@ -427,7 +427,7 @@ MUTANTS = [
            "", "tests/service/test_round_model.py::"
            "test_a_join_inside_an_idle_wait_is_served_at_its_time"),
     Mutant(ONE_JOIN, "start-up measured from the origin, not the join", ROUNDS,
-           "stream.metrics.startup_latency = start - join",
+           "stream.metrics.startup_latency = start - admission.join",
            "stream.metrics.startup_latency = start",
            "tests/server/test_arrival_time.py::"
            "test_no_session_plays_before_its_own_arrival"),

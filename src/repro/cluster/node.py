@@ -105,7 +105,7 @@ class ClusterNode:
         )
         fetches = PlaybackSession(mrs).fetch_sequence(request_id)
         mrs.stop(request_id)
-        read = self.server._drive.read_slot
+        read = self.server.drive.read_slot
         for slot, bits in zip(fetches.slots, fetches.bits):
             if slot is not None:
                 read(slot, bits)

@@ -68,10 +68,6 @@ class EditingSession:
             ) from None
         return self.server.get_rope(rope_id)
 
-    def names(self) -> List[str]:
-        """Names bound in this session, sorted."""
-        return sorted(self._names)
-
     # -- operations -------------------------------------------------------------
 
     def _snapshot(self, *names: str) -> Tuple[Tuple[str, tuple], ...]:

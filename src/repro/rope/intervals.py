@@ -154,13 +154,6 @@ class Segment:
         assert self.audio is not None
         return self.audio.duration
 
-    @property
-    def correspondence(self) -> Tuple[Optional[int], Optional[int]]:
-        """Fig. 8's [VideoBlockID, AudioBlockID] starting correspondence."""
-        video_block = self.video.first_block if self.video else None
-        audio_block = self.audio.first_block if self.audio else None
-        return (video_block, audio_block)
-
     def strand_ids(self) -> List[str]:
         """Strands this segment references."""
         return [

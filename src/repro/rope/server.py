@@ -8,8 +8,8 @@ The MRS exposes the §4.1 interfaces:
 * ``RECORD [media] → [requestID, mmRopeID]`` — admission-controlled; audio
   passes through silence detection and elimination.
 * ``PLAY [mmRopeID, interval, media] → requestID`` — admission-controlled.
-* ``STOP [requestID]``, ``PAUSE`` (destructive or non-destructive),
-  ``RESUME`` (re-runs admission after a destructive pause).
+* ``STOP [requestID]``.  ``PAUSE`` and ``RESUME`` are the verbs of
+  :class:`~repro.server.MediaServer`, which holds each session's lease.
 * The editing utilities INSERT, REPLACE, SUBSTRING, CONCATE, DELETE, all
   with access-right checks, automatic interest maintenance for garbage
   collection, and (optionally) §4.2 seam repair.
@@ -66,8 +66,6 @@ class RequestState(enum.Enum):
     """Lifecycle states of a PLAY/RECORD request (§4.1)."""
 
     ACTIVE = "active"
-    PAUSED = "paused"                      # non-destructive: resources held
-    PAUSED_RELEASED = "paused_released"    # destructive: resources freed
     STOPPED = "stopped"
 
 
@@ -171,16 +169,6 @@ class PlaybackPlan:
     video: FetchColumns
     audio: FetchColumns
 
-    @property
-    def video_duration(self) -> float:
-        """Total video playback time, seconds."""
-        return sum(self.video.durations)
-
-    @property
-    def audio_duration(self) -> float:
-        """Total audio playback time, seconds."""
-        return sum(self.audio.durations)
-
     def tokens(self) -> List[str]:
         """All video frame tokens in playback order."""
         return [token for block in self.video.tokens for token in block]
@@ -251,7 +239,7 @@ class MultimediaRopeServer:
             self.msm.release(request.admission_id)
             request.admission_id = None
 
-    # -- RECORD / PLAY / STOP / PAUSE / RESUME ---------------------------------------
+    # -- RECORD / PLAY / STOP ---------------------------------------------------------
 
     def record(
         self,
@@ -381,8 +369,7 @@ class MultimediaRopeServer:
 
         The media server admits batches, not individual requests: one
         lease per batch holds the slot (or the cache pins) for every
-        member, so the request carries none and STOP / PAUSE release
-        nothing.  Access and interval checks are those of :meth:`play`.
+        member, so the request carries none and STOP releases nothing.  Access and interval checks are those of :meth:`play`.
         """
         request = self._play_request(user, rope_id, start, length, media, admit=False)
         self._requests[request.request_id] = request
@@ -431,34 +418,6 @@ class MultimediaRopeServer:
             raise RequestStateError(f"request {request_id} already stopped")
         self._release(request)
         request.state = RequestState.STOPPED
-
-    def pause(self, request_id: str, destructive: bool = False) -> None:
-        """PAUSE, destructive (deallocates resources) or not (§4.1)."""
-        request = self.get_request(request_id)
-        if request.state is not RequestState.ACTIVE:
-            raise RequestStateError(
-                f"cannot pause request {request_id} in state "
-                f"{request.state.value}"
-            )
-        if destructive:
-            self._release(request)
-            request.state = RequestState.PAUSED_RELEASED
-        else:
-            request.state = RequestState.PAUSED
-
-    def resume(self, request_id: str) -> None:
-        """RESUME a paused request; destructive pauses re-run admission."""
-        request = self.get_request(request_id)
-        if request.state not in (
-            RequestState.PAUSED, RequestState.PAUSED_RELEASED
-        ):
-            raise RequestStateError(
-                f"cannot resume request {request_id} in state "
-                f"{request.state.value}"
-            )
-        if request.state is RequestState.PAUSED_RELEASED:
-            request.admission_id = self._admit(request.media)
-        request.state = RequestState.ACTIVE
 
     def active_requests(self) -> List[Request]:
         """Requests currently holding service resources."""

@@ -75,16 +75,6 @@ class MultimediaRope:
         """Fig. 8's Length: playback length of the rope in seconds."""
         return total_duration(self.segments)
 
-    @property
-    def has_video(self) -> bool:
-        """True when any segment carries video."""
-        return any(s.video is not None for s in self.segments)
-
-    @property
-    def has_audio(self) -> bool:
-        """True when any segment carries audio."""
-        return any(s.audio is not None for s in self.segments)
-
     def referenced_strands(self) -> Set[str]:
         """All strand IDs this rope points into (for interests/GC)."""
         return {

@@ -70,11 +70,6 @@ class RequestBatch:
         return self.requests[0]
 
     @property
-    def followers(self) -> Tuple[OpenSessionRequest, ...]:
-        """Members sharing the leader's reads."""
-        return self.requests[1:]
-
-    @property
     def size(self) -> int:
         """Total sessions the batch admits."""
         return len(self.requests)

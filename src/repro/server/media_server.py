@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.api import (
     OpenSessionRequest,
@@ -57,9 +57,14 @@ from repro.errors import (
 )
 from repro.faults.recovery import RecoveryPolicy
 from repro.obs.recorder import recorder_for
-from repro.rope.server import MultimediaRopeServer, build_rope_server
+from repro.rope.server import (
+    FetchColumns,
+    MultimediaRopeServer,
+    build_rope_server,
+)
 from repro.server.batching import RequestBatch, group_into_batches
 from repro.service.rpc import RpcChannel, stub_for
+from repro.service.rounds import Admission, RoundRobinService, StreamState
 from repro.service.session import PlaybackSession
 
 __all__ = ["MediaServer", "build_media_server"]
@@ -178,6 +183,8 @@ class MediaServer:
         #: What the request path reports to (None when unobserved).
         self._rec = recorder_for(self.obs, "server")
         self.channel = RpcChannel("mrs-msm", rec=self._rec)
+        #: What plans a session and builds the loop its serve runs on.
+        self.playback = PlaybackSession(mrs, recovery=recovery, obs=self.obs)
         #: Admission calls cross the MRS↔MSM boundary through this stub,
         #: so every batch admission is logged with marshalled sizes (the
         #: stub targets the MSM's public surface, whose admit/release
@@ -185,10 +192,10 @@ class MediaServer:
         self._admission = stub_for(mrs.msm, self.channel)
         if cache_blocks:
             self.cache: Optional[BlockCache] = BlockCache(cache_blocks)
-            self._drive = CachedDrive(mrs.msm.drive, self.cache, obs=self.obs)
+            self.drive = CachedDrive(mrs.msm.drive, self.cache, obs=self.obs)
         else:
             self.cache = None
-            self._drive = mrs.msm.drive
+            self.drive = mrs.msm.drive
         #: Shared reads need the cache to exist; without it, batching
         #: would hand followers full-cost reads with no admission slot.
         self.batching = self.batch_window > 0 and self.cache is not None
@@ -287,12 +294,14 @@ class MediaServer:
     # -- public API: batched serve -----------------------------------------------
 
     def serve(self, requests: Sequence) -> ServeResult:
-        """Process a queue of typed requests and run one service epoch.
+        """Process a queue of typed requests on one round loop.
 
-        Opens are grouped into admission batches; lifecycle verbs
-        (addressed to sessions from this or earlier calls) are applied
-        in arrival order after admission; then every session scheduled
-        for playback is serviced to completion in one round-robin epoch.
+        Opens are grouped into admission batches and decided in arrival
+        order, each against the sessions live when it arrives (a session
+        frees its slot once its last block has played out).  Lifecycle
+        verbs (addressed to sessions from this or earlier calls) are
+        applied in arrival order after admission; then every session
+        scheduled for playback is serviced to completion.
         """
         dispatch = {
             PlayRequest: self.play,
@@ -318,10 +327,12 @@ class MediaServer:
             opens, self.batch_window if self.batching else 0.0, rec=self._rec
         )
         queue: List[Tuple[RequestBatch, int]] = [(b, 0) for b in batches]
+        epoch = _Epoch(self, rejects)
         position = 0
         while position < len(queue):
             batch, requeues = queue[position]
             position += 1
+            epoch.reach(batch.admit_time)
             responses = self._admit_batch(batch, requeues=requeues)
             if responses is None:
                 # Rejected with re-queue budget left: back of the queue.
@@ -331,6 +342,8 @@ class MediaServer:
                 touched.append(response.session_id)
                 if not response.accepted:
                     rejects.append(response)
+            if epoch.loop is not None:
+                epoch.hand_over()
         for _arrival, _index, request in sorted(
             lifecycle, key=lambda item: (item[0], item[1])
         ):
@@ -342,8 +355,8 @@ class MediaServer:
                         "re-admission on resume failed"
                     )
                 )
-        played, rounds, k_used, sequences = self._run_epoch(rejects)
-        touched.extend(played)
+        played, rounds, k_used, sequences = epoch.finish()
+        touched += played + [response.session_id for response in rejects]
         return ServeResult(
             statuses=tuple(
                 self._sessions[sid].status() for sid in sorted(set(touched))
@@ -505,80 +518,6 @@ class MediaServer:
             responses.append(session.response(detail))
         return responses
 
-    # -- epoch execution -----------------------------------------------------------
-
-    def _playback_session(self) -> PlaybackSession:
-        return PlaybackSession(self.mrs, recovery=self.recovery, obs=self.obs)
-
-    def _run_epoch(
-        self, rejects: List[OpenSessionResponse]
-    ) -> Tuple[List[str], int, int, Dict]:
-        """Service every scheduled session to completion; returns who
-        played or was refused, the rounds run, the k used and each
-        session's slots.  A refusal's response is added to *rejects*."""
-        queue = [
-            sid for sid in self._epoch_queue
-            if self._sessions[sid].state is SessionState.PLAYING
-        ]
-        self._epoch_queue = []
-        if not queue:
-            return [], 0, 0, {}
-        playback = self._playback_session()
-        #: Each session is planned once; the same sequence is reported
-        #: in ``block_sequences`` and streamed by the round service.
-        fetches: Dict[str, List] = {}
-        refused: List[str] = []
-        for sid in queue:
-            session = self._sessions[sid]
-            if session.state is SessionState.PLAYING:   # not refused yet
-                planned = playback.fetch_sequence(session.request_id)
-                fetches[session.request_id] = planned
-                refused += self._hold_what_it_reads(session, planned.slots)
-        for sid in refused:
-            rejects.append(
-                self._sessions[sid].response("re-admission at the epoch failed")
-            )
-        queue = [sid for sid in queue if sid not in refused]
-        if not queue:
-            return refused, 0, 0, {}
-        k = max(1, self.mrs.msm.admission.current_k)
-        t0 = min(self._sessions[sid].arrival for sid in queue)
-        joins: List[Tuple[float, str]] = []
-        sequences: Dict[str, Tuple[Optional[int], ...]] = {}
-        for sid in queue:
-            session = self._sessions[sid]
-            sequences[sid] = tuple(fetches[session.request_id].slots)
-            joins.append((session.arrival - t0, session.request_id))
-        # The leader of each batch precedes its followers in queue order,
-        # so within a round the leader's miss populates the cache and
-        # every follower's identical read hits it.
-        original_drive = self.mrs.msm.drive
-        self.mrs.msm.drive = self._drive
-        try:
-            result = playback.run((), k=k, admissions=joins, fetches=fetches)
-        finally:
-            self.mrs.msm.drive = original_drive
-        for sid in queue:
-            session = self._sessions[sid]
-            metrics = result.metrics[session.request_id]
-            session.blocks_delivered = metrics.blocks_delivered
-            session.misses = metrics.misses
-            session.skips = metrics.skips
-            session.startup_latency = metrics.startup_latency
-            session.state = SessionState.COMPLETED
-        # Every member that played has ended before any of them vacates:
-        # a lease outlives them only for a member that has yet to play.
-        for sid in queue:
-            session = self._sessions[sid]
-            self._vacate(session)
-            self.mrs.stop(session.request_id)
-            if self._rec is not None:
-                self._rec.request_closed(
-                    session.request_id, session.arrival,
-                    "degraded" if session.misses or session.skips else "ok",
-                )
-        return queue + refused, result.rounds, result.k_used, sequences
-
     # -- resource management ---------------------------------------------------------
 
     def _session(
@@ -613,7 +552,7 @@ class MediaServer:
         rec = self._rec
         request = self.mrs.get_request(request_id)
         if probe:
-            planned = self._playback_session().fetch_sequence(request_id)
+            planned = self.playback.fetch_sequence(request_id)
             slots = tuple(sorted(set(planned.slots) - {None}))
             if (
                 self.cache.resident_fraction(slots) >= 1.0
@@ -702,6 +641,142 @@ class MediaServer:
             self._admission.release(lease.admission_id, **carry)
         else:
             self.cache.unpin(lease.pinned)
+
+
+class _Epoch:
+    """One ``serve`` call's round loop.  Each session joins it at its own
+    arrival; it runs to an open's arrival once a live session could have
+    played out by then, releasing each that has, so an open is decided
+    against the sessions live when it arrives."""
+
+    def __init__(self, server: MediaServer, rejects: List[OpenSessionResponse]):
+        self.server, self.rejects = server, rejects
+        self.loop: Optional[RoundRobinService] = None
+        self.t0, self.reached, self.k, self.k_used = 0.0, float("-inf"), 0, 0
+        #: Each planned session's plan and earliest play-out end; each one
+        #: handed to the loop, in that order, and its stream.
+        self.plans: Dict[str, Tuple[FetchColumns, float]] = {}
+        self.streams: Dict[str, StreamState] = {}
+        self.joining: List[Admission] = []
+        self.released: Set[str] = set()
+
+    def _playing(self, ids) -> List[_Session]:
+        sessions = self.server._sessions
+        return [s for s in map(sessions.get, ids) if s.state is SessionState.PLAYING]
+
+    def _plan(self, session: _Session) -> Tuple[FetchColumns, float]:
+        if session.session_id not in self.plans:
+            fetches = self.server.playback.fetch_sequence(session.request_id)
+            end = session.arrival + sum(fetches.durations)
+            self.plans[session.session_id] = fetches, end
+        return self.plans[session.session_id]
+
+    def _idle(self) -> bool:
+        """No stream is being read or waits to join: k may change."""
+        return not self.joining and all(
+            s.next_fetch == len(s.fetches.slots) for s in self.streams.values()
+        )
+
+    def reach(self, at: float) -> None:
+        """Run the loop to the open arriving at *at* (a re-queued one is
+        decided after the last) and release each session played out."""
+        self.reached = at = max(at, self.reached)
+        live = self._playing(self.server._epoch_queue) + self._playing(self.streams)
+        if all(at < self._plan(session)[1] for session in live):
+            return   # no slot can have come free
+        self.advance(at)
+        done = [
+            session for session in self._playing(self.streams)
+            if len(self.streams[session.session_id].ends) == len(
+                self.plans[session.session_id][0].slots
+            ) and self.streams[session.session_id].ends[-1] <= at - self.t0
+        ]
+        for session in done:   # all have ended before any vacates
+            session.state = SessionState.COMPLETED
+        for session in done:
+            self.server._vacate(session)
+            self.server.mrs.stop(session.request_id)
+            self.released.add(session.session_id)
+
+    def hand_over(self) -> None:
+        """The sessions scheduled to play join the loop at their arrivals:
+        an idle loop restarts at the controller's k, a running one takes
+        them if that k fits its own, else they wait for it to go idle."""
+        server, controller = self.server, self.server.mrs.msm.admission
+        queue = self._playing(server._epoch_queue)
+        running = self.loop is not None and not self._idle()
+        if not queue or running and max(1, controller.current_k) > self.k:
+            return
+        server._epoch_queue = []
+        for session in queue:
+            if session.state is SessionState.PLAYING:   # not refused yet
+                slots = self._plan(session)[0].slots
+                for sid in server._hold_what_it_reads(session, slots):
+                    self.rejects.append(server._sessions[sid].response(
+                        "re-admission at the epoch failed"
+                    ))
+        queue = self._playing(session.session_id for session in queue)
+        if queue and not running:
+            k = self.k = max(1, controller.current_k)
+            self.k_used = max(self.k_used, k)
+            if self.loop is None:
+                self.loop = server.playback.loop(server.drive, k)
+                self.t0 = min(session.arrival for session in queue)
+            self.loop.k_schedule = lambda _round, _active: k
+        for session in queue:
+            stream = self.streams[session.session_id] = server.playback.stream(
+                session.request_id, self.k, self._plan(session)[0]
+            )
+            join = max(0.0, session.arrival - self.t0)
+            self.joining.append(Admission(join, stream))
+
+    def advance(self, until: Optional[float] = None) -> Optional[Dict]:
+        """Run the loop to *until* (an arrival), or to the end and return
+        its metrics, handing it each session scheduled to play."""
+        while True:
+            self.hand_over()
+            if self.loop is None:
+                return None
+            joining, self.joining = self.joining, []
+            waiting = self._playing(self.server._epoch_queue)
+            if until is None and not waiting:
+                return self.loop.run((), joining)
+            stop = float("inf") if until is None else until - self.t0
+            self.loop.run((), joining, until=stop)   # inf: until it is idle
+            if not (waiting and self._idle()):
+                return None
+
+    def finish(self) -> Tuple[List[str], int, int, Dict]:
+        """Serve every session to completion; returns who played, the
+        rounds run, the largest k run and each session's slots."""
+        metrics = self.advance()
+        if metrics is None:
+            return [], 0, 0, {}
+        server, rec = self.server, self.server._rec
+        # One a verb of this call paused or stopped keeps that state.
+        played = [
+            s for s in map(server._sessions.get, self.streams)
+            if s.session_id in self.released or s.state is SessionState.PLAYING
+        ]
+        for session in played:
+            scored = metrics[session.request_id]
+            session.blocks_delivered = scored.blocks_delivered
+            session.misses, session.skips = scored.misses, scored.skips
+            session.startup_latency = scored.startup_latency
+            session.state = SessionState.COMPLETED
+        # Every member that played has ended before any of them vacates:
+        # a lease outlives them only for a member that has yet to play.
+        for session in played:
+            if session.session_id not in self.released:
+                server._vacate(session)
+                server.mrs.stop(session.request_id)
+            if rec is not None:
+                rec.request_closed(
+                    session.request_id, session.arrival,
+                    "degraded" if session.misses or session.skips else "ok",
+                )
+        sequences = {sid: tuple(self.plans[sid][0].slots) for sid in self.streams}
+        return list(self.streams), self.loop.rounds_run, self.k_used, sequences
 
 
 def build_media_server(

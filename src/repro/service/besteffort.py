@@ -60,11 +60,6 @@ class TextRequest:
         """True when every block has been read."""
         return self.served >= len(self.slots)
 
-    @property
-    def remaining(self) -> int:
-        """Blocks still queued."""
-        return len(self.slots) - self.served
-
 
 class TextQueue:
     """Conventional reads served opportunistically, FIFO, in the slack.

@@ -29,10 +29,10 @@ served *after the turns* — RECORD writes and best-effort text
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from operator import add
+from operator import add, attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.drive import SimulatedDrive
@@ -190,37 +190,55 @@ class RoundRobinService:
         self.head_failure: Optional[HeadFailureError] = None
         self.rounds_run = 0
         self._rec = recorder_for(obs, "loop")
+        #: A stopped run: its time, round number, active streams, and the
+        #: admissions not joined yet (by join) and given (in that order).
+        self._stopped: Optional[tuple] = None
 
     def run(
         self,
-        initial: Sequence[StreamState],
+        initial: Sequence[StreamState] = (),
         admissions: Sequence[Admission] = (),
         max_rounds: int = 100_000,
-    ) -> Dict[str, ContinuityMetrics]:
-        """Service all streams to completion; returns metrics per request."""
+        until: Optional[float] = None,
+    ) -> Optional[Dict[str, ContinuityMetrics]]:
+        """Serve *initial* from time 0 and each of *admissions* from its
+        join, with the streams earlier calls of the run added.
+
+        With *until* (modeled seconds), stop at the first round start at
+        or after it (*until* ends an idle wait as a join does), or once
+        nothing is left to serve, and return None: the next call resumes
+        there, so a stream joining at *until* is served as if given up
+        front.  Without, serve every stream to completion and return the
+        metrics of the run's streams, per request."""
         check_count("max_rounds", max_rounds)
-        time = 0.0
-        active: List[StreamState] = list(initial)
-        order, after = self.order, self.after_turns
         never = float("inf")
-        rec = self._rec
-        if rec is not None:
-            for stream in active:
-                rec.stream_opened(stream, time)
-        pending = sorted(admissions, key=lambda a: a.join)
-        joins = [a.join for a in pending] + [never]   # never: none left
+        time, round_number, active, pending, joined = (
+            self._stopped or (0.0, 0, [], [], [])
+        )
+        for admission in [Admission(0.0, s) for s in initial] + list(admissions):
+            joined.append(admission)
+            insort(pending, admission, key=attrgetter("join"))
+        rec, order, after = self._rec, self.order, self.after_turns
+        # The joins due by the stop, then the stop itself (*until*, or
+        # never): a join that admits nothing.
+        stop = never if until is None else until
+        joins = [admission.join for admission in pending]
+        cut = bisect(joins, stop)
+        joins[cut:] = [stop]
         next_pending = 0
-        round_number = 0
-        rounds_before = self.rounds_run
-        compact = True   # an initial plan may be empty
+        compact = True   # a joined plan may be empty
         while True:
             while joins[next_pending] <= time:
-                admitted = pending[next_pending]
+                if next_pending == cut:
+                    break
+                stream = pending[next_pending].stream
                 next_pending += 1
-                active.append(admitted.stream)
+                active.append(stream)
                 compact = True
                 if rec is not None:
-                    rec.stream_opened(admitted.stream, time)
+                    rec.stream_opened(stream, time)
+            if joins[next_pending] <= time:
+                break   # the stop: a round would start at or after it
             if compact:
                 # Compact finished streams out in place, preserving order;
                 # only a join or a turn that ends a plan can add one.
@@ -231,8 +249,8 @@ class RoundRobinService:
                         write += 1
                 del active[write:]
             if not active and all(work.due == never for work in after):
-                if next_pending == len(pending):
-                    break
+                if next_pending == cut:
+                    break   # nothing left to serve before the stop
                 # Nothing happens until the next join: no round runs
                 # before it.
                 time = joins[next_pending]
@@ -256,9 +274,9 @@ class RoundRobinService:
                         wake = work.due
             # The round ends with its idle wait: until consumption frees a
             # buffer (the earliest stored wake), work (a capture) falls due
-            # or the next stream joins.  A stream with room left, or one
-            # that after-turn work (text reads) carried time past, has a
-            # past wake: the next round follows at once.
+            # or the next stream joins (or the stop comes).  A stream with
+            # room left, or one that after-turn work (text reads) carried
+            # time past, has a past wake: the next round follows at once.
             if joins[next_pending] < wake:
                 wake = joins[next_pending]
             if time < wake < never:
@@ -272,22 +290,26 @@ class RoundRobinService:
             self.rounds_run += 1
             if rec is not None:
                 rec.round_end(time, round_number)
-            if self.rounds_run - rounds_before > max_rounds:
+            if round_number > max_rounds:
                 raise ParameterError(
                     f"exceeded {max_rounds} rounds; k schedule likely "
                     "starves a stream"
                 )
-        joined = [(0.0, stream) for stream in initial]
-        joined += [(a.join, a.stream) for a in admissions]
-        streams = [stream for _join, stream in joined]
-        for join, stream in joined:
+        if until is not None:
+            del pending[:next_pending]
+            self._stopped = time, round_number, active, pending, joined
+            return None
+        self._stopped = None
+        for admission in joined:
+            stream = admission.stream
             start = stream.clock_start
             if start is not None:
-                stream.metrics.startup_latency = start - join
+                stream.metrics.startup_latency = start - admission.join
                 stream.metrics.score(
                     stream.ready, map(add, repeat(start), stream.offsets),
                     stream.ends, stream.skipped_indices, stream._read_ahead,
                 )
+        streams = [admission.stream for admission in joined]
         if rec is not None:
             rec.run_end(streams, time, self.rounds_run)
         metrics = {stream.request_id: stream.metrics for stream in streams}

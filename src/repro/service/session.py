@@ -21,7 +21,7 @@ from repro.rope.server import (
     MultimediaRopeServer,
     PlaybackPlan,
 )
-from repro.service.rounds import Admission, RoundRobinService, StreamState
+from repro.service.rounds import RoundRobinService, StreamState
 from repro.sim.metrics import ContinuityMetrics
 
 __all__ = ["SessionResult", "PlaybackSession", "staged_k_schedule"]
@@ -126,18 +126,29 @@ class PlaybackSession:
             heads_lost=1
         )
 
-    def _stream_for(
-        self, request_id: str, k: int, planned: Dict[str, List]
-    ) -> StreamState:
-        fetches = planned.get(request_id)
-        if fetches is None:
-            fetches = self.fetch_sequence(request_id)
+    def stream(self, request_id: str, k: int, fetches: FetchColumns) -> StreamState:
+        """*request_id*'s stream of *fetches* (its :meth:`fetch_sequence`)
+        at k: its display buffers sized for k."""
         capacity = buffers_for_average_continuity(self.server.msm.architecture, k)
         return StreamState(
             request_id=request_id,
             fetches=fetches,
             buffer_capacity=max(capacity, 2),
         )
+
+    def loop(self, drive, k: int) -> RoundRobinService:
+        """The round loop over *drive* at k, with this session's recovery,
+        head-failure hook and observer (attached to the drive)."""
+        service = RoundRobinService(
+            drive,
+            lambda _round, _active: k,
+            recovery=self.recovery,
+            on_head_failure=self._on_head_failure,
+            obs=self.obs,
+        )
+        if self.obs is not None and not drive.observed:
+            drive.attach_observer(self.obs)
+        return service
 
     def fetch_sequence(self, request_id: str) -> FetchColumns:
         """The interleaved disk-fetch sequence one request will follow.
@@ -182,49 +193,18 @@ class PlaybackSession:
         )
 
     def run(
-        self,
-        request_ids: Sequence[str],
-        k: Optional[int] = None,
-        admissions: Sequence[Tuple[float, str]] = (),
-        fetches: Optional[Dict[str, List]] = None,
+        self, request_ids: Sequence[str], k: Optional[int] = None
     ) -> SessionResult:
-        """Service *request_ids* from time 0 (+ later admissions) to done.
-
-        Parameters
-        ----------
-        request_ids:
-            MRS request IDs.
-        k:
-            Blocks per request per round; defaults to the admission
-            controller's current k.  A per-round k is
-            ``RoundRobinService(drive, k_schedule)``, as E3 runs it.
-        admissions:
-            ``(join_time, request_id)`` pairs joining mid-run, each at its
-            modeled time (seconds from the run's origin).
-        fetches:
-            Request id → its :meth:`fetch_sequence`, for callers that
-            already derived it (the media server plans each session once
-            per epoch); any request not in it is planned here.
-        """
-        controller = self.server.msm.admission
+        """Service the MRS requests *request_ids* from time 0 to done at
+        *k* blocks per request per round (default: the admission
+        controller's current k).  A per-round k is
+        ``RoundRobinService(drive, k_schedule)``, as E3 runs it."""
         if k is None:
-            k = max(1, controller.current_k)
-        planned = fetches or {}
-        initial = [self._stream_for(r, k, planned) for r in request_ids]
-        later = [
-            Admission(join=join, stream=self._stream_for(r, k, planned))
-            for join, r in admissions
-        ]
-        service = RoundRobinService(
-            self.server.msm.drive,
-            lambda _round, _active: k,
-            recovery=self.recovery,
-            on_head_failure=self._on_head_failure,
-            obs=self.obs,
+            k = max(1, self.server.msm.admission.current_k)
+        service = self.loop(self.server.msm.drive, k)
+        metrics = service.run(
+            [self.stream(r, k, self.fetch_sequence(r)) for r in request_ids]
         )
-        if self.obs is not None and not self.server.msm.drive.observed:
-            self.server.msm.drive.attach_observer(self.obs)
-        metrics = service.run(initial, later)
         return SessionResult(
             metrics=metrics,
             rounds=service.rounds_run,

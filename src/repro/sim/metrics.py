@@ -99,11 +99,6 @@ class ContinuityMetrics:
         return self.misses == 0
 
     @property
-    def glitches(self) -> int:
-        """Visible playback defects: late blocks plus skipped blocks."""
-        return self.misses
-
-    @property
     def miss_ratio(self) -> float:
         """Fraction of blocks that missed (skips included)."""
         total = self.blocks_delivered + self.skips

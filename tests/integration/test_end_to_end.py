@@ -68,17 +68,6 @@ class TestRecordEditPlay:
         result = session.run(admitted)
         assert result.all_continuous
 
-    def test_pause_resume_cycle_with_playback(self, mrs, profile):
-        frames = frames_for_duration(profile.video, 6.0, source="pr")
-        request_id, rope_id = mrs.record("u", frames=frames)
-        mrs.stop(request_id)
-        play_id = mrs.play("u", rope_id, media=Media.VIDEO)
-        mrs.pause(play_id, destructive=True)
-        mrs.resume(play_id)
-        session = PlaybackSession(mrs)
-        result = session.run([play_id], k=4)
-        assert result.metrics[play_id].continuous
-
     def test_shared_interval_playback_after_source_deleted(
         self, mrs, msm, profile
     ):

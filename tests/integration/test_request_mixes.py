@@ -5,7 +5,7 @@ import pytest
 from repro.errors import AdmissionRejected
 from repro.media.frames import frames_for_duration
 from repro.rope import Media
-from repro.service import PlaybackSession
+from repro.service import Admission, PlaybackSession
 
 
 @pytest.fixture
@@ -56,13 +56,20 @@ class TestStaggeredMixPlayback:
             except AdmissionRejected:
                 break
         session = PlaybackSession(mrs)
-        result = session.run(initial, admissions=later)
-        assert result.all_continuous
+        k = max(1, mrs.msm.admission.current_k)
+
+        def stream(request_id):
+            return session.stream(request_id, k, session.fetch_sequence(request_id))
+
+        metrics = session.loop(mrs.msm.drive, k).run(
+            [stream(initial[0])], [Admission(join, stream(r)) for join, r in later]
+        )
+        assert all(m.continuous for m in metrics.values())
         # A later arrival waits its turn behind the streams playing, so
         # it starts up slower, counted from its own arrival.
         if later:
-            first_metrics = result.metrics[initial[0]]
-            late_metrics = result.metrics[later[-1][1]]
+            first_metrics = metrics[initial[0]]
+            late_metrics = metrics[later[-1][1]]
             assert late_metrics.startup_latency > (
                 first_metrics.startup_latency
             )

@@ -87,7 +87,7 @@ class TestSegment:
         segment = Segment(
             video=video_track(start=8), audio=audio_track(start=4096)
         )
-        assert segment.correspondence == (2, 2)
+        assert (segment.video.first_block, segment.audio.first_block) == (2, 2)
 
     def test_strand_ids(self):
         assert av_segment().strand_ids() == ["V1", "A1"]

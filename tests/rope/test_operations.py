@@ -114,7 +114,7 @@ class TestReplace:
         assert merged.video.strand_id == "VS5"
         assert merged.audio.strand_id == "AS4"
         # Fresh block-level correspondence exists.
-        assert merged.correspondence == (0, 0)
+        assert (merged.video.first_block, merged.audio.first_block) == (0, 0)
 
     def test_replace_audio_keeps_video(self):
         base = [av(10.0, v="VS1", a="AS1")]

@@ -101,8 +101,8 @@ def assert_plan_is_reference(mrs, request_id):
         assert list(columns) == reference          # incl. token slices
         assert len(columns) == len(reference)
     assert plan.tokens() == [t for f in video for t in f.tokens]
-    assert plan.video_duration == sum(f.duration for f in video)
-    assert plan.audio_duration == sum(f.duration for f in audio)
+    assert sum(plan.video.durations) == sum(f.duration for f in video)
+    assert sum(plan.audio.durations) == sum(f.duration for f in audio)
     merged = PlaybackSession._interleave(plan)
     assert list(merged) == reference_interleave(video, audio)
     return plan

@@ -45,7 +45,7 @@ class TestRecord:
     def test_record_both_media_one_segment(self, mrs, recorded):
         rope = mrs.get_rope(recorded)
         assert rope.interval_count() == 1
-        assert rope.has_video and rope.has_audio
+        assert all(s.video and s.audio for s in rope.segments)
 
     def test_record_heterogeneous(self, mrs, frames, chunks):
         request_id, rope_id = mrs.record(
@@ -53,7 +53,7 @@ class TestRecord:
         )
         mrs.stop(request_id)
         rope = mrs.get_rope(rope_id)
-        assert rope.has_video
+        assert all(s.video for s in rope.segments)
 
     def test_record_registers_interests(self, msm, mrs, recorded):
         rope = mrs.get_rope(recorded)
@@ -108,53 +108,6 @@ class TestPlayStop:
             mrs.get_rope("R9999")
         with pytest.raises(UnknownRequestError):
             mrs.get_request("Q9999")
-
-
-class TestPauseResume:
-    def test_non_destructive_pause_keeps_resources(self, msm, mrs, recorded):
-        request_id = mrs.play("venkat", recorded)
-        active = msm.admission.active_count
-        mrs.pause(request_id)
-        assert msm.admission.active_count == active
-        mrs.resume(request_id)
-        assert mrs.get_request(request_id).state is RequestState.ACTIVE
-
-    def test_destructive_pause_releases(self, msm, mrs, recorded):
-        request_id = mrs.play("venkat", recorded)
-        active = msm.admission.active_count
-        mrs.pause(request_id, destructive=True)
-        assert msm.admission.active_count == active - 1
-        mrs.resume(request_id)  # re-admits
-        assert msm.admission.active_count == active
-
-    def test_resume_after_destructive_pause_may_reject(
-        self, msm, mrs, recorded
-    ):
-        first = mrs.play("venkat", recorded, media=Media.VIDEO)
-        mrs.pause(first, destructive=True)
-        # Fill the server to capacity while first is paused.
-        others = []
-        try:
-            for _ in range(20):
-                others.append(
-                    mrs.play("venkat", recorded, media=Media.VIDEO)
-                )
-        except AdmissionRejected:
-            pass
-        with pytest.raises(AdmissionRejected):
-            mrs.resume(first)
-        assert mrs.get_request(first).state is RequestState.PAUSED_RELEASED
-
-    def test_pause_requires_active(self, mrs, recorded):
-        request_id = mrs.play("venkat", recorded)
-        mrs.pause(request_id)
-        with pytest.raises(RequestStateError):
-            mrs.pause(request_id)
-
-    def test_resume_requires_paused(self, mrs, recorded):
-        request_id = mrs.play("venkat", recorded)
-        with pytest.raises(RequestStateError):
-            mrs.resume(request_id)
 
 
 class TestEditingThroughServer:
@@ -237,11 +190,11 @@ class TestSingleMediumReplaceOffTheFrameGrid:
                 draw.uniform(0.0, before - length), length,
                 source, draw.uniform(0.0, 30.0 - length), length,
             )
-            assert rope.has_video
+            assert all(s.video for s in rope.segments)
             request = mrs.play("venkat", base)
             plan = mrs.playback_plan(request)
             mrs.stop(request)
-            assert plan.video_duration == pytest.approx(rope.duration)
+            assert sum(plan.video.durations) == pytest.approx(rope.duration)
 
     def test_replacement_past_the_base_end_is_cut(self, mrs, profile):
         _, base = mrs.record(
@@ -281,8 +234,8 @@ class TestPlaybackPlan:
     def test_plan_covers_interval(self, mrs, recorded):
         request_id = mrs.play("venkat", recorded, start=2.0, length=4.0)
         plan = mrs.playback_plan(request_id)
-        assert plan.video_duration == pytest.approx(4.0, abs=0.15)
-        assert plan.audio_duration == pytest.approx(4.0, abs=0.3)
+        assert sum(plan.video.durations) == pytest.approx(4.0, abs=0.15)
+        assert sum(plan.audio.durations) == pytest.approx(4.0, abs=0.3)
 
     def test_video_only_plan(self, mrs, recorded):
         request_id = mrs.play("venkat", recorded, media=Media.VIDEO)
@@ -322,4 +275,4 @@ class TestPlaybackPlan:
         assert any(f.slot is None for f in plan.audio)
         assert any(f.slot is not None for f in plan.audio)
         # Silence still buys playback time.
-        assert plan.audio_duration == pytest.approx(20.0, abs=1.0)
+        assert sum(plan.audio.durations) == pytest.approx(20.0, abs=1.0)

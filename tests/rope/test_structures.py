@@ -38,14 +38,13 @@ class TestRopeRecord:
 
     def test_media_presence(self):
         rope = make_rope()
-        assert rope.has_video
-        assert rope.has_audio
+        assert all(s.video and s.audio for s in rope.segments)
         audio_only = make_rope(
             segments=(
                 Segment(audio=MediaTrack("A1", 0, 8000, 8000.0, 2048)),
             )
         )
-        assert not audio_only.has_video
+        assert not any(s.video for s in audio_only.segments)
 
     def test_referenced_strands(self):
         rope = make_rope()

@@ -1,12 +1,14 @@
-"""Arrival time is real: ROADMAP item 16's probes.
+"""Arrival time is real: what §3.4 asks of the front door.
 
-Each probe states what §3.4 asks of the front door, and each is a strict
-expected failure until the sub-item named on it lands: admission is
-decided when a request arrives, against the requests being served then
-(16(b)).  Sessions that never overlap still reject each other, and a
-late session's start-up still pays for the k its epoch sized for both.
-A session joins the service loop at its own arrival, plays no block
-before it, and its start-up is measured from it (16(a)).
+Admission is decided when a request arrives, against the requests being
+served then, and a session frees its slot once it has played out: so
+sessions that never overlap do not reject each other, and a late
+session's start-up pays for no k sized for an earlier one.  A session
+joins the service loop at its own arrival, plays no block before it,
+and its start-up is measured from it.  A cluster still places every
+open before any node serves: its probe is a strict expected failure
+until the router drives each node's loop to each arrival (ROADMAP
+item 20).
 """
 
 import pytest
@@ -40,17 +42,22 @@ def spaced_opens(rope_ids, count, gap):
     ]
 
 
-@pytest.mark.xfail(strict=True, reason="item 16(b): admission is one epoch")
 def test_sessions_that_never_overlap_are_all_admitted_by_one_server():
-    """At the parent, 3 are admitted and 3 refused ``capacity``."""
+    """With one epoch-wide admission, 3 were admitted and 3 refused
+    ``capacity``."""
     server, rope_id = one_server()
     result = server.serve(spaced_opens([rope_id], 6, 100.0))
     assert result.admitted == 6 and not result.rejects
 
 
-@pytest.mark.xfail(strict=True, reason="item 16(b): admission is one epoch")
+@pytest.mark.xfail(
+    strict=True,
+    reason="item 20: the router places every open before any node serves",
+)
 def test_sessions_that_never_overlap_are_all_admitted_by_a_cluster():
-    """At the parent, 4 are admitted and 6 refused ``no_replica``."""
+    """4 are admitted and 6 refused ``no_replica``: ``MediaCluster.serve``
+    routes every open against the router's count before any node's loop
+    runs, so no session has played out when a later one is placed."""
     cluster, titles = build_cluster(
         nodes=2, titles=2, per_node_streams=2, clients=CLIENTS, warm=False
     )
@@ -61,15 +68,12 @@ def test_sessions_that_never_overlap_are_all_admitted_by_a_cluster():
     assert result.admitted == 10
 
 
-@pytest.mark.xfail(
-    strict=True, reason="item 16(b): the epoch's one k counts both sessions"
-)
 def test_start_up_is_measured_from_the_sessions_own_arrival():
     """A late session starts up as the same session does alone.  The lone
     reference is a second ``serve`` on the same server, so in both the
-    head starts where a first session left it.  Today the late session
-    reads 0.1067 s against 0.0376 s alone: the epoch's one k is sized
-    after both admissions (16(b)), 0.069 s of the gap."""
+    head starts where a first session left it.  With one epoch-wide k
+    sized after both admissions, the late session read 0.1067 s against
+    0.0376 s alone."""
     server, rope_id = one_server()
     server.serve(spaced_opens([rope_id], 1, 0.0))
     alone = server.serve(spaced_opens([rope_id], 1, 0.0)).statuses[0]

@@ -27,7 +27,7 @@ class TestGrouping:
         batches = group_into_batches(requests, window=0.25)
         assert len(batches) == 1
         assert batches[0].leader.client_id == "a"
-        assert [r.client_id for r in batches[0].followers] == ["b", "c"]
+        assert [r.client_id for r in batches[0].requests[1:]] == ["b", "c"]
         assert batches[0].size == 3
 
     def test_window_measured_from_the_leader(self):

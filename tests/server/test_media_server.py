@@ -19,7 +19,7 @@ from repro.obs import Observability
 from repro.scenarios import get
 from repro.scenarios.server import record_strands
 from repro.server import build_media_server
-from repro.service import PlaybackSession
+from repro.service import RoundRobinService
 
 pytestmark = pytest.mark.server
 
@@ -264,8 +264,10 @@ class TestIdleGapBetweenArrivals:
         """Two sessions admission accepted play to completion however far
         apart they arrive in one ``serve``: the loop does not walk the
         idle rounds between them (it used to, one iteration each, and at
-        100,000 of them raised "exceeded 100000 rounds").  Each session's
-        15 blocks take 11 rounds, each ending with its own idle wait."""
+        100,000 of them raised "exceeded 100000 rounds").  The first has
+        played out before the second arrives, so each runs alone at k = 1:
+        its 15 blocks take 15 rounds, each ending with its own idle wait
+        (at one epoch-wide k = 3, 11 rounds each)."""
         server = build_media_server(cache_blocks=0, batch_window=0.0)
         rope_id = _rope(server, seconds=2.0)
         result = server.serve([
@@ -277,7 +279,7 @@ class TestIdleGapBetweenArrivals:
             [SessionState.COMPLETED] * 2
         )
         assert [s.misses for s in result.statuses] == [0, 0]
-        assert result.rounds == 22
+        assert (result.rounds, result.k_used) == (30, 1)
 
 
 class TestBatchedServe:
@@ -652,14 +654,14 @@ class TestAnEditedCacheLeaseIsReacquired:
     def _play(server, sid, monkeypatch):
         """Serve *sid*'s PLAY; also what its lease held while it played."""
         reads = server.mrs.msm.drive.stats.reads
-        held, run = [], PlaybackSession.run
+        held, run = [], RoundRobinService.run
 
         def spy(self, *args, **kwargs):
             lease = server._sessions[sid].lease
             held.append((lease.admission_id, set(lease.pinned)))
             return run(self, *args, **kwargs)
 
-        monkeypatch.setattr(PlaybackSession, "run", spy)
+        monkeypatch.setattr(RoundRobinService, "run", spy)
         result = server.serve([PlayRequest(sid)])
         return result, held, server.mrs.msm.drive.stats.reads - reads
 
@@ -707,8 +709,10 @@ class TestAnEditedCacheLeaseIsReacquired:
 
 class TestOneAdmissionDoor:
     def test_every_mrs_admit_and_release_passes_the_msm(self, monkeypatch):
-        """RECORD / PLAY / destructive PAUSE / RESUME / STOP on a bare
-        rope server: the controller has no caller but the MSM's door."""
+        """RECORD / PLAY / STOP on a bare rope server: the controller has
+        no caller but the MSM's door.  (PAUSE and RESUME are the media
+        server's, whose leases take the same door:
+        ``TestLeaderHandover`` and ``TestResumeAcquiresALease``.)"""
         from repro.config import TESTBED_1991
         from repro.media.frames import frames_for_duration
         from repro.rope.server import build_rope_server
@@ -733,14 +737,12 @@ class TestOneAdmissionDoor:
         recording, rope_id = mrs.record("u", frames=frames)
         mrs.stop(recording)
         playing = mrs.play("u", rope_id)
-        mrs.pause(playing, destructive=True)
-        mrs.resume(playing)
         mrs.stop(playing)
         with pytest.raises(ParameterError, match="empty video strand"):
             mrs.record("u", frames=[])  # admitted, then cannot store
         assert controller.active_count == 0
-        assert calls["msm", "admit"] == calls["controller", "admit"] == 4
-        assert calls["msm", "release"] == calls["controller", "release"] == 4
+        assert calls["msm", "admit"] == calls["controller", "admit"] == 3
+        assert calls["msm", "release"] == calls["controller", "release"] == 3
 
 
 class TestPlansOnlyWhereADecisionReadsOne:

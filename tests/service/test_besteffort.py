@@ -91,10 +91,9 @@ class TestUnifiedService:
     def test_text_request_state(self):
         request = TextRequest("t", [1, 2, 3])
         assert not request.finished
-        assert request.remaining == 3
+        assert request.served == 0
         request.served = 3
         assert request.finished
-        assert request.remaining == 0
 
 
 class TestIdleWakeAfterText:

@@ -6,7 +6,7 @@ from repro.errors import ParameterError
 from repro.media.audio import generate_talk_spurts
 from repro.media.frames import frames_for_duration
 from repro.rope import Media
-from repro.service import PlaybackSession, staged_k_schedule
+from repro.service import Admission, PlaybackSession, staged_k_schedule
 
 
 @pytest.fixture
@@ -55,8 +55,14 @@ class TestPlaybackSession:
         first = mrs.play("u", rope, media=Media.VIDEO)
         second = mrs.play("u", rope, media=Media.VIDEO)
         session = PlaybackSession(mrs)
-        result = session.run([first], admissions=[(0.5, second)])
-        assert result.metrics[second].blocks_delivered > 0
+        k = max(1, mrs.msm.admission.current_k)
+        first_stream, second_stream = (
+            session.stream(r, k, session.fetch_sequence(r)) for r in (first, second)
+        )
+        metrics = session.loop(mrs.msm.drive, k).run(
+            [first_stream], [Admission(0.5, second_stream)]
+        )
+        assert metrics[second].blocks_delivered > 0
 
     def test_av_interleaving_orders_by_playback_position(
         self, mrs, profile, rng

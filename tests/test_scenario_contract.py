@@ -102,7 +102,7 @@ def _mechanisms(stack):
             for node in stack.nodes
         ]
     if hasattr(stack, "mrs"):  # MediaServer
-        cached = stack._drive if stack.cache is not None else None
+        cached = stack.drive if stack.cache is not None else None
         return [(None, stack.mrs.msm.drive, cached)]
     if hasattr(stack, "msm"):  # MultimediaRopeServer
         return [(None, stack.msm.drive, None)]

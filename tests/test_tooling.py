@@ -893,8 +893,7 @@ class TestOneWritePath:
         }
         assert writers == {
             "server/media_server.py": ["_acquire"],
-            "rope/server.py": ["_play_request", "_release", "record",
-                               "resume"],
+            "rope/server.py": ["_play_request", "_release", "record"],
         }, writers
 
     def test_a_node_is_loaded_and_unloaded_in_one_place_each(self):
@@ -1135,11 +1134,32 @@ class TestRetiredNames:
         "repro.fs.Strand.is_finalized", "repro.fs.Strand.blocks",
         "repro.fs.Strand.block_playback_duration",
         "repro.fs.striped.StripedStrand.block_playback_duration",
+        # One live set: an open is decided at its arrival on one resumable
+        # loop, so the epoch's plumbing leaves, and so do the rope
+        # server's PAUSE / RESUME, which no entry point reached.
+        "repro.server.media_server.MediaServer._run_epoch",
+        "repro.service.PlaybackSession.run(admissions)",
+        "repro.service.PlaybackSession.run(fetches)",
+        "repro.service.PlaybackSession._stream_for",
+        "repro.rope.MultimediaRopeServer.pause",
+        "repro.rope.MultimediaRopeServer.resume",
+        "repro.rope.RequestState.PAUSED", "repro.rope.RequestState.PAUSED_RELEASED",
+        # Second names of an answer the data already gives, which only
+        # their own tests read.
+        "repro.sim.metrics.ContinuityMetrics.glitches",
+        "repro.rope.server.PlaybackPlan.video_duration",
+        "repro.rope.server.PlaybackPlan.audio_duration",
+        "repro.server.batching.RequestBatch.followers",
+        "repro.rope.structures.MultimediaRope.has_video",
+        "repro.rope.structures.MultimediaRope.has_audio",
+        "repro.service.besteffort.TextRequest.remaining",
+        "repro.rope.intervals.Segment.correspondence",
+        "repro.rope.editor.EditingSession.names",
     ]
     #: Retired instance attributes, which no import can resolve.
     RETIRED_ATTRIBUTES = re.compile(
         r"_seen_sessions|_sim_tracers|\bsim_log\b|_head_lost|_subject\b"
-        r"|\.logging\b|\._contents\b"
+        r"|\.logging\b|\._contents\b|\._drive\b"
     )
 
     @classmethod
