@@ -34,6 +34,7 @@ RECORDER = "src/repro/obs/recorder.py"
 RPC = "src/repro/service/rpc.py"
 API = "src/repro/api.py"
 PROFILER = "src/repro/obs/profiling.py"
+SERVER = "src/repro/server/media_server.py"
 
 EQUIVALENCE = "tests/perf/test_equivalence.py::TestServiceEquivalence::"
 MODEL = "tests/service/test_round_model.py::test_the_loop_serves_what_the_model_states"
@@ -54,6 +55,7 @@ CHECKPOINTS = (
     "tests/obs/test_profiling.py::TestCostProfiler::"
     "test_a_checkpoint_samples_exactly_the_summary_totals"
 )
+LIVE = "tests/server/test_live_set.py::"
 SCORES = (
     "tests/service/test_scoring_reference.py::TestScorerMatchesPerBlockScoring::"
     "test_generated_delivery_traces"
@@ -79,6 +81,7 @@ COLUMN = "captured video is a column"
 WARM = "warm by state"
 ONE_JOIN = "one join, one kind of round"
 PER_CALL = "the write path pays per call"
+LIVE_SET = "one live set"
 
 
 class Mutant(NamedTuple):
@@ -424,13 +427,33 @@ MUTANTS = [
     Mutant(ONE_JOIN, "the idle wait ignores the next join", ROUNDS,
            "            if joins[next_pending] < wake:\n"
            "                wake = joins[next_pending]\n",
-           "", "tests/service/test_round_model.py::"
-           "test_a_join_inside_an_idle_wait_is_served_at_its_time"),
+           "", MODEL),
     Mutant(ONE_JOIN, "start-up measured from the origin, not the join", ROUNDS,
            "stream.metrics.startup_latency = start - admission.join",
            "stream.metrics.startup_latency = start",
            "tests/server/test_arrival_time.py::"
            "test_no_session_plays_before_its_own_arrival"),
+    Mutant(LIVE_SET, "a resumed run starts a round past its stop", ROUNDS,
+           "            if joins[next_pending] <= time:\n"
+           "                break   # the stop: a round would start at or after it\n",
+           "", "tests/service/test_round_model.py::"
+           "test_a_run_resumed_at_each_join_is_the_whole_run"),
+    Mutant(LIVE_SET, "the loop runs to an open only after a session could "
+           "have played out, not at that moment", SERVER,
+           "if all(at < self._plan(session)[1] for session in live):",
+           "if all(at <= self._plan(session)[1] for session in live):",
+           LIVE + "test_the_loop_runs_to_an_open_once_a_session_could_have_"
+           "played_out"),
+    Mutant(LIVE_SET, "a session played out exactly at an arrival stays live",
+           SERVER, "            and stream.ends[-1] <= at - self.t0\n",
+           "            and stream.ends[-1] < at - self.t0\n",
+           LIVE + "test_a_session_leaves_its_lease_once_its_last_block_has_"
+           "played_out"),
+    Mutant(LIVE_SET, "a joiner that needs a larger k joins at once", SERVER,
+           "if not queue or running and max(1, controller.current_k) > self.k:",
+           "if not queue:",
+           LIVE + "test_a_joiner_that_needs_a_larger_k_waits_for_the_running_"
+           "streams"),
 ]
 
 

@@ -687,9 +687,9 @@ class _Epoch:
         self.advance(at)
         done = [
             session for session in self._playing(self.streams)
-            if len(self.streams[session.session_id].ends) == len(
-                self.plans[session.session_id][0].slots
-            ) and self.streams[session.session_id].ends[-1] <= at - self.t0
+            for stream in [self.streams[session.session_id]]
+            if len(stream.ends) == len(stream.fetches.slots)
+            and stream.ends[-1] <= at - self.t0
         ]
         for session in done:   # all have ended before any vacates
             session.state = SessionState.COMPLETED

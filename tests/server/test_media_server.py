@@ -88,6 +88,8 @@ class TestLifecycle:
         assert server.pause(
             PauseRequest(session_id=sid)
         ).state is SessionState.PAUSED
+        # A non-destructive pause keeps the session's slot.
+        assert server.mrs.msm.admission.active_count == 1
         assert server.resume(
             ResumeRequest(session_id=sid)
         ).state is SessionState.PLAYING
@@ -123,6 +125,9 @@ class TestLifecycle:
             server.play(PlayRequest(session_id=sid))  # already PLAYING
         with pytest.raises(ParameterError):
             server.resume(ResumeRequest(session_id=sid))
+        server.pause(PauseRequest(session_id=sid))
+        with pytest.raises(ParameterError):
+            server.pause(PauseRequest(session_id=sid))  # already PAUSED
         with pytest.raises(ParameterError):
             server.status("C9999")
 

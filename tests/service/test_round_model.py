@@ -3,10 +3,11 @@
 ``tests/round_model.py`` states round service plainly and imports
 nothing from ``repro``.  Here ``RoundRobinService`` serves the same
 generated loads — joins at any modeled time (at the start, mid-round or
-inside an idle wait), buffers of 1–5, per-stream k, k schedules that
-vary by round and by load, ``max_rounds`` guards, silence holders and
-zero-length blocks — through a stub drive that charges the model's own
-pure cost of (previous slot, slot), under two configurations:
+inside an idle wait; whole seconds or on the block-duration grid),
+buffers of 1–5, per-stream k, k schedules that vary by round and by
+load, ``max_rounds`` guards, silence holders and zero-length blocks —
+through a stub drive that charges the model's own pure cost of
+(previous slot, slot), under two configurations:
 
 * unobserved;
 * observed with the stock cluster preset the benchmark runs
@@ -92,10 +93,16 @@ blocks = st.lists(
     ),
     max_size=12,
 )
+#: A join: none (from the start), whole seconds, or a point of the
+#: block-duration grid inside a plan's length, where it lands on another
+#: stream's block ends and so inside its idle waits.
+joins = st.one_of(
+    st.none(), st.integers(0, 12), st.integers(0, 24).map(lambda n: n * 0.05)
+)
 streams = st.lists(
     st.tuples(
         blocks, st.integers(1, 5), st.one_of(st.none(), st.integers(1, 4)),
-        st.one_of(st.none(), st.integers(0, 12)),
+        joins,
     ),
     min_size=1, max_size=4,
 )
@@ -283,6 +290,58 @@ def assert_observed(obs, load, expected):
 @given(load=loads, seed=st.integers(0, 3))
 def test_the_loop_serves_what_the_model_states(load, seed):
     assert_matches_model(load, seed)
+
+
+def serve_in_pieces(drive, streams, schedule, max_rounds):
+    """:func:`loop_serve` resumed join by join: each call stops at the
+    next join time and the streams joining then are given to the call
+    that resumes it.  Returns (service, their states, summaries by request
+    id or the error message)."""
+    service, states, by_join = RoundRobinService(drive, schedule), [], {}
+    for stream in streams:
+        states.append(StreamState(
+            stream.request_id,
+            FetchColumns(list(stream.slots), [1.0] * len(stream.slots),
+                         list(stream.durations)),
+            stream.capacity, stream.k_override,
+        ))
+        by_join.setdefault(stream.joins, []).append(states[-1])
+    joins = sorted(join for join in by_join if join is not None)
+    calls = [([], by_join.get(None, []))] + [
+        ([Admission(join, state) for state in by_join[join]], [])
+        for join in joins
+    ]
+    try:
+        for (admissions, initial), until in zip(calls, joins + [None]):
+            result = service.run(initial, admissions, max_rounds, until=until)
+    except ParameterError as error:
+        return service, states, str(error)
+    return service, states, {
+        rid: metrics.summary() for rid, metrics in sorted(result.items())
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(load=loads)
+def test_a_run_resumed_at_each_join_is_the_whole_run(load):
+    """The loop stopped at each join, given the joining streams only
+    when it resumes, serves the load as one run given all of them up
+    front: the same rounds, ``ready`` / ``ends`` columns and metrics, or
+    the same error."""
+    streams, schedule = model_streams(load), k_schedule(load)
+    cost, max_rounds = COSTS[load["cost"]], load["max_rounds"]
+    whole, states, _passes, result = loop_serve(
+        StubDrive(cost), streams, schedule, max_rounds
+    )
+    pieces, piece_states, piece_result = serve_in_pieces(
+        StubDrive(cost), streams, schedule, max_rounds
+    )
+    assert piece_result == result
+    assert pieces.rounds_run == whole.rounds_run
+    for state, piece in zip(states, piece_states):
+        assert (piece.ready, piece.ends, piece.clock_start) == (
+            state.ready, state.ends, state.clock_start
+        ), state.request_id
 
 
 def test_an_idle_gap_takes_no_round():
