@@ -369,7 +369,8 @@ class MultimediaRopeServer:
 
         The media server admits batches, not individual requests: one
         lease per batch holds the slot (or the cache pins) for every
-        member, so the request carries none and STOP releases nothing.  Access and interval checks are those of :meth:`play`.
+        member, so the request carries none and STOP releases nothing.
+        Access and interval checks are those of :meth:`play`.
         """
         request = self._play_request(user, rope_id, start, length, media, admit=False)
         self._requests[request.request_id] = request

@@ -300,8 +300,9 @@ class MediaServer:
         order, each against the sessions live when it arrives (a session
         frees its slot once its last block has played out).  Lifecycle
         verbs (addressed to sessions from this or earlier calls) are
-        applied in arrival order after admission; then every session
-        scheduled for playback is serviced to completion.
+        applied in arrival order after admission (see
+        :meth:`_Epoch.apply`); then every session scheduled for playback
+        is serviced to completion.
         """
         dispatch = {
             PlayRequest: self.play,
@@ -344,17 +345,20 @@ class MediaServer:
                     rejects.append(response)
             if epoch.loop is not None:
                 epoch.hand_over()
-        for _arrival, _index, request in sorted(
-            lifecycle, key=lambda item: (item[0], item[1])
-        ):
-            status = dispatch[type(request)](request)
-            touched.append(status.session_id)
-            if status.state is SessionState.REJECTED:
-                rejects.append(
-                    self._sessions[status.session_id].response(
-                        "re-admission on resume failed"
+        try:
+            for _arrival, _index, request in sorted(lifecycle):
+                status = epoch.apply(dispatch[type(request)], request)
+                touched.append(status.session_id)
+                if status.state is SessionState.REJECTED:
+                    rejects.append(
+                        self._sessions[status.session_id].response(
+                            "re-admission on resume failed"
+                        )
                     )
-                )
+        except ParameterError:
+            if epoch.loop is not None:
+                epoch.finish()   # what the loop holds plays out and lets go
+            raise
         played, rounds, k_used, sequences = epoch.finish()
         touched += played + [response.session_id for response in rejects]
         return ServeResult(
@@ -650,15 +654,21 @@ class _Epoch:
     against the sessions live when it arrives."""
 
     def __init__(self, server: MediaServer, rejects: List[OpenSessionResponse]):
-        self.server, self.rejects = server, rejects
+        self.server = server
+        self.rejects = rejects
         self.loop: Optional[RoundRobinService] = None
-        self.t0, self.reached, self.k, self.k_used = 0.0, float("-inf"), 0, 0
+        self.t0 = 0.0
+        self.reached = float("-inf")
+        self.k = 0
+        self.k_used = 0
         #: Each planned session's plan and earliest play-out end; each one
         #: handed to the loop, in that order, and its stream.
         self.plans: Dict[str, Tuple[FetchColumns, float]] = {}
         self.streams: Dict[str, StreamState] = {}
         self.joining: List[Admission] = []
         self.released: Set[str] = set()
+        #: Each stream a verb took off the loop, and the wake it had then.
+        self.parked: Dict[str, float] = {}
 
     def _playing(self, ids) -> List[_Session]:
         sessions = self.server._sessions
@@ -677,12 +687,13 @@ class _Epoch:
             s.next_fetch == len(s.fetches.slots) for s in self.streams.values()
         )
 
-    def reach(self, at: float) -> None:
+    def reach(self, at: float, verb: bool = False) -> None:
         """Run the loop to the open arriving at *at* (a re-queued one is
-        decided after the last) and release each session played out."""
+        decided after the last) and release each session played out.  For
+        a *verb*, the loop runs to *at* even if none can have played out."""
         self.reached = at = max(at, self.reached)
         live = self._playing(self.server._epoch_queue) + self._playing(self.streams)
-        if all(at < self._plan(session)[1] for session in live):
+        if not verb and all(at < self._plan(session)[1] for session in live):
             return   # no slot can have come free
         self.advance(at)
         done = [
@@ -697,6 +708,34 @@ class _Epoch:
             self.server._vacate(session)
             self.server.mrs.stop(session.request_id)
             self.released.add(session.session_id)
+
+    def apply(self, verb, request) -> SessionStatus:
+        """Apply a lifecycle *verb* to the session *request* names.
+
+        A session the loop is reading is run to the verb's arrival first,
+        and from there the loop reads it only while it is PLAYING: a PAUSE
+        or STOP parks its stream, a RESUME of this call un-parks it.  A
+        session played out by then is completed: it takes a STOP, and any
+        other verb is answered with its status.
+        """
+        sid = request.session_id
+        stream = self.streams.get(sid)
+        if stream is None:
+            return verb(request)
+        if sid not in self.released and sid not in self.parked:
+            self.reach(request.arrival, verb=True)
+        if sid in self.released and not isinstance(request, StopRequest):
+            return self.server._sessions[sid].status()
+        status = verb(request)
+        if sid in self.released:
+            return status
+        if status.state is not SessionState.PLAYING:
+            self.parked.setdefault(sid, stream._wake)
+            stream._wake = float("inf")   # no round reads it from here
+        elif sid in self.parked:
+            stream._wake = self.parked.pop(sid)
+            self.server._dequeue(self.server._sessions[sid])   # the loop holds it
+        return status
 
     def hand_over(self) -> None:
         """The sessions scheduled to play join the loop at their arrivals:
@@ -749,20 +788,28 @@ class _Epoch:
     def finish(self) -> Tuple[List[str], int, int, Dict]:
         """Serve every session to completion; returns who played, the
         rounds run, the largest k run and each session's slots."""
+        for sid in self.parked:   # not resumed: the loop reads no more of it
+            stream = self.streams[sid]
+            stream.next_fetch = len(stream.fetches.slots)
         metrics = self.advance()
         if metrics is None:
             return [], 0, 0, {}
-        server, rec = self.server, self.server._rec
-        # One a verb of this call paused or stopped keeps that state.
-        played = [
-            s for s in map(server._sessions.get, self.streams)
-            if s.session_id in self.released or s.state is SessionState.PLAYING
-        ]
-        for session in played:
+        server = self.server
+        rec = server._rec
+        sessions = [server._sessions[sid] for sid in self.streams]
+        for session in sessions:   # what each was delivered, however it ended
             scored = metrics[session.request_id]
             session.blocks_delivered = scored.blocks_delivered
-            session.misses, session.skips = scored.misses, scored.skips
+            session.misses = scored.misses
+            session.skips = scored.skips
             session.startup_latency = scored.startup_latency
+        # One a verb of this call paused or stopped keeps that state, and
+        # one the loop released is completed already.
+        played = [
+            session for session in sessions
+            if session.state in (SessionState.PLAYING, SessionState.COMPLETED)
+        ]
+        for session in played:
             session.state = SessionState.COMPLETED
         # Every member that played has ended before any of them vacates:
         # a lease outlives them only for a member that has yet to play.

@@ -101,7 +101,8 @@ class StreamState:
     #: When the display buffer next frees a slot (the end of the next
     #: block to finish playing), stored when a turn fills it: only
     #: consumption frees room, so the loop skips the stream until then
-    #: and idles to the earliest of these.
+    #: and idles to the earliest of these.  An infinite wake parks the
+    #: stream: no round reads it (a paused media-server session's).
     _wake: float = field(default=0.0, init=False, repr=False)
     #: Blocks on board when the playback clock started (the anti-jitter
     #: read-ahead): the buffer high-water counts the ones landing after.

@@ -11,7 +11,8 @@ no cache and with one, and item 1(b)'s time invariants must hold:
   sessions are live at its arrival, never with fewer.
 
 The directed cases pin when the loop runs, when a session leaves its
-lease and when a joiner waits for a larger k.  Each reads the streams
+lease and when a joiner waits for a larger k, and what a lifecycle verb
+does to a session the loop has already taken.  Each reads the streams
 the server built (``PlaybackSession.stream``); the loop's clock starts
 at the first arrival, 0.0 here, so its times and the arrivals agree.
 """
@@ -22,7 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Media, OpenSessionRequest, RejectReason, SessionState
+from repro.api import (
+    Media,
+    OpenSessionRequest,
+    PauseRequest,
+    PlayRequest,
+    RejectReason,
+    ResumeRequest,
+    SessionState,
+    StopRequest,
+)
+from repro.errors import ParameterError
+from repro.obs import Observability
+from repro.obs.recorder import ServiceRecorder
 from repro.scenarios.server import record_strands
 from repro.server import build_media_server
 from repro.service import PlaybackSession, RoundRobinService
@@ -180,3 +193,116 @@ def test_a_joiner_that_needs_a_larger_k_waits_for_the_running_streams():
     fetched = streams[running.request_id].ready[-1]
     assert streams[joiner.request_id].ready[0] >= fetched
     assert joiner.startup_latency >= fetched - 2.0
+
+
+def serve_two_apart(*verbs):
+    """Two 1-s sessions opened 2 s apart on an observed cacheless server,
+    then *verbs*: the first has played out when the second arrives, so
+    the loop has run to 2.0 and holds both before any verb is applied.
+    Returns the server, each session's status and stream by session id,
+    how many times each request was closed and how many blocks the serve
+    read; no session is left waiting to play."""
+    server = build_media_server(Observability(), cache_blocks=0, batch_window=0.0)
+    rope = record_strands(server.mrs, 1, 1.0, CLIENTS, "t")[0]
+    closed = {}
+    close = ServiceRecorder.request_closed
+    stats = server.mrs.msm.drive.stats
+    before = stats.reads
+
+    def counted(self, request_id, *args, **kwargs):
+        closed[request_id] = closed.get(request_id, 0) + 1
+        return close(self, request_id, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ServiceRecorder, "request_closed", counted)
+        result, streams, _ = serve_watched(
+            server, opens([rope], [0.0, 2.0], [0, 0]) + list(verbs)
+        )
+    statuses = {status.session_id: status for status in result.statuses}
+    by_session = {
+        sid: streams[status.request_id] for sid, status in statuses.items()
+    }
+    assert not server._epoch_queue
+    return server, statuses, by_session, closed, stats.reads - before
+
+
+def read(stream):
+    return len(stream.ready)
+
+
+def test_a_verb_to_a_session_played_out_finds_it_completed():
+    """The loop released C0001 at 2.0, so a PAUSE at 2.5 finds it played
+    out and changes nothing, and C0002 is still served once.  A STOP of
+    it stops it as any completed session: STOPPED, closed once."""
+    server, statuses, streams, closed, reads = serve_two_apart(
+        PauseRequest("C0001", 2.5)
+    )
+    assert reads == 16
+    assert server.mrs.msm.admission.active_count == 0
+    for sid in ("C0001", "C0002"):
+        assert statuses[sid].state is SessionState.COMPLETED
+        assert statuses[sid].blocks_delivered == read(streams[sid]) == 8
+    assert set(closed.values()) == {1}
+    server, statuses, streams, closed, reads = serve_two_apart(
+        StopRequest("C0001", 2.5)
+    )
+    assert reads == 16
+    assert server.mrs.msm.admission.active_count == 0
+    assert statuses["C0001"].state is SessionState.STOPPED
+    assert statuses["C0002"].state is SessionState.COMPLETED
+    assert [read(streams[sid]) for sid in ("C0001", "C0002")] == [8, 8]
+    assert set(closed.values()) == {1}
+
+
+@pytest.mark.parametrize("destructive", [False, True])
+def test_a_pause_and_resume_of_a_session_the_loop_reads_plays_it_once(
+    destructive,
+):
+    """The loop is run to the PAUSE and reads no more of C0002 until the
+    RESUME gives it back (a destructive one wins its slot back first); it
+    is read once, start to end, on the one stream, and plays on."""
+    server, statuses, streams, closed, reads = serve_two_apart(
+        PauseRequest("C0002", 2.5, destructive=destructive),
+        ResumeRequest("C0002", 2.6),
+    )
+    assert reads == 16
+    assert server.mrs.msm.admission.active_count == 0
+    stream = streams["C0002"]
+    assert read(stream) == len(stream.fetches.slots)
+    status = statuses["C0002"]
+    assert status.state is SessionState.COMPLETED
+    assert status.blocks_delivered == 8 and status.misses == 0
+    assert set(closed.values()) == {1}
+
+
+@pytest.mark.parametrize("verb", [StopRequest, PauseRequest])
+def test_a_stop_or_pause_ends_the_reads_of_a_session_at_its_arrival(verb):
+    """C0002 joins the loop at 2.0 and a STOP or PAUSE arrives at 2.5.  The
+    loop reads it up to then and no further: every block it read landed
+    before 2.5, it has blocks left unread and reports what it was
+    delivered.  A STOP gives back its slot; a PAUSE holds it."""
+    server, statuses, streams, _, reads = serve_two_apart(verb("C0002", 2.5))
+    stream, status = streams["C0002"], statuses["C0002"]
+    assert 0 < read(stream) < len(stream.fetches.slots)
+    assert reads == 8 + read(stream)
+    assert stream.ready[-1] < 2.5
+    assert status.blocks_delivered == read(stream)
+    assert status.state is (
+        SessionState.STOPPED if verb is StopRequest else SessionState.PAUSED
+    )
+    held = server.mrs.msm.admission.active_count
+    assert held == (verb is PauseRequest)
+
+
+def test_a_verb_the_session_cannot_take_still_serves_what_the_loop_holds():
+    """A PLAY of a session already playing is refused as ever, but after
+    the loop has taken C0002: the loop plays it out before the error
+    propagates, so no session is left holding a slot with nothing to
+    play it."""
+    server, rope = one_rope_server()
+    requests = opens([rope], [0.0, 2.0], [0, 0]) + [PlayRequest("C0002", 2.5)]
+    with pytest.raises(ParameterError, match="cannot play"):
+        server.serve(requests)
+    assert server.status("C0002").state is SessionState.COMPLETED
+    assert server.status("C0002").blocks_delivered == 8
+    assert server.mrs.msm.admission.active_count == 0
