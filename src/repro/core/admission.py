@@ -334,11 +334,6 @@ class TransitionPlan:
     k_new: int
     steps: Tuple[int, ...]
 
-    @property
-    def rounds_required(self) -> int:
-        """Rounds spent in transition before steady state resumes."""
-        return len(self.steps)
-
 
 def _plan_transition(k_old: int, k_new: int) -> TransitionPlan:
     if k_new > k_old:

@@ -52,16 +52,12 @@ class CacheStats:
     pin_failures: int = 0
 
     @property
-    def accesses(self) -> int:
-        """Total lookups."""
-        return self.hits + self.misses
-
-    @property
     def hit_ratio(self) -> float:
         """Fraction of lookups served from residency."""
-        if not self.accesses:
+        lookups = self.hits + self.misses
+        if not lookups:
             return 0.0
-        return self.hits / self.accesses
+        return self.hits / lookups
 
     def as_dict(self) -> Dict[str, int]:
         """JSON-ready counter mapping."""

@@ -45,27 +45,9 @@ class DriveStats:
     degraded_reads: int = 0
 
     @property
-    def operations(self) -> int:
-        """Total read + write operations."""
-        return self.reads + self.writes
-
-    @property
     def busy_time(self) -> float:
         """Total time the mechanism was occupied."""
         return self.seek_time + self.rotation_time + self.transfer_time
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.reads = 0
-        self.writes = 0
-        self.sectors_transferred = 0
-        self.seek_time = 0.0
-        self.rotation_time = 0.0
-        self.transfer_time = 0.0
-        self.seek_distance = 0
-        self.faults_injected = 0
-        self.retries = 0
-        self.degraded_reads = 0
 
 
 class SimulatedDrive:

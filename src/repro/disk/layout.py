@@ -95,20 +95,11 @@ class Placement:
         return max(self.gaps, default=0.0)
 
     @property
-    def min_gap(self) -> float:
-        """Smallest inter-block positioning delay (0 for 1-block strands)."""
-        return min(self.gaps, default=0.0)
-
-    @property
     def mean_gap(self) -> float:
         """Average inter-block positioning delay (0 for 1-block strands)."""
         if not self.gaps:
             return 0.0
         return sum(self.gaps) / len(self.gaps)
-
-    def within(self, lower: float, upper: float) -> bool:
-        """True when every gap lies in ``[lower, upper]``."""
-        return all(lower <= gap <= upper for gap in self.gaps)
 
 
 class StrandPlacer:

@@ -38,11 +38,6 @@ class ReorganizationReport:
     blocks_moved: int
     trial_blocks: int
 
-    @property
-    def moved_anything(self) -> bool:
-        """True when at least one block changed position."""
-        return self.blocks_moved > 0
-
 
 class Reorganizer:
     """Migrates strands to restore scattering-feasible free space."""

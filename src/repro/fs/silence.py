@@ -49,16 +49,6 @@ class AudioBlockPlan:
         """Total block periods, silent or stored."""
         return len(self.payloads)
 
-    @property
-    def stored_count(self) -> int:
-        """Blocks that will occupy disk space."""
-        return sum(1 for p in self.payloads if p is not None)
-
-    @property
-    def silent_count(self) -> int:
-        """Blocks replaced by NULL delay holders."""
-        return self.block_count - self.stored_count
-
     def samples_in_block(self, block_number: int) -> int:
         """Samples covered by a given block period."""
         if not 0 <= block_number < self.block_count:

@@ -184,7 +184,7 @@ class TestAdmissionController:
             assert plan.steps == tuple(
                 range(plan.k_old + 1, plan.k_new + 1)
             )
-            assert plan.rounds_required == plan.k_new - plan.k_old
+            assert len(plan.steps) == plan.k_new - plan.k_old
 
     def test_release_shrinks_k(self, descriptor, disk):
         controller = adm.AdmissionController(disk)

@@ -80,7 +80,7 @@ class TestGeneralController:
         second = controller.admit(video)
         plan = second.transition
         assert (plan.k_old, plan.k_new) == (first.k, controller.current_k)
-        assert plan.rounds_required == max(0, plan.k_new - plan.k_old)
+        assert len(plan.steps) == max(0, plan.k_new - plan.k_old)
         k_after = controller.k_for(second.request_id)
         assert k_after >= 1
 

@@ -44,8 +44,8 @@ class TestPlacement:
 
     def test_gap_statistics(self, placer):
         placement = placer.place(30)
-        assert placement.min_gap <= placement.mean_gap <= placement.max_gap
-        assert placement.within(placement.min_gap, placement.max_gap)
+        gaps = placement.gaps
+        assert min(gaps) <= placement.mean_gap <= placement.max_gap == max(gaps)
 
     def test_single_block_placement(self, placer):
         placement = placer.place(1)

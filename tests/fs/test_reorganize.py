@@ -49,7 +49,7 @@ class TestMakeRoom:
         report = Reorganizer(msm).make_room(20)
         assert report.success
         assert report.strands_migrated == 0
-        assert not report.moved_anything
+        assert report.blocks_moved == 0
 
     def test_reorganization_restores_feasibility(self, msm, drive, clip):
         survivors = fragment(msm, clip)

@@ -15,24 +15,27 @@ def stream():
     return TESTBED_1991.audio
 
 
+def stored(plan):
+    """Blocks that occupy disk space: the rest are NULL delay holders."""
+    return sum(payload is not None for payload in plan.payloads)
+
+
 class TestPlanning:
     def test_all_speech_stores_everything(self, stream):
         chunks = [AudioChunk(start_sample=0, count=1000, energy=0.6)]
         plan = plan_audio_blocks(stream, chunks, 100, SilenceDetector())
         assert plan.block_count == 10
-        assert plan.stored_count == 10
-        assert plan.silent_count == 0
+        assert stored(plan) == 10
 
     def test_all_silence_stores_nothing(self, stream):
         chunks = [AudioChunk(start_sample=0, count=1000, energy=0.01)]
         plan = plan_audio_blocks(stream, chunks, 100, SilenceDetector())
-        assert plan.stored_count == 0
-        assert plan.silent_count == 10
+        assert plan.block_count == 10 and stored(plan) == 0
 
     def test_detector_none_disables_elimination(self, stream):
         chunks = [AudioChunk(start_sample=0, count=1000, energy=0.01)]
         plan = plan_audio_blocks(stream, chunks, 100, detector=None)
-        assert plan.stored_count == 10
+        assert stored(plan) == 10
 
     def test_mixed_speech_silence(self, stream):
         chunks = [
@@ -40,8 +43,7 @@ class TestPlanning:
             AudioChunk(start_sample=500, count=500, energy=0.01),
         ]
         plan = plan_audio_blocks(stream, chunks, 100, SilenceDetector())
-        assert plan.stored_count == 5
-        assert plan.silent_count == 5
+        assert plan.block_count == 10 and stored(plan) == 5
         # Stored payloads carry the correct sample ranges.
         first = plan.payloads[0]
         assert first.start_sample == 0
@@ -85,5 +87,5 @@ class TestStatisticalBehaviour:
             rng = random.Random(99)
             chunks = generate_talk_spurts(stream, 120.0, ratio, rng)
             plan = plan_audio_blocks(stream, chunks, 2048, SilenceDetector())
-            fractions.append(plan.silent_count / plan.block_count)
+            fractions.append(1 - stored(plan) / plan.block_count)
         assert fractions[0] < fractions[1] < fractions[2]

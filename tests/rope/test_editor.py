@@ -20,7 +20,7 @@ def session(mrs, profile):
 
 class TestNaming:
     def test_open_and_lookup(self, session):
-        assert sorted(session._names) == ["clip", "main"]
+        assert session.rope("clip").duration == pytest.approx(8.0)
         assert session.rope("main").duration == pytest.approx(20.0)
 
     def test_unknown_name(self, session):

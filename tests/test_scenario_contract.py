@@ -119,7 +119,7 @@ def check_profile_is_a_view_of_the_stats(obs, stack):
     for node_id, drive, cached in _mechanisms(stack):
         stats, rows = drive.stats, {}
         if drive.charged_accesses:
-            assert drive.charged_accesses >= stats.operations > 0
+            assert drive.charged_accesses >= stats.reads + stats.writes > 0
             rows["seek"] = {
                 "ops": drive.charged_accesses,
                 "cost_s": stats.seek_time + stats.rotation_time,
@@ -127,10 +127,11 @@ def check_profile_is_a_view_of_the_stats(obs, stack):
             rows["transfer"] = {
                 "ops": drive.charged_accesses, "cost_s": stats.transfer_time,
             }
-        if cached is not None and cached.cache.stats.accesses:
+        cache = None if cached is None else cached.cache.stats
+        if cache is not None and cache.hits + cache.misses:
             rows["cache_lookup"] = {
-                "ops": cached.cache.stats.accesses,
-                "cost_s": cached.cache.stats.hits * cached.hit_time,
+                "ops": cache.hits + cache.misses,
+                "cost_s": cache.hits * cached.hit_time,
             }
         if rows:
             per_drive[drive.profile_label] = rows

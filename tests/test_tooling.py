@@ -1155,6 +1155,15 @@ class TestRetiredNames:
         "repro.service.besteffort.TextRequest.remaining",
         "repro.rope.intervals.Segment.correspondence",
         "repro.rope.editor.EditingSession.names",
+        "repro.disk.drive.DriveStats.operations",
+        "repro.disk.drive.DriveStats.reset",
+        "repro.core.admission.TransitionPlan.rounds_required",
+        "repro.fs.silence.AudioBlockPlan.stored_count",
+        "repro.fs.silence.AudioBlockPlan.silent_count",
+        "repro.fs.reorganize.ReorganizationReport.moved_anything",
+        "repro.disk.cache.CacheStats.accesses",
+        "repro.disk.layout.Placement.min_gap",
+        "repro.disk.layout.Placement.within",
     ]
     #: Retired instance attributes, which no import can resolve.
     RETIRED_ATTRIBUTES = re.compile(
@@ -1346,11 +1355,11 @@ class TestReferencesAreNotSubclasses:
 
 
 class TestSourceSize:
-    #: `src/` physical lines, as measured, after the loop's joins became
-    #: times and the counted round left (20,604 before).  ROADMAP aim 2:
-    #: the count trends *down* — lower this when a PR deletes code, never
-    #: raise it to make room.
-    SRC_LINE_CEILING = 20590
+    #: `src/` physical lines, as measured, once opens were decided against
+    #: the live set and a census retired eighteen names only tests read
+    #: (20,590 before).  ROADMAP aim 2: the count trends *down* — lower
+    #: this when a PR deletes code, never raise it to make room.
+    SRC_LINE_CEILING = 20588
     #: `src/repro/obs/` alone, measured when the sim event log left
     #: (2,838 before): the largest package in `src/`, pinned on its own.
     OBS_LINE_CEILING = 2737
