@@ -440,8 +440,8 @@ MUTANTS = [
            "test_a_run_resumed_at_each_join_is_the_whole_run"),
     Mutant(LIVE_SET, "the loop runs to an open only after a session could "
            "have played out, not at that moment", SERVER,
-           "if all(at < self._plan(session)[1] for session in live):",
-           "if all(at <= self._plan(session)[1] for session in live):",
+           "verb and all(at < self._plan(session)[1] for session in live):",
+           "verb and all(at <= self._plan(session)[1] for session in live):",
            LIVE + "test_the_loop_runs_to_an_open_once_a_session_could_have_"
            "played_out"),
     Mutant(LIVE_SET, "a session played out exactly at an arrival stays live",
@@ -454,6 +454,23 @@ MUTANTS = [
            "if not queue:",
            LIVE + "test_a_joiner_that_needs_a_larger_k_waits_for_the_running_"
            "streams"),
+    Mutant(LIVE_SET, "a verb is applied where the loop stands, not at its "
+           "arrival", SERVER, "self.reach(request.arrival, verb=True)", "pass",
+           LIVE + "test_a_stop_or_pause_ends_the_reads_of_a_session_at_its_"
+           "arrival"),
+    Mutant(LIVE_SET, "a PAUSE or STOP leaves the loop reading the stream",
+           SERVER, "stream._wake = float(\"inf\")", "pass",
+           LIVE + "test_a_parked_stream_is_not_read_while_a_later_verb_runs_"
+           "the_loop"),
+    Mutant(LIVE_SET, "a RESUME leaves the stream parked", SERVER,
+           "stream._wake = self.parked.pop(sid)", "pass",
+           LIVE + "test_a_pause_and_resume_of_a_session_the_loop_reads_plays_"
+           "it_once"),
+    Mutant(LIVE_SET, "a verb to a played-out session is applied as to a live "
+           "one", SERVER,
+           "if sid in self.released and not isinstance(request, StopRequest):",
+           "if False:",
+           LIVE + "test_a_verb_to_a_session_played_out_finds_it_completed"),
 ]
 
 

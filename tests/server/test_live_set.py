@@ -306,3 +306,24 @@ def test_a_verb_the_session_cannot_take_still_serves_what_the_loop_holds():
     assert server.status("C0002").state is SessionState.COMPLETED
     assert server.status("C0002").blocks_delivered == 8
     assert server.mrs.msm.admission.active_count == 0
+
+
+def test_a_parked_stream_is_not_read_while_a_later_verb_runs_the_loop():
+    """C0002 and C0003 open the title together at 2.0 and are admitted on
+    the cache C0001 filled.  A PAUSE of C0002 at 2.3 parks its stream, and
+    a STOP of C0003 at 2.6 runs the loop on to 2.6: it reads C0003 past
+    2.3 but no more of C0002."""
+    server = build_media_server(cache_blocks=64, batch_window=0.25)
+    rope = record_strands(server.mrs, 1, 1.0, CLIENTS, "t")[0]
+    requests = opens([rope], [0.0, 2.0, 2.0], [0, 0, 0]) + [
+        PauseRequest("C0002", 2.3), StopRequest("C0003", 2.6),
+    ]
+    result, streams, untils = serve_watched(server, requests)
+    assert untils == [2.0, 2.3, 2.6, None]
+    _, paused, stopped = sorted(
+        result.statuses, key=lambda status: status.session_id
+    )
+    assert paused.state is SessionState.PAUSED
+    assert stopped.state is SessionState.STOPPED
+    assert streams[paused.request_id].ready[-1] < 2.3
+    assert 2.3 <= streams[stopped.request_id].ready[-1] < 2.6
