@@ -105,11 +105,6 @@ class SeamRepairBound:
     from_successor: int
     dense: bool
 
-    @property
-    def copies(self) -> int:
-        """The binding bound: min(C_a, C_b)."""
-        return min(self.from_predecessor, self.from_successor)
-
 
 def seam_repair_bound(
     disk: DiskParameters,

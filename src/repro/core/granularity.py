@@ -88,11 +88,6 @@ class PlacementPolicy:
                 "budget and the continuity requirement are incompatible"
             )
 
-    @property
-    def scattering_window(self) -> float:
-        """Width of the allowed scattering interval, seconds."""
-        return self.scattering_upper - self.scattering_lower
-
     def admits(self, gap: float) -> bool:
         """True when an inter-block gap satisfies this policy."""
         return self.scattering_lower <= gap <= self.scattering_upper

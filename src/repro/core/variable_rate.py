@@ -79,11 +79,6 @@ class BlockSizeProfile:
         if self.granularity < 1 or self.group_blocks < 1:
             raise ParameterError("granularity and group_blocks must be >= 1")
 
-    @property
-    def variability(self) -> float:
-        """max/mean ratio — 1.0 for constant-rate streams."""
-        return self.max_bits / self.mean_bits
-
 
 def block_size_profile(
     stream: VideoStream, codec: Codec, granularity: int

@@ -85,11 +85,6 @@ class Placement:
             )
 
     @property
-    def block_count(self) -> int:
-        """Number of blocks placed."""
-        return len(self.slots)
-
-    @property
     def max_gap(self) -> float:
         """Largest inter-block positioning delay (0 for 1-block strands)."""
         return max(self.gaps, default=0.0)

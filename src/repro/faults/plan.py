@@ -108,10 +108,6 @@ class FaultPlan:
             seed=self.seed,
         )
 
-    def count(self, kind: FaultKind) -> int:
-        """Number of scheduled faults of one kind."""
-        return sum(1 for s in self.specs if s.kind is kind)
-
     @classmethod
     def random(
         cls,

@@ -75,12 +75,11 @@ class TestSeamRepairBound:
         assert bound.from_successor == eb.copy_bound_sparse(
             disk.seek_max, 0.004
         )
-        assert bound.copies == min(
-            bound.from_predecessor, bound.from_successor
-        )
         assert not bound.dense
 
     def test_dense_flag_set(self, disk):
         bound = eb.seam_repair_bound(disk, 0.005, 0.005, occupancy=0.9)
         assert bound.dense
-        assert bound.copies == eb.copy_bound_dense(disk.seek_max, 0.005)
+        assert bound.from_predecessor == bound.from_successor == (
+            eb.copy_bound_dense(disk.seek_max, 0.005)
+        )

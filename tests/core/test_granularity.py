@@ -89,9 +89,6 @@ class TestDerivePolicy:
         assert policy.admits(policy.scattering_lower)
         assert policy.admits(policy.scattering_upper)
         assert not policy.admits(policy.scattering_upper * 1.01)
-        assert policy.scattering_window == pytest.approx(
-            policy.scattering_upper - policy.scattering_lower
-        )
 
     def test_explicit_granularity_respected(self, block, disk, device):
         policy = gran.derive_policy(block, disk, device, granularity=2)

@@ -30,7 +30,7 @@ class TestBlockSizeProfile:
     def test_fixed_rate_has_no_variability(self, stream, disk):
         profile = vr.block_size_profile(stream, FixedRateCodec(1.0), 4)
         assert profile.min_bits == profile.mean_bits == profile.max_bits
-        assert profile.variability == pytest.approx(1.0)
+        assert profile.max_bits / profile.mean_bits == pytest.approx(1.0)
 
     def test_differencing_varies(self, stream, codec):
         profile = vr.block_size_profile(stream, codec, 1)

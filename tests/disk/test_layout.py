@@ -36,7 +36,7 @@ def placer(drive, freemap):
 class TestPlacement:
     def test_measured_gaps_match_drive(self, drive, placer):
         placement = placer.place(30)
-        assert placement.block_count == 30
+        assert len(placement.slots) == 30
         for (a, b), gap in zip(
             zip(placement.slots, placement.slots[1:]), placement.gaps
         ):

@@ -1164,6 +1164,13 @@ class TestRetiredNames:
         "repro.disk.cache.CacheStats.accesses",
         "repro.disk.layout.Placement.min_gap",
         "repro.disk.layout.Placement.within",
+        # A census paying for one plan per shared read: more second
+        # names of what the fields give, and a count nothing called.
+        "repro.faults.plan.FaultPlan.count",
+        "repro.core.variable_rate.BlockSizeProfile.variability",
+        "repro.disk.layout.Placement.block_count",
+        "repro.core.granularity.PlacementPolicy.scattering_window",
+        "repro.core.editing_bounds.SeamRepairBound.copies",
     ]
     #: Retired instance attributes, which no import can resolve.
     RETIRED_ATTRIBUTES = re.compile(
