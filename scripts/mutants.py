@@ -56,6 +56,7 @@ CHECKPOINTS = (
     "test_a_checkpoint_samples_exactly_the_summary_totals"
 )
 LIVE = "tests/server/test_live_set.py::"
+PLANS = "tests/server/test_media_server.py::TestPlansOnlyWhereADecisionReadsOne::"
 SCORES = (
     "tests/service/test_scoring_reference.py::TestScorerMatchesPerBlockScoring::"
     "test_generated_delivery_traces"
@@ -82,6 +83,7 @@ WARM = "warm by state"
 ONE_JOIN = "one join, one kind of round"
 PER_CALL = "the write path pays per call"
 LIVE_SET = "one live set"
+ONE_PLAN = "one plan per shared read"
 
 
 class Mutant(NamedTuple):
@@ -471,6 +473,40 @@ MUTANTS = [
            "if sid in self.released and not isinstance(request, StopRequest):",
            "if False:",
            LIVE + "test_a_verb_to_a_session_played_out_finds_it_completed"),
+    Mutant(ONE_PLAN, "the plan key drops the interval's start", SERVER,
+           "key = (request.rope_id, request.start, request.length, request.media)",
+           "key = (request.rope_id, request.length, request.media)",
+           PLANS + "test_two_intervals_of_one_rope_are_two_plans"),
+    Mutant(ONE_PLAN, "the plan key drops the media", SERVER,
+           "key = (request.rope_id, request.start, request.length, request.media)",
+           "key = (request.rope_id, request.start, request.length)",
+           PLANS + "test_two_media_of_one_rope_are_two_plans"),
+    Mutant(ONE_PLAN, "the plan table survives across serve calls", SERVER,
+           "        self._plans = {}\n"
+           "        try:\n"
+           "            return self._serve(requests)\n"
+           "        finally:\n"
+           "            self._plans = None   # an edit between two calls is "
+           "re-planned\n",
+           "        if self._plans is None:\n"
+           "            self._plans = {}\n"
+           "        return self._serve(requests)\n",
+           PLANS + "test_a_rope_edited_between_two_serves_is_planned_again"),
+    Mutant(ONE_PLAN, "the plan table outlives a serve that raised", SERVER,
+           "        try:\n"
+           "            return self._serve(requests)\n"
+           "        finally:\n"
+           "            self._plans = None   # an edit between two calls is "
+           "re-planned\n",
+           "        result = self._serve(requests)\n"
+           "        self._plans = None\n"
+           "        return result\n",
+           PLANS + "test_a_rope_edited_between_two_serves_is_planned_again"),
+    Mutant(ONE_PLAN, "a verb to a session refused before lists it again",
+           SERVER, "if resumed and status.state is SessionState.REJECTED:",
+           "if status.state is SessionState.REJECTED:",
+           "tests/server/test_media_server.py::TestTypedRejects::"
+           "test_a_stop_of_a_session_refused_in_the_same_serve_is_listed_once"),
 ]
 
 

@@ -202,6 +202,8 @@ class MediaServer:
         self._sessions: Dict[str, _Session] = {}
         self._session_ids = itertools.count(1)
         self._epoch_queue: List[str] = []
+        #: The current ``serve`` call's plans (None outside one).
+        self._plans: Optional[Dict[tuple, FetchColumns]] = None
 
     # -- public API: lifecycle verbs --------------------------------------------
 
@@ -302,8 +304,16 @@ class MediaServer:
         verbs (addressed to sessions from this or earlier calls) are
         applied in arrival order after admission (see
         :meth:`_Epoch.apply`); then every session scheduled for playback
-        is serviced to completion.
+        is serviced to completion.  Each (rope, interval, media) is
+        planned once in the call, and planned again in the next.
         """
+        self._plans = {}
+        try:
+            return self._serve(requests)
+        finally:
+            self._plans = None   # an edit between two calls is re-planned
+
+    def _serve(self, requests: Sequence) -> ServeResult:
         dispatch = {
             PlayRequest: self.play,
             PauseRequest: self.pause,
@@ -349,7 +359,8 @@ class MediaServer:
             for _arrival, _index, request in sorted(lifecycle):
                 status = epoch.apply(dispatch[type(request)], request)
                 touched.append(status.session_id)
-                if status.state is SessionState.REJECTED:
+                resumed = isinstance(request, ResumeRequest)   # only a RESUME refuses
+                if resumed and status.state is SessionState.REJECTED:
                     rejects.append(
                         self._sessions[status.session_id].response(
                             "re-admission on resume failed"
@@ -543,6 +554,16 @@ class MediaServer:
             sid for sid in self._epoch_queue if sid != session.session_id
         ]
 
+    def _fetches(self, request_id: str) -> FetchColumns:
+        """*request_id*'s fetch sequence: in a ``serve`` call, which edits
+        no rope, the one plan of its (rope, interval, media)."""
+        plans = {} if self._plans is None else self._plans
+        request = self.mrs.get_request(request_id)
+        key = (request.rope_id, request.start, request.length, request.media)
+        if key not in plans:
+            plans[key] = self.playback.fetch_sequence(request_id)
+        return plans[key]
+
     def _acquire(
         self, request_id: str, now: float, path: str, probe: bool
     ) -> _Lease:
@@ -556,7 +577,7 @@ class MediaServer:
         rec = self._rec
         request = self.mrs.get_request(request_id)
         if probe:
-            planned = self.playback.fetch_sequence(request_id)
+            planned = self._fetches(request_id)
             slots = tuple(sorted(set(planned.slots) - {None}))
             if (
                 self.cache.resident_fraction(slots) >= 1.0
@@ -676,7 +697,7 @@ class _Epoch:
 
     def _plan(self, session: _Session) -> Tuple[FetchColumns, float]:
         if session.session_id not in self.plans:
-            fetches = self.server.playback.fetch_sequence(session.request_id)
+            fetches = self.server._fetches(session.request_id)
             end = session.arrival + sum(fetches.durations)
             self.plans[session.session_id] = fetches, end
         return self.plans[session.session_id]

@@ -138,6 +138,17 @@ class TestTypedRejects:
         assert not response.accepted
         assert response.reject is RejectReason.UNKNOWN_ROPE
 
+    def test_a_stop_of_a_session_refused_in_the_same_serve_is_listed_once(
+        self, server
+    ):
+        """Regression: the verb loop listed every REJECTED status it got
+        back, so a STOP of an open refused in the same call listed it
+        again, as a RESUME refused re-admission."""
+        result = server.serve([_open("R9999"), StopRequest("C0001", 1.0)])
+        assert [(r.session_id, r.reject, r.detail) for r in result.rejects] == [
+            ("C0001", RejectReason.UNKNOWN_ROPE, "no rope 'R9999'")
+        ]
+
     def test_access_denied(self, server):
         rope_id = _rope(server)
         response = server.open(_open(rope_id, client="stranger"))
@@ -751,23 +762,28 @@ class TestOneAdmissionDoor:
 
 
 class TestPlansOnlyWhereADecisionReadsOne:
+    """A ``serve`` call plans each (rope, interval, media) once, however
+    many of its sessions read it, and plans it again in the next call."""
+
     @pytest.fixture
     def plan_calls(self, monkeypatch):
+        """The (rope, start, length, media) of each playback plan built."""
         from repro.rope import MultimediaRopeServer
 
         calls = []
         real = MultimediaRopeServer.playback_plan
 
         def spy(mrs, request_id):
-            calls.append(request_id)
+            request = mrs.get_request(request_id)
+            calls.append(
+                (request.rope_id, request.start, request.length, request.media)
+            )
             return real(mrs, request_id)
 
         monkeypatch.setattr(MultimediaRopeServer, "playback_plan", spy)
         return calls
 
-    def test_without_a_cache_serve_plans_once_per_served_session(
-        self, plan_calls
-    ):
+    def test_without_a_cache_serve_plans_each_interval_once(self, plan_calls):
         server = build_media_server(cache_blocks=0)
         rope_id = _rope(server, seconds=2.0)
         result = server.serve([
@@ -775,8 +791,81 @@ class TestPlansOnlyWhereADecisionReadsOne:
         ])
         assert 0 < result.admitted < 6
         assert result.continuous_sessions == result.admitted
-        assert len(plan_calls) == result.admitted
-        assert len(set(plan_calls)) == result.admitted
+        assert len(plan_calls) == 1
+        assert len(set(result.block_sequences.values())) == 1
+
+    def test_two_intervals_of_one_rope_are_two_plans(self, plan_calls):
+        server = build_media_server(cache_blocks=0)
+        rope_id = _rope(server, seconds=2.0)
+        result = server.serve([
+            _open(rope_id, client="client-0", length=1.0),
+            _open(rope_id, client="client-1", start=1.0, length=1.0),
+            _open(rope_id, client="client-2", length=1.0),
+        ])
+        assert result.admitted == result.continuous_sessions == 3
+        assert len(plan_calls) == len(set(plan_calls)) == 2
+        first, second, again = (
+            result.block_sequences[sid] for sid in ("C0001", "C0002", "C0003")
+        )
+        # 15 blocks; block 7 straddles the 1-s mark, so both plans hold it.
+        assert len(first) == len(second) == 8 and first[7:] == second[:1]
+        assert again == first != second
+
+    def test_two_media_of_one_rope_are_two_plans(self, plan_calls):
+        import random
+
+        from repro.config import TESTBED_1991
+        from repro.media.audio import generate_talk_spurts
+        from repro.media.frames import frames_for_duration
+
+        server = build_media_server(cache_blocks=0)
+        frames = frames_for_duration(TESTBED_1991.video, 2.0, source="t")
+        chunks = generate_talk_spurts(
+            TESTBED_1991.audio, 2.0, 0.35, random.Random(7)
+        )
+        recording, rope_id = server.mrs.record(
+            "librarian", frames=frames, chunks=chunks, play_access=CLIENTS
+        )
+        server.mrs.stop(recording)
+        result = server.serve([
+            _open(rope_id, client="client-0"),
+            _open(rope_id, client="client-1", media=Media.AUDIO_VISUAL),
+            _open(rope_id, client="client-2"),
+        ])
+        assert result.admitted == result.continuous_sessions == 3
+        assert len(plan_calls) == len(set(plan_calls)) == 2
+        video, both = (result.block_sequences[sid] for sid in ("C0001", "C0002"))
+        assert result.block_sequences["C0003"] == video
+        assert len(both) > len(video) and set(video) < set(both)
+
+    @pytest.mark.parametrize("raised", [False, True])
+    def test_a_rope_edited_between_two_serves_is_planned_again(
+        self, plan_calls, raised
+    ):
+        """Also after a serve that raised: its plans went with it, so an
+        open between two calls probes the edited plan as well."""
+        server = build_media_server()
+        hot, other = record_strands(server.mrs, 2, 2.0, CLIENTS, "t")
+        before = server.serve([
+            _open(hot), _open(other, client="client-1"),
+        ]).block_sequences
+        if raised:
+            with pytest.raises(ParameterError):
+                server.serve([
+                    _open(hot, client="client-2"), PlayRequest("C9999"),
+                ])
+        server.mrs.replace(
+            "librarian", hot, Media.VIDEO, 0.0, 1.0, other, 0.0, 1.0
+        )
+        planned = len(plan_calls)
+        assert server.open(_open(hot, client="client-3")).cache_admitted
+        result = server.serve([])
+        assert len(plan_calls) == planned + 2   # the open's probe, the epoch
+        # The other rope's first second, then the hot rope's from block 7.
+        edited = before["C0002"][:8] + before["C0001"][7:]
+        assert set(result.block_sequences.values()) == {edited}
+        assert result.continuous_sessions == result.admitted
+        assert held_leases(server) == []
 
     def test_without_a_cache_no_open_plans_accepted_or_rejected(
         self, plan_calls
@@ -810,8 +899,9 @@ class TestPlansOnlyWhereADecisionReadsOne:
         result = server.serve([])
         status = result.status_of(response.session_id)
         assert status.continuous and status.blocks_delivered > 0
-        # One plan for the probe and one for the epoch, per session.
-        assert len(plan_calls) == 2 * 2
+        # The warming serve's probe and epoch share one plan; an open
+        # outside a serve plans its probe, and the next serve its epoch.
+        assert len(plan_calls) == 3
 
 
 class TestObservability:
