@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# The one-command CI gate: lint, tier-1 tests, the recorded mutants, the
-# claims table, the scenario smoke runs, then the repository benchmark's
-# smoke run and self-test.
+# The one-command CI gate: lint, tier-1 tests, the fuzz soak, the recorded
+# mutants, the claims table, the scenario smoke runs, then the repository
+# benchmark's smoke run and self-test.
 #
 #   scripts/check.sh            # everything
-#   SKIP_TESTS=1 scripts/check.sh   # all but the tier-1 tests and mutants
+#   SKIP_TESTS=1 scripts/check.sh   # all but the tests, soak and mutants
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -22,6 +22,9 @@ fi
 if [ "${SKIP_TESTS:-0}" != "1" ]; then
     echo "== tier-1 pytest =="
     python -m pytest -x -q
+
+    echo "== fuzz soak (the state machines at the soak profile's budget) =="
+    python -m pytest -x -q -m fuzz --hypothesis-profile=soak
 
     echo "== mutants (every recorded mutant still killed by its test) =="
     python scripts/mutants.py

@@ -84,6 +84,7 @@ ONE_JOIN = "one join, one kind of round"
 PER_CALL = "the write path pays per call"
 LIVE_SET = "one live set"
 ONE_PLAN = "one plan per shared read"
+ONE_TIMELINE = "one timeline per serve"
 
 
 class Mutant(NamedTuple):
@@ -433,8 +434,7 @@ MUTANTS = [
     Mutant(ONE_JOIN, "start-up measured from the origin, not the join", ROUNDS,
            "stream.metrics.startup_latency = start - admission.join",
            "stream.metrics.startup_latency = start",
-           "tests/server/test_arrival_time.py::"
-           "test_no_session_plays_before_its_own_arrival"),
+           LIVE + "TestOneServer"),
     Mutant(LIVE_SET, "a resumed run starts a round past its stop", ROUNDS,
            "            if joins[next_pending] <= time:\n"
            "                break   # the stop: a round would start at or after it\n",
@@ -442,13 +442,13 @@ MUTANTS = [
            "test_a_run_resumed_at_each_join_is_the_whole_run"),
     Mutant(LIVE_SET, "the loop runs to an open only after a session could "
            "have played out, not at that moment", SERVER,
-           "verb and all(at < self._plan(session)[1] for session in live):",
-           "verb and all(at <= self._plan(session)[1] for session in live):",
+           "if any(self._plan(session)[1] <= at for session in live):",
+           "if any(self._plan(session)[1] < at for session in live):",
            LIVE + "test_the_loop_runs_to_an_open_once_a_session_could_have_"
            "played_out"),
     Mutant(LIVE_SET, "a session played out exactly at an arrival stays live",
-           SERVER, "            and stream.ends[-1] <= at - self.t0\n",
-           "            and stream.ends[-1] < at - self.t0\n",
+           SERVER, "            and stream.ends[-1] <= at\n",
+           "            and stream.ends[-1] < at\n",
            LIVE + "test_a_session_leaves_its_lease_once_its_last_block_has_"
            "played_out"),
     Mutant(LIVE_SET, "a joiner that needs a larger k joins at once", SERVER,
@@ -457,7 +457,9 @@ MUTANTS = [
            LIVE + "test_a_joiner_that_needs_a_larger_k_waits_for_the_running_"
            "streams"),
     Mutant(LIVE_SET, "a verb is applied where the loop stands, not at its "
-           "arrival", SERVER, "self.reach(request.arrival, verb=True)", "pass",
+           "arrival", SERVER,
+           "            self._reach(at)\n            self._apply(item)\n",
+           "            self._apply(item)\n",
            LIVE + "test_a_stop_or_pause_ends_the_reads_of_a_session_at_its_"
            "arrival"),
     Mutant(LIVE_SET, "a PAUSE or STOP leaves the loop reading the stream",
@@ -465,14 +467,14 @@ MUTANTS = [
            LIVE + "test_a_parked_stream_is_not_read_while_a_later_verb_runs_"
            "the_loop"),
     Mutant(LIVE_SET, "a RESUME leaves the stream parked", SERVER,
-           "stream._wake = self.parked.pop(sid)", "pass",
+           "stream._wake = wake + held if wake > paused else wake", "pass",
            LIVE + "test_a_pause_and_resume_of_a_session_the_loop_reads_plays_"
            "it_once"),
     Mutant(LIVE_SET, "a verb to a played-out session is applied as to a live "
            "one", SERVER,
            "if sid in self.released and not isinstance(request, StopRequest):",
            "if False:",
-           LIVE + "test_a_verb_to_a_session_played_out_finds_it_completed"),
+           LIVE + "TestOneServer"),
     Mutant(ONE_PLAN, "the plan key drops the interval's start", SERVER,
            "key = (request.rope_id, request.start, request.length, request.media)",
            "key = (request.rope_id, request.length, request.media)",
@@ -503,10 +505,34 @@ MUTANTS = [
            "        return result\n",
            PLANS + "test_a_rope_edited_between_two_serves_is_planned_again"),
     Mutant(ONE_PLAN, "a verb to a session refused before lists it again",
-           SERVER, "if resumed and status.state is SessionState.REJECTED:",
+           SERVER,
+           "if isinstance(request, ResumeRequest) and status.state is "
+           "SessionState.REJECTED:",
            "if status.state is SessionState.REJECTED:",
            "tests/server/test_media_server.py::TestTypedRejects::"
            "test_a_stop_of_a_session_refused_in_the_same_serve_is_listed_once"),
+    Mutant(ONE_TIMELINE, "verbs are decided after every open", SERVER,
+           "key=itemgetter(0, 1),",
+           "key=lambda entry: (type(entry[2]) in _VERBS, *entry[:2]),",
+           LIVE + "test_a_stop_frees_its_slot_for_a_later_open_of_the_same_serve"),
+    Mutant(ONE_TIMELINE, "the loop's clock starts at the first arrival it takes",
+           SERVER, "self.joining.append(Admission(session.arrival, stream))",
+           "self.joining.append(Admission(session.arrival - min("
+           "s.arrival for s in queue), stream))",
+           LIVE + "test_a_serve_runs_on_the_clock_of_its_requests"),
+    Mutant(ONE_TIMELINE, "a session joins the loop at its open's arrival, not its "
+           "PLAY's", SERVER,
+           "        session.arrival = max(session.arrival, arrival)\n", "",
+           LIVE + "test_a_session_joins_the_loop_at_the_play_that_starts_it"),
+    Mutant(ONE_TIMELINE, "a serve that raised leaves what it admitted", SERVER,
+           "            epoch.finish()   # what it admitted plays out and lets go",
+           "            pass",
+           LIVE + "test_a_serve_that_raises_before_its_loop_starts_plays_out_"
+           "what_it_admitted"),
+    Mutant(ONE_TIMELINE, "a RESUME does not hold playback for the pause", SERVER,
+           "            held = request.arrival - paused\n",
+           "            held = 0.0\n",
+           LIVE + "test_a_resume_holds_playback_for_the_pause"),
 ]
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.api import (
@@ -71,6 +72,9 @@ __all__ = ["MediaServer", "build_media_server"]
 
 #: States in which a batch member still needs its batch's physical stream.
 _LIVE = (SessionState.OPEN, SessionState.PLAYING, SessionState.PAUSED)
+#: The lifecycle verbs ``serve`` takes, by request type.
+_VERBS = {PlayRequest: "play", PauseRequest: "pause", ResumeRequest: "resume",
+          StopRequest: "stop"}
 
 
 @dataclass
@@ -97,6 +101,7 @@ class _Session:
     rope_id: str
     request_id: Optional[str]
     state: SessionState
+    #: When it last asked to play (see :meth:`MediaServer._schedule`).
     arrival: float
     batch_leader: Optional[str] = None
     #: The lease this session last joined (None: refused at open); it
@@ -218,11 +223,7 @@ class MediaServer:
     def play(self, request: PlayRequest) -> SessionStatus:
         """Schedule an OPEN session into the next service epoch."""
         session = self._session(request.session_id, "play", SessionState.OPEN)
-        session.state = SessionState.PLAYING
-        self._epoch_queue.append(session.session_id)
-        if self._rec is not None:
-            self._rec.verb_applied(session.request_id, "play", request.arrival)
-        return session.status()
+        return self._schedule(session, "play", request.arrival)
 
     def pause(self, request: PauseRequest) -> SessionStatus:
         """PAUSE a session; destructive pauses release its resources."""
@@ -259,11 +260,7 @@ class MediaServer:
                     rec.request_closed(rid, now, "rejected", rejected.cause)
                 return session.status()
             self._join(session, lease)
-        session.state = SessionState.PLAYING
-        self._epoch_queue.append(session.session_id)
-        if self._rec is not None:
-            self._rec.verb_applied(session.request_id, "resume", request.arrival)
-        return session.status()
+        return self._schedule(session, "resume", request.arrival)
 
     def stop(self, request: StopRequest) -> SessionStatus:
         """STOP a session and release every resource it holds."""
@@ -298,14 +295,14 @@ class MediaServer:
     def serve(self, requests: Sequence) -> ServeResult:
         """Process a queue of typed requests on one round loop.
 
-        Opens are grouped into admission batches and decided in arrival
-        order, each against the sessions live when it arrives (a session
-        frees its slot once its last block has played out).  Lifecycle
-        verbs (addressed to sessions from this or earlier calls) are
-        applied in arrival order after admission (see
-        :meth:`_Epoch.apply`); then every session scheduled for playback
-        is serviced to completion.  Each (rope, interval, media) is
-        planned once in the call, and planned again in the next.
+        Each request is decided at its arrival, in arrival order (ties in
+        submission order), against the sessions live then: a batch of
+        opens at its ``admit_time`` (a re-queued one after the call's last
+        request), a lifecycle verb at its ``arrival`` (see :class:`_Epoch`).
+        Then what is live is served to completion.  A request of another
+        type raises before any is decided, and a refused verb once what
+        was admitted has played out.  Each (rope, interval, media) is
+        planned once in the call, and again in the next.
         """
         self._plans = {}
         try:
@@ -314,76 +311,43 @@ class MediaServer:
             self._plans = None   # an edit between two calls is re-planned
 
     def _serve(self, requests: Sequence) -> ServeResult:
-        dispatch = {
-            PlayRequest: self.play,
-            PauseRequest: self.pause,
-            ResumeRequest: self.resume,
-            StopRequest: self.stop,
-        }
-        opens: List[OpenSessionRequest] = []
-        lifecycle: List[Tuple[float, int, object]] = []
-        for index, request in enumerate(requests):
-            if isinstance(request, OpenSessionRequest):
-                opens.append(request)
-            elif type(request) in dispatch:
-                lifecycle.append((request.arrival, index, request))
-            else:
+        for request in requests:
+            if not isinstance(request, OpenSessionRequest) and (
+                type(request) not in _VERBS
+            ):
                 raise ParameterError(
                     f"serve() got {type(request).__name__}; expected a "
                     "repro.api request type"
                 )
-        touched: List[str] = []
-        rejects: List[OpenSessionResponse] = []
         batches = group_into_batches(
-            opens, self.batch_window if self.batching else 0.0, rec=self._rec
+            [r for r in requests if isinstance(r, OpenSessionRequest)],
+            self.batch_window if self.batching else 0.0, rec=self._rec,
         )
-        queue: List[Tuple[RequestBatch, int]] = [(b, 0) for b in batches]
-        epoch = _Epoch(self, rejects)
-        position = 0
-        while position < len(queue):
-            batch, requeues = queue[position]
-            position += 1
-            epoch.reach(batch.admit_time)
-            responses = self._admit_batch(batch, requeues=requeues)
-            if responses is None:
-                # Rejected with re-queue budget left: back of the queue.
-                queue.append((batch, requeues + 1))
-                continue
-            for response in responses:
-                touched.append(response.session_id)
-                if not response.accepted:
-                    rejects.append(response)
-            if epoch.loop is not None:
-                epoch.hand_over()
+        index = {id(request): i for i, request in enumerate(requests)}
+        timeline = sorted(
+            [(b.admit_time, index[id(b.leader)], b) for b in batches]
+            + [(r.arrival, index[id(r)], r) for r in requests if type(r) in _VERBS],
+            key=itemgetter(0, 1),
+        )
+        last = timeline[-1][0] if timeline else 0.0
+        queue = [(at, item, 0) for at, _, item in timeline]
+        epoch = _Epoch(self)
         try:
-            for _arrival, _index, request in sorted(lifecycle):
-                status = epoch.apply(dispatch[type(request)], request)
-                touched.append(status.session_id)
-                resumed = isinstance(request, ResumeRequest)   # only a RESUME refuses
-                if resumed and status.state is SessionState.REJECTED:
-                    rejects.append(
-                        self._sessions[status.session_id].response(
-                            "re-admission on resume failed"
-                        )
-                    )
+            for at, item, requeues in queue:
+                if not epoch.submit(at, item, requeues):
+                    # Refused with re-queue budget left: decided again
+                    # after the call's last request.
+                    queue.append((last, item, requeues + 1))
         except ParameterError:
-            if epoch.loop is not None:
-                epoch.finish()   # what the loop holds plays out and lets go
+            epoch.finish()   # what it admitted plays out and lets go
             raise
         played, rounds, k_used, sequences = epoch.finish()
-        touched += played + [response.session_id for response in rejects]
+        touched = set(epoch.touched + played + [r.session_id for r in epoch.rejects])
         return ServeResult(
-            statuses=tuple(
-                self._sessions[sid].status() for sid in sorted(set(touched))
-            ),
-            rejects=tuple(rejects),
-            rounds=rounds,
-            k_used=k_used,
-            batches=len(batches),
-            cache_stats=(
-                self.cache.stats.as_dict() if self.cache is not None else {}
-            ),
-            block_sequences=sequences,
+            statuses=tuple(self._sessions[sid].status() for sid in sorted(touched)),
+            rejects=tuple(epoch.rejects), rounds=rounds, k_used=k_used,
+            batches=len(batches), block_sequences=sequences,
+            cache_stats=self.cache.stats.as_dict() if self.cache is not None else {},
         )
 
     # -- admission ---------------------------------------------------------------
@@ -549,6 +513,16 @@ class MediaServer:
             )
         return session
 
+    def _schedule(self, session: _Session, verb: str, arrival: float) -> SessionStatus:
+        """*session* asked to play at *arrival* (never before its open's):
+        the loop joins it there, and its start-up counts from there."""
+        session.state = SessionState.PLAYING
+        session.arrival = max(session.arrival, arrival)
+        self._epoch_queue.append(session.session_id)
+        if self._rec is not None:
+            self._rec.verb_applied(session.request_id, verb, arrival)
+        return session.status()
+
     def _dequeue(self, session: _Session) -> None:
         self._epoch_queue = [
             sid for sid in self._epoch_queue if sid != session.session_id
@@ -669,27 +643,32 @@ class MediaServer:
 
 
 class _Epoch:
-    """One ``serve`` call's round loop.  Each session joins it at its own
-    arrival; it runs to an open's arrival once a live session could have
-    played out by then, releasing each that has, so an open is decided
-    against the sessions live when it arrives."""
+    """One ``serve`` call's run, fed one request at a time on the requests'
+    own clock: :meth:`submit` runs the round loop to a request's arrival
+    and decides it there, :meth:`finish` plays out what is still live.
 
-    def __init__(self, server: MediaServer, rejects: List[OpenSessionResponse]):
+    A session joins the loop at the arrival of the PLAY (or RESUME) that
+    starts it, and leaves its lease once its last block has played out.
+    The loop is run to an open only once a live session could have played
+    out by then: before that no slot can have come free, so opens that all
+    overlap are decided before round 0.  A verb always runs it there."""
+
+    def __init__(self, server: MediaServer):
         self.server = server
-        self.rejects = rejects
         self.loop: Optional[RoundRobinService] = None
-        self.t0 = 0.0
-        self.reached = float("-inf")
         self.k = 0
         self.k_used = 0
+        #: Who the call's requests named, and each refusal, in order.
+        self.touched: List[str] = []
+        self.rejects: List[OpenSessionResponse] = []
         #: Each planned session's plan and earliest play-out end; each one
         #: handed to the loop, in that order, and its stream.
         self.plans: Dict[str, Tuple[FetchColumns, float]] = {}
         self.streams: Dict[str, StreamState] = {}
         self.joining: List[Admission] = []
         self.released: Set[str] = set()
-        #: Each stream a verb took off the loop, and the wake it had then.
-        self.parked: Dict[str, float] = {}
+        #: Each stream a verb took off the loop: its wake then, and when.
+        self.parked: Dict[str, Tuple[float, float]] = {}
 
     def _playing(self, ids) -> List[_Session]:
         sessions = self.server._sessions
@@ -708,20 +687,34 @@ class _Epoch:
             s.next_fetch == len(s.fetches.slots) for s in self.streams.values()
         )
 
-    def reach(self, at: float, verb: bool = False) -> None:
-        """Run the loop to the open arriving at *at* (a re-queued one is
-        decided after the last) and release each session played out.  For
-        a *verb*, the loop runs to *at* even if none can have played out."""
-        self.reached = at = max(at, self.reached)
-        live = self._playing(self.server._epoch_queue) + self._playing(self.streams)
-        if not verb and all(at < self._plan(session)[1] for session in live):
-            return   # no slot can have come free
+    def submit(self, at: float, item, requeues: int) -> bool:
+        """Decide *item* at *at*: a batch of opens (False: re-queue it) or
+        a lifecycle verb."""
+        server = self.server
+        if isinstance(item, RequestBatch):
+            live = self._playing(server._epoch_queue) + self._playing(self.streams)
+            if any(self._plan(session)[1] <= at for session in live):
+                self._reach(at)   # a slot may have come free
+            responses = server._admit_batch(item, requeues=requeues)
+            if responses is None:
+                return False
+            self.touched += [response.session_id for response in responses]
+            self.rejects += [r for r in responses if not r.accepted]
+        else:
+            self._reach(at)
+            self._apply(item)
+        if self.loop is not None:
+            self.hand_over()
+        return True
+
+    def _reach(self, at: float) -> None:
+        """Run the loop to *at* and release each session played out."""
         self.advance(at)
         done = [
             session for session in self._playing(self.streams)
             for stream in [self.streams[session.session_id]]
             if len(stream.ends) == len(stream.fetches.slots)
-            and stream.ends[-1] <= at - self.t0
+            and stream.ends[-1] <= at
         ]
         for session in done:   # all have ended before any vacates
             session.state = SessionState.COMPLETED
@@ -730,33 +723,40 @@ class _Epoch:
             self.server.mrs.stop(session.request_id)
             self.released.add(session.session_id)
 
-    def apply(self, verb, request) -> SessionStatus:
-        """Apply a lifecycle *verb* to the session *request* names.
-
-        A session the loop is reading is run to the verb's arrival first,
-        and from there the loop reads it only while it is PLAYING: a PAUSE
-        or STOP parks its stream, a RESUME of this call un-parks it.  A
-        session played out by then is completed: it takes a STOP, and any
-        other verb is answered with its status.
-        """
-        sid = request.session_id
+    def _apply(self, request) -> None:
+        """Apply a lifecycle verb at its arrival.  The loop reads a stream
+        only while its session is PLAYING: a PAUSE or STOP parks it, and a
+        RESUME of this call un-parks it, its playback held for the pause
+        (each deadline and play-out end after the PAUSE moves by its
+        length).  A session played out already takes a STOP; any other
+        verb is answered with its status."""
+        server, sid = self.server, request.session_id
         stream = self.streams.get(sid)
-        if stream is None:
-            return verb(request)
-        if sid not in self.released and sid not in self.parked:
-            self.reach(request.arrival, verb=True)
         if sid in self.released and not isinstance(request, StopRequest):
-            return self.server._sessions[sid].status()
-        status = verb(request)
-        if sid in self.released:
-            return status
+            status = server._sessions[sid].status()
+        else:
+            status = getattr(server, _VERBS[type(request)])(request)
+        self.touched.append(sid)
+        if isinstance(request, ResumeRequest) and status.state is SessionState.REJECTED:
+            self.rejects.append(
+                server._sessions[sid].response("re-admission on resume failed")
+            )
+        if stream is None or sid in self.released:
+            return
         if status.state is not SessionState.PLAYING:
-            self.parked.setdefault(sid, stream._wake)
+            self.parked.setdefault(sid, (stream._wake, request.arrival))
             stream._wake = float("inf")   # no round reads it from here
         elif sid in self.parked:
-            stream._wake = self.parked.pop(sid)
-            self.server._dequeue(self.server._sessions[sid])   # the loop holds it
-        return status
+            wake, paused = self.parked.pop(sid)
+            held = request.arrival - paused
+            if stream.clock_start is not None:
+                start = stream.clock_start
+                stream.offsets[:] = [
+                    o + held if start + o > paused else o for o in stream.offsets
+                ]
+                stream.ends[:] = [e + held if e > paused else e for e in stream.ends]
+            stream._wake = wake + held if wake > paused else wake
+            server._dequeue(server._sessions[sid])   # the loop holds it
 
     def hand_over(self) -> None:
         """The sessions scheduled to play join the loop at their arrivals:
@@ -781,16 +781,14 @@ class _Epoch:
             self.k_used = max(self.k_used, k)
             if self.loop is None:
                 self.loop = server.playback.loop(server.drive, k)
-                self.t0 = min(session.arrival for session in queue)
             self.loop.k_schedule = lambda _round, _active: k
         for session in queue:
             stream = self.streams[session.session_id] = server.playback.stream(
                 session.request_id, self.k, self._plan(session)[0]
             )
-            join = max(0.0, session.arrival - self.t0)
-            self.joining.append(Admission(join, stream))
+            self.joining.append(Admission(session.arrival, stream))
 
-    def advance(self, until: Optional[float] = None) -> Optional[Dict]:
+    def advance(self, until: float = float("inf")) -> Optional[Dict]:
         """Run the loop to *until* (an arrival), or to the end and return
         its metrics, handing it each session scheduled to play."""
         while True:
@@ -799,10 +797,9 @@ class _Epoch:
                 return None
             joining, self.joining = self.joining, []
             waiting = self._playing(self.server._epoch_queue)
-            if until is None and not waiting:
+            if until == float("inf") and not waiting:
                 return self.loop.run((), joining)
-            stop = float("inf") if until is None else until - self.t0
-            self.loop.run((), joining, until=stop)   # inf: until it is idle
+            self.loop.run((), joining, until=until)   # inf: until it is idle
             if not (waiting and self._idle()):
                 return None
 
@@ -815,8 +812,7 @@ class _Epoch:
         metrics = self.advance()
         if metrics is None:
             return [], 0, 0, {}
-        server = self.server
-        rec = server._rec
+        server, rec = self.server, self.server._rec
         sessions = [server._sessions[sid] for sid in self.streams]
         for session in sessions:   # what each was delivered, however it ended
             scored = metrics[session.request_id]

@@ -20,6 +20,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 settings.register_profile(
     "mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate)
 )
+#: ``--hypothesis-profile=soak`` (``scripts/check.sh``'s ``pytest -m fuzz``
+#: soak): a ``fuzz`` test runs this many examples, not its tier-1 budget.
+settings.register_profile("soak", max_examples=400)
 
 
 def pytest_addoption(parser):

@@ -5,7 +5,8 @@ served then, and a session frees its slot once it has played out: so
 sessions that never overlap do not reject each other, and a late
 session's start-up pays for no k sized for an earlier one.  A session
 joins the service loop at its own arrival, plays no block before it,
-and its start-up is measured from it.  A cluster still places every
+and its start-up is measured from it (``test_live_set.py``'s state
+machine checks both after every ``serve``).  A cluster still places every
 open before any node serves: its probe is a strict expected failure
 until the router drives each node's loop to each arrival (ROADMAP
 item 20).
@@ -15,7 +16,6 @@ import pytest
 
 from repro.api import Media, OpenSessionRequest
 from repro.cluster.router import build_cluster
-from repro.obs import Observability
 from repro.scenarios.server import record_strands
 from repro.server import build_media_server
 
@@ -80,25 +80,3 @@ def test_start_up_is_measured_from_the_sessions_own_arrival():
     server, rope_id = one_server()
     late = server.serve(spaced_opens([rope_id], 2, 300.0)).statuses[1]
     assert late.startup_latency == pytest.approx(alone.startup_latency, abs=1e-9)
-
-
-@pytest.mark.parametrize("gap", [0.5, 300.0])
-def test_no_session_plays_before_its_own_arrival(gap):
-    """Item 1(b)'s time invariant: a session's first block is read, and
-    so plays, no earlier than the session arrives.  The epoch's loop
-    keeps time from the first arrival, 0.0 here, so the timeline's read
-    times and the arrivals share one clock.  Start-up is measured from
-    the arrival: the first block plays that long after it, once the
-    read-ahead has landed."""
-    server = build_media_server(
-        Observability(), cache_blocks=0, batch_window=0.0
-    )
-    rope_id = record_strands(server.mrs, 1, 1.0, CLIENTS, "t")[0]
-    requests = spaced_opens([rope_id], 3, gap)
-    result = server.serve(requests)
-    assert result.admitted == 3
-    timeline = server.obs.timeline
-    for request, status in zip(requests, result.statuses):
-        landed = timeline.read_done_times(status.request_id)
-        assert request.arrival <= landed[0]
-        assert landed[0] <= request.arrival + status.startup_latency <= landed[-1]
