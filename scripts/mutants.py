@@ -35,6 +35,8 @@ RPC = "src/repro/service/rpc.py"
 API = "src/repro/api.py"
 PROFILER = "src/repro/obs/profiling.py"
 SERVER = "src/repro/server/media_server.py"
+ROUTER = "src/repro/cluster/router.py"
+NODE = "src/repro/cluster/node.py"
 
 EQUIVALENCE = "tests/perf/test_equivalence.py::TestServiceEquivalence::"
 MODEL = "tests/service/test_round_model.py::test_the_loop_serves_what_the_model_states"
@@ -61,6 +63,7 @@ SCORES = (
     "tests/service/test_scoring_reference.py::TestScorerMatchesPerBlockScoring::"
     "test_generated_delivery_traces"
 )
+CLUSTER_RUNS = "tests/cluster/test_node_runs.py::"
 
 
 #: The change that recorded each mutant, by the name it goes by in
@@ -85,6 +88,7 @@ PER_CALL = "the write path pays per call"
 LIVE_SET = "one live set"
 ONE_PLAN = "one plan per shared read"
 ONE_TIMELINE = "one timeline per serve"
+NODE_TIMELINES = "the cluster runs on its nodes' own timelines"
 
 
 class Mutant(NamedTuple):
@@ -442,13 +446,13 @@ MUTANTS = [
            "test_a_run_resumed_at_each_join_is_the_whole_run"),
     Mutant(LIVE_SET, "the loop runs to an open only after a session could "
            "have played out, not at that moment", SERVER,
-           "if any(self._plan(session)[1] <= at for session in live):",
-           "if any(self._plan(session)[1] < at for session in live):",
+           "return any(self._plan(session)[1] <= at for session in self.live())",
+           "return any(self._plan(session)[1] < at for session in self.live())",
            LIVE + "test_the_loop_runs_to_an_open_once_a_session_could_have_"
            "played_out"),
     Mutant(LIVE_SET, "a session played out exactly at an arrival stays live",
-           SERVER, "            and stream.ends[-1] <= at\n",
-           "            and stream.ends[-1] < at\n",
+           SERVER, "and (not stream.ends or stream.ends[-1] <= at)",
+           "and (not stream.ends or stream.ends[-1] < at)",
            LIVE + "test_a_session_leaves_its_lease_once_its_last_block_has_"
            "played_out"),
     Mutant(LIVE_SET, "a joiner that needs a larger k joins at once", SERVER,
@@ -533,6 +537,39 @@ MUTANTS = [
            "            held = request.arrival - paused\n",
            "            held = 0.0\n",
            LIVE + "test_a_resume_holds_playback_for_the_pause"),
+    Mutant(NODE_TIMELINES, "a kill fires at the next chunk boundary", ROUTER,
+           "(at_time if at_op is None else at_op / chunks * horizon, -1, index)",
+           "(-(-at_time * chunks // horizon) * horizon / chunks if at_op is None"
+           " else at_op / chunks * horizon, -1, index)",
+           CLUSTER_RUNS + "test_a_kill_at_a_time_hands_off_at_that_time"),
+    Mutant(NODE_TIMELINES, "routing counts a played-out session as live", NODE,
+           "return len(self._pending) + (len(self._run.live()) if self._run else 0)",
+           "return len(self._pending) + len(self._plays)",
+           "tests/server/test_arrival_time.py::"
+           "test_sessions_that_never_overlap_are_all_admitted_by_a_cluster"),
+    Mutant(NODE_TIMELINES, "a handoff resumes at block 0", ROUTER,
+           "media=session.media, first_block=block,",
+           "media=session.media, first_block=0,",
+           CLUSTER_RUNS + "test_a_kill_at_a_time_hands_off_at_that_time"),
+    Mutant(NODE_TIMELINES, "pending opens are submitted one batch each", NODE,
+           "run.feed([request for request, _ in pending])",
+           "[run.feed([request]) for request, _ in pending]",
+           CLUSTER_RUNS + "test_the_opens_a_node_is_routed_in_one_window_are_"
+           "one_batch"),
+    Mutant(NODE_TIMELINES, "a dead node's run plays its sessions out", NODE,
+           "            run.submit(at, StopRequest(sid, arrival=at), 0)\n",
+           "            run.catch_up(at)\n",
+           CLUSTER_RUNS + "test_a_kill_at_a_time_hands_off_at_that_time"),
+    Mutant(NODE_TIMELINES, "a stream a verb took off the loop lists its whole "
+           "plan", SERVER, "tuple(self.plans[sid][0].slots[:fetched.get(sid)])",
+           "tuple(self.plans[sid][0].slots)",
+           LIVE + "test_a_stream_a_verb_took_off_the_loop_lists_only_what_it_"
+           "read"),
+    Mutant(NODE_TIMELINES, "a RESUME in a later serve reads from block 0",
+           SERVER,
+           "            server._sessions[sid].first_block += stream.next_fetch\n",
+           "", LIVE + "test_a_session_paused_in_one_serve_resumes_in_the_next_"
+           "where_it_stopped"),
 ]
 
 

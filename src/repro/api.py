@@ -389,7 +389,7 @@ class NodeStatus:
         HEAD_FAILURE or an operator kill); dead nodes accept nothing.
     degraded:
         True while the node is drained of new admissions but still
-        finishing its current chunks.
+        finishing its current sessions.
     sessions:
         Sessions the node was serving when the status was taken.
     titles:
@@ -427,13 +427,15 @@ class HandoffRecord:
         Where it was and where it landed; ``to_node`` is None when no
         live replica had admission slack (the session then ends with a
         :attr:`RejectReason.NO_REPLICA` refusal).
-    at_chunk:
-        The chunk boundary index the handoff happened at.
+    at_time:
+        When the handoff happened: the kill's time, seconds on the
+        requests' clock.  The session re-opens on ``to_node`` there, from
+        the first block the dead node had not sent it.
     blocks_before:
         Blocks already delivered when the source node died.
     clean:
-        True when the session resumed on the target and finished every
-        remaining chunk without a single miss or skip — no continuity
+        True when the session resumed on the target and played the rest
+        of its interval without a single miss or skip — no continuity
         break observable by the viewer.
     detail:
         Human-readable context for logs.
@@ -443,7 +445,7 @@ class HandoffRecord:
     rope_id: str
     from_node: str
     to_node: Optional[str]
-    at_chunk: int
+    at_time: float
     blocks_before: int = 0
     clean: bool = False
     detail: str = ""
@@ -455,7 +457,7 @@ class HandoffRecord:
             "rope_id": self.rope_id,
             "from_node": self.from_node,
             "to_node": self.to_node,
-            "at_chunk": self.at_chunk,
+            "at_time": self.at_time,
             "blocks_before": self.blocks_before,
             "clean": self.clean,
             "detail": self.detail,
@@ -464,21 +466,22 @@ class HandoffRecord:
 
 @dataclass(frozen=True)
 class NodeServeResult:
-    """One node's contribution to a cluster epoch: its chunk results."""
+    """One node's part of a cluster ``serve``: the result of its run (none
+    when nothing was routed to it)."""
 
     node_id: str
     results: Tuple[ServeResult, ...] = ()
 
     @property
     def blocks_delivered(self) -> int:
-        """Blocks this node delivered across every chunk epoch."""
+        """Blocks this node delivered in the call."""
         return sum(
             s.blocks_delivered for r in self.results for s in r.statuses
         )
 
     @property
     def rounds(self) -> int:
-        """Service rounds this node ran across every chunk epoch."""
+        """Service rounds this node ran in the call."""
         return sum(r.rounds for r in self.results)
 
     def to_dict(self) -> Dict[str, object]:
@@ -495,13 +498,13 @@ class NodeServeResult:
 class ClusterServeResult(_SessionTally):
     """The outcome of one :meth:`repro.cluster.MediaCluster.serve` call.
 
-    Aggregates the per-node :class:`ServeResult` epochs behind one
+    Aggregates the per-node :class:`ServeResult` runs behind one
     cluster-level answer with :class:`ServeResult`'s session tally, plus
     the routing evidence: the placement map the router consulted, the
     exact admission order, and every handoff decision.  A session's
-    misses and skips are summed over its chunks.  All of it is a pure
-    function of (requests, placement, fault plan, seed), so
-    ``to_dict()`` is byte-deterministic — the router-determinism tests
+    blocks, misses and skips are summed over the nodes it played on.  All
+    of it is a pure function of (requests, placement, fault plan, seed),
+    so ``to_dict()`` is byte-deterministic — the router-determinism tests
     compare two runs' serialized results verbatim.
     """
 
@@ -510,7 +513,6 @@ class ClusterServeResult(_SessionTally):
     handoffs: Tuple[HandoffRecord, ...] = ()
     placement: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
     admission_order: Tuple[Tuple[str, str], ...] = ()
-    chunks: int = 1
 
     @property
     def handoffs_clean(self) -> int:
@@ -539,7 +541,6 @@ class ClusterServeResult(_SessionTally):
                 [session_id, node_id]
                 for session_id, node_id in self.admission_order
             ],
-            "chunks": self.chunks,
             "admitted": self.admitted,
             "continuous_sessions": self.continuous_sessions,
             "total_misses": self.total_misses,

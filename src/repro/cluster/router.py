@@ -1,4 +1,4 @@
-"""The cluster router: placement-aware admission, chunked serving, handoff.
+"""The cluster router: placement-aware admission, node runs, handoff.
 
 :class:`MediaCluster` is the cluster-level front door.  It speaks the
 same :mod:`repro.api` types a single :class:`~repro.server.MediaServer`
@@ -7,30 +7,33 @@ catalog *title* in ``rope_id`` and get a
 :class:`~repro.api.ClusterServeResult` back — and adds the three
 distributed concerns:
 
-**Routing.**  Each open is admitted onto the least-loaded live replica
-holding the title (ties break on the placement map's replica order).
-When no replica has slack the refusal is the typed
-:attr:`~repro.api.RejectReason.NO_REPLICA`; an unknown title is
-:attr:`~repro.api.RejectReason.UNKNOWN_ROPE` — overload never surfaces
-as an exception, exactly like the single-server contract.
+**Routing.**  Each open is admitted at its arrival onto the least-loaded
+live replica holding the title, a node's load being its own live set
+(ties break on the placement map's replica order).  When no replica has
+slack the refusal is the typed :attr:`~repro.api.RejectReason.NO_REPLICA`;
+an unknown title is :attr:`~repro.api.RejectReason.UNKNOWN_ROPE` —
+overload never surfaces as an exception, as on one server.
 
-**Chunked playback.**  A cluster session's interval is split into
-``chunks`` equal sub-intervals; each chunk is one MediaServer epoch on
-the session's current node.  Chunk boundaries are where a session may
-change nodes, so finer chunking bounds how much playback a node death
-can strand.
+**One run per node.**  A ``serve`` keeps one run of each live node's
+server for the whole call and takes its events — each open's arrival
+and each node kill — in time order, on the requests' own clock.  A
+node's run is brought to an event only once one of its sessions could
+have played out by then, the rule one server applies to its opens; the
+opens routed to a node wait for that (or a kill, or the end of the
+call), then are batched and submitted at their own times.  A session is
+served by one replica at a time and moves only when it must (Viennot et
+al., *Scalable Distributed Video-on-Demand*).
 
-**Deterministic failure + handoff.**  The cluster reuses
-:mod:`repro.faults` as its failure model: a
-:class:`~repro.faults.FaultSpec` with ``HEAD_FAILURE`` and
-``drive_index = node index`` kills that node at the chunk boundary
-``at_op`` (or at the first boundary whose elapsed simulated time
-reaches ``at_time``); TRANSIENT/MEDIA_DEFECT specs are forwarded to the
-node's private drive injector at construction.  When a node dies, every
-session it was serving is handed off to the least-loaded surviving
-replica and resumes at its next chunk; a handoff is **clean** when the
-viewer saw no miss or skip from then on.  Each decision is recorded as
-a :class:`~repro.api.HandoffRecord`.
+**Deterministic failure + handoff.**  The failure model is
+:mod:`repro.faults`': a ``HEAD_FAILURE`` :class:`~repro.faults.FaultSpec`
+with ``drive_index = node index`` kills that node at ``at_time``, or at
+``at_op / chunks`` of the longest interval requested (the form the
+benchmark and the ``cluster-scale`` scenario use); other kinds go to the
+node's own drive injector.  The kill stops the node's run at its time,
+and each session it was still sending re-opens there on the least-loaded
+surviving replica, from the first block it was not sent, as that node's
+admission decides.  A handoff is **clean** when the viewer saw no miss
+or skip from then on; each is a :class:`~repro.api.HandoffRecord`.
 
 All decisions are pure functions of (requests, placement, fault plan),
 so two runs with the same inputs produce byte-identical
@@ -52,7 +55,7 @@ per-title and node-labeled counters; :data:`CLUSTER_SLOS` adds the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import (
@@ -71,6 +74,7 @@ from repro.errors import ParameterError, check_count
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.obs.recorder import recorder_for
 from repro.obs.slo import CLUSTER_SLOS
+from repro.server.media_server import _Remainder
 
 from repro.cluster.node import ClusterNode, build_node
 from repro.cluster.placement import (
@@ -95,6 +99,8 @@ class _ClusterSession:
     start: float
     length: float
     node_id: str = ""
+    #: When it began on ``node_id``: its arrival, or its last handoff.
+    since: float = 0.0
     state: SessionState = SessionState.PLAYING
     handoffs: int = 0
     blocks_delivered: int = 0
@@ -102,8 +108,8 @@ class _ClusterSession:
     skips: int = 0
     startup_latency: float = 0.0
     cache_admitted: bool = True
-    #: Misses + skips accumulated at or after the first handoff chunk
-    #: (what decides whether the handoffs were clean).
+    #: Misses + skips on the nodes it was handed off to (what decides
+    #: whether the handoffs were clean).
     glitches_after_handoff: int = 0
     reject: Optional[RejectReason] = None
 
@@ -121,6 +127,17 @@ class _ClusterSession:
             node_id=self.node_id,
             handoffs=self.handoffs,
         )
+
+
+@dataclass
+class _Call:
+    """One ``serve`` call's answers as they accrue."""
+
+    rejects: List[OpenSessionResponse] = field(default_factory=list)
+    admission_order: List[Tuple[str, str]] = field(default_factory=list)
+    handoffs: List[HandoffRecord] = field(default_factory=list)
+    #: Each node's run's result, by node id.
+    results: Dict[str, Tuple[ServeResult, ...]] = field(default_factory=dict)
 
 
 class MediaCluster:
@@ -155,8 +172,8 @@ class MediaCluster:
         self._rec = recorder_for(obs, "cluster")
         self._session_ids = itertools.count(1)
         self._sessions: Dict[str, _ClusterSession] = {}
-        #: (chunk_boundary_index or None, at_time or None, node_index)
-        #: — HEAD_FAILURE specs become node kills at chunk boundaries.
+        #: (at_op or None, at_time or None, node_index) of each
+        #: HEAD_FAILURE spec: a node kill.
         self._kills: List[Tuple[Optional[int], Optional[float], int]] = []
         if fault_plan is not None:
             self._apply_fault_plan(fault_plan)
@@ -166,10 +183,10 @@ class MediaCluster:
     def _apply_fault_plan(self, plan: FaultPlan) -> None:
         """Interpret the plan cluster-wide: ``drive_index`` names a node.
 
-        HEAD_FAILURE kills the whole node at a chunk boundary (``at_op``
-        counts boundaries, not drive accesses, at cluster scope); other
-        kinds are forwarded to that node's private drive injector, so
-        per-block faults keep their single-drive semantics.
+        HEAD_FAILURE kills the whole node at a time of the ``serve``
+        (``at_op`` counts ``chunks`` of its longest interval, not drive
+        accesses); other kinds go to that node's private drive injector,
+        so per-block faults keep their single-drive semantics.
         """
         for spec in plan:
             if spec.drive_index >= len(self.nodes):
@@ -196,60 +213,60 @@ class MediaCluster:
     def route(self, title_id: str) -> Optional[ClusterNode]:
         """The least-loaded live replica with slack (None when none).
 
-        Load is the node's active cluster-session count; ties break on
-        the placement map's replica order, so routing is deterministic.
+        Load is the node's own live set as it stands (``serve`` brings
+        each replica's run to an open's arrival first); ties break on the
+        placement map's replica order, so routing is deterministic.
         """
         if not self.placement.has_title(title_id):
             return None
-        best: Optional[ClusterNode] = None
-        for node_id in self.placement.replicas(title_id):
-            node = self._by_id[node_id]
-            if not node.has_slack():
-                continue
-            if best is None or node.active < best.active:
-                best = node
-        return best
+        nodes = [self._by_id[n] for n in self.placement.replicas(title_id)]
+        loads = [(n._live(), i) for i, n in enumerate(nodes) if n.has_slack()]
+        return nodes[min(loads)[1]] if loads else None
 
-    def _reject(
-        self,
-        request: OpenSessionRequest,
-        reason: RejectReason,
-        detail: str,
-    ) -> OpenSessionResponse:
-        session = _ClusterSession(
-            session_id=f"S{next(self._session_ids):04d}",
-            client_id=request.client_id,
-            title_id=request.rope_id,
-            media=request.media,
-            arrival=request.arrival,
-            start=request.start,
-            length=0.0,
-            state=SessionState.REJECTED,
-            cache_admitted=False,
-            reject=reason,
-        )
-        self._sessions[session.session_id] = session
+    def _reject(self, call, request, reason: RejectReason, detail) -> None:
+        """The router refuses *request*, for *reason*: no node sees it."""
+        session = self._session(request, 0.0, cache_admitted=False)
+        self._refuse(call, session, reason, detail)
         if self._rec is not None:
             self._rec.router_rejected(
                 session.session_id, request.arrival, request.rope_id,
                 reason.value,
             )
-        return OpenSessionResponse(
-            session_id=session.session_id,
-            accepted=False,
-            reject=reason,
+
+    @staticmethod
+    def _refuse(call: _Call, session: _ClusterSession, reason, detail) -> None:
+        """*session* ends refused, for *reason*."""
+        session.state, session.reject = SessionState.REJECTED, reason
+        call.rejects.append(OpenSessionResponse(
+            session_id=session.session_id, accepted=False, reject=reason,
             detail=detail,
+        ))
+
+    def _session(self, request, length, **state) -> _ClusterSession:
+        """A new cluster session of *request*, over *length* seconds."""
+        session = _ClusterSession(
+            session_id=f"S{next(self._session_ids):04d}",
+            client_id=request.client_id, title_id=request.rope_id,
+            media=request.media, arrival=request.arrival,
+            start=request.start, length=length, **state,
         )
+        self._sessions[session.session_id] = session
+        return session
 
-    def _place(self, session: _ClusterSession, node: ClusterNode) -> None:
-        """*session* plays on *node* from here on, counted in its load."""
-        session.node_id = node.node_id
-        node.active += 1
+    def _length(self, request: OpenSessionRequest) -> float:
+        """The length of the interval an open of a catalog title asks for."""
+        if request.length is not None:
+            return request.length
+        node = self._by_id[self.placement.replicas(request.rope_id)[0]]
+        return max(node.title_duration(request.rope_id) - request.start, 0.0)
 
-    def _leave(self, session: _ClusterSession) -> None:
-        """*session* ended, was refused or lost its node: it leaves that
-        node's load (but keeps the ``node_id`` it is reported under)."""
-        self._by_id[session.node_id].active -= 1
+    def _catch_up(self, title_id: str, at: float) -> None:
+        """Bring each live replica of *title_id* to *at*, where a session
+        of its may have played out (:meth:`ClusterNode._catch_up`)."""
+        for node_id in self.placement.replicas(title_id):
+            node = self._by_id[node_id]
+            if node.alive:
+                node._catch_up(at)
 
     # -- serving ------------------------------------------------------------------
 
@@ -258,7 +275,9 @@ class MediaCluster:
         requests: Sequence[OpenSessionRequest],
         chunks: int = 1,
     ) -> ClusterServeResult:
-        """Route, serve in chunk epochs, hand off around node deaths."""
+        """Route each open at its arrival onto one run per live node, and
+        hand sessions off around node kills, in time order (a kill before
+        an open at its time).  *chunks* only places an ``at_op`` kill."""
         check_count("chunks", chunks)
         for request in requests:
             if not isinstance(request, OpenSessionRequest):
@@ -266,173 +285,128 @@ class MediaCluster:
                     f"cluster serve() got {type(request).__name__}; "
                     "the cluster API admits OpenSessionRequest only"
                 )
-        rejects: List[OpenSessionResponse] = []
-        admission_order: List[Tuple[str, str]] = []
-        admitted: List[_ClusterSession] = []
-        ordered = sorted(
-            range(len(requests)),
-            key=lambda i: (requests[i].arrival, i),
-        )
-        for index in ordered:
-            request = requests[index]
-            title = request.rope_id
-            if not self.placement.has_title(title):
-                rejects.append(self._reject(
-                    request, RejectReason.UNKNOWN_ROPE,
-                    f"no catalog title {title!r}",
-                ))
-                continue
-            node = self.route(title)
-            if node is None:
-                rejects.append(self._reject(
-                    request, RejectReason.NO_REPLICA,
-                    f"no live replica of {title!r} has admission slack "
-                    f"(replicas: "
-                    f"{', '.join(self.placement.replicas(title))})",
-                ))
-                continue
-            duration = node.title_duration(title)
-            length = (
-                request.length if request.length is not None
-                else max(duration - request.start, 0.0)
-            )
-            session = _ClusterSession(
-                session_id=f"S{next(self._session_ids):04d}",
-                client_id=request.client_id,
-                title_id=title,
-                media=request.media,
-                arrival=request.arrival,
-                start=request.start,
-                length=length,
-            )
-            self._sessions[session.session_id] = session
-            self._place(session, node)
-            admitted.append(session)
-            admission_order.append((session.session_id, node.node_id))
-            if self._rec is not None:
-                self._rec.routed(
-                    session.session_id, request.arrival, title,
-                    request.client_id, node.node_id,
-                )
-        per_node_results: Dict[str, List[ServeResult]] = {
-            node.node_id: [] for node in self.nodes
-        }
-        pending_handoffs: List[HandoffRecord] = []
-        for chunk in range(chunks):
-            self._serve_chunk(
-                admitted, chunk, chunks, per_node_results, rejects
-            )
-            self._apply_kills(
-                admitted, chunk, chunks, pending_handoffs, rejects
-            )
-        return self._finalize(
-            admitted, rejects, admission_order,
-            per_node_results, pending_handoffs, chunks,
-        )
-
-    def _chunk_interval(
-        self, session: _ClusterSession, chunk: int, chunks: int
-    ) -> Tuple[float, float]:
-        """The (start, length) sub-interval of one chunk epoch."""
-        chunk_length = session.length / chunks
-        start = session.start + chunk * chunk_length
-        if chunk == chunks - 1:
-            # The last chunk absorbs float remainder so the union of
-            # chunks is exactly the requested interval.
-            length = session.start + session.length - start
-        else:
-            length = chunk_length
-        return start, length
-
-    def _serve_chunk(
-        self,
-        admitted: List[_ClusterSession],
-        chunk: int,
-        chunks: int,
-        per_node_results: Dict[str, List[ServeResult]],
-        rejects: List[OpenSessionResponse],
-    ) -> None:
-        """Run chunk epoch *chunk* on every node that has sessions."""
+        horizon = max((
+            self._length(request) for request in requests
+            if self.placement.has_title(request.rope_id)
+        ), default=0.0)
+        events = [
+            (at_time if at_op is None else at_op / chunks * horizon, -1, index)
+            for at_op, at_time, index in self._kills
+        ] + [(request.arrival, i, -1) for i, request in enumerate(requests)]
+        call = _Call()
         for node in self.nodes:
-            if not node.alive:
-                continue
-            mine = [
-                session for session in admitted
-                if session.node_id == node.node_id
-                and session.state is SessionState.PLAYING
-            ]
-            if not mine:
-                continue
-            opens: List[OpenSessionRequest] = []
-            for session in mine:
-                start, length = self._chunk_interval(session, chunk, chunks)
-                opens.append(
-                    OpenSessionRequest(
-                        client_id=session.client_id,
-                        rope_id=node.rope_for(session.title_id),
-                        arrival=session.arrival,
-                        start=start,
-                        length=length,
-                        media=session.media,
-                    )
+            if node.alive:
+                node._start()
+        for at, order, index in sorted(events):
+            if order >= 0:
+                self._open(requests[order], call)
+            elif self.nodes[index].alive:
+                self._kill(self.nodes[index], at, call)
+        for node in self.nodes:
+            if node.alive:
+                self._fold(node, call)
+        return self._finalize(call)
+
+    def _open(self, request: OpenSessionRequest, call: _Call) -> None:
+        """Decide one open at its arrival: routed to a replica, where it
+        waits to be submitted to the node's run, or refused."""
+        title = request.rope_id
+        if not self.placement.has_title(title):
+            self._reject(
+                call, request, RejectReason.UNKNOWN_ROPE,
+                f"no catalog title {title!r}",
+            )
+            return
+        self._catch_up(title, request.arrival)
+        node = self.route(title)
+        if node is None:
+            self._reject(
+                call, request, RejectReason.NO_REPLICA,
+                f"no live replica of {title!r} has admission slack "
+                f"(replicas: {', '.join(self.placement.replicas(title))})",
+            )
+            return
+        session = self._session(
+            request, self._length(request), node_id=node.node_id,
+            since=request.arrival,
+        )
+        call.admission_order.append((session.session_id, node.node_id))
+        if self._rec is not None:
+            self._rec.routed(
+                session.session_id, request.arrival, title,
+                request.client_id, node.node_id,
+            )
+        node._pending.append((OpenSessionRequest(
+            client_id=session.client_id, rope_id=node.rope_for(title),
+            arrival=session.arrival, start=session.start,
+            length=session.length, media=session.media,
+        ), session))
+
+    def _kill(self, node: ClusterNode, at: float, call: _Call) -> None:
+        """*node* dies at *at*: its run stops there, and each session it
+        was still sending re-opens there on the least-loaded surviving
+        replica, from the first block it was not sent."""
+        cut = node._halt(at)
+        self._fold(node, call, at)
+        node.kill()
+        rec = self._rec
+        if rec is not None:
+            rec.node_died(node.node_id)
+        for session, block in cut:
+            title = session.title_id
+            self._catch_up(title, at)
+            target = self.route(title)
+            to_node = target.node_id if target is not None else None
+            if target is not None:
+                session.node_id, session.since = to_node, at
+                session.handoffs += 1
+                target._submit((_Remainder(
+                    client_id=session.client_id, rope_id=target.rope_for(title),
+                    arrival=at, start=session.start, length=session.length,
+                    media=session.media, first_block=block,
+                ), session))
+                detail = f"resumed at block {block} on {to_node}"
+            else:
+                detail = (
+                    f"no surviving replica of {title!r} had slack at "
+                    f"{at:.3f} s"
                 )
-            result = node.serve(opens)
-            per_node_results[node.node_id].append(result)
-            self._merge_chunk(node, mine, result, chunk, chunks, rejects)
+                self._refuse(call, session, RejectReason.NO_REPLICA, detail)
+            # Clean or not is decided once the call has played out.
+            call.handoffs.append(HandoffRecord(
+                session_id=session.session_id, rope_id=title,
+                from_node=node.node_id, to_node=to_node, at_time=at,
+                blocks_before=session.blocks_delivered, detail=detail,
+            ))
+            if rec is not None:
+                rec.handed_off(
+                    session.session_id, at, node.node_id, to_node,
+                    session.arrival + session.length,
+                    None if target is not None else session.reject.value,
+                )
 
-    def _merge_chunk(
-        self,
-        node: ClusterNode,
-        mine: List[_ClusterSession],
-        result: ServeResult,
-        chunk: int,
-        chunks: int,
-        rejects: List[OpenSessionResponse],
+    def _fold(
+        self, node: ClusterNode, call: _Call, at: Optional[float] = None
     ) -> None:
-        """Fold one node epoch's statuses back into cluster sessions.
-
-        Statuses are matched by (client, rope) key: the node admits the
-        epoch's opens in arrival order and assigns session ids in that
-        order, and ``mine`` is in the same arrival order, so popping
-        each key's statuses in session-id order pairs every cluster
-        session with the node session its open created.
-        """
-        reject_reasons: Dict[str, RejectReason] = {
+        """End *node*'s run — at *at*, a kill's time, or at the end of the
+        call — and fold each of its statuses into the cluster session it
+        played: one stint of that session."""
+        result, plays = node._finish()
+        if result is None:
+            return
+        call.results[node.node_id] = (result,)
+        reasons = {
             response.session_id: response.reject
             for response in result.rejects
             if response.reject is not None
         }
-        buckets: Dict[Tuple[str, str], List[SessionStatus]] = {}
         for status in result.statuses:
-            key = (status.client_id, status.rope_id)
-            buckets.setdefault(key, []).append(status)
-        for statuses in buckets.values():
-            statuses.sort(key=lambda s: s.session_id)
-        for session in mine:
-            key = (session.client_id, node.rope_for(session.title_id))
-            bucket = buckets.get(key)
-            if not bucket:
-                raise ParameterError(
-                    f"node {node.node_id} returned no status for "
-                    f"cluster session {session.session_id} chunk {chunk}"
-                )
-            status = bucket.pop(0)
+            session = plays[status.session_id]
             if status.state is SessionState.REJECTED:
-                reason = reject_reasons.get(
-                    status.session_id, RejectReason.CAPACITY
-                )
-                session.state = SessionState.REJECTED
-                session.reject = reason
-                self._leave(session)
-                rejects.append(
-                    OpenSessionResponse(
-                        session_id=session.session_id,
-                        accepted=False,
-                        reject=reason,
-                        detail=(
-                            f"node {node.node_id} refused chunk {chunk}"
-                        ),
-                    )
+                self._refuse(
+                    call, session,
+                    reasons.get(status.session_id, RejectReason.CAPACITY),
+                    f"node {node.node_id} refused it",
                 )
                 if self._rec is not None:
                     self._rec.node_rejected(
@@ -440,183 +414,65 @@ class MediaCluster:
                         session.arrival + session.length,
                     )
                 continue
+            glitches = status.misses + status.skips
+            if session.handoffs:
+                session.glitches_after_handoff += glitches
+            else:
+                session.startup_latency = status.startup_latency
             session.blocks_delivered += status.blocks_delivered
             session.misses += status.misses
             session.skips += status.skips
-            if chunk == 0:
-                session.startup_latency = status.startup_latency
             session.cache_admitted = (
                 session.cache_admitted and status.cache_admitted
             )
-            if session.handoffs:
-                session.glitches_after_handoff += (
-                    status.misses + status.skips
-                )
             if self._rec is not None:
-                start, length = self._chunk_interval(session, chunk, chunks)
-                self._rec.chunk_served(
-                    session.session_id, node.node_id, chunk, start,
-                    start + length, bool(status.misses or status.skips),
-                )
-
-    def _apply_kills(
-        self,
-        admitted: List[_ClusterSession],
-        chunk: int,
-        chunks: int,
-        pending: List[HandoffRecord],
-        rejects: List[OpenSessionResponse],
-    ) -> None:
-        """Kill scheduled nodes at the boundary after epoch *chunk*.
-
-        A HEAD_FAILURE spec fires at this boundary when its ``at_op``
-        equals ``chunk + 1``, or when its ``at_time`` falls within the
-        simulated playback the finished epochs cover.  A kill at or past
-        the final boundary changes nothing — the sessions already
-        finished.
-        """
-        boundary = chunk + 1
-        if boundary >= chunks:
-            return
-        for at_op, at_time, index in self._kills:
-            node = self.nodes[index]
-            if not node.alive:
-                continue
-            fires = False
-            if at_op is not None:
-                fires = at_op == boundary
-            elif at_time is not None:
-                # Elapsed simulated playback is boundary/chunks of the
-                # longest live interval; the kill fires at the first
-                # boundary whose elapsed time reaches at_time.
-                horizon = max(
-                    (s.length for s in admitted
-                     if s.state is SessionState.PLAYING),
-                    default=0.0,
-                )
-                fires = horizon * boundary / chunks >= at_time
-            if not fires:
-                continue
-            self._kill_node(
-                node, boundary, chunks, admitted, pending, rejects
-            )
-
-    def _kill_node(
-        self,
-        node: ClusterNode,
-        boundary: int,
-        chunks: int,
-        admitted: List[_ClusterSession],
-        pending: List[HandoffRecord],
-        rejects: List[OpenSessionResponse],
-    ) -> None:
-        """Kill *node* and hand its live sessions to surviving replicas."""
-        node.kill()
-        rec = self._rec
-        if rec is not None:
-            rec.node_died(node.node_id)
-        affected = [
-            session for session in admitted
-            if session.node_id == node.node_id
-            and session.state is SessionState.PLAYING
-        ]
-        for session in affected:
-            self._leave(session)
-            target = self.route(session.title_id)
-            to_node = target.node_id if target is not None else None
-            if target is not None:
-                self._place(session, target)
-                session.handoffs += 1
-                detail = f"resumed at chunk {boundary} on {to_node}"
-            else:
-                detail = (
-                    f"no surviving replica of {session.title_id!r} "
-                    f"had slack at chunk {boundary}"
-                )
-                session.state = SessionState.REJECTED
-                session.reject = RejectReason.NO_REPLICA
-                rejects.append(
-                    OpenSessionResponse(
-                        session_id=session.session_id,
-                        accepted=False,
-                        reject=RejectReason.NO_REPLICA,
-                        detail=detail,
-                    )
-                )
-            # Clean or not is decided when every chunk has played.
-            pending.append(HandoffRecord(
-                session_id=session.session_id,
-                rope_id=session.title_id,
-                from_node=node.node_id,
-                to_node=to_node,
-                at_chunk=boundary,
-                blocks_before=session.blocks_delivered,
-                detail=detail,
-            ))
-            if rec is not None:
-                at_time, _ = self._chunk_interval(session, boundary, chunks)
-                rec.handed_off(
-                    session.session_id, at_time, boundary, node.node_id,
-                    to_node, session.arrival + session.length,
-                    None if target is not None else session.reject.value,
+                self._rec.stint_served(
+                    session.session_id, node.node_id, session.since,
+                    at if status.state is SessionState.STOPPED
+                    else session.arrival + session.length,
+                    bool(glitches),
                 )
 
     # -- result assembly ----------------------------------------------------------
 
-    def _finalize(
-        self,
-        admitted: List[_ClusterSession],
-        rejects: List[OpenSessionResponse],
-        admission_order: List[Tuple[str, str]],
-        per_node_results: Dict[str, List[ServeResult]],
-        pending: List[HandoffRecord],
-        chunks: int,
-    ) -> ClusterServeResult:
+    def _finalize(self, call: _Call) -> ClusterServeResult:
+        admitted = [self._sessions[sid] for sid, _ in call.admission_order]
         for session in admitted:
             if session.state is SessionState.PLAYING:
                 session.state = SessionState.COMPLETED
-                self._leave(session)
                 if self._rec is not None:
                     self._rec.session_closed(
                         session.session_id, session.arrival + session.length,
                         "degraded" if session.misses or session.skips
                         else "ok",
                     )
-        by_session = {
-            session.session_id: session for session in admitted
-        }
-        handoffs: List[HandoffRecord] = []
-        for record in pending:
-            session = by_session[record.session_id]
-            handoffs.append(replace(record, clean=(
+        handoffs = [
+            replace(record, clean=(
                 record.to_node is not None
                 and session.state is SessionState.COMPLETED
                 and session.glitches_after_handoff == 0
-            )))
+            ))
+            for record in call.handoffs
+            for session in [self._sessions[record.session_id]]
+        ]
         if self._rec is not None:
             self._rec.handoffs_scored(
                 [record.to_node for record in handoffs if record.clean],
                 max((s.arrival + s.length for s in admitted), default=0.0),
             )
-        statuses = tuple(
-            self._sessions[sid].status()
-            for sid in sorted(self._sessions)
-        )
         return ClusterServeResult(
-            statuses=statuses,
-            rejects=tuple(rejects),
+            statuses=tuple(
+                self._sessions[sid].status() for sid in sorted(self._sessions)
+            ),
+            rejects=tuple(call.rejects),
             per_node=tuple(
-                NodeServeResult(
-                    node_id=node.node_id,
-                    results=tuple(per_node_results[node.node_id]),
-                )
+                NodeServeResult(node.node_id, call.results.get(node.node_id, ()))
                 for node in self.nodes
             ),
             nodes=tuple(node.status() for node in self.nodes),
             handoffs=tuple(handoffs),
             placement=self.placement.assignments,
-            admission_order=tuple(admission_order),
-            chunks=chunks,
+            admission_order=tuple(call.admission_order),
         )
 
 

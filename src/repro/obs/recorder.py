@@ -106,7 +106,7 @@ EVENTS: Dict[str, Tuple[str, str]] = {
     "node_rejected": (
         "cluster", "counter:cluster.rejects counter:cluster.rejects.<node> "
         "span:cluster.request"),
-    "chunk_served": ("cluster", "span:cluster.serve"),
+    "stint_served": ("cluster", "span:cluster.serve"),
     "node_died": ("cluster", "counter:cluster.node_deaths.<node>"),
     "handed_off": (
         "cluster", "counter:cluster.handoffs_total "
@@ -619,29 +619,28 @@ class ServiceRecorder:
         )
 
     def node_rejected(self, session_id, node, end: float) -> None:
-        """*node*'s server refused a chunk of a routed session."""
+        """*node*'s server refused a routed session."""
         self._cluster_reject(node)
         self.session_closed(session_id, end, "rejected")
 
-    def chunk_served(self, session_id, node, chunk, start, end, glitched) -> None:
-        """*node* played one chunk of the session (*glitched*: with a miss
-        or a skip)."""
+    def stint_served(self, session_id, node, start, end, glitched) -> None:
+        """*node* played the session from *start* to *end* — its whole
+        stint there (*glitched*: with a miss or a skip)."""
         root = self._held.get(session_id)
         if root is not None:
             self._span(
-                "cluster.serve", start, root,
-                attrs={"node": node, "chunk": chunk}, end=end,
+                "cluster.serve", start, root, attrs={"node": node}, end=end,
                 status="degraded" if glitched else "ok",
             )
 
     def node_died(self, node: str) -> None:
-        """The fault plan killed *node* at a chunk boundary."""
+        """The fault plan killed *node*."""
         self._count(f"cluster.node_deaths.{node}")
 
-    def handed_off(self, session_id, time, chunk, source, target, end, reject=None):
-        """A dead node's session moved from *source* to *target* at *chunk*
-        — or was stranded (*target* None, *reject* the reason; its root
-        then closes at *end*)."""
+    def handed_off(self, session_id, time, source, target, end, reject=None):
+        """A dead node's session moved from *source* to *target* at *time*,
+        the kill's — or was stranded (*target* None, *reject* the reason;
+        its root then closes at *end*)."""
         self._count("cluster.handoffs_total")
         self._count(f"cluster.handoffs_from.{source}")
         if reject is None:
@@ -653,7 +652,7 @@ class ServiceRecorder:
         if root is not None:
             self._span(
                 "cluster.handoff", time, root,
-                attrs={"from": source, "to": target, "chunk": chunk}, end=time,
+                attrs={"from": source, "to": target}, end=time,
                 status="ok" if reject is None else "stranded",
             )
         if reject is not None:

@@ -35,15 +35,15 @@ class ClusterScale(Scenario):
     Title choice and arrival jitter both come from one seeded RNG;
     arrivals land inside half the batching window so each node sees its
     per-title viewers as one admission batch.  ``kill_node`` (an index,
-    or None for no failure) dies at chunk boundary ``kill_chunk`` and
-    every session it was serving is re-admitted onto the least-loaded
-    surviving replica.
+    or None for no failure) dies ``kill_chunk / chunks`` of the way into
+    the sessions' interval, and every session it was still sending
+    re-opens there on the least-loaded surviving replica.
     """
 
     name = "cluster-scale"
     sampled = True
-    #: Small enough for scripts/check.sh, yet placement, routing,
-    #: chunked serving, a node kill and clean handoff all happen.
+    #: Small enough for scripts/check.sh, yet placement, routing, a node
+    #: kill and clean handoff all happen.
     smoke_sizing = {
         "nodes": 3, "sessions": 12, "titles": 4, "seconds": 1.0,
         "per_node_streams": 8, "chunks": 3, "kill_node": 1,
@@ -66,10 +66,10 @@ class ClusterScale(Scenario):
         if self.kill_node is not None and not (
             1 <= self.kill_chunk < self.chunks
         ):
-            # The router kills a node only at a boundary between chunks.
+            # The kill falls strictly inside the sessions' interval.
             raise ParameterError(
-                f"kill_chunk must be a chunk boundary in [1, {self.chunks}),"
-                f" got {self.kill_chunk}"
+                f"kill_chunk must be in [1, {self.chunks}), got "
+                f"{self.kill_chunk}"
             )
 
     def observability(self, profile: bool = False) -> Observability:

@@ -113,6 +113,11 @@ class _Session:
     skips: int = 0
     startup_latency: float = 0.0
     reject: Optional[RejectReason] = None
+    #: The open that created it.
+    opened: Optional[OpenSessionRequest] = None
+    #: Blocks of its interval's plan it plays from: those before were
+    #: delivered already (before a pause, or on a node that died).
+    first_block: int = 0
 
     def status(self) -> SessionStatus:
         return SessionStatus(
@@ -141,6 +146,14 @@ class _Session:
             requeues=self.requeues,
             detail=detail,
         )
+
+
+@dataclass(frozen=True)
+class _Remainder(OpenSessionRequest):
+    """An open of an interval's plan from block ``first_block`` on (a
+    session a dying node handed off): a batch of its own."""
+
+    first_block: int = 0
 
 
 class MediaServer:
@@ -319,36 +332,13 @@ class MediaServer:
                     f"serve() got {type(request).__name__}; expected a "
                     "repro.api request type"
                 )
-        batches = group_into_batches(
-            [r for r in requests if isinstance(r, OpenSessionRequest)],
-            self.batch_window if self.batching else 0.0, rec=self._rec,
-        )
-        index = {id(request): i for i, request in enumerate(requests)}
-        timeline = sorted(
-            [(b.admit_time, index[id(b.leader)], b) for b in batches]
-            + [(r.arrival, index[id(r)], r) for r in requests if type(r) in _VERBS],
-            key=itemgetter(0, 1),
-        )
-        last = timeline[-1][0] if timeline else 0.0
-        queue = [(at, item, 0) for at, _, item in timeline]
         epoch = _Epoch(self)
         try:
-            for at, item, requeues in queue:
-                if not epoch.submit(at, item, requeues):
-                    # Refused with re-queue budget left: decided again
-                    # after the call's last request.
-                    queue.append((last, item, requeues + 1))
+            epoch.feed(requests)
         except ParameterError:
             epoch.finish()   # what it admitted plays out and lets go
             raise
-        played, rounds, k_used, sequences = epoch.finish()
-        touched = set(epoch.touched + played + [r.session_id for r in epoch.rejects])
-        return ServeResult(
-            statuses=tuple(self._sessions[sid].status() for sid in sorted(touched)),
-            rejects=tuple(epoch.rejects), rounds=rounds, k_used=k_used,
-            batches=len(batches), block_sequences=sequences,
-            cache_stats=self.cache.stats.as_dict() if self.cache is not None else {},
-        )
+        return epoch.finish()
 
     # -- admission ---------------------------------------------------------------
 
@@ -470,6 +460,8 @@ class MediaServer:
             arrival=arrival,
             requeues=requeues,
             reject=reject,
+            opened=request,
+            first_block=getattr(request, "first_block", 0),
         )
         self._sessions[session.session_id] = session
         if lease is not None:
@@ -643,9 +635,10 @@ class MediaServer:
 
 
 class _Epoch:
-    """One ``serve`` call's run, fed one request at a time on the requests'
-    own clock: :meth:`submit` runs the round loop to a request's arrival
-    and decides it there, :meth:`finish` plays out what is still live.
+    """One server run, fed one request at a time on the requests' own
+    clock: :meth:`submit` runs the round loop to a request's arrival and
+    decides it there, :meth:`finish` plays out what is still live.  A
+    ``serve`` call is one run; so is each node's part of a cluster's.
 
     A session joins the loop at the arrival of the PLAY (or RESUME) that
     starts it, and leaves its lease once its last block has played out.
@@ -658,6 +651,7 @@ class _Epoch:
         self.loop: Optional[RoundRobinService] = None
         self.k = 0
         self.k_used = 0
+        self.batches = 0
         #: Who the call's requests named, and each refusal, in order.
         self.touched: List[str] = []
         self.rejects: List[OpenSessionResponse] = []
@@ -674,9 +668,17 @@ class _Epoch:
         sessions = self.server._sessions
         return [s for s in map(sessions.get, ids) if s.state is SessionState.PLAYING]
 
+    def live(self) -> List[_Session]:
+        """The sessions playing or scheduled to play."""
+        return self._playing(self.server._epoch_queue) + self._playing(self.streams)
+
     def _plan(self, session: _Session) -> Tuple[FetchColumns, float]:
+        """What *session* reads — its interval's plan from its first block
+        on — and when it could have played out at the earliest."""
         if session.session_id not in self.plans:
             fetches = self.server._fetches(session.request_id)
+            if session.first_block:
+                fetches = fetches[session.first_block:]
             end = session.arrival + sum(fetches.durations)
             self.plans[session.session_id] = fetches, end
         return self.plans[session.session_id]
@@ -687,14 +689,53 @@ class _Epoch:
             s.next_fetch == len(s.fetches.slots) for s in self.streams.values()
         )
 
+    def feed(self, requests: Sequence) -> None:
+        """Decide *requests*, opens grouped into batches, each batch at its
+        ``admit_time`` and each verb at its arrival, in that order (ties in
+        submission order); a batch refused with re-queue budget left is
+        decided again after the last."""
+        server = self.server
+        opens = [r for r in requests if isinstance(r, OpenSessionRequest)]
+        window = server.batch_window if server.batching else 0.0
+        batches = group_into_batches(
+            [r for r in opens if not isinstance(r, _Remainder)], window,
+            rec=server._rec,
+        )
+        remainders = [r for r in opens if isinstance(r, _Remainder)]
+        if remainders:
+            batches += group_into_batches(remainders, 0.0, rec=server._rec)
+        self.batches += len(batches)
+        index = {id(request): i for i, request in enumerate(requests)}
+        timeline = sorted(
+            [(b.admit_time, index[id(b.leader)], b) for b in batches]
+            + [(r.arrival, index[id(r)], r) for r in requests if type(r) in _VERBS],
+            key=itemgetter(0, 1),
+        )
+        last = timeline[-1][0] if timeline else 0.0
+        queue = [(at, item, 0) for at, _, item in timeline]
+        for at, item, requeues in queue:
+            if not self.submit(at, item, requeues):
+                # Refused with re-queue budget left: decided again after
+                # the last request.
+                queue.append((last, item, requeues + 1))
+
+    def frees_by(self, at: float) -> bool:
+        """Whether a live session could have played out by *at*: before
+        that no slot can have come free."""
+        return any(self._plan(session)[1] <= at for session in self.live())
+
+    def catch_up(self, at: float) -> None:
+        """Run the loop to *at* once a slot may have come free by then, so
+        opens that all overlap are decided before round 0."""
+        if self.frees_by(at):
+            self._reach(at)
+
     def submit(self, at: float, item, requeues: int) -> bool:
         """Decide *item* at *at*: a batch of opens (False: re-queue it) or
         a lifecycle verb."""
         server = self.server
         if isinstance(item, RequestBatch):
-            live = self._playing(server._epoch_queue) + self._playing(self.streams)
-            if any(self._plan(session)[1] <= at for session in live):
-                self._reach(at)   # a slot may have come free
+            self.catch_up(at)
             responses = server._admit_batch(item, requeues=requeues)
             if responses is None:
                 return False
@@ -714,7 +755,8 @@ class _Epoch:
             session for session in self._playing(self.streams)
             for stream in [self.streams[session.session_id]]
             if len(stream.ends) == len(stream.fetches.slots)
-            and stream.ends[-1] <= at
+            # (None at all: RESUMEd with every block read before its pause.)
+            and (not stream.ends or stream.ends[-1] <= at)
         ]
         for session in done:   # all have ended before any vacates
             session.state = SessionState.COMPLETED
@@ -803,16 +845,18 @@ class _Epoch:
             if not (waiting and self._idle()):
                 return None
 
-    def finish(self) -> Tuple[List[str], int, int, Dict]:
-        """Serve every session to completion; returns who played, the
-        rounds run, the largest k run and each session's slots."""
+    def finish(self) -> ServeResult:
+        """Serve every session to completion: the run's result.  A stream a
+        verb took off the loop lists the slots it had read by then, and a
+        PAUSEd one is RESUMEd, in a later run, from the block after them."""
+        server, rec = self.server, self.server._rec
+        fetched: Dict[str, int] = {}
         for sid in self.parked:   # not resumed: the loop reads no more of it
             stream = self.streams[sid]
+            fetched[sid] = stream.next_fetch
+            server._sessions[sid].first_block += stream.next_fetch
             stream.next_fetch = len(stream.fetches.slots)
         metrics = self.advance()
-        if metrics is None:
-            return [], 0, 0, {}
-        server, rec = self.server, self.server._rec
         sessions = [server._sessions[sid] for sid in self.streams]
         for session in sessions:   # what each was delivered, however it ended
             scored = metrics[session.request_id]
@@ -839,8 +883,21 @@ class _Epoch:
                     session.request_id, session.arrival,
                     "degraded" if session.misses or session.skips else "ok",
                 )
-        sequences = {sid: tuple(self.plans[sid][0].slots) for sid in self.streams}
-        return list(self.streams), self.loop.rounds_run, self.k_used, sequences
+        touched = set(self.touched + list(self.streams))
+        touched.update(response.session_id for response in self.rejects)
+        return ServeResult(
+            statuses=tuple(server._sessions[sid].status() for sid in sorted(touched)),
+            rejects=tuple(self.rejects),
+            rounds=self.loop.rounds_run if self.loop is not None else 0,
+            k_used=self.k_used, batches=self.batches,
+            block_sequences={
+                sid: tuple(self.plans[sid][0].slots[:fetched.get(sid)])
+                for sid in self.streams
+            },
+            cache_stats=(
+                server.cache.stats.as_dict() if server.cache is not None else {}
+            ),
+        )
 
 
 def build_media_server(

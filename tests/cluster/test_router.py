@@ -93,7 +93,7 @@ class TestAdmission:
             [RejectReason.EMPTY_INTERVAL] * 2
         )
         for node in cluster.nodes:
-            assert node.active == 0
+            assert node.status().sessions == 0
             assert node.server.mrs.msm.admission.active_count == 0
             assert node.server.cache.pinned_count == 0
 

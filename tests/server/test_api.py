@@ -149,10 +149,9 @@ class TestClusterMessages:
                 HandoffRecord(
                     session_id="S0002", rope_id="T01",
                     from_node="node-01", to_node="node-00",
-                    at_chunk=1, clean=True,
+                    at_time=0.5, clean=True,
                 ),
             ),
-            chunks=2,
         )
 
     def test_cluster_messages_are_frozen(self):

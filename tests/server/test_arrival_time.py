@@ -6,10 +6,10 @@ sessions that never overlap do not reject each other, and a late
 session's start-up pays for no k sized for an earlier one.  A session
 joins the service loop at its own arrival, plays no block before it,
 and its start-up is measured from it (``test_live_set.py``'s state
-machine checks both after every ``serve``).  A cluster still places every
-open before any node serves: its probe is a strict expected failure
-until the router drives each node's loop to each arrival (ROADMAP
-item 20).
+machine checks both after every ``serve``).  A cluster routes each open
+at its arrival, with each node's run brought there once one of its
+sessions could have played out, so a cluster's sessions that never
+overlap do not reject each other either.
 """
 
 import pytest
@@ -50,14 +50,9 @@ def test_sessions_that_never_overlap_are_all_admitted_by_one_server():
     assert result.admitted == 6 and not result.rejects
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="item 20: the router places every open before any node serves",
-)
 def test_sessions_that_never_overlap_are_all_admitted_by_a_cluster():
-    """4 are admitted and 6 refused ``no_replica``: ``MediaCluster.serve``
-    routes every open against the router's count before any node's loop
-    runs, so no session has played out when a later one is placed."""
+    """When every open was routed against the router's own count before
+    any node's loop ran, 4 were admitted and 6 refused ``no_replica``."""
     cluster, titles = build_cluster(
         nodes=2, titles=2, per_node_streams=2, clients=CLIENTS, warm=False
     )

@@ -158,8 +158,8 @@ def assert_the_live_set_holds(
             stream = played.get(sid)
             if entry[0] == "playing" and stream is not None and len(
                 stream.ends
-            ) == len(stream.fetches.slots) and stream.ends[-1] <= at:
-                entry[0] = "done"
+            ) == len(stream.fetches.slots) and stream.ends[-1:] <= [at]:
+                entry[0] = "done"   # (a RESUME of one read whole: at once)
         if isinstance(request, OpenSessionRequest):
             sid = f"C{len(state) + 1:04d}"
             session = sessions[sid]
@@ -508,6 +508,47 @@ def test_a_stop_or_pause_ends_the_reads_of_a_session_at_its_arrival(verb):
     )
     held = server.mrs.msm.admission.active_count
     assert held == (verb is PauseRequest)
+
+
+@pytest.mark.parametrize("cache_blocks", [0, 64])
+def test_a_stream_a_verb_took_off_the_loop_lists_only_what_it_read(
+    cache_blocks,
+):
+    """A lone 1-s title STOPped at 0.3 s was delivered 3 blocks, and its
+    sequence is those 3 slots, the first of its plan's 8 (it listed all
+    8, with the cache off and on)."""
+    server = build_media_server(cache_blocks=cache_blocks, batch_window=0.0)
+    rope = record_strands(server.mrs, 1, 1.0, CLIENTS, "t")[0]
+    result = server.serve(
+        opens([rope], [0.0], [0]) + [StopRequest("C0001", 0.3)]
+    )
+    (status,) = result.statuses
+    plan = lone_stream().fetches.slots
+    assert status.state is SessionState.STOPPED
+    assert status.blocks_delivered == 3
+    assert result.block_sequences["C0001"] == tuple(plan[:3])
+
+
+@pytest.mark.parametrize("destructive", [False, True])
+def test_a_session_paused_in_one_serve_resumes_in_the_next_where_it_stopped(
+    destructive,
+):
+    """Paused at 0.3 s in one serve and RESUMEd in the next, a 1-s title
+    reads the rest of its plan, not all of it again (it was read and
+    reported whole, 3 + 8 blocks): the two sequences are its plan's 8
+    slots, each once, and the second serve reports the 5 it delivered."""
+    server, rope = one_rope_server()
+    first = server.serve(opens([rope], [0.0], [0]) + [
+        PauseRequest("C0001", 0.3, destructive=destructive),
+    ])
+    second = server.serve([ResumeRequest("C0001", 5.0)])
+    (status,) = second.statuses
+    plan = tuple(lone_stream().fetches.slots)
+    assert first.block_sequences["C0001"] == plan[:3]
+    assert second.block_sequences["C0001"] == plan[3:]
+    assert status.state is SessionState.COMPLETED
+    assert status.blocks_delivered == 5 and status.misses == 0
+    assert server.mrs.msm.admission.active_count == 0
 
 
 def test_a_verb_the_session_cannot_take_still_serves_what_the_loop_holds():

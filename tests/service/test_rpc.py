@@ -309,7 +309,7 @@ class TestSizingCompleteness:
             NodeStatus: NodeStatus(node_id="node-00"),
             HandoffRecord: HandoffRecord(
                 session_id="S0001", rope_id="T01",
-                from_node="node-00", to_node="node-01", at_chunk=1,
+                from_node="node-00", to_node="node-01", at_time=0.5,
             ),
             NodeServeResult: NodeServeResult(node_id="node-00"),
             ClusterServeResult: ClusterServeResult(statuses=(status,)),
