@@ -97,9 +97,8 @@ class FreeMap:
         """Mark exactly *slots* used — all of them, or none.
 
         For callers that already know which slots they own (a repair
-        plan, a strand moving back, a loaded image).  A slot outside the
-        map, already allocated, or named twice raises; nothing stays
-        taken.
+        plan, a strand moving back).  A slot outside the map, already
+        allocated, or named twice raises; nothing stays taken.
         """
         taken: List[int] = []
         try:

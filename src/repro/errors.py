@@ -3,7 +3,7 @@
 All library-raised exceptions derive from :class:`ReproError` so callers can
 install a single catch-all around file-system operations while still being
 able to discriminate the interesting cases (admission rejection, allocation
-failure, a corrupt image) individually.
+failure) individually.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "StrandImmutableError",
     "UnknownStrandError",
     "IndexCorruptionError",
-    "ImageError",
     "RopeError",
     "UnknownRopeError",
     "IntervalError",
@@ -193,12 +192,6 @@ class UnknownStrandError(StrandError, KeyError):
 
 class IndexCorruptionError(StrandError):
     """The 3-level block index failed an internal consistency check."""
-
-
-class ImageError(StorageError):
-    """A persisted image is truncated or inconsistent: a required key is
-    missing, a value is malformed, or a slot is out of range or named
-    twice.  Nothing of such an image is installed."""
 
 
 # ---------------------------------------------------------------------------

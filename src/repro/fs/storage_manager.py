@@ -559,21 +559,6 @@ class MultimediaStorageManager:
         self.relocations += moved
         return moved
 
-    def restore_strands(self, strands: Sequence[Strand]) -> None:
-        """Install strands decoded from a persisted image, claiming
-        exactly the media and index slots they name — all, or none."""
-        names = {strand.strand_id for strand in strands}
-        if len(names) != len(strands) or names & self._strands.keys():
-            raise ParameterError(
-                "restored strand ids must be new and distinct"
-            )
-        self.freemap.claim(
-            slot
-            for strand in strands
-            for slot in strand.slots() + strand.index.assigned_slots()
-        )
-        self._strands.update((strand.strand_id, strand) for strand in strands)
-
     # -- deletion -------------------------------------------------------------------
 
     def delete_strand(self, strand_id: str) -> None:

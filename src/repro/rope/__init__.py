@@ -25,7 +25,6 @@ from repro.rope.operations import (
     strip_medium,
     substring,
 )
-from repro.rope.persist import dump_image, load_file, load_image, save_file
 from repro.rope.scattering_repair import (
     RepairReport,
     ScatteringRepairer,
@@ -67,13 +66,9 @@ __all__ = [
     "concate",
     "delete",
     "delete_range",
-    "dump_image",
     "insert",
-    "load_file",
-    "load_image",
     "project_medium",
     "replace",
-    "save_file",
     "slice_segments",
     "splice_segments",
     "strip_medium",

@@ -130,8 +130,9 @@ class TestConstrainedScatter:
 
 class TestUnboundedWindow:
     """``ScatterBounds(0, inf)`` is valid — it is a strand's default upper
-    bound, and what a persisted ``null`` bound reads back as.  Both
-    closed-form seek inverses used to raise ``OverflowError`` on it."""
+    bound, and a placer built on a strand's bounds (``relocate_strand``
+    builds one) must take it.  Both closed-form seek inverses used to
+    raise ``OverflowError`` on it."""
 
     @pytest.mark.parametrize(
         "seek", [LinearSeek(0.003, 2e-5), SqrtAffineSeek(0.003, 1e-3)],

@@ -7,22 +7,115 @@ writer, and must never change because of a refactor: allocation order,
 strand-id order and index-slot placement on every successful path are
 the contract.  Regenerate (``pytest --regen-golden``) only for a change
 whose point is a different placement.
+
+The digests hash :func:`canonical_state`, a plain JSON statement of the
+MSM's slots and strands and the MRS's ropes.  It is the golden's hash
+input and nothing else: the library keeps no saved image, and nothing
+reads this statement back.
 """
 
 import hashlib
 import json
 import random
+from dataclasses import asdict
 
 from repro.config import TESTBED_1991
 from repro.core.symbols import DisplayDeviceParameters
 from repro.disk import ScatterBounds, build_array, build_drive
 from repro.fs import MultimediaStorageManager
-from repro.rope.persist import dump_image
 from repro.fs.reorganize import Reorganizer
 from repro.fs.striped import StripedStorageManager
 from repro.media.audio import generate_talk_spurts
 from repro.media.frames import frames_for_duration
 from repro.rope import Media, MultimediaRopeServer
+
+
+def _block(block):
+    payload = {
+        "kind": block.kind.value,
+        "video_tokens": list(block.video_tokens),
+        "video_bits": block.video_bits,
+    }
+    if block.audio is not None:
+        payload["audio"] = asdict(block.audio)
+    return payload
+
+
+def _strand(strand):
+    blocks = []
+    for number in range(strand.block_count):
+        slot = strand.slot_of(number)
+        entry = {"units": strand.units_of(number)}
+        if slot is None:
+            entry["silence"] = True
+        else:
+            entry["slot"] = slot
+            entry["content"] = _block(strand.block_at(number))
+        blocks.append(entry)
+    upper = strand.scattering_upper
+    return {
+        "strand_id": strand.strand_id,
+        "kind": strand.kind.value,
+        "unit_rate": strand.unit_rate,
+        "granularity": strand.granularity,
+        "sectors_per_block": strand.sectors_per_block,
+        "scattering_lower": strand.scattering_lower,
+        # JSON has no infinity; an unbounded upper bound is null.
+        "scattering_upper": None if upper == float("inf") else upper,
+        "index_slots": strand.index.assigned_slots(),
+        "blocks": blocks,
+    }
+
+
+def _track(track):
+    if track is None:
+        return None
+    return {
+        "strand_id": track.strand_id,
+        "start_unit": track.start_unit,
+        "length_units": track.length_units,
+        "rate": track.rate,
+        "granularity": track.granularity,
+    }
+
+
+def _rope(rope):
+    return {
+        "rope_id": rope.rope_id,
+        "creator": rope.creator,
+        "play_access": list(rope.play_access),
+        "edit_access": list(rope.edit_access),
+        "segments": [
+            {
+                "video": _track(segment.video),
+                "audio": _track(segment.audio),
+                "triggers": [
+                    {
+                        "video_block": trigger.video_block,
+                        "audio_block": trigger.audio_block,
+                        "text": trigger.text,
+                    }
+                    for trigger in segment.triggers
+                ],
+            }
+            for segment in rope.segments
+        ],
+    }
+
+
+def canonical_state(msm, mrs):
+    """Every strand of *msm* (placement, index slots, contents, silence
+    holders) and every rope of *mrs*, as one JSON value.  The shape and
+    its ``"version": 1`` are frozen: the golden's digests hash it."""
+    return {
+        "version": 1,
+        "slots": msm.freemap.slots,
+        "strands": [
+            _strand(msm.get_strand(strand_id))
+            for strand_id in msm.strand_ids()
+        ],
+        "ropes": [_rope(mrs.get_rope(rope_id)) for rope_id in mrs.rope_ids()],
+    }
 
 
 def _sha(value) -> str:
@@ -61,7 +154,7 @@ def placement_script():
         return rope_id
 
     def checkpoint(name):
-        digests[name] = _sha(dump_image(msm, mrs))
+        digests[name] = _sha(canonical_state(msm, mrs))
         digests[name + ":used"] = _sha(msm.freemap.used_slots())
 
     # -- recordings: 3 video, 2 talk-spurt audio, 1 heterogeneous --------------

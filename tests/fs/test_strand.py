@@ -6,7 +6,6 @@ from repro.errors import ParameterError, StrandImmutableError
 from repro.fs.blocks import AudioPayload, BlockKind, MediaBlock
 from repro.fs.index import StrandIndex
 from repro.fs.strand import Strand
-from repro.rope.persist import _strand_from_json, _strand_to_json
 from tests.fs.test_strand_extend_reference import as_columns
 
 
@@ -159,9 +158,6 @@ class TestBlocksAreViews:
         record(strand, [block], [7])
         assert strand.block_at(0) == block
         assert strand.stored_bits == block.payload_bits
-        strand.index.assign_slots([1, 2, 3])
-        loaded = _strand_from_json(_strand_to_json(strand.finalize()), 1024.0)
-        assert loaded.block_at(0) == block
 
     def test_a_copy_takes_the_source_columns(self):
         strand = make_strand(kind=BlockKind.AUDIO, rate=8000.0,

@@ -12,17 +12,15 @@ secondaries full but the last, and a header counting every unit.  Over
 generated strands of every media kind — silence holders included,
 fan-outs small enough that a strand crosses primary and secondary block
 boundaries, and recordings taken in one call or several — the strand
-must equal the statement, before and after index slots are assigned,
-and survive a persist round trip unchanged.  ``Strand.extend`` takes a
-recording as columns; ``as_columns`` is the one place a recording stated
-as blocks becomes them.
+must equal the statement, before and after index slots are assigned.
+``Strand.extend`` takes a recording as columns; ``as_columns`` is the
+one place a recording stated as blocks becomes them.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.fs.blocks import AudioPayload, BlockKind, MediaBlock
 from repro.fs.index import PrimaryEntry, SecondaryEntry, StrandIndex
-from repro.rope.persist import _strand_from_json, _strand_to_json
 from repro.fs.strand import Strand
 
 
@@ -190,25 +188,3 @@ class TestBulkEqualsPerBlock:
             assigned = list(range(1000, 1000 + strand.index.index_block_count()))
             strand.index.assign_slots(assigned)
             assert_strand_is(strand, contents, slots, assigned)
-
-    @settings(max_examples=100, deadline=None)
-    @given(recording=recordings(), secondary_fanout=st.integers(1, 3))
-    def test_a_bulk_strand_survives_a_persist_round_trip(
-        self, recording, secondary_fanout
-    ):
-        """Persisted fan-outs derive from the block size (a primary
-        entry is half a secondary one), so the strand is built with
-        that pair."""
-        kind, contents, slots, _ = recording
-        strand = new_strand(kind, 2 * secondary_fanout, secondary_fanout)
-        strand.extend(*as_columns(kind, contents, slots))
-        assigned = None
-        if contents:
-            assigned = list(range(1000, 1000 + strand.index.index_block_count()))
-            strand.index.assign_slots(assigned)
-        loaded = _strand_from_json(
-            _strand_to_json(strand.finalize()), 128.0 * secondary_fanout
-        )
-        assert_strand_is(loaded, contents, slots, assigned)
-        assert loaded.index.assigned_slots() == strand.index.assigned_slots()
-        loaded.verify_against_index()

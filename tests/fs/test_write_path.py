@@ -33,24 +33,9 @@ from repro.media.audio import AudioChunk, generate_talk_spurts
 from repro.media.frames import frames_for_duration
 from repro.rope import MultimediaRopeServer, build_rope_server
 from repro.rope.intervals import MediaTrack
+from tests.fs.ownership import assert_ownership_exact
 
 PROFILE = TESTBED_1991
-
-
-def owned_slots(msm):
-    """Every slot a strand owns: media blocks, then index blocks."""
-    owned = []
-    for strand_id in msm.strand_ids():
-        strand = msm.get_strand(strand_id)
-        owned += strand.slots() + strand.index.assigned_slots()
-    return owned
-
-
-def assert_ownership_exact(msm):
-    owned = owned_slots(msm)
-    assert len(owned) == len(set(owned)), "two blocks share a slot"
-    assert msm.freemap.slots - msm.freemap.free_count == len(owned)
-    assert msm.freemap.used_slots() == sorted(owned)
 
 
 def video(seconds, source="clip"):

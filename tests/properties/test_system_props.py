@@ -3,7 +3,8 @@
 These tie the analytic layer to the executable one over randomized
 inputs: whatever the §3.4 controller admits must simulate continuously,
 whatever the §4.2 repairer touches must end up within bounds, and
-persistence must be a faithful bijection on file-system state.
+every recording, edit, deletion and collection must leave each slot
+owned by exactly one strand, with each strand agreeing with its index.
 """
 
 import pytest
@@ -19,9 +20,10 @@ from repro.errors import AdmissionRejected
 from repro.fs import MultimediaStorageManager
 from repro.fs.storage_manager import MultimediaStorageManager as MSM
 from repro.media.frames import frames_for_duration
-from repro.rope import Media, MultimediaRopeServer, dump_image, load_image
+from repro.rope import Media, MultimediaRopeServer
 from repro.rope.scattering_repair import ScatteringRepairer
 from repro.service import PlaybackSession
+from tests.fs.ownership import assert_ownership_exact
 
 PROFILE = TESTBED_1991
 
@@ -107,15 +109,27 @@ class TestSeamRepairProperty:
             )
 
 
-class TestPersistenceProperty:
+class TestOwnershipProperty:
     @slow_settings
     @given(
         clips=st.integers(min_value=1, max_value=3),
         edit_position=st.floats(min_value=0.5, max_value=2.5),
         seconds=st.floats(min_value=3.0, max_value=6.0),
+        doomed=st.integers(min_value=0, max_value=2),
     )
-    def test_dump_load_dump_is_identity(self, clips, edit_position, seconds):
+    def test_every_step_keeps_slot_ownership_exact(
+        self, clips, edit_position, seconds, doomed
+    ):
+        """The allocated set is the disjoint union of every strand's
+        media and index slots, and every strand passes its index's
+        check, after each step."""
         msm, mrs = fresh_servers()
+
+        def check():
+            assert_ownership_exact(msm)
+            for strand_id in msm.strand_ids():
+                msm.get_strand(strand_id).verify_against_index()
+
         rope_ids = []
         for i in range(clips):
             frames = frames_for_duration(
@@ -124,12 +138,14 @@ class TestPersistenceProperty:
             request_id, rope_id = mrs.record("u", frames=frames)
             mrs.stop(request_id)
             rope_ids.append(rope_id)
+            check()
         if len(rope_ids) >= 2:
             mrs.insert(
                 "u", rope_ids[0], edit_position, Media.VIDEO,
                 rope_ids[1], 0.0, min(2.0, seconds),
             )
-        image = dump_image(msm, mrs)
-        msm2, mrs2 = fresh_servers()
-        load_image(image, msm2, mrs2)
-        assert dump_image(msm2, mrs2) == image
+            check()
+        mrs.delete_rope("u", rope_ids[doomed % clips])
+        check()
+        msm.collect_garbage()
+        check()

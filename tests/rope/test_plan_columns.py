@@ -15,7 +15,6 @@ from repro.errors import IntervalError
 from repro.fs import MultimediaStorageManager
 from repro.fs.blocks import AudioPayload, BlockKind, MediaBlock
 from repro.fs.index import StrandIndex
-from repro.rope.persist import dump_image, load_image
 from repro.fs.strand import Strand
 from repro.media.audio import generate_talk_spurts
 from repro.media.frames import frames_for_duration
@@ -382,19 +381,3 @@ class TestPlansFollowTheStrand:
         )
         assert after.video.bits == before.video.bits
         assert after.tokens() == before.tokens()
-
-    def test_a_persisted_strand_plans_identically(self):
-        msm, mrs = fresh_pair()
-        rope_id = self._recorded(mrs)
-        msm2, mrs2 = fresh_pair()
-        load_image(dump_image(msm, mrs), msm2, mrs2)
-        saved = mrs.playback_plan(
-            mrs.open_request("u", rope_id, start=0.7, length=2.1)
-        )
-        loaded = assert_plan_is_reference(
-            mrs2, mrs2.open_request("u", rope_id, start=0.7, length=2.1)
-        )
-        for ours, theirs in ((loaded.video, saved.video),
-                             (loaded.audio, saved.audio)):
-            assert list(ours) == list(theirs)
-        assert None in loaded.audio.slots
